@@ -52,6 +52,17 @@ LETTER_SUM_INTERVALS = 2048
 LETTER_SUM_ROUNDS = 5
 LETTER_SUM_MIN_SPEEDUP = 2.0
 
+#: The coordinate-table gate runs on the serving shape (the end-to-end
+#: benchmark's 1024 x 1024 domain, 256 instances), whose tables fit the
+#: byte budget; ``DOMAIN`` above (2^16 per side) is the over-budget shape
+#: and keeps measuring the cover-walk path.
+TABLE_DOMAIN = Domain.square(1024, dimension=2)
+TABLE_INSTANCES = 256
+TABLE_ROUNDS = 20
+TABLE_MIN_SPEEDUP = 3.0
+COLD_TABLE_ROUNDS = 8
+COLD_TABLE_MAX_MS = 60.0
+
 
 def _update_report(updates: dict) -> None:
     """Merge new sections into ``BENCH_program.json`` without clobbering.
@@ -62,7 +73,11 @@ def _update_report(updates: dict) -> None:
     report: dict = {}
     if REPORT_PATH.exists():
         report = json.loads(REPORT_PATH.read_text(encoding="utf-8"))
-    report.update(updates)
+    for section, values in updates.items():
+        if isinstance(values, dict):
+            # Two tests write into "letter_sum": merge, never replace.
+            values = {**report.get(section, {}), **values}
+        report[section] = values
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
 
@@ -294,3 +309,103 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
     (RESULTS_DIR / "bench_letter_sums.txt").write_text(text + "\n",
                                                        encoding="utf-8")
     assert speedup >= LETTER_SUM_MIN_SPEEDUP
+
+
+def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
+    """The table gate: coordinate-table lookups >= 3x the cover walk.
+
+    Both sides have a warm sign table; the baseline is what a bank does
+    when its derived tables are over the byte budget — walk the covers,
+    gather ``(instances x cover ids)`` signs, reduce — i.e. the warm path
+    before coordinate tables existed.  Also records what a cold xi family
+    pays before its first table-served letter sum (sign table + point
+    table + interval tables), against a ceiling.
+    """
+    from repro.core import kernels
+    from repro.core.hashing import FourWiseFamilyBank
+
+    rng = np.random.default_rng(5)
+    size = TABLE_DOMAIN.dyadic(0).size
+    lows = rng.integers(0, size - 1, size=LETTER_SUM_INTERVALS)
+    highs = np.minimum(lows + rng.integers(1, size // 4, size=LETTER_SUM_INTERVALS),
+                       size - 1)
+    letters = (Letter.INTERVAL, Letter.ENDPOINTS)
+
+    def make_bank(seed: int) -> SketchBank:
+        return SketchBank(TABLE_DOMAIN, all_words(letters, TABLE_DOMAIN.dimension),
+                          TABLE_INSTANCES, seed=seed)
+
+    def rounds(bank: SketchBank, letter: Letter) -> float:
+        start = time.perf_counter()
+        for _ in range(TABLE_ROUNDS):
+            bank.letter_sums(0, letter, lows, highs)
+        return time.perf_counter() - start
+
+    bank = make_bank(17)
+    tabled = {letter: bank.letter_sums(0, letter, lows, highs) for letter in letters}
+    with monkeypatch.context() as patch:
+        patch.setattr(FourWiseFamilyBank, "_DERIVED_BYTE_LIMIT", 0)
+        walker = make_bank(17)
+        for letter in letters:
+            assert np.array_equal(
+                walker.letter_sums(0, letter, lows, highs), tabled[letter])
+        walk_seconds = {letter: rounds(walker, letter) for letter in letters}
+
+    def run_tables() -> dict:
+        return {letter: rounds(bank, letter) for letter in letters}
+
+    table_seconds = benchmark.pedantic(run_tables, rounds=1, iterations=1)
+    speedups = {letter: walk_seconds[letter] / table_seconds[letter]
+                for letter in letters}
+    table_speedup = min(speedups.values())
+
+    # A cold family's first calls build its tables and answer; the answer's
+    # own (steady-state) share is subtracted.
+    steady_ms = sum(table_seconds.values()) / TABLE_ROUNDS * 1e3
+    cold_ms = []
+    for index in range(COLD_TABLE_ROUNDS):
+        cold = make_bank(1000 + index)       # a family nobody has built
+        start = time.perf_counter()
+        for letter in letters:
+            cold.letter_sums(0, letter, lows, highs)
+        cold_ms.append((time.perf_counter() - start) * 1e3 - steady_ms)
+    cold_table_ms = float(np.median(cold_ms))
+
+    _update_report({"letter_sum": {
+        "table_intervals": LETTER_SUM_INTERVALS,
+        "table_points": LETTER_SUM_INTERVALS,
+        "table_instances": TABLE_INSTANCES,
+        "table_interval_speedup": speedups[Letter.INTERVAL],
+        "table_point_speedup": speedups[Letter.ENDPOINTS],
+        "table_speedup": table_speedup,
+        "min_table_speedup": TABLE_MIN_SPEEDUP,
+        "cold_table_ms": cold_table_ms,
+        "max_cold_table_ms": COLD_TABLE_MAX_MS,
+        "numba": kernels.HAVE_NUMBA,
+    }})
+
+    RESULTS_DIR.mkdir(exist_ok=True)
+    per_call = 1e3 / TABLE_ROUNDS
+    lines = [
+        f"coordinate tables: {TABLE_ROUNDS} rounds x {LETTER_SUM_INTERVALS} "
+        f"boxes, 1024-wide dimension, {TABLE_INSTANCES} instances, "
+        f"numba={'on' if kernels.HAVE_NUMBA else 'off'}",
+    ]
+    for letter, label in ((Letter.INTERVAL, "interval covers"),
+                          (Letter.ENDPOINTS, "endpoint covers")):
+        lines.append(
+            f"{label}: walk {walk_seconds[letter] * per_call:7.2f} ms/call, "
+            f"tables {table_seconds[letter] * per_call:7.2f} ms/call, "
+            f"{speedups[letter]:6.1f}x")
+    lines += [
+        f"table speedup  : {table_speedup:8.1f}x (gate: >= {TABLE_MIN_SPEEDUP}x)",
+        f"cold xi family : {cold_table_ms:8.1f} ms to its first table-served "
+        f"sums (gate: <= {COLD_TABLE_MAX_MS} ms)",
+    ]
+    text = "\n".join(lines)
+    print("\n" + text)
+    (RESULTS_DIR / "bench_cover_tables.txt").write_text(text + "\n",
+                                                        encoding="utf-8")
+    assert table_speedup >= TABLE_MIN_SPEEDUP
+    assert cold_table_ms <= COLD_TABLE_MAX_MS
+

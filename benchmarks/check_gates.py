@@ -2,7 +2,8 @@
 
 Every perf-smoke benchmark writes a ``BENCH_<name>.json`` report at the
 repository root; ``gates.json`` declares, per gate, which report to read
-and which dotted metric paths must clear which floors.  CI then runs::
+and which dotted metric paths must clear which floors (``min``) or stay
+under which ceilings (``max``).  CI then runs::
 
     python benchmarks/check_gates.py --run wal
 
@@ -64,13 +65,18 @@ def check_gate(gate_name: str, gate: dict) -> list[str]:
     print(f"[{gate_name}] {gate['title']}")
     for check in gate["checks"]:
         value = resolve_metric(report, check["metric"])
-        floor = check["min"]
-        ok = value >= floor
+        # A floor ("min") or, for costs, a ceiling ("max").
+        if "max" in check:
+            bound, ok, relation, broken = (
+                check["max"], value <= check["max"], "<=", ">")
+        else:
+            bound, ok, relation, broken = (
+                check["min"], value >= check["min"], ">=", "<")
         print(f"  {'ok  ' if ok else 'FAIL'} {check['label']}: "
-              f"{value:g} (gate >= {floor:g})")
+              f"{value:g} (gate {relation} {bound:g})")
         if not ok:
             failures.append(f"[{gate_name}] {check['failure']}: "
-                            f"{check['metric']} = {value:g} < {floor:g}")
+                            f"{check['metric']} = {value:g} {broken} {bound:g}")
     return failures
 
 

@@ -43,12 +43,17 @@ from typing import Sequence
 
 
 from repro.errors import ReproError
-from repro.experiments.config import SCALES, get_scale
-from repro.experiments.figures import FIGURES
 from repro.geometry.boxset import BoxSet
 
+#: The verbs that run the paper's experiments.  Only they import
+#: ``repro.experiments`` (~40 ms): every ``serve`` / ``cluster route`` spawn
+#: would otherwise pay for figure code it never runs.
+EXPERIMENT_COMMANDS = frozenset({"list", "run", "all"})
 
-def _build_parser() -> argparse.ArgumentParser:
+
+def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
+    """The full parser; ``experiments=False`` leaves the experiment verbs
+    without their arguments (whose choices need ``repro.experiments``)."""
     parser = argparse.ArgumentParser(
         prog="repro-spatial",
         description="Reproduce the experiments of 'Approximation Techniques for Spatial Data'",
@@ -56,20 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="list the available experiments and scales")
-
     run = sub.add_parser("run", help="run one or more experiments")
-    run.add_argument("experiments", nargs="+", choices=sorted(FIGURES),
-                     help="experiment identifiers (e.g. figure5)")
-    run.add_argument("--scale", default="laptop", choices=sorted(SCALES),
-                     help="experiment scale (default: laptop)")
-    run.add_argument("--seed", type=int, default=0, help="base random seed")
-    run.add_argument("--output", type=str, default=None,
-                     help="append the result tables to this file")
-
     everything = sub.add_parser("all", help="run every experiment")
-    everything.add_argument("--scale", default="laptop", choices=sorted(SCALES))
-    everything.add_argument("--seed", type=int, default=0)
-    everything.add_argument("--output", type=str, default=None)
+    if experiments:
+        from repro.experiments.config import SCALES
+        from repro.experiments.figures import FIGURES
+
+        run.add_argument("experiments", nargs="+", choices=sorted(FIGURES),
+                         help="experiment identifiers (e.g. figure5)")
+        run.add_argument("--scale", default="laptop", choices=sorted(SCALES),
+                         help="experiment scale (default: laptop)")
+        run.add_argument("--seed", type=int, default=0, help="base random seed")
+        run.add_argument("--output", type=str, default=None,
+                         help="append the result tables to this file")
+
+        everything.add_argument("--scale", default="laptop", choices=sorted(SCALES))
+        everything.add_argument("--seed", type=int, default=0)
+        everything.add_argument("--output", type=str, default=None)
 
     # -- sketch service commands ------------------------------------------------
 
@@ -332,6 +340,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_experiments(names: Sequence[str], scale_name: str, seed: int,
                      output: str | None) -> int:
+    from repro.experiments.config import get_scale
+    from repro.experiments.figures import FIGURES
+
     scale = get_scale(scale_name)
     chunks: list[str] = []
     for name in names:
@@ -1065,10 +1076,17 @@ def _run_cluster(args) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by the ``repro-spatial`` console script."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    arguments = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser takes no options of its own, so the first
+    # non-option argument is the verb.
+    command = next((arg for arg in arguments if not arg.startswith("-")), None)
+    parser = _build_parser(experiments=command in EXPERIMENT_COMMANDS)
+    args = parser.parse_args(arguments)
 
     if args.command == "list":
+        from repro.experiments.config import SCALES
+        from repro.experiments.figures import FIGURES
+
         print("experiments:")
         for name in sorted(FIGURES):
             doc = (FIGURES[name].__doc__ or "").strip().splitlines()
@@ -1083,6 +1101,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_experiments(args.experiments, args.scale, args.seed, args.output)
 
     if args.command == "all":
+        from repro.experiments.figures import FIGURES
+
         return _run_experiments(sorted(FIGURES), args.scale, args.seed, args.output)
 
     try:

@@ -569,6 +569,7 @@ class ClusterRouter:
                 "tenants": dict(reply.get("tenants", {})),
                 "delta": dict(reply.get("delta", {})),
                 "program": dict(reply.get("program", {})),
+                "sign_tables": dict(reply.get("sign_tables", {})),
             }
         tenants = self._aggregate_tenants(fleet)
         text = self._render_metrics(fleet, tenants)
@@ -687,11 +688,14 @@ class ClusterRouter:
         # rebuilds is the steady-state health signal for delta propagation.
         delta_totals: dict[str, int] = {}
         program_totals: dict[str, int] = {}
+        table_totals = {"sign_tables": 0, "sign_table_bytes": 0}
         for entry in fleet.values():
             for key, count in entry.get("delta", {}).items():
                 delta_totals[key] = delta_totals.get(key, 0) + int(count)
             for key, count in entry.get("program", {}).items():
                 program_totals[key] = program_totals.get(key, 0) + int(count)
+            for key in table_totals:
+                table_totals[key] += int(entry.get("sign_tables", {}).get(key, 0))
         for key, metric in (("delta_applies",
                              "repro_cluster_delta_applies_total"),
                             ("rebuilds",
@@ -701,6 +705,9 @@ class ClusterRouter:
             lines.append(f"{metric} {delta_totals.get(key, 0)}")
         for key in sorted(program_totals):
             lines.append(f"repro_cluster_program_{key} {program_totals[key]}")
+        # Each worker process interns its own xi sign tables.
+        for key in table_totals:
+            lines.append(f"repro_cluster_{key} {table_totals[key]}")
         return "\n".join(lines) + "\n"
 
     async def _op_snapshot(self, request: dict, scope=None) -> dict:

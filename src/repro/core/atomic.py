@@ -575,10 +575,8 @@ class SketchBank:
         """``(num_instances, num_boxes)`` per-box xi sums for one letter/dimension."""
         dyadic = self._domain.dyadic(dim)
         xi = self._xi[dim]
-        n_boxes = len(lows)
         if letter is Letter.INTERVAL:
-            ids, lengths = dyadic.covers(lows, highs)
-            return self._segment_sums(xi, ids, lengths, n_boxes)
+            return self._interval_sums(xi, dyadic, lows, highs)
         if letter is Letter.ENDPOINTS:
             low_sums = self._point_cover_sums(xi, dyadic, lows)
             high_sums = self._point_cover_sums(xi, dyadic, highs)
@@ -595,14 +593,18 @@ class SketchBank:
             return self._leaf_sums(xi, leaves)
         raise SketchConfigError(f"unknown letter {letter!r}")
 
-    # The three reducers below share one structure: account the request via
-    # resolve_table() exactly once, take a fused table kernel when both the
-    # table and numba are available, and otherwise gather signs into a
-    # thread-local workspace buffer and reduce with NumPy.  Every path
-    # returns a *fresh* float64 array (never a workspace view): callers —
-    # the program executor's cover cache in particular — retain results
-    # across calls.  All paths produce bit-identical values: the summands
-    # are ±1 integers, so any summation order yields the same exact float.
+    # The reducers below account the request via resolve_table() exactly
+    # once.  Once the bank's xi family has a sign table, cover sums are
+    # gathers from coordinate-indexed tables derived from it (see
+    # DyadicDomain.point_cover_table / interval_cover_tables) — no cover
+    # walk, no (instances x cover ids) sign matrix.  Banks not yet at the
+    # table break-even, and domains whose derived tables would exceed the
+    # byte budget, walk the covers, gather signs into a thread-local
+    # workspace buffer and reduce with NumPy.  Every path returns a *fresh*
+    # float64 array (never a workspace view): callers — the program
+    # executor's cover cache in particular — retain results across calls.
+    # All paths produce bit-identical values: the summands are ±1 integers,
+    # so any summation order yields the same exact float.
 
     @staticmethod
     def _scratch_signs(xi: FourWiseFamilyBank, ids: np.ndarray) -> np.ndarray:
@@ -616,30 +618,41 @@ class SketchBank:
 
     @staticmethod
     def _point_cover_sums(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
-        ids, lengths = dyadic.point_covers(coordinates)
-        per_point = int(lengths[0]) if len(lengths) else dyadic.max_level + 1
+        per_point = dyadic.max_level + 1
         n_points = len(coordinates)
-        table = xi.resolve_table(ids.size)
-        if table is not None and n_points:
-            out = np.empty((xi.num_families, n_points), dtype=np.float64)
-            if kernels.point_sums_from_table(table, ids, per_point, out):
-                return out
+        if xi.resolve_table(n_points * per_point) is not None:
+            tables = xi.derived_tables(
+                ("point", dyadic.size, dyadic.max_level),
+                dyadic.point_table_bytes(xi.num_families),
+                dyadic.point_cover_table)
+            if tables is not None:
+                return dyadic.point_cover_sums(tables, coordinates).astype(np.float64)
+        ids, _ = dyadic.point_covers(coordinates)
         signs = SketchBank._scratch_signs(xi, ids)
         shaped = signs.reshape(xi.num_families, n_points, per_point)
         return shaped.sum(axis=2, dtype=np.float64)
 
     @staticmethod
-    def _segment_sums(xi: FourWiseFamilyBank, ids: np.ndarray, lengths: np.ndarray,
-                      n_boxes: int) -> np.ndarray:
+    def _interval_sums(xi: FourWiseFamilyBank, dyadic, lows: np.ndarray,
+                       highs: np.ndarray) -> np.ndarray:
+        # A cover's size is only known by walking it, but it has at least
+        # one id per interval: account that much first (a large enough
+        # batch reaches the break-even without a walk), the rest after.
+        n_boxes = len(lows)
+        signs = xi.resolve_table(n_boxes)
+        if signs is not None:
+            tables = xi.derived_tables(
+                ("interval", dyadic.size, dyadic.max_level),
+                dyadic.interval_table_bytes(xi.num_families),
+                dyadic.interval_cover_tables)
+            if tables is not None:
+                return dyadic.interval_cover_sums(signs, tables, lows, highs)
+        ids, lengths = dyadic.covers(lows, highs)
         if n_boxes == 0:
             return np.zeros((xi.num_families, 0), dtype=np.float64)
+        xi.resolve_table(ids.size - n_boxes)
         starts = np.zeros(n_boxes, dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
-        table = xi.resolve_table(ids.size)
-        if table is not None:
-            out = np.empty((xi.num_families, n_boxes), dtype=np.float64)
-            if kernels.segment_sums_from_table(table, ids, starts, lengths, out):
-                return out
         signs = SketchBank._scratch_signs(xi, ids)
         return np.add.reduceat(signs, starts, axis=1, dtype=np.float64)
 

@@ -232,13 +232,7 @@ class DyadicDomain:
         highs = np.asarray(highs, dtype=np.int64)
         if len(lows) == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        bad = ((lows < 0) | (lows >= self._size)
-               | (highs < 0) | (highs >= self._size) | (lows > highs))
-        if bad.any():
-            first = int(np.argmax(bad))
-            # Raise exactly what the scalar walk would have raised for the
-            # first offending box (coordinate checks before emptiness).
-            self.cover(int(lows[first]), int(highs[first]))
+        self._check_intervals(lows, highs)
         max_level = np.int64(self._max_level)
         height = self._height
         one = np.int64(1)
@@ -274,11 +268,23 @@ class DyadicDomain:
             ids[starts[indices] + step] = nodes
         return ids, lengths
 
+    def _check_intervals(self, lows: np.ndarray, highs: np.ndarray) -> None:
+        bad = ((lows < 0) | (lows >= self._size)
+               | (highs < 0) | (highs >= self._size) | (lows > highs))
+        if bad.any():
+            first = int(np.argmax(bad))
+            # Raise exactly what the scalar walk would have raised for the
+            # first offending box (coordinate checks before emptiness).
+            self.cover(int(lows[first]), int(highs[first]))
+
+    def _check_coordinates(self, coordinates: np.ndarray) -> None:
+        if coordinates.size and (coordinates.min() < 0 or coordinates.max() >= self._size):
+            raise DomainError("coordinate outside padded domain")
+
     def point_covers(self, coordinates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vector form of :meth:`point_cover`; every cover has the same length."""
         coordinates = np.asarray(coordinates, dtype=np.int64)
-        if coordinates.size and (coordinates.min() < 0 or coordinates.max() >= self._size):
-            raise DomainError("coordinate outside padded domain")
+        self._check_coordinates(coordinates)
         per_point = self._max_level + 1
         nodes = np.empty((len(coordinates), per_point), dtype=np.int64)
         current = self._size - 1 + coordinates
@@ -288,6 +294,142 @@ class DyadicDomain:
             nodes[:, step] = current
         lengths = np.full(len(coordinates), per_point, dtype=np.int64)
         return nodes.reshape(-1), lengths
+
+    # -- cover sums as table lookups --------------------------------------------
+    #
+    # Given the sign matrix ``signs[f, node]`` of one xi bank, the sum of
+    # signs over a cover depends only on the cover's coordinates, so it can
+    # be tabulated per coordinate once and gathered per box afterwards:
+    # one gather per point instead of ``max_level + 1``, two per interval
+    # instead of up to ``2 * max_level``, and no cover walk.  Entries are
+    # sums of at most ``2 * (max_level + 1) <= 62`` signs, hence int8.
+
+    def _level_signs(self, signs: np.ndarray, level: int) -> np.ndarray:
+        """The columns of ``signs`` for the ``size >> level`` level-``level`` nodes."""
+        first = (1 << (self._height - level)) - 1
+        return signs[:, first:first + (self._size >> level)]
+
+    def point_table_bytes(self, num_families: int) -> int:
+        """Bytes :meth:`point_cover_table` allocates (known before it runs)."""
+        return num_families * self._size
+
+    def point_cover_table(self, signs: np.ndarray) -> tuple[np.ndarray]:
+        """``table[f, x]``: the sum of ``signs[f]`` over ``point_cover(x)``."""
+        table = self._level_signs(signs, 0).copy()
+        for level in range(1, self._max_level + 1):
+            blocks = table.reshape(len(signs), self._size >> level, 1 << level)
+            blocks += self._level_signs(signs, level)[:, :, None]
+        return (table,)
+
+    def point_cover_sums(self, tables: tuple[np.ndarray],
+                         coordinates: np.ndarray) -> np.ndarray:
+        """Column ``j``: the sign sum over ``point_cover(coordinates[j])``."""
+        coordinates = np.asarray(coordinates, dtype=np.int64)
+        self._check_coordinates(coordinates)
+        return np.take(tables[0], coordinates, axis=1)
+
+    def interval_table_bytes(self, num_families: int) -> int:
+        """Bytes :meth:`interval_cover_tables` allocates (known before it runs)."""
+        top_blocks = self._size >> self._max_level
+        return num_families * ((self._max_level + 2) * self._size
+                               + 4 * (top_blocks + 1))
+
+    def interval_cover_tables(self, signs: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary and prefix tables that answer any ``cover(lo, hi)`` sum.
+
+        Write ``right(h, x)`` for the sum over the cover of ``[x, end of
+        x's level-h block]`` and ``left(h, x)`` for the cover of ``[start
+        of that block, x]``.  :meth:`interval_cover_sums` reads ``right``
+        at ``lo`` and ``left`` at ``hi`` for the level ``h`` at which the
+        two part ways; below ``max_level`` that puts ``lo`` in the lower
+        and ``hi`` in the upper half of one level-``h + 1`` block, so a
+        single row per level holds both: ``bounds[f, h, x]`` is ``right(h,
+        x)`` where bit ``h`` of ``x`` is clear and ``left(h, x)`` where it
+        is set.  At ``h = max_level`` the two may lie whole blocks apart
+        and each keeps its own row: ``bounds[f, max_level]`` is ``right``,
+        ``bounds[f, max_level + 1]`` is ``left``, and ``prefix[f, k]`` sums
+        the first ``k`` level-``max_level`` nodes in between.  ``bounds``
+        is returned flattened to ``(f, (max_level + 2) * size)``.
+        """
+        families, size, max_level = len(signs), self._size, self._max_level
+        bounds = np.empty((families, max_level + 2, size), dtype=np.int8)
+        right = self._level_signs(signs, 0).copy()
+        left = right.copy()
+        sibling, from_lower = np.empty_like(right), np.empty_like(right)
+        coordinates = np.arange(size, dtype=np.int64)
+        for level in range(max_level + 1):
+            if level:
+                # A level-`level` block is two level-(level-1) halves.  From
+                # its lower half the cover to the block's end adds the whole
+                # upper half to the half-level cover; from the upper half
+                # nothing is added (mirrored for covers from the block's
+                # start) — except at the block's own edge, where the cover
+                # is the block itself.
+                half = coordinates >> (level - 1)
+                np.take(self._level_signs(signs, level - 1), half ^ 1, axis=1,
+                        out=sibling)
+                np.multiply(sibling, (half & 1).astype(np.int8), out=from_lower)
+                left += from_lower
+                right += np.subtract(sibling, from_lower, out=from_lower)
+                block = self._level_signs(signs, level)
+                right[:, ::1 << level] = block
+                left[:, (1 << level) - 1::1 << level] = block
+            if level < max_level:
+                # right where bit `level` of x is clear, left where set.
+                np.subtract(left, right, out=from_lower)
+                from_lower *= (coordinates >> level & 1).astype(np.int8)
+                np.add(right, from_lower, out=bounds[:, level])
+        bounds[:, max_level] = right
+        bounds[:, max_level + 1] = left
+        top = self._level_signs(signs, max_level)
+        prefix = np.zeros((families, top.shape[1] + 1), dtype=np.int32)
+        np.cumsum(top, axis=1, dtype=np.int32, out=prefix[:, 1:])
+        return bounds.reshape(families, (max_level + 2) * size), prefix
+
+    def interval_cover_sums(self, signs: np.ndarray,
+                            tables: tuple[np.ndarray, np.ndarray],
+                            lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """Column ``j``: the sign sum over ``cover(lows[j], highs[j])``.
+
+        Let ``h + 1`` be the lowest level at which ``lo`` and ``hi`` share a
+        block, capped at ``max_level + 1``.  Then ``lo`` and ``hi`` lie in
+        different level-``h`` blocks and the cover is the cover of ``[lo,
+        end of lo's block]``, the whole level-``max_level`` blocks strictly
+        between the two (only when ``h == max_level``), and the cover of
+        ``[start of hi's block, hi]``.  The one exception is an interval
+        that *is* an allowed dyadic block (``lo == hi`` included): its
+        cover is that single node, read from ``signs`` directly.  Raises
+        what :meth:`covers` raises for the same input.
+        """
+        bounds, prefix = tables
+        lows = np.asarray(lows, dtype=np.int64)
+        highs = np.asarray(highs, dtype=np.int64)
+        self._check_intervals(lows, highs)
+        size, max_level = self._size, self._max_level
+        shared = _bit_lengths(lows ^ highs)
+        row = np.minimum(shared, max_level + 1) - 1
+        np.maximum(row, 0, out=row)
+        sums = np.take(bounds, row * size + lows, axis=1)
+        row += row == max_level        # left(max_level) has its own row
+        sums += np.take(bounds, row * size + highs, axis=1)
+        sums = sums.astype(np.float64)
+        if max_level < self._height:
+            spanning = np.flatnonzero(shared > max_level)
+            if spanning.size:
+                first = (lows[spanning] >> max_level) + 1
+                last = highs[spanning] >> max_level
+                sums[:, spanning] += (np.take(prefix, last, axis=1)
+                                      - np.take(prefix, first, axis=1))
+        mask = (np.int64(1) << shared) - 1
+        exact = np.flatnonzero((shared <= max_level) & ((lows & mask) == 0)
+                               & (((highs + 1) & mask) == 0))
+        if exact.size:
+            block_level = shared[exact]
+            nodes = ((np.int64(1) << (self._height - block_level)) - 1
+                     + (lows[exact] >> block_level))
+            sums[:, exact] = np.take(signs, nodes, axis=1)
+        return sums
 
     # -- debugging helpers -----------------------------------------------------
 

@@ -22,8 +22,10 @@ construction array-at-a-time instead of per-variable.
 
 from __future__ import annotations
 
+import threading
+import weakref
 import zlib
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -110,6 +112,125 @@ def stack_xi_coefficients(banks: Sequence["FourWiseFamilyBank"]) -> np.ndarray:
         np.stack([bank.coefficients for bank in banks]), dtype=np.uint64)
 
 
+class _SignTable:
+    """One interned sign table plus the lookup tables derived from it.
+
+    ``signs`` is the read-only ``(num_families, universe_size)`` int8 matrix
+    ``xi[family, id]``.  Sign tables are a pure function of ``(universe
+    size, coefficients)``, so every bank of one family in the process —
+    shard estimators, merged views (which redraw xi from the spec seed),
+    delta trackers, reloaded services — shares one object.  The registry
+    holds it weakly: the banks are its only strong referents, so the table
+    and everything cached in ``_derived`` die with the last bank.
+    """
+
+    __slots__ = ("signs", "_derived", "_lock", "__weakref__")
+
+    def __init__(self, signs: np.ndarray) -> None:
+        signs.setflags(write=False)
+        self.signs = signs
+        self._derived: dict = {}
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the signs plus every derived table built so far."""
+        derived = sum(array.nbytes for arrays in list(self._derived.values())
+                      for array in arrays)
+        return self.signs.nbytes + derived
+
+    def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
+        """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
+
+        Built once per table however many threads ask (four shard flushes
+        reach a cold table at the same moment).
+        """
+        arrays = self._derived.get(key)
+        if arrays is None:
+            with self._lock:
+                arrays = self._derived.get(key)
+                if arrays is None:
+                    arrays = tuple(build(self.signs))
+                    for array in arrays:
+                        array.setflags(write=False)
+                    self._derived[key] = arrays
+        return arrays
+
+
+#: Live sign tables by ``(universe_size, coefficient bytes)``.
+_SIGN_TABLES: "weakref.WeakValueDictionary[tuple, _SignTable]" = (
+    weakref.WeakValueDictionary())
+_SIGN_TABLES_LOCK = threading.Lock()
+#: One lock per family being built, so different families build in
+#: parallel while a second request for the same family waits for the first.
+_BUILD_LOCKS: dict[tuple, threading.Lock] = {}
+
+#: Families evaluated per step of a table build: keeps the uint64 scratch
+#: rows (``rows x universe x 8`` bytes, twice) inside the CPU caches.
+_BUILD_ROWS = 32
+
+
+def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
+    """The full ``(num_families, universe_size)`` sign matrix.
+
+    Evaluates ``a*x^3 + b*x^2 + c*x + d`` over precomputed powers of ``x``
+    (mod p) instead of Horner's rule: every product stays below 2^62 and
+    the sum of all four terms below 2^64, so one reduction per id replaces
+    Horner's four — the residue, and with it the parity, is the same
+    integer either way.  Works ``_BUILD_ROWS`` families at a time in two
+    reused scratch blocks.
+    """
+    x = np.arange(universe_size, dtype=np.uint64)
+    x2 = x * x % MERSENNE_PRIME
+    x3 = x2 * x % MERSENNE_PRIME
+    signs = np.empty((len(coefficients), universe_size), dtype=np.int8)
+    rows = min(_BUILD_ROWS, len(coefficients))
+    scratch = np.empty((2, rows, universe_size), dtype=np.uint64)
+    for start in range(0, len(coefficients), rows):
+        block = coefficients[start:start + rows]
+        h, term = scratch[0, :len(block)], scratch[1, :len(block)]
+        np.multiply(block[:, 0:1], x3, out=h)
+        np.multiply(block[:, 1:2], x2, out=term)
+        np.add(h, term, out=h)
+        np.multiply(block[:, 2:3], x, out=term)
+        np.add(h, term, out=h)
+        np.add(h, block[:, 3:4], out=h)
+        np.remainder(h, MERSENNE_PRIME, out=h)
+        # parity 0 -> +1, parity 1 -> -1
+        np.bitwise_and(h, np.uint64(1), out=h)
+        np.left_shift(h, np.uint64(1), out=h)
+        np.subtract(np.int8(1), h, out=signs[start:start + rows],
+                    casting="unsafe")
+    return signs
+
+
+def _interned_table(key: tuple, coefficients: np.ndarray | None
+                    ) -> _SignTable | None:
+    """The live table for ``key``; built from ``coefficients`` if given."""
+    with _SIGN_TABLES_LOCK:
+        table = _SIGN_TABLES.get(key)
+        if table is not None or coefficients is None:
+            return table
+        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
+    with build_lock:
+        with _SIGN_TABLES_LOCK:
+            table = _SIGN_TABLES.get(key)
+        if table is None:
+            table = _SignTable(_build_signs(key[0], coefficients))
+            with _SIGN_TABLES_LOCK:
+                _SIGN_TABLES[key] = table
+                _BUILD_LOCKS.pop(key, None)
+    return table
+
+
+def sign_table_stats() -> dict:
+    """Count and bytes (signs + derived tables) of the live sign tables."""
+    with _SIGN_TABLES_LOCK:
+        tables = list(_SIGN_TABLES.values())
+    return {"sign_tables": len(tables),
+            "sign_table_bytes": sum(table.nbytes for table in tables)}
+
+
 class FourWiseFamilyBank:
     """``num_families`` independent four-wise independent sign families.
 
@@ -128,11 +249,14 @@ class FourWiseFamilyBank:
 
     # ``__weakref__`` lets the program executor's letter-sum cache key on a
     # weak reference to the xi bank, so cached vectors never pin families.
-    __slots__ = ("_coefficients", "_universe_size", "_table", "_ids_requested",
-                 "__weakref__")
+    __slots__ = ("_coefficients", "_universe_size", "_table", "_table_key",
+                 "_ids_requested", "__weakref__")
 
     #: Precompute a full sign table when it would use at most this many bytes.
     _TABLE_BYTE_LIMIT = 1 << 28
+
+    #: Largest set of tables :meth:`derived_tables` will build for one key.
+    _DERIVED_BYTE_LIMIT = 1 << 26
 
     def __init__(self, num_families: int, universe_size: int, seed) -> None:
         if num_families < 1:
@@ -151,7 +275,8 @@ class FourWiseFamilyBank:
         # still 4-universal because all four coefficients are random.
         self._coefficients = coeffs.astype(np.uint64)
         self._universe_size = int(universe_size)
-        self._table: np.ndarray | None = None
+        self._table: _SignTable | None = None
+        self._table_key: tuple | None = None
         self._ids_requested = 0
 
     # -- introspection ---------------------------------------------------
@@ -189,8 +314,6 @@ class FourWiseFamilyBank:
             )
         bank = cls(coefficients.shape[0], universe_size, seed=0)
         bank._coefficients = np.ascontiguousarray(coefficients)
-        bank._table = None
-        bank._ids_requested = 0
         return bank
 
     def coefficients_state(self) -> list:
@@ -232,14 +355,6 @@ class FourWiseFamilyBank:
         h = (h + d) % MERSENNE_PRIME
         return h
 
-    def _build_table(self) -> np.ndarray | None:
-        total_bytes = self.num_families * self._universe_size
-        if total_bytes > self._TABLE_BYTE_LIMIT:
-            return None
-        ids = np.arange(self._universe_size, dtype=np.uint64)
-        h = self._hash(ids, self._coefficients)
-        return np.where(h & np.uint64(1), np.int8(-1), np.int8(1))
-
     def _check_ids(self, ids: np.ndarray) -> None:
         if ids.size and (ids.min() < 0 or ids.max() >= self._universe_size):
             raise SketchConfigError(
@@ -247,21 +362,52 @@ class FourWiseFamilyBank:
                 f"got range [{ids.min()}, {ids.max()}]"
             )
 
+    def _shared_table(self, *, build: bool) -> _SignTable | None:
+        """This family's interned table: an existing one, or a fresh build."""
+        if self._table is None:
+            if self._table_key is None:
+                self._table_key = (self._universe_size,
+                                   self._coefficients.tobytes())
+            self._table = _interned_table(
+                self._table_key, self._coefficients if build else None)
+        return self._table
+
     def resolve_table(self, request_size: int) -> np.ndarray | None:
         """Account a prospective request and return the sign table, if any.
 
         The full table is built lazily once the cumulative number of
         requested ids exceeds the universe size (amortised break-even);
-        small workloads keep using direct polynomial evaluation.  Fused
-        evaluation paths call this **once** per request and must not also
-        go through :meth:`signs` for the same ids (that would account the
-        request twice).  ``None`` means no table serves this bank (not yet
-        warm, or the universe is too large to materialise).
+        small workloads keep using direct polynomial evaluation.  Tables
+        are interned process-wide, so a bank also adopts — at once, without
+        building — the table any other bank of the same families already
+        paid for.  Fused evaluation paths call this **once** per request
+        and must not also go through :meth:`signs` for the same ids (that
+        would account the request twice).  ``None`` means no table serves
+        this bank (not yet warm, or the universe is too large to
+        materialise).  The table is read-only.
         """
         self._ids_requested += int(request_size)
-        if self._table is None and self._ids_requested >= self._universe_size:
-            self._table = self._build_table()
-        return self._table
+        warm = (self._ids_requested >= self._universe_size
+                and self.num_families * self._universe_size
+                <= self._TABLE_BYTE_LIMIT)
+        table = self._shared_table(build=warm)
+        return None if table is None else table.signs
+
+    def derived_tables(self, key, nbytes: int,
+                       build: Callable[[np.ndarray], tuple]) -> tuple | None:
+        """Lookup tables computed from the sign table, shared like it.
+
+        ``build(signs)`` returns a tuple of arrays totalling ``nbytes``; the
+        result is cached beside the interned sign table under ``key`` (made
+        read-only, built once per process) and freed with it.  ``None``
+        when no sign table exists yet — this never builds one, that stays
+        :meth:`resolve_table`'s decision — or when ``nbytes`` exceeds
+        ``_DERIVED_BYTE_LIMIT``, checked before anything is allocated.
+        """
+        if nbytes > self._DERIVED_BYTE_LIMIT:
+            return None
+        table = self._shared_table(build=False)
+        return None if table is None else table.derived(key, build)
 
     def signs(self, ids, *, families: slice | np.ndarray | None = None) -> np.ndarray:
         """Sign matrix ``xi[family, id]`` for the requested ids.
@@ -306,7 +452,7 @@ class FourWiseFamilyBank:
             ids = ids.ravel()
         self._check_ids(ids)
         if self._table is not None:
-            np.take(self._table, ids, axis=1, out=out)
+            np.take(self._table.signs, ids, axis=1, out=out)
         else:
             h = self._hash(ids.astype(np.uint64), self._coefficients)
             parity = (h & np.uint64(1)).astype(np.int8)

@@ -1,22 +1,16 @@
-"""Optional compiled reduction kernels for the letter-sum hot path.
+"""Optional compiled kernel for the counter-tensor add of delta propagation.
 
-The fused letter-sum evaluation in :mod:`repro.core.atomic` has two inner
-reductions: summing xi signs over the variable-length dyadic covers of a
-box batch (``segment``), and over the fixed-length point covers of a
-coordinate batch (``point``).  The NumPy form materialises the full
-``(num_families, total_cover_ids)`` sign matrix and then reduces it; when
-a bank has a precomputed sign table, both steps fuse into one pass that
-reads table bytes and accumulates integers — which is what the kernels
-here do, compiled with `numba <https://numba.pydata.org>`_ when it is
-importable.
+The letter-sum hot path needs no compiled kernel: once a bank has a sign
+table, :mod:`repro.core.atomic` answers cover sums by gathering from
+coordinate-indexed tables, which NumPy does at memory speed.  What is left
+here is the fused out-of-place tensor add, compiled with `numba
+<https://numba.pydata.org>`_ when it is importable.
 
 numba is strictly optional.  When it is missing (or disabled via the
 ``REPRO_DISABLE_NUMBA`` environment variable, which CI uses to pin the
-fallback), every entry point returns ``False`` and callers take the pure
-NumPy route.  Both routes are bit-identical: the signs are ±1 integers,
-their partial sums stay far below 2^53, and a float64 store of an exact
-integer is exact — so a sketch built under numba and one built without it
-hold byte-for-byte equal counters (the equivalence tests pin this).
+fallback) the pure NumPy route runs.  Both routes are bit-identical:
+counters are exact integers far below 2^53, and float64 addition of exact
+integers is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +18,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-
-from repro.errors import SketchConfigError
 
 
 def _load_numba():
@@ -53,40 +45,6 @@ if HAVE_NUMBA:
             for col in range(base.shape[1]):
                 out[row, col] = base[row, col] + delta[row, col]
 
-    @_numba.njit(cache=True, parallel=True)
-    def _segment_sums_kernel(table, ids, starts, lengths, out):  # pragma: no cover - compiled
-        for family in _numba.prange(table.shape[0]):
-            row = table[family]
-            for box in range(starts.shape[0]):
-                acc = 0
-                base = starts[box]
-                for step in range(lengths[box]):
-                    acc += row[ids[base + step]]
-                out[family, box] = acc
-
-    @_numba.njit(cache=True, parallel=True)
-    def _point_sums_kernel(table, ids, per_point, out):  # pragma: no cover - compiled
-        for family in _numba.prange(table.shape[0]):
-            row = table[family]
-            for point in range(out.shape[1]):
-                acc = 0
-                base = point * per_point
-                for step in range(per_point):
-                    acc += row[ids[base + step]]
-                out[family, point] = acc
-
-
-def _check_ids(ids: np.ndarray, universe_size: int) -> None:
-    # The compiled kernels index the table without bounds checks, so the
-    # range check is load-bearing for memory safety, not just diagnostics.
-    # Same message as FourWiseFamilyBank._check_ids — callers see one
-    # error regardless of which evaluation path served them.
-    if ids.size and (ids.min() < 0 or ids.max() >= universe_size):
-        raise SketchConfigError(
-            f"ids must be within [0, {universe_size}), "
-            f"got range [{ids.min()}, {ids.max()}]"
-        )
-
 
 def tensor_add(base: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
     """Out-of-place counter-tensor addition: ``out[:] = base + delta``.
@@ -103,36 +61,3 @@ def tensor_add(base: np.ndarray, delta: np.ndarray, out: np.ndarray) -> None:
         _tensor_add_kernel(base, delta, out)
         return
     np.add(base, delta, out=out)
-
-
-def segment_sums_from_table(table: np.ndarray, ids: np.ndarray,
-                            starts: np.ndarray, lengths: np.ndarray,
-                            out: np.ndarray) -> bool:
-    """Fused gather+reduce over variable-length cover segments.
-
-    ``out[f, j]`` receives ``sum(table[f, ids[starts[j] : starts[j] +
-    lengths[j]]])`` as an exact float64.  Returns ``False`` (leaving
-    ``out`` untouched) when the compiled path is unavailable.
-    """
-    if not HAVE_NUMBA:
-        return False
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    _check_ids(ids, table.shape[1])
-    _segment_sums_kernel(table, ids, starts, lengths, out)
-    return True
-
-
-def point_sums_from_table(table: np.ndarray, ids: np.ndarray,
-                          per_point: int, out: np.ndarray) -> bool:
-    """Fused gather+reduce over fixed-length point covers.
-
-    ``out[f, j]`` receives ``sum(table[f, ids[j*per_point : (j+1) *
-    per_point]])``.  Returns ``False`` when the compiled path is
-    unavailable.
-    """
-    if not HAVE_NUMBA:
-        return False
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    _check_ids(ids, table.shape[1])
-    _point_sums_kernel(table, ids, np.int64(per_point), out)
-    return True

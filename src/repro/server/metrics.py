@@ -193,12 +193,16 @@ class ServerMetrics:
     def render_text(self, *, service_stats: ServiceStats,
                     coalescer_stats: CoalescerStats,
                     queue_depth: int,
-                    executor_stats: dict | None = None) -> str:
+                    executor_stats: dict | None = None,
+                    sign_tables: dict | None = None) -> str:
         """The plain-text exposition served by the ``metrics`` verb.
 
         ``executor_stats`` is a
         :meth:`~repro.core.program.ExecutorStats.as_dict` snapshot; when
         given, it is rendered as the ``repro_server_program_*`` family.
+        ``sign_tables`` is :func:`repro.core.hashing.sign_table_stats`:
+        the process's interned xi sign tables and the bytes they (and the
+        cover-sum tables derived from them) hold.
         """
         lines = ["# repro sketch server metrics",
                  f"repro_server_uptime_seconds {self.uptime:.3f}",
@@ -325,4 +329,7 @@ class ServerMetrics:
         if executor_stats is not None:
             for key in sorted(executor_stats):
                 lines.append(f"repro_server_program_{key} {executor_stats[key]}")
+        if sign_tables is not None:
+            for key, value in sign_tables.items():
+                lines.append(f"repro_server_{key} {value}")
         return "\n".join(lines) + "\n"

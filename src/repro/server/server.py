@@ -34,6 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.core.hashing import sign_table_stats
 from repro.errors import AuthenticationError, ReproError, ServiceError
 from repro.server import auth, protocol, wire
 from repro.server.coalescer import EstimateCoalescer
@@ -374,15 +375,18 @@ class SketchServer:
         def snapshot():
             service = self._service
             return (service.stats,
-                    service.program_executor.stats.as_dict())
+                    service.program_executor.stats.as_dict(),
+                    sign_table_stats())
 
-        service_stats, executor_stats = await self._run_blocking(snapshot)
+        service_stats, executor_stats, sign_tables = (
+            await self._run_blocking(snapshot))
         coalescer = self.coalescer
         text = self.metrics.render_text(
             service_stats=service_stats,
             coalescer_stats=coalescer.stats,
             queue_depth=coalescer.queue_depth,
-            executor_stats=executor_stats)
+            executor_stats=executor_stats,
+            sign_tables=sign_tables)
         # Structured fields ride along with the text exposition so a
         # cluster router can aggregate fleet metrics without re-parsing
         # the Prometheus rendering.
@@ -398,7 +402,8 @@ class SketchServer:
             delta={"delta_applies": service_stats.delta_applies,
                    "rebuilds": service_stats.rebuilds,
                    "evictions": service_stats.evictions},
-            program=executor_stats)
+            program=executor_stats,
+            sign_tables=sign_tables)
 
     async def _op_snapshot(self, request: dict, scope=None) -> dict:
         service = self._service

@@ -35,6 +35,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.hashing import sign_table_stats
 from repro.core.program import ProgramExecutor
 from repro.core.result import EstimateResult
 from repro.errors import MergeCompatibilityError, ServiceError
@@ -381,6 +382,9 @@ class EstimationService:
                 "delta_watches": self._store.watched_names(),
                 "stats": self._stats.as_dict(),
                 "program_executor": self._executor.stats.as_dict(),
+                # Process-wide: xi sign tables are interned by content,
+                # whichever service or view first needed them.
+                **sign_table_stats(),
                 "ingest": {
                     "submitted_boxes": self._pipeline.stats.submitted_boxes,
                     "flushed_boxes": self._pipeline.stats.flushed_boxes,

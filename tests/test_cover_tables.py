@@ -1,0 +1,387 @@
+"""Coordinate-indexed cover-sum tables and interned xi sign tables.
+
+Three implementations of a letter sum must agree to the bit: gathers from
+the coordinate tables (a bank whose xi family has a sign table), the
+vectorised cover walk (a cold bank, or a domain whose tables would exceed
+the byte budget) and the scalar ``cover`` / ``point_cover`` walk.  They
+must also reject the same inputs with the same exception.
+"""
+
+import gc
+import sys
+import threading
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import hashing
+from repro.core.atomic import Letter, SketchBank, all_words
+from repro.core.domain import Domain
+from repro.core.dyadic import DyadicDomain
+from repro.core.hashing import FourWiseFamilyBank, sign_table_stats
+from repro.errors import DomainError, SketchConfigError
+from repro.service import EstimationService, synthetic_boxes
+
+SIZES = (1, 2, 16, 64, 256, 1024)
+INSTANCES = 5
+
+
+def max_levels(size: int) -> list[int | None]:
+    height = size.bit_length() - 1
+    return sorted({0, height // 2, max(height - 1, 0)}) + [None]
+
+
+CONFIGS = [(size, max_level) for size in SIZES for max_level in max_levels(size)]
+
+
+def bank_for(size: int, max_level, letter: Letter, seed: int) -> SketchBank:
+    domain = Domain((size,), max_levels=max_level)
+    return SketchBank(domain, all_words([letter], 1), INSTANCES, seed=seed)
+
+
+def warm(bank: SketchBank) -> SketchBank:
+    """Push the bank's xi family past the sign-table break-even."""
+    xi = bank.xi_banks[0]
+    assert xi.resolve_table(xi.universe_size) is not None
+    return bank
+
+
+def scalar_letter_sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
+    """Letter sums from the scalar cover walks and directly hashed signs."""
+    dyadic = bank.domain.dyadic(0)
+    # A separate, never-warm bank: signs come from the polynomial itself.
+    xi = FourWiseFamilyBank.from_coefficients(
+        bank.xi_banks[0].coefficients, dyadic.num_nodes)
+
+    def over(cover) -> np.ndarray:
+        return xi._hash(np.asarray(cover, dtype=np.uint64), xi.coefficients)
+
+    def sign_sum(cover) -> np.ndarray:
+        parity = (over(cover) & np.uint64(1)).astype(np.float64)
+        return (1.0 - 2.0 * parity).sum(axis=1)
+
+    columns = []
+    for lo, hi in zip(lows, highs):
+        lo, hi = int(lo), int(hi)
+        if letter is Letter.INTERVAL:
+            column = sign_sum(dyadic.cover(lo, hi))
+        elif letter is Letter.ENDPOINTS:
+            column = sign_sum(dyadic.point_cover(lo)) + sign_sum(dyadic.point_cover(hi))
+        elif letter is Letter.LOWER_POINT:
+            column = sign_sum(dyadic.point_cover(lo))
+        elif letter is Letter.UPPER_POINT:
+            column = sign_sum(dyadic.point_cover(hi))
+        elif letter is Letter.LOWER_LEAF:
+            column = sign_sum([dyadic.leaf_id(lo)])
+        else:
+            column = sign_sum([dyadic.leaf_id(hi)])
+        columns.append(column)
+    if not columns:
+        return np.zeros((INSTANCES, 0))
+    return np.stack(columns, axis=1)
+
+
+def edge_intervals(size: int, max_level) -> list[tuple[int, int]]:
+    """Degenerate, full, exactly aligned and several-block intervals."""
+    dyadic = DyadicDomain(size, max_level=max_level)
+    intervals = {(0, 0), (size - 1, size - 1), (0, size - 1)}
+    for level in range(dyadic.height + 1):
+        for index in {0, 1, (size >> level) - 1}:
+            if index < size >> level:
+                intervals.add((index << level, ((index + 1) << level) - 1))
+    block = 1 << dyadic.max_level
+    for first, last in ((0, 2), (1, 3), (0, (size // block) - 1)):
+        lo, hi = first * block + block // 2, last * block + block // 2
+        if 0 <= lo <= hi < size:
+            intervals.add((lo, hi))            # spans whole max-level blocks
+            intervals.add((first * block, min(hi, size - 1)))
+    return sorted(intervals)
+
+
+@st.composite
+def intervals_in(draw, size: int):
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+        max_size=24))
+    return [(min(a, b), max(a, b)) for a, b in pairs]
+
+
+class TestThreeWayEquivalence:
+    @pytest.mark.parametrize("size,max_level", CONFIGS)
+    @pytest.mark.parametrize("letter", list(Letter))
+    def test_edge_cases(self, size, max_level, letter):
+        lows, highs = (np.array(column, dtype=np.int64)
+                       for column in zip(*edge_intervals(size, max_level)))
+        cold = bank_for(size, max_level, letter, seed=7)
+        walked = cold.letter_sums(0, letter, lows[:1], highs[:1])
+        scalar = scalar_letter_sums(cold, letter, lows, highs)
+        assert np.array_equal(walked, scalar[:, :1])
+        tabled = warm(bank_for(size, max_level, letter, seed=7))
+        result = tabled.letter_sums(0, letter, lows, highs)
+        assert result.dtype == np.float64 and result.flags.writeable
+        assert np.array_equal(result, scalar)
+
+    @given(st.data(), st.sampled_from(CONFIGS), st.sampled_from(list(Letter)),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_table_walk_and_scalar_agree(self, data, config, letter, seed):
+        size, max_level = config
+        pairs = data.draw(intervals_in(size))
+        lows = np.array([p[0] for p in pairs], dtype=np.int64)
+        highs = np.array([p[1] for p in pairs], dtype=np.int64)
+        cold = bank_for(size, max_level, letter, seed)
+        assert cold.xi_banks[0].resolve_table(0) is None
+        walked = cold.letter_sums(0, letter, lows, highs)
+        tabled = warm(bank_for(size, max_level, letter, seed)).letter_sums(
+            0, letter, lows, highs)
+        assert np.array_equal(walked, tabled)
+        assert np.array_equal(tabled, scalar_letter_sums(cold, letter, lows, highs))
+
+    def test_every_interval_of_a_small_domain(self):
+        for max_level in max_levels(16):
+            bank = warm(bank_for(16, max_level, Letter.INTERVAL, seed=3))
+            lows, highs = (np.array(column) for column in zip(
+                *[(lo, hi) for lo in range(16) for hi in range(lo, 16)]))
+            assert np.array_equal(
+                bank.letter_sums(0, Letter.INTERVAL, lows, highs),
+                scalar_letter_sums(bank, Letter.INTERVAL, lows, highs))
+
+    def test_over_budget_domain_walks_covers(self, monkeypatch):
+        # A 2^16 domain with 256 instances is over the real budget
+        # (18 * 65536 * 256 bytes); shrink the budget instead of
+        # allocating that.
+        letter = Letter.INTERVAL
+        lows = np.array([0, 3, 17, 64, 255])
+        highs = np.array([255, 3, 200, 127, 255])
+        monkeypatch.setattr(
+            FourWiseFamilyBank, "_DERIVED_BYTE_LIMIT",
+            DyadicDomain(256).interval_table_bytes(INSTANCES) - 1)
+        built = []
+        monkeypatch.setattr(DyadicDomain, "interval_cover_tables",
+                            lambda *args: built.append(args))
+        bank = warm(bank_for(256, None, letter, seed=10))
+        assert np.array_equal(bank.letter_sums(0, letter, lows, highs),
+                              scalar_letter_sums(bank, letter, lows, highs))
+        assert not built
+
+    def test_real_budget_excludes_a_2_16_domain(self):
+        dyadic = DyadicDomain(1 << 16)
+        assert dyadic.interval_table_bytes(256) >= (16 + 2) * (1 << 16) * 256
+        assert dyadic.interval_table_bytes(256) > FourWiseFamilyBank._DERIVED_BYTE_LIMIT
+        assert (DyadicDomain(1024).interval_table_bytes(256)
+                <= FourWiseFamilyBank._DERIVED_BYTE_LIMIT)
+
+
+class TestSameErrorsColdAndWarm:
+    BAD = [
+        (Letter.INTERVAL, [0, 5], [3, 4]),           # lo > hi
+        (Letter.INTERVAL, [0, -1], [3, 4]),          # below the domain
+        (Letter.INTERVAL, [0, 2], [3, 16]),          # beyond the domain
+        (Letter.INTERVAL, [16, 2], [3, 1]),          # first offender wins
+        (Letter.ENDPOINTS, [0, -2], [3, 4]),
+        (Letter.ENDPOINTS, [0, 1], [3, 99]),
+        (Letter.LOWER_POINT, [16], [3]),
+        (Letter.UPPER_POINT, [0], [-1]),
+        (Letter.LOWER_LEAF, [-16], [3]),            # leaf id -1
+        (Letter.UPPER_LEAF, [0], [16]),
+    ]
+
+    @pytest.mark.parametrize("letter,lows,highs", BAD)
+    @pytest.mark.parametrize("max_level", [0, 2, None])
+    def test_identical_exception(self, letter, lows, highs, max_level):
+        lows, highs = np.array(lows), np.array(highs)
+        failures = []
+        for prepare in (lambda bank: bank, warm):
+            bank = prepare(bank_for(16, max_level, letter, seed=1))
+            with pytest.raises((DomainError, SketchConfigError)) as caught:
+                bank.letter_sums(0, letter, lows, highs)
+            failures.append((type(caught.value), str(caught.value)))
+        assert failures[0] == failures[1]
+
+
+class TestInterning:
+    def test_same_seed_shares_one_table(self):
+        first = FourWiseFamilyBank(6, 255, seed=21)
+        second = FourWiseFamilyBank(6, 255, seed=21)
+        other = FourWiseFamilyBank(6, 255, seed=22)
+        tables = [bank.resolve_table(255) for bank in (first, second, other)]
+        assert tables[0] is tables[1]
+        assert tables[0] is not tables[2]
+        assert not np.array_equal(tables[0], tables[2])
+        # A cold bank adopts a table somebody else already paid for.
+        assert FourWiseFamilyBank(6, 255, seed=21).resolve_table(0) is tables[0]
+        # Same coefficients over another universe are another table.
+        wider = FourWiseFamilyBank.from_coefficients(first.coefficients, 511)
+        assert wider.resolve_table(511) is not tables[0]
+
+    def test_tables_are_read_only(self):
+        bank = warm(bank_for(64, None, Letter.INTERVAL, seed=2))
+        xi, dyadic = bank.xi_banks[0], bank.domain.dyadic(0)
+        signs = xi.resolve_table(0)
+        derived = xi.derived_tables(
+            ("interval", dyadic.size, dyadic.max_level),
+            dyadic.interval_table_bytes(INSTANCES), dyadic.interval_cover_tables)
+        for array in (signs, *derived):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+
+    def test_table_matches_direct_evaluation(self):
+        bank = FourWiseFamilyBank(70, 3000, seed=5)    # > one build block
+        direct = bank.signs(np.arange(40))
+        table = bank.resolve_table(3000)
+        assert table.shape == (70, 3000) and table.dtype == np.int8
+        assert np.array_equal(table[:, :40], direct)
+        assert np.array_equal(table, FourWiseFamilyBank(70, 3000, seed=5).signs(
+            np.arange(3000), families=slice(None)))
+
+    def test_spec_builds_and_shards_share_tables(self):
+        service = EstimationService(num_shards=4)
+        domain = Domain.square(64, 2)
+        service.register("join", family="rectangle", domain=domain,
+                         num_instances=8, seed=31)
+        boxes = synthetic_boxes(domain, 600, seed=1)
+        service.ingest("join", boxes, side="left")
+        service.ingest("join", boxes, side="right")
+        service.flush()
+        service.estimate("join")
+        spec = service.spec("join")
+        banks = [spec.build().left_bank, spec.build().left_bank,
+                 service.merged_view("join").left_bank]
+        for dim in range(2):
+            tables = [bank.xi_banks[dim].resolve_table(0) for bank in banks]
+            assert tables[0] is not None
+            assert all(table is tables[0] for table in tables)
+        # 4 shards x 2 sides + views, yet one table per xi family.
+        assert service.describe()["sign_tables"] == sign_table_stats()["sign_tables"]
+
+    def test_racing_threads_build_once(self, monkeypatch):
+        """4 threads per family, 3 families, more threads than cores: every
+        sign table and every derived table is built exactly once."""
+        sign_builds, derived_builds = [], []
+        build_signs = hashing._build_signs
+        started = threading.Event()
+
+        def slow_build(universe_size, coefficients):
+            sign_builds.append(coefficients.tobytes())
+            started.wait(5.0)              # hold the build until all race
+            return build_signs(universe_size, coefficients)
+
+        def build_derived(signs):
+            derived_builds.append(id(signs))
+            return (signs[:, :1].copy(),)
+
+        monkeypatch.setattr(hashing, "_build_signs", slow_build)
+        banks = [FourWiseFamilyBank(4, 127, seed=77 + index % 3)
+                 for index in range(12)]
+        results: list = [None] * len(banks)
+
+        def resolve(index):
+            signs = banks[index].resolve_table(127)
+            derived = banks[index].derived_tables("probe", 4, build_derived)
+            results[index] = (signs, derived[0])
+
+        threads = [threading.Thread(target=resolve, args=(index,))
+                   for index in range(len(banks))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            started.set()
+            for thread in threads:
+                thread.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(sign_builds) == len(set(sign_builds)) == 3
+        assert len(derived_builds) == 3
+        for index, (signs, derived) in enumerate(results):
+            assert signs is results[index % 3][0]
+            assert derived is results[index % 3][1]
+
+
+class TestLifetime:
+    def test_tables_die_with_their_last_bank(self):
+        bank = warm(bank_for(64, None, Letter.ENDPOINTS, seed=123))
+        bank.letter_sums(0, Letter.ENDPOINTS, np.array([1]), np.array([2]))
+        table = weakref.ref(bank.xi_banks[0]._table)
+        signs = weakref.ref(bank.xi_banks[0].resolve_table(0))
+        before = sign_table_stats()
+        assert before["sign_table_bytes"] >= 127 * INSTANCES + 64 * INSTANCES
+        del bank
+        gc.collect()
+        assert table() is None and signs() is None
+        after = sign_table_stats()
+        assert after["sign_tables"] == before["sign_tables"] - 1
+
+    @pytest.mark.parametrize("tenant", [False, True])
+    def test_unregister_frees_the_tables(self, tenant):
+        service = EstimationService(num_shards=2)
+        domain = Domain.square(64, 2)
+        name = "join"
+        if tenant:
+            service.enable_tenancy()
+            service.tenant_create("acme", token="secret")
+            name = "acme/join"
+        service.register(name, family="rectangle", domain=domain,
+                         num_instances=8, seed=4242)
+        boxes = synthetic_boxes(domain, 400, seed=2)
+        service.ingest(name, boxes, side="left")
+        service.ingest(name, boxes, side="right")
+        service.flush()
+        service.estimate(name)
+        banks = service.merged_view(name).left_bank.xi_banks
+        # The view's fresh banks adopt the tables the shards built.
+        assert all(xi.resolve_table(0) is not None for xi in banks)
+        tables = [weakref.ref(xi._table) for xi in banks]
+        assert service.describe()["sign_table_bytes"] > 0
+        del banks
+        if tenant:
+            service.tenant_remove("acme")
+        else:
+            service.unregister(name)
+        gc.collect()
+        assert all(table() is None for table in tables)
+
+
+class TestObservability:
+    def test_stats_and_metrics_report_the_tables(self):
+        from repro.client import ServiceClient
+        from repro.cluster import RouterConfig, ThreadedClusterRouter
+        from repro.server import ThreadedServer
+
+        domain = Domain.square(64, 2)
+        worker = ThreadedServer(EstimationService(num_shards=2)).start()
+        try:
+            with ThreadedClusterRouter(
+                    [("127.0.0.1", worker.port)], config=RouterConfig(),
+                    start_heartbeat=False) as router:
+                with ServiceClient("127.0.0.1", router.port) as client:
+                    client.register("join", family="rectangle", sizes=[64, 64],
+                                    instances=8, seed=99)
+                    for side in ("left", "right"):
+                        client.ingest("join", synthetic_boxes(domain, 400, seed=3),
+                                      side=side)
+                    client.flush()
+                    cluster_text = client.metrics()
+                with ServiceClient("127.0.0.1", worker.port) as client:
+                    stats = client.stats()
+                    worker_text = client.metrics()
+        finally:
+            worker.stop()
+        assert stats["sign_tables"] >= 2            # one per dimension
+        assert stats["sign_table_bytes"] >= 2 * 8 * 127
+
+        def gauge(text: str, name: str) -> int:
+            (line,) = [line for line in text.splitlines()
+                       if line.startswith(name + " ")]
+            return int(line.split()[1])
+
+        assert gauge(worker_text, "repro_server_sign_tables") >= 2
+        assert gauge(worker_text, "repro_server_sign_table_bytes") >= 2 * 8 * 127
+        assert gauge(cluster_text, "repro_cluster_sign_tables") >= 2
+        assert gauge(cluster_text, "repro_cluster_sign_table_bytes") >= 2 * 8 * 127
