@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.core.program import ProgramExecutor
+from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.service.specs import run_estimate_batch
 
@@ -62,6 +63,12 @@ TABLE_ROUNDS = 20
 TABLE_MIN_SPEEDUP = 3.0
 COLD_TABLE_ROUNDS = 8
 COLD_TABLE_MAX_MS = 60.0
+
+#: The update gate: one ``SketchBank.insert`` of this many boxes into the
+#: serving shape's 2-D bank, against the float update kept below.
+UPDATE_BOXES = 2048
+UPDATE_ROUNDS = 20
+UPDATE_MIN_SPEEDUP = 3.0
 
 
 def _update_report(updates: dict) -> None:
@@ -409,3 +416,87 @@ def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
     assert table_speedup >= TABLE_MIN_SPEEDUP
     assert cold_table_ms <= COLD_TABLE_MAX_MS
 
+
+def _reference_float_update(bank: SketchBank, boxes: BoxSet,
+                            counters: np.ndarray) -> None:
+    """The update before integer rows: float64 ``(instances, boxes)`` matrices.
+
+    One C-contiguous float64 matrix per (dimension, letter), multiplied per
+    word and summed along the boxes — the arithmetic ``SketchBank`` keeps
+    only as its fallback past float64's exact integers — as the baseline
+    the row kernel must beat while leaving identical counters.
+    """
+    sums: dict[tuple[int, Letter], np.ndarray] = {}
+    for word in bank.words:
+        for dim, letter in enumerate(word):
+            if (dim, letter) not in sums:
+                sums[dim, letter] = np.ascontiguousarray(bank.letter_sums(
+                    dim, letter, boxes.lows[:, dim], boxes.highs[:, dim]))
+    for index, word in enumerate(bank.words):
+        term = sums[0, word[0]].copy()
+        for dim in range(1, bank.dimension):
+            term *= sums[dim, word[dim]]
+        counters[:, index] += term.sum(axis=1)
+
+
+def test_row_kernel_at_least_3x_float_update(benchmark):
+    """The update gate: integer row kernel >= 3x the float update."""
+    from repro.core import kernels
+
+    words = all_words((Letter.INTERVAL, Letter.ENDPOINTS), TABLE_DOMAIN.dimension)
+    bank = SketchBank(TABLE_DOMAIN, words, TABLE_INSTANCES, seed=17)
+    boxes = synthetic_boxes(TABLE_DOMAIN, UPDATE_BOXES, seed=9)
+    reference = np.zeros_like(bank.counter_tensor)
+
+    # Warm both sides (sign and cover tables) and pin bit-identity.
+    bank.insert(boxes)
+    _reference_float_update(bank, boxes, reference)
+    assert np.array_equal(bank.counter_tensor, reference)
+
+    def run_reference() -> float:
+        start = time.perf_counter()
+        for _ in range(UPDATE_ROUNDS):
+            _reference_float_update(bank, boxes, reference)
+        return time.perf_counter() - start
+
+    def run_rows() -> float:
+        start = time.perf_counter()
+        for _ in range(UPDATE_ROUNDS):
+            bank.insert(boxes)
+        return time.perf_counter() - start
+
+    reference_seconds = run_reference()
+    row_seconds = benchmark.pedantic(run_rows, rounds=1, iterations=1)
+    assert np.array_equal(bank.counter_tensor, reference)
+    speedup = reference_seconds / row_seconds
+
+    _update_report({"update": {
+        "boxes": UPDATE_BOXES,
+        "instances": TABLE_INSTANCES,
+        "dimension": TABLE_DOMAIN.dimension,
+        "words": len(words),
+        "rounds": UPDATE_ROUNDS,
+        "float_ms_per_insert": reference_seconds / UPDATE_ROUNDS * 1e3,
+        "row_ms_per_insert": row_seconds / UPDATE_ROUNDS * 1e3,
+        "row_kernel_speedup": speedup,
+        "min_row_kernel_speedup": UPDATE_MIN_SPEEDUP,
+        "numba": kernels.HAVE_NUMBA,
+    }})
+
+    RESULTS_DIR.mkdir(exist_ok=True)
+    lines = [
+        f"sketch update: {UPDATE_ROUNDS} rounds x {UPDATE_BOXES} boxes, "
+        f"{len(words)} words over a 1024 x 1024 domain, {TABLE_INSTANCES} "
+        f"instances, numba={'on' if kernels.HAVE_NUMBA else 'off'}",
+        f"float (instances, boxes) update: "
+        f"{reference_seconds / UPDATE_ROUNDS * 1e3:7.2f} ms/insert",
+        f"integer row kernel             : "
+        f"{row_seconds / UPDATE_ROUNDS * 1e3:7.2f} ms/insert",
+        f"speedup                        : {speedup:7.1f}x "
+        f"(gate: >= {UPDATE_MIN_SPEEDUP}x)",
+    ]
+    text = "\n".join(lines)
+    print("\n" + text)
+    (RESULTS_DIR / "bench_update_kernel.txt").write_text(text + "\n",
+                                                         encoding="utf-8")
+    assert speedup >= UPDATE_MIN_SPEEDUP

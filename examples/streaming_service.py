@@ -45,8 +45,7 @@ def main() -> None:
     #    as in examples/quickstart.py — it cuts the estimator variance by
     #    orders of magnitude.
     tuned = adaptive_domain(left_data, right_data, domain, seed=1)
-    service = EstimationService(num_shards=4, flush_threshold=2048,
-                                max_workers=4)
+    service = EstimationService(num_shards=4, flush_threshold=2048)
     service.register("join", family="rectangle", domain=tuned,
                      num_instances=512, seed=42)
     service.register("ranges", family="range", domain=tuned,

@@ -102,8 +102,8 @@ class ClusterRouter:
         self._executor: ThreadPoolExecutor | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
-        # (ring membership, slot -> owner list) assignment cache.
-        self._assignment_cache: tuple[tuple[str, ...], list[str]] | None = None
+        # (ring membership, _slot_owners() result) assignment cache.
+        self._assignment_cache: tuple[tuple[str, ...], tuple] | None = None
         # Tenancy: the router is the authenticating edge of a fleet — it
         # holds the registry, charges quotas, and forwards tenant identity
         # (already-namespaced names + a ``tenant`` label) over its
@@ -232,20 +232,29 @@ class ClusterRouter:
                                f"{sorted(self._specs)}")
         return spec
 
-    def _assignments(self) -> list[str]:
-        """Slot -> owner map, cached per ring membership."""
+    def _slot_owners(self) -> tuple[list[str], list[str], np.ndarray]:
+        """``(slot -> owner, distinct owners, slot -> index into those)``.
+
+        Cached per ring membership; the distinct owners are listed in order
+        of their first slot.
+        """
         members = tuple(self.manager.ring.workers())
         cache = self._assignment_cache
         if cache is None or cache[0] != members:
             owners = self.manager.ring.assignments(self.config.num_slots)
-            cache = self._assignment_cache = (members, owners)
+            names = list(dict.fromkeys(owners))
+            position = {name: index for index, name in enumerate(names)}
+            indices = np.array([position[owner] for owner in owners],
+                               dtype=np.intp)
+            cache = self._assignment_cache = (members, (owners, names, indices))
         return cache[1]
 
+    def _assignments(self) -> list[str]:
+        """Slot -> owner map."""
+        return self._slot_owners()[0]
+
     def _owner_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for owner in self._assignments():
-            seen.setdefault(owner)
-        return list(seen)
+        return list(self._slot_owners()[1])
 
     # -- connection handling (shared with SketchServer) ---------------------------
 
@@ -406,13 +415,12 @@ class ClusterRouter:
         # The same deterministic hash the in-process store uses, taken over
         # num_slots: inserts and their deletes always meet on one owner.
         slots = shard_ids(boxes, self.config.num_slots)
-        assignments = self._assignments()
-        per_owner_rows: dict[str, list[int]] = {}
-        for index, slot in enumerate(slots):
-            per_owner_rows.setdefault(assignments[int(slot)], []).append(
-                index)
-        per_owner = {owner: rows[np.asarray(indices, dtype=np.intp)]
-                     for owner, indices in per_owner_rows.items()}
+        _, owners, owner_of_slot = self._slot_owners()
+        owner_of_row = np.take(owner_of_slot, slots)
+        # A boolean mask keeps each owner's rows in arrival order, so a
+        # worker logs the same bytes however the batch was split.
+        per_owner = {owners[int(index)]: rows[owner_of_row == index]
+                     for index in np.unique(owner_of_row)}
 
         applied = 0
         pending = 0

@@ -25,7 +25,6 @@ word counters of two banks built over *shared* xi families.
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -36,35 +35,6 @@ from repro.core import kernels
 from repro.core.domain import Domain
 from repro.core.hashing import FourWiseFamilyBank, stack_xi_coefficients
 from repro.geometry.boxset import BoxSet
-
-
-class _Workspace(threading.local):
-    """Per-thread scratch buffers for the letter-sum kernels.
-
-    The letter-sum hot path needs an ``(instances, cover_ids)`` int8 sign
-    matrix per call; allocating it fresh each time dominated small-batch
-    profiles.  Buffers grow geometrically and are reused across calls.
-    Thread-local because server executors evaluate banks from worker
-    threads concurrently — sharing a buffer would corrupt results.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def buffer(self, name: str, count: int, dtype) -> np.ndarray:
-        """A 1-D scratch array of exactly ``count`` elements."""
-        dtype = np.dtype(dtype)
-        existing = self._buffers.get(name)
-        if existing is None or existing.dtype != dtype or existing.size < count:
-            capacity = max(count, 1)
-            if existing is not None and existing.dtype == dtype:
-                capacity = max(capacity, 2 * existing.size)
-            existing = np.empty(capacity, dtype=dtype)
-            self._buffers[name] = existing
-        return existing[:count]
-
-
-_WORKSPACE = _Workspace()
 
 
 class Letter(str, Enum):
@@ -128,6 +98,11 @@ class SketchBank:
 
     #: Upper bound on ``num_instances * ids_per_chunk`` for one vectorised step.
     _CHUNK_ELEMENT_BUDGET = 1 << 23
+
+    #: Counter updates are summed in integers while every partial sum stays
+    #: below this: float64 holds each of them exactly, so the integer and
+    #: the float kernels agree to the bit.
+    _EXACT_INTEGER_LIMIT = 1 << 53
 
     def __init__(self, domain: Domain, words: Sequence[Word], num_instances: int,
                  *, seed=0, xi_banks: Sequence[FourWiseFamilyBank] | None = None) -> None:
@@ -432,14 +407,22 @@ class SketchBank:
         if count == 0:
             return
         self._ensure_writable()
-        sources: dict[Letter, BoxSet] = {}
-        for letter in self._letters_in_use():
-            override = None if letter_boxes is None else letter_boxes.get(letter)
-            source = boxes if override is None else override
+        letters = self._letters_in_use()
+        overrides = {letter: source
+                     for letter, source in (letter_boxes or {}).items()
+                     if letter in letters and source is not None}
+        # Each distinct box set is validated once, however many letters
+        # read it.
+        if len(overrides) < len(letters):
+            self._domain.validate_boxes(boxes, what="boxes")
+        validated: list[BoxSet] = []
+        for letter, source in overrides.items():
             if len(source) != count:
                 raise SketchConfigError("letter_boxes overrides must have the same cardinality")
-            self._domain.validate_boxes(source, what=f"boxes for letter {letter}")
-            sources[letter] = source
+            if not any(source is seen for seen in validated):
+                self._domain.validate_boxes(source, what=f"boxes for letter {letter}")
+                validated.append(source)
+        sources = {letter: overrides.get(letter, boxes) for letter in letters}
 
         chunk = self._chunk_size()
         for start in range(0, count, chunk):
@@ -552,72 +535,123 @@ class SketchBank:
 
     def _insert_chunk(self, sources: Mapping[Letter, BoxSet], start: int, stop: int,
                       weight: float) -> None:
-        sums: dict[tuple[int, Letter], np.ndarray] = {}
+        rows: dict[tuple[int, Letter], np.ndarray] = {}
         for word in self._words:
             for dim, letter in enumerate(word):
                 key = (dim, letter)
-                if key in sums:
+                if key in rows:
                     continue
                 source = sources[letter]
-                sums[key] = self._letter_sums(
+                rows[key] = self._letter_rows(
                     dim, letter, source.lows[start:stop, dim], source.highs[start:stop, dim]
                 )
+        # |prod_d s_d| <= bound for every box, so every partial sum over the
+        # chunk is an integer of magnitude <= bound * boxes.
+        bound = 1
+        for dim in range(self.dimension):
+            bound *= self._domain.dyadic(dim).cover_sum_bound()
+        if bound * (stop - start) < self._EXACT_INTEGER_LIMIT:
+            totals = self._integer_totals(rows, np.min_scalar_type(-bound - 1))
+        else:
+            totals = self._float_totals(rows)
+        self._matrix += weight * totals
+
+    def _integer_totals(self, rows: Mapping[tuple[int, Letter], np.ndarray],
+                        product: np.dtype) -> np.ndarray:
+        """Per-word sums over the chunk of ``prod_d rows[d, word[d]]``.
+
+        Multiplies the ``(boxes, instances)`` rows in ``product``, the
+        narrowest integer type that holds any box's product, and sums them
+        in int64; returns ``(instances, words)`` float64.
+        """
+        totals = np.empty((self._num_instances, len(self._words)), dtype=np.int64)
+        for index, word in enumerate(self._words):
+            term = rows[(0, word[0])]
+            if self.dimension > 1:
+                term = term.astype(product)
+                for dim in range(1, self.dimension):
+                    np.multiply(term, rows[(dim, word[dim])], out=term,
+                                casting="same_kind")
+            term.sum(axis=0, dtype=np.int64, out=totals[:, index])
+        return totals.astype(np.float64)
+
+    def _float_totals(self, rows: Mapping[tuple[int, Letter], np.ndarray]
+                      ) -> np.ndarray:
+        """:meth:`_integer_totals` in float64 over ``(instances, boxes)``.
+
+        Past float64's exact integers a result depends on the order of the
+        float operations, so this order is fixed: it is the one every
+        stored counter beyond the limit was accumulated in.
+        """
+        sums = {key: np.ascontiguousarray(value.T, dtype=np.float64)
+                for key, value in rows.items()}
+        totals = np.empty((self._num_instances, len(self._words)), dtype=np.float64)
         for index, word in enumerate(self._words):
             term = sums[(0, word[0])]
             if self.dimension > 1:
                 term = term.copy()
                 for dim in range(1, self.dimension):
                     term *= sums[(dim, word[dim])]
-            self._matrix[:, index] += weight * term.sum(axis=1)
+            term.sum(axis=1, out=totals[:, index])
+        return totals
 
     def _letter_sums(self, dim: int, letter: Letter, lows: np.ndarray,
                      highs: np.ndarray) -> np.ndarray:
-        """``(num_instances, num_boxes)`` per-box xi sums for one letter/dimension."""
+        """``(num_instances, num_boxes)`` per-box xi sums for one letter/dimension.
+
+        A fresh float64 array (column ``j`` contiguous): callers — the
+        program executor's cover cache in particular — retain results.
+        """
+        return self._letter_rows(dim, letter, lows, highs).T.astype(np.float64)
+
+    def _letter_rows(self, dim: int, letter: Letter, lows: np.ndarray,
+                     highs: np.ndarray) -> np.ndarray:
+        """``(num_boxes, num_instances)`` integer xi sums: one row per box."""
         dyadic = self._domain.dyadic(dim)
         xi = self._xi[dim]
         if letter is Letter.INTERVAL:
-            return self._interval_sums(xi, dyadic, lows, highs)
+            return self._interval_rows(xi, dyadic, lows, highs)
         if letter is Letter.ENDPOINTS:
-            low_sums = self._point_cover_sums(xi, dyadic, lows)
-            high_sums = self._point_cover_sums(xi, dyadic, highs)
-            return low_sums + high_sums
+            rows = self._point_cover_rows(xi, dyadic, lows)
+            rows += self._point_cover_rows(xi, dyadic, highs)
+            return rows
         if letter is Letter.LOWER_POINT:
-            return self._point_cover_sums(xi, dyadic, lows)
+            return self._point_cover_rows(xi, dyadic, lows)
         if letter is Letter.UPPER_POINT:
-            return self._point_cover_sums(xi, dyadic, highs)
+            return self._point_cover_rows(xi, dyadic, highs)
         if letter is Letter.LOWER_LEAF:
             leaves = dyadic.size - 1 + np.asarray(lows, dtype=np.int64)
-            return self._leaf_sums(xi, leaves)
+            return self._leaf_rows(xi, leaves)
         if letter is Letter.UPPER_LEAF:
             leaves = dyadic.size - 1 + np.asarray(highs, dtype=np.int64)
-            return self._leaf_sums(xi, leaves)
+            return self._leaf_rows(xi, leaves)
         raise SketchConfigError(f"unknown letter {letter!r}")
 
     # The reducers below account the request via resolve_table() exactly
     # once.  Once the bank's xi family has a sign table, cover sums are
     # gathers from coordinate-indexed tables derived from it (see
     # DyadicDomain.point_cover_table / interval_cover_tables) — no cover
-    # walk, no (instances x cover ids) sign matrix.  Banks not yet at the
-    # table break-even, and domains whose derived tables would exceed the
-    # byte budget, walk the covers, gather signs into a thread-local
-    # workspace buffer and reduce with NumPy.  Every path returns a *fresh*
-    # float64 array (never a workspace view): callers — the program
-    # executor's cover cache in particular — retain results across calls.
-    # All paths produce bit-identical values: the summands are ±1 integers,
-    # so any summation order yields the same exact float.
+    # walk.  Banks not yet at the table break-even, and domains whose
+    # derived tables would exceed the byte budget, walk the covers one
+    # step (one node per box) at a time and add each step's sign rows up.
+    # Every path returns a *fresh* writable (boxes, instances) integer
+    # array, never a table view.  All paths produce identical values: the
+    # summands are ±1 integers and no sum leaves its integer type.
 
     @staticmethod
-    def _scratch_signs(xi: FourWiseFamilyBank, ids: np.ndarray) -> np.ndarray:
-        signs = _WORKSPACE.buffer("signs", xi.num_families * ids.size, np.int8)
-        return xi.signs_into(ids, signs.reshape(xi.num_families, ids.size))
+    def _sign_rows(xi: FourWiseFamilyBank, ids: np.ndarray) -> np.ndarray:
+        """``(len(ids), instances)`` signs; the caller has accounted the ids."""
+        rows = np.empty((len(ids), xi.num_families), dtype=np.int8)
+        xi.signs_into(ids, rows.T)
+        return rows
 
     @staticmethod
-    def _leaf_sums(xi: FourWiseFamilyBank, leaves: np.ndarray) -> np.ndarray:
+    def _leaf_rows(xi: FourWiseFamilyBank, leaves: np.ndarray) -> np.ndarray:
         xi.resolve_table(leaves.size)
-        return SketchBank._scratch_signs(xi, leaves).astype(np.float64)
+        return SketchBank._sign_rows(xi, leaves)
 
     @staticmethod
-    def _point_cover_sums(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
+    def _point_cover_rows(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
         per_point = dyadic.max_level + 1
         n_points = len(coordinates)
         if xi.resolve_table(n_points * per_point) is not None:
@@ -626,14 +660,16 @@ class SketchBank:
                 dyadic.point_table_bytes(xi.num_families),
                 dyadic.point_cover_table)
             if tables is not None:
-                return dyadic.point_cover_sums(tables, coordinates).astype(np.float64)
+                return dyadic.point_cover_sums(tables, coordinates)
         ids, _ = dyadic.point_covers(coordinates)
-        signs = SketchBank._scratch_signs(xi, ids)
-        shaped = signs.reshape(xi.num_families, n_points, per_point)
-        return shaped.sum(axis=2, dtype=np.float64)
+        nodes = ids.reshape(n_points, per_point)
+        rows = SketchBank._sign_rows(xi, nodes[:, 0])
+        for step in range(1, per_point):
+            rows += SketchBank._sign_rows(xi, nodes[:, step])
+        return rows
 
     @staticmethod
-    def _interval_sums(xi: FourWiseFamilyBank, dyadic, lows: np.ndarray,
+    def _interval_rows(xi: FourWiseFamilyBank, dyadic, lows: np.ndarray,
                        highs: np.ndarray) -> np.ndarray:
         # A cover's size is only known by walking it, but it has at least
         # one id per interval: account that much first (a large enough
@@ -647,14 +683,13 @@ class SketchBank:
                 dyadic.interval_cover_tables)
             if tables is not None:
                 return dyadic.interval_cover_sums(signs, tables, lows, highs)
-        ids, lengths = dyadic.covers(lows, highs)
-        if n_boxes == 0:
-            return np.zeros((xi.num_families, 0), dtype=np.float64)
-        xi.resolve_table(ids.size - n_boxes)
-        starts = np.zeros(n_boxes, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        signs = SketchBank._scratch_signs(xi, ids)
-        return np.add.reduceat(signs, starts, axis=1, dtype=np.float64)
+        steps = dyadic.cover_steps(lows, highs)
+        xi.resolve_table(sum(len(nodes) for _, nodes in steps) - n_boxes)
+        rows = np.zeros((n_boxes, xi.num_families),
+                        dtype=np.min_scalar_type(-dyadic.cover_sum_bound() - 1))
+        for indices, nodes in steps:
+            rows[indices] += SketchBank._sign_rows(xi, nodes)
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

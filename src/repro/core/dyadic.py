@@ -214,33 +214,27 @@ class DyadicDomain:
             pos += 1 << level
         return cover
 
-    def covers(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vector form of :meth:`cover` for parallel low/high arrays.
+    def cover_steps(self, lows: np.ndarray, highs: np.ndarray
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The greedy walk of :meth:`cover`, batched by *step* instead of by box.
 
-        Returns ``(ids, lengths)`` where ``ids`` is the concatenation of all
-        covers (in :meth:`cover` emission order) and ``lengths[i]`` is the
-        size of the cover of box ``i``.
-
-        The greedy walk is batched by *step* instead of by box: iteration
-        ``t`` advances every interval whose cover has more than ``t``
-        blocks, each step one vectorised level computation over the still
-        active intervals.  A cover has at most ``2 log2 n`` blocks, so the
-        Python-level loop runs O(log n) times regardless of batch size —
-        this is where the ingest hot path sheds its per-box Python cost.
+        Entry ``t`` is ``(indices, nodes)``: the intervals whose cover has
+        more than ``t`` blocks and the ``t``-th node of each, in one
+        vectorised level computation over the still active intervals.  A
+        cover has at most ``2 log2 n`` blocks without a level restriction,
+        so the Python-level loop runs O(log n) times regardless of batch
+        size — this is where the ingest hot path sheds its per-box Python
+        cost.  Raises what the scalar walk raises for the first bad box.
         """
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
-        if len(lows) == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         self._check_intervals(lows, highs)
         max_level = np.int64(self._max_level)
         height = self._height
         one = np.int64(1)
         pos = lows.copy()
-        lengths = np.zeros(len(lows), dtype=np.int64)
         active = np.arange(len(lows), dtype=np.int64)
-        step_indices: list[np.ndarray] = []
-        step_nodes: list[np.ndarray] = []
+        steps: list[tuple[np.ndarray, np.ndarray]] = []
         while active.size:
             current = pos[active]
             # Largest allowed level at which `current` is aligned and the
@@ -253,18 +247,31 @@ class DyadicDomain:
             np.minimum(level, alignment, out=level)
             # node_id(level, index): depth-(height-level) nodes start at
             # 2^(height-level) - 1.
-            step_nodes.append((one << (height - level)) - 1
-                              + (current >> level))
-            step_indices.append(active)
-            lengths[active] += 1
+            steps.append((active, (one << (height - level)) - 1
+                          + (current >> level)))
             pos[active] = current + (one << level)
             active = active[pos[active] <= highs[active]]
-        starts = np.zeros(len(lows), dtype=np.int64)
+        return steps
+
+    def covers(self, lows: np.ndarray, highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Vector form of :meth:`cover` for parallel low/high arrays.
+
+        Returns ``(ids, lengths)`` where ``ids`` is the concatenation of all
+        covers (in :meth:`cover` emission order) and ``lengths[i]`` is the
+        size of the cover of box ``i``.
+        """
+        steps = self.cover_steps(lows, highs)
+        lengths = np.zeros(len(lows), dtype=np.int64)
+        if not steps:
+            return np.empty(0, dtype=np.int64), lengths
+        for indices, _ in steps:
+            lengths[indices] += 1
+        starts = np.zeros(len(lengths), dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
         ids = np.empty(int(lengths.sum()), dtype=np.int64)
         # Box i is active in steps 0..lengths[i]-1 consecutively, so step
         # t's node lands at slot starts[i] + t — the scalar emission order.
-        for step, (indices, nodes) in enumerate(zip(step_indices, step_nodes)):
+        for step, (indices, nodes) in enumerate(steps):
             ids[starts[indices] + step] = nodes
         return ids, lengths
 
@@ -297,42 +304,54 @@ class DyadicDomain:
 
     # -- cover sums as table lookups --------------------------------------------
     #
-    # Given the sign matrix ``signs[f, node]`` of one xi bank, the sum of
+    # Given the sign matrix ``signs[node, f]`` of one xi bank, the sum of
     # signs over a cover depends only on the cover's coordinates, so it can
     # be tabulated per coordinate once and gathered per box afterwards:
     # one gather per point instead of ``max_level + 1``, two per interval
-    # instead of up to ``2 * max_level``, and no cover walk.  Entries are
-    # sums of at most ``2 * (max_level + 1) <= 62`` signs, hence int8.
+    # instead of up to ``2 * max_level``, and no cover walk.  Every table
+    # is coordinate-major like ``signs``: a lookup reads one contiguous row
+    # of ``f`` bytes, and results are ``(boxes, f)`` integer rows.  Entries
+    # are sums of at most ``2 * (max_level + 1) <= 62`` signs, hence int8.
 
     def _level_signs(self, signs: np.ndarray, level: int) -> np.ndarray:
-        """The columns of ``signs`` for the ``size >> level`` level-``level`` nodes."""
+        """The rows of ``signs`` for the ``size >> level`` level-``level`` nodes."""
         first = (1 << (self._height - level)) - 1
-        return signs[:, first:first + (self._size >> level)]
+        return signs[first:first + (self._size >> level)]
 
     def point_table_bytes(self, num_families: int) -> int:
         """Bytes :meth:`point_cover_table` allocates (known before it runs)."""
         return num_families * self._size
 
     def point_cover_table(self, signs: np.ndarray) -> tuple[np.ndarray]:
-        """``table[f, x]``: the sum of ``signs[f]`` over ``point_cover(x)``."""
+        """``table[x, f]``: the sum of ``signs[:, f]`` over ``point_cover(x)``."""
         table = self._level_signs(signs, 0).copy()
+        families = table.shape[1]
         for level in range(1, self._max_level + 1):
-            blocks = table.reshape(len(signs), self._size >> level, 1 << level)
-            blocks += self._level_signs(signs, level)[:, :, None]
+            blocks = table.reshape(self._size >> level, 1 << level, families)
+            blocks += self._level_signs(signs, level)[:, None, :]
         return (table,)
 
     def point_cover_sums(self, tables: tuple[np.ndarray],
                          coordinates: np.ndarray) -> np.ndarray:
-        """Column ``j``: the sign sum over ``point_cover(coordinates[j])``."""
+        """Row ``j``: the sign sum over ``point_cover(coordinates[j])``."""
         coordinates = np.asarray(coordinates, dtype=np.int64)
         self._check_coordinates(coordinates)
-        return np.take(tables[0], coordinates, axis=1)
+        return np.take(tables[0], coordinates, axis=0)
 
     def interval_table_bytes(self, num_families: int) -> int:
         """Bytes :meth:`interval_cover_tables` allocates (known before it runs)."""
         top_blocks = self._size >> self._max_level
         return num_families * ((self._max_level + 2) * self._size
                                + 4 * (top_blocks + 1))
+
+    def cover_sum_bound(self) -> int:
+        """An upper bound on the absolute sign sum over any cover (or two).
+
+        An interval cover has up to ``max_level + 1`` nodes on either
+        boundary plus the whole level-``max_level`` blocks in between; two
+        point covers have ``2 * (max_level + 1)`` nodes.
+        """
+        return 2 * (self._max_level + 1) + (self._size >> self._max_level)
 
     def interval_cover_tables(self, signs: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
@@ -344,20 +363,19 @@ class DyadicDomain:
         at ``lo`` and ``left`` at ``hi`` for the level ``h`` at which the
         two part ways; below ``max_level`` that puts ``lo`` in the lower
         and ``hi`` in the upper half of one level-``h + 1`` block, so a
-        single row per level holds both: ``bounds[f, h, x]`` is ``right(h,
+        single plane per level holds both: ``bounds[h, x, f]`` is ``right(h,
         x)`` where bit ``h`` of ``x`` is clear and ``left(h, x)`` where it
         is set.  At ``h = max_level`` the two may lie whole blocks apart
-        and each keeps its own row: ``bounds[f, max_level]`` is ``right``,
-        ``bounds[f, max_level + 1]`` is ``left``, and ``prefix[f, k]`` sums
+        and each keeps its own plane: ``bounds[max_level]`` is ``right``,
+        ``bounds[max_level + 1]`` is ``left``, and ``prefix[k, f]`` sums
         the first ``k`` level-``max_level`` nodes in between.  ``bounds``
-        is returned flattened to ``(f, (max_level + 2) * size)``.
+        is returned flattened to ``((max_level + 2) * size, f)``.
         """
-        families, size, max_level = len(signs), self._size, self._max_level
-        bounds = np.empty((families, max_level + 2, size), dtype=np.int8)
+        size, max_level = self._size, self._max_level
         right = self._level_signs(signs, 0).copy()
         left = right.copy()
-        sibling, from_lower = np.empty_like(right), np.empty_like(right)
-        coordinates = np.arange(size, dtype=np.int64)
+        families = right.shape[1]
+        bounds = np.empty((max_level + 2, size, families), dtype=np.int8)
         for level in range(max_level + 1):
             if level:
                 # A level-`level` block is two level-(level-1) halves.  From
@@ -366,31 +384,31 @@ class DyadicDomain:
                 # nothing is added (mirrored for covers from the block's
                 # start) — except at the block's own edge, where the cover
                 # is the block itself.
-                half = coordinates >> (level - 1)
-                np.take(self._level_signs(signs, level - 1), half ^ 1, axis=1,
-                        out=sibling)
-                np.multiply(sibling, (half & 1).astype(np.int8), out=from_lower)
-                left += from_lower
-                right += np.subtract(sibling, from_lower, out=from_lower)
+                halves = (size >> level, 2, 1 << (level - 1), families)
+                nodes = self._level_signs(signs, level - 1).reshape(
+                    size >> level, 2, 1, families)
+                right.reshape(halves)[:, 0] += nodes[:, 1]
+                left.reshape(halves)[:, 1] += nodes[:, 0]
                 block = self._level_signs(signs, level)
-                right[:, ::1 << level] = block
-                left[:, (1 << level) - 1::1 << level] = block
+                right[::1 << level] = block
+                left[(1 << level) - 1::1 << level] = block
             if level < max_level:
                 # right where bit `level` of x is clear, left where set.
-                np.subtract(left, right, out=from_lower)
-                from_lower *= (coordinates >> level & 1).astype(np.int8)
-                np.add(right, from_lower, out=bounds[:, level])
-        bounds[:, max_level] = right
-        bounds[:, max_level + 1] = left
+                halves = (size >> (level + 1), 2, 1 << level, families)
+                plane = bounds[level].reshape(halves)
+                plane[:, 0] = right.reshape(halves)[:, 0]
+                plane[:, 1] = left.reshape(halves)[:, 1]
+        bounds[max_level] = right
+        bounds[max_level + 1] = left
         top = self._level_signs(signs, max_level)
-        prefix = np.zeros((families, top.shape[1] + 1), dtype=np.int32)
-        np.cumsum(top, axis=1, dtype=np.int32, out=prefix[:, 1:])
-        return bounds.reshape(families, (max_level + 2) * size), prefix
+        prefix = np.zeros((len(top) + 1, families), dtype=np.int32)
+        np.cumsum(top, axis=0, dtype=np.int32, out=prefix[1:])
+        return bounds.reshape((max_level + 2) * size, families), prefix
 
     def interval_cover_sums(self, signs: np.ndarray,
                             tables: tuple[np.ndarray, np.ndarray],
                             lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Column ``j``: the sign sum over ``cover(lows[j], highs[j])``.
+        """Row ``j``: the sign sum over ``cover(lows[j], highs[j])``.
 
         Let ``h + 1`` be the lowest level at which ``lo`` and ``hi`` share a
         block, capped at ``max_level + 1``.  Then ``lo`` and ``hi`` lie in
@@ -399,8 +417,10 @@ class DyadicDomain:
         between the two (only when ``h == max_level``), and the cover of
         ``[start of hi's block, hi]``.  The one exception is an interval
         that *is* an allowed dyadic block (``lo == hi`` included): its
-        cover is that single node, read from ``signs`` directly.  Raises
-        what :meth:`covers` raises for the same input.
+        cover is that single node, read from ``signs`` directly.  Rows are
+        int8, or int32 once a batch spans whole blocks (whose count is not
+        bounded by the level).  Raises what :meth:`covers` raises for the
+        same input.
         """
         bounds, prefix = tables
         lows = np.asarray(lows, dtype=np.int64)
@@ -410,17 +430,17 @@ class DyadicDomain:
         shared = _bit_lengths(lows ^ highs)
         row = np.minimum(shared, max_level + 1) - 1
         np.maximum(row, 0, out=row)
-        sums = np.take(bounds, row * size + lows, axis=1)
-        row += row == max_level        # left(max_level) has its own row
-        sums += np.take(bounds, row * size + highs, axis=1)
-        sums = sums.astype(np.float64)
+        sums = np.take(bounds, row * size + lows, axis=0)
+        row += row == max_level        # left(max_level) has its own plane
+        sums += np.take(bounds, row * size + highs, axis=0)
         if max_level < self._height:
             spanning = np.flatnonzero(shared > max_level)
             if spanning.size:
                 first = (lows[spanning] >> max_level) + 1
                 last = highs[spanning] >> max_level
-                sums[:, spanning] += (np.take(prefix, last, axis=1)
-                                      - np.take(prefix, first, axis=1))
+                sums = sums.astype(np.int32)
+                sums[spanning] += (np.take(prefix, last, axis=0)
+                                   - np.take(prefix, first, axis=0))
         mask = (np.int64(1) << shared) - 1
         exact = np.flatnonzero((shared <= max_level) & ((lows & mask) == 0)
                                & (((highs + 1) & mask) == 0))
@@ -428,7 +448,7 @@ class DyadicDomain:
             block_level = shared[exact]
             nodes = ((np.int64(1) << (self._height - block_level)) - 1
                      + (lows[exact] >> block_level))
-            sums[:, exact] = np.take(signs, nodes, axis=1)
+            sums[exact] = np.take(signs, nodes, axis=0)
         return sums
 
     # -- debugging helpers -----------------------------------------------------

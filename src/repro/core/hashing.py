@@ -115,9 +115,11 @@ def stack_xi_coefficients(banks: Sequence["FourWiseFamilyBank"]) -> np.ndarray:
 class _SignTable:
     """One interned sign table plus the lookup tables derived from it.
 
-    ``signs`` is the read-only ``(num_families, universe_size)`` int8 matrix
-    ``xi[family, id]``.  Sign tables are a pure function of ``(universe
-    size, coefficients)``, so every bank of one family in the process —
+    ``signs`` is the read-only, C-contiguous ``(universe_size, num_families)``
+    int8 matrix ``xi[id, family]``: one id's signs for every family are one
+    contiguous row, so a lookup reads ``num_families`` adjacent bytes.  Sign
+    tables are a pure function of ``(universe size, coefficients)``, so
+    every bank of one family in the process —
     shard estimators, merged views (which redraw xi from the spec seed),
     delta trackers, reloaded services — shares one object.  The registry
     holds it weakly: the banks are its only strong referents, so the table
@@ -142,8 +144,8 @@ class _SignTable:
     def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
         """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
 
-        Built once per table however many threads ask (four shard flushes
-        reach a cold table at the same moment).
+        Built once per table however many threads ask (concurrent
+        estimates reach a cold table at the same moment).
         """
         arrays = self._derived.get(key)
         if arrays is None:
@@ -165,42 +167,43 @@ _SIGN_TABLES_LOCK = threading.Lock()
 #: parallel while a second request for the same family waits for the first.
 _BUILD_LOCKS: dict[tuple, threading.Lock] = {}
 
-#: Families evaluated per step of a table build: keeps the uint64 scratch
-#: rows (``rows x universe x 8`` bytes, twice) inside the CPU caches.
-_BUILD_ROWS = 32
+#: Table cells evaluated per step of a build: keeps the two uint64 scratch
+#: blocks (8 bytes per cell each) inside the CPU caches.
+_BUILD_CELLS = 1 << 16
 
 
 def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
-    """The full ``(num_families, universe_size)`` sign matrix.
+    """The full ``(universe_size, num_families)`` sign matrix.
 
     Evaluates ``a*x^3 + b*x^2 + c*x + d`` over precomputed powers of ``x``
     (mod p) instead of Horner's rule: every product stays below 2^62 and
     the sum of all four terms below 2^64, so one reduction per id replaces
     Horner's four — the residue, and with it the parity, is the same
-    integer either way.  Works ``_BUILD_ROWS`` families at a time in two
-    reused scratch blocks.
+    integer either way.  Works a block of ids at a time, families along
+    the fast axis, in two reused scratch blocks.
     """
-    x = np.arange(universe_size, dtype=np.uint64)
+    x = np.arange(universe_size, dtype=np.uint64)[:, None]
     x2 = x * x % MERSENNE_PRIME
     x3 = x2 * x % MERSENNE_PRIME
-    signs = np.empty((len(coefficients), universe_size), dtype=np.int8)
-    rows = min(_BUILD_ROWS, len(coefficients))
-    scratch = np.empty((2, rows, universe_size), dtype=np.uint64)
-    for start in range(0, len(coefficients), rows):
-        block = coefficients[start:start + rows]
-        h, term = scratch[0, :len(block)], scratch[1, :len(block)]
-        np.multiply(block[:, 0:1], x3, out=h)
-        np.multiply(block[:, 1:2], x2, out=term)
+    a, b, c, d = np.ascontiguousarray(coefficients.T)
+    families = len(coefficients)
+    signs = np.empty((universe_size, families), dtype=np.int8)
+    step = max(1, _BUILD_CELLS // families)
+    scratch = np.empty((2, min(step, universe_size), families), dtype=np.uint64)
+    for start in range(0, universe_size, step):
+        ids = slice(start, min(start + step, universe_size))
+        h, term = scratch[0, :ids.stop - start], scratch[1, :ids.stop - start]
+        np.multiply(x3[ids], a, out=h)
+        np.multiply(x2[ids], b, out=term)
         np.add(h, term, out=h)
-        np.multiply(block[:, 2:3], x, out=term)
+        np.multiply(x[ids], c, out=term)
         np.add(h, term, out=h)
-        np.add(h, block[:, 3:4], out=h)
+        np.add(h, d, out=h)
         np.remainder(h, MERSENNE_PRIME, out=h)
         # parity 0 -> +1, parity 1 -> -1
         np.bitwise_and(h, np.uint64(1), out=h)
         np.left_shift(h, np.uint64(1), out=h)
-        np.subtract(np.int8(1), h, out=signs[start:start + rows],
-                    casting="unsafe")
+        np.subtract(np.int8(1), h, out=signs[ids], casting="unsafe")
     return signs
 
 
@@ -384,7 +387,9 @@ class FourWiseFamilyBank:
         and must not also go through :meth:`signs` for the same ids (that
         would account the request twice).  ``None`` means no table serves
         this bank (not yet warm, or the universe is too large to
-        materialise).  The table is read-only.
+        materialise).  The table is the read-only ``(universe_size,
+        num_families)`` matrix: row ``i`` holds every family's sign of id
+        ``i``.
         """
         self._ids_requested += int(request_size)
         warm = (self._ids_requested >= self._universe_size
@@ -429,9 +434,8 @@ class FourWiseFamilyBank:
         self._check_ids(ids)
         table = self.resolve_table(ids.size)
         if table is not None:
-            if families is not None:
-                table = table[families]
-            return table[:, ids]
+            rows = np.take(table, ids, axis=0)
+            return (rows if families is None else rows[:, families]).T
         coeffs = self._coefficients if families is None else self._coefficients[families]
         h = self._hash(ids.astype(np.uint64), coeffs)
         return np.where(h & np.uint64(1), np.int8(-1), np.int8(1))
@@ -440,9 +444,9 @@ class FourWiseFamilyBank:
         """Gather all families' signs for ``ids`` into a caller-owned buffer.
 
         ``out`` must be an int8 array of shape ``(num_families, len(ids))``
-        — typically a slice of a reusable workspace, which is the point:
-        the hot letter-sum path calls this thousands of times per batch
-        and must not allocate a fresh sign matrix every time.  Unlike
+        in any memory layout; the transpose of a C-contiguous ``(len(ids),
+        num_families)`` array — what the cover-walk path passes — receives
+        the table's rows without a strided write.  Unlike
         :meth:`signs` this does **not** account toward the lazy table
         build; callers route the request through :meth:`resolve_table`
         first.  Returns ``out``.
@@ -452,7 +456,7 @@ class FourWiseFamilyBank:
             ids = ids.ravel()
         self._check_ids(ids)
         if self._table is not None:
-            np.take(self._table.signs, ids, axis=1, out=out)
+            np.take(self._table.signs, ids, axis=0, out=out.T)
         else:
             h = self._hash(ids.astype(np.uint64), self._coefficients)
             parity = (h & np.uint64(1)).astype(np.int8)

@@ -518,7 +518,9 @@ class ProgramExecutor:
             kernel_calls += 1
             computed += len(intervals)
             for index, (low, high) in enumerate(intervals):
-                vector = np.ascontiguousarray(sums[:, index])
+                # An owned copy: a view would pin the whole batch matrix
+                # for as long as one of its columns stays cached.
+                vector = sums[:, index].copy()
                 vector.setflags(write=False)
                 key = group_key + (low, high)
                 resolved[key] = vector

@@ -9,8 +9,8 @@ package turns that property into a serving layer:
   families,
 * :class:`~repro.service.store.ShardedSketchStore` — hash-partitioned
   per-shard estimators with exact :meth:`merge_view` combination,
-* :class:`~repro.service.ingest.IngestPipeline` — batched, optionally
-  thread-parallel ingestion through the vectorised sketch updates,
+* :class:`~repro.service.ingest.IngestPipeline` — batched ingestion
+  through the vectorised sketch updates,
 * :class:`~repro.service.service.EstimationService` — the
   register/ingest/estimate/snapshot front-end with an LRU cache of merged
   query views and a batched ``estimate_batch`` query path,

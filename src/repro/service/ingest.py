@@ -11,16 +11,14 @@ side)`` destination are concatenated into a single large batch.
 Correctness relies on sketch linearity twice over: within one flush the
 inserts and deletes of a destination commute, so regrouping them loses
 nothing; and across shards the hash-partitioned deltas sum to exactly the
-unsharded sketch.  Flushing is embarrassingly parallel across shards (no
-two shards share estimator state), so the pipeline can optionally fan the
-per-shard work out to a thread pool — NumPy releases the GIL for the bulk
-of the update work.
+unsharded sketch.  A flush applies the shards one after the other in the
+calling thread: the update kernels are a few short NumPy calls per word,
+too short for a thread pool to do anything but trade the GIL.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +37,6 @@ class FlushReport:
     batches: int
     shards_touched: int
     names: tuple[str, ...]
-    parallel: bool
 
     def __bool__(self) -> bool:
         return self.boxes > 0
@@ -67,21 +64,14 @@ class IngestPipeline:
     flush_threshold:
         Submitting beyond this many buffered boxes triggers an automatic
         flush (``None`` disables auto-flushing).
-    max_workers:
-        Thread-pool width for parallel shard flushes.  ``None`` picks the
-        shard count; ``0`` or ``1`` forces serial flushes.
     """
 
     def __init__(self, store: ShardedSketchStore, *,
-                 flush_threshold: int | None = 8192,
-                 max_workers: int | None = None) -> None:
+                 flush_threshold: int | None = 8192) -> None:
         if flush_threshold is not None and flush_threshold < 1:
             raise ServiceError("flush_threshold must be positive (or None)")
-        if max_workers is not None and max_workers < 0:
-            raise ServiceError("max_workers must be non-negative")
         self._store = store
         self._threshold = flush_threshold
-        self._max_workers = max_workers
         # deltas[shard][(name, side, kind)] -> list[BoxSet]
         self._deltas: list[dict[tuple[str, str, str], list[BoxSet]]] = [
             {} for _ in range(store.num_shards)
@@ -151,20 +141,16 @@ class IngestPipeline:
 
     # -- flushing -----------------------------------------------------------------
 
-    def flush(self, *, parallel: bool | None = None, auto: bool = False) -> FlushReport:
-        """Apply every buffered delta to its shard and clear the buffers.
-
-        ``parallel=None`` (the default) uses the thread pool whenever the
-        store has more than one shard and ``max_workers`` allows it.
-        """
+    def flush(self, *, auto: bool = False) -> FlushReport:
+        """Apply every buffered delta to its shard and clear the buffers."""
         with self._lock:
             deltas, self._deltas = self._deltas, [
                 {} for _ in range(self._store.num_shards)
             ]
             flushed_boxes, self._pending = self._pending, 0
 
-        work: list[tuple[int, dict[tuple[str, str, str], BoxSet]]] = []
         batches = 0
+        shards_touched = 0
         names: set[str] = set()
         # Names under a delta watch additionally get a copy of their flushed
         # boxes recorded into the store's delta tracker (concatenated across
@@ -174,31 +160,15 @@ class IngestPipeline:
         for shard_index, shard_deltas in enumerate(deltas):
             if not shard_deltas:
                 continue
-            grouped: dict[tuple[str, str, str], BoxSet] = {}
+            shards_touched += 1
             for key in sorted(shard_deltas):
-                grouped[key] = _concat(shard_deltas[key])
-                names.add(key[0])
+                name, side, kind = key
+                boxes = _concat(shard_deltas[key])
+                self._store.apply_to_shard(shard_index, name, side, kind, boxes)
+                names.add(name)
                 batches += 1
-                if self._store.is_watching(key[0]):
-                    watched.setdefault(key, []).append(grouped[key])
-            work.append((shard_index, grouped))
-
-        if parallel is None:
-            parallel = len(work) > 1 and (self._max_workers is None
-                                          or self._max_workers > 1)
-        if self._max_workers in (0, 1):
-            parallel = False
-
-        if parallel and len(work) > 1:
-            workers = min(len(work), self._max_workers or len(work))
-            with ThreadPoolExecutor(max_workers=workers,
-                                    thread_name_prefix="sketch-flush") as pool:
-                for _ in pool.map(self._flush_shard, work):
-                    pass
-        else:
-            parallel = False
-            for item in work:
-                self._flush_shard(item)
+                if self._store.is_watching(name):
+                    watched.setdefault(key, []).append(boxes)
 
         for (name, side, kind), parts in sorted(watched.items()):
             self._store.record_delta(name, side, kind, _concat(parts))
@@ -206,18 +176,13 @@ class IngestPipeline:
         # watches stay live across the version bump.
         for name in names:
             self._store.mark_updated(name, delta_recorded=True)
-        self._stats.flushes += 1 if work else 0
-        self._stats.auto_flushes += 1 if (work and auto) else 0
+        self._stats.flushes += 1 if shards_touched else 0
+        self._stats.auto_flushes += 1 if (shards_touched and auto) else 0
         self._stats.flushed_boxes += flushed_boxes
         self._stats.flushed_batches += batches
         return FlushReport(boxes=flushed_boxes, batches=batches,
-                           shards_touched=len(work), names=tuple(sorted(names)),
-                           parallel=parallel)
-
-    def _flush_shard(self, item: tuple[int, dict[tuple[str, str, str], BoxSet]]) -> None:
-        shard_index, grouped = item
-        for (name, side, kind), boxes in grouped.items():
-            self._store.apply_to_shard(shard_index, name, side, kind, boxes)
+                           shards_touched=shards_touched,
+                           names=tuple(sorted(names)))
 
 
 def _concat(parts: list[BoxSet]) -> BoxSet:

@@ -108,8 +108,6 @@ class EstimationService:
         Buffered boxes that trigger an automatic flush (``None`` disables).
     cache_size:
         Capacity of the LRU cache of merged query views.
-    max_workers:
-        Thread-pool width for parallel shard flushes (``0``/``1`` = serial).
     delta_propagation:
         When ``True`` (the default), cached merged views are refreshed
         after a flush by applying the accumulated counter delta (one fused
@@ -120,8 +118,7 @@ class EstimationService:
     """
 
     def __init__(self, *, num_shards: int = 4, flush_threshold: int | None = 8192,
-                 cache_size: int = 16, max_workers: int | None = None,
-                 delta_propagation: bool = True) -> None:
+                 cache_size: int = 16, delta_propagation: bool = True) -> None:
         if cache_size < 0:
             raise ServiceError("cache_size must be non-negative")
         if flush_threshold is not None and flush_threshold < 1:
@@ -130,8 +127,7 @@ class EstimationService:
         # Auto-flushing is handled here (under the service lock) rather than
         # inside the pipeline, so that every shard mutation is serialised
         # against merged-view construction.
-        self._pipeline = IngestPipeline(self._store, flush_threshold=None,
-                                        max_workers=max_workers)
+        self._pipeline = IngestPipeline(self._store, flush_threshold=None)
         self._flush_threshold = flush_threshold
         self._cache_size = int(cache_size)
         self._delta_propagation = bool(delta_propagation)
@@ -467,7 +463,7 @@ class EstimationService:
     def delete(self, name: str, boxes, *, side: str = "left") -> int:
         return self.ingest(name, boxes, side=side, kind="delete")
 
-    def flush(self, *, parallel: bool | None = None, auto: bool = False) -> FlushReport:
+    def flush(self, *, auto: bool = False) -> FlushReport:
         """Apply all buffered updates; affected cached views go stale.
 
         With delta propagation on, stale entries stay in the cache — the
@@ -477,7 +473,7 @@ class EstimationService:
         immediately (the historical rebuild-on-flush behaviour).
         """
         with self._lock:
-            report = self._pipeline.flush(parallel=parallel, auto=auto)
+            report = self._pipeline.flush(auto=auto)
             if not self._delta_propagation:
                 for name in report.names:
                     self._views.pop(name, None)
@@ -717,23 +713,21 @@ class EstimationService:
 
     @classmethod
     def restore(cls, state: Mapping, *, flush_threshold: int | None = 8192,
-                cache_size: int = 16, max_workers: int | None = None
-                ) -> "EstimationService":
+                cache_size: int = 16) -> "EstimationService":
         """Rebuild a service from a :meth:`snapshot` dict."""
         from repro.service.snapshot import restore_service
 
         return restore_service(state, flush_threshold=flush_threshold,
-                               cache_size=cache_size, max_workers=max_workers)
+                               cache_size=cache_size)
 
     @classmethod
     def load(cls, path, *, flush_threshold: int | None = 8192,
-             cache_size: int = 16, max_workers: int | None = None
-             ) -> "EstimationService":
+             cache_size: int = 16) -> "EstimationService":
         """Read a snapshot file written by :meth:`save`."""
         from repro.service.snapshot import load_snapshot
 
         return load_snapshot(path, flush_threshold=flush_threshold,
-                             cache_size=cache_size, max_workers=max_workers)
+                             cache_size=cache_size)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EstimationService(shards={self.num_shards}, "

@@ -138,14 +138,14 @@ def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
 
 
 def restore_service(state: Mapping, *, flush_threshold: int | None = 8192,
-                    cache_size: int = 16, max_workers: int | None = None):
+                    cache_size: int = 16):
     """Build a fresh :class:`~repro.service.service.EstimationService`."""
     from repro.service.service import EstimationService
 
     state = _validated(state)
     service = EstimationService(num_shards=int(state["num_shards"]),
                                 flush_threshold=flush_threshold,
-                                cache_size=cache_size, max_workers=max_workers)
+                                cache_size=cache_size)
     restore_store_state(service.store, state)
     if state.get("tenants") is not None:
         from repro.tenancy import TenantRegistry
@@ -432,8 +432,8 @@ def read_snapshot_state(path):
 
 
 def load_snapshot(path, *, flush_threshold: int | None = 8192,
-                  cache_size: int = 16, max_workers: int | None = None):
+                  cache_size: int = 16):
     """Read a snapshot file (v1 JSON or v2 binary) and rebuild its service."""
     state = read_snapshot_state(path)
     return restore_service(state, flush_threshold=flush_threshold,
-                           cache_size=cache_size, max_workers=max_workers)
+                           cache_size=cache_size)

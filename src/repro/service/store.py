@@ -98,7 +98,7 @@ class ShardedSketchStore:
     """``num_shards`` merge-compatible estimators per registered name.
 
     The store itself performs no buffering — every :meth:`apply` call goes
-    straight into the shard estimators.  Batching and parallelism live in
+    straight into the shard estimators.  Batching lives in
     :class:`repro.service.ingest.IngestPipeline`; combined query views come
     from :meth:`merge_view`.
 
@@ -207,8 +207,7 @@ class ShardedSketchStore:
         """Update a single shard with a pre-partitioned batch.
 
         Used by the ingestion pipeline, which routes once and flushes
-        shard-locally (possibly from a worker thread per shard).  The caller
-        is responsible for bumping the version via :meth:`mark_updated`
+        shard by shard.  The caller is responsible for bumping the version via :meth:`mark_updated`
         after all shards of a flush have been applied.
         """
         spec = self.spec(name)

@@ -136,8 +136,7 @@ def replay_records(service: "EstimationService",
 
 def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
                     attach: bool = True, flush_threshold: int | None = 8192,
-                    cache_size: int = 16, max_workers: int | None = None,
-                    num_shards: int = 4,
+                    cache_size: int = 16, num_shards: int = 4,
                     checkpoint_path=None,
                     checkpoint_boxes: int | None = None,
                     ) -> tuple["EstimationService", RecoveryReport]:
@@ -155,7 +154,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     from repro.service.snapshot import read_snapshot_state, restore_service
 
     service_kwargs = dict(flush_threshold=flush_threshold,
-                          cache_size=cache_size, max_workers=max_workers)
+                          cache_size=cache_size)
     base_seqno = 0
     resolved_path: str | None = None
     if snapshot_path is None:

@@ -19,10 +19,46 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.core.atomic import Letter, Word
+from repro.core.atomic import Letter, SketchBank, Word
 from repro.core.domain import Domain
+from repro.core.hashing import FourWiseFamilyBank
 from repro.core.selfjoin import _letter_cover_ids
 from repro.geometry.boxset import BoxSet
+
+
+def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
+                       lows, highs) -> np.ndarray:
+    """``(instances, boxes)`` letter sums from the scalar cover walks and
+    directly hashed signs — no table, no batched walk, no shared kernel."""
+    dyadic = bank.domain.dyadic(dim)
+    # A separate, never-warm bank: signs come from the polynomial itself.
+    xi = FourWiseFamilyBank.from_coefficients(
+        bank.xi_banks[dim].coefficients, dyadic.num_nodes)
+
+    def sign_sum(cover) -> np.ndarray:
+        hashed = xi._hash(np.asarray(cover, dtype=np.uint64), xi.coefficients)
+        parity = (hashed & np.uint64(1)).astype(np.float64)
+        return (1.0 - 2.0 * parity).sum(axis=1)
+
+    columns = []
+    for lo, hi in zip(lows, highs):
+        lo, hi = int(lo), int(hi)
+        if letter is Letter.INTERVAL:
+            column = sign_sum(dyadic.cover(lo, hi))
+        elif letter is Letter.ENDPOINTS:
+            column = sign_sum(dyadic.point_cover(lo)) + sign_sum(dyadic.point_cover(hi))
+        elif letter is Letter.LOWER_POINT:
+            column = sign_sum(dyadic.point_cover(lo))
+        elif letter is Letter.UPPER_POINT:
+            column = sign_sum(dyadic.point_cover(hi))
+        elif letter is Letter.LOWER_LEAF:
+            column = sign_sum([dyadic.leaf_id(lo)])
+        else:
+            column = sign_sum([dyadic.leaf_id(hi)])
+        columns.append(column)
+    if not columns:
+        return np.zeros((bank.num_instances, 0))
+    return np.stack(columns, axis=1)
 
 
 def cover_counts(boxes: BoxSet, domain: Domain, word: Word) -> dict[tuple[int, ...], float]:

@@ -120,6 +120,46 @@ class TestScatterGather:
             assert count == expected_rows[f"w{index}"]
         assert sum(expected_rows.values()) == 200
 
+    def test_each_worker_logs_its_rows_in_arrival_order(self, tmp_path):
+        """The router's split keeps arrival order per owner, so a worker's
+        WAL holds exactly the masked rows of the batch — byte for byte."""
+        from repro.wal import WalWriter
+        from repro.wal.framing import decode_payload
+        from repro.wal.reader import read_wal_records
+
+        handles = []
+        for index in range(3):
+            service = EstimationService(num_shards=2)
+            service.attach_wal(WalWriter(tmp_path / f"w{index}", sync="none"))
+            handles.append(ThreadedServer(service).start())
+        boxes = synthetic_boxes(DOMAIN, 500, seed=77)
+        rows = np.hstack([boxes.lows, boxes.highs])
+        try:
+            with ThreadedClusterRouter(
+                    [("127.0.0.1", handle.port) for handle in handles],
+                    config=RouterConfig(num_slots=NUM_SLOTS),
+                    start_heartbeat=False) as cluster:
+                owners = cluster.router._assignments()
+                with ServiceClient("127.0.0.1", cluster.port) as client:
+                    client.register("ranges", family="range",
+                                    sizes=[256, 256], instances=8, seed=5)
+                    client.ingest("ranges", boxes, side="data")
+                    client.flush()
+        finally:
+            for handle in handles:
+                handle.service.detach_wal()
+                handle.stop()
+        owner_of_row = np.array([owners[slot]
+                                 for slot in shard_ids(boxes, NUM_SLOTS)])
+        assert len(set(owner_of_row)) == 3
+        for index in range(3):
+            updates = [event for event in map(
+                decode_payload, (payload for _, payload in read_wal_records(
+                    tmp_path / f"w{index}"))) if event["type"] == "update"]
+            assert len(updates) == 1
+            assert np.array_equal(updates[0]["rows"],
+                                  rows[owner_of_row == f"w{index}"])
+
     def test_cluster_status_reports_topology(self, cluster):
         with ServiceClient("127.0.0.1", cluster.port) as client:
             status = client.cluster_status()

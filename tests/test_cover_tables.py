@@ -4,7 +4,8 @@ Three implementations of a letter sum must agree to the bit: gathers from
 the coordinate tables (a bank whose xi family has a sign table), the
 vectorised cover walk (a cold bank, or a domain whose tables would exceed
 the byte budget) and the scalar ``cover`` / ``point_cover`` walk.  They
-must also reject the same inputs with the same exception.
+must also reject the same inputs with the same exception.  Every table is
+coordinate-major: one row of ``instances`` bytes per id or coordinate.
 """
 
 import gc
@@ -24,6 +25,8 @@ from repro.core.dyadic import DyadicDomain
 from repro.core.hashing import FourWiseFamilyBank, sign_table_stats
 from repro.errors import DomainError, SketchConfigError
 from repro.service import EstimationService, synthetic_boxes
+
+from tests import helpers
 
 SIZES = (1, 2, 16, 64, 256, 1024)
 INSTANCES = 5
@@ -50,38 +53,7 @@ def warm(bank: SketchBank) -> SketchBank:
 
 
 def scalar_letter_sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
-    """Letter sums from the scalar cover walks and directly hashed signs."""
-    dyadic = bank.domain.dyadic(0)
-    # A separate, never-warm bank: signs come from the polynomial itself.
-    xi = FourWiseFamilyBank.from_coefficients(
-        bank.xi_banks[0].coefficients, dyadic.num_nodes)
-
-    def over(cover) -> np.ndarray:
-        return xi._hash(np.asarray(cover, dtype=np.uint64), xi.coefficients)
-
-    def sign_sum(cover) -> np.ndarray:
-        parity = (over(cover) & np.uint64(1)).astype(np.float64)
-        return (1.0 - 2.0 * parity).sum(axis=1)
-
-    columns = []
-    for lo, hi in zip(lows, highs):
-        lo, hi = int(lo), int(hi)
-        if letter is Letter.INTERVAL:
-            column = sign_sum(dyadic.cover(lo, hi))
-        elif letter is Letter.ENDPOINTS:
-            column = sign_sum(dyadic.point_cover(lo)) + sign_sum(dyadic.point_cover(hi))
-        elif letter is Letter.LOWER_POINT:
-            column = sign_sum(dyadic.point_cover(lo))
-        elif letter is Letter.UPPER_POINT:
-            column = sign_sum(dyadic.point_cover(hi))
-        elif letter is Letter.LOWER_LEAF:
-            column = sign_sum([dyadic.leaf_id(lo)])
-        else:
-            column = sign_sum([dyadic.leaf_id(hi)])
-        columns.append(column)
-    if not columns:
-        return np.zeros((INSTANCES, 0))
-    return np.stack(columns, axis=1)
+    return helpers.scalar_letter_sums(bank, 0, letter, lows, highs)
 
 
 def edge_intervals(size: int, max_level) -> list[tuple[int, int]]:
@@ -217,15 +189,28 @@ class TestInterning:
         wider = FourWiseFamilyBank.from_coefficients(first.coefficients, 511)
         assert wider.resolve_table(511) is not tables[0]
 
-    def test_tables_are_read_only(self):
-        bank = warm(bank_for(64, None, Letter.INTERVAL, seed=2))
+    @pytest.mark.parametrize("max_level", [0, 3, None])
+    def test_tables_are_read_only_rows(self, max_level):
+        bank = warm(bank_for(64, max_level, Letter.INTERVAL, seed=2))
         xi, dyadic = bank.xi_banks[0], bank.domain.dyadic(0)
         signs = xi.resolve_table(0)
-        derived = xi.derived_tables(
+        bounds, prefix = xi.derived_tables(
             ("interval", dyadic.size, dyadic.max_level),
             dyadic.interval_table_bytes(INSTANCES), dyadic.interval_cover_tables)
-        for array in (signs, *derived):
-            assert not array.flags.writeable
+        (points,) = xi.derived_tables(
+            ("point", dyadic.size, dyadic.max_level),
+            dyadic.point_table_bytes(INSTANCES), dyadic.point_cover_table)
+        assert signs.shape == (dyadic.num_nodes, INSTANCES)
+        assert points.shape == (64, INSTANCES)
+        assert bounds.shape == ((dyadic.max_level + 2) * 64, INSTANCES)
+        assert prefix.shape == ((64 >> dyadic.max_level) + 1, INSTANCES)
+        assert (signs.dtype, points.dtype, bounds.dtype, prefix.dtype) == (
+            np.int8, np.int8, np.int8, np.int32)
+        assert (points.nbytes == dyadic.point_table_bytes(INSTANCES)
+                and bounds.nbytes + prefix.nbytes
+                == dyadic.interval_table_bytes(INSTANCES))
+        for array in (signs, points, bounds, prefix):
+            assert array.flags.c_contiguous and not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
@@ -233,10 +218,15 @@ class TestInterning:
         bank = FourWiseFamilyBank(70, 3000, seed=5)    # > one build block
         direct = bank.signs(np.arange(40))
         table = bank.resolve_table(3000)
-        assert table.shape == (70, 3000) and table.dtype == np.int8
-        assert np.array_equal(table[:, :40], direct)
-        assert np.array_equal(table, FourWiseFamilyBank(70, 3000, seed=5).signs(
+        assert table.shape == (3000, 70) and table.dtype == np.int8
+        assert np.array_equal(table[:40].T, direct)
+        assert np.array_equal(table.T, FourWiseFamilyBank(70, 3000, seed=5).signs(
             np.arange(3000), families=slice(None)))
+        # Against the polynomial itself (Horner), not another table.
+        cold = FourWiseFamilyBank(70, 3000, seed=5)
+        hashed = cold._hash(np.arange(3000, dtype=np.uint64), cold.coefficients)
+        assert np.array_equal(
+            table.T, np.where(hashed & np.uint64(1), np.int8(-1), np.int8(1)))
 
     def test_spec_builds_and_shards_share_tables(self):
         service = EstimationService(num_shards=4)
@@ -306,9 +296,13 @@ class TestInterning:
 
 class TestLifetime:
     def test_tables_die_with_their_last_bank(self):
+        gc.collect()         # tables of earlier tests still awaiting the cycle gc
         bank = warm(bank_for(64, None, Letter.ENDPOINTS, seed=123))
         bank.letter_sums(0, Letter.ENDPOINTS, np.array([1]), np.array([2]))
         table = weakref.ref(bank.xi_banks[0]._table)
+        # The interned object is the array that owns the bytes: a view
+        # handed out instead would pin the table through its base.
+        assert bank.xi_banks[0].resolve_table(0).base is None
         signs = weakref.ref(bank.xi_banks[0].resolve_table(0))
         before = sign_table_stats()
         assert before["sign_table_bytes"] >= 127 * INSTANCES + 64 * INSTANCES

@@ -94,7 +94,7 @@ class TestEstimateAndCache:
         assert service.stats.cache_misses == 3
 
     def test_estimates_against_unsharded_reference(self, rng):
-        service = _service(flush_threshold=32, max_workers=4)
+        service = _service(flush_threshold=32)
         left = random_boxes(rng, 300, 256, 2)
         right = random_boxes(rng, 300, 256, 2)
         service.insert("join", left, side="left")
@@ -116,7 +116,7 @@ class TestEstimateAndCache:
             service.estimate("rq")  # range estimates need a query
 
     def test_concurrent_ingest_and_estimate(self, rng):
-        service = _service(flush_threshold=64, max_workers=2)
+        service = _service(flush_threshold=64)
         service.insert("join", random_boxes(rng, 100, 256, 2), side="right")
         batches = [random_boxes(rng, 50, 256, 2) for _ in range(8)]
         errors = []

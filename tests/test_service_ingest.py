@@ -101,24 +101,32 @@ class TestExactness:
         assert merged.left_count == single.left_count
         assert merged.right_count == single.right_count
 
-    def test_parallel_flush_equals_serial_flush(self, rng):
+    def test_flush_is_independent_of_shard_order(self, rng):
+        """No two shards share state: a flush equals applying the same
+        per-shard parts directly, last shard first."""
         batches = [random_boxes(rng, 80, 256, 2) for _ in range(5)]
+        flushed = _store()
+        pipeline = IngestPipeline(flushed, flush_threshold=None)
+        for boxes in batches:
+            pipeline.submit("est", boxes)
+        report = pipeline.flush()
+        assert report.boxes == sum(len(b) for b in batches)
 
-        results = []
-        for parallel in (False, True):
-            store = _store()
-            pipeline = IngestPipeline(store, flush_threshold=None,
-                                      max_workers=None if parallel else 1)
-            for boxes in batches:
-                pipeline.submit("est", boxes)
-            report = pipeline.flush(parallel=parallel)
-            assert report.boxes == sum(len(b) for b in batches)
-            results.append(store.merge_view("est"))
+        backwards = _store()
+        parts = [backwards.partition(boxes) for boxes in batches]
+        for shard in reversed(range(backwards.num_shards)):
+            for batch in parts:
+                if batch[shard] is not None:
+                    backwards.apply_to_shard(shard, "est", "left", "insert",
+                                             batch[shard])
 
-        serial, threaded = results
-        for word in serial.left_bank.words:
-            assert np.array_equal(serial.left_bank.counter(word),
-                                  threaded.left_bank.counter(word))
+        for ours, theirs in zip(flushed.shard_estimators("est"),
+                                backwards.shard_estimators("est")):
+            assert np.array_equal(ours.left_bank.counter_tensor,
+                                  theirs.left_bank.counter_tensor)
+        assert np.array_equal(
+            flushed.merge_view("est").left_bank.counter_tensor,
+            backwards.merge_view("est").left_bank.counter_tensor)
 
     def test_flush_report_contents(self, rng):
         store = ShardedSketchStore(2)
