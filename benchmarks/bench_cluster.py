@@ -155,7 +155,7 @@ def test_replica_fleet_scales_estimate_throughput(benchmark):
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
 
-    _record("bench_cluster", [
+    lines = [
         f"cluster scaling: {baseline['requests']} pipelined estimates over "
         f"{CONNECTIONS} connections ({cpu_count} CPUs)",
         f"1 worker             {baseline['throughput_rps']:10.0f} rps",
@@ -163,7 +163,13 @@ def test_replica_fleet_scales_estimate_throughput(benchmark):
         f"speedup: {speedup:.1f}x (gate: >= {MIN_SPEEDUP}x on >= "
         f"{MIN_CPUS_TO_GATE} CPUs; CI enforces unconditionally)",
         f"report: {REPORT_PATH.name}",
-    ])
+    ]
+    if cpu_count < MIN_CPUS_TO_GATE:
+        lines.insert(-1, (
+            f"note: recorded on {cpu_count} CPUs, where {SCALED_WORKERS} "
+            f"replicas and the router share cores — this speedup is not the "
+            f"gated number (needs >= {MIN_CPUS_TO_GATE} CPUs)"))
+    _record("bench_cluster", lines)
 
     if cpu_count >= MIN_CPUS_TO_GATE:
         assert speedup >= MIN_SPEEDUP, (

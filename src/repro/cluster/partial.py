@@ -20,21 +20,27 @@ from typing import Any, Iterable, Mapping
 
 from repro.core.result import EstimateResult
 from repro.errors import ServerError
-from repro.service.specs import EstimatorSpec, run_estimate
+from repro.service.specs import EstimatorSpec, empty_companion, run_estimate
 
 
-def merge_partial_states(spec: EstimatorSpec,
-                         states: Iterable[Mapping]) -> Any:
+def merge_partial_states(spec: EstimatorSpec, states: Iterable[Mapping], *,
+                         template: Any = None) -> Any:
     """One merged estimator from per-worker ``state_dict`` payloads.
 
-    Every state is loaded into a fresh estimator built from the shared
-    spec (which fixes the xi seeds, hence merge compatibility) and folded
-    into the accumulator — the cluster-level analogue of
-    :meth:`~repro.service.store.ShardedSketchStore.merge_view`.
+    Every state is loaded into a zero-counter companion of ``template`` —
+    an estimator of the shared spec (which fixes the xi seeds, hence merge
+    compatibility), built here when the caller keeps none — and folded
+    into the accumulator: the cluster-level analogue of
+    :meth:`~repro.service.store.ShardedSketchStore.merge_view`.  The
+    companions alias the template's xi banks, so a caller that keeps its
+    template alive also keeps the families' sign tables; every
+    ``load_state_dict`` check (seed, domain, words) still runs per state.
     """
-    merged = spec.build()
+    if template is None:
+        template = spec.build()
+    merged = empty_companion(template)
     for state in states:
-        part = spec.build()
+        part = empty_companion(template)
         try:
             part.load_state_dict(state)
         except (KeyError, TypeError, ValueError) as exc:
@@ -45,6 +51,7 @@ def merge_partial_states(spec: EstimatorSpec,
 
 
 def reduce_partials(spec: EstimatorSpec, states: Iterable[Mapping],
-                    query=None) -> EstimateResult:
+                    query=None, *, template: Any = None) -> EstimateResult:
     """Estimate from gathered partial states (merge, then boosted reduce)."""
-    return run_estimate(spec, merge_partial_states(spec, states), query)
+    return run_estimate(
+        spec, merge_partial_states(spec, states, template=template), query)

@@ -35,18 +35,20 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import contextlib
+import functools
 import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import reduce_partials
 from repro.cluster.ring import DEFAULT_VNODES
+from repro.core.hashing import sign_table_stats
 from repro.errors import (
     AuthenticationError,
     ConnectionLostError,
@@ -54,7 +56,11 @@ from repro.errors import (
     ServiceError,
 )
 from repro.server import auth, protocol, wire
-from repro.server.metrics import ServerMetrics, label_value
+from repro.server.metrics import (
+    ServerMetrics,
+    label_value,
+    sign_table_lines,
+)
 from repro.tenancy import TenantAdmission, TenantQuota, hash_token
 from repro.service.specs import EstimatorSpec
 from repro.service.store import shard_ids
@@ -98,7 +104,11 @@ class ClusterRouter:
             wire=self.config.worker_wire,
             worker_token=self.config.worker_token)
         self.metrics = ServerMetrics()
-        self._specs: dict[str, EstimatorSpec] = {}
+        # name -> (spec, template): one resident empty estimator per spec.
+        # Scatter-gather reduces against companions of the template, so the
+        # xi families (and the sign tables they build) live as long as the
+        # name, not as long as one estimate.
+        self._specs: dict[str, tuple[EstimatorSpec, Any]] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
@@ -195,8 +205,8 @@ class ClusterRouter:
         served = set()
         for name, spec_dict in stats.get("estimators", {}).items():
             served.add(name)
-            self._specs.setdefault(name, EstimatorSpec.from_dict(spec_dict))
-        for name, spec in self._specs.items():
+            self._adopt_spec(name, EstimatorSpec.from_dict(spec_dict))
+        for name, (spec, _) in self._specs.items():
             if name not in served:
                 await info.link.request_ok({
                     "op": "register", "name": name, "family": spec.family,
@@ -214,23 +224,26 @@ class ClusterRouter:
             except (ReproError, ConnectionLostError):
                 continue
             for name, spec_dict in stats.get("estimators", {}).items():
-                self._specs.setdefault(name,
-                                       EstimatorSpec.from_dict(spec_dict))
-        return dict(self._specs)
+                self._adopt_spec(name, EstimatorSpec.from_dict(spec_dict))
+        return {name: spec for name, (spec, _) in self._specs.items()}
+
+    def _adopt_spec(self, name: str, spec: EstimatorSpec) -> None:
+        """Start serving ``name`` (first spec wins) with its template."""
+        if name not in self._specs:
+            self._specs[name] = (spec, spec.build())
 
     def estimators(self) -> list[str]:
         """Names of every estimator the router currently knows."""
         return sorted(self._specs)
 
-    async def _spec_for(self, name: str) -> EstimatorSpec:
-        spec = self._specs.get(name)
-        if spec is None:
+    async def _spec_for(self, name: str) -> tuple[EstimatorSpec, Any]:
+        """The ``(spec, template)`` pair served under ``name``."""
+        if name not in self._specs:
             await self.refresh_specs()
-            spec = self._specs.get(name)
-        if spec is None:
+        if name not in self._specs:
             raise ServiceError(f"unknown estimator {name!r}; registered: "
                                f"{sorted(self._specs)}")
-        return spec
+        return self._specs[name]
 
     def _slot_owners(self) -> tuple[list[str], list[str], np.ndarray]:
         """``(slot -> owner, distinct owners, slot -> index into those)``.
@@ -386,7 +399,7 @@ class ClusterRouter:
             "sizes": list(spec.sizes),
             "instances": spec.num_instances, "seed": spec.seed,
             "options": dict(spec.options), **_forward_fields(request)})
-        self._specs[name] = spec
+        self._adopt_spec(name, spec)
         return protocol.ok_payload("register", request, name=name,
                                    spec=spec.to_dict())
 
@@ -402,7 +415,7 @@ class ClusterRouter:
 
     async def _op_ingest(self, request: dict, scope=None) -> dict:
         name = str(request["name"])
-        spec = await self._spec_for(name)
+        spec, _ = await self._spec_for(name)
         boxes = protocol.boxes_from_rows(request["boxes"], spec.dimension)
         side = request.get("side", "left")
         kind = request.get("kind", "insert")
@@ -418,9 +431,10 @@ class ClusterRouter:
         _, owners, owner_of_slot = self._slot_owners()
         owner_of_row = np.take(owner_of_slot, slots)
         # A boolean mask keeps each owner's rows in arrival order, so a
-        # worker logs the same bytes however the batch was split.
-        per_owner = {owners[int(index)]: rows[owner_of_row == index]
-                     for index in np.unique(owner_of_row)}
+        # worker logs the same bytes however the batch was split.  (Not
+        # np.unique: its first call in a process imports numpy.ma.)
+        per_owner = {owners[index]: rows[owner_of_row == index]
+                     for index in np.flatnonzero(np.bincount(owner_of_row))}
 
         applied = 0
         pending = 0
@@ -461,7 +475,7 @@ class ClusterRouter:
 
     async def _op_estimate(self, request: dict, scope=None) -> dict:
         name = str(request["name"])
-        spec = await self._spec_for(name)
+        spec, template = await self._spec_for(name)
         row = request.get("query")
         if spec.info.queryable:
             if row is None:
@@ -521,8 +535,8 @@ class ClusterRouter:
 
         states = await asyncio.gather(*(gather(info)
                                         for info in readers.values()))
-        result = await self._run_blocking(reduce_partials, spec, states,
-                                          query)
+        result = await self._run_blocking(functools.partial(
+            reduce_partials, spec, states, query, template=template))
         self.metrics.record_estimate_latency(time.perf_counter() - start)
         return protocol.ok_payload("estimate", request, name=name,
                                    **protocol.estimate_fields(result))
@@ -540,8 +554,11 @@ class ClusterRouter:
         description = {
             "num_shards": self.config.num_slots,
             "estimators": {name: spec.to_dict()
-                           for name, spec in sorted(self._specs.items())},
+                           for name, (spec, _) in sorted(self._specs.items())},
             "cluster": self.manager.status(),
+            # This process's own xi tables (the templates' families); the
+            # workers report theirs through their own stats.
+            **sign_table_stats(),
             "server": {
                 "connections_active": self.metrics.connections_active,
                 "queue_depth": 0,
@@ -588,7 +605,8 @@ class ClusterRouter:
             errors=dict(self.metrics.errors),
             wire=self.metrics.wire_state(),
             workers=fleet,
-            tenants=tenants)
+            tenants=tenants,
+            sign_tables=sign_table_stats())
 
     def _aggregate_tenants(self, fleet: Mapping[str, Mapping]) -> dict:
         """Fleet-wide per-tenant totals: the router's own edge counters
@@ -696,7 +714,8 @@ class ClusterRouter:
         # rebuilds is the steady-state health signal for delta propagation.
         delta_totals: dict[str, int] = {}
         program_totals: dict[str, int] = {}
-        table_totals = {"sign_tables": 0, "sign_table_bytes": 0}
+        own_tables = sign_table_stats()
+        table_totals = dict.fromkeys(own_tables, 0)
         for entry in fleet.values():
             for key, count in entry.get("delta", {}).items():
                 delta_totals[key] = delta_totals.get(key, 0) + int(count)
@@ -713,9 +732,10 @@ class ClusterRouter:
             lines.append(f"{metric} {delta_totals.get(key, 0)}")
         for key in sorted(program_totals):
             lines.append(f"repro_cluster_program_{key} {program_totals[key]}")
-        # Each worker process interns its own xi sign tables.
-        for key in table_totals:
-            lines.append(f"repro_cluster_{key} {table_totals[key]}")
+        # Each worker process interns its own xi sign tables; so does the
+        # router, for the templates it reduces against.
+        lines.extend(sign_table_lines("repro_cluster_", table_totals))
+        lines.extend(sign_table_lines("repro_cluster_router_", own_tables))
         return "\n".join(lines) + "\n"
 
     async def _op_snapshot(self, request: dict, scope=None) -> dict:

@@ -631,7 +631,7 @@ class SketchBank:
     # once.  Once the bank's xi family has a sign table, cover sums are
     # gathers from coordinate-indexed tables derived from it (see
     # DyadicDomain.point_cover_table / interval_cover_tables) — no cover
-    # walk.  Banks not yet at the table break-even, and domains whose
+    # walk.  Families not yet at the table break-even, and domains whose
     # derived tables would exceed the byte budget, walk the covers one
     # step (one node per box) at a time and add each step's sign rows up.
     # Every path returns a *fresh* writable (boxes, instances) integer

@@ -112,64 +112,25 @@ def stack_xi_coefficients(banks: Sequence["FourWiseFamilyBank"]) -> np.ndarray:
         np.stack([bank.coefficients for bank in banks]), dtype=np.uint64)
 
 
-class _SignTable:
-    """One interned sign table plus the lookup tables derived from it.
-
-    ``signs`` is the read-only, C-contiguous ``(universe_size, num_families)``
-    int8 matrix ``xi[id, family]``: one id's signs for every family are one
-    contiguous row, so a lookup reads ``num_families`` adjacent bytes.  Sign
-    tables are a pure function of ``(universe size, coefficients)``, so
-    every bank of one family in the process —
-    shard estimators, merged views (which redraw xi from the spec seed),
-    delta trackers, reloaded services — shares one object.  The registry
-    holds it weakly: the banks are its only strong referents, so the table
-    and everything cached in ``_derived`` die with the last bank.
-    """
-
-    __slots__ = ("signs", "_derived", "_lock", "__weakref__")
-
-    def __init__(self, signs: np.ndarray) -> None:
-        signs.setflags(write=False)
-        self.signs = signs
-        self._derived: dict = {}
-        self._lock = threading.Lock()
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held: the signs plus every derived table built so far."""
-        derived = sum(array.nbytes for arrays in list(self._derived.values())
-                      for array in arrays)
-        return self.signs.nbytes + derived
-
-    def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
-        """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
-
-        Built once per table however many threads ask (concurrent
-        estimates reach a cold table at the same moment).
-        """
-        arrays = self._derived.get(key)
-        if arrays is None:
-            with self._lock:
-                arrays = self._derived.get(key)
-                if arrays is None:
-                    arrays = tuple(build(self.signs))
-                    for array in arrays:
-                        array.setflags(write=False)
-                    self._derived[key] = arrays
-        return arrays
-
-
-#: Live sign tables by ``(universe_size, coefficient bytes)``.
-_SIGN_TABLES: "weakref.WeakValueDictionary[tuple, _SignTable]" = (
-    weakref.WeakValueDictionary())
-_SIGN_TABLES_LOCK = threading.Lock()
-#: One lock per family being built, so different families build in
-#: parallel while a second request for the same family waits for the first.
-_BUILD_LOCKS: dict[tuple, threading.Lock] = {}
-
 #: Table cells evaluated per step of a build: keeps the two uint64 scratch
 #: blocks (8 bytes per cell each) inside the CPU caches.
 _BUILD_CELLS = 1 << 16
+
+#: What one id costs evaluated directly, in table cells: ``_hash`` reduces
+#: four times per cell (Horner), the build once.  Measured on the reference
+#: box (2-vCPU Xeon 2.1 GHz, 256 families): 35-48 ns per cell direct — the
+#: high end inside a first flush, faulting its temporaries in — against
+#: 10.5-19 ns built.
+_DIRECT_COST_RATIO = 4
+
+#: Process-wide totals behind :func:`sign_table_stats`.
+_COUNTERS = {"sign_table_builds": 0, "direct_hash_ids": 0}
+_COUNTERS_LOCK = threading.Lock()
+
+
+def _count(counter: str, amount: int) -> None:
+    with _COUNTERS_LOCK:
+        _COUNTERS[counter] += amount
 
 
 def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
@@ -182,6 +143,7 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
     integer either way.  Works a block of ids at a time, families along
     the fast axis, in two reused scratch blocks.
     """
+    _count("sign_table_builds", 1)
     x = np.arange(universe_size, dtype=np.uint64)[:, None]
     x2 = x * x % MERSENNE_PRIME
     x3 = x2 * x % MERSENNE_PRIME
@@ -207,31 +169,111 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _interned_table(key: tuple, coefficients: np.ndarray | None
-                    ) -> _SignTable | None:
-    """The live table for ``key``; built from ``coefficients`` if given."""
-    with _SIGN_TABLES_LOCK:
-        table = _SIGN_TABLES.get(key)
-        if table is not None or coefficients is None:
-            return table
-        build_lock = _BUILD_LOCKS.setdefault(key, threading.Lock())
-    with build_lock:
-        with _SIGN_TABLES_LOCK:
-            table = _SIGN_TABLES.get(key)
-        if table is None:
-            table = _SignTable(_build_signs(key[0], coefficients))
-            with _SIGN_TABLES_LOCK:
-                _SIGN_TABLES[key] = table
-                _BUILD_LOCKS.pop(key, None)
-    return table
+class _XiFamily:
+    """One xi family of the process: its accounting, sign table and lifetime.
+
+    A family is a pure function of ``(universe size, coefficients)``, so
+    every bank over it in the process — shard estimators, merged views
+    (which redraw xi from the spec seed), delta trackers, a router's
+    templates, reloaded services — shares one record.  It counts the ids
+    all of them requested, builds the table once they have together paid
+    for it, and holds everything derived from the table.
+
+    ``signs`` is ``None`` until built, then the read-only, C-contiguous
+    ``(universe_size, num_families)`` int8 matrix ``xi[id, family]``: one
+    id's signs for every family are one contiguous row, so a lookup reads
+    ``num_families`` adjacent bytes.  The registry holds the record weakly:
+    the banks are its only strong referents, so the counter, the table and
+    everything cached in ``_derived`` die with the last bank.
+    """
+
+    __slots__ = ("universe_size", "coefficients", "ids_requested", "signs",
+                 "_derived", "_lock", "__weakref__")
+
+    def __init__(self, universe_size: int, coefficients: np.ndarray) -> None:
+        self.universe_size = universe_size
+        self.coefficients = coefficients
+        self.ids_requested = 0
+        self.signs: np.ndarray | None = None
+        self._derived: dict = {}
+        # Serialises accounting, the build and derived builds of this
+        # family; other families proceed in parallel.
+        self._lock = threading.Lock()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the signs plus every derived table built so far."""
+        signs = 0 if self.signs is None else self.signs.nbytes
+        return signs + sum(array.nbytes
+                           for arrays in list(self._derived.values())
+                           for array in arrays)
+
+    def resolve(self, request_size: int, cell_limit: int) -> np.ndarray | None:
+        """Charge ``request_size`` ids; the table once they have paid for it."""
+        if self.signs is None:
+            with self._lock:
+                if self.signs is None:
+                    self.ids_requested += request_size
+                    if (self.ids_requested * _DIRECT_COST_RATIO
+                            >= self.universe_size
+                            and len(self.coefficients) * self.universe_size
+                            <= cell_limit):
+                        signs = _build_signs(self.universe_size,
+                                             self.coefficients)
+                        signs.setflags(write=False)
+                        self.signs = signs
+        return self.signs
+
+    def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
+        """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
+
+        Built once per family however many threads ask (concurrent
+        estimates reach a fresh table at the same moment).
+        """
+        arrays = self._derived.get(key)
+        if arrays is None:
+            with self._lock:
+                arrays = self._derived.get(key)
+                if arrays is None:
+                    arrays = tuple(build(self.signs))
+                    for array in arrays:
+                        array.setflags(write=False)
+                    self._derived[key] = arrays
+        return arrays
+
+
+#: Live families by ``(universe_size, coefficient bytes)``.
+_FAMILIES: "weakref.WeakValueDictionary[tuple, _XiFamily]" = (
+    weakref.WeakValueDictionary())
+_FAMILIES_LOCK = threading.Lock()
+
+
+def _interned_family(universe_size: int, coefficients: np.ndarray) -> _XiFamily:
+    key = (universe_size, coefficients.tobytes())
+    with _FAMILIES_LOCK:
+        family = _FAMILIES.get(key)
+        if family is None:
+            family = _FAMILIES[key] = _XiFamily(universe_size, coefficients)
+    return family
 
 
 def sign_table_stats() -> dict:
-    """Count and bytes (signs + derived tables) of the live sign tables."""
-    with _SIGN_TABLES_LOCK:
-        tables = list(_SIGN_TABLES.values())
+    """The process's xi tables and what evaluating xi has cost so far.
+
+    ``sign_tables`` / ``sign_table_bytes`` count the live tables (signs +
+    derived tables); ``sign_table_builds`` and ``direct_hash_ids`` are
+    running totals of table builds and of ids evaluated through the
+    polynomial instead — ids that keep rising for a family whose table
+    exists are a cold walk beside a table.
+    """
+    with _FAMILIES_LOCK:
+        families = list(_FAMILIES.values())
+    tables = [family for family in families if family.signs is not None]
+    with _COUNTERS_LOCK:
+        counters = dict(_COUNTERS)
     return {"sign_tables": len(tables),
-            "sign_table_bytes": sum(table.nbytes for table in tables)}
+            "sign_table_bytes": sum(family.nbytes for family in tables),
+            **counters}
 
 
 class FourWiseFamilyBank:
@@ -252,8 +294,7 @@ class FourWiseFamilyBank:
 
     # ``__weakref__`` lets the program executor's letter-sum cache key on a
     # weak reference to the xi bank, so cached vectors never pin families.
-    __slots__ = ("_coefficients", "_universe_size", "_table", "_table_key",
-                 "_ids_requested", "__weakref__")
+    __slots__ = ("_coefficients", "_universe_size", "_family", "__weakref__")
 
     #: Precompute a full sign table when it would use at most this many bytes.
     _TABLE_BYTE_LIMIT = 1 << 28
@@ -278,9 +319,7 @@ class FourWiseFamilyBank:
         # still 4-universal because all four coefficients are random.
         self._coefficients = coeffs.astype(np.uint64)
         self._universe_size = int(universe_size)
-        self._table: _SignTable | None = None
-        self._table_key: tuple | None = None
-        self._ids_requested = 0
+        self._family: _XiFamily | None = None
 
     # -- introspection ---------------------------------------------------
 
@@ -347,6 +386,7 @@ class FourWiseFamilyBank:
         has shape ``(k, m)`` with values in ``[0, p)``.  Every intermediate
         product stays below 2^62, so plain uint64 arithmetic is exact.
         """
+        _count("direct_hash_ids", ids.size)
         x = ids.astype(np.uint64)[None, :]
         a = coefficients[:, 0][:, None]
         b = coefficients[:, 1][:, None]
@@ -365,38 +405,33 @@ class FourWiseFamilyBank:
                 f"got range [{ids.min()}, {ids.max()}]"
             )
 
-    def _shared_table(self, *, build: bool) -> _SignTable | None:
-        """This family's interned table: an existing one, or a fresh build."""
-        if self._table is None:
-            if self._table_key is None:
-                self._table_key = (self._universe_size,
-                                   self._coefficients.tobytes())
-            self._table = _interned_table(
-                self._table_key, self._coefficients if build else None)
-        return self._table
+    def _xi_family(self) -> _XiFamily:
+        """This bank's interned family record (looked up on first use)."""
+        family = self._family
+        if family is None:
+            family = self._family = _interned_family(self._universe_size,
+                                                     self._coefficients)
+        return family
 
     def resolve_table(self, request_size: int) -> np.ndarray | None:
         """Account a prospective request and return the sign table, if any.
 
-        The full table is built lazily once the cumulative number of
-        requested ids exceeds the universe size (amortised break-even);
-        small workloads keep using direct polynomial evaluation.  Tables
-        are interned process-wide, so a bank also adopts — at once, without
-        building — the table any other bank of the same families already
-        paid for.  Fused evaluation paths call this **once** per request
-        and must not also go through :meth:`signs` for the same ids (that
-        would account the request twice).  ``None`` means no table serves
-        this bank (not yet warm, or the universe is too large to
+        The request is charged to the *family*, which every bank over the
+        same ``(universe, coefficients)`` in the process shares: the full
+        table is built once the ids all of them requested, priced at
+        ``_DIRECT_COST_RATIO`` table cells each, have paid for it; until
+        then small workloads keep using direct polynomial evaluation.  A
+        bank created after that serves from the table at once.  Fused
+        evaluation paths call this **once** per request and must not also
+        go through :meth:`signs` for the same ids (that would account the
+        request twice).  ``None`` means no table serves this bank (the
+        family is not yet warm, or the universe is too large to
         materialise).  The table is the read-only ``(universe_size,
         num_families)`` matrix: row ``i`` holds every family's sign of id
         ``i``.
         """
-        self._ids_requested += int(request_size)
-        warm = (self._ids_requested >= self._universe_size
-                and self.num_families * self._universe_size
-                <= self._TABLE_BYTE_LIMIT)
-        table = self._shared_table(build=warm)
-        return None if table is None else table.signs
+        return self._xi_family().resolve(int(request_size),
+                                         self._TABLE_BYTE_LIMIT)
 
     def derived_tables(self, key, nbytes: int,
                        build: Callable[[np.ndarray], tuple]) -> tuple | None:
@@ -411,8 +446,8 @@ class FourWiseFamilyBank:
         """
         if nbytes > self._DERIVED_BYTE_LIMIT:
             return None
-        table = self._shared_table(build=False)
-        return None if table is None else table.derived(key, build)
+        family = self._xi_family()
+        return None if family.signs is None else family.derived(key, build)
 
     def signs(self, ids, *, families: slice | np.ndarray | None = None) -> np.ndarray:
         """Sign matrix ``xi[family, id]`` for the requested ids.
@@ -455,8 +490,9 @@ class FourWiseFamilyBank:
         if ids.ndim != 1:
             ids = ids.ravel()
         self._check_ids(ids)
-        if self._table is not None:
-            np.take(self._table.signs, ids, axis=0, out=out.T)
+        table = self._xi_family().signs
+        if table is not None:
+            np.take(table, ids, axis=0, out=out.T)
         else:
             h = self._hash(ids.astype(np.uint64), self._coefficients)
             parity = (h & np.uint64(1)).astype(np.int8)

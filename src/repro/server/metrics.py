@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter, deque
+from typing import Mapping
 
 from repro.server.coalescer import CoalescerStats
 from repro.service.service import ServiceStats
@@ -34,6 +35,19 @@ def quantile(sorted_values: list[float], q: float) -> float:
 def label_value(value: str) -> str:
     """Escape a string for use inside a Prometheus label value."""
     return value.replace("\\", "\\\\").replace("\n", "\\n").replace('"', '\\"')
+
+
+def sign_table_lines(prefix: str, stats: Mapping) -> list[str]:
+    """Exposition lines for a :func:`repro.core.hashing.sign_table_stats`.
+
+    Live tables and their bytes are gauges; builds and directly hashed ids
+    only ever grow and carry the ``_total`` suffix.
+    """
+    lines = []
+    for key, value in stats.items():
+        suffix = "" if key in ("sign_tables", "sign_table_bytes") else "_total"
+        lines.append(f"{prefix}{key}{suffix} {value}")
+    return lines
 
 
 class WireCounters:
@@ -201,8 +215,9 @@ class ServerMetrics:
         :meth:`~repro.core.program.ExecutorStats.as_dict` snapshot; when
         given, it is rendered as the ``repro_server_program_*`` family.
         ``sign_tables`` is :func:`repro.core.hashing.sign_table_stats`:
-        the process's interned xi sign tables and the bytes they (and the
-        cover-sum tables derived from them) hold.
+        the process's interned xi sign tables, the bytes they (and the
+        cover-sum tables derived from them) hold, and the running totals
+        of table builds and directly hashed ids.
         """
         lines = ["# repro sketch server metrics",
                  f"repro_server_uptime_seconds {self.uptime:.3f}",
@@ -330,6 +345,5 @@ class ServerMetrics:
             for key in sorted(executor_stats):
                 lines.append(f"repro_server_program_{key} {executor_stats[key]}")
         if sign_tables is not None:
-            for key, value in sign_tables.items():
-                lines.append(f"repro_server_{key} {value}")
+            lines.extend(sign_table_lines("repro_server_", sign_tables))
         return "\n".join(lines) + "\n"

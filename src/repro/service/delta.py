@@ -31,6 +31,10 @@ from typing import Any
 
 from repro.core.atomic import SketchBank
 from repro.errors import MergeCompatibilityError, ServiceError
+# The tracker estimator is the general zero-counter companion; the name it
+# had while it lived here stays importable.
+from repro.service.specs import COUNT_ATTRS
+from repro.service.specs import empty_companion as empty_delta_estimator
 
 __all__ = ["delta_merged_view", "empty_delta_estimator", "DELTA_BOX_BUDGET"]
 
@@ -39,40 +43,6 @@ __all__ = ["delta_merged_view", "empty_delta_estimator", "DELTA_BOX_BUDGET"]
 #: long a *watched but unqueried* name keeps paying the double-ingest cost
 #: of delta recording before falling back to rebuild-on-next-query.
 DELTA_BOX_BUDGET = 1 << 18
-
-#: Input-cardinality attributes the eight estimator families keep outside
-#: their banks; delta application sums them like the counters they describe.
-_COUNT_ATTRS = ("_left_count", "_right_count", "_outer_count",
-                "_inner_count", "_count")
-
-
-def empty_delta_estimator(template: Any) -> Any:
-    """A zero-counter estimator of ``template``'s spec, aliasing its xi state.
-
-    Delta trackers need an estimator that is merge-compatible with the
-    name's merged views but starts empty.  Building one with
-    ``spec.build()`` would redraw every xi family from the seed — exactly
-    the O(instances x levels) cost delta propagation exists to avoid, paid
-    on every re-armed watch.  Instead the tracker estimator is a shallow
-    clone of an existing estimator (in practice a shard's) whose banks are
-    :meth:`~repro.core.atomic.SketchBank.companion` companions — empty
-    counters, shared xi families and their lazily-built sign tables — and
-    whose input counts are zeroed.  Compatibility is checked by value
-    (domain signature, words, seeded xi coefficients), so deltas recorded
-    here merge cleanly onto views built from any same-spec estimator.
-    """
-    template_state = vars(template)
-    clone = copy.copy(template)
-    for attr, value in template_state.items():
-        if isinstance(value, SketchBank):
-            setattr(clone, attr, value.companion())
-    for attr in _COUNT_ATTRS:
-        if attr in template_state:
-            setattr(clone, attr, 0)
-    if "_compiled_terms" in template_state:
-        clone._compiled_terms = None
-    return clone
-
 
 def delta_merged_view(view: Any, delta: Any) -> Any:
     """A new estimator equal to ``view + delta``, sharing ``view``'s xi state.
@@ -107,7 +77,7 @@ def delta_merged_view(view: Any, delta: Any) -> Any:
             raise MergeCompatibilityError(
                 f"delta estimator lacks sketch bank {attr!r}")
         setattr(clone, attr, view_state[attr].clone_with_delta(delta_bank))
-    for attr in _COUNT_ATTRS:
+    for attr in COUNT_ATTRS:
         if attr in view_state:
             setattr(clone, attr, view_state[attr] + delta_state[attr])
     # The paired-join families cache compiled program terms holding

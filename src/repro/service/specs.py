@@ -17,11 +17,13 @@ new estimator family only needs one registry entry to become servable.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.atomic import SketchBank
 from repro.core.domain import Domain
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
@@ -305,6 +307,39 @@ class EstimatorSpec:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed estimator spec: {exc}") from exc
+
+
+#: Input-cardinality attributes the eight estimator families keep outside
+#: their banks; whatever zeroes or sums counters treats these alike.
+COUNT_ATTRS = ("_left_count", "_right_count", "_outer_count",
+               "_inner_count", "_count")
+
+
+def empty_companion(template: Any) -> Any:
+    """A zero-counter estimator of ``template``'s spec, aliasing its xi state.
+
+    Delta trackers and the cluster's partial-state reduce need estimators
+    that are merge-compatible with a name's other estimators but start
+    empty.  Building each with ``spec.build()`` would redraw every xi
+    family from the seed — O(instances x levels) per call — and give it
+    banks of its own.  Instead the result is a shallow clone of an existing
+    estimator whose banks are :meth:`~repro.core.atomic.SketchBank.companion`
+    companions — empty counters, shared xi families and their lazily-built
+    sign tables — and whose input counts are zeroed.  Compatibility is
+    still checked by value (domain signature, words, seeded xi
+    coefficients) wherever the companion is merged or loaded.
+    """
+    template_state = vars(template)
+    clone = copy.copy(template)
+    for attr, value in template_state.items():
+        if isinstance(value, SketchBank):
+            setattr(clone, attr, value.companion())
+    for attr in COUNT_ATTRS:
+        if attr in template_state:
+            setattr(clone, attr, 0)
+    if "_compiled_terms" in template_state:
+        clone._compiled_terms = None
+    return clone
 
 
 # -- update and estimate dispatch ---------------------------------------------------

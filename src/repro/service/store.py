@@ -27,6 +27,7 @@ from repro.geometry.boxset import BoxSet
 from repro.service.specs import (
     EstimatorSpec,
     apply_update,
+    empty_companion,
     run_estimate,
     run_estimate_batch,
 )
@@ -72,8 +73,10 @@ def partition_boxes(boxes: BoxSet, num_shards: int,
     parts: list[BoxSet | None] = [None] * num_shards
     if len(boxes) == 0:
         return parts
-    for shard in np.unique(ids):
-        parts[int(shard)] = boxes[ids == shard]
+    # np.bincount, not np.unique: the first np.unique of a process imports
+    # numpy.ma (10-30 ms) — on the first ingest frame a server handles.
+    for shard in np.flatnonzero(np.bincount(ids, minlength=num_shards)):
+        parts[shard] = boxes[ids == shard]
     return parts
 
 
@@ -239,11 +242,9 @@ class ShardedSketchStore:
         so re-arming a watch after every refresh costs array allocation,
         not a fresh seeded xi draw.
         """
-        from repro.service.delta import empty_delta_estimator
-
         self.spec(name)  # raises for unknown names
         self._trackers[name] = _DeltaTracker(
-            empty_delta_estimator(self._shards[0][name]))
+            empty_companion(self._shards[0][name]))
 
     def unwatch_delta(self, name: str) -> None:
         """Stop delta accumulation for a name (evicted/dropped views)."""

@@ -299,7 +299,7 @@ class TestLifetime:
         gc.collect()         # tables of earlier tests still awaiting the cycle gc
         bank = warm(bank_for(64, None, Letter.ENDPOINTS, seed=123))
         bank.letter_sums(0, Letter.ENDPOINTS, np.array([1]), np.array([2]))
-        table = weakref.ref(bank.xi_banks[0]._table)
+        table = weakref.ref(bank.xi_banks[0]._family)
         # The interned object is the array that owns the bytes: a view
         # handed out instead would pin the table through its base.
         assert bank.xi_banks[0].resolve_table(0).base is None
@@ -331,7 +331,7 @@ class TestLifetime:
         banks = service.merged_view(name).left_bank.xi_banks
         # The view's fresh banks adopt the tables the shards built.
         assert all(xi.resolve_table(0) is not None for xi in banks)
-        tables = [weakref.ref(xi._table) for xi in banks]
+        tables = [weakref.ref(xi._family) for xi in banks]
         assert service.describe()["sign_table_bytes"] > 0
         del banks
         if tenant:

@@ -1,0 +1,466 @@
+"""One interned xi family per ``(universe, coefficients)``.
+
+The family — not the bank — owns the break-even accounting, the sign table
+and their lifetime: every bank over the same coefficients charges one
+counter, the table is built once they have together paid for it (a
+directly evaluated id costs ``_DIRECT_COST_RATIO`` table cells), and the
+record dies with its last bank.  The cluster router reduces against
+resident template estimators, so its families outlive single estimates.
+
+Builds and directly hashed ids are *counted* here through the process-wide
+``sign_table_builds`` / ``direct_hash_ids`` totals, never timed.
+"""
+
+import gc
+import subprocess
+import sys
+import threading
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.client import ServiceClient
+from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.cluster.fleet import LocalFleet, _worker_env
+from repro.cluster.partial import merge_partial_states, reduce_partials
+from repro.core import hashing
+from repro.core.atomic import Letter, SketchBank, all_words
+from repro.core.domain import Domain
+from repro.core.hashing import FourWiseFamilyBank, sign_table_stats
+from repro.errors import MergeCompatibilityError, ServerError
+from repro.server import ThreadedServer
+from repro.service import (
+    EstimationService,
+    EstimatorSpec,
+    synthetic_boxes,
+    synthetic_queries,
+)
+from repro.service.specs import apply_update, run_estimate
+
+from tests.helpers import scalar_letter_sums
+from tests.test_property_batch_equivalence import FAMILY_CASES, _boxes
+
+INSTANCES = 5
+RATIO = hashing._DIRECT_COST_RATIO
+
+
+def counted(before: dict) -> tuple[int, int]:
+    """``(table builds, directly hashed ids)`` since ``before``."""
+    now = sign_table_stats()
+    return (now["sign_table_builds"] - before["sign_table_builds"],
+            now["direct_hash_ids"] - before["direct_hash_ids"])
+
+
+def leaf_bank(seed: int, size: int = 1024) -> SketchBank:
+    return SketchBank(Domain((size,)), all_words([Letter.LOWER_LEAF], 1),
+                      INSTANCES, seed=seed)
+
+
+class TestAccountingIsPerFamily:
+    def test_break_even_is_a_quarter_of_the_universe(self):
+        bank = FourWiseFamilyBank(INSTANCES, 2047, seed=9001)
+        short = -(-2047 // RATIO) - 1
+        assert bank.resolve_table(short) is None
+        assert bank.resolve_table(0) is None
+        assert bank.resolve_table(1) is not None
+
+    def test_shards_and_a_companion_pay_for_one_table(self):
+        """Four shard banks and a companion, 110 ids each: none is over the
+        512-id break-even of a 2047-node universe, together they are."""
+        shards = [leaf_bank(seed=9002) for _ in range(4)]
+        banks = shards + [shards[0].companion()]
+        points = np.arange(110)
+        before = sign_table_stats()
+        cold = [bank.letter_sums(0, Letter.LOWER_LEAF, points, points)
+                for bank in banks[:4]]
+        assert counted(before) == (0, 4 * 110)
+        assert all(bank.xi_banks[0].resolve_table(0) is None for bank in banks)
+        crossing = banks[4].letter_sums(0, Letter.LOWER_LEAF, points, points)
+        assert counted(before) == (1, 4 * 110)
+        # Every bank of the family — one made only now included — serves
+        # from the one table: no build, no polynomial evaluation.
+        latecomer = leaf_bank(seed=9002)
+        warm = [bank.letter_sums(0, Letter.LOWER_LEAF, points, points)
+                for bank in banks + [latecomer]]
+        assert counted(before) == (1, 4 * 110)
+        for sums in cold + warm:
+            assert np.array_equal(sums, crossing)
+        tables = {id(bank.xi_banks[0].resolve_table(0))
+                  for bank in banks + [latecomer]}
+        assert len(tables) == 1
+
+    def test_another_seed_is_another_family(self):
+        first, second = leaf_bank(seed=9003), leaf_bank(seed=9004)
+        first.xi_banks[0].resolve_table(2047)
+        assert first.xi_banks[0].resolve_table(0) is not None
+        assert second.xi_banks[0].resolve_table(0) is None
+        assert second.xi_banks[0]._xi_family().ids_requested == 0
+
+    def test_oversized_universes_keep_hashing(self):
+        ids = np.arange(0, 3000, 7)
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT",
+                               INSTANCES * 3000 - 1):
+            bank = FourWiseFamilyBank(INSTANCES, 3000, seed=9005)
+            before = sign_table_stats()
+            assert bank.resolve_table(10 * 3000) is None
+            direct = bank.signs(ids)
+            assert counted(before) == (0, len(ids))
+        # The same family, now allowed a table, agrees with what it hashed.
+        assert np.array_equal(bank.signs(ids), direct)
+        assert bank.resolve_table(0) is not None
+
+
+class TestBitIdentity:
+    @given(st.sampled_from([(64, None), (64, 2), (1024, None), (1024, 0)]),
+           st.sampled_from(list(Letter)), st.integers(0, 2 ** 31 - 1),
+           st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_cold_crossing_and_warm_agree(self, config, letter, seed, data):
+        size, max_level = config
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+            min_size=1, max_size=24))
+        lows = np.array([min(pair) for pair in pairs], dtype=np.int64)
+        highs = np.array([max(pair) for pair in pairs], dtype=np.int64)
+        bank = SketchBank(Domain((size,), max_levels=max_level),
+                          all_words([letter], 1), INSTANCES, seed=seed)
+        xi = bank.xi_banks[0]
+        # Cold: a family that may never have a table evaluates directly.
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
+            cold = bank.letter_sums(0, letter, lows, highs)
+            assert xi.resolve_table(0) is None
+        # At the crossing: one id short of the break-even, so the table
+        # turns up inside the call.
+        family = xi._xi_family()
+        short = -(-xi.universe_size // RATIO) - 1 - family.ids_requested
+        if short > 0:
+            assert xi.resolve_table(short) is None
+        crossing = bank.letter_sums(0, letter, lows, highs)
+        assert xi.resolve_table(0) is not None
+        before = sign_table_stats()
+        warm = bank.letter_sums(0, letter, lows, highs)
+        assert counted(before) == (0, 0)
+        assert np.array_equal(cold, crossing)
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(cold, scalar_letter_sums(bank, 0, letter,
+                                                       lows, highs))
+
+
+class TestRacingThreads:
+    def test_twelve_threads_three_families(self):
+        """4 threads per family, more threads than cores: no request is
+        lost from a family's count, and each family builds one table."""
+        banks = [FourWiseFamilyBank(4, 2047, seed=9100 + index % 3)
+                 for index in range(12)]
+        results: list = [None] * len(banks)
+
+        def charge(index):
+            for _ in range(200):
+                results[index] = banks[index].resolve_table(1)
+
+        def race() -> None:
+            threads = [threading.Thread(target=charge, args=(index,))
+                       for index in range(len(banks))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(20.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+
+        before = sign_table_stats()
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
+            race()
+        assert counted(before) == (0, 0)
+        assert [bank._xi_family().ids_requested for bank in banks] == [800] * 12
+        race()
+        assert counted(before) == (3, 0)
+        for index, table in enumerate(results):
+            assert table is not None and table is results[index % 3]
+
+
+class TestLifetime:
+    def test_family_and_counter_die_with_the_last_bank(self):
+        first = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
+        second = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
+        assert first.resolve_table(300) is None
+        assert second.resolve_table(0) is None
+        family = second._xi_family()
+        assert family is first._xi_family() and family.ids_requested == 300
+        family = weakref.ref(family)
+        del first
+        assert family() is not None
+        del second
+        gc.collect()
+        assert family() is None
+        # A new bank starts a new record from zero: with the old 300 ids
+        # this request would have crossed the 512-id break-even.
+        reborn = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
+        assert reborn.resolve_table(300) is None
+        assert reborn._xi_family().ids_requested == 300
+
+
+def benchmark_shaped_service(seed: int) -> EstimationService:
+    """The end-to-end benchmark's three estimators on a 4-shard store."""
+    service = EstimationService(num_shards=4, flush_threshold=None)
+    for offset, (name, family) in enumerate(
+            (("rq", "range"), ("rj", "rectangle"), ("cj", "containment"))):
+        service.register(name, family=family, domain=Domain.square(1024, 2),
+                         num_instances=256, seed=seed + offset)
+    return service
+
+
+class TestSmallBatchesNeverWalkCold:
+    def test_a_routed_workers_first_flush(self):
+        """What the benchmark's second routed worker holds at its first
+        flush: ~2000 boxes on four sides and ~500 on ``cj.inner``, whose
+        key sorts first — ~125 boxes per shard, under any single bank's
+        break-even.  Each of the 8 families builds its table once and
+        nothing is hashed directly beside it."""
+        service = benchmark_shaped_service(seed=9300)
+        domain = Domain.square(1024, 2)
+        for index, (name, side, count) in enumerate((
+                ("rq", "data", 2000), ("rj", "left", 2000),
+                ("rj", "right", 2000), ("cj", "outer", 2000),
+                ("cj", "inner", 500))):
+            service.ingest(name, synthetic_boxes(domain, count, seed=index),
+                           side=side)
+        before = sign_table_stats()
+        service.flush()
+        assert counted(before) == (8, 0)
+        after = service.describe()
+        assert after["sign_table_builds"] - before["sign_table_builds"] == 8
+        assert after["direct_hash_ids"] == before["direct_hash_ids"]
+
+
+def test_first_ingest_does_not_import_numpy_ma():
+    """``np.unique`` pulls in ``numpy.ma`` on its first call (10-30 ms, on
+    a server's first ingest frame); partitioning goes without it."""
+    script = (
+        "import sys\n"
+        "from repro.cluster import router\n"
+        "from repro.core.domain import Domain\n"
+        "from repro.service import EstimationService, synthetic_boxes\n"
+        "domain = Domain.square(64, 2)\n"
+        "service = EstimationService(num_shards=4)\n"
+        "service.register('rq', family='range', domain=domain,\n"
+        "                 num_instances=4, seed=1)\n"
+        "service.ingest('rq', synthetic_boxes(domain, 50, seed=1), side='data')\n"
+        "service.flush()\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    done = subprocess.run([sys.executable, "-c", script], env=_worker_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# -- the cluster router's resident templates -------------------------------------------
+
+
+def partial_states(spec: EstimatorSpec, sides, sizes, seed: int,
+                   degenerate: bool):
+    """Two workers' states over disjoint data, and the single-node estimator."""
+    rng = np.random.default_rng(seed)
+    workers = [spec.build(), spec.build()]
+    whole = spec.build()
+    for worker in workers:
+        for side in sides:
+            boxes = _boxes(rng, 30, sizes, degenerate=degenerate)
+            apply_update(spec, worker, side, "insert", boxes)
+            apply_update(spec, whole, side, "insert", boxes)
+    return [worker.state_dict(arrays=True) for worker in workers], whole
+
+
+class TestReducePartials:
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_template_or_not_is_bit_identical(self, family):
+        sizes, sides, options = FAMILY_CASES[family]
+        spec = EstimatorSpec.create(family, sizes, 9, seed=41, **options)
+        states, whole = partial_states(spec, sides, sizes, seed=5,
+                                       degenerate=family == "epsilon")
+        query = (_boxes(np.random.default_rng(6), 1, sizes, degenerate=False)
+                 if spec.info.queryable else None)
+        expected = run_estimate(spec, whole, query)
+        template = spec.build()
+        for result in (reduce_partials(spec, states, query),
+                       reduce_partials(spec, states, query, template=template),
+                       reduce_partials(spec, states, query, template=template)):
+            assert result.estimate == expected.estimate
+            assert np.array_equal(result.instance_values,
+                                  expected.instance_values)
+            assert (result.left_count, result.right_count) == (
+                expected.left_count, expected.right_count)
+        # The template only lends its xi families; it stays empty.
+        merged = merge_partial_states(spec, states, template=template)
+        assert merged is not template
+        for attr, value in vars(template).items():
+            if isinstance(value, SketchBank):
+                assert not value.counter_tensor.any()
+                assert getattr(merged, attr).xi_banks[0] is value.xi_banks[0]
+
+    def test_a_template_of_another_seed_is_refused(self):
+        sizes, sides, _ = FAMILY_CASES["range"]
+        spec = EstimatorSpec.create("range", sizes, 9, seed=41)
+        states, _ = partial_states(spec, sides, sizes, seed=5, degenerate=False)
+        stale = EstimatorSpec.create("range", sizes, 9, seed=42).build()
+        with pytest.raises(MergeCompatibilityError, match="seed mismatch"):
+            merge_partial_states(spec, states, template=stale)
+
+
+DOMAIN = Domain.square(1024, 2)
+
+
+@pytest.mark.e2e
+class TestRouterTemplates:
+    """Subprocess workers, so this process's tables are the router's own."""
+
+    def test_routed_estimates_build_each_family_once(self):
+        gc.collect()
+        queries = synthetic_queries(DOMAIN, 200, seed=3)
+        with LocalFleet(2, shards=2) as fleet, ThreadedClusterRouter(
+                fleet.addresses(), config=RouterConfig(),
+                start_heartbeat=False) as handle, ServiceClient(
+                    "127.0.0.1", handle.port, timeout=60) as client:
+            before = sign_table_stats()
+            client.register("rq", family="range", sizes=[1024, 1024],
+                            instances=16, seed=9400)
+            boxes = synthetic_boxes(DOMAIN, 2000, seed=1)
+            client.ingest("rq", boxes, side="data")
+            client.flush()
+            assert counted(before) == (0, 0)
+            answers = [client.estimate("rq", queries[index]).estimate
+                       for index in range(100)]
+            builds, hashed = counted(before)
+            assert builds == 2 and hashed > 0          # one per dimension
+            answers += [client.estimate("rq", queries[index]).estimate
+                        for index in range(100, 200)]
+            assert counted(before) == (2, hashed)
+            stats = client.stats()
+            assert (stats["sign_table_builds"] - before["sign_table_builds"],
+                    stats["sign_tables"] - before["sign_tables"]) == (2, 2)
+            text = client.metrics()
+            with ServiceClient(*fleet.addresses()[0]) as worker:
+                worker_text = worker.metrics()
+
+            # Released with the name: the template held the last banks.
+            _, template = handle.router._specs["rq"]
+            families = [weakref.ref(xi._xi_family())
+                        for xi in template._bank.xi_banks]
+            del template
+            client.unregister("rq")
+            gc.collect()
+            assert [family() for family in families] == [None, None]
+            assert (client.stats()["sign_tables"]
+                    == sign_table_stats()["sign_tables"]
+                    == before["sign_tables"])
+
+        reference = EstimationService(num_shards=1)
+        reference.register("rq", family="range", domain=DOMAIN,
+                           num_instances=16, seed=9400)
+        reference.ingest("rq", boxes, side="data")
+        reference.flush()
+        assert answers == [reference.estimate("rq", queries[index]).estimate
+                           for index in range(200)]
+
+        def metric(exposition: str, name: str) -> int:
+            (line,) = [line for line in exposition.splitlines()
+                       if line.startswith(name + " ")]
+            return int(line.split()[1])
+
+        assert metric(text, "repro_cluster_router_sign_table_builds_total") >= 2
+        assert metric(text, "repro_cluster_router_direct_hash_ids_total") > 0
+        assert metric(text, "repro_cluster_router_sign_tables") >= 2
+        # Summed over the workers: each built the two rq tables on flush.
+        assert metric(text, "repro_cluster_sign_table_builds_total") == 4
+        assert metric(text, "repro_cluster_direct_hash_ids_total") == 0
+        assert metric(worker_text, "repro_server_sign_table_builds_total") == 2
+        assert metric(worker_text, "repro_server_direct_hash_ids_total") == 0
+
+
+@pytest.mark.e2e
+class TestRouterTemplateLifecycle:
+    @pytest.fixture()
+    def workers(self):
+        handles = [ThreadedServer(EstimationService(num_shards=2)).start()
+                   for _ in range(2)]
+        try:
+            yield handles
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    def routed(self, workers):
+        return ThreadedClusterRouter(
+            [("127.0.0.1", handle.port) for handle in workers],
+            config=RouterConfig(), start_heartbeat=False)
+
+    def test_reregistering_with_another_seed(self, workers):
+        boxes = synthetic_boxes(DOMAIN, 400, seed=2)
+        query = synthetic_queries(DOMAIN, 1, seed=4)[0]
+        with self.routed(workers) as handle, ServiceClient(
+                "127.0.0.1", handle.port) as client:
+            router = handle.router
+            for seed in (71, 72):
+                client.register("rq", family="range", sizes=[1024, 1024],
+                                instances=8, seed=seed)
+                assert set(router._specs) == {"rq"}
+                spec, template = router._specs["rq"]
+                assert template._bank.xi_banks[0].matches_coefficients(
+                    spec.build()._bank.xi_banks[0].coefficients)
+                client.ingest("rq", boxes, side="data")
+                client.flush()
+                reference = EstimationService(num_shards=1)
+                reference.register("rq", family="range", domain=DOMAIN,
+                                   num_instances=8, seed=seed)
+                reference.ingest("rq", boxes, side="data")
+                reference.flush()
+                assert (client.estimate("rq", query).estimate
+                        == reference.estimate("rq", query).estimate)
+                stale = template
+                client.unregister("rq")
+                assert not router._specs
+            # Had the old template survived the re-registration, the seed
+            # check of load_state_dict is what refuses the reduction.
+            client.register("rq", family="range", sizes=[1024, 1024],
+                            instances=8, seed=73)
+            client.ingest("rq", boxes, side="data")
+            client.flush()
+            router._specs["rq"] = (router._specs["rq"][0], stale)
+            with pytest.raises(ServerError, match="seed mismatch"):
+                client.estimate("rq", query)
+
+    def test_specs_adopted_from_workers_get_templates(self, workers):
+        boxes = synthetic_boxes(DOMAIN, 400, seed=2)
+        for handle in workers:
+            handle.service.register("rq", family="range", domain=DOMAIN,
+                                    num_instances=8, seed=81)
+        with self.routed(workers) as handle, ServiceClient(
+                "127.0.0.1", handle.port) as client:
+            router = handle.router
+            assert set(router._specs) == {"rq"}           # _reconcile_specs
+            # A name that appears on the workers behind the router's back
+            # is adopted, template included, by the next refresh.
+            for worker in workers:
+                worker.service.register("late", family="range", domain=DOMAIN,
+                                        num_instances=8, seed=82)
+            handle.run(router.refresh_specs())
+            assert set(router._specs) == {"rq", "late"}
+            for name in ("rq", "late"):
+                client.ingest(name, boxes, side="data")
+            client.flush()
+            query = synthetic_queries(DOMAIN, 1, seed=4)[0]
+            for name, seed in (("rq", 81), ("late", 82)):
+                reference = EstimationService(num_shards=1)
+                reference.register(name, family="range", domain=DOMAIN,
+                                   num_instances=8, seed=seed)
+                reference.ingest(name, boxes, side="data")
+                reference.flush()
+                assert (client.estimate(name, query).estimate
+                        == reference.estimate(name, query).estimate)
