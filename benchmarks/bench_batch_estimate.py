@@ -5,8 +5,7 @@ This is the perf-regression gate of the batched estimation engine:
 * a 1000-query batch answered through ``EstimationService.estimate_batch``
   must beat the same 1000 queries answered one ``estimate`` call at a time
   by **at least 3x** (the CI perf-smoke job re-checks the recorded JSON),
-* batch throughput is additionally swept across shard counts and worker
-  fan-outs to record how the process/thread pool behaves.
+* batch throughput is additionally swept across shard counts.
 
 Besides the human-readable record under ``benchmarks/results/``, the run
 writes ``BENCH_batch_estimate.json`` at the repository root; CI consumes
@@ -81,12 +80,6 @@ def test_batch_estimate_at_least_3x_scalar_loop(benchmark):
         sharded.estimate_batch("ranges", queries)
         shard_rates[shards] = NUM_QUERIES / (time.perf_counter() - start)
 
-    worker_rates: dict[int, float] = {}
-    for workers in (1, 2, 4):
-        start = time.perf_counter()
-        service.estimate_batch("ranges", queries, workers=workers)
-        worker_rates[workers] = NUM_QUERIES / (time.perf_counter() - start)
-
     report = {
         "domain": list(DOMAIN.requested_sizes),
         "num_instances": NUM_INSTANCES,
@@ -101,7 +94,6 @@ def test_batch_estimate_at_least_3x_scalar_loop(benchmark):
             "min_speedup": MIN_SPEEDUP,
         },
         "batch_qps_vs_shards": {str(k): v for k, v in shard_rates.items()},
-        "batch_qps_vs_workers": {str(k): v for k, v in worker_rates.items()},
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -115,7 +107,5 @@ def test_batch_estimate_at_least_3x_scalar_loop(benchmark):
         f"speedup     : {speedup:8.1f}x (gate: >= {MIN_SPEEDUP}x)",
         *(f"shards={shards:<2d} : {rate:10.0f} q/s"
           for shards, rate in sorted(shard_rates.items())),
-        *(f"workers={workers:<2d}: {rate:10.0f} q/s"
-          for workers, rate in sorted(worker_rates.items())),
     ])
     assert speedup >= MIN_SPEEDUP

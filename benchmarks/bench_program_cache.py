@@ -283,8 +283,8 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
     highs = lows + rng.integers(1, size // 4, size=LETTER_SUM_INTERVALS)
     highs = np.minimum(highs, size - 1)
 
-    # Warm both paths (sign-table builds, workspace growth, numba JIT when
-    # present) so the timed loops compare steady-state kernels.
+    # Warm both paths (sign-table builds, workspace growth) so the timed
+    # loops compare steady-state kernels.
     fused_warm = bank.letter_sums(0, Letter.INTERVAL, lows, highs)
     reference_warm = _reference_interval_sums(bank, 0, lows, highs)
     assert np.array_equal(fused_warm, reference_warm)
@@ -305,8 +305,6 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
     fused_seconds = benchmark.pedantic(run_fused, rounds=1, iterations=1)
     speedup = reference_seconds / fused_seconds
 
-    from repro.core import kernels
-
     _update_report({
         "letter_sum": {
             "intervals": LETTER_SUM_INTERVALS,
@@ -316,15 +314,13 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
             "fused_seconds": fused_seconds,
             "speedup": speedup,
             "min_speedup": LETTER_SUM_MIN_SPEEDUP,
-            "numba": kernels.HAVE_NUMBA,
         },
     })
 
     RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"letter sums: {LETTER_SUM_ROUNDS} rounds x {LETTER_SUM_INTERVALS} "
-        f"intervals ({NUM_INSTANCES} instances, "
-        f"numba={'on' if kernels.HAVE_NUMBA else 'off'})",
+        f"intervals ({NUM_INSTANCES} instances)",
         f"per-box scalar path: {reference_seconds:8.3f} s",
         f"fused kernel       : {fused_seconds:8.3f} s",
         f"speedup            : {speedup:8.1f}x "
@@ -347,7 +343,6 @@ def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
     pays before its first table-served letter sum (sign table + point
     table + interval tables), against a ceiling.
     """
-    from repro.core import kernels
     from repro.core.hashing import FourWiseFamilyBank
 
     rng = np.random.default_rng(5)
@@ -407,15 +402,13 @@ def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
         "min_table_speedup": TABLE_MIN_SPEEDUP,
         "cold_table_ms": cold_table_ms,
         "max_cold_table_ms": COLD_TABLE_MAX_MS,
-        "numba": kernels.HAVE_NUMBA,
     }})
 
     RESULTS_DIR.mkdir(exist_ok=True)
     per_call = 1e3 / TABLE_ROUNDS
     lines = [
         f"coordinate tables: {TABLE_ROUNDS} rounds x {LETTER_SUM_INTERVALS} "
-        f"boxes, 1024-wide dimension, {TABLE_INSTANCES} instances, "
-        f"numba={'on' if kernels.HAVE_NUMBA else 'off'}",
+        f"boxes, 1024-wide dimension, {TABLE_INSTANCES} instances",
     ]
     for letter, label in ((Letter.INTERVAL, "interval covers"),
                           (Letter.ENDPOINTS, "endpoint covers")):
@@ -460,7 +453,6 @@ def _reference_float_update(bank: SketchBank, boxes: BoxSet,
 
 def test_row_kernel_at_least_3x_float_update(benchmark):
     """The update gate: integer row kernel >= 3x the float update."""
-    from repro.core import kernels
 
     words = all_words((Letter.INTERVAL, Letter.ENDPOINTS), TABLE_DOMAIN.dimension)
     bank = SketchBank(TABLE_DOMAIN, words, TABLE_INSTANCES, seed=17)
@@ -499,14 +491,13 @@ def test_row_kernel_at_least_3x_float_update(benchmark):
         "row_ms_per_insert": row_seconds / UPDATE_ROUNDS * 1e3,
         "row_kernel_speedup": speedup,
         "min_row_kernel_speedup": UPDATE_MIN_SPEEDUP,
-        "numba": kernels.HAVE_NUMBA,
     }})
 
     RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"sketch update: {UPDATE_ROUNDS} rounds x {UPDATE_BOXES} boxes, "
         f"{len(words)} words over a 1024 x 1024 domain, {TABLE_INSTANCES} "
-        f"instances, numba={'on' if kernels.HAVE_NUMBA else 'off'}",
+        "instances",
         f"float (instances, boxes) update: "
         f"{reference_seconds / UPDATE_ROUNDS * 1e3:7.2f} ms/insert",
         f"integer row kernel             : "
@@ -533,7 +524,6 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
     other bank of the family alive in the process.
     """
     from repro.cluster.partial import reduce_partials
-    from repro.core import kernels
     from repro.core.hashing import sign_table_stats
     from repro.service import EstimatorSpec
     from repro.service.specs import apply_update
@@ -598,13 +588,12 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         "reduces": COLD_REDUCE_ROUNDS,
         "router_reduce_ms": router_reduce_ms,
         "max_router_reduce_ms": COLD_REDUCE_MAX_MS,
-        "numba": kernels.HAVE_NUMBA,
     }})
 
     RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"cold xi families: {TABLE_INSTANCES} instances over a 1024 x 1024 "
-        f"domain, numba={'on' if kernels.HAVE_NUMBA else 'off'}",
+        "domain",
         f"small first batch : {small_batch_ms:8.1f} ms for {COLD_BATCH_BOXES} "
         f"boxes x {len(sides)} sides into a fresh 4-shard service "
         f"(gate: <= {COLD_BATCH_MAX_MS} ms)",

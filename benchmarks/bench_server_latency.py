@@ -1,8 +1,8 @@
 """Server latency benchmark: coalesced vs naive per-request serving.
 
 This is the perf-regression gate of the network serving layer: the same
-pipelined estimate workload (16 client connections x 64 range queries) is
-driven against
+pipelined estimate workload (16 client connections x 64 range queries,
+every query distinct) is driven against
 
 * a **naive** server (``max_batch=1`` — every request becomes its own
   engine call, the way a thin per-request RPC layer would serve it), and
@@ -12,8 +12,11 @@ driven against
 and the coalesced configuration must deliver **at least 3x** the naive
 throughput.  Both servers run with a single engine-executor thread, so the
 comparison isolates the serving *policy* (1024 scalar engine calls vs ~4
-batched ones) on identical resources.  Per-request p50/p99 latencies come
-from the server's own metrics verb (the numbers operators would scrape).
+batched ones) on identical resources — no query repeats, so neither the
+executor's letter-sum cache (which every engine call shares) nor
+within-batch deduplication favours a side.  Per-request p50/p99 latencies
+come from the server's own metrics verb (the numbers operators would
+scrape).
 
 The clients drive the server from one asyncio loop (pipelined writes, one
 reader per connection) to keep measurement overhead flat across scenarios.
@@ -70,10 +73,10 @@ def _metric(text: str, name: str) -> float:
     raise AssertionError(f"metric {name} missing from exposition")
 
 
-async def _drive_clients(port: int, request_lines: bytes) -> str:
+async def _drive_clients(port: int, per_connection: list[bytes]) -> str:
     """Pipeline the workload over CONNECTIONS connections; returns metrics."""
 
-    async def one_connection() -> None:
+    async def one_connection(request_lines: bytes) -> None:
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
         writer.write(request_lines)
         await writer.drain()
@@ -83,7 +86,7 @@ async def _drive_clients(port: int, request_lines: bytes) -> str:
         writer.close()
         await writer.wait_closed()
 
-    await asyncio.gather(*(one_connection() for _ in range(CONNECTIONS)))
+    await asyncio.gather(*(one_connection(lines) for lines in per_connection))
 
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(protocol.encode({"op": "metrics"}))
@@ -96,10 +99,13 @@ async def _drive_clients(port: int, request_lines: bytes) -> str:
 def _drive(config: ServerConfig) -> dict:
     """One scenario: a fresh service/server pair under the fixed workload."""
     service = _make_service()
-    queries = synthetic_queries(DOMAIN, QUERIES_PER_CONNECTION, seed=7)
-    request_lines = b"".join(
-        protocol.encode({"op": "estimate", "name": "ranges", "query": row})
-        for row in protocol.boxes_to_rows(queries))
+    rows = protocol.boxes_to_rows(synthetic_queries(
+        DOMAIN, CONNECTIONS * QUERIES_PER_CONNECTION, seed=7))
+    request_lines = [
+        b"".join(protocol.encode({"op": "estimate", "name": "ranges",
+                                  "query": row})
+                 for row in rows[at:at + QUERIES_PER_CONNECTION])
+        for at in range(0, len(rows), QUERIES_PER_CONNECTION)]
 
     with ThreadedServer(service, config=config) as handle:
         start = time.perf_counter()

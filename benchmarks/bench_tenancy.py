@@ -122,13 +122,21 @@ async def _scrape_metrics(port: int) -> str:
 async def _drive(port: int, *, with_noise: bool) -> tuple[dict, dict, str]:
     steady = {"ok": 0, "rejected": 0}
     noisy = {"ok": 0, "rejected": 0}
-    steady_payload = _request_lines(STEADY_TOKEN, STEADY_QUERIES, seed=7)
-    tasks = [_one_connection(port, steady_payload, STEADY_QUERIES, steady)
-             for _ in range(STEADY_CONNECTIONS)]
+    # Every connection sends its own queries.  A repeated query is served
+    # from the executor's letter-sum cache; that shrinks the solo baseline
+    # while the cost of shedding the noisy flood stays what it is, and the
+    # ratio would read it as lost isolation.
+    tasks = [_one_connection(port,
+                             _request_lines(STEADY_TOKEN, STEADY_QUERIES,
+                                            seed=700 + index),
+                             STEADY_QUERIES, steady)
+             for index in range(STEADY_CONNECTIONS)]
     if with_noise:
-        noisy_payload = _request_lines(NOISY_TOKEN, NOISY_QUERIES, seed=13)
-        tasks += [_one_connection(port, noisy_payload, NOISY_QUERIES, noisy)
-                  for _ in range(NOISY_CONNECTIONS)]
+        tasks += [_one_connection(port,
+                                  _request_lines(NOISY_TOKEN, NOISY_QUERIES,
+                                                 seed=1300 + index),
+                                  NOISY_QUERIES, noisy)
+                  for index in range(NOISY_CONNECTIONS)]
     await asyncio.gather(*tasks)
     return steady, noisy, await _scrape_metrics(port)
 

@@ -102,7 +102,7 @@ def main() -> None:
             grown = build_service(12_000, domain=domain)
             with tempfile.TemporaryDirectory() as tmp:
                 snapshot = os.path.join(tmp, "grown.sketch")
-                grown.save(snapshot, format="binary")
+                grown.save(snapshot)
                 before = client.estimate("ranges", queries[0]).estimate
                 client.reload(snapshot)
                 after = client.estimate("ranges", queries[0]).estimate

@@ -112,8 +112,7 @@ def main() -> None:
     # 4b. Batched estimation: a whole query batch is answered through one
     #     vectorised kernel (shared dyadic covers, one median-of-means
     #     reduction) — bit-identical to the scalar loop above but many
-    #     times faster.  ``workers=2`` would additionally fan sub-batches
-    #     out to snapshot-restored worker processes.
+    #     times faster.
     query_batch = synthetic_boxes(tuned, 1_000, seed=9, max_extent_fraction=0.2)
     start = time.perf_counter()
     batch_results = service.estimate_batch("ranges", query_batch)
@@ -129,24 +128,20 @@ def main() -> None:
           f"({len(batch_results) / batch_elapsed:,.0f} q/s vs "
           f"{scalar_rate:,.0f} q/s scalar), bit-identical results")
 
-    # 5. Checkpoint and restore: the default binary (v2) snapshot stores the
+    # 5. Checkpoint and restore: the binary (v2) snapshot stores the
     #    columnar counter tensors raw, so saving is one write per tensor and
     #    restoring memory-maps them back — a restored service answers
-    #    bit-identically.  The v1 JSON format remains available for
-    #    human-readable checkpoints (and old snapshots keep loading).
+    #    bit-identically.  (v1 JSON snapshots of earlier builds keep loading.)
     with tempfile.TemporaryDirectory(prefix="repro-svc-") as tmp:
-        binary_path = os.path.join(tmp, "service.snap")
-        json_path = os.path.join(tmp, "service.json")
-        service.save(binary_path)                  # auto -> binary v2
-        service.save(json_path, format="json")     # explicit v1
-        for path, label in ((binary_path, "binary v2"), (json_path, "JSON v1")):
-            start = time.perf_counter()
-            restored = EstimationService.load(path)  # format auto-detected
-            restore_ms = (time.perf_counter() - start) * 1e3
-            assert restored.estimate("join").estimate == join_estimate.estimate
-            size_kb = os.path.getsize(path) / 1024
-            print(f"snapshot  : {label:9s} {size_kb:7.0f} KiB, restored "
-                  f"identically in {restore_ms:6.1f} ms")
+        path = os.path.join(tmp, "service.snap")
+        service.save(path)
+        start = time.perf_counter()
+        restored = EstimationService.load(path)
+        restore_ms = (time.perf_counter() - start) * 1e3
+        assert restored.estimate("join").estimate == join_estimate.estimate
+        size_kb = os.path.getsize(path) / 1024
+        print(f"snapshot  : binary v2 {size_kb:7.0f} KiB, restored "
+              f"identically in {restore_ms:6.1f} ms")
     print(f"stats     : {service.stats.as_dict()}")
 
 

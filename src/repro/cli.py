@@ -14,7 +14,7 @@ It also drives the sharded sketch service (:mod:`repro.service`)::
         --sizes 1024x1024 --count 5000 --side left
     repro-spatial estimate --snapshot svc.snap --name join
     repro-spatial estimate --snapshot svc.snap --name ranges \\
-        --batch-file queries.jsonl --workers 4    # JSON-lines in/out
+        --batch-file queries.jsonl                # JSON-lines in/out
     repro-spatial estimate --snapshot svc.snap --name ranges \\
         --query 0,0,63,63 --explain               # print the compiled program
     repro-spatial serve --snapshot svc.snap        # JSON-lines loop on stdio
@@ -26,9 +26,9 @@ one-shot ``estimate``/``ingest`` invocations can then reuse that running
 server with ``--connect host:port`` instead of paying a snapshot restore
 per invocation (the ``--snapshot`` offline path remains the fallback).
 
-Snapshots are written in the binary v2 format by default (raw counter
-tensors, memory-mapped restores); a ``.json`` path — or ``--format json``
-— selects the v1 JSON format instead, and reads auto-detect either.
+Snapshots are written in the binary v2 format (raw counter tensors,
+memory-mapped restores) whatever the path's suffix; reads also accept the
+v1 JSON files of earlier builds.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
 
     def add_snapshot_arg(p, required=True):
         p.add_argument("--snapshot", required=required,
-                       help="path of the service snapshot file (binary v2 by "
-                            "default; .json paths use the JSON v1 format)")
+                       help="path of the service snapshot file (written "
+                            "binary v2; v1 JSON files still load)")
 
     def add_wire_arg(p):
         p.add_argument("--wire", default="auto",
@@ -107,13 +107,6 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                             "instead of restoring --snapshot locally")
         add_token_arg(p)
         add_wire_arg(p)
-
-    def add_format_arg(p):
-        p.add_argument("--format", default="auto",
-                       choices=("auto", "binary", "json"),
-                       help="snapshot format to write: binary (v2), json "
-                            "(v1), or auto (binary unless the path ends in "
-                            ".json; reads always auto-detect)")
 
     ingest = sub.add_parser(
         "ingest", help="ingest data into a service snapshot (creating it if needed)")
@@ -146,7 +139,6 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                         help="JSON file with box rows [lo_1..lo_d, hi_1..hi_d]")
     ingest.add_argument("--data-seed", type=int, default=0,
                         help="seed for synthetic data generation")
-    add_format_arg(ingest)
 
     estimate = sub.add_parser("estimate", help="estimate from a service snapshot")
     add_snapshot_arg(estimate, required=False)
@@ -162,9 +154,6 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
     estimate.add_argument("--batch-output", default=None,
                           help="where to write the JSON-lines results "
                                "(default: stdout)")
-    estimate.add_argument("--workers", type=int, default=None,
-                          help="fan a batch out to this many worker processes "
-                               "(threads when no process pool is available)")
     estimate.add_argument("--explain", action="store_true",
                           help="print the compiled sketch program(s) — word "
                                "products, letter-sum requests with dyadic "
@@ -233,7 +222,6 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                        help="auto-checkpoint: snapshot + truncate the WAL "
                             "once N update rows accumulate in the log "
                             "(default: manual checkpoints only)")
-    add_format_arg(serve)
 
     tenant = sub.add_parser(
         "tenant", help="administer the tenant registry of a running server")
@@ -537,7 +525,7 @@ def _run_ingest(args) -> int:
     boxes = _ingest_boxes(args, spec)
     service.ingest(args.name, boxes, side=args.side, kind=args.kind)
     report = service.flush()
-    service.save(args.snapshot, format=args.format)
+    service.save(args.snapshot)
     print(json.dumps({
         "snapshot": args.snapshot,
         "created": not existed,
@@ -610,7 +598,7 @@ def _write_batch_results(results, args) -> None:
 def _run_estimate_batch(service, args) -> int:
     spec = service.spec(args.name)
     queries = _read_batch_queries(args.batch_file, spec.dimension)
-    results = service.estimate_batch(args.name, queries, workers=args.workers)
+    results = service.estimate_batch(args.name, queries)
     _write_batch_results(results, args)
     return 0
 
@@ -626,9 +614,6 @@ def _run_estimate_remote(args) -> int:
     """Satellite path: reuse a running server instead of restoring a snapshot."""
     from repro.service import EstimatorSpec
 
-    if args.workers is not None:
-        raise ReproError("--workers applies to the offline --snapshot path; "
-                         "a running server batches through its coalescer")
     with _connect_client(args) as client:
         if args.batch_file is not None:
             if args.query is not None:
@@ -712,15 +697,13 @@ def _run_estimate(args) -> int:
         return _run_estimate_remote(args)
     service = EstimationService.load(args.snapshot)
     if args.explain:
-        if args.workers is not None:
-            raise ReproError("--workers does not apply to --explain")
         return _run_explain(service, args)
     if args.batch_file is not None:
         if args.query is not None:
             raise ReproError("--query and --batch-file are mutually exclusive")
         return _run_estimate_batch(service, args)
-    if args.batch_output is not None or args.workers is not None:
-        raise ReproError("--batch-output and --workers require --batch-file")
+    if args.batch_output is not None:
+        raise ReproError("--batch-output requires --batch-file")
     query = _parse_query_arg(args.query) if args.query is not None else None
     result = service.estimate(args.name, query)
     print(json.dumps({"name": args.name, **_estimate_payload(result)}))
@@ -729,8 +712,7 @@ def _run_estimate(args) -> int:
 
 def service_command_loop(service, in_stream, out_stream, *,
                          snapshot_path: str | None = None,
-                         save_on_exit: bool = False,
-                         snapshot_format: str = "auto") -> int:
+                         save_on_exit: bool = False) -> int:
     """The ``serve`` loop: one JSON request per line, one JSON reply per line.
 
     Supported operations::
@@ -741,9 +723,10 @@ def service_command_loop(service, in_stream, out_stream, *,
          "boxes": [[lo_1..lo_d, hi_1..hi_d], ...]}
         {"op": "estimate", "name": ..., "query": [lo_1..lo_d, hi_1..hi_d]}
         {"op": "flush"} | {"op": "stats"}
-        {"op": "save", "path": ..., "format": "auto" | "binary" | "json"}
+        {"op": "save", "path": ...}
         {"op": "quit"}
     """
+    from repro.server.protocol import check_write_format
     from repro.service import EstimatorSpec
 
     def reply(payload: dict) -> None:
@@ -796,7 +779,8 @@ def service_command_loop(service, in_stream, out_stream, *,
                 path = request.get("path", snapshot_path)
                 if not path:
                     raise ReproError("save needs a path (or start with --snapshot)")
-                service.save(path, format=request.get("format", snapshot_format))
+                check_write_format(request)
+                service.save(path)
                 reply({"ok": True, "op": op, "path": path})
             else:
                 raise ReproError(f"unknown op {op!r}")
@@ -805,7 +789,7 @@ def service_command_loop(service, in_stream, out_stream, *,
             # take down the server and its in-memory sketches.
             reply({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
     if save_on_exit and snapshot_path:
-        service.save(snapshot_path, format=snapshot_format)
+        service.save(snapshot_path)
     return 0
 
 
@@ -851,15 +835,14 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
         # acknowledged write.  KeyboardInterrupt stays as a fallback for
         # platforms without loop signal-handler support.
         asyncio.run(serve(service, config=config, snapshot_path=snapshot_path,
-                          snapshot_format=args.format, ready=announce,
-                          install_signal_handlers=True))
+                          ready=announce, install_signal_handlers=True))
     except KeyboardInterrupt:
         pass
     finally:
         if (args.save_on_exit or args.snapshot_on_exit) and args.snapshot:
             # A reload may have hot-swapped the service; save the live one.
             current = started["server"].service if "server" in started else service
-            current.save(args.snapshot, format=args.format)
+            current.save(args.snapshot)
     return 0
 
 
@@ -884,8 +867,7 @@ def _run_serve(args) -> int:
         return _run_serve_listen(args, service, recovery=recovery)
     return service_command_loop(service, sys.stdin, sys.stdout,
                                 snapshot_path=args.snapshot,
-                                save_on_exit=args.save_on_exit,
-                                snapshot_format=args.format)
+                                save_on_exit=args.save_on_exit)
 
 
 def _run_wal_inspect(args) -> int:

@@ -329,9 +329,8 @@ class ServiceClient:
         """The server's plain-text metrics exposition."""
         return str(self.request({"op": "metrics"})["text"])
 
-    def snapshot(self, path: str | None = None, *,
-                 format: str = "auto") -> dict:
-        payload: dict[str, Any] = {"op": "snapshot", "format": format}
+    def snapshot(self, path: str | None = None) -> dict:
+        payload: dict[str, Any] = {"op": "snapshot"}
         if path is not None:
             payload["path"] = str(path)
         return self.request(payload)
@@ -343,11 +342,9 @@ class ServiceClient:
             payload["path"] = str(path)
         return self.request(payload)
 
-    def checkpoint(self, path: str | None = None, *,
-                   format: str = "auto") -> dict:
+    def checkpoint(self, path: str | None = None) -> dict:
         """Snapshot + WAL truncation on a durably-serving server."""
-        payload: dict[str, Any] = {"op": "snapshot", "checkpoint": True,
-                                   "format": format}
+        payload: dict[str, Any] = {"op": "snapshot", "checkpoint": True}
         if path is not None:
             payload["path"] = str(path)
         return self.request(payload)

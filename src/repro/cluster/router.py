@@ -739,6 +739,7 @@ class ClusterRouter:
         return "\n".join(lines) + "\n"
 
     async def _op_snapshot(self, request: dict, scope=None) -> dict:
+        protocol.check_write_format(request)
         if request.get("fetch"):
             raise ServiceError(
                 "inline snapshot fetch is a worker-level op; fetch from a "
@@ -746,7 +747,6 @@ class ClusterRouter:
         path = request.get("path")
         if not path:
             raise ServiceError("cluster snapshot needs a path prefix")
-        format = request.get("format", "auto")
         paths: dict[str, str] = {}
         for owner in self._owner_names():
             reader = self.manager.reader(owner)
@@ -754,8 +754,7 @@ class ClusterRouter:
                 raise ServiceError(
                     f"owner group {owner!r} has no healthy worker to snapshot")
             target = f"{path}.{owner}"
-            await reader.link.request_ok({"op": "snapshot", "path": target,
-                                          "format": format})
+            await reader.link.request_ok({"op": "snapshot", "path": target})
             paths[owner] = target
         return protocol.ok_payload("snapshot", request, paths=paths)
 

@@ -31,7 +31,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import DimensionalityError, MergeCompatibilityError, SketchConfigError
-from repro.core import kernels
 from repro.core.domain import Domain
 from repro.core.hashing import FourWiseFamilyBank, stack_xi_coefficients
 from repro.geometry.boxset import BoxSet
@@ -275,9 +274,9 @@ class SketchBank:
         :class:`~repro.core.hashing.FourWiseFamilyBank` objects — keeping
         their lazily-built sign tables warm and keeping every letter-sum
         cache entry keyed on them valid — and computes its counter tensor as
-        one fused out-of-place add (:func:`repro.core.kernels.tensor_add`).
-        Neither input is mutated.  Counter updates are exact integers in
-        float64, so the result is bit-identical to a from-scratch merge.
+        one out-of-place add.  Neither input is mutated, so estimates still
+        reading this bank are never torn.  Counter updates are exact integers
+        in float64, so the result is bit-identical to a from-scratch merge.
         """
         self.check_merge_compatible(delta)
         clone = object.__new__(SketchBank)
@@ -286,8 +285,7 @@ class SketchBank:
         clone._num_instances = self._num_instances
         clone._xi = self._xi
         clone._word_index = self._word_index
-        clone._matrix = np.empty_like(self._matrix)
-        kernels.tensor_add(self._matrix, delta._matrix, clone._matrix)
+        clone._matrix = self._matrix + delta._matrix
         clone._updates = self._updates + delta._updates
         return clone
 

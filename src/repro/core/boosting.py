@@ -102,6 +102,22 @@ def split_instances(total: int, *, num_groups: int | None = None) -> BoostingPla
     return BoostingPlan(group_size=group_size, num_groups=num_groups)
 
 
+def _median(values: np.ndarray) -> np.ndarray:
+    """``np.median(values, axis=-1)``, bit for bit, without ``numpy.ma``.
+
+    ``np.median`` imports ``numpy.ma`` on its first call (10-30 ms, on the
+    first estimate a process answers).  Same selection: partition at the
+    middle index (both middles for an even count, averaged) and at the
+    last one, where NaNs sort — a NaN there is the slice's result.
+    """
+    count = values.shape[-1]
+    low, high = (count - 1) // 2, count // 2      # equal for an odd count
+    part = np.partition(values, (low, high, count - 1), axis=-1)
+    last = part[..., -1]
+    return np.where(np.isnan(last), last,
+                    part[..., low:high + 1].mean(axis=-1))
+
+
 def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
                     *, num_groups: int | None = None) -> tuple[float, np.ndarray]:
     """Boost per-instance estimator values into a single estimate.
@@ -132,7 +148,7 @@ def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
         )
     grouped = values[:usable].reshape(plan.num_groups, plan.group_size)
     group_means = grouped.mean(axis=1)
-    return float(np.median(group_means)), group_means
+    return float(_median(group_means)), group_means
 
 
 def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None,
@@ -172,4 +188,4 @@ def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None,
     group_means = grouped.mean(axis=2)
     if num_queries == 0:
         return np.empty(0, dtype=np.float64), group_means
-    return np.median(group_means, axis=1), group_means
+    return _median(group_means), group_means

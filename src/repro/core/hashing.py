@@ -120,7 +120,9 @@ _BUILD_CELLS = 1 << 16
 #: four times per cell (Horner), the build once.  Measured on the reference
 #: box (2-vCPU Xeon 2.1 GHz, 256 families): 35-48 ns per cell direct — the
 #: high end inside a first flush, faulting its temporaries in — against
-#: 10.5-19 ns built.
+#: 6.3-9.4 ns built (9.2-12.2 while the build still took a remainder per
+#: cell; warm, quiet to busy host).  Building only got cheaper, so 4 stays
+#: on the conservative side of the break-even.
 _DIRECT_COST_RATIO = 4
 
 #: Process-wide totals behind :func:`sign_table_stats`.
@@ -138,10 +140,13 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
 
     Evaluates ``a*x^3 + b*x^2 + c*x + d`` over precomputed powers of ``x``
     (mod p) instead of Horner's rule: every product stays below 2^62 and
-    the sum of all four terms below 2^64, so one reduction per id replaces
-    Horner's four — the residue, and with it the parity, is the same
-    integer either way.  Works a block of ids at a time, families along
-    the fast axis, in two reused scratch blocks.
+    the sum ``h`` of all four terms below 2^64, so one reduction per id
+    replaces Horner's four — the residue, and with it the parity, is the
+    same integer either way.  Only the parity is needed, and ``p`` is odd:
+    ``h mod p = h - (h // p) * p`` has the parity of ``h ^ (h // p)``, so a
+    division by an invariant and an xor stand in for the remainder.  Works
+    a block of ids at a time, families along the fast axis, in two reused
+    scratch blocks.
     """
     _count("sign_table_builds", 1)
     x = np.arange(universe_size, dtype=np.uint64)[:, None]
@@ -161,7 +166,8 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
         np.multiply(x[ids], c, out=term)
         np.add(h, term, out=h)
         np.add(h, d, out=h)
-        np.remainder(h, MERSENNE_PRIME, out=h)
+        np.floor_divide(h, MERSENNE_PRIME, out=term)
+        np.bitwise_xor(h, term, out=h)
         # parity 0 -> +1, parity 1 -> -1
         np.bitwise_and(h, np.uint64(1), out=h)
         np.left_shift(h, np.uint64(1), out=h)

@@ -172,31 +172,23 @@ class ServiceSynopses:
     ) -> list[float]:
         """Batched probe across many relation pairs (one executor dispatch).
 
-        Mirrors :meth:`SynopsisManager.estimated_join_cardinalities`: the
-        merged shard view of every live pair (served from the service's
-        LRU cache) lowers to one sketch program and the whole probe runs as
-        a single :class:`~repro.core.program.ProgramExecutor` batch.
-        Adopted (snapshot-restored) names may carry different instance
-        counts than this bridge's default; the executor's reduction
-        grouping handles the mix, boosting each ``(instances, plan)`` group
-        with one :func:`~repro.core.boosting.median_of_means_batch` call.
+        Mirrors :meth:`SynopsisManager.estimated_join_cardinalities`: every
+        live pair is one request of a single
+        :meth:`~repro.service.service.EstimationService.estimate_multi`
+        call.  Adopted (snapshot-restored) names may carry different
+        instance counts than this bridge's default; the executor's
+        reduction grouping handles the mix, boosting each ``(instances,
+        plan)`` group with one
+        :func:`~repro.core.boosting.median_of_means_batch` call.
         Bit-identical to per-pair :meth:`estimated_join_cardinality` calls.
         """
-        from repro.core.program import default_executor
-
         results: list[float] = [0.0] * len(pairs)
         live = [index for index, (left, right) in enumerate(pairs)
                 if len(left) and len(right)]
-        if not live:
-            return results
-        programs = [
-            self._service.merged_view(self.join_sketch_name(*pairs[index])).lower()
-            for index in live
-        ]
-        outcomes = default_executor().run(programs)
-        for position, index in enumerate(live):
-            results[index] = max(0.0, outcomes[position].estimate)
-        self._service.record_estimates(len(live))
+        outcomes = self._service.estimate_multi(
+            [(self.join_sketch_name(*pairs[index]), None) for index in live])
+        for index, outcome in zip(live, outcomes):
+            results[index] = max(0.0, outcome.estimate)
         return results
 
     # -- range sketches -----------------------------------------------------------

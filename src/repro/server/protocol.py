@@ -14,7 +14,7 @@ Requests carry an ``op`` field and op-specific arguments::
      "boxes": [[lo_1..lo_d, hi_1..hi_d], ...]}
     {"op": "estimate", "name": ..., "query": [lo_1..lo_d, hi_1..hi_d]}
     {"op": "flush"} | {"op": "stats"} | {"op": "metrics"} | {"op": "ping"}
-    {"op": "snapshot", "path": ..., "format": "auto" | "binary" | "json"}
+    {"op": "snapshot", "path": ...}
     {"op": "reload",   "path": ...}
     {"op": "quit"}
 
@@ -66,6 +66,7 @@ from repro.errors import (
     QuotaExceededError,
     ReproError,
     ServerError,
+    SnapshotError,
 )
 from repro.geometry.boxset import BoxSet
 
@@ -179,6 +180,22 @@ def error_payload_for(exc: BaseException, *, op: str | None = None,
         detail = {"retry_after": exc.retry_after}
     return error_payload(message, code=code, op=op, request=request,
                          detail=detail)
+
+
+def check_write_format(request: Mapping[str, Any]) -> None:
+    """Refuse a ``save`` / ``snapshot`` request that names a retired format.
+
+    Snapshots are written binary (v2) and the path's suffix selects
+    nothing.  The ``format`` field stays on the wire for the clients that
+    send it: ``"auto"``, ``"binary"`` or absent all mean that one format;
+    anything else — ``"json"``, the v1 writer that was removed — is a
+    ``bad_request``.
+    """
+    format = request.get("format", "auto")
+    if format not in ("auto", "binary"):
+        raise SnapshotError(
+            f"snapshots are written in the binary format: \"format\" must "
+            f"be \"auto\" or \"binary\" (or absent), got {format!r}")
 
 
 def boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:

@@ -29,11 +29,9 @@ class ThreadedServer:
 
     def __init__(self, service: EstimationService, *,
                  config: ServerConfig | None = None,
-                 snapshot_path: str | None = None,
-                 snapshot_format: str = "auto") -> None:
+                 snapshot_path: str | None = None) -> None:
         self.server = SketchServer(service, config=config,
-                                   snapshot_path=snapshot_path,
-                                   snapshot_format=snapshot_format)
+                                   snapshot_path=snapshot_path)
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None

@@ -76,19 +76,17 @@ class SketchServer:
         The backing service; replaced atomically by the ``reload`` verb.
     config:
         Network and coalescing tunables.
-    snapshot_path / snapshot_format:
-        Defaults for ``snapshot``/``reload`` requests that omit a path.
+    snapshot_path:
+        Default for ``snapshot``/``reload`` requests that omit a path.
     """
 
     def __init__(self, service: EstimationService, *,
                  config: ServerConfig | None = None,
-                 snapshot_path: str | None = None,
-                 snapshot_format: str = "auto") -> None:
+                 snapshot_path: str | None = None) -> None:
         self._service = service
         self.config = config or ServerConfig()
         self.metrics = ServerMetrics()
         self._snapshot_path = snapshot_path
-        self._snapshot_format = snapshot_format
         self._executor: ThreadPoolExecutor | None = None
         self._coalescer: EstimateCoalescer | None = None
         self._tcp_server: asyncio.base_events.Server | None = None
@@ -406,6 +404,7 @@ class SketchServer:
             sign_tables=sign_tables)
 
     async def _op_snapshot(self, request: dict, scope=None) -> dict:
+        protocol.check_write_format(request)
         service = self._service
         if request.get("fetch"):
             # Ship the binary v2 snapshot inline instead of writing a
@@ -425,14 +424,12 @@ class SketchServer:
         if not path:
             raise ServiceError(
                 "snapshot needs a path (or start the server with one)")
-        format = request.get("format", self._snapshot_format)
         if request.get("checkpoint"):
             # Snapshot + WAL truncation in one atomic administrative step.
-            info = await self._run_blocking(
-                lambda: service.checkpoint(path, format=format))
+            info = await self._run_blocking(service.checkpoint, path)
             return protocol.ok_payload("snapshot", request, checkpoint=True,
                                        **info)
-        await self._run_blocking(lambda: service.save(path, format=format))
+        await self._run_blocking(service.save, path)
         return protocol.ok_payload("snapshot", request, path=str(path))
 
     async def _op_wal(self, request: dict, scope=None) -> dict:
@@ -674,7 +671,7 @@ def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
     from repro.wal.recovery import default_checkpoint_path
 
     base = server._snapshot_path or default_checkpoint_path(writer.directory)
-    fresh.save(base, format="binary")
+    fresh.save(base)
     return fresh, {"recovery_base": str(base),
                    "wal_seqno": writer.last_seqno}
 
@@ -697,7 +694,6 @@ def _service_from_bytes(raw: bytes) -> EstimationService:
 async def serve(service: EstimationService, *,
                 config: ServerConfig | None = None,
                 snapshot_path: str | None = None,
-                snapshot_format: str = "auto",
                 ready=None,
                 shutdown: asyncio.Event | None = None,
                 install_signal_handlers: bool = False) -> None:
@@ -711,8 +707,7 @@ async def serve(service: EstimationService, *,
     ``install_signal_handlers=True`` SIGTERM and SIGINT set that event
     instead of killing the process — the CLI's graceful-shutdown path.
     """
-    server = SketchServer(service, config=config, snapshot_path=snapshot_path,
-                          snapshot_format=snapshot_format)
+    server = SketchServer(service, config=config, snapshot_path=snapshot_path)
     await server.start()
     stop = shutdown if shutdown is not None else asyncio.Event()
     loop = asyncio.get_running_loop()

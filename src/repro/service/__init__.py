@@ -13,12 +13,12 @@ package turns that property into a serving layer:
   through the vectorised sketch updates,
 * :class:`~repro.service.service.EstimationService` — the
   register/ingest/estimate/snapshot front-end with an LRU cache of merged
-  query views and a batched ``estimate_batch`` query path,
-* :mod:`~repro.service.parallel` — process-parallel batch evaluation over
-  snapshot-restored workers (thread fallback included),
+  query views and one batched estimate path (``estimate_batch`` /
+  ``estimate_multi``) on one program executor,
 * :mod:`~repro.service.snapshot` — checkpoint/restore built on
   ``state_dict``/``load_state_dict``: binary v2 snapshots (raw counter
-  tensors, memory-mapped restores) with a read-compatible JSON v1 format,
+  tensors, memory-mapped restores); JSON v1 files of earlier builds still
+  read,
 * :class:`~repro.service.driver.StreamDriver` — feeds
   :mod:`repro.data.streams` update streams into a running service.
 """
@@ -34,19 +34,15 @@ from repro.service.specs import (
 )
 from repro.service.store import ShardedSketchStore, partition_boxes, shard_ids
 from repro.service.ingest import FlushReport, IngestPipeline, IngestStats
-from repro.service.parallel import estimate_batch_parallel
 from repro.service.service import EstimationService, ServiceStats
 from repro.service.snapshot import (
     SNAPSHOT_FORMAT,
-    SNAPSHOT_FORMATS,
     SNAPSHOT_VERSION,
     load_snapshot,
-    load_view_snapshot,
     read_snapshot_state,
     restore_service,
     save_snapshot,
     service_snapshot,
-    write_view_snapshot,
 )
 from repro.service.driver import (
     DriveReport,
@@ -64,7 +60,6 @@ __all__ = [
     "apply_update",
     "run_estimate",
     "run_estimate_batch",
-    "estimate_batch_parallel",
     "ShardedSketchStore",
     "shard_ids",
     "partition_boxes",
@@ -74,14 +69,11 @@ __all__ = [
     "EstimationService",
     "ServiceStats",
     "SNAPSHOT_FORMAT",
-    "SNAPSHOT_FORMATS",
     "SNAPSHOT_VERSION",
     "service_snapshot",
     "save_snapshot",
     "load_snapshot",
     "read_snapshot_state",
-    "write_view_snapshot",
-    "load_view_snapshot",
     "restore_service",
     "StreamDriver",
     "DriveReport",

@@ -9,16 +9,18 @@ pipeline together behind four verbs:
 * ``estimate(name, query=None)`` — answer from a *merged view* combining
   every shard, with an LRU cache of views that is invalidated when a flush
   touches the underlying name,
-* ``estimate_batch(name, queries, workers=...)`` — answer a whole query
-  batch from one cached merged view through the estimators' vectorised
-  batch kernels, optionally fanning sub-batches out to snapshot-restored
-  worker processes (:mod:`repro.service.parallel`),
+* ``estimate_batch(name, queries)`` — answer a whole query batch from one
+  cached merged view,
 * ``estimate_multi(requests)`` — answer a **mixed-estimator** batch of
-  ``(name, query)`` pairs with one merged-view fetch per name and one
-  shared :class:`~repro.core.program.ProgramExecutor` dispatch for the
-  whole batch (cross-query and cross-family letter-sum sharing),
+  ``(name, query)`` pairs with one merged-view fetch per name,
 * ``snapshot()`` / ``restore()`` — checkpoint the whole service (specs plus
   every shard's counters) to a JSON-serialisable dict and back.
+
+Both batch verbs are one path: every name's queries are compiled into
+sketch programs and the whole batch runs as a single dispatch of the
+service's :class:`~repro.core.program.ProgramExecutor` (cross-query and
+cross-family letter-sum sharing).  ``estimate`` stays the scalar reference
+the bit-identity suites compare that path against.
 
 All public methods are thread-safe: ingestion from several producer
 threads and concurrent estimates are supported (estimates read only
@@ -138,8 +140,8 @@ class EstimationService:
         self._views: OrderedDict[str, tuple[int, Any]] = OrderedDict()
         self._lock = threading.RLock()
         self._stats = ServiceStats()
-        # The mixed-estimator execution engine: one vectorised executor with
-        # a cross-batch letter-sum cache shared by every estimator this
+        # The batch execution engine: one vectorised executor with a
+        # cross-batch letter-sum cache shared by every estimator this
         # service serves.  Cache entries depend only on a view's xi families
         # and domain, so flushes never invalidate them; replaced views age
         # out of the LRU naturally.
@@ -281,7 +283,7 @@ class EstimationService:
             writer.close()
         return writer
 
-    def checkpoint(self, path=None, *, format: str = "auto") -> dict:
+    def checkpoint(self, path=None) -> dict:
         """Snapshot to ``path`` and truncate the WAL through the covered seqno.
 
         The snapshot embeds the log position it covers (``wal_seqno``); the
@@ -300,7 +302,7 @@ class EstimationService:
         if target is None:
             raise ServiceError("no checkpoint path given or configured")
         with self._lock:
-            save_snapshot(self, target, format=format)
+            save_snapshot(self, target)
             seqno = self._wal.last_seqno
         removed = self._wal.truncate_through(seqno)
         return {
@@ -327,7 +329,7 @@ class EstimationService:
 
     @property
     def program_executor(self) -> ProgramExecutor:
-        """The caching executor mixed-estimator batches run on."""
+        """The caching executor every batch estimate runs on."""
         return self._executor
 
     @property
@@ -486,24 +488,13 @@ class EstimationService:
 
         The returned estimator is a snapshot: it is never mutated by later
         ingestion, so callers may estimate from it without holding locks.
-        """
-        return self._merged_view_entry(name)[0]
-
-    def _merged_view_entry(self, name: str) -> tuple[Any, int]:
-        """``(merged view, store version at build time)`` — read atomically.
-
-        The version is captured under the same lock acquisition that
-        resolves the view, so the pair is always consistent even when a
-        concurrent flush bumps the version; a stale-view/new-version mix
-        would mislabel the snapshot shipped to the worker processes of
-        :mod:`repro.service.parallel`.
 
         Misses take one of two routes.  When the cache still holds the
         previous view of the name *and* the store accumulated a valid
         delta for it (every mutation since that view was built went
         through the flush path), the new view is the old one plus the
-        delta — one fused counter add per bank, xi families aliased, so
-        the executor's letter-sum cache stays warm
+        delta — one counter add per bank, xi families aliased, so the
+        executor's letter-sum cache stays warm
         (:mod:`repro.service.delta`).  Otherwise — cold name, evicted
         entry, direct store mutation, snapshot reload — the view is fully
         rebuilt from the shards.  Both routes are bit-identical; they are
@@ -517,7 +508,7 @@ class EstimationService:
             if entry is not None and entry[0] == version:
                 self._views.move_to_end(name)
                 self._stats.cache_hits += 1
-                return entry[1], version
+                return entry[1]
             self._stats.cache_misses += 1
             view = None
             if self._delta_propagation and entry is not None:
@@ -543,7 +534,7 @@ class EstimationService:
                     evicted, _ = self._views.popitem(last=False)
                     self._store.unwatch_delta(evicted)
                     self._stats.evictions += 1
-        return view, version
+        return view
 
     def estimate(self, name: str, query: Rect | BoxSet | None = None
                  ) -> EstimateResult:
@@ -553,57 +544,29 @@ class EstimationService:
             self._stats.estimates += 1
         return run_estimate(self._store.spec(name), view, query)
 
-    def estimate_batch(self, name: str, queries, *,
-                       workers: int | None = None) -> list[EstimateResult]:
+    def estimate_batch(self, name: str, queries) -> list[EstimateResult]:
         """Boosted estimates for a whole query batch from one merged view.
 
         ``queries`` is a :class:`BoxSet`/sequence of rectangles for
         queryable families, or an integer count / sequence of ``None`` for
         query-less ones.  The merged view comes from the same LRU cache the
-        scalar path uses; the batch itself is answered by the estimators'
-        vectorised ``estimate_batch`` kernels, and result ``j`` is
-        bit-identical to ``estimate(name, queries[j])``.
-
-        ``workers >= 2`` fans sub-batches out to a ``ProcessPoolExecutor``
-        whose workers rebuild the merged view from its snapshot
-        (``state_dict``), falling back to a thread pool over the in-process
-        view when no process pool is available (see
-        :mod:`repro.service.parallel`).
+        scalar path uses, and result ``j`` is bit-identical to
+        ``estimate(name, queries[j])``.
         """
-        from repro.service.parallel import estimate_batch_parallel
+        return self._run_batches([(name, queries)])
 
-        view, version = self._merged_view_entry(name)
-        results = estimate_batch_parallel(
-            self._store.spec(name), view, queries, workers=workers,
-            cache_key=(name, version))
-        with self._lock:
-            self._stats.estimates += len(results)
-            self._stats.batch_estimates += 1
-        return results
-
-    def estimate_multi(self, requests, *, executor: Any = None
-                       ) -> list[EstimateResult]:
+    def estimate_multi(self, requests) -> list[EstimateResult]:
         """One executor dispatch for a mixed-estimator request batch.
 
         ``requests`` is a sequence of ``(name, query)`` pairs — ``query`` a
         single-row :class:`BoxSet` (or :class:`Rect`) for queryable
         families, ``None`` for query-less ones.  Every named estimator's
-        merged view is fetched **once** (through the same LRU the scalar
-        path uses), each name's sub-batch is compiled into sketch programs,
-        and the concatenated program batch runs as a single
-        :class:`~repro.core.program.ProgramExecutor` call — so letter-sum
-        work is shared across queries *and* estimators, and the whole mixed
-        batch costs one reduction pass.  Results come back in request
+        merged view is fetched **once**, and letter-sum work is shared
+        across queries *and* estimators.  Results come back in request
         order, each bit-identical to the scalar ``estimate(name, query)``.
 
         This is the engine call behind the server's cross-estimator request
         coalescing (:mod:`repro.server.coalescer`).
-
-        Single-name batches deliberately take the :meth:`estimate_batch`
-        path on the cache-free default executor: per-name batch costs stay
-        exactly what they always were (the existing perf gates encode
-        them), and intra-batch letter-sum sharing — the structural win —
-        needs no cache.  Cross-batch caching is the mixed-dispatch feature.
         """
         entries = [(str(name), query) for name, query in requests]
         if not entries:
@@ -611,43 +574,32 @@ class EstimationService:
         order: OrderedDict[str, list[int]] = OrderedDict()
         for index, (name, _) in enumerate(entries):
             order.setdefault(name, []).append(index)
-        if executor is None and len(order) == 1:
-            # Single-estimator batches take the historical path (same
-            # programs, same executor semantics) so per-name monkeypatching
-            # and stats accounting stay exactly as before.
-            name = next(iter(order))
-            return self.estimate_batch(name, [query for _, query in entries])
-
-        programs: list = []
-        owners: list[tuple[str, list[int]]] = []
-        for name, indices in order.items():
-            view, _version = self._merged_view_entry(name)
-            spec = self._store.spec(name)
-            programs.extend(compile_programs(
-                spec, view, [entries[index][1] for index in indices]))
-            owners.append((name, indices))
-        runner = executor if executor is not None else self._executor
-        outcomes = runner.run(programs)
+        outcomes = self._run_batches(
+            [(name, [entries[index][1] for index in indices])
+             for name, indices in order.items()])
         results: list[EstimateResult] = [None] * len(entries)  # type: ignore[list-item]
-        position = 0
-        for _name, indices in owners:
-            for index in indices:
-                results[index] = outcomes[position]
-                position += 1
-        with self._lock:
-            self._stats.estimates += len(entries)
-            self._stats.batch_estimates += 1
+        grouped = [index for indices in order.values() for index in indices]
+        for index, outcome in zip(grouped, outcomes):
+            results[index] = outcome
         return results
 
-    def record_estimates(self, count: int = 1) -> None:
-        """Count estimates computed outside :meth:`estimate` in the stats.
+    def _run_batches(self, batches) -> list[EstimateResult]:
+        """The one batch path: ``(name, queries)`` batches, results in order.
 
-        Callers that answer from a merged view directly (e.g. the engine's
-        batched cardinality probes) use this so ``stats.estimates`` keeps
-        reflecting total query traffic.
+        Each batch is compiled against its name's merged view and the
+        concatenated programs run as a single call of the service's
+        caching executor, so the whole request costs one reduction pass.
         """
+        programs: list = []
+        for name, queries in batches:
+            view = self.merged_view(name)
+            programs.extend(
+                compile_programs(self._store.spec(name), view, queries))
+        results = self._executor.run(programs)
         with self._lock:
-            self._stats.estimates += count
+            self._stats.estimates += len(results)
+            self._stats.batch_estimates += 1
+        return results
 
     def record_coalesced(self, count: int) -> None:
         """Count queries that a serving layer answered through coalesced
@@ -698,18 +650,16 @@ class EstimationService:
             state["wal_seqno"] = self._wal.last_seqno
         return state
 
-    def save(self, path, *, format: str = "auto") -> None:
-        """Write a snapshot file atomically (binary v2 or JSON v1).
+    def save(self, path) -> None:
+        """Write a binary (v2) snapshot file atomically.
 
-        ``format="auto"`` (the default) writes the binary format unless the
-        path ends in ``.json``; pass ``"binary"`` or ``"json"`` to force.
         The state is captured under the service lock, so concurrent
-        ingestion cannot tear the snapshot; :meth:`load` auto-detects the
-        format on the way back.
+        ingestion cannot tear the snapshot.  :meth:`load` reads it back —
+        and v1 JSON files of earlier builds, told apart by magic bytes.
         """
         from repro.service.snapshot import save_snapshot
 
-        save_snapshot(self, path, format=format)
+        save_snapshot(self, path)
 
     @classmethod
     def restore(cls, state: Mapping, *, flush_threshold: int | None = 8192,

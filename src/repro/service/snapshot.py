@@ -1,4 +1,4 @@
-"""Checkpoint and restore a sketch service (JSON v1 and binary v2).
+"""Checkpoint and restore a sketch service (binary v2; v1 JSON still reads).
 
 Snapshots build directly on the estimators' ``state_dict``/``load_state_dict``
 (which in turn build on :meth:`repro.core.atomic.SketchBank.state_dict`): a
@@ -8,11 +8,12 @@ shard.  Restoring rebuilds each estimator from the spec and loads its shard
 state — the xi-seed fingerprints embedded in the bank snapshots guard
 against restoring counters into incompatible sketches.
 
-Two on-disk formats are supported:
+Two on-disk formats are read, one is written:
 
 * **v1 — JSON** (``snapshot_version`` 1): counters round-trip through
-  per-word Python lists.  Human-readable, diff-able, and kept fully
-  read/write compatible.
+  per-word Python lists.  What earlier builds wrote: still restored (and
+  still the shape of the in-memory ``snapshot()`` dict), no longer written
+  — it saved 33x slower, 3.8x larger and restored 8x slower than v2.
 * **v2 — binary** (``snapshot_version`` 2): one JSON header describing the
   snapshot tree, followed by the raw, 64-byte-aligned counter and xi-seed
   tensors exactly as the banks hold them in memory (``.npz``-style: header +
@@ -43,7 +44,7 @@ from repro.service.store import ShardedSketchStore
 SNAPSHOT_FORMAT = "repro.service.snapshot"
 #: Version written by the binary (array-native) writer.
 SNAPSHOT_VERSION = 2
-#: Version written by the JSON writer (the original list-based schema).
+#: Version of the list-based (JSON-serialisable) tree.
 SNAPSHOT_VERSION_JSON = 1
 
 #: First bytes of every binary (v2) snapshot file.
@@ -52,8 +53,6 @@ BINARY_MAGIC = b"REPROSNAP2\n"
 _ALIGNMENT = 64
 #: Marker key for tensor slots inside the packed header tree.
 _ARRAY_KEY = "__array__"
-
-SNAPSHOT_FORMATS = ("auto", "binary", "json")
 
 
 def store_snapshot(store: ShardedSketchStore, *, arrays: bool = False) -> dict:
@@ -85,10 +84,6 @@ def _validated(state: Mapping) -> Mapping:
     if version > SNAPSHOT_VERSION:
         raise SnapshotError(
             f"snapshot version {version} is newer than supported ({SNAPSHOT_VERSION})"
-        )
-    if state.get("kind", "service") != "service":
-        raise SnapshotError(
-            f"snapshot holds a {state.get('kind')!r} payload, not a service"
         )
     for key in ("num_shards", "estimators"):
         if key not in state:
@@ -332,82 +327,21 @@ def read_binary_snapshot_state(path, *, mmap: bool | None = None):
     return _unpack_tree(header["state"], arrays)
 
 
-# -- single-estimator (merged view) snapshots -----------------------------------
-
-
-def write_view_snapshot(spec: EstimatorSpec, estimator, path) -> None:
-    """Binary snapshot of one estimator (spec + state), for worker restores."""
-    write_binary_snapshot_state({
-        "format": SNAPSHOT_FORMAT,
-        "snapshot_version": SNAPSHOT_VERSION,
-        "kind": "view",
-        "spec": spec.to_dict(),
-        "estimator": estimator.state_dict(arrays=True),
-    }, path)
-
-
-def load_view_snapshot(path) -> tuple[EstimatorSpec, Any]:
-    """Rebuild the estimator of a :func:`write_view_snapshot` file.
-
-    The counters are adopted straight from the memory-mapped file
-    (``copy=False``), so restoring costs one mmap plus sketch construction
-    — the pool-worker start-up path of :mod:`repro.service.parallel`.
-    """
-    state = read_binary_snapshot_state(path)
-    if not isinstance(state, Mapping) or state.get("kind") != "view":
-        raise SnapshotError(f"{os.fspath(path)} is not a view snapshot")
-    try:
-        spec = EstimatorSpec.from_dict(state["spec"])
-        view = spec.build()
-        view.load_state_dict(state["estimator"], copy=False)
-    except MergeCompatibilityError as exc:
-        raise SnapshotError(f"view snapshot is incompatible with its spec: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"malformed view snapshot: {exc}") from exc
-    return spec, view
-
-
 # -- file-level helpers ----------------------------------------------------------
 
 
-def resolve_snapshot_format(format: str, path) -> str:
-    """Normalise a requested format: ``auto`` keeps ``.json`` paths JSON."""
-    if format not in SNAPSHOT_FORMATS:
-        raise SnapshotError(
-            f"snapshot format must be one of {SNAPSHOT_FORMATS}, got {format!r}"
-        )
-    if format != "auto":
-        return format
-    return "json" if os.fspath(path).endswith(".json") else "binary"
+def save_snapshot(service_or_store, path) -> None:
+    """Atomically write a binary (v2) snapshot file for a service or a store.
 
-
-def write_snapshot_state(state: Mapping, path) -> None:
-    """Atomically write an already-captured v1 snapshot dict as JSON."""
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(state, handle)
-    os.replace(tmp, path)
-
-
-def save_snapshot(service_or_store, path, *, format: str = "auto") -> None:
-    """Atomically write a snapshot file for a service or a bare store.
-
-    ``format`` is ``"binary"`` (v2), ``"json"`` (v1) or ``"auto"`` (the
-    default): binary unless the path ends in ``.json``.  For a service the
-    state is captured through its (lock-holding, auto-flushing) ``snapshot``
-    method; a bare store is serialised directly.
+    The path's suffix selects nothing.  For a service the state is captured
+    through its (lock-holding, auto-flushing) ``snapshot`` method; a bare
+    store is serialised directly.
     """
-    fmt = resolve_snapshot_format(format, path)
-    arrays = fmt == "binary"
     if hasattr(service_or_store, "snapshot"):
-        state = service_or_store.snapshot(arrays=arrays)
+        state = service_or_store.snapshot(arrays=True)
     else:
-        state = store_snapshot(service_or_store, arrays=arrays)
-    if arrays:
-        write_binary_snapshot_state(state, path)
-    else:
-        write_snapshot_state(state, path)
+        state = store_snapshot(service_or_store, arrays=True)
+    write_binary_snapshot_state(state, path)
 
 
 def read_snapshot_state(path):

@@ -396,9 +396,9 @@ def run_estimate(spec: EstimatorSpec, estimator: Any,
 def normalise_query_batch(spec: EstimatorSpec, queries) -> BoxSet | int:
     """A batch request as one :class:`BoxSet` (queryable) or a result count.
 
-    This is the single service-level normaliser for batch requests: the
-    serial, threaded and process-parallel paths all reduce their input to
-    the same shape here, so every path validates identically.
+    This is the single service-level normaliser for batch requests: every
+    caller of :func:`compile_programs` reduces its input to the same shape
+    here, so every path validates identically.
     """
     if spec.info.queryable:
         if queries is None or isinstance(queries, (int, np.integer)):

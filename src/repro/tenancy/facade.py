@@ -68,12 +68,12 @@ class TenantFacade:
     def estimate(self, name: str, query=None):
         return self._service.estimate(self._full(name), query)
 
-    def estimate_batch(self, name: str, queries, **kwargs):
-        return self._service.estimate_batch(self._full(name), queries, **kwargs)
+    def estimate_batch(self, name: str, queries):
+        return self._service.estimate_batch(self._full(name), queries)
 
-    def estimate_multi(self, requests, **kwargs):
+    def estimate_multi(self, requests):
         mapped = [(self._full(name), query) for name, query in requests]
-        return self._service.estimate_multi(mapped, **kwargs)
+        return self._service.estimate_multi(mapped)
 
     def merged_view(self, name: str):
         return self._service.merged_view(self._full(name))

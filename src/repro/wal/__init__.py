@@ -37,7 +37,6 @@ from repro.wal.reader import (
 from repro.wal.recovery import (
     RecoveryReport,
     apply_wal_record,
-    checkpoint_service,
     recover_service,
     replay_records,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "WalTail",
     "WalWriter",
     "apply_wal_record",
-    "checkpoint_service",
     "decode_payload",
     "encode_record",
     "encode_register",

@@ -7,10 +7,11 @@ path.  Because sketch counters are linear in the update stream and
 integer-valued in float64, the replayed counter tensors are bit-identical
 to the never-crashed service — independent of replay batching or order.
 
-The checkpoint is the inverse half: :func:`checkpoint_service` snapshots
-the service (embedding the covered sequence number) and then truncates the
-log through it, keeping recovery cost proportional to the tail written
-since the last checkpoint.
+The checkpoint is the inverse half:
+:meth:`~repro.service.service.EstimationService.checkpoint` snapshots the
+service (embedding the covered sequence number) and then truncates the log
+through it, keeping recovery cost proportional to the tail written since
+the last checkpoint.
 """
 
 from __future__ import annotations
@@ -186,12 +187,3 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         truncated_bytes=truncated_bytes,
     )
     return service, report
-
-
-def checkpoint_service(service: "EstimationService", path, *,
-                       format: str = "auto") -> dict:
-    """Snapshot the service and truncate its WAL through the covered seqno.
-
-    Thin functional wrapper over :meth:`EstimationService.checkpoint`.
-    """
-    return service.checkpoint(path, format=format)

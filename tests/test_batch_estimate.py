@@ -2,10 +2,11 @@
 
 Covers the vectorised kernels layer by layer: batched median-of-means
 boosting, batched query-side sketch evaluation, ``estimate_batch`` on the
-estimator families, the service front-end (serial, process-pool and
-thread-fallback paths), the optimizer's batched cardinality probes and the
-CLI's JSON-lines batch mode.  The recurring claim is *bit-identity*: the
-batch path must return exactly what a loop of scalar calls returns.
+estimator families, the service front-end (``estimate_batch`` and
+``estimate_multi``, one path on the service's executor), the optimizer's
+batched cardinality probes and the CLI's JSON-lines batch mode.  The
+recurring claim is *bit-identity*: the batch path must return exactly what
+a loop of scalar calls returns.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from repro.core.join_base import batch_request_count
 from repro.core.range_query import RangeQueryEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.errors import EstimationError, ServiceError, SketchConfigError
-from repro.service import EstimationService
-from repro.service.parallel import _chunk_bounds, estimate_batch_parallel
+from repro.service import EstimationService, run_estimate_batch
 
 from tests.conftest import random_boxes
 
@@ -185,26 +185,21 @@ class TestServiceEstimateBatch:
             assert scalar.estimate == batch[j].estimate
             assert np.array_equal(scalar.instance_values, batch[j].instance_values)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_parallel_matches_serial(self, rng, workers):
+    def test_batch_and_multi_share_the_service_executor(self, rng):
+        """Single-name batches used to bypass the service's executor (and
+        its letter-sum cache) for the process-wide default one."""
         service = self._range_service(rng)
         queries = random_boxes(rng, 17, 256, 2)
-        serial = service.estimate_batch("ranges", queries)
-        parallel = service.estimate_batch("ranges", queries, workers=workers)
-        assert [r.estimate for r in parallel] == [r.estimate for r in serial]
+        executed = service.program_executor.stats.programs
+        batch = service.estimate_batch("ranges", queries)
+        assert service.program_executor.stats.programs == executed + 17
+        multi = service.estimate_multi(
+            [("ranges", queries[j]) for j in range(17)])
+        assert service.program_executor.stats.programs == executed + 34
+        assert [r.estimate for r in multi] == [r.estimate for r in batch]
         assert all(np.array_equal(a.instance_values, b.instance_values)
-                   for a, b in zip(parallel, serial))
-
-    def test_thread_fallback_matches_serial(self, rng, monkeypatch):
-        import repro.service.parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "_try_process_pool",
-                            lambda *args, **kwargs: None)
-        service = self._range_service(rng)
-        queries = random_boxes(rng, 11, 256, 2)
-        serial = service.estimate_batch("ranges", queries)
-        threaded = service.estimate_batch("ranges", queries, workers=4)
-        assert [r.estimate for r in threaded] == [r.estimate for r in serial]
+                   and np.array_equal(a.group_means, b.group_means)
+                   for a, b in zip(multi, batch))
 
     def test_queryless_families_and_counts(self, rng):
         service = EstimationService(num_shards=2)
@@ -239,19 +234,14 @@ class TestServiceEstimateBatch:
         service = self._range_service(rng)
         assert service.estimate_batch("ranges", []) == []
 
-    def test_parallel_helper_validates(self, rng):
+    def test_batch_helper_validates(self, rng):
         service = self._range_service(rng)
         spec = service.spec("ranges")
         view = service.merged_view("ranges")
         with pytest.raises(ServiceError):
-            estimate_batch_parallel(spec, view, [None])
+            run_estimate_batch(spec, view, [None])
         with pytest.raises(ServiceError):
-            estimate_batch_parallel(spec, view, 5)
-
-    def test_chunk_bounds(self):
-        assert _chunk_bounds(10, 3) == [(0, 4), (4, 7), (7, 10)]
-        assert _chunk_bounds(2, 8) == [(0, 1), (1, 2)]
-        assert _chunk_bounds(1, 1) == [(0, 1)]
+            run_estimate_batch(spec, view, 5)
 
 
 class TestOptimizerBatchedProbes:

@@ -66,6 +66,18 @@ class TestServeLoop:
                                        json.dumps({"op": "quit"})])
         assert replies[0]["ok"] is False
 
+    def test_save_refuses_the_retired_json_format(self, tmp_path):
+        service = EstimationService(num_shards=2)
+        path = tmp_path / "svc.json"
+        replies = _run_lines(service, [
+            json.dumps({"op": "save", "path": str(path), "format": "json"}),
+            json.dumps({"op": "save", "path": str(path), "format": "binary"}),
+            json.dumps({"op": "quit"}),
+        ])
+        assert [r["ok"] for r in replies] == [False, True, True]
+        assert "SnapshotError" in replies[0]["error"]
+        assert EstimationService.load(path).names() == []
+
     def test_save_to_bad_path_keeps_server_alive(self):
         service = EstimationService(num_shards=2)
         replies = _run_lines(service, [
@@ -95,32 +107,25 @@ class TestIngestEstimateCommands:
         result = json.loads(capsys.readouterr().out)
         assert result["left_count"] == 500 and result["right_count"] == 500
 
-    def test_binary_snapshot_default_and_format_flag(self, tmp_path, capsys):
-        """Non-.json paths write the binary v2 format; reads auto-detect."""
+    def test_binary_snapshot_whatever_the_suffix(self, tmp_path, capsys):
+        """Every path is written binary v2 — a ``.json`` suffix selects
+        nothing — and both files answer identically."""
         from repro.service.snapshot import BINARY_MAGIC
 
-        snapshot = str(tmp_path / "svc.snap")
-        assert main(["ingest", "--snapshot", snapshot, "--name", "join",
-                     "--family", "rectangle", "--sizes", "256x256",
-                     "--instances", "16", "--count", "300",
-                     "--side", "left"]) == 0
-        capsys.readouterr()
-        with open(snapshot, "rb") as handle:
-            assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
-        assert main(["estimate", "--snapshot", snapshot, "--name", "join"]) == 0
-        binary_result = json.loads(capsys.readouterr().out)
-
-        # --format json forces v1 even without a .json extension, and both
-        # snapshots answer identically.
-        forced = str(tmp_path / "svc-forced")
-        assert main(["ingest", "--snapshot", forced, "--name", "join",
-                     "--family", "rectangle", "--sizes", "256x256",
-                     "--instances", "16", "--count", "300",
-                     "--side", "left", "--format", "json"]) == 0
-        capsys.readouterr()
-        json.load(open(forced, encoding="utf-8"))  # plain v1 JSON
-        assert main(["estimate", "--snapshot", forced, "--name", "join"]) == 0
-        assert json.loads(capsys.readouterr().out) == binary_result
+        results = []
+        for filename in ("svc.snap", "svc.json"):
+            snapshot = str(tmp_path / filename)
+            assert main(["ingest", "--snapshot", snapshot, "--name", "join",
+                         "--family", "rectangle", "--sizes", "256x256",
+                         "--instances", "16", "--count", "300",
+                         "--side", "left"]) == 0
+            capsys.readouterr()
+            with open(snapshot, "rb") as handle:
+                assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+            assert main(["estimate", "--snapshot", snapshot,
+                         "--name", "join"]) == 0
+            results.append(json.loads(capsys.readouterr().out))
+        assert results[0] == results[1]
 
     def test_boxes_file_and_range_query(self, tmp_path, capsys):
         snapshot = str(tmp_path / "svc.json")

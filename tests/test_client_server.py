@@ -115,7 +115,7 @@ class TestServiceClient:
     def test_hot_reload_on_live_client(self, running_server, tmp_path):
         grown = make_service(data=900)
         snapshot = tmp_path / "grown.sketch"
-        grown.save(snapshot, format="binary")
+        grown.save(snapshot)
         query = synthetic_queries(DOMAIN, 1, seed=23)
         expected = grown.estimate("ranges", query).estimate
 
@@ -130,13 +130,13 @@ class TestServiceClient:
         # Saturate a tiny standalone server whose engine is blocked.
         service = make_service(data=100)
         release = threading.Event()
-        inner = service.estimate_batch
+        inner = service.estimate_multi
 
-        def blocking(name, batch, **kwargs):
+        def blocking(requests):
             release.wait(timeout=30)
-            return inner(name, batch, **kwargs)
+            return inner(requests)
 
-        service.estimate_batch = blocking
+        service.estimate_multi = blocking
         queries = synthetic_queries(DOMAIN, 30, seed=3)
         config = ServerConfig(max_batch=2, max_delay=0.001, max_queue=4)
         with ThreadedServer(service, config=config) as handle:
@@ -241,16 +241,6 @@ class TestCliConnect:
                      "--name", "x"]) == 1
         assert "cannot connect" in capsys.readouterr().err
 
-    def test_workers_flag_is_offline_only(self, running_server, capsys,
-                                           tmp_path):
-        batch_file = tmp_path / "queries.jsonl"
-        batch_file.write_text("[0, 0, 5, 5]\n", encoding="utf-8")
-        code = main(["estimate", "--connect",
-                     f"127.0.0.1:{running_server.port}", "--name", "ranges",
-                     "--batch-file", str(batch_file), "--workers", "2"])
-        assert code == 1
-        assert "offline" in capsys.readouterr().err
-
 
 class TestClientRetry:
     """Satellite: one reconnect-and-retry on dropped connections."""
@@ -332,7 +322,7 @@ def test_cli_serve_listen_subprocess_end_to_end(tmp_path):
     """Acceptance: `repro-spatial serve --listen` + ServiceClient round trip."""
     service = make_service(data=120)
     snapshot = tmp_path / "svc.sketch"
-    service.save(snapshot, format="binary")
+    service.save(snapshot)
     query = synthetic_queries(DOMAIN, 1, seed=41)
     expected = service.estimate("ranges", query).estimate
 

@@ -19,7 +19,12 @@ from repro.core.domain import Domain
 from repro.errors import DegradedError, ServerError
 from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer
-from repro.service import EstimationService, synthetic_boxes, synthetic_queries
+from repro.service import (
+    EstimationService,
+    load_snapshot,
+    synthetic_boxes,
+    synthetic_queries,
+)
 from repro.service.store import shard_ids
 
 DOMAIN = Domain.square(256, dimension=2)
@@ -198,6 +203,56 @@ class TestScatterGather:
             assert info.value.code == "bad_request"
             # The router connection survives the typed failure.
             assert client.ping()["cluster"] is True
+
+
+class TestSnapshotWriteFormat:
+    """Snapshots are written binary (v2).  The wire's ``format`` field is
+    still accepted when it asks for that; the retired v1 writer is not."""
+
+    def test_json_refused_alike_binary_written_otherwise(self, tmp_path):
+        service = EstimationService(num_shards=2)
+        service.register("ranges", family="range", domain=DOMAIN,
+                         num_instances=32, seed=5)
+        service.ingest("ranges", synthetic_boxes(DOMAIN, 200, seed=1),
+                       side="data")
+        query = synthetic_queries(DOMAIN, 1, seed=3)
+        expected = service.estimate("ranges", query)
+
+        def written_files(client, op, fmt, stem):
+            request = {"op": op, "path": str(tmp_path / f"{stem}.json")}
+            if fmt is not None:
+                request["format"] = fmt
+            reply = client.request(request)
+            # A server writes the path, a router one file per owner group.
+            return list(reply.get("paths", {}).values()) or [reply["path"]]
+
+        refusals = set()
+        with ThreadedServer(service) as worker, ThreadedClusterRouter(
+                [("127.0.0.1", worker.port)],
+                config=RouterConfig(num_slots=NUM_SLOTS),
+                start_heartbeat=False) as router:
+            for edge, port in (("server", worker.port),
+                               ("router", router.port)):
+                with ServiceClient("127.0.0.1", port) as client:
+                    for op in ("save", "snapshot"):
+                        refused = tmp_path / f"{edge}-{op}-refused"
+                        reply, = client.request_many(
+                            [{"op": op, "path": str(refused),
+                              "format": "json"}])
+                        refusals.add((reply["ok"], reply["error_code"],
+                                      reply["error"]))
+                        assert not list(tmp_path.glob(f"{refused.name}*"))
+                        for fmt in ("auto", "binary", None):
+                            for path in written_files(
+                                    client, op, fmt, f"{edge}-{op}-{fmt}"):
+                                restored = load_snapshot(path).estimate(
+                                    "ranges", query)
+                                assert restored.estimate == expected.estimate
+                                assert np.array_equal(
+                                    restored.instance_values,
+                                    expected.instance_values)
+        (ok, code, message), = refusals  # one and the same typed error
+        assert not ok and code == "bad_request" and "'json'" in message
 
 
 class TestReplicas:

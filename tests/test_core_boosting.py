@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.boosting import (
     BoostingPlan,
+    _median,
     median_of_means,
     plan_boosting,
     split_instances,
@@ -115,3 +116,28 @@ class TestMedianOfMeans:
         plan = BoostingPlan(group_size=50, num_groups=100)
         estimate, _ = median_of_means(values, plan)
         assert estimate == pytest.approx(10.0, abs=0.15)
+
+
+class TestPartitionMedian:
+    """``_median`` stands in for ``np.median`` (which imports ``numpy.ma``)
+    and must agree with it to the bit — NaN payloads and signs included."""
+
+    def test_bit_identical_to_numpy_median(self, rng):
+        quiet_nan_with_payload = np.frombuffer(
+            np.uint64(0x7FF8000000000123).tobytes(), dtype=np.float64)[0]
+        specials = np.array([np.nan, -np.nan, quiet_nan_with_payload,
+                             np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):  # inf - inf inside the means
+            for count in range(1, 11):
+                for trial in range(160):
+                    values = rng.normal(size=(7, count)) * 1000
+                    if trial % 2:
+                        hits = rng.integers(0, values.size,
+                                            size=rng.integers(0, count + 1))
+                        values.ravel()[hits] = rng.choice(specials,
+                                                          size=len(hits))
+                    assert (_median(values).tobytes()
+                            == np.median(values, axis=1).tobytes())
+                    for row in values:
+                        assert (np.float64(_median(row)).tobytes()
+                                == np.float64(np.median(row)).tobytes())

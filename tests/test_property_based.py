@@ -116,7 +116,7 @@ class TestFusedLetterSumProperties:
 
     The reference below recomputes every letter sum with scalar covers and
     plain ``signs()`` calls — the shape of the pre-fusion implementation —
-    so these properties pin the fused workspace/table/numba paths (whichever
+    so these properties pin the fused cover-walk and table paths (whichever
     this process resolves to) against first principles.
     """
 

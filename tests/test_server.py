@@ -82,13 +82,13 @@ def test_coalescing_bounds_engine_calls():
                 for i in range(32)]
 
     calls = []
-    inner = service.estimate_batch
+    inner = service.estimate_multi
 
-    def counting(name, batch, **kwargs):
-        calls.append(len(batch) if not isinstance(batch, int) else batch)
-        return inner(name, batch, **kwargs)
+    def counting(requests):
+        calls.append(len(requests))
+        return inner(requests)
 
-    service.estimate_batch = counting
+    service.estimate_multi = counting
 
     async def main():
         # A long delay window so only the size trigger dispatches: every
@@ -292,13 +292,13 @@ def test_overload_returns_structured_errors_and_never_hangs():
     queries = synthetic_queries(DOMAIN, 40, seed=11)
     rows = protocol.boxes_to_rows(queries)
     release = threading.Event()
-    inner = service.estimate_batch
+    inner = service.estimate_multi
 
-    def blocking(name, batch, **kwargs):
+    def blocking(requests):
         assert release.wait(timeout=30), "test deadlock: release never set"
-        return inner(name, batch, **kwargs)
+        return inner(requests)
 
-    service.estimate_batch = blocking
+    service.estimate_multi = blocking
 
     async def main():
         server = await start_server(service, max_batch=4, max_delay=0.001,
@@ -337,7 +337,7 @@ def test_reload_hot_swaps_snapshot_without_dropping_connection(tmp_path):
     after.ingest("ranges", synthetic_boxes(DOMAIN, 600, seed=42), side="data")
     after.flush()
     snapshot = tmp_path / "after.sketch"
-    after.save(snapshot, format="binary")
+    after.save(snapshot)
 
     query = synthetic_queries(DOMAIN, 1, seed=13)
     row = protocol.boxes_to_rows(query)[0]
@@ -487,10 +487,10 @@ class TestCoalescerUnit:
     def test_engine_failure_propagates_to_every_future(self):
         service = make_service()
 
-        def boom(name, batch, **kwargs):
+        def boom(requests):
             raise ServiceError("engine exploded")
 
-        service.estimate_batch = boom
+        service.estimate_multi = boom
 
         async def main():
             coalescer = EstimateCoalescer(lambda: service, max_batch=4,

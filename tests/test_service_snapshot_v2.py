@@ -3,35 +3,27 @@
 Covers the tentpole guarantees of the columnar state layer:
 
 * every estimator family answers bit-identically after a round trip through
-  *both* snapshot formats (v1 JSON and v2 binary),
+  *both* snapshot formats the loader reads (v2 binary, the one format
+  written, and the v1 JSON tree earlier builds wrote),
 * a checked-in v1 JSON fixture from an earlier build still restores and
   answers its recorded queries exactly (backward compatibility),
-* process-pool workers restore merged views from a memory-mapped v2
-  snapshot (including under the ``spawn`` start method),
 * corrupt and truncated binary snapshots raise :class:`SnapshotError`.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import pathlib
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core.domain import Domain
 from repro.errors import SnapshotError
 from repro.service import (
     EstimationService,
     EstimatorSpec,
     load_snapshot,
-    load_view_snapshot,
-    write_view_snapshot,
-    synthetic_queries,
 )
-from repro.service.parallel import _worker_estimate, _worker_init
 from repro.service.snapshot import (
     BINARY_MAGIC,
     read_binary_snapshot_state,
@@ -75,6 +67,12 @@ def _family_service(rng, family, sizes, options, *, num_shards=3):
     return service, spec
 
 
+def _write_v1_json(service, path) -> None:
+    """A v1 JSON snapshot file as earlier builds wrote it (the writer is
+    gone; the list-based tree it dumped is still ``service.snapshot()``)."""
+    path.write_text(json.dumps(service.snapshot()), encoding="utf-8")
+
+
 class TestBothFormatsRoundTrip:
     @pytest.mark.parametrize("family,sizes,options", FAMILY_SPECS,
                              ids=[f[0] for f in FAMILY_SPECS])
@@ -88,8 +86,8 @@ class TestBothFormatsRoundTrip:
 
         binary_path = tmp_path / "svc.snap"
         json_path = tmp_path / "svc.json"
-        service.save(binary_path)   # auto -> binary
-        service.save(json_path)     # auto -> JSON (v1)
+        service.save(binary_path)
+        _write_v1_json(service, json_path)
         with open(binary_path, "rb") as handle:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         json.load(open(json_path, encoding="utf-8"))  # really is v1 JSON
@@ -122,6 +120,9 @@ class TestBothFormatsRoundTrip:
         path = tmp_path / "svc.snap"
         service.save(path)
         restored = load_snapshot(path)
+        shard = next(iter(restored.store.shard_estimators("est")))
+        # Adopted without copying: a read-only view into the mapped file.
+        assert not shard._left_bank._matrix.flags.writeable
         later = random_boxes(rng, 40, 256, 2)
         for svc in (service, restored):
             svc.ingest("est", later, side="left")
@@ -129,10 +130,10 @@ class TestBothFormatsRoundTrip:
         assert (restored.estimate("est").estimate
                 == service.estimate("est").estimate)
 
-    def test_explicit_format_overrides_extension(self, rng, tmp_path):
+    def test_json_suffix_selects_nothing(self, rng, tmp_path):
         service, _ = _family_service(rng, "interval", (256,), {})
         path = tmp_path / "svc.json"
-        service.save(path, format="binary")
+        service.save(path)
         with open(path, "rb") as handle:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         assert load_snapshot(path).estimate("est").estimate \
@@ -172,69 +173,6 @@ class TestV1FixtureRegression:
     def test_fixture_is_version_1_json(self):
         state = json.loads((FIXTURES / "service_snapshot_v1.json").read_text())
         assert state["snapshot_version"] == 1
-
-
-class TestViewSnapshots:
-    def test_view_snapshot_round_trip_is_bit_identical(self, rng, tmp_path):
-        service, spec = _family_service(rng, "range", (256, 256), {})
-        view = service.merged_view("est")
-        path = tmp_path / "view.snap"
-        write_view_snapshot(spec, view, path)
-        _, restored = load_view_snapshot(path)
-        query = random_boxes(rng, 1, 256, 2)
-        assert np.array_equal(restored.instance_values(query),
-                              view.instance_values(query))
-
-    def test_restored_view_counters_are_read_only_mmap_views(self, rng, tmp_path):
-        service, spec = _family_service(rng, "range", (256, 256), {})
-        path = tmp_path / "view.snap"
-        write_view_snapshot(spec, service.merged_view("est"), path)
-        _, restored = load_view_snapshot(path)
-        # Adopted without copying: the bank's tensor is the read-only view
-        # into the mapped file, not private memory.
-        matrix = restored.bank._matrix
-        assert not matrix.flags.writeable
-        assert isinstance(matrix.base, np.memmap)
-
-    def test_view_snapshot_rejected_by_service_loader(self, rng, tmp_path):
-        service, spec = _family_service(rng, "range", (256, 256), {})
-        path = tmp_path / "view.snap"
-        write_view_snapshot(spec, service.merged_view("est"), path)
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
-
-class TestProcessPoolRestore:
-    def test_workers_answer_bit_identically_to_serial(self, rng):
-        service, _ = _family_service(rng, "range", (256, 256), {})
-        queries = synthetic_queries(Domain.square(256, dimension=2), 24, seed=5)
-        serial = service.estimate_batch("est", queries)
-        fanned = service.estimate_batch("est", queries, workers=2)
-        assert [r.estimate for r in fanned] == [r.estimate for r in serial]
-
-    def test_spawn_context_workers_restore_from_mmapped_snapshot(
-            self, rng, tmp_path):
-        """The pool path must survive the strictest start method (spawn)."""
-        service, spec = _family_service(rng, "range", (256, 256), {})
-        view = service.merged_view("est")
-        path = tmp_path / "view.snap"
-        write_view_snapshot(spec, view, path)
-        queries = synthetic_queries(Domain.square(256, dimension=2), 8, seed=3)
-        expected = [r.estimate
-                    for r in service.estimate_batch("est", queries)]
-        cache_key = ("est", 1)
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=2,
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_worker_init,
-                    initargs=(cache_key, str(path))) as pool:
-                future = pool.submit(_worker_estimate, cache_key,
-                                     queries.lows, queries.highs)
-                results = future.result(timeout=120)
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            pytest.skip(f"no process pool available here: {exc}")
-        assert [r.estimate for r in results] == expected
 
 
 class TestCorruptSnapshots:
@@ -281,7 +219,7 @@ class TestCorruptSnapshots:
         assert read_snapshot_state(path)["snapshot_version"] == 2
         json_path = tmp_path / "svc.json"
         service, _ = _family_service(rng, "interval", (256,), {})
-        service.save(json_path)
+        _write_v1_json(service, json_path)
         assert read_snapshot_state(json_path)["snapshot_version"] == 1
 
     def test_negative_array_offset_raises(self, tmp_path):
@@ -307,8 +245,7 @@ class TestCorruptSnapshots:
         SnapshotError, not a raw numpy OverflowError."""
         service, _ = _family_service(rng, "interval", (256,), {})
         path = tmp_path / "svc.json"
-        service.save(path)
-        state = json.loads(path.read_text())
+        state = service.snapshot()
         shard = state["estimators"]["est"]["shards"][0]
         shard["left"]["xi_coefficients"][0][0][0] = -1
         path.write_text(json.dumps(state))

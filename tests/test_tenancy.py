@@ -246,7 +246,7 @@ class TestTenantPersistence:
             quota=TenantQuota(ingest_boxes_per_sec=99.0, share=4))
         register_join(service.tenant_facade("acme"))
         path = tmp_path / "tenants.sketch"
-        service.save(path, format="binary")
+        service.save(path)
         restored = EstimationService.load(path)
         assert restored.tenants is not None
         record = restored.tenants.authenticate("tok-a")
@@ -257,7 +257,7 @@ class TestTenantPersistence:
     def test_snapshot_without_tenants_stays_untenanted(self, tmp_path):
         service = EstimationService(num_shards=2)
         path = tmp_path / "plain.sketch"
-        service.save(path, format="binary")
+        service.save(path)
         assert EstimationService.load(path).tenants is None
 
     def test_wal_replays_tenant_lifecycle(self, tmp_path):
@@ -265,7 +265,7 @@ class TestTenantPersistence:
         os.makedirs(wal_dir)
         base = str(tmp_path / "base.sketch")
         service = EstimationService(num_shards=2)
-        service.save(base, format="binary")
+        service.save(base)
         service.attach_wal(WalWriter(str(wal_dir)), checkpoint_path=base)
         service.tenant_create("acme", token="tok-a")
         service.tenant_create("globex", token="tok-g")

@@ -242,20 +242,28 @@ class TestSmallBatchesNeverWalkCold:
 
 
 def test_first_ingest_does_not_import_numpy_ma():
-    """``np.unique`` pulls in ``numpy.ma`` on its first call (10-30 ms, on
-    a server's first ingest frame); partitioning goes without it."""
+    """``np.unique`` and ``np.median`` pull in ``numpy.ma`` on their first
+    call (10-30 ms, on a server's first ingest frame or first estimate);
+    partitioning and boosting go without it — and nothing a serving
+    process does probes for numba or loads the process-pool machinery."""
     script = (
         "import sys\n"
         "from repro.cluster import router\n"
         "from repro.core.domain import Domain\n"
         "from repro.service import EstimationService, synthetic_boxes\n"
+        "from repro.service import synthetic_queries\n"
         "domain = Domain.square(64, 2)\n"
         "service = EstimationService(num_shards=4)\n"
         "service.register('rq', family='range', domain=domain,\n"
         "                 num_instances=4, seed=1)\n"
         "service.ingest('rq', synthetic_boxes(domain, 50, seed=1), side='data')\n"
         "service.flush()\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+        "queries = synthetic_queries(domain, 3, seed=2)\n"
+        "service.estimate('rq', queries[0])\n"
+        "service.estimate_batch('rq', queries)\n"
+        "for module in ('numpy.ma', 'numba', 'multiprocessing',\n"
+        "               'concurrent.futures.process'):\n"
+        "    assert module not in sys.modules, module + ' imported'\n")
     done = subprocess.run([sys.executable, "-c", script], env=_worker_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
