@@ -356,13 +356,6 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:
-    """Rows of ``[lo_1..lo_d, hi_1..hi_d]`` as a BoxSet (shared wire codec)."""
-    from repro.server.protocol import boxes_from_rows
-
-    return boxes_from_rows(rows, dimension)
-
-
 def _parse_hostport(text: str) -> tuple[str, int]:
     """``host:port`` (or bare ``:port`` for localhost) as an address pair."""
     host, separator, port = text.rpartition(":")
@@ -397,15 +390,6 @@ def _load_or_create_service(path: str | None, shards: int):
     if path and os.path.exists(path):
         return EstimationService.load(path), True
     return EstimationService(num_shards=shards), False
-
-
-def _estimate_payload(result) -> dict:
-    return {
-        "estimate": result.estimate,
-        "selectivity": result.selectivity,
-        "left_count": result.left_count,
-        "right_count": result.right_count,
-    }
 
 
 def _ingest_options(args) -> dict:
@@ -452,11 +436,12 @@ def _check_spec_conflicts(args, spec) -> None:
 def _ingest_boxes(args, spec) -> BoxSet:
     """The boxes to ingest: a JSON file of rows, or synthetic data."""
     from repro.core.domain import Domain
+    from repro.server.protocol import boxes_from_rows
     from repro.service import synthetic_boxes
 
     if args.boxes is not None:
         with open(args.boxes, "r", encoding="utf-8") as handle:
-            return _boxes_from_rows(json.load(handle), spec.dimension)
+            return boxes_from_rows(json.load(handle), spec.dimension)
     count = args.count if args.count is not None else 1000
     degenerate = args.side in spec.info.point_sides or (
         spec.info.aliases.get(args.side, args.side) in spec.info.point_sides)
@@ -548,6 +533,8 @@ def _read_batch_queries(path: str, dimension: int):
     a :class:`BoxSet` for rectangle batches and a list of ``None`` for
     query-less ones.
     """
+    from repro.server.protocol import boxes_from_rows
+
     handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     rows: list = []
     try:
@@ -570,7 +557,7 @@ def _read_batch_queries(path: str, dimension: int):
             "batch file mixes null entries with query rectangles; a batch "
             "targets one estimator and its queries are all of one shape"
         )
-    return _boxes_from_rows(rows, dimension)
+    return boxes_from_rows(rows, dimension)
 
 
 @contextmanager
@@ -589,10 +576,12 @@ def _jsonl_sink(path: str | None):
 
 def _write_batch_results(results, args) -> None:
     """JSON-lines batch output, shared by the offline and remote paths."""
+    from repro.server.protocol import estimate_fields
+
     with _jsonl_sink(args.batch_output) as out:
         for index, result in enumerate(results):
             out.write(json.dumps({"index": index, "name": args.name,
-                                  **_estimate_payload(result)}) + "\n")
+                                  **estimate_fields(result)}) + "\n")
 
 
 def _run_estimate_batch(service, args) -> int:
@@ -604,14 +593,17 @@ def _run_estimate_batch(service, args) -> int:
 
 
 def _parse_query_arg(text: str) -> BoxSet:
+    from repro.server.protocol import boxes_from_rows
+
     coords = [int(c) for c in text.split(",") if c]
     if len(coords) % 2:
         raise ReproError("--query needs lo_1,..,lo_d,hi_1,..,hi_d")
-    return _boxes_from_rows([coords], len(coords) // 2)
+    return boxes_from_rows([coords], len(coords) // 2)
 
 
 def _run_estimate_remote(args) -> int:
     """Satellite path: reuse a running server instead of restoring a snapshot."""
+    from repro.server.protocol import estimate_fields
     from repro.service import EstimatorSpec
 
     with _connect_client(args) as client:
@@ -639,10 +631,10 @@ def _run_estimate_remote(args) -> int:
                 "wire": client.wire_format,
                 "name": args.name,
                 "query": args.query,
-                "result": _estimate_payload(result),
+                "result": estimate_fields(result),
             }, sort_keys=True))
         else:
-            print(json.dumps({"name": args.name, **_estimate_payload(result)}))
+            print(json.dumps({"name": args.name, **estimate_fields(result)}))
     return 0
 
 
@@ -687,6 +679,7 @@ def _run_explain(service, args) -> int:
 
 
 def _run_estimate(args) -> int:
+    from repro.server.protocol import estimate_fields
     from repro.service import EstimationService
 
     _require_target(args)
@@ -706,97 +699,46 @@ def _run_estimate(args) -> int:
         raise ReproError("--batch-output requires --batch-file")
     query = _parse_query_arg(args.query) if args.query is not None else None
     result = service.estimate(args.name, query)
-    print(json.dumps({"name": args.name, **_estimate_payload(result)}))
+    print(json.dumps({"name": args.name, **estimate_fields(result)}))
     return 0
 
 
 def service_command_loop(service, in_stream, out_stream, *,
                          snapshot_path: str | None = None,
                          save_on_exit: bool = False) -> int:
-    """The ``serve`` loop: one JSON request per line, one JSON reply per line.
+    """The stdin ``serve`` loop: one JSON request per line, one reply per line.
 
-    Supported operations::
-
-        {"op": "register", "name": ..., "family": ..., "sizes": [..],
-         "instances": 256, "seed": 0, "options": {...}}
-        {"op": "ingest", "name": ..., "side": "left", "kind": "insert",
-         "boxes": [[lo_1..lo_d, hi_1..hi_d], ...]}
-        {"op": "estimate", "name": ..., "query": [lo_1..lo_d, hi_1..hi_d]}
-        {"op": "flush"} | {"op": "stats"}
-        {"op": "save", "path": ...}
-        {"op": "quit"}
+    The requests are the network protocol's (:mod:`repro.server.protocol`),
+    answered by the same handler table a ``--listen`` server uses, without
+    a listener: ``register`` / ``unregister`` / ``ingest`` / ``estimate`` /
+    ``flush`` / ``stats`` / ``metrics`` / ``snapshot`` (alias ``save``) /
+    ``reload`` / ``wal`` / ``tenant`` / ``ping``, and ``quit`` to end the
+    loop.  Failures are replies with ``ok: false`` and an ``error_code``;
+    they never end the loop or lose the in-memory sketches.
     """
-    from repro.server.protocol import check_write_format
-    from repro.service import EstimatorSpec
+    import asyncio
+
+    from repro.server import ServerConfig, SketchServer, protocol
 
     def reply(payload: dict) -> None:
-        out_stream.write(json.dumps(payload) + "\n")
+        # The line a TCP client on the NDJSON wire would read.
+        out_stream.write(protocol.encode(payload).decode("utf-8"))
         out_stream.flush()
 
-    for line in in_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request = json.loads(line)
-            op = request.get("op")
-            if op == "quit":
-                reply({"ok": True, "op": "quit"})
-                break
-            if op == "register":
-                spec = EstimatorSpec.create(
-                    request["family"], request["sizes"],
-                    int(request.get("instances", 256)),
-                    seed=int(request.get("seed", 0)),
-                    **request.get("options", {}),
-                )
-                service.register(request["name"], spec)
-                reply({"ok": True, "op": op, "name": request["name"],
-                       "spec": spec.to_dict()})
-            elif op == "ingest":
-                spec = service.spec(request["name"])
-                boxes = _boxes_from_rows(request["boxes"], spec.dimension)
-                pending = service.ingest(request["name"], boxes,
-                                         side=request.get("side", "left"),
-                                         kind=request.get("kind", "insert"))
-                reply({"ok": True, "op": op, "boxes": len(boxes),
-                       "pending": pending})
-            elif op == "estimate":
-                spec = service.spec(request["name"])
-                query = None
-                if request.get("query") is not None:
-                    query = _boxes_from_rows([request["query"]], spec.dimension)
-                result = service.estimate(request["name"], query)
-                reply({"ok": True, "op": op, "name": request["name"],
-                       **_estimate_payload(result)})
-            elif op == "flush":
-                report = service.flush()
-                reply({"ok": True, "op": op, "boxes": report.boxes,
-                       "batches": report.batches})
-            elif op == "stats":
-                reply({"ok": True, "op": op, **service.describe()})
-            elif op == "save":
-                path = request.get("path", snapshot_path)
-                if not path:
-                    raise ReproError("save needs a path (or start with --snapshot)")
-                check_write_format(request)
-                service.save(path)
-                reply({"ok": True, "op": op, "path": path})
-            else:
-                raise ReproError(f"unknown op {op!r}")
-        except (ReproError, OSError, KeyError, TypeError, ValueError) as exc:
-            # A failed op (including a bad save path or a full disk) must not
-            # take down the server and its in-memory sketches.
-            reply({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
+    # max_delay=0: a lone estimate on stdin has no batch companions to wait for.
+    server = SketchServer(service, config=ServerConfig(max_delay=0.0),
+                          snapshot_path=snapshot_path)
+    asyncio.run(server.serve_lines(in_stream, reply))
     if save_on_exit and snapshot_path:
-        service.save(snapshot_path)
+        # A reload may have hot-swapped the service; save the live one.
+        server.service.save(snapshot_path)
     return 0
 
 
 def _run_serve_listen(args, service, *, recovery=None) -> int:
     import asyncio
 
-    from repro.server import ServerConfig, serve
+    from repro.server import ServerConfig, SketchServer, serve
 
     host, port = _parse_hostport(args.listen)
     config_kwargs = {}
@@ -814,12 +756,10 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
     snapshot_path = args.snapshot
     if snapshot_path is None and service.wal is not None:
         snapshot_path = service.wal_checkpoint_path
+    server = SketchServer(service, config=config, snapshot_path=snapshot_path)
 
-    started = {}
-
-    def announce(server) -> None:
-        started["server"] = server
-        banner = {"listening": f"{host}:{server.port}",
+    def announce(started) -> None:
+        banner = {"listening": f"{host}:{started.port}",
                   "estimators": service.names(),
                   "max_batch": args.max_batch,
                   "max_queue": args.max_queue}
@@ -834,15 +774,14 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
         # returns normally so the final snapshot below reflects every
         # acknowledged write.  KeyboardInterrupt stays as a fallback for
         # platforms without loop signal-handler support.
-        asyncio.run(serve(service, config=config, snapshot_path=snapshot_path,
-                          ready=announce, install_signal_handlers=True))
+        asyncio.run(serve(server, ready=announce,
+                          install_signal_handlers=True))
     except KeyboardInterrupt:
         pass
     finally:
         if (args.save_on_exit or args.snapshot_on_exit) and args.snapshot:
             # A reload may have hot-swapped the service; save the live one.
-            current = started["server"].service if "server" in started else service
-            current.save(args.snapshot)
+            server.service.save(args.snapshot)
     return 0
 
 
@@ -914,21 +853,35 @@ def _run_wal_inspect(args) -> int:
 # -- cluster commands ----------------------------------------------------------------
 
 
-def _announce_router(router, *, workers, mode) -> None:
-    """The router's stdout banner (same shape fleet tooling parses)."""
-    print(json.dumps({"listening": f"{router.config.host}:{router.port}",
-                      "mode": mode,
-                      "workers": workers,
-                      "estimators": router.estimators()}), flush=True)
+def _serve_router(router, attach, *, workers, mode) -> None:
+    """Attach the fleet, then serve the router until signalled, the
+    manager's heartbeat running beside it (``close`` stops both)."""
+    import asyncio
+
+    from repro.server import serve
+
+    def announce(started) -> None:
+        # The stdout banner fleet tooling parses.
+        print(json.dumps({"listening": f"{started.config.host}:{started.port}",
+                          "mode": mode,
+                          "workers": workers,
+                          "estimators": started.estimators()}), flush=True)
+
+    async def run() -> None:
+        await attach()
+        router.manager.start_heartbeat()
+        await serve(router, ready=announce, install_signal_handlers=True)
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        pass
 
 
 def _run_cluster_serve(args) -> int:
     """Spawn N local workers, wire a router over them, serve until signalled."""
-    import asyncio
-
     from repro.cluster import ClusterRouter, RouterConfig
     from repro.cluster.fleet import spawn_worker
-    from repro.cluster.router import serve_router
 
     if args.workers < 1:
         raise ReproError("--workers must be at least 1")
@@ -953,7 +906,7 @@ def _run_cluster_serve(args) -> int:
             admin_token=args.admin_token,
             worker_token=args.admin_token))
 
-        async def run() -> None:
+        async def attach() -> None:
             await router.attach("w0", processes[0].host, processes[0].port)
             for index, worker in enumerate(processes[1:], start=1):
                 if args.snapshot:
@@ -964,18 +917,9 @@ def _run_cluster_serve(args) -> int:
                 else:
                     await router.attach(f"w{index}", worker.host, worker.port)
 
-            def announce(started) -> None:
-                _announce_router(
-                    started, workers=[w.address for w in processes],
-                    mode="replicas" if args.snapshot else "shards")
-
-            await serve_router(router, ready=announce,
-                               install_signal_handlers=True)
-
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
+        _serve_router(router, attach,
+                      workers=[w.address for w in processes],
+                      mode="replicas" if args.snapshot else "shards")
     finally:
         for worker in processes:
             worker.stop()
@@ -984,10 +928,7 @@ def _run_cluster_serve(args) -> int:
 
 def _run_cluster_route(args) -> int:
     """Route over an externally-managed fleet of running workers."""
-    import asyncio
-
     from repro.cluster import ClusterRouter, RouterConfig
-    from repro.cluster.router import serve_router
 
     host, port = _parse_hostport(args.listen)
     targets = [_parse_hostport(text) for text in args.workers]
@@ -997,22 +938,12 @@ def _run_cluster_route(args) -> int:
         admin_token=args.admin_token,
         worker_token=args.worker_token or args.admin_token))
 
-    async def run() -> None:
+    async def attach() -> None:
         for index, (whost, wport) in enumerate(targets):
             await router.attach(f"w{index}", whost, wport)
 
-        def announce(started) -> None:
-            _announce_router(started,
-                             workers=[f"{h}:{p}" for h, p in targets],
-                             mode="shards")
-
-        await serve_router(router, ready=announce,
-                           install_signal_handlers=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+    _serve_router(router, attach, workers=[f"{h}:{p}" for h, p in targets],
+                  mode="shards")
     return 0
 
 

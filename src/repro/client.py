@@ -274,9 +274,9 @@ class ServiceClient:
     def register(self, name: str, *, family: str, sizes: Sequence[int],
                  instances: int = 256, seed: int = 0,
                  **options: Any) -> dict:
-        return self.request({"op": "register", "name": name, "family": family,
-                             "sizes": list(sizes), "instances": instances,
-                             "seed": seed, "options": options})
+        return self.request(protocol.register_request(
+            name, family=family, sizes=sizes, instances=instances, seed=seed,
+            options=options))
 
     def unregister(self, name: str) -> dict:
         return self.request({"op": "unregister", "name": name})

@@ -15,9 +15,10 @@ router):
   registration, heartbeat health checks, read-replica bootstrap from a
   binary snapshot shipped over the wire, degraded-mode accounting,
 * :class:`~repro.cluster.router.ClusterRouter` — the scatter-gather
-  router.  It speaks the existing NDJSON protocol on both sides, so one
-  client library works against a single server and a whole fleet:
-  ``ingest`` partitions by the same shard hash the
+  router: the same :class:`~repro.server.front.ServingFront` a single
+  server is (connections, auth, quotas, dispatch, tenant administration),
+  placed over the fleet instead of a local service, so one client library
+  works against either.  ``ingest`` partitions by the same shard hash the
   :class:`~repro.service.store.ShardedSketchStore` uses and fans out in
   parallel; ``estimate`` gathers shard-local partial states and reduces
   them with one vectorised merge — bit-identical to a single-node service,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import ConnectionLostError, ProtocolError
+from repro.errors import ConnectionLostError, ProtocolError, ServerError
 from repro.server import protocol, wire
 
 
@@ -193,9 +193,17 @@ class WorkerLink:
 
     async def request_ok(self, payload: dict,
                          timeout: float | None = None) -> dict:
-        """Round trip that raises the typed error of an ``ok: false`` reply."""
-        return protocol.raise_for_response(await self.request(payload,
-                                                              timeout))
+        """Round trip that raises the typed error of an ``ok: false`` reply.
+
+        The error carries the worker's reply (``reply``), so the router can
+        hand the verdict on to its own client unchanged.
+        """
+        reply = await self.request(payload, timeout)
+        try:
+            return protocol.raise_for_response(reply)
+        except ServerError as exc:
+            exc.reply = reply
+            raise
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "connected" if self.connected else "disconnected"

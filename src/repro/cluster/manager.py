@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.connection import WorkerLink
 from repro.cluster.ring import DEFAULT_VNODES, HashRing

@@ -1,10 +1,16 @@
-"""The scatter-gather cluster router.
+"""The scatter-gather cluster router: the serving front over a fleet.
 
-:class:`ClusterRouter` is an asyncio TCP server that speaks the exact
-NDJSON protocol of :mod:`repro.server.protocol` on its client side and
-drives a fleet of :class:`~repro.server.server.SketchServer` workers over
-the same protocol on the other — one :class:`~repro.client.ServiceClient`
-works unchanged against a single server or a whole cluster.
+:class:`ClusterRouter` is the :class:`~repro.server.front.ServingFront`
+whose counters live in a fleet of
+:class:`~repro.server.server.SketchServer` workers, driven over the same
+protocol it answers — one :class:`~repro.client.ServiceClient` works
+unchanged against a single server or a whole cluster.  Connections, auth,
+quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
+``stats`` / ``metrics`` are the front's; this module adds topology, the
+routing below, fleet aggregation, and two hooks: a worker's ``ok: false``
+reply passes through to the client unchanged, a lost worker link answers
+``degraded``.  ``reload``, ``wal``, inline snapshot ``fetch`` and
+``checkpoint`` act on one worker's own state and are refused here.
 
 Request routing:
 
@@ -25,21 +31,13 @@ Request routing:
   applies the surviving portion and reports a structured ``degraded``
   error (applied/dropped counts, down owners); estimates touching the dead
   group fail with the same taxonomy until a replacement is bootstrapped.
-
-The per-connection pipelining (in-order replies, bounded in-flight
-requests) mirrors :class:`~repro.server.server.SketchServer`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import contextlib
 import functools
-import signal
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -49,69 +47,53 @@ from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import reduce_partials
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.core.hashing import sign_table_stats
-from repro.errors import (
-    AuthenticationError,
-    ConnectionLostError,
-    ReproError,
-    ServiceError,
-)
-from repro.server import auth, protocol, wire
-from repro.server.metrics import (
-    ServerMetrics,
-    label_value,
-    sign_table_lines,
-)
-from repro.tenancy import TenantAdmission, TenantQuota, hash_token
+from repro.errors import ConnectionLostError, ReproError, ServiceError
+from repro.server import protocol, wire
+from repro.server.front import FrontConfig, ServingFront
+from repro.server.metrics import metric_line, sign_table_lines
+from repro.server.runner import FrontThread
 from repro.service.specs import EstimatorSpec
 from repro.service.store import shard_ids
+from repro.tenancy import TENANT_SEP, TenantRegistry
 
 
 @dataclass(frozen=True)
-class RouterConfig:
-    """Tunables of one :class:`ClusterRouter`."""
+class RouterConfig(FrontConfig):
+    """Tunables of one :class:`ClusterRouter`: the front's (``binary_wire``
+    and ``admin_token`` face the router's clients), plus the fleet's."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = let the OS pick
     num_slots: int = 64  # shard slots hashed onto the ring
     vnodes: int = DEFAULT_VNODES
     request_timeout: float = 60.0
-    max_inflight_per_connection: int = 128
-    max_line_bytes: int = protocol.MAX_LINE_BYTES
-    executor_workers: int = 4
-    binary_wire: bool = True  # offer binary frames to router clients
     worker_wire: str = "auto"  # wire preference on router -> worker links
-    admin_token: str | None = None  # admin role on the router's client side
     worker_token: str | None = None  # presented on router -> worker links
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:
             raise ServiceError("num_slots must be positive")
-        if self.max_inflight_per_connection < 1:
-            raise ServiceError("max_inflight_per_connection must be positive")
+        super().__post_init__()
 
 
-class ClusterRouter:
+class ClusterRouter(ServingFront):
     """N sketch workers behind one protocol-compatible endpoint."""
+
+    _PING_FIELDS = {"cluster": True}
 
     def __init__(self, *, config: RouterConfig | None = None,
                  manager: ClusterManager | None = None,
                  heartbeat: HeartbeatConfig | None = None,
                  registry=None) -> None:
-        self.config = config or RouterConfig()
+        super().__init__(config or RouterConfig())
         self.manager = manager or ClusterManager(
             vnodes=self.config.vnodes, heartbeat=heartbeat,
             request_timeout=self.config.request_timeout,
             wire=self.config.worker_wire,
             worker_token=self.config.worker_token)
-        self.metrics = ServerMetrics()
         # name -> (spec, template): one resident empty estimator per spec.
         # Scatter-gather reduces against companions of the template, so the
         # xi families (and the sign tables they build) live as long as the
         # name, not as long as one estimate.
         self._specs: dict[str, tuple[EstimatorSpec, Any]] = {}
-        self._executor: ThreadPoolExecutor | None = None
-        self._tcp_server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
         # (ring membership, _slot_owners() result) assignment cache.
         self._assignment_cache: tuple[tuple[str, ...], tuple] | None = None
         # Tenancy: the router is the authenticating edge of a fleet — it
@@ -119,59 +101,9 @@ class ClusterRouter:
         # (already-namespaced names + a ``tenant`` label) over its
         # admin-authenticated worker links.
         self.tenants = registry
-        self._admin_token_hash = (hash_token(self.config.admin_token)
-                                  if self.config.admin_token else None)
-        self._admissions: dict[str, TenantAdmission] = {}
 
-    def enable_tenancy(self, registry=None):
-        """Attach (or create) the router's tenant registry; idempotent."""
-        from repro.tenancy import TenantRegistry
-
-        if self.tenants is None:
-            self.tenants = registry if registry is not None else TenantRegistry()
-        elif registry is not None and registry is not self.tenants:
-            raise ServiceError("router already has a tenant registry")
-        return self.tenants
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        if self._tcp_server is None:
-            raise ServiceError("router is not started")
-        return self._tcp_server.sockets[0].getsockname()[1]
-
-    async def start(self) -> "ClusterRouter":
-        cfg = self.config
-        self._executor = ThreadPoolExecutor(
-            max_workers=cfg.executor_workers,
-            thread_name_prefix="cluster-router")
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, host=cfg.host, port=cfg.port,
-            limit=cfg.max_line_bytes)
-        return self
-
-    async def serve_forever(self) -> None:
-        if self._tcp_server is None:
-            await self.start()
-        assert self._tcp_server is not None
-        await self._tcp_server.serve_forever()
-
-    async def close(self) -> None:
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for writer in list(self._connections):
-            writer.close()
-        while self._connections:
-            await asyncio.sleep(0.01)
+    async def _drain(self) -> None:
         await self.manager.close()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-
-    async def _run_blocking(self, func, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, func, *args)
 
     # -- topology -----------------------------------------------------------------
 
@@ -208,11 +140,7 @@ class ClusterRouter:
             self._adopt_spec(name, EstimatorSpec.from_dict(spec_dict))
         for name, (spec, _) in self._specs.items():
             if name not in served:
-                await info.link.request_ok({
-                    "op": "register", "name": name, "family": spec.family,
-                    "sizes": list(spec.sizes),
-                    "instances": spec.num_instances, "seed": spec.seed,
-                    "options": dict(spec.options)})
+                await info.link.request_ok(_register_request(name, spec))
 
     async def refresh_specs(self) -> dict[str, EstimatorSpec]:
         """Adopt estimator specs from the whole fleet (snapshot starts)."""
@@ -269,151 +197,44 @@ class ClusterRouter:
     def _owner_names(self) -> list[str]:
         return list(self._slot_owners()[1])
 
-    # -- connection handling (shared with SketchServer) ---------------------------
-
-    @property
-    def wire_formats(self) -> tuple[str, ...]:
-        """Formats this router offers in the ``hello`` handshake."""
-        if self.config.binary_wire:
-            return wire.WIRE_FORMATS
-        return (wire.WIRE_NDJSON,)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.metrics.connections_opened += 1
-        self.metrics.connections_active += 1
-        self._connections.add(writer)
-        try:
-            await wire.serve_connection(self, reader, writer)
-        finally:
-            self.metrics.connections_active -= 1
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # -- authentication and tenant scoping ----------------------------------------
-
-    def authenticate(self, request: dict) -> tuple[dict, str | None]:
-        """Resolve an ``auth`` request: ``(reply, bound principal | None)``."""
-        return auth.authenticate_request(self.tenants,
-                                         self._admin_token_hash, request)
-
-    def _admission(self, record) -> TenantAdmission:
-        now = asyncio.get_running_loop().time()
-        entry = self._admissions.get(record.tenant_id)
-        if entry is None or entry.quota != record.quota:
-            entry = TenantAdmission(record.tenant_id, record.quota, now=now)
-            self._admissions[record.tenant_id] = entry
-        return entry
-
-    async def _admitted(self, handler, request: dict,
-                        scope: auth.Scope) -> dict:
-        """Run a handler under the scope tenant's quota accounting.
-
-        The router is the fleet's authenticating edge: quotas are charged
-        here exactly once, and forwarded worker requests carry
-        ``scoped: true`` so workers never re-charge them.
-        """
-        op = str(request.get("op"))
-        entry = self._admission(scope.record)
-        if op == "ingest":
-            boxes = request.get("boxes")
-            count = len(boxes) if isinstance(boxes, (list, tuple)) else 1
-            entry.admit_ingest(count, asyncio.get_running_loop().time())
-            return await handler(self, request, scope)
-        if op == "estimate":
-            entry.acquire_estimate()
-            try:
-                return await handler(self, request, scope)
-            finally:
-                entry.release_estimate()
-        return await handler(self, request, scope)
-
     # -- request dispatch ---------------------------------------------------------
 
-    async def _process(self, request: dict,
-                       principal: str | None = None) -> dict:
-        op = str(request.get("op"))
-        try:
-            scope = auth.resolve_scope(self.tenants, principal, request)
-        except ReproError as exc:
-            return protocol.error_payload_for(exc, op=op, request=request)
-        tenant = scope.tenant
-        scoped_request = dict(scope.request)
-        if tenant is not None:
-            self.metrics.record_tenant_request(tenant, op)
-            # Worker links are admin-authenticated; the tenant label rides
-            # in the forwarded payload so workers attribute metrics and
-            # fair-share queueing to the right tenant.
-            scoped_request.setdefault("tenant", tenant)
-        try:
-            if op == "tenant":
-                payload = await self._op_tenant(scoped_request, principal)
-            else:
-                handler = self._HANDLERS.get(op)
-                if handler is None:
-                    payload = protocol.error_payload(
-                        f"unknown op {op!r}", code="unknown_op", op=op,
-                        request=request)
-                elif scope.enforce_quota:
-                    payload = await self._admitted(handler, scoped_request,
-                                                   scope)
-                else:
-                    payload = await handler(self, scoped_request, scope)
-        except ConnectionLostError as exc:
+    def _failure(self, exc: Exception, op: str, request: dict) -> dict:
+        reply = getattr(exc, "reply", None)
+        if reply is not None:
+            # A worker refused the forwarded request: its verdict — text,
+            # code and detail (a quota's retry_after) — is the answer.
+            return protocol.error_payload(
+                str(exc), code=exc.code, op=op, request=request,
+                detail=reply.get("detail"))
+        if isinstance(exc, ConnectionLostError):
             # A worker died mid-request: that is a *cluster* degradation,
             # not a client protocol problem.
-            payload = protocol.error_payload(
+            return protocol.error_payload(
                 f"worker connection lost: {exc}", code="degraded", op=op,
                 request=request, detail={"op": op})
-        except Exception as exc:
-            payload = protocol.error_payload_for(exc, op=op, request=request)
-        if tenant is not None:
-            if not payload.get("ok"):
-                if payload.get("error_code") == "quota_exceeded":
-                    self.metrics.record_quota_rejection(tenant)
-                else:
-                    self.metrics.record_tenant_error(tenant)
-            payload = auth.unscope_reply(payload, tenant)
-        return payload
+        return super()._failure(exc, op, request)
 
-    async def _op_ping(self, request: dict, scope=None) -> dict:
-        return protocol.ok_payload("ping", request,
-                                   version=protocol.PROTOCOL_VERSION,
-                                   cluster=True)
-
-    async def _op_register(self, request: dict, scope=None) -> dict:
-        spec = EstimatorSpec.create(
-            request["family"], request["sizes"],
-            int(request.get("instances", 256)),
-            seed=int(request.get("seed", 0)),
-            **request.get("options", {}))
+    async def _op_register(self, request: dict, scope) -> dict:
+        spec = protocol.spec_from_register(request)
         name = str(request["name"])
         if name in self._specs:
             raise ServiceError(f"estimator {name!r} is already registered")
-        await self.manager.broadcast({
-            "op": "register", "name": name, "family": spec.family,
-            "sizes": list(spec.sizes),
-            "instances": spec.num_instances, "seed": spec.seed,
-            "options": dict(spec.options), **_forward_fields(request)})
+        await self.manager.broadcast({**_register_request(name, spec),
+                                      **_forward_fields(request)})
         self._adopt_spec(name, spec)
         return protocol.ok_payload("register", request, name=name,
                                    spec=spec.to_dict())
 
-    async def _op_unregister(self, request: dict, scope=None) -> dict:
+    async def _op_unregister(self, request: dict, scope) -> dict:
         name = str(request["name"])
-        if name not in self._specs:
-            raise ServiceError(f"unknown estimator {name!r}; registered: "
-                               f"{sorted(self._specs)}")
+        await self._spec_for(name)
         await self.manager.broadcast({"op": "unregister", "name": name,
                                       **_forward_fields(request)})
         del self._specs[name]
         return protocol.ok_payload("unregister", request, name=name)
 
-    async def _op_ingest(self, request: dict, scope=None) -> dict:
+    async def _op_ingest(self, request: dict, scope) -> dict:
         name = str(request["name"])
         spec, _ = await self._spec_for(name)
         boxes = protocol.boxes_from_rows(request["boxes"], spec.dimension)
@@ -437,7 +258,6 @@ class ClusterRouter:
                      for index in np.flatnonzero(np.bincount(owner_of_row))}
 
         applied = 0
-        pending = 0
         dropped = 0
         down: list[str] = []
 
@@ -449,7 +269,6 @@ class ClusterRouter:
                 "side": side, "kind": kind, **_forward_fields(request)})
 
         sends: list = []
-        counted: list[int] = []
         for owner, part in per_owner.items():
             writers = self.manager.writers(owner)
             if not writers:
@@ -459,7 +278,6 @@ class ClusterRouter:
             applied += len(part)
             for info in writers:
                 sends.append(send(info, part))
-                counted.append(len(part))
         replies = await asyncio.gather(*sends)
         pending = max((reply.get("pending", 0) for reply in replies),
                       default=0)
@@ -473,20 +291,10 @@ class ClusterRouter:
         return protocol.ok_payload("ingest", request, boxes=applied,
                                    pending=pending)
 
-    async def _op_estimate(self, request: dict, scope=None) -> dict:
+    async def _op_estimate(self, request: dict, scope) -> dict:
         name = str(request["name"])
         spec, template = await self._spec_for(name)
-        row = request.get("query")
-        if spec.info.queryable:
-            if row is None:
-                raise ServiceError(
-                    f"family {spec.family!r} estimates need a query rectangle")
-            query = protocol.boxes_from_rows([row], spec.dimension)
-        else:
-            if row is not None:
-                raise ServiceError(
-                    f"family {spec.family!r} does not take a query argument")
-            query = None
+        query = protocol.query_from_request(spec, request)
 
         owners = self._owner_names()
         readers: dict[str, WorkerInfo] = {}
@@ -516,7 +324,7 @@ class ClusterRouter:
                 dict(request), timeout=self.config.request_timeout)
             if reply.get("ok"):
                 self.metrics.record_estimate_latency(
-                    time.perf_counter() - start)
+                    time.perf_counter() - start, scope.tenant)
             return reply
 
         # Scatter: every owner group contributes its shard-local merged
@@ -537,11 +345,12 @@ class ClusterRouter:
                                         for info in readers.values()))
         result = await self._run_blocking(functools.partial(
             reduce_partials, spec, states, query, template=template))
-        self.metrics.record_estimate_latency(time.perf_counter() - start)
+        self.metrics.record_estimate_latency(time.perf_counter() - start,
+                                             scope.tenant)
         return protocol.ok_payload("estimate", request, name=name,
                                    **protocol.estimate_fields(result))
 
-    async def _op_flush(self, request: dict, scope=None) -> dict:
+    async def _op_flush(self, request: dict, scope) -> dict:
         replies = await self.manager.broadcast({"op": "flush"})
         return protocol.ok_payload(
             "flush", request,
@@ -549,9 +358,9 @@ class ClusterRouter:
             batches=sum(reply.get("batches", 0)
                         for reply in replies.values()))
 
-    async def _op_stats(self, request: dict, scope=None) -> dict:
+    async def _describe(self) -> tuple[dict, dict]:
         await self.refresh_specs()
-        description = {
+        return {
             "num_shards": self.config.num_slots,
             "estimators": {name: spec.to_dict()
                            for name, (spec, _) in sorted(self._specs.items())},
@@ -559,24 +368,9 @@ class ClusterRouter:
             # This process's own xi tables (the templates' families); the
             # workers report theirs through their own stats.
             **sign_table_stats(),
-            "server": {
-                "connections_active": self.metrics.connections_active,
-                "queue_depth": 0,
-                "reloads": self.metrics.reloads,
-                "wire": self.metrics.wire_state(),
-            },
-        }
-        if scope is not None and scope.tenant is not None:
-            description = auth.scoped_stats(description, scope.tenant)
-            # Fleet topology is operator-facing, not a tenant's business.
-            description.pop("cluster", None)
-            description["tenant_metrics"] = self.metrics.tenant_state(
-                scope.tenant)
-        else:
-            description["tenant_metrics"] = self.metrics.tenant_state()
-        return protocol.ok_payload("stats", request, **description)
+        }, {"queue_depth": 0}
 
-    async def _op_metrics(self, request: dict, scope=None) -> dict:
+    async def _op_metrics(self, request: dict, scope) -> dict:
         fleet: dict[str, dict] = {}
         for info in self.manager.workers():
             if not info.healthy:
@@ -587,163 +381,82 @@ class ClusterRouter:
                 continue
             fleet[info.name] = {
                 "uptime": float(reply.get("uptime", 0.0)),
-                "requests": dict(reply.get("requests", {})),
-                "errors": dict(reply.get("errors", {})),
-                "wire": {format: dict(counters) for format, counters
-                         in dict(reply.get("wire", {})).items()},
-                "tenants": dict(reply.get("tenants", {})),
-                "delta": dict(reply.get("delta", {})),
-                "program": dict(reply.get("program", {})),
-                "sign_tables": dict(reply.get("sign_tables", {})),
-            }
-        tenants = self._aggregate_tenants(fleet)
-        text = self._render_metrics(fleet, tenants)
-        return protocol.ok_payload(
-            "metrics", request, text=text,
-            uptime=self.metrics.uptime,
-            requests=dict(self.metrics.requests),
-            errors=dict(self.metrics.errors),
-            wire=self.metrics.wire_state(),
-            workers=fleet,
-            tenants=tenants,
+                **{group: dict(reply.get(group, {})) for group in _FLEET_GROUPS}}
+        return self._metrics_reply(
+            request, self._render_metrics(fleet), workers=fleet,
+            tenants=self._aggregate_tenants(fleet),
             sign_tables=sign_table_stats())
 
     def _aggregate_tenants(self, fleet: Mapping[str, Mapping]) -> dict:
         """Fleet-wide per-tenant totals: the router's own edge counters
         (where quotas are charged) plus every worker's labelled series."""
-        totals: dict[str, dict] = {}
-        for tenant, state in self.metrics.tenant_state().items():
-            totals[tenant] = {
-                "requests": int(state.get("requests", 0)),
-                "errors": int(state.get("errors", 0)),
-                "quota_rejections": int(state.get("quota_rejections", 0)),
-                "estimate_qps": float(state.get("estimate_qps", 0.0)),
-                "estimate_p99_ms": float(state.get("estimate_p99_ms", 0.0)),
-            }
+        edge_keys = ("requests", "errors", "quota_rejections", "estimate_qps",
+                     "estimate_p99_ms")
+        totals = {tenant: {key: state[key] for key in edge_keys}
+                  for tenant, state in self.metrics.tenant_state().items()}
         for entry in fleet.values():
-            for tenant, state in entry.get("tenants", {}).items():
+            for tenant, state in entry["tenants"].items():
                 slot = totals.setdefault(tenant, {
                     "requests": 0, "errors": 0, "quota_rejections": 0,
                     "estimate_qps": 0.0, "estimate_p99_ms": 0.0})
-                slot["worker_requests"] = (slot.get("worker_requests", 0)
-                                           + int(state.get("requests", 0)))
-                slot["worker_errors"] = (slot.get("worker_errors", 0)
-                                         + int(state.get("errors", 0)))
+                for key in ("requests", "errors"):
+                    slot[f"worker_{key}"] = (slot.get(f"worker_{key}", 0)
+                                             + int(state.get(key, 0)))
         return totals
 
-    def _render_metrics(self, fleet: Mapping[str, Mapping],
-                        tenants: Mapping[str, Mapping] | None = None) -> str:
-        """Aggregated fleet metrics under the ``repro_cluster_*`` prefix."""
+    def _render_metrics(self, fleet: Mapping[str, Mapping]) -> str:
+        """The router's own front counters and the fleet's sums, both under
+        the ``repro_cluster_*`` prefix."""
         workers = self.manager.workers()
         lines = ["# repro cluster router metrics",
-                 f"repro_cluster_uptime_seconds {self.metrics.uptime:.3f}",
-                 f"repro_cluster_workers_total {len(workers)}",
-                 "repro_cluster_workers_healthy "
-                 f"{sum(info.healthy for info in workers)}",
-                 "repro_cluster_connections_active "
-                 f"{self.metrics.connections_active}"]
-        for op in sorted(self.metrics.requests):
-            lines.append(
-                f'repro_cluster_requests_total{{op="{label_value(op)}"}} '
-                f"{self.metrics.requests[op]}")
-        for code in sorted(self.metrics.errors):
-            lines.append(
-                f'repro_cluster_errors_total{{code="{label_value(code)}"}} '
-                f"{self.metrics.errors[code]}")
-        quantiles = self.metrics.latency_quantiles()
-        lines.append("repro_cluster_estimate_qps "
-                     f"{self.metrics.estimate_qps():.3f}")
-        for q, seconds in sorted(quantiles.items()):
-            lines.append(
-                f'repro_cluster_estimate_latency_ms{{quantile="{q}"}} '
-                f"{seconds * 1000.0:.3f}")
-        # The router's own client-side wire traffic, then the fleet's
-        # worker-side totals aggregated per format/direction — the same
-        # re-export pattern as worker request counts below.
-        for format in sorted(self.metrics.wire):
-            counters = self.metrics.wire[format]
-            for direction, count in (("in", counters.bytes_in),
-                                     ("out", counters.bytes_out)):
-                lines.append(
-                    "repro_cluster_wire_bytes_total"
-                    f'{{format="{label_value(format)}",'
-                    f'direction="{direction}"}} {count}')
-        wire_totals: dict[tuple[str, str], int] = {}
-        for entry in fleet.values():
-            for format, counters in entry.get("wire", {}).items():
-                for direction, key in (("in", "bytes_in"),
-                                       ("out", "bytes_out")):
-                    slot = (format, direction)
-                    wire_totals[slot] = (wire_totals.get(slot, 0)
-                                         + int(counters.get(key, 0)))
-        for format, direction in sorted(wire_totals):
-            lines.append(
-                "repro_cluster_worker_wire_bytes_total"
-                f'{{format="{label_value(format)}",'
-                f'direction="{direction}"}} '
-                f"{wire_totals[(format, direction)]}")
-        totals: dict[str, int] = {}
-        for entry in fleet.values():
-            for op, count in entry["requests"].items():
-                totals[op] = totals.get(op, 0) + int(count)
-        for op in sorted(totals):
-            lines.append("repro_cluster_worker_requests_total"
-                         f'{{op="{label_value(op)}"}} {totals[op]}')
-        for name in sorted(fleet):
-            lines.append("repro_cluster_worker_uptime_seconds"
-                         f'{{worker="{label_value(name)}"}} '
-                         f"{fleet[name]['uptime']:.3f}")
-        # Per-tenant fleet aggregates, one contiguous family per metric.
-        tenants = tenants or {}
-        for key, metric in (("requests", "repro_cluster_tenant_requests_total"),
-                            ("errors", "repro_cluster_tenant_errors_total"),
-                            ("quota_rejections",
-                             "repro_cluster_tenant_quota_rejected_total")):
-            for tenant in sorted(tenants):
-                lines.append(
-                    f'{metric}{{tenant="{label_value(tenant)}"}} '
-                    f"{int(tenants[tenant].get(key, 0))}")
-        for tenant in sorted(tenants):
-            lines.append(
-                "repro_cluster_tenant_estimate_qps"
-                f'{{tenant="{label_value(tenant)}"}} '
-                f"{float(tenants[tenant].get('estimate_qps', 0.0)):.3f}")
-        # Fleet-wide delta-propagation and program-executor totals, summed
-        # from each worker's structured metrics payload.  Workers resolve
-        # view refreshes locally, so the cluster-level ratio of applies to
-        # rebuilds is the steady-state health signal for delta propagation.
-        delta_totals: dict[str, int] = {}
-        program_totals: dict[str, int] = {}
-        own_tables = sign_table_stats()
-        table_totals = dict.fromkeys(own_tables, 0)
-        for entry in fleet.values():
-            for key, count in entry.get("delta", {}).items():
-                delta_totals[key] = delta_totals.get(key, 0) + int(count)
-            for key, count in entry.get("program", {}).items():
-                program_totals[key] = program_totals.get(key, 0) + int(count)
-            for key in table_totals:
-                table_totals[key] += int(entry.get("sign_tables", {}).get(key, 0))
-        for key, metric in (("delta_applies",
-                             "repro_cluster_delta_applies_total"),
-                            ("rebuilds",
-                             "repro_cluster_view_rebuilds_total"),
-                            ("evictions",
-                             "repro_cluster_view_evictions_total")):
-            lines.append(f"{metric} {delta_totals.get(key, 0)}")
-        for key in sorted(program_totals):
-            lines.append(f"repro_cluster_program_{key} {program_totals[key]}")
+                 *self.metrics.front_lines("repro_cluster_", tenant_ops=False),
+                 metric_line("repro_cluster_workers_total", len(workers)),
+                 metric_line("repro_cluster_workers_healthy",
+                             sum(info.healthy for info in workers))]
+        # The fleet's worker-side totals, re-exported beside the router's
+        # own client-side families above.
+        for format, counters in sorted(_fleet_sum(fleet, "wire").items()):
+            for direction in ("in", "out"):
+                lines.append(metric_line(
+                    "repro_cluster_worker_wire_bytes_total",
+                    counters.get(f"bytes_{direction}", 0),
+                    format=format, direction=direction))
+        lines += [metric_line("repro_cluster_worker_requests_total", count,
+                              op=op)
+                  for op, count in sorted(_fleet_sum(fleet, "requests").items())]
+        lines += [metric_line("repro_cluster_worker_uptime_seconds",
+                              fleet[name]["uptime"], worker=name)
+                  for name in sorted(fleet)]
+        # Workers resolve view refreshes locally, so the cluster-level ratio
+        # of applies to rebuilds is the steady-state health signal for delta
+        # propagation.
+        delta = _fleet_sum(fleet, "delta")
+        for key, metric in (("delta_applies", "delta_applies_total"),
+                            ("rebuilds", "view_rebuilds_total"),
+                            ("evictions", "view_evictions_total")):
+            lines.append(metric_line(f"repro_cluster_{metric}",
+                                     delta.get(key, 0)))
+        lines += [metric_line(f"repro_cluster_program_{key}", count)
+                  for key, count in sorted(_fleet_sum(fleet, "program").items())]
         # Each worker process interns its own xi sign tables; so does the
         # router, for the templates it reduces against.
-        lines.extend(sign_table_lines("repro_cluster_", table_totals))
-        lines.extend(sign_table_lines("repro_cluster_router_", own_tables))
+        own_tables = sign_table_stats()
+        lines += sign_table_lines(
+            "repro_cluster_", {**dict.fromkeys(own_tables, 0),
+                               **_fleet_sum(fleet, "sign_tables")})
+        lines += sign_table_lines("repro_cluster_router_", own_tables)
         return "\n".join(lines) + "\n"
 
-    async def _op_snapshot(self, request: dict, scope=None) -> dict:
+    async def _op_snapshot(self, request: dict, scope) -> dict:
         protocol.check_write_format(request)
-        if request.get("fetch"):
-            raise ServiceError(
-                "inline snapshot fetch is a worker-level op; fetch from a "
-                "worker or use cluster_status to find one")
+        for field in ("fetch", "checkpoint"):
+            # Both act on one worker's own state (its snapshot bytes, its
+            # WAL); a routed reply must never claim a truncation it did
+            # not make.
+            if request.get(field):
+                raise ServiceError(
+                    f"snapshot {field} is a worker-level op; send it to a "
+                    "worker (cluster_status lists them)")
         path = request.get("path")
         if not path:
             raise ServiceError("cluster snapshot needs a path prefix")
@@ -758,97 +471,32 @@ class ClusterRouter:
             paths[owner] = target
         return protocol.ok_payload("snapshot", request, paths=paths)
 
-    async def _op_reload(self, request: dict, scope=None) -> dict:
+    async def _op_reload(self, request: dict, scope) -> dict:
         raise ServiceError(
             "reload is a worker-level op; bootstrap or replace workers "
             "through the cluster manager instead")
 
-    async def _op_tenant(self, request: dict,
-                         principal: str | None = None) -> dict:
-        """Tenant registry administration, mirrored across the fleet.
-
-        Mutations apply to the router's registry (the authenticating
-        edge) and broadcast to every healthy worker, whose services
-        journal them through their WALs and embed them in snapshots —
-        the durable copies a restarted fleet recovers from.
-        """
-        action = str(request.get("action", "list"))
-        if principal is not None and principal != auth.ADMIN:
-            if action != "describe":
-                raise AuthenticationError(
-                    f"tenant action {action!r} requires admin access")
-            target = str(request.get("tenant", principal))
-            if target != principal:
-                raise AuthenticationError("a tenant may only describe itself")
-            record = self.tenants.require(principal)
-            info = record.to_dict()
-            info.pop("token_hash", None)
-            entry = self._admissions.get(principal)
-            fields: dict = {"tenant": principal, "record": info,
-                            "metrics": self.metrics.tenant_state(principal)}
-            if entry is not None and entry.quota == record.quota:
-                fields["admission"] = entry.describe(
-                    asyncio.get_running_loop().time())
-            return protocol.ok_payload("tenant", request, action="describe",
-                                       **fields)
-        registry = self.tenants
-        if action == "create":
-            registry = self.enable_tenancy()
-            quota = (TenantQuota.from_dict(request["quota"])
-                     if request.get("quota") else None)
-            record = registry.create(str(request["tenant"]),
-                                     token=str(request["token"]),
-                                     quota=quota)
-            await self.manager.broadcast(dict(request))
-            return protocol.ok_payload("tenant", request, action="create",
-                                       tenant=record.tenant_id,
-                                       record=record.to_dict())
-        if action == "list":
-            tenants = registry.describe() if registry is not None else {}
-            return protocol.ok_payload("tenant", request, action="list",
-                                       tenants=tenants)
-        if action == "describe":
-            if registry is None:
-                raise ServiceError("router has no tenant registry")
-            record = registry.require(str(request["tenant"]))
-            return protocol.ok_payload(
-                "tenant", request, action="describe",
-                tenant=record.tenant_id, record=record.to_dict(),
-                metrics=self.metrics.tenant_state(record.tenant_id))
-        if action in ("update", "disable", "enable"):
-            if registry is None:
-                raise ServiceError("router has no tenant registry")
-            kwargs: dict = {}
-            if action == "update":
-                if request.get("token") is not None:
-                    kwargs["token"] = str(request["token"])
-                if request.get("quota") is not None:
-                    kwargs["quota"] = TenantQuota.from_dict(request["quota"])
-                if request.get("disabled") is not None:
-                    kwargs["disabled"] = bool(request["disabled"])
-            else:
-                kwargs["disabled"] = action == "disable"
-            record = registry.update(str(request["tenant"]), **kwargs)
-            await self.manager.broadcast(dict(request))
-            return protocol.ok_payload("tenant", request, action=action,
-                                       tenant=record.tenant_id,
-                                       record=record.to_dict())
-        if action == "remove":
-            if registry is None:
-                raise ServiceError("router has no tenant registry")
-            record = registry.remove(str(request["tenant"]))
-            self._admissions.pop(record.tenant_id, None)
-            await self.manager.broadcast(dict(request))
+    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
+                            **changes):
+        # Mutations apply to the router's registry (the authenticating
+        # edge) and broadcast to every healthy worker, whose services
+        # journal them through their WALs and embed them in snapshots —
+        # the durable copies a restarted fleet recovers from.
+        if verb == "create" and self.tenants is None:
+            self.tenants = TenantRegistry()  # the first tenant turns gating on
+        if self.tenants is None:
+            raise ServiceError("no tenant registry is attached")
+        record = getattr(self.tenants, verb)(tenant_id, **changes)
+        await self.manager.broadcast(dict(request))
+        if verb == "remove":
             # The fleet also dropped the tenant's estimators; forget the
             # router's cached specs for that namespace.
-            prefix = record.tenant_id + "/"
+            prefix = record.tenant_id + TENANT_SEP
             for name in [n for n in self._specs if n.startswith(prefix)]:
                 del self._specs[name]
-            return protocol.ok_payload("tenant", request, action="remove",
-                                       tenant=record.tenant_id)
-        raise ServiceError(f"unknown tenant action {action!r}")
+        return record
 
-    async def _op_cluster_status(self, request: dict, scope=None) -> dict:
+    async def _op_cluster_status(self, request: dict, scope) -> dict:
         status = self.manager.status()
         assignments = self._assignments() if len(self.manager.ring) else []
         slots_per_owner: dict[str, int] = {}
@@ -862,19 +510,46 @@ class ClusterRouter:
             **status)
 
     _HANDLERS = {
-        "ping": _op_ping,
+        **ServingFront._HANDLERS,
         "register": _op_register,
         "unregister": _op_unregister,
         "ingest": _op_ingest,
         "estimate": _op_estimate,
         "flush": _op_flush,
-        "stats": _op_stats,
         "metrics": _op_metrics,
         "snapshot": _op_snapshot,
         "save": _op_snapshot,
         "reload": _op_reload,
         "cluster_status": _op_cluster_status,
     }
+
+
+#: Counter groups of a worker's ``metrics`` reply the router re-exports.
+_FLEET_GROUPS = ("requests", "errors", "wire", "tenants", "delta", "program",
+                 "sign_tables")
+
+
+def _fleet_sum(fleet: Mapping[str, Mapping], group: str) -> dict:
+    """One counter group summed key by key over every worker's reply
+    (nested groups, like ``wire`` per format, sum leaf by leaf)."""
+    def add(total: dict, counters: Mapping) -> None:
+        for key, value in counters.items():
+            if isinstance(value, Mapping):
+                add(total.setdefault(key, {}), value)
+            else:
+                total[key] = total.get(key, 0) + int(value)
+
+    total: dict = {}
+    for entry in fleet.values():
+        add(total, entry[group])
+    return total
+
+
+def _register_request(name: str, spec: EstimatorSpec) -> dict:
+    """The ``register`` request that creates ``spec`` on a worker."""
+    return protocol.register_request(
+        name, family=spec.family, sizes=spec.sizes,
+        instances=spec.num_instances, seed=spec.seed, options=spec.options)
 
 
 def _forward_fields(request: Mapping) -> dict:
@@ -890,46 +565,7 @@ def _forward_fields(request: Mapping) -> dict:
     return {"tenant": tenant, "scoped": True}
 
 
-async def serve_router(router: ClusterRouter, *, ready=None,
-                       shutdown: asyncio.Event | None = None,
-                       install_signal_handlers: bool = False,
-                       heartbeat: bool = True) -> None:
-    """Run a started-or-fresh router until cancelled or shut down."""
-    await router.start()
-    if heartbeat:
-        router.manager.start_heartbeat()
-    stop = shutdown if shutdown is not None else asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed: list[signal.Signals] = []
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, ValueError,
-                    RuntimeError):  # pragma: no cover - non-POSIX loops
-                pass
-    if ready is not None:
-        ready(router)
-    forever = asyncio.create_task(router.serve_forever())
-    waiter = asyncio.create_task(stop.wait())
-    try:
-        await asyncio.wait({forever, waiter},
-                           return_when=asyncio.FIRST_COMPLETED)
-    except asyncio.CancelledError:
-        pass
-    finally:
-        for task in (forever, waiter):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        for signum in installed:
-            with contextlib.suppress(ValueError, RuntimeError):
-                loop.remove_signal_handler(signum)
-        await router.close()
-
-
-class ThreadedClusterRouter:
+class ThreadedClusterRouter(FrontThread):
     """Drive a router (plus its worker links) on a background loop thread.
 
     The synchronous mirror of :class:`~repro.server.runner.ThreadedServer`
@@ -950,66 +586,17 @@ class ThreadedClusterRouter:
                  registry=None) -> None:
         self.router = ClusterRouter(config=config, heartbeat=heartbeat,
                                     registry=registry)
+        super().__init__(self.router)
         self._workers = list(workers)
         self._start_heartbeat = start_heartbeat
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._ready: concurrent.futures.Future = concurrent.futures.Future()
 
-    def start(self, timeout: float = 30.0) -> "ThreadedClusterRouter":
-        if self._thread is not None:
-            raise ServiceError("router thread already started")
-        self._thread = threading.Thread(target=self._run_thread, daemon=True,
-                                        name="cluster-router-loop")
-        self._thread.start()
-        self._ready.result(timeout=timeout)
-        return self
-
-    def _run_thread(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            for index, (host, port) in enumerate(self._workers):
-                await self.router.attach(f"w{index}", host, port)
-            await self.router.start()
-            if self._start_heartbeat:
-                self.router.manager.start_heartbeat()
-        except BaseException as exc:  # noqa: BLE001 - relayed to start()
-            self._ready.set_exception(exc)
-            return
-        self._ready.set_result(self.router.port)
-        await self._stop.wait()
-        await self.router.close()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._thread is None:
-            return
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=timeout)
-        self._thread = None
-
-    def run(self, coroutine, timeout: float = 60.0):
-        """Execute a coroutine on the router's event loop (thread-safe)."""
-        if self._loop is None:
-            raise ServiceError("router thread is not running")
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=timeout)
-
-    @property
-    def port(self) -> int:
-        return self.router.port
+    async def _start_front(self) -> None:
+        for index, (host, port) in enumerate(self._workers):
+            await self.router.attach(f"w{index}", host, port)
+        await self.router.start()
+        if self._start_heartbeat:
+            self.router.manager.start_heartbeat()
 
     @property
     def manager(self) -> ClusterManager:
         return self.router.manager
-
-    def __enter__(self) -> "ThreadedClusterRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

@@ -72,8 +72,11 @@ class ServerError(ReproError):
 
     Raised client-side when a server replies ``ok: false``; the protocol
     error code is preserved in :attr:`code` so callers can branch without
-    parsing messages.
+    parsing messages.  A cluster router's worker links also keep the reply
+    itself in :attr:`reply`, to pass a worker's verdict on unchanged.
     """
+
+    reply: dict | None = None
 
     def __init__(self, message: str, *, code: str = "error") -> None:
         super().__init__(message)

@@ -1,22 +1,26 @@
 """Async network serving layer for the sketch service.
 
-The package puts a long-lived :class:`~repro.service.service.EstimationService`
-behind an asyncio TCP server speaking newline-delimited JSON
-(:mod:`repro.server.protocol`), with three load-bearing pieces:
+One serving front, two placements.  :class:`~repro.server.front.ServingFront`
+is the protocol endpoint — pipelined in-order connections, ``auth`` and
+tenant gating, per-tenant quota admission, request dispatch, the
+``ping`` / ``tenant`` verbs and the ``stats`` / ``metrics`` reply shapes —
+written once.  Where the counters live is a subclass:
 
-* :class:`~repro.server.coalescer.EstimateCoalescer` — micro-batches
-  concurrent ``estimate`` requests into single ``estimate_batch`` engine
-  calls (bit-identical results, ~one scalar call's cost per batch),
-* :class:`~repro.server.server.SketchServer` — pipelined in-order
-  connections, executor-offloaded ingest, admission control with
-  structured ``overloaded`` errors, and live ``reload`` hot-swaps from
-  binary snapshots without dropping connections,
-* :class:`~repro.server.runner.ThreadedServer` — a synchronous handle
-  that drives the server on a background event-loop thread.
+* :class:`~repro.server.server.SketchServer` — one local
+  :class:`~repro.service.service.EstimationService`, its estimates
+  micro-batched by the :class:`~repro.server.coalescer.EstimateCoalescer`
+  into single engine calls; live ``reload``, WAL and snapshot verbs,
+* :class:`~repro.cluster.router.ClusterRouter` (in :mod:`repro.cluster`) —
+  a hash-partitioned worker fleet behind scatter-gather.
 
-Connections start in NDJSON and may negotiate the length-prefixed binary
-frame format of :mod:`repro.server.wire` via a ``hello`` request (raw
-tensor bytes, zero-copy decode; see the README's "Wire formats" section).
+:func:`~repro.server.front.serve` runs either until signalled;
+:class:`~repro.server.runner.ThreadedServer` drives a server on a
+background event-loop thread.
+
+Connections start in NDJSON (:mod:`repro.server.protocol`) and may
+negotiate the length-prefixed binary frame format of
+:mod:`repro.server.wire` via a ``hello`` request (raw tensor bytes,
+zero-copy decode; see the README's "Wire formats" section).
 
 The matching synchronous client lives in :mod:`repro.client`.
 """
@@ -36,8 +40,9 @@ from repro.server.protocol import (
     ok_payload,
     raise_for_response,
 )
+from repro.server.front import serve
 from repro.server.runner import ThreadedServer
-from repro.server.server import ServerConfig, SketchServer, serve
+from repro.server.server import ServerConfig, SketchServer
 from repro.server.wire import WIRE_BINARY, WIRE_FORMATS, WIRE_NDJSON
 
 __all__ = [

@@ -1,8 +1,8 @@
 """Connection authentication and per-request tenant scoping.
 
-Shared by :class:`~repro.server.server.SketchServer` and
-:class:`~repro.cluster.router.ClusterRouter` so the auth handshake, the
-op gating table, and the namespace rewriting exist exactly once.
+The auth handshake, the op gating table and the namespace rewriting that
+:class:`~repro.server.front.ServingFront` applies to every request, for a
+single server and a cluster router alike.
 
 The model: a connection starts unauthenticated.  An ``{"op": "auth",
 "token": ...}`` step binds it to a *principal* — a tenant id from the
@@ -146,10 +146,8 @@ def _scoped(request: Mapping, tenant_id: str) -> dict:
     return scoped
 
 
-def unscope_reply(payload: dict, tenant: str | None) -> dict:
+def unscope_reply(payload: dict, tenant: str) -> dict:
     """Strip the tenant prefix from a reply's echoed ``name`` field."""
-    if tenant is None:
-        return payload
     prefix = tenant + TENANT_SEP
     name = payload.get("name")
     if isinstance(name, str) and name.startswith(prefix):
@@ -172,7 +170,8 @@ def scoped_stats(stats: dict, tenant: str) -> dict:
         scoped["cached_views"] = [name[len(prefix):] for name in cached
                                   if isinstance(name, str)
                                   and name.startswith(prefix)]
-    # Registry-wide and operator-facing blocks are not a tenant's business.
-    for key in ("wal", "tenants"):
+    # Registry-wide and operator-facing blocks (a router's fleet topology
+    # among them) are not a tenant's business.
+    for key in ("wal", "tenants", "cluster"):
         scoped.pop(key, None)
     return scoped

@@ -1,0 +1,429 @@
+"""The serving front: one protocol endpoint, wherever the counters live.
+
+Sketches are linear — counters add — so one process holding every counter
+and a hash-partitioned fleet of them compute the *same* estimate; where
+the counters live is a placement choice beneath one query interface.
+:class:`ServingFront` is that interface, written once:
+
+* the listener and executor lifecycle (``start`` / ``serve_forever`` /
+  ``close``) and the pipelined in-order connections of
+  :func:`repro.server.wire.serve_connection`,
+* authentication, per-tenant admission (token buckets, in-flight caps)
+  and request dispatch — gate, namespace, charge quota, run the handler,
+  map failures onto the wire taxonomy, count per-tenant outcomes,
+* the placement-independent verbs: ``ping``, ``tenant`` and the shape of
+  ``stats`` / ``metrics`` replies,
+* :func:`serve`, the signal-aware run loop of the CLI, and
+  :meth:`ServingFront.serve_lines`, the listener-less loop behind stdin
+  ``serve``.
+
+The two placements subclass it and keep only what differs:
+:class:`~repro.server.server.SketchServer` answers from a local
+:class:`~repro.service.service.EstimationService` through the request
+coalescer, :class:`~repro.cluster.router.ClusterRouter` scatters to a
+worker fleet and reduces.  Each supplies its data-plane ``_op_*`` handlers
+and a few hooks (:attr:`ServingFront.tenants`, ``_tenant_apply``,
+``_describe``, ``_drain``, ``_failure``).
+"""
+
+from __future__ import annotations
+
+import asyncio
+import contextlib
+import signal
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
+
+import numpy as np
+
+from repro.errors import AuthenticationError, ReproError, ServiceError
+from repro.server import auth, protocol, wire
+from repro.server.metrics import ServerMetrics
+from repro.tenancy import TenantAdmission, TenantQuota, hash_token
+
+@dataclass(frozen=True)
+class FrontConfig:
+    """Tunables every serving front has (see the two subclasses)."""
+
+    host: str = "127.0.0.1"
+    port: int = 0  # 0 = let the OS pick (the bound port is on the front)
+    max_inflight_per_connection: int = 128
+    max_line_bytes: int = protocol.MAX_LINE_BYTES
+    executor_workers: int = 4
+    binary_wire: bool = True  # offer the binary frame format on hello
+    admin_token: str | None = None  # grants the unscoped administrative role
+
+    def __post_init__(self) -> None:
+        if self.max_inflight_per_connection < 1:
+            raise ServiceError("max_inflight_per_connection must be positive")
+
+
+class ServingFront:
+    """Connections, auth, admission, dispatch and tenant administration.
+
+    Subclasses set :attr:`_HANDLERS` (op -> ``async handler(self, request,
+    scope)``) on top of the base table and provide :attr:`tenants`.
+    """
+
+    #: The tenant registry requests are gated by (``None`` = open serving).
+    tenants: Any
+    #: Extra fields of this placement's ``ping`` reply.
+    _PING_FIELDS: dict = {}
+
+    def __init__(self, config: FrontConfig) -> None:
+        self.config = config
+        self.metrics = ServerMetrics()
+        # Blocking work (NumPy, locks, files) runs here, never on the loop;
+        # worker threads only start with the first submitted call.
+        self._executor = ThreadPoolExecutor(
+            max_workers=config.executor_workers,
+            thread_name_prefix=type(self).__name__)
+        self._tcp_server: asyncio.base_events.Server | None = None
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._admin_token_hash = (hash_token(config.admin_token)
+                                  if config.admin_token else None)
+        # Per-tenant admission state (token buckets, in-flight estimate
+        # counts); entries rebuild lazily when a tenant's quota changes.
+        self._admissions: dict[str, TenantAdmission] = {}
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    @property
+    def port(self) -> int:
+        """The actually-bound TCP port (useful with ``port=0``)."""
+        if self._tcp_server is None:
+            raise ServiceError(f"{type(self).__name__} is not started")
+        return self._tcp_server.sockets[0].getsockname()[1]
+
+    async def start(self):
+        cfg = self.config
+        self._tcp_server = await asyncio.start_server(
+            self._handle_connection, host=cfg.host, port=cfg.port,
+            limit=cfg.max_line_bytes)
+        return self
+
+    async def serve_forever(self) -> None:
+        if self._tcp_server is None:
+            await self.start()
+        await self._tcp_server.serve_forever()
+
+    async def close(self) -> None:
+        """Stop accepting connections and drain in-flight work.
+
+        Established connections are closed (their readers see EOF, so
+        handlers finish any requests already admitted); clients observe a
+        clean disconnect instead of a dangling socket.
+        """
+        if self._tcp_server is not None:
+            self._tcp_server.close()
+            await self._tcp_server.wait_closed()
+        for writer in list(self._connections):
+            writer.close()
+        while self._connections:
+            await asyncio.sleep(0.01)
+        await self._drain()
+        self._executor.shutdown(wait=True)
+
+    async def _drain(self) -> None:
+        """Finish or release what this placement still holds at close."""
+
+    async def _run_blocking(self, func, *args):
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, func, *args)
+
+    # -- connection handling ------------------------------------------------------
+
+    @property
+    def wire_formats(self) -> tuple[str, ...]:
+        """Formats this front offers in the ``hello`` handshake."""
+        if self.config.binary_wire:
+            return wire.WIRE_FORMATS
+        return (wire.WIRE_NDJSON,)
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        # The pipelined in-order reader/writer pair and the binary-frame
+        # negotiation live in repro.server.wire.serve_connection.
+        self.metrics.connections_opened += 1
+        self.metrics.connections_active += 1
+        self._connections.add(writer)
+        try:
+            await wire.serve_connection(self, reader, writer)
+        finally:
+            self.metrics.connections_active -= 1
+            self._connections.discard(writer)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def serve_lines(self, lines: Iterable[str],
+                          write: Callable[[dict], None]) -> None:
+        """Answer NDJSON requests from ``lines`` — stdin ``serve``, no listener.
+
+        One request at a time through the same handler table a connection
+        uses; the stream's owner is the process's operator, so requests
+        run with the administrative role (a tenant registry loaded from a
+        snapshot does not lock its owner out).  Ends at ``quit`` or end of
+        input, then drains and closes the front.
+        """
+        try:
+            for line in lines:
+                if not line.strip():
+                    continue
+                try:
+                    request = protocol.decode(line)
+                except ReproError as exc:
+                    write(protocol.error_payload_for(exc))
+                    continue
+                if request.get("op") == "quit":
+                    write(protocol.ok_payload("quit", request))
+                    break
+                write(await self._process(request, auth.ADMIN))
+        finally:
+            await self.close()
+
+    # -- authentication and admission ---------------------------------------------
+
+    def authenticate(self, request: dict) -> tuple[dict, str | None]:
+        """Resolve an ``auth`` request: ``(reply, bound principal | None)``."""
+        return auth.authenticate_request(self.tenants,
+                                         self._admin_token_hash, request)
+
+    def _admission(self, record) -> TenantAdmission:
+        """The (lazily rebuilt) admission state for one tenant record."""
+        entry = self._admissions.get(record.tenant_id)
+        if entry is None or entry.quota != record.quota:
+            entry = TenantAdmission(record.tenant_id, record.quota,
+                                    now=asyncio.get_running_loop().time())
+            self._admissions[record.tenant_id] = entry
+        return entry
+
+    async def _admitted(self, handler, request: dict,
+                        scope: auth.Scope) -> dict:
+        """Run a handler under the scope tenant's quota accounting.
+
+        Quotas are charged at the authenticating edge, exactly once: what a
+        router forwards carries ``scoped: true`` and its workers never
+        re-charge it.
+        """
+        op = request.get("op")
+        entry = self._admission(scope.record)
+        if op == "ingest":
+            # One token per row, whatever carried the rows: JSON lists on
+            # NDJSON, an int64 tensor on the binary wire.  Anything else is
+            # charged as one and then refused by boxes_from_rows.
+            boxes = request.get("boxes")
+            sized = (isinstance(boxes, (list, tuple))
+                     or (isinstance(boxes, np.ndarray) and boxes.ndim > 0))
+            entry.admit_ingest(len(boxes) if sized else 1,
+                               asyncio.get_running_loop().time())
+        elif op == "estimate":
+            entry.acquire_estimate()
+            try:
+                return await handler(self, request, scope)
+            finally:
+                entry.release_estimate()
+        return await handler(self, request, scope)
+
+    # -- request dispatch ---------------------------------------------------------
+
+    async def _process(self, request: dict,
+                       principal: str | None = None) -> dict:
+        op = str(request.get("op"))
+        try:
+            scope = auth.resolve_scope(self.tenants, principal, request)
+        except ReproError as exc:
+            return protocol.error_payload_for(exc, op=op, request=request)
+        tenant = scope.tenant
+        scoped = dict(scope.request)
+        if tenant is not None:
+            self.metrics.record_tenant_request(tenant, op)
+            # The tenant rides in the request as its label: a router
+            # forwards it over its admin-authenticated worker links, so
+            # workers attribute metrics and fair-share queueing to it.
+            scoped.setdefault("tenant", tenant)
+        try:
+            if op == "tenant":
+                payload = await self._op_tenant(scoped, principal)
+            else:
+                handler = self._HANDLERS.get(op)
+                if handler is None:
+                    payload = protocol.error_payload(
+                        f"unknown op {op!r}", code="unknown_op", op=op,
+                        request=request)
+                elif scope.enforce_quota:
+                    payload = await self._admitted(handler, scoped, scope)
+                else:
+                    payload = await handler(self, scoped, scope)
+        except Exception as exc:
+            payload = self._failure(exc, op, request)
+        if tenant is not None:
+            if not payload.get("ok"):
+                self.metrics.record_tenant_error(tenant,
+                                                 payload.get("error_code"))
+            payload = auth.unscope_reply(payload, tenant)
+        return payload
+
+    def _failure(self, exc: Exception, op: str, request: dict) -> dict:
+        """The error reply for an exception a handler raised."""
+        return protocol.error_payload_for(exc, op=op, request=request)
+
+    # -- placement-independent verbs ----------------------------------------------
+
+    async def _op_ping(self, request: dict, scope: auth.Scope) -> dict:
+        return protocol.ok_payload("ping", request,
+                                   version=protocol.PROTOCOL_VERSION,
+                                   **self._PING_FIELDS)
+
+    async def _describe(self) -> tuple[dict, dict]:
+        """``(stats body, extra fields of its "server" block)``."""
+        raise NotImplementedError
+
+    async def _op_stats(self, request: dict, scope: auth.Scope) -> dict:
+        description, edge = await self._describe()
+        description["server"] = {
+            "connections_active": self.metrics.connections_active,
+            "reloads": self.metrics.reloads,
+            "wire": self.metrics.wire_state(), **edge}
+        if scope.tenant is not None:
+            description = auth.scoped_stats(description, scope.tenant)
+        description["tenant_metrics"] = self.metrics.tenant_state(scope.tenant)
+        return protocol.ok_payload("stats", request, **description)
+
+    def _metrics_reply(self, request: dict, text: str, **fields) -> dict:
+        """A ``metrics`` reply: the text exposition plus the structured
+        counters every front owns (a router aggregates its fleet from the
+        workers' copies of these without re-parsing the text)."""
+        metrics = self.metrics
+        common = {"uptime": metrics.uptime,
+                  "requests": dict(metrics.requests),
+                  "errors": dict(metrics.errors),
+                  "connections_active": metrics.connections_active,
+                  "estimate_qps": metrics.estimate_qps(),
+                  "wire": metrics.wire_state()}
+        return protocol.ok_payload("metrics", request, text=text,
+                                   **{**common, **fields})
+
+    # -- tenant administration ----------------------------------------------------
+
+    def _tenant_info(self, tenant_id: str, *, include_hash: bool) -> dict:
+        if self.tenants is None:
+            raise ServiceError("no tenant registry is attached")
+        record = self.tenants.require(tenant_id)
+        info = record.to_dict()
+        if not include_hash:
+            info.pop("token_hash", None)
+        fields = {"tenant": record.tenant_id, "record": info,
+                  "metrics": self.metrics.tenant_state(record.tenant_id)}
+        entry = self._admissions.get(record.tenant_id)
+        if entry is not None and entry.quota == record.quota:
+            fields["admission"] = entry.describe(
+                asyncio.get_running_loop().time())
+        return fields
+
+    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
+                            **changes):
+        """Apply one registry mutation (``create`` / ``update`` / ``remove``)
+        wherever this placement keeps its registry; returns the record."""
+        raise NotImplementedError
+
+    async def _op_tenant(self, request: dict,
+                         principal: str | None = None) -> dict:
+        action = str(request.get("action", "list"))
+        if principal is not None and principal != auth.ADMIN:
+            # A tenant principal may only describe itself — never another
+            # tenant, and never mutate the registry.
+            if action != "describe":
+                raise AuthenticationError(
+                    f"tenant action {action!r} requires admin access")
+            if str(request.get("tenant", principal)) != principal:
+                raise AuthenticationError("a tenant may only describe itself")
+            return protocol.ok_payload(
+                "tenant", request, action="describe",
+                **self._tenant_info(principal, include_hash=False))
+        if action == "list":
+            tenants = self.tenants.describe() if self.tenants is not None else {}
+            return protocol.ok_payload("tenant", request, action="list",
+                                       tenants=tenants)
+        if action == "describe":
+            return protocol.ok_payload(
+                "tenant", request, action="describe",
+                **self._tenant_info(str(request["tenant"]),
+                                    include_hash=True))
+        changes: dict = {}
+        if action == "create":
+            changes["token"] = str(request["token"])
+            changes["quota"] = (TenantQuota.from_dict(request["quota"])
+                                if request.get("quota") else None)
+        elif action == "update":
+            if request.get("token") is not None:
+                changes["token"] = str(request["token"])
+            if request.get("quota") is not None:
+                changes["quota"] = TenantQuota.from_dict(request["quota"])
+            if request.get("disabled") is not None:
+                changes["disabled"] = bool(request["disabled"])
+        elif action in ("disable", "enable"):
+            changes["disabled"] = action == "disable"
+        elif action != "remove":
+            raise ServiceError(f"unknown tenant action {action!r}")
+        # disable / enable are updates of one field.
+        verb = action if action in ("create", "remove") else "update"
+        record = await self._tenant_apply(verb, str(request["tenant"]),
+                                          request, **changes)
+        if action == "remove":
+            self._admissions.pop(record.tenant_id, None)
+            return protocol.ok_payload("tenant", request, action="remove",
+                                       tenant=record.tenant_id)
+        return protocol.ok_payload("tenant", request, action=action,
+                                   tenant=record.tenant_id,
+                                   record=record.to_dict())
+
+    _HANDLERS: dict = {"ping": _op_ping, "stats": _op_stats}
+
+
+async def serve(front: ServingFront, *, ready=None,
+                shutdown: asyncio.Event | None = None,
+                install_signal_handlers: bool = False) -> None:
+    """Start a front and run it until cancelled or shut down.
+
+    ``ready``, when given, is a callable invoked with the started front
+    (used to print the bound address and by tests to capture the port).
+    ``shutdown`` is an optional event that ends the loop *gracefully*:
+    stop accepting, let admitted requests finish, drain — then return (so
+    callers can flush a final snapshot).  With
+    ``install_signal_handlers=True`` SIGTERM and SIGINT set that event
+    instead of killing the process — the CLI's graceful-shutdown path.
+    """
+    await front.start()
+    stop = shutdown if shutdown is not None else asyncio.Event()
+    loop = asyncio.get_running_loop()
+    installed: list[signal.Signals] = []
+    if install_signal_handlers:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, stop.set)
+                installed.append(signum)
+            except (NotImplementedError, ValueError,
+                    RuntimeError):  # pragma: no cover - non-POSIX loops
+                pass
+    if ready is not None:
+        ready(front)
+    forever = asyncio.create_task(front.serve_forever())
+    waiter = asyncio.create_task(stop.wait())
+    try:
+        await asyncio.wait({forever, waiter},
+                           return_when=asyncio.FIRST_COMPLETED)
+    except asyncio.CancelledError:
+        pass
+    finally:
+        for task in (forever, waiter):
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await task
+        for signum in installed:
+            with contextlib.suppress(ValueError, RuntimeError):
+                loop.remove_signal_handler(signum)
+        await front.close()

@@ -37,17 +37,30 @@ def label_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n").replace('"', '\\"')
 
 
+def metric_line(metric: str, value, /, **labels) -> str:
+    """One exposition line, ``metric{label="value",...} value``.
+
+    Floats print with three decimals, counters as they are; labels keep the
+    order they are given in.
+    """
+    if labels:
+        metric += "{" + ",".join(f'{key}="{label_value(str(label))}"'
+                                 for key, label in labels.items()) + "}"
+    if isinstance(value, float):
+        return f"{metric} {value:.3f}"
+    return f"{metric} {value}"
+
+
 def sign_table_lines(prefix: str, stats: Mapping) -> list[str]:
     """Exposition lines for a :func:`repro.core.hashing.sign_table_stats`.
 
     Live tables and their bytes are gauges; builds and directly hashed ids
     only ever grow and carry the ``_total`` suffix.
     """
-    lines = []
-    for key, value in stats.items():
-        suffix = "" if key in ("sign_tables", "sign_table_bytes") else "_total"
-        lines.append(f"{prefix}{key}{suffix} {value}")
-    return lines
+    return [metric_line(
+        prefix + key + ("" if key in ("sign_tables", "sign_table_bytes")
+                        else "_total"), value)
+        for key, value in stats.items()]
 
 
 class WireCounters:
@@ -120,8 +133,12 @@ class ServerMetrics:
         return {format: counters.as_dict()
                 for format, counters in sorted(self.wire.items())}
 
-    def record_estimate_latency(self, seconds: float) -> None:
-        self._samples.append((time.monotonic(), seconds))
+    def record_estimate_latency(self, seconds: float,
+                                tenant: str | None = None) -> None:
+        sample = (time.monotonic(), seconds)
+        self._samples.append(sample)
+        if tenant is not None:
+            self._tenant(tenant).samples.append(sample)
 
     # -- per-tenant recording -----------------------------------------------------
 
@@ -134,16 +151,11 @@ class ServerMetrics:
     def record_tenant_request(self, tenant: str, op: str) -> None:
         self._tenant(tenant).requests[op or "unknown"] += 1
 
-    def record_tenant_error(self, tenant: str) -> None:
-        self._tenant(tenant).errors += 1
-
-    def record_quota_rejection(self, tenant: str) -> None:
+    def record_tenant_error(self, tenant: str, code: str) -> None:
         counters = self._tenant(tenant)
         counters.errors += 1
-        counters.quota_rejections += 1
-
-    def record_tenant_latency(self, tenant: str, seconds: float) -> None:
-        self._tenant(tenant).samples.append((time.monotonic(), seconds))
+        if code == "quota_exceeded":
+            counters.quota_rejections += 1
 
     def tenant_state(self, tenant: str | None = None) -> dict:
         """Per-tenant qps/p50/p99/quota-reject block for ``stats``/``metrics``.
@@ -204,146 +216,110 @@ class ServerMetrics:
 
     # -- rendering ----------------------------------------------------------------
 
+    def front_lines(self, prefix: str, *, tenant_ops: bool) -> list[str]:
+        """Exposition lines for what every serving front counts.
+
+        A server renders them as ``repro_server_*``, a cluster router as
+        ``repro_cluster_*``.  Families stay contiguous (Prometheus requires
+        it) and per-tenant series have metric names of their own, so a
+        ``sum()`` over an aggregate never double-counts them.  ``tenant_ops``
+        says whether ``tenant_requests_total`` is labelled per op (a server)
+        or is one total per tenant (a router).
+        """
+        lines = [metric_line(f"{prefix}uptime_seconds", self.uptime),
+                 metric_line(f"{prefix}connections_opened_total",
+                             self.connections_opened),
+                 metric_line(f"{prefix}connections_active",
+                             self.connections_active)]
+        lines += [metric_line(f"{prefix}requests_total", count, op=op)
+                  for op, count in sorted(self.requests.items())]
+        lines += [metric_line(f"{prefix}errors_total", count, code=code)
+                  for code, count in sorted(self.errors.items())]
+        for family in ("frames", "bytes"):
+            for format, counters in sorted(self.wire.items()):
+                for direction in ("in", "out"):
+                    lines.append(metric_line(
+                        f"{prefix}wire_{family}_total",
+                        getattr(counters, f"{family}_{direction}"),
+                        format=format, direction=direction))
+        lines.append(metric_line(f"{prefix}estimate_qps", self.estimate_qps()))
+        for q, seconds in sorted(self.latency_quantiles().items()):
+            lines.append(metric_line(f"{prefix}estimate_latency_ms",
+                                     seconds * 1000.0, quantile=q))
+        tenants = self.tenant_state()
+        for tenant, state in tenants.items():
+            if tenant_ops:
+                lines += [metric_line(f"{prefix}tenant_requests_total", count,
+                                      tenant=tenant, op=op)
+                          for op, count in state["by_op"].items()]
+            else:
+                lines.append(metric_line(f"{prefix}tenant_requests_total",
+                                         state["requests"], tenant=tenant))
+        for key, family in (("errors", "tenant_errors_total"),
+                            ("quota_rejections", "tenant_quota_rejected_total"),
+                            ("estimate_qps", "tenant_estimate_qps")):
+            lines += [metric_line(prefix + family, state[key], tenant=tenant)
+                      for tenant, state in tenants.items()]
+        for tenant, state in tenants.items():
+            for q, key in ((0.5, "estimate_p50_ms"), (0.99, "estimate_p99_ms")):
+                lines.append(metric_line(
+                    f"{prefix}tenant_estimate_latency_ms", state[key],
+                    tenant=tenant, quantile=q))
+        return lines
+
     def render_text(self, *, service_stats: ServiceStats,
-                    coalescer_stats: CoalescerStats,
-                    queue_depth: int,
-                    executor_stats: dict | None = None,
-                    sign_tables: dict | None = None) -> str:
-        """The plain-text exposition served by the ``metrics`` verb.
+                    coalescer_stats: CoalescerStats, queue_depth: int,
+                    executor_stats: Mapping, sign_tables: Mapping) -> str:
+        """The plain-text exposition a server's ``metrics`` verb serves.
 
         ``executor_stats`` is a
-        :meth:`~repro.core.program.ExecutorStats.as_dict` snapshot; when
-        given, it is rendered as the ``repro_server_program_*`` family.
-        ``sign_tables`` is :func:`repro.core.hashing.sign_table_stats`:
-        the process's interned xi sign tables, the bytes they (and the
-        cover-sum tables derived from them) hold, and the running totals
-        of table builds and directly hashed ids.
+        :meth:`~repro.core.program.ExecutorStats.as_dict` snapshot, rendered
+        as the ``repro_server_program_*`` family.  ``sign_tables`` is
+        :func:`repro.core.hashing.sign_table_stats`: the process's interned
+        xi sign tables, the bytes they (and the cover-sum tables derived
+        from them) hold, and the running totals of table builds and
+        directly hashed ids.
         """
+        coalesce = coalescer_stats
         lines = ["# repro sketch server metrics",
-                 f"repro_server_uptime_seconds {self.uptime:.3f}",
-                 f"repro_server_connections_opened_total {self.connections_opened}",
-                 f"repro_server_connections_active {self.connections_active}",
-                 f"repro_server_reloads_total {self.reloads}"]
-        for op in sorted(self.requests):
-            lines.append(f'repro_server_requests_total{{op="{label_value(op)}"}} '
-                         f"{self.requests[op]}")
-        for code in sorted(self.errors):
-            lines.append(f'repro_server_errors_total{{code="{label_value(code)}"}} '
-                         f"{self.errors[code]}")
-        # Wire-format traffic: one frames family, one bytes family, both
-        # labelled by format and direction (families stay contiguous).
-        for format in sorted(self.wire):
-            counters = self.wire[format]
-            for direction, count in (("in", counters.frames_in),
-                                     ("out", counters.frames_out)):
-                lines.append(
-                    "repro_server_wire_frames_total"
-                    f'{{format="{label_value(format)}",'
-                    f'direction="{direction}"}} {count}')
-        for format in sorted(self.wire):
-            counters = self.wire[format]
-            for direction, count in (("in", counters.bytes_in),
-                                     ("out", counters.bytes_out)):
-                lines.append(
-                    "repro_server_wire_bytes_total"
-                    f'{{format="{label_value(format)}",'
-                    f'direction="{direction}"}} {count}')
-        quantiles = self.latency_quantiles()
-        lines.append(f"repro_server_estimate_qps {self.estimate_qps():.3f}")
-        for q, seconds in sorted(quantiles.items()):
-            lines.append(f'repro_server_estimate_latency_ms{{quantile="{q}"}} '
-                         f"{seconds * 1000.0:.3f}")
-        lines.append(f"repro_server_queue_depth {queue_depth}")
-        lines.append(
-            f"repro_server_coalesce_batches_total {coalescer_stats.batches}")
-        lines.append("repro_server_coalesced_queries_total "
-                     f"{coalescer_stats.batched_queries}")
-        lines.append("repro_server_coalesce_rejected_total "
-                     f"{coalescer_stats.rejected}")
-        lines.append(
-            f"repro_server_coalesce_factor {coalescer_stats.coalesce_factor:.3f}")
-        lines.append("repro_server_coalesce_cross_estimator_dispatches_total "
-                     f"{coalescer_stats.cross_dispatches}")
-        # Per-estimator series use their own metric names (never the
-        # aggregate ones above): Prometheus metric families must be
-        # contiguous, and sharing a name would double-count on sum().
-        ordered = sorted(coalescer_stats.per_estimator)
-        for name in ordered:
-            per = coalescer_stats.per_estimator[name]
-            lines.append(
-                "repro_server_estimator_coalesced_queries_total"
-                f'{{name="{label_value(name)}"}} {per.queries}')
-        for name in ordered:
-            per = coalescer_stats.per_estimator[name]
-            lines.append(
-                "repro_server_estimator_coalesce_dispatches_total"
-                f'{{name="{label_value(name)}"}} {per.dispatches}')
-        for name in ordered:
-            per = coalescer_stats.per_estimator[name]
-            lines.append(
-                "repro_server_estimator_coalesce_factor"
-                f'{{name="{label_value(name)}"}} {per.coalesce_factor:.3f}')
-        # Per-tenant families ({tenant=...} labels): again their own metric
-        # names so each family is contiguous and never double-counts the
-        # aggregates above.
-        tenant_names = sorted(self.tenants)
-        for tenant in tenant_names:
-            counters = self.tenants[tenant]
-            for op in sorted(counters.requests):
-                lines.append(
-                    "repro_server_tenant_requests_total"
-                    f'{{tenant="{label_value(tenant)}",op="{label_value(op)}"}} '
-                    f"{counters.requests[op]}")
-        for tenant in tenant_names:
-            lines.append(
-                "repro_server_tenant_errors_total"
-                f'{{tenant="{label_value(tenant)}"}} '
-                f"{self.tenants[tenant].errors}")
-        for tenant in tenant_names:
-            lines.append(
-                "repro_server_tenant_quota_rejected_total"
-                f'{{tenant="{label_value(tenant)}"}} '
-                f"{self.tenants[tenant].quota_rejections}")
-        for tenant in tenant_names:
-            lines.append(
-                "repro_server_tenant_estimate_qps"
-                f'{{tenant="{label_value(tenant)}"}} '
-                f"{self._sample_qps(self.tenants[tenant].samples):.3f}")
-        for tenant in tenant_names:
-            ordered = sorted(latency
-                             for _, latency in self.tenants[tenant].samples)
-            for q in (0.5, 0.99):
-                lines.append(
-                    "repro_server_tenant_estimate_latency_ms"
-                    f'{{tenant="{label_value(tenant)}",quantile="{q}"}} '
-                    f"{quantile(ordered, q) * 1000.0:.3f}")
-        for tenant in sorted(coalescer_stats.per_tenant):
-            per = coalescer_stats.per_tenant[tenant]
-            lines.append(
-                "repro_server_tenant_coalesced_queries_total"
-                f'{{tenant="{label_value(tenant)}"}} {per.queries}')
-        cache_reads = service_stats.cache_hits + service_stats.cache_misses
-        hit_rate = service_stats.cache_hits / cache_reads if cache_reads else 0.0
-        lines.append(f"repro_service_cache_hit_rate {hit_rate:.3f}")
-        lines.append(
-            f"repro_service_view_evictions_total {service_stats.evictions}")
-        lines.append(f"repro_service_estimates_total {service_stats.estimates}")
-        lines.append(
-            f"repro_service_batch_estimates_total {service_stats.batch_estimates}")
-        lines.append("repro_service_coalesced_queries_total "
-                     f"{service_stats.coalesced_queries}")
-        lines.append(
-            f"repro_service_ingested_boxes_total {service_stats.ingested_boxes}")
-        # Delta propagation: every cache miss is resolved either by an
-        # O(delta) apply onto the previous cached view or by a full shard
-        # re-merge — the two totals below sum to the miss count.
-        lines.append(
-            f"repro_server_delta_applies_total {service_stats.delta_applies}")
-        lines.append(
-            f"repro_server_view_rebuilds_total {service_stats.rebuilds}")
-        if executor_stats is not None:
-            for key in sorted(executor_stats):
-                lines.append(f"repro_server_program_{key} {executor_stats[key]}")
-        if sign_tables is not None:
-            lines.extend(sign_table_lines("repro_server_", sign_tables))
+                 *self.front_lines("repro_server_", tenant_ops=True)]
+        lines += [metric_line(f"repro_server_{metric}", value) for metric, value in (
+            ("reloads_total", self.reloads),
+            ("queue_depth", queue_depth),
+            ("coalesce_batches_total", coalesce.batches),
+            ("coalesced_queries_total", coalesce.batched_queries),
+            ("coalesce_rejected_total", coalesce.rejected),
+            ("coalesce_factor", coalesce.coalesce_factor),
+            ("coalesce_cross_estimator_dispatches_total",
+             coalesce.cross_dispatches))]
+        # Per-estimator (and per-tenant) coalescing again under metric names
+        # of their own, one contiguous family each.
+        per_estimator = sorted(coalesce.per_estimator.items())
+        for family, field in (("coalesced_queries_total", "queries"),
+                              ("coalesce_dispatches_total", "dispatches"),
+                              ("coalesce_factor", "coalesce_factor")):
+            lines += [metric_line(f"repro_server_estimator_{family}",
+                                  getattr(per, field), name=name)
+                      for name, per in per_estimator]
+        lines += [metric_line("repro_server_tenant_coalesced_queries_total",
+                              per.queries, tenant=tenant)
+                  for tenant, per in sorted(coalesce.per_tenant.items())]
+        stats = service_stats
+        cache_reads = stats.cache_hits + stats.cache_misses
+        lines += [metric_line(metric, value) for metric, value in (
+            ("repro_service_cache_hit_rate",
+             stats.cache_hits / cache_reads if cache_reads else 0.0),
+            ("repro_service_view_evictions_total", stats.evictions),
+            ("repro_service_estimates_total", stats.estimates),
+            ("repro_service_batch_estimates_total", stats.batch_estimates),
+            ("repro_service_coalesced_queries_total", stats.coalesced_queries),
+            ("repro_service_ingested_boxes_total", stats.ingested_boxes),
+            # Delta propagation: every cache miss is resolved either by an
+            # O(delta) apply onto the previous cached view or by a full
+            # shard re-merge — the two totals below sum to the miss count.
+            ("repro_server_delta_applies_total", stats.delta_applies),
+            ("repro_server_view_rebuilds_total", stats.rebuilds))]
+        lines += [metric_line(f"repro_server_program_{key}", value)
+                  for key, value in sorted(executor_stats.items())]
+        lines += sign_table_lines("repro_server_", sign_tables)
         return "\n".join(lines) + "\n"

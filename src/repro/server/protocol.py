@@ -66,9 +66,11 @@ from repro.errors import (
     QuotaExceededError,
     ReproError,
     ServerError,
+    ServiceError,
     SnapshotError,
 )
 from repro.geometry.boxset import BoxSet
+from repro.service.specs import EstimatorSpec
 
 PROTOCOL_VERSION = 1
 
@@ -216,6 +218,40 @@ def boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:
 def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
     """The inverse of :func:`boxes_from_rows`, for client-side encoding."""
     return np.hstack([boxes.lows, boxes.highs]).tolist()
+
+
+def register_request(name: str, *, family: str, sizes, instances: int = 256,
+                     seed: int = 0, options: Mapping | None = None) -> dict:
+    """The ``register`` request for one estimator — what a client sends a
+    front and a router sends its workers."""
+    return {"op": "register", "name": name, "family": family,
+            "sizes": list(sizes), "instances": instances, "seed": seed,
+            "options": dict(options or {})}
+
+
+def spec_from_register(request: Mapping[str, Any]) -> EstimatorSpec:
+    """The inverse of :func:`register_request`: the spec a request asks for."""
+    return EstimatorSpec.create(
+        request["family"], request["sizes"],
+        int(request.get("instances", 256)),
+        seed=int(request.get("seed", 0)),
+        **request.get("options", {}))
+
+
+def query_from_request(spec: EstimatorSpec,
+                       request: Mapping[str, Any]) -> BoxSet | None:
+    """An ``estimate`` request's ``query`` checked against the family: one
+    validated rectangle for queryable families, ``None`` for the rest."""
+    row = request.get("query")
+    if spec.info.queryable:
+        if row is None:
+            raise ServiceError(
+                f"family {spec.family!r} estimates need a query rectangle")
+        return boxes_from_rows([row], spec.dimension)
+    if row is not None:
+        raise ServiceError(
+            f"family {spec.family!r} does not take a query argument")
+    return None
 
 
 def estimate_fields(result) -> dict:

@@ -1,12 +1,14 @@
-"""Run a :class:`SketchServer` on a dedicated event-loop thread.
+"""Run a serving front on a dedicated event-loop thread.
 
-The asyncio server wants to own its loop; synchronous callers (the CLI's
+An asyncio front wants to own its loop; synchronous callers (the CLI's
 offline paths, tests, benchmarks, notebook users) want a handle they can
-start, query for the bound port, and stop.  :class:`ThreadedServer` bridges
+start, query for the bound port, and stop.  :class:`FrontThread` bridges
 the two: it spins up a daemon thread running ``asyncio``, starts the
-server, and exposes a thread-safe :meth:`stop`.
-
-::
+front, and exposes a thread-safe :meth:`~FrontThread.stop` and
+:meth:`~FrontThread.run`.  :class:`ThreadedServer` is the handle for a
+:class:`~repro.server.server.SketchServer`
+(:class:`~repro.cluster.router.ThreadedClusterRouter` the one for a
+router)::
 
     with ThreadedServer(service) as handle:
         client = ServiceClient("127.0.0.1", handle.port)
@@ -20,18 +22,17 @@ import concurrent.futures
 import threading
 
 from repro.errors import ServiceError
+from repro.server.front import ServingFront
 from repro.server.server import ServerConfig, SketchServer
 from repro.service.service import EstimationService
 
 
-class ThreadedServer:
-    """Owns one server plus the background thread driving its event loop."""
+class FrontThread:
+    """Owns one front plus the background thread driving its event loop."""
 
-    def __init__(self, service: EstimationService, *,
-                 config: ServerConfig | None = None,
-                 snapshot_path: str | None = None) -> None:
-        self.server = SketchServer(service, config=config,
-                                   snapshot_path=snapshot_path)
+    def __init__(self, front: ServingFront) -> None:
+        self._front = front
+        self._name = f"{type(front).__name__}-loop"
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
@@ -39,30 +40,32 @@ class ThreadedServer:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self, timeout: float = 30.0) -> "ThreadedServer":
+    def start(self, timeout: float = 30.0):
         if self._thread is not None:
-            raise ServiceError("server thread already started")
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="sketch-server-loop")
+            raise ServiceError(f"{self._name} thread already started")
+        self._thread = threading.Thread(
+            target=lambda: asyncio.run(self._main()), daemon=True,
+            name=self._name)
         self._thread.start()
         # Propagates a startup failure (e.g. port in use) to the caller.
         self._ready.result(timeout=timeout)
         return self
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
+    async def _start_front(self) -> None:
+        """Bring the front up on the loop (a router first attaches workers)."""
+        await self._front.start()
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            await self.server.start()
+            await self._start_front()
         except BaseException as exc:  # noqa: BLE001 - relayed to start()
             self._ready.set_exception(exc)
             return
-        self._ready.set_result(self.server.port)
+        self._ready.set_result(self._front.port)
         await self._stop.wait()
-        await self.server.close()
+        await self._front.close()
 
     def stop(self, timeout: float = 30.0) -> None:
         if self._thread is None:
@@ -72,11 +75,33 @@ class ThreadedServer:
         self._thread.join(timeout=timeout)
         self._thread = None
 
-    # -- conveniences -------------------------------------------------------------
+    def run(self, coroutine, timeout: float = 60.0):
+        """Execute a coroutine on the front's event loop (thread-safe)."""
+        if self._loop is None:
+            raise ServiceError(f"{self._name} thread is not running")
+        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        return future.result(timeout=timeout)
 
     @property
     def port(self) -> int:
-        return self.server.port
+        return self._front.port
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class ThreadedServer(FrontThread):
+    """A :class:`SketchServer` on its own loop thread."""
+
+    def __init__(self, service: EstimationService, *,
+                 config: ServerConfig | None = None,
+                 snapshot_path: str | None = None) -> None:
+        self.server = SketchServer(service, config=config,
+                                   snapshot_path=snapshot_path)
+        super().__init__(self.server)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -85,9 +110,3 @@ class ThreadedServer:
     @property
     def service(self) -> EstimationService:
         return self.server.service
-
-    def __enter__(self) -> "ThreadedServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

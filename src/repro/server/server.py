@@ -1,26 +1,27 @@
-"""The asyncio TCP sketch server.
+"""The sketch server: the serving front over one local service.
 
-:class:`SketchServer` puts a long-lived
-:class:`~repro.service.service.EstimationService` behind the
-newline-delimited JSON protocol of :mod:`repro.server.protocol`:
+:class:`SketchServer` is the :class:`~repro.server.front.ServingFront`
+whose counters live in this process, in a long-lived
+:class:`~repro.service.service.EstimationService`.  Connections, auth,
+quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
+``stats`` / ``metrics`` are the front's; this module adds what a local
+placement does with a request:
 
 * ``estimate`` requests flow through the request coalescer
-  (:mod:`repro.server.coalescer`) — concurrent queries for one estimator
-  are answered by a single batched engine call,
-* ``ingest`` / ``flush`` / ``snapshot`` run on a thread-pool executor so
-  NumPy-heavy work never blocks the event loop,
+  (:mod:`repro.server.coalescer`) — concurrent queries are answered by a
+  single batched engine call; when its admission queue is full, requests
+  get an immediate structured ``overloaded`` error instead of queueing
+  without bound,
+* ``ingest`` / ``flush`` / ``snapshot`` run on the front's thread-pool
+  executor so NumPy-heavy work never blocks the event loop,
 * ``reload`` hot-swaps the backing service from a snapshot file (binary v2
-  snapshots restore via ``np.memmap``) **without dropping connections** —
-  handlers resolve :attr:`service` per request,
-* per-connection pipelining with **in-order replies**: a reader task turns
-  lines into request tasks, a writer task writes each reply as soon as its
-  request finishes, preserving submission order; a per-connection in-flight
-  cap provides backpressure (the reader simply stops reading, so TCP flow
-  control pushes back on the client).
-
-Overload degrades gracefully: when the coalescer's admission queue is
-full, requests get an immediate structured ``overloaded`` error instead of
-queueing without bound.
+  snapshots restore via ``np.memmap``) or from inline bytes **without
+  dropping connections** — handlers resolve :attr:`SketchServer.service`
+  per request, and a WAL-attached service keeps its durability across the
+  swap,
+* ``wal`` ships and applies log tails, ``snapshot`` can ``fetch`` the
+  snapshot inline or ``checkpoint`` (snapshot + WAL truncation) — the
+  worker-level verbs a cluster manager drives.
 """
 
 from __future__ import annotations
@@ -28,46 +29,35 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import signal
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.core.hashing import sign_table_stats
-from repro.errors import AuthenticationError, ReproError, ServiceError
-from repro.server import auth, protocol, wire
+from repro.errors import ServiceError
+from repro.server import protocol
 from repro.server.coalescer import EstimateCoalescer
-from repro.server.metrics import ServerMetrics
+from repro.server.front import FrontConfig, ServingFront
 from repro.service.service import EstimationService
-from repro.tenancy import TenantAdmission, TenantQuota, hash_token
 
 
 @dataclass(frozen=True)
-class ServerConfig:
-    """Tunables of one :class:`SketchServer`."""
+class ServerConfig(FrontConfig):
+    """Tunables of one :class:`SketchServer`: the front's, plus coalescing."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 = let the OS pick (the bound port is on the server)
     max_batch: int = 64
     max_delay: float = 0.002  # seconds a query waits for batch companions
     max_queue: int = 1024  # admission cap (queued + in-flight queries)
-    max_inflight_per_connection: int = 128
-    max_line_bytes: int = protocol.MAX_LINE_BYTES
-    executor_workers: int = 4
-    binary_wire: bool = True  # offer the binary frame format on hello
-    admin_token: str | None = None  # grants the unscoped administrative role
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ServiceError("max_batch must be positive")
         if self.max_queue < 1:
             raise ServiceError("max_queue must be positive")
-        if self.max_inflight_per_connection < 1:
-            raise ServiceError("max_inflight_per_connection must be positive")
+        super().__post_init__()
 
 
-class SketchServer:
+class SketchServer(ServingFront):
     """Serves one :class:`EstimationService` over TCP.
 
     Parameters
@@ -83,22 +73,15 @@ class SketchServer:
     def __init__(self, service: EstimationService, *,
                  config: ServerConfig | None = None,
                  snapshot_path: str | None = None) -> None:
+        super().__init__(config or ServerConfig())
+        cfg = self.config
         self._service = service
-        self.config = config or ServerConfig()
-        self.metrics = ServerMetrics()
         self._snapshot_path = snapshot_path
-        self._executor: ThreadPoolExecutor | None = None
-        self._coalescer: EstimateCoalescer | None = None
-        self._tcp_server: asyncio.base_events.Server | None = None
-        self._reload_lock: asyncio.Lock | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
-        self._admin_token_hash = (hash_token(self.config.admin_token)
-                                  if self.config.admin_token else None)
-        # Per-tenant admission state (token buckets, in-flight estimate
-        # counts); entries rebuild lazily when a tenant's quota changes.
-        self._admissions: dict[str, TenantAdmission] = {}
-
-    # -- lifecycle ----------------------------------------------------------------
+        self.coalescer = EstimateCoalescer(
+            lambda: self._service, max_batch=cfg.max_batch,
+            max_delay=cfg.max_delay, max_queue=cfg.max_queue,
+            executor=self._executor)
+        self._reload_lock = asyncio.Lock()
 
     @property
     def service(self) -> EstimationService:
@@ -106,183 +89,33 @@ class SketchServer:
         return self._service
 
     @property
-    def coalescer(self) -> EstimateCoalescer:
-        if self._coalescer is None:
-            raise ServiceError("server is not started")
-        return self._coalescer
+    def tenants(self):
+        """The current service's tenant registry (``None`` = open serving)."""
+        return self._service.tenants
 
-    @property
-    def port(self) -> int:
-        """The actually-bound TCP port (useful with ``port=0``)."""
-        if self._tcp_server is None:
-            raise ServiceError("server is not started")
-        return self._tcp_server.sockets[0].getsockname()[1]
+    async def _drain(self) -> None:
+        await self.coalescer.drain()
 
-    async def start(self) -> "SketchServer":
-        cfg = self.config
-        self._executor = ThreadPoolExecutor(
-            max_workers=cfg.executor_workers,
-            thread_name_prefix="sketch-server")
-        self._coalescer = EstimateCoalescer(
-            lambda: self._service, max_batch=cfg.max_batch,
-            max_delay=cfg.max_delay, max_queue=cfg.max_queue,
-            executor=self._executor)
-        self._reload_lock = asyncio.Lock()
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, host=cfg.host, port=cfg.port,
-            limit=cfg.max_line_bytes)
-        return self
+    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
+                            **changes):
+        # tenant_create / tenant_update / tenant_remove: the service journals
+        # the mutation through its WAL and embeds it in snapshots.
+        return getattr(self._service, f"tenant_{verb}")(tenant_id, **changes)
 
-    async def serve_forever(self) -> None:
-        if self._tcp_server is None:
-            await self.start()
-        assert self._tcp_server is not None
-        await self._tcp_server.serve_forever()
+    # -- data-plane verbs ---------------------------------------------------------
 
-    async def close(self) -> None:
-        """Stop accepting connections and drain in-flight work.
-
-        Established connections are closed (their readers see EOF, so
-        handlers finish any requests already admitted); clients observe a
-        clean disconnect instead of a dangling socket.
-        """
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for writer in list(self._connections):
-            writer.close()
-        while self._connections:
-            await asyncio.sleep(0.01)
-        if self._coalescer is not None:
-            await self._coalescer.drain()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-
-    async def _run_blocking(self, func, *args):
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, func, *args)
-
-    # -- connection handling ------------------------------------------------------
-
-    @property
-    def wire_formats(self) -> tuple[str, ...]:
-        """Formats this server offers in the ``hello`` handshake."""
-        if self.config.binary_wire:
-            return wire.WIRE_FORMATS
-        return (wire.WIRE_NDJSON,)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        # The pipelined in-order reader/writer pair (and the binary-frame
-        # negotiation) is shared with the cluster router — see
-        # repro.server.wire.serve_connection.
-        self.metrics.connections_opened += 1
-        self.metrics.connections_active += 1
-        self._connections.add(writer)
-        try:
-            await wire.serve_connection(self, reader, writer)
-        finally:
-            self.metrics.connections_active -= 1
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # -- authentication and tenant scoping ----------------------------------------
-
-    def authenticate(self, request: dict) -> tuple[dict, str | None]:
-        """Resolve an ``auth`` request: ``(reply, bound principal | None)``."""
-        return auth.authenticate_request(self._service.tenants,
-                                         self._admin_token_hash, request)
-
-    def _admission(self, record) -> TenantAdmission:
-        """The (lazily rebuilt) admission state for one tenant record."""
-        now = asyncio.get_running_loop().time()
-        entry = self._admissions.get(record.tenant_id)
-        if entry is None or entry.quota != record.quota:
-            entry = TenantAdmission(record.tenant_id, record.quota, now=now)
-            self._admissions[record.tenant_id] = entry
-        return entry
-
-    async def _admitted(self, handler, scope: auth.Scope) -> dict:
-        """Run a handler under the scope tenant's quota accounting."""
-        request = dict(scope.request)
-        op = str(request.get("op"))
-        entry = self._admission(scope.record)
-        if op == "ingest":
-            boxes = request.get("boxes")
-            count = len(boxes) if isinstance(boxes, (list, tuple)) else 1
-            entry.admit_ingest(count, asyncio.get_running_loop().time())
-            return await handler(self, request, scope)
-        if op == "estimate":
-            entry.acquire_estimate()
-            try:
-                return await handler(self, request, scope)
-            finally:
-                entry.release_estimate()
-        return await handler(self, request, scope)
-
-    # -- request dispatch ---------------------------------------------------------
-
-    async def _process(self, request: dict,
-                       principal: str | None = None) -> dict:
-        op = str(request.get("op"))
-        try:
-            scope = auth.resolve_scope(self._service.tenants, principal,
-                                       request)
-        except ReproError as exc:
-            return protocol.error_payload_for(exc, op=op, request=request)
-        tenant = scope.tenant
-        if tenant is not None:
-            self.metrics.record_tenant_request(tenant, op)
-        try:
-            if op == "tenant":
-                payload = await self._op_tenant(dict(scope.request), principal)
-            else:
-                handler = self._HANDLERS.get(op)
-                if handler is None:
-                    payload = protocol.error_payload(
-                        f"unknown op {op!r}", code="unknown_op", op=op,
-                        request=request)
-                elif scope.enforce_quota:
-                    payload = await self._admitted(handler, scope)
-                else:
-                    payload = await handler(self, dict(scope.request), scope)
-        except Exception as exc:
-            payload = protocol.error_payload_for(exc, op=op, request=request)
-        if tenant is not None:
-            if not payload.get("ok"):
-                if payload.get("error_code") == "quota_exceeded":
-                    self.metrics.record_quota_rejection(tenant)
-                else:
-                    self.metrics.record_tenant_error(tenant)
-            payload = auth.unscope_reply(payload, tenant)
-        return payload
-
-    async def _op_ping(self, request: dict, scope=None) -> dict:
-        return protocol.ok_payload("ping", request,
-                                   version=protocol.PROTOCOL_VERSION)
-
-    async def _op_register(self, request: dict, scope=None) -> dict:
-        from repro.service.specs import EstimatorSpec
-
-        spec = EstimatorSpec.create(
-            request["family"], request["sizes"],
-            int(request.get("instances", 256)),
-            seed=int(request.get("seed", 0)),
-            **request.get("options", {}))
+    async def _op_register(self, request: dict, scope) -> dict:
+        spec = protocol.spec_from_register(request)
         self._service.register(request["name"], spec)
         return protocol.ok_payload("register", request, name=request["name"],
                                    spec=spec.to_dict())
 
-    async def _op_unregister(self, request: dict, scope=None) -> dict:
+    async def _op_unregister(self, request: dict, scope) -> dict:
         self._service.unregister(request["name"])
         return protocol.ok_payload("unregister", request,
                                    name=request["name"])
 
-    async def _op_ingest(self, request: dict, scope=None) -> dict:
+    async def _op_ingest(self, request: dict, scope) -> dict:
         def apply() -> tuple[int, int]:
             service = self._service
             spec = service.spec(request["name"])
@@ -296,7 +129,7 @@ class SketchServer:
         return protocol.ok_payload("ingest", request, boxes=count,
                                    pending=pending)
 
-    async def _op_estimate(self, request: dict, scope=None) -> dict:
+    async def _op_estimate(self, request: dict, scope) -> dict:
         service = self._service
         name = request["name"]
         spec = service.spec(name)
@@ -315,61 +148,36 @@ class SketchServer:
             return protocol.ok_payload("estimate", request, name=name,
                                        partial=True, spec=spec.to_dict(),
                                        state=state)
-        row = request.get("query")
-        query = None
-        if spec.info.queryable:
-            if row is None:
-                raise ServiceError(
-                    f"family {spec.family!r} estimates need a query rectangle")
-            query = protocol.boxes_from_rows([row], spec.dimension)
-        elif row is not None:
-            raise ServiceError(
-                f"family {spec.family!r} does not take a query argument")
-        tenant = scope.tenant if scope is not None else None
-        weight = (scope.record.quota.share
-                  if scope is not None and scope.record is not None else 1)
+        query = protocol.query_from_request(spec, request)
+        weight = scope.record.quota.share if scope.record is not None else 1
         start = time.perf_counter()
-        result = await self.coalescer.submit(name, query, tenant=tenant,
+        result = await self.coalescer.submit(name, query, tenant=scope.tenant,
                                              weight=weight)
-        elapsed = time.perf_counter() - start
-        self.metrics.record_estimate_latency(elapsed)
-        if tenant is not None:
-            self.metrics.record_tenant_latency(tenant, elapsed)
+        self.metrics.record_estimate_latency(time.perf_counter() - start,
+                                             scope.tenant)
         return protocol.ok_payload("estimate", request, name=name,
                                    **protocol.estimate_fields(result))
 
-    async def _op_flush(self, request: dict, scope=None) -> dict:
+    async def _op_flush(self, request: dict, scope) -> dict:
         report = await self._run_blocking(self._service.flush)
         return protocol.ok_payload("flush", request, boxes=report.boxes,
                                    batches=report.batches)
 
-    async def _op_stats(self, request: dict, scope=None) -> dict:
+    async def _describe(self) -> tuple[dict, dict]:
         # describe() takes the service lock, which an executor thread may
         # hold across heavy NumPy work (snapshot save, merge) — so this
         # read runs on the executor too, keeping the event loop responsive.
         description = await self._run_blocking(self._service.describe)
-        coalescer = self.coalescer
-        coalescer_stats = coalescer.stats
-        description["server"] = {
-            "connections_active": self.metrics.connections_active,
-            "queue_depth": coalescer.queue_depth,
+        coalescer_stats = self.coalescer.stats
+        return description, {
+            "queue_depth": self.coalescer.queue_depth,
             "coalesce_batches": coalescer_stats.batches,
             "coalesce_factor": coalescer_stats.coalesce_factor,
-            "cross_estimator_dispatches": coalescer_stats.cross_dispatches,
-            "reloads": self.metrics.reloads,
-            "wire": self.metrics.wire_state(),
-        }
-        if scope is not None and scope.tenant is not None:
-            description = auth.scoped_stats(description, scope.tenant)
-            description["tenant_metrics"] = self.metrics.tenant_state(
-                scope.tenant)
-        else:
-            description["tenant_metrics"] = self.metrics.tenant_state()
-        return protocol.ok_payload("stats", request, **description)
+            "cross_estimator_dispatches": coalescer_stats.cross_dispatches}
 
-    async def _op_metrics(self, request: dict, scope=None) -> dict:
+    async def _op_metrics(self, request: dict, scope) -> dict:
         # service.stats takes the service lock; read it off the loop (see
-        # _op_stats).  The server-side counters are loop-owned and safe.
+        # _describe).  The server-side counters are loop-owned and safe.
         def snapshot():
             service = self._service
             return (service.stats,
@@ -378,32 +186,21 @@ class SketchServer:
 
         service_stats, executor_stats, sign_tables = (
             await self._run_blocking(snapshot))
-        coalescer = self.coalescer
         text = self.metrics.render_text(
             service_stats=service_stats,
-            coalescer_stats=coalescer.stats,
-            queue_depth=coalescer.queue_depth,
+            coalescer_stats=self.coalescer.stats,
+            queue_depth=self.coalescer.queue_depth,
             executor_stats=executor_stats,
             sign_tables=sign_tables)
-        # Structured fields ride along with the text exposition so a
-        # cluster router can aggregate fleet metrics without re-parsing
-        # the Prometheus rendering.
-        return protocol.ok_payload(
-            "metrics", request, text=text,
-            uptime=self.metrics.uptime,
-            requests=dict(self.metrics.requests),
-            errors=dict(self.metrics.errors),
-            connections_active=self.metrics.connections_active,
-            estimate_qps=self.metrics.estimate_qps(),
-            wire=self.metrics.wire_state(),
-            tenants=self.metrics.tenant_state(),
+        return self._metrics_reply(
+            request, text, tenants=self.metrics.tenant_state(),
             delta={"delta_applies": service_stats.delta_applies,
                    "rebuilds": service_stats.rebuilds,
                    "evictions": service_stats.evictions},
             program=executor_stats,
             sign_tables=sign_tables)
 
-    async def _op_snapshot(self, request: dict, scope=None) -> dict:
+    async def _op_snapshot(self, request: dict, scope) -> dict:
         protocol.check_write_format(request)
         service = self._service
         if request.get("fetch"):
@@ -432,7 +229,7 @@ class SketchServer:
         await self._run_blocking(service.save, path)
         return protocol.ok_payload("snapshot", request, path=str(path))
 
-    async def _op_wal(self, request: dict, scope=None) -> dict:
+    async def _op_wal(self, request: dict, scope) -> dict:
         from repro.wal.reader import records_from_tail_bytes, wal_records_since
         from repro.wal.recovery import apply_wal_record
         from repro.wal.framing import decode_payload
@@ -480,7 +277,7 @@ class SketchServer:
         return protocol.ok_payload(
             "wal", request, wal=wal.describe() if wal is not None else None)
 
-    async def _op_reload(self, request: dict, scope=None) -> dict:
+    async def _op_reload(self, request: dict, scope) -> dict:
         data = request.get("data")
         path = None
         if data is None:
@@ -489,7 +286,6 @@ class SketchServer:
                 raise ServiceError(
                     "reload needs a path or inline data (or start the "
                     "server with a snapshot path)")
-        assert self._reload_lock is not None
         async with self._reload_lock:
             old = self._service
             wal = old.wal
@@ -519,89 +315,13 @@ class SketchServer:
         return protocol.ok_payload("reload", request,
                                    estimators=fresh.names(), **fields)
 
-    # -- tenant administration ----------------------------------------------------
-
-    def _tenant_info(self, tenant_id: str, *, include_hash: bool) -> dict:
-        registry = self._service.tenants
-        if registry is None:
-            raise ServiceError("server has no tenant registry")
-        record = registry.require(tenant_id)
-        info = record.to_dict()
-        if not include_hash:
-            info.pop("token_hash", None)
-        fields = {"tenant": record.tenant_id, "record": info,
-                  "metrics": self.metrics.tenant_state(record.tenant_id)}
-        entry = self._admissions.get(record.tenant_id)
-        if entry is not None and entry.quota == record.quota:
-            fields["admission"] = entry.describe(
-                asyncio.get_running_loop().time())
-        return fields
-
-    async def _op_tenant(self, request: dict,
-                         principal: str | None = None) -> dict:
-        service = self._service
-        action = str(request.get("action", "list"))
-        if principal is not None and principal != auth.ADMIN:
-            # A tenant principal may only describe itself — never another
-            # tenant, and never mutate the registry.
-            if action != "describe":
-                raise AuthenticationError(
-                    f"tenant action {action!r} requires admin access")
-            target = str(request.get("tenant", principal))
-            if target != principal:
-                raise AuthenticationError("a tenant may only describe itself")
-            return protocol.ok_payload(
-                "tenant", request, action="describe",
-                **self._tenant_info(principal, include_hash=False))
-        if action == "create":
-            quota = (TenantQuota.from_dict(request["quota"])
-                     if request.get("quota") else None)
-            record = service.tenant_create(str(request["tenant"]),
-                                           token=str(request["token"]),
-                                           quota=quota)
-            return protocol.ok_payload("tenant", request, action="create",
-                                       tenant=record.tenant_id,
-                                       record=record.to_dict())
-        if action == "list":
-            registry = service.tenants
-            tenants = registry.describe() if registry is not None else {}
-            return protocol.ok_payload("tenant", request, action="list",
-                                       tenants=tenants)
-        if action == "describe":
-            return protocol.ok_payload(
-                "tenant", request, action="describe",
-                **self._tenant_info(str(request["tenant"]),
-                                    include_hash=True))
-        if action in ("update", "disable", "enable"):
-            kwargs: dict = {}
-            if action == "update":
-                if request.get("token") is not None:
-                    kwargs["token"] = str(request["token"])
-                if request.get("quota") is not None:
-                    kwargs["quota"] = TenantQuota.from_dict(request["quota"])
-                if request.get("disabled") is not None:
-                    kwargs["disabled"] = bool(request["disabled"])
-            else:
-                kwargs["disabled"] = action == "disable"
-            record = service.tenant_update(str(request["tenant"]), **kwargs)
-            return protocol.ok_payload("tenant", request, action=action,
-                                       tenant=record.tenant_id,
-                                       record=record.to_dict())
-        if action == "remove":
-            record = service.tenant_remove(str(request["tenant"]))
-            self._admissions.pop(record.tenant_id, None)
-            return protocol.ok_payload("tenant", request, action="remove",
-                                       tenant=record.tenant_id)
-        raise ServiceError(f"unknown tenant action {action!r}")
-
     _HANDLERS = {
-        "ping": _op_ping,
+        **ServingFront._HANDLERS,
         "register": _op_register,
         "unregister": _op_unregister,
         "ingest": _op_ingest,
         "estimate": _op_estimate,
         "flush": _op_flush,
-        "stats": _op_stats,
         "metrics": _op_metrics,
         "snapshot": _op_snapshot,
         "save": _op_snapshot,
@@ -689,52 +409,3 @@ def _service_from_bytes(raw: bytes) -> EstimationService:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-
-
-async def serve(service: EstimationService, *,
-                config: ServerConfig | None = None,
-                snapshot_path: str | None = None,
-                ready=None,
-                shutdown: asyncio.Event | None = None,
-                install_signal_handlers: bool = False) -> None:
-    """Start a server and run until cancelled (the CLI's ``--listen`` loop).
-
-    ``ready``, when given, is a callable invoked with the started server
-    (used to print the bound address and by tests to capture the port).
-    ``shutdown`` is an optional event that ends the loop *gracefully*:
-    stop accepting, let admitted requests finish, drain the coalescer —
-    then return (so callers can flush a final snapshot).  With
-    ``install_signal_handlers=True`` SIGTERM and SIGINT set that event
-    instead of killing the process — the CLI's graceful-shutdown path.
-    """
-    server = SketchServer(service, config=config, snapshot_path=snapshot_path)
-    await server.start()
-    stop = shutdown if shutdown is not None else asyncio.Event()
-    loop = asyncio.get_running_loop()
-    installed: list[signal.Signals] = []
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, ValueError,
-                    RuntimeError):  # pragma: no cover - non-POSIX loops
-                pass
-    if ready is not None:
-        ready(server)
-    forever = asyncio.create_task(server.serve_forever())
-    waiter = asyncio.create_task(stop.wait())
-    try:
-        await asyncio.wait({forever, waiter},
-                           return_when=asyncio.FIRST_COMPLETED)
-    except asyncio.CancelledError:
-        pass
-    finally:
-        for task in (forever, waiter):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        for signum in installed:
-            with contextlib.suppress(ValueError, RuntimeError):
-                loop.remove_signal_handler(signum)
-        await server.close()

@@ -34,9 +34,9 @@ per-coordinate JSON number formatting — and every op, present and future,
 works over both formats without a second schema.
 
 The module also hosts :func:`serve_connection`, the pipelined in-order
-reader/writer pair previously duplicated by ``SketchServer`` and
-``ClusterRouter`` — both now delegate here, so format negotiation,
-``frame_too_large`` handling, and per-format wire metrics exist once.
+reader/writer pair every :class:`~repro.server.front.ServingFront` runs per
+connection: format negotiation, ``frame_too_large`` handling and
+per-format wire metrics.
 """
 
 from __future__ import annotations
@@ -347,9 +347,10 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
     """Drive one client connection for ``owner``.
 
-    ``owner`` (a ``SketchServer`` or ``ClusterRouter``) provides
+    ``owner`` is the :class:`~repro.server.front.ServingFront`: it provides
     ``metrics``, ``config.max_inflight_per_connection``,
-    ``config.max_line_bytes``, ``wire_formats`` and ``_process``.
+    ``config.max_line_bytes``, ``wire_formats``, ``authenticate`` and
+    ``_process``.
 
     The pipelining contract is unchanged from the pre-binary servers: a
     reader task turns frames into request tasks, a writer task writes each

@@ -45,6 +45,36 @@ class TestServeLoop:
         assert [r["ok"] for r in replies] == [False, False, True]
         assert "ServiceError" in replies[0]["error"]
 
+    def test_loop_answers_through_the_network_handler_table(self, tmp_path):
+        """stdin ``serve`` is the front's handler table without a listener:
+        every verb of a ``--listen`` server, structured error codes."""
+        service = EstimationService(num_shards=2)
+        path = tmp_path / "loop.snap"
+        replies = _run_lines(service, [
+            json.dumps({"op": "register", "name": "rq", "family": "range",
+                        "sizes": [256, 256], "instances": 16, "id": "r1"}),
+            json.dumps({"op": "ingest", "name": "rq", "side": "data",
+                        "boxes": [[0, 0, 10, 10]]}),
+            json.dumps({"op": "estimate", "name": "rq",
+                        "query": [0, 0, 99, 99]}),
+            json.dumps({"op": "metrics"}),
+            json.dumps({"op": "snapshot", "path": str(path)}),
+            json.dumps({"op": "unregister", "name": "rq"}),
+            json.dumps({"op": "estimate", "name": "rq",
+                        "query": [0, 0, 99, 99]}),
+            json.dumps({"op": "frobnicate"}),
+            "not json",
+            json.dumps({"op": "quit"}),
+        ])
+        assert [r["ok"] for r in replies] == [True] * 6 + [False] * 3 + [True]
+        assert replies[0]["id"] == "r1"
+        assert replies[2]["left_count"] == 1
+        assert "repro_service_estimates_total 1" in replies[3]["text"]
+        assert EstimationService.load(path).names() == ["rq"]
+        assert [r["error_code"] for r in replies[6:9]] == [
+            "bad_request", "unknown_op", "protocol"]
+        assert service.names() == []
+
     def test_save_and_save_on_exit(self, tmp_path):
         service = EstimationService(num_shards=2)
         service.register("rq", family="range", domain=(256,), num_instances=8)

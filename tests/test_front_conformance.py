@@ -1,0 +1,307 @@
+"""One serving front, two placements: a server and a router answer alike.
+
+:class:`~repro.server.SketchServer` and
+:class:`~repro.cluster.ClusterRouter` share one connection / auth /
+admission / dispatch / tenant implementation
+(:mod:`repro.server.front`).  The transcript test pins that: one request
+stream, replayed against a server and against a one-worker router on both
+wire formats, yields equal replies outside an explicit allow-list.  The
+remaining tests pin four behaviours the two copies had drifted apart on:
+ingest quota on the binary wire, routed ``checkpoint``, worker errors
+passing through a router unchanged, and admin ``tenant describe``.
+"""
+
+import numpy as np
+import pytest
+
+from repro.client import ServiceClient
+from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.core.domain import Domain
+from repro.errors import QuotaExceededError, ServerError
+from repro.server import ServerConfig, ThreadedServer, boxes_to_rows
+from repro.service import EstimationService, synthetic_boxes
+from repro.tenancy import TenantQuota, TenantRegistry
+from repro.wal import WalWriter
+
+pytestmark = pytest.mark.e2e
+
+DOMAIN = Domain.square(256, dimension=2)
+WIRES = ("ndjson", "binary")
+PLACEMENTS = ("server", "router")
+ADMIN_TOKEN = "root-secret"
+FLEET_TOKEN = "fleet-secret"
+ACME_TOKEN = "acme-secret"
+
+
+class Placement:
+    """A running front of either placement, over fresh two-shard services."""
+
+    def __init__(self, kind: str, *, tokens: bool = False,
+                 wal_dir=None) -> None:
+        service = EstimationService(num_shards=2)
+        if wal_dir is not None:
+            service.attach_wal(WalWriter(str(wal_dir), sync="none"))
+        # The service every request ends up in: the server itself, or the
+        # router's only worker.
+        self.backing = ThreadedServer(service, config=ServerConfig(
+            max_batch=16, max_delay=0.001,
+            admin_token=((FLEET_TOKEN if kind == "router" else ADMIN_TOKEN)
+                         if tokens else None))).start()
+        self.handle = self.backing
+        if kind == "router":
+            self.handle = ThreadedClusterRouter(
+                [("127.0.0.1", self.backing.port)],
+                config=RouterConfig(
+                    num_slots=16,
+                    admin_token=ADMIN_TOKEN if tokens else None,
+                    worker_token=FLEET_TOKEN if tokens else None),
+                start_heartbeat=False,
+                registry=TenantRegistry() if tokens else None).start()
+        elif tokens:
+            service.enable_tenancy()
+
+    def client(self, wire: str, token: str | None = None) -> ServiceClient:
+        return ServiceClient("127.0.0.1", self.handle.port, wire=wire,
+                             token=token)
+
+    def stop(self) -> None:
+        if self.handle is not self.backing:
+            self.handle.stop()
+        if self.backing.service.wal is not None:
+            self.backing.service.detach_wal()
+        self.backing.stop()
+
+
+@pytest.fixture()
+def placement():
+    started = []
+
+    def start(kind: str, **options) -> Placement:
+        started.append(Placement(kind, **options))
+        return started[-1]
+
+    yield start
+    for entry in started:
+        entry.stop()
+
+
+# -- transcript conformance -----------------------------------------------------
+
+RANGE = {"family": "range", "sizes": [256, 256], "instances": 16, "seed": 2}
+ROWS = [[0, 0, 10, 10], [5, 5, 50, 60], [100, 20, 200, 90]]
+
+#: The request stream, in windows.  A front runs the requests of one
+#: pipelined window concurrently, so a window holds only requests that do
+#: not depend on one another, and ``flush`` gets a window of its own.
+TRANSCRIPT = [
+    [("ping", {"op": "ping"}),
+     ("register ok", {"op": "register", "name": "rq", **RANGE}),
+     ("register join", {"op": "register", "name": "join",
+                        "family": "rectangle", "sizes": [256, 256],
+                        "instances": 16, "seed": 3}),
+     ("register unknown family", {"op": "register", "name": "bad",
+                                  "family": "nope", "sizes": [256, 256]})],
+    [("register duplicate", {"op": "register", "name": "rq", **RANGE}),
+     ("ingest ok", {"op": "ingest", "name": "rq", "side": "data",
+                    "boxes": ROWS}),
+     ("ingest unknown name", {"op": "ingest", "name": "ghost",
+                              "boxes": ROWS}),
+     ("ingest ragged rows", {"op": "ingest", "name": "rq", "side": "data",
+                             "boxes": [[0, 0, 10, 10], [1, 2, 3]]}),
+     ("ingest bad side", {"op": "ingest", "name": "rq", "side": "inner",
+                          "boxes": ROWS}),
+     ("ingest missing boxes", {"op": "ingest", "name": "rq",
+                               "side": "data"})],
+    [("flush", {"op": "flush"})],
+    [("estimate ok", {"op": "estimate", "name": "rq",
+                      "query": [0, 0, 128, 128]}),
+     ("estimate missing query", {"op": "estimate", "name": "rq"}),
+     ("estimate query on a join", {"op": "estimate", "name": "join",
+                                   "query": [0, 0, 9, 9]}),
+     ("estimate unknown name", {"op": "estimate", "name": "ghost"}),
+     ("unknown op", {"op": "frobnicate"}),
+     ("snapshot format json", {"op": "snapshot", "path": "unused.snap",
+                               "format": "json"}),
+     ("tenant list", {"op": "tenant", "action": "list"}),
+     ("tenant unknown action", {"op": "tenant", "action": "promote"}),
+     ("unregister unknown", {"op": "unregister", "name": "ghost"}),
+     ("stats", {"op": "stats"}),
+     ("metrics", {"op": "metrics"}),
+     ("reload", {"op": "reload"}),
+     ("wal", {"op": "wal"}),
+     ("snapshot without a path", {"op": "snapshot"})],
+    # Alone in its window: the coalescer answers one estimator's queued
+    # queries as one batch, so a bad query fails its batch companions too.
+    [("estimate out of domain", {"op": "estimate", "name": "rq",
+                                 "query": [0, 0, 999, 999]})],
+    [("unregister ok", {"op": "unregister", "name": "rq"})],
+    [("estimate after unregister", {"op": "estimate", "name": "rq",
+                                    "query": [0, 0, 128, 128]})],
+]
+
+#: The only permitted differences between the placements: for these
+#: requests just the listed reply keys are compared.  ``ping`` differs in
+#: its ``cluster`` flag; the ``stats`` / ``metrics`` bodies describe
+#: different processes; ``reload``, ``wal`` and a path-less ``snapshot``
+#: are worker-level ops a router refuses in its own words.
+ALLOWED_DIFFERENCES = {
+    "ping": ("ok", "op", "id", "version"),
+    "stats": ("ok", "op", "id"),
+    "metrics": ("ok", "op", "id"),
+    "reload": ("ok", "op", "id", "error_code"),
+    "snapshot without a path": ("ok", "op", "id", "error_code"),
+    "wal": ("op", "id"),
+}
+
+
+def _replay(front: Placement, wire: str) -> dict[str, dict]:
+    replies: dict[str, dict] = {}
+    number = 0
+    with front.client(wire) as client:
+        assert client.wire_format == wire
+        for window in TRANSCRIPT:
+            requests = []
+            for _label, request in window:
+                number += 1
+                request = {**request, "id": number}
+                if wire == "binary" and request.get("boxes") is ROWS:
+                    # What ServiceClient.ingest sends on this wire: a tensor.
+                    request["boxes"] = np.asarray(ROWS, dtype=np.int64)
+                requests.append(request)
+            for (label, _), reply in zip(window,
+                                         client.request_many(requests)):
+                keys = ALLOWED_DIFFERENCES.get(label)
+                replies[label] = (reply if keys is None else
+                                  {key: reply.get(key) for key in keys})
+    return replies
+
+
+@pytest.mark.parametrize("wire", WIRES)
+def test_server_and_router_answer_one_transcript_alike(placement, wire):
+    by_server = _replay(placement("server"), wire)
+    by_router = _replay(placement("router"), wire)
+    assert list(by_server) == list(by_router)
+    for label, reply in by_server.items():
+        assert by_router[label] == reply, label
+    # The stream exercised what it claims to: these succeed, the rest of
+    # the probes are typed errors.
+    succeeded = {label for label, reply in by_server.items()
+                 if reply.get("ok")}
+    assert succeeded == {
+        "ping", "register ok", "register join", "ingest ok", "flush",
+        "estimate ok", "tenant list", "stats", "metrics", "unregister ok"}
+    assert by_server["unknown op"]["error_code"] == "unknown_op"
+    assert by_server["estimate ok"]["left_count"] == len(ROWS)
+    assert by_server["ingest bad side"]["error"].startswith("ServiceError: ")
+
+
+# -- drift (a): the ingest quota counts rows on every wire ----------------------
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+@pytest.mark.parametrize("wire", WIRES)
+def test_ingest_quota_charges_rows_on_both_wires(placement, kind, wire):
+    front = placement(kind, tokens=True)
+    with front.client(wire, ADMIN_TOKEN) as admin:
+        admin.tenant("create", "acme", token=ACME_TOKEN,
+                     quota={"ingest_boxes_per_sec": 10,
+                            "ingest_burst_boxes": 10})
+        boxes = synthetic_boxes(DOMAIN, 500, seed=3)
+        with front.client(wire, ACME_TOKEN) as acme:
+            acme.register("rq", **RANGE)
+            # The debt model admits one oversized frame; its 490-box debt
+            # then blocks the next one.
+            assert acme.ingest("rq", boxes, side="data")["boxes"] == 500
+            with pytest.raises(QuotaExceededError) as info:
+                acme.ingest("rq", boxes, side="data")
+            assert info.value.retry_after > 0.0
+        described = admin.tenant("describe", "acme")
+    assert described["admission"]["ingest_tokens"] < 0
+
+
+# -- drift (b): a router never acknowledges a checkpoint it did not make --------
+
+
+def test_routed_checkpoint_is_refused_and_a_worker_still_truncates(
+        placement, tmp_path):
+    front = placement("router", wal_dir=tmp_path / "wal")
+    with front.client("binary") as routed:
+        routed.register("rq", **RANGE)
+        routed.ingest("rq", synthetic_boxes(DOMAIN, 200, seed=4), side="data")
+        routed.flush()
+        with ServiceClient("127.0.0.1", front.backing.port) as worker:
+            logged = worker.wal_describe()["wal"]["bytes"]
+            assert logged > 0
+            with pytest.raises(ServerError) as info:
+                routed.checkpoint(str(tmp_path / "routed.snap"))
+            assert info.value.code == "bad_request"
+            assert "worker-level" in str(info.value)
+            assert worker.wal_describe()["wal"]["bytes"] == logged
+            # The plain routed snapshot still works, and the verb still
+            # truncates where it belongs.
+            assert routed.snapshot(str(tmp_path / "routed.snap"))["paths"]
+            assert worker.checkpoint(str(tmp_path / "worker.snap"))["checkpoint"]
+            assert worker.wal_describe()["wal"]["bytes"] < logged
+
+
+# -- drifts (c) and (d) ---------------------------------------------------------
+
+
+def test_worker_errors_pass_through_a_router_unchanged(placement):
+    front = placement("router", tokens=True)
+    with front.client("binary", ADMIN_TOKEN) as admin:
+        admin.tenant("create", "acme", token=ACME_TOKEN)
+        admin.register("rq", **RANGE)
+        bad_side = {"op": "ingest", "name": "rq", "side": "inner",
+                    "boxes": ROWS}
+        with ServiceClient("127.0.0.1", front.backing.port,
+                           token=FLEET_TOKEN) as worker:
+            direct = worker.request_many([bad_side])[0]
+        routed = admin.request_many([bad_side])[0]
+        assert routed == direct
+        assert routed["error"].startswith("ServiceError: family 'range'")
+
+
+def test_a_worker_verdict_keeps_its_detail_through_a_router():
+    """``retry_after`` survives the hop.  The router here fronts a shared
+    server as one of its tenants (the worker link carries a tenant token),
+    so the quota verdict is the worker's, not the router's open edge's."""
+    service = EstimationService(num_shards=2)
+    service.tenant_create("acme", token=ACME_TOKEN, quota=TenantQuota(
+        ingest_boxes_per_sec=10.0, ingest_burst_boxes=10.0))
+    ingest = {"op": "ingest", "name": "rq", "side": "data",
+              "boxes": boxes_to_rows(synthetic_boxes(DOMAIN, 500, seed=5))}
+    with ThreadedServer(service) as worker, ThreadedClusterRouter(
+            [("127.0.0.1", worker.port)], start_heartbeat=False,
+            config=RouterConfig(worker_token=ACME_TOKEN)) as router:
+        with ServiceClient("127.0.0.1", router.port) as routed, \
+                ServiceClient("127.0.0.1", worker.port,
+                              token=ACME_TOKEN) as direct:
+            routed.register("rq", **RANGE)
+            assert routed.request_many([ingest])[0]["ok"]
+            refused = routed.request_many([ingest])[0]
+            expected = direct.request_many([ingest])[0]
+    assert refused["error_code"] == "quota_exceeded"
+    assert refused["error"] == expected["error"]
+    assert refused["error"].startswith("QuotaExceededError: tenant")
+    assert refused["detail"]["retry_after"] > 0.0
+    assert sorted(refused) == sorted(expected)
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+def test_admin_tenant_describe_has_one_key_set(placement, kind):
+    front = placement(kind, tokens=True)
+    with front.client("ndjson", ADMIN_TOKEN) as admin:
+        admin.tenant("create", "acme", token=ACME_TOKEN,
+                     quota={"ingest_boxes_per_sec": 1000})
+        assert "admission" not in admin.tenant("describe", "acme")
+        with front.client("ndjson", ACME_TOKEN) as acme:
+            acme.register("rq", **RANGE)
+            acme.ingest("rq", ROWS, side="data")
+            own = acme.tenant("describe")
+        described = admin.tenant("describe", "acme")
+    assert sorted(described) == ["action", "admission", "metrics", "ok", "op",
+                                 "record", "tenant"]
+    assert sorted(own) == sorted(described)
+    assert "token_hash" in described["record"]
+    assert "token_hash" not in own["record"]
