@@ -519,6 +519,9 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
     service, the end-to-end benchmark's three estimators, one small batch
     per side — every shard key is under a single bank's break-even, so
     what this costs is table builds plus whatever is hashed beside them.
+    A service pre-pays a name's tables on its first buffered batch, so
+    the flush itself must build none (``first_flush.sign_table_builds``,
+    counted, gate ``max: 0``).
     (b) A router's steady-state reduce: ``reduce_partials`` of two worker
     states for a ``range`` spec against a resident template, with no
     other bank of the family alive in the process.
@@ -542,14 +545,19 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         start = time.perf_counter()
         for (name, side), boxes in zip(sides, batches):
             service.ingest(name, boxes, side=side)
+        buffered = sign_table_stats()["sign_table_builds"]
         service.flush()
+        flush_builds.append(
+            sign_table_stats()["sign_table_builds"] - buffered)
         return (time.perf_counter() - start) * 1e3
 
+    flush_builds: list[int] = []
     before = sign_table_stats()
     batch_ms = [small_batch(5000 + 10 * index)
                 for index in range(COLD_BATCH_ROUNDS)]
     after = sign_table_stats()
     small_batch_ms = float(np.median(batch_ms))
+    first_flush_builds = max(flush_builds)
 
     spec = EstimatorSpec.create("range", TABLE_DOMAIN.requested_sizes,
                                 TABLE_INSTANCES, seed=6000)
@@ -588,6 +596,8 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         "reduces": COLD_REDUCE_ROUNDS,
         "router_reduce_ms": router_reduce_ms,
         "max_router_reduce_ms": COLD_REDUCE_MAX_MS,
+    }, "first_flush": {
+        "sign_table_builds": first_flush_builds,
     }})
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -597,6 +607,8 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         f"small first batch : {small_batch_ms:8.1f} ms for {COLD_BATCH_BOXES} "
         f"boxes x {len(sides)} sides into a fresh 4-shard service "
         f"(gate: <= {COLD_BATCH_MAX_MS} ms)",
+        f"its first flush   : {first_flush_builds:8d} sign tables built "
+        "after one buffered batch per name (gate: 0)",
         f"router reduce     : {router_reduce_ms:8.2f} ms per range estimate "
         f"over 2 worker states, resident template "
         f"(gate: <= {COLD_REDUCE_MAX_MS} ms)",
@@ -607,3 +619,4 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
                                                          encoding="utf-8")
     assert small_batch_ms <= COLD_BATCH_MAX_MS
     assert router_reduce_ms <= COLD_REDUCE_MAX_MS
+    assert first_flush_builds == 0

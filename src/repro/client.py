@@ -273,10 +273,11 @@ class ServiceClient:
 
     def register(self, name: str, *, family: str, sizes: Sequence[int],
                  instances: int = 256, seed: int = 0,
+                 max_levels: Sequence[int | None] | None = None,
                  **options: Any) -> dict:
         return self.request(protocol.register_request(
             name, family=family, sizes=sizes, instances=instances, seed=seed,
-            options=options))
+            options=options, max_levels=max_levels))
 
     def unregister(self, name: str) -> dict:
         return self.request({"op": "unregister", "name": name})

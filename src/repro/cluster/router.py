@@ -537,7 +537,7 @@ def _fleet_sum(fleet: Mapping[str, Mapping], group: str) -> dict:
             if isinstance(value, Mapping):
                 add(total.setdefault(key, {}), value)
             else:
-                total[key] = total.get(key, 0) + int(value)
+                total[key] = total.get(key, 0) + value
 
     total: dict = {}
     for entry in fleet.values():
@@ -549,7 +549,8 @@ def _register_request(name: str, spec: EstimatorSpec) -> dict:
     """The ``register`` request that creates ``spec`` on a worker."""
     return protocol.register_request(
         name, family=spec.family, sizes=spec.sizes,
-        instances=spec.num_instances, seed=spec.seed, options=spec.options)
+        instances=spec.num_instances, seed=spec.seed, options=spec.options,
+        max_levels=spec.max_levels)
 
 
 def _forward_fields(request: Mapping) -> dict:

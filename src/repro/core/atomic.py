@@ -433,6 +433,26 @@ class SketchBank:
         """Remove previously inserted boxes (sketches are linear projections)."""
         self.insert(boxes, weight=-1.0, letter_boxes=letter_boxes)
 
+    def prepay_tables(self) -> None:
+        """Build now what a large first :meth:`insert` would build inside it.
+
+        Every xi family is charged its whole universe
+        (:meth:`~repro.core.hashing.FourWiseFamilyBank.prepay_table`) and
+        the cover tables this bank's words read are derived from it — the
+        same interned tables, under the same byte limits, so an insert
+        that follows costs its gathers only.  A family over the limit
+        stays on the polynomial, exactly as it would have.
+        """
+        for dim, letter in dict.fromkeys(
+                pair for word in self._words for pair in enumerate(word)):
+            xi, dyadic = self._xi[dim], self._domain.dyadic(dim)
+            if xi.prepay_table() is None:
+                continue
+            if letter is Letter.INTERVAL:
+                self._interval_tables(xi, dyadic)
+            elif letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF):
+                self._point_tables(xi, dyadic)
+
     # -- query-side evaluation ------------------------------------------------------
 
     def evaluate(self, word: Word, box: BoxSet) -> np.ndarray:
@@ -649,14 +669,25 @@ class SketchBank:
         return SketchBank._sign_rows(xi, leaves)
 
     @staticmethod
+    def _point_tables(xi: FourWiseFamilyBank, dyadic) -> tuple | None:
+        return xi.derived_tables(
+            ("point", dyadic.size, dyadic.max_level),
+            dyadic.point_table_bytes(xi.num_families),
+            dyadic.point_cover_table)
+
+    @staticmethod
+    def _interval_tables(xi: FourWiseFamilyBank, dyadic) -> tuple | None:
+        return xi.derived_tables(
+            ("interval", dyadic.size, dyadic.max_level),
+            dyadic.interval_table_bytes(xi.num_families),
+            dyadic.interval_cover_tables)
+
+    @staticmethod
     def _point_cover_rows(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
         per_point = dyadic.max_level + 1
         n_points = len(coordinates)
         if xi.resolve_table(n_points * per_point) is not None:
-            tables = xi.derived_tables(
-                ("point", dyadic.size, dyadic.max_level),
-                dyadic.point_table_bytes(xi.num_families),
-                dyadic.point_cover_table)
+            tables = SketchBank._point_tables(xi, dyadic)
             if tables is not None:
                 return dyadic.point_cover_sums(tables, coordinates)
         ids, _ = dyadic.point_covers(coordinates)
@@ -675,10 +706,7 @@ class SketchBank:
         n_boxes = len(lows)
         signs = xi.resolve_table(n_boxes)
         if signs is not None:
-            tables = xi.derived_tables(
-                ("interval", dyadic.size, dyadic.max_level),
-                dyadic.interval_table_bytes(xi.num_families),
-                dyadic.interval_cover_tables)
+            tables = SketchBank._interval_tables(xi, dyadic)
             if tables is not None:
                 return dyadic.interval_cover_sums(signs, tables, lows, highs)
         steps = dyadic.cover_steps(lows, highs)

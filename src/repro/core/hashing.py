@@ -22,7 +22,9 @@ construction array-at-a-time instead of per-variable.
 
 from __future__ import annotations
 
+import logging
 import threading
+import time
 import weakref
 import zlib
 from typing import Callable, Sequence
@@ -120,17 +122,22 @@ _BUILD_CELLS = 1 << 16
 #: four times per cell (Horner), the build once.  Measured on the reference
 #: box (2-vCPU Xeon 2.1 GHz, 256 families): 35-48 ns per cell direct — the
 #: high end inside a first flush, faulting its temporaries in — against
-#: 6.3-9.4 ns built (9.2-12.2 while the build still took a remainder per
-#: cell; warm, quiet to busy host).  Building only got cheaper, so 4 stays
-#: on the conservative side of the break-even.
+#: 5.7-8.1 ns built (7.2-9.4 while the parity was still taken at 64 bits,
+#: 9.2-12.2 with a remainder per cell; warm, quiet to busy host).  Building
+#: only got cheaper, so 4 stays on the conservative side of the break-even.
 _DIRECT_COST_RATIO = 4
 
+#: One record per sign-table build, one per family that stays on the
+#: polynomial because its table would exceed ``_TABLE_BYTE_LIMIT``.
+_LOG = logging.getLogger("repro.xi")
+
 #: Process-wide totals behind :func:`sign_table_stats`.
-_COUNTERS = {"sign_table_builds": 0, "direct_hash_ids": 0}
+_COUNTERS = {"sign_table_builds": 0, "sign_table_build_seconds": 0.0,
+             "direct_hash_ids": 0}
 _COUNTERS_LOCK = threading.Lock()
 
 
-def _count(counter: str, amount: int) -> None:
+def _count(counter: str, amount: float) -> None:
     with _COUNTERS_LOCK:
         _COUNTERS[counter] += amount
 
@@ -144,9 +151,10 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
     replaces Horner's four — the residue, and with it the parity, is the
     same integer either way.  Only the parity is needed, and ``p`` is odd:
     ``h mod p = h - (h // p) * p`` has the parity of ``h ^ (h // p)``, so a
-    division by an invariant and an xor stand in for the remainder.  Works
-    a block of ids at a time, families along the fast axis, in two reused
-    scratch blocks.
+    division by an invariant and an xor stand in for the remainder.  The
+    xor's low byte carries that bit, so it lands in the int8 rows directly
+    and the parity-to-sign steps run at 8 bits.  Works a block of ids at a
+    time, families along the fast axis, in two reused scratch blocks.
     """
     _count("sign_table_builds", 1)
     x = np.arange(universe_size, dtype=np.uint64)[:, None]
@@ -167,11 +175,12 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
         np.add(h, term, out=h)
         np.add(h, d, out=h)
         np.floor_divide(h, MERSENNE_PRIME, out=term)
-        np.bitwise_xor(h, term, out=h)
+        rows = signs[ids]
+        np.bitwise_xor(h, term, out=rows, casting="unsafe")
         # parity 0 -> +1, parity 1 -> -1
-        np.bitwise_and(h, np.uint64(1), out=h)
-        np.left_shift(h, np.uint64(1), out=h)
-        np.subtract(np.int8(1), h, out=signs[ids], casting="unsafe")
+        np.bitwise_and(rows, np.int8(1), out=rows)
+        np.left_shift(rows, np.int8(1), out=rows)
+        np.subtract(np.int8(1), rows, out=rows)
     return signs
 
 
@@ -214,21 +223,45 @@ class _XiFamily:
                            for arrays in list(self._derived.values())
                            for array in arrays)
 
-    def resolve(self, request_size: int, cell_limit: int) -> np.ndarray | None:
-        """Charge ``request_size`` ids; the table once they have paid for it."""
+    def resolve(self, request_size: int, cell_limit: int,
+                paid: str = "accounted") -> np.ndarray | None:
+        """Charge ``request_size`` ids; the table once they have paid for it.
+
+        ``paid`` labels the build's log record: ``"accounted"`` by traffic,
+        ``"prepaid"`` by a service charging the whole universe at once.
+        """
         if self.signs is None:
             with self._lock:
                 if self.signs is None:
+                    crossing = (self.ids_requested * _DIRECT_COST_RATIO
+                                < self.universe_size)
                     self.ids_requested += request_size
                     if (self.ids_requested * _DIRECT_COST_RATIO
-                            >= self.universe_size
-                            and len(self.coefficients) * self.universe_size
-                            <= cell_limit):
-                        signs = _build_signs(self.universe_size,
-                                             self.coefficients)
-                        signs.setflags(write=False)
-                        self.signs = signs
+                            >= self.universe_size):
+                        self._build(cell_limit, paid, crossing)
         return self.signs
+
+    def _build(self, cell_limit: int, paid: str, crossing: bool) -> None:
+        """Build the paid-for table, under the lock — or say that it is too
+        large, once: on the request that reached the break-even."""
+        families = len(self.coefficients)
+        if families * self.universe_size > cell_limit:
+            if crossing:
+                _LOG.warning(
+                    "xi family stays on direct hashing: universe=%d "
+                    "families=%d bytes=%d over the limit of %d",
+                    self.universe_size, families,
+                    families * self.universe_size, cell_limit)
+            return
+        start = time.perf_counter()
+        signs = _build_signs(self.universe_size, self.coefficients)
+        signs.setflags(write=False)
+        self.signs = signs
+        seconds = time.perf_counter() - start
+        _count("sign_table_build_seconds", seconds)
+        _LOG.info("xi family built: universe=%d families=%d bytes=%d "
+                  "ms=%.1f %s", self.universe_size, families, signs.nbytes,
+                  seconds * 1e3, paid)
 
     def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
         """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
@@ -241,10 +274,13 @@ class _XiFamily:
             with self._lock:
                 arrays = self._derived.get(key)
                 if arrays is None:
+                    start = time.perf_counter()
                     arrays = tuple(build(self.signs))
                     for array in arrays:
                         array.setflags(write=False)
                     self._derived[key] = arrays
+                    _count("sign_table_build_seconds",
+                           time.perf_counter() - start)
         return arrays
 
 
@@ -270,7 +306,8 @@ def sign_table_stats() -> dict:
     derived tables); ``sign_table_builds`` and ``direct_hash_ids`` are
     running totals of table builds and of ids evaluated through the
     polynomial instead — ids that keep rising for a family whose table
-    exists are a cold walk beside a table.
+    exists are a cold walk beside a table.  ``sign_table_build_seconds``
+    is the wall time the builds took, derived tables included.
     """
     with _FAMILIES_LOCK:
         families = list(_FAMILIES.values())
@@ -438,6 +475,16 @@ class FourWiseFamilyBank:
         """
         return self._xi_family().resolve(int(request_size),
                                          self._TABLE_BYTE_LIMIT)
+
+    def prepay_table(self) -> np.ndarray | None:
+        """:meth:`resolve_table` charged the whole universe at once.
+
+        A service does this for the families of a name it starts feeding:
+        the table is built now (under the same byte limit) instead of
+        inside whichever request crosses the break-even.
+        """
+        return self._xi_family().resolve(
+            self._universe_size, self._TABLE_BYTE_LIMIT, "prepaid")
 
     def derived_tables(self, key, nbytes: int,
                        build: Callable[[np.ndarray], tuple]) -> tuple | None:

@@ -289,54 +289,47 @@ class EstimateCoalescer:
         task.add_done_callback(self._tasks.discard)
 
     async def _run_batch(self, entries: list[_Pending]) -> None:
-        service = self._get_service()
-        loop = asyncio.get_running_loop()
+        try:
+            await self._answer(self._get_service(), entries)
+        finally:
+            self._inflight -= len(entries)
 
-        def answer(batch: list[_Pending]):
+    async def _answer(self, service: Any, entries: list[_Pending]) -> None:
+        """One engine call for ``entries``; a failure is narrowed down.
+
+        A dispatch fails as a whole (one compile error aborts the engine
+        call), but a bad request must not poison the requests coalesced
+        with it, often from other connections: a failed mixed batch is
+        retried per estimator, a failed estimator's batch per query, so
+        only the offender sees the error.  Bad queries die in compilation,
+        before any kernel ran, so the extra cost is the concurrent
+        re-dispatches, not doubled engine work.
+        """
+        def answer():
             # record_coalesced takes the service lock, so it stays on the
             # executor thread with the engine call — the event loop never
             # waits on that lock.
             results = service.estimate_multi(
-                [(entry.name, entry.query) for entry in batch])
-            service.record_coalesced(len(batch))
+                [(entry.name, entry.query) for entry in entries])
+            service.record_coalesced(len(entries))
             return results
 
         try:
-            try:
-                results = await loop.run_in_executor(self._executor, answer,
-                                                     entries)
-            except Exception as exc:
-                # A mixed dispatch fails as a whole (one compile error
-                # aborts the engine call), but a bad request for one
-                # estimator must not poison coalesced requests for healthy
-                # ones — per-name buckets used to isolate this.  Retry per
-                # estimator so only the offending name's requests see the
-                # error.
-                groups: dict[str, list[_Pending]] = {}
-                for entry in entries:
-                    groups.setdefault(entry.name, []).append(entry)
-                if len(groups) == 1:
-                    self._fail(entries, exc)
-                else:
-                    # The failed joint attempt died in compilation (before
-                    # any kernel ran), so the extra cost here is the
-                    # concurrent per-name re-dispatches, not doubled
-                    # engine work.
-                    async def retry(batch: list[_Pending]) -> None:
-                        try:
-                            retried = await loop.run_in_executor(
-                                self._executor, answer, batch)
-                        except Exception as inner:
-                            self._fail(batch, inner)
-                        else:
-                            self._resolve(batch, retried)
-
-                    await asyncio.gather(*(retry(batch)
-                                           for batch in groups.values()))
+            results = await asyncio.get_running_loop().run_in_executor(
+                self._executor, answer)
+        except Exception as exc:
+            groups: dict[str, list[_Pending]] = {}
+            for entry in entries:
+                groups.setdefault(entry.name, []).append(entry)
+            batches = (list(groups.values()) if len(groups) > 1
+                       else [[entry] for entry in entries])
+            if len(batches) == 1:
+                self._fail(entries, exc)
             else:
-                self._resolve(entries, results)
-        finally:
-            self._inflight -= len(entries)
+                await asyncio.gather(*(self._answer(service, batch)
+                                       for batch in batches))
+        else:
+            self._resolve(entries, results)
 
     @staticmethod
     def _resolve(entries: list[_Pending], results) -> None:

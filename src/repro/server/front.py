@@ -244,7 +244,11 @@ class ServingFront:
             # The tenant rides in the request as its label: a router
             # forwards it over its admin-authenticated worker links, so
             # workers attribute metrics and fair-share queueing to it.
-            scoped.setdefault("tenant", tenant)
+            # Always the resolved tenant, never what a tenant connection
+            # wrote there itself (only an admin link's ``tenant`` resolves
+            # to anything else); the ``tenant`` op's field names a subject.
+            if op != "tenant":
+                scoped["tenant"] = tenant
         try:
             if op == "tenant":
                 payload = await self._op_tenant(scoped, principal)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import base64
 import json
+from dataclasses import replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -221,21 +222,31 @@ def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
 
 
 def register_request(name: str, *, family: str, sizes, instances: int = 256,
-                     seed: int = 0, options: Mapping | None = None) -> dict:
+                     seed: int = 0, options: Mapping | None = None,
+                     max_levels=None) -> dict:
     """The ``register`` request for one estimator — what a client sends a
-    front and a router sends its workers."""
-    return {"op": "register", "name": name, "family": family,
-            "sizes": list(sizes), "instances": instances, "seed": seed,
-            "options": dict(options or {})}
+    front and a router sends its workers.  ``max_levels`` (the spec's
+    per-dimension level caps) is on the wire only when set."""
+    request = {"op": "register", "name": name, "family": family,
+               "sizes": list(sizes), "instances": instances, "seed": seed,
+               "options": dict(options or {})}
+    if max_levels is not None:
+        request["max_levels"] = list(max_levels)
+    return request
 
 
 def spec_from_register(request: Mapping[str, Any]) -> EstimatorSpec:
     """The inverse of :func:`register_request`: the spec a request asks for."""
-    return EstimatorSpec.create(
+    spec = EstimatorSpec.create(
         request["family"], request["sizes"],
         int(request.get("instances", 256)),
         seed=int(request.get("seed", 0)),
         **request.get("options", {}))
+    max_levels = request.get("max_levels")
+    if max_levels is not None:
+        spec = replace(spec, max_levels=tuple(
+            None if level is None else int(level) for level in max_levels))
+    return spec
 
 
 def query_from_request(spec: EstimatorSpec,

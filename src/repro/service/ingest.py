@@ -14,6 +14,10 @@ nothing; and across shards the hash-partitioned deltas sum to exactly the
 unsharded sketch.  A flush applies the shards one after the other in the
 calling thread: the update kernels are a few short NumPy calls per word,
 too short for a thread pool to do anything but trade the GIL.
+
+The xi tables those kernels gather from are built when a name's first
+batch is buffered, not by the flush that would cross their break-even:
+the wait sits on the first ack, where a fleet's workers share it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ class IngestStats:
     flushes: int = 0
     auto_flushes: int = 0
     flushed_batches: int = 0
+    #: Names fed since they were registered (their xi tables are pre-paid).
     names: set = field(default_factory=set)
 
 
@@ -103,6 +108,8 @@ class IngestPipeline:
 
         The batch is hash-partitioned immediately (routing is cheap and
         vectorised) so that flushing only has to concatenate and apply.
+        The first non-empty batch of a name also builds the name's xi
+        tables (:meth:`ShardedSketchStore.prepay_tables`).
         """
         spec = self._store.spec(name)
         side = spec.info.resolve_side(side)
@@ -118,8 +125,17 @@ class IngestPipeline:
                     self._deltas[shard_index].setdefault(key, []).append(part)
             self._pending += len(boxes)
             self._stats.submitted_boxes += len(boxes)
-            self._stats.names.add(name)
             pending = self._pending
+            if name not in self._stats.names:
+                # The name's first box pays for its xi tables here, before
+                # the ack, not inside whichever flush crosses the
+                # break-even: a fleet's workers get a name's first
+                # sub-batches together and so build side by side.  Under
+                # the lock, so racing first frames (and a flush of what is
+                # buffered above) wait for the one build instead of
+                # trading the GIL with it.
+                self._stats.names.add(name)
+                self._store.prepay_tables(name)
         if self._threshold is not None and pending >= self._threshold:
             self.flush(auto=True)
         return self._pending
@@ -137,6 +153,8 @@ class IngestPipeline:
                 for key in [k for k in shard_deltas if k[0] == name]:
                     dropped += sum(len(part) for part in shard_deltas.pop(key))
             self._pending -= dropped
+            # A re-registered name is a new one: other seed, other tables.
+            self._stats.names.discard(name)
         return dropped
 
     # -- flushing -----------------------------------------------------------------

@@ -342,6 +342,19 @@ def empty_companion(template: Any) -> Any:
     return clone
 
 
+def prepay_tables(estimator: Any) -> None:
+    """Build the xi tables of every bank of ``estimator`` ahead of its data.
+
+    What a service does for a name on its first buffered box (see
+    :meth:`~repro.core.atomic.SketchBank.prepay_tables`): families are
+    interned per process, so one estimator of a name pays for all its
+    shards, views and trackers.
+    """
+    for value in vars(estimator).values():
+        if isinstance(value, SketchBank):
+            value.prepay_tables()
+
+
 # -- update and estimate dispatch ---------------------------------------------------
 
 

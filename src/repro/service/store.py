@@ -28,6 +28,7 @@ from repro.service.specs import (
     EstimatorSpec,
     apply_update,
     empty_companion,
+    prepay_tables,
     run_estimate,
     run_estimate_batch,
 )
@@ -215,6 +216,15 @@ class ShardedSketchStore:
         """
         spec = self.spec(name)
         apply_update(spec, self._shards[shard_index][name], side, kind, boxes)
+
+    def prepay_tables(self, name: str) -> None:
+        """Build the xi tables ``name`` will update through, ahead of a flush.
+
+        Shard 0's estimator stands for all of them: its families are the
+        ones every shard, merged view and delta tracker of the name shares.
+        """
+        self.spec(name)  # raises for unknown names
+        prepay_tables(self._shards[0][name])
 
     def mark_updated(self, name: str, *, delta_recorded: bool = False) -> None:
         """Bump a name's version after a mutation.

@@ -125,6 +125,41 @@ class TestScatterGather:
             assert count == expected_rows[f"w{index}"]
         assert sum(expected_rows.values()) == 200
 
+    def test_a_level_capped_spec_reaches_every_worker(self, cluster,
+                                                      worker_trio):
+        """``register`` carries ``max_levels``: the workers — one attached
+        after the fact included — hold the capped spec, not the uncapped
+        one with its taller tables, and answer as in-process."""
+        capped = Domain((256, 256), max_levels=(4, None))
+        reference = EstimationService(num_shards=2)
+        spec = reference.register("capped", family="range", domain=capped,
+                                  num_instances=16, seed=31)
+        assert spec.max_levels == (4, None)
+        boxes = synthetic_boxes(DOMAIN, 300, seed=23)
+        reference.ingest("capped", boxes, side="data")
+        reference.flush()
+        late = ThreadedServer(EstimationService(num_shards=2)).start()
+        try:
+            with ServiceClient("127.0.0.1", cluster.port) as client:
+                reply = client.register("capped", family="range",
+                                        sizes=[256, 256], instances=16,
+                                        seed=31, max_levels=[4, None])
+                assert reply["spec"] == spec.to_dict()
+                cluster.run(cluster.router.attach("late", "127.0.0.1",
+                                                  late.port))
+                for handle in (*worker_trio, late):
+                    assert (handle.service.spec("capped").to_dict()
+                            == spec.to_dict())
+                client.ingest("capped", boxes, side="data")
+                client.flush()
+                queries = synthetic_queries(DOMAIN, 6, seed=19)
+                for index in range(6):
+                    assert (client.estimate("capped", queries[index]).estimate
+                            == reference.estimate("capped",
+                                                  queries[index]).estimate)
+        finally:
+            late.stop()
+
     def test_each_worker_logs_its_rows_in_arrival_order(self, tmp_path):
         """The router's split keeps arrival order per owner, so a worker's
         WAL holds exactly the masked rows of the batch — byte for byte."""

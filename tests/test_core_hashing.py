@@ -11,6 +11,7 @@ import pytest
 from repro.core.hashing import (
     MERSENNE_PRIME,
     FourWiseFamilyBank,
+    _build_signs,
     coefficients_from_state,
     coefficients_to_state,
     stable_seed_offset,
@@ -63,6 +64,22 @@ class TestDeterminism:
         bank_table.signs(np.arange(512))
         via_table = bank_table.signs(small_ids)
         assert np.array_equal(direct, via_table)
+
+    @pytest.mark.parametrize("families", [1, 256])
+    @pytest.mark.parametrize("universe", [1, 2047, 5000, 8191])
+    def test_built_table_is_the_polynomial_byte_for_byte(self, universe,
+                                                         families):
+        """The build takes the parity through ``h ^ (h // p)`` narrowed to
+        8 bits, over whole and partial blocks; Horner's rule with a
+        remainder per step is the reference."""
+        bank = FourWiseFamilyBank(families, universe, seed=universe + families)
+        reference = np.where(
+            bank._hash(np.arange(universe, dtype=np.uint64),
+                       bank.coefficients) & np.uint64(1),
+            np.int8(-1), np.int8(1)).T
+        table = _build_signs(universe, bank.coefficients)
+        assert table.dtype == np.int8 and table.flags.c_contiguous
+        assert table.tobytes() == np.ascontiguousarray(reference).tobytes()
 
 
 class TestValues:

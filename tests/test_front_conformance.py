@@ -119,6 +119,10 @@ TRANSCRIPT = [
      ("estimate query on a join", {"op": "estimate", "name": "join",
                                    "query": [0, 0, 9, 9]}),
      ("estimate unknown name", {"op": "estimate", "name": "ghost"}),
+     # Beside "estimate ok" on purpose: the coalescer answers them in one
+     # batch, and only the offender may get the error.
+     ("estimate out of domain", {"op": "estimate", "name": "rq",
+                                 "query": [0, 0, 999, 999]}),
      ("unknown op", {"op": "frobnicate"}),
      ("snapshot format json", {"op": "snapshot", "path": "unused.snap",
                                "format": "json"}),
@@ -130,10 +134,6 @@ TRANSCRIPT = [
      ("reload", {"op": "reload"}),
      ("wal", {"op": "wal"}),
      ("snapshot without a path", {"op": "snapshot"})],
-    # Alone in its window: the coalescer answers one estimator's queued
-    # queries as one batch, so a bad query fails its batch companions too.
-    [("estimate out of domain", {"op": "estimate", "name": "rq",
-                                 "query": [0, 0, 999, 999]})],
     [("unregister ok", {"op": "unregister", "name": "rq"})],
     [("estimate after unregister", {"op": "estimate", "name": "rq",
                                     "query": [0, 0, 128, 128]})],
@@ -217,6 +217,38 @@ def test_ingest_quota_charges_rows_on_both_wires(placement, kind, wire):
             assert info.value.retry_after > 0.0
         described = admin.tenant("describe", "acme")
     assert described["admission"]["ingest_tokens"] < 0
+
+
+# -- the tenant label is the authenticated one ----------------------------------
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+def test_a_tenant_cannot_relabel_its_requests(placement, kind):
+    """A ``tenant`` field written by a tenant connection is overwritten
+    with the authenticated tenant; only an admin link — a router's worker
+    links are — may name the tenant it acts for.  Checked where the label
+    ends up: the metrics of the process that holds the service."""
+    front = placement(kind, tokens=True)
+    labelled = {"op": "ingest", "name": "rq", "side": "data", "boxes": ROWS}
+    with front.client("ndjson", ADMIN_TOKEN) as admin:
+        admin.tenant("create", "acme", token=ACME_TOKEN)
+        admin.tenant("create", "other", token="other-secret")
+        with front.client("ndjson", ACME_TOKEN) as acme:
+            acme.register("rq", **RANGE)
+            replies = acme.request_many([
+                {**labelled, "tenant": "other"},
+                {"op": "estimate", "name": "rq", "query": [0, 0, 128, 128],
+                 "tenant": "other"}])
+            assert [reply["ok"] for reply in replies] == [True, True]
+            assert replies[1]["left_count"] == len(ROWS)   # acme's own rq
+        (on_behalf,) = admin.request_many([{**labelled, "tenant": "acme"}])
+        assert on_behalf["ok"]
+    edge = (front.handle.router if kind == "router" else front.handle.server)
+    for metrics in (edge.metrics, front.backing.server.metrics):
+        assert "other" not in metrics.tenant_state()
+    assert front.backing.server.metrics.tenant_state()["acme"]["by_op"] == {
+        "estimate": 1, "ingest": 2, "register": 1}
+    assert front.backing.service.names() == ["acme/rq"]
 
 
 # -- drift (b): a router never acknowledges a checkpoint it did not make --------

@@ -233,6 +233,53 @@ def test_mixed_bucket_isolates_failures_per_estimator():
     assert all("EstimationError" in r["error"] for r in bad)
 
 
+def test_one_bad_query_fails_alone_among_its_estimators_batch():
+    """Two connections, one name, one dispatch: the out-of-domain rectangle
+    gets its typed error, the other connection its bit-identical answers."""
+    service = make_service()
+    queries = synthetic_queries(DOMAIN, 4, seed=5)
+    expected = [service.estimate("ranges", queries[i]).estimate
+                for i in range(4)]
+    dispatched = []
+    inner = service.estimate_multi
+
+    def counting(requests):
+        dispatched.append(len(requests))
+        return inner(requests)
+
+    service.estimate_multi = counting
+
+    async def main():
+        server = await start_server(service, max_batch=64, max_delay=0.05)
+        try:
+            good = await Connection.open(server.port)
+            bad = await Connection.open(server.port)
+            rows = protocol.boxes_to_rows(queries)
+            for index in (0, 1):
+                await good.send({"op": "estimate", "name": "ranges",
+                                 "query": rows[index], "id": index})
+            await bad.send({"op": "estimate", "name": "ranges",
+                            "query": [0, 0, 999, 999], "id": "bad"})
+            for index in (2, 3):
+                await good.send({"op": "estimate", "name": "ranges",
+                                 "query": rows[index], "id": index})
+            replies = [await good.recv() for _ in range(4)]
+            refused = await bad.recv()
+            await good.close()
+            await bad.close()
+            return replies, refused
+        finally:
+            await server.close()
+
+    replies, refused = asyncio.run(main())
+    assert dispatched[0] == 5                  # all five rode one dispatch
+    assert all(reply["ok"] for reply in replies), replies
+    assert [reply["estimate"] for reply in replies] == expected
+    assert not refused["ok"] and refused["id"] == "bad"
+    assert refused["error_code"] == "bad_request"
+    assert "DomainError" in refused["error"]
+
+
 def test_mixed_coalescing_reports_per_estimator_metrics():
     """Satellite: metrics verb exposes per-estimator coalesce factors and
     the cross-estimator dispatch count."""
@@ -542,6 +589,22 @@ class TestProtocolUnit:
         rows = protocol.boxes_to_rows(boxes)
         back = protocol.boxes_from_rows(rows, dimension=2)
         assert protocol.boxes_to_rows(back) == rows
+
+    def test_register_carries_max_levels_only_when_set(self):
+        plain = protocol.register_request("rq", family="range",
+                                          sizes=(256, 256), seed=3)
+        assert "max_levels" not in plain       # old frames, byte for byte
+        assert protocol.spec_from_register(plain).max_levels is None
+        capped = protocol.register_request("rq", family="range",
+                                           sizes=(256, 256), seed=3,
+                                           max_levels=(4, None))
+        assert protocol.decode(protocol.encode(capped))["max_levels"] == [
+            4, None]
+        spec = protocol.spec_from_register(capped)
+        assert spec.max_levels == (4, None)
+        assert spec.domain().dyadic(0).max_level == 4
+        with pytest.raises(ServiceError, match="max_levels must match"):
+            protocol.spec_from_register({**capped, "max_levels": [4]})
 
     def test_raise_for_response_maps_error_codes(self):
         from repro.errors import OverloadedError, ServerError

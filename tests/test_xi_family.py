@@ -7,11 +7,17 @@ directly evaluated id costs ``_DIRECT_COST_RATIO`` table cells), and the
 record dies with its last bank.  The cluster router reduces against
 resident template estimators, so its families outlive single estimates.
 
+A *service* pre-pays the break-even: the first buffered batch of a name
+charges every family of the name's banks its whole universe, so the tables
+exist before the ack and a flush never builds.  Library banks, views and
+router templates keep the per-request accounting.
+
 Builds and directly hashed ids are *counted* here through the process-wide
 ``sign_table_builds`` / ``direct_hash_ids`` totals, never timed.
 """
 
 import gc
+import logging
 import subprocess
 import sys
 import threading
@@ -40,6 +46,8 @@ from repro.service import (
     synthetic_queries,
 )
 from repro.service.specs import apply_update, run_estimate
+from repro.wal import WalWriter
+from repro.wal.recovery import recover_service
 
 from tests.helpers import scalar_letter_sums
 from tests.test_property_batch_equivalence import FAMILY_CASES, _boxes
@@ -208,9 +216,11 @@ class TestLifetime:
         assert reborn._xi_family().ids_requested == 300
 
 
-def benchmark_shaped_service(seed: int) -> EstimationService:
+def benchmark_shaped_service(seed: int, wal=None) -> EstimationService:
     """The end-to-end benchmark's three estimators on a 4-shard store."""
     service = EstimationService(num_shards=4, flush_threshold=None)
+    if wal is not None:
+        service.attach_wal(wal)
     for offset, (name, family) in enumerate(
             (("rq", "range"), ("rj", "rectangle"), ("cj", "containment"))):
         service.register(name, family=family, domain=Domain.square(1024, 2),
@@ -218,27 +228,177 @@ def benchmark_shaped_service(seed: int) -> EstimationService:
     return service
 
 
+SIDES = (("rq", "data", 2000), ("rj", "left", 2000), ("rj", "right", 2000),
+         ("cj", "outer", 2000), ("cj", "inner", 500))
+
+
+def feed(service: EstimationService, sides=SIDES) -> None:
+    """One buffered batch per side (the services here never auto-flush)."""
+    domain = Domain.square(1024, 2)
+    for index, (name, side, count) in enumerate(sides):
+        service.ingest(name, synthetic_boxes(domain, count, seed=index),
+                       side=side)
+
+
 class TestSmallBatchesNeverWalkCold:
+    """A service pre-pays: a name's first buffered batch builds its tables."""
+
     def test_a_routed_workers_first_flush(self):
         """What the benchmark's second routed worker holds at its first
-        flush: ~2000 boxes on four sides and ~500 on ``cj.inner``, whose
-        key sorts first — ~125 boxes per shard, under any single bank's
-        break-even.  Each of the 8 families builds its table once and
-        nothing is hashed directly beside it."""
+        flush: ~2000 boxes on four sides and ~500 on ``cj.inner`` — ~125
+        boxes per shard, under any single bank's break-even.  Each of the
+        8 families built its table when its name's first batch was
+        buffered; the flush builds nothing and hashes nothing."""
         service = benchmark_shaped_service(seed=9300)
-        domain = Domain.square(1024, 2)
-        for index, (name, side, count) in enumerate((
-                ("rq", "data", 2000), ("rj", "left", 2000),
-                ("rj", "right", 2000), ("cj", "outer", 2000),
-                ("cj", "inner", 500))):
-            service.ingest(name, synthetic_boxes(domain, count, seed=index),
-                           side=side)
         before = sign_table_stats()
-        service.flush()
+        feed(service, SIDES[:1])
+        assert counted(before) == (2, 0)                  # rq, nothing else
+        feed(service, SIDES[1:])
         assert counted(before) == (8, 0)
+        assert service.pending == 8500
+        buffered = sign_table_stats()
+        service.flush()
+        assert counted(buffered) == (0, 0)
         after = service.describe()
         assert after["sign_table_builds"] - before["sign_table_builds"] == 8
         assert after["direct_hash_ids"] == before["direct_hash_ids"]
+        assert after["sign_table_build_seconds"] > before[
+            "sign_table_build_seconds"]
+        assert after["sign_table_bytes"] == buffered["sign_table_bytes"]
+
+    def test_a_name_never_fed_holds_no_table(self):
+        service = benchmark_shaped_service(seed=9310)
+        before = sign_table_stats()
+        feed(service, SIDES[:1])
+        service.flush()
+        assert counted(before) == (2, 0)
+        assert sign_table_stats()["sign_tables"] - before["sign_tables"] == 2
+        for name in ("rj", "cj"):
+            for bank in vars(service.store.shard_estimators(name)[0]).values():
+                if isinstance(bank, SketchBank):
+                    assert all(xi.resolve_table(0) is None
+                               and xi._xi_family().ids_requested == 0
+                               for xi in bank.xi_banks)
+        # An empty batch is not a first box.
+        service.ingest("rj", synthetic_boxes(Domain.square(1024, 2), 0, seed=1))
+        assert counted(before) == (2, 0)
+
+    def test_racing_first_batches_build_each_family_once(self):
+        service = benchmark_shaped_service(seed=9320)
+        domain = Domain.square(1024, 2)
+        barrier = threading.Barrier(4)
+        errors: list = []
+
+        def first_batch(index: int) -> None:
+            try:
+                barrier.wait(20.0)
+                service.ingest("cj", synthetic_boxes(domain, 300, seed=index),
+                               side=("outer", "inner")[index % 2])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        before = sign_table_stats()
+        threads = [threading.Thread(target=first_batch, args=(index,))
+                   for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert counted(before) == (4, 0)                  # cj is 4-dimensional
+        assert service.pending == 1200
+        service.flush()
+        assert counted(before) == (4, 0)
+
+    def test_an_over_limit_universe_pre_pays_nothing(self, caplog):
+        """Both services hash directly, the same ids: pre-paying a family
+        that may not have a table costs no polynomial evaluation."""
+        def hashed_by_a_flush(seed: int, prepay: bool) -> int:
+            service = benchmark_shaped_service(seed=seed)
+            if not prepay:                               # as if fed before
+                service.pipeline.stats.names.add("rq")
+            before = sign_table_stats()
+            feed(service, SIDES[:1])
+            assert counted(before) == (0, 0)
+            service.flush()
+            builds, hashed = counted(before)
+            assert builds == 0 and hashed > 0
+            return hashed
+
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 1000), \
+                caplog.at_level(logging.INFO, logger="repro.xi"):
+            assert (hashed_by_a_flush(9330, prepay=True)
+                    == hashed_by_a_flush(9340, prepay=False))
+        stays = [record for record in caplog.records
+                 if "stays on direct hashing" in record.getMessage()]
+        # Once per family, pre-paid (the first service) or accounted.
+        assert len(stays) == 4
+        assert all(record.levelno == logging.WARNING for record in stays)
+        assert "universe=2047 families=256" in stays[0].getMessage()
+        assert not [record for record in caplog.records
+                    if "built" in record.getMessage()]
+
+    def test_a_reregistered_name_pre_pays_again(self):
+        service = benchmark_shaped_service(seed=9350)
+        before = sign_table_stats()
+        feed(service, SIDES[:1])
+        service.flush()
+        service.unregister("rq")
+        service.register("rq", family="range", domain=Domain.square(1024, 2),
+                         num_instances=256, seed=9359)
+        assert counted(before) == (2, 0)
+        feed(service, SIDES[:1])
+        assert counted(before) == (4, 0)
+        service.flush()
+        assert counted(before) == (4, 0)
+
+    def test_wal_replay_pre_pays_once(self, tmp_path):
+        service = benchmark_shaped_service(
+            seed=9360, wal=WalWriter(str(tmp_path), sync="none"))
+        for _ in range(3):                                # 3 records a side
+            feed(service, SIDES[:3])
+        service.flush()
+        service.detach_wal()
+        del service
+        gc.collect()
+        before = sign_table_stats()
+        recovered, report = recover_service(str(tmp_path), attach=False)
+        assert report.replayed_records == 3 + 9           # registers + updates
+        assert report.replayed_boxes == 3 * 6000
+        assert counted(before) == (4, 0)                  # rq and rj, once each
+        assert set(recovered.names()) == {"rq", "rj", "cj"}
+
+
+class TestLogRecords:
+    def test_one_record_per_family_build(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.xi"):
+            bank = FourWiseFamilyBank(INSTANCES, 2047, seed=9370)
+            assert bank.resolve_table(100) is None
+            assert not caplog.records
+            assert bank.resolve_table(2047) is not None
+            assert bank.resolve_table(2047) is not None
+            service = EstimationService(num_shards=2)
+            service.register("rq", family="range", domain=Domain.square(64, 2),
+                             num_instances=INSTANCES, seed=9371)
+            service.ingest("rq", synthetic_boxes(Domain.square(64, 2), 3,
+                                                 seed=1), side="data")
+        messages = [record.getMessage() for record in caplog.records]
+        assert len(messages) == 3
+        assert all(record.name == "repro.xi" and record.levelno == logging.INFO
+                   for record in caplog.records)
+        assert messages[0].startswith(
+            f"xi family built: universe=2047 families={INSTANCES} "
+            f"bytes={2047 * INSTANCES} ms=")
+        assert messages[0].endswith(" accounted")
+        for message in messages[1:]:
+            assert f"universe=127 families={INSTANCES} " in message
+            assert message.endswith(" prepaid")
 
 
 def test_first_ingest_does_not_import_numpy_ma():
@@ -325,6 +485,12 @@ class TestReducePartials:
 DOMAIN = Domain.square(1024, 2)
 
 
+def metric(exposition: str, name: str) -> float:
+    (line,) = [line for line in exposition.splitlines()
+               if line.startswith(name + " ")]
+    return float(line.split()[1])
+
+
 @pytest.mark.e2e
 class TestRouterTemplates:
     """Subprocess workers, so this process's tables are the router's own."""
@@ -339,8 +505,22 @@ class TestRouterTemplates:
             before = sign_table_stats()
             client.register("rq", family="range", sizes=[1024, 1024],
                             instances=16, seed=9400)
+            client.register("cj", family="containment", sizes=[1024, 1024],
+                            instances=16, seed=9401)
             boxes = synthetic_boxes(DOMAIN, 2000, seed=1)
             client.ingest("rq", boxes, side="data")
+            client.ingest("cj", boxes, side="outer")
+            # One frame per name and no flush yet: every worker has built
+            # every family of both names (2 + 4 dimensions), side by side
+            # on the frame the router split between them; the router none.
+            unflushed = client.metrics()
+            assert metric(unflushed,
+                          "repro_cluster_sign_table_builds_total") == 2 * 6
+            assert metric(unflushed,
+                          "repro_cluster_direct_hash_ids_total") == 0
+            assert metric(
+                unflushed, "repro_cluster_router_sign_table_builds_total"
+            ) == before["sign_table_builds"]
             client.flush()
             assert counted(before) == (0, 0)
             answers = [client.estimate("rq", queries[index]).estimate
@@ -377,19 +557,21 @@ class TestRouterTemplates:
         assert answers == [reference.estimate("rq", queries[index]).estimate
                            for index in range(200)]
 
-        def metric(exposition: str, name: str) -> int:
-            (line,) = [line for line in exposition.splitlines()
-                       if line.startswith(name + " ")]
-            return int(line.split()[1])
-
         assert metric(text, "repro_cluster_router_sign_table_builds_total") >= 2
         assert metric(text, "repro_cluster_router_direct_hash_ids_total") > 0
         assert metric(text, "repro_cluster_router_sign_tables") >= 2
-        # Summed over the workers: each built the two rq tables on flush.
-        assert metric(text, "repro_cluster_sign_table_builds_total") == 4
+        # Summed over the workers: the flush and the estimates added none.
+        assert metric(text, "repro_cluster_sign_table_builds_total") == 2 * 6
         assert metric(text, "repro_cluster_direct_hash_ids_total") == 0
-        assert metric(worker_text, "repro_server_sign_table_builds_total") == 2
+        assert metric(worker_text, "repro_server_sign_table_builds_total") == 6
         assert metric(worker_text, "repro_server_direct_hash_ids_total") == 0
+        # Build time rides beside the build count, through both fronts.
+        assert stats["sign_table_build_seconds"] > 0.0
+        assert 0.0 < metric(
+            worker_text, "repro_server_sign_table_build_seconds_total"
+        ) <= metric(text, "repro_cluster_sign_table_build_seconds_total")
+        # The router's own line is there too (metric() requires exactly one).
+        metric(text, "repro_cluster_router_sign_table_build_seconds_total")
 
 
 @pytest.mark.e2e
