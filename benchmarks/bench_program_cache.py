@@ -566,7 +566,7 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         worker = spec.build()
         apply_update(spec, worker, "data", "insert",
                      synthetic_boxes(TABLE_DOMAIN, 2000, seed=seed))
-        states.append(worker.state_dict(arrays=True))
+        states.append(worker.state_dict())
     del worker
     queries = synthetic_queries(TABLE_DOMAIN, COLD_REDUCE_ROUNDS, seed=8)
     template = spec.build()

@@ -1,4 +1,4 @@
-"""Snapshot benchmark: binary v2 save and restore latency, v1 still reads.
+"""Snapshot benchmark: binary v2 save and restore latency, old files still read.
 
 This is the perf-regression gate of the columnar state layer.  It used to
 compare the binary format with the v1 JSON *writer* (3.8x larger, 78.4 ms
@@ -10,8 +10,9 @@ binary path to absolute ceilings instead:
   (memory-mapped counter tensors) each stay under **2x their recorded
   values** (2.4 ms / 2.2 ms on the reference box — best of a few rounds,
   as that record was taken, so a busy host does not trip the gate), and
-* the checked-in **v1 JSON fixture** of an earlier build still restores
-  and answers its recorded queries exactly.
+* the checked-in **v2 fixture** an earlier build wrote (all eight
+  families, see ``tests/test_service_snapshot_v2.py``) still restores and
+  answers its recorded estimates exactly.
 
 Besides the human-readable record under ``benchmarks/results/``, the run
 writes ``BENCH_snapshot.json`` at the repository root; CI consumes that
@@ -36,7 +37,7 @@ DOMAIN = Domain.square(1024, dimension=2)
 NUM_INSTANCES = 512
 DATA_BOXES = 4000
 ROUNDS = 15
-#: 2x what the last v1-vs-v2 run recorded for the binary side (2.4 / 2.2 ms).
+#: 2x what the last recorded run took (2.4 / 2.2 ms).
 MAX_SAVE_MS = 4.8
 MAX_RESTORE_MS = 4.4
 
@@ -72,12 +73,14 @@ def _best_ms(action, rounds: int = ROUNDS) -> float:
     return best * 1e3
 
 
-def _v1_fixture_restores() -> bool:
-    """The v1 reader's gate: an earlier build's JSON file answers exactly."""
+def _v2_fixture_restores() -> bool:
+    """The reader's compatibility gate: an earlier build's file answers exactly."""
     expected = json.loads(
-        (FIXTURES / "service_snapshot_v1.expected.json").read_text())
-    service = load_snapshot(FIXTURES / "service_snapshot_v1.json")
-    return service.estimate("join").estimate == expected["join_estimate"]
+        (FIXTURES / "service_snapshot_v2.expected.json").read_text())["names"]
+    service = load_snapshot(FIXTURES / "service_snapshot_v2.snap")
+    return all(service.estimate(name).estimate == answers["scalar"]
+               for name, answers in expected.items()
+               if answers["family"] != "range")
 
 
 def _record(name: str, lines: list[str]) -> None:
@@ -90,7 +93,7 @@ def _record(name: str, lines: list[str]) -> None:
 def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
                                                                tmp_path):
     """The acceptance gates: binary save and restore under 2x their recorded
-    values, and the v1 fixture still restores."""
+    values, and the v2 fixture still restores."""
     service = _make_service()
     expected_join = service.estimate("join").estimate
     path = str(tmp_path / "svc.snap")
@@ -99,7 +102,7 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
         lambda: _best_ms(lambda: service.save(path)), rounds=1, iterations=1)
     restore_ms = _best_ms(lambda: load_snapshot(path))
     assert load_snapshot(path).estimate("join").estimate == expected_join
-    fixture_restores = _v1_fixture_restores()
+    fixture_restores = _v2_fixture_restores()
 
     report = {
         "domain": list(DOMAIN.requested_sizes),
@@ -114,7 +117,7 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
             "max_save_ms": MAX_SAVE_MS,
             "max_restore_ms": MAX_RESTORE_MS,
         },
-        "v1_fixture": {"restores": int(fixture_restores)},
+        "v2_fixture": {"restores": int(fixture_restores)},
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
@@ -126,7 +129,7 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
         f"save    : v2 binary {save_ms:8.1f} ms   (gate <= {MAX_SAVE_MS} ms)",
         f"restore : v2 binary {restore_ms:8.1f} ms   "
         f"(gate <= {MAX_RESTORE_MS} ms)",
-        f"v1 JSON fixture restores: {'yes' if fixture_restores else 'NO'}",
+        f"v2 fixture restores: {'yes' if fixture_restores else 'NO'}",
     ])
 
     assert fixture_restores

@@ -6,8 +6,7 @@ reproducible insert/delete stream (:mod:`repro.data.streams`) through the
 batched ingestion pipeline, and — while ingestion is still running — serves
 join and range estimates from merged shard views on a pool of query
 threads.  At the end it checkpoints the service to the binary (v2) snapshot
-format, verifies that a memory-mapped restore answers identically, and
-compares size and restore latency against the v1 JSON format.
+format and verifies that a memory-mapped restore answers identically.
 
 Run with::
 
@@ -131,7 +130,7 @@ def main() -> None:
     # 5. Checkpoint and restore: the binary (v2) snapshot stores the
     #    columnar counter tensors raw, so saving is one write per tensor and
     #    restoring memory-maps them back — a restored service answers
-    #    bit-identically.  (v1 JSON snapshots of earlier builds keep loading.)
+    #    bit-identically.
     with tempfile.TemporaryDirectory(prefix="repro-svc-") as tmp:
         path = os.path.join(tmp, "service.snap")
         service.save(path)

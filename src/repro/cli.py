@@ -26,9 +26,8 @@ one-shot ``estimate``/``ingest`` invocations can then reuse that running
 server with ``--connect host:port`` instead of paying a snapshot restore
 per invocation (the ``--snapshot`` offline path remains the fallback).
 
-Snapshots are written in the binary v2 format (raw counter tensors,
-memory-mapped restores) whatever the path's suffix; reads also accept the
-v1 JSON files of earlier builds.
+Snapshots are the binary v2 format (raw counter tensors, memory-mapped
+restores) whatever the path's suffix.
 """
 
 from __future__ import annotations
@@ -83,8 +82,7 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
 
     def add_snapshot_arg(p, required=True):
         p.add_argument("--snapshot", required=required,
-                       help="path of the service snapshot file (written "
-                            "binary v2; v1 JSON files still load)")
+                       help="path of the service snapshot file (binary v2)")
 
     def add_wire_arg(p):
         p.add_argument("--wire", default="auto",
@@ -443,8 +441,7 @@ def _ingest_boxes(args, spec) -> BoxSet:
         with open(args.boxes, "r", encoding="utf-8") as handle:
             return boxes_from_rows(json.load(handle), spec.dimension)
     count = args.count if args.count is not None else 1000
-    degenerate = args.side in spec.info.point_sides or (
-        spec.info.aliases.get(args.side, args.side) in spec.info.point_sides)
+    degenerate = spec.info.resolve_side(args.side) in spec.info.point_sides
     return synthetic_boxes(Domain(spec.sizes, max_levels=spec.max_levels),
                            count, seed=args.data_seed, degenerate=degenerate)
 

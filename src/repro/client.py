@@ -29,11 +29,13 @@ reconnects once and resends.  Non-idempotent verbs (``ingest``,
 whose first copy did land — and surface
 :class:`~repro.errors.ConnectionLostError` instead.
 
-``ServiceClient(wire="binary")`` upgrades the connection to the binary
-frame format (:mod:`repro.server.wire`) via the ``hello`` handshake: box
+A connection opens with the ``hello`` handshake and upgrades to the binary
+frame format (:mod:`repro.server.wire`) when the server offers it — the
+default, ``wire="auto"``, which silently stays on NDJSON otherwise: box
 batches then travel as raw little-endian int64 tensors and snapshot/WAL
-payloads as raw bytes instead of base64.  ``wire="auto"`` upgrades when
-the server offers binary and silently stays on NDJSON otherwise.
+payloads as raw bytes instead of base64.  ``wire="binary"`` makes a
+refused upgrade an error; ``wire="ndjson"`` skips the handshake (the
+format ``nc`` debugging and the stdin ``serve`` loop speak).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class ServiceClient:
                  timeout: float | None = 60.0,
                  connect_timeout: float | None = None,
                  read_timeout: float | None = None,
-                 wire: str = "ndjson", token: str | None = None) -> None:
+                 wire: str = "auto", token: str | None = None) -> None:
         if wire not in ("ndjson", "binary", "auto"):
             raise ProtocolError(
                 f"wire must be 'ndjson', 'binary' or 'auto', got {wire!r}")
@@ -151,6 +153,11 @@ class ServiceClient:
                 # intact across the transparent reconnect path.
                 protocol.raise_for_response(
                     self._round_trip({"op": "auth", "token": self.token}))
+        except socket.timeout as exc:
+            self.close()
+            raise ClientTimeoutError(
+                f"handshake with {self.host}:{self.port} exceeded the "
+                f"{self.read_timeout:g}s read deadline") from exc
         except BaseException:
             self.close()
             raise

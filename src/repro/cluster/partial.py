@@ -20,7 +20,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.core.result import EstimateResult
 from repro.errors import ServerError
-from repro.service.specs import EstimatorSpec, empty_companion, run_estimate
+from repro.service.specs import EstimatorSpec, run_estimate
 
 
 def merge_partial_states(spec: EstimatorSpec, states: Iterable[Mapping], *,
@@ -38,9 +38,9 @@ def merge_partial_states(spec: EstimatorSpec, states: Iterable[Mapping], *,
     """
     if template is None:
         template = spec.build()
-    merged = empty_companion(template)
+    merged = template.companion()
     for state in states:
-        part = empty_companion(template)
+        part = template.companion()
         try:
             part.load_state_dict(state)
         except (KeyError, TypeError, ValueError) as exc:

@@ -48,7 +48,7 @@ from repro.cluster.partial import reduce_partials
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.core.hashing import sign_table_stats
 from repro.errors import ConnectionLostError, ReproError, ServiceError
-from repro.server import protocol, wire
+from repro.server import protocol
 from repro.server.front import FrontConfig, ServingFront
 from repro.server.metrics import metric_line, sign_table_lines
 from repro.server.runner import FrontThread
@@ -328,15 +328,12 @@ class ClusterRouter(ServingFront):
             return reply
 
         # Scatter: every owner group contributes its shard-local merged
-        # state; the reduction happens once, at the router.  Binary links
-        # ask for the arrays encoding — the counter matrix and stacked xi
-        # coefficients then cross the wire as raw tensors instead of JSON
-        # number lists (the dominant cost of a wide scatter).
+        # state; the reduction happens once, at the router.  On binary
+        # links the counter matrix and stacked xi coefficients cross the
+        # wire as raw tensors, on NDJSON links as nested number lists.
         async def gather(info: WorkerInfo) -> Mapping:
             payload = {"op": "estimate", "name": name, "partial": True,
                        **_forward_fields(request)}
-            if info.link.mode == wire.WIRE_BINARY:
-                payload["encoding"] = "arrays"
             reply = await info.link.request_ok(
                 payload, timeout=self.config.request_timeout)
             return reply["state"]

@@ -13,6 +13,9 @@ Public entry points re-exported here:
   :class:`~repro.core.join_containment.ContainmentJoinEstimator`,
   :class:`~repro.core.epsilon_join.EpsilonJoinEstimator`,
   :class:`~repro.core.range_query.RangeQueryEstimator`.
+* :class:`~repro.core.estimator.SketchEstimator` — the one contract those
+  eight share: declared sides, ``update`` / ``merge`` / ``state_dict`` /
+  ``companion`` / ``with_delta``.
 * The compiled-program layer in :mod:`repro.core.program`:
   :class:`~repro.core.program.SketchProgram` (the shared estimator IR every
   family lowers to) and :class:`~repro.core.program.ProgramExecutor` (the
@@ -40,6 +43,7 @@ from repro.core.program import (
     default_executor,
     describe_program,
 )
+from repro.core.estimator import Side, SketchEstimator
 from repro.core.selfjoin import self_join_size, dataset_self_join_size
 from repro.core.join_interval import IntervalJoinEstimator
 from repro.core.join_rect import RectangleJoinEstimator
@@ -75,6 +79,8 @@ __all__ = [
     "SketchProgram",
     "default_executor",
     "describe_program",
+    "Side",
+    "SketchEstimator",
     "self_join_size",
     "dataset_self_join_size",
     "IntervalJoinEstimator",

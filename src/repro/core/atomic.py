@@ -293,47 +293,35 @@ class SketchBank:
         """All xi seeds as one ``(dimension, num_instances, 4)`` uint64 tensor."""
         return stack_xi_coefficients(self._xi)
 
-    def state_dict(self, *, arrays: bool = False) -> dict:
-        """A snapshot of the bank's counters and seeds (a view over the tensor).
+    def state_dict(self) -> dict:
+        """A snapshot of the bank's counters and seeds.
 
-        With ``arrays=False`` (the default) the snapshot is the v1
-        JSON-serialisable form: per-word counter lists plus nested xi
-        coefficient lists.  With ``arrays=True`` the ``counters`` entry is
-        the contiguous ``(num_instances, num_words)`` tensor itself (a copy)
-        and ``xi_coefficients`` the stacked ``(dimension, num_instances, 4)``
-        seed tensor — the shape binary snapshots store and memory-map back.
-        :meth:`load_state_dict` accepts either form.
+        ``counters`` is a copy of the contiguous
+        ``(num_instances, num_words)`` tensor and ``xi_coefficients`` the
+        stacked ``(dimension, num_instances, 4)`` seed tensor — the shape
+        binary snapshots store and memory-map back, and binary worker
+        links carry.  A JSON encoder renders both as nested lists, which
+        :meth:`load_state_dict` accepts too.
         """
-        state: dict = {
+        return {
             "num_instances": self._num_instances,
             "updates": self.num_updates,
             "domain": [list(pair) for pair in self._domain.signature()],
             "words": ["".join(letter.value for letter in word) for word in self._words],
+            "counters": self._matrix.copy(),
+            "xi_coefficients": self.xi_coefficient_tensor(),
         }
-        if arrays:
-            state["counters"] = self._matrix.copy()
-            state["xi_coefficients"] = self.xi_coefficient_tensor()
-        else:
-            state["counters"] = {
-                "".join(letter.value for letter in word):
-                    self._matrix[:, index].tolist()
-                for word, index in self._word_index.items()
-            }
-            state["xi_coefficients"] = [bank.coefficients_state()
-                                        for bank in self._xi]
-        return state
 
     def load_state_dict(self, state: Mapping, *, copy: bool = True) -> None:
         """Restore counters previously captured by :meth:`state_dict`.
 
         The bank must have been constructed with the same configuration; the
         xi seeds stored in the snapshot are checked against the bank's own to
-        guard against mixing incompatible sketches.  Both snapshot forms are
-        accepted: per-word lists (v1 JSON) and the contiguous counter tensor
-        (binary snapshots).  With ``copy=False`` an array-form counter
-        tensor is adopted as-is — e.g. a read-only memory-mapped snapshot
-        view, giving near-zero-copy restores; the bank copies it lazily the
-        first time it is mutated.
+        guard against mixing incompatible sketches.  The tensors may arrive
+        as arrays or, after a JSON hop, as nested lists.  With
+        ``copy=False`` a read-only counter tensor is adopted as-is — e.g. a
+        memory-mapped snapshot view, giving near-zero-copy restores; the
+        bank copies it lazily the first time it is mutated.
         """
         if int(state["num_instances"]) != self._num_instances:
             raise MergeCompatibilityError("snapshot was taken with a different instance count")
@@ -349,9 +337,6 @@ class SketchBank:
         if list(state["words"]) != expected_words:
             raise MergeCompatibilityError("snapshot was taken with a different word set")
         xi_state = state["xi_coefficients"]
-        if isinstance(xi_state, np.ndarray):
-            xi_state = [xi_state[dim] for dim in range(xi_state.shape[0])] \
-                if xi_state.ndim == 3 else list(xi_state)
         if len(xi_state) != len(self._xi):
             raise MergeCompatibilityError("snapshot has a different dimensionality")
         for dim, coefficients in enumerate(xi_state):
@@ -360,30 +345,21 @@ class SketchBank:
                     "snapshot was taken over different xi families (seed mismatch)"
                 )
         counters = state["counters"]
-        if isinstance(counters, (list, tuple)):
-            # The arrays-form tensor after an NDJSON hop: the wire encoder
-            # renders ndarrays as nested lists, so accept that shape too.
-            counters = np.asarray(counters, dtype=np.float64)
-        if isinstance(counters, np.ndarray):
+        try:
             matrix = np.asarray(counters, dtype=np.float64)
-            if matrix.shape != self._matrix.shape:
-                raise MergeCompatibilityError("snapshot counter shape mismatch")
-            # Adopt without copying only read-only tensors (memory-mapped
-            # snapshot views): adopting a *writable* array would alias this
-            # bank's counters with the caller's state (and with every other
-            # bank restored from it), so later inserts would corrupt them.
-            if copy or matrix.flags.writeable:
-                self._matrix = matrix.copy()
-            else:
-                self._matrix = matrix
-        else:
-            matrix = np.empty_like(self._matrix)
-            for word, key in zip(self._words, expected_words):
-                values = np.asarray(counters[key], dtype=np.float64)
-                if values.shape != (self._num_instances,):
-                    raise MergeCompatibilityError("snapshot counter shape mismatch")
-                matrix[:, self._word_index[word]] = values
-            self._matrix = matrix
+        except (TypeError, ValueError) as exc:
+            # e.g. the per-word lists of the retired v1 state form.
+            raise MergeCompatibilityError(
+                f"snapshot counters are not a tensor: {exc}") from exc
+        if matrix.shape != self._matrix.shape:
+            raise MergeCompatibilityError("snapshot counter shape mismatch")
+        # Adopt a caller's array without copying only when it is read-only
+        # (memory-mapped snapshot views): adopting a *writable* one would
+        # alias this bank's counters with the caller's state (and with every
+        # other bank restored from it), so later inserts would corrupt them.
+        if isinstance(counters, np.ndarray) and (copy or matrix.flags.writeable):
+            matrix = matrix.copy()
+        self._matrix = matrix
         self._updates = float(state["updates"])
 
     # -- updates -----------------------------------------------------------------

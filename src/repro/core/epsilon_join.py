@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.atomic import Letter, SketchBank
+from repro.core.atomic import Letter
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
-from repro.core.program import CounterRef, ProgramTerm, QuerylessProgramEstimator
-from repro.errors import (
-    DomainError,
-    EstimationError,
-    MergeCompatibilityError,
-    SketchConfigError,
-)
+from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
+from repro.core.program import CounterRef, ProgramTerm
+from repro.errors import DomainError
 from repro.geometry.boxset import BoxSet, PointSet
 
 
@@ -35,139 +31,77 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
     """Estimates ``|A join_eps B|`` under the L-infinity distance.
 
     Lowers to a single-term :class:`~repro.core.program.SketchProgram`
-    (``Z = X_E * Y_I``) executed on the shared program executor; the
-    estimate surface (``estimate`` / ``estimate_batch`` / shorthands) is
-    inherited from :class:`QuerylessProgramEstimator`.
+    (``Z = X_E * Y_I``) executed on the shared program executor; updates,
+    merging, persistence and the estimate surface (``estimate`` /
+    ``estimate_batch`` / shorthands) are inherited from
+    :class:`~repro.core.estimator.QuerylessProgramEstimator`.
     """
+
+    SIDES = (Side("left", "points", "left_count", points=True),
+             Side("right", "cubes", "right_count", points=True))
+    STATE_COMPAT = ("epsilon",)
 
     def __init__(self, domain: Domain, epsilon: int, num_instances: int, *, seed=0,
                  boosting: BoostingPlan | None = None) -> None:
-        if num_instances < 1:
-            raise SketchConfigError("at least one atomic-sketch instance is required")
         if epsilon < 0:
             raise DomainError("epsilon must be non-negative")
-        self._domain = domain
         self._epsilon = int(epsilon)
-        self._plan = boosting
-        self._num_instances = int(num_instances)
-
         self._point_word = (Letter.LOWER_POINT,) * domain.dimension
         self._cube_word = (Letter.INTERVAL,) * domain.dimension
-        self._point_bank = SketchBank(domain, [self._point_word], num_instances, seed=seed)
-        self._cube_bank = self._point_bank.companion([self._cube_word])
-        self._left_count = 0
-        self._right_count = 0
-
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
+        super().__init__(domain, num_instances, seed=seed, boosting=boosting,
+                         sketch_domain=domain,
+                         words=([self._point_word], [self._cube_word]))
 
     @property
     def epsilon(self) -> int:
         return self._epsilon
 
     @property
-    def num_instances(self) -> int:
-        return self._num_instances
-
-    @property
     def left_count(self) -> int:
-        return self._left_count
+        return self._cardinality["left"]
 
     @property
     def right_count(self) -> int:
-        return self._right_count
+        return self._cardinality["right"]
 
-    # -- updates ------------------------------------------------------------------
+    # -- the contract's family pieces ---------------------------------------------
 
-    def _cubes(self, points: PointSet) -> BoxSet:
-        per_dim_hi = np.asarray(self._domain.sizes, dtype=np.int64) - 1
-        lows = np.maximum(points.coords - self._epsilon, 0)
-        highs = np.minimum(points.coords + self._epsilon, per_dim_hi)
-        return BoxSet(lows, highs, validate=False)
+    def _prepare(self, side: str, points: PointSet) -> Prepared:
+        """A points are sketched as they are, B points as epsilon-cubes."""
+        boxes = points.to_boxes()
+        self._domain.validate_boxes(
+            boxes, what="A points" if side == "left" else "B points")
+        if side == "right":
+            per_dim_hi = np.asarray(self._domain.sizes, dtype=np.int64) - 1
+            boxes = BoxSet(np.maximum(points.coords - self._epsilon, 0),
+                           np.minimum(points.coords + self._epsilon, per_dim_hi),
+                           validate=False)
+        return boxes, None
+
+    def _compatibility(self) -> dict:
+        return {"epsilon": self._epsilon}
+
+    # -- named updates (aliases of ``update``) ------------------------------------
 
     def insert_left(self, points: PointSet) -> None:
         """Insert points into the A side."""
-        boxes = points.to_boxes()
-        self._domain.validate_boxes(boxes, what="A points")
-        self._point_bank.insert(boxes)
-        self._left_count += len(points)
+        self.update("left", points)
 
     def insert_right(self, points: PointSet) -> None:
         """Insert points into the B side (sketched as epsilon-cubes)."""
-        self._domain.validate_boxes(points.to_boxes(), what="B points")
-        self._cube_bank.insert(self._cubes(points))
-        self._right_count += len(points)
+        self.update("right", points)
 
     def delete_left(self, points: PointSet) -> None:
-        boxes = points.to_boxes()
-        self._domain.validate_boxes(boxes, what="A points")
-        self._point_bank.insert(boxes, weight=-1.0)
-        self._left_count -= len(points)
+        self.update("left", points, -1.0)
 
     def delete_right(self, points: PointSet) -> None:
-        self._domain.validate_boxes(points.to_boxes(), what="B points")
-        self._cube_bank.insert(self._cubes(points), weight=-1.0)
-        self._right_count -= len(points)
-
-
-    # -- composition and persistence ----------------------------------------------------
-
-    def merge(self, other: "EpsilonJoinEstimator") -> None:
-        """Fold another estimator over a disjoint partition into this one."""
-        if type(other) is not type(self):
-            raise MergeCompatibilityError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-        if other._epsilon != self._epsilon:
-            raise MergeCompatibilityError(
-                f"cannot merge epsilon-join estimators with different epsilon "
-                f"({other._epsilon} vs {self._epsilon})"
-            )
-        self._point_bank.check_merge_compatible(other._point_bank)
-        self._cube_bank.check_merge_compatible(other._cube_bank)
-        self._point_bank.merge(other._point_bank)
-        self._cube_bank.merge(other._cube_bank)
-        self._left_count += other._left_count
-        self._right_count += other._right_count
-
-    def state_dict(self, *, arrays: bool = False) -> dict:
-        """A snapshot of both banks and the input counts.
-
-        ``arrays=True`` keeps the counters as contiguous tensors (the
-        binary-snapshot form); the default is the v1 JSON form.
-        """
-        return {
-            "epsilon": self._epsilon,
-            "points": self._point_bank.state_dict(arrays=arrays),
-            "cubes": self._cube_bank.state_dict(arrays=arrays),
-            "left_count": self._left_count,
-            "right_count": self._right_count,
-        }
-
-    def load_state_dict(self, state, *, copy: bool = True) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        if int(state["epsilon"]) != self._epsilon:
-            raise MergeCompatibilityError("snapshot was taken with a different epsilon")
-        self._point_bank.load_state_dict(state["points"], copy=copy)
-        self._cube_bank.load_state_dict(state["cubes"], copy=copy)
-        self._left_count = int(state["left_count"])
-        self._right_count = int(state["right_count"])
+        self.update("right", points, -1.0)
 
     # -- lowering (estimation itself is inherited from the program layer) -----------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
         return (ProgramTerm(
             1.0,
-            counters=(CounterRef(self._point_bank, self._point_word),
-                      CounterRef(self._cube_bank, self._cube_word)),
+            counters=(CounterRef(self._banks["left"], self._point_word),
+                      CounterRef(self._banks["right"], self._cube_word)),
         ),)
-
-    def _counts(self) -> tuple[int, int]:
-        return self._left_count, self._right_count
-
-    def _require_data(self) -> None:
-        if self._left_count == 0 and self._right_count == 0:
-            raise EstimationError("estimate requested before any data was inserted")

@@ -70,23 +70,15 @@ MAX_UNIVERSE = int(MERSENNE_PRIME)
 COEFFICIENTS_PER_FAMILY = 4
 
 
-def coefficients_to_state(coefficients: np.ndarray) -> list:
-    """JSON form of a ``(num_families, 4)`` coefficient matrix.
-
-    This is the canonical xi serialisation used by sketch snapshots: the
-    coefficients *are* the family (evaluation is a pure function of them),
-    so storing them makes a snapshot self-describing and lets a restore
-    verify seed compatibility without re-deriving RNG state.
-    """
-    return np.asarray(coefficients, dtype=np.uint64).tolist()
-
-
 def coefficients_from_state(state) -> np.ndarray:
-    """Inverse of :func:`coefficients_to_state` (also accepts ndarrays).
+    """Serialised xi coefficients as a ``uint64`` array.
 
-    Accepts the JSON nested-list form, a ``(num_families, 4)`` array of any
-    integer dtype (e.g. a read-only memory-mapped view from a binary
-    snapshot), or a stack of such matrices; always returns ``uint64``.
+    The coefficients *are* the family (evaluation is a pure function of
+    them), so a snapshot that stores them is self-describing and a restore
+    can verify seed compatibility without re-deriving RNG state.  Accepts a
+    ``(num_families, 4)`` array of any integer dtype (e.g. a read-only
+    memory-mapped view from a binary snapshot), a stack of such matrices,
+    or the nested lists either becomes after a JSON hop.
     """
     try:
         coefficients = np.asarray(state, dtype=np.uint64)
@@ -401,16 +393,12 @@ class FourWiseFamilyBank:
         bank._coefficients = np.ascontiguousarray(coefficients)
         return bank
 
-    def coefficients_state(self) -> list:
-        """The JSON-serialisable form of this bank's coefficients."""
-        return coefficients_to_state(self._coefficients)
-
     def matches_coefficients(self, state) -> bool:
         """Whether serialised coefficients describe these exact families.
 
-        ``state`` may be the JSON nested-list form, an ndarray (possibly a
-        read-only memory-mapped snapshot view), or another bank's
-        ``coefficients``.  Used by merge/restore compatibility checks, so
+        ``state`` may be an ndarray (possibly a read-only memory-mapped
+        snapshot view), another bank's ``coefficients``, or the nested
+        lists a JSON hop makes of either.  Used by merge/restore compatibility checks, so
         sketch modules never have to compare raw coefficient arrays.
         """
         try:

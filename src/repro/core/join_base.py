@@ -23,19 +23,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.core.atomic import Letter, SketchBank, Word
-from repro.core.boosting import BoostingPlan, split_instances
+from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain, EndpointTransform
+from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
 from repro.core.program import (
     CounterRef,
     ProgramTerm,
-    QuerylessProgramEstimator,
     batch_request_count,
     replicate_estimate,
 )
-from repro.errors import EstimationError, MergeCompatibilityError, SketchConfigError
+from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 
 __all__ = [
@@ -76,84 +76,56 @@ def expand_pair_terms(pair_terms: Sequence[PairTerm], dimension: int
 class PairedSketchJoinEstimator(QuerylessProgramEstimator):
     """Base class for estimators over two spatial inputs R (left) and S (right).
 
-    Subclasses define the pair terms; this class owns sketch construction,
-    streaming updates (insert/delete) and the *lowering* of the estimator
-    random variable into a :class:`~repro.core.program.SketchProgram` —
-    evaluation and boosting run on the shared
-    :class:`~repro.core.program.ProgramExecutor` (see the inherited
-    estimate surface of :class:`QuerylessProgramEstimator`).
+    Subclasses define the pair terms; this class owns the endpoint
+    transform and the *lowering* of the estimator random variable into a
+    :class:`~repro.core.program.SketchProgram`.  Updates, merging and
+    persistence are the shared :class:`~repro.core.estimator.SketchEstimator`
+    contract; evaluation and boosting run on the shared
+    :class:`~repro.core.program.ProgramExecutor`.
     """
+
+    SIDES = (Side("left", "left", "left_count"),
+             Side("right", "right", "right_count"))
 
     def __init__(self, domain: Domain, pair_terms: Sequence[PairTerm],
                  num_instances: int, *, seed=0,
                  boosting: BoostingPlan | None = None,
                  use_endpoint_transform: bool = False) -> None:
-        if num_instances < 1:
-            raise SketchConfigError("at least one atomic-sketch instance is required")
-        self._original_domain = domain
         self._pair_terms = tuple(pair_terms)
         if not self._pair_terms:
             raise SketchConfigError("at least one pair term is required")
-        self._plan = boosting
-        self._num_instances = int(num_instances)
-        self._seed = seed
 
         needs_transform = use_endpoint_transform or any(t.transformed for t in self._pair_terms)
         self._transform = EndpointTransform(domain) if needs_transform else None
-        self._sketch_domain = (self._transform.expanded_domain
-                               if self._transform is not None else domain)
 
         self._combos = expand_pair_terms(self._pair_terms, domain.dimension)
         left_words = sorted({left for left, _ in self._combos}, key=str)
         right_words = sorted({right for _, right in self._combos}, key=str)
-        self._left_bank = SketchBank(self._sketch_domain, left_words,
-                                     num_instances, seed=seed)
-        self._right_bank = self._left_bank.companion(right_words)
-        self._left_count = 0
-        self._right_count = 0
-        # Lazily-built program terms: the banks are mutated in place by
-        # updates/merges/restores, so the compiled term tuple stays valid
-        # for the estimator's whole lifetime.
-        self._compiled_terms: tuple[ProgramTerm, ...] | None = None
+        super().__init__(
+            domain, num_instances, seed=seed, boosting=boosting,
+            sketch_domain=(self._transform.expanded_domain
+                           if self._transform is not None else domain),
+            words=(left_words, right_words))
 
     # -- introspection --------------------------------------------------------
 
     @property
-    def domain(self) -> Domain:
-        """The original (untransformed) data domain."""
-        return self._original_domain
-
-    @property
-    def dimension(self) -> int:
-        return self._original_domain.dimension
-
-    @property
-    def num_instances(self) -> int:
-        return self._num_instances
-
-    @property
     def left_bank(self) -> SketchBank:
-        return self._left_bank
+        return self._banks["left"]
 
     @property
     def right_bank(self) -> SketchBank:
-        return self._right_bank
+        return self._banks["right"]
 
     @property
     def left_count(self) -> int:
         """Current cardinality of the left input."""
-        return self._left_count
+        return self._cardinality["left"]
 
     @property
     def right_count(self) -> int:
         """Current cardinality of the right input."""
-        return self._right_count
-
-    @property
-    def boosting_plan(self) -> BoostingPlan:
-        if self._plan is not None:
-            return self._plan
-        return split_instances(self._num_instances)
+        return self._cardinality["right"]
 
     @property
     def uses_endpoint_transform(self) -> bool:
@@ -163,126 +135,55 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         """Words charged to each dataset under the accounting of DESIGN.md."""
         from repro.core import space
 
-        counters = len(self._left_bank.words)
+        counters = len(self.left_bank.words)
         return space.sketch_words(self.dimension, self._num_instances,
                                   counters_per_instance=counters)
 
-    # -- coordinate preparation (overridable) -----------------------------------------
+    # -- the contract's family pieces ---------------------------------------------------
 
-    def _prepare_left(self, boxes: BoxSet) -> tuple[BoxSet, Mapping[Letter, BoxSet] | None]:
-        """Coordinates actually sketched for the left input."""
+    def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
         if self._transform is None:
             return boxes, None
-        return self._transform.transform_left(boxes), None
-
-    def _prepare_right(self, boxes: BoxSet) -> tuple[BoxSet, Mapping[Letter, BoxSet] | None]:
-        """Coordinates actually sketched for the right input."""
-        if self._transform is None:
-            return boxes, None
+        if side == "left":
+            return self._transform.transform_left(boxes), None
         return self._transform.transform_right(boxes), None
 
-    # -- updates --------------------------------------------------------------------
+    def _compatibility(self) -> dict:
+        return {"pair_terms": self._pair_terms}
+
+    # -- named updates (aliases of ``update``) --------------------------------------------
 
     def insert_left(self, boxes: BoxSet) -> None:
         """Insert boxes into the left (R) input."""
-        prepared, overrides = self._prepare_left(boxes)
-        self._left_bank.insert(prepared, letter_boxes=overrides)
-        self._left_count += len(boxes)
+        self.update("left", boxes)
 
     def insert_right(self, boxes: BoxSet) -> None:
         """Insert boxes into the right (S) input."""
-        prepared, overrides = self._prepare_right(boxes)
-        self._right_bank.insert(prepared, letter_boxes=overrides)
-        self._right_count += len(boxes)
+        self.update("right", boxes)
 
     def delete_left(self, boxes: BoxSet) -> None:
         """Delete previously inserted boxes from the left input."""
-        prepared, overrides = self._prepare_left(boxes)
-        self._left_bank.insert(prepared, weight=-1.0, letter_boxes=overrides)
-        self._left_count -= len(boxes)
+        self.update("left", boxes, -1.0)
 
     def delete_right(self, boxes: BoxSet) -> None:
         """Delete previously inserted boxes from the right input."""
-        prepared, overrides = self._prepare_right(boxes)
-        self._right_bank.insert(prepared, weight=-1.0, letter_boxes=overrides)
-        self._right_count -= len(boxes)
-
-    # -- composition and persistence ----------------------------------------------------
-
-    def merge(self, other: "PairedSketchJoinEstimator") -> None:
-        """Fold another estimator over a disjoint partition into this one.
-
-        Sketches are linear, so merging the per-side banks of two estimators
-        built from the same spec (domain, pair terms, instance count, seed)
-        yields exactly the estimator that would have summarised the union of
-        both partitions.  Incompatible estimators raise
-        :class:`~repro.errors.MergeCompatibilityError`.
-        """
-        if type(other) is not type(self):
-            raise MergeCompatibilityError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-        if other._pair_terms != self._pair_terms:
-            raise MergeCompatibilityError("cannot merge estimators with different pair terms")
-        self._left_bank.check_merge_compatible(other._left_bank)
-        self._right_bank.check_merge_compatible(other._right_bank)
-        self._left_bank.merge(other._left_bank)
-        self._right_bank.merge(other._right_bank)
-        self._left_count += other._left_count
-        self._right_count += other._right_count
-
-    def state_dict(self, *, arrays: bool = False) -> dict:
-        """A snapshot of both banks and the input counts.
-
-        ``arrays=True`` keeps the bank counters as contiguous tensors (the
-        binary-snapshot form); the default produces the v1 JSON form.  See
-        :meth:`repro.core.atomic.SketchBank.state_dict`.
-        """
-        return {
-            "left": self._left_bank.state_dict(arrays=arrays),
-            "right": self._right_bank.state_dict(arrays=arrays),
-            "left_count": self._left_count,
-            "right_count": self._right_count,
-        }
-
-    def load_state_dict(self, state: Mapping, *, copy: bool = True) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`.
-
-        The estimator must have been constructed with the same configuration
-        (domain, pair terms, instance count and seed).  ``copy=False``
-        adopts array-form counter tensors without copying (e.g. read-only
-        memory-mapped snapshot views).
-        """
-        self._left_bank.load_state_dict(state["left"], copy=copy)
-        self._right_bank.load_state_dict(state["right"], copy=copy)
-        self._left_count = int(state["left_count"])
-        self._right_count = int(state["right_count"])
+        self.update("right", boxes, -1.0)
 
     # -- lowering (estimation itself is inherited from the program layer) ---------------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
         """One term per (left word, right word) combination, in combo order."""
-        if self._compiled_terms is None:
-            self._compiled_terms = tuple(
-                ProgramTerm(
-                    coefficient,
-                    counters=(CounterRef(self._left_bank, left_word),
-                              CounterRef(self._right_bank, right_word)),
-                )
-                for (left_word, right_word), coefficient in self._combos.items()
+        return tuple(
+            ProgramTerm(
+                coefficient,
+                counters=(CounterRef(self.left_bank, left_word),
+                          CounterRef(self.right_bank, right_word)),
             )
-        return self._compiled_terms
-
-    def _counts(self) -> tuple[int, int]:
-        return self._left_count, self._right_count
-
-    def _require_data(self) -> None:
-        if self._left_count == 0 and self._right_count == 0 and \
-                self._left_bank.num_updates == 0 and self._right_bank.num_updates == 0:
-            raise EstimationError("estimate requested before any data was inserted")
+            for (left_word, right_word), coefficient in self._combos.items()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(d={self.dimension}, instances={self._num_instances}, "
-            f"|R|={self._left_count}, |S|={self._right_count})"
+            f"|R|={self.left_count}, |S|={self.right_count})"
         )

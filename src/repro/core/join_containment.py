@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.atomic import Letter, SketchBank
+from repro.core.atomic import Letter
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
-from repro.core.program import CounterRef, ProgramTerm, QuerylessProgramEstimator
-from repro.errors import EstimationError, MergeCompatibilityError, SketchConfigError
+from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
+from repro.core.program import CounterRef, ProgramTerm
 from repro.geometry.boxset import BoxSet
 
 
@@ -32,17 +32,16 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
 
     Lowers to a single-term :class:`~repro.core.program.SketchProgram`
     (``Z = X_outer * Y_inner`` over the doubled domain) executed on the
-    shared program executor; the estimate surface is inherited from
-    :class:`QuerylessProgramEstimator`.
+    shared program executor; updates, merging, persistence and the
+    estimate surface are inherited from
+    :class:`~repro.core.estimator.QuerylessProgramEstimator`.
     """
+
+    SIDES = (Side("outer", "outer", "outer_count", aliases=("left",)),
+             Side("inner", "inner", "inner_count", aliases=("right",)))
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0,
                  boosting: BoostingPlan | None = None) -> None:
-        if num_instances < 1:
-            raise SketchConfigError("at least one atomic-sketch instance is required")
-        self._domain = domain
-        self._plan = boosting
-        self._num_instances = int(num_instances)
         # The doubled domain: dimension i of the data contributes dimensions
         # 2i and 2i+1, both over the same coordinate range.
         doubled_sizes = []
@@ -51,125 +50,57 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
             doubled_sizes.extend([dyadic.requested_size, dyadic.requested_size])
             level = None if dyadic.max_level == dyadic.height else dyadic.max_level
             doubled_levels.extend([level, level])
-        self._doubled = Domain(doubled_sizes, max_levels=doubled_levels)
-
-        outer_word = (Letter.INTERVAL,) * self._doubled.dimension
-        inner_word = (Letter.LOWER_POINT,) * self._doubled.dimension
-        self._outer_word = outer_word
-        self._inner_word = inner_word
-        self._outer_bank = SketchBank(self._doubled, [outer_word], num_instances, seed=seed)
-        self._inner_bank = self._outer_bank.companion([inner_word])
-        self._outer_count = 0
-        self._inner_count = 0
-
-    # -- introspection ------------------------------------------------------------
-
-    @property
-    def domain(self) -> Domain:
-        return self._domain
-
-    @property
-    def dimension(self) -> int:
-        return self._domain.dimension
-
-    @property
-    def num_instances(self) -> int:
-        return self._num_instances
+        doubled = Domain(doubled_sizes, max_levels=doubled_levels)
+        self._outer_word = (Letter.INTERVAL,) * doubled.dimension
+        self._inner_word = (Letter.LOWER_POINT,) * doubled.dimension
+        super().__init__(domain, num_instances, seed=seed, boosting=boosting,
+                         sketch_domain=doubled,
+                         words=([self._outer_word], [self._inner_word]))
 
     @property
     def outer_count(self) -> int:
-        return self._outer_count
+        return self._cardinality["outer"]
 
     @property
     def inner_count(self) -> int:
-        return self._inner_count
+        return self._cardinality["inner"]
 
     # -- the dimension-doubling transformation -----------------------------------------
 
-    def _double_outer(self, boxes: BoxSet) -> BoxSet:
-        """``r -> prod_i (r(i) x r(i))`` as a 2d-dimensional box set."""
-        self._domain.validate_boxes(boxes, what="outer boxes")
-        lows = np.repeat(boxes.lows, 2, axis=1)
-        highs = np.repeat(boxes.highs, 2, axis=1)
-        return BoxSet(lows, highs, validate=False)
-
-    def _double_inner(self, boxes: BoxSet) -> BoxSet:
-        """``s -> (l(s_1), u(s_1), ..., l(s_d), u(s_d))`` as degenerate boxes."""
-        self._domain.validate_boxes(boxes, what="inner boxes")
+    def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
+        self._domain.validate_boxes(boxes, what=f"{side} boxes")
+        if side == "outer":
+            # ``r -> prod_i (r(i) x r(i))`` as a 2d-dimensional box set.
+            return BoxSet(np.repeat(boxes.lows, 2, axis=1),
+                          np.repeat(boxes.highs, 2, axis=1), validate=False), None
+        # ``s -> (l(s_1), u(s_1), ..., l(s_d), u(s_d))`` as degenerate boxes.
         n, d = boxes.lows.shape
         coords = np.empty((n, 2 * d), dtype=np.int64)
         coords[:, 0::2] = boxes.lows
         coords[:, 1::2] = boxes.highs
-        return BoxSet(coords, coords.copy(), validate=False)
+        return BoxSet(coords, coords.copy(), validate=False), None
 
-    # -- updates --------------------------------------------------------------------------
+    # -- named updates (aliases of ``update``) --------------------------------------------
 
     def insert_outer(self, boxes: BoxSet) -> None:
         """Insert containing-side rectangles."""
-        self._outer_bank.insert(self._double_outer(boxes))
-        self._outer_count += len(boxes)
+        self.update("outer", boxes)
 
     def insert_inner(self, boxes: BoxSet) -> None:
         """Insert contained-side rectangles."""
-        self._inner_bank.insert(self._double_inner(boxes))
-        self._inner_count += len(boxes)
+        self.update("inner", boxes)
 
     def delete_outer(self, boxes: BoxSet) -> None:
-        self._outer_bank.insert(self._double_outer(boxes), weight=-1.0)
-        self._outer_count -= len(boxes)
+        self.update("outer", boxes, -1.0)
 
     def delete_inner(self, boxes: BoxSet) -> None:
-        self._inner_bank.insert(self._double_inner(boxes), weight=-1.0)
-        self._inner_count -= len(boxes)
-
-
-    # -- composition and persistence ----------------------------------------------------
-
-    def merge(self, other: "ContainmentJoinEstimator") -> None:
-        """Fold another estimator over a disjoint partition into this one."""
-        if type(other) is not type(self):
-            raise MergeCompatibilityError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-        self._outer_bank.check_merge_compatible(other._outer_bank)
-        self._inner_bank.check_merge_compatible(other._inner_bank)
-        self._outer_bank.merge(other._outer_bank)
-        self._inner_bank.merge(other._inner_bank)
-        self._outer_count += other._outer_count
-        self._inner_count += other._inner_count
-
-    def state_dict(self, *, arrays: bool = False) -> dict:
-        """A snapshot of both banks and the input counts.
-
-        ``arrays=True`` keeps the counters as contiguous tensors (the
-        binary-snapshot form); the default is the v1 JSON form.
-        """
-        return {
-            "outer": self._outer_bank.state_dict(arrays=arrays),
-            "inner": self._inner_bank.state_dict(arrays=arrays),
-            "outer_count": self._outer_count,
-            "inner_count": self._inner_count,
-        }
-
-    def load_state_dict(self, state, *, copy: bool = True) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        self._outer_bank.load_state_dict(state["outer"], copy=copy)
-        self._inner_bank.load_state_dict(state["inner"], copy=copy)
-        self._outer_count = int(state["outer_count"])
-        self._inner_count = int(state["inner_count"])
+        self.update("inner", boxes, -1.0)
 
     # -- lowering (estimation itself is inherited from the program layer) ---------------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
         return (ProgramTerm(
             1.0,
-            counters=(CounterRef(self._outer_bank, self._outer_word),
-                      CounterRef(self._inner_bank, self._inner_word)),
+            counters=(CounterRef(self._banks["outer"], self._outer_word),
+                      CounterRef(self._banks["inner"], self._inner_word)),
         ),)
-
-    def _counts(self) -> tuple[int, int]:
-        return self._outer_count, self._inner_count
-
-    def _require_data(self) -> None:
-        if self._outer_count == 0 and self._inner_count == 0:
-            raise EstimationError("estimate requested before any data was inserted")

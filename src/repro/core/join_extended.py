@@ -23,11 +23,10 @@ Two estimators live here:
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.atomic import Letter
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
+from repro.core.estimator import Prepared
 from repro.core.join_base import PairTerm, PairedSketchJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.geometry.boxset import BoxSet
@@ -52,7 +51,9 @@ class ExtendedOverlapJoinEstimator(PairedSketchJoinEstimator):
         super().__init__(domain, EXTENDED_OVERLAP_PAIR_TERMS, num_instances,
                          seed=seed, boosting=boosting, use_endpoint_transform=True)
 
-    def _prepare_right(self, boxes: BoxSet) -> tuple[BoxSet, Mapping[Letter, BoxSet] | None]:
+    def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
+        if side == "left":
+            return super()._prepare(side, boxes)
         # I/E letters see the shrunk coordinates; the leaf letters must see the
         # merely-scaled coordinates so that shared endpoints remain detectable.
         assert self._transform is not None

@@ -62,7 +62,6 @@ __all__ = [
     "SketchProgram",
     "ProgramExecutor",
     "ExecutorStats",
-    "QuerylessProgramEstimator",
     "batch_request_count",
     "replicate_estimate",
     "describe_program",
@@ -554,100 +553,6 @@ def default_executor() -> ProgramExecutor:
             if _DEFAULT_EXECUTOR is None:
                 _DEFAULT_EXECUTOR = ProgramExecutor(cache_size=0)
     return _DEFAULT_EXECUTOR
-
-
-# -- the shared query-less estimate surface -----------------------------------------
-
-
-class QuerylessProgramEstimator:
-    """Estimate surface for families whose queries carry no argument.
-
-    The paired join, epsilon-join and containment estimators all answer the
-    same way: lower the (fixed) estimator random variable into one
-    :class:`SketchProgram` and run it on the shared executor.  Subclasses
-    provide the family-specific pieces:
-
-    * ``_program_terms()`` — the term tuple of the estimator,
-    * ``_counts()`` — the ``(left, right)`` input cardinalities,
-    * ``_require_data()`` — raise ``EstimationError`` when nothing was
-      inserted yet,
-
-    plus ``_plan`` / ``_num_instances`` attributes.
-    """
-
-    _plan: BoostingPlan | None
-    _num_instances: int
-
-    def _program_terms(self) -> tuple[ProgramTerm, ...]:
-        raise NotImplementedError
-
-    def _counts(self) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _require_data(self) -> None:
-        raise NotImplementedError
-
-    # -- lowering -----------------------------------------------------------------
-
-    def lower(self, *, plan: BoostingPlan | None = None,
-              replicas: int = 1) -> SketchProgram:
-        """Compile this estimator into a :class:`SketchProgram`."""
-        from repro.core.boosting import split_instances
-
-        left_count, right_count = self._counts()
-        return SketchProgram(
-            terms=self._program_terms(),
-            num_instances=self._num_instances,
-            plan=plan or self._plan or split_instances(self._num_instances),
-            left_count=left_count,
-            right_count=right_count,
-            replicas=replicas,
-        )
-
-    def lower_batch(self, queries, *, plan: BoostingPlan | None = None
-                    ) -> list[SketchProgram]:
-        """Compile a batch request (a count or ``None`` placeholders).
-
-        Query-less batches share one set of per-instance values, so the
-        whole batch compiles to a single program with ``replicas`` set.
-        """
-        count = batch_request_count(0 if queries is None else queries)
-        if count == 0:
-            return []
-        self._require_data()
-        return [self.lower(plan=plan, replicas=count)]
-
-    # -- estimation ---------------------------------------------------------------
-
-    def instance_values(self) -> np.ndarray:
-        """The per-instance estimator values Z (before boosting)."""
-        return default_executor().run_values([self.lower()])[0]
-
-    def estimate(self, *, plan: BoostingPlan | None = None) -> EstimateResult:
-        """Boosted estimate from the compiled program."""
-        self._require_data()
-        return default_executor().run([self.lower(plan=plan)])[0]
-
-    def estimate_batch(self, queries=None, *, plan: BoostingPlan | None = None
-                       ) -> list[EstimateResult]:
-        """A batch of boosted estimates (all of the same join).
-
-        ``queries`` is an integer count or a sequence of ``None`` entries
-        (these families take no per-query argument — the uniform signature
-        exists so the service layer can batch mixed estimator families
-        through one API).  The program is evaluated *once* for the whole
-        batch; every returned result is bit-identical to a scalar
-        :meth:`estimate` call and owns its own arrays.
-        """
-        return default_executor().run(self.lower_batch(queries, plan=plan))
-
-    def estimate_cardinality(self) -> float:
-        """Shorthand returning only the boosted cardinality estimate."""
-        return self.estimate().estimate
-
-    def estimate_selectivity(self) -> float:
-        """Shorthand returning only the boosted selectivity estimate."""
-        return self.estimate().selectivity
 
 
 # -- introspection ------------------------------------------------------------------

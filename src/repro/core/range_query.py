@@ -32,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.atomic import Letter, SketchBank, Word, all_words
-from repro.core.boosting import BoostingPlan, split_instances
+from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain, EndpointTransform
+from repro.core.estimator import Prepared, SketchEstimator, Side
 from repro.core.program import (
     CounterRef,
     LetterSumRef,
@@ -42,17 +43,12 @@ from repro.core.program import (
     default_executor,
 )
 from repro.core.result import EstimateResult
-from repro.errors import (
-    DimensionalityError,
-    EstimationError,
-    MergeCompatibilityError,
-    SketchConfigError,
-)
+from repro.errors import DimensionalityError, SketchConfigError
 from repro.geometry.boxset import BoxSet
 from repro.geometry.rectangle import Rect
 
 
-class RangeQueryEstimator:
+class RangeQueryEstimator(SketchEstimator):
     """Estimates ``|Q(q, R)|``, the number of rectangles of R overlapping ``q``.
 
     Parameters
@@ -67,96 +63,50 @@ class RangeQueryEstimator:
         When False (default), closed-overlap semantics are used.
     """
 
+    SIDES = (Side("data", "bank", "count", aliases=("left",)),)
+    STATE_COMPAT = ("strict",)
+
     def __init__(self, domain: Domain, num_instances: int, *, seed=0, strict: bool = False,
                  boosting: BoostingPlan | None = None) -> None:
-        if num_instances < 1:
-            raise SketchConfigError("at least one atomic-sketch instance is required")
-        self._original_domain = domain
-        self._plan = boosting
-        self._num_instances = int(num_instances)
         self._strict = bool(strict)
         self._transform = EndpointTransform(domain) if strict else None
-        self._sketch_domain = (self._transform.expanded_domain
-                               if self._transform is not None else domain)
         self._words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], domain.dimension)
-        self._bank = SketchBank(self._sketch_domain, self._words, num_instances, seed=seed)
-        self._count = 0
+        super().__init__(
+            domain, num_instances, seed=seed, boosting=boosting,
+            sketch_domain=(self._transform.expanded_domain
+                           if self._transform is not None else domain),
+            words=(self._words,))
 
     # -- introspection ----------------------------------------------------------------
 
     @property
-    def domain(self) -> Domain:
-        return self._original_domain
-
-    @property
-    def dimension(self) -> int:
-        return self._original_domain.dimension
-
-    @property
-    def num_instances(self) -> int:
-        return self._num_instances
-
-    @property
     def count(self) -> int:
         """Current cardinality of the summarised relation."""
-        return self._count
+        return self._cardinality["data"]
 
     @property
     def bank(self) -> SketchBank:
-        return self._bank
+        return self._banks["data"]
 
-    # -- updates -------------------------------------------------------------------------
+    # -- the contract's family pieces ----------------------------------------------------
 
-    def _prepare(self, boxes: BoxSet) -> BoxSet:
+    def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
         if self._transform is None:
-            return boxes
+            return boxes, None
         # Data rectangles play the role of the shrunk (S) side so that a data
         # rectangle touching the query no longer overlaps it.
-        return self._transform.transform_right(boxes)
+        return self._transform.transform_right(boxes), None
+
+    def _compatibility(self) -> dict:
+        return {"strict": self._strict}
+
+    # -- named updates (aliases of ``update``) -------------------------------------------
 
     def insert(self, boxes: BoxSet) -> None:
-        self._bank.insert(self._prepare(boxes))
-        self._count += len(boxes)
+        self.update("data", boxes)
 
     def delete(self, boxes: BoxSet) -> None:
-        self._bank.insert(self._prepare(boxes), weight=-1.0)
-        self._count -= len(boxes)
-
-
-    # -- composition and persistence ----------------------------------------------------
-
-    def merge(self, other: "RangeQueryEstimator") -> None:
-        """Fold another estimator over a disjoint partition into this one."""
-        if type(other) is not type(self):
-            raise MergeCompatibilityError(
-                f"cannot merge {type(other).__name__} into {type(self).__name__}"
-            )
-        if other._strict != self._strict:
-            raise MergeCompatibilityError(
-                "cannot merge strict and non-strict range-query estimators"
-            )
-        self._bank.check_merge_compatible(other._bank)
-        self._bank.merge(other._bank)
-        self._count += other._count
-
-    def state_dict(self, *, arrays: bool = False) -> dict:
-        """A snapshot of the bank and the input count.
-
-        ``arrays=True`` keeps the counters as a contiguous tensor (the
-        binary-snapshot form); the default is the v1 JSON form.
-        """
-        return {
-            "strict": self._strict,
-            "bank": self._bank.state_dict(arrays=arrays),
-            "count": self._count,
-        }
-
-    def load_state_dict(self, state, *, copy: bool = True) -> None:
-        """Restore a snapshot captured by :meth:`state_dict`."""
-        if bool(state["strict"]) != self._strict:
-            raise MergeCompatibilityError("snapshot was taken with a different strict setting")
-        self._bank.load_state_dict(state["bank"], copy=copy)
-        self._count = int(state["count"])
+        self.update("data", boxes, -1.0)
 
     # -- estimation -----------------------------------------------------------------------
 
@@ -196,15 +146,15 @@ class RangeQueryEstimator:
         """Batch-request lowering with the historical guards (service entry)."""
         if not isinstance(queries, Rect) and not len(queries):
             return []
-        if self._count == 0 and self._bank.num_updates == 0:
-            raise EstimationError("estimate requested before any data was inserted")
+        self._require_data()
         return self.lower(queries, plan=plan)
 
     def _lower_prepared(self, query_boxes: BoxSet,
                         plan: BoostingPlan | None) -> list[SketchProgram]:
         """Programs for already-transformed queries (one per box row)."""
-        self._bank.domain.validate_boxes(query_boxes, what="query boxes")
-        plan = plan or self._plan or split_instances(self._num_instances)
+        bank = self.bank
+        bank.domain.validate_boxes(query_boxes, what="query boxes")
+        plan = plan or self.boosting_plan
         pairs = [(word, self._query_word(word)) for word in self._words]
         lows = query_boxes.lows
         highs = query_boxes.highs
@@ -213,9 +163,9 @@ class RangeQueryEstimator:
             terms = tuple(
                 ProgramTerm(
                     1.0,
-                    counters=(CounterRef(self._bank, word),),
+                    counters=(CounterRef(bank, word),),
                     letter_sums=tuple(
-                        LetterSumRef(self._bank, dim, query_word[dim],
+                        LetterSumRef(bank, dim, query_word[dim],
                                      int(lows[row, dim]), int(highs[row, dim]))
                         for dim in range(self.dimension)
                     ),
@@ -226,7 +176,7 @@ class RangeQueryEstimator:
                 terms=terms,
                 num_instances=self._num_instances,
                 plan=plan,
-                left_count=self._count,
+                left_count=self.count,
                 right_count=1,
             ))
         return programs
@@ -276,8 +226,7 @@ class RangeQueryEstimator:
     def estimate(self, query: Rect | BoxSet, *, plan: BoostingPlan | None = None
                  ) -> EstimateResult:
         """Boosted estimate of the number of rectangles selected by ``query``."""
-        if self._count == 0 and self._bank.num_updates == 0:
-            raise EstimationError("estimate requested before any data was inserted")
+        self._require_data()
         program = self._lower_prepared(self._query_box(query), plan=plan)[0]
         return default_executor().run([program])[0]
 

@@ -99,11 +99,10 @@ class ServiceSynopses:
     def from_snapshot(cls, path, domain: Domain, *, num_instances: int = 256,
                       seed: int = 0, max_level: int | None = None,
                       **service_kwargs) -> "ServiceSynopses":
-        """Boot synopses from a service snapshot file (binary v2 or JSON v1).
+        """Boot synopses from a (binary v2) service snapshot file.
 
-        The snapshot format is auto-detected; binary snapshots restore by
-        memory-mapping the counter tensors, so a warm optimizer comes up in
-        milliseconds even for large sketch inventories.  Estimators already
+        Snapshots restore by memory-mapping the counter tensors, so a warm
+        optimizer comes up in milliseconds even for large sketch inventories.  Estimators already
         present in the snapshot are adopted as-is (see
         :meth:`join_sketch_name`); pairs first probed after the restore are
         registered fresh with the deterministic per-pair seeds, exactly as

@@ -27,9 +27,7 @@ placement does with a request:
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
-import tempfile
+import io
 import time
 from dataclasses import dataclass
 
@@ -138,13 +136,11 @@ class SketchServer(ServingFront):
             # Sketches are linear projections, so a cluster router can
             # reduce the partials of many workers with one vectorised
             # merge and estimate from the reduction bit-identically to a
-            # single-node service over the union of the boxes.  With
-            # encoding="arrays" the counters come back as numpy tensors —
-            # on a binary connection they ship as raw little-endian bytes
-            # instead of JSON number lists.
-            arrays = request.get("encoding") == "arrays"
+            # single-node service over the union of the boxes.  The
+            # counters are numpy tensors: raw little-endian bytes on a
+            # binary connection, nested number lists on an NDJSON one.
             state = await self._run_blocking(
-                lambda: service.merged_view(name).state_dict(arrays=arrays))
+                lambda: service.merged_view(name).state_dict())
             return protocol.ok_payload("estimate", request, name=name,
                                        partial=True, spec=spec.to_dict(),
                                        state=state)
@@ -335,16 +331,10 @@ def _snapshot_bytes(service: EstimationService) -> tuple[bytes, int]:
     sequence number it covers (0 when the service has no WAL attached)."""
     from repro.service.snapshot import write_binary_snapshot_state
 
-    state = service.snapshot(arrays=True)
-    fd, tmp = tempfile.mkstemp(prefix="repro-snapshot-", suffix=".sketch")
-    os.close(fd)
-    try:
-        write_binary_snapshot_state(state, tmp)
-        with open(tmp, "rb") as handle:
-            return handle.read(), int(state.get("wal_seqno", 0))
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    state = service.snapshot()
+    buffer = io.BytesIO()
+    write_binary_snapshot_state(state, buffer)
+    return buffer.getvalue(), int(state.get("wal_seqno", 0))
 
 
 def _replay_path_reload(old: EstimationService, path: str
@@ -398,14 +388,6 @@ def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
 
 def _service_from_bytes(raw: bytes) -> EstimationService:
     """Rebuild a service from snapshot bytes shipped over the wire."""
-    fd, tmp = tempfile.mkstemp(prefix="repro-reload-", suffix=".sketch")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(raw)
-        # On POSIX the mmap-restored counters outlive the unlink below;
-        # elsewhere the loader reads into private memory (see
-        # read_binary_snapshot_state), so removal is always safe.
-        return EstimationService.load(tmp)
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    from repro.service.snapshot import restore_service, snapshot_state_from_bytes
+
+    return restore_service(snapshot_state_from_bytes(raw))

@@ -17,8 +17,7 @@ package turns that property into a serving layer:
   ``estimate_multi``) on one program executor,
 * :mod:`~repro.service.snapshot` — checkpoint/restore built on
   ``state_dict``/``load_state_dict``: binary v2 snapshots (raw counter
-  tensors, memory-mapped restores); JSON v1 files of earlier builds still
-  read,
+  tensors, memory-mapped restores),
 * :class:`~repro.service.driver.StreamDriver` — feeds
   :mod:`repro.data.streams` update streams into a running service.
 """
@@ -39,10 +38,9 @@ from repro.service.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     load_snapshot,
-    read_snapshot_state,
+    read_binary_snapshot_state,
     restore_service,
     save_snapshot,
-    service_snapshot,
 )
 from repro.service.driver import (
     DriveReport,
@@ -70,10 +68,9 @@ __all__ = [
     "ServiceStats",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "service_snapshot",
     "save_snapshot",
     "load_snapshot",
-    "read_snapshot_state",
+    "read_binary_snapshot_state",
     "restore_service",
     "StreamDriver",
     "DriveReport",

@@ -7,9 +7,10 @@ is exactly the old one plus the counter contribution of the flushed boxes.
 view and a *delta estimator* (a fresh estimator of the same spec that was
 fed only the updates since the view was built, see
 :meth:`repro.service.store.ShardedSketchStore.record_delta`), it produces a
-new view whose banks are :meth:`~repro.core.atomic.SketchBank.clone_with_delta`
-clones — counter tensors computed as one fused add each, xi families
-*aliased* from the cached view.
+new view (:meth:`repro.core.estimator.SketchEstimator.with_delta`) whose
+banks are :meth:`~repro.core.atomic.SketchBank.clone_with_delta` clones —
+counter tensors computed as one fused add each, xi families *aliased* from
+the cached view.
 
 The aliasing is the load-bearing half.  Letter sums depend only on a bank's
 xi families and dyadic domain, never on its counters, so a delta-applied
@@ -26,15 +27,7 @@ the clone is a new object sharing only immutable pieces.
 
 from __future__ import annotations
 
-import copy
-from typing import Any
-
-from repro.core.atomic import SketchBank
-from repro.errors import MergeCompatibilityError, ServiceError
-# The tracker estimator is the general zero-counter companion; the name it
-# had while it lived here stays importable.
-from repro.service.specs import COUNT_ATTRS
-from repro.service.specs import empty_companion as empty_delta_estimator
+from repro.core.estimator import SketchEstimator
 
 __all__ = ["delta_merged_view", "empty_delta_estimator", "DELTA_BOX_BUDGET"]
 
@@ -44,44 +37,20 @@ __all__ = ["delta_merged_view", "empty_delta_estimator", "DELTA_BOX_BUDGET"]
 #: of delta recording before falling back to rebuild-on-next-query.
 DELTA_BOX_BUDGET = 1 << 18
 
-def delta_merged_view(view: Any, delta: Any) -> Any:
+
+def empty_delta_estimator(template: SketchEstimator) -> SketchEstimator:
+    """The tracker a delta watch starts from: ``template.companion()``."""
+    return template.companion()
+
+
+def delta_merged_view(view: SketchEstimator, delta: SketchEstimator) -> SketchEstimator:
     """A new estimator equal to ``view + delta``, sharing ``view``'s xi state.
 
     ``view`` is an immutable cached merged view; ``delta`` is an estimator
     of the same spec summarising only the updates applied since ``view``
-    was built.  Every :class:`~repro.core.atomic.SketchBank` attribute is
-    replaced by a :meth:`~repro.core.atomic.SketchBank.clone_with_delta`
-    clone (fused counter add, aliased xi families) and every input-count
-    attribute by its sum; everything else — domain, boosting plan, pair
-    terms, transforms — is shared, being immutable configuration.
-
-    Raises :class:`~repro.errors.ServiceError` (or
-    :class:`~repro.errors.MergeCompatibilityError`) when the two estimators
-    do not line up; callers fall back to a full rebuild.
+    was built.  This is :meth:`repro.core.estimator.SketchEstimator.with_delta`
+    under the name the service (and its benchmark) calls it by; it raises
+    :class:`~repro.errors.MergeCompatibilityError` when the two do not line
+    up, and callers fall back to a full rebuild.
     """
-    if type(delta) is not type(view):
-        raise MergeCompatibilityError(
-            f"cannot delta-apply {type(delta).__name__} onto "
-            f"{type(view).__name__}")
-    view_state = vars(view)
-    delta_state = vars(delta)
-    bank_attrs = [attr for attr, value in view_state.items()
-                  if isinstance(value, SketchBank)]
-    if not bank_attrs:
-        raise ServiceError(
-            f"{type(view).__name__} holds no sketch banks to delta-apply")
-    clone = copy.copy(view)
-    for attr in bank_attrs:
-        delta_bank = delta_state.get(attr)
-        if not isinstance(delta_bank, SketchBank):
-            raise MergeCompatibilityError(
-                f"delta estimator lacks sketch bank {attr!r}")
-        setattr(clone, attr, view_state[attr].clone_with_delta(delta_bank))
-    for attr in COUNT_ATTRS:
-        if attr in view_state:
-            setattr(clone, attr, view_state[attr] + delta_state[attr])
-    # The paired-join families cache compiled program terms holding
-    # CounterRefs to *their own* bank objects; the clone's banks are new.
-    if "_compiled_terms" in view_state:
-        clone._compiled_terms = None
-    return clone
+    return view.with_delta(delta)

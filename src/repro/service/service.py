@@ -14,7 +14,8 @@ pipeline together behind four verbs:
 * ``estimate_multi(requests)`` — answer a **mixed-estimator** batch of
   ``(name, query)`` pairs with one merged-view fetch per name,
 * ``snapshot()`` / ``restore()`` — checkpoint the whole service (specs plus
-  every shard's counters) to a JSON-serialisable dict and back.
+  every shard's counter tensors) to a state tree and back; ``save()`` /
+  ``load()`` put that tree in a binary v2 file.
 
 Both batch verbs are one path: every name's queries are compiled into
 sketch programs and the whole batch runs as a single dispatch of the
@@ -516,7 +517,7 @@ class EstimationService:
                 if delta is not None:
                     try:
                         view = delta_merged_view(entry[1], delta)
-                    except (ServiceError, MergeCompatibilityError):
+                    except MergeCompatibilityError:
                         # Spec drift (unregister/re-register races the
                         # tracker) — fall back to the rebuild path.
                         view = None
@@ -619,43 +620,34 @@ class EstimationService:
 
     # -- persistence --------------------------------------------------------------
 
-    def snapshot(self, *, arrays: bool = False) -> dict:
-        """A checkpoint of specs and shard counters.
+    def snapshot(self) -> dict:
+        """A checkpoint of specs and shard counters (a tensor state tree).
 
-        ``arrays=False`` (default) yields the JSON-serialisable v1 tree;
-        ``arrays=True`` keeps the counters as contiguous tensors for the
-        binary snapshot writer.  Pending (unflushed) updates are flushed
-        first so the snapshot reflects everything ingested so far.
+        Pending (unflushed) updates are flushed first, under the same lock
+        hold as the capture, so the snapshot reflects everything ingested
+        so far and nothing slips in between.
 
         With a WAL attached the state carries the log position it covers
-        (``wal_seqno``), captured under the same lock hold as the flush —
-        the anchor ``load snapshot + replay tail`` recovery resumes from.
+        (``wal_seqno``) — the anchor ``load snapshot + replay tail``
+        recovery resumes from.
         """
-        from repro.service.snapshot import service_snapshot
+        from repro.service.snapshot import store_snapshot
 
-        if self._wal is None:
-            if self._pipeline.pending:
-                self.flush()
-            with self._lock:
-                state = service_snapshot(self, arrays=arrays)
-                if self._tenants is not None:
-                    state["tenants"] = self._tenants.to_state()
-            return state
         with self._lock:
             if self._pipeline.pending:
                 self.flush()
-            state = service_snapshot(self, arrays=arrays)
+            state = store_snapshot(self._store)
             if self._tenants is not None:
                 state["tenants"] = self._tenants.to_state()
-            state["wal_seqno"] = self._wal.last_seqno
+            if self._wal is not None:
+                state["wal_seqno"] = self._wal.last_seqno
         return state
 
     def save(self, path) -> None:
         """Write a binary (v2) snapshot file atomically.
 
         The state is captured under the service lock, so concurrent
-        ingestion cannot tear the snapshot.  :meth:`load` reads it back —
-        and v1 JSON files of earlier builds, told apart by magic bytes.
+        ingestion cannot tear the snapshot.  :meth:`load` reads it back.
         """
         from repro.service.snapshot import save_snapshot
 

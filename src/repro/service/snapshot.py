@@ -1,34 +1,32 @@
-"""Checkpoint and restore a sketch service (binary v2; v1 JSON still reads).
+"""Checkpoint and restore a sketch service (binary v2, the one format).
 
 Snapshots build directly on the estimators' ``state_dict``/``load_state_dict``
-(which in turn build on :meth:`repro.core.atomic.SketchBank.state_dict`): a
-snapshot stores, per registered name, the
-:class:`~repro.service.specs.EstimatorSpec` and one estimator state per
-shard.  Restoring rebuilds each estimator from the spec and loads its shard
-state — the xi-seed fingerprints embedded in the bank snapshots guard
-against restoring counters into incompatible sketches.
+(:class:`repro.core.estimator.SketchEstimator`, in turn
+:meth:`repro.core.atomic.SketchBank.state_dict`): a snapshot stores, per
+registered name, the :class:`~repro.service.specs.EstimatorSpec` and one
+estimator state per shard.  Restoring rebuilds each estimator from the spec
+and loads its shard state — the xi-seed fingerprints embedded in the bank
+snapshots guard against restoring counters into incompatible sketches.
 
-Two on-disk formats are read, one is written:
+The state tree has one form, in memory and on disk: counters and xi seeds
+are tensors.  A file (``snapshot_version`` 2) is one JSON header describing
+the tree, followed by the raw, 64-byte-aligned tensors exactly as the banks
+hold them in memory (``.npz``-style: header + raw arrays).  Restores
+memory-map the file and hand the banks read-only tensor views
+(:func:`read_binary_snapshot_state`), so loading costs one ``mmap`` plus a
+JSON header parse — near-zero-copy — and the counters are only materialised
+(copy-on-write) if the restored sketch is mutated.
 
-* **v1 — JSON** (``snapshot_version`` 1): counters round-trip through
-  per-word Python lists.  What earlier builds wrote: still restored (and
-  still the shape of the in-memory ``snapshot()`` dict), no longer written
-  — it saved 33x slower, 3.8x larger and restored 8x slower than v2.
-* **v2 — binary** (``snapshot_version`` 2): one JSON header describing the
-  snapshot tree, followed by the raw, 64-byte-aligned counter and xi-seed
-  tensors exactly as the banks hold them in memory (``.npz``-style: header +
-  raw arrays).  Restores memory-map the file and hand the banks read-only
-  tensor views (:func:`read_binary_snapshot_state`), so loading costs one
-  ``mmap`` plus a JSON header parse — near-zero-copy — and the counters are
-  only materialised (copy-on-write) if the restored sketch is mutated.
-
-:func:`load_snapshot` auto-detects the format from the file's magic bytes,
-so readers never need to know how a snapshot was written.
+The v1 JSON format (per-word counter lists; no longer written since PR 18)
+is no longer read either: such a file, or a tree that declares
+``snapshot_version`` 1, raises a :class:`~repro.errors.SnapshotError` that
+names the last build able to convert it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
@@ -42,10 +40,14 @@ from repro.service.store import ShardedSketchStore
 
 #: Identifies the snapshot schema; bump on incompatible layout changes.
 SNAPSHOT_FORMAT = "repro.service.snapshot"
-#: Version written by the binary (array-native) writer.
+#: The one snapshot version written and read (tensor-native state tree).
 SNAPSHOT_VERSION = 2
-#: Version of the list-based (JSON-serialisable) tree.
-SNAPSHOT_VERSION_JSON = 1
+#: What a v1 (JSON, per-word list) snapshot is answered with.
+_V1_RETIRED = (
+    "this is a v1 JSON snapshot, which this build no longer reads: the last "
+    "build with a v1 reader is PR 20 (commit 07d1226) — load the snapshot "
+    "there and save it again to get a binary v2 file"
+)
 
 #: First bytes of every binary (v2) snapshot file.
 BINARY_MAGIC = b"REPROSNAP2\n"
@@ -55,23 +57,26 @@ _ALIGNMENT = 64
 _ARRAY_KEY = "__array__"
 
 
-def store_snapshot(store: ShardedSketchStore, *, arrays: bool = False) -> dict:
-    """A self-describing snapshot of a sharded store.
+def store_snapshot(store: ShardedSketchStore) -> dict:
+    """A self-describing snapshot tree of a sharded store.
 
-    With ``arrays=False`` the result is the JSON-serialisable v1 tree; with
-    ``arrays=True`` the bank counters stay contiguous NumPy tensors (the
-    form :func:`write_binary_snapshot_state` serialises without any
-    per-word traversal).
+    Bank counters and xi seeds are NumPy tensors — the form
+    :func:`write_binary_snapshot_state` serialises without any per-word
+    traversal.
     """
-    state = store.state_dict(arrays=arrays)
+    state = store.state_dict()
     state["format"] = SNAPSHOT_FORMAT
-    state["snapshot_version"] = SNAPSHOT_VERSION if arrays else SNAPSHOT_VERSION_JSON
+    state["snapshot_version"] = SNAPSHOT_VERSION
     return state
 
 
-def service_snapshot(service, *, arrays: bool = False) -> dict:
-    """Snapshot of a service (delegates to its store)."""
-    return store_snapshot(service.store, arrays=arrays)
+def _header_int(state: Mapping, key: str) -> int:
+    """An integer header field; anything else is a corrupt snapshot."""
+    value = state[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SnapshotError(
+            f"snapshot field {key!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validated(state: Mapping) -> Mapping:
@@ -80,27 +85,32 @@ def _validated(state: Mapping) -> Mapping:
     fmt = state.get("format", SNAPSHOT_FORMAT)
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(f"not a service snapshot (format {fmt!r})")
-    version = int(state.get("snapshot_version", SNAPSHOT_VERSION))
-    if version > SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"snapshot version {version} is newer than supported ({SNAPSHOT_VERSION})"
-        )
     for key in ("num_shards", "estimators"):
         if key not in state:
             raise SnapshotError(f"snapshot is missing the {key!r} field")
+    _header_int(state, "num_shards")
+    if "wal_seqno" in state:
+        _header_int(state, "wal_seqno")
+    # A bare ``store.state_dict()`` carries no version: it is this build's.
+    version = (_header_int(state, "snapshot_version")
+               if "snapshot_version" in state else SNAPSHOT_VERSION)
+    if version == 1:
+        raise SnapshotError(_V1_RETIRED)
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotError(
+            f"snapshot version {version} is not the one supported ({SNAPSHOT_VERSION})"
+        )
     return state
 
 
 def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
     """Register and load every estimator of a snapshot into an empty store.
 
-    Works for both snapshot forms: shard states whose counters are per-word
-    lists (v1) and shard states holding contiguous tensors (v2) — including
-    read-only memory-mapped views, which are adopted without copying and
-    materialised lazily on first mutation.
+    Read-only memory-mapped tensors are adopted without copying and
+    materialised lazily on first mutation; writable ones are copied.
     """
     state = _validated(state)
-    if int(state["num_shards"]) != store.num_shards:
+    if state["num_shards"] != store.num_shards:
         raise SnapshotError(
             f"snapshot was taken with {state['num_shards']} shards, "
             f"store has {store.num_shards}"
@@ -138,7 +148,7 @@ def restore_service(state: Mapping, *, flush_threshold: int | None = 8192,
     from repro.service.service import EstimationService
 
     state = _validated(state)
-    service = EstimationService(num_shards=int(state["num_shards"]),
+    service = EstimationService(num_shards=state["num_shards"],
                                 flush_threshold=flush_threshold,
                                 cache_size=cache_size)
     restore_store_state(service.store, state)
@@ -196,8 +206,12 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
 
 
-def write_binary_snapshot_state(state: Mapping, path) -> None:
-    """Atomically write a state tree as a binary (v2) snapshot file.
+def write_binary_snapshot_state(state: Mapping, target) -> None:
+    """Write a state tree as a binary (v2) snapshot.
+
+    ``target`` is a path — written atomically, through ``<path>.tmp`` and
+    ``os.replace`` — or a binary file object, written in place (how
+    ``snapshot fetch`` serialises into memory).
 
     Layout: ``BINARY_MAGIC``, a little-endian uint64 header length, the JSON
     header (the state tree with tensors replaced by slot references plus a
@@ -225,24 +239,32 @@ def write_binary_snapshot_state(state: Mapping, path) -> None:
                         separators=(",", ":")).encode("utf-8")
     data_start = _aligned(len(BINARY_MAGIC) + 8 + len(header))
 
-    path = os.fspath(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
+    def write(handle) -> None:
         handle.write(BINARY_MAGIC)
         handle.write(struct.pack("<Q", len(header)))
         handle.write(header)
         position = len(BINARY_MAGIC) + 8 + len(header)
         for entry, array in zip(table, arrays):
-            target = data_start + entry["offset"]
-            handle.write(b"\0" * (target - position))
+            start = data_start + entry["offset"]
+            handle.write(b"\0" * (start - position))
             handle.write(array.tobytes())
-            position = target + entry["nbytes"]
+            position = start + entry["nbytes"]
+
+    if hasattr(target, "write"):
+        write(target)
+        return
+    path = os.fspath(target)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as handle:
+        write(handle)
     os.replace(tmp, path)
 
 
 def _read_binary_header(handle) -> tuple[dict, int]:
     """Parse the magic + header of an open binary snapshot file."""
     magic = handle.read(len(BINARY_MAGIC))
+    if magic.lstrip()[:1] == b"{":
+        raise SnapshotError(_V1_RETIRED)
     if magic != BINARY_MAGIC:
         raise SnapshotError("not a binary snapshot (bad magic bytes)")
     raw_length = handle.read(8)
@@ -259,6 +281,37 @@ def _read_binary_header(handle) -> tuple[dict, int]:
     if not isinstance(header, dict) or "state" not in header or "arrays" not in header:
         raise SnapshotError("corrupt binary snapshot header: missing fields")
     return header, _aligned(len(BINARY_MAGIC) + 8 + header_length)
+
+
+def _state_from_buffer(buffer, header: dict, data_start: int):
+    """The state tree whose tensors are read-only views into ``buffer``
+    (the whole snapshot: its bytes, or a memory map of its file)."""
+    total = len(buffer)
+    arrays: list[np.ndarray] = []
+    for entry in header["arrays"]:
+        try:
+            dtype = np.dtype(str(entry["dtype"]))
+            shape = tuple(int(value) for value in entry["shape"])
+            relative = int(entry["offset"])
+            nbytes = int(entry["nbytes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"corrupt array table entry: {exc}") from exc
+        if dtype.hasobject:
+            raise SnapshotError("snapshot declares an object array")
+        if relative < 0 or nbytes < 0 or any(extent < 0 for extent in shape):
+            raise SnapshotError(
+                "array table entry is inconsistent (negative offset or size)"
+            )
+        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if expected != nbytes:
+            raise SnapshotError(
+                f"array table entry is inconsistent ({expected} != {nbytes} bytes)"
+            )
+        offset = data_start + relative
+        if offset + nbytes > total:
+            raise SnapshotError("truncated binary snapshot (array data missing)")
+        arrays.append(np.ndarray(shape, dtype=dtype, buffer=buffer, offset=offset))
+    return _unpack_tree(header["state"], arrays)
 
 
 def read_binary_snapshot_state(path, *, mmap: bool | None = None):
@@ -290,41 +343,14 @@ def read_binary_snapshot_state(path, *, mmap: bool | None = None):
             buffer = np.memmap(path, dtype=np.uint8, mode="r")
         except (OSError, ValueError) as exc:
             raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
-        total = buffer.size
-    else:
-        total = len(buffer)
+    return _state_from_buffer(buffer, header, data_start)
 
-    arrays: list[np.ndarray] = []
-    for entry in header["arrays"]:
-        try:
-            dtype = np.dtype(str(entry["dtype"]))
-            shape = tuple(int(value) for value in entry["shape"])
-            relative = int(entry["offset"])
-            nbytes = int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SnapshotError(f"corrupt array table entry: {exc}") from exc
-        if dtype.hasobject:
-            raise SnapshotError("snapshot declares an object array")
-        if relative < 0 or nbytes < 0 or any(extent < 0 for extent in shape):
-            raise SnapshotError(
-                "array table entry is inconsistent (negative offset or size)"
-            )
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if expected != nbytes:
-            raise SnapshotError(
-                f"array table entry is inconsistent ({expected} != {nbytes} bytes)"
-            )
-        offset = data_start + relative
-        if offset + nbytes > total:
-            raise SnapshotError("truncated binary snapshot (array data missing)")
-        if mmap:
-            array = np.ndarray(shape, dtype=dtype, buffer=buffer, offset=offset)
-        else:
-            array = np.frombuffer(buffer, dtype=dtype,
-                                  count=int(np.prod(shape, dtype=np.int64)),
-                                  offset=offset).reshape(shape)
-        arrays.append(array)
-    return _unpack_tree(header["state"], arrays)
+
+def snapshot_state_from_bytes(raw: bytes):
+    """The state tree of a snapshot held in memory (what ``snapshot fetch``
+    ships); its tensors are read-only views into ``raw``."""
+    header, data_start = _read_binary_header(io.BytesIO(raw))
+    return _state_from_buffer(raw, header, data_start)
 
 
 # -- file-level helpers ----------------------------------------------------------
@@ -338,36 +364,14 @@ def save_snapshot(service_or_store, path) -> None:
     store is serialised directly.
     """
     if hasattr(service_or_store, "snapshot"):
-        state = service_or_store.snapshot(arrays=True)
+        state = service_or_store.snapshot()
     else:
-        state = store_snapshot(service_or_store, arrays=True)
+        state = store_snapshot(service_or_store)
     write_binary_snapshot_state(state, path)
-
-
-def read_snapshot_state(path):
-    """Read a snapshot file (either format, auto-detected) into a state tree."""
-    path = os.fspath(path)
-    try:
-        with open(path, "rb") as handle:
-            is_binary = handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
-    except FileNotFoundError:
-        raise
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if is_binary:
-        return read_binary_snapshot_state(path)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
 
 
 def load_snapshot(path, *, flush_threshold: int | None = 8192,
                   cache_size: int = 16):
-    """Read a snapshot file (v1 JSON or v2 binary) and rebuild its service."""
-    state = read_snapshot_state(path)
-    return restore_service(state, flush_threshold=flush_threshold,
-                           cache_size=cache_size)
+    """Read a snapshot file and rebuild its service."""
+    return restore_service(read_binary_snapshot_state(path),
+                           flush_threshold=flush_threshold, cache_size=cache_size)

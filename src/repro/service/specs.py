@@ -9,23 +9,26 @@ specification: an immutable, JSON-serialisable value object that can build a
 fresh estimator on demand.
 
 The :data:`FAMILIES` registry covers all eight estimator families of the
-library and records, per family, how updates are routed (which sides exist,
-whether a side takes points or boxes) and whether estimates take a query
-argument.  The service layer is written entirely against this table, so a
-new estimator family only needs one registry entry to become servable.
+library and records, per family, the estimator class, the options a spec
+may pass to its constructor and whether estimates take a query argument.
+How updates are routed — which sides exist, their aliases, whether a side
+takes points or boxes — is what the class itself declares
+(:class:`repro.core.estimator.SketchEstimator`); the service layer calls
+that contract (``update`` / ``merge`` / ``state_dict`` / ``companion`` /
+``with_delta``) and this table, so a new estimator family only needs one
+registry entry to become servable.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.atomic import SketchBank
 from repro.core.domain import Domain
 from repro.core.epsilon_join import EpsilonJoinEstimator
+from repro.core.estimator import SketchEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
 from repro.core.join_extended import (
     CommonEndpointJoinEstimator,
@@ -36,137 +39,60 @@ from repro.core.join_interval import IntervalJoinEstimator
 from repro.core.join_rect import RectangleJoinEstimator
 from repro.core.range_query import RangeQueryEstimator
 from repro.core.result import EstimateResult
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SketchConfigError
 from repro.geometry.boxset import BoxSet, PointSet
 from repro.geometry.rectangle import Rect
 
 UPDATE_KINDS = ("insert", "delete")
 
-#: Sentinel distinguishing "no default supplied" from an explicit ``None``.
-_MISSING = object()
-
 
 @dataclass(frozen=True)
 class FamilyInfo:
-    """Registry metadata for one estimator family."""
+    """Registry metadata for one estimator family.
+
+    Sides, their aliases and which of them take points are what the
+    estimator class declares (:attr:`repro.core.estimator.SketchEstimator.SIDES`);
+    a spec's options are that class's constructor keywords of the same name.
+    """
 
     name: str
-    builder: Callable[["EstimatorSpec"], Any]
-    sides: tuple[str, ...]
-    update_methods: Mapping[tuple[str, str], str]
-    aliases: Mapping[str, str] = field(default_factory=dict)
-    point_sides: frozenset = frozenset()
+    estimator: type[SketchEstimator]
     queryable: bool = False
     option_names: frozenset = frozenset()
     required_options: frozenset = frozenset()
 
+    @property
+    def sides(self) -> tuple[str, ...]:
+        return tuple(side.name for side in self.estimator.SIDES)
+
+    @property
+    def point_sides(self) -> frozenset:
+        return frozenset(side.name for side in self.estimator.SIDES if side.points)
+
     def resolve_side(self, side: str) -> str:
-        canonical = self.aliases.get(side, side)
-        if canonical not in self.sides:
+        try:
+            return self.estimator.resolve_side(side).name
+        except SketchConfigError:
             raise ServiceError(
                 f"family {self.name!r} has sides {self.sides}, not {side!r}"
-            )
-        return canonical
+            ) from None
 
 
-def _paired_methods() -> dict[tuple[str, str], str]:
-    return {
-        ("left", "insert"): "insert_left",
-        ("left", "delete"): "delete_left",
-        ("right", "insert"): "insert_right",
-        ("right", "delete"): "delete_right",
-    }
+_POLICY = frozenset({"endpoint_policy"})
 
-
-FAMILIES: dict[str, FamilyInfo] = {
-    "interval": FamilyInfo(
-        name="interval",
-        builder=lambda spec: IntervalJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-            endpoint_policy=spec.option("endpoint_policy", "transform"),
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-        option_names=frozenset({"endpoint_policy"}),
-    ),
-    "rectangle": FamilyInfo(
-        name="rectangle",
-        builder=lambda spec: RectangleJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-            endpoint_policy=spec.option("endpoint_policy", "transform"),
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-        option_names=frozenset({"endpoint_policy"}),
-    ),
-    "hyperrect": FamilyInfo(
-        name="hyperrect",
-        builder=lambda spec: SpatialJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-            endpoint_policy=spec.option("endpoint_policy", "transform"),
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-        option_names=frozenset({"endpoint_policy"}),
-    ),
-    "extended_overlap": FamilyInfo(
-        name="extended_overlap",
-        builder=lambda spec: ExtendedOverlapJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-    ),
-    "common_endpoint": FamilyInfo(
-        name="common_endpoint",
-        builder=lambda spec: CommonEndpointJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-    ),
-    "containment": FamilyInfo(
-        name="containment",
-        builder=lambda spec: ContainmentJoinEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-        ),
-        sides=("outer", "inner"),
-        update_methods={
-            ("outer", "insert"): "insert_outer",
-            ("outer", "delete"): "delete_outer",
-            ("inner", "insert"): "insert_inner",
-            ("inner", "delete"): "delete_inner",
-        },
-        aliases={"left": "outer", "right": "inner"},
-    ),
-    "epsilon": FamilyInfo(
-        name="epsilon",
-        builder=lambda spec: EpsilonJoinEstimator(
-            spec.domain(), spec.option("epsilon"), spec.num_instances,
-            seed=spec.seed,
-        ),
-        sides=("left", "right"),
-        update_methods=_paired_methods(),
-        point_sides=frozenset({"left", "right"}),
-        option_names=frozenset({"epsilon"}),
-        required_options=frozenset({"epsilon"}),
-    ),
-    "range": FamilyInfo(
-        name="range",
-        builder=lambda spec: RangeQueryEstimator(
-            spec.domain(), spec.num_instances, seed=spec.seed,
-            strict=spec.option("strict", False),
-        ),
-        sides=("data",),
-        update_methods={
-            ("data", "insert"): "insert",
-            ("data", "delete"): "delete",
-        },
-        aliases={"left": "data"},
-        queryable=True,
-        option_names=frozenset({"strict"}),
-    ),
-}
+FAMILIES: dict[str, FamilyInfo] = {info.name: info for info in (
+    FamilyInfo("interval", IntervalJoinEstimator, option_names=_POLICY),
+    FamilyInfo("rectangle", RectangleJoinEstimator, option_names=_POLICY),
+    FamilyInfo("hyperrect", SpatialJoinEstimator, option_names=_POLICY),
+    FamilyInfo("extended_overlap", ExtendedOverlapJoinEstimator),
+    FamilyInfo("common_endpoint", CommonEndpointJoinEstimator),
+    FamilyInfo("containment", ContainmentJoinEstimator),
+    FamilyInfo("epsilon", EpsilonJoinEstimator,
+               option_names=frozenset({"epsilon"}),
+               required_options=frozenset({"epsilon"})),
+    FamilyInfo("range", RangeQueryEstimator, queryable=True,
+               option_names=frozenset({"strict"})),
+)}
 
 
 def family_info(family: str) -> FamilyInfo:
@@ -264,20 +190,16 @@ class EstimatorSpec:
     def dimension(self) -> int:
         return len(self.sizes)
 
-    def option(self, name: str, default: Any = _MISSING) -> Any:
-        for key, value in self.options:
-            if key == name:
-                return value
-        if default is _MISSING:
-            raise ServiceError(f"spec for family {self.family!r} lacks option {name!r}")
-        return default
+    def option(self, name: str, default: Any = None) -> Any:
+        return dict(self.options).get(name, default)
 
     def domain(self) -> Domain:
         return Domain(self.sizes, max_levels=self.max_levels)
 
-    def build(self) -> Any:
+    def build(self) -> SketchEstimator:
         """A fresh, empty estimator of this spec's family."""
-        return self.info.builder(self)
+        return self.info.estimator(self.domain(), num_instances=self.num_instances,
+                                   seed=self.seed, **dict(self.options))
 
     # -- serialisation ------------------------------------------------------------
 
@@ -309,52 +231,6 @@ class EstimatorSpec:
             raise ServiceError(f"malformed estimator spec: {exc}") from exc
 
 
-#: Input-cardinality attributes the eight estimator families keep outside
-#: their banks; whatever zeroes or sums counters treats these alike.
-COUNT_ATTRS = ("_left_count", "_right_count", "_outer_count",
-               "_inner_count", "_count")
-
-
-def empty_companion(template: Any) -> Any:
-    """A zero-counter estimator of ``template``'s spec, aliasing its xi state.
-
-    Delta trackers and the cluster's partial-state reduce need estimators
-    that are merge-compatible with a name's other estimators but start
-    empty.  Building each with ``spec.build()`` would redraw every xi
-    family from the seed — O(instances x levels) per call — and give it
-    banks of its own.  Instead the result is a shallow clone of an existing
-    estimator whose banks are :meth:`~repro.core.atomic.SketchBank.companion`
-    companions — empty counters, shared xi families and their lazily-built
-    sign tables — and whose input counts are zeroed.  Compatibility is
-    still checked by value (domain signature, words, seeded xi
-    coefficients) wherever the companion is merged or loaded.
-    """
-    template_state = vars(template)
-    clone = copy.copy(template)
-    for attr, value in template_state.items():
-        if isinstance(value, SketchBank):
-            setattr(clone, attr, value.companion())
-    for attr in COUNT_ATTRS:
-        if attr in template_state:
-            setattr(clone, attr, 0)
-    if "_compiled_terms" in template_state:
-        clone._compiled_terms = None
-    return clone
-
-
-def prepay_tables(estimator: Any) -> None:
-    """Build the xi tables of every bank of ``estimator`` ahead of its data.
-
-    What a service does for a name on its first buffered box (see
-    :meth:`~repro.core.atomic.SketchBank.prepay_tables`): families are
-    interned per process, so one estimator of a name pays for all its
-    shards, views and trackers.
-    """
-    for value in vars(estimator).values():
-        if isinstance(value, SketchBank):
-            value.prepay_tables()
-
-
 # -- update and estimate dispatch ---------------------------------------------------
 
 
@@ -378,18 +254,17 @@ def as_boxes(data: BoxSet | PointSet) -> BoxSet:
     raise ServiceError(f"expected a BoxSet or PointSet, got {type(data).__name__}")
 
 
-def apply_update(spec: EstimatorSpec, estimator: Any, side: str, kind: str,
+def apply_update(spec: EstimatorSpec, estimator: SketchEstimator, side: str, kind: str,
                  boxes: BoxSet) -> None:
     """Route one batch of inserts or deletes into an estimator."""
     info = spec.info
     side = info.resolve_side(side)
     if kind not in UPDATE_KINDS:
         raise ServiceError(f"update kind must be one of {UPDATE_KINDS}, got {kind!r}")
-    method = getattr(estimator, info.update_methods[(side, kind)])
     payload: BoxSet | PointSet = boxes
     if side in info.point_sides:
         payload = as_points(boxes)
-    method(payload)
+    estimator.update(side, payload, 1.0 if kind == "insert" else -1.0)
 
 
 def run_estimate(spec: EstimatorSpec, estimator: Any,

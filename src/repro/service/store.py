@@ -27,8 +27,6 @@ from repro.geometry.boxset import BoxSet
 from repro.service.specs import (
     EstimatorSpec,
     apply_update,
-    empty_companion,
-    prepay_tables,
     run_estimate,
     run_estimate_batch,
 )
@@ -224,7 +222,7 @@ class ShardedSketchStore:
         ones every shard, merged view and delta tracker of the name shares.
         """
         self.spec(name)  # raises for unknown names
-        prepay_tables(self._shards[0][name])
+        self._shards[0][name].prepay_tables()
 
     def mark_updated(self, name: str, *, delta_recorded: bool = False) -> None:
         """Bump a name's version after a mutation.
@@ -253,8 +251,7 @@ class ShardedSketchStore:
         not a fresh seeded xi draw.
         """
         self.spec(name)  # raises for unknown names
-        self._trackers[name] = _DeltaTracker(
-            empty_companion(self._shards[0][name]))
+        self._trackers[name] = _DeltaTracker(self._shards[0][name].companion())
 
     def unwatch_delta(self, name: str) -> None:
         """Stop delta accumulation for a name (evicted/dropped views)."""
@@ -327,12 +324,11 @@ class ShardedSketchStore:
 
     # -- persistence ----------------------------------------------------------------
 
-    def state_dict(self, *, arrays: bool = False) -> dict:
+    def state_dict(self) -> dict:
         """A snapshot of every spec and shard estimator.
 
-        ``arrays=False`` (default) yields the JSON-serialisable v1 tree;
-        ``arrays=True`` keeps every bank's counters as contiguous tensors —
-        the form the binary snapshot writer serialises directly.
+        Every bank's counters are one contiguous tensor — the form the
+        binary snapshot writer serialises directly.
         """
         return {
             "num_shards": self._num_shards,
@@ -340,7 +336,7 @@ class ShardedSketchStore:
                 name: {
                     "spec": spec.to_dict(),
                     "version": self._versions[name],
-                    "shards": [shard[name].state_dict(arrays=arrays)
+                    "shards": [shard[name].state_dict()
                                for shard in self._shards],
                 }
                 for name, spec in self._specs.items()

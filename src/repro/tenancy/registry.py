@@ -252,7 +252,7 @@ class TenantRegistry:
     # -- persistence ---------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-JSON form embedded in snapshots (v1 and binary v2)."""
+        """Plain-JSON form embedded in the header of binary v2 snapshots."""
         with self._lock:
             records = [self._by_id[tid].to_dict() for tid in sorted(self._by_id)]
         return {"version": 1, "records": records}

@@ -152,7 +152,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     where the crashed process stopped.
     """
     from repro.service.service import EstimationService
-    from repro.service.snapshot import read_snapshot_state, restore_service
+    from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
     service_kwargs = dict(flush_threshold=flush_threshold,
                           cache_size=cache_size)
@@ -164,9 +164,9 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         snapshot_path = default_checkpoint_path(wal_dir)
     if snapshot_path is not None and os.path.exists(os.fspath(snapshot_path)):
         resolved_path = os.fspath(snapshot_path)
-        state = read_snapshot_state(resolved_path)
+        state = read_binary_snapshot_state(resolved_path)
         service = restore_service(state, **service_kwargs)
-        base_seqno = int(state.get("wal_seqno", 0))
+        base_seqno = state.get("wal_seqno", 0)
     else:
         service = EstimationService(num_shards=num_shards, **service_kwargs)
 

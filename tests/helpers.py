@@ -99,9 +99,9 @@ def expected_estimator_value(estimator, left: BoxSet, right: BoxSet) -> float:
     applies the estimator's own coordinate preparation so endpoint
     transformations are exercised exactly as in production.
     """
-    prepared_left, left_overrides = estimator._prepare_left(left)
-    prepared_right, right_overrides = estimator._prepare_right(right)
-    domain = estimator._sketch_domain
+    prepared_left, left_overrides = estimator._prepare("left", left)
+    prepared_right, right_overrides = estimator._prepare("right", right)
+    domain = estimator.left_bank.domain
 
     def select(letter: Letter, base: BoxSet, overrides) -> BoxSet:
         if overrides is not None and letter in overrides:
@@ -148,3 +148,15 @@ def _mixed_cover_counts(sources: dict[Letter, BoxSet], domain: Domain,
         for cell in cells:
             counts[cell] += 1.0
     return counts
+
+
+def assert_same_state(ours, theirs, path: str = "state") -> None:
+    """Bit-exact comparison of two ``state_dict`` trees (tensors by value)."""
+    if isinstance(ours, dict):
+        assert ours.keys() == theirs.keys(), f"{path}: keys differ"
+        for key in ours:
+            assert_same_state(ours[key], theirs[key], f"{path}/{key}")
+    elif isinstance(ours, np.ndarray):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), path
+    else:
+        assert ours == theirs, f"{path}: {ours!r} != {theirs!r}"

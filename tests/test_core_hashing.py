@@ -13,7 +13,6 @@ from repro.core.hashing import (
     FourWiseFamilyBank,
     _build_signs,
     coefficients_from_state,
-    coefficients_to_state,
     stable_seed_offset,
     stable_text_hash,
     stack_xi_coefficients,
@@ -193,7 +192,7 @@ class TestCoefficientSerialisation:
 
     def test_state_round_trip_rebuilds_identical_families(self):
         bank = FourWiseFamilyBank(6, 1024, seed=17)
-        state = coefficients_to_state(bank.coefficients)
+        state = bank.coefficients.tolist()  # what a JSON hop delivers
         restored = FourWiseFamilyBank.from_coefficients(state, 1024)
         ids = np.arange(1024)
         assert np.array_equal(restored.signs(ids), bank.signs(ids))
@@ -203,12 +202,12 @@ class TestCoefficientSerialisation:
         import json
 
         bank = FourWiseFamilyBank(3, 64, seed=5)
-        text = json.dumps(bank.coefficients_state())
+        text = json.dumps(bank.coefficients.tolist())
         assert bank.matches_coefficients(json.loads(text))
 
     def test_matches_coefficients_accepts_all_forms(self):
         bank = FourWiseFamilyBank(4, 128, seed=9)
-        as_list = bank.coefficients_state()
+        as_list = bank.coefficients.tolist()
         as_array = coefficients_from_state(as_list)
         read_only = as_array.copy()
         read_only.setflags(write=False)

@@ -9,9 +9,11 @@ from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.errors import MergeCompatibilityError, SketchConfigError
 from repro.geometry.boxset import BoxSet
+from repro.server.protocol import json_default
 from repro.service.specs import EstimatorSpec, apply_update, run_estimate
 
 from tests.conftest import random_boxes
+from tests.helpers import assert_same_state
 
 
 IE_1D = [(Letter.INTERVAL,), (Letter.ENDPOINTS,)]
@@ -153,7 +155,7 @@ class TestPersistence:
     def test_state_dict_is_json_serialisable(self, rng, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=4, seed=7)
         bank.insert(random_boxes(rng, 5, 256, 1))
-        text = json.dumps(bank.state_dict())
+        text = json.dumps(bank.state_dict(), default=json_default)
         assert "counters" in json.loads(text)
 
     def test_restored_bank_supports_further_updates(self, rng, domain_1d):
@@ -204,7 +206,7 @@ class TestPersistence:
 
 
 class TestColumnarState:
-    """The contiguous counter tensor and the array-form snapshots."""
+    """The contiguous counter tensor and the tensor-form snapshots."""
 
     def test_counter_tensor_matches_per_word_counters(self, rng, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=12, seed=7)
@@ -218,7 +220,7 @@ class TestColumnarState:
     def test_array_state_round_trip_is_bit_identical(self, rng, domain_1d):
         original = SketchBank(domain_1d, IE_1D, num_instances=12, seed=7)
         original.insert(random_boxes(rng, 25, 256, 1))
-        state = original.state_dict(arrays=True)
+        state = original.state_dict()
         assert isinstance(state["counters"], np.ndarray)
         assert state["xi_coefficients"].shape == (1, 12, 4)
 
@@ -228,18 +230,29 @@ class TestColumnarState:
         assert restored.num_updates == original.num_updates
 
     def test_array_and_json_states_describe_the_same_counters(self, rng, domain_1d):
+        """An NDJSON hop turns the tensors into nested lists; both load alike."""
         bank = SketchBank(domain_1d, IE_1D, num_instances=6, seed=3)
         bank.insert(random_boxes(rng, 15, 256, 1))
-        json_state = bank.state_dict()
-        array_state = bank.state_dict(arrays=True)
-        for column, key in enumerate(json_state["words"]):
-            assert json_state["counters"][key] == \
-                array_state["counters"][:, column].tolist()
+        array_state = bank.state_dict()
+        json_state = json.loads(json.dumps(array_state, default=json_default))
+        assert json_state["counters"] == array_state["counters"].tolist()
+        restored = bank.companion()
+        restored.load_state_dict(json_state)
+        assert np.array_equal(restored.counter_tensor, bank.counter_tensor)
+        assert restored.num_updates == bank.num_updates
+
+    def test_per_word_counter_lists_are_refused(self, rng, domain_1d):
+        """The retired v1 state form gets a typed error, not a numpy one."""
+        bank = SketchBank(domain_1d, IE_1D, num_instances=6, seed=3)
+        state = bank.state_dict()
+        state["counters"] = {"I": [0.0] * 6, "E": [0.0] * 6}
+        with pytest.raises(MergeCompatibilityError, match="not a tensor"):
+            bank.load_state_dict(state)
 
     def test_adopted_read_only_tensor_copies_on_first_write(self, rng, domain_1d):
         original = SketchBank(domain_1d, IE_1D, num_instances=8, seed=7)
         original.insert(random_boxes(rng, 20, 256, 1))
-        state = original.state_dict(arrays=True)
+        state = original.state_dict()
         state["counters"].setflags(write=False)
 
         adopted = SketchBank(domain_1d, IE_1D, num_instances=8, seed=7)
@@ -264,11 +277,11 @@ class TestColumnarState:
         bank.insert(random_boxes(rng, 5, 256, 1))
         other = SketchBank(domain_1d, IE_1D, num_instances=8, seed=10)
         with pytest.raises(MergeCompatibilityError):
-            other.load_state_dict(bank.state_dict(arrays=True))
+            other.load_state_dict(bank.state_dict())
 
     def test_array_state_shape_mismatch_rejected(self, rng, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=8, seed=9)
-        state = bank.state_dict(arrays=True)
+        state = bank.state_dict()
         state["counters"] = state["counters"][:, :1]
         with pytest.raises(MergeCompatibilityError):
             bank.load_state_dict(state)
@@ -293,9 +306,11 @@ class TestEstimatorPersistence:
             apply_update(spec, original, side, "insert",
                          _family_boxes(rng, family, sizes, 120))
 
-        snapshot = json.loads(json.dumps(original.state_dict()))
+        snapshot = json.loads(json.dumps(original.state_dict(),
+                                         default=json_default))
         restored = spec.build()
         restored.load_state_dict(snapshot)
+        assert_same_state(restored.state_dict(), original.state_dict())
 
         query = None
         if spec.info.queryable:
@@ -334,14 +349,15 @@ class TestEstimatorPersistence:
                              ids=[f[0] for f in FAMILY_SPECS])
     def test_array_state_round_trip_estimate_equality(self, rng, family,
                                                       sizes, options):
-        """arrays=True snapshots restore bit-identically, every family."""
+        """Tensor states restore bit-identically, every family."""
         spec = EstimatorSpec.create(family, sizes, 16, seed=13, **options)
         original = spec.build()
         for side in spec.info.sides:
             apply_update(spec, original, side, "insert",
                          _family_boxes(rng, family, sizes, 80))
         restored = spec.build()
-        restored.load_state_dict(original.state_dict(arrays=True))
+        restored.load_state_dict(original.state_dict())
+        assert_same_state(restored.state_dict(), original.state_dict())
         query = None
         if spec.info.queryable:
             query = random_boxes(rng, 1, sizes[0], len(sizes))

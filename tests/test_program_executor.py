@@ -81,18 +81,18 @@ def reference_scalar_estimate(family: str, view, query=None):
                                      * view.right_bank.counter(right_word))
         left, right = view.left_count, view.right_count
     elif family == "epsilon":
-        values = (view._point_bank.counter(view._point_word)
-                  * view._cube_bank.counter(view._cube_word))
+        values = (view.side_bank("left").counter(view._point_word)
+                  * view.side_bank("right").counter(view._cube_word))
         left, right = view.left_count, view.right_count
     elif family == "containment":
-        values = (view._outer_bank.counter(view._outer_word)
-                  * view._inner_bank.counter(view._inner_word))
+        values = (view.side_bank("outer").counter(view._outer_word)
+                  * view.side_bank("inner").counter(view._inner_word))
         left, right = view.outer_count, view.inner_count
     elif family == "range":
         query_box = view._query_box(query)
         values = np.zeros(view.num_instances, dtype=np.float64)
         for word in view._words:
-            values += view._bank.counter(word) * view._bank.evaluate(
+            values += view.bank.counter(word) * view.bank.evaluate(
                 view._query_word(word), query_box)
         left, right = view.count, 1
     else:  # pragma: no cover - defensive

@@ -8,9 +8,9 @@ values, same group means.  This is the tentpole guarantee of the batched
 engine: batching is a pure execution-strategy change, never a numerics
 change.
 
-The same holds for persistence: a state round trip through either
-snapshot format (v1 JSON or v2 binary, the latter restored through a
-read-only memory map) must leave every estimate bit-identical — the
+The same holds for persistence: a state round trip through a binary
+snapshot file (restored through a read-only memory map) or through a JSON
+hop of the state tree must leave every estimate bit-identical — the
 columnar state layer is likewise a pure storage-strategy change.
 """
 
@@ -26,10 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.boxset import BoxSet
+from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
     load_snapshot,
+    restore_service,
     save_snapshot,
 )
 
@@ -122,18 +124,15 @@ def test_batch_equals_scalar_on_merged_shard_views(family, case):
         "est", queries if family == "range" else len(queries))
     assert [r.estimate for r in direct] == [r.estimate for r in batch]
 
-    # Persistence equivalence: a round trip through BOTH snapshot formats
-    # (v1 JSON lists and v2 binary tensors, the latter restored through a
-    # read-only memory map) must leave every estimate bit-identical.
+    # Persistence equivalence: a round trip through the binary snapshot
+    # file (restored through a read-only memory map) and through the state
+    # tree after a JSON hop (tensors as nested lists, what an NDJSON link
+    # delivers) must leave every estimate bit-identical.
     with tempfile.TemporaryDirectory(prefix="repro-snap-") as tmp:
-        for filename, fmt in (("svc.json", "json"), ("svc.snap", "binary")):
-            path = os.path.join(tmp, filename)
-            if fmt == "json":  # v1 files are no longer written, only read
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(service.snapshot(), handle)
-            else:
-                save_snapshot(service, path)
-            restored = load_snapshot(path)
+        path = os.path.join(tmp, "svc.snap")
+        save_snapshot(service, path)
+        hopped = json.loads(json.dumps(service.snapshot(), default=json_default))
+        for restored in (load_snapshot(path), restore_service(hopped)):
             if family == "range":
                 round_tripped = restored.estimate_batch("est", queries)
             else:

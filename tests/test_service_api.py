@@ -10,6 +10,7 @@ from repro.core.domain import Domain
 from repro.data.streams import UpdateStream
 from repro.errors import ServiceError, SnapshotError
 from repro.geometry.rectangle import Rect
+from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
@@ -152,7 +153,8 @@ class TestSnapshots:
         service.insert("join", random_boxes(rng, 120, 256, 2), side="left")
         service.insert("join", random_boxes(rng, 120, 256, 2), side="right")
         expected = service.estimate("join").estimate
-        blob = json.dumps(service.snapshot())  # must be JSON-serialisable
+        # The tensor tree survives a JSON hop (tensors as nested lists).
+        blob = json.dumps(service.snapshot(), default=json_default)
         restored = restore_service(json.loads(blob))
         assert restored.estimate("join").estimate == expected
 

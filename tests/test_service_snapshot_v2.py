@@ -1,13 +1,15 @@
 """Tests for the binary (v2) snapshot format and the memory-mapped restores.
 
-Covers the tentpole guarantees of the columnar state layer:
+Covers the guarantees of the columnar state layer:
 
 * every estimator family answers bit-identically after a round trip through
-  *both* snapshot formats the loader reads (v2 binary, the one format
-  written, and the v1 JSON tree earlier builds wrote),
-* a checked-in v1 JSON fixture from an earlier build still restores and
-  answers its recorded queries exactly (backward compatibility),
-* corrupt and truncated binary snapshots raise :class:`SnapshotError`.
+  a snapshot file, memory-mapped or read into private memory,
+* a checked-in v2 fixture written by an earlier build (PR 20, before the
+  estimator contract was factored into ``repro.core.estimator``) still
+  restores, answers its recorded queries exactly and re-saves to the same
+  bytes (backward compatibility of the on-disk layout),
+* corrupt, truncated and retired-format (v1 JSON) snapshots raise
+  :class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ import numpy as np
 import pytest
 
 from repro.errors import SnapshotError
+from repro.geometry.boxset import BoxSet
+from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
     load_snapshot,
+    restore_service,
 )
 from repro.service.snapshot import (
     BINARY_MAGIC,
     read_binary_snapshot_state,
-    read_snapshot_state,
     write_binary_snapshot_state,
 )
 
@@ -51,8 +55,6 @@ FAMILY_SPECS = [
 def _family_boxes(rng, family, sizes, count):
     boxes = random_boxes(rng, count, sizes[0], len(sizes))
     if family == "epsilon":
-        from repro.geometry.boxset import BoxSet
-
         return BoxSet(boxes.lows, boxes.lows.copy(), validate=False)
     return boxes
 
@@ -67,10 +69,12 @@ def _family_service(rng, family, sizes, options, *, num_shards=3):
     return service, spec
 
 
-def _write_v1_json(service, path) -> None:
-    """A v1 JSON snapshot file as earlier builds wrote it (the writer is
-    gone; the list-based tree it dumped is still ``service.snapshot()``)."""
-    path.write_text(json.dumps(service.snapshot()), encoding="utf-8")
+def _write_v1_json(path) -> None:
+    """The shape of a v1 JSON snapshot file as builds before PR 18 wrote it."""
+    path.write_text(json.dumps({
+        "num_shards": 2, "estimators": {},
+        "format": "repro.service.snapshot", "snapshot_version": 1,
+    }), encoding="utf-8")
 
 
 class TestBothFormatsRoundTrip:
@@ -84,16 +88,15 @@ class TestBothFormatsRoundTrip:
             query = random_boxes(rng, 1, sizes[0], len(sizes))
         original = service.estimate("est", query)
 
-        binary_path = tmp_path / "svc.snap"
-        json_path = tmp_path / "svc.json"
-        service.save(binary_path)
-        _write_v1_json(service, json_path)
-        with open(binary_path, "rb") as handle:
+        path = tmp_path / "svc.snap"
+        service.save(path)
+        with open(path, "rb") as handle:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
-        json.load(open(json_path, encoding="utf-8"))  # really is v1 JSON
 
-        for path in (binary_path, json_path):
-            restored = load_snapshot(path)
+        # Both ways a file is read: memory-mapped, and into private memory.
+        for mmap in (True, False):
+            restored = restore_service(
+                read_binary_snapshot_state(path, mmap=mmap))
             result = restored.estimate("est", query)
             assert result.estimate == original.estimate
             assert np.array_equal(result.instance_values,
@@ -102,11 +105,11 @@ class TestBothFormatsRoundTrip:
             assert result.right_count == original.right_count
 
     def test_in_memory_array_snapshot_restores_do_not_alias(self, rng):
-        """Two services restored from one arrays=True tree must not share
+        """Two services restored from one in-memory tree must not share
         writable counter tensors — ingesting into one must not touch the
         other (only read-only mmap views are adopted without copying)."""
         service, _ = _family_service(rng, "rectangle", (256, 256), {})
-        state = service.snapshot(arrays=True)
+        state = service.snapshot()
         first = EstimationService.restore(state)
         second = EstimationService.restore(state)
         before = second.estimate("est").estimate
@@ -122,7 +125,7 @@ class TestBothFormatsRoundTrip:
         restored = load_snapshot(path)
         shard = next(iter(restored.store.shard_estimators("est")))
         # Adopted without copying: a read-only view into the mapped file.
-        assert not shard._left_bank._matrix.flags.writeable
+        assert not shard.left_bank._matrix.flags.writeable
         later = random_boxes(rng, 40, 256, 2)
         for svc in (service, restored):
             svc.ingest("est", later, side="left")
@@ -153,26 +156,61 @@ class TestBothFormatsRoundTrip:
         assert len(xi_ids) == 1  # one shared mmap view across all 8 refs
 
 
-class TestV1FixtureRegression:
-    """A snapshot written by the v1 (JSON-only) build must keep answering."""
+class TestV2FixtureRegression:
+    """A snapshot written by an earlier build must keep answering.
 
-    def test_fixture_restores_and_answers_identically(self):
-        expected = json.loads(
-            (FIXTURES / "service_snapshot_v1.expected.json").read_text())
-        service = load_snapshot(FIXTURES / "service_snapshot_v1.json")
-        assert service.estimate("join").estimate == expected["join_estimate"]
-        rows = np.asarray(expected["queries"], dtype=np.int64)
-        from repro.geometry.boxset import BoxSet
+    ``service_snapshot_v2.snap`` was written by the PR 20 build: all eight
+    families, 2 shards, ~300 boxes a side with some deletes, ``join``
+    registered with ``max_levels``, ``acme/ranges`` inside a tenant's
+    namespace.  ``service_snapshot_v2.expected.json`` holds what that build
+    answered.
+    """
 
-        dimension = rows.shape[1] // 2
-        queries = BoxSet(rows[:, :dimension], rows[:, dimension:])
-        estimates = [r.estimate
-                     for r in service.estimate_batch("ranges", queries)]
-        assert estimates == expected["range_estimates"]
+    SNAPSHOT = FIXTURES / "service_snapshot_v2.snap"
+    EXPECTED = json.loads(
+        (FIXTURES / "service_snapshot_v2.expected.json").read_text())
 
-    def test_fixture_is_version_1_json(self):
-        state = json.loads((FIXTURES / "service_snapshot_v1.json").read_text())
-        assert state["snapshot_version"] == 1
+    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
+    def test_fixture_restores_and_answers_identically(self, mmap):
+        service = restore_service(
+            read_binary_snapshot_state(self.SNAPSHOT, mmap=mmap))
+        assert service.num_shards == self.EXPECTED["num_shards"]
+        assert service.tenants.describe()["ids"] == self.EXPECTED["tenants"]
+        assert service.spec("join").max_levels == (5, 5)
+        assert sorted(service.names()) == sorted(self.EXPECTED["names"])
+        rows = np.asarray(self.EXPECTED["queries"], dtype=np.int64)
+        queries = BoxSet(rows[:, :2], rows[:, 2:])
+        for name, expected in self.EXPECTED["names"].items():
+            assert service.spec(name).family == expected["family"]
+            if expected["family"] == "range":
+                scalar = [service.estimate(name, queries[row:row + 1])
+                          for row in range(len(queries))]
+                assert [r.estimate for r in scalar] == expected["scalar"]
+                batch = service.estimate_batch(name, queries)
+                assert scalar[0].left_count == expected["left_count"]
+            else:
+                result = service.estimate(name)
+                assert result.estimate == expected["scalar"]
+                assert result.instance_values.tolist() == expected["instance_values"]
+                assert result.left_count == expected["left_count"]
+                assert result.right_count == expected["right_count"]
+                batch = service.estimate_batch(name, len(expected["batch"]))
+            assert [r.estimate for r in batch] == expected["batch"]
+
+    def test_console_script_estimates_from_the_fixture(self, capsys):
+        """What CI's console smoke step runs."""
+        from repro.cli import main
+
+        assert main(["estimate", "--snapshot", str(self.SNAPSHOT),
+                     "--name", "join"]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply["estimate"] == self.EXPECTED["names"]["join"]["scalar"]
+
+    def test_fixture_resaves_to_the_same_bytes(self, tmp_path):
+        """The on-disk layout is unchanged: restore + save is the identity."""
+        path = tmp_path / "again.snap"
+        load_snapshot(self.SNAPSHOT).save(path)
+        assert path.read_bytes() == self.SNAPSHOT.read_bytes()
 
 
 class TestCorruptSnapshots:
@@ -215,12 +253,42 @@ class TestCorruptSnapshots:
             load_snapshot(tmp_path / "nope.snap")
 
     def test_read_snapshot_state_detects_both_formats(self, rng, tmp_path):
+        """Binary reads; a v1 JSON file is told apart and refused by name."""
         path = self._binary_snapshot(rng, tmp_path)
-        assert read_snapshot_state(path)["snapshot_version"] == 2
+        assert read_binary_snapshot_state(path)["snapshot_version"] == 2
         json_path = tmp_path / "svc.json"
-        service, _ = _family_service(rng, "interval", (256,), {})
-        _write_v1_json(service, json_path)
-        assert read_snapshot_state(json_path)["snapshot_version"] == 1
+        _write_v1_json(json_path)
+        for reader in (read_binary_snapshot_state, load_snapshot):
+            with pytest.raises(SnapshotError, match="v1 JSON.*PR 20"):
+                reader(json_path)
+
+    def test_version_1_tree_is_refused(self):
+        with pytest.raises(SnapshotError, match="v1 JSON.*PR 20"):
+            restore_service({"format": "repro.service.snapshot",
+                             "snapshot_version": 1,
+                             "num_shards": 2, "estimators": {}})
+
+    @pytest.mark.parametrize("field,value", [
+        ("snapshot_version", "abc"), ("snapshot_version", None),
+        ("snapshot_version", 2.0), ("snapshot_version", True),
+        ("snapshot_version", 0), ("snapshot_version", -3),
+        ("num_shards", None), ("num_shards", "two"), ("num_shards", [2]),
+        ("wal_seqno", "7"), ("wal_seqno", None),
+    ])
+    def test_malformed_header_values_are_snapshot_errors(
+            self, tmp_path, field, value):
+        """Header fields that are not integers (or a version below 2) must
+        stay inside the error taxonomy, in a tree and in a file."""
+        state = {"format": "repro.service.snapshot", "snapshot_version": 2,
+                 "num_shards": 1, "estimators": {}, field: value}
+        with pytest.raises(SnapshotError):
+            restore_service(state)
+        with pytest.raises(SnapshotError):
+            EstimationService(num_shards=1).store.load_state_dict(state)
+        path = tmp_path / "svc.snap"
+        write_binary_snapshot_state(state, path)
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
 
     def test_negative_array_offset_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,
@@ -239,18 +307,28 @@ class TestCorruptSnapshots:
         with pytest.raises(SnapshotError, match="negative"):
             read_binary_snapshot_state(path)
 
-    def test_malformed_xi_coefficients_surface_as_snapshot_error(
-            self, rng, tmp_path):
-        """A hand-edited v1 snapshot with garbage xi seeds must raise
-        SnapshotError, not a raw numpy OverflowError."""
+    def test_malformed_xi_coefficients_surface_as_snapshot_error(self, rng):
+        """A hand-edited tree with garbage xi seeds (here after a JSON hop)
+        must raise SnapshotError, not a raw numpy OverflowError."""
         service, _ = _family_service(rng, "interval", (256,), {})
-        path = tmp_path / "svc.json"
-        state = service.snapshot()
+        state = json.loads(json.dumps(service.snapshot(), default=json_default))
         shard = state["estimators"]["est"]["shards"][0]
         shard["left"]["xi_coefficients"][0][0][0] = -1
-        path.write_text(json.dumps(state))
         with pytest.raises(SnapshotError):
-            load_snapshot(path)
+            restore_service(state)
+
+    def test_writer_takes_a_binary_file_object(self, rng, tmp_path):
+        """``snapshot fetch`` serialises into memory: same bytes as a path."""
+        import io
+
+        service, _ = _family_service(rng, "interval", (256,), {})
+        state = service.snapshot()
+        path = tmp_path / "svc.snap"
+        write_binary_snapshot_state(state, path)
+        buffer = io.BytesIO()
+        write_binary_snapshot_state(state, buffer)
+        assert buffer.getvalue() == path.read_bytes()
+        assert not (tmp_path / "svc.snap.tmp").exists()
 
     def test_inconsistent_array_table_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,

@@ -42,12 +42,11 @@ def _family_data(rng, family, sizes, count):
 
 
 def _all_banks(estimator):
-    """The underlying SketchBanks of any estimator family."""
-    for attr in ("_left_bank", "_right_bank", "_outer_bank", "_inner_bank",
-                 "_point_bank", "_cube_bank", "_bank"):
-        bank = getattr(estimator, attr, None)
-        if bank is not None:
-            yield attr, bank
+    """The underlying SketchBanks of any estimator family, by declared side."""
+    banks = [(side.name, estimator.side_bank(side.name))
+             for side in type(estimator).SIDES]
+    assert banks, f"{type(estimator).__name__} declares no sides"
+    return banks
 
 
 class TestRouting:
@@ -110,7 +109,9 @@ class TestShardedStore:
 
         merged = store.merge_view("est")
         for (attr, merged_bank), (_, single_bank) in zip(_all_banks(merged),
-                                                         _all_banks(single)):
+                                                         _all_banks(single),
+                                                         strict=True):
+            assert single_bank.words and single_bank.counter_tensor.any(), attr
             for word in single_bank.words:
                 assert np.array_equal(merged_bank.counter(word),
                                       single_bank.counter(word)), (attr, word)

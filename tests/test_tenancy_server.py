@@ -306,8 +306,13 @@ class TestClientTimeouts:
         thread = threading.Thread(target=silent_accept, daemon=True)
         thread.start()
         try:
-            client = ServiceClient("127.0.0.1", port, timeout=0.5)
             started = time.monotonic()
+            # The default client opens with the hello handshake: the typed
+            # error arrives from the constructor.
+            with pytest.raises(ClientTimeoutError, match="handshake"):
+                ServiceClient("127.0.0.1", port, timeout=0.5)
+            client = ServiceClient("127.0.0.1", port, timeout=0.5,
+                                   wire="ndjson")
             with pytest.raises(ClientTimeoutError):
                 client.ping()
             # Timeouts are never retried: one deadline, not retries x deadline.

@@ -174,8 +174,8 @@ class TestEveryFamily:
         assert len(issued) >= 1
         for bank, calls in issued.values():
             assert np.array_equal(bank.counter_tensor, scalar_counters(bank, calls))
-        assert_same_arrays(integer.state_dict(arrays=True),
-                           floating.state_dict(arrays=True))
+        assert_same_arrays(integer.state_dict(),
+                           floating.state_dict())
 
 
 def assert_same_arrays(ours, theirs) -> None:

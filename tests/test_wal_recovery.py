@@ -91,13 +91,13 @@ class TestServiceWalIntegration:
         service = durable_service(wal_dir)
         service.ingest("ranges", synthetic_boxes(DOMAIN, 80, seed=2),
                        side="data")
-        expected = service.snapshot(arrays=True)
+        expected = service.snapshot()
         service.detach_wal()
 
         recovered, report = recover_service(wal_dir, num_shards=2)
         assert report.base_seqno == 0 and report.replayed_boxes == 80
         assert recovered.wal is not None
-        assert_states_equal(expected, recovered.snapshot(arrays=True))
+        assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()
 
     def test_checkpoint_truncates_and_recovery_replays_only_tail(
@@ -112,14 +112,14 @@ class TestServiceWalIntegration:
         covered = info["wal_seqno"]
         service.ingest("ranges", synthetic_boxes(DOMAIN, 60, seed=4),
                        side="data")
-        expected = service.snapshot(arrays=True)
+        expected = service.snapshot()
         service.detach_wal()
 
         assert [s for s, _ in read_wal_records(wal_dir)] == [covered + 1]
         recovered, report = recover_service(wal_dir, snap, num_shards=2)
         assert report.base_seqno == covered
         assert report.replayed_records == 1 and report.replayed_boxes == 60
-        assert_states_equal(expected, recovered.snapshot(arrays=True))
+        assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()
 
     def test_auto_checkpoint_by_appended_boxes(self, tmp_path):
@@ -141,12 +141,12 @@ class TestServiceWalIntegration:
         service.ingest("join", synthetic_boxes(DOMAIN, 40, seed=5),
                        side="left")
         service.unregister("join")
-        expected = service.snapshot(arrays=True)
+        expected = service.snapshot()
         service.detach_wal()
 
         recovered, _report = recover_service(wal_dir, num_shards=2)
         assert "join" not in recovered
-        assert_states_equal(expected, recovered.snapshot(arrays=True))
+        assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()
 
     def test_torn_tail_costs_only_unacknowledged_writes(self, tmp_path):
@@ -154,14 +154,14 @@ class TestServiceWalIntegration:
         service = durable_service(wal_dir)
         service.ingest("ranges", synthetic_boxes(DOMAIN, 50, seed=6),
                        side="data")
-        durable = service.snapshot(arrays=True)
+        durable = service.snapshot()
         service.detach_wal()
         # A crash mid-append leaves a torn record: simulate with garbage.
         with open(list_segments(wal_dir)[-1], "ab") as handle:
             handle.write(b"\xde\xad\xbe\xef torn record")
         recovered, report = recover_service(wal_dir, num_shards=2)
         assert report.truncated_bytes > 0
-        state = recovered.snapshot(arrays=True)
+        state = recovered.snapshot()
         assert_states_equal(durable, state)
         recovered.detach_wal()
 
@@ -215,8 +215,8 @@ class TestServerWalVerbs:
         assert applied["source_last_seqno"] == 3
         # The target replayed through its own ingest path -> logged into
         # its own WAL, and the states now agree bit-exactly.
-        src_state = source.snapshot(arrays=True)
-        dst_state = target.snapshot(arrays=True)
+        src_state = source.snapshot()
+        dst_state = target.snapshot()
         assert_states_equal(src_state, dst_state)
         source.detach_wal()
         target.detach_wal()
@@ -309,9 +309,9 @@ class TestServerWalVerbs:
         assert read_wal_records(wal_dir) == []
         fresh.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=14),
                      side="data")
-        expected = fresh.snapshot(arrays=True)
+        expected = fresh.snapshot()
         fresh.detach_wal()
         recovered, report = recover_service(wal_dir, base, num_shards=2)
         assert report.replayed_boxes == 10
-        assert_states_equal(expected, recovered.snapshot(arrays=True))
+        assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()

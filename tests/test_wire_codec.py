@@ -192,14 +192,14 @@ def test_oversized_declared_frame_is_typed_and_recoverable():
 def test_hello_negotiation_modes():
     service = make_service()
     with ThreadedServer(service) as server:
-        with ServiceClient("127.0.0.1", server.port) as plain:
+        with ServiceClient("127.0.0.1", server.port, wire="ndjson") as plain:
             assert plain.wire_format == "ndjson"
             plain.ping()
         with ServiceClient("127.0.0.1", server.port, wire="binary") as fast:
             assert fast.wire_format == "binary"
             fast.ping()
-        with ServiceClient("127.0.0.1", server.port, wire="auto") as auto:
-            assert auto.wire_format == "binary"
+        with ServiceClient("127.0.0.1", server.port) as auto:  # the default
+            assert auto.wire == "auto" and auto.wire_format == "binary"
             auto.ping()
     with pytest.raises(ProtocolError):
         ServiceClient("127.0.0.1", 1, wire="msgpack")
@@ -245,7 +245,7 @@ def test_binary_snapshot_fetch_is_raw_bytes():
     service = make_service()
     with ThreadedServer(service) as server:
         with ServiceClient("127.0.0.1", server.port, wire="binary") as fast, \
-                ServiceClient("127.0.0.1", server.port) as plain:
+                ServiceClient("127.0.0.1", server.port, wire="ndjson") as plain:
             raw = fast.request({"op": "snapshot", "fetch": True})["data"]
             encoded = plain.request({"op": "snapshot", "fetch": True})["data"]
             assert isinstance(raw, bytes) and isinstance(encoded, str)

@@ -274,11 +274,11 @@ class TestSmallBatchesNeverWalkCold:
         assert counted(before) == (2, 0)
         assert sign_table_stats()["sign_tables"] - before["sign_tables"] == 2
         for name in ("rj", "cj"):
-            for bank in vars(service.store.shard_estimators(name)[0]).values():
-                if isinstance(bank, SketchBank):
-                    assert all(xi.resolve_table(0) is None
-                               and xi._xi_family().ids_requested == 0
-                               for xi in bank.xi_banks)
+            estimator = service.store.shard_estimators(name)[0]
+            for side in type(estimator).SIDES:
+                assert all(xi.resolve_table(0) is None
+                           and xi._xi_family().ids_requested == 0
+                           for xi in estimator.side_bank(side.name).xi_banks)
         # An empty batch is not a first box.
         service.ingest("rj", synthetic_boxes(Domain.square(1024, 2), 0, seed=1))
         assert counted(before) == (2, 0)
@@ -443,7 +443,7 @@ def partial_states(spec: EstimatorSpec, sides, sizes, seed: int,
             boxes = _boxes(rng, 30, sizes, degenerate=degenerate)
             apply_update(spec, worker, side, "insert", boxes)
             apply_update(spec, whole, side, "insert", boxes)
-    return [worker.state_dict(arrays=True) for worker in workers], whole
+    return [worker.state_dict() for worker in workers], whole
 
 
 class TestReducePartials:
@@ -468,10 +468,10 @@ class TestReducePartials:
         # The template only lends its xi families; it stays empty.
         merged = merge_partial_states(spec, states, template=template)
         assert merged is not template
-        for attr, value in vars(template).items():
-            if isinstance(value, SketchBank):
-                assert not value.counter_tensor.any()
-                assert getattr(merged, attr).xi_banks[0] is value.xi_banks[0]
+        for side in type(template).SIDES:
+            bank = template.side_bank(side.name)
+            assert not bank.counter_tensor.any()
+            assert merged.side_bank(side.name).xi_banks[0] is bank.xi_banks[0]
 
     def test_a_template_of_another_seed_is_refused(self):
         sizes, sides, _ = FAMILY_CASES["range"]
@@ -540,7 +540,7 @@ class TestRouterTemplates:
             # Released with the name: the template held the last banks.
             _, template = handle.router._specs["rq"]
             families = [weakref.ref(xi._xi_family())
-                        for xi in template._bank.xi_banks]
+                        for xi in template.bank.xi_banks]
             del template
             client.unregister("rq")
             gc.collect()
@@ -602,8 +602,8 @@ class TestRouterTemplateLifecycle:
                                 instances=8, seed=seed)
                 assert set(router._specs) == {"rq"}
                 spec, template = router._specs["rq"]
-                assert template._bank.xi_banks[0].matches_coefficients(
-                    spec.build()._bank.xi_banks[0].coefficients)
+                assert template.bank.xi_banks[0].matches_coefficients(
+                    spec.build().bank.xi_banks[0].coefficients)
                 client.ingest("rq", boxes, side="data")
                 client.flush()
                 reference = EstimationService(num_shards=1)
