@@ -38,136 +38,148 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Sequence
 
-
 from repro.errors import ReproError
-from repro.geometry.boxset import BoxSet
 
-#: The verbs that run the paper's experiments.  Only they import
-#: ``repro.experiments`` (~40 ms): every ``serve`` / ``cluster route`` spawn
-#: would otherwise pay for figure code it never runs.
-EXPERIMENT_COMMANDS = frozenset({"list", "run", "all"})
+# -- parsers: one per verb, built only when that verb runs ---------------------------
 
 
-def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
-    """The full parser; ``experiments=False`` leaves the experiment verbs
-    without their arguments (whose choices need ``repro.experiments``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-spatial",
-        description="Reproduce the experiments of 'Approximation Techniques for Spatial Data'",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _args_run(parser, *, names: bool = True) -> None:
+    from repro.experiments.config import SCALES
+    from repro.experiments.figures import FIGURES
 
-    sub.add_parser("list", help="list the available experiments and scales")
-    run = sub.add_parser("run", help="run one or more experiments")
-    everything = sub.add_parser("all", help="run every experiment")
-    if experiments:
-        from repro.experiments.config import SCALES
-        from repro.experiments.figures import FIGURES
+    if names:
+        parser.add_argument("experiments", nargs="+", choices=sorted(FIGURES),
+                            help="experiment identifiers (e.g. figure5)")
+    parser.add_argument("--scale", default="laptop", choices=sorted(SCALES),
+                        help="experiment scale (default: laptop)")
+    parser.add_argument("--seed", type=int, default=0, help="base random seed")
+    parser.add_argument("--output", type=str, default=None,
+                        help="append the result tables to this file")
 
-        run.add_argument("experiments", nargs="+", choices=sorted(FIGURES),
-                         help="experiment identifiers (e.g. figure5)")
-        run.add_argument("--scale", default="laptop", choices=sorted(SCALES),
-                         help="experiment scale (default: laptop)")
-        run.add_argument("--seed", type=int, default=0, help="base random seed")
-        run.add_argument("--output", type=str, default=None,
-                         help="append the result tables to this file")
 
-        everything.add_argument("--scale", default="laptop", choices=sorted(SCALES))
-        everything.add_argument("--seed", type=int, default=0)
-        everything.add_argument("--output", type=str, default=None)
+def _flags(op: str):
+    """``(field, leaf, flag)`` for every field of ``op`` the op table
+    (:data:`repro.server.protocol.OPS`) exposes on the command line: the
+    leaf is the field itself, or one documented member of an object field."""
+    from repro.server.protocol import OPS
 
-    # -- sketch service commands ------------------------------------------------
+    for field in OPS[op].fields:
+        for leaf in field.members or (field,):
+            if leaf.flag:
+                yield field, leaf, leaf.flag.split()[0]
 
-    def add_snapshot_arg(p, required=True):
-        p.add_argument("--snapshot", required=required,
-                       help="path of the service snapshot file (binary v2)")
 
-    def add_wire_arg(p):
-        p.add_argument("--wire", default="auto",
-                       choices=("auto", "binary", "ndjson"),
-                       help="wire format for --connect: auto upgrades to "
-                            "binary frames when the server offers them "
-                            "(default), binary requires the upgrade, ndjson "
-                            "stays on the debuggable JSON-lines protocol")
+def _add_fields(parser, op: str, *, skip=(), optional: bool = False) -> None:
+    """The flags of ``op``, read off the op table.  ``optional``: the verb
+    sends this op only when it has to, so no flag is required and an unset
+    one is ``None`` (for ``register``: "whatever is registered")."""
+    for _, leaf, flag in _flags(op):
+        if leaf.name in skip:
+            continue
+        if not flag.startswith("-"):
+            parser.add_argument(flag, choices=leaf.choices, help=leaf.help)
+        elif leaf.kind == "boolean":
+            parser.add_argument(flag, action="store_true", help=leaf.help)
+        else:
+            parser.add_argument(
+                flag, default=None if optional else leaf.default,
+                required=leaf.required and not optional,
+                type=int if leaf.kind == "integer" else None,
+                choices=leaf.choices or None, help=leaf.help,
+                metavar=leaf.flag.partition(" ")[2] or None)
 
-    def add_token_arg(p):
-        p.add_argument("--token", default=None, metavar="TOKEN",
-                       help="API token for --connect against a multi-tenant "
-                            "server: a tenant token scopes every request to "
-                            "that tenant's namespace, the admin token grants "
-                            "the unscoped administrative role")
 
-    def add_connect_arg(p):
-        p.add_argument("--connect", default=None, metavar="HOST:PORT",
-                       help="send the request to a running network server "
-                            "instead of restoring --snapshot locally")
-        add_token_arg(p)
-        add_wire_arg(p)
+def _given(args, op: str) -> dict:
+    """The fields of ``op`` set on the command line, in their wire form."""
+    fields: dict = {}
+    for field, leaf, flag in _flags(op):
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is None or value is False:
+            continue
+        try:
+            if leaf.kind == "integers":
+                value = [int(part) for part in
+                         value.replace("x", ",").split(",") if part]
+            elif leaf.kind == "object":
+                value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"{flag} must be a JSON object: {exc}") from exc
+        except ValueError as exc:
+            raise ReproError(f"{flag} must be integers separated by ',' "
+                             f"(or 'x'): {exc}") from exc
+        if leaf is field:
+            fields[field.name] = value
+        else:
+            fields.setdefault(field.name, {})[leaf.name] = value
+    return fields
 
-    ingest = sub.add_parser(
-        "ingest", help="ingest data into a service snapshot (creating it if needed)")
-    add_snapshot_arg(ingest, required=False)
-    add_connect_arg(ingest)
-    ingest.add_argument("--name", required=True, help="estimator name")
-    ingest.add_argument("--family", default=None,
-                        help="estimator family (required when registering a new name)")
-    ingest.add_argument("--sizes", default=None,
-                        help="domain sizes, e.g. 4096 or 1024x1024 "
-                             "(required when registering a new name)")
-    ingest.add_argument("--instances", type=int, default=None,
-                        help="atomic-sketch instances (default: 256)")
-    ingest.add_argument("--seed", type=int, default=None,
-                        help="sketch seed (default: 0)")
-    ingest.add_argument("--epsilon", type=int, default=None,
-                        help="epsilon for the epsilon family")
-    ingest.add_argument("--strict", action="store_true",
-                        help="strict overlap semantics for the range family")
-    ingest.add_argument("--endpoint-policy", default=None,
-                        choices=("assume_distinct", "transform", "explicit"))
-    ingest.add_argument("--shards", type=int, default=4,
+
+def _add_snapshot(parser) -> None:
+    parser.add_argument("--snapshot", required=False,
+                        help="path of the service snapshot file (binary v2)")
+
+
+def _add_connect(parser, help_text: str, *, required: bool = False) -> None:
+    parser.add_argument("--connect", default=None, required=required,
+                        metavar="HOST:PORT", help=help_text)
+    _add_fields(parser, "auth")
+    parser.add_argument("--wire", default="auto",
+                        choices=("auto", "binary", "ndjson"),
+                        help="wire format for --connect: auto upgrades to "
+                             "binary frames when the server offers them "
+                             "(default), binary requires the upgrade, ndjson "
+                             "stays on the debuggable JSON-lines protocol")
+
+
+_CONNECT_OR_SNAPSHOT = ("send the request to a running network server "
+                        "instead of restoring --snapshot locally")
+
+
+def _args_ingest(parser) -> None:
+    _add_snapshot(parser)
+    _add_connect(parser, _CONNECT_OR_SNAPSHOT)
+    _add_fields(parser, "ingest")
+    _add_fields(parser, "register", skip=("name",), optional=True)
+    parser.add_argument("--shards", type=int, default=4,
                         help="shard count when creating a new snapshot (default: 4)")
-    ingest.add_argument("--side", default="left", help="input side (default: left)")
-    ingest.add_argument("--kind", default="insert", choices=("insert", "delete"))
-    source = ingest.add_mutually_exclusive_group()
+    source = parser.add_mutually_exclusive_group()
     source.add_argument("--count", type=int, default=None,
                         help="generate this many uniform synthetic boxes")
     source.add_argument("--boxes", default=None,
                         help="JSON file with box rows [lo_1..lo_d, hi_1..hi_d]")
-    ingest.add_argument("--data-seed", type=int, default=0,
+    parser.add_argument("--data-seed", type=int, default=0,
                         help="seed for synthetic data generation")
 
-    estimate = sub.add_parser("estimate", help="estimate from a service snapshot")
-    add_snapshot_arg(estimate, required=False)
-    add_connect_arg(estimate)
-    estimate.add_argument("--name", required=True, help="estimator name")
-    estimate.add_argument("--query", default=None,
-                          help="query rectangle lo_1,..,lo_d,hi_1,..,hi_d "
-                               "(range family only)")
-    estimate.add_argument("--batch-file", default=None,
-                          help="JSON-lines file of queries: one "
-                               "[lo_1..lo_d, hi_1..hi_d] array (or null for "
-                               "query-less families) per line; '-' for stdin")
-    estimate.add_argument("--batch-output", default=None,
-                          help="where to write the JSON-lines results "
-                               "(default: stdout)")
-    estimate.add_argument("--explain", action="store_true",
-                          help="print the compiled sketch program(s) — word "
-                               "products, letter-sum requests with dyadic "
-                               "cover sizes, and the reduction plan — "
-                               "instead of estimating (offline --snapshot "
-                               "path only)")
-    estimate.add_argument("--json", action="store_true",
-                          help="with --connect: print a structured JSON "
-                               "envelope (server address, wire format, "
-                               "result fields) instead of the bare result "
-                               "object")
 
-    serve = sub.add_parser(
-        "serve", help="serve estimates over stdio JSON-lines, or over TCP "
-                      "with --listen")
-    add_snapshot_arg(serve, required=False)
+def _args_estimate(parser) -> None:
+    _add_snapshot(parser)
+    _add_connect(parser, _CONNECT_OR_SNAPSHOT)
+    _add_fields(parser, "estimate")
+    parser.add_argument("--batch-file", default=None,
+                        help="JSON-lines file of queries: one "
+                             "[lo_1..lo_d, hi_1..hi_d] array (or null for "
+                             "query-less families) per line; '-' for stdin")
+    parser.add_argument("--batch-output", default=None,
+                        help="where to write the JSON-lines results "
+                             "(default: stdout)")
+    parser.add_argument("--explain", action="store_true",
+                        help="print the compiled sketch program(s) — word "
+                             "products, letter-sum requests with dyadic "
+                             "cover sizes, and the reduction plan — "
+                             "instead of estimating (offline --snapshot "
+                             "path only)")
+    parser.add_argument("--json", action="store_true",
+                        help="with --connect: print a structured JSON "
+                             "envelope (server address, wire format, "
+                             "result fields) instead of the bare result "
+                             "object")
+
+
+def _args_serve(serve) -> None:
+    _add_snapshot(serve)
     serve.add_argument("--shards", type=int, default=4,
                        help="shard count when starting without a snapshot")
     serve.add_argument("--save-on-exit", action="store_true",
@@ -221,36 +233,17 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                             "once N update rows accumulate in the log "
                             "(default: manual checkpoints only)")
 
-    tenant = sub.add_parser(
-        "tenant", help="administer the tenant registry of a running server")
-    tenant.add_argument("action",
-                        choices=("create", "list", "describe", "update",
-                                 "disable", "enable", "remove"),
-                        help="registry action (all but a self-describe "
-                             "require the admin token)")
-    tenant.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="address of the running server or cluster "
-                             "router")
-    add_token_arg(tenant)
-    add_wire_arg(tenant)
-    tenant.add_argument("--tenant", default=None, metavar="ID",
-                        help="tenant id the action applies to (optional for "
-                             "list, and for describe on a tenant-token "
-                             "connection)")
-    tenant.add_argument("--tenant-token", default=None, metavar="TOKEN",
-                        help="API token to install (create, or rotation via "
-                             "update); only its SHA-256 hash is stored")
-    tenant.add_argument("--quota", default=None, metavar="JSON",
-                        help='quota object, e.g. \'{"ingest_boxes_per_sec": '
-                             '50000, "max_estimates_in_flight": 64, '
-                             '"share": 4}\' (create/update)')
-    tenant.add_argument("--json", action="store_true",
+
+def _args_tenant(parser) -> None:
+    _add_connect(parser, "address of the running server or cluster router",
+                 required=True)
+    _add_fields(parser, "tenant")
+    parser.add_argument("--json", action="store_true",
                         help="print one compact machine-readable line "
                              "instead of indented JSON")
 
-    wal = sub.add_parser(
-        "wal", help="inspect a write-ahead log directory (segments, durable "
-                    "records, torn-tail bytes)")
+
+def _args_wal(wal) -> None:
     wal.add_argument("--dir", required=True, metavar="DIR",
                      help="WAL directory to scan")
     wal.add_argument("--since", type=int, default=0, metavar="SEQNO",
@@ -258,14 +251,17 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
     wal.add_argument("--events", action="store_true",
                      help="also print one JSON line per durable record event")
 
-    # -- cluster commands ---------------------------------------------------------
 
-    cluster = sub.add_parser(
-        "cluster", help="run many workers as one logical sketch service")
-    csub = cluster.add_subparsers(dest="cluster_command", required=True)
+def _add_router_args(parser) -> None:
+    parser.add_argument("--slots", type=int, default=64,
+                        help="cluster shard slots on the hash ring (default: 64)")
+    parser.add_argument("--worker-wire", default="auto",
+                        choices=("auto", "binary", "ndjson"),
+                        help="wire format for router->worker links "
+                             "(default: auto — binary when workers offer it)")
 
-    cserve = csub.add_parser(
-        "serve", help="spawn N local worker processes and a router over them")
+
+def _args_cluster_serve(cserve) -> None:
     cserve.add_argument("--workers", type=int, default=2,
                         help="worker subprocess count (default: 2)")
     cserve.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
@@ -275,35 +271,25 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                         help="bootstrap mode: worker 0 loads this snapshot "
                              "and the others become bit-identical read "
                              "replicas of it (omit for N empty shard workers)")
-    cserve.add_argument("--slots", type=int, default=64,
-                        help="cluster shard slots on the hash ring (default: 64)")
     cserve.add_argument("--max-batch", type=int, default=64,
                         help="per-worker coalescer batch size (default: 64)")
     cserve.add_argument("--max-delay-ms", type=float, default=2.0,
                         help="per-worker coalescer delay in ms (default: 2)")
-    cserve.add_argument("--worker-wire", default="auto",
-                        choices=("auto", "binary", "ndjson"),
-                        help="wire format for router->worker links "
-                             "(default: auto — binary when workers offer it)")
+    _add_router_args(cserve)
     cserve.add_argument("--admin-token", default=None, metavar="TOKEN",
                         help="multi-tenant fleet: the router's admin token; "
                              "spawned workers start with the same token and "
                              "the router authenticates its worker links "
                              "with it")
 
-    croute = csub.add_parser(
-        "route", help="route over already-running workers (no spawning)")
+
+def _args_cluster_route(croute) -> None:
     croute.add_argument("--worker", action="append", required=True,
                         metavar="HOST:PORT", dest="workers",
                         help="a running worker's address (repeatable)")
     croute.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="router listen address (default: 127.0.0.1:0)")
-    croute.add_argument("--slots", type=int, default=64,
-                        help="cluster shard slots on the hash ring (default: 64)")
-    croute.add_argument("--worker-wire", default="auto",
-                        choices=("auto", "binary", "ndjson"),
-                        help="wire format for router->worker links "
-                             "(default: auto — binary when workers offer it)")
+    _add_router_args(croute)
     croute.add_argument("--admin-token", default=None, metavar="TOKEN",
                         help="multi-tenant fleet: the router's admin token "
                              "(also presented on worker links unless "
@@ -312,46 +298,55 @@ def _build_parser(*, experiments: bool = True) -> argparse.ArgumentParser:
                         help="admin token the router presents on its worker "
                              "links (default: --admin-token)")
 
-    cstatus = csub.add_parser(
-        "status", help="print a running router's cluster topology as JSON")
-    cstatus.add_argument("--connect", required=True, metavar="HOST:PORT",
-                         help="the router's address")
-    add_token_arg(cstatus)
-    add_wire_arg(cstatus)
-    cstatus.add_argument("--json", action="store_true",
-                         help="print the topology as one compact JSON line "
-                              "(machine-readable) instead of indented output")
-    return parser
+
+def _args_cluster_status(parser) -> None:
+    _add_connect(parser, "the router's address", required=True)
+    parser.add_argument("--json", action="store_true",
+                        help="print the topology as one compact JSON line "
+                             "(machine-readable) instead of indented output")
 
 
-def _run_experiments(names: Sequence[str], scale_name: str, seed: int,
-                     output: str | None) -> int:
+# -- experiments ---------------------------------------------------------------------
+
+
+def _run_list(args) -> int:
+    from repro.experiments.config import SCALES
+    from repro.experiments.figures import FIGURES
+
+    print("experiments:")
+    for name in sorted(FIGURES):
+        doc = (FIGURES[name].__doc__ or "").strip().splitlines()
+        summary = doc[0] if doc else ""
+        print(f"  {name:28s} {summary}")
+    print("\nscales:")
+    for name, scale in sorted(SCALES.items()):
+        print(f"  {name:8s} runs={scale.runs} synthetic_sizes={scale.synthetic_sizes}")
+    return 0
+
+
+def _run_experiments(args) -> int:
+    """``run`` (the named experiments) and ``all`` (every one of them)."""
     from repro.experiments.config import get_scale
     from repro.experiments.figures import FIGURES
 
-    scale = get_scale(scale_name)
+    scale = get_scale(args.scale)
     chunks: list[str] = []
-    for name in names:
+    for name in getattr(args, "experiments", None) or sorted(FIGURES):
         generator = FIGURES[name]
         start = time.perf_counter()
-        result = generator(scale, seed=seed)
+        result = generator(scale, seed=args.seed)
         elapsed = time.perf_counter() - start
         text = result.to_text() + f"\n(completed in {elapsed:.1f} s)\n"
         print(text)
         chunks.append(text)
-    if output:
-        with open(output, "a", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "a", encoding="utf-8") as handle:
             handle.write("\n".join(chunks))
             handle.write("\n")
     return 0
 
 
 # -- sketch service helpers ----------------------------------------------------------
-
-
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace("x", ",").split(",") if p]
-    return tuple(int(p) for p in parts)
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -362,15 +357,23 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _connect_client(args):
-    from repro.client import ServiceClient
+def _load_service(path: str | None, shards: int | None = None):
+    """The service in a snapshot file; with ``shards``, a fresh empty one
+    when there is no such file yet."""
+    from repro.service import EstimationService
 
-    host, port = _parse_hostport(args.connect)
-    try:
-        return ServiceClient(host, port, wire=getattr(args, "wire", "auto"),
-                             token=getattr(args, "token", None))
-    except OSError as exc:
-        raise ReproError(f"cannot connect to {host}:{port}: {exc}") from exc
+    if shards is None or (path and os.path.exists(path)):
+        return EstimationService.load(path)
+    return EstimationService(num_shards=shards)
+
+
+def _stdio_front(service, snapshot_path: str | None):
+    """The listener-less front of stdin ``serve`` and the ``--snapshot`` verbs."""
+    from repro.server import ServerConfig, SketchServer
+
+    # max_delay=0: a lone estimate has no batch companions to wait for.
+    return SketchServer(service, config=ServerConfig(max_delay=0.0),
+                        snapshot_path=snapshot_path)
 
 
 def _require_target(args) -> None:
@@ -378,55 +381,53 @@ def _require_target(args) -> None:
     if args.connect is None and args.snapshot is None:
         raise ReproError(
             "pass --connect HOST:PORT to use a running server, or "
-            "--snapshot PATH for the offline path"
-        )
+            "--snapshot PATH for the offline path")
 
 
-def _load_or_create_service(path: str | None, shards: int):
-    from repro.service import EstimationService
+def _target(args, *, create_shards: int | None = None):
+    """Something that answers requests, as a context manager: a
+    :class:`~repro.client.ServiceClient` for ``--connect``, else the
+    in-process front stdin ``serve`` uses, over the ``--snapshot`` service
+    (created with ``create_shards`` shards when the file does not exist)."""
+    from repro.client import InProcessClient, ServiceClient
 
-    if path and os.path.exists(path):
-        return EstimationService.load(path), True
-    return EstimationService(num_shards=shards), False
+    if args.connect is None:
+        _require_target(args)
+        return InProcessClient(_stdio_front(
+            _load_service(args.snapshot, create_shards), args.snapshot))
+    host, port = _parse_hostport(args.connect)
+    try:
+        return ServiceClient(host, port, wire=args.wire, token=args.token)
+    except OSError as exc:
+        raise ReproError(f"cannot connect to {host}:{port}: {exc}") from exc
 
 
-def _ingest_options(args) -> dict:
-    options = {}
-    if args.epsilon is not None:
-        options["epsilon"] = args.epsilon
-    if args.strict:
-        options["strict"] = True
-    if args.endpoint_policy is not None:
-        options["endpoint_policy"] = args.endpoint_policy
-    return options
+def _print_json(body, *, compact: bool) -> None:
+    """One compact machine-readable line (for shell pipelines), or the
+    human-facing indented default."""
+    if compact:
+        print(json.dumps(body, separators=(",", ":"), sort_keys=True))
+    else:
+        print(json.dumps(body, indent=2, sort_keys=True))
 
 
-def _check_spec_conflicts(args, spec) -> None:
+def _check_spec_conflicts(asked: dict, spec) -> None:
     """An already-registered name: configuration flags must agree with the
     stored spec rather than being silently ignored."""
+    registered = {**spec.to_dict(), "instances": spec.num_instances,
+                  "name": asked["name"]}
     conflicts = []
-    if args.family is not None and args.family != spec.family:
-        conflicts.append(f"--family {args.family} (registered: {spec.family})")
-    if args.sizes is not None and _parse_sizes(args.sizes) != spec.sizes:
-        conflicts.append(f"--sizes {args.sizes} "
-                         f"(registered: {'x'.join(map(str, spec.sizes))})")
-    if args.epsilon is not None and args.epsilon != spec.option("epsilon", None):
-        conflicts.append(f"--epsilon {args.epsilon} "
-                         f"(registered: {spec.option('epsilon', None)})")
-    if args.strict and not spec.option("strict", False):
-        conflicts.append("--strict (registered: non-strict)")
-    if args.endpoint_policy is not None and \
-            args.endpoint_policy != spec.option("endpoint_policy", "transform"):
-        conflicts.append(f"--endpoint-policy {args.endpoint_policy} "
-                         f"(registered: {spec.option('endpoint_policy', 'transform')})")
-    if args.instances is not None and args.instances != spec.num_instances:
-        conflicts.append(f"--instances {args.instances} "
-                         f"(registered: {spec.num_instances})")
-    if args.seed is not None and args.seed != spec.seed:
-        conflicts.append(f"--seed {args.seed} (registered: {spec.seed})")
+    for field, leaf, flag in _flags("register"):
+        if leaf is field:
+            given, have = asked.get(field.name), registered[field.name]
+        else:
+            given = asked.get(field.name, {}).get(leaf.name)
+            have = spec.option(leaf.name, leaf.default)
+        if given is not None and given != have:
+            conflicts.append(f"{flag} {given} (registered: {have})")
     if conflicts:
         raise ReproError(
-            f"estimator {args.name!r} is already registered with a "
+            f"estimator {asked['name']!r} is already registered with a "
             f"different configuration: {'; '.join(conflicts)}"
         )
 
@@ -446,92 +447,53 @@ def _ingest_boxes(args, spec) -> BoxSet:
                            count, seed=args.data_seed, degenerate=degenerate)
 
 
-def _run_ingest_remote(args) -> int:
-    """Satellite path: reuse a running server instead of restoring a snapshot."""
+def _run_ingest(args) -> int:
+    from repro.server import protocol
     from repro.service import EstimatorSpec
 
-    with _connect_client(args) as client:
-        estimators = client.stats()["estimators"]
-        created = args.name not in estimators
+    asked = _given(args, "register")
+    existed = args.snapshot is not None and os.path.exists(args.snapshot)
+    with _target(args, create_shards=args.shards) as client:
+        stats = client.stats()
+        created = args.name not in stats["estimators"]
         if created:
-            if args.family is None or args.sizes is None:
+            if "family" not in asked or "sizes" not in asked:
+                where = "on the server" if args.connect else "in the snapshot"
                 raise ReproError(
-                    f"estimator {args.name!r} is not on the server; pass "
-                    f"--family and --sizes to register it"
-                )
-            reply = client.register(
-                args.name, family=args.family, sizes=_parse_sizes(args.sizes),
-                instances=256 if args.instances is None else args.instances,
-                seed=0 if args.seed is None else args.seed,
-                **_ingest_options(args))
+                    f"estimator {args.name!r} is not {where}; pass --family "
+                    f"and --sizes to register it")
+            reply = client.request(protocol.build("register", **asked))
             spec = EstimatorSpec.from_dict(reply["spec"])
         else:
-            spec = EstimatorSpec.from_dict(estimators[args.name])
-            _check_spec_conflicts(args, spec)
+            spec = EstimatorSpec.from_dict(stats["estimators"][args.name])
+            _check_spec_conflicts(asked, spec)
         boxes = _ingest_boxes(args, spec)
         reply = client.ingest(args.name, boxes, side=args.side, kind=args.kind)
-        print(json.dumps({
-            "connect": args.connect,
-            "created": created,
-            "name": args.name,
-            "side": args.side,
-            "kind": args.kind,
-            "boxes": reply["boxes"],
-            "pending": reply["pending"],
-        }))
+        record = {"name": args.name, "side": args.side, "kind": args.kind,
+                  "boxes": reply["boxes"]}
+        if args.connect is not None:
+            print(json.dumps({"connect": args.connect, "created": created,
+                              **record, "pending": reply["pending"]}))
+        else:
+            # The offline path has no server to keep the sketches: apply
+            # the batch and write the snapshot back.
+            flushed = client.flush()
+            client.snapshot(args.snapshot)
+            print(json.dumps({"snapshot": args.snapshot,
+                              "created": not existed, **record,
+                              "flushed_batches": flushed["batches"],
+                              "shards": stats["num_shards"]}))
     return 0
 
 
-def _run_ingest(args) -> int:
-    from repro.service import EstimatorSpec
-
-    _require_target(args)
-    if args.connect is not None:
-        return _run_ingest_remote(args)
-    service, existed = _load_or_create_service(args.snapshot, args.shards)
-    if args.name not in service:
-        if args.family is None or args.sizes is None:
-            raise ReproError(
-                f"estimator {args.name!r} is not in the snapshot; pass --family "
-                f"and --sizes to register it"
-            )
-        spec = EstimatorSpec.create(
-            args.family, _parse_sizes(args.sizes),
-            256 if args.instances is None else args.instances,
-            seed=0 if args.seed is None else args.seed, **_ingest_options(args))
-        service.register(args.name, spec)
-    else:
-        _check_spec_conflicts(args, service.spec(args.name))
-    spec = service.spec(args.name)
-
-    boxes = _ingest_boxes(args, spec)
-    service.ingest(args.name, boxes, side=args.side, kind=args.kind)
-    report = service.flush()
-    service.save(args.snapshot)
-    print(json.dumps({
-        "snapshot": args.snapshot,
-        "created": not existed,
-        "name": args.name,
-        "side": args.side,
-        "kind": args.kind,
-        "boxes": len(boxes),
-        "flushed_batches": report.batches,
-        "shards": service.num_shards,
-    }))
-    return 0
-
-
-def _read_batch_queries(path: str, dimension: int):
+def _read_batch_queries(path: str) -> list:
     """Parse a JSON-lines batch file into a query batch.
 
     Every non-empty line is either a ``[lo_1..lo_d, hi_1..hi_d]`` array
     (queryable families) or ``null`` (query-less families); the two shapes
     cannot be mixed, because the batch goes to a single estimator.  Returns
-    a :class:`BoxSet` for rectangle batches and a list of ``None`` for
-    query-less ones.
+    the rows, in file order.
     """
-    from repro.server.protocol import boxes_from_rows
-
     handle = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
     rows: list = []
     try:
@@ -540,21 +502,18 @@ def _read_batch_queries(path: str, dimension: int):
             if not line:
                 continue
             try:
-                row = json.loads(line)
+                rows.append(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ReproError(f"batch file line {number}: {exc}") from exc
-            rows.append(row)
     finally:
         if handle is not sys.stdin:
             handle.close()
-    if all(row is None for row in rows):
-        return list(rows)
-    if any(row is None for row in rows):
+    if len({row is None for row in rows}) > 1:
         raise ReproError(
             "batch file mixes null entries with query rectangles; a batch "
             "targets one estimator and its queries are all of one shape"
         )
-    return boxes_from_rows(rows, dimension)
+    return rows
 
 
 @contextmanager
@@ -581,60 +540,6 @@ def _write_batch_results(results, args) -> None:
                                   **estimate_fields(result)}) + "\n")
 
 
-def _run_estimate_batch(service, args) -> int:
-    spec = service.spec(args.name)
-    queries = _read_batch_queries(args.batch_file, spec.dimension)
-    results = service.estimate_batch(args.name, queries)
-    _write_batch_results(results, args)
-    return 0
-
-
-def _parse_query_arg(text: str) -> BoxSet:
-    from repro.server.protocol import boxes_from_rows
-
-    coords = [int(c) for c in text.split(",") if c]
-    if len(coords) % 2:
-        raise ReproError("--query needs lo_1,..,lo_d,hi_1,..,hi_d")
-    return boxes_from_rows([coords], len(coords) // 2)
-
-
-def _run_estimate_remote(args) -> int:
-    """Satellite path: reuse a running server instead of restoring a snapshot."""
-    from repro.server.protocol import estimate_fields
-    from repro.service import EstimatorSpec
-
-    with _connect_client(args) as client:
-        if args.batch_file is not None:
-            if args.query is not None:
-                raise ReproError("--query and --batch-file are mutually exclusive")
-            estimators = client.stats()["estimators"]
-            if args.name not in estimators:
-                raise ReproError(f"estimator {args.name!r} is not on the server")
-            spec = EstimatorSpec.from_dict(estimators[args.name])
-            queries = _read_batch_queries(args.batch_file, spec.dimension)
-            results = client.estimate_many(args.name, queries)
-            _write_batch_results(results, args)
-            return 0
-        if args.batch_output is not None:
-            raise ReproError("--batch-output requires --batch-file")
-        query = _parse_query_arg(args.query) if args.query is not None else None
-        result = client.estimate(args.name, query)
-        if getattr(args, "json", False):
-            # Structured envelope for scripting: where the answer came
-            # from alongside the result fields themselves.
-            print(json.dumps({
-                "op": "estimate",
-                "server": f"{client.host}:{client.port}",
-                "wire": client.wire_format,
-                "name": args.name,
-                "query": args.query,
-                "result": estimate_fields(result),
-            }, sort_keys=True))
-        else:
-            print(json.dumps({"name": args.name, **estimate_fields(result)}))
-    return 0
-
-
 def _run_explain(service, args) -> int:
     """``estimate --explain``: print the compiled program(s) as JSON lines.
 
@@ -644,24 +549,21 @@ def _run_explain(service, args) -> int:
     exact batch the ProgramExecutor would execute.
     """
     from repro.core.program import describe_program
+    from repro.server.protocol import boxes_from_rows, query_box
     from repro.service.specs import compile_programs
 
     spec = service.spec(args.name)
     if args.batch_file is not None:
-        if args.query is not None:
-            raise ReproError("--query and --batch-file are mutually exclusive")
-        queries = _read_batch_queries(args.batch_file, spec.dimension)
-    elif spec.info.queryable:
-        if args.query is None:
-            raise ReproError(
-                f"family {spec.family!r} programs compile per query; pass "
-                f"--query or --batch-file")
-        queries = _parse_query_arg(args.query)
+        queries = _read_batch_queries(args.batch_file)
+        if None not in queries:
+            queries = boxes_from_rows(queries, spec.dimension)
+    elif spec.info.queryable and args.query is None:
+        raise ReproError(
+            f"family {spec.family!r} programs compile per query; pass "
+            f"--query or --batch-file")
     else:
-        if args.query is not None:
-            raise ReproError(
-                f"family {spec.family!r} does not take a query argument")
-        queries = 1
+        query = query_box(spec, _given(args, "estimate").get("query"))
+        queries = 1 if query is None else query
     view = service.merged_view(args.name)
     programs = compile_programs(spec, view, queries)
     with _jsonl_sink(args.batch_output) as out:
@@ -677,26 +579,36 @@ def _run_explain(service, args) -> int:
 
 def _run_estimate(args) -> int:
     from repro.server.protocol import estimate_fields
-    from repro.service import EstimationService
 
-    _require_target(args)
-    if args.connect is not None:
-        if args.explain:
+    if args.batch_file is not None and args.query is not None:
+        raise ReproError("--query and --batch-file are mutually exclusive")
+    if args.explain:
+        if args.connect is not None:
             raise ReproError("--explain inspects a local snapshot; it does "
                              "not apply to --connect")
-        return _run_estimate_remote(args)
-    service = EstimationService.load(args.snapshot)
-    if args.explain:
-        return _run_explain(service, args)
-    if args.batch_file is not None:
-        if args.query is not None:
-            raise ReproError("--query and --batch-file are mutually exclusive")
-        return _run_estimate_batch(service, args)
-    if args.batch_output is not None:
-        raise ReproError("--batch-output requires --batch-file")
-    query = _parse_query_arg(args.query) if args.query is not None else None
-    result = service.estimate(args.name, query)
-    print(json.dumps({"name": args.name, **estimate_fields(result)}))
+        _require_target(args)
+        return _run_explain(_load_service(args.snapshot), args)
+    with _target(args) as client:
+        if args.batch_file is not None:
+            _write_batch_results(client.estimate_many(
+                args.name, _read_batch_queries(args.batch_file)), args)
+            return 0
+        if args.batch_output is not None:
+            raise ReproError("--batch-output requires --batch-file")
+        result = client.estimate(args.name, _given(args, "estimate").get("query"))
+        if args.json and args.connect is not None:
+            # Structured envelope for scripting: where the answer came
+            # from alongside the result fields themselves.
+            print(json.dumps({
+                "op": "estimate",
+                "server": f"{client.host}:{client.port}",
+                "wire": client.wire_format,
+                "name": args.name,
+                "query": args.query,
+                "result": estimate_fields(result),
+            }, sort_keys=True))
+        else:
+            print(json.dumps({"name": args.name, **estimate_fields(result)}))
     return 0
 
 
@@ -715,16 +627,14 @@ def service_command_loop(service, in_stream, out_stream, *,
     """
     import asyncio
 
-    from repro.server import ServerConfig, SketchServer, protocol
+    from repro.server import protocol
 
     def reply(payload: dict) -> None:
         # The line a TCP client on the NDJSON wire would read.
         out_stream.write(protocol.encode(payload).decode("utf-8"))
         out_stream.flush()
 
-    # max_delay=0: a lone estimate on stdin has no batch companions to wait for.
-    server = SketchServer(service, config=ServerConfig(max_delay=0.0),
-                          snapshot_path=snapshot_path)
+    server = _stdio_front(service, snapshot_path)
     asyncio.run(server.serve_lines(in_stream, reply))
     if save_on_exit and snapshot_path:
         # A reload may have hot-swapped the service; save the live one.
@@ -732,21 +642,38 @@ def service_command_loop(service, in_stream, out_stream, *,
     return 0
 
 
-def _run_serve_listen(args, service, *, recovery=None) -> int:
+def _serve_until_signalled(front, banner, *, before=None) -> None:
+    """Run ``front`` (after the ``before`` coroutine), printing the stdout
+    banner fleet tooling parses — ``banner(front)`` as one JSON line — once
+    it listens.  Signal handlers make SIGTERM/SIGINT a graceful drain: the
+    front stops accepting, finishes in-flight work, and this returns
+    normally; KeyboardInterrupt stays as a fallback for platforms without
+    loop signal-handler support."""
     import asyncio
 
-    from repro.server import ServerConfig, SketchServer, serve
+    from repro.server import serve
+
+    async def run() -> None:
+        if before is not None:
+            await before()
+        await serve(front, install_signal_handlers=True, ready=lambda started:
+                    print(json.dumps(banner(started)), flush=True))
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        pass
+
+
+def _run_serve_listen(args, service, *, recovery=None) -> int:
+    from repro.server import ServerConfig, SketchServer
 
     host, port = _parse_hostport(args.listen)
-    config_kwargs = {}
-    if getattr(args, "max_frame_bytes", None) is not None:
-        config_kwargs["max_line_bytes"] = args.max_frame_bytes
-    config = ServerConfig(host=host, port=port, max_batch=args.max_batch,
-                          max_delay=args.max_delay_ms / 1000.0,
-                          max_queue=args.max_queue,
-                          binary_wire=not args.no_binary_wire,
-                          admin_token=getattr(args, "admin_token", None),
-                          **config_kwargs)
+    config = ServerConfig(
+        host=host, port=port, max_batch=args.max_batch,
+        max_delay=args.max_delay_ms / 1000.0, max_queue=args.max_queue,
+        binary_wire=not args.no_binary_wire, admin_token=args.admin_token,
+        max_line_bytes=args.max_frame_bytes or ServerConfig.max_line_bytes)
     # With a WAL the snapshot default falls back to the in-directory
     # checkpoint base, so snapshot/reload verbs and inline bootstraps all
     # share one recovery lineage.
@@ -755,29 +682,22 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
         snapshot_path = service.wal_checkpoint_path
     server = SketchServer(service, config=config, snapshot_path=snapshot_path)
 
-    def announce(started) -> None:
-        banner = {"listening": f"{host}:{started.port}",
-                  "estimators": service.names(),
-                  "max_batch": args.max_batch,
-                  "max_queue": args.max_queue}
+    def banner(started) -> dict:
+        described = {"listening": f"{host}:{started.port}",
+                     "estimators": service.names(),
+                     "max_batch": args.max_batch,
+                     "max_queue": args.max_queue}
         if recovery is not None:
-            banner["wal"] = {"dir": args.wal_dir, "sync": args.wal_sync,
-                             "recovery": recovery}
-        print(json.dumps(banner), flush=True)
+            described["wal"] = {"dir": args.wal_dir, "sync": args.wal_sync,
+                                "recovery": recovery}
+        return described
 
     try:
-        # Signal handlers make SIGTERM/SIGINT a graceful drain: the server
-        # stops accepting, finishes in-flight coalescer buckets, then serve()
-        # returns normally so the final snapshot below reflects every
-        # acknowledged write.  KeyboardInterrupt stays as a fallback for
-        # platforms without loop signal-handler support.
-        asyncio.run(serve(server, ready=announce,
-                          install_signal_handlers=True))
-    except KeyboardInterrupt:
-        pass
+        _serve_until_signalled(server, banner)
     finally:
         if (args.save_on_exit or args.snapshot_on_exit) and args.snapshot:
-            # A reload may have hot-swapped the service; save the live one.
+            # The drain is over, so this reflects every acknowledged write;
+            # a reload may have hot-swapped the service — save the live one.
             server.service.save(args.snapshot)
     return 0
 
@@ -792,13 +712,12 @@ def _run_serve(args) -> int:
         # acknowledged write, torn tail excluded.
         base = args.snapshot or default_checkpoint_path(args.wal_dir)
         service, report = recover_service(
-            args.wal_dir, base, sync=args.wal_sync,
-            checkpoint_path=base,
+            args.wal_dir, base, sync=args.wal_sync, checkpoint_path=base,
             checkpoint_boxes=args.wal_checkpoint_boxes,
             num_shards=args.shards)
         recovery = report.as_dict()
     else:
-        service, _ = _load_or_create_service(args.snapshot, args.shards)
+        service = _load_service(args.snapshot, args.shards)
     if args.listen is not None:
         return _run_serve_listen(args, service, recovery=recovery)
     return service_command_loop(service, sys.stdin, sys.stdout,
@@ -850,73 +769,53 @@ def _run_wal_inspect(args) -> int:
 # -- cluster commands ----------------------------------------------------------------
 
 
-def _serve_router(router, attach, *, workers, mode) -> None:
-    """Attach the fleet, then serve the router until signalled, the
-    manager's heartbeat running beside it (``close`` stops both)."""
-    import asyncio
+def _serve_router(args, targets, *, worker_token, replicas=False) -> None:
+    """Route over the workers at ``targets`` until signalled, the manager's
+    heartbeat running beside the router (``close`` stops both).  With
+    ``replicas`` the workers after the first bootstrap from worker 0's
+    snapshot and mirror it bit-identically, scaling estimate throughput."""
+    from repro.cluster import ClusterRouter, RouterConfig
 
-    from repro.server import serve
+    host, port = _parse_hostport(args.listen)
+    router = ClusterRouter(config=RouterConfig(
+        host=host, port=port, num_slots=args.slots,
+        worker_wire=args.worker_wire, admin_token=args.admin_token,
+        worker_token=worker_token))
 
-    def announce(started) -> None:
-        # The stdout banner fleet tooling parses.
-        print(json.dumps({"listening": f"{started.config.host}:{started.port}",
-                          "mode": mode,
-                          "workers": workers,
-                          "estimators": started.estimators()}), flush=True)
-
-    async def run() -> None:
-        await attach()
+    async def attach() -> None:
+        for index, (whost, wport) in enumerate(targets):
+            if replicas and index:
+                await router.bootstrap_replica(f"r{index}", whost, wport,
+                                               source="w0")
+            else:
+                await router.attach(f"w{index}", whost, wport)
         router.manager.start_heartbeat()
-        await serve(router, ready=announce, install_signal_handlers=True)
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+    _serve_until_signalled(router, before=attach, banner=lambda started: {
+        "listening": f"{host}:{started.port}",
+        "mode": "replicas" if replicas else "shards",
+        "workers": [f"{h}:{p}" for h, p in targets],
+        "estimators": started.estimators()})
 
 
 def _run_cluster_serve(args) -> int:
     """Spawn N local workers, wire a router over them, serve until signalled."""
-    from repro.cluster import ClusterRouter, RouterConfig
-    from repro.cluster.fleet import spawn_worker
+    from repro.cluster.fleet import spawn_workers
 
     if args.workers < 1:
         raise ReproError("--workers must be at least 1")
-    host, port = _parse_hostport(args.listen)
-    processes = []
-    extra_args: tuple[str, ...] = ()
-    if args.admin_token:
-        # The whole fleet shares one admin token: spawned workers enforce
-        # it, and the router both offers it to clients and presents it on
-        # its worker links.
-        extra_args = ("--admin-token", args.admin_token)
+    # The whole fleet shares one admin token: spawned workers enforce it,
+    # and the router both offers it to clients and presents it on its
+    # worker links.
+    extra_args = ("--admin-token", args.admin_token) if args.admin_token else ()
+    processes = spawn_workers([
+        dict(snapshot=args.snapshot if index == 0 else None,
+             max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
+             extra_args=extra_args) for index in range(args.workers)])
     try:
-        for index in range(args.workers):
-            snapshot = args.snapshot if index == 0 else None
-            processes.append(spawn_worker(snapshot=snapshot,
-                                          max_batch=args.max_batch,
-                                          max_delay_ms=args.max_delay_ms,
-                                          extra_args=extra_args))
-        router = ClusterRouter(config=RouterConfig(
-            host=host, port=port, num_slots=args.slots,
-            worker_wire=args.worker_wire,
-            admin_token=args.admin_token,
-            worker_token=args.admin_token))
-
-        async def attach() -> None:
-            await router.attach("w0", processes[0].host, processes[0].port)
-            for index, worker in enumerate(processes[1:], start=1):
-                if args.snapshot:
-                    # Bootstrap mode: replicas mirror worker 0's snapshot
-                    # bit-identically, scaling estimate throughput.
-                    await router.bootstrap_replica(f"r{index}", worker.host,
-                                                   worker.port, source="w0")
-                else:
-                    await router.attach(f"w{index}", worker.host, worker.port)
-
-        _serve_router(router, attach,
-                      workers=[w.address for w in processes],
-                      mode="replicas" if args.snapshot else "shards")
+        _serve_router(args, [(w.host, w.port) for w in processes],
+                      worker_token=args.admin_token,
+                      replicas=bool(args.snapshot))
     finally:
         for worker in processes:
             worker.stop()
@@ -925,118 +824,96 @@ def _run_cluster_serve(args) -> int:
 
 def _run_cluster_route(args) -> int:
     """Route over an externally-managed fleet of running workers."""
-    from repro.cluster import ClusterRouter, RouterConfig
-
-    host, port = _parse_hostport(args.listen)
-    targets = [_parse_hostport(text) for text in args.workers]
-    router = ClusterRouter(config=RouterConfig(
-        host=host, port=port, num_slots=args.slots,
-        worker_wire=args.worker_wire,
-        admin_token=args.admin_token,
-        worker_token=args.worker_token or args.admin_token))
-
-    async def attach() -> None:
-        for index, (whost, wport) in enumerate(targets):
-            await router.attach(f"w{index}", whost, wport)
-
-    _serve_router(router, attach, workers=[f"{h}:{p}" for h, p in targets],
-                  mode="shards")
+    _serve_router(args, [_parse_hostport(text) for text in args.workers],
+                  worker_token=args.worker_token or args.admin_token)
     return 0
 
 
 def _run_cluster_status(args) -> int:
-    with _connect_client(args) as client:
-        status = client.cluster_status()
-        if getattr(args, "json", False):
-            # One compact machine-readable line (for shell pipelines);
-            # the human-facing default stays indented.
-            print(json.dumps(status, separators=(",", ":"), sort_keys=True))
-        else:
-            print(json.dumps(status, indent=2, sort_keys=True))
+    with _target(args) as client:
+        _print_json(client.cluster_status(), compact=args.json)
     return 0
 
 
 def _run_tenant(args) -> int:
-    fields: dict = {}
-    if args.tenant_token is not None:
-        fields["token"] = args.tenant_token
-    if args.quota is not None:
-        try:
-            fields["quota"] = json.loads(args.quota)
-        except json.JSONDecodeError as exc:
-            raise ReproError(f"--quota must be a JSON object: {exc}") from exc
-    with _connect_client(args) as client:
-        reply = client.tenant(args.action, args.tenant, **fields)
-    body = {key: value for key, value in reply.items()
-            if key not in ("ok", "op")}
-    if args.json:
-        print(json.dumps(body, separators=(",", ":"), sort_keys=True))
-    else:
-        print(json.dumps(body, indent=2, sort_keys=True))
+    from repro.server import protocol
+
+    request = protocol.build("tenant", **_given(args, "tenant"))
+    with _target(args) as client:
+        reply = client.request(request)
+    _print_json({key: value for key, value in reply.items()
+                 if key not in ("ok", "op")}, compact=args.json)
     return 0
 
 
-def _run_cluster(args) -> int:
-    if args.cluster_command == "serve":
-        return _run_cluster_serve(args)
-    if args.cluster_command == "route":
-        return _run_cluster_route(args)
-    return _run_cluster_status(args)
+#: verb -> (help line, parser arguments, runner).  Only the invoked verb's
+#: parser is built (and only it imports what its flags need).
+VERBS = {
+    "list": ("list the available experiments and scales", None, _run_list),
+    "run": ("run one or more experiments", _args_run, _run_experiments),
+    "all": ("run every experiment", partial(_args_run, names=False),
+            _run_experiments),
+    "ingest": ("ingest data into a service snapshot (creating it if needed)",
+               _args_ingest, _run_ingest),
+    "estimate": ("estimate from a service snapshot", _args_estimate,
+                 _run_estimate),
+    "serve": ("serve estimates over stdio JSON-lines, or over TCP with "
+              "--listen", _args_serve, _run_serve),
+    "tenant": ("administer the tenant registry of a running server",
+               _args_tenant, _run_tenant),
+    "wal": ("inspect a write-ahead log directory (segments, durable "
+            "records, torn-tail bytes)", _args_wal, _run_wal_inspect),
+    "cluster serve": ("spawn N local worker processes and a router over them",
+                      _args_cluster_serve, _run_cluster_serve),
+    "cluster route": ("route over already-running workers (no spawning)",
+                      _args_cluster_route, _run_cluster_route),
+    "cluster status": ("print a running router's cluster topology as JSON",
+                       _args_cluster_status, _run_cluster_status),
+}
+GROUPS = {"cluster": "run many workers as one logical sketch service"}
+
+
+def _overview() -> argparse.ArgumentParser:
+    """The parser of every verb's name and help line, none of their flags:
+    it answers ``--help`` and words the error for a missing or unknown verb."""
+    parser = argparse.ArgumentParser(
+        prog="repro-spatial",
+        description="Reproduce the experiments of 'Approximation Techniques for Spatial Data'",
+    )
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for verb, (help_line, _, _) in VERBS.items():
+        group, _, leaf = verb.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(
+                group, help=GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True)
+        groups[group].add_parser(leaf, help=help_line)
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by the ``repro-spatial`` console script."""
     arguments = sys.argv[1:] if argv is None else list(argv)
-    # The top-level parser takes no options of its own, so the first
-    # non-option argument is the verb.
-    command = next((arg for arg in arguments if not arg.startswith("-")), None)
-    parser = _build_parser(experiments=command in EXPERIMENT_COMMANDS)
-    args = parser.parse_args(arguments)
-
-    if args.command == "list":
-        from repro.experiments.config import SCALES
-        from repro.experiments.figures import FIGURES
-
-        print("experiments:")
-        for name in sorted(FIGURES):
-            doc = (FIGURES[name].__doc__ or "").strip().splitlines()
-            summary = doc[0] if doc else ""
-            print(f"  {name:28s} {summary}")
-        print("\nscales:")
-        for name, scale in sorted(SCALES.items()):
-            print(f"  {name:8s} runs={scale.runs} synthetic_sizes={scale.synthetic_sizes}")
-        return 0
-
-    if args.command == "run":
-        return _run_experiments(args.experiments, args.scale, args.seed, args.output)
-
-    if args.command == "all":
-        from repro.experiments.figures import FIGURES
-
-        return _run_experiments(sorted(FIGURES), args.scale, args.seed, args.output)
-
+    # No parser takes options before the verb, so the verb is the first one
+    # or two arguments.
+    verb = next((text for text in (" ".join(arguments[:2]), *arguments[:1])
+                 if text in VERBS), None)
+    if verb is None:
+        _overview().parse_args(arguments)  # prints help or the error; exits
+        return 2
+    _, add_arguments, run = VERBS[verb]
+    parser = argparse.ArgumentParser(prog=f"repro-spatial {verb}")
+    if add_arguments is not None:
+        add_arguments(parser)
+    args = parser.parse_args(arguments[len(verb.split()):])
     try:
-        if args.command == "ingest":
-            return _run_ingest(args)
-        if args.command == "estimate":
-            return _run_estimate(args)
-        if args.command == "serve":
-            return _run_serve(args)
-        if args.command == "tenant":
-            return _run_tenant(args)
-        if args.command == "wal":
-            return _run_wal_inspect(args)
-        if args.command == "cluster":
-            return _run_cluster(args)
+        return run(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename or exc}", file=sys.stderr)
         return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,6 +40,7 @@ format ``nc`` debugging and the stdin ``serve`` loop speak).
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import time
 from dataclasses import dataclass
@@ -101,7 +102,139 @@ def _query_row(query) -> list[int] | None:
     return [int(c) for c in query]
 
 
-class ServiceClient:
+class RequestVerbs:
+    """The protocol's verbs over :meth:`request` / :meth:`request_many`.
+
+    Every payload is built from the op table (:func:`protocol.build`); a
+    subclass supplies the transport — a TCP connection
+    (:class:`ServiceClient`) or a front in this process
+    (:class:`InProcessClient`).
+    """
+
+    #: Whether box batches travel as raw int64 tensors (the binary wire, a
+    #: front in this process) rather than JSON row lists.
+    tensors = False
+
+    def ping(self) -> dict:
+        return self.request(protocol.build("ping"))
+
+    def tenant(self, action: str, tenant: str | None = None,
+               **fields: Any) -> dict:
+        """Tenant-registry administration (``create``/``list``/``describe``/
+        ``update``/``disable``/``enable``/``remove``).
+
+        Requires an admin-authenticated connection, except ``describe``
+        of the connection's own tenant.
+        """
+        return self.request(protocol.build("tenant", action=action,
+                                           tenant=tenant, **fields))
+
+    def register(self, name: str, *, family: str, sizes: Sequence[int],
+                 instances: int = 256, seed: int = 0,
+                 max_levels: Sequence[int | None] | None = None,
+                 **options: Any) -> dict:
+        return self.request(protocol.build(
+            "register", name=name, family=family, sizes=list(sizes),
+            instances=instances, seed=seed, options=options,
+            max_levels=None if max_levels is None else list(max_levels)))
+
+    def unregister(self, name: str) -> dict:
+        return self.request(protocol.build("unregister", name=name))
+
+    def ingest(self, name: str, boxes, *, side: str = "left",
+               kind: str = "insert") -> dict:
+        """Stream a batch of boxes (a :class:`BoxSet` or row lists)."""
+        rows: Any
+        if isinstance(boxes, BoxSet):
+            rows = np.hstack([boxes.lows, boxes.highs])
+            if not self.tensors:
+                rows = rows.tolist()
+        else:
+            rows = list(boxes)
+            if self.tensors:
+                # Ship well-formed batches as a raw int64 tensor; anything
+                # ragged or non-numeric stays JSON so the server's decoder
+                # reports it as bad_request exactly as over NDJSON.
+                try:
+                    rows = np.asarray(rows, dtype=np.int64)
+                except (TypeError, ValueError):
+                    pass
+        return self.request(protocol.build("ingest", name=name, boxes=rows,
+                                           side=side, kind=kind))
+
+    def estimate(self, name: str, query=None) -> RemoteEstimate:
+        return RemoteEstimate.from_payload(self.request(protocol.build(
+            "estimate", name=name, query=_query_row(query))))
+
+    def estimate_many(self, name: str, queries) -> list[RemoteEstimate]:
+        """Batch helper: pipeline one request per query in a single write.
+
+        The server coalesces the burst into batched engine calls; replies
+        come back in query order.
+        """
+        responses = self.request_many(
+            [protocol.build("estimate", name=name, query=_query_row(q))
+             for q in _iter_queries(queries)])
+        return [RemoteEstimate.from_payload(protocol.raise_for_response(r))
+                for r in responses]
+
+    def flush(self) -> dict:
+        return self.request(protocol.build("flush"))
+
+    def stats(self) -> dict:
+        return self.request(protocol.build("stats"))
+
+    def metrics(self) -> str:
+        """The server's plain-text metrics exposition."""
+        return str(self.request(protocol.build("metrics"))["text"])
+
+    def snapshot(self, path: str | None = None) -> dict:
+        return self.request(protocol.build(
+            "snapshot", path=None if path is None else str(path)))
+
+    def reload(self, path: str | None = None) -> dict:
+        """Hot-swap the server's service from a snapshot file."""
+        return self.request(protocol.build(
+            "reload", path=None if path is None else str(path)))
+
+    def checkpoint(self, path: str | None = None) -> dict:
+        """Snapshot + WAL truncation on a durably-serving server."""
+        return self.request(protocol.build(
+            "snapshot", checkpoint=True,
+            path=None if path is None else str(path)))
+
+    def wal_describe(self) -> dict:
+        """The server's WAL summary (``None`` when serving without one)."""
+        return self.request(protocol.build("wal"))
+
+    def wal_fetch(self, since: int = 0) -> dict:
+        """Fetch the framed log tail after ``since`` (log shipping).
+
+        The reply's ``data`` field holds the record bytes — base64 on an
+        NDJSON connection, raw ``bytes`` on a binary one; ``truncated``
+        means a checkpoint dropped part of the requested range and the
+        caller must bootstrap from a snapshot instead.
+        """
+        return self.request(protocol.build("wal", fetch=True,
+                                           since=int(since)))
+
+    def wal_apply(self, data: str | bytes) -> dict:
+        """Replay a fetched tail (``data`` as returned by :meth:`wal_fetch`)
+        into this server — the follower half of log shipping."""
+        return self.request(protocol.build("wal", apply=data))
+
+    def cluster_status(self) -> dict:
+        """Fleet topology of a cluster router (see :mod:`repro.cluster`)."""
+        return self.request(protocol.build("cluster_status"))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class ServiceClient(RequestVerbs):
     """A persistent, pipelining connection to one sketch server."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
@@ -134,6 +267,10 @@ class ServiceClient:
         """The format this connection actually negotiated."""
         return self._wire
 
+    @property
+    def tensors(self) -> bool:
+        return self._wire == wire_format.WIRE_BINARY
+
     def _connect(self) -> None:
         try:
             self._sock = socket.create_connection(
@@ -151,8 +288,8 @@ class ServiceClient:
             if self.token is not None:
                 # Re-binding on every (re)connect keeps the tenant scope
                 # intact across the transparent reconnect path.
-                protocol.raise_for_response(
-                    self._round_trip({"op": "auth", "token": self.token}))
+                protocol.raise_for_response(self._round_trip(
+                    protocol.build("auth", token=self.token)))
         except socket.timeout as exc:
             self.close()
             raise ClientTimeoutError(
@@ -250,143 +387,24 @@ class ServiceClient:
                 f"pipelined batch of {len(payloads)} requests exceeded the "
                 f"{self.read_timeout:g}s read deadline") from exc
 
-    # -- verbs --------------------------------------------------------------------
-
-    def ping(self) -> dict:
-        return self.request({"op": "ping"})
+    # -- connection verbs ---------------------------------------------------------
 
     def auth(self, token: str) -> dict:
         """Bind this connection to the tenant (or admin role) of ``token``.
 
         The token is remembered so transparent reconnects re-authenticate.
         """
-        reply = self.request({"op": "auth", "token": token})
+        reply = self.request(protocol.build("auth", token=token))
         self.token = token
         return reply
 
-    def tenant(self, action: str, tenant: str | None = None,
-               **fields: Any) -> dict:
-        """Tenant-registry administration (``create``/``list``/``describe``/
-        ``update``/``disable``/``enable``/``remove``).
-
-        Requires an admin-authenticated connection, except ``describe``
-        of the connection's own tenant.
-        """
-        payload: dict[str, Any] = {"op": "tenant", "action": action}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        payload.update(fields)
-        return self.request(payload)
-
-    def register(self, name: str, *, family: str, sizes: Sequence[int],
-                 instances: int = 256, seed: int = 0,
-                 max_levels: Sequence[int | None] | None = None,
-                 **options: Any) -> dict:
-        return self.request(protocol.register_request(
-            name, family=family, sizes=sizes, instances=instances, seed=seed,
-            options=options, max_levels=max_levels))
-
-    def unregister(self, name: str) -> dict:
-        return self.request({"op": "unregister", "name": name})
-
-    def ingest(self, name: str, boxes, *, side: str = "left",
-               kind: str = "insert") -> dict:
-        """Stream a batch of boxes (a :class:`BoxSet` or row lists)."""
-        rows: Any
-        if isinstance(boxes, BoxSet):
-            rows = np.hstack([boxes.lows, boxes.highs])
-            if self._wire != wire_format.WIRE_BINARY:
-                rows = rows.tolist()
-        else:
-            rows = list(boxes)
-            if self._wire == wire_format.WIRE_BINARY:
-                # Ship well-formed batches as a raw int64 tensor; anything
-                # ragged or non-numeric stays JSON so the server's decoder
-                # reports it as bad_request exactly as over NDJSON.
-                try:
-                    rows = np.asarray(rows, dtype=np.int64)
-                except (TypeError, ValueError):
-                    pass
-        return self.request({"op": "ingest", "name": name, "boxes": rows,
-                             "side": side, "kind": kind})
-
-    def estimate(self, name: str, query=None) -> RemoteEstimate:
-        response = self.request({"op": "estimate", "name": name,
-                                 "query": _query_row(query)})
-        return RemoteEstimate.from_payload(response)
-
-    def estimate_many(self, name: str, queries) -> list[RemoteEstimate]:
-        """Batch helper: pipeline one request per query in a single write.
-
-        The server coalesces the burst into batched engine calls; replies
-        come back in query order.
-        """
-        requests = [{"op": "estimate", "name": name, "query": _query_row(q)}
-                    for q in _iter_queries(queries)]
-        responses = self.request_many(requests)
-        return [RemoteEstimate.from_payload(protocol.raise_for_response(r))
-                for r in responses]
-
-    def flush(self) -> dict:
-        return self.request({"op": "flush"})
-
-    def stats(self) -> dict:
-        return self.request({"op": "stats"})
-
-    def metrics(self) -> str:
-        """The server's plain-text metrics exposition."""
-        return str(self.request({"op": "metrics"})["text"])
-
-    def snapshot(self, path: str | None = None) -> dict:
-        payload: dict[str, Any] = {"op": "snapshot"}
-        if path is not None:
-            payload["path"] = str(path)
-        return self.request(payload)
-
-    def reload(self, path: str | None = None) -> dict:
-        """Hot-swap the server's service from a snapshot file."""
-        payload: dict[str, Any] = {"op": "reload"}
-        if path is not None:
-            payload["path"] = str(path)
-        return self.request(payload)
-
-    def checkpoint(self, path: str | None = None) -> dict:
-        """Snapshot + WAL truncation on a durably-serving server."""
-        payload: dict[str, Any] = {"op": "snapshot", "checkpoint": True}
-        if path is not None:
-            payload["path"] = str(path)
-        return self.request(payload)
-
-    def wal_describe(self) -> dict:
-        """The server's WAL summary (``None`` when serving without one)."""
-        return self.request({"op": "wal"})
-
-    def wal_fetch(self, since: int = 0) -> dict:
-        """Fetch the framed log tail after ``since`` (log shipping).
-
-        The reply's ``data`` field holds the record bytes — base64 on an
-        NDJSON connection, raw ``bytes`` on a binary one; ``truncated``
-        means a checkpoint dropped part of the requested range and the
-        caller must bootstrap from a snapshot instead.
-        """
-        return self.request({"op": "wal", "fetch": True, "since": int(since)})
-
-    def wal_apply(self, data: str | bytes) -> dict:
-        """Replay a fetched tail (``data`` as returned by :meth:`wal_fetch`)
-        into this server — the follower half of log shipping."""
-        return self.request({"op": "wal", "apply": data})
-
-    def cluster_status(self) -> dict:
-        """Fleet topology of a cluster router (see :mod:`repro.cluster`)."""
-        return self.request({"op": "cluster_status"})
-
-    # -- lifecycle ----------------------------------------------------------------
-
     def quit(self) -> None:
         try:
-            self.request({"op": "quit"})
+            self.request(protocol.build("quit"))
         except (ProtocolError, OSError):
             pass
+
+    # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
         try:
@@ -394,14 +412,51 @@ class ServiceClient:
         finally:
             self._sock.close()
 
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ServiceClient({self.host!r}, {self.port})"
+
+
+class InProcessClient(RequestVerbs):
+    """The same verbs against a serving front in this process — no
+    listener, no socket; what the CLI's ``--snapshot`` verbs talk to.
+
+    Requests are answered with the operator's role
+    (:meth:`~repro.server.front.ServingFront.answer`) on a private event
+    loop, one at a time; a :meth:`request_many` burst runs concurrently, so
+    the coalescer batches it as it would a pipelined connection's — and,
+    like one, with at most ``max_inflight_per_connection`` requests in
+    flight, so a burst of any length stays under the admission cap.
+    Closing the client drains and closes the front.
+    """
+
+    tensors = True
+
+    def __init__(self, front) -> None:
+        self.front = front
+        self._loop = asyncio.new_event_loop()
+
+    def request(self, payload: Mapping[str, Any]) -> dict:
+        return protocol.raise_for_response(self.request_many([payload])[0])
+
+    def request_many(self, payloads: Sequence[Mapping[str, Any]]
+                     ) -> list[dict]:
+        window = self.front.config.max_inflight_per_connection
+
+        async def burst() -> list[dict]:
+            replies: list[dict] = []
+            for start in range(0, len(payloads), window):
+                replies += await asyncio.gather(*(
+                    self.front.answer(dict(payload))
+                    for payload in payloads[start:start + window]))
+            return replies
+
+        return self._loop.run_until_complete(burst())
+
+    def close(self) -> None:
+        try:
+            self._loop.run_until_complete(self.front.close())
+        finally:
+            self._loop.close()
 
 
 def _iter_queries(queries) -> list:

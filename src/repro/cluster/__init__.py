@@ -36,11 +36,7 @@ from repro.cluster.fleet import LocalFleet, spawn_worker
 from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import merge_partial_states, reduce_partials
 from repro.cluster.ring import HashRing, stable_hash
-from repro.cluster.router import (
-    ClusterRouter,
-    RouterConfig,
-    ThreadedClusterRouter,
-)
+from repro.cluster.router import ClusterRouter, RouterConfig
 
 __all__ = [
     "HashRing",
@@ -57,3 +53,12 @@ __all__ = [
     "LocalFleet",
     "spawn_worker",
 ]
+
+
+def __getattr__(name: str):
+    # Loaded on first use: a ``cluster route`` process runs no loop thread.
+    if name == "ThreadedClusterRouter":
+        from repro.cluster.runner import ThreadedClusterRouter
+
+        return ThreadedClusterRouter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -100,7 +100,7 @@ class WorkerLink:
     async def _authenticate(self) -> None:
         assert self._reader is not None and self._writer is not None
         self._writer.write(wire.encode_frame(
-            {"op": "auth", "token": self.token}, self._mode))
+            protocol.build("auth", token=self.token), self._mode))
         await self._writer.drain()
         if self._mode == wire.WIRE_BINARY:
             reply, _ = await wire.read_binary_frame(self._reader,

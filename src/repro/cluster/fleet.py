@@ -3,8 +3,8 @@
 The CLI's ``cluster serve``, the cluster benchmark, and the demo all need
 the same primitive: start ``repro.cli serve --listen 127.0.0.1:0`` in a
 subprocess, parse the JSON banner it prints for the bound port, and tear
-it down afterwards.  :func:`spawn_worker` does one; :class:`LocalFleet`
-manages N as a context manager.
+it down afterwards.  :func:`spawn_worker` does one, :func:`spawn_workers`
+N side by side; :class:`LocalFleet` manages N as a context manager.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import ServiceError
 
@@ -35,8 +38,16 @@ class WorkerProcess:
 
     process: subprocess.Popen
     host: str
-    port: int
+    port: int = 0  # known once the banner is read
     banner: dict = field(default_factory=dict)
+    #: The last lines the worker wrote to stderr (kept for diagnosis; a
+    #: reader thread drains the pipe, so a chatty worker never blocks on it).
+    stderr_tail: deque = field(default_factory=lambda: deque(maxlen=40))
+
+    def __post_init__(self) -> None:
+        self._drain = threading.Thread(target=self.stderr_tail.extend,
+                                       args=(self.process.stderr,), daemon=True)
+        self._drain.start()
 
     @property
     def address(self) -> str:
@@ -51,6 +62,39 @@ class WorkerProcess:
             self.process.kill()
             self.process.wait(timeout=timeout)
 
+    def _await_banner(self) -> "WorkerProcess":
+        """Block until the worker announces its port; a worker that exits
+        first is an error carrying the tail of what it wrote to stderr."""
+        line = self.process.stdout.readline()
+        if not line:  # stdout hit EOF: the worker is gone
+            self.stop()
+            self._drain.join(timeout=30)  # its stderr ends with it
+            tail = "".join(self.stderr_tail).strip()
+            raise ServiceError("worker subprocess exited before announcing "
+                               "its port" + (f": {tail[-2000:]}" if tail else ""))
+        try:
+            self.banner = json.loads(line)
+            self.port = int(str(self.banner["listening"]).rsplit(":", 1)[1])
+        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            self.stop()
+            raise ServiceError(f"malformed worker banner {line!r}: {exc}") from exc
+        return self
+
+
+def _launch(*, host: str = "127.0.0.1", extra_args: tuple[str, ...] = (),
+            **flags) -> WorkerProcess:
+    """Start a worker process (keywords: see :func:`spawn_worker`; each one
+    set is the ``serve`` flag of its name) without waiting for its banner."""
+    command = [sys.executable, "-m", "repro.cli", "serve",
+               "--listen", f"{host}:0"]
+    for name, value in flags.items():
+        if value is not None:
+            command += ["--" + name.replace("_", "-"), str(value)]
+    process = subprocess.Popen(command + list(extra_args),
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                               env=_worker_env(), text=True)
+    return WorkerProcess(process=process, host=host)
+
 
 def spawn_worker(*, snapshot: str | None = None, shards: int = 4,
                  max_batch: int = 64, max_delay_ms: float = 2.0,
@@ -63,35 +107,23 @@ def spawn_worker(*, snapshot: str | None = None, shards: int = 4,
     recovers from the directory on start and write-ahead-logs every
     ingest; ``wal_sync`` picks the flush discipline (none/flush/fsync).
     """
-    command = [sys.executable, "-m", "repro.cli", "serve",
-               "--listen", f"{host}:0", "--shards", str(shards),
-               "--max-batch", str(max_batch),
-               "--max-delay-ms", str(max_delay_ms)]
-    if snapshot is not None:
-        command += ["--snapshot", str(snapshot)]
-    if wal_dir is not None:
-        command += ["--wal-dir", str(wal_dir)]
-    if wal_sync is not None:
-        command += ["--wal-sync", str(wal_sync)]
-    command += list(extra_args)
-    process = subprocess.Popen(command, stdout=subprocess.PIPE,
-                               stderr=subprocess.DEVNULL, env=_worker_env(),
-                               text=True)
-    assert process.stdout is not None
-    line = process.stdout.readline()
-    if not line:
-        process.terminate()
-        process.wait(timeout=30)
-        raise ServiceError("worker subprocess exited before announcing "
-                           "its port")
+    return _launch(**locals())._await_banner()
+
+
+def spawn_workers(configs: Sequence[dict]) -> list[WorkerProcess]:
+    """One worker per :func:`spawn_worker` keyword dict, started **side by
+    side**: every process exists before the first banner is read, so a
+    fleet pays one interpreter start-up, not N in a row.  If any worker
+    fails to come up, all of them are stopped."""
+    workers: list[WorkerProcess] = []
     try:
-        banner = json.loads(line)
-        port = int(str(banner["listening"]).rsplit(":", 1)[1])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        process.terminate()
-        process.wait(timeout=30)
-        raise ServiceError(f"malformed worker banner {line!r}: {exc}") from exc
-    return WorkerProcess(process=process, host=host, port=port, banner=banner)
+        for config in configs:
+            workers.append(_launch(**config))
+        return [worker._await_banner() for worker in workers]
+    except BaseException:
+        for worker in workers:
+            worker.stop()
+        raise
 
 
 class LocalFleet:
@@ -118,12 +150,7 @@ class LocalFleet:
         self.workers: list[WorkerProcess] = []
 
     def start(self) -> "LocalFleet":
-        try:
-            for _ in range(self.count):
-                self.workers.append(spawn_worker(**self._spawn_kwargs))
-        except BaseException:
-            self.stop()
-            raise
+        self.workers += spawn_workers([self._spawn_kwargs] * self.count)
         return self
 
     def spawn_extra(self, **overrides) -> WorkerProcess:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from repro.cluster.connection import WorkerLink
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.errors import ReproError, ServiceError
+from repro.server import protocol
 
 WORKER_ROLES = ("shard", "replica")
 
@@ -180,7 +181,7 @@ class ClusterManager:
         await link.connect()
         await link.request_ok({"op": "ping"}, timeout=self.heartbeat.timeout)
         if data is not None:
-            await link.request_ok({"op": "reload", "data": data})
+            await link.request_ok(protocol.build("reload", data=data))
         await old.link.close()
         fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
                            role=old.role, replica_of=old.replica_of,
@@ -194,7 +195,7 @@ class ClusterManager:
     async def _fetch_snapshot_reply(self, source: str) -> dict:
         """The full ``snapshot fetch:true`` reply of one worker."""
         return await self.worker(source).link.request_ok(
-            {"op": "snapshot", "fetch": True})
+            protocol.build("snapshot", fetch=True))
 
     async def fetch_snapshot(self, source: str) -> str | bytes:
         """A worker's binary v2 snapshot in wire form — raw ``bytes`` on a
@@ -224,7 +225,7 @@ class ClusterManager:
         info = await self.add_worker(name, host, port, role="replica",
                                      replica_of=source, sync=sync)
         try:
-            await info.link.request_ok({"op": "reload", "data": data})
+            await info.link.request_ok(protocol.build("reload", data=data))
         except ReproError:
             await self.remove_worker(name)
             raise
@@ -255,22 +256,22 @@ class ClusterManager:
                 f"{info.sync_mode} {info.role}")
         owner = self.worker(info.replica_of)
         tail = await owner.link.request_ok(
-            {"op": "wal", "fetch": True, "since": info.synced_seqno})
+            protocol.build("wal", fetch=True, since=info.synced_seqno))
         if tail.get("truncated"):
             # The missed window predates the oldest retained record: the
             # incremental path cannot reconstruct it, so fall back to a
             # full snapshot bootstrap.
             reply = await self._fetch_snapshot_reply(info.replica_of)
-            await info.link.request_ok({"op": "reload",
-                                        "data": reply["data"]})
+            await info.link.request_ok(protocol.build("reload",
+                                                      data=reply["data"]))
             info.synced_seqno = int(reply.get("wal_seqno", 0) or 0)
             report = self._record_transfer(name, "snapshot",
                                            int(reply.get("nbytes", 0)),
                                            records=0)
         else:
             if int(tail.get("count", 0)):
-                await info.link.request_ok({"op": "wal",
-                                            "apply": tail["data"]})
+                await info.link.request_ok(protocol.build(
+                    "wal", apply=tail["data"]))
                 info.synced_seqno = int(tail["last_seqno"])
             report = self._record_transfer(name, "wal",
                                            int(tail.get("nbytes", 0)),

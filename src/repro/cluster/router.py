@@ -39,7 +39,7 @@ import asyncio
 import functools
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from repro.errors import ConnectionLostError, ReproError, ServiceError
 from repro.server import protocol
 from repro.server.front import FrontConfig, ServingFront
 from repro.server.metrics import metric_line, sign_table_lines
-from repro.server.runner import FrontThread
 from repro.service.specs import EstimatorSpec
 from repro.service.store import shard_ids
 from repro.tenancy import TENANT_SEP, TenantRegistry
@@ -215,31 +214,28 @@ class ClusterRouter(ServingFront):
                 request=request, detail={"op": op})
         return super()._failure(exc, op, request)
 
-    async def _op_register(self, request: dict, scope) -> dict:
-        spec = protocol.spec_from_register(request)
-        name = str(request["name"])
+    async def _op_register(self, fields: dict, scope) -> dict:
+        name, spec = fields["name"], fields["spec"]
         if name in self._specs:
             raise ServiceError(f"estimator {name!r} is already registered")
-        await self.manager.broadcast({**_register_request(name, spec),
-                                      **_forward_fields(request)})
+        await self.manager.broadcast(
+            _register_request(name, spec, acting_for=scope.tenant))
         self._adopt_spec(name, spec)
-        return protocol.ok_payload("register", request, name=name,
+        return protocol.ok_payload("register", fields, name=name,
                                    spec=spec.to_dict())
 
-    async def _op_unregister(self, request: dict, scope) -> dict:
-        name = str(request["name"])
+    async def _op_unregister(self, fields: dict, scope) -> dict:
+        name = fields["name"]
         await self._spec_for(name)
-        await self.manager.broadcast({"op": "unregister", "name": name,
-                                      **_forward_fields(request)})
+        await self.manager.broadcast(protocol.build(
+            "unregister", name=name, acting_for=scope.tenant))
         del self._specs[name]
-        return protocol.ok_payload("unregister", request, name=name)
+        return protocol.ok_payload("unregister", fields, name=name)
 
-    async def _op_ingest(self, request: dict, scope) -> dict:
-        name = str(request["name"])
+    async def _op_ingest(self, fields: dict, scope) -> dict:
+        name = fields["name"]
         spec, _ = await self._spec_for(name)
-        boxes = protocol.boxes_from_rows(request["boxes"], spec.dimension)
-        side = request.get("side", "left")
-        kind = request.get("kind", "insert")
+        boxes = protocol.boxes_from_rows(fields["boxes"], spec.dimension)
         # Re-partition from the validated BoxSet, not the request value:
         # the rows may have arrived as a zero-copy binary tensor or as
         # JSON lists, and ndarray row-gathering serves both — each owner's
@@ -264,9 +260,9 @@ class ClusterRouter(ServingFront):
         async def send(info: WorkerInfo, part: np.ndarray) -> dict:
             # Binary links ship the sub-batch tensor raw; NDJSON links
             # render it to lists via the encoder's json_default hook.
-            return await info.link.request_ok({
-                "op": "ingest", "name": name, "boxes": part,
-                "side": side, "kind": kind, **_forward_fields(request)})
+            return await info.link.request_ok(protocol.build(
+                "ingest", name=name, boxes=part, side=fields["side"],
+                kind=fields["kind"], acting_for=scope.tenant))
 
         sends: list = []
         for owner, part in per_owner.items():
@@ -285,16 +281,16 @@ class ClusterRouter(ServingFront):
             return protocol.error_payload(
                 f"cluster degraded: {len(down)} owner group(s) down, "
                 f"{dropped} of {len(boxes)} boxes dropped",
-                code="degraded", op="ingest", request=request,
+                code="degraded", op="ingest", request=fields,
                 detail={"op": "ingest", "name": name, "applied": applied,
                         "dropped": dropped, "down_owners": sorted(down)})
-        return protocol.ok_payload("ingest", request, boxes=applied,
+        return protocol.ok_payload("ingest", fields, boxes=applied,
                                    pending=pending)
 
-    async def _op_estimate(self, request: dict, scope) -> dict:
-        name = str(request["name"])
+    async def _op_estimate(self, fields: dict, scope) -> dict:
+        name = fields["name"]
         spec, template = await self._spec_for(name)
-        query = protocol.query_from_request(spec, request)
+        query = protocol.query_box(spec, fields["query"])
 
         owners = self._owner_names()
         readers: dict[str, WorkerInfo] = {}
@@ -309,7 +305,7 @@ class ClusterRouter(ServingFront):
             return protocol.error_payload(
                 f"cluster degraded: owner group(s) {sorted(down)} have no "
                 f"healthy worker",
-                code="degraded", op="estimate", request=request,
+                code="degraded", op="estimate", request=fields,
                 detail={"op": "estimate", "name": name,
                         "down_owners": sorted(down)})
 
@@ -321,7 +317,10 @@ class ClusterRouter(ServingFront):
             # mirrors, so every member answers the same numbers.
             (reader,) = readers.values()
             reply = await reader.link.request(
-                dict(request), timeout=self.config.request_timeout)
+                protocol.build("estimate", id=fields.get("id"), name=name,
+                               query=fields["query"],
+                               acting_for=scope.tenant),
+                timeout=self.config.request_timeout)
             if reply.get("ok"):
                 self.metrics.record_estimate_latency(
                     time.perf_counter() - start, scope.tenant)
@@ -332,10 +331,10 @@ class ClusterRouter(ServingFront):
         # links the counter matrix and stacked xi coefficients cross the
         # wire as raw tensors, on NDJSON links as nested number lists.
         async def gather(info: WorkerInfo) -> Mapping:
-            payload = {"op": "estimate", "name": name, "partial": True,
-                       **_forward_fields(request)}
             reply = await info.link.request_ok(
-                payload, timeout=self.config.request_timeout)
+                protocol.build("estimate", name=name, partial=True,
+                               acting_for=scope.tenant),
+                timeout=self.config.request_timeout)
             return reply["state"]
 
         states = await asyncio.gather(*(gather(info)
@@ -344,13 +343,13 @@ class ClusterRouter(ServingFront):
             reduce_partials, spec, states, query, template=template))
         self.metrics.record_estimate_latency(time.perf_counter() - start,
                                              scope.tenant)
-        return protocol.ok_payload("estimate", request, name=name,
+        return protocol.ok_payload("estimate", fields, name=name,
                                    **protocol.estimate_fields(result))
 
-    async def _op_flush(self, request: dict, scope) -> dict:
-        replies = await self.manager.broadcast({"op": "flush"})
+    async def _op_flush(self, fields: dict, scope) -> dict:
+        replies = await self.manager.broadcast(protocol.build("flush"))
         return protocol.ok_payload(
-            "flush", request,
+            "flush", fields,
             boxes=sum(reply.get("boxes", 0) for reply in replies.values()),
             batches=sum(reply.get("batches", 0)
                         for reply in replies.values()))
@@ -367,7 +366,7 @@ class ClusterRouter(ServingFront):
             **sign_table_stats(),
         }, {"queue_depth": 0}
 
-    async def _op_metrics(self, request: dict, scope) -> dict:
+    async def _op_metrics(self, fields: dict, scope) -> dict:
         fleet: dict[str, dict] = {}
         for info in self.manager.workers():
             if not info.healthy:
@@ -380,7 +379,7 @@ class ClusterRouter(ServingFront):
                 "uptime": float(reply.get("uptime", 0.0)),
                 **{group: dict(reply.get(group, {})) for group in _FLEET_GROUPS}}
         return self._metrics_reply(
-            request, self._render_metrics(fleet), workers=fleet,
+            fields, self._render_metrics(fleet), workers=fleet,
             tenants=self._aggregate_tenants(fleet),
             sign_tables=sign_table_stats())
 
@@ -444,17 +443,16 @@ class ClusterRouter(ServingFront):
         lines += sign_table_lines("repro_cluster_router_", own_tables)
         return "\n".join(lines) + "\n"
 
-    async def _op_snapshot(self, request: dict, scope) -> dict:
-        protocol.check_write_format(request)
+    async def _op_snapshot(self, fields: dict, scope) -> dict:
         for field in ("fetch", "checkpoint"):
             # Both act on one worker's own state (its snapshot bytes, its
             # WAL); a routed reply must never claim a truncation it did
             # not make.
-            if request.get(field):
+            if fields[field]:
                 raise ServiceError(
                     f"snapshot {field} is a worker-level op; send it to a "
                     "worker (cluster_status lists them)")
-        path = request.get("path")
+        path = fields["path"]
         if not path:
             raise ServiceError("cluster snapshot needs a path prefix")
         paths: dict[str, str] = {}
@@ -464,17 +462,17 @@ class ClusterRouter(ServingFront):
                 raise ServiceError(
                     f"owner group {owner!r} has no healthy worker to snapshot")
             target = f"{path}.{owner}"
-            await reader.link.request_ok({"op": "snapshot", "path": target})
+            await reader.link.request_ok(protocol.build("snapshot",
+                                                        path=target))
             paths[owner] = target
-        return protocol.ok_payload("snapshot", request, paths=paths)
+        return protocol.ok_payload("snapshot", fields, paths=paths)
 
-    async def _op_reload(self, request: dict, scope) -> dict:
+    async def _op_reload(self, fields: dict, scope) -> dict:
         raise ServiceError(
             "reload is a worker-level op; bootstrap or replace workers "
             "through the cluster manager instead")
 
-    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
-                            **changes):
+    async def _tenant_apply(self, verb: str, fields: dict, **changes):
         # Mutations apply to the router's registry (the authenticating
         # edge) and broadcast to every healthy worker, whose services
         # journal them through their WALs and embed them in snapshots —
@@ -483,8 +481,8 @@ class ClusterRouter(ServingFront):
             self.tenants = TenantRegistry()  # the first tenant turns gating on
         if self.tenants is None:
             raise ServiceError("no tenant registry is attached")
-        record = getattr(self.tenants, verb)(tenant_id, **changes)
-        await self.manager.broadcast(dict(request))
+        record = getattr(self.tenants, verb)(fields["tenant"], **changes)
+        await self.manager.broadcast(protocol.build("tenant", **fields))
         if verb == "remove":
             # The fleet also dropped the tenant's estimators; forget the
             # router's cached specs for that namespace.
@@ -493,14 +491,14 @@ class ClusterRouter(ServingFront):
                 del self._specs[name]
         return record
 
-    async def _op_cluster_status(self, request: dict, scope) -> dict:
+    async def _op_cluster_status(self, fields: dict, scope) -> dict:
         status = self.manager.status()
         assignments = self._assignments() if len(self.manager.ring) else []
         slots_per_owner: dict[str, int] = {}
         for owner in assignments:
             slots_per_owner[owner] = slots_per_owner.get(owner, 0) + 1
         return protocol.ok_payload(
-            "cluster_status", request,
+            "cluster_status", fields,
             num_slots=self.config.num_slots,
             estimators=sorted(self._specs),
             slots_per_owner=slots_per_owner,
@@ -542,59 +540,11 @@ def _fleet_sum(fleet: Mapping[str, Mapping], group: str) -> dict:
     return total
 
 
-def _register_request(name: str, spec: EstimatorSpec) -> dict:
+def _register_request(name: str, spec: EstimatorSpec,
+                      acting_for: str | None = None) -> dict:
     """The ``register`` request that creates ``spec`` on a worker."""
-    return protocol.register_request(
-        name, family=spec.family, sizes=spec.sizes,
-        instances=spec.num_instances, seed=spec.seed, options=spec.options,
-        max_levels=spec.max_levels)
-
-
-def _forward_fields(request: Mapping) -> dict:
-    """Tenant identity fields a router adds to forwarded worker payloads.
-
-    ``scoped: true`` tells the worker the name is already namespaced and
-    quota was charged at the edge — it labels, but never re-scopes or
-    re-charges.
-    """
-    tenant = request.get("tenant")
-    if tenant is None:
-        return {}
-    return {"tenant": tenant, "scoped": True}
-
-
-class ThreadedClusterRouter(FrontThread):
-    """Drive a router (plus its worker links) on a background loop thread.
-
-    The synchronous mirror of :class:`~repro.server.runner.ThreadedServer`
-    for clusters: tests and benchmarks start it, talk to ``port`` with a
-    plain :class:`~repro.client.ServiceClient`, and steer topology through
-    :meth:`run` (which executes a coroutine on the router's loop)::
-
-        with ThreadedClusterRouter([("127.0.0.1", p1), ("127.0.0.1", p2)]) as handle:
-            client = ServiceClient("127.0.0.1", handle.port)
-            handle.run(handle.router.bootstrap_replica(
-                "r0", "127.0.0.1", p3, source="w0"))
-    """
-
-    def __init__(self, workers: Sequence[tuple[str, int]] = (), *,
-                 config: RouterConfig | None = None,
-                 heartbeat: HeartbeatConfig | None = None,
-                 start_heartbeat: bool = True,
-                 registry=None) -> None:
-        self.router = ClusterRouter(config=config, heartbeat=heartbeat,
-                                    registry=registry)
-        super().__init__(self.router)
-        self._workers = list(workers)
-        self._start_heartbeat = start_heartbeat
-
-    async def _start_front(self) -> None:
-        for index, (host, port) in enumerate(self._workers):
-            await self.router.attach(f"w{index}", host, port)
-        await self.router.start()
-        if self._start_heartbeat:
-            self.router.manager.start_heartbeat()
-
-    @property
-    def manager(self) -> ClusterManager:
-        return self.router.manager
+    return protocol.build(
+        "register", name=name, family=spec.family, sizes=list(spec.sizes),
+        instances=spec.num_instances, seed=spec.seed,
+        options=dict(spec.options), acting_for=acting_for,
+        max_levels=None if spec.max_levels is None else list(spec.max_levels))

@@ -41,7 +41,6 @@ from repro.server.protocol import (
     raise_for_response,
 )
 from repro.server.front import serve
-from repro.server.runner import ThreadedServer
 from repro.server.server import ServerConfig, SketchServer
 from repro.server.wire import WIRE_BINARY, WIRE_FORMATS, WIRE_NDJSON
 
@@ -68,3 +67,12 @@ __all__ = [
     "serve",
     "ThreadedServer",
 ]
+
+
+def __getattr__(name: str):
+    # Loaded on first use: a ``serve`` process never runs a loop thread.
+    if name == "ThreadedServer":
+        from repro.server.runner import ThreadedServer
+
+        return ThreadedServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,26 +39,23 @@ from repro.tenancy import TENANT_SEP, hash_token, namespaced
 #: may not, so it can never collide with a registry entry.
 ADMIN = "*admin*"
 
-#: Ops an unauthenticated connection keeps when tenancy is enforced
-#: (hello/auth/quit are handled inline by the connection loop and listed
-#: here for completeness).
-UNAUTH_OPS = frozenset({"hello", "auth", "metrics", "ping", "quit"})
-
-#: Ops a tenant-bound connection may use; everything else (snapshot,
-#: reload, wal, cluster_status) is server administration.
-TENANT_OPS = frozenset({"ping", "register", "unregister", "ingest",
-                        "estimate", "flush", "stats", "metrics", "tenant",
-                        "quit"})
-
-#: Ops whose ``name`` field addresses an estimator and gets namespaced.
-NAMED_OPS = frozenset({"register", "unregister", "ingest", "estimate"})
+#: The gate, read off the op table: ops an unauthenticated connection keeps
+#: when tenancy is enforced (hello/auth/quit are handled inline by the
+#: connection loop); ops a tenant-bound connection may use — everything
+#: else (snapshot, reload, wal, cluster_status) is server administration;
+#: ops whose ``name`` field addresses an estimator and gets namespaced.
+UNAUTH_OPS = frozenset(op for op, descriptor in protocol.OPS.items()
+                       if descriptor.access == "open")
+TENANT_OPS = frozenset(op for op, descriptor in protocol.OPS.items()
+                       if descriptor.access != "admin")
+NAMED_OPS = frozenset(op for op, descriptor in protocol.OPS.items()
+                      if any(f.name == "name" for f in descriptor.fields))
 
 
 @dataclass(frozen=True)
 class Scope:
-    """The resolved view of one request after gating and namespacing."""
+    """The resolved view of one request after gating."""
 
-    request: Mapping[str, Any]
     #: Effective tenant for metrics labels and fair-share queueing.
     tenant: str | None
     #: The tenant's registry record (None for admin/untenanted requests).
@@ -67,13 +64,23 @@ class Scope:
     #: enforced at the authenticating edge, not re-charged when an admin
     #: link (a router) forwards already-admitted work.
     enforce_quota: bool
+    #: True when the request's estimator name is the tenant's own and still
+    #: has to be rewritten to ``tenant/name`` (see :meth:`fields`).
+    namespace: bool = False
+
+    def fields(self, op: str, request: Mapping[str, Any]) -> dict:
+        """The request's validated fields, its name namespaced."""
+        fields = protocol.read(op, request)
+        if self.namespace:
+            fields["name"] = namespaced(self.tenant, fields["name"])
+        return fields
 
 
 def authenticate_request(registry, admin_token_hash: str | None,
                          request: Mapping) -> tuple[dict, str | None]:
     """The server side of the ``auth`` op: ``(reply, principal | None)``."""
-    token = request.get("token")
-    if not isinstance(token, str) or not token:
+    token = protocol.read("auth", request)["token"]
+    if not token:
         return protocol.error_payload(
             "auth requires a non-empty token field", code="auth_failed",
             op="auth", request=request), None
@@ -92,7 +99,7 @@ def authenticate_request(registry, admin_token_hash: str | None,
 
 
 def resolve_scope(registry, principal: str | None, request: Mapping) -> Scope:
-    """Gate one request and rewrite its names into the tenant namespace.
+    """Gate one request and decide whose namespace its name lives in.
 
     Raises :class:`AuthenticationError` (``auth_required`` /
     ``auth_failed``) when the principal may not issue this op.
@@ -101,49 +108,36 @@ def resolve_scope(registry, principal: str | None, request: Mapping) -> Scope:
         # No registry: open server, zero behavior change.  (An admin
         # principal can exist here — a server configured with only an
         # admin token — and simply gets the same full access.)
-        return Scope(request, None, None, False)
+        return Scope(None, None, False)
     op = str(request.get("op", ""))
     if principal is None:
         if op in UNAUTH_OPS:
-            return Scope(request, None, None, False)
+            return Scope(None, None, False)
         raise AuthenticationError(
             f"op {op!r} requires authentication on this server "
             "(send {\"op\": \"auth\", \"token\": ...} first)",
             code="auth_required")
     if principal == ADMIN:
-        tenant_id = request.get("tenant")
+        # What protocol.build adds under acting_for, honoured here only.
+        tenant_id, scoped = request.get("tenant"), request.get("scoped")
         # The ``tenant`` op's tenant field names the *subject* of
         # administration (possibly not yet created), never an
         # impersonation target.
         if tenant_id is None or op == "tenant":
-            return Scope(request, None, None, False)
+            return Scope(None, None, False)
         record = registry.get(str(tenant_id))
         if record is None or record.disabled:
             raise AuthenticationError(
                 f"cannot act for unknown or disabled tenant {tenant_id!r}")
-        if request.get("scoped") or op not in NAMED_OPS:
-            return Scope(request, record.tenant_id, record, False)
-        return Scope(_scoped(request, record.tenant_id), record.tenant_id,
-                     record, False)
+        return Scope(record.tenant_id, record, False,
+                     namespace=not scoped and op in NAMED_OPS)
     record = registry.get(principal)
     if record is None or record.disabled:
         raise AuthenticationError(
             f"tenant {principal!r} was disabled or removed")
     if op not in TENANT_OPS:
         raise AuthenticationError(f"op {op!r} requires admin access")
-    if op in NAMED_OPS:
-        return Scope(_scoped(request, principal), principal, record, True)
-    return Scope(request, principal, record, True)
-
-
-def _scoped(request: Mapping, tenant_id: str) -> dict:
-    """A copy of the request with its estimator name namespaced."""
-    scoped = dict(request)
-    name = scoped.get("name")
-    if isinstance(name, str) and name:
-        scoped["name"] = namespaced(tenant_id, name)
-    scoped["scoped"] = True
-    return scoped
+    return Scope(principal, record, True, namespace=op in NAMED_OPS)
 
 
 def unscope_reply(payload: dict, tenant: str) -> dict:

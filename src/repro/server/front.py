@@ -35,8 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from repro.errors import AuthenticationError, ReproError, ServiceError
 from repro.server import auth, protocol, wire
 from repro.server.metrics import ServerMetrics
@@ -159,15 +157,20 @@ class ServingFront:
             except (ConnectionError, OSError):
                 pass
 
+    async def answer(self, request: dict) -> dict:
+        """One request answered for the process's operator — the owner of
+        stdin ``serve`` and of the CLI's ``--snapshot`` verbs — with the
+        administrative role (a tenant registry loaded from a snapshot does
+        not lock its owner out)."""
+        return await self._process(request, auth.ADMIN)
+
     async def serve_lines(self, lines: Iterable[str],
                           write: Callable[[dict], None]) -> None:
         """Answer NDJSON requests from ``lines`` — stdin ``serve``, no listener.
 
         One request at a time through the same handler table a connection
-        uses; the stream's owner is the process's operator, so requests
-        run with the administrative role (a tenant registry loaded from a
-        snapshot does not lock its owner out).  Ends at ``quit`` or end of
-        input, then drains and closes the front.
+        uses (see :meth:`answer`).  Ends at ``quit`` or end of input, then
+        drains and closes the front.
         """
         try:
             for line in lines:
@@ -181,7 +184,7 @@ class ServingFront:
                 if request.get("op") == "quit":
                     write(protocol.ok_payload("quit", request))
                     break
-                write(await self._process(request, auth.ADMIN))
+                write(await self.answer(request))
         finally:
             await self.close()
 
@@ -201,7 +204,7 @@ class ServingFront:
             self._admissions[record.tenant_id] = entry
         return entry
 
-    async def _admitted(self, handler, request: dict,
+    async def _admitted(self, handler, op: str, fields: dict,
                         scope: auth.Scope) -> dict:
         """Run a handler under the scope tenant's quota accounting.
 
@@ -209,24 +212,21 @@ class ServingFront:
         router forwards carries ``scoped: true`` and its workers never
         re-charge it.
         """
-        op = request.get("op")
         entry = self._admission(scope.record)
         if op == "ingest":
             # One token per row, whatever carried the rows: JSON lists on
-            # NDJSON, an int64 tensor on the binary wire.  Anything else is
-            # charged as one and then refused by boxes_from_rows.
-            boxes = request.get("boxes")
-            sized = (isinstance(boxes, (list, tuple))
-                     or (isinstance(boxes, np.ndarray) and boxes.ndim > 0))
-            entry.admit_ingest(len(boxes) if sized else 1,
+            # NDJSON, an int64 tensor on the binary wire (a 0-d tensor is
+            # charged as one and then refused by boxes_from_rows).
+            boxes = fields["boxes"]
+            entry.admit_ingest(len(boxes) if getattr(boxes, "ndim", 1) else 1,
                                asyncio.get_running_loop().time())
         elif op == "estimate":
             entry.acquire_estimate()
             try:
-                return await handler(self, request, scope)
+                return await handler(self, fields, scope)
             finally:
                 entry.release_estimate()
-        return await handler(self, request, scope)
+        return await handler(self, fields, scope)
 
     # -- request dispatch ---------------------------------------------------------
 
@@ -237,31 +237,25 @@ class ServingFront:
             scope = auth.resolve_scope(self.tenants, principal, request)
         except ReproError as exc:
             return protocol.error_payload_for(exc, op=op, request=request)
+        # The resolved tenant is the label metrics and fair-share queueing
+        # use, and what a router forwards over its admin-authenticated
+        # worker links — never what a tenant connection wrote in its own
+        # ``tenant`` field (only an admin link's resolves to anything else).
         tenant = scope.tenant
-        scoped = dict(scope.request)
         if tenant is not None:
             self.metrics.record_tenant_request(tenant, op)
-            # The tenant rides in the request as its label: a router
-            # forwards it over its admin-authenticated worker links, so
-            # workers attribute metrics and fair-share queueing to it.
-            # Always the resolved tenant, never what a tenant connection
-            # wrote there itself (only an admin link's ``tenant`` resolves
-            # to anything else); the ``tenant`` op's field names a subject.
-            if op != "tenant":
-                scoped["tenant"] = tenant
         try:
-            if op == "tenant":
-                payload = await self._op_tenant(scoped, principal)
+            handler = self._HANDLERS.get(op)
+            if handler is None:
+                payload = protocol.error_payload(
+                    f"unknown op {op!r}", code="unknown_op", op=op,
+                    request=request)
             else:
-                handler = self._HANDLERS.get(op)
-                if handler is None:
-                    payload = protocol.error_payload(
-                        f"unknown op {op!r}", code="unknown_op", op=op,
-                        request=request)
-                elif scope.enforce_quota:
-                    payload = await self._admitted(handler, scoped, scope)
+                fields = scope.fields(op, request)
+                if scope.enforce_quota and op != "tenant":
+                    payload = await self._admitted(handler, op, fields, scope)
                 else:
-                    payload = await handler(self, scoped, scope)
+                    payload = await handler(self, fields, scope)
         except Exception as exc:
             payload = self._failure(exc, op, request)
         if tenant is not None:
@@ -277,8 +271,8 @@ class ServingFront:
 
     # -- placement-independent verbs ----------------------------------------------
 
-    async def _op_ping(self, request: dict, scope: auth.Scope) -> dict:
-        return protocol.ok_payload("ping", request,
+    async def _op_ping(self, fields: dict, scope: auth.Scope) -> dict:
+        return protocol.ok_payload("ping", fields,
                                    version=protocol.PROTOCOL_VERSION,
                                    **self._PING_FIELDS)
 
@@ -286,7 +280,7 @@ class ServingFront:
         """``(stats body, extra fields of its "server" block)``."""
         raise NotImplementedError
 
-    async def _op_stats(self, request: dict, scope: auth.Scope) -> dict:
+    async def _op_stats(self, fields: dict, scope: auth.Scope) -> dict:
         description, edge = await self._describe()
         description["server"] = {
             "connections_active": self.metrics.connections_active,
@@ -295,9 +289,9 @@ class ServingFront:
         if scope.tenant is not None:
             description = auth.scoped_stats(description, scope.tenant)
         description["tenant_metrics"] = self.metrics.tenant_state(scope.tenant)
-        return protocol.ok_payload("stats", request, **description)
+        return protocol.ok_payload("stats", fields, **description)
 
-    def _metrics_reply(self, request: dict, text: str, **fields) -> dict:
+    def _metrics_reply(self, fields: dict, text: str, **groups) -> dict:
         """A ``metrics`` reply: the text exposition plus the structured
         counters every front owns (a router aggregates its fleet from the
         workers' copies of these without re-parsing the text)."""
@@ -308,8 +302,8 @@ class ServingFront:
                   "connections_active": metrics.connections_active,
                   "estimate_qps": metrics.estimate_qps(),
                   "wire": metrics.wire_state()}
-        return protocol.ok_payload("metrics", request, text=text,
-                                   **{**common, **fields})
+        return protocol.ok_payload("metrics", fields, text=text,
+                                   **{**common, **groups})
 
     # -- tenant administration ----------------------------------------------------
 
@@ -328,64 +322,59 @@ class ServingFront:
                 asyncio.get_running_loop().time())
         return fields
 
-    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
-                            **changes):
+    async def _tenant_apply(self, verb: str, fields: dict, **changes):
         """Apply one registry mutation (``create`` / ``update`` / ``remove``)
         wherever this placement keeps its registry; returns the record."""
         raise NotImplementedError
 
-    async def _op_tenant(self, request: dict,
-                         principal: str | None = None) -> dict:
-        action = str(request.get("action", "list"))
-        if principal is not None and principal != auth.ADMIN:
+    async def _op_tenant(self, fields: dict, scope: auth.Scope) -> dict:
+        action, subject = fields["action"], fields["tenant"]
+        if scope.enforce_quota:
             # A tenant principal may only describe itself — never another
             # tenant, and never mutate the registry.
             if action != "describe":
                 raise AuthenticationError(
                     f"tenant action {action!r} requires admin access")
-            if str(request.get("tenant", principal)) != principal:
+            if subject not in (None, scope.tenant):
                 raise AuthenticationError("a tenant may only describe itself")
             return protocol.ok_payload(
-                "tenant", request, action="describe",
-                **self._tenant_info(principal, include_hash=False))
+                "tenant", fields, action="describe",
+                **self._tenant_info(scope.tenant, include_hash=False))
         if action == "list":
             tenants = self.tenants.describe() if self.tenants is not None else {}
-            return protocol.ok_payload("tenant", request, action="list",
+            return protocol.ok_payload("tenant", fields, action="list",
                                        tenants=tenants)
+        if subject is None:
+            raise ServiceError(f"tenant {action}: missing field 'tenant'")
         if action == "describe":
             return protocol.ok_payload(
-                "tenant", request, action="describe",
-                **self._tenant_info(str(request["tenant"]),
-                                    include_hash=True))
+                "tenant", fields, action="describe",
+                **self._tenant_info(subject, include_hash=True))
+        quota = (None if fields["quota"] is None
+                 else TenantQuota.from_dict(fields["quota"]))
         changes: dict = {}
         if action == "create":
-            changes["token"] = str(request["token"])
-            changes["quota"] = (TenantQuota.from_dict(request["quota"])
-                                if request.get("quota") else None)
+            if fields["token"] is None:
+                raise ServiceError("tenant create: missing field 'token'")
+            changes = {"token": fields["token"], "quota": quota}
         elif action == "update":
-            if request.get("token") is not None:
-                changes["token"] = str(request["token"])
-            if request.get("quota") is not None:
-                changes["quota"] = TenantQuota.from_dict(request["quota"])
-            if request.get("disabled") is not None:
-                changes["disabled"] = bool(request["disabled"])
-        elif action in ("disable", "enable"):
+            changes = {key: value for key, value in (
+                ("token", fields["token"]), ("quota", quota),
+                ("disabled", fields["disabled"])) if value is not None}
+        elif action != "remove":  # disable / enable: updates of one field
             changes["disabled"] = action == "disable"
-        elif action != "remove":
-            raise ServiceError(f"unknown tenant action {action!r}")
-        # disable / enable are updates of one field.
         verb = action if action in ("create", "remove") else "update"
-        record = await self._tenant_apply(verb, str(request["tenant"]),
-                                          request, **changes)
+        record = await self._tenant_apply(verb, fields, **changes)
         if action == "remove":
             self._admissions.pop(record.tenant_id, None)
-            return protocol.ok_payload("tenant", request, action="remove",
+            return protocol.ok_payload("tenant", fields, action="remove",
                                        tenant=record.tenant_id)
-        return protocol.ok_payload("tenant", request, action=action,
+        return protocol.ok_payload("tenant", fields, action=action,
                                    tenant=record.tenant_id,
                                    record=record.to_dict())
 
-    _HANDLERS: dict = {"ping": _op_ping, "stats": _op_stats}
+    _HANDLERS: dict = {"ping": _op_ping, "stats": _op_stats,
+                       "tenant": _op_tenant}
 
 
 async def serve(front: ServingFront, *, ready=None,

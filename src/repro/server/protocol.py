@@ -6,17 +6,18 @@ responses of a connection come back **in request order** (which is what
 makes client-side pipelining trivial — write *n* requests, read *n*
 replies).
 
-Requests carry an ``op`` field and op-specific arguments::
+Requests carry an ``op`` field and op-specific arguments, declared once
+in :data:`OPS` — every op with its fields (kind, default, required, one
+help line) and the fronts that serve it.  :func:`read` returns a request's
+validated fields with defaults applied, :func:`build` makes a request
+from keyword fields; both serving fronts, the client and the CLI's
+``--connect`` flags all go through that table::
 
     {"op": "register", "name": ..., "family": ..., "sizes": [..],
      "instances": 256, "seed": 0, "options": {...}}
     {"op": "ingest",   "name": ..., "side": "left", "kind": "insert",
      "boxes": [[lo_1..lo_d, hi_1..hi_d], ...]}
     {"op": "estimate", "name": ..., "query": [lo_1..lo_d, hi_1..hi_d]}
-    {"op": "flush"} | {"op": "stats"} | {"op": "metrics"} | {"op": "ping"}
-    {"op": "snapshot", "path": ...}
-    {"op": "reload",   "path": ...}
-    {"op": "quit"}
 
 An optional ``"id"`` field is echoed back verbatim.  Successful responses
 have ``"ok": true``; failures have ``"ok": false`` plus a human-readable
@@ -27,17 +28,10 @@ a cluster router's structured report that some shard owners are down).
 
 The cluster layer (:mod:`repro.cluster`) extends the same protocol —
 routers speak it verbatim on both sides, so one client works against a
-single server and a whole fleet:
-
-* ``{"op": "estimate", ..., "partial": true}`` asks a worker for its
-  shard-local **partial result** — the merged-view estimator state — which
-  the router reduces (one vectorised counter add per worker) before the
-  boosting reduction,
-* ``{"op": "snapshot", "fetch": true}`` returns the binary v2 snapshot
-  bytes inline (base64) instead of writing a server-side file,
-* ``{"op": "reload", "data": <base64>}`` hot-loads a snapshot shipped over
-  the wire — the replica-bootstrap path,
-* ``{"op": "cluster_status"}`` (router only) reports fleet topology.
+single server and a whole fleet.  What a router asks of its workers is in
+the table too: ``estimate`` with ``partial`` (the shard-local merged state
+it reduces), ``snapshot`` with ``fetch`` and ``reload`` with ``data`` (the
+replica bootstrap); ``cluster_status`` is the one router-only op.
 
 NDJSON is the *default and debug* wire format.  A connection may upgrade
 to the length-prefixed **binary frame format** (:mod:`repro.server.wire`)
@@ -53,8 +47,8 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import replace
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -71,7 +65,7 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.geometry.boxset import BoxSet
-from repro.service.specs import EstimatorSpec
+from repro.service.specs import ENDPOINT_POLICIES, UPDATE_KINDS, EstimatorSpec
 
 PROTOCOL_VERSION = 1
 
@@ -84,17 +78,245 @@ ERROR_CODES = ("bad_request", "unknown_op", "overloaded", "degraded",
                "protocol", "frame_too_large", "auth_required", "auth_failed",
                "quota_exceeded", "internal", "error")
 
-#: Operations the server understands (``save`` is an alias of ``snapshot``;
-#: ``wal`` fetches or applies log-shipping tails, or describes the log;
-#: ``hello`` negotiates the wire format for the rest of the connection;
-#: ``auth`` binds the connection to a tenant; ``tenant`` administers the
-#: tenant registry).
-OPS = ("hello", "auth", "register", "unregister", "ingest", "estimate",
-       "flush", "stats", "metrics", "snapshot", "save", "reload", "wal",
-       "tenant", "ping", "quit")
+#: Field kinds: what a decoded value must be an instance of.  Array kinds
+#: also arrive as numpy tensors (the binary wire, in-process callers), byte
+#: blobs as base64 text on NDJSON.  A flag may be sent as ``0`` / ``1``
+#: (handlers only test it); ``true`` / ``false`` are never integers.
+_ARRAY = (list, tuple, np.ndarray)
+KINDS = {"string": (str,), "integer": (int,), "boolean": (bool, int),
+         "object": (dict,), "integers": _ARRAY, "rows": _ARRAY,
+         "bytes": (str, bytes, bytearray, memoryview)}
 
-#: Additional operations a cluster router understands on top of :data:`OPS`.
-CLUSTER_OPS = ("cluster_status",)
+
+@dataclass(frozen=True)
+class Field:
+    """One request field: wire name, kind (a key of :data:`KINDS`), one
+    help line, default, whether it is required and its allowed values.
+
+    ``flag`` is the command-line flag (plus an optional metavar) under
+    which the CLI verb for the op exposes the field; ``members`` are the
+    documented keys of an ``object`` field, which may carry flags too.
+    """
+
+    name: str
+    kind: str
+    help: str
+    default: Any = None
+    required: bool = False
+    choices: tuple = ()
+    flag: str | None = None
+    members: tuple["Field", ...] = ()
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operation: a help line, its fields, the fronts that serve it
+    (``server``, ``router``), who may send it once a tenant registry gates
+    the front (``open`` < ``tenant`` < ``admin``) and, for the few ops that
+    need one, a ``derive`` step :func:`read` runs over the validated fields.
+    """
+
+    help: str
+    fields: tuple[Field, ...] = ()
+    fronts: tuple[str, ...] = ("server", "router")
+    access: str = "admin"
+    derive: Callable[[dict], None] | None = None
+
+
+def check_write_format(fields: Mapping[str, Any]) -> None:
+    """Refuse a ``save`` / ``snapshot`` request that names a retired format.
+
+    Snapshots are written binary (v2) and the path's suffix selects
+    nothing.  The ``format`` field stays on the wire for the clients that
+    send it: ``"auto"``, ``"binary"`` or absent all mean that one format;
+    anything else — ``"json"``, the v1 writer that was removed — is a
+    ``bad_request``.
+    """
+    if fields["format"] not in ("auto", "binary"):
+        raise SnapshotError(
+            f"snapshots are written in the binary format: \"format\" must "
+            f"be \"auto\" or \"binary\" (or absent), got {fields['format']!r}")
+
+
+def _derive_spec(fields: dict) -> None:
+    """``register``: ``fields["spec"]`` is the validated spec the fields
+    ask for (``max_levels``, the per-dimension level caps, included)."""
+    fields["spec"] = EstimatorSpec.from_dict({
+        **fields, "num_instances": fields["instances"],
+        "options": fields["options"] or {}})
+
+
+_NAME = Field("name", "string", "estimator name", required=True, flag="--name")
+_PATH = Field("path", "string", "server-side snapshot file (default: the "
+              "path the server was started with)")
+_SNAPSHOT = Op("write the service to a snapshot file (a router: one file "
+               "per owner group, path.<owner>)", (
+    _PATH,
+    Field("format", "string", "auto or binary: the one format snapshots are "
+          "written in", default="auto"),
+    Field("fetch", "boolean", "worker only: return the snapshot bytes "
+          "inline (data, nbytes, wal_seqno) instead of writing a file",
+          default=False),
+    Field("checkpoint", "boolean", "worker only: snapshot, then truncate "
+          "the WAL it covers", default=False)), derive=check_write_format)
+
+#: The request format, declared once: op -> :class:`Op`, in documentation
+#: order (iterating yields the op names).  :func:`read` and :func:`build`
+#: work from this table, both fronts register exactly these handlers, the
+#: client builds its payloads through it, the CLI derives the flags of its
+#: ``--connect`` verbs from it and the README lists it.
+OPS: dict[str, Op] = {
+    "hello": Op("negotiate the wire format of the rest of the connection", (
+        Field("wire", "string", "ndjson or binary", default="ndjson"),
+        Field("version", "integer", "the client's protocol version")),
+        access="open"),
+    "auth": Op("bind the connection to a tenant, or to the admin role", (
+        Field("token", "string", "API token for --connect against a "
+              "multi-tenant server: a tenant token scopes every request to "
+              "that tenant's namespace, the admin token grants the unscoped "
+              "administrative role", flag="--token TOKEN"),), access="open"),
+    "register": Op("create an empty estimator under a name", (
+        _NAME,
+        Field("family", "string", "estimator family (required when "
+              "registering a new name)", required=True, flag="--family"),
+        Field("sizes", "integers", "domain sizes, e.g. 4096 or 1024x1024 "
+              "(required when registering a new name)", required=True,
+              flag="--sizes"),
+        Field("instances", "integer", "atomic-sketch instances (default: 256)",
+              default=256, flag="--instances"),
+        Field("seed", "integer", "sketch seed (default: 0)", default=0,
+              flag="--seed"),
+        Field("options", "object", "family options", members=(
+            Field("epsilon", "integer", "epsilon for the epsilon family",
+                  flag="--epsilon"),
+            Field("strict", "boolean", "strict overlap semantics for the "
+                  "range family", default=False, flag="--strict"),
+            Field("endpoint_policy", "string", "how the join families treat "
+                  "common endpoints", default="transform",
+                  choices=ENDPOINT_POLICIES,
+                  flag="--endpoint-policy"))),
+        Field("max_levels", "integers", "per-dimension dyadic level caps, "
+              "null = uncapped (absent when the spec has none)")),
+        access="tenant", derive=_derive_spec),
+    "unregister": Op("drop an estimator and its counters", (_NAME,),
+                     access="tenant"),
+    "ingest": Op("stream a batch of boxes into one side of an estimator", (
+        _NAME,
+        Field("boxes", "rows", "rows [lo_1..lo_d, hi_1..hi_d] (a raw int64 "
+              "tensor on the binary wire)", required=True),
+        Field("side", "string", "input side (default: left)", default="left",
+              flag="--side"),
+        Field("kind", "string", "insert adds the boxes, delete retracts them",
+              default="insert", choices=UPDATE_KINDS, flag="--kind")),
+        access="tenant"),
+    "estimate": Op("estimate from the merged view of an estimator", (
+        _NAME,
+        Field("query", "integers", "query rectangle lo_1,..,lo_d,hi_1,..,hi_d "
+              "(range family only)", flag="--query"),
+        Field("partial", "boolean", "worker only: return the shard-local "
+              "merged estimator state for a router to reduce",
+              default=False)), access="tenant"),
+    "flush": Op("apply every buffered batch", access="tenant"),
+    "stats": Op("describe the service, the estimators and this front",
+                access="tenant"),
+    "metrics": Op("the plain-text metrics exposition, plus structured "
+                  "counters", access="open"),
+    "snapshot": _SNAPSHOT,
+    "save": _SNAPSHOT,
+    "reload": Op("hot-swap the service from a snapshot (worker-level: a "
+                 "router refuses it)", (
+        _PATH,
+        Field("data", "bytes", "the snapshot shipped inline — the "
+              "replica-bootstrap path"))),
+    "wal": Op("describe the write-ahead log, or ship / apply a tail of it", (
+        Field("fetch", "boolean", "return the framed records after since",
+              default=False),
+        Field("since", "integer", "sequence number the fetched tail starts "
+              "after", default=0),
+        Field("apply", "bytes", "a fetched tail to replay into this "
+              "server")), fronts=("server",)),
+    "tenant": Op("administer the tenant registry", (
+        Field("action", "string", "registry action (all but a self-describe "
+              "require the admin token)", default="list",
+              choices=("create", "list", "describe", "update", "disable",
+                       "enable", "remove"), flag="action"),
+        Field("tenant", "string", "tenant id the action applies to "
+              "(optional for list, and for describe on a tenant-token "
+              "connection)", flag="--tenant ID"),
+        Field("token", "string", "API token to install (create, or rotation "
+              "via update); only its SHA-256 hash is stored",
+              flag="--tenant-token TOKEN"),
+        Field("quota", "object", 'quota object, e.g. \'{"ingest_boxes_per_sec": '
+              '50000, "max_estimates_in_flight": 64, "share": 4}\' '
+              "(create/update)", flag="--quota JSON"),
+        Field("disabled", "boolean", "update: refuse (true) or admit again "
+              "(false) the tenant's requests")), access="tenant"),
+    "ping": Op("liveness and protocol version", access="open"),
+    "quit": Op("end the connection after this reply", access="open"),
+    "cluster_status": Op("fleet topology: workers, health, slots per owner",
+                         fronts=("router",)),
+}
+
+#: Additional operations a cluster router understands on top of a server's.
+CLUSTER_OPS = tuple(name for name, op in OPS.items()
+                    if op.fronts == ("router",))
+
+# The table compiled for the per-request paths: plain tuples, no reflection.
+_READERS = {name: (tuple((f.name, f.kind, KINDS[f.kind], f.default,
+                          f.required, f.choices) for f in op.fields),
+                   op.derive) for name, op in OPS.items()}
+_FIELD_NAMES = {name: frozenset(f.name for f in op.fields) | {"id"}
+                for name, op in OPS.items()}
+
+
+def read(op: str, request: Mapping[str, Any]) -> dict:
+    """The validated fields of an ``op`` request, defaults applied.
+
+    Every declared field is present in the result (``null`` counts as
+    absent), plus the ``id`` to echo when the request has one.  A missing
+    required field, a value of the wrong kind or outside the declared
+    choices is a ``bad_request`` naming the op and the field.
+    """
+    specs, derive = _READERS[op]
+    fields: dict[str, Any] = {}
+    for name, kind, types, default, required, choices in specs:
+        value = request.get(name)
+        if value is None:
+            if required:
+                raise ServiceError(f"{op}: missing field {name!r}")
+            value = default
+        elif not isinstance(value, types) or (
+                kind == "integer" and isinstance(value, bool)):
+            raise ServiceError(f"{op}: field {name!r} must be {kind}, got "
+                               f"{type(value).__name__}")
+        elif choices and value not in choices:
+            raise ServiceError(f"{op}: field {name!r} must be one of "
+                               f"{list(choices)}, got {value!r}")
+        fields[name] = value
+    echo = request.get("id")
+    if echo is not None:
+        fields["id"] = echo
+    if derive is not None:
+        derive(fields)
+    return fields
+
+
+def build(op: str, *, acting_for: str | None = None, **fields: Any) -> dict:
+    """The request for ``op`` from keyword fields; unset ones are dropped.
+
+    ``acting_for`` is the tenant identity a router adds to what it forwards
+    over its admin-authenticated worker links: it travels with ``scoped:
+    true``, which tells the worker the name is already namespaced and quota
+    was charged at the edge — it labels, but never re-scopes or re-charges.
+    """
+    if not _FIELD_NAMES[op].issuperset(fields):
+        raise ProtocolError(f"{op} has no field(s) "
+                            f"{sorted(fields.keys() - _FIELD_NAMES[op])}")
+    request = {"op": op, **{name: value for name, value in fields.items()
+                            if value is not None}}
+    if acting_for is not None:
+        request.update(tenant=acting_for, scoped=True)
+    return request
 
 
 def json_default(value: Any) -> Any:
@@ -185,22 +407,6 @@ def error_payload_for(exc: BaseException, *, op: str | None = None,
                          detail=detail)
 
 
-def check_write_format(request: Mapping[str, Any]) -> None:
-    """Refuse a ``save`` / ``snapshot`` request that names a retired format.
-
-    Snapshots are written binary (v2) and the path's suffix selects
-    nothing.  The ``format`` field stays on the wire for the clients that
-    send it: ``"auto"``, ``"binary"`` or absent all mean that one format;
-    anything else — ``"json"``, the v1 writer that was removed — is a
-    ``bad_request``.
-    """
-    format = request.get("format", "auto")
-    if format not in ("auto", "binary"):
-        raise SnapshotError(
-            f"snapshots are written in the binary format: \"format\" must "
-            f"be \"auto\" or \"binary\" (or absent), got {format!r}")
-
-
 def boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:
     """Rows of ``[lo_1..lo_d, hi_1..hi_d]`` as a validated :class:`BoxSet`.
 
@@ -221,39 +427,9 @@ def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
     return np.hstack([boxes.lows, boxes.highs]).tolist()
 
 
-def register_request(name: str, *, family: str, sizes, instances: int = 256,
-                     seed: int = 0, options: Mapping | None = None,
-                     max_levels=None) -> dict:
-    """The ``register`` request for one estimator — what a client sends a
-    front and a router sends its workers.  ``max_levels`` (the spec's
-    per-dimension level caps) is on the wire only when set."""
-    request = {"op": "register", "name": name, "family": family,
-               "sizes": list(sizes), "instances": instances, "seed": seed,
-               "options": dict(options or {})}
-    if max_levels is not None:
-        request["max_levels"] = list(max_levels)
-    return request
-
-
-def spec_from_register(request: Mapping[str, Any]) -> EstimatorSpec:
-    """The inverse of :func:`register_request`: the spec a request asks for."""
-    spec = EstimatorSpec.create(
-        request["family"], request["sizes"],
-        int(request.get("instances", 256)),
-        seed=int(request.get("seed", 0)),
-        **request.get("options", {}))
-    max_levels = request.get("max_levels")
-    if max_levels is not None:
-        spec = replace(spec, max_levels=tuple(
-            None if level is None else int(level) for level in max_levels))
-    return spec
-
-
-def query_from_request(spec: EstimatorSpec,
-                       request: Mapping[str, Any]) -> BoxSet | None:
+def query_box(spec: EstimatorSpec, row) -> BoxSet | None:
     """An ``estimate`` request's ``query`` checked against the family: one
     validated rectangle for queryable families, ``None`` for the rest."""
-    row = request.get("query")
     if spec.info.queryable:
         if row is None:
             raise ServiceError(

@@ -7,7 +7,7 @@ the two: it spins up a daemon thread running ``asyncio``, starts the
 front, and exposes a thread-safe :meth:`~FrontThread.stop` and
 :meth:`~FrontThread.run`.  :class:`ThreadedServer` is the handle for a
 :class:`~repro.server.server.SketchServer`
-(:class:`~repro.cluster.router.ThreadedClusterRouter` the one for a
+(:class:`~repro.cluster.runner.ThreadedClusterRouter` the one for a
 router)::
 
     with ThreadedServer(service) as handle:

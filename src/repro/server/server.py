@@ -94,44 +94,41 @@ class SketchServer(ServingFront):
     async def _drain(self) -> None:
         await self.coalescer.drain()
 
-    async def _tenant_apply(self, verb: str, tenant_id: str, request: dict,
-                            **changes):
+    async def _tenant_apply(self, verb: str, fields: dict, **changes):
         # tenant_create / tenant_update / tenant_remove: the service journals
         # the mutation through its WAL and embeds it in snapshots.
-        return getattr(self._service, f"tenant_{verb}")(tenant_id, **changes)
+        return getattr(self._service, f"tenant_{verb}")(fields["tenant"],
+                                                        **changes)
 
     # -- data-plane verbs ---------------------------------------------------------
 
-    async def _op_register(self, request: dict, scope) -> dict:
-        spec = protocol.spec_from_register(request)
-        self._service.register(request["name"], spec)
-        return protocol.ok_payload("register", request, name=request["name"],
-                                   spec=spec.to_dict())
+    async def _op_register(self, fields: dict, scope) -> dict:
+        self._service.register(fields["name"], fields["spec"])
+        return protocol.ok_payload("register", fields, name=fields["name"],
+                                   spec=fields["spec"].to_dict())
 
-    async def _op_unregister(self, request: dict, scope) -> dict:
-        self._service.unregister(request["name"])
-        return protocol.ok_payload("unregister", request,
-                                   name=request["name"])
+    async def _op_unregister(self, fields: dict, scope) -> dict:
+        self._service.unregister(fields["name"])
+        return protocol.ok_payload("unregister", fields, name=fields["name"])
 
-    async def _op_ingest(self, request: dict, scope) -> dict:
+    async def _op_ingest(self, fields: dict, scope) -> dict:
         def apply() -> tuple[int, int]:
             service = self._service
-            spec = service.spec(request["name"])
-            boxes = protocol.boxes_from_rows(request["boxes"], spec.dimension)
-            pending = service.ingest(request["name"], boxes,
-                                     side=request.get("side", "left"),
-                                     kind=request.get("kind", "insert"))
+            spec = service.spec(fields["name"])
+            boxes = protocol.boxes_from_rows(fields["boxes"], spec.dimension)
+            pending = service.ingest(fields["name"], boxes,
+                                     side=fields["side"], kind=fields["kind"])
             return len(boxes), pending
 
         count, pending = await self._run_blocking(apply)
-        return protocol.ok_payload("ingest", request, boxes=count,
+        return protocol.ok_payload("ingest", fields, boxes=count,
                                    pending=pending)
 
-    async def _op_estimate(self, request: dict, scope) -> dict:
+    async def _op_estimate(self, fields: dict, scope) -> dict:
         service = self._service
-        name = request["name"]
+        name = fields["name"]
         spec = service.spec(name)
-        if request.get("partial"):
+        if fields["partial"]:
             # Shard-local partial result: the merged-view estimator state.
             # Sketches are linear projections, so a cluster router can
             # reduce the partials of many workers with one vectorised
@@ -141,22 +138,22 @@ class SketchServer(ServingFront):
             # binary connection, nested number lists on an NDJSON one.
             state = await self._run_blocking(
                 lambda: service.merged_view(name).state_dict())
-            return protocol.ok_payload("estimate", request, name=name,
+            return protocol.ok_payload("estimate", fields, name=name,
                                        partial=True, spec=spec.to_dict(),
                                        state=state)
-        query = protocol.query_from_request(spec, request)
+        query = protocol.query_box(spec, fields["query"])
         weight = scope.record.quota.share if scope.record is not None else 1
         start = time.perf_counter()
         result = await self.coalescer.submit(name, query, tenant=scope.tenant,
                                              weight=weight)
         self.metrics.record_estimate_latency(time.perf_counter() - start,
                                              scope.tenant)
-        return protocol.ok_payload("estimate", request, name=name,
+        return protocol.ok_payload("estimate", fields, name=name,
                                    **protocol.estimate_fields(result))
 
-    async def _op_flush(self, request: dict, scope) -> dict:
+    async def _op_flush(self, fields: dict, scope) -> dict:
         report = await self._run_blocking(self._service.flush)
-        return protocol.ok_payload("flush", request, boxes=report.boxes,
+        return protocol.ok_payload("flush", fields, boxes=report.boxes,
                                    batches=report.batches)
 
     async def _describe(self) -> tuple[dict, dict]:
@@ -171,7 +168,7 @@ class SketchServer(ServingFront):
             "coalesce_factor": coalescer_stats.coalesce_factor,
             "cross_estimator_dispatches": coalescer_stats.cross_dispatches}
 
-    async def _op_metrics(self, request: dict, scope) -> dict:
+    async def _op_metrics(self, fields: dict, scope) -> dict:
         # service.stats takes the service lock; read it off the loop (see
         # _describe).  The server-side counters are loop-owned and safe.
         def snapshot():
@@ -189,17 +186,16 @@ class SketchServer(ServingFront):
             executor_stats=executor_stats,
             sign_tables=sign_tables)
         return self._metrics_reply(
-            request, text, tenants=self.metrics.tenant_state(),
+            fields, text, tenants=self.metrics.tenant_state(),
             delta={"delta_applies": service_stats.delta_applies,
                    "rebuilds": service_stats.rebuilds,
                    "evictions": service_stats.evictions},
             program=executor_stats,
             sign_tables=sign_tables)
 
-    async def _op_snapshot(self, request: dict, scope) -> dict:
-        protocol.check_write_format(request)
+    async def _op_snapshot(self, fields: dict, scope) -> dict:
         service = self._service
-        if request.get("fetch"):
+        if fields["fetch"]:
             # Ship the binary v2 snapshot inline instead of writing a
             # server-side file — the replica-bootstrap path: a cluster
             # manager fetches a primary's snapshot and reloads it into a
@@ -211,28 +207,28 @@ class SketchServer(ServingFront):
             # binary ones.
             data, wal_seqno = await self._run_blocking(_snapshot_bytes,
                                                        service)
-            return protocol.ok_payload("snapshot", request, data=data,
+            return protocol.ok_payload("snapshot", fields, data=data,
                                        nbytes=len(data), wal_seqno=wal_seqno)
-        path = request.get("path", self._snapshot_path)
+        path = fields["path"] or self._snapshot_path
         if not path:
             raise ServiceError(
                 "snapshot needs a path (or start the server with one)")
-        if request.get("checkpoint"):
+        if fields["checkpoint"]:
             # Snapshot + WAL truncation in one atomic administrative step.
             info = await self._run_blocking(service.checkpoint, path)
-            return protocol.ok_payload("snapshot", request, checkpoint=True,
+            return protocol.ok_payload("snapshot", fields, checkpoint=True,
                                        **info)
         await self._run_blocking(service.save, path)
-        return protocol.ok_payload("snapshot", request, path=str(path))
+        return protocol.ok_payload("snapshot", fields, path=str(path))
 
-    async def _op_wal(self, request: dict, scope) -> dict:
+    async def _op_wal(self, fields: dict, scope) -> dict:
         from repro.wal.reader import records_from_tail_bytes, wal_records_since
         from repro.wal.recovery import apply_wal_record
         from repro.wal.framing import decode_payload
 
         service = self._service
         wal = service.wal
-        if request.get("fetch"):
+        if fields["fetch"]:
             # Log shipping: the framed record tail after ``since``, the
             # incremental alternative to a full snapshot fetch.  A
             # ``truncated`` reply means a checkpoint already dropped part
@@ -241,20 +237,19 @@ class SketchServer(ServingFront):
             if wal is None:
                 raise ServiceError("server has no WAL attached "
                                    "(start with --wal-dir)")
-            since = int(request.get("since", 0))
             wal.flush()  # segment readers only see what reached the OS
             tail = await self._run_blocking(wal_records_since, wal.directory,
-                                            since)
+                                            fields["since"])
             return protocol.ok_payload(
-                "wal", request, since=tail.since, count=tail.count,
+                "wal", fields, since=tail.since, count=tail.count,
                 first_seqno=tail.first_seqno, last_seqno=tail.last_seqno,
                 truncated=tail.truncated, nbytes=tail.nbytes,
                 data=tail.data)
-        if "apply" in request:
+        if fields["apply"] is not None:
             # Follower side of log shipping: replay a shipped tail through
             # the normal ingest path (so it lands in this server's own WAL
             # when one is attached).
-            raw = protocol.payload_bytes(request["apply"])
+            raw = protocol.payload_bytes(fields["apply"])
 
             def apply() -> tuple[int, int, int]:
                 records = records_from_tail_bytes(raw)
@@ -267,17 +262,17 @@ class SketchServer(ServingFront):
                         records[-1][0] if records else 0)
 
             count, boxes, last = await self._run_blocking(apply)
-            return protocol.ok_payload("wal", request, applied_records=count,
+            return protocol.ok_payload("wal", fields, applied_records=count,
                                        applied_boxes=boxes,
                                        source_last_seqno=last)
         return protocol.ok_payload(
-            "wal", request, wal=wal.describe() if wal is not None else None)
+            "wal", fields, wal=wal.describe() if wal is not None else None)
 
-    async def _op_reload(self, request: dict, scope) -> dict:
-        data = request.get("data")
+    async def _op_reload(self, fields: dict, scope) -> dict:
+        data = fields["data"]
         path = None
         if data is None:
-            path = request.get("path", self._snapshot_path)
+            path = fields["path"] or self._snapshot_path
             if not path:
                 raise ServiceError(
                     "reload needs a path or inline data (or start the "
@@ -285,31 +280,31 @@ class SketchServer(ServingFront):
         async with self._reload_lock:
             old = self._service
             wal = old.wal
-            fields: dict = {}
+            described: dict = {}
             if data is not None:
                 raw = protocol.payload_bytes(data)
                 if wal is None:
                     fresh = await self._run_blocking(_service_from_bytes, raw)
                 else:
-                    fresh, fields = await self._run_blocking(
+                    fresh, described = await self._run_blocking(
                         _adopt_inline_reload, self, old, raw)
-                fields["source"] = "inline"
+                described["source"] = "inline"
             elif wal is None:
                 fresh = await self._run_blocking(EstimationService.load, path)
-                fields["path"] = str(path)
+                described["path"] = str(path)
             else:
                 # Snapshot + replay: the reloaded state is the snapshot
                 # brought forward through the local WAL tail, so a
                 # hot-reload drops none of the writes logged since the
                 # snapshot was taken.
-                fresh, fields = await self._run_blocking(
+                fresh, described = await self._run_blocking(
                     _replay_path_reload, old, str(path))
             # Atomic swap: requests already queued keep their futures;
             # everything dispatched from here answers from the new state.
             self._service = fresh
         self.metrics.reloads += 1
-        return protocol.ok_payload("reload", request,
-                                   estimators=fresh.names(), **fields)
+        return protocol.ok_payload("reload", fields,
+                                   estimators=fresh.names(), **described)
 
     _HANDLERS = {
         **ServingFront._HANDLERS,

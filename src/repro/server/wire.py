@@ -301,14 +301,18 @@ def read_binary_frame_sync(stream: BinaryIO,
 
 def hello_payload(wire: str) -> dict:
     """The client side of the handshake (always sent as NDJSON)."""
-    return {"op": "hello", "wire": _check_wire(wire),
-            "version": protocol.PROTOCOL_VERSION}
+    return protocol.build("hello", wire=_check_wire(wire),
+                          version=protocol.PROTOCOL_VERSION)
 
 
 def hello_reply(request: Mapping, formats: tuple[str, ...]
                 ) -> tuple[dict, str | None]:
     """The server side: (reply payload, format to switch to or ``None``)."""
-    wire = str(request.get("wire", WIRE_NDJSON))
+    try:
+        wire = protocol.read("hello", request)["wire"]
+    except ReproError as exc:
+        return protocol.error_payload_for(exc, op="hello",
+                                          request=request), None
     if wire not in WIRE_FORMATS:
         return protocol.error_payload(
             f"unknown wire format {wire!r}; this server offers "

@@ -10,13 +10,16 @@ arrive and what the vectorised sketch update path wants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.domain import Domain
-from repro.data.streams import UpdateKind, UpdateStream
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
+
+if TYPE_CHECKING:  # a server start never loads the data generators
+    from repro.data.streams import UpdateStream
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ class StreamDriver:
 
     def drive(self, stream: UpdateStream) -> DriveReport:
         """Push the whole stream through the service in same-kind batches."""
+        from repro.data.streams import UpdateKind
+
         inserts = deletes = batches = 0
         for kind, boxes in stream.batches(self._batch_size):
             self._service.ingest(self._name, boxes, side=self._side,

@@ -354,6 +354,36 @@ class TestCliBatchFile:
             scalar = service.estimate("ranges", queries[j])
             assert line["estimate"] == scalar.estimate
 
+    def test_batch_longer_than_the_admission_cap(self, rng, tmp_path):
+        """The offline path answers through the serving front, whose
+        coalescer sheds load beyond ``max_queue`` (1024) queued estimates:
+        a longer batch file must be fed in windows, never refused."""
+        from repro.cli import main
+
+        snapshot = tmp_path / "svc.snap"
+        service = EstimationService(num_shards=2)
+        service.register("ranges", family="range", domain=(256, 256),
+                         num_instances=8, seed=4)
+        service.insert("ranges", random_boxes(rng, 60, 256, 2), side="data")
+        service.save(snapshot)
+
+        queries = random_boxes(rng, 1300, 256, 2)
+        batch_file = tmp_path / "queries.jsonl"
+        batch_file.write_text("".join(
+            json.dumps(row) + "\n"
+            for row in np.hstack([queries.lows, queries.highs]).tolist()),
+            encoding="utf-8")
+        out_file = tmp_path / "results.jsonl"
+        assert main(["estimate", "--snapshot", str(snapshot), "--name", "ranges",
+                     "--batch-file", str(batch_file),
+                     "--batch-output", str(out_file)]) == 0
+        lines = [json.loads(line) for line in
+                 out_file.read_text(encoding="utf-8").splitlines()]
+        assert [line["index"] for line in lines] == list(range(1300))
+        expected = service.estimate_batch("ranges", queries)
+        assert [line["estimate"] for line in lines] == [
+            result.estimate for result in expected]
+
     def test_null_lines_for_queryless_families(self, rng, tmp_path, capsys):
         from repro.cli import main
 

@@ -100,7 +100,8 @@ TRANSCRIPT = [
                         "family": "rectangle", "sizes": [256, 256],
                         "instances": 16, "seed": 3}),
      ("register unknown family", {"op": "register", "name": "bad",
-                                  "family": "nope", "sizes": [256, 256]})],
+                                  "family": "nope", "sizes": [256, 256]}),
+     ("register missing name", {"op": "register", **RANGE})],
     [("register duplicate", {"op": "register", "name": "rq", **RANGE}),
      ("ingest ok", {"op": "ingest", "name": "rq", "side": "data",
                     "boxes": ROWS}),
@@ -128,6 +129,10 @@ TRANSCRIPT = [
                                "format": "json"}),
      ("tenant list", {"op": "tenant", "action": "list"}),
      ("tenant unknown action", {"op": "tenant", "action": "promote"}),
+     ("tenant create without a subject", {"op": "tenant",
+                                          "action": "create"}),
+     ("estimate name is a list", {"op": "estimate", "name": ["rq"]}),
+     ("snapshot path is a number", {"op": "snapshot", "path": 5}),
      ("unregister unknown", {"op": "unregister", "name": "ghost"}),
      ("stats", {"op": "stats"}),
      ("metrics", {"op": "metrics"}),
@@ -193,6 +198,21 @@ def test_server_and_router_answer_one_transcript_alike(placement, wire):
     assert by_server["unknown op"]["error_code"] == "unknown_op"
     assert by_server["estimate ok"]["left_count"] == len(ROWS)
     assert by_server["ingest bad side"]["error"].startswith("ServiceError: ")
+    # Malformed requests answer in protocol terms — a bad_request naming the
+    # op and the field, never a leaked KeyError / TypeError — and the
+    # connection stays open (every later window above was answered on it).
+    for label, said in (
+            ("register missing name", "register: missing field 'name'"),
+            ("ingest missing boxes", "ingest: missing field 'boxes'"),
+            ("tenant create without a subject",
+             "tenant create: missing field 'tenant'"),
+            ("tenant unknown action", "tenant: field 'action' must be one of"),
+            ("estimate name is a list",
+             "estimate: field 'name' must be string, got list"),
+            ("snapshot path is a number",
+             "snapshot: field 'path' must be string, got int")):
+        assert by_server[label]["error_code"] == "bad_request", label
+        assert said in by_server[label]["error"], label
 
 
 # -- drift (a): the ingest quota counts rows on every wire ----------------------

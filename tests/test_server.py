@@ -591,20 +591,20 @@ class TestProtocolUnit:
         assert protocol.boxes_to_rows(back) == rows
 
     def test_register_carries_max_levels_only_when_set(self):
-        plain = protocol.register_request("rq", family="range",
-                                          sizes=(256, 256), seed=3)
+        plain = protocol.build("register", name="rq", family="range",
+                               sizes=[256, 256], seed=3, max_levels=None)
         assert "max_levels" not in plain       # old frames, byte for byte
-        assert protocol.spec_from_register(plain).max_levels is None
-        capped = protocol.register_request("rq", family="range",
-                                           sizes=(256, 256), seed=3,
-                                           max_levels=(4, None))
+        assert protocol.read("register", plain)["spec"].max_levels is None
+        capped = protocol.build("register", name="rq", family="range",
+                                sizes=[256, 256], seed=3,
+                                max_levels=[4, None])
         assert protocol.decode(protocol.encode(capped))["max_levels"] == [
             4, None]
-        spec = protocol.spec_from_register(capped)
+        spec = protocol.read("register", capped)["spec"]
         assert spec.max_levels == (4, None)
         assert spec.domain().dyadic(0).max_level == 4
         with pytest.raises(ServiceError, match="max_levels must match"):
-            protocol.spec_from_register({**capped, "max_levels": [4]})
+            protocol.read("register", {**capped, "max_levels": [4]})
 
     def test_raise_for_response_maps_error_codes(self):
         from repro.errors import OverloadedError, ServerError
