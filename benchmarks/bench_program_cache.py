@@ -41,9 +41,19 @@ import numpy as np
 from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.core.program import ProgramExecutor
+from repro.exact import (
+    containment_join_count,
+    range_query_count,
+    rectangle_join_count,
+)
 from repro.geometry.boxset import BoxSet
-from repro.service import EstimationService, synthetic_boxes, synthetic_queries
-from repro.service.specs import run_estimate_batch
+from repro.service import (
+    EstimationService,
+    EstimatorSpec,
+    synthetic_boxes,
+    synthetic_queries,
+)
+from repro.service.specs import apply_update, run_estimate, run_estimate_batch
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_program.json"
@@ -620,3 +630,92 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
     assert small_batch_ms <= COLD_BATCH_MAX_MS
     assert router_reduce_ms <= COLD_REDUCE_MAX_MS
     assert first_flush_builds == 0
+
+
+_EXACT_JOINS = {"rectangle": rectangle_join_count,
+                "containment": containment_join_count}
+
+
+def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),
+                    *, size: int = 1024, instances: int = 256,
+                    boxes: int = 4000) -> dict[str, dict[str, float]]:
+    """Relative error against :mod:`repro.exact` of a spec built from plain
+    sizes (``"derived"`` level caps) and of one built from the full
+    ``Domain`` (``"uncapped"``), on the end-to-end benchmark's shape:
+    ``boxes`` ``synthetic_boxes`` per side over ``size`` x ``size``.  For
+    ``range`` the error is the median over the benchmark's 64 probe
+    rectangles (every extent at least 1/8 of the domain), for the joins
+    that of the one estimate.  ``seed`` draws the data and the sketch; the
+    same data feeds both specs.  ``tests/test_level_caps.py`` runs it too
+    (tier-1: the joins as well as the range family gated below)."""
+    full = Domain((size, size))
+    rng = np.random.default_rng([20040613, 7])
+    extents = rng.integers(size // 8, size // 2, size=(64, 2))
+    lows = rng.integers(0, size - size // 8, size=(64, 2))
+    probes = BoxSet(lows, np.minimum(lows + extents, size - 1))
+    sides = [synthetic_boxes(full, boxes, seed=seed + index) for index in (0, 1)]
+    errors: dict[str, dict[str, float]] = {}
+    for family in families:
+        if family == "range":
+            truths = np.array([range_query_count(sides[0], probes[index:index + 1])
+                               for index in range(len(probes))])
+        else:
+            truths = np.array([_EXACT_JOINS[family](*sides)])
+        errors[family] = {}
+        for label, domain in (("derived", (size, size)), ("uncapped", full)):
+            spec = EstimatorSpec.create(family, domain, instances, seed=seed)
+            estimator = spec.build()
+            for side, data in zip(spec.info.sides, sides):
+                apply_update(spec, estimator, side, "insert", data)
+            if family == "range":
+                results = run_estimate_batch(spec, estimator, probes)
+            else:
+                results = [run_estimate(spec, estimator)]
+            estimates = np.array([result.estimate for result in results])
+            errors[family][label] = float(np.median(
+                np.abs(estimates - truths) / truths))
+    return errors
+
+
+def test_default_spec_prunes_the_top():
+    """The level-cap gate, both counted (seeded, no timing).
+
+    A name registered from plain sizes stops at the lowest level whose
+    worst-case cover is no larger than the full tree's: over 1024 x 1024
+    that is level 8, so its interval tables hold ``max_level + 2 = 10``
+    planes (12 uncapped) with the whole-block prefix folded into the top
+    two.  What the cap buys is ROADMAP probe (b): the median relative
+    error of the end-to-end benchmark's 64 range probes against
+    ``repro.exact``, full tree over derived caps, median of three seeds.
+    """
+    from repro.core.hashing import FourWiseFamilyBank
+
+    spec = EstimatorSpec.create("range", TABLE_DOMAIN.requested_sizes,
+                                TABLE_INSTANCES, seed=7000)
+    dyadic = spec.domain().dyadic(0)
+    signs = FourWiseFamilyBank(TABLE_INSTANCES, dyadic.num_nodes,
+                               seed=7000).prepay_table()
+    (bounds,) = dyadic.interval_cover_tables(signs)   # no separate prefix
+    planes = len(bounds) // dyadic.size
+
+    errors = [level_cap_probe(seed, families=("range",))["range"]
+              for seed in (11, 101, 202)]
+    ratio = float(np.median([e["uncapped"] / e["derived"] for e in errors]))
+    _update_report({"default_spec": {
+        "max_levels": list(spec.max_levels),
+        "interval_planes": planes,
+        "interval_table_bytes": dyadic.interval_table_bytes(TABLE_INSTANCES),
+        "rel_err_p50": {label: [e[label] for e in errors]
+                        for label in ("uncapped", "derived")},
+        "accuracy_ratio": ratio,
+    }})
+    text = (f"default 1024 x 1024 spec: level caps {list(spec.max_levels)}, "
+            f"{planes} interval planes (gate: <= 10)\n"
+            f"range rel_err_p50, full tree / derived caps, seeds 11 101 202: "
+            f"{ratio:.2f}x (gate: >= 2)")
+    print("\n" + text)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    (RESULTS_DIR / "bench_default_spec.txt").write_text(text + "\n",
+                                                        encoding="utf-8")
+    assert planes == dyadic.max_level + 2 == 10
+    assert ratio >= 2.0

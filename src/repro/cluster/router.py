@@ -542,9 +542,11 @@ def _fleet_sum(fleet: Mapping[str, Mapping], group: str) -> dict:
 
 def _register_request(name: str, spec: EstimatorSpec,
                       acting_for: str | None = None) -> dict:
-    """The ``register`` request that creates ``spec`` on a worker."""
+    """The ``register`` request that creates ``spec`` on a worker: always
+    with explicit ``max_levels`` (a spec without any is uncapped — null
+    entries), so the worker builds this spec and derives nothing."""
     return protocol.build(
         "register", name=name, family=spec.family, sizes=list(spec.sizes),
         instances=spec.num_instances, seed=spec.seed,
         options=dict(spec.options), acting_for=acting_for,
-        max_levels=None if spec.max_levels is None else list(spec.max_levels))
+        max_levels=list(spec.max_levels or (None,) * spec.dimension))

@@ -518,14 +518,9 @@ class SketchBank:
         return {letter for word in self._words for letter in word}
 
     def _chunk_size(self) -> int:
-        # A conservative bound on cover ids per box and dimension.
-        worst_cover = 1
-        for dim in range(self.dimension):
-            dyadic = self._domain.dyadic(dim)
-            worst_cover = max(worst_cover, 2 * max(dyadic.max_level, 1) + 2)
-        per_box = worst_cover
-        chunk = max(1, self._CHUNK_ELEMENT_BUDGET // max(1, self._num_instances * per_box))
-        return chunk
+        # The largest cover of a box in any dimension, whole blocks included.
+        per_box = max(dyadic.cover_sum_bound() for dyadic in self._domain.dyadics)
+        return max(1, self._CHUNK_ELEMENT_BUDGET // (self._num_instances * per_box))
 
     def _insert_chunk(self, sources: Mapping[Letter, BoxSet], start: int, stop: int,
                       weight: float) -> None:

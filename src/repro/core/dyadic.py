@@ -52,6 +52,24 @@ def next_power_of_two(value: int) -> int:
     return 1 << (int(value) - 1).bit_length()
 
 
+def pruned_max_levels(sizes) -> tuple[int, ...]:
+    """Per size, the lowest ``max_level`` that costs no worst-case cover.
+
+    Every level above it only adds collisions (Section 6.5: all objects
+    share the root, half of them each of its children) while
+    :meth:`DyadicDomain.cover_sum_bound` is already no larger than with the
+    full tree — the top two levels of any domain of 4 or more coordinates.
+    """
+    levels = []
+    for size in sizes:
+        full = DyadicDomain(size)
+        bound = full.cover_sum_bound()
+        levels.append(next(
+            level for level in range(full.height + 1)
+            if full.with_max_level(level).cover_sum_bound() <= bound))
+    return tuple(levels)
+
+
 @dataclass(frozen=True)
 class DyadicInterval:
     """A dyadic interval: ``level`` and position ``index`` within the level."""
@@ -311,7 +329,8 @@ class DyadicDomain:
     # instead of up to ``2 * max_level``, and no cover walk.  Every table
     # is coordinate-major like ``signs``: a lookup reads one contiguous row
     # of ``f`` bytes, and results are ``(boxes, f)`` integer rows.  Entries
-    # are sums of at most ``2 * (max_level + 1) <= 62`` signs, hence int8.
+    # are sums of at most ``2 * (max_level + 1) <= 62`` signs, hence int8
+    # (the two top interval planes: see ``_folds_prefix``).
 
     def _level_signs(self, signs: np.ndarray, level: int) -> np.ndarray:
         """The rows of ``signs`` for the ``size >> level`` level-``level`` nodes."""
@@ -340,9 +359,16 @@ class DyadicDomain:
 
     def interval_table_bytes(self, num_families: int) -> int:
         """Bytes :meth:`interval_cover_tables` allocates (known before it runs)."""
-        top_blocks = self._size >> self._max_level
-        return num_families * ((self._max_level + 2) * self._size
-                               + 4 * (top_blocks + 1))
+        prefix = 0 if self._folds_prefix else 4 * (
+            (self._size >> self._max_level) + 1)
+        return num_families * ((self._max_level + 2) * self._size + prefix)
+
+    @property
+    def _folds_prefix(self) -> bool:
+        """Whether the whole-block prefix sums fit into the int8 top planes:
+        a boundary cover of up to ``max_level + 1`` nodes plus up to
+        ``size >> max_level`` level-``max_level`` blocks."""
+        return self._max_level + 1 + (self._size >> self._max_level) <= 127
 
     def cover_sum_bound(self) -> int:
         """An upper bound on the absolute sign sum over any cover (or two).
@@ -354,7 +380,7 @@ class DyadicDomain:
         return 2 * (self._max_level + 1) + (self._size >> self._max_level)
 
     def interval_cover_tables(self, signs: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray]:
+                              ) -> tuple[np.ndarray, ...]:
         """Boundary and prefix tables that answer any ``cover(lo, hi)`` sum.
 
         Write ``right(h, x)`` for the sum over the cover of ``[x, end of
@@ -368,8 +394,14 @@ class DyadicDomain:
         is set.  At ``h = max_level`` the two may lie whole blocks apart
         and each keeps its own plane: ``bounds[max_level]`` is ``right``,
         ``bounds[max_level + 1]`` is ``left``, and ``prefix[k, f]`` sums
-        the first ``k`` level-``max_level`` nodes in between.  ``bounds``
-        is returned flattened to ``((max_level + 2) * size, f)``.
+        the first ``k`` level-``max_level`` nodes in between.  Where the
+        result still fits int8 (``_folds_prefix``: every cap but the
+        deepest ones over a large domain) the prefix is folded into the
+        two planes — ``right(x) - prefix[(x >> max_level) + 1]`` and
+        ``left(x) + prefix[x >> max_level]`` — so the whole blocks between
+        ``lo`` and ``hi`` come with the same two gathers and ``(bounds,)``
+        is returned alone; otherwise ``(bounds, prefix)``.  ``bounds`` is
+        flattened to ``((max_level + 2) * size, f)``.
         """
         size, max_level = self._size, self._max_level
         right = self._level_signs(signs, 0).copy()
@@ -398,15 +430,20 @@ class DyadicDomain:
                 plane = bounds[level].reshape(halves)
                 plane[:, 0] = right.reshape(halves)[:, 0]
                 plane[:, 1] = left.reshape(halves)[:, 1]
-        bounds[max_level] = right
-        bounds[max_level + 1] = left
         top = self._level_signs(signs, max_level)
         prefix = np.zeros((len(top) + 1, families), dtype=np.int32)
         np.cumsum(top, axis=0, dtype=np.int32, out=prefix[1:])
-        return bounds.reshape((max_level + 2) * size, families), prefix
+        if self._folds_prefix:
+            blocks = (len(top), 1 << max_level, families)
+            right.reshape(blocks)[...] -= prefix[1:, None].astype(np.int8)
+            left.reshape(blocks)[...] += prefix[:-1, None].astype(np.int8)
+        bounds[max_level] = right
+        bounds[max_level + 1] = left
+        bounds = bounds.reshape((max_level + 2) * size, families)
+        return (bounds,) if self._folds_prefix else (bounds, prefix)
 
     def interval_cover_sums(self, signs: np.ndarray,
-                            tables: tuple[np.ndarray, np.ndarray],
+                            tables: tuple[np.ndarray, ...],
                             lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """Row ``j``: the sign sum over ``cover(lows[j], highs[j])``.
 
@@ -418,11 +455,11 @@ class DyadicDomain:
         ``[start of hi's block, hi]``.  The one exception is an interval
         that *is* an allowed dyadic block (``lo == hi`` included): its
         cover is that single node, read from ``signs`` directly.  Rows are
-        int8, or int32 once a batch spans whole blocks (whose count is not
-        bounded by the level).  Raises what :meth:`covers` raises for the
-        same input.
+        int8; only where the prefix could not be folded into the planes
+        are they int32 once a batch spans whole blocks.  Raises what
+        :meth:`covers` raises for the same input.
         """
-        bounds, prefix = tables
+        bounds = tables[0]
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         self._check_intervals(lows, highs)
@@ -433,14 +470,14 @@ class DyadicDomain:
         sums = np.take(bounds, row * size + lows, axis=0)
         row += row == max_level        # left(max_level) has its own plane
         sums += np.take(bounds, row * size + highs, axis=0)
-        if max_level < self._height:
+        if not self._folds_prefix:
             spanning = np.flatnonzero(shared > max_level)
             if spanning.size:
                 first = (lows[spanning] >> max_level) + 1
                 last = highs[spanning] >> max_level
                 sums = sums.astype(np.int32)
-                sums[spanning] += (np.take(prefix, last, axis=0)
-                                   - np.take(prefix, first, axis=0))
+                sums[spanning] += (np.take(tables[1], last, axis=0)
+                                   - np.take(tables[1], first, axis=0))
         mask = (np.int64(1) << shared) - 1
         exact = np.flatnonzero((shared <= max_level) & ((lows & mask) == 0)
                                & (((highs + 1) & mask) == 0))

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -140,10 +141,19 @@ def check_write_format(fields: Mapping[str, Any]) -> None:
 
 def _derive_spec(fields: dict) -> None:
     """``register``: ``fields["spec"]`` is the validated spec the fields
-    ask for (``max_levels``, the per-dimension level caps, included)."""
-    fields["spec"] = EstimatorSpec.from_dict({
+    ask for.  Without ``max_levels`` the per-dimension level caps are the
+    ones :meth:`EstimatorSpec.create` gives plain sizes — written into the
+    spec, so the WAL, snapshots and a router's workers never derive."""
+    spec = EstimatorSpec.from_dict({
         **fields, "num_instances": fields["instances"],
         "options": fields["options"] or {}})
+    given = spec.max_levels is not None
+    if not given:
+        spec = spec.with_pruned_levels()
+    logging.getLogger("repro.xi").info(
+        "register %s: level caps %s %s", fields["name"],
+        list(spec.max_levels), "given" if given else "derived")
+    fields["spec"] = spec
 
 
 _NAME = Field("name", "string", "estimator name", required=True, flag="--name")
@@ -195,8 +205,10 @@ OPS: dict[str, Op] = {
                   "common endpoints", default="transform",
                   choices=ENDPOINT_POLICIES,
                   flag="--endpoint-policy"))),
-        Field("max_levels", "integers", "per-dimension dyadic level caps, "
-              "null = uncapped (absent when the spec has none)")),
+        Field("max_levels", "integers", "per-dimension dyadic level caps "
+              "(a null entry or the height = uncapped; omitted: the lowest "
+              "caps that leave the worst-case cover no larger, written "
+              "into the spec)")),
         access="tenant", derive=_derive_spec),
     "unregister": Op("drop an estimator and its counters", (_NAME,),
                      access="tenant"),

@@ -21,12 +21,13 @@ registry entry to become servable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.domain import Domain
+from repro.core.dyadic import pruned_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.estimator import SketchEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
@@ -161,7 +162,12 @@ class EstimatorSpec:
     @classmethod
     def create(cls, family: str, domain: Domain | Sequence[int] | int,
                num_instances: int, *, seed: int = 0, **options: Any) -> "EstimatorSpec":
-        """Build a spec from a domain (or plain sizes) and keyword options."""
+        """Build a spec from a domain (or plain sizes) and keyword options.
+
+        A :class:`Domain` carries its own level restrictions; plain sizes
+        get the default ones (:meth:`with_pruned_levels`) written into the
+        spec.
+        """
         if isinstance(domain, Domain):
             sizes = domain.requested_sizes
             levels = _domain_levels(domain)
@@ -171,7 +177,7 @@ class EstimatorSpec:
                 domain = (int(domain),)
             sizes = tuple(int(s) for s in domain)
             max_levels = None
-        return cls(
+        spec = cls(
             family=family,
             sizes=sizes,
             num_instances=int(num_instances),
@@ -179,6 +185,13 @@ class EstimatorSpec:
             max_levels=max_levels,
             options=tuple(sorted(options.items())),
         )
+        return spec if isinstance(domain, Domain) else spec.with_pruned_levels()
+
+    def with_pruned_levels(self) -> "EstimatorSpec":
+        """This (validated) spec with, per dimension, the lowest level cap
+        that leaves the worst-case cover no larger
+        (:func:`~repro.core.dyadic.pruned_max_levels`)."""
+        return replace(self, max_levels=pruned_max_levels(self.sizes))
 
     # -- accessors ----------------------------------------------------------------
 

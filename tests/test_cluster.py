@@ -21,13 +21,15 @@ from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
     EstimationService,
+    EstimatorSpec,
     load_snapshot,
     synthetic_boxes,
     synthetic_queries,
 )
 from repro.service.store import shard_ids
 
-DOMAIN = Domain.square(256, dimension=2)
+#: What a wire ``register`` of 256 x 256 builds: the derived level caps.
+DOMAIN = EstimatorSpec.create("range", (256, 256), 1).domain()
 NUM_SLOTS = 64
 
 # Three estimator families with different reduction shapes: queryable
@@ -159,6 +161,50 @@ class TestScatterGather:
                                                   queries[index]).estimate)
         finally:
             late.stop()
+
+    def test_a_stored_uncapped_spec_stays_uncapped_on_every_worker(
+            self, tmp_path):
+        """A worker restored from a snapshot written with ``max_levels:
+        null`` serves the full tree; the router that adopts the name hands
+        its other workers that spec (null entries), never the default caps
+        a ``register`` without ``max_levels`` would get — one name, one
+        tree, and the fleet answers as one uncapped service."""
+        full = Domain((256, 256))
+        before = synthetic_boxes(full, 200, seed=27)
+        after = synthetic_boxes(full, 300, seed=28)
+        reference = EstimationService(num_shards=2)
+        spec = reference.register("old", family="range", domain=full,
+                                  num_instances=16, seed=33)
+        assert spec.to_dict()["max_levels"] is None
+        reference.ingest("old", before, side="data")
+        reference.save(tmp_path / "old.snap")
+        handles = [ThreadedServer(service).start() for service in (
+            load_snapshot(tmp_path / "old.snap"),
+            EstimationService(num_shards=2))]
+        try:
+            with ThreadedClusterRouter(
+                    [("127.0.0.1", handle.port) for handle in handles],
+                    config=RouterConfig(num_slots=NUM_SLOTS),
+                    start_heartbeat=False) as fleet, \
+                    ServiceClient("127.0.0.1", fleet.port) as client:
+                restored, fresh = (handle.service.spec("old")
+                                   for handle in handles)
+                assert restored == spec
+                assert fresh.domain().signature() == full.signature()
+                client.ingest("old", after, side="data")
+                client.flush()
+                reference.ingest("old", after, side="data")
+                assert all(handle.service.merged_view("old").count
+                           for handle in handles)
+                queries = synthetic_queries(full, 6, seed=29)
+                for index in range(6):
+                    got = client.estimate("old", queries[index])
+                    expected = reference.estimate("old", queries[index])
+                    assert got.estimate == expected.estimate
+                    assert got.left_count == expected.left_count
+        finally:
+            for handle in handles:
+                handle.stop()
 
     def test_each_worker_logs_its_rows_in_arrival_order(self, tmp_path):
         """The router's split keeps arrival order per owner, so a worker's

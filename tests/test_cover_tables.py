@@ -147,6 +147,63 @@ class TestThreeWayEquivalence:
                 <= FourWiseFamilyBank._DERIVED_BYTE_LIMIT)
 
 
+class TestFoldedTopPlanes:
+    """Every cap ``0..height``: a cover sum is two gathers from the planes
+    (the whole blocks between ``lo`` and ``hi`` folded in) and equals the
+    sum of the signs over the ``covers()`` walk; caps too deep for int8
+    keep the prefix and still match."""
+
+    @staticmethod
+    def walked_sums(dyadic, signs, lows, highs):
+        ids, lengths = dyadic.covers(lows, highs)
+        owner = np.repeat(np.arange(len(lows)), lengths)
+        sums = np.zeros((len(lows), signs.shape[1]), dtype=np.int64)
+        np.add.at(sums, owner, signs[ids])
+        return sums
+
+    @pytest.mark.parametrize("size", [1, 2, 16, 64, 100, 1000, 1024, 3000])
+    def test_every_cap_matches_the_walk(self, size):
+        rng = np.random.default_rng(size)
+        height = DyadicDomain(size).height
+        signs = FourWiseFamilyBank(INSTANCES, 2 * (1 << height) - 1,
+                                   seed=size).resolve_table(1 << 30)
+        points = rng.integers(0, size, size=(2, 400))
+        lows, highs = points.min(axis=0), points.max(axis=0)
+        edges = edge_intervals(1 << height, None)
+        lows = np.concatenate([lows, [lo for lo, _ in edges]])
+        highs = np.concatenate([highs, [hi for _, hi in edges]])
+        taken = set()
+        for max_level in range(height + 1):
+            dyadic = DyadicDomain(size, max_level=max_level)
+            tables = dyadic.interval_cover_tables(signs)
+            folded = max_level + 1 + (dyadic.size >> max_level) <= 127
+            assert len(tables) == (1 if folded else 2)
+            assert sum(table.nbytes for table in tables
+                       ) == dyadic.interval_table_bytes(INSTANCES)
+            sums = dyadic.interval_cover_sums(signs, tables, lows, highs)
+            if folded:
+                assert sums.dtype == np.int8
+            assert np.array_equal(
+                sums, self.walked_sums(dyadic, signs, lows, highs))
+            assert np.abs(sums).max() <= dyadic.cover_sum_bound()
+            taken.add(folded)
+        assert taken == ({True, False} if 1 << height >= 128 else {True})
+
+    def test_folded_planes_reach_the_int8_edge(self):
+        # 64 blocks of all +1 signs: the last block's left plane holds a
+        # 5-node cover plus the 63 blocks before it, and the covers that
+        # span the most blocks still sum in int8.
+        dyadic = DyadicDomain(2048, max_level=5)
+        signs = np.ones((dyadic.num_nodes, 1), dtype=np.int8)
+        (bounds,) = dyadic.interval_cover_tables(signs)
+        assert bounds.dtype == np.int8
+        assert int(np.abs(bounds.astype(np.int64)).max()) == 5 + 63
+        lows, highs = np.array([0, 1, 31]), np.array([2047, 2046, 2016])
+        sums = dyadic.interval_cover_sums(signs, (bounds,), lows, highs)
+        _, lengths = dyadic.covers(lows, highs)
+        assert sums.dtype == np.int8 and sums[:, 0].tolist() == lengths.tolist()
+
+
 class TestSameErrorsColdAndWarm:
     BAD = [
         (Letter.INTERVAL, [0, 5], [3, 4]),           # lo > hi
@@ -189,27 +246,33 @@ class TestInterning:
         wider = FourWiseFamilyBank.from_coefficients(first.coefficients, 511)
         assert wider.resolve_table(511) is not tables[0]
 
-    @pytest.mark.parametrize("max_level", [0, 3, None])
-    def test_tables_are_read_only_rows(self, max_level):
-        bank = warm(bank_for(64, max_level, Letter.INTERVAL, seed=2))
+    @pytest.mark.parametrize("size,max_level", [
+        (64, 0), (64, 3), (64, None), (256, 0), (1024, 2)])
+    def test_tables_are_read_only_rows(self, size, max_level):
+        bank = warm(bank_for(size, max_level, Letter.INTERVAL, seed=2))
         xi, dyadic = bank.xi_banks[0], bank.domain.dyadic(0)
         signs = xi.resolve_table(0)
-        bounds, prefix = xi.derived_tables(
+        bounds, *prefix = xi.derived_tables(
             ("interval", dyadic.size, dyadic.max_level),
             dyadic.interval_table_bytes(INSTANCES), dyadic.interval_cover_tables)
         (points,) = xi.derived_tables(
             ("point", dyadic.size, dyadic.max_level),
             dyadic.point_table_bytes(INSTANCES), dyadic.point_cover_table)
         assert signs.shape == (dyadic.num_nodes, INSTANCES)
-        assert points.shape == (64, INSTANCES)
-        assert bounds.shape == ((dyadic.max_level + 2) * 64, INSTANCES)
-        assert prefix.shape == ((64 >> dyadic.max_level) + 1, INSTANCES)
-        assert (signs.dtype, points.dtype, bounds.dtype, prefix.dtype) == (
-            np.int8, np.int8, np.int8, np.int32)
+        assert points.shape == (size, INSTANCES)
+        assert bounds.shape == ((dyadic.max_level + 2) * size, INSTANCES)
+        # The block prefix lives inside the two top planes wherever they
+        # stay int8; only the deepest caps of a large domain keep it.
+        blocks = size >> dyadic.max_level
+        assert len(prefix) == (dyadic.max_level + 1 + blocks > 127)
+        for array in prefix:
+            assert array.shape == (blocks + 1, INSTANCES)
+            assert array.dtype == np.int32
+        assert (signs.dtype, points.dtype, bounds.dtype) == (np.int8,) * 3
         assert (points.nbytes == dyadic.point_table_bytes(INSTANCES)
-                and bounds.nbytes + prefix.nbytes
+                and bounds.nbytes + sum(array.nbytes for array in prefix)
                 == dyadic.interval_table_bytes(INSTANCES))
-        for array in (signs, points, bounds, prefix):
+        for array in (signs, points, bounds, *prefix):
             assert array.flags.c_contiguous and not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0

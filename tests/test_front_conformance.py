@@ -215,6 +215,44 @@ def test_server_and_router_answer_one_transcript_alike(placement, wire):
         assert said in by_server[label]["error"], label
 
 
+# -- a default register writes its level caps into the spec, once ---------------
+
+
+@pytest.mark.parametrize("wire", WIRES)
+def test_register_without_max_levels_writes_the_same_caps_everywhere(
+        placement, wire, caplog):
+    """The front that takes the request derives the caps; the reply, the
+    service that ends up holding the name and a router's template all
+    carry them explicitly — nobody derives twice."""
+    specs = {}
+    for kind in PLACEMENTS:
+        front = placement(kind)
+        caplog.clear()
+        with caplog.at_level("INFO", logger="repro.xi"), \
+                front.client(wire) as client:
+            specs[kind] = client.request(
+                {"op": "register", "name": "rq", **RANGE})["spec"]
+            given = client.request({"op": "register", "name": "full", **RANGE,
+                                    "max_levels": [8, None]})["spec"]
+        assert given["max_levels"] == [8, None]     # the height: uncapped
+        served = front.backing.service.spec("rq")
+        assert served.to_dict() == specs[kind]
+        said = [record.getMessage() for record in caplog.records
+                if record.getMessage().startswith("register ")]
+        if kind == "router":
+            assert front.handle.router._specs["rq"][0] == served
+            # The router derived; its worker was handed the result.
+            assert said == ["register rq: level caps [6, 6] derived",
+                            "register rq: level caps [6, 6] given",
+                            "register full: level caps [8, None] given",
+                            "register full: level caps [8, None] given"]
+        else:
+            assert said == ["register rq: level caps [6, 6] derived",
+                            "register full: level caps [8, None] given"]
+    assert specs["server"] == specs["router"]
+    assert specs["server"]["max_levels"] == [6, 6]
+
+
 # -- drift (a): the ingest quota counts rows on every wire ----------------------
 
 

@@ -261,8 +261,11 @@ class TestExactnessGuard:
         bank = SketchBank(self.DOMAIN, self.WORDS, INSTANCES, seed=2)
         bank.insert(boxes)
         assert used == ["_integer_totals"]
-        # A bound past 2^53 / boxes: the same insert falls back to floats
-        # and leaves identical counters.
+        # A bound past 2^53 / boxes: the same insert (one chunk, as before:
+        # the chunk size reads the bound too) falls back to floats and
+        # leaves identical counters.
+        monkeypatch.setattr(SketchBank, "_chunk_size",
+                            lambda self, _chunk=bank._chunk_size(): _chunk)
         monkeypatch.setattr(DyadicDomain, "cover_sum_bound",
                             lambda self: 1 << 27)
         fallback = bank.companion()

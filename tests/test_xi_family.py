@@ -538,7 +538,7 @@ class TestRouterTemplates:
                 worker_text = worker.metrics()
 
             # Released with the name: the template held the last banks.
-            _, template = handle.router._specs["rq"]
+            spec, template = handle.router._specs["rq"]
             families = [weakref.ref(xi._xi_family())
                         for xi in template.bank.xi_banks]
             del template
@@ -550,7 +550,7 @@ class TestRouterTemplates:
                     == before["sign_tables"])
 
         reference = EstimationService(num_shards=1)
-        reference.register("rq", family="range", domain=DOMAIN,
+        reference.register("rq", family="range", domain=spec.domain(),
                            num_instances=16, seed=9400)
         reference.ingest("rq", boxes, side="data")
         reference.flush()
@@ -607,7 +607,7 @@ class TestRouterTemplateLifecycle:
                 client.ingest("rq", boxes, side="data")
                 client.flush()
                 reference = EstimationService(num_shards=1)
-                reference.register("rq", family="range", domain=DOMAIN,
+                reference.register("rq", family="range", domain=spec.domain(),
                                    num_instances=8, seed=seed)
                 reference.ingest("rq", boxes, side="data")
                 reference.flush()
