@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
+from repro.core.dyadic import pruned_max_levels
 from repro.core.program import ProgramExecutor
 from repro.exact import (
     containment_join_count,
@@ -636,24 +637,51 @@ _EXACT_JOINS = {"rectangle": rectangle_join_count,
                 "containment": containment_join_count}
 
 
-def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),
-                    *, size: int = 1024, instances: int = 256,
-                    boxes: int = 4000) -> dict[str, dict[str, float]]:
-    """Relative error against :mod:`repro.exact` of a spec built from plain
-    sizes (``"derived"`` level caps) and of one built from the full
-    ``Domain`` (``"uncapped"``), on the end-to-end benchmark's shape:
-    ``boxes`` ``synthetic_boxes`` per side over ``size`` x ``size``.  For
-    ``range`` the error is the median over the benchmark's 64 probe
-    rectangles (every extent at least 1/8 of the domain), for the joins
-    that of the one estimate.  ``seed`` draws the data and the sketch; the
-    same data feeds both specs.  ``tests/test_level_caps.py`` runs it too
-    (tier-1: the joins as well as the range family gated below)."""
-    full = Domain((size, size))
+def probe_shape(seed: int, *, size: int = 1024, boxes: int = 4000
+                ) -> tuple[BoxSet, list[BoxSet]]:
+    """ROADMAP probe (b), the end-to-end benchmark's shape: its 64 probe
+    rectangles over ``size`` x ``size`` (every extent at least 1/8 of the
+    domain) and two sides of ``boxes`` ``synthetic_boxes`` drawn by
+    ``seed``."""
     rng = np.random.default_rng([20040613, 7])
     extents = rng.integers(size // 8, size // 2, size=(64, 2))
     lows = rng.integers(0, size - size // 8, size=(64, 2))
     probes = BoxSet(lows, np.minimum(lows + extents, size - 1))
-    sides = [synthetic_boxes(full, boxes, seed=seed + index) for index in (0, 1)]
+    full = Domain((size, size))
+    return probes, [synthetic_boxes(full, boxes, seed=seed + index)
+                    for index in (0, 1)]
+
+
+def probe_answers(spec: EstimatorSpec, sides: list[BoxSet],
+                  probes: BoxSet) -> list:
+    """``spec``'s results after ingesting ``sides``: one per probe for
+    ``range``, the one join estimate otherwise."""
+    estimator = spec.build()
+    for side, data in zip(spec.info.sides, sides):
+        apply_update(spec, estimator, side, "insert", data)
+    if spec.info.queryable:
+        return run_estimate_batch(spec, estimator, probes)
+    return [run_estimate(spec, estimator)]
+
+
+def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),
+                    *, size: int = 1024, instances: int = 256,
+                    boxes: int = 4000) -> dict[str, dict[str, float]]:
+    """Relative error against :mod:`repro.exact` on :func:`probe_shape` of
+    a spec built from plain sizes (``"derived"``: the default level caps),
+    of one capped by the worst-case cover rule (``"pruned"``,
+    :func:`~repro.core.dyadic.pruned_max_levels` — the joins' default, so
+    the same spec there) and of one built from the full ``Domain``
+    (``"uncapped"``).  For ``range`` the error is the median over the 64
+    probes, for the joins that of the one estimate.  ``seed`` draws the
+    data and the sketch; the same data feeds every spec.
+    ``tests/test_level_caps.py`` runs it too (tier-1: the joins as well as
+    the range family gated below)."""
+    probes, sides = probe_shape(seed, size=size, boxes=boxes)
+    sizes = (size, size)
+    columns = {"derived": sizes,
+               "pruned": Domain(sizes, max_levels=pruned_max_levels(sizes)),
+               "uncapped": Domain(sizes)}
     errors: dict[str, dict[str, float]] = {}
     for family in families:
         if family == "range":
@@ -661,32 +689,29 @@ def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),
                                for index in range(len(probes))])
         else:
             truths = np.array([_EXACT_JOINS[family](*sides)])
-        errors[family] = {}
-        for label, domain in (("derived", (size, size)), ("uncapped", full)):
+        errors[family], answered = {}, {}
+        for label, domain in columns.items():
             spec = EstimatorSpec.create(family, domain, instances, seed=seed)
-            estimator = spec.build()
-            for side, data in zip(spec.info.sides, sides):
-                apply_update(spec, estimator, side, "insert", data)
-            if family == "range":
-                results = run_estimate_batch(spec, estimator, probes)
-            else:
-                results = [run_estimate(spec, estimator)]
-            estimates = np.array([result.estimate for result in results])
-            errors[family][label] = float(np.median(
-                np.abs(estimates - truths) / truths))
+            if spec not in answered:
+                estimates = np.array([result.estimate for result in
+                                      probe_answers(spec, sides, probes)])
+                answered[spec] = float(np.median(
+                    np.abs(estimates - truths) / truths))
+            errors[family][label] = answered[spec]
     return errors
 
 
 def test_default_spec_prunes_the_top():
-    """The level-cap gate, both counted (seeded, no timing).
+    """The level-cap gate, all counted (seeded, no timing).
 
-    A name registered from plain sizes stops at the lowest level whose
-    worst-case cover is no larger than the full tree's: over 1024 x 1024
-    that is level 8, so its interval tables hold ``max_level + 2 = 10``
+    A range name registered from plain sizes stops where data and query
+    covers together are least noisy under uniform boxes: over 1024 x 1024
+    that is level 7, so its interval tables hold ``max_level + 2 = 9``
     planes (12 uncapped) with the whole-block prefix folded into the top
     two.  What the cap buys is ROADMAP probe (b): the median relative
     error of the end-to-end benchmark's 64 range probes against
-    ``repro.exact``, full tree over derived caps, median of three seeds.
+    ``repro.exact``, over the derived caps, of the full tree and of the
+    worst-case cover rule's cap (8), median of three seeds.
     """
     from repro.core.hashing import FourWiseFamilyBank
 
@@ -700,22 +725,26 @@ def test_default_spec_prunes_the_top():
 
     errors = [level_cap_probe(seed, families=("range",))["range"]
               for seed in (11, 101, 202)]
-    ratio = float(np.median([e["uncapped"] / e["derived"] for e in errors]))
+    ratio, cover_ratio = (float(np.median([e[label] / e["derived"] for e in errors]))
+                          for label in ("uncapped", "pruned"))
     _update_report({"default_spec": {
         "max_levels": list(spec.max_levels),
         "interval_planes": planes,
         "interval_table_bytes": dyadic.interval_table_bytes(TABLE_INSTANCES),
         "rel_err_p50": {label: [e[label] for e in errors]
-                        for label in ("uncapped", "derived")},
+                        for label in ("uncapped", "pruned", "derived")},
         "accuracy_ratio": ratio,
+        "cover_bound_ratio": cover_ratio,
     }})
-    text = (f"default 1024 x 1024 spec: level caps {list(spec.max_levels)}, "
-            f"{planes} interval planes (gate: <= 10)\n"
-            f"range rel_err_p50, full tree / derived caps, seeds 11 101 202: "
-            f"{ratio:.2f}x (gate: >= 2)")
+    text = (f"default 1024 x 1024 range spec: level caps {list(spec.max_levels)}, "
+            f"{planes} interval planes (gate: <= 9)\n"
+            f"range rel_err_p50 over derived caps, seeds 11 101 202: "
+            f"full tree {ratio:.2f}x (gate: >= 3), "
+            f"cover-bound cap {cover_ratio:.2f}x (gate: >= 1.15)")
     print("\n" + text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "bench_default_spec.txt").write_text(text + "\n",
                                                         encoding="utf-8")
-    assert planes == dyadic.max_level + 2 == 10
-    assert ratio >= 2.0
+    assert planes == dyadic.max_level + 2 == 9
+    assert ratio >= 3.0
+    assert cover_ratio >= 1.15

@@ -37,6 +37,12 @@ def choose_max_level(sample: BoxSet, domain: Domain, *,
                      update_cost_weight: float = 0.0) -> int:
     """Pick a uniform maxLevel for all dimensions from a data sample.
 
+    The score is the sample's own self-join size over the join words
+    (interval and endpoint covers): the variance of a *join*, where both
+    sides are data.  A range query's variance also grows with the query's
+    cover as the cap drops, which this score does not see — a range
+    sketch's cap is :func:`repro.core.dyadic.range_max_levels`.
+
     Parameters
     ----------
     sample:

@@ -29,6 +29,7 @@ every allowed dyadic interval covering the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -68,6 +69,77 @@ def pruned_max_levels(sizes) -> tuple[int, ...]:
             level for level in range(full.height + 1)
             if full.with_max_level(level).cover_sum_bound() <= bound))
     return tuple(levels)
+
+
+def _quartic_sum(term, count: int):
+    """``sum(term(j) for j in range(count))`` for a ``term`` that is a
+    polynomial of degree at most 4 in ``j`` there: Newton's forward
+    differences at ``j = 0..4`` times ``C(count, i + 1)``."""
+    if count <= 5:
+        return sum((term(j) for j in range(count)), 0)
+    values, total = [term(j) for j in range(5)], 0
+    for i in range(5):
+        total = total + comb(count, i + 1) * values[0]
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
+
+
+def range_level_scores(size: int) -> list[int]:
+    """Per cap ``m = 0..height``, the ``N^2`` coefficient of a 1-d range
+    estimate's per-instance variance under uniform data and query intervals,
+    times ``T^3`` for the ``T = size (size + 1) / 2`` intervals (an integer).
+
+    The estimate is ``Z = X_U Q_I + X_I Q_U`` over one 4-wise family, so the
+    coefficient is ``sum p_U^2 E|cover(q)| + sum p_I^2 (m + 1) + 2 sum p_U
+    p_I E|cover(q) & point_cover(q_hi)|``, where ``p_I(v)`` is the chance
+    that a uniform interval's cover uses node ``v`` and ``p_U(v)`` that its
+    upper endpoint falls in ``v`` (the last expectation is 1, Lemma 4).  A
+    lower cap shrinks the data side's sums and grows the query's cover
+    (Section 6.5's trade-off, seen from a range query).  Each level's sums
+    are polynomials in the block index per parity, summed in closed form.
+    """
+    full = DyadicDomain(size)
+    n = full.requested_size
+    total = n * (n + 1) // 2
+
+    def ending_before(x):                   # intervals of [0, n) with hi < x
+        x = min(x, n)
+        return x * (x + 1) // 2
+
+    def holding(lo, hi):                    # intervals of [0, n) holding [lo, hi]
+        return (lo + 1) * max(n - hi, 0)
+
+    def moments(level: int, capped: bool):
+        """Summed over the level's nodes: ``p_U^2, p_I^2, p_U p_I, p_I``
+        (times ``total^2`` or ``total``)."""
+        def node(k):
+            lo, width = k << level, 1 << level
+            upper = ending_before(lo + width) - ending_before(lo)
+            used = holding(lo, lo + width - 1)
+            if not capped:                  # below the cap: the parent is not
+                parent = (k >> 1) << (level + 1)
+                used -= holding(parent, parent + 2 * width - 1)
+            return np.array([upper * upper, used * used, upper * used, used],
+                            dtype=object)
+
+        regular = n >> (level + 1)          # nodes whose parent is whole
+        return (sum(_quartic_sum(lambda j: node(2 * j + parity), regular)
+                    for parity in (0, 1))
+                + sum((node(k) for k in range(2 * regular, -(-n >> level))), 0))
+
+    scores, data = [], 0
+    for cap in range(full.height + 1):
+        uu, ii, ui, cover = data + moments(cap, True)
+        scores.append(uu * cover + total * ((cap + 1) * ii + 2 * ui))
+        data = data + moments(cap, False)
+    return scores
+
+
+def range_max_levels(sizes) -> tuple[int, ...]:
+    """Per size, the cap with the least :func:`range_level_scores` (the
+    lowest on a tie): 7 for 1024, where the worst-case rule says 8."""
+    return tuple(min(enumerate(range_level_scores(size)), key=lambda s: s[1])[0]
+                 for size in sizes)
 
 
 @dataclass(frozen=True)

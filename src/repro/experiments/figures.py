@@ -19,6 +19,7 @@ from repro.core import space
 from repro.core.adaptive import choose_max_level
 from repro.core.boosting import plan_boosting
 from repro.core.domain import Domain
+from repro.core.dyadic import range_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.core.join_interval import IntervalJoinEstimator
@@ -379,12 +380,14 @@ def extension_epsilon_range(scale: ExperimentScale = LAPTOP_SCALE, *,
     quarter = scale.ablation_domain // 4
     query = Rect.from_bounds((quarter, quarter), (3 * quarter - 1, 3 * quarter - 1))
     truth_range = range_query_count(rectangles, query)
+    # The range rule weighs the query's own cover against the data's;
+    # choose_max_level scores a join's self-join size only.
+    range_domain = Domain(domain.requested_sizes,
+                          max_levels=range_max_levels(domain.requested_sizes))
     estimates = []
     for run in range(scale.runs):
-        estimator = RangeQueryEstimator(domain.with_max_level(
-            choose_max_level(rectangles.sample(min(300, len(rectangles)),
-                                               np.random.default_rng(seed)), domain)),
-            instances, seed=seed + 31 * (run + 1))
+        estimator = RangeQueryEstimator(range_domain, instances,
+                                        seed=seed + 31 * (run + 1))
         estimator.insert(rectangles)
         estimates.append(estimator.estimate(query).estimate)
     result.add_row("range query (half-window)", truth_range, float(np.mean(estimates)),

@@ -206,9 +206,8 @@ OPS: dict[str, Op] = {
                   choices=ENDPOINT_POLICIES,
                   flag="--endpoint-policy"))),
         Field("max_levels", "integers", "per-dimension dyadic level caps "
-              "(a null entry or the height = uncapped; omitted: the lowest "
-              "caps that leave the worst-case cover no larger, written "
-              "into the spec)")),
+              "(a null entry or the height = uncapped; omitted: the family's "
+              "default caps, written into the spec)")),
         access="tenant", derive=_derive_spec),
     "unregister": Op("drop an estimator and its counters", (_NAME,),
                      access="tenant"),

@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.domain import Domain
-from repro.core.dyadic import pruned_max_levels
+from repro.core.dyadic import pruned_max_levels, range_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.estimator import SketchEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
@@ -188,10 +188,16 @@ class EstimatorSpec:
         return spec if isinstance(domain, Domain) else spec.with_pruned_levels()
 
     def with_pruned_levels(self) -> "EstimatorSpec":
-        """This (validated) spec with, per dimension, the lowest level cap
-        that leaves the worst-case cover no larger
-        (:func:`~repro.core.dyadic.pruned_max_levels`)."""
-        return replace(self, max_levels=pruned_max_levels(self.sizes))
+        """This (validated) spec with the default level caps written in.
+
+        A ``range`` name stops, per dimension, where data and query covers
+        together are least noisy under uniform boxes
+        (:func:`~repro.core.dyadic.range_max_levels`); a join has no query
+        side and takes the lowest cap that leaves the worst-case cover no
+        larger (:func:`~repro.core.dyadic.pruned_max_levels`).
+        """
+        rule = range_max_levels if self.family == "range" else pruned_max_levels
+        return replace(self, max_levels=rule(self.sizes))
 
     # -- accessors ----------------------------------------------------------------
 

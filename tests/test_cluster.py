@@ -28,8 +28,11 @@ from repro.service import (
 )
 from repro.service.store import shard_ids
 
-#: What a wire ``register`` of 256 x 256 builds: the derived level caps.
-DOMAIN = EstimatorSpec.create("range", (256, 256), 1).domain()
+#: What a wire ``register`` of 256 x 256 builds, per family: the derived
+#: level caps (``range`` (5, 5), the joins (6, 6)).
+DOMAINS = {family: EstimatorSpec.create(family, (256, 256), 1).domain()
+           for family in ("range", "rectangle", "containment")}
+DOMAIN = DOMAINS["range"]
 NUM_SLOTS = 64
 
 # Three estimator families with different reduction shapes: queryable
@@ -53,7 +56,7 @@ def _register_everywhere(client: ServiceClient,
     for name, family, instances, seed in FAMILY_SPECS:
         client.register(name, family=family, sizes=[256, 256],
                         instances=instances, seed=seed)
-        reference.register(name, family=family, domain=DOMAIN,
+        reference.register(name, family=family, domain=DOMAINS[family],
                            num_instances=instances, seed=seed)
 
 

@@ -242,15 +242,15 @@ def test_register_without_max_levels_writes_the_same_caps_everywhere(
         if kind == "router":
             assert front.handle.router._specs["rq"][0] == served
             # The router derived; its worker was handed the result.
-            assert said == ["register rq: level caps [6, 6] derived",
-                            "register rq: level caps [6, 6] given",
+            assert said == ["register rq: level caps [5, 5] derived",
+                            "register rq: level caps [5, 5] given",
                             "register full: level caps [8, None] given",
                             "register full: level caps [8, None] given"]
         else:
-            assert said == ["register rq: level caps [6, 6] derived",
+            assert said == ["register rq: level caps [5, 5] derived",
                             "register full: level caps [8, None] given"]
     assert specs["server"] == specs["router"]
-    assert specs["server"]["max_levels"] == [6, 6]
+    assert specs["server"]["max_levels"] == [5, 5]
 
 
 # -- drift (a): the ingest quota counts rows on every wire ----------------------

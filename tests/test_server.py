@@ -595,7 +595,7 @@ class TestProtocolUnit:
                                sizes=[256, 256], seed=3, max_levels=None)
         assert "max_levels" not in plain       # old frames, byte for byte
         # ... which ask for the derived caps, written into the spec.
-        assert protocol.read("register", plain)["spec"].max_levels == (6, 6)
+        assert protocol.read("register", plain)["spec"].max_levels == (5, 5)
         full = protocol.read("register", {**plain, "max_levels": [8, 8]})
         assert full["spec"].domain().signature() == Domain(
             (256, 256)).signature()            # the height means uncapped
