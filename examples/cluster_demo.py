@@ -39,10 +39,12 @@ DOMAIN = Domain.square(512, dimension=2)
 
 def main() -> None:
     # A single-node reference service: the cluster must match it exactly.
+    # Registered from plain sizes, as the wire ``register`` below is, so
+    # both derive the same default level caps (a Domain is uncapped).
     reference = EstimationService(num_shards=4)
-    reference.register("ranges", family="range", domain=DOMAIN,
+    reference.register("ranges", family="range", domain=(512, 512),
                        num_instances=64, seed=11)
-    reference.register("join", family="rectangle", domain=DOMAIN,
+    reference.register("join", family="rectangle", domain=(512, 512),
                        num_instances=32, seed=13)
 
     with LocalFleet(3) as fleet:

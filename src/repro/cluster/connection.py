@@ -21,7 +21,8 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import ConnectionLostError, ProtocolError, ServerError
+from repro.errors import (ConnectionLostError, DegradedError, ProtocolError,
+                          ServerError)
 from repro.server import protocol, wire
 
 
@@ -189,7 +190,15 @@ class WorkerLink:
             if not future.done():
                 future.set_exception(ConnectionLostError(
                     f"worker {self.address} connection failed: {exc}"))
-        return await asyncio.wait_for(future, timeout or self.timeout)
+        timeout = timeout or self.timeout
+        try:
+            return await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            # The link stays usable (the late reply is consumed in order);
+            # the request is a cluster degradation, as a lost link is.
+            raise DegradedError(
+                f"worker {self.address} did not answer "
+                f"{payload.get('op')!r} within {timeout} s") from None
 
     async def request_ok(self, payload: dict,
                          timeout: float | None = None) -> dict:

@@ -379,6 +379,20 @@ class ClusterManager:
 
         return dict(await asyncio.gather(*(ask(info) for info in targets)))
 
+    async def poll(self, payload: dict) -> dict[str, dict]:
+        """Ask every healthy worker at once, best effort: the replies of
+        those that answered.  A failed or stalled worker is left out, and a
+        stalled fleet costs one request timeout, not one per worker."""
+        async def ask(info: WorkerInfo) -> tuple[str, dict | None]:
+            try:
+                return info.name, await info.link.request_ok(dict(payload))
+            except ReproError:
+                return info.name, None
+
+        replies = await asyncio.gather(*(ask(info) for info in self.workers()
+                                         if info.healthy))
+        return {name: reply for name, reply in replies if reply is not None}
+
     # -- introspection ------------------------------------------------------------
 
     def status(self) -> dict:

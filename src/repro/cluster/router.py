@@ -8,8 +8,8 @@ unchanged against a single server or a whole cluster.  Connections, auth,
 quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
 ``stats`` / ``metrics`` are the front's; this module adds topology, the
 routing below, fleet aggregation, and two hooks: a worker's ``ok: false``
-reply passes through to the client unchanged, a lost worker link answers
-``degraded``.  ``reload``, ``wal``, inline snapshot ``fetch`` and
+reply passes through to the client unchanged, a lost or stalled worker
+link answers ``degraded``.  ``reload``, ``wal``, inline snapshot ``fetch`` and
 ``checkpoint`` act on one worker's own state and are refused here.
 
 Request routing:
@@ -39,6 +39,7 @@ import asyncio
 import functools
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
@@ -47,10 +48,10 @@ from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import reduce_partials
 from repro.cluster.ring import DEFAULT_VNODES
 from repro.core.hashing import sign_table_stats
-from repro.errors import ConnectionLostError, ReproError, ServiceError
+from repro.errors import ConnectionLostError, ServiceError
 from repro.server import protocol
 from repro.server.front import FrontConfig, ServingFront
-from repro.server.metrics import metric_line, sign_table_lines
+from repro.server.metrics import fold, render, samples
 from repro.service.specs import EstimatorSpec
 from repro.service.store import shard_ids
 from repro.tenancy import TENANT_SEP, TenantRegistry
@@ -141,18 +142,11 @@ class ClusterRouter(ServingFront):
             if name not in served:
                 await info.link.request_ok(_register_request(name, spec))
 
-    async def refresh_specs(self) -> dict[str, EstimatorSpec]:
+    async def refresh_specs(self) -> None:
         """Adopt estimator specs from the whole fleet (snapshot starts)."""
-        for info in self.manager.workers():
-            if not info.healthy:
-                continue
-            try:
-                stats = await info.link.request_ok({"op": "stats"})
-            except (ReproError, ConnectionLostError):
-                continue
+        for stats in (await self.manager.poll({"op": "stats"})).values():
             for name, spec_dict in stats.get("estimators", {}).items():
                 self._adopt_spec(name, EstimatorSpec.from_dict(spec_dict))
-        return {name: spec for name, (spec, _) in self._specs.items()}
 
     def _adopt_spec(self, name: str, spec: EstimatorSpec) -> None:
         """Start serving ``name`` (first spec wins) with its template."""
@@ -366,82 +360,20 @@ class ClusterRouter(ServingFront):
             **sign_table_stats(),
         }, {"queue_depth": 0}
 
-    async def _op_metrics(self, fields: dict, scope) -> dict:
-        fleet: dict[str, dict] = {}
-        for info in self.manager.workers():
-            if not info.healthy:
-                continue
-            try:
-                reply = await info.link.request_ok({"op": "metrics"})
-            except (ReproError, ConnectionLostError):
-                continue
-            fleet[info.name] = {
-                "uptime": float(reply.get("uptime", 0.0)),
-                **{group: dict(reply.get(group, {})) for group in _FLEET_GROUPS}}
-        return self._metrics_reply(
-            fields, self._render_metrics(fleet), workers=fleet,
-            tenants=self._aggregate_tenants(fleet),
-            sign_tables=sign_table_stats())
-
-    def _aggregate_tenants(self, fleet: Mapping[str, Mapping]) -> dict:
-        """Fleet-wide per-tenant totals: the router's own edge counters
-        (where quotas are charged) plus every worker's labelled series."""
-        edge_keys = ("requests", "errors", "quota_rejections", "estimate_qps",
-                     "estimate_p99_ms")
-        totals = {tenant: {key: state[key] for key in edge_keys}
-                  for tenant, state in self.metrics.tenant_state().items()}
-        for entry in fleet.values():
-            for tenant, state in entry["tenants"].items():
-                slot = totals.setdefault(tenant, {
-                    "requests": 0, "errors": 0, "quota_rejections": 0,
-                    "estimate_qps": 0.0, "estimate_p99_ms": 0.0})
-                for key in ("requests", "errors"):
-                    slot[f"worker_{key}"] = (slot.get(f"worker_{key}", 0)
-                                             + int(state.get(key, 0)))
-        return totals
-
-    def _render_metrics(self, fleet: Mapping[str, Mapping]) -> str:
-        """The router's own front counters and the fleet's sums, both under
-        the ``repro_cluster_*`` prefix."""
-        workers = self.manager.workers()
-        lines = ["# repro cluster router metrics",
-                 *self.metrics.front_lines("repro_cluster_", tenant_ops=False),
-                 metric_line("repro_cluster_workers_total", len(workers)),
-                 metric_line("repro_cluster_workers_healthy",
-                             sum(info.healthy for info in workers))]
-        # The fleet's worker-side totals, re-exported beside the router's
-        # own client-side families above.
-        for format, counters in sorted(_fleet_sum(fleet, "wire").items()):
-            for direction in ("in", "out"):
-                lines.append(metric_line(
-                    "repro_cluster_worker_wire_bytes_total",
-                    counters.get(f"bytes_{direction}", 0),
-                    format=format, direction=direction))
-        lines += [metric_line("repro_cluster_worker_requests_total", count,
-                              op=op)
-                  for op, count in sorted(_fleet_sum(fleet, "requests").items())]
-        lines += [metric_line("repro_cluster_worker_uptime_seconds",
-                              fleet[name]["uptime"], worker=name)
-                  for name in sorted(fleet)]
-        # Workers resolve view refreshes locally, so the cluster-level ratio
-        # of applies to rebuilds is the steady-state health signal for delta
-        # propagation.
-        delta = _fleet_sum(fleet, "delta")
-        for key, metric in (("delta_applies", "delta_applies_total"),
-                            ("rebuilds", "view_rebuilds_total"),
-                            ("evictions", "view_evictions_total")):
-            lines.append(metric_line(f"repro_cluster_{metric}",
-                                     delta.get(key, 0)))
-        lines += [metric_line(f"repro_cluster_program_{key}", count)
-                  for key, count in sorted(_fleet_sum(fleet, "program").items())]
-        # Each worker process interns its own xi sign tables; so does the
-        # router, for the templates it reduces against.
-        own_tables = sign_table_stats()
-        lines += sign_table_lines(
-            "repro_cluster_", {**dict.fromkeys(own_tables, 0),
-                               **_fleet_sum(fleet, "sign_tables")})
-        lines += sign_table_lines("repro_cluster_router_", own_tables)
-        return "\n".join(lines) + "\n"
+    async def _exposition(self) -> tuple[list, str, dict]:
+        # The router's own front and fleet families, the fleet's samples
+        # summed under their router names, and the router process's own xi
+        # tables (it holds the templates') under repro_cluster_router_.
+        replies = await self.manager.poll({"op": "metrics"})
+        fleet = SimpleNamespace(workers=self.manager.workers(),
+                                replies=replies)
+        own = samples(front=self.metrics, fleet=fleet) + fold(
+            reply["samples"] for reply in replies.values())
+        text = ("# repro cluster router metrics\n"
+                + render("repro_cluster_", own)
+                + render("repro_cluster_router_",
+                         samples(xi=sign_table_stats())))
+        return own, text, {"workers": replies}
 
     async def _op_snapshot(self, fields: dict, scope) -> dict:
         for field in ("fetch", "checkpoint"):
@@ -511,33 +443,11 @@ class ClusterRouter(ServingFront):
         "ingest": _op_ingest,
         "estimate": _op_estimate,
         "flush": _op_flush,
-        "metrics": _op_metrics,
         "snapshot": _op_snapshot,
         "save": _op_snapshot,
         "reload": _op_reload,
         "cluster_status": _op_cluster_status,
     }
-
-
-#: Counter groups of a worker's ``metrics`` reply the router re-exports.
-_FLEET_GROUPS = ("requests", "errors", "wire", "tenants", "delta", "program",
-                 "sign_tables")
-
-
-def _fleet_sum(fleet: Mapping[str, Mapping], group: str) -> dict:
-    """One counter group summed key by key over every worker's reply
-    (nested groups, like ``wire`` per format, sum leaf by leaf)."""
-    def add(total: dict, counters: Mapping) -> None:
-        for key, value in counters.items():
-            if isinstance(value, Mapping):
-                add(total.setdefault(key, {}), value)
-            else:
-                total[key] = total.get(key, 0) + value
-
-    total: dict = {}
-    for entry in fleet.values():
-        add(total, entry[group])
-    return total
 
 
 def _register_request(name: str, spec: EstimatorSpec,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -256,16 +256,8 @@ class ExecutorStats:
         return replace(self)
 
     def as_dict(self) -> dict:
-        """JSON form for the service ``stats`` op and the metrics verb."""
-        return {
-            "runs": self.runs,
-            "programs": self.programs,
-            "results": self.results,
-            "kernel_calls": self.kernel_calls,
-            "letter_sums_requested": self.letter_sums_requested,
-            "letter_sums_computed": self.letter_sums_computed,
-            "cache_hits": self.cache_hits,
-        }
+        """JSON form for the service ``stats`` op."""
+        return asdict(self)
 
 
 class _LetterSumCache:

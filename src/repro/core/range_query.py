@@ -209,20 +209,6 @@ class RangeQueryEstimator(SketchEstimator):
             queries = self._transform.transform_query(queries)
         return queries
 
-    def instance_values_batch(self, queries: Rect | BoxSet | Sequence[Rect | BoxSet]
-                              ) -> np.ndarray:
-        """Per-instance estimator values for a whole query batch.
-
-        Returns a ``(num_queries, num_instances)`` matrix whose row ``j`` is
-        bit-identical to ``instance_values(queries[j])``; the dyadic covers
-        and xi sums of all queries are computed in single NumPy kernels.
-        """
-        programs = self._lower_prepared(self._query_batch(queries), plan=None)
-        matrix = np.empty((len(programs), self._num_instances), dtype=np.float64)
-        for row, values in enumerate(default_executor().run_values(programs)):
-            matrix[row] = values
-        return matrix
-
     def estimate(self, query: Rect | BoxSet, *, plan: BoostingPlan | None = None
                  ) -> EstimateResult:
         """Boosted estimate of the number of rectangles selected by ``query``."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.geometry.rectangle import Rect
 
@@ -44,12 +44,3 @@ class PlannedJoin:
     operator: str
     estimated_cardinality: float
     estimated_cost: float
-
-
-@dataclass
-class ExecutionReport:
-    """Outcome of executing a plan: per-step results plus totals."""
-
-    steps: list = field(default_factory=list)
-    total_comparisons: int = 0
-    final_cardinality: int = 0

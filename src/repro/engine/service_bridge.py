@@ -215,13 +215,3 @@ class ServiceSynopses:
             return 0.0
         name = self.range_sketch_name(relation)
         return max(0.0, self._service.estimate(name, query).estimate)
-
-    def estimated_range_cardinalities(self, relation: SpatialRelation,
-                                      queries: Sequence[Rect | BoxSet]
-                                      ) -> list[float]:
-        """Batched range probes through the service's vectorised batch path."""
-        if len(relation) == 0:
-            return [0.0] * len(queries)
-        name = self.range_sketch_name(relation)
-        return [max(0.0, result.estimate)
-                for result in self._service.estimate_batch(name, queries)]

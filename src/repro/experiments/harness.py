@@ -14,8 +14,6 @@ prefixes, which cuts the running time by the number of budget points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core import space
@@ -27,15 +25,6 @@ from repro.experiments.metrics import mean_relative_error, relative_error
 from repro.geometry.boxset import BoxSet
 from repro.histograms.euler import EulerHistogram
 from repro.histograms.geometric import GeometricHistogram
-
-
-@dataclass(frozen=True)
-class SketchRunResult:
-    """Per-run estimates of one sketch configuration."""
-
-    estimates: tuple[float, ...]
-    instances: int
-    storage_words: float
 
 
 def adaptive_domain(left: BoxSet, right: BoxSet, domain: Domain, *,

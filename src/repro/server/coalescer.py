@@ -43,9 +43,10 @@ call runs on a thread-pool executor so the loop stays responsive.
 from __future__ import annotations
 
 import asyncio
+import copy
 from collections import Counter, OrderedDict, deque
 from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.result import EstimateResult
@@ -91,11 +92,7 @@ class CoalescerStats:
         return self.batched_queries / self.batches if self.batches else 0.0
 
     def copy(self) -> "CoalescerStats":
-        return replace(self, per_estimator={
-            name: replace(stats) for name, stats in self.per_estimator.items()
-        }, per_tenant={
-            name: replace(stats) for name, stats in self.per_tenant.items()
-        })
+        return copy.deepcopy(self)
 
 
 @dataclass

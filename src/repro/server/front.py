@@ -291,19 +291,19 @@ class ServingFront:
         description["tenant_metrics"] = self.metrics.tenant_state(scope.tenant)
         return protocol.ok_payload("stats", fields, **description)
 
-    def _metrics_reply(self, fields: dict, text: str, **groups) -> dict:
-        """A ``metrics`` reply: the text exposition plus the structured
-        counters every front owns (a router aggregates its fleet from the
-        workers' copies of these without re-parsing the text)."""
+    async def _exposition(self) -> tuple[list, str, dict]:
+        """``(samples, their text exposition, extra reply fields)``."""
+        raise NotImplementedError
+
+    async def _op_metrics(self, fields: dict, scope: auth.Scope) -> dict:
+        # The samples are what a router folds its fleet from (see
+        # repro.server.metrics); requests / wire are the front's own totals.
+        samples, text, extra = await self._exposition()
         metrics = self.metrics
-        common = {"uptime": metrics.uptime,
-                  "requests": dict(metrics.requests),
-                  "errors": dict(metrics.errors),
-                  "connections_active": metrics.connections_active,
-                  "estimate_qps": metrics.estimate_qps(),
-                  "wire": metrics.wire_state()}
         return protocol.ok_payload("metrics", fields, text=text,
-                                   **{**common, **groups})
+                                   samples=samples, uptime=metrics.uptime,
+                                   requests=dict(metrics.requests),
+                                   wire=metrics.wire_state(), **extra)
 
     # -- tenant administration ----------------------------------------------------
 
@@ -374,7 +374,7 @@ class ServingFront:
                                    record=record.to_dict())
 
     _HANDLERS: dict = {"ping": _op_ping, "stats": _op_stats,
-                       "tenant": _op_tenant}
+                       "metrics": _op_metrics, "tenant": _op_tenant}
 
 
 async def serve(front: ServingFront, *, ready=None,

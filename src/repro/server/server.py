@@ -36,6 +36,7 @@ from repro.errors import ServiceError
 from repro.server import protocol
 from repro.server.coalescer import EstimateCoalescer
 from repro.server.front import FrontConfig, ServingFront
+from repro.server.metrics import render, samples
 from repro.service.service import EstimationService
 
 
@@ -168,30 +169,20 @@ class SketchServer(ServingFront):
             "coalesce_factor": coalescer_stats.coalesce_factor,
             "cross_estimator_dispatches": coalescer_stats.cross_dispatches}
 
-    async def _op_metrics(self, fields: dict, scope) -> dict:
+    async def _exposition(self) -> tuple[list, str, dict]:
         # service.stats takes the service lock; read it off the loop (see
         # _describe).  The server-side counters are loop-owned and safe.
         def snapshot():
             service = self._service
-            return (service.stats,
-                    service.program_executor.stats.as_dict(),
-                    sign_table_stats())
+            return (service.stats, service.program_executor.stats,
+                    service.pipeline.stats, sign_table_stats())
 
-        service_stats, executor_stats, sign_tables = (
-            await self._run_blocking(snapshot))
-        text = self.metrics.render_text(
-            service_stats=service_stats,
-            coalescer_stats=self.coalescer.stats,
-            queue_depth=self.coalescer.queue_depth,
-            executor_stats=executor_stats,
-            sign_tables=sign_tables)
-        return self._metrics_reply(
-            fields, text, tenants=self.metrics.tenant_state(),
-            delta={"delta_applies": service_stats.delta_applies,
-                   "rebuilds": service_stats.rebuilds,
-                   "evictions": service_stats.evictions},
-            program=executor_stats,
-            sign_tables=sign_tables)
+        service, program, ingest, xi = await self._run_blocking(snapshot)
+        own = samples(front=self.metrics, server=self,
+                      coalescer=self.coalescer.stats, service=service,
+                      program=program, ingest=ingest, xi=xi)
+        return own, ("# repro sketch server metrics\n"
+                     + render("repro_server_", own)), {}
 
     async def _op_snapshot(self, fields: dict, scope) -> dict:
         service = self._service
@@ -313,7 +304,6 @@ class SketchServer(ServingFront):
         "ingest": _op_ingest,
         "estimate": _op_estimate,
         "flush": _op_flush,
-        "metrics": _op_metrics,
         "snapshot": _op_snapshot,
         "save": _op_snapshot,
         "reload": _op_reload,

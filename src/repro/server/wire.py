@@ -429,7 +429,7 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
                 continue
             except (ConnectionError, OSError):
                 break
-            metrics.record_wire_in(state.in_format, nbytes)
+            metrics.record_wire(state.in_format, "in", nbytes)
             op = request.get("op")
             metrics.record_request(str(op))
             if op == "hello":
@@ -485,7 +485,7 @@ async def _write_replies(metrics, replies: asyncio.Queue,
             try:
                 frame = encode_frame(payload, state.out_format)
                 writer.write(frame)
-                metrics.record_wire_out(state.out_format, len(frame))
+                metrics.record_wire(state.out_format, "out", len(frame))
                 if switch_to is not None:
                     state.out_format = switch_to
                 if replies.empty():

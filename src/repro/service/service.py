@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -86,17 +86,7 @@ class ServiceStats:
         return replace(self)
 
     def as_dict(self) -> dict:
-        return {
-            "ingested_boxes": self.ingested_boxes,
-            "estimates": self.estimates,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "delta_applies": self.delta_applies,
-            "rebuilds": self.rebuilds,
-            "evictions": self.evictions,
-            "batch_estimates": self.batch_estimates,
-            "coalesced_queries": self.coalesced_queries,
-        }
+        return asdict(self)
 
 
 class EstimationService:

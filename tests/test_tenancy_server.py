@@ -410,8 +410,8 @@ class TestClusterTenancy:
                     assert sorted(stats["estimators"]) == [
                         "acme/join", "globex/join"]
                     exposition = admin.metrics()
-                assert ('repro_cluster_tenant_requests_total{tenant="acme"}'
-                        in exposition)
+                assert ('repro_cluster_tenant_requests_total{tenant="acme",'
+                        'op="estimate"} 1' in exposition)
                 # Unauthenticated data-plane access is refused at the edge.
                 with ServiceClient("127.0.0.1", handle.port) as anon:
                     with pytest.raises(AuthenticationError):
