@@ -449,39 +449,6 @@ class SketchBank:
             product *= sums[:, 0]
         return product
 
-    def evaluate_many(self, words: Sequence[Word], boxes: BoxSet
-                      ) -> dict[Word, np.ndarray]:
-        """Batched :meth:`evaluate`: per-instance products for many boxes at once.
-
-        For every requested word the result holds a ``(num_instances,
-        num_boxes)`` matrix whose column ``j`` is bit-identical to
-        ``evaluate(word, boxes[j])``.  The per-``(dimension, letter)`` xi
-        sums — and with them the dyadic covers — are computed once per batch
-        and shared across all words, which is where the batched estimation
-        path gets its speedup: one vectorised kernel per letter instead of
-        one per (query, word, letter) triple.
-        """
-        words = [tuple(word) for word in words]
-        for word in words:
-            if len(word) != self.dimension:
-                raise DimensionalityError("word dimensionality mismatch")
-        self._domain.validate_boxes(boxes, what="query boxes")
-        sums: dict[tuple[int, Letter], np.ndarray] = {}
-        for word in words:
-            for dim, letter in enumerate(word):
-                key = (dim, letter)
-                if key not in sums:
-                    sums[key] = self._letter_sums(
-                        dim, letter, boxes.lows[:, dim], boxes.highs[:, dim]
-                    )
-        products: dict[Word, np.ndarray] = {}
-        for word in words:
-            term = sums[(0, word[0])].copy()
-            for dim in range(1, self.dimension):
-                term *= sums[(dim, word[dim])]
-            products[word] = term
-        return products
-
     def letter_sums(self, dim: int, letter: Letter, lows: np.ndarray,
                     highs: np.ndarray) -> np.ndarray:
         """Vectorised per-instance xi sums for one letter over many intervals.

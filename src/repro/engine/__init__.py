@@ -16,7 +16,6 @@ enumeration.
 from repro.engine.relation import SpatialRelation
 from repro.engine.catalog import Catalog
 from repro.engine.synopses import SynopsisManager
-from repro.engine.service_bridge import ServiceSynopses
 from repro.engine.operators import (
     IndexNestedLoopJoin,
     NestedLoopJoin,
@@ -32,7 +31,6 @@ __all__ = [
     "SpatialRelation",
     "Catalog",
     "SynopsisManager",
-    "ServiceSynopses",
     "NestedLoopJoin",
     "PlaneSweepJoin",
     "IndexNestedLoopJoin",

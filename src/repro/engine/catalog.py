@@ -51,20 +51,3 @@ class Catalog:
 
     def names(self) -> list[str]:
         return sorted(self._relations)
-
-    def service_synopses(self, service=None, *, num_instances: int = 256,
-                         seed: int = 0, max_level: int | None = None,
-                         num_shards: int = 4):
-        """Synopses for this catalog's relations backed by a sketch service.
-
-        The returned :class:`~repro.engine.service_bridge.ServiceSynopses`
-        exposes the same ``estimated_join_cardinality`` interface as
-        :class:`~repro.engine.synopses.SynopsisManager`, but maintains its
-        sketches inside a (possibly shared, possibly remote-restorable)
-        :class:`~repro.service.service.EstimationService`.
-        """
-        from repro.engine.service_bridge import ServiceSynopses
-
-        return ServiceSynopses(self._domain, service=service,
-                               num_instances=num_instances, seed=seed,
-                               max_level=max_level, num_shards=num_shards)

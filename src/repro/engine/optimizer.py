@@ -2,8 +2,9 @@
 
 The optimizer demonstrates the paper's motivation: spatial query plans are
 expensive, and picking a good one requires accurate join-selectivity
-estimates.  It uses the sketch-based estimates provided by the
-:class:`~repro.engine.synopses.SynopsisManager` to
+estimates.  It uses the sketch-based estimates the
+:class:`~repro.engine.synopses.SynopsisManager` serves from its
+:class:`~repro.service.service.EstimationService` to
 
 * choose a physical operator for every binary join (nested loop, plane
   sweep, grid-index nested loop or R-tree join) based on the cost model, and
@@ -76,15 +77,15 @@ class _PairSelectivityCache:
     """Lazily batch-filled cache of ordered-pair join selectivities.
 
     Planning revisits the same relation pairs across candidate orders; the
-    cache probes each *missing* pair group through the synopses' batched
-    ``estimated_join_cardinalities`` API — one median-of-means reduction per
-    ``ensure`` call instead of one scalar estimate per lookup — while never
-    touching pairs the caller does not ask about (the greedy path for large
-    queries inspects only a fraction of all orientations).  Synopsis
-    providers without a batch API fall back to per-pair probes.
+    cache probes each *missing* pair group through
+    :meth:`SynopsisManager.estimated_join_cardinalities` — one
+    median-of-means reduction per ``ensure`` call instead of one scalar
+    estimate per lookup — while never touching pairs the caller does not
+    ask about (the greedy path for large queries inspects only a fraction
+    of all orientations).
     """
 
-    def __init__(self, synopses) -> None:
+    def __init__(self, synopses: SynopsisManager) -> None:
         self._synopses = synopses
         self.values: dict[tuple[str, str], float] = {}
 
@@ -99,15 +100,7 @@ class _PairSelectivityCache:
                 seen.add(key)
         if not missing:
             return
-        batch_probe = getattr(self._synopses, "estimated_join_cardinalities", None)
-        if batch_probe is not None:
-            cardinalities = batch_probe(missing)
-        else:
-            cardinalities = [
-                self._synopses.estimated_join_cardinality(left, right)
-                if len(left) and len(right) else 0.0
-                for left, right in missing
-            ]
+        cardinalities = self._synopses.estimated_join_cardinalities(missing)
         for (left, right), cardinality in zip(missing, cardinalities):
             self.values[(left.name, right.name)] = _clamped_selectivity(
                 cardinality, left, right)

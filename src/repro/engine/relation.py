@@ -14,8 +14,9 @@ class SpatialRelation:
 
     The relation stores its objects in NumPy arrays and supports appending
     and deleting batches; every mutation is also reported to the listeners
-    registered by the :class:`~repro.engine.synopses.SynopsisManager`, so
-    synopses stay consistent with the data without rescanning it.
+    the :class:`~repro.engine.synopses.SynopsisManager` registers (one per
+    service estimator or histogram), so synopses stay consistent with the
+    data without rescanning it.
     """
 
     def __init__(self, name: str, domain: Domain, *, boxes: BoxSet | None = None) -> None:
@@ -59,8 +60,13 @@ class SpatialRelation:
     # -- listeners (synopsis maintenance) ----------------------------------------------
 
     def add_listener(self, listener) -> None:
-        """Register an object with ``on_insert(relation, boxes)`` / ``on_delete``."""
-        self._listeners.append(listener)
+        """Register an object with ``on_insert(relation, boxes)`` / ``on_delete``.
+
+        A listener equal to one already registered is skipped, so two
+        synopsis managers sharing one service feed its estimators once.
+        """
+        if listener not in self._listeners:
+            self._listeners.append(listener)
 
     def remove_listener(self, listener) -> None:
         self._listeners.remove(listener)

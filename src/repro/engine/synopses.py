@@ -1,167 +1,196 @@
-"""Per-relation-pair synopses maintained under inserts and deletes.
+"""Per-relation synopses maintained under inserts and deletes.
 
 The :class:`SynopsisManager` is the glue between the engine and the
 estimation techniques of :mod:`repro.core` / :mod:`repro.histograms`:
 
-* ``join_sketch(left, right)`` lazily creates a
-  :class:`~repro.core.join_hyperrect.SpatialJoinEstimator` for a relation
-  pair, back-fills it with the relations' current contents and from then on
-  keeps it up to date by listening to relation mutations.
-* ``range_sketch(relation)`` does the same with a
-  :class:`~repro.core.range_query.RangeQueryEstimator`.
+* ``join_sketch(left, right)`` lazily registers a ``hyperrect``
+  (:class:`~repro.core.join_hyperrect.SpatialJoinEstimator`) estimator for a
+  relation pair, back-fills it with the relations' current contents and from
+  then on keeps it up to date by listening to relation mutations.
+* ``range_sketch(relation)`` does the same with a ``range``
+  (:class:`~repro.core.range_query.RangeQueryEstimator`) estimator.
 * ``histogram(relation, kind, level)`` maintains a GH or EH baseline.
 
-Estimated selectivities are what the optimizer consumes.
+The sketches live in an :class:`~repro.service.service.EstimationService`
+(a private one unless one is passed in): compact linear summaries kept next
+to the data and combined at query time, so relation mutations flow through
+the service's batched, sharded ingestion path and a batch of pair probes is
+one :meth:`~repro.service.service.EstimationService.estimate_multi` call.
+Histograms are baselines, not sketches, and stay in-process.  Estimated
+selectivities are what the optimizer consumes.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from dataclasses import dataclass
+from typing import Any, Literal, Sequence
 
-
-from repro.core.boosting import split_instances
 from repro.core.domain import Domain
 from repro.core.hashing import stable_seed_offset
-from repro.core.join_hyperrect import SpatialJoinEstimator
-from repro.core.range_query import RangeQueryEstimator
 from repro.engine.relation import SpatialRelation
 from repro.errors import EngineError
 from repro.geometry.boxset import BoxSet
+from repro.geometry.rectangle import Rect
 from repro.histograms.euler import EulerHistogram
 from repro.histograms.geometric import GeometricHistogram
+from repro.service.service import EstimationService
 
 
-def pair_seed_offset(names: tuple[str, ...]) -> int:
-    """Deterministic per-name-tuple seed offset (see :func:`stable_seed_offset`).
+@dataclass(frozen=True)
+class _ServiceListener:
+    """Routes relation mutations into one service estimator.
 
-    Kept as an engine-level alias of the reusable
-    :func:`repro.core.hashing.stable_seed_offset` helper, which is where the
-    process-independent hashing now lives.
+    ``sides`` maps each watched relation's name to the estimator side it
+    feeds.  Listeners compare by value, so a second manager on the same
+    service attaching the same listener is a no-op
+    (:meth:`SpatialRelation.add_listener` skips an equal one) instead of a
+    second copy of every update.
     """
-    return stable_seed_offset(names)
 
+    service: Any
+    name: str
+    sides: tuple[tuple[str, str], ...]
 
-class _JoinSketchListener:
-    """Routes relation mutations into the left/right side of a join sketch."""
-
-    def __init__(self, estimator: SpatialJoinEstimator, left: SpatialRelation,
-                 right: SpatialRelation) -> None:
-        self._estimator = estimator
-        self._left = left
-        self._right = right
+    def _ingest(self, relation: SpatialRelation, boxes: BoxSet, kind: str) -> None:
+        self.service.ingest(self.name, boxes, side=dict(self.sides)[relation.name],
+                            kind=kind)
 
     def on_insert(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        if relation is self._left:
-            self._estimator.insert_left(boxes)
-        if relation is self._right:
-            self._estimator.insert_right(boxes)
+        self._ingest(relation, boxes, "insert")
 
     def on_delete(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        if relation is self._left:
-            self._estimator.delete_left(boxes)
-        if relation is self._right:
-            self._estimator.delete_right(boxes)
+        self._ingest(relation, boxes, "delete")
 
 
-class _SingleRelationListener:
-    """Routes relation mutations into a single-input synopsis."""
+@dataclass(frozen=True)
+class _HistogramListener:
+    """Keeps an in-process GH / EH summary in step with its one relation."""
 
-    def __init__(self, synopsis, relation: SpatialRelation) -> None:
-        self._synopsis = synopsis
-        self._relation = relation
+    summary: Any
 
     def on_insert(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        if relation is self._relation:
-            self._synopsis.insert(boxes)
+        self.summary.insert(boxes)
 
     def on_delete(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        if relation is self._relation:
-            self._synopsis.delete(boxes)
+        self.summary.delete(boxes)
 
 
 class SynopsisManager:
-    """Creates and maintains synopses for relations of one catalog/domain."""
+    """Creates and maintains synopses for relations of one catalog/domain.
 
-    def __init__(self, domain: Domain, *, num_instances: int = 256, seed: int = 0,
+    Parameters
+    ----------
+    domain:
+        The engine's data space (level-restricted via ``max_level``).
+    service:
+        The :class:`~repro.service.service.EstimationService` holding the
+        sketches; a private one with default settings when omitted.  A
+        shared or snapshot-restored service may already hold a pair's
+        estimator: it is adopted as-is (no back-fill), only the listeners
+        are attached.
+    num_instances, seed:
+        Sketch sizing.  A sketch over relations ``names`` is seeded
+        ``seed + stable_seed_offset(names)`` — process-independent, so
+        snapshots stay merge-compatible with sketches built elsewhere.
+    """
+
+    def __init__(self, domain: Domain, *, service: EstimationService | None = None,
+                 num_instances: int = 256, seed: int = 0,
                  max_level: int | None = None) -> None:
         self._domain = domain if max_level is None else domain.with_max_level(max_level)
+        self._service = EstimationService() if service is None else service
         self._num_instances = int(num_instances)
         self._seed = int(seed)
-        self._join_sketches: dict[tuple[str, str], SpatialJoinEstimator] = {}
-        self._range_sketches: dict[str, RangeQueryEstimator] = {}
         self._histograms: dict[tuple[str, str, int], object] = {}
+
+    @classmethod
+    def from_snapshot(cls, path, domain: Domain, *, num_instances: int = 256,
+                      seed: int = 0, max_level: int | None = None,
+                      **service_kwargs) -> "SynopsisManager":
+        """Boot synopses from a (binary v2) service snapshot file.
+
+        Snapshots restore by memory-mapping the counter tensors, so a warm
+        optimizer comes up in milliseconds.  Estimators in the snapshot are
+        adopted; pairs first probed after the restore are registered fresh
+        with the same deterministic seeds the snapshotting process used.
+        """
+        return cls(domain, service=EstimationService.load(path, **service_kwargs),
+                   num_instances=num_instances, seed=seed, max_level=max_level)
+
+    @property
+    def service(self) -> EstimationService:
+        return self._service
+
+    def _sketch_name(self, prefix: str, family: str,
+                     relations: Sequence[SpatialRelation], sides: Sequence[str]) -> str:
+        """Register (or adopt) the estimator over ``relations`` and watch them."""
+        key = tuple(relation.name for relation in relations)
+        name = "::".join((prefix,) + key)
+        if name not in self._service:
+            self._service.register(name, family=family, domain=self._domain,
+                                   num_instances=self._num_instances,
+                                   seed=self._seed + stable_seed_offset(key))
+            for relation, side in zip(relations, sides):
+                if len(relation):
+                    self._service.ingest(name, relation.boxes(), side=side)
+        listener = _ServiceListener(self._service, name, tuple(zip(key, sides)))
+        for relation in relations:
+            relation.add_listener(listener)
+        return name
 
     # -- join sketches -----------------------------------------------------------------
 
-    def join_sketch(self, left: SpatialRelation, right: SpatialRelation
-                    ) -> SpatialJoinEstimator:
-        """The (lazily created) join sketch for an ordered relation pair."""
+    def join_sketch_name(self, left: SpatialRelation, right: SpatialRelation) -> str:
+        """Service estimator name for an ordered relation pair (lazily created)."""
         if left.name == right.name:
             raise EngineError("a join sketch needs two distinct relations")
-        key = (left.name, right.name)
-        if key not in self._join_sketches:
-            pair_seed = self._seed + pair_seed_offset(key)
-            estimator = SpatialJoinEstimator(self._domain, self._num_instances,
-                                             seed=pair_seed)
-            if len(left):
-                estimator.insert_left(left.boxes())
-            if len(right):
-                estimator.insert_right(right.boxes())
-            listener = _JoinSketchListener(estimator, left, right)
-            left.add_listener(listener)
-            right.add_listener(listener)
-            self._join_sketches[key] = estimator
-        return self._join_sketches[key]
+        return self._sketch_name("join", "hyperrect", (left, right), ("left", "right"))
+
+    def join_sketch(self, left: SpatialRelation, right: SpatialRelation):
+        """The merged (all-shard) estimator for a pair — a read-only view."""
+        return self._service.merged_view(self.join_sketch_name(left, right))
 
     def estimated_join_cardinality(self, left: SpatialRelation,
                                    right: SpatialRelation) -> float:
-        """Convenience wrapper around ``join_sketch(...).estimate()``."""
-        if len(left) == 0 or len(right) == 0:
-            return 0.0
-        return max(0.0, self.join_sketch(left, right).estimate().estimate)
+        """The interface the optimizer consumes (0 for an empty side)."""
+        return self.estimated_join_cardinalities([(left, right)])[0]
 
     def estimated_join_cardinalities(
             self, pairs: Sequence[tuple[SpatialRelation, SpatialRelation]]
     ) -> list[float]:
-        """Batched join-cardinality probe for many relation pairs at once.
+        """Batched probe across many relation pairs (one executor dispatch).
 
-        Every live pair sketch *lowers* to one
-        :class:`~repro.core.program.SketchProgram` and the whole probe runs
-        as a single :class:`~repro.core.program.ProgramExecutor` batch: the
-        executor stacks the per-instance Z vectors and boosts them with one
-        :func:`~repro.core.boosting.median_of_means_batch` reduction — this
-        is what lets the optimizer cost a plan space with one batched probe
-        instead of O(pairs) scalar estimate calls.  Results are
-        bit-identical to per-pair :meth:`estimated_join_cardinality` calls.
+        Every live pair is one request of a single
+        :meth:`~repro.service.service.EstimationService.estimate_multi` call,
+        which boosts each ``(instances, plan)`` group with one
+        :func:`~repro.core.boosting.median_of_means_batch` reduction — so
+        adopted names with other instance counts mix freely.  Pairs with an
+        empty side report 0 without probing.
         """
-        from repro.core.program import default_executor
-
         results: list[float] = [0.0] * len(pairs)
-        live: list[int] = [
-            index for index, (left, right) in enumerate(pairs)
-            if len(left) and len(right)
-        ]
-        if not live:
-            return results
-        plan = split_instances(self._num_instances)
-        programs = [self.join_sketch(*pairs[index]).lower(plan=plan)
-                    for index in live]
-        outcomes = default_executor().run(programs)
-        for position, index in enumerate(live):
-            results[index] = max(0.0, outcomes[position].estimate)
+        live = [index for index, (left, right) in enumerate(pairs)
+                if len(left) and len(right)]
+        outcomes = self._service.estimate_multi(
+            [(self.join_sketch_name(*pairs[index]), None) for index in live])
+        for index, outcome in zip(live, outcomes):
+            results[index] = max(0.0, outcome.estimate)
         return results
 
     # -- range sketches ------------------------------------------------------------------
 
-    def range_sketch(self, relation: SpatialRelation) -> RangeQueryEstimator:
-        if relation.name not in self._range_sketches:
-            estimator = RangeQueryEstimator(self._domain, self._num_instances,
-                                            seed=self._seed + len(self._range_sketches))
-            if len(relation):
-                estimator.insert(relation.boxes())
-            relation.add_listener(_SingleRelationListener(estimator, relation))
-            self._range_sketches[relation.name] = estimator
-        return self._range_sketches[relation.name]
+    def range_sketch_name(self, relation: SpatialRelation) -> str:
+        return self._sketch_name("range", "range", (relation,), ("data",))
+
+    def range_sketch(self, relation: SpatialRelation):
+        """The merged range estimator of a relation — a read-only view."""
+        return self._service.merged_view(self.range_sketch_name(relation))
+
+    def estimated_range_cardinality(self, relation: SpatialRelation,
+                                    query: Rect | BoxSet) -> float:
+        if len(relation) == 0:
+            return 0.0
+        name = self.range_sketch_name(relation)
+        return max(0.0, self._service.estimate(name, query).estimate)
 
     # -- histogram baselines -----------------------------------------------------------------
 
@@ -179,6 +208,6 @@ class SynopsisManager:
                 raise EngineError(f"unknown histogram kind {kind!r}")
             if len(relation):
                 summary.insert(relation.boxes())
-            relation.add_listener(_SingleRelationListener(summary, relation))
+            relation.add_listener(_HistogramListener(summary))
             self._histograms[key] = summary
         return self._histograms[key]

@@ -214,8 +214,7 @@ class SketchServer(ServingFront):
 
     async def _op_wal(self, fields: dict, scope) -> dict:
         from repro.wal.reader import records_from_tail_bytes, wal_records_since
-        from repro.wal.recovery import apply_wal_record
-        from repro.wal.framing import decode_payload
+        from repro.wal.recovery import replay_records
 
         service = self._service
         wal = service.wal
@@ -241,18 +240,8 @@ class SketchServer(ServingFront):
             # the normal ingest path (so it lands in this server's own WAL
             # when one is attached).
             raw = protocol.payload_bytes(fields["apply"])
-
-            def apply() -> tuple[int, int, int]:
-                records = records_from_tail_bytes(raw)
-                boxes = 0
-                for _seqno, payload in records:
-                    boxes += apply_wal_record(service, decode_payload(payload))
-                if records:
-                    service.flush()
-                return (len(records), boxes,
-                        records[-1][0] if records else 0)
-
-            count, boxes, last = await self._run_blocking(apply)
+            count, boxes, last = await self._run_blocking(
+                lambda: replay_records(service, records_from_tail_bytes(raw)))
             return protocol.ok_payload("wal", fields, applied_records=count,
                                        applied_boxes=boxes,
                                        source_last_seqno=last)

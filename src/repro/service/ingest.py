@@ -66,17 +66,14 @@ class IngestPipeline:
     ----------
     store:
         The sharded store receiving the flushed deltas.
-    flush_threshold:
-        Submitting beyond this many buffered boxes triggers an automatic
-        flush (``None`` disables auto-flushing).
+
+    The pipeline never flushes on its own: crossing a threshold is the
+    owning :class:`~repro.service.service.EstimationService`'s decision,
+    taken under its lock.
     """
 
-    def __init__(self, store: ShardedSketchStore, *,
-                 flush_threshold: int | None = 8192) -> None:
-        if flush_threshold is not None and flush_threshold < 1:
-            raise ServiceError("flush_threshold must be positive (or None)")
+    def __init__(self, store: ShardedSketchStore) -> None:
         self._store = store
-        self._threshold = flush_threshold
         # deltas[shard][(name, side, kind)] -> list[BoxSet]
         self._deltas: list[dict[tuple[str, str, str], list[BoxSet]]] = [
             {} for _ in range(store.num_shards)
@@ -125,7 +122,6 @@ class IngestPipeline:
                     self._deltas[shard_index].setdefault(key, []).append(part)
             self._pending += len(boxes)
             self._stats.submitted_boxes += len(boxes)
-            pending = self._pending
             if name not in self._stats.names:
                 # The name's first box pays for its xi tables here, before
                 # the ack, not inside whichever flush crosses the
@@ -136,8 +132,6 @@ class IngestPipeline:
                 # trading the GIL with it.
                 self._stats.names.add(name)
                 self._store.prepay_tables(name)
-        if self._threshold is not None and pending >= self._threshold:
-            self.flush(auto=True)
         return self._pending
 
     def discard(self, name: str) -> int:

@@ -120,7 +120,7 @@ class EstimationService:
         # Auto-flushing is handled here (under the service lock) rather than
         # inside the pipeline, so that every shard mutation is serialised
         # against merged-view construction.
-        self._pipeline = IngestPipeline(self._store, flush_threshold=None)
+        self._pipeline = IngestPipeline(self._store)
         self._flush_threshold = flush_threshold
         self._cache_size = int(cache_size)
         self._delta_propagation = bool(delta_propagation)

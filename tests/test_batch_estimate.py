@@ -1,8 +1,8 @@
 """Tests for the batched estimation engine.
 
 Covers the vectorised kernels layer by layer: batched median-of-means
-boosting, batched query-side sketch evaluation, ``estimate_batch`` on the
-estimator families, the service front-end (``estimate_batch`` and
+boosting, ``estimate_batch`` on the estimator families, the service
+front-end (``estimate_batch`` and
 ``estimate_multi``, one path on the service's executor), the optimizer's
 batched cardinality probes and the CLI's JSON-lines batch mode.  The
 recurring claim is *bit-identity*: the batch path must return exactly what
@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.atomic import Letter, all_words
 from repro.core.boosting import (
     BoostingPlan,
     median_of_means,
@@ -64,30 +63,6 @@ class TestMedianOfMeansBatch:
         with pytest.raises(SketchConfigError):
             median_of_means_batch(np.zeros((3, 4)),
                                   BoostingPlan(group_size=5, num_groups=1))
-
-
-class TestEvaluateMany:
-    def test_columns_match_scalar_evaluate(self, rng, domain_2d):
-        from repro.core.atomic import SketchBank
-
-        words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], 2)
-        bank = SketchBank(domain_2d, words, 8, seed=3)
-        boxes = random_boxes(rng, 25, 256, 2)
-        products = bank.evaluate_many(words, boxes)
-        for word in words:
-            assert products[word].shape == (8, 25)
-            for j in range(25):
-                assert np.array_equal(products[word][:, j],
-                                      bank.evaluate(word, boxes[j]))
-
-    def test_empty_batch(self, domain_2d):
-        from repro.core.atomic import SketchBank
-
-        words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], 2)
-        bank = SketchBank(domain_2d, words, 4, seed=1)
-        empty = random_boxes(np.random.default_rng(0), 3, 256, 2)[0:0]
-        products = bank.evaluate_many(words, empty)
-        assert all(matrix.shape == (4, 0) for matrix in products.values())
 
 
 class TestRangeEstimateBatch:
@@ -271,8 +246,11 @@ class TestOptimizerBatchedProbes:
                 assert value == 0.0
 
     def test_service_synopses_batch_matches_scalar(self, rng, domain_2d):
+        from repro.engine.synopses import SynopsisManager
+
         catalog = self._catalog(rng, domain_2d)
-        synopses = catalog.service_synopses(num_instances=16, seed=1)
+        synopses = SynopsisManager(domain_2d, service=EstimationService(num_shards=2),
+                                   num_instances=16, seed=1)
         relations = [catalog.get(name) for name in ("R", "S", "T")]
         pairs = [(a, b) for a in relations for b in relations if a.name != b.name]
         batch = synopses.estimated_join_cardinalities(pairs)
@@ -301,28 +279,6 @@ class TestOptimizerBatchedProbes:
                      for a in ("R", "S", "T") for b in ("R", "S", "T") if a != b)
         assert selectivities == cache.values
         assert plan.estimated_cost > 0
-
-    def test_fallback_without_batch_api(self, rng, domain_2d):
-        from repro.engine.optimizer import Optimizer
-        from repro.engine.query import JoinQuery
-        from repro.engine.synopses import SynopsisManager
-
-        catalog = self._catalog(rng, domain_2d)
-
-        class ScalarOnly:
-            def __init__(self, inner):
-                self._inner = inner
-
-            def estimated_join_cardinality(self, left, right):
-                return self._inner.estimated_join_cardinality(left, right)
-
-        synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
-        batched = Optimizer(catalog, synopses).plan_join(
-            JoinQuery(relations=("R", "S", "T")))
-        scalar = Optimizer(catalog, ScalarOnly(synopses)).plan_join(
-            JoinQuery(relations=("R", "S", "T")))
-        assert batched.order == scalar.order
-        assert batched.estimated_cost == scalar.estimated_cost
 
 
 class TestCliBatchFile:

@@ -158,11 +158,6 @@ class TestStableSeedHashing:
         with pytest.raises(SketchConfigError):
             stable_seed_offset(("a",), modulus=0)
 
-    def test_engine_alias_delegates(self):
-        from repro.engine.synopses import pair_seed_offset
-
-        assert pair_seed_offset(("R", "S")) == stable_seed_offset(("R", "S"))
-
     def test_cross_process_stability(self):
         """The offset must not depend on per-process hash randomisation.
 

@@ -157,13 +157,12 @@ class TestOperators:
 class TestSynopsisManager:
     def test_join_sketch_tracks_mutations(self, engine_setup, rng):
         domain, catalog, synopses, (roads, lakes, _) = engine_setup
-        sketch = synopses.join_sketch(roads, lakes)
-        assert sketch.left_count == len(roads)
+        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
         extra = random_boxes(rng, 20, 512, 2)
         roads.insert(extra)
-        assert sketch.left_count == len(roads)
+        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
         roads.delete(extra)
-        assert sketch.left_count == len(roads)
+        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
 
     def test_join_sketch_estimate_is_plausible(self, engine_setup):
         _, catalog, synopses, (roads, lakes, _) = engine_setup
@@ -180,10 +179,9 @@ class TestSynopsisManager:
 
     def test_range_sketch_tracks_relation(self, engine_setup, rng):
         _, _, synopses, (roads, _, _) = engine_setup
-        sketch = synopses.range_sketch(roads)
-        before = sketch.count
+        before = synopses.range_sketch(roads).count
         roads.insert(random_boxes(rng, 10, 512, 2))
-        assert sketch.count == before + 10
+        assert synopses.range_sketch(roads).count == before + 10
 
     def test_histogram_synopsis(self, engine_setup, rng):
         _, _, synopses, (roads, lakes, _) = engine_setup

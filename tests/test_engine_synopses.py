@@ -1,9 +1,11 @@
-"""Tests for sourcing engine synopses from a running sketch service."""
+"""Tests for the engine's service-backed synopses."""
 
 import pytest
 
+from repro.core.hashing import stable_seed_offset
+from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.data import synthetic
-from repro.engine import Catalog, Optimizer, ServiceSynopses, SynopsisManager
+from repro.engine import Catalog, Optimizer, SynopsisManager
 from repro.engine.cost import CostModel
 from repro.engine.query import JoinQuery
 from repro.errors import EngineError
@@ -20,18 +22,28 @@ def catalog(rng, domain_2d):
     return catalog
 
 
-class TestServiceSynopses:
-    def test_matches_classic_synopsis_manager(self, catalog, domain_2d):
-        """Sharded, service-backed estimates equal the in-process ones."""
-        classic = SynopsisManager(domain_2d, num_instances=64, seed=9)
-        bridged = ServiceSynopses(domain_2d, num_instances=64, seed=9,
-                                  num_shards=4)
-        left, right = catalog.get("R"), catalog.get("S")
-        assert (bridged.estimated_join_cardinality(left, right)
-                == classic.estimated_join_cardinality(left, right))
+class TestSynopsisManagerService:
+    def test_matches_a_direct_join_estimator(self, rng, catalog, domain_2d):
+        """Sharded, service-backed estimates equal one in-process estimator
+        per pair fed the same inserts and deletes."""
+        synopses = SynopsisManager(domain_2d, num_instances=64, seed=9)
+        pairs = [(catalog.get("R"), catalog.get("S")),
+                 (catalog.get("S"), catalog.get("T"))]
+        synopses.estimated_join_cardinalities(pairs)
+        extra = synthetic.generate_rectangles(30, domain_2d, rng=rng)
+        catalog.get("S").insert(extra)
+        catalog.get("S").delete(extra[:10])
+        for left, right in pairs:
+            direct = SpatialJoinEstimator(
+                domain_2d, 64, seed=9 + stable_seed_offset((left.name, right.name)))
+            direct.insert_left(left.boxes())
+            direct.insert_right(right.boxes())
+            expected = max(0.0, direct.estimate().estimate)
+            assert synopses.estimated_join_cardinality(left, right) == expected
+            assert synopses.estimated_join_cardinalities([(left, right)]) == [expected]
 
     def test_mutations_flow_through_service(self, rng, catalog, domain_2d):
-        synopses = ServiceSynopses(domain_2d, num_instances=32, seed=2)
+        synopses = SynopsisManager(domain_2d, num_instances=32, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
         view = synopses.join_sketch(left, right)
         assert view.left_count == 120
@@ -42,7 +54,7 @@ class TestServiceSynopses:
         assert synopses.join_sketch(left, right).left_count == 120
 
     def test_optimizer_runs_on_service_synopses(self, catalog, domain_2d):
-        synopses = ServiceSynopses(domain_2d, num_instances=32, seed=1)
+        synopses = SynopsisManager(domain_2d, num_instances=32, seed=1)
         optimizer = Optimizer(catalog, synopses, CostModel())
         plan = optimizer.plan_join(JoinQuery(("R", "S", "T")))
         assert set(plan.order) == {"R", "S", "T"}
@@ -50,17 +62,17 @@ class TestServiceSynopses:
 
     def test_empty_relation_short_circuits(self, catalog, domain_2d):
         catalog.create("empty")
-        synopses = ServiceSynopses(domain_2d, num_instances=16, seed=1)
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
         assert synopses.estimated_join_cardinality(catalog.get("empty"),
                                                    catalog.get("R")) == 0.0
 
     def test_self_join_rejected(self, catalog, domain_2d):
-        synopses = ServiceSynopses(domain_2d, num_instances=16, seed=1)
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
         with pytest.raises(EngineError):
             synopses.join_sketch_name(catalog.get("R"), catalog.get("R"))
 
     def test_range_sketch_maintained(self, rng, catalog, domain_2d):
-        synopses = ServiceSynopses(domain_2d, num_instances=32, seed=3)
+        synopses = SynopsisManager(domain_2d, num_instances=32, seed=3)
         relation = catalog.get("R")
         query = Rect.from_bounds((0, 0), (255, 255))
         estimate = synopses.estimated_range_cardinality(relation, query)
@@ -71,18 +83,35 @@ class TestServiceSynopses:
     def test_shared_external_service(self, catalog, domain_2d):
         """Several catalogs' synopses can live inside one service process."""
         service = EstimationService(num_shards=2)
-        synopses = catalog.service_synopses(service, num_instances=16, seed=4)
+        synopses = SynopsisManager(domain_2d, service=service, num_instances=16,
+                                   seed=4)
         synopses.estimated_join_cardinality(catalog.get("R"), catalog.get("S"))
         assert any(name.startswith("join::R::S") for name in service.names())
         assert synopses.service is service
 
+    def test_managers_sharing_a_service_count_each_mutation_once(
+            self, rng, catalog, domain_2d):
+        """Two managers probing the same pair on one service attach one
+        listener between them, so the shared sketch sees each box once."""
+        service = EstimationService(num_shards=2)
+        first, second = (SynopsisManager(domain_2d, service=service,
+                                         num_instances=16, seed=4)
+                         for _ in range(2))
+        left, right = catalog.get("R"), catalog.get("S")
+        first.estimated_join_cardinality(left, right)
+        second.estimated_join_cardinality(left, right)
+        left.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
+        assert len(left) == 130
+        assert first.join_sketch(left, right).left_count == 130
+        assert second.join_sketch(left, right).left_count == 130
+
     def test_adopts_estimators_of_a_restored_service(self, catalog, domain_2d):
         """A snapshot-restored service must be usable by fresh synopses."""
-        synopses = ServiceSynopses(domain_2d, num_instances=16, seed=2)
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
         expected = synopses.estimated_join_cardinality(left, right)
         restored = EstimationService.restore(synopses.service.snapshot())
-        resumed = ServiceSynopses(domain_2d, service=restored,
+        resumed = SynopsisManager(domain_2d, service=restored,
                                   num_instances=16, seed=2)
         assert resumed.estimated_join_cardinality(left, right) == expected
         # ... and the adopted estimator keeps tracking relation mutations.
@@ -91,20 +120,24 @@ class TestServiceSynopses:
     def test_from_snapshot_boots_from_a_binary_checkpoint(self, catalog,
                                                           domain_2d, tmp_path):
         """Optimizer synopses come back from a v2 snapshot file directly."""
-        synopses = ServiceSynopses(domain_2d, num_instances=16, seed=2)
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
         expected = synopses.estimated_join_cardinality(left, right)
         path = tmp_path / "synopses.snap"
         synopses.service.save(path)  # auto -> binary v2
-        resumed = ServiceSynopses.from_snapshot(path, domain_2d,
+        resumed = SynopsisManager.from_snapshot(path, domain_2d,
                                                 num_instances=16, seed=2)
         assert resumed.estimated_join_cardinality(left, right) == expected
 
-    def test_pair_seed_offset_is_process_independent(self):
-        """Sketch seeds must not depend on PYTHONHASHSEED (snapshots outlive
-        the process, and the seed decides merge compatibility)."""
-        from repro.engine.synopses import pair_seed_offset
-        import zlib
-
-        assert pair_seed_offset(("R", "S")) == zlib.crc32(b"R::S") % 100_000
-        assert pair_seed_offset(("R", "S")) != pair_seed_offset(("S", "R"))
+    def test_sketch_seeds_are_process_independent(self, catalog, domain_2d):
+        """Sketch seeds must not depend on PYTHONHASHSEED or on creation order
+        (snapshots outlive the process, and the seed decides merge
+        compatibility)."""
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=5)
+        left, right = catalog.get("R"), catalog.get("S")
+        service = synopses.service
+        assert (service.spec(synopses.range_sketch_name(right)).seed
+                == 5 + stable_seed_offset(("S",)))
+        assert (service.spec(synopses.join_sketch_name(left, right)).seed
+                == 5 + stable_seed_offset(("R", "S")))
+        assert stable_seed_offset(("R", "S")) != stable_seed_offset(("S", "R"))

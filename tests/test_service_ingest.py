@@ -22,7 +22,7 @@ def _store(num_shards=4, **spec_kwargs):
 class TestBuffering:
     def test_submit_does_not_touch_shards(self, rng):
         store = _store()
-        pipeline = IngestPipeline(store, flush_threshold=None)
+        pipeline = IngestPipeline(store)
         pipeline.submit("est", random_boxes(rng, 50, 256, 2))
         assert pipeline.pending == 50
         for estimator in store.shard_estimators("est"):
@@ -31,7 +31,7 @@ class TestBuffering:
 
     def test_flush_applies_and_clears(self, rng):
         store = _store()
-        pipeline = IngestPipeline(store, flush_threshold=None)
+        pipeline = IngestPipeline(store)
         pipeline.submit("est", random_boxes(rng, 50, 256, 2))
         report = pipeline.flush()
         assert report.boxes == 50
@@ -41,29 +41,18 @@ class TestBuffering:
         assert not pipeline.flush()  # nothing left
 
     def test_empty_batches_ignored(self):
-        pipeline = IngestPipeline(_store(), flush_threshold=None)
+        pipeline = IngestPipeline(_store())
         pipeline.submit("est", BoxSet.empty(2))
         assert pipeline.pending == 0
 
-    def test_auto_flush_threshold(self, rng):
-        store = _store()
-        pipeline = IngestPipeline(store, flush_threshold=64)
-        pipeline.submit("est", random_boxes(rng, 63, 256, 2))
-        assert pipeline.pending == 63
-        pipeline.submit("est", random_boxes(rng, 1, 256, 2))
-        assert pipeline.pending == 0
-        assert pipeline.stats.auto_flushes == 1
-
     def test_bad_inputs_rejected(self, rng):
-        pipeline = IngestPipeline(_store(), flush_threshold=None)
+        pipeline = IngestPipeline(_store())
         with pytest.raises(ServiceError):
             pipeline.submit("nope", random_boxes(rng, 3, 256, 2))
         with pytest.raises(ServiceError):
             pipeline.submit("est", random_boxes(rng, 3, 256, 2), kind="upsert")
         with pytest.raises(ServiceError):
             pipeline.submit("est", random_boxes(rng, 3, 256, 2), side="top")
-        with pytest.raises(ServiceError):
-            IngestPipeline(_store(), flush_threshold=0)
 
 
 class TestExactness:
@@ -77,7 +66,7 @@ class TestExactness:
         """Regrouping inserts/deletes inside a flush must be lossless."""
         store = _store()
         spec = store.spec("est")
-        pipeline = IngestPipeline(store, flush_threshold=None)
+        pipeline = IngestPipeline(store)
         batches = []
         for index in range(6):
             boxes = random_boxes(rng, 40, 256, 2)
@@ -106,7 +95,7 @@ class TestExactness:
         per-shard parts directly, last shard first."""
         batches = [random_boxes(rng, 80, 256, 2) for _ in range(5)]
         flushed = _store()
-        pipeline = IngestPipeline(flushed, flush_threshold=None)
+        pipeline = IngestPipeline(flushed)
         for boxes in batches:
             pipeline.submit("est", boxes)
         report = pipeline.flush()
@@ -132,7 +121,7 @@ class TestExactness:
         store = ShardedSketchStore(2)
         for name in ("a", "b"):
             store.register(name, EstimatorSpec.create("range", (256,), 8, seed=3))
-        pipeline = IngestPipeline(store, flush_threshold=None)
+        pipeline = IngestPipeline(store)
         pipeline.submit("a", random_boxes(rng, 30, 256, 1), side="data")
         pipeline.submit("b", random_boxes(rng, 20, 256, 1), side="data")
         report = pipeline.flush()
