@@ -75,6 +75,25 @@ class TestRelation:
         relation.delete(data[:2])
         assert events == [("insert", 4), ("delete", 2)]
 
+    def test_equal_listener_registered_once(self, rng, domain_2d):
+        events = []
+
+        class Recorder:
+            def __eq__(self, other):
+                return isinstance(other, Recorder)
+
+            def on_insert(self, relation, boxes):
+                events.append(len(boxes))
+
+            def on_delete(self, relation, boxes):
+                pass
+
+        relation = SpatialRelation("items", domain_2d)
+        relation.add_listener(Recorder())
+        relation.add_listener(Recorder())
+        relation.insert(random_boxes(rng, 3, 256, 2))
+        assert events == [3]
+
     def test_out_of_domain_insert_rejected(self, domain_2d):
         relation = SpatialRelation("items", domain_2d)
         with pytest.raises(Exception):

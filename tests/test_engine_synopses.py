@@ -80,6 +80,30 @@ class TestSynopsisManagerService:
         relation.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
         assert synopses.range_sketch(relation).count == 130
 
+    def test_sketch_views_are_snapshots(self, rng, catalog, domain_2d):
+        """A view handed out before a mutation keeps its counts."""
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
+        left, right = catalog.get("R"), catalog.get("S")
+        join_view = synopses.join_sketch(left, right)
+        range_view = synopses.range_sketch(left)
+        left.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
+        assert (join_view.left_count, range_view.count) == (120, 120)
+        assert synopses.join_sketch(left, right).left_count == 130
+        assert synopses.range_sketch(left).count == 130
+
+    def test_adopts_range_sketch_of_a_restored_service(self, rng, catalog,
+                                                       domain_2d):
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
+        relation = catalog.get("R")
+        query = Rect.from_bounds((0, 0), (255, 255))
+        expected = synopses.estimated_range_cardinality(relation, query)
+        restored = EstimationService.restore(synopses.service.snapshot())
+        resumed = SynopsisManager(domain_2d, service=restored,
+                                  num_instances=16, seed=2)
+        assert resumed.estimated_range_cardinality(relation, query) == expected
+        relation.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
+        assert resumed.range_sketch(relation).count == 130
+
     def test_shared_external_service(self, catalog, domain_2d):
         """Several catalogs' synopses can live inside one service process."""
         service = EstimationService(num_shards=2)

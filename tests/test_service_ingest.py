@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
+from repro.service import EstimationService
 from repro.service.ingest import IngestPipeline
 from repro.service.specs import EstimatorSpec
 from repro.service.store import ShardedSketchStore
@@ -44,6 +45,22 @@ class TestBuffering:
         pipeline = IngestPipeline(_store())
         pipeline.submit("est", BoxSet.empty(2))
         assert pipeline.pending == 0
+
+    def test_auto_flush_threshold(self, rng):
+        """The pipeline only buffers; the owning service flushes once the
+        buffered count reaches its threshold."""
+        service = EstimationService(num_shards=4, flush_threshold=64)
+        service.register("est", family="rectangle", domain=(256, 256),
+                         num_instances=16, seed=5)
+        service.ingest("est", random_boxes(rng, 63, 256, 2))
+        assert service.pending == 63
+        service.ingest("est", random_boxes(rng, 1, 256, 2))
+        assert service.pending == 0
+        assert service.describe()["ingest"]["auto_flushes"] == 1
+
+    def test_flush_threshold_must_be_positive(self):
+        with pytest.raises(ServiceError):
+            EstimationService(flush_threshold=0)
 
     def test_bad_inputs_rejected(self, rng):
         pipeline = IngestPipeline(_store())
