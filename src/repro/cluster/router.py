@@ -38,7 +38,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Any, Mapping
 
@@ -140,7 +140,8 @@ class ClusterRouter(ServingFront):
             self._adopt_spec(name, EstimatorSpec.from_dict(spec_dict))
         for name, (spec, _) in self._specs.items():
             if name not in served:
-                await info.link.request_ok(_register_request(name, spec))
+                _check_registered(name, spec, await info.link.request_ok(
+                    _register_request(name, spec)))
 
     async def refresh_specs(self) -> None:
         """Adopt estimator specs from the whole fleet (snapshot starts)."""
@@ -212,8 +213,10 @@ class ClusterRouter(ServingFront):
         name, spec = fields["name"], fields["spec"]
         if name in self._specs:
             raise ServiceError(f"estimator {name!r} is already registered")
-        await self.manager.broadcast(
+        replies = await self.manager.broadcast(
             _register_request(name, spec, acting_for=scope.tenant))
+        for reply in replies.values():
+            _check_registered(name, spec, reply)
         self._adopt_spec(name, spec)
         return protocol.ok_payload("register", fields, name=name,
                                    spec=spec.to_dict())
@@ -460,3 +463,17 @@ def _register_request(name: str, spec: EstimatorSpec,
         instances=spec.num_instances, seed=spec.seed,
         options=dict(spec.options), acting_for=acting_for,
         max_levels=list(spec.max_levels or (None,) * spec.dimension))
+
+
+def _check_registered(name: str, spec: EstimatorSpec, reply: dict) -> None:
+    """Raise unless a worker's ``register`` reply carries ``spec``.
+
+    The counter layout has no wire field: a worker gives ``name`` the
+    layout of a new registration, which a spec restored from stored state
+    (one cell per word where a new one splits) cannot be given."""
+    served = EstimatorSpec.from_dict(reply["spec"])
+    # The request spells an uncapped spec's caps as null entries.
+    if served != replace(spec, max_levels=spec.max_levels or (None,) * spec.dimension):
+        raise ServiceError(
+            f"a worker registered {name!r} as {served.to_dict()}, "
+            f"not as the router's {spec.to_dict()}")

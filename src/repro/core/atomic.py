@@ -21,6 +21,12 @@ A :class:`SketchBank` holds ``num_instances`` independent atomic sketches
 (each with its own xi families per dimension) and updates all of them with
 vectorised NumPy operations.  The estimators in the sibling modules combine
 word counters of two banks built over *shared* xi families.
+
+A bank may split every word's counter by dyadic level (``split_levels``):
+one *cell* per tuple of per-dimension levels, holding ``prod_i s_l(i, w[i],
+r(i))`` where ``s_l`` sums only the cover's level-``l`` nodes.  A query
+pairs each cell with its own sums at the same levels; the cells summed over
+levels are the one-cell counter.
 """
 
 from __future__ import annotations
@@ -93,18 +99,30 @@ class SketchBank:
     xi_banks:
         Per-dimension :class:`FourWiseFamilyBank` objects to share with
         another bank (the two inputs of a join must share their families).
+    split_levels:
+        Keep one counter cell per (word, per-dimension level tuple) instead
+        of one per word (1-D and 2-D banks over cover letters).
     """
 
     #: Upper bound on ``num_instances * ids_per_chunk`` for one vectorised step.
     _CHUNK_ELEMENT_BUDGET = 1 << 23
+
+    #: Elements of one instance tile of a level-split bank's float32 rows
+    #: (512 KB: 4 instances x 2048 boxes x 16 columns), which keeps the
+    #: tile's slice of the level tables in cache.
+    _SPLIT_ELEMENT_BUDGET = 1 << 17
 
     #: Counter updates are summed in integers while every partial sum stays
     #: below this: float64 holds each of them exactly, so the integer and
     #: the float kernels agree to the bit.
     _EXACT_INTEGER_LIMIT = 1 << 53
 
+    #: The same limit for the float32 cell matmul of a level-split bank.
+    _EXACT_FLOAT32_LIMIT = 1 << 24
+
     def __init__(self, domain: Domain, words: Sequence[Word], num_instances: int,
-                 *, seed=0, xi_banks: Sequence[FourWiseFamilyBank] | None = None) -> None:
+                 *, seed=0, xi_banks: Sequence[FourWiseFamilyBank] | None = None,
+                 split_levels: bool = False) -> None:
         if num_instances < 1:
             raise SketchConfigError("a sketch bank needs at least one instance")
         words = [tuple(w) for w in words]
@@ -120,6 +138,11 @@ class SketchBank:
                 raise SketchConfigError(f"word {word} contains non-Letter entries")
         if len(set(words)) != len(words):
             raise SketchConfigError("duplicate words in sketch bank configuration")
+        if split_levels and (domain.dimension > 2 or any(
+                letter in (Letter.LOWER_LEAF, Letter.UPPER_LEAF)
+                for word in words for letter in word)):
+            raise SketchConfigError(
+                "level-split counters need a 1-D or 2-D bank over cover letters")
 
         self._domain = domain
         self._words: tuple[Word, ...] = tuple(words)
@@ -143,14 +166,19 @@ class SketchBank:
                         f"xi bank universe too small for dimension {dim}"
                     )
         self._xi: tuple[FourWiseFamilyBank, ...] = tuple(xi_banks)
-        # All counters live in one contiguous (instances, words) tensor;
-        # column j holds the per-instance counters of self._words[j].  Merges
-        # and snapshots operate on the tensor as a whole, never word by word.
+        # All counters live in one contiguous (instances, words x cells)
+        # tensor; word j owns the `cells` columns from j * cells, its level
+        # tuples in row-major order (one column without split levels).
+        # Merges and snapshots operate on the tensor as a whole.
         self._word_index: dict[Word, int] = {
             word: index for index, word in enumerate(self._words)
         }
-        self._matrix = np.zeros((self._num_instances, len(self._words)),
-                                dtype=np.float64)
+        self._split = bool(split_levels)
+        self._levels: tuple[int, ...] = tuple(
+            dyadic.num_levels if split_levels else 1 for dyadic in domain.dyadics)
+        self._cells = int(np.prod(self._levels))
+        self._matrix = np.zeros(
+            (self._num_instances, len(self._words) * self._cells), dtype=np.float64)
         # Net weighted box count (see num_updates); float so that fractional
         # update weights account exactly like the counters they feed.
         self._updates = 0.0
@@ -193,28 +221,47 @@ class SketchBank:
         return float(self._updates)
 
     @property
-    def counter_tensor(self) -> np.ndarray:
-        """The full ``(num_instances, num_words)`` counter tensor (read-only view).
+    def split_levels(self) -> bool:
+        return self._split
 
-        Column ``j`` holds the counters of ``self.words[j]``.  This is the
-        bank's actual storage — one contiguous float64 array — exposed for
-        zero-copy merges, snapshots and batched estimation kernels.
+    @property
+    def levels(self) -> tuple[int, ...]:
+        """Cells per dimension: its levels when split, else 1."""
+        return self._levels
+
+    @property
+    def counter_tensor(self) -> np.ndarray:
+        """The full ``(num_instances, num_words x cells)`` counter tensor
+        (read-only view).
+
+        Word ``j`` owns the columns ``j * cells`` onwards (one column
+        without split levels).  This is the bank's actual storage — one
+        contiguous float64 array — exposed for zero-copy merges, snapshots
+        and batched estimation kernels.
         """
         view = self._matrix.view()
         view.setflags(write=False)
         return view
 
+    def word_cells(self, word: Word) -> np.ndarray:
+        """The ``(num_instances, cells)`` counters of ``word`` (read-only view)."""
+        start = self._word_index[tuple(word)] * self._cells
+        view = self._matrix[:, start:start + self._cells]
+        view.setflags(write=False)
+        return view
+
     def counter(self, word: Word) -> np.ndarray:
-        """A copy of the per-instance counter values for ``word``."""
-        return self._matrix[:, self._word_index[tuple(word)]].copy()
+        """A copy of the per-instance counter values for ``word``: its cells
+        summed over levels (exact integer sums)."""
+        cells = self.word_cells(word)
+        return cells[:, 0].copy() if self._cells == 1 else cells.sum(axis=1)
 
     def counters(self) -> Mapping[Word, np.ndarray]:
         """Copies of every counter, keyed by word."""
-        return {word: self._matrix[:, index].copy()
-                for word, index in self._word_index.items()}
+        return {word: self.counter(word) for word in self._words}
 
     def companion(self, words: Sequence[Word] | None = None) -> "SketchBank":
-        """A new empty bank sharing this bank's xi families.
+        """A new empty bank sharing this bank's xi families and layout.
 
         The two inputs of a join must be sketched against the *same* xi
         families; ``companion`` is how the second input's bank is created.
@@ -224,6 +271,7 @@ class SketchBank:
             self._words if words is None else words,
             self._num_instances,
             xi_banks=self._xi,
+            split_levels=self.split_levels,
         )
 
     # -- composition and persistence -------------------------------------------
@@ -232,7 +280,8 @@ class SketchBank:
         """Raise :class:`MergeCompatibilityError` unless ``other`` is mergeable.
 
         Merge compatibility requires the same domain (dyadic structure), the
-        same word set, the same instance count and the same xi families.
+        same word set and counter layout, the same instance count and the
+        same xi families.
         """
         if other.domain.signature() != self._domain.signature():
             raise MergeCompatibilityError(
@@ -241,6 +290,9 @@ class SketchBank:
             )
         if other.words != self._words:
             raise MergeCompatibilityError("cannot merge banks with different word sets")
+        if other.split_levels != self._split:
+            raise MergeCompatibilityError(
+                "cannot merge a level-split bank with a one-cell bank")
         if other.num_instances != self._num_instances:
             raise MergeCompatibilityError("cannot merge banks with different instance counts")
         for mine, theirs in zip(self._xi, other._xi):
@@ -285,6 +337,8 @@ class SketchBank:
         clone._num_instances = self._num_instances
         clone._xi = self._xi
         clone._word_index = self._word_index
+        clone._split, clone._levels, clone._cells = \
+            self._split, self._levels, self._cells
         clone._matrix = self._matrix + delta._matrix
         clone._updates = self._updates + delta._updates
         return clone
@@ -297,7 +351,7 @@ class SketchBank:
         """A snapshot of the bank's counters and seeds.
 
         ``counters`` is a copy of the contiguous
-        ``(num_instances, num_words)`` tensor and ``xi_coefficients`` the
+        ``(num_instances, num_words x cells)`` tensor and ``xi_coefficients`` the
         stacked ``(dimension, num_instances, 4)`` seed tensor — the shape
         binary snapshots store and memory-map back, and binary worker
         links carry.  A JSON encoder renders both as nested lists, which
@@ -352,7 +406,9 @@ class SketchBank:
             raise MergeCompatibilityError(
                 f"snapshot counters are not a tensor: {exc}") from exc
         if matrix.shape != self._matrix.shape:
-            raise MergeCompatibilityError("snapshot counter shape mismatch")
+            raise MergeCompatibilityError(
+                "snapshot counter shape mismatch (a different number of "
+                "instances, words or level cells)")
         # Adopt a caller's array without copying only when it is read-only
         # (memory-mapped snapshot views): adopting a *writable* one would
         # alias this bank's counters with the caller's state (and with every
@@ -396,6 +452,8 @@ class SketchBank:
             if not any(source is seen for seen in validated):
                 self._domain.validate_boxes(source, what=f"boxes for letter {letter}")
                 validated.append(source)
+        if overrides and self._split:
+            raise SketchConfigError("a level-split bank takes no letter_boxes overrides")
         sources = {letter: overrides.get(letter, boxes) for letter in letters}
 
         chunk = self._chunk_size()
@@ -416,15 +474,18 @@ class SketchBank:
         (:meth:`~repro.core.hashing.FourWiseFamilyBank.prepay_table`) and
         the cover tables this bank's words read are derived from it — the
         same interned tables, under the same byte limits, so an insert
-        that follows costs its gathers only.  A family over the limit
-        stays on the polynomial, exactly as it would have.
+        that follows costs its gathers only (a level-split bank: its level
+        tables).  A family over the limit stays on the polynomial, exactly
+        as it would have.
         """
         for dim, letter in dict.fromkeys(
                 pair for word in self._words for pair in enumerate(word)):
             xi, dyadic = self._xi[dim], self._domain.dyadic(dim)
             if xi.prepay_table() is None:
                 continue
-            if letter is Letter.INTERVAL:
+            if self._split:
+                self._level_tables(xi, dyadic, self._dim_letters(dim))
+            elif letter is Letter.INTERVAL:
                 self._interval_tables(xi, dyadic)
             elif letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF):
                 self._point_tables(xi, dyadic)
@@ -469,6 +530,29 @@ class SketchBank:
         highs = np.asarray(highs, dtype=np.int64)
         return self._letter_sums(int(dim), letter, lows, highs)
 
+    def level_sums(self, dim: int, letter: Letter, lows: np.ndarray,
+                   highs: np.ndarray) -> np.ndarray:
+        """:meth:`letter_sums` per counter cell of the dimension.
+
+        Returns ``(num_instances, len(lows), levels)`` integers: the sum
+        split by dyadic level on a level-split bank, else one column
+        holding the whole sum.  What a query pairs with a word's cells.
+        """
+        if not 0 <= int(dim) < self.dimension:
+            raise DimensionalityError(
+                f"dimension {dim} out of range for a {self.dimension}-dimensional bank"
+            )
+        lows = np.asarray(lows, dtype=np.int64)
+        highs = np.asarray(highs, dtype=np.int64)
+        if self._split:
+            parts, mask = self._level_sources(int(dim), lows, highs)
+            levels = self._levels[int(dim)]
+            first = self._dim_letters(int(dim)).index(letter) * levels
+            columns = slice(first, first + levels)
+            sums = self._gather_rows(parts, slice(None))[:, :, columns]
+            return sums.copy() if mask is None else sums * mask[:, columns]
+        return self._letter_rows(int(dim), letter, lows, highs).T[:, :, None]
+
     # -- internals ----------------------------------------------------------------
 
     def _ensure_writable(self) -> None:
@@ -485,12 +569,20 @@ class SketchBank:
         return {letter for word in self._words for letter in word}
 
     def _chunk_size(self) -> int:
+        if self._split:
+            # Level rows, all letters side by side (tiled over instances).
+            per_box = max(len(self._dim_letters(dim)) * levels
+                          for dim, levels in enumerate(self._levels))
+            return max(1, self._CHUNK_ELEMENT_BUDGET // (self._num_instances * per_box))
         # The largest cover of a box in any dimension, whole blocks included.
         per_box = max(dyadic.cover_sum_bound() for dyadic in self._domain.dyadics)
         return max(1, self._CHUNK_ELEMENT_BUDGET // (self._num_instances * per_box))
 
     def _insert_chunk(self, sources: Mapping[Letter, BoxSet], start: int, stop: int,
                       weight: float) -> None:
+        if self._split:
+            self._matrix += weight * self._cell_totals(sources, start, stop)
+            return
         rows: dict[tuple[int, Letter], np.ndarray] = {}
         for word in self._words:
             for dim, letter in enumerate(word):
@@ -511,6 +603,65 @@ class SketchBank:
         else:
             totals = self._float_totals(rows)
         self._matrix += weight * totals
+
+    def _cell_totals(self, sources: Mapping[Letter, BoxSet], start: int,
+                     stop: int) -> np.ndarray:
+        """Per-word cell sums over the chunk of a level-split bank.
+
+        Per dimension the level rows of every letter in use are laid side
+        by side, instance-major: ``(instances, boxes, letters x levels)``.
+        A 1-D bank sums them over the boxes; a 2-D bank contracts the two
+        dimensions in a batched matmul, whose ``(instances, K0, K1)``
+        product holds every word's cells as one block.  Both run over
+        tiles of instances, so a tile's slice of the tables stays in cache
+        while all boxes of the chunk read it.  Every entry is an integer
+        and every partial sum stays below the float32 (else the float64)
+        exact limit, so the result is the exact integer sum.  Returns
+        ``(instances, words x cells)`` float64.
+        """
+        count = stop - start
+        bound = 1
+        for dyadic in self._domain.dyadics:
+            bound *= max(2, dyadic.size >> dyadic.max_level)
+        dtype = (np.float32 if bound * count < self._EXACT_FLOAT32_LIMIT
+                 else np.float64)
+        boxes = next(iter(sources.values()))
+        described, columns = [], []
+        for dim, levels in enumerate(self._levels):
+            described.append(self._level_sources(
+                dim, boxes.lows[start:stop, dim], boxes.highs[start:stop, dim]))
+            columns.append({letter: slice(index * levels, (index + 1) * levels)
+                            for index, letter in enumerate(self._dim_letters(dim))})
+        widths = [len(column) * levels for column, levels in zip(columns, self._levels)]
+        if self.dimension == 1:
+            columns.append({None: slice(0, 1)})
+            widths.append(1)
+        product = np.empty((self._num_instances, widths[0], widths[1]), dtype=dtype)
+        tile = max(1, self._SPLIT_ELEMENT_BUDGET // (count * max(widths)))
+        # One float row buffer per dimension, reused by every tile.
+        buffers = [np.empty((tile, count, width), dtype=dtype)
+                   for width in widths[:self.dimension]]
+        for first in range(0, self._num_instances, tile):
+            instances = slice(first, first + tile)
+            rows = []
+            for (parts, mask), buffer in zip(described, buffers):
+                gathered = self._gather_rows(parts, instances)
+                if mask is not None:
+                    np.multiply(gathered, mask, out=gathered)
+                out = buffer[:len(gathered)]
+                np.copyto(out, gathered)
+                rows.append(out)
+            if self.dimension == 1:
+                product[instances, :, 0] = rows[0].sum(axis=1)
+            else:
+                np.matmul(rows[0].transpose(0, 2, 1), rows[1], out=product[instances])
+        totals = np.empty_like(self._matrix)
+        for index, word in enumerate(self._words):
+            first, second = (word + (None,))[:2]
+            totals[:, index * self._cells:(index + 1) * self._cells] = product[
+                :, columns[0][first], columns[1][second]].reshape(
+                    self._num_instances, self._cells)
+        return totals
 
     def _integer_totals(self, rows: Mapping[tuple[int, Letter], np.ndarray],
                         product: np.dtype) -> np.ndarray:
@@ -582,6 +733,101 @@ class SketchBank:
             leaves = dyadic.size - 1 + np.asarray(highs, dtype=np.int64)
             return self._leaf_rows(xi, leaves)
         raise SketchConfigError(f"unknown letter {letter!r}")
+
+    def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray
+                       ) -> tuple[list, np.ndarray | None]:
+        """What the level sums of every letter the words use in ``dim`` are
+        made of, side by side — letter ``k`` of :meth:`_dim_letters` in
+        columns ``k * levels`` onwards of ``(instances, boxes, letters x
+        levels)`` rows: ``(parts, mask)`` for :meth:`_gather_rows`.
+
+        Accounted like :meth:`_letter_rows`.  With the family's table the
+        parts are the combined high-side table gathered at ``highs`` and
+        the low-side one at ``lows`` (:meth:`_level_tables`), and the
+        ``(boxes, columns)`` mask zeroes the levels an interval holds no
+        node of (``None``: nothing to mask).  Without one the covers are
+        walked and each node's sign lands in its level's column.
+        """
+        dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
+        letters, levels = self._dim_letters(dim), dyadic.num_levels
+        points = sum(2 if letter is Letter.ENDPOINTS else 1 for letter in letters
+                     if letter is not Letter.INTERVAL)
+        intervals = Letter.INTERVAL in letters
+        if xi.resolve_table(len(lows) * (points * levels + intervals)) is not None:
+            tables = self._level_tables(xi, dyadic, letters)
+            if tables is not None:
+                parts = list(zip(tables[::-1], (highs, lows)))
+                gaps = dyadic.level_gaps(lows, highs) if intervals else None
+                if gaps is None or not gaps.any():
+                    return parts, None
+                mask = np.ones((len(lows), len(letters), levels), dtype=dyadic.level_dtype)
+                mask[:, letters.index(Letter.INTERVAL)] = ~gaps
+                return parts, mask.reshape(len(lows), -1)
+        blocks = []
+        for letter in letters:
+            if letter is Letter.INTERVAL:
+                steps = dyadic.cover_steps(lows, highs)
+                xi.resolve_table(sum(len(nodes) for _, nodes in steps) - len(lows))
+                rows = np.zeros((len(lows), levels, xi.num_families),
+                                dtype=dyadic.level_dtype)
+                for indices, nodes in steps:
+                    rows[indices, dyadic.node_levels(nodes)] += self._sign_rows(xi, nodes)
+            else:
+                rows = sum(self._sign_rows(xi, dyadic.point_covers(coordinates)[0])
+                           for coordinates in self._point_sources(letter, lows, highs))
+                rows = rows.reshape(len(lows), levels, -1)
+            blocks.append(rows.transpose(2, 0, 1))
+        return [(np.concatenate(blocks, axis=2), None)], None
+
+    @staticmethod
+    def _gather_rows(parts: list, instances: slice) -> np.ndarray:
+        """The unmasked rows of :meth:`_level_sources` for some instances."""
+        rows = None
+        for table, coordinates in parts:
+            part = (table[instances] if coordinates is None
+                    else np.take(table[instances], coordinates, axis=1))
+            rows = part if rows is None else np.add(rows, part, out=rows)
+        return rows
+
+    def _dim_letters(self, dim: int) -> tuple[Letter, ...]:
+        """The letters the words use in ``dim``, in first-use order."""
+        return tuple(dict.fromkeys(word[dim] for word in self._words))
+
+    @staticmethod
+    def _point_sources(letter: Letter, lows: np.ndarray, highs: np.ndarray):
+        """The coordinates whose point covers a point letter sums."""
+        return {Letter.ENDPOINTS: (lows, highs), Letter.LOWER_POINT: (lows,),
+                Letter.UPPER_POINT: (highs,)}[letter]
+
+    @staticmethod
+    def _level_tables(xi: FourWiseFamilyBank, dyadic, letters) -> tuple | None:
+        """``([low,] high)`` instance-major ``(families, size, letters x
+        levels)`` tables of the letters' level sums.
+
+        Column block ``k`` of ``high[f, x]`` is what letter ``k`` adds for
+        a cover ending at ``x``, of ``low[f, x]`` for one starting there:
+        an interval's two sides, the point cover of the end a point letter
+        reads, zeros elsewhere (:meth:`~repro.core.dyadic.DyadicDomain.level_columns`).
+        Each table is one gather from the family's level values; ``low``
+        is left out when no letter reads the low end.
+        """
+        reads_low = any(letter is not Letter.UPPER_POINT for letter in letters)
+
+        def build(signs):
+            point, low, high = dyadic.level_columns()
+            none = np.zeros_like(point)
+            sides = {Letter.INTERVAL: (low, high), Letter.UPPER_POINT: (none, point),
+                     Letter.LOWER_POINT: (point, none), Letter.ENDPOINTS: (point, point)}
+            values = dyadic.level_values(signs)
+            return tuple(
+                np.take(values, np.concatenate(
+                    [sides[letter][end] for letter in letters], axis=1), axis=1)
+                for end in (0, 1) if end or reads_low)
+
+        nbytes = ((1 + reads_low) * dyadic.level_dtype.itemsize * xi.num_families
+                  * dyadic.size * dyadic.num_levels * len(letters))
+        key = ("levels", dyadic.size, dyadic.max_level, "".join(letters))
+        return xi.derived_tables(key, nbytes, build)
 
     # The reducers below account the request via resolve_table() exactly
     # once.  Once the bank's xi family has a sign table, cover sums are

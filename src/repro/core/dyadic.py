@@ -560,6 +560,78 @@ class DyadicDomain:
             sums[exact] = np.take(signs, nodes, axis=0)
         return sums
 
+    # -- cover sums split by level ----------------------------------------------
+    #
+    # A level-split counter keeps, per dyadic level, the sign sum over the
+    # part of a cover that lies on that level.  A point cover has exactly
+    # one node per level.  The canonical cover of ``[lo, hi]`` holds the
+    # level-``l`` nodes inside it whose parent is not: with ``a = ceil(lo /
+    # 2^l)`` and ``b = floor((hi + 1) / 2^l) - 1`` the nodes inside are
+    # ``a..b``, and below ``max_level`` only ``a`` (if odd) and ``b`` (if
+    # even) lack a parent inside; at ``max_level`` all of ``a..b`` count, a
+    # difference of prefix sums.  So every per-level sum is one entry read
+    # at ``lo`` plus one read at ``hi`` — ``(boxes, levels)`` lookups into
+    # :meth:`level_values` at :meth:`level_columns` — except on a level
+    # holding no node inside (``a > b``, :meth:`level_gaps`), where it is 0.
+
+    @property
+    def num_levels(self) -> int:
+        """Levels a cover may use: ``0..max_level``."""
+        return self._max_level + 1
+
+    @property
+    def level_dtype(self) -> np.dtype:
+        """The integer type of a level sum: the top level adds up to
+        ``size >> max_level`` whole blocks."""
+        return np.min_scalar_type(-(self._size >> self._max_level) - 1)
+
+    def level_values(self, signs: np.ndarray) -> np.ndarray:
+        """``(families, entries)``: what :meth:`level_columns` points at —
+        a zero, every level's node signs, then the top level's prefix sums
+        and their negations."""
+        top = self._level_signs(signs, self._max_level)
+        prefix = np.zeros((len(top) + 1, signs.shape[1]), dtype=np.int64)
+        np.cumsum(top, axis=0, out=prefix[1:])
+        first = (1 << (self._height - self._max_level)) - 1
+        return np.concatenate([np.zeros((1, signs.shape[1]), dtype=np.int64),
+                               signs[first:], prefix, -prefix]
+                              ).T.astype(self.level_dtype)
+
+    def level_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(point, low, high)``, each ``(size, levels)`` indices into
+        :meth:`level_values`: per coordinate ``x`` and level, the point
+        cover's node, the ``a`` side of a cover starting at ``x`` and the
+        ``b`` side of one ending at ``x`` (0, the zero entry, where the
+        side adds nothing)."""
+        top, height = self._max_level, self._height
+        levels = np.arange(self.num_levels, dtype=np.int64)
+        x = np.arange(self._size, dtype=np.int64)[:, None]
+        # Node (level, k) sits at entry 1 + node_id - first node id of the top.
+        offsets = 1 + (np.int64(1) << (height - levels)) - (1 << (height - top))
+        first = (x + (np.int64(1) << levels) - 1) >> levels
+        last = ((x + 1) >> levels) - 1
+        point = offsets + (x >> levels)
+        low = np.where((first & 1) & (first < self._size >> levels), offsets + first, 0)
+        high = np.where((last & 1) == 0, offsets + last, 0)
+        # The prefix sums follow the node signs, their negations those.
+        prefix = 1 + 2 * self._size - (1 << (height - top))
+        blocks = (self._size >> top) + 1
+        low[:, top] = prefix + blocks + first[:, top]
+        high[:, top] = prefix + last[:, top] + 1
+        return point, low, high
+
+    def level_gaps(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        """``(boxes, levels)``: True where ``[lo, hi]`` holds no whole node
+        of the level — its level sum is zero there."""
+        levels = np.arange(self.num_levels, dtype=np.int64)
+        first = (lows[:, None] + (np.int64(1) << levels) - 1) >> levels
+        last = ((highs[:, None] + 1) >> levels) - 1
+        return first > last
+
+    def node_levels(self, nodes: np.ndarray) -> np.ndarray:
+        """The dyadic level of every node id."""
+        return self._height - (_bit_lengths(nodes + 1) - 1)
+
     # -- debugging helpers -----------------------------------------------------
 
     def describe_cover(self, lo: int, hi: int) -> list[DyadicInterval]:

@@ -73,7 +73,8 @@ class SketchEstimator:
 
     The constructor builds one :class:`~repro.core.atomic.SketchBank` per
     declared side — ``words[i]`` over ``sketch_domain`` for ``SIDES[i]`` —
-    all over the *same* xi families, as the paper's estimators require.
+    all over the *same* xi families and counter layout, as the paper's
+    estimators require.
     """
 
     #: The family's inputs, in state and estimate order.
@@ -83,13 +84,14 @@ class SketchEstimator:
 
     def __init__(self, domain: Domain, num_instances: int, *, seed,
                  boosting: BoostingPlan | None, sketch_domain: Domain,
-                 words: Sequence[Sequence[Word]]) -> None:
+                 words: Sequence[Sequence[Word]], split_levels: bool = False) -> None:
         if num_instances < 1:
             raise SketchConfigError("at least one atomic-sketch instance is required")
         self._domain = domain
         self._num_instances = int(num_instances)
         self._plan = boosting
-        first = SketchBank(sketch_domain, words[0], num_instances, seed=seed)
+        first = SketchBank(sketch_domain, words[0], num_instances, seed=seed,
+                           split_levels=split_levels)
         banks = [first] + [first.companion(side_words) for side_words in words[1:]]
         self._banks: dict[str, SketchBank] = {
             side.name: bank for side, bank in zip(self.SIDES, banks)}

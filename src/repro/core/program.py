@@ -7,10 +7,11 @@ instance, then median-of-means boosting.  The eight families only differ in
 *which* products they combine.  This module lifts that shared structure into
 a small declarative IR:
 
-* :class:`CounterRef` — the per-instance counter vector of one word in one
+* :class:`CounterRef` — the per-instance counter cells of one word in one
   :class:`~repro.core.atomic.SketchBank` (the *data side*),
 * :class:`LetterSumRef` — a per-instance xi sum over one dimension's dyadic
-  cover of a query coordinate interval (the *query side*),
+  cover of a query coordinate interval, one column per counter cell of the
+  dimension (the *query side*),
 * :class:`ProgramTerm` — one coefficient times the product of counter and
   letter-sum factors,
 * :class:`SketchProgram` — an ordered tuple of terms plus the reduction spec
@@ -35,9 +36,13 @@ of sharing:
 3. programs sharing ``(num_instances, plan)`` are boosted by one
    :func:`~repro.core.boosting.median_of_means_batch` reduction.
 
-Execution is **bit-identical** to the historical scalar paths: the same
-accumulation order, the same elementwise kernels, the same reductions.  The
-executor is a pure execution-strategy layer, never a numerics change.
+Over one-cell banks execution is **bit-identical** to the historical
+scalar paths: the same accumulation order, the same elementwise kernels,
+the same reductions.  A level-split bank's term contracts its counter cells
+with its letter sums' levels; that is exact — and so independent of how a
+batch is grouped — while the counters are integers (integer update
+weights), as every factor and product then stays below 2^53.  The executor
+is a pure execution-strategy layer, never a numerics change.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CounterRef:
-    """The per-instance counter vector of one word in one bank.
+    """The per-instance counter cells of one word in one bank.
 
     Banks compare by identity: two refs are interchangeable exactly when
     they read the same live counter storage.
@@ -89,10 +94,12 @@ class CounterRef:
 class LetterSumRef:
     """A per-instance xi letter sum over one dimension's coordinate interval.
 
-    Resolves to ``bank.letter_sums(dim, letter, [low], [high])`` — the
-    query-side kernel of the paper's estimators.  The value depends only on
-    the bank's xi families and dyadic domain (never on its counters), which
-    is what makes these safely cacheable across queries and batches.
+    Resolves to ``bank.level_sums(dim, letter, [low], [high])[:, 0]`` — the
+    query-side kernel of the paper's estimators, an integer
+    ``(instances, levels)`` matrix (one column on a one-cell bank).  The
+    value depends only on the bank's xi families, dyadic domain and layout
+    (never on its counters), which is what makes these safely cacheable
+    across queries and batches.
     """
 
     bank: SketchBank
@@ -103,7 +110,8 @@ class LetterSumRef:
 
     @property
     def key(self) -> tuple:
-        """The executor's sharing key: xi identity, dyadic shape, letter, interval.
+        """The executor's sharing key: xi identity, dyadic shape, layout,
+        letter, interval.
 
         A letter sum is a pure function of the dimension's xi family, the
         dyadic domain shape and the interval — the *bank* only carries them.
@@ -116,7 +124,7 @@ class LetterSumRef:
         """
         dyadic = self.bank.domain.dyadic(self.dim)
         return (self.bank.xi_banks[self.dim], dyadic.size, dyadic.max_level,
-                self.letter, self.low, self.high)
+                self.bank.levels[self.dim], self.letter, self.low, self.high)
 
 
 
@@ -425,36 +433,54 @@ class ProgramExecutor:
                       resolved: dict[tuple, np.ndarray]) -> np.ndarray:
         """``(num_instances, len(programs))`` values for one structure group.
 
-        The accumulation mirrors the historical scalar paths exactly:
-        counters multiply first (in ref order), letter sums multiply next
-        (in dimension order), the coefficient scales the product, and terms
-        accumulate into a zero-initialised matrix in term order.
+        Over one-cell banks the accumulation mirrors the historical scalar
+        paths exactly: counters multiply first (in ref order), letter sums
+        multiply next (in dimension order), the coefficient scales the
+        product, and terms accumulate into a zero-initialised matrix in
+        term order.  Over a level-split bank a term's cells are contracted
+        with its letter sums' levels instead, one dimension at a time.
         """
         template = programs[0]
-        values = np.zeros((template.num_instances, len(programs)),
-                          dtype=np.float64)
+        instances = template.num_instances
+        values = np.zeros((instances, len(programs)), dtype=np.float64)
+        # Per slot (instances, programs, levels), one level on a one-cell
+        # bank; terms that read the same letter sums share the stack.
+        stacked: dict[tuple, np.ndarray] = {}
         for term_index, term in enumerate(template.terms):
-            counter_product: np.ndarray | None = None
+            cells: np.ndarray | None = None
             for ref in term.counters:
-                column = ref.bank.counter(ref.word)
-                counter_product = (column if counter_product is None
-                                   else counter_product * column)
-            sum_product: np.ndarray | None = None
+                block = ref.bank.word_cells(ref.word)
+                cells = block if cells is None else cells * block
+            sums = []
             for slot in range(len(term.letter_sums)):
-                gathered = np.stack(
-                    [resolved[p.terms[term_index].letter_sums[slot].key]
-                     for p in programs], axis=1)
-                if sum_product is None:
-                    sum_product = gathered
+                keys = tuple(p.terms[term_index].letter_sums[slot].key for p in programs)
+                if keys not in stacked:
+                    stacked[keys] = np.stack([resolved[key] for key in keys],
+                                             axis=1).astype(np.float64)
+                sums.append(stacked[keys])
+            if any(slot.shape[2] > 1 for slot in sums):
+                # A level-split bank is 1-D or 2-D: the first slot's levels
+                # contract with the cells in one batched matmul, (instances,
+                # programs, levels of the second), and the second's levels
+                # elementwise.
+                term_values = np.matmul(
+                    sums[0], cells.reshape(instances, sums[0].shape[2], -1))
+                if len(sums) == 2:
+                    term_values = np.einsum("ipl,ipl->ip", term_values, sums[1])
                 else:
-                    sum_product *= gathered
+                    term_values = term_values[:, :, 0]
+                values += term.coefficient * term_values
+                continue
+            sum_product: np.ndarray | None = None
+            for slot in sums:
+                sum_product = (slot[:, :, 0] if sum_product is None
+                               else sum_product * slot[:, :, 0])
             if sum_product is None:
-                values += term.coefficient * counter_product[:, None]
-            elif counter_product is None:
+                values += term.coefficient * cells
+            elif cells is None:
                 values += term.coefficient * sum_product
             else:
-                values += term.coefficient * (counter_product[:, None]
-                                              * sum_product)
+                values += term.coefficient * (cells * sum_product)
         return values
 
     def _resolve_letter_sums(self, programs: Iterable[SketchProgram]
@@ -505,13 +531,13 @@ class ProgramExecutor:
                                count=len(intervals))
             highs = np.fromiter((high for _, high in intervals),
                                 dtype=np.int64, count=len(intervals))
-            sums = rep.bank.letter_sums(rep.dim, rep.letter, lows, highs)
+            sums = rep.bank.level_sums(rep.dim, rep.letter, lows, highs)
             kernel_calls += 1
             computed += len(intervals)
             for index, (low, high) in enumerate(intervals):
                 # An owned copy: a view would pin the whole batch matrix
                 # for as long as one of its columns stays cached.
-                vector = sums[:, index].copy()
+                vector = sums[:, index].copy()   # (instances, levels) integers
                 vector.setflags(write=False)
                 key = group_key + (low, high)
                 resolved[key] = vector

@@ -5,18 +5,42 @@ hyper-rectangle ``q``.  Because the query is known at estimation time, only
 the data set needs to be sketched.  Per dimension, an interval ``[a, b]`` of
 R overlaps the query range ``[u, v]`` iff
 
-    (b lies in [u, v])   XOR-free or   (v lies in [a, b]),
+    (b lies in [u, v])   or   (v lies in [a, b]),
 
-two mutually exclusive conditions that together cover all overlap cases.
-Hence two atomic sketches per dimension suffice: ``X_I`` (interval cover)
-and ``X_U`` (upper-endpoint point cover), and per instance
+two conditions that together cover all overlap cases and exclude each
+other unless ``b == v`` — an interval ending exactly at the query's upper
+end is counted twice, which the paper's Assumption 1 (no common endpoints,
+what ``strict=True`` enforces) rules out.  Hence two atomic sketches per
+dimension suffice: ``X_I`` (interval cover) and ``X_U`` (upper-endpoint
+point cover), and per instance
 
     Z = sum over words w in {I, U}^d of
             prod_i q_i(w[i]) * X_w
 
 where ``q_i(U)`` is the xi sum over the dyadic cover of the query range in
 dimension ``i`` and ``q_i(I)`` is the xi sum over the point cover of the
-query's upper endpoint ``v_i``.
+query's upper endpoint ``v_i``.  A level-split bank (below) reads the
+first condition as ``b in [u, v - 1]`` instead — ``q_i(U)`` covers ``[u_i,
+v_i - 1]``, and a word's term is left out when that is empty (``u_i ==
+v_i``) — so the two conditions exclude each other and ``E[Z]`` is the
+exact count without Assumption 1.  A one-cell bank keeps the closed range,
+so stored state answers as it always has.
+
+Level-split counters (``split_levels``, what every new ``range`` spec over
+a 1-D or 2-D domain gets): each word keeps one cell per tuple of
+per-dimension dyadic levels, ``X_w[l_1, .., l_d]``, summing only the cover
+nodes on those levels, and
+
+    Z = sum over w, over level tuples l of
+            X_w[l] * prod_i q_i(w[i])[l_i]
+
+with ``q_i(.)[l]`` the query's xi sum over its level-``l`` cover nodes.
+Two xi variables are correlated only when they are the same node, and a
+node has one level, so the split leaves ``E[Z]`` as it was; the cells
+summed over levels are the one-cell counters.  What the split removes is
+every variance term that pairs a data node on one level with a query node
+on another — in particular the heavy top nodes of the data times the many
+fine nodes of a query's cover.
 
 Note on boundaries: the counting conditions use closed containment, so a
 data rectangle that merely *touches* the query rectangle is counted as
@@ -61,13 +85,16 @@ class RangeQueryEstimator(SketchEstimator):
         When True, the Section 5.2 endpoint transformation is applied so
         that touching rectangles are *not* counted (Definition 1 semantics).
         When False (default), closed-overlap semantics are used.
+    split_levels:
+        Keep one counter cell per (word, per-dimension level tuple) — see
+        the module docstring; 1-D and 2-D domains only.
     """
 
     SIDES = (Side("data", "bank", "count", aliases=("left",)),)
     STATE_COMPAT = ("strict",)
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0, strict: bool = False,
-                 boosting: BoostingPlan | None = None) -> None:
+                 boosting: BoostingPlan | None = None, split_levels: bool = False) -> None:
         self._strict = bool(strict)
         self._transform = EndpointTransform(domain) if strict else None
         self._words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], domain.dimension)
@@ -75,7 +102,7 @@ class RangeQueryEstimator(SketchEstimator):
             domain, num_instances, seed=seed, boosting=boosting,
             sketch_domain=(self._transform.expanded_domain
                            if self._transform is not None else domain),
-            words=(self._words,))
+            words=(self._words,), split_levels=split_levels)
 
     # -- introspection ----------------------------------------------------------------
 
@@ -135,9 +162,10 @@ class RangeQueryEstimator(SketchEstimator):
         """Compile a batch of range queries into sketch programs.
 
         Program ``j`` lowers query ``j`` to one term per counter word:
-        the word's counter times the per-dimension letter sums of the
-        *query-side* word (the I <-> U flip), over the (possibly
-        endpoint-transformed) query coordinates.
+        the word's counter cells contracted with the per-dimension letter
+        sums (per level on a level-split bank) of the *query-side* word
+        (the I <-> U flip), over the (possibly endpoint-transformed) query
+        coordinates.
         """
         return self._lower_prepared(self._query_batch(queries), plan=plan)
 
@@ -158,22 +186,26 @@ class RangeQueryEstimator(SketchEstimator):
         pairs = [(word, self._query_word(word)) for word in self._words]
         lows = query_boxes.lows
         highs = query_boxes.highs
+        # Where a counter word reads U, a level-split bank's query range
+        # ends at v - 1 (see the module docstring).
+        upper = highs - 1 if bank.split_levels else highs
         programs: list[SketchProgram] = []
         for row in range(len(query_boxes)):
-            terms = tuple(
-                ProgramTerm(
+            terms = []
+            for word, query_word in pairs:
+                ends = [int((upper if letter is Letter.UPPER_POINT else highs)[row, dim])
+                        for dim, letter in enumerate(word)]
+                if any(end < lows[row, dim] for dim, end in enumerate(ends)):
+                    continue
+                terms.append(ProgramTerm(
                     1.0,
                     counters=(CounterRef(bank, word),),
                     letter_sums=tuple(
-                        LetterSumRef(bank, dim, query_word[dim],
-                                     int(lows[row, dim]), int(highs[row, dim]))
-                        for dim in range(self.dimension)
-                    ),
-                )
-                for word, query_word in pairs
-            )
+                        LetterSumRef(bank, dim, query_word[dim], int(lows[row, dim]), end)
+                        for dim, end in enumerate(ends)),
+                ))
             programs.append(SketchProgram(
-                terms=terms,
+                terms=tuple(terms),
                 num_instances=self._num_instances,
                 plan=plan,
                 left_count=self.count,

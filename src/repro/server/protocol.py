@@ -143,10 +143,11 @@ def _derive_spec(fields: dict) -> None:
     """``register``: ``fields["spec"]`` is the validated spec the fields
     ask for.  Without ``max_levels`` the per-dimension level caps are the
     ones :meth:`EstimatorSpec.create` gives plain sizes — written into the
-    spec, so the WAL, snapshots and a router's workers never derive."""
+    spec, so the WAL, snapshots and a router's workers never derive.  The
+    counter layout is the one every new registration gets."""
     spec = EstimatorSpec.from_dict({
         **fields, "num_instances": fields["instances"],
-        "options": fields["options"] or {}})
+        "options": fields["options"] or {}}).with_layout()
     given = spec.max_levels is not None
     if not given:
         spec = spec.with_pruned_levels()

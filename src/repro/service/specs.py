@@ -129,6 +129,9 @@ class EstimatorSpec:
     seed: int = 0
     max_levels: tuple[int | None, ...] | None = None
     options: tuple[tuple[str, Any], ...] = ()
+    #: One counter cell per (word, level tuple) — ``range`` over 1-D / 2-D
+    #: only; what every new registration of one gets (:meth:`with_layout`).
+    split_levels: bool = False
 
     def __post_init__(self) -> None:
         info = family_info(self.family)
@@ -151,6 +154,9 @@ class EstimatorSpec:
             raise ServiceError(
                 f"family {self.family!r} requires options {sorted(missing)}"
             )
+        if self.split_levels and (self.family != "range" or len(self.sizes) > 2):
+            raise ServiceError(
+                "level-split counters are for range estimators over 1-D or 2-D domains")
         policy = self.option("endpoint_policy", None)
         if policy is not None and policy not in ENDPOINT_POLICIES:
             raise ServiceError(
@@ -166,7 +172,8 @@ class EstimatorSpec:
 
         A :class:`Domain` carries its own level restrictions; plain sizes
         get the default ones (:meth:`with_pruned_levels`) written into the
-        spec.
+        spec.  Either way the spec takes the default counter layout
+        (:meth:`with_layout`).
         """
         if isinstance(domain, Domain):
             sizes = domain.requested_sizes
@@ -185,7 +192,9 @@ class EstimatorSpec:
             max_levels=max_levels,
             options=tuple(sorted(options.items())),
         )
-        return spec if isinstance(domain, Domain) else spec.with_pruned_levels()
+        if not isinstance(domain, Domain):
+            spec = spec.with_pruned_levels()
+        return spec.with_layout()
 
     def with_pruned_levels(self) -> "EstimatorSpec":
         """This (validated) spec with the default level caps written in.
@@ -198,6 +207,13 @@ class EstimatorSpec:
         """
         rule = range_max_levels if self.family == "range" else pruned_max_levels
         return replace(self, max_levels=rule(self.sizes))
+
+    def with_layout(self) -> "EstimatorSpec":
+        """This spec with the counter layout a new registration gets:
+        level-split for ``range`` over 1-D or 2-D, one cell per word
+        otherwise.  Only stored state keeps one cell where this splits
+        (:meth:`from_dict` without the key)."""
+        return replace(self, split_levels=self.family == "range" and self.dimension <= 2)
 
     # -- accessors ----------------------------------------------------------------
 
@@ -217,13 +233,16 @@ class EstimatorSpec:
 
     def build(self) -> SketchEstimator:
         """A fresh, empty estimator of this spec's family."""
+        layout = {"split_levels": True} if self.split_levels else {}
         return self.info.estimator(self.domain(), num_instances=self.num_instances,
-                                   seed=self.seed, **dict(self.options))
+                                   seed=self.seed, **dict(self.options), **layout)
 
     # -- serialisation ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
+        """The spec as JSON; ``split_levels`` appears only when set, so a
+        one-cell spec reads as it always has."""
+        state = {
             "family": self.family,
             "sizes": list(self.sizes),
             "num_instances": self.num_instances,
@@ -231,6 +250,9 @@ class EstimatorSpec:
             "max_levels": None if self.max_levels is None else list(self.max_levels),
             "options": {name: value for name, value in self.options},
         }
+        if self.split_levels:
+            state["split_levels"] = True
+        return state
 
     @classmethod
     def from_dict(cls, state: Mapping) -> "EstimatorSpec":
@@ -245,6 +267,7 @@ class EstimatorSpec:
                     None if level is None else int(level) for level in max_levels
                 ),
                 options=tuple(sorted(dict(state.get("options", {})).items())),
+                split_levels=bool(state.get("split_levels", False)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed estimator spec: {exc}") from exc

@@ -27,9 +27,11 @@ from repro.geometry.boxset import BoxSet
 
 
 def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
-                       lows, highs) -> np.ndarray:
+                       lows, highs, *, by_level: bool = False) -> np.ndarray:
     """``(instances, boxes)`` letter sums from the scalar cover walks and
-    directly hashed signs — no table, no batched walk, no shared kernel."""
+    directly hashed signs — no table, no batched walk, no shared kernel.
+    ``by_level``: ``(instances, boxes, levels)``, each cover node's sign
+    in its dyadic level's column."""
     dyadic = bank.domain.dyadic(dim)
     # A separate, never-warm bank: signs come from the polynomial itself.
     xi = FourWiseFamilyBank.from_coefficients(
@@ -37,8 +39,13 @@ def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
 
     def sign_sum(cover) -> np.ndarray:
         hashed = xi._hash(np.asarray(cover, dtype=np.uint64), xi.coefficients)
-        parity = (hashed & np.uint64(1)).astype(np.float64)
-        return (1.0 - 2.0 * parity).sum(axis=1)
+        signs = 1.0 - 2.0 * (hashed & np.uint64(1)).astype(np.float64)
+        if not by_level:
+            return signs.sum(axis=1)
+        levels = np.zeros((bank.num_instances, dyadic.max_level + 1))
+        for node, column in zip(cover, signs.T):
+            levels[:, dyadic.interval_of(node).level] += column
+        return levels
 
     columns = []
     for lo, hi in zip(lows, highs):
@@ -57,7 +64,8 @@ def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
             column = sign_sum([dyadic.leaf_id(hi)])
         columns.append(column)
     if not columns:
-        return np.zeros((bank.num_instances, 0))
+        return np.zeros((bank.num_instances, 0) + (
+            (dyadic.max_level + 1,) if by_level else ()))
     return np.stack(columns, axis=1)
 
 

@@ -16,7 +16,7 @@ from repro.client import ServiceClient
 from repro.cluster import HeartbeatConfig, RouterConfig, ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet
 from repro.core.domain import Domain
-from repro.errors import DegradedError, ServerError
+from repro.errors import DegradedError, ServerError, ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
@@ -205,6 +205,64 @@ class TestScatterGather:
                     expected = reference.estimate("old", queries[index])
                     assert got.estimate == expected.estimate
                     assert got.left_count == expected.left_count
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    def test_a_stored_split_spec_keeps_its_caps_on_every_worker(
+            self, tmp_path):
+        """A level-split name restored with caps other than the derived
+        ones ((6, 6), not (5, 5)) is registered on a fresh worker with
+        those caps, and the worker's reply carries the router's spec."""
+        capped = Domain((256, 256), max_levels=6)
+        boxes = synthetic_boxes(capped, 200, seed=27)
+        reference = EstimationService(num_shards=2)
+        spec = reference.register("old", family="range", domain=capped,
+                                  num_instances=16, seed=33)
+        assert spec.split_levels and spec.max_levels == (6, 6)
+        reference.ingest("old", boxes, side="data")
+        reference.save(tmp_path / "old.snap")
+        handles = [ThreadedServer(service).start() for service in (
+            load_snapshot(tmp_path / "old.snap"),
+            EstimationService(num_shards=2))]
+        try:
+            with ThreadedClusterRouter(
+                    [("127.0.0.1", handle.port) for handle in handles],
+                    config=RouterConfig(num_slots=NUM_SLOTS),
+                    start_heartbeat=False) as fleet, \
+                    ServiceClient("127.0.0.1", fleet.port) as client:
+                assert [handle.service.spec("old") for handle in handles] \
+                    == [spec, spec]
+                query = synthetic_queries(capped, 1, seed=29)
+                assert (client.estimate("old", query).estimate
+                        == reference.estimate("old", query).estimate)
+        finally:
+            for handle in handles:
+                handle.stop()
+
+    def test_a_spec_a_worker_cannot_build_is_refused(self, tmp_path):
+        """A stored one-cell ``range`` spec (written before level-split
+        counters) cannot be registered on a fresh worker — ``register``
+        has no layout field, so that worker would split.  Attaching it
+        fails naming both specs instead of serving a name whose workers
+        disagree."""
+        stored = EstimatorSpec.from_dict({
+            "family": "range", "sizes": [256, 256], "num_instances": 8,
+            "seed": 5, "max_levels": [5, 5], "options": {}})
+        assert not stored.split_levels
+        old = EstimationService(num_shards=2)
+        old.register("old", stored)
+        old.ingest("old", synthetic_boxes(DOMAIN, 50, seed=1), side="data")
+        old.save(tmp_path / "old.snap")
+        handles = [ThreadedServer(service).start() for service in (
+            load_snapshot(tmp_path / "old.snap"),
+            EstimationService(num_shards=2))]
+        try:
+            with pytest.raises(ServiceError, match="not as the router's"):
+                ThreadedClusterRouter(
+                    [("127.0.0.1", handle.port) for handle in handles],
+                    config=RouterConfig(num_slots=NUM_SLOTS),
+                    start_heartbeat=False).start()
         finally:
             for handle in handles:
                 handle.stop()

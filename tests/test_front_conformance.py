@@ -223,7 +223,8 @@ def test_register_without_max_levels_writes_the_same_caps_everywhere(
         placement, wire, caplog):
     """The front that takes the request derives the caps; the reply, the
     service that ends up holding the name and a router's template all
-    carry them explicitly — nobody derives twice."""
+    carry them explicitly — nobody derives twice.  Both names, caps given
+    or derived, get the level-split counters of a new range spec."""
     specs = {}
     for kind in PLACEMENTS:
         front = placement(kind)
@@ -251,6 +252,7 @@ def test_register_without_max_levels_writes_the_same_caps_everywhere(
                             "register full: level caps [8, None] given"]
     assert specs["server"] == specs["router"]
     assert specs["server"]["max_levels"] == [5, 5]
+    assert specs["server"]["split_levels"] is given["split_levels"] is True
 
 
 # -- drift (a): the ingest quota counts rows on every wire ----------------------

@@ -12,8 +12,10 @@ a spec whose ``max_levels`` is ``null`` — keeps meaning *uncapped*, bit
 for bit.
 """
 
+import functools
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from repro.core.dyadic import (
     range_level_scores,
     range_max_levels,
 )
-from repro.errors import ServiceError
+from repro.errors import MergeCompatibilityError, ServiceError
 from repro.exact import range_query_count
 from repro.server.protocol import boxes_to_rows
 from repro.service import (
@@ -62,6 +64,22 @@ def enumerated_range_scores(size: int) -> list[int]:
                       + total * (cap + 1) * (used * used).sum()
                       + 2 * (upper * used).sum() * shared)
     return scores
+
+
+@functools.lru_cache(maxsize=None)
+def probe_z_scores(seed: int) -> np.ndarray:
+    """Per probe of probe (b), how many standard errors a default range
+    spec's pooled per-instance mean lies from the exact count."""
+    probes, sides = probe_shape(seed)
+    spec = EstimatorSpec.create("range", (1024, 1024), 256, seed=seed)
+    assert spec.max_levels == (7, 7) and spec.split_levels
+    results = probe_answers(spec, sides, probes)
+    return np.array([
+        (result.instance_values.mean()
+         - range_query_count(sides[0], probes[index:index + 1]))
+        / (result.instance_values.std(ddof=1)
+           / np.sqrt(result.instance_values.size))
+        for index, result in enumerate(results)])
 
 
 class TestTheRule:
@@ -138,8 +156,8 @@ class TestTheRangeRule:
         service, _ = recover_service(tmp_path / "wal", attach=False)
         assert service.spec("rq").to_dict() == spec
         reference = EstimationService(num_shards=1)
-        reference.register("rq", family="range", num_instances=8, seed=43,
-                           domain=Domain((1024, 1024), max_levels=8))
+        # Stored state keeps one cell per word; a new registration splits.
+        reference.register("rq", EstimatorSpec.from_dict(spec))
         reference.ingest("rq", boxes, side="data")
         query = synthetic_queries(Domain((1024, 1024)), 1, seed=6)
         result, expected = (target.estimate("rq", query)
@@ -177,18 +195,20 @@ class TestAccuracy:
     def test_derived_caps_stay_unbiased(self, seed):
         """The pooled per-instance mean lies within 3 standard errors of
         the exact count on at least 62 of the 64 probes."""
-        probes, sides = probe_shape(seed)
-        spec = EstimatorSpec.create("range", (1024, 1024), 256, seed=seed)
-        assert spec.max_levels == (7, 7)
-        results = probe_answers(spec, sides, probes)
-        z = np.array([
-            (result.instance_values.mean()
-             - range_query_count(sides[0], probes[index:index + 1]))
-            / (result.instance_values.std(ddof=1)
-               / np.sqrt(result.instance_values.size))
-            for index, result in enumerate(results)])
+        z = probe_z_scores(seed)
         assert np.count_nonzero(np.abs(z) <= 3.0) >= 62, z
-        assert abs(z.mean()) <= 0.5, z
+
+    def test_derived_caps_stay_unbiased_on_average(self):
+        """The mean z-score, averaged over the seeds, is within 0.5 of 0.
+
+        The probes share their instances, and on level-split counters
+        their values correlate (0.08-0.14 on average over seeds 1-5, 11,
+        101, 202; 0.01-0.03 with one cell per word), so one seed's mean z
+        spreads with a standard deviation of ~0.4 (-0.68 .. 0.67 on those
+        seeds).  Over three seeds it reads 0.20; with the query range's
+        ``b == v`` counted twice it read 0.76."""
+        means = [probe_z_scores(seed).mean() for seed in self.SEEDS]
+        assert abs(statistics.mean(means)) <= 0.5, means
 
     @pytest.mark.parametrize("family", ["rectangle", "containment"])
     def test_joins_are_not_worse(self, family):
@@ -196,6 +216,73 @@ class TestAccuracy:
                   for seed in self.SEEDS]
         assert (statistics.median(e["derived"] for e in errors)
                 <= statistics.median(e["uncapped"] for e in errors)), errors
+
+
+class TestLevelSplit:
+    """Level-split counters on probe (b): one cell per (word, level pair)
+    against the one-cell layout at the same caps (7, 7), 256 instances.
+    Measured per-instance std 5.4-6.3x lower (median over the probes) and
+    ``rq`` error 4.1-6.6x lower over seeds 1-5, 11, 101, 202."""
+
+    SEEDS = (11, 101, 202)
+
+    @staticmethod
+    def layouts(seed):
+        probes, sides = probe_shape(seed)
+        split = EstimatorSpec.create("range", (1024, 1024), 256, seed=seed)
+        one_cell = replace(split, split_levels=False)
+        truths = np.array([range_query_count(sides[0], probes[index:index + 1])
+                           for index in range(len(probes))])
+        return truths, [probe_answers(spec, sides, probes)
+                        for spec in (split, one_cell)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_per_instance_spread_falls_threefold(self, seed):
+        _, (split, one_cell) = self.layouts(seed)
+        ratios = [cells.instance_values.std() / split_.instance_values.std()
+                  for split_, cells in zip(split, one_cell)]
+        assert np.median(ratios) >= 3.0, ratios
+
+    def test_range_error_falls_two_and_a_half_fold(self):
+        ratios = []
+        for seed in self.SEEDS:
+            truths, answers = self.layouts(seed)
+            split, one_cell = (np.median(np.abs(
+                np.array([result.estimate for result in results]) - truths) / truths)
+                for results in answers)
+            ratios.append(one_cell / split)
+        assert statistics.median(ratios) >= 2.5, ratios
+
+    def test_every_new_1d_or_2d_range_spec_splits(self):
+        spec = EstimatorSpec.create("range", (1024, 1024), 8)
+        assert spec.split_levels and spec.to_dict()["split_levels"] is True
+        assert EstimatorSpec.from_dict(spec.to_dict()) == spec
+        assert EstimatorSpec.create("range", (64,), 8).split_levels
+        # However the domain is written: the layout follows family and dimension.
+        assert EstimatorSpec.create("range", Domain((1024, 1024)), 8).split_levels
+        assert EstimatorSpec.create(
+            "range", Domain((1024, 1024), max_levels=8), 8).split_levels
+        for one_cell in (EstimatorSpec.create("range", (64, 64, 64), 8),
+                         EstimatorSpec.create("rectangle", (1024, 1024), 8),
+                         EstimatorSpec.create("rectangle", Domain((64, 64)), 8)):
+            assert not one_cell.split_levels
+            assert "split_levels" not in one_cell.to_dict()
+        stored = {key: value for key, value in spec.to_dict().items()
+                  if key != "split_levels"}
+        assert not EstimatorSpec.from_dict(stored).split_levels
+        with pytest.raises(ServiceError, match="level-split"):
+            replace(EstimatorSpec.create("rectangle", (64, 64), 8), split_levels=True)
+
+    def test_split_and_one_cell_do_not_merge(self):
+        spec = EstimatorSpec.create("range", (256, 256), 8, seed=3)
+        split, one_cell = spec.build(), replace(spec, split_levels=False).build()
+        boxes = synthetic_boxes(Domain((256, 256)), 50, seed=1)
+        for estimator in (split, one_cell):
+            estimator.insert(boxes)
+        with pytest.raises(MergeCompatibilityError, match="level-split"):
+            split.merge(one_cell)
+        with pytest.raises(MergeCompatibilityError):
+            one_cell.load_state_dict(split.state_dict())
 
 
 class TestStoredStateStaysUncapped:
@@ -250,8 +337,7 @@ class TestStoredStateStaysUncapped:
         assert self.answers(restored) == (self.PARENT_RQ, self.PARENT_RJ)
         # More data lands in the same, uncapped, counters.
         reference = EstimationService(num_shards=1)
-        reference.register("rq", family="range", domain=Domain(self.SIZES),
-                           num_instances=8, seed=41)
+        reference.register("rq", EstimatorSpec.from_dict(self.SPECS["rq"]))
         more = synthetic_boxes(Domain(self.SIZES), 100, seed=9)
         for target in (restored, reference):
             target.ingest("rq", more, side="data")

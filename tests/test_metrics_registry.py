@@ -28,7 +28,7 @@ from repro.client import ServiceClient
 from repro.cluster import RouterConfig, ThreadedClusterRouter
 from repro.core.domain import Domain
 from repro.core.program import ExecutorStats
-from repro.server import ServerConfig, ThreadedServer
+from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.server.metrics import FAMILIES, ServerMetrics, fold, render, samples
 from repro.service import EstimationService, synthetic_boxes
 from repro.tenancy import TenantRegistry
@@ -309,10 +309,14 @@ class _StalledWorker:
     def _answer(self, connection):
         with connection, connection.makefile("rb") as lines:
             for line in lines:
-                op = json.loads(line).get("op")
+                request = json.loads(line)
+                op = request.get("op")
                 if not self.stall.is_set():
-                    # Refuse the binary upgrade, acknowledge anything else.
+                    # Refuse the binary upgrade, acknowledge anything else
+                    # (a register with the spec a worker would build).
                     reply = {"ok": op != "hello", "op": op}
+                    if op == "register":
+                        reply["spec"] = protocol.read(op, request)["spec"].to_dict()
                     connection.sendall(json.dumps(reply).encode() + b"\n")
 
     def close(self):

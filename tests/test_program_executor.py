@@ -17,11 +17,14 @@ introspection (``describe_program``) and executor cache behaviour.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.atomic import Letter
 from repro.core.boosting import median_of_means, split_instances
 from repro.core.program import (
     ProgramExecutor,
@@ -33,6 +36,8 @@ from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, EstimatorSpec
 from repro.service.specs import compile_programs
+
+from tests.helpers import scalar_letter_sums
 
 #: Family -> (domain sizes, update sides, extra spec options).
 FAMILY_CASES = {
@@ -89,11 +94,27 @@ def reference_scalar_estimate(family: str, view, query=None):
                   * view.side_bank("inner").counter(view._inner_word))
         left, right = view.outer_count, view.inner_count
     elif family == "range":
-        query_box = view._query_box(query)
+        query_box, bank = view._query_box(query), view.bank
         values = np.zeros(view.num_instances, dtype=np.float64)
         for word in view._words:
-            values += view.bank.counter(word) * view.bank.evaluate(
-                view._query_word(word), query_box)
+            if not bank.split_levels:
+                values += bank.counter(word) * bank.evaluate(
+                    view._query_word(word), query_box)
+                continue
+            # Each cell times the query's sums on the same levels; where the
+            # counter word reads U, the query range ends at v - 1.
+            lows = query_box.lows[0]
+            highs = query_box.highs[0] - [letter is Letter.UPPER_POINT for letter in word]
+            if np.any(highs < lows):
+                continue
+            sums = np.ones((view.num_instances, 1))
+            for dim, letter in enumerate(view._query_word(word)):
+                levels = scalar_letter_sums(
+                    bank, dim, letter, lows[dim:dim + 1], highs[dim:dim + 1],
+                    by_level=True)[:, 0]
+                sums = (sums[:, :, None] * levels[:, None, :]).reshape(
+                    view.num_instances, -1)
+            values += (bank.word_cells(word) * sums).sum(axis=1)
         left, right = view.count, 1
     else:  # pragma: no cover - defensive
         raise AssertionError(f"unknown family {family!r}")
@@ -172,6 +193,26 @@ def test_executor_matches_prerefactor_scalar_cache_on_and_off(family, case):
         # (dim, letter) pair regardless of batch size or cache policy.
         letters_in_use = 2 * len(sizes)
         assert uncached.stats.kernel_calls <= 2 * letters_in_use
+
+
+def test_fractional_weights_match_the_scalar_math(rng):
+    """One-cell counters need not be integers — ``SketchBank.insert``
+    takes any weight — so the executor keeps the historical order there:
+    letter sums multiply first, then the counter, bit for bit."""
+    sizes, sides, options = FAMILY_CASES["range"]
+    spec = replace(EstimatorSpec.create("range", sizes, 64, seed=3, **options),
+                   split_levels=False)
+    estimator = spec.build()
+    estimator.insert(_boxes(rng, 12, sizes, degenerate=False))
+    for weight in (0.3, 1.7, -0.45, 0.1):
+        estimator.bank.insert(_boxes(rng, 12, sizes, degenerate=False), weight=weight)
+    queries = _boxes(rng, 32, sizes, degenerate=False)
+    results = ProgramExecutor(cache_size=0).run(compile_programs(spec, estimator, queries))
+    for j, result in enumerate(results):
+        estimate, values, group_means, _, _ = reference_scalar_estimate(
+            "range", estimator, queries[j])
+        assert np.array_equal(result.instance_values, values)
+        assert result.estimate == estimate
 
 
 @settings(max_examples=8, deadline=None)

@@ -163,7 +163,9 @@ class TestV2FixtureRegression:
     families, 2 shards, ~300 boxes a side with some deletes, ``join``
     registered with ``max_levels``, ``acme/ranges`` inside a tenant's
     namespace.  ``service_snapshot_v2.expected.json`` holds what that build
-    answered.
+    answered (``acme/ranges``' per-query ``instance_values`` were added by
+    the build before level-split counters, from this same file).  Its spec
+    has no ``split_levels``, so it stays one cell per word.
     """
 
     SNAPSHOT = FIXTURES / "service_snapshot_v2.snap"
@@ -186,6 +188,10 @@ class TestV2FixtureRegression:
                 scalar = [service.estimate(name, queries[row:row + 1])
                           for row in range(len(queries))]
                 assert [r.estimate for r in scalar] == expected["scalar"]
+                assert [r.instance_values.tolist() for r in scalar] \
+                    == expected["instance_values"]
+                assert not service.spec(name).split_levels
+                assert service.merged_view(name).bank.levels == (1, 1)
                 batch = service.estimate_batch(name, queries)
                 assert scalar[0].left_count == expected["left_count"]
             else:
@@ -205,6 +211,11 @@ class TestV2FixtureRegression:
                      "--name", "join"]) == 0
         reply = json.loads(capsys.readouterr().out)
         assert reply["estimate"] == self.EXPECTED["names"]["join"]["scalar"]
+        query = ",".join(str(v) for v in self.EXPECTED["queries"][0])
+        assert main(["estimate", "--snapshot", str(self.SNAPSHOT),
+                     "--name", "acme/ranges", "--query", query]) == 0
+        reply = json.loads(capsys.readouterr().out)
+        assert reply["estimate"] == self.EXPECTED["names"]["acme/ranges"]["scalar"][0]
 
     def test_fixture_resaves_to_the_same_bytes(self, tmp_path):
         """The on-disk layout is unchanged: restore + save is the identity."""

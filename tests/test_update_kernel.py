@@ -55,16 +55,23 @@ def random_boxes(rng, count: int, domain: Domain) -> BoxSet:
 
 def scalar_counters(bank: SketchBank, updates) -> np.ndarray:
     """The counter tensor ``updates`` — ``(boxes, weight, letter_boxes)``
-    triples — must leave, from per-box scalar walks."""
-    counters = np.zeros((bank.num_instances, len(bank.words)))
+    triples — must leave, from per-box scalar walks (a level-split bank:
+    per box the outer product of its per-level sums)."""
+    cells = int(np.prod(bank.levels))
+    counters = np.zeros((bank.num_instances, len(bank.words) * cells))
     for boxes, weight, overrides in updates:
         for index, word in enumerate(bank.words):
-            term = np.ones((bank.num_instances, len(boxes)))
+            term = np.ones((bank.num_instances, len(boxes), 1))
             for dim, letter in enumerate(word):
                 source = (overrides or {}).get(letter, boxes)
-                term *= scalar_letter_sums(bank, dim, letter,
-                                           source.lows[:, dim], source.highs[:, dim])
-            counters[:, index] += weight * term.sum(axis=1)
+                sums = scalar_letter_sums(
+                    bank, dim, letter, source.lows[:, dim], source.highs[:, dim],
+                    by_level=bank.split_levels)
+                term = (term[:, :, :, None] * sums.reshape(
+                    bank.num_instances, len(boxes), 1, bank.levels[dim])).reshape(
+                        bank.num_instances, len(boxes), term.shape[2] * bank.levels[dim])
+            counters[:, index * cells:(index + 1) * cells] += \
+                weight * term.sum(axis=1)
     return counters
 
 
