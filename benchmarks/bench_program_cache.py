@@ -55,7 +55,7 @@ from repro.service import (
     synthetic_boxes,
     synthetic_queries,
 )
-from repro.service.specs import apply_update, run_estimate, run_estimate_batch
+from repro.service.specs import apply_update, compile_programs
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_program.json"
@@ -171,9 +171,8 @@ def _per_family_round(service, requests, executor) -> list:
         order.setdefault(name, []).append(index)
     results: list = [None] * len(requests)
     for name, queries in grouped.items():
-        batch = run_estimate_batch(service.spec(name),
-                                   service.merged_view(name), queries,
-                                   executor=executor)
+        batch = executor.run(compile_programs(
+            service.spec(name), service.merged_view(name), queries))
         for position, index in enumerate(order[name]):
             results[index] = batch[position]
     return results
@@ -660,9 +659,7 @@ def probe_answers(spec: EstimatorSpec, sides: list[BoxSet],
     estimator = spec.build()
     for side, data in zip(spec.info.sides, sides):
         apply_update(spec, estimator, side, "insert", data)
-    if spec.info.queryable:
-        return run_estimate_batch(spec, estimator, probes)
-    return [run_estimate(spec, estimator)]
+    return estimator.estimate_batch(probes if spec.info.queryable else 1)
 
 
 def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),

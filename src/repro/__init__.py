@@ -39,6 +39,7 @@ from repro.errors import (
     EngineError,
     EstimationError,
     MergeCompatibilityError,
+    QueryError,
     ReproError,
     ServiceError,
     SketchConfigError,
@@ -80,6 +81,7 @@ __all__ = [
     "DimensionalityError",
     "SketchConfigError",
     "MergeCompatibilityError",
+    "QueryError",
     "EstimationError",
     "WorkloadError",
     "EngineError",

@@ -549,21 +549,18 @@ def _run_explain(service, args) -> int:
     exact batch the ProgramExecutor would execute.
     """
     from repro.core.program import describe_program
-    from repro.server.protocol import boxes_from_rows, query_box
+    from repro.server.protocol import query_box
     from repro.service.specs import compile_programs
 
     spec = service.spec(args.name)
     if args.batch_file is not None:
-        queries = _read_batch_queries(args.batch_file)
-        if None not in queries:
-            queries = boxes_from_rows(queries, spec.dimension)
+        queries = [query_box(row) for row in _read_batch_queries(args.batch_file)]
     elif spec.info.queryable and args.query is None:
         raise ReproError(
             f"family {spec.family!r} programs compile per query; pass "
             f"--query or --batch-file")
     else:
-        query = query_box(spec, _given(args, "estimate").get("query"))
-        queries = 1 if query is None else query
+        queries = [query_box(_given(args, "estimate").get("query"))]
     view = service.merged_view(args.name)
     programs = compile_programs(spec, view, queries)
     with _jsonl_sink(args.batch_output) as out:

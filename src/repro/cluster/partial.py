@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
+from repro.core.program import default_executor
 from repro.core.result import EstimateResult
 from repro.errors import ServerError
-from repro.service.specs import EstimatorSpec, run_estimate
+from repro.service.specs import EstimatorSpec, compile_programs
 
 
 def merge_partial_states(spec: EstimatorSpec, states: Iterable[Mapping], *,
@@ -53,5 +54,5 @@ def merge_partial_states(spec: EstimatorSpec, states: Iterable[Mapping], *,
 def reduce_partials(spec: EstimatorSpec, states: Iterable[Mapping],
                     query=None, *, template: Any = None) -> EstimateResult:
     """Estimate from gathered partial states (merge, then boosted reduce)."""
-    return run_estimate(
-        spec, merge_partial_states(spec, states, template=template), query)
+    merged = merge_partial_states(spec, states, template=template)
+    return default_executor().run(compile_programs(spec, merged, [query]))[0]

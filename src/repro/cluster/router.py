@@ -287,7 +287,7 @@ class ClusterRouter(ServingFront):
     async def _op_estimate(self, fields: dict, scope) -> dict:
         name = fields["name"]
         spec, template = await self._spec_for(name)
-        query = protocol.query_box(spec, fields["query"])
+        query = protocol.query_box(fields["query"])
 
         owners = self._owner_names()
         readers: dict[str, WorkerInfo] = {}

@@ -492,24 +492,6 @@ class SketchBank:
 
     # -- query-side evaluation ------------------------------------------------------
 
-    def evaluate(self, word: Word, box: BoxSet) -> np.ndarray:
-        """Per-instance value of ``prod_i s(i, word[i], box(i))`` for one box.
-
-        Used to evaluate the *query side* of range queries, where the query
-        rectangle is known and does not need to be summarised in a counter.
-        """
-        word = tuple(word)
-        if len(word) != self.dimension:
-            raise DimensionalityError("word dimensionality mismatch")
-        if len(box) != 1:
-            raise SketchConfigError("evaluate expects exactly one box")
-        self._domain.validate_boxes(box, what="query box")
-        product = np.ones(self._num_instances, dtype=np.float64)
-        for dim, letter in enumerate(word):
-            sums = self._letter_sums(dim, letter, box.lows[:, dim], box.highs[:, dim])
-            product *= sums[:, 0]
-        return product
-
     def letter_sums(self, dim: int, letter: Letter, lows: np.ndarray,
                     highs: np.ndarray) -> np.ndarray:
         """Vectorised per-instance xi sums for one letter over many intervals.

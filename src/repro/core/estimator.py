@@ -10,17 +10,24 @@ state has always used, point or box input), prepares coordinates in
 :meth:`SketchEstimator._prepare` and names any extra value two estimators
 must agree on in :meth:`SketchEstimator._compatibility`; the base owns
 streaming updates, merging, the state form, zero-counter companions, delta
-application, table pre-payment and the no-data guard.  The layers above
-(``repro.service``, ``repro.cluster``) call this contract and know nothing
-of a family's attribute names.
+application, table pre-payment, the no-data guard and the estimate path.
+The layers above (``repro.service``, ``repro.cluster``) call this contract
+and know nothing of a family's attribute names.
+
+Every estimate — scalar, batch, a service's mixed dispatch, a router's
+reduce — is one path: :meth:`SketchEstimator.check_queries` checks the
+request once, :meth:`SketchEstimator.lower` compiles it into
+:class:`~repro.core.program.SketchProgram` values, and a
+:class:`~repro.core.program.ProgramExecutor` runs them.  ``estimate(q)`` is
+``estimate_batch([q])[0]``.
 
 State has one form: each bank's counter tensor plus its stacked xi
 coefficient tensor (:meth:`repro.core.atomic.SketchBank.state_dict`) — what
 binary snapshots store and binary worker links carry.  A JSON hop renders
 the tensors as nested lists, which ``load_state_dict`` also accepts.
 
-:class:`QuerylessProgramEstimator` adds the estimate surface shared by the
-families whose queries carry no argument.
+:class:`QuerylessProgramEstimator` is the check and the lowering shared by
+the families whose estimates take no query.
 """
 
 from __future__ import annotations
@@ -34,15 +41,16 @@ import numpy as np
 from repro.core.atomic import Letter, SketchBank, Word
 from repro.core.boosting import BoostingPlan, split_instances
 from repro.core.domain import Domain
-from repro.core.program import (
-    ProgramTerm,
-    SketchProgram,
-    batch_request_count,
-    default_executor,
-)
+from repro.core.program import ProgramTerm, SketchProgram, default_executor
 from repro.core.result import EstimateResult
-from repro.errors import EstimationError, MergeCompatibilityError, SketchConfigError
+from repro.errors import (
+    EstimationError,
+    MergeCompatibilityError,
+    QueryError,
+    SketchConfigError,
+)
 from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.rectangle import Rect
 
 __all__ = ["Side", "SketchEstimator", "QuerylessProgramEstimator"]
 
@@ -81,6 +89,8 @@ class SketchEstimator:
     SIDES: ClassVar[tuple[Side, ...]] = ()
     #: The :meth:`_compatibility` values that ``state_dict`` carries.
     STATE_COMPAT: ClassVar[tuple[str, ...]] = ()
+    #: Whether an estimate takes a query rectangle (else a result count).
+    QUERYABLE: ClassVar[bool] = False
 
     def __init__(self, domain: Domain, num_instances: int, *, seed,
                  boosting: BoostingPlan | None, sketch_domain: Domain,
@@ -267,77 +277,99 @@ class SketchEstimator:
                 not any(bank.num_updates for bank in self._banks.values()):
             raise EstimationError("estimate requested before any data was inserted")
 
+    # -- estimation: the one path -------------------------------------------------
+
+    def check_queries(self, queries) -> BoxSet | int:
+        """The one check of an estimate request; what :meth:`_lower` takes.
+
+        A queryable family returns its query rectangles as one box set in
+        sketch coordinates, one row per query; a query-less family returns
+        the result count.  Anything else raises
+        :class:`~repro.errors.QueryError`.
+        """
+        raise NotImplementedError
+
+    def _lower(self, queries, plan: BoostingPlan) -> list[SketchProgram]:
+        """Programs for a checked, non-empty request."""
+        raise NotImplementedError
+
+    def lower(self, queries, *, plan: BoostingPlan | None = None
+              ) -> list[SketchProgram]:
+        """Compile an estimate request into sketch programs.
+
+        Every estimate takes this path: the request is checked once
+        (:meth:`check_queries`), an empty one compiles to nothing, and the
+        programs expand — once run on a
+        :class:`~repro.core.program.ProgramExecutor` — to one result per
+        query, in order.
+        """
+        checked = self.check_queries(queries)
+        if not (checked if isinstance(checked, int) else len(checked)):
+            return []
+        self._require_data()
+        return self._lower(checked, plan or self.boosting_plan)
+
+    def estimate_batch(self, queries, *, plan: BoostingPlan | None = None
+                       ) -> list[EstimateResult]:
+        """One boosted estimate per query (see :meth:`check_queries`), each
+        owning its arrays."""
+        return default_executor().run(self.lower(queries, plan=plan))
+
+    def estimate(self, query=None, *, plan: BoostingPlan | None = None
+                 ) -> EstimateResult:
+        """One boosted estimate: ``estimate_batch([query])[0]``."""
+        return self.estimate_batch([query], plan=plan)[0]
+
+    def instance_values(self, query=None) -> np.ndarray:
+        """The per-instance estimator values Z of one estimate (before boosting)."""
+        return self.estimate(query).instance_values
+
+    def estimate_cardinality(self, query=None) -> float:
+        """Shorthand returning only the boosted cardinality estimate."""
+        return self.estimate(query).estimate
+
+    def estimate_selectivity(self, query=None) -> float:
+        """Shorthand returning only the boosted selectivity estimate."""
+        return self.estimate(query).selectivity
+
 
 class QuerylessProgramEstimator(SketchEstimator):
-    """Estimate surface for families whose queries carry no argument.
+    """The families whose estimates take no query argument.
 
     The paired join, epsilon-join and containment estimators all answer the
-    same way: lower the (fixed) estimator random variable into one
-    :class:`~repro.core.program.SketchProgram` over their two sides and run
-    it on the shared executor.  Subclasses provide ``_program_terms()``.
+    same way: a request is a result count, and the (fixed) estimator random
+    variable lowers to one :class:`~repro.core.program.SketchProgram` over
+    their two sides.  Subclasses provide ``_program_terms()``.
     """
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
         raise NotImplementedError
 
-    # -- lowering -----------------------------------------------------------------
+    def check_queries(self, queries) -> int:
+        """A count, or a sequence of ``None`` entries (one per result)."""
+        if isinstance(queries, (int, np.integer)):
+            if queries < 0:
+                raise QueryError("a result count must be non-negative")
+            return int(queries)
+        if queries is None:
+            raise QueryError("a batch estimate needs a query list or a count")
+        entries = [queries] if isinstance(queries, Rect) else list(queries)
+        if any(entry is not None for entry in entries):
+            raise QueryError("this family takes no query argument; pass a "
+                             "count or None entries")
+        return len(entries)
 
-    def lower(self, *, plan: BoostingPlan | None = None,
-              replicas: int = 1) -> SketchProgram:
-        """Compile this estimator into a :class:`SketchProgram`."""
+    def _lower(self, count: int, plan: BoostingPlan) -> list[SketchProgram]:
+        """One program for the whole request: every result shares the same
+        per-instance values, so ``replicas`` carries the count."""
         if self._terms is None:
             self._terms = self._program_terms()
         left_count, right_count = self._cardinality.values()
-        return SketchProgram(
+        return [SketchProgram(
             terms=self._terms,
             num_instances=self._num_instances,
-            plan=plan or self.boosting_plan,
+            plan=plan,
             left_count=left_count,
             right_count=right_count,
-            replicas=replicas,
-        )
-
-    def lower_batch(self, queries, *, plan: BoostingPlan | None = None
-                    ) -> list[SketchProgram]:
-        """Compile a batch request (a count or ``None`` placeholders).
-
-        Query-less batches share one set of per-instance values, so the
-        whole batch compiles to a single program with ``replicas`` set.
-        """
-        count = batch_request_count(0 if queries is None else queries)
-        if count == 0:
-            return []
-        self._require_data()
-        return [self.lower(plan=plan, replicas=count)]
-
-    # -- estimation ---------------------------------------------------------------
-
-    def instance_values(self) -> np.ndarray:
-        """The per-instance estimator values Z (before boosting)."""
-        return default_executor().run_values([self.lower()])[0]
-
-    def estimate(self, *, plan: BoostingPlan | None = None) -> EstimateResult:
-        """Boosted estimate from the compiled program."""
-        self._require_data()
-        return default_executor().run([self.lower(plan=plan)])[0]
-
-    def estimate_batch(self, queries=None, *, plan: BoostingPlan | None = None
-                       ) -> list[EstimateResult]:
-        """A batch of boosted estimates (all of the same join).
-
-        ``queries`` is an integer count or a sequence of ``None`` entries
-        (these families take no per-query argument — the uniform signature
-        exists so the service layer can batch mixed estimator families
-        through one API).  The program is evaluated *once* for the whole
-        batch; every returned result is bit-identical to a scalar
-        :meth:`estimate` call and owns its own arrays.
-        """
-        return default_executor().run(self.lower_batch(queries, plan=plan))
-
-    def estimate_cardinality(self) -> float:
-        """Shorthand returning only the boosted cardinality estimate."""
-        return self.estimate().estimate
-
-    def estimate_selectivity(self) -> float:
-        """Shorthand returning only the boosted selectivity estimate."""
-        return self.estimate().selectivity
+            replicas=count,
+        )]

@@ -29,23 +29,11 @@ from repro.core.atomic import Letter, SketchBank, Word
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain, EndpointTransform
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
-from repro.core.program import (
-    CounterRef,
-    ProgramTerm,
-    batch_request_count,
-    replicate_estimate,
-)
+from repro.core.program import CounterRef, ProgramTerm
 from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 
-__all__ = [
-    "PairTerm",
-    "expand_pair_terms",
-    "PairedSketchJoinEstimator",
-    # Re-exported for API stability; the canonical home is repro.core.program.
-    "batch_request_count",
-    "replicate_estimate",
-]
+__all__ = ["PairTerm", "expand_pair_terms", "PairedSketchJoinEstimator"]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ a small declarative IR:
   carried into the :class:`~repro.core.result.EstimateResult`.
 
 Estimator families *lower* their queries into programs (see
-``lower``/``lower_batch`` on the family classes) and a shared
+:meth:`repro.core.estimator.SketchEstimator.lower`) and a shared
 :class:`ProgramExecutor` runs whole batches of programs — across different
 queries, different words and different estimator families — with three levels
 of sharing:
@@ -67,7 +67,6 @@ __all__ = [
     "SketchProgram",
     "ProgramExecutor",
     "ExecutorStats",
-    "batch_request_count",
     "replicate_estimate",
     "describe_program",
     "letter_cover_size",
@@ -135,8 +134,7 @@ class ProgramTerm:
     The counter factors multiply in tuple order (the pairwise instance
     combination of the join families: instance ``i`` of every bank
     contributes to instance ``i`` of the product); the letter-sum factors
-    multiply in tuple order after them, exactly as the scalar
-    ``evaluate``/``instance_values`` paths always did.
+    multiply in tuple order, and their product scales the counters'.
     """
 
     coefficient: float
@@ -194,31 +192,7 @@ class SketchProgram:
         )
 
 
-# -- batch-request helpers (shared by the query-less families) ----------------------
-
-
-def batch_request_count(queries) -> int:
-    """Normalise a batch request for query-less estimators to a result count.
-
-    Join estimators summarise both inputs up front, so a "batched" request
-    is simply *how many* results are wanted: either an integer count or a
-    sequence of ``None`` placeholders (the shape the service layer produces
-    when it routes mixed batches through one API).  Anything non-``None`` in
-    the sequence is an error — these families do not take per-query
-    arguments.
-    """
-    if isinstance(queries, (int, np.integer)):
-        count = int(queries)
-        if count < 0:
-            raise SketchConfigError("batch size must be non-negative")
-        return count
-    entries = list(queries)
-    if any(entry is not None for entry in entries):
-        raise SketchConfigError(
-            "this estimator family does not take a query argument; batch "
-            "entries must all be None (or pass an integer count)"
-        )
-    return len(entries)
+# -- result replicas ----------------------------------------------------------------
 
 
 def replicate_estimate(result: EstimateResult, count: int) -> list[EstimateResult]:
@@ -317,7 +291,7 @@ class ProgramExecutor:
 
     #: Programs evaluated per vectorised round; bounds the transient
     #: ``(instances, programs)`` matrices while huge batches stream.
-    DEFAULT_CHUNK = 4096
+    CHUNK = 4096
 
     def __init__(self, *, cache_size: int = 8192) -> None:
         if cache_size < 0:
@@ -336,44 +310,25 @@ class ProgramExecutor:
         with self._lock:
             return len(self._cache) if self._cache is not None else 0
 
-    # -- public entry points ------------------------------------------------------
+    # -- the entry point ----------------------------------------------------------
 
-    def run(self, programs: Sequence[SketchProgram], *,
-            chunk_size: int | None = None) -> list[EstimateResult]:
+    def run(self, programs: Sequence[SketchProgram]) -> list[EstimateResult]:
         """Evaluate and boost a batch of programs.
 
         Returns one :class:`EstimateResult` per *logical* query: a program
         with ``replicas == k`` contributes ``k`` consecutive results.
-        Result order follows program order.  Every result is bit-identical
-        to the corresponding scalar estimate.
+        Result order follows program order, and no result depends on the
+        batch it ran in.
         """
         programs = list(programs)
-        chunk = int(chunk_size or self.DEFAULT_CHUNK)
-        if chunk < 1:
-            raise SketchConfigError("chunk_size must be positive")
         results: list[EstimateResult] = []
-        for start in range(0, len(programs), chunk):
-            results.extend(self._run_chunk(programs[start:start + chunk]))
+        for start in range(0, len(programs), self.CHUNK):
+            results.extend(self._run_chunk(programs[start:start + self.CHUNK]))
         with self._lock:
             self._stats.runs += 1
             self._stats.programs += len(programs)
             self._stats.results += len(results)
         return results
-
-    def run_values(self, programs: Sequence[SketchProgram]
-                   ) -> list[np.ndarray]:
-        """Per-instance estimator values Z of each program (no boosting).
-
-        ``replicas`` is ignored: one value vector per program.
-        """
-        programs = list(programs)
-        values: list[np.ndarray] = []
-        for start in range(0, len(programs), self.DEFAULT_CHUNK):
-            chunk = programs[start:start + self.DEFAULT_CHUNK]
-            resolved = self._resolve_letter_sums(chunk)
-            columns = self._chunk_values(chunk, resolved)
-            values.extend(np.ascontiguousarray(column) for column in columns)
-        return values
 
     # -- execution ----------------------------------------------------------------
 

@@ -44,14 +44,12 @@ fine nodes of a query's cover.
 
 Note on boundaries: the counting conditions use closed containment, so a
 data rectangle that merely *touches* the query rectangle is counted as
-selected.  This matches the common "window query" semantics; pass
-``strict=True`` to :meth:`RangeQueryEstimator.estimate` to apply the
-endpoint transformation and reproduce the strict Definition 1 semantics.
+selected.  This matches the common "window query" semantics; build the
+estimator with ``strict=True`` to apply the endpoint transformation and
+reproduce the strict Definition 1 semantics.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -59,17 +57,22 @@ from repro.core.atomic import Letter, SketchBank, Word, all_words
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain, EndpointTransform
 from repro.core.estimator import Prepared, SketchEstimator, Side
-from repro.core.program import (
-    CounterRef,
-    LetterSumRef,
-    ProgramTerm,
-    SketchProgram,
-    default_executor,
-)
-from repro.core.result import EstimateResult
-from repro.errors import DimensionalityError, SketchConfigError
+from repro.core.program import CounterRef, LetterSumRef, ProgramTerm, SketchProgram
+from repro.errors import QueryError
 from repro.geometry.boxset import BoxSet
 from repro.geometry.rectangle import Rect
+
+
+def _query_bounds(query) -> tuple:
+    """One batch entry's ``(lows, highs)``: a :class:`Rect` or a one-row
+    :class:`BoxSet`."""
+    if isinstance(query, Rect):
+        return query.lows, query.highs
+    if isinstance(query, BoxSet) and len(query) == 1:
+        return query.lows[0], query.highs[0]
+    if query is None:
+        raise QueryError("a range estimate needs a query rectangle")
+    raise QueryError("each query must be exactly one rectangle")
 
 
 class RangeQueryEstimator(SketchEstimator):
@@ -92,6 +95,7 @@ class RangeQueryEstimator(SketchEstimator):
 
     SIDES = (Side("data", "bank", "count", aliases=("left",)),)
     STATE_COMPAT = ("strict",)
+    QUERYABLE = True
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0, strict: bool = False,
                  boosting: BoostingPlan | None = None, split_levels: bool = False) -> None:
@@ -137,16 +141,36 @@ class RangeQueryEstimator(SketchEstimator):
 
     # -- estimation -----------------------------------------------------------------------
 
-    def _query_box(self, query: Rect | BoxSet) -> BoxSet:
-        if isinstance(query, Rect):
-            query = BoxSet.from_rects([query])
-        if len(query) != 1:
-            raise SketchConfigError("a range query consists of exactly one rectangle")
-        if query.dimension != self.dimension:
-            raise DimensionalityError("query dimensionality does not match the domain")
+    def check_queries(self, queries) -> BoxSet:
+        """Range queries as one box set in sketch coordinates, one row per query.
+
+        ``queries`` is a :class:`Rect`, a :class:`BoxSet` (one query per
+        row) or a sequence of rectangles and one-row box sets.  The rows
+        must match the domain's dimensionality and, endpoint-transformed
+        under ``strict``, lie inside the sketch domain.
+        """
+        if queries is None or isinstance(queries, (int, np.integer)):
+            raise QueryError("range estimates take query rectangles, not a count")
+        if isinstance(queries, Rect):
+            queries = [queries]
+        if not isinstance(queries, BoxSet):
+            bounds = [_query_bounds(query) for query in queries]
+            if {len(low) for low, _ in bounds} <= {self.dimension}:
+                shape = (len(bounds), self.dimension)
+                queries = BoxSet(
+                    np.asarray([low for low, _ in bounds], dtype=np.int64).reshape(shape),
+                    np.asarray([high for _, high in bounds], dtype=np.int64).reshape(shape),
+                    validate=False)
+        # A sequence whose rows do not all match the domain is still a list.
+        if not isinstance(queries, BoxSet) or queries.dimension != self.dimension:
+            raise QueryError(
+                f"queries must be {self.dimension}-dimensional like the domain")
         if self._transform is not None:
-            query = self._transform.transform_query(query)
-        return query
+            queries = self._transform.transform_query(queries)
+        if not self.bank.domain.contains(queries):
+            raise QueryError(f"queries contain coordinates outside the domain "
+                             f"{self.bank.domain.sizes}")
+        return queries
 
     def _query_word(self, word: Word) -> Word:
         """The query-side word paired with a counter word (I <-> U flip)."""
@@ -155,42 +179,20 @@ class RangeQueryEstimator(SketchEstimator):
             for letter in word
         )
 
-    # -- lowering -----------------------------------------------------------------------
-
-    def lower(self, queries: Rect | BoxSet | Sequence[Rect | BoxSet], *,
-              plan: BoostingPlan | None = None) -> list[SketchProgram]:
-        """Compile a batch of range queries into sketch programs.
-
-        Program ``j`` lowers query ``j`` to one term per counter word:
-        the word's counter cells contracted with the per-dimension letter
-        sums (per level on a level-split bank) of the *query-side* word
-        (the I <-> U flip), over the (possibly endpoint-transformed) query
-        coordinates.
-        """
-        return self._lower_prepared(self._query_batch(queries), plan=plan)
-
-    def lower_batch(self, queries, *, plan: BoostingPlan | None = None
-                    ) -> list[SketchProgram]:
-        """Batch-request lowering with the historical guards (service entry)."""
-        if not isinstance(queries, Rect) and not len(queries):
-            return []
-        self._require_data()
-        return self.lower(queries, plan=plan)
-
-    def _lower_prepared(self, query_boxes: BoxSet,
-                        plan: BoostingPlan | None) -> list[SketchProgram]:
-        """Programs for already-transformed queries (one per box row)."""
+    def _lower(self, queries: BoxSet, plan: BoostingPlan) -> list[SketchProgram]:
+        """Program ``j`` lowers query ``j`` to one term per counter word: the
+        word's counter cells contracted with the per-dimension letter sums
+        (per level on a level-split bank) of the *query-side* word (the
+        I <-> U flip), over the checked query coordinates."""
         bank = self.bank
-        bank.domain.validate_boxes(query_boxes, what="query boxes")
-        plan = plan or self.boosting_plan
         pairs = [(word, self._query_word(word)) for word in self._words]
-        lows = query_boxes.lows
-        highs = query_boxes.highs
+        lows = queries.lows
+        highs = queries.highs
         # Where a counter word reads U, a level-split bank's query range
         # ends at v - 1 (see the module docstring).
         upper = highs - 1 if bank.split_levels else highs
         programs: list[SketchProgram] = []
-        for row in range(len(query_boxes)):
+        for row in range(len(queries)):
             terms = []
             for word, query_word in pairs:
                 ends = [int((upper if letter is Letter.UPPER_POINT else highs)[row, dim])
@@ -212,66 +214,3 @@ class RangeQueryEstimator(SketchEstimator):
                 right_count=1,
             ))
         return programs
-
-    # -- estimation ---------------------------------------------------------------------
-
-    def instance_values(self, query: Rect | BoxSet) -> np.ndarray:
-        program = self._lower_prepared(self._query_box(query), plan=None)[0]
-        return default_executor().run_values([program])[0]
-
-    def _query_batch(self, queries: Rect | BoxSet | Sequence[Rect | BoxSet]) -> BoxSet:
-        """Normalise a batch of queries to one (validated) BoxSet."""
-        if isinstance(queries, Rect):
-            queries = BoxSet.from_rects([queries])
-        elif not isinstance(queries, BoxSet):
-            rects = []
-            for query in queries:
-                if isinstance(query, BoxSet):
-                    if len(query) != 1:
-                        raise SketchConfigError(
-                            "each query of a batch must be exactly one rectangle"
-                        )
-                    rects.extend(query.to_rects())
-                else:
-                    rects.append(query)
-            queries = BoxSet.from_rects(rects)
-        if queries.dimension != self.dimension:
-            raise DimensionalityError("query dimensionality does not match the domain")
-        if self._transform is not None:
-            queries = self._transform.transform_query(queries)
-        return queries
-
-    def estimate(self, query: Rect | BoxSet, *, plan: BoostingPlan | None = None
-                 ) -> EstimateResult:
-        """Boosted estimate of the number of rectangles selected by ``query``."""
-        self._require_data()
-        program = self._lower_prepared(self._query_box(query), plan=plan)[0]
-        return default_executor().run([program])[0]
-
-    #: Queries per vectorised executor round; keeps the per-(dim, letter)
-    #: xi-sum matrices (num_instances x chunk) bounded while large batches
-    #: stream.
-    _BATCH_CHUNK = 4096
-
-    def estimate_batch(self, queries: Rect | BoxSet | Sequence[Rect | BoxSet], *,
-                       plan: BoostingPlan | None = None) -> list[EstimateResult]:
-        """Boosted estimates for a whole batch of range queries.
-
-        Result ``j`` is bit-identical to ``estimate(queries[j])`` — the same
-        xi sums, the same word/dimension accumulation order and the same
-        median-of-means grouping — but the batch lowers to one program per
-        query and runs on the shared
-        :class:`~repro.core.program.ProgramExecutor`: identical letter-sum
-        requests are computed once per batch, programs evaluate as matrix
-        kernels, and the boosting runs as one median-of-instances reduction
-        per batch (see :func:`~repro.core.boosting.median_of_means_batch`).
-        """
-        return default_executor().run(self.lower_batch(queries, plan=plan),
-                                      chunk_size=self._BATCH_CHUNK)
-
-    def estimate_cardinality(self, query: Rect | BoxSet) -> float:
-        return self.estimate(query).estimate
-
-    def estimate_selectivity(self, query: Rect | BoxSet) -> float:
-        """Estimated fraction of rectangles selected by ``query``."""
-        return self.estimate(query).selectivity

@@ -42,6 +42,18 @@ class MergeCompatibilityError(SketchConfigError):
     """
 
 
+class QueryError(SketchConfigError):
+    """An estimate request does not fit its estimator.
+
+    A query given to a family that takes none, none (or a count) given to
+    one that needs query rectangles, a batch entry of more than one
+    rectangle, the wrong dimensionality, or coordinates outside the domain.
+    :meth:`repro.core.estimator.SketchEstimator.check_queries` is the one
+    place that raises it; the service layer re-raises it as a
+    :class:`ServiceError` naming the family.
+    """
+
+
 class EstimationError(ReproError):
     """An estimate could not be produced (e.g. empty sketch, no instances)."""
 

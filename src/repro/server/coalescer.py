@@ -179,13 +179,13 @@ class EstimateCoalescer:
         """Queue one estimate; the returned future resolves with its result.
 
         ``query`` is a single-row :class:`BoxSet` for queryable families or
-        ``None`` for query-less ones (the caller validates against the
-        family).  Requests for *different* estimators share one dispatch —
-        mixed batches are answered by a single ``estimate_multi`` engine
-        call.  ``tenant`` selects the fair-share queue the request waits in
-        and ``weight`` its round-robin allowance (the tenant quota's
-        ``share``).  Raises :class:`OverloadedError` synchronously when the
-        admission queue is full.
+        ``None`` for query-less ones; it is checked where its dispatch
+        compiles, like every estimate.  Requests for *different* estimators
+        share one dispatch — mixed batches are answered by a single
+        ``estimate_multi`` engine call.  ``tenant`` selects the fair-share
+        queue the request waits in and ``weight`` its round-robin allowance
+        (the tenant quota's ``share``).  Raises :class:`OverloadedError`
+        synchronously when the admission queue is full.
         """
         if self.queue_depth >= self._max_queue:
             self._stats.rejected += 1

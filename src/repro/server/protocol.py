@@ -439,18 +439,14 @@ def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
     return np.hstack([boxes.lows, boxes.highs]).tolist()
 
 
-def query_box(spec: EstimatorSpec, row) -> BoxSet | None:
-    """An ``estimate`` request's ``query`` checked against the family: one
-    validated rectangle for queryable families, ``None`` for the rest."""
-    if spec.info.queryable:
-        if row is None:
-            raise ServiceError(
-                f"family {spec.family!r} estimates need a query rectangle")
-        return boxes_from_rows([row], spec.dimension)
-    if row is not None:
-        raise ServiceError(
-            f"family {spec.family!r} does not take a query argument")
-    return None
+def query_box(row) -> BoxSet | None:
+    """An ``estimate`` request's ``query``: one decoded box, or ``None``.
+
+    Only decoded here: whether the name's family takes it is checked once,
+    where the estimate compiles
+    (:meth:`repro.core.estimator.SketchEstimator.check_queries`).
+    """
+    return None if row is None else boxes_from_rows([row])
 
 
 def estimate_fields(result) -> dict:

@@ -142,7 +142,7 @@ class SketchServer(ServingFront):
             return protocol.ok_payload("estimate", fields, name=name,
                                        partial=True, spec=spec.to_dict(),
                                        state=state)
-        query = protocol.query_box(spec, fields["query"])
+        query = protocol.query_box(fields["query"])
         weight = scope.record.quota.share if scope.record is not None else 1
         start = time.perf_counter()
         result = await self.coalescer.submit(name, query, tenant=scope.tenant,

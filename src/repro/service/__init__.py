@@ -13,7 +13,7 @@ package turns that property into a serving layer:
   through the vectorised sketch updates,
 * :class:`~repro.service.service.EstimationService` — the
   register/ingest/estimate/snapshot front-end with an LRU cache of merged
-  query views and one batched estimate path (``estimate_batch`` /
+  query views and one estimate path (``estimate`` / ``estimate_batch`` /
   ``estimate_multi``) on one program executor,
 * :mod:`~repro.service.snapshot` — checkpoint/restore built on
   ``state_dict``/``load_state_dict``: binary v2 snapshots (raw counter
@@ -28,8 +28,6 @@ from repro.service.specs import (
     FamilyInfo,
     apply_update,
     family_info,
-    run_estimate,
-    run_estimate_batch,
 )
 from repro.service.store import ShardedSketchStore, partition_boxes, shard_ids
 from repro.service.ingest import FlushReport, IngestPipeline, IngestStats
@@ -56,8 +54,6 @@ __all__ = [
     "FamilyInfo",
     "family_info",
     "apply_update",
-    "run_estimate",
-    "run_estimate_batch",
     "ShardedSketchStore",
     "shard_ids",
     "partition_boxes",

@@ -51,7 +51,6 @@ from repro.service.specs import (
     EstimatorSpec,
     as_boxes,
     compile_programs,
-    run_estimate,
 )
 from repro.service.store import ShardedSketchStore
 
@@ -79,6 +78,8 @@ class ServiceStats:
     delta_applies: int = 0
     rebuilds: int = 0
     evictions: int = 0
+    #: Executor dispatches: one per ``estimate``, ``estimate_batch`` or
+    #: ``estimate_multi`` call, however many queries it carried.
     batch_estimates: int = 0
     coalesced_queries: int = 0
 
@@ -529,20 +530,15 @@ class EstimationService:
 
     def estimate(self, name: str, query: Rect | BoxSet | None = None
                  ) -> EstimateResult:
-        """Boosted estimate from the merged view of every shard."""
-        view = self.merged_view(name)
-        with self._lock:
-            self._stats.estimates += 1
-        return run_estimate(self._store.spec(name), view, query)
+        """One boosted estimate: ``estimate_multi([(name, query)])[0]``."""
+        return self._run_batches([(name, [query])])[0]
 
     def estimate_batch(self, name: str, queries) -> list[EstimateResult]:
         """Boosted estimates for a whole query batch from one merged view.
 
         ``queries`` is a :class:`BoxSet`/sequence of rectangles for
         queryable families, or an integer count / sequence of ``None`` for
-        query-less ones.  The merged view comes from the same LRU cache the
-        scalar path uses, and result ``j`` is bit-identical to
-        ``estimate(name, queries[j])``.
+        query-less ones; result ``j`` is ``estimate(name, queries[j])``.
         """
         return self._run_batches([(name, queries)])
 
@@ -554,7 +550,7 @@ class EstimationService:
         families, ``None`` for query-less ones.  Every named estimator's
         merged view is fetched **once**, and letter-sum work is shared
         across queries *and* estimators.  Results come back in request
-        order, each bit-identical to the scalar ``estimate(name, query)``.
+        order.
 
         This is the engine call behind the server's cross-estimator request
         coalescing (:mod:`repro.server.coalescer`).
@@ -575,11 +571,13 @@ class EstimationService:
         return results
 
     def _run_batches(self, batches) -> list[EstimateResult]:
-        """The one batch path: ``(name, queries)`` batches, results in order.
+        """The one estimate path: ``(name, queries)`` batches, results in order.
 
-        Each batch is compiled against its name's merged view and the
+        Each batch is checked and compiled against its name's merged view
+        (:func:`~repro.service.specs.compile_programs`) and the
         concatenated programs run as a single call of the service's
-        caching executor, so the whole request costs one reduction pass.
+        caching executor, so the whole request costs one reduction pass
+        and counts as one ``batch_estimates`` dispatch.
         """
         programs: list = []
         for name, queries in batches:

@@ -9,14 +9,14 @@ specification: an immutable, JSON-serialisable value object that can build a
 fresh estimator on demand.
 
 The :data:`FAMILIES` registry covers all eight estimator families of the
-library and records, per family, the estimator class, the options a spec
-may pass to its constructor and whether estimates take a query argument.
-How updates are routed — which sides exist, their aliases, whether a side
-takes points or boxes — is what the class itself declares
-(:class:`repro.core.estimator.SketchEstimator`); the service layer calls
-that contract (``update`` / ``merge`` / ``state_dict`` / ``companion`` /
-``with_delta``) and this table, so a new estimator family only needs one
-registry entry to become servable.
+library and records, per family, the estimator class and the options a
+spec may pass to its constructor.  Which sides exist, their aliases,
+whether a side takes points and whether an estimate takes a query is what
+the class itself declares (:class:`repro.core.estimator.SketchEstimator`);
+the service layer calls that contract (``update`` / ``merge`` /
+``state_dict`` / ``companion`` / ``with_delta`` / ``lower``) and this
+table, so a new estimator family only needs one registry entry to become
+servable.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from repro.core.join_extended import (
 from repro.core.join_hyperrect import ENDPOINT_POLICIES, SpatialJoinEstimator
 from repro.core.join_interval import IntervalJoinEstimator
 from repro.core.join_rect import RectangleJoinEstimator
+from repro.core.program import SketchProgram
 from repro.core.range_query import RangeQueryEstimator
-from repro.core.result import EstimateResult
-from repro.errors import ServiceError, SketchConfigError
+from repro.errors import QueryError, ServiceError, SketchConfigError
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.rectangle import Rect
 
 UPDATE_KINDS = ("insert", "delete")
 
@@ -51,16 +50,20 @@ UPDATE_KINDS = ("insert", "delete")
 class FamilyInfo:
     """Registry metadata for one estimator family.
 
-    Sides, their aliases and which of them take points are what the
-    estimator class declares (:attr:`repro.core.estimator.SketchEstimator.SIDES`);
+    Sides, their aliases, which of them take points and whether estimates
+    take a query are what the estimator class declares
+    (:attr:`repro.core.estimator.SketchEstimator.SIDES` / ``QUERYABLE``);
     a spec's options are that class's constructor keywords of the same name.
     """
 
     name: str
     estimator: type[SketchEstimator]
-    queryable: bool = False
     option_names: frozenset = frozenset()
     required_options: frozenset = frozenset()
+
+    @property
+    def queryable(self) -> bool:
+        return self.estimator.QUERYABLE
 
     @property
     def sides(self) -> tuple[str, ...]:
@@ -91,8 +94,7 @@ FAMILIES: dict[str, FamilyInfo] = {info.name: info for info in (
     FamilyInfo("epsilon", EpsilonJoinEstimator,
                option_names=frozenset({"epsilon"}),
                required_options=frozenset({"epsilon"})),
-    FamilyInfo("range", RangeQueryEstimator, queryable=True,
-               option_names=frozenset({"strict"})),
+    FamilyInfo("range", RangeQueryEstimator, option_names=frozenset({"strict"})),
 )}
 
 
@@ -309,95 +311,17 @@ def apply_update(spec: EstimatorSpec, estimator: SketchEstimator, side: str, kin
     estimator.update(side, payload, 1.0 if kind == "insert" else -1.0)
 
 
-def run_estimate(spec: EstimatorSpec, estimator: Any,
-                 query: Rect | BoxSet | None = None) -> EstimateResult:
-    """Produce an estimate, passing the query through for queryable families."""
-    if spec.info.queryable:
-        if query is None:
-            raise ServiceError(
-                f"family {spec.family!r} estimates need a query rectangle"
-            )
-        return estimator.estimate(query)
-    if query is not None:
-        raise ServiceError(f"family {spec.family!r} does not take a query argument")
-    return estimator.estimate()
-
-
-def normalise_query_batch(spec: EstimatorSpec, queries) -> BoxSet | int:
-    """A batch request as one :class:`BoxSet` (queryable) or a result count.
-
-    This is the single service-level normaliser for batch requests: every
-    caller of :func:`compile_programs` reduces its input to the same shape
-    here, so every path validates identically.
-    """
-    if spec.info.queryable:
-        if queries is None or isinstance(queries, (int, np.integer)):
-            raise ServiceError(
-                f"family {spec.family!r} batch estimates need query rectangles"
-            )
-        if isinstance(queries, Rect):
-            return BoxSet.from_rects([queries])
-        if isinstance(queries, BoxSet):
-            return queries
-        rects = []
-        for query in queries:
-            if query is None:
-                raise ServiceError(
-                    f"family {spec.family!r} estimates need a query rectangle"
-                )
-            if isinstance(query, BoxSet):
-                if len(query) != 1:
-                    raise ServiceError(
-                        "each query of a batch must be exactly one rectangle")
-                rects.extend(query.to_rects())
-            else:
-                rects.append(query)
-        if not rects:
-            return BoxSet(np.empty((0, spec.dimension), dtype=np.int64),
-                          np.empty((0, spec.dimension), dtype=np.int64),
-                          validate=False)
-        return BoxSet.from_rects(rects)
-    if queries is None:
-        raise ServiceError("a batch estimate needs a query list or a count")
-    if isinstance(queries, (int, np.integer)):
-        return int(queries)
-    entries = list(queries)
-    if any(entry is not None for entry in entries):
-        raise ServiceError(
-            f"family {spec.family!r} does not take a query argument; batch "
-            f"entries must all be None"
-        )
-    return len(entries)
-
-
 def compile_programs(spec: EstimatorSpec, estimator: Any,
-                     queries) -> list:
-    """Lower one estimator's batch request into sketch programs.
+                     queries) -> list[SketchProgram]:
+    """Lower one name's estimate request into sketch programs.
 
-    The returned :class:`~repro.core.program.SketchProgram` list expands —
-    once executed — to exactly one result per requested query: queryable
-    families compile one program per query rectangle, query-less families a
-    single program whose ``replicas`` equals the requested count.  This is
-    the compilation step the mixed-estimator paths share: programs of
-    different estimators (and different families) concatenate into one
-    executor batch.
+    :meth:`~repro.core.estimator.SketchEstimator.lower` — the one check
+    and compile every estimate takes — with a request the family cannot
+    take re-raised as a :class:`ServiceError` naming the family.  Programs
+    of several names concatenate into one executor run, one result per
+    query in request order.
     """
-    return estimator.lower_batch(normalise_query_batch(spec, queries))
-
-
-def run_estimate_batch(spec: EstimatorSpec, estimator: Any, queries, *,
-                       executor: Any = None) -> list[EstimateResult]:
-    """Batched :func:`run_estimate`: one result per requested query.
-
-    For queryable families ``queries`` is a :class:`BoxSet` (one row per
-    query) or a sequence of rectangles; for query-less families it is an
-    integer count or a sequence of ``None`` placeholders.  The batch is
-    compiled with :func:`compile_programs` and run on ``executor`` (the
-    shared default :func:`~repro.core.program.default_executor` when
-    omitted).  Every result is bit-identical to the corresponding scalar
-    :func:`run_estimate` call.
-    """
-    from repro.core.program import default_executor
-
-    runner = executor if executor is not None else default_executor()
-    return runner.run(compile_programs(spec, estimator, queries))
+    try:
+        return estimator.lower(queries)
+    except QueryError as exc:
+        raise ServiceError(f"family {spec.family!r}: {exc}") from None

@@ -24,12 +24,7 @@ import numpy as np
 
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.service.specs import (
-    EstimatorSpec,
-    apply_update,
-    run_estimate,
-    run_estimate_batch,
-)
+from repro.service.specs import EstimatorSpec, apply_update
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _MIX_A = np.uint64(0x9E3779B97F4A7C15)
@@ -296,7 +291,7 @@ class ShardedSketchStore:
         tracker = self._trackers.pop(name, None)
         return None if tracker is None else tracker.estimator
 
-    # -- merged views and estimates -----------------------------------------------
+    # -- merged views -------------------------------------------------------------
 
     def merge_view(self, name: str) -> Any:
         """A fresh estimator equal to the sum of all shard estimators.
@@ -313,14 +308,6 @@ class ShardedSketchStore:
         for shard in self._shards:
             merged.merge(shard[name])
         return merged
-
-    def estimate(self, name: str, query=None):
-        """Convenience: estimate from a freshly merged view (no caching)."""
-        return run_estimate(self.spec(name), self.merge_view(name), query)
-
-    def estimate_batch(self, name: str, queries):
-        """Convenience: batched estimates from a freshly merged view."""
-        return run_estimate_batch(self.spec(name), self.merge_view(name), queries)
 
     # -- persistence ----------------------------------------------------------------
 

@@ -22,11 +22,12 @@ from repro.core.boosting import (
     median_of_means_batch,
     split_instances,
 )
-from repro.core.join_base import batch_request_count
+from repro.core.program import ProgramExecutor
 from repro.core.range_query import RangeQueryEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.errors import EstimationError, ServiceError, SketchConfigError
-from repro.service import EstimationService, run_estimate_batch
+from repro.service import EstimationService
+from repro.service.specs import compile_programs
 
 from tests.conftest import random_boxes
 
@@ -86,7 +87,7 @@ class TestRangeEstimateBatch:
         estimator.insert(random_boxes(rng, 100, 256, 2))
         queries = random_boxes(rng, 23, 256, 2)
         whole = estimator.estimate_batch(queries)
-        monkeypatch.setattr(RangeQueryEstimator, "_BATCH_CHUNK", 7)
+        monkeypatch.setattr(ProgramExecutor, "CHUNK", 7)
         chunked = estimator.estimate_batch(queries)
         assert [r.estimate for r in whole] == [r.estimate for r in chunked]
 
@@ -123,7 +124,7 @@ class TestJoinEstimateBatch:
             batch[0].instance_values[0] += 1.0
             assert batch[1].instance_values[0] == scalar.instance_values[0]
         assert estimator.estimate_batch(0) == []
-        assert estimator.estimate_batch() == []
+        assert estimator.estimate_batch([]) == []
 
     def test_rejects_query_entries(self, rng, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, 8, seed=3)
@@ -133,11 +134,12 @@ class TestJoinEstimateBatch:
         with pytest.raises(SketchConfigError):
             estimator.estimate_batch(-1)
 
-    def test_batch_request_count(self):
-        assert batch_request_count(3) == 3
-        assert batch_request_count([None, None]) == 2
+    def test_check_queries_counts_results(self, domain_2d):
+        estimator = SpatialJoinEstimator(domain_2d, 8, seed=3)
+        assert estimator.check_queries(3) == 3
+        assert estimator.check_queries([None, None]) == 2
         with pytest.raises(SketchConfigError):
-            batch_request_count(["x"])
+            estimator.check_queries(["x"])
 
 
 class TestServiceEstimateBatch:
@@ -198,11 +200,11 @@ class TestServiceEstimateBatch:
         service.estimate_batch("ranges", queries)
         assert service.stats.cache_hits >= 1
 
-    def test_store_estimate_batch(self, rng):
+    def test_store_view_estimate_batch(self, rng):
         service = self._range_service(rng)
         queries = random_boxes(rng, 5, 256, 2)
         via_service = service.estimate_batch("ranges", queries)  # flushes first
-        via_store = service.store.estimate_batch("ranges", queries)
+        via_store = service.store.merge_view("ranges").estimate_batch(queries)
         assert [r.estimate for r in via_store] == [r.estimate for r in via_service]
 
     def test_empty_batch(self, rng):
@@ -214,9 +216,9 @@ class TestServiceEstimateBatch:
         spec = service.spec("ranges")
         view = service.merged_view("ranges")
         with pytest.raises(ServiceError):
-            run_estimate_batch(spec, view, [None])
+            compile_programs(spec, view, [None])
         with pytest.raises(ServiceError):
-            run_estimate_batch(spec, view, 5)
+            compile_programs(spec, view, 5)
 
 
 class TestOptimizerBatchedProbes:

@@ -114,6 +114,26 @@ class TestScatterGather:
                 assert got.left_count == expected.left_count
                 assert got.right_count == expected.right_count
 
+    def test_a_bad_query_gets_the_single_node_verdict(self, cluster):
+        """A routed estimate is checked where the router's reduce compiles
+        it, by the check a single service runs: same refusal, same words."""
+        reference = EstimationService(num_shards=2)
+        with ServiceClient("127.0.0.1", cluster.port) as client:
+            _register_everywhere(client, reference)
+            _ingest_everywhere(client, reference, count=50)
+            for name, query in (("ranges", BoxSet([[0, 0]], [[999, 999]])),
+                                ("ranges", None),
+                                ("join", BoxSet([[0, 0]], [[9, 9]]))):
+                with pytest.raises(ServiceError) as expected:
+                    reference.estimate(name, query)
+                with pytest.raises(ServerError) as refused:
+                    client.estimate(name, query)
+                assert refused.value.code == "bad_request"
+                assert str(refused.value) == f"ServiceError: {expected.value}"
+            query = synthetic_queries(DOMAIN, 1, seed=3)
+            assert client.estimate("ranges", query).estimate == \
+                reference.estimate("ranges", query).estimate
+
     def test_ingest_partitions_by_shard_hash(self, cluster, worker_trio):
         boxes = synthetic_boxes(DOMAIN, 200, seed=21)
         owners = cluster.router._assignments()

@@ -237,17 +237,21 @@ class TestCounterSemantics:
         assert abs(product.mean() - expected) < 5 * standard_error + 1e-9
 
 
-class TestEvaluate:
-    def test_evaluate_matches_insert_contribution(self, rng):
+class TestLetterSums:
+    def test_a_query_box_sums_to_its_insert_contribution(self, rng):
         domain = Domain.square(64, dimension=2)
         word = (Letter.INTERVAL, Letter.UPPER_POINT)
         bank = SketchBank(domain, [word], num_instances=10, seed=23)
         box = random_boxes(rng, 1, 64, 2)
-        values = bank.evaluate(word, box)
+        values = np.ones(10)
+        for dim, letter in enumerate(word):
+            values *= bank.letter_sums(dim, letter, box.lows[:, dim],
+                                       box.highs[:, dim])[:, 0]
         bank.insert(box)
         assert np.allclose(bank.counter(word), values)
 
-    def test_evaluate_requires_single_box(self, domain_2d, rng):
+    def test_a_dimension_outside_the_bank_is_refused(self, domain_2d):
         bank = SketchBank(domain_2d, IE_2D, num_instances=4, seed=1)
-        with pytest.raises(SketchConfigError):
-            bank.evaluate(IE_2D[0], random_boxes(rng, 2, 256, 2))
+        for kernel in (bank.letter_sums, bank.level_sums):
+            with pytest.raises(DimensionalityError):
+                kernel(2, Letter.INTERVAL, np.zeros(1), np.zeros(1))

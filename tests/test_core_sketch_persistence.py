@@ -10,7 +10,7 @@ from repro.core.domain import Domain
 from repro.errors import MergeCompatibilityError, SketchConfigError
 from repro.geometry.boxset import BoxSet
 from repro.server.protocol import json_default
-from repro.service.specs import EstimatorSpec, apply_update, run_estimate
+from repro.service.specs import EstimatorSpec, apply_update
 
 from tests.conftest import random_boxes
 from tests.helpers import assert_same_state
@@ -315,8 +315,8 @@ class TestEstimatorPersistence:
         query = None
         if spec.info.queryable:
             query = random_boxes(rng, 1, sizes[0], len(sizes))
-        original_result = run_estimate(spec, original, query)
-        restored_result = run_estimate(spec, restored, query)
+        original_result = original.estimate(query)
+        restored_result = restored.estimate(query)
         assert restored_result.estimate == original_result.estimate
         assert restored_result.left_count == original_result.left_count
         assert restored_result.right_count == original_result.right_count
@@ -342,8 +342,8 @@ class TestEstimatorPersistence:
         query = None
         if spec.info.queryable:
             query = random_boxes(rng, 1, sizes[0], len(sizes))
-        assert (run_estimate(spec, restored, query).estimate
-                == run_estimate(spec, original, query).estimate)
+        assert (restored.estimate(query).estimate
+                == original.estimate(query).estimate)
 
     @pytest.mark.parametrize("family,sizes,options", FAMILY_SPECS,
                              ids=[f[0] for f in FAMILY_SPECS])
@@ -361,8 +361,8 @@ class TestEstimatorPersistence:
         query = None
         if spec.info.queryable:
             query = random_boxes(rng, 1, sizes[0], len(sizes))
-        original_result = run_estimate(spec, original, query)
-        restored_result = run_estimate(spec, restored, query)
+        original_result = original.estimate(query)
+        restored_result = restored.estimate(query)
         assert restored_result.estimate == original_result.estimate
         assert np.array_equal(restored_result.instance_values,
                               original_result.instance_values)

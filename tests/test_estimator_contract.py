@@ -19,7 +19,7 @@ from repro.core.domain import Domain
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.errors import EstimationError, MergeCompatibilityError, SketchConfigError
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.service.specs import EstimatorSpec, run_estimate
+from repro.service.specs import EstimatorSpec
 
 from tests.conftest import random_boxes
 from tests.helpers import assert_same_state
@@ -59,7 +59,7 @@ def fed(rng, spec, count=60):
 
 def answer(spec, estimator):
     query = BoxSet([[10] * spec.dimension], [[90] * spec.dimension])
-    return run_estimate(spec, estimator, query if spec.info.queryable else None)
+    return estimator.estimate(query if spec.info.queryable else None)
 
 
 @every_family

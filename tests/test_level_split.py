@@ -72,7 +72,7 @@ class TestKernel:
             assert np.array_equal(split.bank.counter(word), one_cell.bank.counter(word))
         # Query side: the per-level sums add up to the letter sums.
         query = random_boxes(rng, 3, domain.requested_sizes)
-        sketched = split._query_batch(query)
+        sketched = split.check_queries(query)
         for dim in range(domain.dimension):
             for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
                 lows, highs = sketched.lows[:, dim], sketched.highs[:, dim]
@@ -104,7 +104,7 @@ class TestEveryPathAgrees:
         spec, halves, queries = fed
         estimator = spec.build()
         estimator.insert(halves[0])
-        programs = estimator.lower_batch(queries)
+        programs = estimator.lower(queries)
         assert [len(program.terms) for program in programs[-3:]] == [4, 2, 1]
         for term in programs[0].terms:
             word = term.counters[0].word
@@ -147,7 +147,7 @@ class TestLetterSumCache:
         estimator = spec.build()
         estimator.insert(random_boxes(np.random.default_rng(0), 50, (1024, 1024)))
         executor = ProgramExecutor(cache_size=64)
-        executor.run(estimator.lower_batch(random_boxes(
+        executor.run(estimator.lower(random_boxes(
             np.random.default_rng(1), 4, (1024, 1024))))
         entries = list(executor._cache._entries.values())
         assert entries and all(entry.dtype == np.int8 for entry in entries)

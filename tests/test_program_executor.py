@@ -94,12 +94,16 @@ def reference_scalar_estimate(family: str, view, query=None):
                   * view.side_bank("inner").counter(view._inner_word))
         left, right = view.outer_count, view.inner_count
     elif family == "range":
-        query_box, bank = view._query_box(query), view.bank
+        query_box, bank = view.check_queries(query), view.bank
         values = np.zeros(view.num_instances, dtype=np.float64)
         for word in view._words:
             if not bank.split_levels:
-                values += bank.counter(word) * bank.evaluate(
-                    view._query_word(word), query_box)
+                sums = np.ones(view.num_instances)
+                for dim, letter in enumerate(view._query_word(word)):
+                    sums *= scalar_letter_sums(
+                        bank, dim, letter, query_box.lows[:, dim],
+                        query_box.highs[:, dim])[:, 0]
+                values += bank.counter(word) * sums
                 continue
             # Each cell times the query's sums on the same levels; where the
             # counter word reads U, the query range ends at v - 1.
@@ -292,7 +296,7 @@ class TestExecutorUnit:
         estimator.insert_left(_boxes(rng, 10, (32, 32), degenerate=False))
         estimator.insert_right(_boxes(rng, 10, (32, 32), degenerate=False))
         results = ProgramExecutor(cache_size=0).run(
-            [estimator.lower(replicas=3)])
+            estimator.lower(3))
         assert len(results) == 3
         assert results[0].instance_values is not results[1].instance_values
         results[0].instance_values[0] += 1.0
@@ -456,7 +460,7 @@ def test_letter_sum_cache_survives_delta_applied_views(rng):
             assert service.stats.delta_applies == 0
         # Counters changed, so estimates legitimately differ from the warm
         # run — but they must match a from-scratch merge of the new state.
-        fresh = service.store.estimate_batch("est", queries)
+        fresh = service.store.merge_view("est").estimate_batch(queries)
         for got, want in zip(refreshed, fresh):
             assert got.estimate == want.estimate
             assert np.array_equal(got.instance_values, want.instance_values)

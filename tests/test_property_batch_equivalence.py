@@ -120,8 +120,8 @@ def test_batch_equals_scalar_on_merged_shard_views(family, case):
 
     # The merged view the service answered from must itself agree with its
     # own batch kernel when driven directly (store-level equivalence).
-    direct = service.store.estimate_batch(
-        "est", queries if family == "range" else len(queries))
+    direct = service.store.merge_view("est").estimate_batch(
+        queries if family == "range" else len(queries))
     assert [r.estimate for r in direct] == [r.estimate for r in batch]
 
     # Persistence equivalence: a round trip through the binary snapshot

@@ -80,6 +80,7 @@ def test_coalescing_bounds_engine_calls():
     queries = synthetic_queries(DOMAIN, 32, seed=9)
     expected = [service.estimate("ranges", queries[i]).estimate
                 for i in range(32)]
+    before = service.stats.batch_estimates
 
     calls = []
     inner = service.estimate_multi
@@ -115,7 +116,7 @@ def test_coalescing_bounds_engine_calls():
     assert len(calls) <= 4  # ceil(32 / 8)
     assert sum(calls) == 32
     assert service.stats.coalesced_queries == 32
-    assert service.stats.batch_estimates == len(calls)
+    assert service.stats.batch_estimates - before == len(calls)
 
 
 def test_pipelined_connection_keeps_reply_order():
@@ -156,6 +157,7 @@ def test_mixed_estimator_requests_coalesce_across_families():
     expected_range = [service.estimate("ranges", queries[i]).estimate
                       for i in range(16)]
     expected_join = service.estimate("join").estimate
+    before = service.stats.batch_estimates
 
     dispatches = []
     inner = service.estimate_multi
@@ -196,7 +198,7 @@ def test_mixed_estimator_requests_coalesce_across_families():
     assert len(dispatches) == 1
     assert set(dispatches[0]) == {"ranges", "join"}
     stats = service.stats
-    assert stats.batch_estimates == 1
+    assert stats.batch_estimates - before == 1
     assert stats.coalesced_queries == 32
 
 
@@ -277,7 +279,7 @@ def test_one_bad_query_fails_alone_among_its_estimators_batch():
     assert [reply["estimate"] for reply in replies] == expected
     assert not refused["ok"] and refused["id"] == "bad"
     assert refused["error_code"] == "bad_request"
-    assert "DomainError" in refused["error"]
+    assert "outside the domain" in refused["error"]
 
 
 def test_mixed_coalescing_reports_per_estimator_metrics():

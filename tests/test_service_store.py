@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.errors import ServiceError
-from repro.service.specs import EstimatorSpec, apply_update, run_estimate
+from repro.service.specs import EstimatorSpec, apply_update
 from repro.service.store import ShardedSketchStore, partition_boxes, shard_ids
 
 from tests.conftest import random_boxes
@@ -119,8 +119,8 @@ class TestShardedStore:
         query = None
         if spec.info.queryable:
             query = random_boxes(rng, 1, sizes[0], len(sizes))
-        merged_result = run_estimate(spec, merged, query)
-        single_result = run_estimate(spec, single, query)
+        merged_result = merged.estimate(query)
+        single_result = single.estimate(query)
         assert merged_result.estimate == single_result.estimate
         assert merged_result.left_count == single_result.left_count
         assert merged_result.right_count == single_result.right_count
@@ -179,13 +179,13 @@ class TestShardedStore:
         view = store.merge_view("est")
         assert view.outer_count == 20 and view.inner_count == 20
 
-    def test_store_estimate_convenience(self, rng):
+    def test_merged_view_estimates(self, rng):
         store = ShardedSketchStore(4)
         store.register("est", _make_spec("rectangle", (256, 256),
                                          {}, num_instances=32))
         store.apply("est", "left", "insert", random_boxes(rng, 100, 256, 2))
         store.apply("est", "right", "insert", random_boxes(rng, 100, 256, 2))
-        result = store.estimate("est")
+        result = store.merge_view("est").estimate()
         assert result.left_count == 100 and result.right_count == 100
 
     def test_unregister(self, rng):

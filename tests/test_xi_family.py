@@ -45,7 +45,7 @@ from repro.service import (
     synthetic_boxes,
     synthetic_queries,
 )
-from repro.service.specs import apply_update, run_estimate
+from repro.service.specs import apply_update
 from repro.wal import WalWriter
 from repro.wal.recovery import recover_service
 
@@ -455,7 +455,7 @@ class TestReducePartials:
                                        degenerate=family == "epsilon")
         query = (_boxes(np.random.default_rng(6), 1, sizes, degenerate=False)
                  if spec.info.queryable else None)
-        expected = run_estimate(spec, whole, query)
+        expected = whole.estimate(query)
         template = spec.build()
         for result in (reduce_partials(spec, states, query),
                        reduce_partials(spec, states, query, template=template),
