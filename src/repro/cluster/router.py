@@ -52,7 +52,7 @@ from repro.errors import ConnectionLostError, ServiceError
 from repro.server import protocol
 from repro.server.front import FrontConfig, ServingFront
 from repro.server.metrics import fold, render, samples
-from repro.service.specs import EstimatorSpec
+from repro.service.specs import EstimatorSpec, check_update
 from repro.service.store import shard_ids
 from repro.tenancy import TENANT_SEP, TenantRegistry
 
@@ -233,6 +233,8 @@ class ClusterRouter(ServingFront):
         name = fields["name"]
         spec, _ = await self._spec_for(name)
         boxes = protocol.boxes_from_rows(fields["boxes"], spec.dimension)
+        # Refuse the whole frame before any owner sees a part of it.
+        check_update(spec, fields["side"], fields["kind"], boxes)
         # Re-partition from the validated BoxSet, not the request value:
         # the rows may have arrived as a zero-copy binary tensor or as
         # JSON lists, and ndarray row-gathering serves both — each owner's

@@ -10,11 +10,13 @@ package turns that property into a serving layer:
 * :class:`~repro.service.store.ShardedSketchStore` — hash-partitioned
   per-shard estimators with exact :meth:`merge_view` combination,
 * :class:`~repro.service.ingest.IngestPipeline` — batched ingestion
-  through the vectorised sketch updates,
+  through the vectorised sketch updates, one buffer per destination,
+  partitioned once at flush,
 * :class:`~repro.service.service.EstimationService` — the
   register/ingest/estimate/snapshot front-end with an LRU cache of merged
-  query views and one estimate path (``estimate`` / ``estimate_batch`` /
-  ``estimate_multi``) on one program executor,
+  query views, each owning the delta that refreshes it after a flush
+  (:mod:`~repro.service.delta`), and one estimate path (``estimate`` /
+  ``estimate_batch`` / ``estimate_multi``) on one program executor,
 * :mod:`~repro.service.snapshot` — checkpoint/restore built on
   ``state_dict``/``load_state_dict``: binary v2 snapshots (raw counter
   tensors, memory-mapped restores),

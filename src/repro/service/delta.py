@@ -4,10 +4,10 @@ Atomic sketches are linear projections, so the merged view of a name is the
 *sum* of its shard counter tensors — and after a flush, the new merged view
 is exactly the old one plus the counter contribution of the flushed boxes.
 :func:`delta_merged_view` exploits that identity: given an immutable cached
-view and a *delta estimator* (a fresh estimator of the same spec that was
-fed only the updates since the view was built, see
-:meth:`repro.service.store.ShardedSketchStore.record_delta`), it produces a
-new view (:meth:`repro.core.estimator.SketchEstimator.with_delta`) whose
+view and a *delta estimator* (a zero-counter companion of the view that
+was fed only the batches flushed since the view was built: the service's
+cache entry for the name owns it, see
+:class:`repro.service.service.EstimationService`), it produces a new view (:meth:`repro.core.estimator.SketchEstimator.with_delta`) whose
 banks are :meth:`~repro.core.atomic.SketchBank.clone_with_delta` clones —
 counter tensors computed as one fused add each, xi families *aliased* from
 the cached view.
@@ -31,15 +31,15 @@ from repro.core.estimator import SketchEstimator
 
 __all__ = ["delta_merged_view", "empty_delta_estimator", "DELTA_BOX_BUDGET"]
 
-#: Boxes a delta tracker may accumulate before it is dropped.  The apply
-#: itself is O(tensor) regardless of the box count — the budget bounds how
-#: long a *watched but unqueried* name keeps paying the double-ingest cost
-#: of delta recording before falling back to rebuild-on-next-query.
+#: Boxes a cached view's delta may accumulate before it is dropped.  The
+#: apply itself is O(tensor) regardless of the box count — the budget bounds
+#: how long a *cached but unqueried* name keeps paying the double-ingest
+#: cost of delta recording before falling back to rebuild-on-next-query.
 DELTA_BOX_BUDGET = 1 << 18
 
 
 def empty_delta_estimator(template: SketchEstimator) -> SketchEstimator:
-    """The tracker a delta watch starts from: ``template.companion()``."""
+    """The delta a cached view starts from: ``template.companion()``."""
     return template.companion()
 
 

@@ -7,8 +7,9 @@ pipeline together behind four verbs:
   families) to be maintained across all shards,
 * ``ingest(name, boxes, side=..., kind=...)`` — buffer stream updates,
 * ``estimate(name, query=None)`` — answer from a *merged view* combining
-  every shard, with an LRU cache of views that is invalidated when a flush
-  touches the underlying name,
+  every shard, with an LRU cache of views; each cached view owns the delta
+  of the boxes flushed since it was built, which refreshes it after a
+  flush (:mod:`repro.service.delta`),
 * ``estimate_batch(name, queries)`` — answer a whole query batch from one
   cached merged view,
 * ``estimate_multi(requests)`` — answer a **mixed-estimator** batch of
@@ -41,21 +42,60 @@ import numpy as np
 from repro.core.hashing import sign_table_stats
 from repro.core.program import ProgramExecutor
 from repro.core.result import EstimateResult
-from repro.errors import MergeCompatibilityError, ServiceError
+from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.geometry.rectangle import Rect
-from repro.service.delta import delta_merged_view
+from repro.service import delta
 from repro.service.ingest import FlushReport, IngestPipeline
 from repro.service.specs import (
-    UPDATE_KINDS,
     EstimatorSpec,
-    as_boxes,
+    apply_update,
+    check_update,
     compile_programs,
 )
 from repro.service.store import ShardedSketchStore
 
 #: Capacity of a service's cross-batch letter-sum cache (executor entries).
 PROGRAM_CACHE_SIZE = 8192
+#: Capacity of a service's LRU cache of merged query views.
+VIEW_CACHE_SIZE = 16
+
+
+class _View:
+    """One cached merged view and the delta that refreshes it.
+
+    ``delta`` is a zero-counter companion of ``view`` (xi families aliased)
+    fed every batch a flush applies to the name; ``through`` is the store
+    version it covers.  By sketch linearity ``view + delta`` equals a fresh
+    shard re-merge bit for bit whenever ``through`` is the store's current
+    version.  A mutation the service did not feed leaves the store version
+    past ``through`` for good, and a delta fed more than
+    :data:`~repro.service.delta.DELTA_BOX_BUDGET` boxes is dropped: the
+    name is written far more than it is read, so the next miss rebuilds.
+    """
+
+    __slots__ = ("view", "version", "delta", "boxes", "through")
+
+    def __init__(self, view: Any, version: int, *, with_delta: bool) -> None:
+        self.view = view
+        self.version = version
+        self.delta = delta.empty_delta_estimator(view) if with_delta else None
+        self.boxes = 0
+        self.through = version
+
+    def feed(self, spec: EstimatorSpec, side: str, kind: str,
+             boxes: BoxSet) -> None:
+        """Record one batch the store applied (and versioned) for the name."""
+        self.through += 1
+        self.boxes += len(boxes)
+        if self.delta is not None and self.boxes > delta.DELTA_BOX_BUDGET:
+            self.delta = None
+        if self.delta is not None:
+            apply_update(spec, self.delta, side, kind, boxes)
+
+    def delta_at(self, version: int) -> Any:
+        """The delta when it covers every version up to ``version``."""
+        return self.delta if self.through == version else None
 
 
 @dataclass
@@ -100,8 +140,6 @@ class EstimationService:
         merge-compatible sketch per shard.
     flush_threshold:
         Buffered boxes that trigger an automatic flush (``None`` disables).
-    cache_size:
-        Capacity of the LRU cache of merged query views.
     delta_propagation:
         When ``True`` (the default), cached merged views are refreshed
         after a flush by applying the accumulated counter delta (one fused
@@ -112,9 +150,7 @@ class EstimationService:
     """
 
     def __init__(self, *, num_shards: int = 4, flush_threshold: int | None = 8192,
-                 cache_size: int = 16, delta_propagation: bool = True) -> None:
-        if cache_size < 0:
-            raise ServiceError("cache_size must be non-negative")
+                 delta_propagation: bool = True) -> None:
         if flush_threshold is not None and flush_threshold < 1:
             raise ServiceError("flush_threshold must be positive (or None)")
         self._store = ShardedSketchStore(num_shards)
@@ -123,13 +159,11 @@ class EstimationService:
         # against merged-view construction.
         self._pipeline = IngestPipeline(self._store)
         self._flush_threshold = flush_threshold
-        self._cache_size = int(cache_size)
         self._delta_propagation = bool(delta_propagation)
-        # name -> (store version at build time, merged estimator).  Stale
-        # entries (version behind the store) are deliberately retained:
-        # they are invisible to lookups but serve as the base of the next
-        # delta-apply.
-        self._views: OrderedDict[str, tuple[int, Any]] = OrderedDict()
+        # Stale entries (version behind the store) are deliberately
+        # retained: they are invisible to lookups but, with their deltas,
+        # the base of the next refresh.
+        self._views: OrderedDict[str, _View] = OrderedDict()
         self._lock = threading.RLock()
         self._stats = ServiceStats()
         # The batch execution engine: one vectorised executor with a
@@ -369,7 +403,9 @@ class EstimationService:
                 "estimators": {name: self._store.spec(name).to_dict()
                                for name in self.names()},
                 "cached_views": list(self._views),
-                "delta_watches": self._store.watched_names(),
+                "delta_watches": sorted(
+                    name for name, entry in self._views.items()
+                    if entry.delta_at(self._store.version(name)) is not None),
                 "stats": self._stats.as_dict(),
                 "program_executor": self._executor.stats.as_dict(),
                 # Process-wide: xi sign tables are interned by content,
@@ -432,13 +468,8 @@ class EstimationService:
             with self._lock:
                 self._stats.ingested_boxes += len(boxes)
         else:
-            # Validate up front so a rejected batch never reaches the log.
-            spec = self._store.spec(name)
-            side = spec.info.resolve_side(side)
-            if kind not in UPDATE_KINDS:
-                raise ServiceError(
-                    f"update kind must be one of {UPDATE_KINDS}, got {kind!r}")
-            boxes = as_boxes(boxes)
+            # Check up front so a refused batch never reaches the log.
+            side, boxes = check_update(self._store.spec(name), side, kind, boxes)
             with self._lock:
                 if len(boxes):
                     self._wal.append_update(
@@ -461,16 +492,21 @@ class EstimationService:
         """Apply all buffered updates; affected cached views go stale.
 
         With delta propagation on, stale entries stay in the cache — the
-        version check makes them invisible to lookups, but the next fetch
-        of the name refreshes them with the flush's accumulated delta
-        instead of re-merging every shard.  Without it, they are dropped
-        immediately (the historical rebuild-on-flush behaviour).
+        version check makes them invisible to lookups — and each is fed
+        the flushed batches of its name, so the next fetch refreshes it
+        with that delta instead of re-merging every shard.  Without it,
+        they are dropped immediately (rebuild-on-flush).
         """
         with self._lock:
             report = self._pipeline.flush(auto=auto)
-            if not self._delta_propagation:
-                for name in report.names:
-                    self._views.pop(name, None)
+            for name, side, kind, boxes in report.updates:
+                entry = self._views.get(name)
+                if entry is None:
+                    continue
+                if self._delta_propagation:
+                    entry.feed(self._store.spec(name), side, kind, boxes)
+                else:
+                    del self._views[name]
         return report
 
     # -- query side ---------------------------------------------------------------
@@ -482,50 +518,39 @@ class EstimationService:
         ingestion, so callers may estimate from it without holding locks.
 
         Misses take one of two routes.  When the cache still holds the
-        previous view of the name *and* the store accumulated a valid
-        delta for it (every mutation since that view was built went
-        through the flush path), the new view is the old one plus the
-        delta — one counter add per bank, xi families aliased, so the
-        executor's letter-sum cache stays warm
-        (:mod:`repro.service.delta`).  Otherwise — cold name, evicted
-        entry, direct store mutation, snapshot reload — the view is fully
-        rebuilt from the shards.  Both routes are bit-identical; they are
-        counted separately as ``delta_applies`` / ``rebuilds``.
+        previous view of the name *and* that entry's delta covers every
+        version since (the service fed it each batch flushed for the
+        name), the new view is the old one plus the delta — one counter
+        add per bank, xi families aliased, so the executor's letter-sum
+        cache stays warm (:mod:`repro.service.delta`).  Otherwise — cold
+        name, evicted entry, a delta over its budget, a store mutation
+        the service did not feed — the view is fully rebuilt from the
+        shards.  Both routes are bit-identical; they are counted
+        separately as ``delta_applies`` / ``rebuilds``.
         """
         with self._lock:
             if self._pipeline.pending:
                 self.flush()
             version = self._store.version(name)
             entry = self._views.get(name)
-            if entry is not None and entry[0] == version:
+            if entry is not None and entry.version == version:
                 self._views.move_to_end(name)
                 self._stats.cache_hits += 1
-                return entry[1]
+                return entry.view
             self._stats.cache_misses += 1
-            view = None
-            if self._delta_propagation and entry is not None:
-                delta = self._store.take_delta(name)
-                if delta is not None:
-                    try:
-                        view = delta_merged_view(entry[1], delta)
-                    except MergeCompatibilityError:
-                        # Spec drift (unregister/re-register races the
-                        # tracker) — fall back to the rebuild path.
-                        view = None
-            if view is None:
+            fed = entry.delta_at(version) if entry is not None else None
+            if fed is not None:
+                view = delta.delta_merged_view(entry.view, fed)
+                self._stats.delta_applies += 1
+            else:
                 view = self._store.merge_view(name)
                 self._stats.rebuilds += 1
-            else:
-                self._stats.delta_applies += 1
-            if self._cache_size:
-                if self._delta_propagation:
-                    self._store.watch_delta(name)
-                self._views[name] = (version, view)
-                self._views.move_to_end(name)
-                while len(self._views) > self._cache_size:
-                    evicted, _ = self._views.popitem(last=False)
-                    self._store.unwatch_delta(evicted)
-                    self._stats.evictions += 1
+            self._views[name] = _View(view, version,
+                                      with_delta=self._delta_propagation)
+            self._views.move_to_end(name)
+            while len(self._views) > VIEW_CACHE_SIZE:
+                self._views.popitem(last=False)
+                self._stats.evictions += 1
         return view
 
     def estimate(self, name: str, query: Rect | BoxSet | None = None
@@ -642,22 +667,20 @@ class EstimationService:
         save_snapshot(self, path)
 
     @classmethod
-    def restore(cls, state: Mapping, *, flush_threshold: int | None = 8192,
-                cache_size: int = 16) -> "EstimationService":
+    def restore(cls, state: Mapping, *,
+                flush_threshold: int | None = 8192) -> "EstimationService":
         """Rebuild a service from a :meth:`snapshot` dict."""
         from repro.service.snapshot import restore_service
 
-        return restore_service(state, flush_threshold=flush_threshold,
-                               cache_size=cache_size)
+        return restore_service(state, flush_threshold=flush_threshold)
 
     @classmethod
-    def load(cls, path, *, flush_threshold: int | None = 8192,
-             cache_size: int = 16) -> "EstimationService":
+    def load(cls, path, *,
+             flush_threshold: int | None = 8192) -> "EstimationService":
         """Read a snapshot file written by :meth:`save`."""
         from repro.service.snapshot import load_snapshot
 
-        return load_snapshot(path, flush_threshold=flush_threshold,
-                             cache_size=cache_size)
+        return load_snapshot(path, flush_threshold=flush_threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EstimationService(shards={self.num_shards}, "

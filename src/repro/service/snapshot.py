@@ -142,15 +142,13 @@ def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
         store.mark_updated(name)
 
 
-def restore_service(state: Mapping, *, flush_threshold: int | None = 8192,
-                    cache_size: int = 16):
+def restore_service(state: Mapping, *, flush_threshold: int | None = 8192):
     """Build a fresh :class:`~repro.service.service.EstimationService`."""
     from repro.service.service import EstimationService
 
     state = _validated(state)
     service = EstimationService(num_shards=state["num_shards"],
-                                flush_threshold=flush_threshold,
-                                cache_size=cache_size)
+                                flush_threshold=flush_threshold)
     restore_store_state(service.store, state)
     if state.get("tenants") is not None:
         from repro.tenancy import TenantRegistry
@@ -370,8 +368,7 @@ def save_snapshot(service_or_store, path) -> None:
     write_binary_snapshot_state(state, path)
 
 
-def load_snapshot(path, *, flush_threshold: int | None = 8192,
-                  cache_size: int = 16):
+def load_snapshot(path, *, flush_threshold: int | None = 8192):
     """Read a snapshot file and rebuild its service."""
     return restore_service(read_binary_snapshot_state(path),
-                           flush_threshold=flush_threshold, cache_size=cache_size)
+                           flush_threshold=flush_threshold)

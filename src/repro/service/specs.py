@@ -298,6 +298,33 @@ def as_boxes(data: BoxSet | PointSet) -> BoxSet:
     raise ServiceError(f"expected a BoxSet or PointSet, got {type(data).__name__}")
 
 
+def check_update(spec: EstimatorSpec, side: str, kind: str,
+                 boxes: BoxSet | PointSet) -> tuple[str, BoxSet]:
+    """Refuse a batch the spec's estimators could not apply.
+
+    The one check an update passes before it is logged, buffered or split
+    between a fleet's owners: the side (an alias resolves to its declared
+    name), the kind, degenerate boxes on a point side, the dimension and
+    every coordinate inside ``spec.domain()``.  Returns the resolved side
+    and the batch as a box set.
+    """
+    info = spec.info
+    side = info.resolve_side(side)
+    if kind not in UPDATE_KINDS:
+        raise ServiceError(f"update kind must be one of {UPDATE_KINDS}, got {kind!r}")
+    boxes = as_boxes(boxes)
+    if boxes.dimension != spec.dimension:
+        raise ServiceError(f"family {spec.family!r}: boxes are {boxes.dimension}-"
+                           f"dimensional, the domain is {spec.dimension}-dimensional")
+    if side in info.point_sides:
+        as_points(boxes)
+    domain = spec.domain()
+    if not domain.contains(boxes):
+        raise ServiceError(f"family {spec.family!r}: boxes reach outside the "
+                           f"domain {domain.sizes}")
+    return side, boxes
+
+
 def apply_update(spec: EstimatorSpec, estimator: SketchEstimator, side: str, kind: str,
                  boxes: BoxSet) -> None:
     """Route one batch of inserts or deletes into an estimator."""

@@ -74,38 +74,14 @@ def partition_boxes(boxes: BoxSet, num_shards: int,
     return parts
 
 
-class _DeltaTracker:
-    """Updates accumulated for one name since its merged view was built.
-
-    ``estimator`` is a fresh, *unsharded* estimator of the name's spec that
-    receives a copy of every flushed update while the watch is live; by
-    sketch linearity, ``cached view + tracker estimator`` equals a
-    from-scratch shard re-merge bit for bit.  ``boxes`` counts the
-    accumulated updates against :data:`repro.service.delta.DELTA_BOX_BUDGET`.
-    """
-
-    __slots__ = ("estimator", "boxes")
-
-    def __init__(self, estimator: Any) -> None:
-        self.estimator = estimator
-        self.boxes = 0
-
-
 class ShardedSketchStore:
     """``num_shards`` merge-compatible estimators per registered name.
 
     The store itself performs no buffering — every :meth:`apply` call goes
     straight into the shard estimators.  Batching lives in
     :class:`repro.service.ingest.IngestPipeline`; combined query views come
-    from :meth:`merge_view`.
-
-    A name may additionally carry a *delta watch*
-    (:meth:`watch_delta`/:meth:`record_delta`/:meth:`take_delta`): a compact
-    estimator of everything applied since the watcher's merged view was
-    built, which lets the service refresh that view in O(delta) instead of
-    re-merging every shard.  Any mutation that bypasses delta recording —
-    a direct :meth:`apply`, a snapshot restore — drops the watch via
-    :meth:`mark_updated`'s default, so a stale delta can never be applied.
+    from :meth:`merge_view`, and the deltas that refresh them live with the
+    views, in :class:`repro.service.service.EstimationService`.
     """
 
     def __init__(self, num_shards: int = 4) -> None:
@@ -117,9 +93,6 @@ class ShardedSketchStore:
         self._shards: list[dict[str, Any]] = [{} for _ in range(self._num_shards)]
         # Bumped on every mutation of a name; lets caches detect staleness.
         self._versions: dict[str, int] = {}
-        # Live delta watches (see class docstring); absence means the next
-        # merged-view refresh of that name must fully rebuild.
-        self._trackers: dict[str, _DeltaTracker] = {}
 
     # -- registration -------------------------------------------------------------
 
@@ -141,7 +114,6 @@ class ShardedSketchStore:
         self.spec(name)  # raises for unknown names
         del self._specs[name]
         del self._versions[name]
-        self._trackers.pop(name, None)
         for shard in self._shards:
             del shard[name]
 
@@ -178,118 +150,31 @@ class ShardedSketchStore:
 
     # -- routing and updates ------------------------------------------------------
 
-    def shard_ids(self, boxes: BoxSet) -> np.ndarray:
-        return shard_ids(boxes, self._num_shards)
-
-    def partition(self, boxes: BoxSet,
-                  ids: np.ndarray | None = None) -> list[BoxSet | None]:
-        return partition_boxes(boxes, self._num_shards, ids)
-
-    def apply(self, name: str, side: str, kind: str, boxes: BoxSet) -> None:
-        """Hash-partition a batch and update every affected shard.
-
-        Direct applies bypass delta recording, so :meth:`mark_updated`'s
-        default drops any live delta watch — the next merged-view refresh
-        rebuilds from the shards.
-        """
+    def apply(self, name: str, side: str, kind: str, boxes: BoxSet) -> int:
+        """Hash-partition a batch, update every shard it touches and bump
+        the name's version once; returns the shard batches applied."""
         spec = self.spec(name)
-        for shard_index, part in enumerate(self.partition(boxes)):
-            if part is not None:
-                apply_update(spec, self._shards[shard_index][name], side, kind, part)
-        if len(boxes):
+        parts = [(shard, part) for shard, part
+                 in enumerate(partition_boxes(boxes, self._num_shards))
+                 if part is not None]
+        for shard, part in parts:
+            apply_update(spec, self._shards[shard][name], side, kind, part)
+        if parts:
             self.mark_updated(name)
-
-    def apply_to_shard(self, shard_index: int, name: str, side: str, kind: str,
-                       boxes: BoxSet) -> None:
-        """Update a single shard with a pre-partitioned batch.
-
-        Used by the ingestion pipeline, which routes once and flushes
-        shard by shard.  The caller is responsible for bumping the version via :meth:`mark_updated`
-        after all shards of a flush have been applied.
-        """
-        spec = self.spec(name)
-        apply_update(spec, self._shards[shard_index][name], side, kind, boxes)
+        return len(parts)
 
     def prepay_tables(self, name: str) -> None:
         """Build the xi tables ``name`` will update through, ahead of a flush.
 
         Shard 0's estimator stands for all of them: its families are the
-        ones every shard, merged view and delta tracker of the name shares.
+        ones every shard, merged view and view delta of the name shares.
         """
         self.spec(name)  # raises for unknown names
         self._shards[0][name].prepay_tables()
 
-    def mark_updated(self, name: str, *, delta_recorded: bool = False) -> None:
-        """Bump a name's version after a mutation.
-
-        ``delta_recorded=False`` (the default) also drops any live delta
-        watch: a mutation whose boxes were *not* fed to the tracker (direct
-        applies, snapshot restores) would otherwise leave the tracker
-        claiming to cover updates it never saw.  Flush paths that did route
-        every box through :meth:`record_delta` pass ``delta_recorded=True``
-        to keep the watch alive.
-        """
+    def mark_updated(self, name: str) -> None:
+        """Bump a name's version after a mutation."""
         self._versions[name] = self._versions.get(name, 0) + 1
-        if not delta_recorded:
-            self._trackers.pop(name, None)
-
-    # -- delta watches ------------------------------------------------------------
-
-    def watch_delta(self, name: str) -> None:
-        """Start (or restart) accumulating post-merge deltas for a name.
-
-        Called by the service right after it builds and caches a merged
-        view, under the same lock hold — the tracker's implicit baseline is
-        "the shard state that view summarises".  The tracker estimator is a
-        zero-counter clone of shard 0's (empty banks, aliased xi families),
-        so re-arming a watch after every refresh costs array allocation,
-        not a fresh seeded xi draw.
-        """
-        self.spec(name)  # raises for unknown names
-        self._trackers[name] = _DeltaTracker(self._shards[0][name].companion())
-
-    def unwatch_delta(self, name: str) -> None:
-        """Stop delta accumulation for a name (evicted/dropped views)."""
-        self._trackers.pop(name, None)
-
-    def is_watching(self, name: str) -> bool:
-        return name in self._trackers
-
-    def watched_names(self) -> list[str]:
-        return sorted(self._trackers)
-
-    def record_delta(self, name: str, side: str, kind: str,
-                     boxes: BoxSet) -> None:
-        """Feed one flushed batch into a name's delta tracker, if watched.
-
-        The tracker estimator is unsharded: it simply sees every update of
-        the name since the watch began, in flush order.  Updates commute
-        (integer counter adds are exact and order-independent), so the
-        tracker plus the watched view reproduces a full re-merge exactly.
-        Trackers that outgrow :data:`repro.service.delta.DELTA_BOX_BUDGET`
-        are dropped — the name is being written far more than it is read,
-        so rebuild-on-next-query is the cheaper regime.
-        """
-        from repro.service.delta import DELTA_BOX_BUDGET
-
-        tracker = self._trackers.get(name)
-        if tracker is None:
-            return
-        tracker.boxes += len(boxes)
-        if tracker.boxes > DELTA_BOX_BUDGET:
-            del self._trackers[name]
-            return
-        apply_update(self.spec(name), tracker.estimator, side, kind, boxes)
-
-    def take_delta(self, name: str):
-        """Consume and return a name's accumulated delta estimator.
-
-        Returns ``None`` when no (valid) watch exists — the caller must
-        rebuild.  Consuming resets the watch; the caller re-arms it via
-        :meth:`watch_delta` after installing the refreshed view.
-        """
-        tracker = self._trackers.pop(name, None)
-        return None if tracker is None else tracker.estimator
 
     # -- merged views -------------------------------------------------------------
 

@@ -137,7 +137,7 @@ def replay_records(service: "EstimationService",
 
 def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
                     attach: bool = True, flush_threshold: int | None = 8192,
-                    cache_size: int = 16, num_shards: int = 4,
+                    num_shards: int = 4,
                     checkpoint_path=None,
                     checkpoint_boxes: int | None = None,
                     ) -> tuple["EstimationService", RecoveryReport]:
@@ -154,8 +154,6 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     from repro.service.service import EstimationService
     from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
-    service_kwargs = dict(flush_threshold=flush_threshold,
-                          cache_size=cache_size)
     base_seqno = 0
     resolved_path: str | None = None
     if snapshot_path is None:
@@ -165,10 +163,11 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     if snapshot_path is not None and os.path.exists(os.fspath(snapshot_path)):
         resolved_path = os.fspath(snapshot_path)
         state = read_binary_snapshot_state(resolved_path)
-        service = restore_service(state, **service_kwargs)
+        service = restore_service(state, flush_threshold=flush_threshold)
         base_seqno = state.get("wal_seqno", 0)
     else:
-        service = EstimationService(num_shards=num_shards, **service_kwargs)
+        service = EstimationService(num_shards=num_shards,
+                                    flush_threshold=flush_threshold)
 
     truncated_bytes = sum(scan_segment(path).truncated_bytes
                           for path in list_segments(wal_dir))

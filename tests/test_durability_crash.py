@@ -26,8 +26,9 @@ import pytest
 from repro.client import ServiceClient
 from repro.cluster.fleet import spawn_worker
 from repro.core.domain import Domain
+from repro.errors import ServerError
 from repro.geometry.boxset import BoxSet
-from repro.wal import read_wal_records, recover_service
+from repro.wal import decode_payload, read_wal_records, recover_service
 
 pytestmark = pytest.mark.e2e
 
@@ -71,6 +72,23 @@ class TestKillNineRecovery:
                     client.ingest("ranges", batch(SEED * 1000 + index),
                                   side="data")
                     acked += 1
+                    if index == 2:
+                        # A frame the flush could not apply is refused
+                        # whole before the log; recovery never sees it.
+                        good = batch(SEED * 1000 + 99)
+                        highs = good.highs.copy()
+                        highs[0, 0] = 256
+                        refused = BoxSet(good.lows, highs)
+                        with pytest.raises(ServerError) as info:
+                            client.ingest("ranges", refused, side="data")
+                        assert info.value.code == "bad_request"
+                        logged = [decode_payload(payload)
+                                  for _, payload in read_wal_records(wal_dir)]
+                        assert not any(
+                            (event["rows"] >= 256).any() for event in logged
+                            if event["type"] == "update")
+                        if ACK_IS_DURABLE:
+                            assert len(logged) == 1 + acked
 
                 # Keep ingesting from a thread and SIGKILL mid-stream, so
                 # the log likely ends in a torn record.

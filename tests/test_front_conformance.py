@@ -311,6 +311,68 @@ def test_a_tenant_cannot_relabel_its_requests(placement, kind):
     assert front.backing.service.names() == ["acme/rq"]
 
 
+# -- a frame the flush could not apply is refused before the log ----------------
+
+#: Boxes a flush would fail on: one coordinate outside the 256 x 256 domain
+#: beside three good boxes, and non-degenerate boxes on a point side.
+UNAPPLIABLE = [("rq", "data", [[0, 0, 10, 10], [5, 5, 300, 20], [1, 1, 2, 2],
+                               [3, 3, 4, 4]]),
+               ("eps", "left", ROWS)]
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+@pytest.mark.parametrize("wire", WIRES)
+def test_an_unappliable_frame_is_refused_before_the_log(placement, kind, wire,
+                                                        tmp_path):
+    """Such a frame used to be acked and logged, then raise half-way
+    through the next flush, dropping other names' buffered boxes with it
+    (and failing every recovery of the log).  Now it is a bad_request that
+    leaves the buffer and the log as they were."""
+    front = placement(kind, wal_dir=tmp_path / "wal")
+    service = front.backing.service
+    good = synthetic_boxes(DOMAIN, 4, seed=6)
+    with front.client(wire) as client:
+        client.register("rq", **RANGE)
+        client.register("other", **RANGE)
+        client.register("eps", family="epsilon", sizes=[256, 256],
+                        instances=16, seed=4, epsilon=2)
+        client.ingest("other", good, side="data")
+        pending, logged = service.pending, service.wal.last_seqno
+        for name, side, rows in UNAPPLIABLE:
+            with pytest.raises(ServerError) as info:
+                client.ingest(name, rows, side=side)
+            assert info.value.code == "bad_request", name
+            assert str(info.value).startswith("ServiceError: "), name
+        assert (service.pending, service.wal.last_seqno) == (pending, logged)
+        assert client.flush()["boxes"] == 4
+        assert client.estimate("other", [0, 0, 255, 255]).left_count == 4
+
+
+def test_a_router_refuses_the_whole_frame_before_any_worker_sees_it():
+    """Split between two owners, the good half of a refused frame would
+    have been applied by its owner; the router checks the frame first."""
+    services = [EstimationService(num_shards=2) for _ in range(2)]
+    servers = [ThreadedServer(service).start() for service in services]
+    try:
+        with ThreadedClusterRouter(
+                [("127.0.0.1", server.port) for server in servers],
+                start_heartbeat=False,
+                config=RouterConfig(num_slots=16)) as router, \
+                ServiceClient("127.0.0.1", router.port) as client:
+            client.register("rq", **RANGE)
+            rows = boxes_to_rows(synthetic_boxes(DOMAIN, 64, seed=7))
+            rows[-1][2] = 256
+            with pytest.raises(ServerError) as info:
+                client.ingest("rq", rows, side="data")
+            assert info.value.code == "bad_request"
+            assert [service.pending for service in services] == [0, 0]
+            client.ingest("rq", rows[:-1], side="data")
+            assert all(service.pending for service in services)
+    finally:
+        for server in servers:
+            server.stop()
+
+
 # -- drift (b): a router never acknowledges a checkpoint it did not make --------
 
 

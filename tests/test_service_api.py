@@ -82,8 +82,9 @@ class TestEstimateAndCache:
         service.estimate("join")
         assert service.stats.cache_misses == 2
 
-    def test_cache_eviction(self, rng):
-        service = EstimationService(num_shards=2, cache_size=1)
+    def test_cache_eviction(self, rng, monkeypatch):
+        monkeypatch.setattr("repro.service.service.VIEW_CACHE_SIZE", 1)
+        service = EstimationService(num_shards=2)
         for name in ("a", "b"):
             service.register(name, family="range", domain=(256,),
                              num_instances=8, seed=2)

@@ -7,8 +7,8 @@ from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService
 from repro.service.ingest import IngestPipeline
-from repro.service.specs import EstimatorSpec
-from repro.service.store import ShardedSketchStore
+from repro.service.specs import EstimatorSpec, apply_update
+from repro.service.store import ShardedSketchStore, partition_boxes
 
 from tests.conftest import random_boxes
 
@@ -71,6 +71,30 @@ class TestBuffering:
         with pytest.raises(ServiceError):
             pipeline.submit("est", random_boxes(rng, 3, 256, 2), side="top")
 
+    def test_a_batch_the_flush_would_refuse_is_refused_at_submit(self, rng):
+        """Out-of-domain coordinates and boxes on a point side used to be
+        buffered, then raise half-way through the flush and drop every
+        other buffered box with them."""
+        service = EstimationService(num_shards=4, flush_threshold=None)
+        for name in ("a", "b"):
+            service.register(name, family="range", domain=(64, 64),
+                             num_instances=8, seed=1)
+        service.register("eps", family="epsilon", domain=(64, 64),
+                         num_instances=8, seed=2, epsilon=1)
+        service.ingest("b", random_boxes(rng, 4, 64, 2), side="data")
+        good = random_boxes(rng, 4, 64, 2)
+        highs = good.highs.copy()
+        highs[1, 0] = 64
+        with pytest.raises(ServiceError, match="outside the domain"):
+            service.ingest("a", BoxSet(good.lows, highs), side="data")
+        with pytest.raises(ServiceError, match="takes points"):
+            service.ingest("eps", good, side="left")
+        with pytest.raises(ServiceError, match="1-dimensional"):
+            service.ingest("a", random_boxes(rng, 2, 64, 1), side="data")
+        assert service.pending == 4
+        assert service.flush().boxes == 4
+        assert service.merged_view("b").count == 4
+
 
 class TestExactness:
     def _reference(self, spec, batches):
@@ -119,12 +143,14 @@ class TestExactness:
         assert report.boxes == sum(len(b) for b in batches)
 
         backwards = _store()
-        parts = [backwards.partition(boxes) for boxes in batches]
-        for shard in reversed(range(backwards.num_shards)):
+        spec = backwards.spec("est")
+        shards = backwards.shard_estimators("est")
+        parts = [partition_boxes(boxes, len(shards)) for boxes in batches]
+        for shard in reversed(range(len(shards))):
             for batch in parts:
                 if batch[shard] is not None:
-                    backwards.apply_to_shard(shard, "est", "left", "insert",
-                                             batch[shard])
+                    apply_update(spec, shards[shard], "left", "insert",
+                                 batch[shard])
 
         for ours, theirs in zip(flushed.shard_estimators("est"),
                                 backwards.shard_estimators("est")):
@@ -141,8 +167,17 @@ class TestExactness:
         pipeline = IngestPipeline(store)
         pipeline.submit("a", random_boxes(rng, 30, 256, 1), side="data")
         pipeline.submit("b", random_boxes(rng, 20, 256, 1), side="data")
+        pipeline.submit("a", random_boxes(rng, 5, 256, 1), side="data",
+                        kind="delete")
+        pipeline.submit("a", random_boxes(rng, 10, 256, 1), side="data")
         report = pipeline.flush()
-        assert report.names == ("a", "b")
-        assert report.boxes == 50
-        assert report.shards_touched <= 2
+        assert report.boxes == 65
         assert bool(report)
+        # One entry per destination, its batches concatenated in arrival
+        # order; each destination splits into at most one batch per shard.
+        assert [(name, side, kind, len(boxes))
+                for name, side, kind, boxes in report.updates] == [
+            ("a", "data", "delete", 5), ("a", "data", "insert", 40),
+            ("b", "data", "insert", 20)]
+        assert 3 <= report.batches <= 3 * store.num_shards
+        assert pipeline.stats.flushed_batches == report.batches

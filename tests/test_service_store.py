@@ -293,64 +293,82 @@ class TestDeltaPropagation:
         for stats in (on.stats, off.stats):
             assert stats.delta_applies + stats.rebuilds == stats.cache_misses
 
-    def test_watch_take_roundtrip_and_drop_semantics(self, rng):
+    @staticmethod
+    def _watched(service):
+        return service.describe()["delta_watches"]
+
+    def test_view_delta_roundtrip_and_drop_semantics(self, rng):
+        from repro.service.service import EstimationService
+
         spec = _make_spec("rectangle", (256, 256), {})
-        store = ShardedSketchStore(2)
-        store.register("est", spec)
-        assert not store.is_watching("est")
-        assert store.take_delta("est") is None
+        service = EstimationService(num_shards=2, flush_threshold=None)
+        service.register("est", spec)
+        assert self._watched(service) == []  # no cached view, no delta
 
-        store.watch_delta("est")
-        assert store.is_watching("est")
-        assert store.watched_names() == ["est"]
+        first = service.merged_view("est")
+        assert self._watched(service) == ["est"]
         data = random_boxes(rng, 30, 256, 2)
-        store.record_delta("est", "left", "insert", data)
-        delta = store.take_delta("est")
-        assert delta is not None and delta.left_count == 30
-        assert not store.is_watching("est")  # consuming resets the watch
+        service.ingest("est", data, side="left")
+        service.flush()
+        assert self._watched(service) == ["est"]  # fed, still covering
+        refreshed = service.merged_view("est")
+        assert refreshed.left_count == first.left_count + 30
+        assert (service.stats.delta_applies, service.stats.rebuilds) == (1, 1)
+        # The refreshed view starts a fresh delta of its own.
+        assert self._watched(service) == ["est"]
 
-        # mark_updated without delta_recorded (direct applies, snapshot
-        # restores) invalidates the watch.
-        store.watch_delta("est")
-        store.apply("est", "left", "insert", data)
-        assert not store.is_watching("est")
-        assert store.take_delta("est") is None
+        # A mutation the service did not feed leaves the delta behind the
+        # store version: no longer a watch, and the next miss rebuilds.
+        service.store.apply("est", "left", "insert", data)
+        assert self._watched(service) == []
+        service.ingest("est", data, side="left")
+        service.flush()
+        assert self._watched(service) == []  # feeding cannot close the gap
+        assert service.merged_view("est").left_count == first.left_count + 90
+        assert (service.stats.delta_applies, service.stats.rebuilds) == (1, 2)
 
-        store.watch_delta("est")
-        store.mark_updated("est", delta_recorded=True)
-        assert store.is_watching("est")
-        store.unregister("est")
-        assert not store.is_watching("est")
+        service.unregister("est")
+        assert self._watched(service) == []
+        service.register("est", _make_spec("rectangle", (256, 256), {}, seed=12))
+        service.ingest("est", data, side="left")
+        assert service.merged_view("est").left_count == 30
+        assert (service.stats.delta_applies, service.stats.rebuilds) == (1, 3)
 
     def test_budget_overflow_drops_watch(self, rng, monkeypatch):
         import repro.service.delta as delta_module
-
-        monkeypatch.setattr(delta_module, "DELTA_BOX_BUDGET", 50)
-        spec = _make_spec("rectangle", (256, 256), {})
-        store = ShardedSketchStore(2)
-        store.register("est", spec)
-        store.watch_delta("est")
-        store.record_delta("est", "left", "insert", random_boxes(rng, 40, 256, 2))
-        assert store.is_watching("est")
-        store.record_delta("est", "left", "insert", random_boxes(rng, 40, 256, 2))
-        assert not store.is_watching("est")  # watched-but-unqueried cap hit
-
-    def test_eviction_unwatches_and_falls_back_to_rebuild(self, rng):
         from repro.service.service import EstimationService
 
-        service = EstimationService(num_shards=2, flush_threshold=None,
-                                    cache_size=1, delta_propagation=True)
+        monkeypatch.setattr(delta_module, "DELTA_BOX_BUDGET", 50)
+        service = EstimationService(num_shards=2, flush_threshold=None)
+        service.register("est", _make_spec("rectangle", (256, 256), {}))
+        service.merged_view("est")
+        service.ingest("est", random_boxes(rng, 40, 256, 2), side="left")
+        service.flush()
+        assert self._watched(service) == ["est"]
+        service.ingest("est", random_boxes(rng, 40, 256, 2), side="left")
+        service.flush()
+        assert self._watched(service) == []  # cached-but-unqueried cap hit
+        assert service.merged_view("est").left_count == 80
+        assert (service.stats.delta_applies, service.stats.rebuilds) == (0, 2)
+
+    def test_eviction_unwatches_and_falls_back_to_rebuild(self, rng,
+                                                          monkeypatch):
+        import repro.service.service as service_module
+
+        monkeypatch.setattr(service_module, "VIEW_CACHE_SIZE", 1)
+        service = service_module.EstimationService(
+            num_shards=2, flush_threshold=None, delta_propagation=True)
         for name in ("a", "b"):
             service.register(name, _make_spec("rectangle", (256, 256), {}))
             service.ingest(name, random_boxes(rng, 20, 256, 2), side="left")
             service.ingest(name, random_boxes(rng, 20, 256, 2), side="right")
         service.flush()
         service.estimate("a")
-        assert service.store.watched_names() == ["a"]
+        assert self._watched(service) == ["a"]
         service.estimate("b")  # evicts "a" from the single-entry cache
-        assert service.store.watched_names() == ["b"]
+        assert self._watched(service) == ["b"]
         assert service.stats.evictions == 1
-        # "a" lost both its cached view and its watch: next refresh rebuilds.
+        # "a" lost both its cached view and its delta: next refresh rebuilds.
         service.ingest("a", random_boxes(rng, 10, 256, 2), side="left")
         service.flush()
         service.estimate("a")

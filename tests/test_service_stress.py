@@ -30,8 +30,9 @@ class TestServiceStatsAtomicity:
         first.estimates = 10 ** 9
         assert service.stats.estimates == 0
 
-    def test_new_counters_exposed(self):
-        service = EstimationService(num_shards=2, cache_size=1)
+    def test_new_counters_exposed(self, monkeypatch):
+        monkeypatch.setattr("repro.service.service.VIEW_CACHE_SIZE", 1)
+        service = EstimationService(num_shards=2)
         service.register("a", family="range", domain=DOMAIN, num_instances=8)
         service.register("b", family="range", domain=DOMAIN, num_instances=8,
                          seed=1)
@@ -40,7 +41,7 @@ class TestServiceStatsAtomicity:
         service.flush()
         queries = synthetic_queries(DOMAIN, 4, seed=3)
         service.estimate_batch("a", queries)
-        service.estimate_batch("b", queries)  # evicts a's view (cache_size=1)
+        service.estimate_batch("b", queries)  # evicts a's view (one-entry cache)
         service.estimate_batch("a", queries)  # rebuild -> second eviction
         stats = service.stats
         assert stats.batch_estimates == 3

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.errors import ServiceError
+from repro.geometry.boxset import BoxSet
 from repro.server import protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.wal import (
@@ -164,6 +165,25 @@ class TestServiceWalIntegration:
         state = recovered.snapshot()
         assert_states_equal(durable, state)
         recovered.detach_wal()
+
+    def test_a_batch_the_flush_would_refuse_never_reaches_the_log(
+            self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        service = durable_service(wal_dir)
+        good = synthetic_boxes(DOMAIN, 4, seed=8)
+        highs = good.highs.copy()
+        highs[2, 1] = 256
+        outside = BoxSet(good.lows, highs)
+        with pytest.raises(ServiceError, match="outside the domain"):
+            service.ingest("ranges", outside, side="data")
+        assert service.wal.last_seqno == 2 and service.pending == 0
+        # A log an earlier build wrote with such a record in it fails
+        # recovery at that record, not in a later flush.
+        service.wal.append_update("ranges", "data", "insert",
+                                  np.hstack((outside.lows, outside.highs)))
+        service.detach_wal()
+        with pytest.raises(ServiceError, match="outside the domain"):
+            recover_service(wal_dir, num_shards=2, attach=False)
 
     def test_checkpoint_requires_wal_and_path(self, tmp_path):
         plain = EstimationService(num_shards=2)
