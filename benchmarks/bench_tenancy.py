@@ -34,7 +34,7 @@ import time
 from repro.core.domain import Domain
 from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
-from repro.tenancy import TenantQuota
+from repro.tenancy import TenantQuota, namespaced
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_tenancy.json"
@@ -63,11 +63,11 @@ def _make_service() -> EstimationService:
     service.tenant_create("steady", token=STEADY_TOKEN, quota=STEADY_QUOTA)
     service.tenant_create("noisy", token=NOISY_TOKEN, quota=NOISY_QUOTA)
     for tenant, seed in (("steady", 1), ("noisy", 2)):
-        facade = service.tenant_facade(tenant)
-        facade.register("ranges", family="range", domain=DOMAIN,
-                        num_instances=NUM_INSTANCES, seed=11)
-        facade.ingest("ranges", synthetic_boxes(DOMAIN, DATA_BOXES, seed=seed),
-                      side="data")
+        name = namespaced(tenant, "ranges")
+        service.register(name, family="range", domain=DOMAIN,
+                         num_instances=NUM_INSTANCES, seed=11)
+        service.ingest(name, synthetic_boxes(DOMAIN, DATA_BOXES, seed=seed),
+                       side="data")
     service.flush()
     # Warm both merged views so neither scenario pays the first build.
     query = synthetic_queries(DOMAIN, 1, seed=99)

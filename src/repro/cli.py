@@ -255,10 +255,6 @@ def _args_wal(wal) -> None:
 def _add_router_args(parser) -> None:
     parser.add_argument("--slots", type=int, default=64,
                         help="cluster shard slots on the hash ring (default: 64)")
-    parser.add_argument("--worker-wire", default="auto",
-                        choices=("auto", "binary", "ndjson"),
-                        help="wire format for router->worker links "
-                             "(default: auto — binary when workers offer it)")
 
 
 def _args_cluster_serve(cserve) -> None:
@@ -618,7 +614,7 @@ def service_command_loop(service, in_stream, out_stream, *,
     answered by the same handler table a ``--listen`` server uses, without
     a listener: ``register`` / ``unregister`` / ``ingest`` / ``estimate`` /
     ``flush`` / ``stats`` / ``metrics`` / ``snapshot`` (alias ``save``) /
-    ``reload`` / ``wal`` / ``tenant`` / ``ping``, and ``quit`` to end the
+    ``reload`` / ``tenant`` / ``ping``, and ``quit`` to end the
     loop.  Failures are replies with ``ok: false`` and an ``error_code``;
     they never end the loop or lose the in-memory sketches.
     """
@@ -776,8 +772,7 @@ def _serve_router(args, targets, *, worker_token, replicas=False) -> None:
     host, port = _parse_hostport(args.listen)
     router = ClusterRouter(config=RouterConfig(
         host=host, port=port, num_slots=args.slots,
-        worker_wire=args.worker_wire, admin_token=args.admin_token,
-        worker_token=worker_token))
+        admin_token=args.admin_token, worker_token=worker_token))
 
     async def attach() -> None:
         for index, (whost, wport) in enumerate(targets):

@@ -32,7 +32,7 @@ whose first copy did land — and surface
 A connection opens with the ``hello`` handshake and upgrades to the binary
 frame format (:mod:`repro.server.wire`) when the server offers it — the
 default, ``wire="auto"``, which silently stays on NDJSON otherwise: box
-batches then travel as raw little-endian int64 tensors and snapshot/WAL
+batches then travel as raw little-endian int64 tensors and snapshot
 payloads as raw bytes instead of base64.  ``wire="binary"`` makes a
 refused upgrade an error; ``wire="ndjson"`` skips the handshake (the
 format ``nc`` debugging and the stdin ``serve`` loop speak).
@@ -202,26 +202,6 @@ class RequestVerbs:
         return self.request(protocol.build(
             "snapshot", checkpoint=True,
             path=None if path is None else str(path)))
-
-    def wal_describe(self) -> dict:
-        """The server's WAL summary (``None`` when serving without one)."""
-        return self.request(protocol.build("wal"))
-
-    def wal_fetch(self, since: int = 0) -> dict:
-        """Fetch the framed log tail after ``since`` (log shipping).
-
-        The reply's ``data`` field holds the record bytes — base64 on an
-        NDJSON connection, raw ``bytes`` on a binary one; ``truncated``
-        means a checkpoint dropped part of the requested range and the
-        caller must bootstrap from a snapshot instead.
-        """
-        return self.request(protocol.build("wal", fetch=True,
-                                           since=int(since)))
-
-    def wal_apply(self, data: str | bytes) -> dict:
-        """Replay a fetched tail (``data`` as returned by :meth:`wal_fetch`)
-        into this server — the follower half of log shipping."""
-        return self.request(protocol.build("wal", apply=data))
 
     def cluster_status(self) -> dict:
         """Fleet topology of a cluster router (see :mod:`repro.cluster`)."""

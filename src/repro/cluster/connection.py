@@ -8,12 +8,11 @@ link per worker and multiplexes every scatter over it; a connection loss
 fails all in-flight futures with
 :class:`~repro.errors.ConnectionLostError` so the health checker can react.
 
-Links default to ``wire="auto"``: on connect they offer the binary frame
-handshake (:mod:`repro.server.wire`) and fall back to NDJSON against
-servers that refuse it.  Router↔worker traffic is where the binary format
-pays the most — box fan-out, partial-state gathers, log shipping and
-replica bootstrap all cross this hop — so the fleet negotiates it by
-default while external clients stay on NDJSON unless asked.
+On connect a link offers the binary frame handshake
+(:mod:`repro.server.wire`) and falls back to NDJSON against a worker that
+refuses it (one started with ``--no-binary-wire``).  Router↔worker traffic
+is where the binary format pays the most — box fan-out, partial-state
+gathers and replica bootstrap all cross this hop.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import (ConnectionLostError, DegradedError, ProtocolError,
-                          ServerError)
+from repro.errors import ConnectionLostError, DegradedError, ServerError
 from repro.server import protocol, wire
 
 
@@ -30,15 +28,10 @@ class WorkerLink:
     """A persistent, pipelining connection to one worker server."""
 
     def __init__(self, host: str, port: int, *,
-                 timeout: float = 60.0, wire: str = "auto",
-                 token: str | None = None) -> None:
-        if wire not in ("ndjson", "binary", "auto"):
-            raise ProtocolError(
-                f"wire must be 'ndjson', 'binary' or 'auto', got {wire!r}")
+                 timeout: float = 60.0, token: str | None = None) -> None:
         self.host = host
         self.port = int(port)
         self.timeout = timeout
-        self.wire = wire  # the preference; self.mode is what negotiation got
         self.token = token  # admin token binding the link on connect
         self._mode = "ndjson"
         self._reader: asyncio.StreamReader | None = None
@@ -72,8 +65,7 @@ class WorkerLink:
         # the read loop, so the loop starts with the connection already in
         # its final format and (when tenancy is on) already authenticated.
         try:
-            if self.wire != "ndjson":
-                await self._negotiate()
+            await self._negotiate()
             if self.token is not None:
                 await self._authenticate()
         except BaseException:
@@ -92,11 +84,8 @@ class WorkerLink:
             raise ConnectionLostError(
                 f"worker {self.address} closed the connection during the "
                 "wire handshake")
-        reply = protocol.decode(line)
-        if reply.get("ok"):
+        if protocol.decode(line).get("ok"):
             self._mode = wire.WIRE_BINARY
-        elif self.wire == "binary":
-            protocol.raise_for_response(reply)
 
     async def _authenticate(self) -> None:
         assert self._reader is not None and self._writer is not None

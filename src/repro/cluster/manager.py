@@ -15,20 +15,8 @@ worker's binary v2 snapshot (``snapshot`` with ``fetch: true``) and ships
 it into the fresh worker (``reload`` with inline ``data``) — no shared
 filesystem needed.  A heartbeat loop pings every worker; after
 ``max_failures`` consecutive misses a worker is marked unhealthy, taking
-it out of read/write fan-outs (degraded mode) until it recovers or is
-replaced via :meth:`ClusterManager.replace_worker`.
-
-Replicas come in two sync flavours (``WorkerInfo.sync_mode``):
-
-* ``fanout`` — the classic mirror: every write fanned to the primary also
-  goes to the replica, keeping it bit-identical in real time,
-* ``wal`` — a log-shipped *follower*: excluded from the write fan-out, it
-  catches up on demand via :meth:`ClusterManager.sync_follower`, which
-  fetches the owner's WAL tail after the follower's last synced sequence
-  number (``wal fetch since:<seqno>``) and replays it — an incremental
-  transfer that moves only the missed-write window, falling back to a
-  full snapshot bootstrap only when a checkpoint already truncated the
-  requested tail.
+it out of read/write fan-outs (degraded mode) until it is replaced via
+:meth:`ClusterManager.replace_worker`.
 """
 
 from __future__ import annotations
@@ -38,14 +26,11 @@ import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.connection import WorkerLink
-from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.ring import HashRing
 from repro.errors import ReproError, ServiceError
 from repro.server import protocol
 
 WORKER_ROLES = ("shard", "replica")
-
-#: How a replica is kept consistent with its owner.
-SYNC_MODES = ("fanout", "wal")
 
 
 @dataclass
@@ -61,9 +46,6 @@ class WorkerInfo:
     healthy: bool = True
     failures: int = 0
     generation: int = 0  # bumped by replace_worker
-    sync_mode: str = "fanout"
-    #: Owner-WAL position this follower provably holds (wal mode only).
-    synced_seqno: int = 0
 
     @property
     def address(self) -> str:
@@ -85,27 +67,18 @@ class HeartbeatConfig:
 class ClusterManager:
     """Topology and health of one worker fleet."""
 
-    def __init__(self, *, vnodes: int = DEFAULT_VNODES,
-                 heartbeat: HeartbeatConfig | None = None,
+    def __init__(self, *, heartbeat: HeartbeatConfig | None = None,
                  request_timeout: float = 60.0,
-                 wire: str = "auto",
                  worker_token: str | None = None) -> None:
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         self.heartbeat = heartbeat or HeartbeatConfig()
         self.request_timeout = request_timeout
-        #: Wire preference for every worker link ("auto" negotiates binary
-        #: frames where workers offer them — snapshot bootstrap and log
-        #: shipping then move raw bytes instead of base64).
-        self.wire = wire
         #: Admin token presented on every worker link when the fleet runs
         #: with tenancy enforced (workers started with --admin-token).
         self.worker_token = worker_token
         self._workers: dict[str, WorkerInfo] = {}
         self._round_robin: dict[str, int] = {}
         self._heartbeat_task: asyncio.Task | None = None
-        #: State-transfer ledger: one entry per snapshot bootstrap or WAL
-        #: tail shipped, for byte accounting (tail < full snapshot).
-        self.transfers: list[dict] = []
 
     # -- membership ---------------------------------------------------------------
 
@@ -125,17 +98,21 @@ class ClusterManager:
     def __len__(self) -> int:
         return len(self._workers)
 
+    async def _connect(self, host: str, port: int) -> WorkerLink:
+        """A pinged link to one worker process."""
+        link = WorkerLink(host, port, timeout=self.request_timeout,
+                          token=self.worker_token)
+        await link.connect()
+        await link.request_ok({"op": "ping"}, timeout=self.heartbeat.timeout)
+        return link
+
     async def add_worker(self, name: str, host: str, port: int, *,
                          role: str = "shard",
-                         replica_of: str | None = None,
-                         sync: str = "fanout") -> WorkerInfo:
+                         replica_of: str | None = None) -> WorkerInfo:
         """Connect, health-check and register one worker."""
         if role not in WORKER_ROLES:
             raise ServiceError(f"worker role must be one of {WORKER_ROLES}, "
                                f"got {role!r}")
-        if sync not in SYNC_MODES:
-            raise ServiceError(f"replica sync mode must be one of "
-                               f"{SYNC_MODES}, got {sync!r}")
         if name in self._workers:
             raise ServiceError(f"worker {name!r} is already registered")
         if role == "replica":
@@ -144,14 +121,9 @@ class ClusterManager:
             self.worker(replica_of)  # raises for unknown sources
         elif replica_of is not None:
             raise ServiceError("replica_of applies to replica workers only")
-        elif sync != "fanout":
-            raise ServiceError("sync modes apply to replica workers only")
-        link = WorkerLink(host, port, timeout=self.request_timeout,
-                          wire=self.wire, token=self.worker_token)
-        await link.connect()
-        await link.request_ok({"op": "ping"}, timeout=self.heartbeat.timeout)
-        info = WorkerInfo(name=name, host=host, port=int(port), link=link,
-                          role=role, replica_of=replica_of, sync_mode=sync)
+        info = WorkerInfo(name=name, host=host, port=int(port),
+                          link=await self._connect(host, port), role=role,
+                          replica_of=replica_of)
         self._workers[name] = info
         if role == "shard":
             self.ring.add(name)
@@ -176,118 +148,48 @@ class ClusterManager:
         replacement before it goes live.
         """
         old = self.worker(name)
-        link = WorkerLink(host, port, timeout=self.request_timeout,
-                          wire=self.wire, token=self.worker_token)
-        await link.connect()
-        await link.request_ok({"op": "ping"}, timeout=self.heartbeat.timeout)
+        link = await self._connect(host, port)
         if data is not None:
             await link.request_ok(protocol.build("reload", data=data))
         await old.link.close()
         fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
                            role=old.role, replica_of=old.replica_of,
-                           healthy=True, failures=0,
                            generation=old.generation + 1)
         self._workers[name] = fresh
         return fresh
 
     # -- replica bootstrap --------------------------------------------------------
 
-    async def _fetch_snapshot_reply(self, source: str) -> dict:
-        """The full ``snapshot fetch:true`` reply of one worker."""
-        return await self.worker(source).link.request_ok(
-            protocol.build("snapshot", fetch=True))
-
     async def fetch_snapshot(self, source: str) -> str | bytes:
         """A worker's binary v2 snapshot in wire form — raw ``bytes`` on a
         binary link, base64 text on an NDJSON one.  Either form can be
         passed back into ``reload``/:meth:`replace_worker` unchanged."""
-        return (await self._fetch_snapshot_reply(source))["data"]
+        reply = await self.worker(source).link.request_ok(
+            protocol.build("snapshot", fetch=True))
+        return reply["data"]
 
     async def bootstrap_replica(self, name: str, host: str, port: int, *,
-                                source: str, sync: str = "fanout"
-                                ) -> WorkerInfo:
+                                source: str) -> WorkerInfo:
         """Attach a fresh worker as a read replica of ``source``.
 
         The source's snapshot is fetched over the wire and reloaded into
-        the new worker, after which the replica is a bit-identical mirror.
-        ``sync="fanout"`` (default) joins the write fan-out immediately;
-        ``sync="wal"`` registers a log-shipped follower instead, seeded at
-        the WAL position the bootstrap snapshot covers and caught up
-        incrementally by :meth:`sync_follower`.
+        the new worker, after which the replica is a bit-identical mirror
+        in the owner group's write fan-out.
         """
         source_info = self.worker(source)
         if source_info.role != "shard":
             raise ServiceError(
                 f"replicas mirror shard workers; {source!r} is a "
                 f"{source_info.role}")
-        reply = await self._fetch_snapshot_reply(source)
-        data = reply["data"]
+        data = await self.fetch_snapshot(source)
         info = await self.add_worker(name, host, port, role="replica",
-                                     replica_of=source, sync=sync)
+                                     replica_of=source)
         try:
             await info.link.request_ok(protocol.build("reload", data=data))
         except ReproError:
             await self.remove_worker(name)
             raise
-        info.synced_seqno = int(reply.get("wal_seqno", 0) or 0)
-        self._record_transfer(name, "snapshot", int(reply.get("nbytes", 0)),
-                              records=0)
         return info
-
-    async def sync_follower(self, name: str) -> dict:
-        """Catch a log-shipped follower up to its owner.
-
-        Fetches the owner's WAL tail after the follower's last synced
-        sequence number and replays it on the follower — the incremental
-        alternative to re-shipping a full snapshot.  When the owner reports
-        the requested tail ``truncated`` (a checkpoint dropped part of it),
-        the follower is re-bootstrapped from a fresh snapshot instead.
-
-        A successful sync proves the follower holds every owner write
-        through the returned ``synced_seqno`` (the owner's log is the
-        authoritative write record), so it also restores the follower to
-        healthy — unlike fan-out replicas, where a mere ping recovery
-        cannot prove no write was missed.
-        """
-        info = self.worker(name)
-        if info.role != "replica" or info.sync_mode != "wal":
-            raise ServiceError(
-                f"sync_follower applies to wal-mode replicas; {name!r} is a "
-                f"{info.sync_mode} {info.role}")
-        owner = self.worker(info.replica_of)
-        tail = await owner.link.request_ok(
-            protocol.build("wal", fetch=True, since=info.synced_seqno))
-        if tail.get("truncated"):
-            # The missed window predates the oldest retained record: the
-            # incremental path cannot reconstruct it, so fall back to a
-            # full snapshot bootstrap.
-            reply = await self._fetch_snapshot_reply(info.replica_of)
-            await info.link.request_ok(protocol.build("reload",
-                                                      data=reply["data"]))
-            info.synced_seqno = int(reply.get("wal_seqno", 0) or 0)
-            report = self._record_transfer(name, "snapshot",
-                                           int(reply.get("nbytes", 0)),
-                                           records=0)
-        else:
-            if int(tail.get("count", 0)):
-                await info.link.request_ok(protocol.build(
-                    "wal", apply=tail["data"]))
-                info.synced_seqno = int(tail["last_seqno"])
-            report = self._record_transfer(name, "wal",
-                                           int(tail.get("nbytes", 0)),
-                                           records=int(tail.get("count", 0)))
-        info.healthy = True
-        info.failures = 0
-        report["synced_seqno"] = info.synced_seqno
-        return report
-
-    def _record_transfer(self, worker: str, mode: str, nbytes: int, *,
-                         records: int) -> dict:
-        """Account one state transfer (snapshot bootstrap or WAL tail)."""
-        entry = {"worker": worker, "mode": mode, "bytes": int(nbytes),
-                 "records": int(records)}
-        self.transfers.append(entry)
-        return dict(entry)
 
     # -- owner groups -------------------------------------------------------------
 
@@ -300,24 +202,14 @@ class ClusterManager:
     def writers(self, owner: str) -> list[WorkerInfo]:
         """Healthy members that must all receive a write.
 
-        Writes fan to the primary *and* every healthy fan-out replica —
-        that is what keeps replicas bit-identical mirrors.  (A fan-out
-        replica that missed writes while unhealthy must be re-bootstrapped
-        before rejoining.)  Log-shipped (``wal``) followers are *not*
-        fanned to: the owner's WAL is their write stream, applied in
-        batches by :meth:`sync_follower`.
+        Writes fan to the primary *and* every healthy replica — that is
+        what keeps replicas bit-identical mirrors.  (A replica that missed
+        writes while unhealthy must be replaced before rejoining.)
         """
-        return [info for info in self.owner_group(owner)
-                if info.healthy and info.sync_mode != "wal"]
+        return [info for info in self.owner_group(owner) if info.healthy]
 
     def reader(self, owner: str) -> WorkerInfo | None:
-        """Round-robin over the owner group's healthy synchronous members.
-
-        Log-shipped followers are excluded: between syncs they lag the
-        owner, and the router promises reads bit-identical to a
-        single-node service.  (Route to them explicitly for workloads
-        that tolerate bounded staleness.)
-        """
+        """Round-robin over the owner group's healthy members."""
         members = self.writers(owner)
         if not members:
             return None
@@ -341,9 +233,9 @@ class ClusterManager:
                 if info.healthy:
                     info.failures = 0
                 # Once unhealthy a worker stays out — it may have missed
-                # writes, so only replace_worker / bootstrap_replica (which
-                # reload a current snapshot) bring a name back into
-                # rotation.  Mere ping recovery cannot prove state.
+                # writes, so only replace_worker (which reloads a current
+                # snapshot) brings a name back into rotation.  Mere ping
+                # recovery cannot prove state.
 
         workers = self.workers()
         await asyncio.gather(*(ping(info) for info in workers))
@@ -407,14 +299,11 @@ class ClusterManager:
                     "healthy": info.healthy,
                     "failures": info.failures,
                     "generation": info.generation,
-                    "sync_mode": info.sync_mode,
-                    "synced_seqno": info.synced_seqno,
                 }
                 for info in self.workers()
             ],
             "ring": self.ring.workers(),
             "healthy_workers": sum(info.healthy for info in self.workers()),
-            "transfers": [dict(entry) for entry in self.transfers],
         }
 
     async def close(self) -> None:

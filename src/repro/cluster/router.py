@@ -9,7 +9,7 @@ quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
 ``stats`` / ``metrics`` are the front's; this module adds topology, the
 routing below, fleet aggregation, and two hooks: a worker's ``ok: false``
 reply passes through to the client unchanged, a lost or stalled worker
-link answers ``degraded``.  ``reload``, ``wal``, inline snapshot ``fetch`` and
+link answers ``degraded``.  ``reload``, inline snapshot ``fetch`` and
 ``checkpoint`` act on one worker's own state and are refused here.
 
 Request routing:
@@ -46,7 +46,6 @@ import numpy as np
 
 from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import reduce_partials
-from repro.cluster.ring import DEFAULT_VNODES
 from repro.core.hashing import sign_table_stats
 from repro.errors import ConnectionLostError, ServiceError
 from repro.server import protocol
@@ -63,9 +62,7 @@ class RouterConfig(FrontConfig):
     and ``admin_token`` face the router's clients), plus the fleet's."""
 
     num_slots: int = 64  # shard slots hashed onto the ring
-    vnodes: int = DEFAULT_VNODES
     request_timeout: float = 60.0
-    worker_wire: str = "auto"  # wire preference on router -> worker links
     worker_token: str | None = None  # presented on router -> worker links
 
     def __post_init__(self) -> None:
@@ -85,9 +82,7 @@ class ClusterRouter(ServingFront):
                  registry=None) -> None:
         super().__init__(config or RouterConfig())
         self.manager = manager or ClusterManager(
-            vnodes=self.config.vnodes, heartbeat=heartbeat,
-            request_timeout=self.config.request_timeout,
-            wire=self.config.worker_wire,
+            heartbeat=heartbeat, request_timeout=self.config.request_timeout,
             worker_token=self.config.worker_token)
         # name -> (spec, template): one resident empty estimator per spec.
         # Scatter-gather reduces against companions of the template, so the
@@ -122,15 +117,10 @@ class ClusterRouter(ServingFront):
         return info
 
     async def bootstrap_replica(self, name: str, host: str, port: int, *,
-                                source: str, sync: str = "fanout"
-                                ) -> WorkerInfo:
-        """Attach a read replica bootstrapped from a shard worker.
-
-        ``sync="wal"`` attaches a log-shipped follower (caught up via
-        :meth:`ClusterManager.sync_follower`) instead of a fan-out mirror.
-        """
+                                source: str) -> WorkerInfo:
+        """Attach a read replica bootstrapped from a shard worker."""
         return await self.manager.bootstrap_replica(name, host, port,
-                                                    source=source, sync=sync)
+                                                    source=source)
 
     async def _reconcile_specs(self, info: WorkerInfo) -> None:
         stats = await info.link.request_ok({"op": "stats"})

@@ -9,7 +9,8 @@ written once.  Where the counters live is a subclass:
 * :class:`~repro.server.server.SketchServer` — one local
   :class:`~repro.service.service.EstimationService`, its estimates
   micro-batched by the :class:`~repro.server.coalescer.EstimateCoalescer`
-  into single engine calls; live ``reload``, WAL and snapshot verbs,
+  into single engine calls; live ``reload`` and snapshot / checkpoint
+  verbs,
 * :class:`~repro.cluster.router.ClusterRouter` (in :mod:`repro.cluster`) —
   a hash-partitioned worker fleet behind scatter-gather.
 

@@ -42,7 +42,7 @@ ADMIN = "*admin*"
 #: The gate, read off the op table: ops an unauthenticated connection keeps
 #: when tenancy is enforced (hello/auth/quit are handled inline by the
 #: connection loop); ops a tenant-bound connection may use — everything
-#: else (snapshot, reload, wal, cluster_status) is server administration;
+#: else (snapshot, reload, cluster_status) is server administration;
 #: ops whose ``name`` field addresses an estimator and gets namespaced.
 UNAUTH_OPS = frozenset(op for op, descriptor in protocol.OPS.items()
                        if descriptor.access == "open")

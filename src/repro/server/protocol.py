@@ -38,8 +38,8 @@ to the length-prefixed **binary frame format** (:mod:`repro.server.wire`)
 with a ``{"op": "hello", "wire": "binary"}`` handshake: the reply is still
 NDJSON, everything after it is binary in both directions.  Binary frames
 carry the same JSON payloads in their headers but lift numeric tensors
-(box rows, partial counters) and raw byte blobs (snapshots, WAL tails)
-into a zero-copy binary body, skipping both JSON number formatting and
+(box rows, partial counters) and raw byte blobs (snapshots) into a
+zero-copy binary body, skipping both JSON number formatting and
 base64.
 """
 
@@ -166,7 +166,7 @@ _SNAPSHOT = Op("write the service to a snapshot file (a router: one file "
     Field("format", "string", "auto or binary: the one format snapshots are "
           "written in", default="auto"),
     Field("fetch", "boolean", "worker only: return the snapshot bytes "
-          "inline (data, nbytes, wal_seqno) instead of writing a file",
+          "inline (data, nbytes) instead of writing a file",
           default=False),
     Field("checkpoint", "boolean", "worker only: snapshot, then truncate "
           "the WAL it covers", default=False)), derive=check_write_format)
@@ -240,13 +240,6 @@ OPS: dict[str, Op] = {
         _PATH,
         Field("data", "bytes", "the snapshot shipped inline — the "
               "replica-bootstrap path"))),
-    "wal": Op("describe the write-ahead log, or ship / apply a tail of it", (
-        Field("fetch", "boolean", "return the framed records after since",
-              default=False),
-        Field("since", "integer", "sequence number the fetched tail starts "
-              "after", default=0),
-        Field("apply", "bytes", "a fetched tail to replay into this "
-              "server")), fronts=("server",)),
     "tenant": Op("administer the tenant registry", (
         Field("action", "string", "registry action (all but a self-describe "
               "require the admin token)", default="list",
@@ -480,8 +473,8 @@ def payload_bytes(value: Any) -> bytes:
     """A binary payload field as raw bytes, whatever wire format carried it.
 
     Binary frames deliver byte blobs as ``bytes`` already; NDJSON delivers
-    the base64 string :func:`pack_bytes` produced.  Every handler that
-    accepts inline snapshot/WAL data decodes through this single helper.
+    the base64 string :func:`pack_bytes` produced.  A handler that accepts
+    an inline snapshot decodes through this single helper.
     """
     if isinstance(value, (bytes, bytearray, memoryview)):
         return bytes(value)

@@ -19,9 +19,9 @@ placement does with a request:
   dropping connections** — handlers resolve :attr:`SketchServer.service`
   per request, and a WAL-attached service keeps its durability across the
   swap,
-* ``wal`` ships and applies log tails, ``snapshot`` can ``fetch`` the
-  snapshot inline or ``checkpoint`` (snapshot + WAL truncation) — the
-  worker-level verbs a cluster manager drives.
+* ``snapshot`` can ``fetch`` the snapshot inline (what a cluster manager
+  ships into a new replica) or ``checkpoint`` (snapshot + WAL
+  truncation) — worker-level verbs a router refuses.
 """
 
 from __future__ import annotations
@@ -190,16 +190,12 @@ class SketchServer(ServingFront):
             # Ship the binary v2 snapshot inline instead of writing a
             # server-side file — the replica-bootstrap path: a cluster
             # manager fetches a primary's snapshot and reloads it into a
-            # fresh worker over the wire.  ``wal_seqno`` names the log
-            # position the snapshot covers, so a WAL-synced follower knows
-            # where its log-shipped catch-up stream starts.
-            # ``data`` is raw bytes: base64 on NDJSON connections (via the
-            # encoder's json_default hook), a zero-copy body section on
-            # binary ones.
-            data, wal_seqno = await self._run_blocking(_snapshot_bytes,
-                                                       service)
+            # fresh worker over the wire.  ``data`` is raw bytes: base64 on
+            # NDJSON connections (via the encoder's json_default hook), a
+            # zero-copy body section on binary ones.
+            data = await self._run_blocking(_snapshot_bytes, service)
             return protocol.ok_payload("snapshot", fields, data=data,
-                                       nbytes=len(data), wal_seqno=wal_seqno)
+                                       nbytes=len(data))
         path = fields["path"] or self._snapshot_path
         if not path:
             raise ServiceError(
@@ -211,42 +207,6 @@ class SketchServer(ServingFront):
                                        **info)
         await self._run_blocking(service.save, path)
         return protocol.ok_payload("snapshot", fields, path=str(path))
-
-    async def _op_wal(self, fields: dict, scope) -> dict:
-        from repro.wal.reader import records_from_tail_bytes, wal_records_since
-        from repro.wal.recovery import replay_records
-
-        service = self._service
-        wal = service.wal
-        if fields["fetch"]:
-            # Log shipping: the framed record tail after ``since``, the
-            # incremental alternative to a full snapshot fetch.  A
-            # ``truncated`` reply means a checkpoint already dropped part
-            # of the requested range — the caller must bootstrap from a
-            # snapshot instead.
-            if wal is None:
-                raise ServiceError("server has no WAL attached "
-                                   "(start with --wal-dir)")
-            wal.flush()  # segment readers only see what reached the OS
-            tail = await self._run_blocking(wal_records_since, wal.directory,
-                                            fields["since"])
-            return protocol.ok_payload(
-                "wal", fields, since=tail.since, count=tail.count,
-                first_seqno=tail.first_seqno, last_seqno=tail.last_seqno,
-                truncated=tail.truncated, nbytes=tail.nbytes,
-                data=tail.data)
-        if fields["apply"] is not None:
-            # Follower side of log shipping: replay a shipped tail through
-            # the normal ingest path (so it lands in this server's own WAL
-            # when one is attached).
-            raw = protocol.payload_bytes(fields["apply"])
-            count, boxes, last = await self._run_blocking(
-                lambda: replay_records(service, records_from_tail_bytes(raw)))
-            return protocol.ok_payload("wal", fields, applied_records=count,
-                                       applied_boxes=boxes,
-                                       source_last_seqno=last)
-        return protocol.ok_payload(
-            "wal", fields, wal=wal.describe() if wal is not None else None)
 
     async def _op_reload(self, fields: dict, scope) -> dict:
         data = fields["data"]
@@ -296,19 +256,16 @@ class SketchServer(ServingFront):
         "snapshot": _op_snapshot,
         "save": _op_snapshot,
         "reload": _op_reload,
-        "wal": _op_wal,
     }
 
 
-def _snapshot_bytes(service: EstimationService) -> tuple[bytes, int]:
-    """The service's binary v2 snapshot as in-memory bytes, plus the WAL
-    sequence number it covers (0 when the service has no WAL attached)."""
+def _snapshot_bytes(service: EstimationService) -> bytes:
+    """The service's binary v2 snapshot as in-memory bytes."""
     from repro.service.snapshot import write_binary_snapshot_state
 
-    state = service.snapshot()
     buffer = io.BytesIO()
-    write_binary_snapshot_state(state, buffer)
-    return buffer.getvalue(), int(state.get("wal_seqno", 0))
+    write_binary_snapshot_state(service.snapshot(), buffer)
+    return buffer.getvalue()
 
 
 def _replay_path_reload(old: EstimationService, path: str
@@ -343,7 +300,7 @@ def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
     (its records describe the discarded state) and the snapshot is saved
     as the local recovery base with the *local* log position embedded —
     so a later crash recovers to exactly this bootstrap plus whatever the
-    follower logs afterwards.
+    replica logs afterwards.
     """
     fresh = _service_from_bytes(raw)
     checkpoint_path = old.wal_checkpoint_path

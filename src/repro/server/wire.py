@@ -18,7 +18,7 @@ A binary frame is::
 
 The header is the ordinary protocol payload with every numeric tensor
 (box rows, partial counters, xi coefficients) and raw byte blob (snapshot
-bytes, WAL tails) *lifted* into the body.  Lifted values are described by
+bytes) *lifted* into the body.  Lifted values are described by
 the reserved header key ``"_b"``: a list of ``[path, kind, meta]`` entries
 where ``path`` locates the value in the payload tree, ``kind`` is a numpy
 dtype string (``"<i8"``, ``"<f8"``, ``"<u8"``) with ``meta`` the tensor

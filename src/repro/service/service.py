@@ -206,12 +206,6 @@ class EstimationService:
                 raise ServiceError("service already has a tenant registry")
             return self._tenants
 
-    def tenant_facade(self, tenant_id: str) -> Any:
-        """A namespace-scoped proxy for one tenant (see ``repro.tenancy``)."""
-        from repro.tenancy import TenantFacade
-
-        return TenantFacade(self, tenant_id)
-
     def tenant_create(self, tenant_id: str, *, token: str, quota: Any = None,
                       created_at: float | None = None) -> Any:
         """Register a tenant; journaled through the WAL when attached."""
@@ -235,7 +229,7 @@ class EstimationService:
         return record
 
     def tenant_upsert(self, record: Any) -> Any:
-        """Install a tenant record verbatim (WAL replay / log shipping)."""
+        """Install a tenant record verbatim (WAL replay)."""
         registry = self.enable_tenancy()
         with self._lock:
             registry.upsert(record)

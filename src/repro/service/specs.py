@@ -298,15 +298,34 @@ def as_boxes(data: BoxSet | PointSet) -> BoxSet:
     raise ServiceError(f"expected a BoxSet or PointSet, got {type(data).__name__}")
 
 
+def shrunk_sides(spec: EstimatorSpec) -> frozenset:
+    """The sides whose boxes the spec's estimators shrink.
+
+    :meth:`~repro.core.domain.EndpointTransform.transform_right` maps
+    ``[lo, hi]`` to ``[3 lo + 1, 3 hi - 1]``, which is empty where ``lo ==
+    hi``.  It takes a join's ``right`` under ``endpoint_policy="transform"``
+    (the default of the families with that option), ``extended_overlap``'s
+    ``right`` always, and a ``strict`` range's ``data``.
+    """
+    if spec.option("strict", False):
+        return frozenset({"data"})
+    if spec.family == "extended_overlap" or (
+            "endpoint_policy" in spec.info.option_names
+            and spec.option("endpoint_policy", "transform") == "transform"):
+        return frozenset({"right"})
+    return frozenset()
+
+
 def check_update(spec: EstimatorSpec, side: str, kind: str,
                  boxes: BoxSet | PointSet) -> tuple[str, BoxSet]:
     """Refuse a batch the spec's estimators could not apply.
 
     The one check an update passes before it is logged, buffered or split
     between a fleet's owners: the side (an alias resolves to its declared
-    name), the kind, degenerate boxes on a point side, the dimension and
-    every coordinate inside ``spec.domain()``.  Returns the resolved side
-    and the batch as a box set.
+    name), the kind, degenerate boxes on a point side, the dimension,
+    every coordinate inside ``spec.domain()`` and no zero extent on a
+    side the endpoint transform shrinks (:func:`shrunk_sides`).  Returns
+    the resolved side and the batch as a box set.
     """
     info = spec.info
     side = info.resolve_side(side)
@@ -322,6 +341,10 @@ def check_update(spec: EstimatorSpec, side: str, kind: str,
     if not domain.contains(boxes):
         raise ServiceError(f"family {spec.family!r}: boxes reach outside the "
                            f"domain {domain.sizes}")
+    if side in shrunk_sides(spec) and (boxes.lows == boxes.highs).any():
+        raise ServiceError(f"family {spec.family!r}: side {side!r} shrinks "
+                           f"every box by the endpoint transform, so a box "
+                           f"with lo == hi in some dimension would be empty")
     return side, boxes
 
 

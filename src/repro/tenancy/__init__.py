@@ -1,14 +1,13 @@
-"""Multi-tenant serving: tenant registry, quotas, and scoped facades.
+"""Multi-tenant serving: tenant registry and quotas.
 
-See :mod:`repro.tenancy.registry` for the persisted tenant store,
-:mod:`repro.tenancy.quota` for deterministic token-bucket admission, and
-:mod:`repro.tenancy.facade` for the namespace-scoped service proxy.  The
-network-facing enforcement (auth handshake, per-connection scoping,
-fair-share coalescing, metric labels) lives in :mod:`repro.server` and
-:mod:`repro.cluster`, all built on these primitives.
+See :mod:`repro.tenancy.registry` for the persisted tenant store and the
+namespace helpers, and :mod:`repro.tenancy.quota` for deterministic
+token-bucket admission.  The network-facing enforcement (auth handshake,
+per-connection scoping, fair-share coalescing, metric labels) lives in
+:mod:`repro.server` and :mod:`repro.cluster`, all built on these
+primitives.
 """
 
-from repro.tenancy.facade import TenantFacade
 from repro.tenancy.quota import TenantAdmission, TokenBucket
 from repro.tenancy.registry import (
     TENANT_SEP,
@@ -24,7 +23,6 @@ from repro.tenancy.registry import (
 __all__ = [
     "TENANT_SEP",
     "TenantAdmission",
-    "TenantFacade",
     "TenantQuota",
     "TenantRecord",
     "TenantRegistry",

@@ -13,7 +13,7 @@ independent of replay batching or order.
 * :mod:`repro.wal.writer` — the append-only segmented writer with
   configurable sync modes (``none`` / ``flush`` / ``fsync``),
 * :mod:`repro.wal.reader` — segment scanning with torn/corrupt tail
-  detection (CRC) and tail fetches for cluster log shipping,
+  detection (CRC),
 * :mod:`repro.wal.recovery` — ``load snapshot + replay tail`` service
   recovery and the checkpoint (snapshot + log truncation) helper.
 """
@@ -27,27 +27,20 @@ from repro.wal.framing import (
     encode_update,
     iter_buffer_records,
 )
-from repro.wal.reader import (
-    SegmentScan,
-    WalTail,
-    read_wal_records,
-    scan_segment,
-    wal_records_since,
-)
+from repro.wal.reader import SegmentScan, read_wal_records, scan_segment
 from repro.wal.recovery import (
     RecoveryReport,
     apply_wal_record,
     recover_service,
     replay_records,
 )
-from repro.wal.writer import SYNC_MODES, WalWriter
+from repro.wal.writer import SYNC_POLICIES, WalWriter
 
 __all__ = [
     "WAL_MAGIC",
-    "SYNC_MODES",
+    "SYNC_POLICIES",
     "SegmentScan",
     "RecoveryReport",
-    "WalTail",
     "WalWriter",
     "apply_wal_record",
     "decode_payload",
@@ -60,5 +53,4 @@ __all__ = [
     "recover_service",
     "replay_records",
     "scan_segment",
-    "wal_records_since",
 ]

@@ -1,15 +1,9 @@
-"""Scanning WAL segments: durable-prefix reads and tail fetches.
+"""Scanning WAL segments: durable-prefix reads.
 
 Readers are deliberately forgiving about the *tail* of a log — a torn
 final record is what a crash mid-append leaves behind, and the CRC framing
 turns it into a clean truncation point — and strict about everything else
 (a file without the WAL magic is an error, not an empty log).
-
-:func:`wal_records_since` is the log-shipping primitive: the raw,
-still-framed bytes of every record after a sequence number, exactly what
-the ``wal`` server verb ships to a catching-up cluster follower.  When the
-requested position has already been checkpoint-truncated away the tail is
-flagged ``truncated`` so the caller falls back to snapshot bootstrap.
 """
 
 from __future__ import annotations
@@ -17,12 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.wal.framing import (
-    WAL_MAGIC,
-    WalFormatError,
-    encode_record,
-    iter_buffer_records,
-)
+from repro.wal.framing import WAL_MAGIC, WalFormatError, iter_buffer_records
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -97,74 +86,4 @@ def read_wal_records(directory, *, since: int = 0
             if seqno > since:
                 records.append((seqno, payload))
     records.sort(key=lambda record: record[0])
-    return records
-
-
-@dataclass(frozen=True)
-class WalTail:
-    """A shippable log tail (the reply of ``wal fetch``).
-
-    ``data`` holds re-framed record bytes (magic-less — a pure record
-    run); ``truncated`` means the requested position predates the oldest
-    retained record, i.e. a checkpoint already dropped part of the
-    requested range and the follower must bootstrap from a snapshot.
-    """
-
-    since: int
-    first_seqno: int
-    last_seqno: int
-    count: int
-    data: bytes
-    truncated: bool
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.data)
-
-
-def wal_records_since(directory, since: int) -> WalTail:
-    """The framed tail after ``since``, with truncation detection.
-
-    The oldest *retained* record tells whether the request is servable:
-    if its sequence number is greater than ``since + 1`` the records in
-    between were checkpoint-truncated and the tail alone cannot catch a
-    follower up.
-    """
-    segments = list_segments(directory)
-    all_records = read_wal_records(directory, since=0)
-    oldest = all_records[0][0] if all_records else None
-    tail = [(seqno, payload) for seqno, payload in all_records
-            if seqno > since]
-    # The oldest segment's *name* is the authoritative floor: a checkpoint
-    # that emptied the log leaves a record-less segment whose start seqno
-    # still records what was dropped.
-    floor = segment_start(segments[0]) if segments else 1
-    truncated = floor > since + 1 or (oldest is not None and oldest > since + 1)
-    data = b"".join(encode_record(seqno, payload) for seqno, payload in tail)
-    return WalTail(
-        since=int(since),
-        first_seqno=tail[0][0] if tail else 0,
-        last_seqno=tail[-1][0] if tail else int(since),
-        count=len(tail),
-        data=data,
-        truncated=truncated,
-    )
-
-
-def records_from_tail_bytes(data: bytes) -> list[tuple[int, bytes]]:
-    """Decode a shipped :attr:`WalTail.data` blob back into records.
-
-    Unlike segment scanning, a shipped tail must be *wholly* intact — it
-    travelled over a checksummed transport, so a short or corrupt record
-    is an error, not a truncation.
-    """
-    records: list[tuple[int, bytes]] = []
-    consumed = 0
-    for seqno, payload, end in iter_buffer_records(data):
-        records.append((seqno, payload))
-        consumed = end
-    if consumed != len(data):
-        raise WalFormatError(
-            f"shipped WAL tail is corrupt: {len(data) - consumed} trailing "
-            f"bytes do not frame a record")
     return records

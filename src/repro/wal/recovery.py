@@ -78,11 +78,10 @@ def apply_wal_record(service: "EstimationService", event: dict) -> int:
     """Apply one decoded record event; returns the update rows it carried.
 
     Registration replay is idempotent: a ``register`` for a name the
-    service already knows (it came from the snapshot, or the record is
-    being re-shipped to a follower) is skipped, and an ``unregister`` for
-    an unknown name is a no-op.  Updates go through the normal ingest path
-    so a service with its own WAL attached (a catching-up follower) logs
-    the shipped rows into its *own* durability stream.
+    service already knows (it came from the snapshot) is skipped, and an
+    ``unregister`` for an unknown name is a no-op.  Updates go through the
+    normal ingest path, so a record the ingest check refuses fails replay
+    at that record.
     """
     from repro.service.specs import EstimatorSpec
 
@@ -97,7 +96,7 @@ def apply_wal_record(service: "EstimationService", event: dict) -> int:
                 service.tenant_remove(name)
         else:
             # create and update both replay as an upsert: idempotent, and a
-            # re-shipped create over an existing tenant converges instead of
+            # replayed create over an existing tenant converges instead of
             # failing the whole recovery.
             service.tenant_upsert(TenantRecord.from_dict(event["record"]))
         return 0

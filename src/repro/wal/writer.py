@@ -44,7 +44,8 @@ from repro.wal.reader import (
     segment_start,
 )
 
-SYNC_MODES = ("none", "flush", "fsync")
+#: How far an append is pushed before it returns (``--wal-sync``).
+SYNC_POLICIES = ("none", "flush", "fsync")
 
 
 class WalWriter:
@@ -56,9 +57,9 @@ class WalWriter:
     """
 
     def __init__(self, directory, *, sync: str = "flush") -> None:
-        if sync not in SYNC_MODES:
+        if sync not in SYNC_POLICIES:
             raise SnapshotError(
-                f"WAL sync mode must be one of {SYNC_MODES}, got {sync!r}")
+                f"WAL sync mode must be one of {SYNC_POLICIES}, got {sync!r}")
         self.directory = os.fspath(directory)
         self.sync = sync
         self._lock = threading.Lock()
@@ -122,17 +123,6 @@ class WalWriter:
         if self._handle.tell() == 0:
             self._handle.write(WAL_MAGIC)
             self._handle.flush()
-
-    def flush(self) -> None:
-        """Push userspace-buffered appends to the OS, whatever the sync mode.
-
-        Readers of the segment files (``wal fetch`` log shipping, the
-        inspect CLI) see only what reached the OS; under ``sync="none"``
-        that lags the acknowledged appends until this is called.
-        """
-        with self._lock:
-            if self._handle is not None:
-                self._handle.flush()
 
     def close(self) -> None:
         with self._lock:

@@ -16,7 +16,12 @@ from repro.client import ServiceClient
 from repro.cluster import HeartbeatConfig, RouterConfig, ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet
 from repro.core.domain import Domain
-from repro.errors import DegradedError, ServerError, ServiceError
+from repro.errors import (
+    ConnectionLostError,
+    DegradedError,
+    ServerError,
+    ServiceError,
+)
 from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import (
@@ -460,6 +465,67 @@ class TestReplicas:
         for index in (1, 2):
             view = worker_trio[index].service.merged_view("ranges")
             assert view.count == 350
+
+    def test_an_unhealthy_replica_stays_out_until_replaced(self, worker_trio):
+        """A replica that missed heartbeats may have missed writes: good
+        pings alone never bring it back, a fresh snapshot of its owner
+        does."""
+        heartbeat = HeartbeatConfig(interval=30.0, max_failures=2,
+                                    timeout=2.0)
+        owner, mirror = worker_trio[0], worker_trio[1]
+        with ThreadedClusterRouter(
+                [("127.0.0.1", owner.port)],
+                config=RouterConfig(num_slots=NUM_SLOTS), heartbeat=heartbeat,
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            manager = handle.manager
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=16, seed=5)
+            client.ingest("ranges", synthetic_boxes(DOMAIN, 200, seed=1),
+                          side="data")
+            client.flush()
+            handle.run(handle.router.bootstrap_replica(
+                "r1", "127.0.0.1", mirror.port, source="w0"))
+
+            link = manager.worker("r1").link
+            answer = link.request_ok
+
+            async def drop_pings(payload, timeout=None):
+                if payload["op"] == "ping":
+                    raise ConnectionLostError("ping dropped")
+                return await answer(payload, timeout)
+
+            link.request_ok = drop_pings
+            for _ in range(heartbeat.max_failures):
+                handle.run(manager.heartbeat_once())
+            del link.request_ok  # its pings answer again
+            for _ in range(2):
+                assert handle.run(manager.heartbeat_once()) == {
+                    "r1": False, "w0": True}
+            assert [info.name for info in manager.writers("w0")] == ["w0"]
+            assert {manager.reader("w0").name for _ in range(4)} == {"w0"}
+
+            # Writes continue to the owner alone.
+            client.ingest("ranges", synthetic_boxes(DOMAIN, 100, seed=2),
+                          side="data")
+            client.flush()
+            assert owner.service.merged_view("ranges").count == 300
+            assert mirror.service.merged_view("ranges").count == 200
+
+            handle.run(manager.replace_worker(
+                "r1", "127.0.0.1", mirror.port,
+                data=handle.run(manager.fetch_snapshot("w0"))))
+            assert [info.name for info in manager.writers("w0")] == [
+                "w0", "r1"]
+            queries = synthetic_queries(DOMAIN, 1, seed=3)
+            expected = owner.service.estimate("ranges", queries)
+            replayed = mirror.service.estimate("ranges", queries)
+            assert (replayed.instance_values.tobytes()
+                    == expected.instance_values.tobytes())
+            # Reads round-robin over both members again.
+            for _ in range(4):
+                assert client.estimate("ranges",
+                                       queries).estimate == expected.estimate
 
     def test_replica_of_unknown_source_is_rejected(self, cluster, worker_trio):
         from repro.errors import ServiceError

@@ -137,7 +137,6 @@ TRANSCRIPT = [
      ("stats", {"op": "stats"}),
      ("metrics", {"op": "metrics"}),
      ("reload", {"op": "reload"}),
-     ("wal", {"op": "wal"}),
      ("snapshot without a path", {"op": "snapshot"})],
     [("unregister ok", {"op": "unregister", "name": "rq"})],
     [("estimate after unregister", {"op": "estimate", "name": "rq",
@@ -147,15 +146,14 @@ TRANSCRIPT = [
 #: The only permitted differences between the placements: for these
 #: requests just the listed reply keys are compared.  ``ping`` differs in
 #: its ``cluster`` flag; the ``stats`` / ``metrics`` bodies describe
-#: different processes; ``reload``, ``wal`` and a path-less ``snapshot``
-#: are worker-level ops a router refuses in its own words.
+#: different processes; ``reload`` and a path-less ``snapshot`` are
+#: worker-level ops a router refuses in its own words.
 ALLOWED_DIFFERENCES = {
     "ping": ("ok", "op", "id", "version"),
     "stats": ("ok", "op", "id"),
     "metrics": ("ok", "op", "id"),
     "reload": ("ok", "op", "id", "error_code"),
     "snapshot without a path": ("ok", "op", "id", "error_code"),
-    "wal": ("op", "id"),
 }
 
 
@@ -314,10 +312,12 @@ def test_a_tenant_cannot_relabel_its_requests(placement, kind):
 # -- a frame the flush could not apply is refused before the log ----------------
 
 #: Boxes a flush would fail on: one coordinate outside the 256 x 256 domain
-#: beside three good boxes, and non-degenerate boxes on a point side.
+#: beside three good boxes, non-degenerate boxes on a point side, and a
+#: zero-extent box on the side a join's endpoint transform shrinks.
 UNAPPLIABLE = [("rq", "data", [[0, 0, 10, 10], [5, 5, 300, 20], [1, 1, 2, 2],
                                [3, 3, 4, 4]]),
-               ("eps", "left", ROWS)]
+               ("eps", "left", ROWS),
+               ("join", "right", [[0, 0, 10, 10], [5, 5, 5, 60]])]
 
 
 @pytest.mark.parametrize("kind", PLACEMENTS)
@@ -336,6 +336,8 @@ def test_an_unappliable_frame_is_refused_before_the_log(placement, kind, wire,
         client.register("other", **RANGE)
         client.register("eps", family="epsilon", sizes=[256, 256],
                         instances=16, seed=4, epsilon=2)
+        client.register("join", family="rectangle", sizes=[256, 256],
+                        instances=16, seed=3)
         client.ingest("other", good, side="data")
         pending, logged = service.pending, service.wal.last_seqno
         for name, side, rows in UNAPPLIABLE:
@@ -384,18 +386,18 @@ def test_routed_checkpoint_is_refused_and_a_worker_still_truncates(
         routed.ingest("rq", synthetic_boxes(DOMAIN, 200, seed=4), side="data")
         routed.flush()
         with ServiceClient("127.0.0.1", front.backing.port) as worker:
-            logged = worker.wal_describe()["wal"]["bytes"]
+            logged = worker.stats()["wal"]["bytes"]
             assert logged > 0
             with pytest.raises(ServerError) as info:
                 routed.checkpoint(str(tmp_path / "routed.snap"))
             assert info.value.code == "bad_request"
             assert "worker-level" in str(info.value)
-            assert worker.wal_describe()["wal"]["bytes"] == logged
+            assert worker.stats()["wal"]["bytes"] == logged
             # The plain routed snapshot still works, and the verb still
             # truncates where it belongs.
             assert routed.snapshot(str(tmp_path / "routed.snap"))["paths"]
             assert worker.checkpoint(str(tmp_path / "worker.snap"))["checkpoint"]
-            assert worker.wal_describe()["wal"]["bytes"] < logged
+            assert worker.stats()["wal"]["bytes"] < logged
 
 
 # -- drifts (c) and (d) ---------------------------------------------------------

@@ -136,7 +136,6 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
     client.flush(), client.stats(), client.metrics()
     client.snapshot("a.snap"), client.reload("a.snap")
     client.checkpoint("b.snap")
-    client.wal_describe(), client.wal_fetch(3), client.wal_apply("AAEC")
     client.cluster_status(), client.quit()
     verbs = {"auth", "quit"} | {  # the two a connection adds
         name for name in vars(RequestVerbs)

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService
 from repro.service.ingest import IngestPipeline
-from repro.service.specs import EstimatorSpec, apply_update
+from repro.service.specs import (
+    EstimatorSpec,
+    apply_update,
+    check_update,
+    shrunk_sides,
+)
 from repro.service.store import ShardedSketchStore, partition_boxes
 
 from tests.conftest import random_boxes
@@ -181,3 +186,43 @@ class TestExactness:
             ("b", "data", "insert", 20)]
         assert 3 <= report.batches <= 3 * store.num_shards
         assert pipeline.stats.flushed_batches == report.batches
+
+
+#: Every family with a box side, with and without the options that switch
+#: the endpoint transform on or off.
+ZERO_EXTENT_SPECS = [
+    ("interval", (64,), {}), ("interval", (64,), {"endpoint_policy": "explicit"}),
+    ("rectangle", (64, 64), {}),
+    ("rectangle", (64, 64), {"endpoint_policy": "assume_distinct"}),
+    ("hyperrect", (16, 16, 16), {}), ("extended_overlap", (64, 64), {}),
+    ("common_endpoint", (64, 64), {}), ("containment", (64, 64), {}),
+    ("range", (64, 64), {}), ("range", (64, 64), {"strict": True}),
+]
+
+
+@pytest.mark.parametrize("family, sizes, options", ZERO_EXTENT_SPECS)
+def test_a_zero_extent_is_refused_exactly_where_it_cannot_be_applied(
+        family, sizes, options):
+    """``check_update``'s verdict on a box with lo == hi in one dimension
+    is the estimator's own: refused on a side whose update would fail,
+    accepted where the update goes through."""
+    spec = EstimatorSpec.create(family, sizes, 4, seed=1, **options)
+    highs = np.full((1, len(sizes)), 7)
+    highs[0, 0] = 3
+    flat = BoxSet(np.full((1, len(sizes)), 3), highs)
+    verdicts = {}
+    for side in spec.info.sides:
+        if side in spec.info.point_sides:
+            continue
+        try:
+            check_update(spec, side, "insert", flat)
+        except ServiceError:
+            verdicts[side] = "refused"
+            with pytest.raises(ReproError):
+                apply_update(spec, spec.build(), side, "insert", flat)
+        else:
+            verdicts[side] = "applied"
+            apply_update(spec, spec.build(), side, "insert", flat)
+    assert verdicts
+    assert {side for side, verdict in verdicts.items()
+            if verdict == "refused"} == shrunk_sides(spec)

@@ -1,5 +1,6 @@
-"""Tenancy primitives: registry, quotas (property-based), facade isolation,
-and tenant-aware persistence (snapshot embed + WAL replay)."""
+"""Tenancy primitives: registry, quotas (property-based) and tenant-aware
+persistence (snapshot embed + WAL replay).  Namespace isolation over the
+wire is pinned in ``test_tenancy_server.py``."""
 
 import os
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from repro.core.domain import Domain
 from repro.errors import (
     AuthenticationError,
-    EstimationError,
     QuotaExceededError,
     ServiceError,
 )
@@ -196,55 +196,13 @@ class TestTenantAdmission:
         admission.acquire_estimate()
 
 
-class TestFacadeIsolation:
-    def test_same_public_name_two_tenants(self):
-        service = EstimationService(num_shards=2)
-        service.enable_tenancy()
-        a = service.tenant_facade("acme")
-        b = service.tenant_facade("globex")
-        register_join(a)
-        register_join(b)
-        a.ingest("join", one_box(), side="left")
-        a.ingest("join", boxes_from_rows([[5, 5, 15, 15]], 2), side="right")
-        a.flush()
-        assert a.names() == ["join"] and b.names() == ["join"]
-        assert sorted(service.names()) == ["acme/join", "globex/join"]
-        result = a.estimate("join")
-        assert result.left_count == 1 and result.right_count == 1
-        # globex's estimator saw none of acme's boxes: it is still empty.
-        b.flush()
-        with pytest.raises(EstimationError):
-            b.estimate("join")
-
-    def test_unregister_is_scoped(self):
-        service = EstimationService(num_shards=2)
-        service.enable_tenancy()
-        a = service.tenant_facade("acme")
-        b = service.tenant_facade("globex")
-        register_join(a)
-        register_join(b)
-        b.unregister("join")
-        assert service.names() == ["acme/join"]
-        with pytest.raises(ServiceError):
-            b.unregister("acme/join")  # nests to globex/acme/join: unknown
-
-    def test_describe_filters_to_namespace(self):
-        service = EstimationService(num_shards=2)
-        service.enable_tenancy()
-        a = service.tenant_facade("acme")
-        register_join(service.tenant_facade("globex"))
-        register_join(a)
-        description = a.describe()
-        assert sorted(description["estimators"]) == ["join"]
-
-
 class TestTenantPersistence:
     def test_snapshot_embeds_the_registry(self, tmp_path):
         service = EstimationService(num_shards=2)
         service.tenant_create(
             "acme", token="tok-a",
             quota=TenantQuota(ingest_boxes_per_sec=99.0, share=4))
-        register_join(service.tenant_facade("acme"))
+        register_join(service, namespaced("acme", "join"))
         path = tmp_path / "tenants.sketch"
         service.save(path)
         restored = EstimationService.load(path)
@@ -269,9 +227,9 @@ class TestTenantPersistence:
         service.attach_wal(WalWriter(str(wal_dir)), checkpoint_path=base)
         service.tenant_create("acme", token="tok-a")
         service.tenant_create("globex", token="tok-g")
-        facade = service.tenant_facade("acme")
-        register_join(facade, name="r")
-        facade.ingest("r", one_box(), side="left")
+        name = namespaced("acme", "r")
+        register_join(service, name)
+        service.ingest(name, one_box(), side="left")
         service.flush()
         service.tenant_update("globex", disabled=True)
         service.tenant_remove("acme")

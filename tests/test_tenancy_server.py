@@ -23,6 +23,7 @@ from repro.errors import (
     ClientTimeoutError,
     FrameTooLargeError,
     QuotaExceededError,
+    ServerError,
 )
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import EstimationService, synthetic_boxes
@@ -142,6 +143,12 @@ class TestWireIsolation:
             register_join(globex)
             globex.unregister("join")
             assert sorted(acme.stats()["estimators"]) == ["join"]
+            # Another tenant's full name nests to globex/acme/join: unknown.
+            with pytest.raises(ServerError) as info:
+                globex.unregister("acme/join")
+            assert info.value.code == "bad_request"
+            assert sorted(acme.stats()["estimators"]) == ["join"]
+        assert tenant_server.service.names() == ["acme/join"]
 
 
 def _estimate_error(client: ServiceClient, name: str) -> Exception:

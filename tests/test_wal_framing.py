@@ -26,13 +26,7 @@ from repro.wal.framing import (
     encode_update,
     iter_buffer_records,
 )
-from repro.wal.reader import (
-    list_segments,
-    read_wal_records,
-    records_from_tail_bytes,
-    scan_segment,
-    wal_records_since,
-)
+from repro.wal.reader import list_segments, read_wal_records, scan_segment
 from repro.wal.writer import WalWriter
 
 # -- strategies -------------------------------------------------------------------
@@ -176,32 +170,6 @@ class TestTornTail:
         assert records[-1][0] == next_seqno
         assert [seqno for seqno, _ in records[:-1]] == [
             seqno for seqno, _ in survivors]
-
-
-# -- shipped tails ----------------------------------------------------------------
-
-
-class TestShippedTails:
-    @given(payloads=st.lists(record_payloads, min_size=1, max_size=6),
-           since=st.integers(min_value=0, max_value=8))
-    @settings(max_examples=25, deadline=None)
-    def test_tail_fetch_round_trip(self, payloads, since, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("wal")
-        with WalWriter(directory, sync="none") as writer:
-            for payload in payloads:
-                writer.append_register("x", {"p": len(payload)})
-        tail = wal_records_since(directory, since)
-        expected = [seqno for seqno in range(1, len(payloads) + 1)
-                    if seqno > since]
-        assert tail.count == len(expected)
-        assert not tail.truncated
-        decoded = records_from_tail_bytes(tail.data)
-        assert [seqno for seqno, _ in decoded] == expected
-
-    def test_shipped_tail_must_be_wholly_intact(self, tmp_path):
-        data = encode_record(1, encode_unregister("x"))
-        with pytest.raises(WalFormatError):
-            records_from_tail_bytes(data + b"torn")
 
     def test_bad_magic_is_an_error_not_an_empty_log(self, tmp_path):
         bogus = tmp_path / "wal-00000000000000000001.log"

@@ -3,8 +3,8 @@
 The durability contract of :mod:`repro.wal` at the service level — every
 acknowledged write survives as ``snapshot + durable log tail``, replay is
 bit-identical (linear sketches, integer-valued counters), checkpoints
-bound the tail, and the server's ``wal``/``reload`` verbs expose the same
-machinery over the wire.
+bound the tail, and the server's ``reload`` verb keeps the same machinery
+across a hot swap.
 """
 
 import asyncio
@@ -18,12 +18,7 @@ from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.server import protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
-from repro.wal import (
-    WalWriter,
-    read_wal_records,
-    recover_service,
-    wal_records_since,
-)
+from repro.wal import WalWriter, read_wal_records, recover_service
 from repro.wal.reader import list_segments
 from repro.wal.recovery import default_checkpoint_path
 
@@ -185,6 +180,26 @@ class TestServiceWalIntegration:
         with pytest.raises(ServiceError, match="outside the domain"):
             recover_service(wal_dir, num_shards=2, attach=False)
 
+    def test_a_zero_extent_on_a_shrunk_side_never_reaches_the_log(
+            self, tmp_path):
+        """The endpoint transform empties a join's ``right`` box with lo ==
+        hi; the left side keeps it, so only the right is refused."""
+        wal_dir = tmp_path / "wal"
+        service = durable_service(wal_dir)
+        flat = BoxSet(np.array([[4, 4], [10, 10]]), np.array([[9, 9], [20, 10]]))
+        with pytest.raises(ServiceError, match="lo == hi"):
+            service.ingest("join", flat, side="right")
+        assert service.wal.last_seqno == 2 and service.pending == 0
+        service.ingest("join", flat, side="left")
+        service.flush()
+        # A log an earlier build wrote with such a record fails recovery
+        # at that record.
+        service.wal.append_update("join", "right", "insert",
+                                  np.hstack((flat.lows, flat.highs)))
+        service.detach_wal()
+        with pytest.raises(ServiceError, match="lo == hi"):
+            recover_service(wal_dir, num_shards=2, attach=False)
+
     def test_checkpoint_requires_wal_and_path(self, tmp_path):
         plain = EstimationService(num_shards=2)
         with pytest.raises(ServiceError):
@@ -202,61 +217,6 @@ class TestServiceWalIntegration:
 
 
 class TestServerWalVerbs:
-    def test_wal_fetch_apply_and_describe(self, tmp_path):
-        """Log shipping over the wire: fetch a tail, apply it elsewhere."""
-        source = durable_service(tmp_path / "src")
-        source.ingest("ranges", synthetic_boxes(DOMAIN, 120, seed=8),
-                      side="data")
-        target = durable_service(tmp_path / "dst")
-
-        async def main():
-            src = await start_server(source)
-            dst = await start_server(target)
-            try:
-                a = await Connection.open(src.port)
-                b = await Connection.open(dst.port)
-                described = await a.round_trip({"op": "wal"})
-                tail = await a.round_trip({"op": "wal", "fetch": True,
-                                           "since": 2})
-                applied = await b.round_trip({"op": "wal",
-                                              "apply": tail["data"]})
-                await a.close()
-                await b.close()
-                return described, tail, applied
-            finally:
-                await src.close()
-                await dst.close()
-
-        described, tail, applied = asyncio.run(main())
-        assert described["ok"] and described["wal"]["last_seqno"] == 3
-        assert tail["ok"] and tail["count"] == 1 and not tail["truncated"]
-        assert applied["applied_records"] == 1
-        assert applied["applied_boxes"] == 120
-        assert applied["source_last_seqno"] == 3
-        # The target replayed through its own ingest path -> logged into
-        # its own WAL, and the states now agree bit-exactly.
-        src_state = source.snapshot()
-        dst_state = target.snapshot()
-        assert_states_equal(src_state, dst_state)
-        source.detach_wal()
-        target.detach_wal()
-
-    def test_wal_fetch_without_wal_is_an_error(self):
-        service = EstimationService(num_shards=2)
-
-        async def main():
-            server = await start_server(service)
-            try:
-                conn = await Connection.open(server.port)
-                reply = await conn.round_trip({"op": "wal", "fetch": True})
-                await conn.close()
-                return reply
-            finally:
-                await server.close()
-
-        reply = asyncio.run(main())
-        assert not reply["ok"] and "no WAL" in reply["error"]
-
     def test_reload_replays_wal_tail_so_no_write_is_dropped(self, tmp_path):
         """Acceptance: hot-reload = snapshot + replay, drops no writes."""
         wal_dir = tmp_path / "wal"
@@ -303,7 +263,7 @@ class TestServerWalVerbs:
                      side="data")
         donor.flush()
         from repro.server.server import _snapshot_bytes
-        raw, _seqno = _snapshot_bytes(donor)
+        raw = _snapshot_bytes(donor)
 
         wal_dir = tmp_path / "wal"
         local = durable_service(wal_dir)
