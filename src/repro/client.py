@@ -29,13 +29,15 @@ reconnects once and resends.  Non-idempotent verbs (``ingest``,
 whose first copy did land — and surface
 :class:`~repro.errors.ConnectionLostError` instead.
 
-A connection opens with the ``hello`` handshake and upgrades to the binary
-frame format (:mod:`repro.server.wire`) when the server offers it — the
-default, ``wire="auto"``, which silently stays on NDJSON otherwise: box
-batches then travel as raw little-endian int64 tensors and snapshot
-payloads as raw bytes instead of base64.  ``wire="binary"`` makes a
-refused upgrade an error; ``wire="ndjson"`` skips the handshake (the
-format ``nc`` debugging and the stdin ``serve`` loop speak).
+A client speaks its ``wire`` format from the first frame — there is no
+handshake, because every frame names its own format and the server answers
+in kind.  ``wire="binary"`` (the default) is the length-prefixed frame
+format of :mod:`repro.server.wire`: box batches travel as raw little-endian
+int64 tensors and snapshot payloads as raw bytes instead of base64.
+``wire="ndjson"`` is the JSON-lines format ``nc`` debugging and the stdin
+``serve`` loop speak.  A binary reply over the frame bound is drained and
+raised as :class:`~repro.errors.FrameTooLargeError`; the connection stays
+usable.
 """
 
 from __future__ import annotations
@@ -221,10 +223,11 @@ class ServiceClient(RequestVerbs):
                  timeout: float | None = 60.0,
                  connect_timeout: float | None = None,
                  read_timeout: float | None = None,
-                 wire: str = "auto", token: str | None = None) -> None:
-        if wire not in ("ndjson", "binary", "auto"):
+                 wire: str = wire_format.WIRE_BINARY,
+                 token: str | None = None) -> None:
+        if wire not in wire_format.WIRE_FORMATS:
             raise ProtocolError(
-                f"wire must be 'ndjson', 'binary' or 'auto', got {wire!r}")
+                f"wire must be 'binary' or 'ndjson', got {wire!r}")
         self.host = host
         self.port = port
         # ``timeout`` is the legacy single knob: it seeds both phases;
@@ -237,19 +240,11 @@ class ServiceClient(RequestVerbs):
                                 else timeout)
         self.read_timeout = (read_timeout if read_timeout is not None
                              else timeout)
-        self.wire = wire  # the *preference*; see self.wire_format
+        self.wire = wire
+        self.tensors = wire == wire_format.WIRE_BINARY
         self.token = token
         self.reconnects = 0
         self._connect()
-
-    @property
-    def wire_format(self) -> str:
-        """The format this connection actually negotiated."""
-        return self._wire
-
-    @property
-    def tensors(self) -> bool:
-        return self._wire == wire_format.WIRE_BINARY
 
     def _connect(self) -> None:
         try:
@@ -261,36 +256,14 @@ class ServiceClient(RequestVerbs):
                 f"{self.connect_timeout:g}s") from exc
         self._sock.settimeout(self.read_timeout)
         self._reader = self._sock.makefile("rb")
-        self._wire = wire_format.WIRE_NDJSON
-        try:
-            if self.wire != "ndjson":
-                self._negotiate()
-            if self.token is not None:
-                # Re-binding on every (re)connect keeps the tenant scope
-                # intact across the transparent reconnect path.
-                protocol.raise_for_response(self._round_trip(
-                    protocol.build("auth", token=self.token)))
-        except socket.timeout as exc:
-            self.close()
-            raise ClientTimeoutError(
-                f"handshake with {self.host}:{self.port} exceeded the "
-                f"{self.read_timeout:g}s read deadline") from exc
-        except BaseException:
-            self.close()
-            raise
-
-    def _negotiate(self) -> None:
-        # The handshake itself always travels as NDJSON; only frames after
-        # a successful hello switch format.
-        reply = self._round_trip(
-            wire_format.hello_payload(wire_format.WIRE_BINARY))
-        if reply.get("ok"):
-            self._wire = wire_format.WIRE_BINARY
-        elif self.wire == "binary":
-            # Explicit binary request against a server that refuses it
-            # (disabled, or predates the handshake): surface the typed
-            # error instead of silently downgrading.
-            protocol.raise_for_response(reply)
+        if self.token is not None:
+            # Re-binding on every (re)connect keeps the tenant scope
+            # intact across the transparent reconnect path.
+            try:
+                self.request(protocol.build("auth", token=self.token))
+            except BaseException:
+                self.close()
+                raise
 
     def _reconnect(self) -> None:
         self.close()
@@ -300,17 +273,29 @@ class ServiceClient(RequestVerbs):
     # -- framing ------------------------------------------------------------------
 
     def _read_response(self) -> dict:
-        if self._wire == wire_format.WIRE_BINARY:
-            return wire_format.read_binary_frame_sync(self._reader)
-        line = self._reader.readline(protocol.MAX_LINE_BYTES + 1)
-        if not line:
-            raise ConnectionLostError("server closed the connection")
-        if len(line) > protocol.MAX_LINE_BYTES:
-            raise ProtocolError("response line exceeds the frame limit")
-        return protocol.decode(line)
+        try:
+            if self.wire == wire_format.WIRE_BINARY:
+                return wire_format.read_binary_frame_sync(self._reader)
+            line = self._reader.readline(protocol.MAX_LINE_BYTES + 1)
+            if not line:
+                raise ConnectionLostError("server closed the connection")
+            if len(line) > protocol.MAX_LINE_BYTES:
+                raise wire_format.FramingLostError(
+                    "response line exceeds the frame limit")
+            return protocol.decode(line)
+        except wire_format.FramingLostError:
+            # The stream cannot be split into replies any more: drop it, so
+            # the next request reconnects instead of reading garbage.
+            self.close()
+            raise
+
+    def _send(self, data: bytes) -> None:
+        if self._sock.fileno() < 0:
+            raise ConnectionLostError("the connection was closed")
+        self._sock.sendall(data)
 
     def _round_trip(self, payload: Mapping[str, Any]) -> dict:
-        self._sock.sendall(wire_format.encode_frame(payload, self._wire))
+        self._send(wire_format.encode_frame(payload, self.wire))
         return self._read_response()
 
     def request(self, payload: Mapping[str, Any]) -> dict:
@@ -359,8 +344,8 @@ class ServiceClient(RequestVerbs):
         if not payloads:
             return []
         try:
-            self._sock.sendall(b"".join(
-                wire_format.encode_frame(p, self._wire) for p in payloads))
+            self._send(b"".join(
+                wire_format.encode_frame(p, self.wire) for p in payloads))
             return [self._read_response() for _ in payloads]
         except socket.timeout as exc:
             raise ClientTimeoutError(

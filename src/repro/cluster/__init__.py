@@ -10,7 +10,7 @@ router):
   shard slots to worker names (stable blake2b hashing, virtual nodes;
   adding a worker remaps only ~1/N of the slots),
 * :class:`~repro.cluster.connection.WorkerLink` — one pipelined asyncio
-  NDJSON connection to a worker,
+  binary-frame connection to a worker,
 * :class:`~repro.cluster.manager.ClusterManager` — topology: worker
   registration, heartbeat health checks, read-replica bootstrap from a
   binary snapshot shipped over the wire, degraded-mode accounting,

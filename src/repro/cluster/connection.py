@@ -8,11 +8,11 @@ link per worker and multiplexes every scatter over it; a connection loss
 fails all in-flight futures with
 :class:`~repro.errors.ConnectionLostError` so the health checker can react.
 
-On connect a link offers the binary frame handshake
-(:mod:`repro.server.wire`) and falls back to NDJSON against a worker that
-refuses it (one started with ``--no-binary-wire``).  Router↔worker traffic
-is where the binary format pays the most — box fan-out, partial-state
-gathers and replica bootstrap all cross this hop.
+A link speaks the binary frame format (:mod:`repro.server.wire`) from its
+first byte: router↔worker traffic is where it pays the most — box fan-out,
+partial-state gathers and replica bootstrap all cross this hop.  A reply
+over the frame bound is drained and fails only the request it answers;
+the link keeps reading.
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 
-from repro.errors import ConnectionLostError, DegradedError, ServerError
+from repro.errors import (
+    ConnectionLostError,
+    DegradedError,
+    FrameTooLargeError,
+    ServerError,
+)
 from repro.server import protocol, wire
 
 
@@ -33,7 +38,6 @@ class WorkerLink:
         self.port = int(port)
         self.timeout = timeout
         self.token = token  # admin token binding the link on connect
-        self._mode = "ndjson"
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -48,82 +52,46 @@ class WorkerLink:
     def connected(self) -> bool:
         return self._writer is not None and not self._closed
 
-    @property
-    def mode(self) -> str:
-        """The wire format this link actually negotiated."""
-        return self._mode
-
     # -- lifecycle ----------------------------------------------------------------
 
     async def connect(self) -> "WorkerLink":
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port, limit=protocol.MAX_LINE_BYTES)
         self._closed = False
-        self._mode = wire.WIRE_NDJSON
-        # Negotiation and authentication both run inline, before the reader
-        # task exists: their replies are the only frames ever read outside
-        # the read loop, so the loop starts with the connection already in
-        # its final format and (when tenancy is on) already authenticated.
-        try:
-            await self._negotiate()
-            if self.token is not None:
-                await self._authenticate()
-        except BaseException:
-            await self.close()
-            raise
         self._reader_task = asyncio.create_task(self._read_loop())
+        if self.token is not None:
+            # The first request binds the link: the worker answers ``auth``
+            # before it reads any frame behind it.
+            try:
+                await self.request_ok(protocol.build("auth", token=self.token))
+            except BaseException:
+                await self.close()
+                raise
         return self
-
-    async def _negotiate(self) -> None:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(protocol.encode(
-            wire.hello_payload(wire.WIRE_BINARY)))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ConnectionLostError(
-                f"worker {self.address} closed the connection during the "
-                "wire handshake")
-        if protocol.decode(line).get("ok"):
-            self._mode = wire.WIRE_BINARY
-
-    async def _authenticate(self) -> None:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(wire.encode_frame(
-            protocol.build("auth", token=self.token), self._mode))
-        await self._writer.drain()
-        if self._mode == wire.WIRE_BINARY:
-            reply, _ = await wire.read_binary_frame(self._reader,
-                                                    protocol.MAX_LINE_BYTES)
-        else:
-            line = await self._reader.readline()
-            if not line:
-                raise ConnectionLostError(
-                    f"worker {self.address} closed the connection during "
-                    "authentication")
-            reply = protocol.decode(line)
-        protocol.raise_for_response(reply)
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
         try:
             while True:
-                if self._mode == wire.WIRE_BINARY:
+                failure: FrameTooLargeError | None = None
+                try:
                     reply, _ = await wire.read_binary_frame(
                         self._reader, protocol.MAX_LINE_BYTES)
-                else:
-                    line = await self._reader.readline()
-                    if not line:
-                        raise ConnectionLostError(
-                            f"worker {self.address} closed the connection")
-                    reply = protocol.decode(line)
+                except FrameTooLargeError as exc:
+                    # Drained, so the stream is still framed: only the
+                    # request this reply answers fails.
+                    reply, failure = {}, exc
                 if self._pending:
                     future = self._pending.popleft()
                     # A future may already be cancelled (request timeout);
                     # its in-order reply still had to be consumed to keep
                     # later replies aligned with later futures.
-                    if not future.done():
+                    if future.done():
+                        continue
+                    if failure is None:
                         future.set_result(reply)
+                    else:
+                        future.set_exception(failure)
         except asyncio.CancelledError:
             self._fail_pending(ConnectionLostError(
                 f"link to worker {self.address} was closed"))
@@ -173,7 +141,7 @@ class WorkerLink:
         # FIFO even when several coroutines write concurrently.
         self._pending.append(future)
         try:
-            self._writer.write(wire.encode_frame(payload, self._mode))
+            self._writer.write(wire.encode_binary(payload))
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             if not future.done():
@@ -205,4 +173,4 @@ class WorkerLink:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "connected" if self.connected else "disconnected"
-        return f"WorkerLink({self.address}, {state}, wire={self._mode})"
+        return f"WorkerLink({self.address}, {state})"

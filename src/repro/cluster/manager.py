@@ -143,9 +143,8 @@ class ClusterManager:
 
         The ring is keyed by *name*, so replacing keeps every slot
         assignment — no data movement on the surviving workers.  ``data``
-        (snapshot bytes as fetched — raw on binary links, base64 on
-        NDJSON ones — e.g. from a healthy replica) is reloaded into the
-        replacement before it goes live.
+        (snapshot bytes, raw or base64 — e.g. fetched from a healthy
+        replica) is reloaded into the replacement before it goes live.
         """
         old = self.worker(name)
         link = await self._connect(host, port)
@@ -160,10 +159,9 @@ class ClusterManager:
 
     # -- replica bootstrap --------------------------------------------------------
 
-    async def fetch_snapshot(self, source: str) -> str | bytes:
-        """A worker's binary v2 snapshot in wire form — raw ``bytes`` on a
-        binary link, base64 text on an NDJSON one.  Either form can be
-        passed back into ``reload``/:meth:`replace_worker` unchanged."""
+    async def fetch_snapshot(self, source: str) -> bytes:
+        """A worker's binary v2 snapshot as raw bytes (worker links speak
+        binary), ready for ``reload``/:meth:`replace_worker`."""
         reply = await self.worker(source).link.request_ok(
             protocol.build("snapshot", fetch=True))
         return reply["data"]

@@ -58,8 +58,8 @@ from repro.tenancy import TENANT_SEP, TenantRegistry
 
 @dataclass(frozen=True)
 class RouterConfig(FrontConfig):
-    """Tunables of one :class:`ClusterRouter`: the front's (``binary_wire``
-    and ``admin_token`` face the router's clients), plus the fleet's."""
+    """Tunables of one :class:`ClusterRouter`: the front's (``admin_token``
+    and the frame bound face the router's clients), plus the fleet's."""
 
     num_slots: int = 64  # shard slots hashed onto the ring
     request_timeout: float = 60.0
@@ -229,7 +229,7 @@ class ClusterRouter(ServingFront):
         # the rows may have arrived as a zero-copy binary tensor or as
         # JSON lists, and ndarray row-gathering serves both — each owner's
         # sub-batch is then itself a tensor, which re-encodes to raw bytes
-        # on binary worker links.
+        # on the binary worker links.
         rows = np.hstack([boxes.lows, boxes.highs])
         # The same deterministic hash the in-process store uses, taken over
         # num_slots: inserts and their deletes always meet on one owner.
@@ -247,8 +247,7 @@ class ClusterRouter(ServingFront):
         down: list[str] = []
 
         async def send(info: WorkerInfo, part: np.ndarray) -> dict:
-            # Binary links ship the sub-batch tensor raw; NDJSON links
-            # render it to lists via the encoder's json_default hook.
+            # Worker links speak binary: the sub-batch tensor ships raw.
             return await info.link.request_ok(protocol.build(
                 "ingest", name=name, boxes=part, side=fields["side"],
                 kind=fields["kind"], acting_for=scope.tenant))
@@ -316,9 +315,9 @@ class ClusterRouter(ServingFront):
             return reply
 
         # Scatter: every owner group contributes its shard-local merged
-        # state; the reduction happens once, at the router.  On binary
-        # links the counter matrix and stacked xi coefficients cross the
-        # wire as raw tensors, on NDJSON links as nested number lists.
+        # state; the reduction happens once, at the router.  The counter
+        # matrix and stacked xi coefficients cross the binary links as raw
+        # tensors.
         async def gather(info: WorkerInfo) -> Mapping:
             reply = await info.link.request_ok(
                 protocol.build("estimate", name=name, partial=True,

@@ -116,11 +116,12 @@ class FrameTooLargeError(ServerError):
     """A wire frame exceeded the server's configured size bound.
 
     Raised client-side when a server answers ``error_code:
-    "frame_too_large"``.  Under the binary wire format the frame prefix
-    declares its length up front, so the server drains and rejects the
-    oversized frame while keeping the connection usable; under NDJSON the
-    line framing is lost and the server closes the connection after
-    replying.  :attr:`recoverable` records which case applies.
+    "frame_too_large"``, or when a binary reply is over the client's own
+    bound.  Under the binary wire format the frame prefix declares its
+    length up front, so the reader drains and rejects the oversized frame
+    while keeping the connection usable; under NDJSON the line framing is
+    lost and the server closes the connection after replying.
+    :attr:`recoverable` records which case applies.
     """
 
     def __init__(self, message: str, *, recoverable: bool = False) -> None:

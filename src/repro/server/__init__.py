@@ -18,10 +18,11 @@ written once.  Where the counters live is a subclass:
 :class:`~repro.server.runner.ThreadedServer` drives a server on a
 background event-loop thread.
 
-Connections start in NDJSON (:mod:`repro.server.protocol`) and may
-negotiate the length-prefixed binary frame format of
-:mod:`repro.server.wire` via a ``hello`` request (raw tensor bytes,
-zero-copy decode; see the README's "Wire formats" section).
+Every frame names its own format by its first byte: NDJSON lines
+(:mod:`repro.server.protocol`) and the length-prefixed binary frames of
+:mod:`repro.server.wire` (raw tensor bytes, zero-copy decode) mix freely
+on one connection, each reply in its request's format; see the README's
+"Wire formats" section.
 
 The matching synchronous client lives in :mod:`repro.client`.
 """

@@ -12,7 +12,7 @@ registry attached, every request is then resolved through
 :func:`resolve_scope`:
 
 * unauthenticated connections keep only the read-only surface
-  (``hello``/``auth``/``metrics``/``ping``/``quit``),
+  (``auth``/``metrics``/``ping``/``quit``),
 * tenant connections get the data-plane ops with every estimator name
   rewritten to ``tenant/name`` (the tenant cannot *express* a name
   outside its namespace, so isolation is structural, not checked),
@@ -40,7 +40,7 @@ from repro.tenancy import TENANT_SEP, hash_token, namespaced
 ADMIN = "*admin*"
 
 #: The gate, read off the op table: ops an unauthenticated connection keeps
-#: when tenancy is enforced (hello/auth/quit are handled inline by the
+#: when tenancy is enforced (auth/quit are handled inline by the
 #: connection loop); ops a tenant-bound connection may use — everything
 #: else (snapshot, reload, cluster_status) is server administration;
 #: ops whose ``name`` field addresses an estimator and gets namespaced.

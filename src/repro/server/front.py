@@ -49,7 +49,6 @@ class FrontConfig:
     max_inflight_per_connection: int = 128
     max_line_bytes: int = protocol.MAX_LINE_BYTES
     executor_workers: int = 4
-    binary_wire: bool = True  # offer the binary frame format on hello
     admin_token: str | None = None  # grants the unscoped administrative role
 
     def __post_init__(self) -> None:
@@ -132,17 +131,10 @@ class ServingFront:
 
     # -- connection handling ------------------------------------------------------
 
-    @property
-    def wire_formats(self) -> tuple[str, ...]:
-        """Formats this front offers in the ``hello`` handshake."""
-        if self.config.binary_wire:
-            return wire.WIRE_FORMATS
-        return (wire.WIRE_NDJSON,)
-
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
-        # The pipelined in-order reader/writer pair and the binary-frame
-        # negotiation live in repro.server.wire.serve_connection.
+        # The pipelined in-order reader/writer pair and the per-frame
+        # format detection live in repro.server.wire.serve_connection.
         self.metrics.connections_opened += 1
         self.metrics.connections_active += 1
         self._connections.add(writer)

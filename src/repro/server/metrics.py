@@ -30,6 +30,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable
 
 from repro.core.program import ExecutorStats
+from repro.server.wire import WIRE_FORMATS
 
 #: How many recent estimate latencies back the quantiles and the qps gauge.
 SAMPLE_WINDOW = 4096
@@ -69,7 +70,10 @@ class ServerMetrics:
         self.connections_active = 0
         self.reloads = 0
         # Per-format frame/byte totals: format -> {frames_in, bytes_in, ...}.
-        self.wire: dict[str, dict[str, int]] = {}
+        self.wire: dict[str, dict[str, int]] = {
+            format: dict.fromkeys(("frames_in", "bytes_in", "frames_out",
+                                   "bytes_out"), 0)
+            for format in WIRE_FORMATS}
         # (monotonic completion time, latency seconds) of recent estimates.
         self.latencies: deque[tuple[float, float]] = deque(maxlen=window)
         self._window = int(window)
@@ -86,8 +90,7 @@ class ServerMetrics:
 
     def record_wire(self, format: str, direction: str, nbytes: int) -> None:
         """One frame of ``nbytes`` read (``"in"``) or written (``"out"``)."""
-        counters = self.wire.setdefault(format, dict.fromkeys(
-            ("frames_in", "bytes_in", "frames_out", "bytes_out"), 0))
+        counters = self.wire[format]
         counters[f"frames_{direction}"] += 1
         counters[f"bytes_{direction}"] += int(nbytes)
 

@@ -4,7 +4,8 @@ The server speaks **newline-delimited JSON** over TCP: every request is one
 JSON object on one line, every response is one JSON object on one line, and
 responses of a connection come back **in request order** (which is what
 makes client-side pipelining trivial — write *n* requests, read *n*
-replies).
+replies).  The same payloads also travel as length-prefixed binary frames
+(:mod:`repro.server.wire`).
 
 Requests carry an ``op`` field and op-specific arguments, declared once
 in :data:`OPS` — every op with its fields (kind, default, required, one
@@ -33,14 +34,13 @@ the table too: ``estimate`` with ``partial`` (the shard-local merged state
 it reduces), ``snapshot`` with ``fetch`` and ``reload`` with ``data`` (the
 replica bootstrap); ``cluster_status`` is the one router-only op.
 
-NDJSON is the *default and debug* wire format.  A connection may upgrade
-to the length-prefixed **binary frame format** (:mod:`repro.server.wire`)
-with a ``{"op": "hello", "wire": "binary"}`` handshake: the reply is still
-NDJSON, everything after it is binary in both directions.  Binary frames
-carry the same JSON payloads in their headers but lift numeric tensors
-(box rows, partial counters) and raw byte blobs (snapshots) into a
-zero-copy binary body, skipping both JSON number formatting and
-base64.
+NDJSON is the format people and other languages type.  Every frame names
+its own format by its first byte — ``R`` starts a **binary frame**, anything
+else an NDJSON line — and each reply is written in the format of its
+request, so there is no handshake.  Binary frames carry the same JSON
+payloads in their headers but lift numeric tensors (box rows, partial
+counters) and raw byte blobs (snapshots) into a zero-copy binary body,
+skipping both JSON number formatting and base64.
 """
 
 from __future__ import annotations
@@ -177,10 +177,6 @@ _SNAPSHOT = Op("write the service to a snapshot file (a router: one file "
 #: client builds its payloads through it, the CLI derives the flags of its
 #: ``--connect`` verbs from it and the README lists it.
 OPS: dict[str, Op] = {
-    "hello": Op("negotiate the wire format of the rest of the connection", (
-        Field("wire", "string", "ndjson or binary", default="ndjson"),
-        Field("version", "integer", "the client's protocol version")),
-        access="open"),
     "auth": Op("bind the connection to a tenant, or to the admin role", (
         Field("token", "string", "API token for --connect against a "
               "multi-tenant server: a tenant token scopes every request to "

@@ -1,13 +1,9 @@
 """The length-prefixed binary wire format, and the shared connection loop.
 
-NDJSON (:mod:`repro.server.protocol`) is the default and debug format; a
-connection upgrades to binary frames with a ``hello`` handshake::
-
-    client -> {"op": "hello", "wire": "binary"}          (NDJSON)
-    server -> {"ok": true, "op": "hello", "wire": "binary", ...}  (NDJSON)
-    ... every later frame in both directions is binary ...
-
-A binary frame is::
+Every frame names its own format by its first byte: ``R`` starts a binary
+frame, anything else one NDJSON line (:mod:`repro.server.protocol`).  One
+connection may mix the two and each reply travels in the format of the
+request it answers, so there is no handshake.  A binary frame is::
 
     offset  size  field
     0       4     magic  b"RBF1"
@@ -35,7 +31,7 @@ works over both formats without a second schema.
 
 The module also hosts :func:`serve_connection`, the pipelined in-order
 reader/writer pair every :class:`~repro.server.front.ServingFront` runs per
-connection: format negotiation, ``frame_too_large`` handling and
+connection: per-frame format detection, ``frame_too_large`` handling and
 per-format wire metrics.
 """
 
@@ -59,10 +55,13 @@ from repro.server import protocol
 WIRE_NDJSON = "ndjson"
 WIRE_BINARY = "binary"
 
-#: Every wire format a connection can negotiate.
+#: The two formats a frame may be written in.
 WIRE_FORMATS = (WIRE_NDJSON, WIRE_BINARY)
 
 MAGIC = b"RBF1"
+
+#: The first byte of a binary frame (an NDJSON line starts with ``{``).
+BINARY_LEAD = MAGIC[:1]
 
 #: magic | u32 header length | u64 body length, all little-endian.
 FRAME_PREFIX = struct.Struct("<4sIQ")
@@ -76,7 +75,7 @@ BODY_KEY = "_b"
 #: JSON lists in the header.
 TENSOR_DTYPES = ("<i8", "<f8", "<u8")
 
-#: How far past the size bound the reader will drain an oversized binary
+#: How far past the size bound a reader will drain an oversized binary
 #: frame to keep the connection framed.  Beyond this the declared length
 #: is treated as hostile/corrupt and the connection is dropped instead.
 _DRAIN_LIMIT_FACTOR = 4
@@ -85,13 +84,6 @@ _DRAIN_LIMIT_FACTOR = 4
 class FramingLostError(ProtocolError):
     """The byte stream can no longer be split into frames (bad magic,
     EOF mid-frame): the connection must be dropped, not answered."""
-
-
-def _check_wire(wire: str) -> str:
-    if wire not in WIRE_FORMATS:
-        raise ProtocolError(f"unknown wire format {wire!r}; "
-                            f"expected one of {WIRE_FORMATS}")
-    return wire
 
 
 # -- binary codec -------------------------------------------------------------------
@@ -217,22 +209,39 @@ def encode_frame(payload: Mapping[str, Any], wire: str) -> bytes:
 # -- frame readers ------------------------------------------------------------------
 
 
-def _unpack_prefix(prefix: bytes, max_bytes: int) -> tuple[int, int]:
+def _unpack_prefix(prefix: bytes, max_bytes: int) -> tuple[int, int, int]:
+    """``(header length, body length, frame length)`` of a frame prefix;
+    a bad magic or a frame beyond the drain limit loses the framing."""
     magic, header_len, body_len = FRAME_PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise FramingLostError(
             f"bad frame magic {magic!r}; expected {MAGIC!r}")
     total = PREFIX_SIZE + header_len + body_len
-    if total > max_bytes:
-        raise FrameTooLargeError(
-            f"binary frame of {total} bytes exceeds {max_bytes} bytes",
-            recoverable=True)
-    return header_len, body_len
+    if total > max_bytes * _DRAIN_LIMIT_FACTOR:
+        raise FramingLostError(
+            f"frame declares {total} bytes, too large to drain — dropping "
+            "the connection")
+    return header_len, body_len, total
 
 
-async def read_binary_frame(reader: asyncio.StreamReader,
-                            max_bytes: int) -> tuple[dict, int]:
+def _drain_steps(total: int) -> list[int]:
+    """The reads, 64 KiB at most, that skip an oversized frame's body."""
+    return [min(1 << 16, total - start)
+            for start in range(PREFIX_SIZE, total, 1 << 16)]
+
+
+def _oversized(total: int, max_bytes: int) -> FrameTooLargeError:
+    return FrameTooLargeError(
+        f"binary frame of {total} bytes exceeds {max_bytes} bytes",
+        recoverable=True)
+
+
+async def read_binary_frame(reader: asyncio.StreamReader, max_bytes: int,
+                            lead: bytes = b"") -> tuple[dict, int]:
     """One binary frame from an asyncio stream; returns (payload, nbytes).
+
+    ``lead`` is the start of the prefix when the caller has read it
+    already (the connection loop reads one byte to pick the format).
 
     Raises :class:`ConnectionLostError` on EOF at a frame boundary,
     :class:`FramingLostError` when the stream cannot be re-synchronised,
@@ -242,91 +251,46 @@ async def read_binary_frame(reader: asyncio.StreamReader,
     lengths were honoured but whose content is malformed.
     """
     try:
-        prefix = await reader.readexactly(PREFIX_SIZE)
+        prefix = lead + await reader.readexactly(PREFIX_SIZE - len(lead))
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
+        if not (lead or exc.partial):
             raise ConnectionLostError("connection closed") from exc
         raise FramingLostError("connection closed mid-frame prefix") from exc
+    header_len, body_len, total = _unpack_prefix(prefix, max_bytes)
     try:
-        header_len, body_len = _unpack_prefix(prefix, max_bytes)
-    except FrameTooLargeError as exc:
-        remaining = struct.unpack_from("<I", prefix, 4)[0] \
-            + struct.unpack_from("<Q", prefix, 8)[0]
-        if PREFIX_SIZE + remaining > max_bytes * _DRAIN_LIMIT_FACTOR:
-            raise FramingLostError(
-                f"frame declares {PREFIX_SIZE + remaining} bytes, too large "
-                "to drain — dropping the connection") from exc
-        while remaining > 0:
-            chunk = await reader.read(min(remaining, 1 << 16))
-            if not chunk:
-                raise FramingLostError(
-                    "connection closed while draining an oversized frame"
-                ) from exc
-            remaining -= len(chunk)
-        raise
-    try:
+        if total > max_bytes:
+            for step in _drain_steps(total):
+                await reader.readexactly(step)
+            raise _oversized(total, max_bytes)
         header = await reader.readexactly(header_len)
         body = await reader.readexactly(body_len)
     except asyncio.IncompleteReadError as exc:
         raise FramingLostError("connection closed mid-frame") from exc
-    return decode_binary(header, body), PREFIX_SIZE + header_len + body_len
+    return decode_binary(header, body), total
 
 
 def _read_exact(stream: BinaryIO, count: int, *, what: str) -> bytes:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining > 0:
-        chunk = stream.read(remaining)
-        if not chunk:
-            if not chunks and remaining == count and what == "frame prefix":
-                raise ConnectionLostError("server closed the connection")
-            raise ProtocolError(f"connection closed mid {what}")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    data = stream.read(count)  # a buffered stream blocks for all of it
+    if len(data) == count:
+        return data
+    if not data and what == "frame prefix":
+        raise ConnectionLostError("server closed the connection")
+    raise FramingLostError(f"connection closed mid {what}")
 
 
 def read_binary_frame_sync(stream: BinaryIO,
                            max_bytes: int = protocol.MAX_LINE_BYTES) -> dict:
-    """Blocking mirror of :func:`read_binary_frame` for the sync client."""
+    """Blocking mirror of :func:`read_binary_frame` for the sync client,
+    draining an oversized frame the same way."""
     prefix = _read_exact(stream, PREFIX_SIZE, what="frame prefix")
-    header_len, body_len = _unpack_prefix(prefix, max_bytes)
+    header_len, body_len, total = _unpack_prefix(prefix, max_bytes)
+    if total > max_bytes:
+        for step in _drain_steps(total):
+            _read_exact(stream, step, what="oversized frame")
+        raise _oversized(total, max_bytes)
     header = _read_exact(stream, header_len, what="frame header")
     body = _read_exact(stream, body_len, what="frame body")
     return decode_binary(header, body)
-
-
-# -- hello negotiation --------------------------------------------------------------
-
-
-def hello_payload(wire: str) -> dict:
-    """The client side of the handshake (always sent as NDJSON)."""
-    return protocol.build("hello", wire=_check_wire(wire),
-                          version=protocol.PROTOCOL_VERSION)
-
-
-def hello_reply(request: Mapping, formats: tuple[str, ...]
-                ) -> tuple[dict, str | None]:
-    """The server side: (reply payload, format to switch to or ``None``)."""
-    try:
-        wire = protocol.read("hello", request)["wire"]
-    except ReproError as exc:
-        return protocol.error_payload_for(exc, op="hello",
-                                          request=request), None
-    if wire not in WIRE_FORMATS:
-        return protocol.error_payload(
-            f"unknown wire format {wire!r}; this server offers "
-            f"{list(formats)}", code="bad_request", op="hello",
-            request=request), None
-    if wire not in formats:
-        return protocol.error_payload(
-            f"wire format {wire!r} is disabled on this server; offered: "
-            f"{list(formats)}", code="bad_request", op="hello",
-            request=request), None
-    reply = protocol.ok_payload("hello", request, wire=wire,
-                                formats=list(formats),
-                                version=protocol.PROTOCOL_VERSION)
-    return reply, wire
 
 
 # -- the shared server-side connection loop -----------------------------------------
@@ -335,13 +299,11 @@ def hello_reply(request: Mapping, formats: tuple[str, ...]
 class _ConnectionState:
     """Per-connection accounting shared by the reader and writer tasks."""
 
-    __slots__ = ("inflight", "slot_free", "in_format", "out_format", "tenant")
+    __slots__ = ("inflight", "slot_free", "tenant")
 
     def __init__(self) -> None:
         self.inflight = 0
         self.slot_free = asyncio.Event()
-        self.in_format = WIRE_NDJSON
-        self.out_format = WIRE_NDJSON
         # Principal the connection is bound to after an ``auth`` step: a
         # tenant id, the admin sentinel, or None (unauthenticated).
         self.tenant: str | None = None
@@ -353,8 +315,7 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
 
     ``owner`` is the :class:`~repro.server.front.ServingFront`: it provides
     ``metrics``, ``config.max_inflight_per_connection``,
-    ``config.max_line_bytes``, ``wire_formats``, ``authenticate`` and
-    ``_process``.
+    ``config.max_line_bytes``, ``authenticate`` and ``_process``.
 
     The pipelining contract is unchanged from the pre-binary servers: a
     reader task turns frames into request tasks, a writer task writes each
@@ -367,10 +328,8 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
     stalls the writer in drain(), slots stay taken, and the reader stops
     consuming: true end-to-end backpressure.
 
-    A ``hello`` switches the reader's format immediately and the writer's
-    format *after* the hello reply is written; the in-order reply queue
-    makes that race-free even for clients that pipeline binary frames
-    straight behind the handshake.
+    The first byte of each frame picks its format (see the module
+    docstring), and its reply is written in that same format.
     """
     metrics = owner.metrics
     max_bytes = owner.config.max_line_bytes
@@ -381,86 +340,82 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
         _write_replies(metrics, replies, writer, state))
     loop = asyncio.get_running_loop()
 
-    def done(payload: dict) -> asyncio.Future:
+    def enqueue(payload: dict, wire: str) -> None:
         future = loop.create_future()
         future.set_result(payload)
-        return future
-
-    def enqueue(payload: dict, *, switch_to: str | None = None) -> None:
-        replies.put_nowait((done(payload), False, switch_to))
+        replies.put_nowait((future, False, wire))
 
     try:
         while True:
             try:
-                if state.in_format == WIRE_BINARY:
-                    request, nbytes = await read_binary_frame(reader,
-                                                              max_bytes)
+                lead = await reader.read(1)
+            except (ConnectionError, OSError):
+                break
+            if not lead:
+                break
+            wire = WIRE_BINARY if lead == BINARY_LEAD else WIRE_NDJSON
+            try:
+                if wire == WIRE_BINARY:
+                    request, nbytes = await read_binary_frame(
+                        reader, max_bytes, lead)
                 else:
-                    try:
-                        line = await reader.readline()
-                    except ValueError as exc:
-                        # NDJSON has no length prefix: once a line blows
-                        # the limit the line framing is lost, so reply
-                        # with the structured error and hang up.
-                        raise FrameTooLargeError(
-                            f"request line exceeds {max_bytes} bytes",
-                            recoverable=False) from exc
-                    if not line:
-                        break
+                    line = lead
+                    if lead != b"\n":
+                        try:
+                            line += await reader.readline()
+                        except ValueError as exc:
+                            # NDJSON has no length prefix: once a line
+                            # blows the limit the line framing is lost, so
+                            # reply with the structured error and hang up.
+                            raise FrameTooLargeError(
+                                f"request line exceeds {max_bytes} bytes",
+                                recoverable=False) from exc
                     if not line.strip():
                         continue
                     nbytes = len(line)
                     request = protocol.decode(line)
             except FrameTooLargeError as exc:
                 enqueue(protocol.error_payload(str(exc),
-                                               code="frame_too_large"))
+                                               code="frame_too_large"), wire)
                 if exc.recoverable:
                     continue
                 break
-            except ConnectionLostError:
-                break
             except FramingLostError as exc:
-                enqueue(protocol.error_payload_for(exc))
+                enqueue(protocol.error_payload_for(exc), wire)
                 break
             except ReproError as exc:
                 # Malformed content inside an intact frame (bad JSON, bad
                 # descriptors): answer and keep the connection.
-                enqueue(protocol.error_payload_for(exc))
+                enqueue(protocol.error_payload_for(exc), wire)
                 continue
             except (ConnectionError, OSError):
                 break
-            metrics.record_wire(state.in_format, "in", nbytes)
+            metrics.record_wire(wire, "in", nbytes)
             op = request.get("op")
             metrics.record_request(str(op))
-            if op == "hello":
-                payload, switch_to = hello_reply(request, owner.wire_formats)
-                enqueue(payload, switch_to=switch_to)
-                if switch_to is not None:
-                    state.in_format = switch_to
-                continue
             if op == "auth":
-                # Handled inline (like hello): the outcome mutates the
-                # connection's principal binding, which request tasks
-                # running concurrently must never race against.
+                # Handled inline: the outcome mutates the connection's
+                # principal binding, which request tasks running
+                # concurrently must never race against.
                 try:
                     payload, principal = owner.authenticate(request)
                 except Exception as exc:
                     payload, principal = (
                         protocol.error_payload_for(exc, op="auth",
                                                    request=request), None)
-                enqueue(payload)
+                enqueue(payload, wire)
                 if principal is not None:
                     state.tenant = principal
                 continue
             if op == "quit":
-                enqueue(protocol.ok_payload("quit", request))
+                enqueue(protocol.ok_payload("quit", request), wire)
                 break
             while state.inflight >= max_inflight:
                 state.slot_free.clear()
                 await state.slot_free.wait()
             state.inflight += 1
             task = asyncio.create_task(owner._process(request, state.tenant))
-            replies.put_nowait((task, True, None))
+            replies.put_nowait((task, True, wire))
     finally:
         replies.put_nowait(None)
         await writer_task
@@ -469,12 +424,13 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
 async def _write_replies(metrics, replies: asyncio.Queue,
                          writer: asyncio.StreamWriter,
                          state: _ConnectionState) -> None:
-    """Write replies in request order as their tasks complete."""
+    """Write replies in request order as their tasks complete, each in
+    the format of its request."""
     while True:
         entry = await replies.get()
         if entry is None:
             return
-        item, counted, switch_to = entry
+        item, counted, wire = entry
         try:
             try:
                 payload = await item
@@ -483,11 +439,9 @@ async def _write_replies(metrics, replies: asyncio.Queue,
             if not payload.get("ok"):
                 metrics.record_error(payload.get("error_code", "error"))
             try:
-                frame = encode_frame(payload, state.out_format)
+                frame = encode_frame(payload, wire)
                 writer.write(frame)
-                metrics.record_wire(state.out_format, "out", len(frame))
-                if switch_to is not None:
-                    state.out_format = switch_to
+                metrics.record_wire(wire, "out", len(frame))
                 if replies.empty():
                     # Batch kernel writes: drain once per burst of ready
                     # replies instead of once per reply.

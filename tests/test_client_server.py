@@ -297,7 +297,7 @@ def test_cli_serve_sigterm_drains_and_snapshots(tmp_path):
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--listen",
-         "127.0.0.1:0", "--snapshot", str(snapshot), "--snapshot-on-exit"],
+         "127.0.0.1:0", "--snapshot", str(snapshot), "--save-on-exit"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         banner = json.loads(process.stdout.readline())

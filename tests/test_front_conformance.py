@@ -161,7 +161,7 @@ def _replay(front: Placement, wire: str) -> dict[str, dict]:
     replies: dict[str, dict] = {}
     number = 0
     with front.client(wire) as client:
-        assert client.wire_format == wire
+        assert client.wire == wire
         for window in TRANSCRIPT:
             requests = []
             for _label, request in window:

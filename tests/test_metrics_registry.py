@@ -15,7 +15,6 @@ fold of its workers' samples.  These tests pin what that exposition is:
 * README's "Metrics reference" block is the table.
 """
 
-import json
 import re
 import socket
 import threading
@@ -28,7 +27,8 @@ from repro.client import ServiceClient
 from repro.cluster import RouterConfig, ThreadedClusterRouter
 from repro.core.domain import Domain
 from repro.core.program import ExecutorStats
-from repro.server import ServerConfig, ThreadedServer, protocol
+from repro.errors import ConnectionLostError
+from repro.server import ServerConfig, ThreadedServer, protocol, wire
 from repro.server.metrics import FAMILIES, ServerMetrics, fold, render, samples
 from repro.service import EstimationService, synthetic_boxes
 from repro.tenancy import TenantRegistry
@@ -288,8 +288,8 @@ def test_fold_sums_by_name_and_labels_under_router_names():
 
 
 class _StalledWorker:
-    """Speaks NDJSON like a worker until :attr:`stall` is set, then never
-    answers again (the connection stays open)."""
+    """Speaks binary frames like a worker until :attr:`stall` is set, then
+    never answers again (the connection stays open)."""
 
     def __init__(self):
         self.stall = threading.Event()
@@ -307,17 +307,20 @@ class _StalledWorker:
                              daemon=True).start()
 
     def _answer(self, connection):
-        with connection, connection.makefile("rb") as lines:
-            for line in lines:
-                request = json.loads(line)
+        with connection, connection.makefile("rb") as frames:
+            while True:
+                try:
+                    request = wire.read_binary_frame_sync(frames)
+                except ConnectionLostError:
+                    return
                 op = request.get("op")
                 if not self.stall.is_set():
-                    # Refuse the binary upgrade, acknowledge anything else
-                    # (a register with the spec a worker would build).
-                    reply = {"ok": op != "hello", "op": op}
+                    # Acknowledge everything (a register with the spec a
+                    # worker would build).
+                    reply = {"ok": True, "op": op}
                     if op == "register":
                         reply["spec"] = protocol.read(op, request)["spec"].to_dict()
-                    connection.sendall(json.dumps(reply).encode() + b"\n")
+                    connection.sendall(wire.encode_binary(reply))
 
     def close(self):
         self._listener.close()

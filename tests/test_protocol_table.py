@@ -51,7 +51,7 @@ def _leaves(op):
 
 
 def test_ops_iterate_as_names_and_cluster_ops_are_the_router_only_ones():
-    assert list(OPS)[:3] == ["hello", "auth", "register"]
+    assert list(OPS)[:2] == ["auth", "register"]
     assert "estimate" in OPS and OPS["save"] is OPS["snapshot"]
     assert protocol.CLUSTER_OPS == ("cluster_status",)
     for op in OPS.values():
@@ -141,8 +141,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
         name for name in vars(RequestVerbs)
         if not name.startswith("_") and name != "tensors"}
     assert len(client.sent) == len(verbs) + 1  # estimate_many sent two
-    assert {payload["op"] for payload in client.sent} == set(OPS) - {
-        "hello", "save"}
+    assert {payload["op"] for payload in client.sent} == set(OPS) - {"save"}
     for payload in client.sent:
         fields = protocol.read(payload["op"], payload)
         for name, value in payload.items():
@@ -157,7 +156,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
 
 
 def test_both_fronts_register_exactly_the_ops_the_table_says_they_serve():
-    inline = {"hello", "auth", "quit"}  # answered by the connection loop
+    inline = {"auth", "quit"}  # answered by the connection loop
     for placement, front in (("server", SketchServer),
                              ("router", ClusterRouter)):
         served = {op for op, descriptor in OPS.items()

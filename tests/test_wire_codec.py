@@ -1,4 +1,4 @@
-"""Tests of the binary wire format: codec, negotiation, and mixed fleets.
+"""Tests of the binary wire format: codec, self-describing frames, mixing.
 
 Three layers are pinned here:
 
@@ -6,9 +6,10 @@ Three layers are pinned here:
   the NDJSON path produces (property-based over box batches), and a frame
   truncated or corrupted at *any* byte offset is rejected with a typed
   error instead of garbage;
-* the ``hello`` negotiation — upgrade, auto-fallback, refusal when the
-  server disables binary framing, and the structured ``frame_too_large``
-  error replacing the old silent connection drop;
+* self-describing frames — the first byte of each frame picks its format,
+  each reply comes back in its request's format, and the structured
+  ``frame_too_large`` error keeps a binary connection usable in both
+  directions;
 * mixed-format serving — a binary client and an NDJSON client against one
   server see bit-identical estimates and byte-identical snapshots.
 """
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.client import ServiceClient
+from repro.cluster import ClusterRouter, RouterConfig
 from repro.core.domain import Domain
 from repro.errors import (
     ConnectionLostError,
@@ -178,44 +180,107 @@ def test_corrupt_descriptors_rejected():
         decode_frame_bytes(rebuilt(header, body + b"extra"))
 
 
-def test_oversized_declared_frame_is_typed_and_recoverable():
+def test_oversized_declared_frame_is_drained_typed_and_recoverable():
     frame = reference_frame()
+    follower = wire.encode_binary({"op": "ping"})
+    stream = io.BytesIO(frame + follower)
     with pytest.raises(FrameTooLargeError) as excinfo:
-        wire.read_binary_frame_sync(io.BytesIO(frame), max_bytes=32)
+        wire.read_binary_frame_sync(stream, max_bytes=len(frame) - 1)
     assert excinfo.value.code == "frame_too_large"
     assert excinfo.value.recoverable
+    # The oversized frame was drained: the next frame reads intact.
+    assert wire.read_binary_frame_sync(stream) == {"op": "ping"}
 
 
-# -- negotiation and mixed-format serving -------------------------------------------
+def test_frame_beyond_the_drain_limit_loses_framing():
+    frame = reference_frame()
+    with pytest.raises(wire.FramingLostError, match="too large to drain"):
+        wire.read_binary_frame_sync(io.BytesIO(frame),
+                                    max_bytes=len(frame) // 5)
 
 
-def test_hello_negotiation_modes():
+# -- self-describing frames ---------------------------------------------------------
+
+
+def test_client_wire_modes():
     service = make_service()
     with ThreadedServer(service) as server:
-        with ServiceClient("127.0.0.1", server.port, wire="ndjson") as plain:
-            assert plain.wire_format == "ndjson"
-            plain.ping()
-        with ServiceClient("127.0.0.1", server.port, wire="binary") as fast:
-            assert fast.wire_format == "binary"
-            fast.ping()
-        with ServiceClient("127.0.0.1", server.port) as auto:  # the default
-            assert auto.wire == "auto" and auto.wire_format == "binary"
-            auto.ping()
-    with pytest.raises(ProtocolError):
-        ServiceClient("127.0.0.1", 1, wire="msgpack")
+        for mode in ("ndjson", "binary"):
+            with ServiceClient("127.0.0.1", server.port, wire=mode) as client:
+                assert client.wire == mode and client.ping()["ok"]
+        with ServiceClient("127.0.0.1", server.port) as default:
+            assert default.wire == "binary" and default.ping()["ok"]
+    for mode in ("msgpack", "auto"):
+        with pytest.raises(ProtocolError):
+            ServiceClient("127.0.0.1", 1, wire=mode)
 
 
-def test_binary_refused_when_disabled():
-    service = make_service()
-    config = ServerConfig(port=0, binary_wire=False)
-    with ThreadedServer(service, config=config) as server:
-        # auto falls back silently...
-        with ServiceClient("127.0.0.1", server.port, wire="auto") as auto:
-            assert auto.wire_format == "ndjson"
-            auto.ping()
-        # ...but an explicit binary request surfaces the refusal.
-        with pytest.raises(ServerError):
-            ServiceClient("127.0.0.1", server.port, wire="binary")
+def _exchange(port: int, data: bytes, replies: int) -> list[tuple[str, dict]]:
+    """Write ``data`` in one go; read ``replies`` replies, each with the
+    format it came back in."""
+
+    async def main():
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        writer.write(data)
+        await writer.drain()
+        answered = []
+        for _ in range(replies):
+            lead = await asyncio.wait_for(reader.readexactly(1), timeout=30)
+            if lead == wire.BINARY_LEAD:
+                reply, _ = await wire.read_binary_frame(
+                    reader, protocol.MAX_LINE_BYTES, lead)
+                answered.append(("binary", reply))
+            else:
+                line = lead + await reader.readline()
+                answered.append(("ndjson", protocol.decode(line)))
+        writer.close()
+        return answered
+
+    return asyncio.run(main())
+
+
+def test_a_first_binary_frame_is_answered_in_binary():
+    with ThreadedServer(make_service()) as server:
+        (answer,) = _exchange(server.port, wire.encode_binary(
+            {"op": "ping", "id": 1}), 1)
+    assert answer == ("binary", {"ok": True, "op": "ping", "id": 1,
+                                 "version": protocol.PROTOCOL_VERSION})
+
+
+def test_mixed_frames_in_one_write_get_in_order_replies_in_kind():
+    frames = (protocol.encode({"op": "ping", "id": 1})
+              + wire.encode_binary({"op": "estimate", "name": "ranges",
+                                    "query": [0, 0, 90, 90], "id": 2})
+              + protocol.encode({"op": "ping", "id": 3}))
+    with ThreadedServer(make_service()) as server:
+        answers = _exchange(server.port, frames, 3)
+        with ServiceClient("127.0.0.1", server.port) as client:
+            expected = client.estimate("ranges", [0, 0, 90, 90]).estimate
+    assert [(mode, reply["id"]) for mode, reply in answers] == [
+        ("ndjson", 1), ("binary", 2), ("ndjson", 3)]
+    assert all(reply["ok"] for _, reply in answers)
+    assert answers[1][1]["estimate"] == expected
+
+
+def test_hello_is_an_unknown_op():
+    with ThreadedServer(make_service()) as server:
+        (answer,) = _exchange(server.port, protocol.encode(
+            {"op": "hello", "wire": "binary"}), 1)
+    mode, reply = answer
+    assert mode == "ndjson"
+    assert not reply["ok"] and reply["error_code"] == "unknown_op"
+
+
+def test_a_binary_session_puts_no_bytes_on_the_ndjson_counters():
+    with ThreadedServer(make_service()) as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.ping()
+            formats = client.stats()["server"]["wire"]
+    assert formats["ndjson"] == dict.fromkeys(formats["ndjson"], 0)
+    assert formats["binary"]["frames_in"] == 2
+
+
+# -- mixed-format serving -----------------------------------------------------------
 
 
 def test_mixed_format_clients_bit_identical():
@@ -227,7 +292,7 @@ def test_mixed_format_clients_bit_identical():
     queries = [[0, 0, 200, 200], [10, 10, 90, 90]]
     with ThreadedServer(service) as server:
         with ServiceClient("127.0.0.1", server.port, wire="binary") as fast, \
-                ServiceClient("127.0.0.1", server.port) as plain:
+                ServiceClient("127.0.0.1", server.port, wire="ndjson") as plain:
             fast.ingest("ranges", rows.tolist(), side="data")
             fast.flush()
             for query in queries:
@@ -282,6 +347,44 @@ def test_ingest_ships_tensor_and_ragged_rows_still_rejected():
 # -- frame_too_large over live connections ------------------------------------------
 
 
+def _oversized_reply_server() -> ThreadedServer:
+    """A server whose ``snapshot fetch`` reply (~34 MB) is over a reader's
+    default 16 MiB frame bound but within its drain limit."""
+    service = EstimationService()
+    service.register("big", family="range", domain=(1024, 1024),
+                     num_instances=4096)
+    service.ingest("big", synthetic_boxes(Domain.square(1024, dimension=2),
+                                          200, seed=1), side="data")
+    service.flush()
+    return ThreadedServer(service, config=ServerConfig(
+        port=0, max_line_bytes=1 << 27))
+
+
+def test_an_oversized_reply_keeps_the_client_connection():
+    with _oversized_reply_server() as server:
+        with ServiceClient("127.0.0.1", server.port) as client:
+            with pytest.raises(FrameTooLargeError, match="exceeds"):
+                client.request({"op": "snapshot", "fetch": True})
+            assert client.ping()["ok"]
+            assert client.reconnects == 0
+
+
+def test_an_oversized_reply_fails_one_worker_link_request_only():
+    async def main(port: int):
+        router = ClusterRouter(config=RouterConfig(port=0))
+        try:
+            info = await router.attach("w0", "127.0.0.1", port)
+            with pytest.raises(FrameTooLargeError):
+                await router.manager.fetch_snapshot("w0")
+            assert info.link.connected
+            return await info.link.request_ok({"op": "ping"})
+        finally:
+            await router.close()
+
+    with _oversized_reply_server() as server:
+        assert asyncio.run(main(server.port))["ok"]
+
+
 def test_oversized_binary_frame_keeps_connection_usable():
     service = make_service()
     config = ServerConfig(port=0, max_line_bytes=4096)
@@ -328,28 +431,19 @@ def test_oversized_ndjson_line_answers_then_hangs_up():
 # -- cluster links ------------------------------------------------------------------
 
 
-def test_worker_links_negotiate_binary():
-    from repro.cluster import ClusterRouter, RouterConfig
-
-    async def main():
-        worker = ThreadedServer(make_service())
-        worker.start()
-        ndjson_worker = ThreadedServer(
-            make_service(), config=ServerConfig(port=0, binary_wire=False))
-        ndjson_worker.start()
+def test_worker_links_speak_binary():
+    async def main(port: int):
         router = ClusterRouter(config=RouterConfig(port=0))
         try:
-            await router.attach("w0", "127.0.0.1", worker.port)
-            await router.attach("w1", "127.0.0.1", ndjson_worker.port)
-            modes = {info.name: info.link.mode
-                     for info in router.manager.workers()}
-            return modes
+            info = await router.attach("w0", "127.0.0.1", port)
+            await info.link.request_ok({"op": "estimate", "name": "ranges",
+                                        "query": [0, 0, 90, 90]})
+            return (await info.link.request_ok({"op": "stats"}))["server"]
         finally:
             await router.close()
-            worker.stop()
-            ndjson_worker.stop()
 
-    modes = asyncio.run(main())
-    # auto preference: binary against a willing worker, NDJSON fallback
-    # against one that refuses — one fleet, mixed formats, same answers.
-    assert modes == {"w0": "binary", "w1": "ndjson"}
+    with ThreadedServer(make_service()) as worker:
+        server = asyncio.run(main(worker.port))
+    # Every frame the link sent (attach, estimate, stats) was binary.
+    assert server["wire"]["binary"]["frames_in"] >= 3
+    assert server["wire"]["ndjson"]["frames_in"] == 0
