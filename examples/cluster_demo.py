@@ -1,4 +1,4 @@
-"""Cluster scale-out: a consistent-hash router over a worker fleet.
+"""Cluster scale-out: a scatter-gather router over a worker fleet.
 
 The example stands up three real worker subprocesses (each a full
 ``repro-spatial serve --listen`` sketch server), wires a
@@ -6,14 +6,15 @@ The example stands up three real worker subprocesses (each a full
 three things the cluster layer adds:
 
 1. **Scatter-gather exactness** — ingest through the router partitions
-   boxes across workers by the same shard hash the in-process store uses;
+   boxes across the shard workers, sorted by name, by the same shard hash
+   the in-process store uses;
    estimates gather per-worker counter states and reduce them with one
    vectorised merge.  Every answer is bit-identical to a single-node
    service over the same data — sketches are linear, so distribution is
    invisible.
 2. **Topology introspection** — the ``cluster_status`` verb reports every
-   worker's role, health and generation, plus the slot distribution; the
-   ``metrics`` verb aggregates fleet counters under ``repro_cluster_*``.
+   worker's role, health and generation; the ``metrics`` verb aggregates
+   fleet counters under ``repro_cluster_*``.
 3. **Replica bootstrap** — a fourth, empty worker joins as a read replica
    of one shard owner: the router ships the owner's binary snapshot over
    the wire, after which reads round-robin across the owner group.
@@ -29,7 +30,7 @@ Run with::
 from __future__ import annotations
 
 from repro.client import ServiceClient
-from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.cluster import ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet
 from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
@@ -52,7 +53,6 @@ def main() -> None:
         print(f"3 workers listening on {addresses}")
 
         with ThreadedClusterRouter(fleet.addresses(),
-                                   config=RouterConfig(num_slots=64),
                                    start_heartbeat=False) as handle:
             print(f"router listening on 127.0.0.1:{handle.port}\n")
             with ServiceClient("127.0.0.1", handle.port) as client:
@@ -92,7 +92,6 @@ def main() -> None:
                     print(f"{worker['name']:4s} {worker['address']:21s} "
                           f"role={worker['role']:7s} "
                           f"healthy={worker['healthy']}")
-                print(f"slots per owner: {status['slots_per_owner']}")
 
                 # 3. Bootstrap a read replica: a fresh, empty worker joins
                 #    and receives one owner's snapshot over the wire.

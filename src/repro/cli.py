@@ -246,11 +246,6 @@ def _args_wal(wal) -> None:
                      help="also print one JSON line per durable record event")
 
 
-def _add_router_args(parser) -> None:
-    parser.add_argument("--slots", type=int, default=64,
-                        help="cluster shard slots on the hash ring (default: 64)")
-
-
 def _args_cluster_serve(cserve) -> None:
     cserve.add_argument("--workers", type=int, default=2,
                         help="worker subprocess count (default: 2)")
@@ -265,7 +260,6 @@ def _args_cluster_serve(cserve) -> None:
                         help="per-worker coalescer batch size (default: 64)")
     cserve.add_argument("--max-delay-ms", type=float, default=2.0,
                         help="per-worker coalescer delay in ms (default: 2)")
-    _add_router_args(cserve)
     cserve.add_argument("--admin-token", default=None, metavar="TOKEN",
                         help="multi-tenant fleet: the router's admin token; "
                              "spawned workers start with the same token and "
@@ -279,7 +273,6 @@ def _args_cluster_route(croute) -> None:
                         help="a running worker's address (repeatable)")
     croute.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="router listen address (default: 127.0.0.1:0)")
-    _add_router_args(croute)
     croute.add_argument("--admin-token", default=None, metavar="TOKEN",
                         help="multi-tenant fleet: the router's admin token "
                              "(also presented on worker links unless "
@@ -607,7 +600,7 @@ def service_command_loop(service, in_stream, out_stream, *,
     The requests are the network protocol's (:mod:`repro.server.protocol`),
     answered by the same handler table a ``--listen`` server uses, without
     a listener: ``register`` / ``unregister`` / ``ingest`` / ``estimate`` /
-    ``flush`` / ``stats`` / ``metrics`` / ``snapshot`` (alias ``save``) /
+    ``flush`` / ``stats`` / ``metrics`` / ``snapshot`` /
     ``reload`` / ``tenant`` / ``ping``, and ``quit`` to end the
     loop.  Failures are replies with ``ok: false`` and an ``error_code``;
     they never end the loop or lose the in-memory sketches.
@@ -765,8 +758,8 @@ def _serve_router(args, targets, *, worker_token, replicas=False) -> None:
 
     host, port = _parse_hostport(args.listen)
     router = ClusterRouter(config=RouterConfig(
-        host=host, port=port, num_slots=args.slots,
-        admin_token=args.admin_token, worker_token=worker_token))
+        host=host, port=port, admin_token=args.admin_token,
+        worker_token=worker_token))
 
     async def attach() -> None:
         for index, (whost, wport) in enumerate(targets):

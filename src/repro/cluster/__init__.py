@@ -6,9 +6,6 @@ worker processes into one service a plain
 grid-federation shape (autonomous worker nodes, one logical catalog at the
 router):
 
-* :class:`~repro.cluster.ring.HashRing` — a consistent-hash ring mapping
-  shard slots to worker names (stable blake2b hashing, virtual nodes;
-  adding a worker remaps only ~1/N of the slots),
 * :class:`~repro.cluster.connection.WorkerLink` — one pipelined asyncio
   binary-frame connection to a worker,
 * :class:`~repro.cluster.manager.ClusterManager` — topology: worker
@@ -18,7 +15,8 @@ router):
   router: the same :class:`~repro.server.front.ServingFront` a single
   server is (connections, auth, quotas, dispatch, tenant administration),
   placed over the fleet instead of a local service, so one client library
-  works against either.  ``ingest`` partitions by the same shard hash the
+  works against either.  ``ingest`` splits each frame over the shard
+  workers, sorted by name, with the shard hash the
   :class:`~repro.service.store.ShardedSketchStore` uses and fans out in
   parallel; ``estimate`` gathers shard-local partial states and reduces
   them with one vectorised merge — bit-identical to a single-node service,
@@ -35,12 +33,9 @@ from repro.cluster.connection import WorkerLink
 from repro.cluster.fleet import LocalFleet, spawn_worker
 from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
 from repro.cluster.partial import merge_partial_states, reduce_partials
-from repro.cluster.ring import HashRing, stable_hash
 from repro.cluster.router import ClusterRouter, RouterConfig
 
 __all__ = [
-    "HashRing",
-    "stable_hash",
     "WorkerLink",
     "ClusterManager",
     "HeartbeatConfig",

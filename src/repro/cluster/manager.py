@@ -1,9 +1,9 @@
 """Cluster topology: registration, heartbeats, replicas, degraded mode.
 
-:class:`ClusterManager` owns the worker table and the consistent-hash
-ring.  Two worker roles exist:
+:class:`ClusterManager` owns the worker table.  Two worker roles exist:
 
-* **shard** workers own ring slots; ingest for their slots lands on them,
+* **shard** workers own a share of the data: the router splits each
+  ingest frame over them, sorted by name, with the store's shard hash,
 * **replica** workers mirror one shard worker (``replica_of``): every
   write fanned to the shard worker also goes to its replicas — linear
   sketches make replicas *bit-identical* mirrors, so reads round-robin
@@ -13,7 +13,8 @@ ring.  Two worker roles exist:
 New replicas bootstrap over the wire: the manager fetches the source
 worker's binary v2 snapshot (``snapshot`` with ``fetch: true``) and ships
 it into the fresh worker (``reload`` with inline ``data``) — no shared
-filesystem needed.  A heartbeat loop pings every worker; after
+filesystem needed; the replica joins the owner group's writers only once
+it holds the snapshot.  A heartbeat loop pings every worker; after
 ``max_failures`` consecutive misses a worker is marked unhealthy, taking
 it out of read/write fan-outs (degraded mode) until it is replaced via
 :meth:`ClusterManager.replace_worker`.
@@ -26,11 +27,8 @@ import contextlib
 from dataclasses import dataclass
 
 from repro.cluster.connection import WorkerLink
-from repro.cluster.ring import HashRing
 from repro.errors import ReproError, ServiceError
 from repro.server import protocol
-
-WORKER_ROLES = ("shard", "replica")
 
 
 @dataclass
@@ -53,7 +51,7 @@ class WorkerInfo:
 
     @property
     def owner(self) -> str:
-        """The ring name of the owner group this worker serves."""
+        """The name of the owner group this worker serves."""
         return self.replica_of if self.replica_of is not None else self.name
 
 
@@ -64,13 +62,48 @@ class HeartbeatConfig:
     timeout: float = 5.0
 
 
+class _WriteGate:
+    """Writes to one owner group share it; a replica bootstrap holds it
+    alone, from the source's snapshot until the replica has reloaded it."""
+
+    def __init__(self) -> None:
+        self.writes = 0
+        self.held = False
+        self.changed = asyncio.Condition()
+
+    @contextlib.asynccontextmanager
+    async def write(self):
+        async with self.changed:
+            await self.changed.wait_for(lambda: not self.held)
+            self.writes += 1
+        try:
+            yield
+        finally:
+            async with self.changed:
+                self.writes -= 1
+                self.changed.notify_all()
+
+    @contextlib.asynccontextmanager
+    async def hold(self):
+        async with self.changed:
+            await self.changed.wait_for(lambda: not self.held)
+            self.held = True  # new writes wait from here on
+        try:
+            async with self.changed:
+                await self.changed.wait_for(lambda: not self.writes)
+            yield
+        finally:
+            async with self.changed:
+                self.held = False
+                self.changed.notify_all()
+
+
 class ClusterManager:
     """Topology and health of one worker fleet."""
 
     def __init__(self, *, heartbeat: HeartbeatConfig | None = None,
                  request_timeout: float = 60.0,
                  worker_token: str | None = None) -> None:
-        self.ring = HashRing()
         self.heartbeat = heartbeat or HeartbeatConfig()
         self.request_timeout = request_timeout
         #: Admin token presented on every worker link when the fleet runs
@@ -78,6 +111,7 @@ class ClusterManager:
         self.worker_token = worker_token
         self._workers: dict[str, WorkerInfo] = {}
         self._round_robin: dict[str, int] = {}
+        self._gates: dict[str, _WriteGate] = {}
         self._heartbeat_task: asyncio.Task | None = None
 
     # -- membership ---------------------------------------------------------------
@@ -98,58 +132,56 @@ class ClusterManager:
     def __len__(self) -> int:
         return len(self._workers)
 
-    async def _connect(self, host: str, port: int) -> WorkerLink:
-        """A pinged link to one worker process."""
+    async def _connect(self, host: str, port: int, *,
+                       data: str | bytes | None = None) -> WorkerLink:
+        """A pinged link to one worker process, with ``data`` (snapshot
+        bytes, raw or base64) reloaded into it when given."""
         link = WorkerLink(host, port, timeout=self.request_timeout,
                           token=self.worker_token)
-        await link.connect()
-        await link.request_ok({"op": "ping"}, timeout=self.heartbeat.timeout)
+        try:
+            await link.connect()
+            await link.request_ok({"op": "ping"},
+                                  timeout=self.heartbeat.timeout)
+            if data is not None:
+                await link.request_ok(protocol.build("reload", data=data))
+        except BaseException:
+            await link.close()
+            raise
         return link
 
     async def add_worker(self, name: str, host: str, port: int, *,
-                         role: str = "shard",
-                         replica_of: str | None = None) -> WorkerInfo:
-        """Connect, health-check and register one worker."""
-        if role not in WORKER_ROLES:
-            raise ServiceError(f"worker role must be one of {WORKER_ROLES}, "
-                               f"got {role!r}")
+                         replica_of: str | None = None,
+                         data: str | bytes | None = None) -> WorkerInfo:
+        """Connect, health-check and register one worker: a shard worker,
+        or a replica of ``replica_of`` (``data`` reloaded into it first)."""
         if name in self._workers:
             raise ServiceError(f"worker {name!r} is already registered")
-        if role == "replica":
-            if replica_of is None:
-                raise ServiceError("replica workers need replica_of=")
-            self.worker(replica_of)  # raises for unknown sources
-        elif replica_of is not None:
-            raise ServiceError("replica_of applies to replica workers only")
         info = WorkerInfo(name=name, host=host, port=int(port),
-                          link=await self._connect(host, port), role=role,
+                          link=await self._connect(host, port, data=data),
+                          role="shard" if replica_of is None else "replica",
                           replica_of=replica_of)
         self._workers[name] = info
-        if role == "shard":
-            self.ring.add(name)
         return info
 
     async def remove_worker(self, name: str) -> None:
-        """Forget a worker entirely (its ring slots remap to the others)."""
+        """Forget a worker entirely (a shard worker's share of later
+        ingest goes to the other shard workers)."""
         info = self.worker(name)
         del self._workers[name]
-        if info.role == "shard" and name in self.ring:
-            self.ring.remove(name)
         await info.link.close()
 
     async def replace_worker(self, name: str, host: str, port: int, *,
                              data: str | bytes | None = None) -> WorkerInfo:
         """Point a (typically dead) worker name at a replacement process.
 
-        The ring is keyed by *name*, so replacing keeps every slot
-        assignment — no data movement on the surviving workers.  ``data``
-        (snapshot bytes, raw or base64 — e.g. fetched from a healthy
-        replica) is reloaded into the replacement before it goes live.
+        The partition is keyed by *name*, so replacing keeps every
+        worker's share of ingest — no data movement on the surviving
+        workers.  ``data`` (snapshot bytes, raw or base64 — e.g. fetched
+        from a healthy replica) is reloaded into the replacement before it
+        goes live.
         """
         old = self.worker(name)
-        link = await self._connect(host, port)
-        if data is not None:
-            await link.request_ok(protocol.build("reload", data=data))
+        link = await self._connect(host, port, data=data)
         await old.link.close()
         fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
                            role=old.role, replica_of=old.replica_of,
@@ -166,28 +198,29 @@ class ClusterManager:
             protocol.build("snapshot", fetch=True))
         return reply["data"]
 
+    def writing(self, owner: str):
+        """Enter around one write to ``owner``'s group: it waits while a
+        replica of the group bootstraps."""
+        return self._gates.setdefault(owner, _WriteGate()).write()
+
     async def bootstrap_replica(self, name: str, host: str, port: int, *,
                                 source: str) -> WorkerInfo:
         """Attach a fresh worker as a read replica of ``source``.
 
         The source's snapshot is fetched over the wire and reloaded into
-        the new worker, after which the replica is a bit-identical mirror
-        in the owner group's write fan-out.
+        the new worker, which then joins the owner group's write fan-out
+        as a bit-identical mirror.  Writes to the group wait from the
+        fetch until then; other groups keep flowing.
         """
         source_info = self.worker(source)
         if source_info.role != "shard":
             raise ServiceError(
                 f"replicas mirror shard workers; {source!r} is a "
                 f"{source_info.role}")
-        data = await self.fetch_snapshot(source)
-        info = await self.add_worker(name, host, port, role="replica",
-                                     replica_of=source)
-        try:
-            await info.link.request_ok(protocol.build("reload", data=data))
-        except ReproError:
-            await self.remove_worker(name)
-            raise
-        return info
+        async with self._gates.setdefault(source, _WriteGate()).hold():
+            return await self.add_worker(
+                name, host, port, replica_of=source,
+                data=await self.fetch_snapshot(source))
 
     # -- owner groups -------------------------------------------------------------
 
@@ -300,7 +333,6 @@ class ClusterManager:
                 }
                 for info in self.workers()
             ],
-            "ring": self.ring.workers(),
             "healthy_workers": sum(info.healthy for info in self.workers()),
         }
 

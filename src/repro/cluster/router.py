@@ -14,12 +14,14 @@ link answers ``degraded``.  ``reload``, inline snapshot ``fetch`` and
 
 Request routing:
 
-* ``ingest`` — boxes are hash-partitioned into ``num_slots`` shard slots
-  with the *same* deterministic mix the in-process sharded store uses
-  (:func:`repro.service.store.shard_ids`), slots resolve to owner groups
-  through the consistent-hash ring, and each owner's sub-batch is fanned
-  to the owner **and every healthy replica** in parallel (linear sketches
-  keep the mirrors bit-identical).
+* ``ingest`` — one partition rule: the owners are the shard workers
+  sorted by name, and row ``i`` of a frame goes to
+  ``owners[shard_ids(boxes, len(owners))[i]]`` — the deterministic mix the
+  in-process sharded store uses (:func:`repro.service.store.shard_ids`).
+  Each owner's sub-batch is fanned to the owner **and every healthy
+  replica** in parallel (linear sketches keep the mirrors bit-identical).
+  Which owner holds a box never changes an answer: an estimate sums every
+  owner's counters.
 * ``estimate`` — one owner group means one worker already holds all data:
   the request is forwarded to a round-robin reader (replica reads are what
   scale estimate QPS).  Several owner groups scatter ``partial: true``
@@ -61,14 +63,8 @@ class RouterConfig(FrontConfig):
     """Tunables of one :class:`ClusterRouter`: the front's (``admin_token``
     and the frame bound face the router's clients), plus the fleet's."""
 
-    num_slots: int = 64  # shard slots hashed onto the ring
     request_timeout: float = 60.0
     worker_token: str | None = None  # presented on router -> worker links
-
-    def __post_init__(self) -> None:
-        if self.num_slots < 1:
-            raise ServiceError("num_slots must be positive")
-        super().__post_init__()
 
 
 class ClusterRouter(ServingFront):
@@ -89,8 +85,6 @@ class ClusterRouter(ServingFront):
         # xi families (and the sign tables they build) live as long as the
         # name, not as long as one estimate.
         self._specs: dict[str, tuple[EstimatorSpec, Any]] = {}
-        # (ring membership, _slot_owners() result) assignment cache.
-        self._assignment_cache: tuple[tuple[str, ...], tuple] | None = None
         # Tenancy: the router is the authenticating edge of a fleet — it
         # holds the registry, charges quotas, and forwards tenant identity
         # (already-namespaced names + a ``tenant`` label) over its
@@ -111,8 +105,7 @@ class ClusterRouter(ServingFront):
         counters, so the scatter-gather reduction stays exact across a
         fleet attached in any order.
         """
-        info = await self.manager.add_worker(name, host, port, role="shard")
-        self._assignment_cache = None
+        info = await self.manager.add_worker(name, host, port)
         await self._reconcile_specs(info)
         return info
 
@@ -157,29 +150,14 @@ class ClusterRouter(ServingFront):
                                f"{sorted(self._specs)}")
         return self._specs[name]
 
-    def _slot_owners(self) -> tuple[list[str], list[str], np.ndarray]:
-        """``(slot -> owner, distinct owners, slot -> index into those)``.
-
-        Cached per ring membership; the distinct owners are listed in order
-        of their first slot.
-        """
-        members = tuple(self.manager.ring.workers())
-        cache = self._assignment_cache
-        if cache is None or cache[0] != members:
-            owners = self.manager.ring.assignments(self.config.num_slots)
-            names = list(dict.fromkeys(owners))
-            position = {name: index for index, name in enumerate(names)}
-            indices = np.array([position[owner] for owner in owners],
-                               dtype=np.intp)
-            cache = self._assignment_cache = (members, (owners, names, indices))
-        return cache[1]
-
-    def _assignments(self) -> list[str]:
-        """Slot -> owner map."""
-        return self._slot_owners()[0]
-
     def _owner_names(self) -> list[str]:
-        return list(self._slot_owners()[1])
+        """The shard workers sorted by name: ingest row ``i`` goes to
+        ``owners[shard_ids(boxes, len(owners))[i]]``."""
+        owners = [info.name for info in self.manager.workers()
+                  if info.role == "shard"]
+        if not owners:
+            raise ServiceError("the cluster has no shard workers")
+        return owners
 
     # -- request dispatch ---------------------------------------------------------
 
@@ -232,10 +210,9 @@ class ClusterRouter(ServingFront):
         # on the binary worker links.
         rows = np.hstack([boxes.lows, boxes.highs])
         # The same deterministic hash the in-process store uses, taken over
-        # num_slots: inserts and their deletes always meet on one owner.
-        slots = shard_ids(boxes, self.config.num_slots)
-        _, owners, owner_of_slot = self._slot_owners()
-        owner_of_row = np.take(owner_of_slot, slots)
+        # the owners: inserts and their deletes always meet on one owner.
+        owners = self._owner_names()
+        owner_of_row = shard_ids(boxes, len(owners))
         # A boolean mask keeps each owner's rows in arrival order, so a
         # worker logs the same bytes however the batch was split.  (Not
         # np.unique: its first call in a process imports numpy.ma.)
@@ -246,23 +223,27 @@ class ClusterRouter(ServingFront):
         dropped = 0
         down: list[str] = []
 
-        async def send(info: WorkerInfo, part: np.ndarray) -> dict:
-            # Worker links speak binary: the sub-batch tensor ships raw.
-            return await info.link.request_ok(protocol.build(
-                "ingest", name=name, boxes=part, side=fields["side"],
-                kind=fields["kind"], acting_for=scope.tenant))
+        async def send(owner: str, part: np.ndarray) -> list[dict]:
+            nonlocal applied, dropped
+            # The owner group is read inside its write gate: a replica
+            # still bootstrapping makes this wait, then takes the write.
+            async with self.manager.writing(owner):
+                writers = self.manager.writers(owner)
+                if not writers:
+                    dropped += len(part)
+                    down.append(owner)
+                    return []
+                applied += len(part)
+                # Worker links speak binary: the sub-batch ships raw.
+                request = protocol.build(
+                    "ingest", name=name, boxes=part, side=fields["side"],
+                    kind=fields["kind"], acting_for=scope.tenant)
+                return await asyncio.gather(*(
+                    info.link.request_ok(request) for info in writers))
 
-        sends: list = []
-        for owner, part in per_owner.items():
-            writers = self.manager.writers(owner)
-            if not writers:
-                dropped += len(part)
-                down.append(owner)
-                continue
-            applied += len(part)
-            for info in writers:
-                sends.append(send(info, part))
-        replies = await asyncio.gather(*sends)
+        replies = [reply for group in await asyncio.gather(*(
+            send(owner, part) for owner, part in per_owner.items()))
+            for reply in group]
         pending = max((reply.get("pending", 0) for reply in replies),
                       default=0)
         if dropped:
@@ -345,7 +326,8 @@ class ClusterRouter(ServingFront):
     async def _describe(self) -> tuple[dict, dict]:
         await self.refresh_specs()
         return {
-            "num_shards": self.config.num_slots,
+            "num_shards": sum(info.role == "shard"
+                              for info in self.manager.workers()),
             "estimators": {name: spec.to_dict()
                            for name, (spec, _) in sorted(self._specs.items())},
             "cluster": self.manager.status(),
@@ -418,17 +400,9 @@ class ClusterRouter(ServingFront):
         return record
 
     async def _op_cluster_status(self, fields: dict, scope) -> dict:
-        status = self.manager.status()
-        assignments = self._assignments() if len(self.manager.ring) else []
-        slots_per_owner: dict[str, int] = {}
-        for owner in assignments:
-            slots_per_owner[owner] = slots_per_owner.get(owner, 0) + 1
         return protocol.ok_payload(
-            "cluster_status", fields,
-            num_slots=self.config.num_slots,
-            estimators=sorted(self._specs),
-            slots_per_owner=slots_per_owner,
-            **status)
+            "cluster_status", fields, estimators=sorted(self._specs),
+            **self.manager.status())
 
     _HANDLERS = {
         **ServingFront._HANDLERS,
@@ -438,7 +412,6 @@ class ClusterRouter(ServingFront):
         "estimate": _op_estimate,
         "flush": _op_flush,
         "snapshot": _op_snapshot,
-        "save": _op_snapshot,
         "reload": _op_reload,
         "cluster_status": _op_cluster_status,
     }

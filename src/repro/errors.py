@@ -133,11 +133,11 @@ class DegradedError(ServerError):
     """A cluster request could not be fully served: shard owners are down.
 
     Raised client-side when a :class:`~repro.cluster.router.ClusterRouter`
-    answers with ``error_code: "degraded"`` — some consistent-hash slots
-    have no healthy worker, so estimates touching them cannot be reduced
-    (and ingest batches routed to them are dropped).  :attr:`detail` holds
-    the structured report: the missing workers and, for ingest, how many
-    boxes were applied to surviving shards versus dropped.
+    answers with ``error_code: "degraded"`` — some shard owner group has
+    no healthy worker, so estimates cannot be reduced (and the ingest rows
+    routed to it are dropped).  :attr:`detail` holds the structured report:
+    the missing workers and, for ingest, how many boxes were applied to
+    surviving shards versus dropped.
     """
 
     def __init__(self, message: str = "cluster degraded: shard owners down",

@@ -125,7 +125,7 @@ class Op:
 
 
 def check_write_format(fields: Mapping[str, Any]) -> None:
-    """Refuse a ``save`` / ``snapshot`` request that names a retired format.
+    """Refuse a ``snapshot`` request that names a retired format.
 
     Snapshots are written binary (v2) and the path's suffix selects
     nothing.  The ``format`` field stays on the wire for the clients that
@@ -230,7 +230,6 @@ OPS: dict[str, Op] = {
     "metrics": Op("the plain-text metrics exposition, plus structured "
                   "counters", access="open"),
     "snapshot": _SNAPSHOT,
-    "save": _SNAPSHOT,
     "reload": Op("hot-swap the service from a snapshot (worker-level: a "
                  "router refuses it)", (
         _PATH,
@@ -254,7 +253,7 @@ OPS: dict[str, Op] = {
               "(false) the tenant's requests")), access="tenant"),
     "ping": Op("liveness and protocol version", access="open"),
     "quit": Op("end the connection after this reply", access="open"),
-    "cluster_status": Op("fleet topology: workers, health, slots per owner",
+    "cluster_status": Op("fleet topology: workers and their health",
                          fronts=("router",)),
 }
 

@@ -254,7 +254,6 @@ class SketchServer(ServingFront):
         "estimate": _op_estimate,
         "flush": _op_flush,
         "snapshot": _op_snapshot,
-        "save": _op_snapshot,
         "reload": _op_reload,
     }
 

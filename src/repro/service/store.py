@@ -13,7 +13,8 @@ order-independent).
 Boxes are routed to shards by a deterministic mix of their integer
 coordinates (:func:`shard_ids`), so the same box always lands on the same
 shard — a delete finds the shard that saw the insert, keeping every shard
-sketch a valid linear summary of its partition.
+sketch a valid linear summary of its partition.  A cluster router splits
+an ingest frame over its shard workers with the same rule.
 """
 
 from __future__ import annotations

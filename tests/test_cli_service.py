@@ -83,7 +83,7 @@ class TestServeLoop:
         replies = _run_lines(service, [
             json.dumps({"op": "ingest", "name": "rq", "side": "data",
                         "boxes": [[1, 5], [9, 20]]}),
-            json.dumps({"op": "save", "path": str(explicit)}),
+            json.dumps({"op": "snapshot", "path": str(explicit)}),
             json.dumps({"op": "quit"}),
         ], snapshot_path=str(exit_path), save_on_exit=True)
         assert all(r["ok"] for r in replies)
@@ -92,7 +92,7 @@ class TestServeLoop:
 
     def test_save_without_path_fails(self):
         service = EstimationService(num_shards=2)
-        replies = _run_lines(service, [json.dumps({"op": "save"}),
+        replies = _run_lines(service, [json.dumps({"op": "snapshot"}),
                                        json.dumps({"op": "quit"})])
         assert replies[0]["ok"] is False
 
@@ -100,8 +100,8 @@ class TestServeLoop:
         service = EstimationService(num_shards=2)
         path = tmp_path / "svc.json"
         replies = _run_lines(service, [
-            json.dumps({"op": "save", "path": str(path), "format": "json"}),
-            json.dumps({"op": "save", "path": str(path), "format": "binary"}),
+            json.dumps({"op": "snapshot", "path": str(path), "format": "json"}),
+            json.dumps({"op": "snapshot", "path": str(path), "format": "binary"}),
             json.dumps({"op": "quit"}),
         ])
         assert [r["ok"] for r in replies] == [False, True, True]
@@ -111,7 +111,7 @@ class TestServeLoop:
     def test_save_to_bad_path_keeps_server_alive(self):
         service = EstimationService(num_shards=2)
         replies = _run_lines(service, [
-            json.dumps({"op": "save", "path": "/no/such/dir/x.json"}),
+            json.dumps({"op": "snapshot", "path": "/no/such/dir/x.json"}),
             json.dumps({"op": "quit"}),
         ])
         assert replies[0]["ok"] is False

@@ -7,13 +7,16 @@ The kill/replace end-to-end test uses real subprocess workers via
 :class:`LocalFleet` because it needs to kill one mid-traffic.
 """
 
+import asyncio
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import HeartbeatConfig, RouterConfig, ThreadedClusterRouter
+from repro.cluster import HeartbeatConfig, ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet
 from repro.core.domain import Domain
 from repro.errors import (
@@ -38,7 +41,6 @@ from repro.service.store import shard_ids
 DOMAINS = {family: EstimatorSpec.create(family, (256, 256), 1).domain()
            for family in ("range", "rectangle", "containment")}
 DOMAIN = DOMAINS["range"]
-NUM_SLOTS = 64
 
 # Three estimator families with different reduction shapes: queryable
 # linear counts, a bilinear join, and an asymmetric containment join.
@@ -94,8 +96,7 @@ def worker_trio():
 def cluster(worker_trio):
     addresses = [("127.0.0.1", handle.port) for handle in worker_trio]
     with ThreadedClusterRouter(
-            addresses, config=RouterConfig(num_slots=NUM_SLOTS),
-            start_heartbeat=False) as handle:
+            addresses, start_heartbeat=False) as handle:
         yield handle
 
 
@@ -140,11 +141,13 @@ class TestScatterGather:
                 reference.estimate("ranges", query).estimate
 
     def test_ingest_partitions_by_shard_hash(self, cluster, worker_trio):
+        """Row ``i`` goes to the shard workers sorted by name, indexed by
+        the store's shard hash over their count."""
         boxes = synthetic_boxes(DOMAIN, 200, seed=21)
-        owners = cluster.router._assignments()
-        expected_rows = {f"w{i}": 0 for i in range(3)}
-        for slot in shard_ids(boxes, NUM_SLOTS):
-            expected_rows[owners[slot]] += 1
+        owners = ["w0", "w1", "w2"]
+        expected_rows = dict.fromkeys(owners, 0)
+        for index in shard_ids(boxes, len(owners)):
+            expected_rows[owners[index]] += 1
         with ServiceClient("127.0.0.1", cluster.port) as client:
             client.register("ranges", family="range", sizes=[256, 256],
                             instances=8, seed=5)
@@ -154,6 +157,190 @@ class TestScatterGather:
             count = handle.service.merged_view("ranges").count
             assert count == expected_rows[f"w{index}"]
         assert sum(expected_rows.values()) == 200
+
+    def test_replicas_take_no_share_of_the_partition(self, worker_trio):
+        """The owners are the shard workers only: a replica mirrors its
+        owner's rows and ``stats`` counts the owners as ``num_shards``."""
+        boxes = synthetic_boxes(DOMAIN, 300, seed=53)
+        group = shard_ids(boxes, 2)
+        with ThreadedClusterRouter(
+                [("127.0.0.1", handle.port) for handle in worker_trio[:2]],
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            handle.run(handle.router.bootstrap_replica(
+                "r2", "127.0.0.1", worker_trio[2].port, source="w0"))
+            assert client.stats()["num_shards"] == 2
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=8, seed=5)
+            client.ingest("ranges", boxes, side="data")
+            client.flush()
+        counts = [handle.service.merged_view("ranges").count
+                  for handle in worker_trio]
+        assert counts == [int((group == 0).sum()), int((group == 1).sum()),
+                          int((group == 0).sum())]
+
+    def test_a_removed_shard_worker_leaves_the_partition(self, cluster,
+                                                         worker_trio):
+        """Later frames split over the shard workers that are left."""
+        boxes = synthetic_boxes(DOMAIN, 300, seed=55)
+        group = shard_ids(boxes, 2)
+        cluster.run(cluster.manager.remove_worker("w1"))
+        with ServiceClient("127.0.0.1", cluster.port) as client:
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=8, seed=5)
+            client.ingest("ranges", boxes, side="data")
+            client.flush()
+        assert [worker_trio[index].service.merged_view("ranges").count
+                for index in (0, 2)] == [int((group == 0).sum()),
+                                         int((group == 1).sum())]
+        assert worker_trio[1].service.names() == []
+
+    def test_a_single_shard_worker_takes_every_row(self, worker_trio):
+        boxes = synthetic_boxes(DOMAIN, 120, seed=57)
+        with ThreadedClusterRouter(
+                [("127.0.0.1", worker_trio[0].port)],
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            assert client.stats()["num_shards"] == 1
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=8, seed=5)
+            client.ingest("ranges", boxes, side="data")
+            client.flush()
+        assert worker_trio[0].service.merged_view("ranges").count == 120
+
+    def test_a_replaced_worker_keeps_its_share(self, cluster, worker_trio):
+        """The split is keyed by name: a replacement process under an old
+        name takes that name's rows, and the other workers keep theirs."""
+        boxes = synthetic_boxes(DOMAIN, 300, seed=59)
+        group = shard_ids(boxes, 3)
+        spare = ThreadedServer(EstimationService(num_shards=2)).start()
+        try:
+            cluster.run(cluster.manager.replace_worker(
+                "w1", "127.0.0.1", spare.port))
+            with ServiceClient("127.0.0.1", cluster.port) as client:
+                client.register("ranges", family="range", sizes=[256, 256],
+                                instances=8, seed=5)
+                client.ingest("ranges", boxes, side="data")
+                client.flush()
+            counts = [handle.service.merged_view("ranges").count
+                      for handle in (worker_trio[0], spare, worker_trio[2])]
+        finally:
+            spare.stop()
+        assert counts == [int((group == index).sum()) for index in range(3)]
+        assert worker_trio[1].service.names() == []
+
+    def test_a_duplicate_worker_name_is_refused(self, cluster, worker_trio):
+        with pytest.raises(ServiceError, match="already registered"):
+            cluster.run(cluster.router.attach(
+                "w0", "127.0.0.1", worker_trio[1].port))
+        assert [info.name for info in cluster.manager.workers()] == \
+            ["w0", "w1", "w2"]
+
+    def test_removing_an_unknown_worker_is_refused(self, cluster):
+        with pytest.raises(ServiceError, match="unknown worker 'w9'"):
+            cluster.run(cluster.manager.remove_worker("w9"))
+        assert len(cluster.manager) == 3
+
+    def test_a_router_without_shard_workers_refuses_typed(self):
+        with ThreadedClusterRouter(start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=8, seed=5)
+            assert client.stats()["num_shards"] == 0
+            for send in (lambda: client.ingest(
+                            "ranges", synthetic_boxes(DOMAIN, 5, seed=1),
+                            side="data"),
+                         lambda: client.estimate(
+                            "ranges", synthetic_queries(DOMAIN, 1, seed=2))):
+                with pytest.raises(ServerError) as info:
+                    send()
+                assert info.value.code == "bad_request"
+                assert "no shard workers" in str(info.value)
+
+    def test_attach_order_does_not_change_the_partition(self, tmp_path):
+        """Two routers over the same three workers, attached in opposite
+        orders, split one frame alike: each worker logs the same rows from
+        both."""
+        from repro.wal import WalWriter
+        from repro.wal.framing import decode_payload
+        from repro.wal.reader import read_wal_records
+
+        handles = []
+        for index in range(3):
+            service = EstimationService(num_shards=2)
+            service.attach_wal(WalWriter(tmp_path / f"w{index}", sync="none"))
+            handles.append(ThreadedServer(service).start())
+        boxes = synthetic_boxes(DOMAIN, 300, seed=41)
+        try:
+            with ThreadedClusterRouter(start_heartbeat=False) as first, \
+                    ThreadedClusterRouter(start_heartbeat=False) as second:
+                for handle, order in ((first, (0, 1, 2)),
+                                      (second, (2, 1, 0))):
+                    for index in order:
+                        handle.run(handle.router.attach(
+                            f"w{index}", "127.0.0.1", handles[index].port))
+                for handle in (first, second):
+                    with ServiceClient("127.0.0.1", handle.port) as client:
+                        if handle is first:
+                            client.register("ranges", family="range",
+                                            sizes=[256, 256], instances=8,
+                                            seed=5)
+                        client.ingest("ranges", boxes, side="data")
+        finally:
+            for handle in handles:
+                handle.service.detach_wal()
+                handle.stop()
+        for index in range(3):
+            rows = [event["rows"] for event in map(
+                decode_payload, (payload for _, payload in read_wal_records(
+                    tmp_path / f"w{index}"))) if event["type"] == "update"]
+            assert len(rows) == 2 and len(rows[0])
+            assert np.array_equal(rows[0], rows[1])
+
+    def test_growing_the_fleet_mid_stream_keeps_answers_exact(
+            self, worker_trio):
+        """Which worker holds a box never changes an answer: a third shard
+        worker joins mid-stream, half the boxes inserted before it are then
+        deleted — some on a worker that never saw their insert — and the
+        routed ``range`` and ``rectangle`` answers stay bit-identical to
+        one in-process service."""
+        reference = EstimationService(num_shards=2)
+        first = {name: {side: synthetic_boxes(DOMAIN, 500, seed=seed)
+                        for side, seed in FAMILY_SIDES[name]}
+                 for name in ("ranges", "join")}
+        with ThreadedClusterRouter(
+                [("127.0.0.1", handle.port) for handle in worker_trio[:2]],
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            _register_everywhere(client, reference)
+
+            def feed(name, boxes, side, kind="insert"):
+                client.ingest(name, boxes, side=side, kind=kind)
+                reference.ingest(name, boxes, side=side, kind=kind)
+
+            for name, sides in first.items():
+                for side, boxes in sides.items():
+                    feed(name, boxes, side)
+            handle.run(handle.router.attach("w2", "127.0.0.1",
+                                            worker_trio[2].port))
+            for name, sides in first.items():
+                for side, boxes in sides.items():
+                    feed(name, synthetic_boxes(DOMAIN, 200, seed=43), side)
+                    gone = boxes[np.arange(0, 500, 2)]
+                    assert np.any(shard_ids(gone, 3) == 2)
+                    feed(name, gone, side, kind="delete")
+            client.flush()
+            reference.flush()
+            queries = synthetic_queries(DOMAIN, 6, seed=47)
+            for index in range(6):
+                got = client.estimate("ranges", queries[index])
+                expected = reference.estimate("ranges", queries[index])
+                assert got.estimate == expected.estimate
+                assert got.left_count == expected.left_count
+            got, expected = client.estimate("join"), reference.estimate("join")
+            assert got.estimate == expected.estimate
+            assert (got.left_count, got.right_count) == \
+                (expected.left_count, expected.right_count)
 
     def test_a_level_capped_spec_reaches_every_worker(self, cluster,
                                                       worker_trio):
@@ -212,7 +399,6 @@ class TestScatterGather:
         try:
             with ThreadedClusterRouter(
                     [("127.0.0.1", handle.port) for handle in handles],
-                    config=RouterConfig(num_slots=NUM_SLOTS),
                     start_heartbeat=False) as fleet, \
                     ServiceClient("127.0.0.1", fleet.port) as client:
                 restored, fresh = (handle.service.spec("old")
@@ -253,7 +439,6 @@ class TestScatterGather:
         try:
             with ThreadedClusterRouter(
                     [("127.0.0.1", handle.port) for handle in handles],
-                    config=RouterConfig(num_slots=NUM_SLOTS),
                     start_heartbeat=False) as fleet, \
                     ServiceClient("127.0.0.1", fleet.port) as client:
                 assert [handle.service.spec("old") for handle in handles] \
@@ -286,7 +471,6 @@ class TestScatterGather:
             with pytest.raises(ServiceError, match="not as the router's"):
                 ThreadedClusterRouter(
                     [("127.0.0.1", handle.port) for handle in handles],
-                    config=RouterConfig(num_slots=NUM_SLOTS),
                     start_heartbeat=False).start()
         finally:
             for handle in handles:
@@ -309,9 +493,7 @@ class TestScatterGather:
         try:
             with ThreadedClusterRouter(
                     [("127.0.0.1", handle.port) for handle in handles],
-                    config=RouterConfig(num_slots=NUM_SLOTS),
                     start_heartbeat=False) as cluster:
-                owners = cluster.router._assignments()
                 with ServiceClient("127.0.0.1", cluster.port) as client:
                     client.register("ranges", family="range",
                                     sizes=[256, 256], instances=8, seed=5)
@@ -321,8 +503,7 @@ class TestScatterGather:
             for handle in handles:
                 handle.service.detach_wal()
                 handle.stop()
-        owner_of_row = np.array([owners[slot]
-                                 for slot in shard_ids(boxes, NUM_SLOTS)])
+        owner_of_row = np.array(["w0", "w1", "w2"])[shard_ids(boxes, 3)]
         assert len(set(owner_of_row)) == 3
         for index in range(3):
             updates = [event for event in map(
@@ -335,11 +516,9 @@ class TestScatterGather:
     def test_cluster_status_reports_topology(self, cluster):
         with ServiceClient("127.0.0.1", cluster.port) as client:
             status = client.cluster_status()
-        assert status["num_slots"] == NUM_SLOTS
         assert status["healthy_workers"] == 3
         assert sorted(w["name"] for w in status["workers"]) == \
             ["w0", "w1", "w2"]
-        assert sum(status["slots_per_owner"].values()) == NUM_SLOTS
 
     def test_metrics_aggregate_the_fleet(self, cluster):
         with ServiceClient("127.0.0.1", cluster.port) as client:
@@ -385,8 +564,9 @@ class TestSnapshotWriteFormat:
         query = synthetic_queries(DOMAIN, 1, seed=3)
         expected = service.estimate("ranges", query)
 
-        def written_files(client, op, fmt, stem):
-            request = {"op": op, "path": str(tmp_path / f"{stem}.json")}
+        def written_files(client, fmt, stem):
+            request = {"op": "snapshot",
+                       "path": str(tmp_path / f"{stem}.json")}
             if fmt is not None:
                 request["format"] = fmt
             reply = client.request(request)
@@ -396,28 +576,28 @@ class TestSnapshotWriteFormat:
         refusals = set()
         with ThreadedServer(service) as worker, ThreadedClusterRouter(
                 [("127.0.0.1", worker.port)],
-                config=RouterConfig(num_slots=NUM_SLOTS),
                 start_heartbeat=False) as router:
             for edge, port in (("server", worker.port),
                                ("router", router.port)):
                 with ServiceClient("127.0.0.1", port) as client:
-                    for op in ("save", "snapshot"):
-                        refused = tmp_path / f"{edge}-{op}-refused"
-                        reply, = client.request_many(
-                            [{"op": op, "path": str(refused),
-                              "format": "json"}])
-                        refusals.add((reply["ok"], reply["error_code"],
-                                      reply["error"]))
-                        assert not list(tmp_path.glob(f"{refused.name}*"))
-                        for fmt in ("auto", "binary", None):
-                            for path in written_files(
-                                    client, op, fmt, f"{edge}-{op}-{fmt}"):
-                                restored = load_snapshot(path).estimate(
-                                    "ranges", query)
-                                assert restored.estimate == expected.estimate
-                                assert np.array_equal(
-                                    restored.instance_values,
-                                    expected.instance_values)
+                    refused = tmp_path / f"{edge}-refused"
+                    reply, = client.request_many(
+                        [{"op": "snapshot", "path": str(refused),
+                          "format": "json"}])
+                    refusals.add((reply["ok"], reply["error_code"],
+                                  reply["error"]))
+                    assert not list(tmp_path.glob(f"{refused.name}*"))
+                    reply, = client.request_many(
+                        [{"op": "save", "path": str(refused)}])
+                    assert reply["error_code"] == "unknown_op"
+                    for fmt in ("auto", "binary", None):
+                        for path in written_files(client, fmt,
+                                                  f"{edge}-{fmt}"):
+                            restored = load_snapshot(path).estimate(
+                                "ranges", query)
+                            assert restored.estimate == expected.estimate
+                            assert np.array_equal(restored.instance_values,
+                                                  expected.instance_values)
         (ok, code, message), = refusals  # one and the same typed error
         assert not ok and code == "bad_request" and "'json'" in message
 
@@ -429,8 +609,7 @@ class TestReplicas:
         addresses = [("127.0.0.1", worker_trio[0].port)]
         reference = EstimationService(num_shards=2)
         with ThreadedClusterRouter(
-                addresses, config=RouterConfig(num_slots=NUM_SLOTS),
-                start_heartbeat=False) as handle:
+                addresses, start_heartbeat=False) as handle:
             with ServiceClient("127.0.0.1", handle.port) as client:
                 _register_everywhere(client, reference)
                 _ingest_everywhere(client, reference, count=200)
@@ -466,6 +645,133 @@ class TestReplicas:
             view = worker_trio[index].service.merged_view("ranges")
             assert view.count == 350
 
+    def test_a_replica_bootstrapped_under_live_ingest_mirrors_its_owner(
+            self, worker_trio):
+        """Ingest keeps flowing through the router while a replica
+        bootstraps: every write is acked, and owner and replica hold every
+        acked box and answer bit-identically — no write lands between the
+        snapshot fetch and the replica's reload on one member only."""
+        owner, mirror = worker_trio[0], worker_trio[1]
+        acked: list[int] = []
+        errors: list[Exception] = []
+        bootstrapped = threading.Event()
+        with ThreadedClusterRouter([("127.0.0.1", owner.port)],
+                                   start_heartbeat=False) as handle:
+            with ServiceClient("127.0.0.1", handle.port) as client:
+                client.register("ranges", family="range", sizes=[256, 256],
+                                instances=16, seed=5)
+
+            def pump() -> None:
+                with ServiceClient("127.0.0.1", handle.port) as client:
+                    seed, after = 100, 0
+                    while after < 20:
+                        after += bootstrapped.is_set()
+                        boxes = synthetic_boxes(DOMAIN, 50, seed=seed)
+                        seed += 1
+                        try:
+                            acked.append(client.ingest(
+                                "ranges", boxes, side="data")["boxes"])
+                        except Exception as exc:
+                            errors.append(exc)
+
+            pumping = threading.Thread(target=pump)
+            pumping.start()
+            try:
+                while len(acked) + len(errors) < 5:
+                    time.sleep(0.001)
+                handle.run(handle.router.bootstrap_replica(
+                    "r1", "127.0.0.1", mirror.port, source="w0"))
+            finally:
+                bootstrapped.set()
+                pumping.join()
+            with ServiceClient("127.0.0.1", handle.port) as client:
+                client.flush()
+        assert errors == []
+        for handle in (owner, mirror):
+            assert handle.service.merged_view("ranges").count == sum(acked)
+        query = synthetic_queries(DOMAIN, 1, seed=3)
+        expected = owner.service.estimate("ranges", query)
+        mirrored = mirror.service.estimate("ranges", query)
+        assert (mirrored.instance_values.tobytes()
+                == expected.instance_values.tobytes())
+
+    def test_a_bootstrap_holds_writes_to_its_source_group_only(
+            self, worker_trio):
+        """While a replica of w0 bootstraps, a frame for w1 is applied and
+        acked; a frame for w0 waits until the replica has reloaded, then
+        reaches both members of w0's group."""
+        boxes = synthetic_boxes(DOMAIN, 400, seed=57)
+        group = shard_ids(boxes, 2)
+        to_w0, to_w1 = (boxes[np.flatnonzero(group == index)]
+                        for index in (0, 1))
+        fetched, release = threading.Event(), threading.Event()
+        with ThreadedClusterRouter(
+                [("127.0.0.1", handle.port) for handle in worker_trio[:2]],
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=16, seed=5)
+            fetch = handle.manager.fetch_snapshot
+
+            async def slow_fetch(source):
+                data = await fetch(source)
+                fetched.set()
+                while not release.is_set():
+                    await asyncio.sleep(0.005)
+                return data
+
+            handle.manager.fetch_snapshot = slow_fetch
+            booting = threading.Thread(target=handle.run, args=(
+                handle.router.bootstrap_replica(
+                    "r2", "127.0.0.1", worker_trio[2].port, source="w0"),))
+            booting.start()
+
+            def send_to_w0() -> None:
+                with ServiceClient("127.0.0.1", handle.port) as other:
+                    other.ingest("ranges", to_w0, side="data")
+
+            held = threading.Thread(target=send_to_w0)
+            try:
+                assert fetched.wait(10)
+                assert client.ingest("ranges", to_w1,
+                                     side="data")["boxes"] == len(to_w1)
+                held.start()
+                time.sleep(0.2)
+                assert held.is_alive()
+            finally:
+                release.set()
+                booting.join()
+                if held.ident:
+                    held.join()
+            client.flush()
+        counts = [handle.service.merged_view("ranges").count
+                  for handle in worker_trio]
+        assert counts == [len(to_w0), len(to_w1), len(to_w0)]
+
+    def test_a_failed_bootstrap_leaves_the_group_as_it_was(self, worker_trio):
+        owner, mirror = worker_trio[0], worker_trio[1]
+        with ThreadedClusterRouter([("127.0.0.1", owner.port)],
+                                   start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=16, seed=5)
+
+            async def garbage(source):
+                return b"not a snapshot"
+
+            handle.manager.fetch_snapshot = garbage
+            with pytest.raises(ServerError):
+                handle.run(handle.router.bootstrap_replica(
+                    "r1", "127.0.0.1", mirror.port, source="w0"))
+            assert "r1" not in handle.manager
+            assert [info.name for info in handle.manager.writers("w0")] == [
+                "w0"]
+            client.ingest("ranges", synthetic_boxes(DOMAIN, 40, seed=1),
+                          side="data")
+            client.flush()
+        assert owner.service.merged_view("ranges").count == 40
+        assert mirror.service.names() == []
+
     def test_an_unhealthy_replica_stays_out_until_replaced(self, worker_trio):
         """A replica that missed heartbeats may have missed writes: good
         pings alone never bring it back, a fresh snapshot of its owner
@@ -475,8 +781,7 @@ class TestReplicas:
         owner, mirror = worker_trio[0], worker_trio[1]
         with ThreadedClusterRouter(
                 [("127.0.0.1", owner.port)],
-                config=RouterConfig(num_slots=NUM_SLOTS), heartbeat=heartbeat,
-                start_heartbeat=False) as handle, \
+                heartbeat=heartbeat, start_heartbeat=False) as handle, \
                 ServiceClient("127.0.0.1", handle.port) as client:
             manager = handle.manager
             client.register("ranges", family="range", sizes=[256, 256],
@@ -550,7 +855,6 @@ class TestKillReplace:
         with LocalFleet(3) as fleet:
             with ThreadedClusterRouter(
                     fleet.addresses(),
-                    config=RouterConfig(num_slots=NUM_SLOTS),
                     heartbeat=heartbeat, start_heartbeat=False) as handle:
                 reference = EstimationService(num_shards=2)
                 client = ServiceClient("127.0.0.1", handle.port, timeout=60)
@@ -588,9 +892,8 @@ class TestKillReplace:
                 with pytest.raises(DegradedError) as info:
                     client.ingest("ranges", more, side="data")
                 detail = info.value.detail
-                owners = handle.router._assignments()
-                mask = np.array([owners[slot] != "w1"
-                                 for slot in shard_ids(more, NUM_SLOTS)])
+                # w1 is the second of the three owners sorted by name.
+                mask = shard_ids(more, 3) != 1
                 assert detail["applied"] == int(mask.sum())
                 assert detail["dropped"] == len(more) - int(mask.sum())
                 assert detail["down_owners"] == ["w1"]
@@ -601,7 +904,8 @@ class TestKillReplace:
                 reference.flush()
 
                 # Bootstrap a replacement from the stored snapshot under
-                # the same ring name: slots stay put, service is restored.
+                # the same name: the partition stays put, service is
+                # restored.
                 replacement = fleet.spawn_extra()
                 handle.run(handle.manager.replace_worker(
                     "w1", replacement.host, replacement.port, data=stored))

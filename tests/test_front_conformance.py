@@ -52,7 +52,6 @@ class Placement:
             self.handle = ThreadedClusterRouter(
                 [("127.0.0.1", self.backing.port)],
                 config=RouterConfig(
-                    num_slots=16,
                     admin_token=ADMIN_TOKEN if tokens else None,
                     worker_token=FLEET_TOKEN if tokens else None),
                 start_heartbeat=False,
@@ -358,8 +357,7 @@ def test_a_router_refuses_the_whole_frame_before_any_worker_sees_it():
     try:
         with ThreadedClusterRouter(
                 [("127.0.0.1", server.port) for server in servers],
-                start_heartbeat=False,
-                config=RouterConfig(num_slots=16)) as router, \
+                start_heartbeat=False) as router, \
                 ServiceClient("127.0.0.1", router.port) as client:
             client.register("rq", **RANGE)
             rows = boxes_to_rows(synthetic_boxes(DOMAIN, 64, seed=7))

@@ -195,8 +195,7 @@ def exposition():
                for _ in range(2)]
     handle = ThreadedClusterRouter(
         [("127.0.0.1", worker.port) for worker in workers],
-        config=RouterConfig(num_slots=16, admin_token="root",
-                            worker_token="fleet"),
+        config=RouterConfig(admin_token="root", worker_token="fleet"),
         start_heartbeat=False, registry=TenantRegistry()).start()
     try:
         with ServiceClient("127.0.0.1", handle.port, token="root") as admin:
@@ -333,7 +332,7 @@ def test_a_stalled_worker_costs_one_timeout_not_the_router_verbs():
     stalled = _StalledWorker()
     router = ThreadedClusterRouter(
         [("127.0.0.1", live.port), ("127.0.0.1", stalled.port)],
-        config=RouterConfig(num_slots=16, request_timeout=timeout),
+        config=RouterConfig(request_timeout=timeout),
         start_heartbeat=False).start()
     try:
         with ServiceClient("127.0.0.1", router.port) as client:

@@ -52,7 +52,7 @@ def _leaves(op):
 
 def test_ops_iterate_as_names_and_cluster_ops_are_the_router_only_ones():
     assert list(OPS)[:2] == ["auth", "register"]
-    assert "estimate" in OPS and OPS["save"] is OPS["snapshot"]
+    assert "estimate" in OPS and "save" not in OPS
     assert protocol.CLUSTER_OPS == ("cluster_status",)
     for op in OPS.values():
         assert set(op.fronts) <= {"server", "router"} and op.fronts
@@ -141,7 +141,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
         name for name in vars(RequestVerbs)
         if not name.startswith("_") and name != "tensors"}
     assert len(client.sent) == len(verbs) + 1  # estimate_many sent two
-    assert {payload["op"] for payload in client.sent} == set(OPS) - {"save"}
+    assert {payload["op"] for payload in client.sent} == set(OPS)
     for payload in client.sent:
         fields = protocol.read(payload["op"], payload)
         for name, value in payload.items():
@@ -181,8 +181,7 @@ def test_a_router_forwards_only_table_fields(monkeypatch, tmp_path):
         ServerConfig(admin_token="fleet"))).start() for _ in range(2)]
     router = ThreadedClusterRouter(
         [("127.0.0.1", worker.port) for worker in workers],
-        config=RouterConfig(num_slots=16, admin_token="root",
-                            worker_token="fleet"),
+        config=RouterConfig(admin_token="root", worker_token="fleet"),
         start_heartbeat=False, registry=TenantRegistry()).start()
     try:
         with ServiceClient("127.0.0.1", router.port, token="root") as admin:

@@ -1,14 +1,23 @@
 """Tests for the sharded sketch store: routing, exact merging, views."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.domain import Domain
 from repro.errors import ServiceError
+from repro.geometry.boxset import BoxSet
 from repro.service.specs import EstimatorSpec, apply_update
 from repro.service.store import ShardedSketchStore, partition_boxes, shard_ids
 
 from tests.conftest import random_boxes
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _degenerate(boxes):
@@ -62,6 +71,31 @@ class TestRouting:
         doubled = boxes.concat(boxes)
         ids = shard_ids(doubled, 8)
         assert np.array_equal(ids[:50], ids[50:])
+
+    def test_shard_ids_follow_the_box_not_its_row(self, rng):
+        boxes = random_boxes(rng, 200, 256, 2)
+        order = rng.permutation(200)
+        shuffled = BoxSet(boxes.lows[order], boxes.highs[order])
+        assert np.array_equal(shard_ids(shuffled, 5), shard_ids(boxes, 5)[order])
+
+    def test_shard_ids_are_process_independent(self, rng):
+        """A router and its workers run in separate processes: the split
+        must not depend on per-process state such as string-hash salting."""
+        boxes = random_boxes(rng, 100, 256, 2)
+        script = (
+            "import json, sys\n"
+            "from repro.geometry.boxset import BoxSet\n"
+            "from repro.service.store import shard_ids\n"
+            "lows, highs = json.load(sys.stdin)\n"
+            "print(json.dumps(shard_ids(BoxSet(lows, highs), 7).tolist()))\n")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, timeout=60,
+            input=json.dumps([boxes.lows.tolist(), boxes.highs.tolist()]),
+            capture_output=True, text=True)
+        assert json.loads(out.stdout) == shard_ids(boxes, 7).tolist()
 
     def test_routing_spreads_load(self, rng):
         boxes = random_boxes(rng, 2000, 1024, 2)
