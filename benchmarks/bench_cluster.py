@@ -3,8 +3,8 @@
 This gate used to ask for >= 2.5x estimate throughput from one worker to an
 owner plus three read replicas.  That ratio needs four idle cores (it read
 0.4-1.3x on the 2-CPU reference box, so the committed record looked like a
-failure), and a replica fleet is one owner group: the router forwards whole
-estimates, so the run never reached scatter-gather or ``reduce_partials``.
+failure), and a replica fleet is one owner group: the router then forwarded
+whole estimates, so the run never reached scatter-gather.
 
 What is measured instead holds on any core count:
 
@@ -16,7 +16,12 @@ What is measured instead holds on any core count:
 * the CPU seconds the three server processes spent on it
   (``/proc/<pid>/stat``): **routed estimates per server-side CPU second**
   (a floor) and the **router's own CPU per estimate** (a ceiling) — CPU
-  time does not care how many cores the processes were spread over.
+  time does not care how many cores the processes were spread over, and
+* the ``estimate`` requests the workers received per routed estimate (a
+  count from each worker's ``metrics``, before and after): the router
+  gathers one state per worker per name of a coalesced batch, so this
+  pipelined one-name workload reads far below one, where a scatter per
+  query reads one per worker.
 
 Replies are checked bit-identical against an in-process service fed the
 same boxes.  The run writes ``BENCH_cluster.json`` at the repository root;
@@ -118,6 +123,16 @@ def _drive(boxes, queries) -> dict:
             for host, worker_port in fleet.addresses():
                 with ServiceClient(host, worker_port) as direct:
                     owned.append(direct.stats()["stats"]["ingested_boxes"])
+
+            def worker_estimates() -> int:
+                total = 0
+                for host, worker_port in fleet.addresses():
+                    with ServiceClient(host, worker_port) as direct:
+                        requests = direct.request({"op": "metrics"})["requests"]
+                        total += requests.get("estimate", 0)
+                return total
+
+            asked = worker_estimates()
             pids = {"router": router.pid,
                     **{f"w{index}": worker.process.pid
                        for index, worker in enumerate(fleet.workers)}}
@@ -127,11 +142,12 @@ def _drive(boxes, queries) -> dict:
             elapsed = time.perf_counter() - start
             cpu = {name: _cpu_seconds(pid) - before[name]
                    for name, pid in pids.items()}
+            asked = worker_estimates() - asked
         finally:
             router.terminate()
             router.wait(timeout=30)
     return {"estimates": estimates, "seconds": elapsed, "cpu_seconds": cpu,
-            "boxes_per_worker": owned}
+            "boxes_per_worker": owned, "worker_estimates": asked}
 
 
 def _record(name: str, lines: list[str]) -> None:
@@ -177,6 +193,7 @@ def test_routed_estimates_per_cpu_second(benchmark):
             "cpu_seconds": cpu,
             "estimates_per_cpu_s": requests / total_cpu,
             "router_cpu_ms_per_estimate": cpu["router"] * 1e3 / requests,
+            "worker_requests_per_estimate": run["worker_estimates"] / requests,
         },
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
@@ -193,6 +210,7 @@ def test_routed_estimates_per_cpu_second(benchmark):
             f"{name} {seconds:.2f} s" for name, seconds in cpu.items()),
         f"estimates per CPU s  {routed['estimates_per_cpu_s']:8.0f}",
         f"router CPU/estimate  {routed['router_cpu_ms_per_estimate']:8.2f} ms",
+        f"worker requests/est  {routed['worker_requests_per_estimate']:8.3f}",
         f"bit-identical to one node: {'yes' if identical else 'NO'}",
         f"report: {REPORT_PATH.name}",
     ])

@@ -256,10 +256,6 @@ def _args_cluster_serve(cserve) -> None:
                         help="bootstrap mode: worker 0 loads this snapshot "
                              "and the others become bit-identical read "
                              "replicas of it (omit for N empty shard workers)")
-    cserve.add_argument("--max-batch", type=int, default=64,
-                        help="per-worker coalescer batch size (default: 64)")
-    cserve.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="per-worker coalescer delay in ms (default: 2)")
     cserve.add_argument("--admin-token", default=None, metavar="TOKEN",
                         help="multi-tenant fleet: the router's admin token; "
                              "spawned workers start with the same token and "
@@ -789,7 +785,6 @@ def _run_cluster_serve(args) -> int:
     extra_args = ("--admin-token", args.admin_token) if args.admin_token else ()
     processes = spawn_workers([
         dict(snapshot=args.snapshot if index == 0 else None,
-             max_batch=args.max_batch, max_delay_ms=args.max_delay_ms,
              extra_args=extra_args) for index in range(args.workers)])
     try:
         _serve_router(args, [(w.host, w.port) for w in processes],

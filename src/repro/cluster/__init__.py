@@ -18,8 +18,9 @@ router):
   works against either.  ``ingest`` splits each frame over the shard
   workers, sorted by name, with the shard hash the
   :class:`~repro.service.store.ShardedSketchStore` uses and fans out in
-  parallel; ``estimate`` gathers shard-local partial states and reduces
-  them with one vectorised merge — bit-identical to a single-node service,
+  parallel; ``estimate`` gathers one partial state per owner group for
+  each name of a coalesced batch and reduces them with one vectorised
+  merge — bit-identical to a single-node service,
 * :mod:`~repro.cluster.fleet` — spawn local worker subprocesses (the CLI's
   ``cluster serve`` and the benchmarks).
 

@@ -97,7 +97,6 @@ def _launch(*, host: str = "127.0.0.1", extra_args: tuple[str, ...] = (),
 
 
 def spawn_worker(*, snapshot: str | None = None, shards: int = 4,
-                 max_batch: int = 64, max_delay_ms: float = 2.0,
                  host: str = "127.0.0.1", wal_dir: str | None = None,
                  wal_sync: str | None = None,
                  extra_args: tuple[str, ...] = ()) -> WorkerProcess:
@@ -137,15 +136,11 @@ class LocalFleet:
     """
 
     def __init__(self, count: int, *, snapshot: str | None = None,
-                 shards: int = 4, max_batch: int = 64,
-                 max_delay_ms: float = 2.0,
-                 extra_args: tuple[str, ...] = ()) -> None:
+                 shards: int = 4, extra_args: tuple[str, ...] = ()) -> None:
         if count < 1:
             raise ServiceError("a fleet needs at least one worker")
         self.count = int(count)
         self._spawn_kwargs = dict(snapshot=snapshot, shards=shards,
-                                  max_batch=max_batch,
-                                  max_delay_ms=max_delay_ms,
                                   extra_args=extra_args)
         self.workers: list[WorkerProcess] = []
 

@@ -7,8 +7,7 @@
 * **replica** workers mirror one shard worker (``replica_of``): every
   write fanned to the shard worker also goes to its replicas — linear
   sketches make replicas *bit-identical* mirrors, so reads round-robin
-  across the whole owner group and estimate QPS scales with replica count
-  independently of ingest.
+  across the whole owner group.
 
 New replicas bootstrap over the wire: the manager fetches the source
 worker's binary v2 snapshot (``snapshot`` with ``fetch: true``) and ships
@@ -176,17 +175,24 @@ class ClusterManager:
 
         The partition is keyed by *name*, so replacing keeps every
         worker's share of ingest — no data movement on the surviving
-        workers.  ``data`` (snapshot bytes, raw or base64 — e.g. fetched
-        from a healthy replica) is reloaded into the replacement before it
-        goes live.
+        workers.  The replacement reloads ``data`` (a stored snapshot,
+        raw or base64) when given, else the snapshot of a healthy member
+        of its owner group, else starts empty.  Writes to the group wait
+        from that fetch until the replacement is live, so none lands
+        between the two.
         """
         old = self.worker(name)
-        link = await self._connect(host, port, data=data)
-        await old.link.close()
-        fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
-                           role=old.role, replica_of=old.replica_of,
-                           generation=old.generation + 1)
-        self._workers[name] = fresh
+        async with self._gate(old.owner).hold():
+            source = next((info.name for info in self.writers(old.owner)
+                           if info.name != name), None)
+            if data is None and source is not None:
+                data = await self.fetch_snapshot(source)
+            link = await self._connect(host, port, data=data)
+            await old.link.close()
+            fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
+                               role=old.role, replica_of=old.replica_of,
+                               generation=old.generation + 1)
+            self._workers[name] = fresh
         return fresh
 
     # -- replica bootstrap --------------------------------------------------------
@@ -198,10 +204,24 @@ class ClusterManager:
             protocol.build("snapshot", fetch=True))
         return reply["data"]
 
+    def _gate(self, owner: str) -> _WriteGate:
+        return self._gates.setdefault(owner, _WriteGate())
+
     def writing(self, owner: str):
         """Enter around one write to ``owner``'s group: it waits while a
-        replica of the group bootstraps."""
-        return self._gates.setdefault(owner, _WriteGate()).write()
+        member of the group is bootstrapped or replaced."""
+        return self._gate(owner).write()
+
+    @contextlib.asynccontextmanager
+    async def writing_everywhere(self):
+        """Enter every owner group's write gate, around a broadcast that
+        changes what the workers serve (a name, a tenant): a member joining
+        meanwhile gets the change in its snapshot or in the broadcast."""
+        async with contextlib.AsyncExitStack() as stack:
+            for info in self.workers():
+                if info.role == "shard":
+                    await stack.enter_async_context(self.writing(info.name))
+            yield
 
     async def bootstrap_replica(self, name: str, host: str, port: int, *,
                                 source: str) -> WorkerInfo:
@@ -217,7 +237,7 @@ class ClusterManager:
             raise ServiceError(
                 f"replicas mirror shard workers; {source!r} is a "
                 f"{source_info.role}")
-        async with self._gates.setdefault(source, _WriteGate()).hold():
+        async with self._gate(source).hold():
             return await self.add_worker(
                 name, host, port, replica_of=source,
                 data=await self.fetch_snapshot(source))

@@ -7,11 +7,11 @@ exact for *every* family: join estimators are bilinear in their two banks,
 so per-worker estimate outputs do **not** sum across workers, but counter
 tensors are linear projections of the input stream and always do.
 
-The router folds the partial states with the same vectorised
-:meth:`~repro.core.atomic.SketchBank.merge` the sharded store uses
-in-process (one tensor add per worker, exact float64 integer sums), then
-runs the ordinary boosted reduction — bit-identical to a single-node
-service over the union of the boxes.
+The router folds one name's partial states once per coalesced batch with
+the same vectorised :meth:`~repro.core.atomic.SketchBank.merge` the
+sharded store uses in-process (one tensor add per worker, exact float64
+integer sums); every query of the batch then reduces from that one merge —
+bit-identical to a single-node service over the union of the boxes.
 """
 
 from __future__ import annotations

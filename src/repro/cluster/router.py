@@ -5,12 +5,12 @@ whose counters live in a fleet of
 :class:`~repro.server.server.SketchServer` workers, driven over the same
 protocol it answers — one :class:`~repro.client.ServiceClient` works
 unchanged against a single server or a whole cluster.  Connections, auth,
-quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
-``stats`` / ``metrics`` are the front's; this module adds topology, the
-routing below, fleet aggregation, and two hooks: a worker's ``ok: false``
-reply passes through to the client unchanged, a lost or stalled worker
-link answers ``degraded``.  ``reload``, inline snapshot ``fetch`` and
-``checkpoint`` act on one worker's own state and are refused here.
+quota admission, dispatch, ``ping`` / ``tenant`` / ``estimate`` and the
+reply shapes of ``stats`` / ``metrics`` are the front's; this module adds
+topology, the routing below, fleet aggregation, and two hooks: a worker's
+``ok: false`` reply passes through to the client unchanged, a lost or
+stalled worker link answers ``degraded``.  ``reload``, snapshot ``fetch``
+and ``checkpoint`` act on one worker's own state and are refused here.
 
 Request routing:
 
@@ -22,38 +22,35 @@ Request routing:
   replica** in parallel (linear sketches keep the mirrors bit-identical).
   Which owner holds a box never changes an answer: an estimate sums every
   owner's counters.
-* ``estimate`` — one owner group means one worker already holds all data:
-  the request is forwarded to a round-robin reader (replica reads are what
-  scale estimate QPS).  Several owner groups scatter ``partial: true``
-  estimates, gather shard-local merged counter states, and reduce them at
-  the router with one vectorised merge before the ordinary boosted
-  reduction — bit-identical to a single-node service (see
-  :mod:`repro.cluster.partial`).
+* ``estimate`` — one scatter per name per coalesced batch: each name costs
+  one ``partial: true`` counter state per owner group (a round-robin
+  member), merged once at the router; one executor run answers the batch,
+  bit-identical to a single-node service (see :mod:`repro.cluster.partial`).
 * degraded mode — when an owner group has no healthy member, ingest
   applies the surviving portion and reports a structured ``degraded``
-  error (applied/dropped counts, down owners); estimates touching the dead
-  group fail with the same taxonomy until a replacement is bootstrapped.
+  error (applied/dropped counts, down owners); estimates fail with the
+  same taxonomy until a replacement is bootstrapped.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
-import time
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
 from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
-from repro.cluster.partial import reduce_partials
+from repro.cluster.partial import merge_partial_states
 from repro.core.hashing import sign_table_stats
-from repro.errors import ConnectionLostError, ServiceError
+from repro.core.program import default_executor
+from repro.errors import ConnectionLostError, DegradedError, ServiceError
 from repro.server import protocol
+from repro.server.coalescer import EstimateCoalescer
 from repro.server.front import FrontConfig, ServingFront
 from repro.server.metrics import fold, render, samples
-from repro.service.specs import EstimatorSpec, check_update
+from repro.service.specs import EstimatorSpec, check_update, compile_programs
 from repro.service.store import shard_ids
 from repro.tenancy import TENANT_SEP, TenantRegistry
 
@@ -65,6 +62,13 @@ class RouterConfig(FrontConfig):
 
     request_timeout: float = 60.0
     worker_token: str | None = None  # presented on router -> worker links
+
+
+class _ScatterCoalescer(EstimateCoalescer):
+    """A batch's engine step is the router's scatter, awaited on the loop."""
+
+    async def _run_engine(self, router, entries) -> list:
+        return await router.answer_batch(entries)
 
 
 class ClusterRouter(ServingFront):
@@ -90,6 +94,8 @@ class ClusterRouter(ServingFront):
         # (already-namespaced names + a ``tenant`` label) over its
         # admin-authenticated worker links.
         self.tenants = registry
+        self.coalescer = _ScatterCoalescer(  # its defaults: no router knob
+            lambda: self, executor=self._executor)
 
     async def _drain(self) -> None:
         await self.manager.close()
@@ -181,8 +187,11 @@ class ClusterRouter(ServingFront):
         name, spec = fields["name"], fields["spec"]
         if name in self._specs:
             raise ServiceError(f"estimator {name!r} is already registered")
-        replies = await self.manager.broadcast(
-            _register_request(name, spec, acting_for=scope.tenant))
+        # Inside every group's write gate: a member joining now gets the
+        # name in its snapshot or in the broadcast.
+        async with self.manager.writing_everywhere():
+            replies = await self.manager.broadcast(
+                _register_request(name, spec, acting_for=scope.tenant))
         for reply in replies.values():
             _check_registered(name, spec, reply)
         self._adopt_spec(name, spec)
@@ -192,8 +201,9 @@ class ClusterRouter(ServingFront):
     async def _op_unregister(self, fields: dict, scope) -> dict:
         name = fields["name"]
         await self._spec_for(name)
-        await self.manager.broadcast(protocol.build(
-            "unregister", name=name, acting_for=scope.tenant))
+        async with self.manager.writing_everywhere():
+            await self.manager.broadcast(protocol.build(
+                "unregister", name=name, acting_for=scope.tenant))
         del self._specs[name]
         return protocol.ok_payload("unregister", fields, name=name)
 
@@ -256,64 +266,68 @@ class ClusterRouter(ServingFront):
         return protocol.ok_payload("ingest", fields, boxes=applied,
                                    pending=pending)
 
-    async def _op_estimate(self, fields: dict, scope) -> dict:
-        name = fields["name"]
+    async def answer_batch(self, entries) -> list:
+        """One coalesced batch, in order: each (name, requester tenant)
+        gathers one ``partial: true`` state per owner group, all at once on
+        the loop; one executor step then answers every query.  A failed
+        gather or compile answers only its own entries."""
+        keys = list(dict.fromkeys((entry.name, entry.tenant)
+                                  for entry in entries))
+        gathered = await asyncio.gather(*(self._gather(*key) for key in keys),
+                                        return_exceptions=True)
+        return await self._run_blocking(self._reduce, entries,
+                                        dict(zip(keys, gathered)))
+
+    async def _gather(self, name: str, tenant: str | None):
+        """``(spec, template, states)``: one state per owner group."""
         spec, template = await self._spec_for(name)
-        query = protocol.query_box(fields["query"])
-
-        owners = self._owner_names()
-        readers: dict[str, WorkerInfo] = {}
-        down: list[str] = []
-        for owner in owners:
-            reader = self.manager.reader(owner)
-            if reader is None:
-                down.append(owner)
-            else:
-                readers[owner] = reader
+        readers = {owner: self.manager.reader(owner)
+                   for owner in self._owner_names()}
+        down = sorted(owner for owner, reader in readers.items()
+                      if reader is None)
         if down:
-            return protocol.error_payload(
-                f"cluster degraded: owner group(s) {sorted(down)} have no "
-                f"healthy worker",
-                code="degraded", op="estimate", request=fields,
-                detail={"op": "estimate", "name": name,
-                        "down_owners": sorted(down)})
+            raise DegradedError(
+                f"cluster degraded: owner group(s) {down} have no healthy "
+                "worker", detail={"op": "estimate", "name": name,
+                                  "down_owners": down})
+        request = protocol.build("estimate", name=name, partial=True,
+                                 acting_for=tenant)
+        replies = await asyncio.gather(*(
+            reader.link.request_ok(request, timeout=self.config.request_timeout)
+            for reader in readers.values()))
+        return spec, template, [reply["state"] for reply in replies]
 
-        start = time.perf_counter()
-        if len(readers) == 1:
-            # One owner group holds *all* the data (a single worker, or a
-            # primary with read replicas): forward the request whole and
-            # pass the worker's reply through — replicas are bit-identical
-            # mirrors, so every member answers the same numbers.
-            (reader,) = readers.values()
-            reply = await reader.link.request(
-                protocol.build("estimate", id=fields.get("id"), name=name,
-                               query=fields["query"],
-                               acting_for=scope.tenant),
-                timeout=self.config.request_timeout)
-            if reply.get("ok"):
-                self.metrics.record_estimate_latency(
-                    time.perf_counter() - start, scope.tenant)
-            return reply
-
-        # Scatter: every owner group contributes its shard-local merged
-        # state; the reduction happens once, at the router.  The counter
-        # matrix and stacked xi coefficients cross the binary links as raw
-        # tensors.
-        async def gather(info: WorkerInfo) -> Mapping:
-            reply = await info.link.request_ok(
-                protocol.build("estimate", name=name, partial=True,
-                               acting_for=scope.tenant),
-                timeout=self.config.request_timeout)
-            return reply["state"]
-
-        states = await asyncio.gather(*(gather(info)
-                                        for info in readers.values()))
-        result = await self._run_blocking(functools.partial(
-            reduce_partials, spec, states, query, template=template))
-        self.metrics.record_estimate_latency(time.perf_counter() - start,
-                                             scope.tenant)
-        return protocol.ok_payload("estimate", fields, name=name,
-                                   **protocol.estimate_fields(result))
+    @staticmethod
+    def _reduce(entries, gathered: dict) -> list:
+        """On an executor thread: merge each name once, compile, run all."""
+        results: list = [None] * len(entries)
+        programs, answered = [], []
+        for key, found in gathered.items():
+            indices = [index for index, entry in enumerate(entries)
+                       if (entry.name, entry.tenant) == key]
+            try:
+                if isinstance(found, BaseException):
+                    raise found
+                spec, template, states = found
+                merged = merge_partial_states(spec, states, template=template)
+            except Exception as exc:  # the name's gather or merge failed
+                for index in indices:
+                    results[index] = exc
+                continue
+            queries = [entries[index].query for index in indices]
+            try:
+                programs += compile_programs(spec, merged, queries)
+                answered += indices
+            except Exception:  # the query that does not compile fails alone
+                for index, query in zip(indices, queries):
+                    try:
+                        programs += compile_programs(spec, merged, [query])
+                        answered.append(index)
+                    except Exception as exc:
+                        results[index] = exc
+        for index, result in zip(answered, default_executor().run(programs)):
+            results[index] = result
+        return results
 
     async def _op_flush(self, fields: dict, scope) -> dict:
         replies = await self.manager.broadcast(protocol.build("flush"))
@@ -323,7 +337,7 @@ class ClusterRouter(ServingFront):
             batches=sum(reply.get("batches", 0)
                         for reply in replies.values()))
 
-    async def _describe(self) -> tuple[dict, dict]:
+    async def _describe(self) -> dict:
         await self.refresh_specs()
         return {
             "num_shards": sum(info.role == "shard"
@@ -334,7 +348,7 @@ class ClusterRouter(ServingFront):
             # This process's own xi tables (the templates' families); the
             # workers report theirs through their own stats.
             **sign_table_stats(),
-        }, {"queue_depth": 0}
+        }
 
     async def _exposition(self) -> tuple[list, str, dict]:
         # The router's own front and fleet families, the fleet's samples
@@ -390,7 +404,8 @@ class ClusterRouter(ServingFront):
         if self.tenants is None:
             raise ServiceError("no tenant registry is attached")
         record = getattr(self.tenants, verb)(fields["tenant"], **changes)
-        await self.manager.broadcast(protocol.build("tenant", **fields))
+        async with self.manager.writing_everywhere():
+            await self.manager.broadcast(protocol.build("tenant", **fields))
         if verb == "remove":
             # The fleet also dropped the tenant's estimators; forget the
             # router's cached specs for that namespace.
@@ -409,7 +424,6 @@ class ClusterRouter(ServingFront):
         "register": _op_register,
         "unregister": _op_unregister,
         "ingest": _op_ingest,
-        "estimate": _op_estimate,
         "flush": _op_flush,
         "snapshot": _op_snapshot,
         "reload": _op_reload,

@@ -2,9 +2,10 @@
 
 Individually, network estimate requests would each pay a full scalar
 ``estimate`` call.  The batch kernels answer a whole query batch for barely
-more than one scalar call, so the serving layer *coalesces*: concurrent
+more than one scalar call, so both serving fronts *coalesce*: concurrent
 in-flight ``estimate`` requests are gathered into one bucket and answered
-through a single engine dispatch.  Since the compiled-program layer
+through a single engine dispatch (a cluster router's scatters once per
+name per batch, :mod:`repro.cluster.router`).  Since the compiled-program layer
 (:mod:`repro.core.program`) the bucket is **cross-estimator**: a mixed
 workload of N requests over K estimators coalesces into *one*
 :meth:`~repro.service.service.EstimationService.estimate_multi` dispatch
@@ -36,8 +37,9 @@ keeps the well-behaved tenant's p99 flat under a noisy neighbor (the
 registry) all rides one queue, making the drain order identical to the
 pre-tenancy coalescer.
 
-All methods must be called from the event-loop thread; the actual engine
-call runs on a thread-pool executor so the loop stays responsive.
+All methods must be called from the event-loop thread; the engine call
+runs on a thread-pool executor so the loop stays responsive (a router's
+awaits its workers on the loop first).
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ class EstimateCoalescer:
     ----------
     get_service:
         Zero-argument callable returning the *current*
-        :class:`EstimationService`.  Resolved at dispatch time, so a
-        snapshot hot-reload swaps the backing service without touching
-        queued requests.
+        :class:`EstimationService` (a subclass's engine step may take
+        another engine).  Resolved at dispatch time, so a snapshot
+        hot-reload swaps the backing service without touching queued
+        requests.
     max_batch:
         Size trigger: the shared bucket dispatches as soon as it holds this
         many queries (across all estimators).  ``1`` disables coalescing
@@ -302,18 +305,8 @@ class EstimateCoalescer:
         before any kernel ran, so the extra cost is the concurrent
         re-dispatches, not doubled engine work.
         """
-        def answer():
-            # record_coalesced takes the service lock, so it stays on the
-            # executor thread with the engine call — the event loop never
-            # waits on that lock.
-            results = service.estimate_multi(
-                [(entry.name, entry.query) for entry in entries])
-            service.record_coalesced(len(entries))
-            return results
-
         try:
-            results = await asyncio.get_running_loop().run_in_executor(
-                self._executor, answer)
+            results = await self._run_engine(service, entries)
         except Exception as exc:
             groups: dict[str, list[_Pending]] = {}
             for entry in entries:
@@ -328,11 +321,28 @@ class EstimateCoalescer:
         else:
             self._resolve(entries, results)
 
+    async def _run_engine(self, service: Any, entries: list[_Pending]) -> list:
+        """One result per entry, in order (an exception answers its entry)."""
+        def answer():
+            # record_coalesced takes the service lock, so it stays on the
+            # executor thread with the engine call — the event loop never
+            # waits on that lock.
+            results = service.estimate_multi(
+                [(entry.name, entry.query) for entry in entries])
+            service.record_coalesced(len(entries))
+            return results
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self._executor, answer)
+
     @staticmethod
     def _resolve(entries: list[_Pending], results) -> None:
         for entry, result in zip(entries, results):
             if not entry.future.done():
-                entry.future.set_result(result)
+                if isinstance(result, BaseException):
+                    entry.future.set_exception(result)
+                else:
+                    entry.future.set_result(result)
 
     @staticmethod
     def _fail(entries: list[_Pending], exc: Exception) -> None:

@@ -11,18 +11,19 @@ the counters live is a placement choice beneath one query interface.
 * authentication, per-tenant admission (token buckets, in-flight caps)
   and request dispatch — gate, namespace, charge quota, run the handler,
   map failures onto the wire taxonomy, count per-tenant outcomes,
-* the placement-independent verbs: ``ping``, ``tenant`` and the shape of
-  ``stats`` / ``metrics`` replies,
+* the placement-independent verbs: ``ping``, ``tenant``, ``estimate``
+  (through the front's :class:`~repro.server.coalescer.EstimateCoalescer`)
+  and the shape of ``stats`` / ``metrics`` replies,
 * :func:`serve`, the signal-aware run loop of the CLI, and
   :meth:`ServingFront.serve_lines`, the listener-less loop behind stdin
   ``serve``.
 
 The two placements subclass it and keep only what differs:
-:class:`~repro.server.server.SketchServer` answers from a local
-:class:`~repro.service.service.EstimationService` through the request
-coalescer, :class:`~repro.cluster.router.ClusterRouter` scatters to a
-worker fleet and reduces.  Each supplies its data-plane ``_op_*`` handlers
-and a few hooks (:attr:`ServingFront.tenants`, ``_tenant_apply``,
+:class:`~repro.server.server.SketchServer` answers a coalesced batch from a
+local :class:`~repro.service.service.EstimationService`,
+:class:`~repro.cluster.router.ClusterRouter` scatters it to a worker fleet
+and reduces.  Each supplies its coalescer, its other data-plane ``_op_*``
+handlers and a few hooks (:attr:`ServingFront.tenants`, ``_tenant_apply``,
 ``_describe``, ``_drain``, ``_failure``).
 """
 
@@ -31,12 +32,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import AuthenticationError, ReproError, ServiceError
 from repro.server import auth, protocol, wire
+from repro.server.coalescer import EstimateCoalescer
 from repro.server.metrics import ServerMetrics
 from repro.tenancy import TenantAdmission, TenantQuota, hash_token
 
@@ -65,6 +68,8 @@ class ServingFront:
 
     #: The tenant registry requests are gated by (``None`` = open serving).
     tenants: Any
+    #: Every ``estimate`` query waits here for its batch.
+    coalescer: EstimateCoalescer
     #: Extra fields of this placement's ``ping`` reply.
     _PING_FIELDS: dict = {}
 
@@ -119,6 +124,7 @@ class ServingFront:
             writer.close()
         while self._connections:
             await asyncio.sleep(0.01)
+        await self.coalescer.drain()
         await self._drain()
         self._executor.shutdown(wait=True)
 
@@ -268,16 +274,33 @@ class ServingFront:
                                    version=protocol.PROTOCOL_VERSION,
                                    **self._PING_FIELDS)
 
-    async def _describe(self) -> tuple[dict, dict]:
-        """``(stats body, extra fields of its "server" block)``."""
+    async def _op_estimate(self, fields: dict, scope: auth.Scope) -> dict:
+        name = fields["name"]
+        query = protocol.query_box(fields["query"])
+        weight = scope.record.quota.share if scope.record is not None else 1
+        start = time.perf_counter()
+        result = await self.coalescer.submit(name, query, tenant=scope.tenant,
+                                             weight=weight)
+        self.metrics.record_estimate_latency(time.perf_counter() - start,
+                                             scope.tenant)
+        return protocol.ok_payload("estimate", fields, name=name,
+                                   **protocol.estimate_fields(result))
+
+    async def _describe(self) -> dict:
+        """The ``stats`` body of this placement."""
         raise NotImplementedError
 
     async def _op_stats(self, fields: dict, scope: auth.Scope) -> dict:
-        description, edge = await self._describe()
+        description = await self._describe()
+        coalesced = self.coalescer.stats
         description["server"] = {
             "connections_active": self.metrics.connections_active,
             "reloads": self.metrics.reloads,
-            "wire": self.metrics.wire_state(), **edge}
+            "wire": self.metrics.wire_state(),
+            "queue_depth": self.coalescer.queue_depth,
+            "coalesce_batches": coalesced.batches,
+            "coalesce_factor": coalesced.coalesce_factor,
+            "cross_estimator_dispatches": coalesced.cross_dispatches}
         if scope.tenant is not None:
             description = auth.scoped_stats(description, scope.tenant)
         description["tenant_metrics"] = self.metrics.tenant_state(scope.tenant)
@@ -365,8 +388,9 @@ class ServingFront:
                                    tenant=record.tenant_id,
                                    record=record.to_dict())
 
-    _HANDLERS: dict = {"ping": _op_ping, "stats": _op_stats,
-                       "metrics": _op_metrics, "tenant": _op_tenant}
+    _HANDLERS: dict = {"ping": _op_ping, "estimate": _op_estimate,
+                       "stats": _op_stats, "metrics": _op_metrics,
+                       "tenant": _op_tenant}
 
 
 async def serve(front: ServingFront, *, ready=None,

@@ -403,6 +403,8 @@ def error_payload_for(exc: BaseException, *, op: str | None = None,
     detail = None
     if isinstance(exc, QuotaExceededError):
         detail = {"retry_after": exc.retry_after}
+    elif isinstance(exc, DegradedError):  # a router's words and report
+        message, detail = str(exc), exc.detail or None
     return error_payload(message, code=code, op=op, request=request,
                          detail=detail)
 

@@ -3,15 +3,13 @@
 :class:`SketchServer` is the :class:`~repro.server.front.ServingFront`
 whose counters live in this process, in a long-lived
 :class:`~repro.service.service.EstimationService`.  Connections, auth,
-quota admission, dispatch, ``ping`` / ``tenant`` and the reply shapes of
-``stats`` / ``metrics`` are the front's; this module adds what a local
-placement does with a request:
+quota admission, dispatch, ``ping`` / ``tenant`` / ``estimate`` and the
+reply shapes of ``stats`` / ``metrics`` are the front's; this module adds
+what a local placement does with a request:
 
-* ``estimate`` requests flow through the request coalescer
-  (:mod:`repro.server.coalescer`) — concurrent queries are answered by a
-  single batched engine call; when its admission queue is full, requests
-  get an immediate structured ``overloaded`` error instead of queueing
-  without bound,
+* each coalesced ``estimate`` batch is one ``estimate_multi`` engine call
+  of the service; a ``partial: true`` estimate (what a router gathers)
+  returns the name's merged counter state instead of a number,
 * ``ingest`` / ``flush`` / ``snapshot`` run on the front's thread-pool
   executor so NumPy-heavy work never blocks the event loop,
 * ``reload`` hot-swaps the backing service from a snapshot file (binary v2
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import io
-import time
 from dataclasses import dataclass
 
 from repro.core.hashing import sign_table_stats
@@ -92,9 +89,6 @@ class SketchServer(ServingFront):
         """The current service's tenant registry (``None`` = open serving)."""
         return self._service.tenants
 
-    async def _drain(self) -> None:
-        await self.coalescer.drain()
-
     async def _tenant_apply(self, verb: str, fields: dict, **changes):
         # tenant_create / tenant_update / tenant_remove: the service journals
         # the mutation through its WAL and embeds it in snapshots.
@@ -126,48 +120,34 @@ class SketchServer(ServingFront):
                                    pending=pending)
 
     async def _op_estimate(self, fields: dict, scope) -> dict:
+        if not fields["partial"]:
+            return await super()._op_estimate(fields, scope)
+        # Shard-local partial result: the merged-view estimator state.
+        # Sketches are linear projections, so a cluster router can reduce
+        # the partials of many workers with one vectorised merge and
+        # estimate from the reduction bit-identically to a single-node
+        # service over the union of the boxes.  The counters are numpy
+        # tensors: raw little-endian bytes on a binary connection, nested
+        # number lists on an NDJSON one.
         service = self._service
         name = fields["name"]
         spec = service.spec(name)
-        if fields["partial"]:
-            # Shard-local partial result: the merged-view estimator state.
-            # Sketches are linear projections, so a cluster router can
-            # reduce the partials of many workers with one vectorised
-            # merge and estimate from the reduction bit-identically to a
-            # single-node service over the union of the boxes.  The
-            # counters are numpy tensors: raw little-endian bytes on a
-            # binary connection, nested number lists on an NDJSON one.
-            state = await self._run_blocking(
-                lambda: service.merged_view(name).state_dict())
-            return protocol.ok_payload("estimate", fields, name=name,
-                                       partial=True, spec=spec.to_dict(),
-                                       state=state)
-        query = protocol.query_box(fields["query"])
-        weight = scope.record.quota.share if scope.record is not None else 1
-        start = time.perf_counter()
-        result = await self.coalescer.submit(name, query, tenant=scope.tenant,
-                                             weight=weight)
-        self.metrics.record_estimate_latency(time.perf_counter() - start,
-                                             scope.tenant)
+        state = await self._run_blocking(
+            lambda: service.merged_view(name).state_dict())
         return protocol.ok_payload("estimate", fields, name=name,
-                                   **protocol.estimate_fields(result))
+                                   partial=True, spec=spec.to_dict(),
+                                   state=state)
 
     async def _op_flush(self, fields: dict, scope) -> dict:
         report = await self._run_blocking(self._service.flush)
         return protocol.ok_payload("flush", fields, boxes=report.boxes,
                                    batches=report.batches)
 
-    async def _describe(self) -> tuple[dict, dict]:
+    async def _describe(self) -> dict:
         # describe() takes the service lock, which an executor thread may
         # hold across heavy NumPy work (snapshot save, merge) — so this
         # read runs on the executor too, keeping the event loop responsive.
-        description = await self._run_blocking(self._service.describe)
-        coalescer_stats = self.coalescer.stats
-        return description, {
-            "queue_depth": self.coalescer.queue_depth,
-            "coalesce_batches": coalescer_stats.batches,
-            "coalesce_factor": coalescer_stats.coalesce_factor,
-            "cross_estimator_dispatches": coalescer_stats.cross_dispatches}
+        return await self._run_blocking(self._service.describe)
 
     async def _exposition(self) -> tuple[list, str, dict]:
         # service.stats takes the service lock; read it off the loop (see

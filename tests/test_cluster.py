@@ -26,7 +26,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.geometry.boxset import BoxSet
-from repro.server import ServerConfig, ThreadedServer
+from repro.server import ServerConfig, ThreadedServer, boxes_to_rows
 from repro.service import (
     EstimationService,
     EstimatorSpec,
@@ -78,6 +78,35 @@ def _ingest_everywhere(client: ServiceClient, reference: EstimationService,
     reference.flush()
 
 
+def _mixed_burst(reference: EstimationService, *, seed: int
+                 ) -> tuple[list[dict], list]:
+    """32 pipelined estimates, 14 : 1 : 1 over the three families, and the
+    reference's answers to them."""
+    queries = synthetic_queries(DOMAIN, 28, seed=seed)
+    rows = boxes_to_rows(queries)
+    unused = iter(range(len(rows)))
+    requests, expected = [], []
+    for index in range(32):
+        name = {14: "join", 15: "contain"}.get(index % 16, "ranges")
+        if name == "ranges":
+            row = next(unused)
+            requests.append({"op": "estimate", "name": name,
+                             "query": rows[row]})
+            expected.append(reference.estimate(name, queries[row]))
+        else:
+            requests.append({"op": "estimate", "name": name})
+            expected.append(reference.estimate(name))
+    return requests, expected
+
+
+def _assert_answers(replies: list[dict], expected: list) -> None:
+    for reply, result in zip(replies, expected, strict=True):
+        assert reply["ok"], reply
+        assert (reply["estimate"], reply["left_count"],
+                reply["right_count"]) == (result.estimate, result.left_count,
+                                          result.right_count)
+
+
 @pytest.fixture()
 def worker_trio():
     """Three in-process worker servers, each a full sharded service."""
@@ -119,6 +148,72 @@ class TestScatterGather:
                 assert got.estimate == expected.estimate
                 assert got.left_count == expected.left_count
                 assert got.right_count == expected.right_count
+            # The same, pipelined: the router answers a mixed burst through
+            # its coalescer, in batches that span all three families.
+            requests, expected = _mixed_burst(reference, seed=19)
+            _assert_answers(client.request_many(requests), expected)
+
+    def test_a_burst_scatters_once_per_name_per_batch(self, worker_trio):
+        """A pipelined 32-estimate burst over three families on two shard
+        workers costs each worker at most one partial request per name per
+        coalesced batch — not one per query — and the batches are fewer
+        than the queries.  A malformed query in the burst fails alone, with
+        the single-node verdict, and costs no second scatter."""
+        reference = EstimationService(num_shards=2)
+        workers = worker_trio[:2]
+        with ThreadedClusterRouter(
+                [("127.0.0.1", handle.port) for handle in workers],
+                start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            _register_everywhere(client, reference)
+            _ingest_everywhere(client, reference, count=100)
+
+            def counted() -> tuple[int, int]:
+                asked = sum(worker.server.metrics.requests.get("estimate", 0)
+                            for worker in workers)
+                return asked, client.stats()["server"]["coalesce_batches"]
+
+            def burst(requests: list[dict]) -> tuple[list[dict], int, int]:
+                asked_before, batches_before = counted()
+                replies = client.request_many(requests)
+                asked_after, batches_after = counted()
+                return (replies, asked_after - asked_before,
+                        batches_after - batches_before)
+
+            requests, expected = _mixed_burst(reference, seed=31)
+            replies, asked, batches = burst(requests)
+            _assert_answers(replies, expected)
+            assert 0 < batches < len(requests)
+            assert asked <= 2 * 3 * batches
+
+            bad = BoxSet([[0, 0]], [[999, 999]])
+            with pytest.raises(ServiceError) as verdict:
+                reference.estimate("ranges", bad)
+            requests[5] = {**requests[5], "query": boxes_to_rows(bad)[0]}
+            replies, asked, batches = burst(requests)
+            assert replies[5]["error_code"] == "bad_request"
+            assert replies[5]["error"] == f"ServiceError: {verdict.value}"
+            _assert_answers(replies[:5] + replies[6:],
+                            expected[:5] + expected[6:])
+            assert 0 < batches < len(requests)
+            assert asked <= 2 * 3 * batches
+
+    def test_a_router_over_one_worker_answers_as_that_worker(self,
+                                                              worker_trio):
+        """One owner group holds all the data; the router's reduce of its
+        one state answers bit-identically to the worker itself."""
+        worker = worker_trio[0]
+        with ThreadedClusterRouter([("127.0.0.1", worker.port)],
+                                   start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as routed, \
+                ServiceClient("127.0.0.1", worker.port) as direct:
+            reference = EstimationService(num_shards=2)
+            _register_everywhere(routed, reference)
+            _ingest_everywhere(routed, reference, count=150)
+            requests, expected = _mixed_burst(reference, seed=37)
+            replies = routed.request_many(requests)
+            assert replies == direct.request_many(requests)
+            _assert_answers(replies, expected)
 
     def test_a_bad_query_gets_the_single_node_verdict(self, cluster):
         """A routed estimate is checked where the router's reduce compiles
@@ -139,6 +234,28 @@ class TestScatterGather:
             query = synthetic_queries(DOMAIN, 1, seed=3)
             assert client.estimate("ranges", query).estimate == \
                 reference.estimate("ranges", query).estimate
+
+    def test_a_down_owner_group_fails_a_burst_typed_until_replaced(
+            self, cluster, worker_trio):
+        """Every estimate of a pipelined burst that needs an owner group
+        with no healthy member fails promptly with a ``degraded`` error
+        naming its estimator and the down owner; once the group is
+        replaced, the same burst answers bit-identically."""
+        reference = EstimationService(num_shards=2)
+        with ServiceClient("127.0.0.1", cluster.port, timeout=30) as client:
+            _register_everywhere(client, reference)
+            _ingest_everywhere(client, reference, count=100)
+            requests, expected = _mixed_burst(reference, seed=41)
+            cluster.manager.worker("w1").healthy = False
+            for request, reply in zip(requests, client.request_many(requests)):
+                assert reply["error_code"] == "degraded", reply
+                assert reply["error"].startswith("cluster degraded: ")
+                assert reply["detail"] == {"op": "estimate",
+                                           "name": request["name"],
+                                           "down_owners": ["w1"]}
+            cluster.run(cluster.manager.replace_worker(
+                "w1", "127.0.0.1", worker_trio[1].port))
+            _assert_answers(client.request_many(requests), expected)
 
     def test_ingest_partitions_by_shard_hash(self, cluster, worker_trio):
         """Row ``i`` goes to the shard workers sorted by name, indexed by
@@ -748,6 +865,123 @@ class TestReplicas:
                   for handle in worker_trio]
         assert counts == [len(to_w0), len(to_w1), len(to_w0)]
 
+    def test_a_name_registered_during_a_bootstrap_reaches_the_replica(
+            self, worker_trio):
+        """A ``register`` sent while a replica bootstraps waits for the
+        replica to join, so both members serve the name: its ingest and
+        every estimate, whichever member reads, succeed."""
+        owner, mirror = worker_trio[0], worker_trio[1]
+        fetched, release = threading.Event(), threading.Event()
+        reference = EstimationService(num_shards=2)
+        reference.register("late", family="range", domain=DOMAIN,
+                           num_instances=16, seed=7)
+        with ThreadedClusterRouter([("127.0.0.1", owner.port)],
+                                   start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            client.register("early", family="range", sizes=[256, 256],
+                            instances=16, seed=5)
+            fetch = handle.manager.fetch_snapshot
+
+            async def slow_fetch(source):
+                data = await fetch(source)
+                fetched.set()
+                while not release.is_set():
+                    await asyncio.sleep(0.005)
+                return data
+
+            handle.manager.fetch_snapshot = slow_fetch
+            booting = threading.Thread(target=handle.run, args=(
+                handle.router.bootstrap_replica(
+                    "r1", "127.0.0.1", mirror.port, source="w0"),))
+            booting.start()
+
+            def register_late() -> None:
+                with ServiceClient("127.0.0.1", handle.port) as other:
+                    other.register("late", family="range", sizes=[256, 256],
+                                   instances=16, seed=7)
+
+            late = threading.Thread(target=register_late)
+            try:
+                assert fetched.wait(10)
+                late.start()
+                time.sleep(0.2)
+            finally:
+                release.set()
+                booting.join(30)
+                if late.ident:
+                    late.join(30)
+            assert not booting.is_alive() and not late.is_alive()
+            for member in (owner, mirror):
+                assert member.service.names() == ["early", "late"]
+            boxes = synthetic_boxes(DOMAIN, 120, seed=9)
+            assert client.ingest("late", boxes, side="data")["boxes"] == 120
+            client.flush()
+            reference.ingest("late", boxes, side="data")
+            query = synthetic_queries(DOMAIN, 1, seed=11)
+            expected = reference.estimate("late", query).estimate
+            for _ in range(4):
+                assert client.estimate("late", query).estimate == expected
+
+    def test_a_replacement_from_a_live_member_misses_no_write(self,
+                                                               worker_trio):
+        """``replace_worker`` fetches a live member's snapshot inside the
+        owner group's write gate: a routed write sent between
+        the fetch and the reload reaches the replacement too, so replica
+        and replacement hold the same boxes and answer one value."""
+        owner, mirror, spare = worker_trio
+        fetched, release = threading.Event(), threading.Event()
+        with ThreadedClusterRouter([("127.0.0.1", owner.port)],
+                                   start_heartbeat=False) as handle, \
+                ServiceClient("127.0.0.1", handle.port) as client:
+            client.register("ranges", family="range", sizes=[256, 256],
+                            instances=16, seed=5)
+            client.ingest("ranges", synthetic_boxes(DOMAIN, 100, seed=1),
+                          side="data")
+            client.flush()
+            handle.run(handle.router.bootstrap_replica(
+                "r1", "127.0.0.1", mirror.port, source="w0"))
+            handle.manager.worker("w0").healthy = False
+            fetch = handle.manager.fetch_snapshot
+
+            async def slow_fetch(source):
+                data = await fetch(source)
+                fetched.set()
+                while not release.is_set():
+                    await asyncio.sleep(0.005)
+                return data
+
+            handle.manager.fetch_snapshot = slow_fetch
+            replacing = threading.Thread(target=handle.run, args=(
+                handle.manager.replace_worker(
+                    "w0", "127.0.0.1", spare.port),))
+            replacing.start()
+
+            def write() -> None:
+                with ServiceClient("127.0.0.1", handle.port) as other:
+                    other.ingest("ranges", synthetic_boxes(DOMAIN, 100, seed=2),
+                                 side="data")
+
+            writing = threading.Thread(target=write)
+            try:
+                assert fetched.wait(10)
+                writing.start()
+                time.sleep(0.2)
+            finally:
+                release.set()
+                replacing.join(30)
+                if writing.ident:
+                    writing.join(30)
+            assert not replacing.is_alive() and not writing.is_alive()
+            client.flush()
+            assert [info.name for info in handle.manager.writers("w0")] == [
+                "w0", "r1"]
+            query = synthetic_queries(DOMAIN, 1, seed=3)
+            answers = {client.estimate("ranges", query).estimate
+                       for _ in range(6)}
+        assert [member.service.merged_view("ranges").count
+                for member in (mirror, spare)] == [200, 200]
+        assert len(answers) == 1
+
     def test_a_failed_bootstrap_leaves_the_group_as_it_was(self, worker_trio):
         owner, mirror = worker_trio[0], worker_trio[1]
         with ThreadedClusterRouter([("127.0.0.1", owner.port)],
@@ -817,9 +1051,7 @@ class TestReplicas:
             assert owner.service.merged_view("ranges").count == 300
             assert mirror.service.merged_view("ranges").count == 200
 
-            handle.run(manager.replace_worker(
-                "r1", "127.0.0.1", mirror.port,
-                data=handle.run(manager.fetch_snapshot("w0"))))
+            handle.run(manager.replace_worker("r1", "127.0.0.1", mirror.port))
             assert [info.name for info in manager.writers("w0")] == [
                 "w0", "r1"]
             queries = synthetic_queries(DOMAIN, 1, seed=3)

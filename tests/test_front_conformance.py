@@ -308,6 +308,36 @@ def test_a_tenant_cannot_relabel_its_requests(placement, kind):
     assert front.backing.service.names() == ["acme/rq"]
 
 
+# -- one estimate handler --------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+def test_both_placements_time_estimates_in_the_shared_handler(placement,
+                                                             kind):
+    """A server and a router answer ``estimate`` through the front's one
+    handler: each answered query lands in the edge's latency window and
+    in its tenant's, under the authenticated label, and the edge's
+    ``stats`` reports the coalescer that batched it."""
+    front = placement(kind, tokens=True)
+    edge = (front.handle.router if kind == "router" else front.handle.server)
+    estimate = {"op": "estimate", "name": "rq", "query": [0, 0, 128, 128]}
+    with front.client("binary", ADMIN_TOKEN) as admin:
+        admin.tenant("create", "acme", token=ACME_TOKEN)
+        with front.client("binary", ACME_TOKEN) as acme:
+            acme.register("rq", **RANGE)
+            acme.ingest("rq", ROWS, side="data")
+            acme.flush()
+            before = len(edge.metrics.latencies)
+            replies = acme.request_many([estimate] * 5)
+            assert [reply["left_count"] for reply in replies] == [3] * 5
+        server = admin.stats()["server"]
+    assert len(edge.metrics.latencies) - before == 5
+    assert len(edge.metrics.tenants["acme"].latencies) == 5
+    assert edge.metrics.tenant_state()["acme"]["by_op"]["estimate"] == 5
+    assert 1 <= server["coalesce_batches"] <= 5
+    assert server["queue_depth"] == 0
+
+
 # -- a frame the flush could not apply is refused before the log ----------------
 
 #: Boxes a flush would fail on: one coordinate outside the 256 x 256 domain

@@ -11,7 +11,8 @@ fold of its workers' samples.  These tests pin what that exposition is:
   twice;
 * on a quiesced fleet each router-summed family is the sum of the
   workers' own ``repro_server_*`` / ``repro_service_*`` values;
-* a stalled worker costs a router one request timeout, not its verbs;
+* a stalled worker costs a router one request timeout, not its verbs
+  nor its threads;
 * README's "Metrics reference" block is the table.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.cluster import HeartbeatConfig, RouterConfig, ThreadedClusterRouter
 from repro.core.domain import Domain
 from repro.core.program import ExecutorStats
 from repro.errors import ConnectionLostError
@@ -355,6 +356,54 @@ def test_a_stalled_worker_costs_one_timeout_not_the_router_verbs():
                 "op": "estimate", "name": "rq", "query": [0, 0, 9, 9]}])
             assert estimate["error_code"] == "degraded", estimate
             assert "did not answer 'estimate'" in estimate["error"]
+    finally:
+        router.stop()
+        stalled.close()
+        live.stop()
+
+
+@pytest.mark.e2e
+def test_estimates_stuck_on_a_stalled_worker_hold_no_router_thread():
+    """Estimates waiting on a stalled worker wait on the router's loop, not
+    on its executor threads: once the heartbeat marks the worker down, a
+    later burst answers ``degraded`` at once, well within the request
+    timeout the stuck estimates still wait out."""
+    timeout = 5.0
+    live = ThreadedServer(EstimationService(num_shards=2)).start()
+    stalled = _StalledWorker()
+    router = ThreadedClusterRouter(
+        [("127.0.0.1", live.port), ("127.0.0.1", stalled.port)],
+        config=RouterConfig(request_timeout=timeout),
+        heartbeat=HeartbeatConfig(timeout=0.1), start_heartbeat=False).start()
+    estimate = {"op": "estimate", "name": "rq", "query": [0, 0, 9, 9]}
+    stuck: list[dict] = []
+
+    def ask() -> None:
+        with ServiceClient("127.0.0.1", router.port, timeout=30) as client:
+            stuck.extend(client.request_many([estimate]))
+
+    askers = [threading.Thread(target=ask) for _ in range(6)]
+    try:
+        with ServiceClient("127.0.0.1", router.port) as client:
+            client.register("rq", family="range", sizes=(256, 256),
+                            instances=8)
+            stalled.stall.set()
+            for asker in askers:  # more batches than the router has threads
+                asker.start()
+                time.sleep(0.05)
+            for _ in range(3):
+                router.run(router.manager.heartbeat_once())
+            assert not router.manager.worker("w1").healthy
+            start = time.perf_counter()
+            replies = client.request_many([estimate] * 32)
+            elapsed = time.perf_counter() - start
+        assert elapsed < timeout / 4, elapsed
+        for reply in replies:
+            assert reply["error_code"] == "degraded", reply
+            assert reply["detail"]["down_owners"] == ["w1"]
+        for asker in askers:
+            asker.join(30)
+        assert [reply["error_code"] for reply in stuck] == ["degraded"] * 6
     finally:
         router.stop()
         stalled.close()
