@@ -22,9 +22,8 @@ and the delta path's steady-state rounds must stay **under an absolute
 ceiling** (``MAX_DELTA_SECONDS``, 2x the recorded value).  The gate used
 to be relative — delta >= 3x rebuild (3.8x measured) — but nearly all of
 that ratio was the *rebuilt* view's fresh xi banks evaluating the
-polynomial from zero, each under its own break-even.  Since the break-even
-is accounted per xi *family*, a rebuilt view serves from the family's
-table at once: rebuild-on-flush went 4.5 s -> 1.0 s on this workload, the
+polynomial from zero.  Since the sign table belongs to the xi *family*, a
+rebuilt view serves from the family's table at once: rebuild-on-flush went 4.5 s -> 1.0 s on this workload, the
 delta path 1.2 s -> 0.8-1.1 s, and the ratio (0.9-1.2x over five runs,
 still reported) no longer says anything about the delta path.  A ceiling
 on the delta path's own seconds does: a regression there fails CI whatever

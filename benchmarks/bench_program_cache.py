@@ -17,9 +17,8 @@ and the mixed path must stay **under an absolute ceiling** over the whole
 workload (``MAX_MIXED_SECONDS``, 2x the recorded value).  The gate used to
 be relative — mixed >= 2x per-family (3x measured) — but that ratio was
 the *per-family* path recomputing its letter sums every round by
-evaluating the polynomial, because no single bank ever reached its own
-break-even.  Since the break-even is accounted per xi *family* the sign
-tables exist after the bulk load, a recomputed letter sum is a row gather
+evaluating the polynomial.  Since every bank of an xi *family* reads the
+family's one sign table, a recomputed letter sum is a row gather
 (per-family path 1.24 s -> 0.3-0.5 s) and the ratio (1.0-1.2x, still
 reported) no longer says anything about the mixed path.  A ceiling on the
 mixed path's own seconds does: a regression there fails CI whatever the
@@ -91,9 +90,9 @@ UPDATE_BOXES = 2048
 UPDATE_ROUNDS = 20
 UPDATE_MIN_SPEEDUP = 3.0
 
-#: The cold gate: what xi evaluation costs before a family's table exists,
-#: on the shapes of the end-to-end benchmark's routed set-up.  Ceilings are
-#: 2x the values recorded when break-even accounting moved to the family.
+#: The cold gate: what a fresh xi family costs, tables built, on the
+#: shapes of the end-to-end benchmark's routed set-up.  Ceilings are 2x
+#: the values recorded when the sign table moved to the family.
 COLD_BATCH_BOXES = 512
 COLD_BATCH_ROUNDS = 7
 COLD_BATCH_MAX_MS = 315.0
@@ -528,8 +527,7 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
 
     (a) A routed worker's first flush in miniature: a fresh 4-shard
     service, the end-to-end benchmark's three estimators, one small batch
-    per side — every shard key is under a single bank's break-even, so
-    what this costs is table builds plus whatever is hashed beside them.
+    per side, so what this costs is table builds plus the update kernels.
     A service pre-pays a name's tables on its first buffered batch, so
     the flush itself must build none (``first_flush.sign_table_builds``,
     counted, gate ``max: 0``).
@@ -721,7 +719,7 @@ def test_default_spec_prunes_the_top():
                                 TABLE_INSTANCES, seed=7000)
     dyadic = spec.domain().dyadic(0)
     signs = FourWiseFamilyBank(TABLE_INSTANCES, dyadic.num_nodes,
-                               seed=7000).prepay_table()
+                               seed=7000).resolve_table()
     (bounds,) = dyadic.interval_cover_tables(signs)   # no separate prefix
     planes = len(bounds) // dyadic.size
 

@@ -468,27 +468,24 @@ class SketchBank:
         self.insert(boxes, weight=-1.0, letter_boxes=letter_boxes)
 
     def prepay_tables(self) -> None:
-        """Build now what a large first :meth:`insert` would build inside it.
+        """Build now what a first :meth:`insert` would build inside it.
 
-        Every xi family is charged its whole universe
-        (:meth:`~repro.core.hashing.FourWiseFamilyBank.prepay_table`) and
-        the cover tables this bank's words read are derived from it — the
-        same interned tables, under the same byte limits, so an insert
-        that follows costs its gathers only (a level-split bank: its level
-        tables).  A family over the limit stays on the polynomial, exactly
-        as it would have.
+        The row functions an insert reads its xi sums through run on zero
+        boxes, so every table they gather from — the interned sign tables
+        and the cover or level tables derived from them, under the same
+        byte limits — exists before the first box arrives, and an insert
+        that follows costs its gathers only.  A family over the sign-table
+        limit builds nothing.
         """
-        for dim, letter in dict.fromkeys(
-                pair for word in self._words for pair in enumerate(word)):
-            xi, dyadic = self._xi[dim], self._domain.dyadic(dim)
-            if xi.prepay_table() is None:
+        empty = np.empty(0, dtype=np.int64)
+        for dim in range(self.dimension):
+            if self._xi[dim].resolve_table() is None:
                 continue
             if self._split:
-                self._level_tables(xi, dyadic, self._dim_letters(dim))
-            elif letter is Letter.INTERVAL:
-                self._interval_tables(xi, dyadic)
-            elif letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF):
-                self._point_tables(xi, dyadic)
+                self._level_sources(dim, empty, empty)
+            else:
+                for letter in self._dim_letters(dim):
+                    self._letter_rows(dim, letter, empty, empty)
 
     # -- query-side evaluation ------------------------------------------------------
 
@@ -710,10 +707,10 @@ class SketchBank:
             return self._point_cover_rows(xi, dyadic, highs)
         if letter is Letter.LOWER_LEAF:
             leaves = dyadic.size - 1 + np.asarray(lows, dtype=np.int64)
-            return self._leaf_rows(xi, leaves)
+            return self._sign_rows(xi, leaves)
         if letter is Letter.UPPER_LEAF:
             leaves = dyadic.size - 1 + np.asarray(highs, dtype=np.int64)
-            return self._leaf_rows(xi, leaves)
+            return self._sign_rows(xi, leaves)
         raise SketchConfigError(f"unknown letter {letter!r}")
 
     def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray
@@ -723,33 +720,29 @@ class SketchBank:
         columns ``k * levels`` onwards of ``(instances, boxes, letters x
         levels)`` rows: ``(parts, mask)`` for :meth:`_gather_rows`.
 
-        Accounted like :meth:`_letter_rows`.  With the family's table the
-        parts are the combined high-side table gathered at ``highs`` and
-        the low-side one at ``lows`` (:meth:`_level_tables`), and the
-        ``(boxes, columns)`` mask zeroes the levels an interval holds no
-        node of (``None``: nothing to mask).  Without one the covers are
-        walked and each node's sign lands in its level's column.
+        With the family's level tables the parts are the combined
+        high-side table gathered at ``highs`` and the low-side one at
+        ``lows`` (:meth:`_level_tables`), and the ``(boxes, columns)`` mask
+        zeroes the levels an interval holds no node of (``None``: nothing
+        to mask).  Without them the covers are walked and each node's sign
+        lands in its level's column.
         """
         dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
         letters, levels = self._dim_letters(dim), dyadic.num_levels
-        points = sum(2 if letter is Letter.ENDPOINTS else 1 for letter in letters
-                     if letter is not Letter.INTERVAL)
         intervals = Letter.INTERVAL in letters
-        if xi.resolve_table(len(lows) * (points * levels + intervals)) is not None:
-            tables = self._level_tables(xi, dyadic, letters)
-            if tables is not None:
-                parts = list(zip(tables[::-1], (highs, lows)))
-                gaps = dyadic.level_gaps(lows, highs) if intervals else None
-                if gaps is None or not gaps.any():
-                    return parts, None
-                mask = np.ones((len(lows), len(letters), levels), dtype=dyadic.level_dtype)
-                mask[:, letters.index(Letter.INTERVAL)] = ~gaps
-                return parts, mask.reshape(len(lows), -1)
+        tables = self._level_tables(xi, dyadic, letters)
+        if tables is not None:
+            parts = list(zip(tables[::-1], (highs, lows)))
+            gaps = dyadic.level_gaps(lows, highs) if intervals else None
+            if gaps is None or not gaps.any():
+                return parts, None
+            mask = np.ones((len(lows), len(letters), levels), dtype=dyadic.level_dtype)
+            mask[:, letters.index(Letter.INTERVAL)] = ~gaps
+            return parts, mask.reshape(len(lows), -1)
         blocks = []
         for letter in letters:
             if letter is Letter.INTERVAL:
                 steps = dyadic.cover_steps(lows, highs)
-                xi.resolve_table(sum(len(nodes) for _, nodes in steps) - len(lows))
                 rows = np.zeros((len(lows), levels, xi.num_families),
                                 dtype=dyadic.level_dtype)
                 for indices, nodes in steps:
@@ -757,7 +750,7 @@ class SketchBank:
             else:
                 rows = sum(self._sign_rows(xi, dyadic.point_covers(coordinates)[0])
                            for coordinates in self._point_sources(letter, lows, highs))
-                rows = rows.reshape(len(lows), levels, -1)
+                rows = rows.reshape(len(lows), levels, xi.num_families)
             blocks.append(rows.transpose(2, 0, 1))
         return [(np.concatenate(blocks, axis=2), None)], None
 
@@ -811,28 +804,22 @@ class SketchBank:
         key = ("levels", dyadic.size, dyadic.max_level, "".join(letters))
         return xi.derived_tables(key, nbytes, build)
 
-    # The reducers below account the request via resolve_table() exactly
-    # once.  Once the bank's xi family has a sign table, cover sums are
-    # gathers from coordinate-indexed tables derived from it (see
-    # DyadicDomain.point_cover_table / interval_cover_tables) — no cover
-    # walk.  Families not yet at the table break-even, and domains whose
-    # derived tables would exceed the byte budget, walk the covers one
-    # step (one node per box) at a time and add each step's sign rows up.
+    # Cover sums are gathers from coordinate-indexed tables derived from
+    # the xi family's sign table (see DyadicDomain.point_cover_table /
+    # interval_cover_tables) — no cover walk.  Families over the sign-table
+    # limit, and domains whose derived tables would exceed the byte budget,
+    # walk the covers one step (one node per box) at a time and add each
+    # step's sign rows up.
     # Every path returns a *fresh* writable (boxes, instances) integer
     # array, never a table view.  All paths produce identical values: the
     # summands are ±1 integers and no sum leaves its integer type.
 
     @staticmethod
     def _sign_rows(xi: FourWiseFamilyBank, ids: np.ndarray) -> np.ndarray:
-        """``(len(ids), instances)`` signs; the caller has accounted the ids."""
+        """``(len(ids), instances)`` signs of ``ids``."""
         rows = np.empty((len(ids), xi.num_families), dtype=np.int8)
         xi.signs_into(ids, rows.T)
         return rows
-
-    @staticmethod
-    def _leaf_rows(xi: FourWiseFamilyBank, leaves: np.ndarray) -> np.ndarray:
-        xi.resolve_table(leaves.size)
-        return SketchBank._sign_rows(xi, leaves)
 
     @staticmethod
     def _point_tables(xi: FourWiseFamilyBank, dyadic) -> tuple | None:
@@ -852,10 +839,9 @@ class SketchBank:
     def _point_cover_rows(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
         per_point = dyadic.max_level + 1
         n_points = len(coordinates)
-        if xi.resolve_table(n_points * per_point) is not None:
-            tables = SketchBank._point_tables(xi, dyadic)
-            if tables is not None:
-                return dyadic.point_cover_sums(tables, coordinates)
+        tables = SketchBank._point_tables(xi, dyadic)
+        if tables is not None:
+            return dyadic.point_cover_sums(tables, coordinates)
         ids, _ = dyadic.point_covers(coordinates)
         nodes = ids.reshape(n_points, per_point)
         rows = SketchBank._sign_rows(xi, nodes[:, 0])
@@ -866,18 +852,12 @@ class SketchBank:
     @staticmethod
     def _interval_rows(xi: FourWiseFamilyBank, dyadic, lows: np.ndarray,
                        highs: np.ndarray) -> np.ndarray:
-        # A cover's size is only known by walking it, but it has at least
-        # one id per interval: account that much first (a large enough
-        # batch reaches the break-even without a walk), the rest after.
-        n_boxes = len(lows)
-        signs = xi.resolve_table(n_boxes)
-        if signs is not None:
-            tables = SketchBank._interval_tables(xi, dyadic)
-            if tables is not None:
-                return dyadic.interval_cover_sums(signs, tables, lows, highs)
+        tables = SketchBank._interval_tables(xi, dyadic)
+        if tables is not None:
+            return dyadic.interval_cover_sums(xi.resolve_table(), tables,
+                                              lows, highs)
         steps = dyadic.cover_steps(lows, highs)
-        xi.resolve_table(sum(len(nodes) for _, nodes in steps) - n_boxes)
-        rows = np.zeros((n_boxes, xi.num_families),
+        rows = np.zeros((len(lows), xi.num_families),
                         dtype=np.min_scalar_type(-dyadic.cover_sum_bound() - 1))
         for indices, nodes in steps:
             rows[indices] += SketchBank._sign_rows(xi, nodes)

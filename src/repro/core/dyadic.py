@@ -622,7 +622,9 @@ class DyadicDomain:
 
     def level_gaps(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         """``(boxes, levels)``: True where ``[lo, hi]`` holds no whole node
-        of the level — its level sum is zero there."""
+        of the level — its level sum is zero there.  Raises what
+        :meth:`covers` raises for the same input."""
+        self._check_intervals(lows, highs)
         levels = np.arange(self.num_levels, dtype=np.int64)
         first = (lows[:, None] + (np.int64(1) << levels) - 1) >> levels
         last = ((highs[:, None] + 1) >> levels) - 1

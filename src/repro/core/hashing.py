@@ -110,15 +110,6 @@ def stack_xi_coefficients(banks: Sequence["FourWiseFamilyBank"]) -> np.ndarray:
 #: blocks (8 bytes per cell each) inside the CPU caches.
 _BUILD_CELLS = 1 << 16
 
-#: What one id costs evaluated directly, in table cells: ``_hash`` reduces
-#: four times per cell (Horner), the build once.  Measured on the reference
-#: box (2-vCPU Xeon 2.1 GHz, 256 families): 35-48 ns per cell direct — the
-#: high end inside a first flush, faulting its temporaries in — against
-#: 5.7-8.1 ns built (7.2-9.4 while the parity was still taken at 64 bits,
-#: 9.2-12.2 with a remainder per cell; warm, quiet to busy host).  Building
-#: only got cheaper, so 4 stays on the conservative side of the break-even.
-_DIRECT_COST_RATIO = 4
-
 #: One record per sign-table build, one per family that stays on the
 #: polynomial because its table would exceed ``_TABLE_BYTE_LIMIT``.
 _LOG = logging.getLogger("repro.xi")
@@ -177,34 +168,34 @@ def _build_signs(universe_size: int, coefficients: np.ndarray) -> np.ndarray:
 
 
 class _XiFamily:
-    """One xi family of the process: its accounting, sign table and lifetime.
+    """One xi family of the process: its sign table and its lifetime.
 
     A family is a pure function of ``(universe size, coefficients)``, so
     every bank over it in the process — shard estimators, merged views
     (which redraw xi from the spec seed), delta trackers, a router's
-    templates, reloaded services — shares one record.  It counts the ids
-    all of them requested, builds the table once they have together paid
-    for it, and holds everything derived from the table.
+    templates, reloaded services — shares one record.  The first
+    evaluation builds the table, if it fits the byte limit, and the record
+    holds everything derived from the table.
 
     ``signs`` is ``None`` until built, then the read-only, C-contiguous
     ``(universe_size, num_families)`` int8 matrix ``xi[id, family]``: one
     id's signs for every family are one contiguous row, so a lookup reads
     ``num_families`` adjacent bytes.  The registry holds the record weakly:
-    the banks are its only strong referents, so the counter, the table and
-    everything cached in ``_derived`` die with the last bank.
+    the banks are its only strong referents, so the table and everything
+    cached in ``_derived`` die with the last bank.
     """
 
-    __slots__ = ("universe_size", "coefficients", "ids_requested", "signs",
+    __slots__ = ("universe_size", "coefficients", "signs", "over_limit",
                  "_derived", "_lock", "__weakref__")
 
     def __init__(self, universe_size: int, coefficients: np.ndarray) -> None:
         self.universe_size = universe_size
         self.coefficients = coefficients
-        self.ids_requested = 0
         self.signs: np.ndarray | None = None
+        self.over_limit = False
         self._derived: dict = {}
-        # Serialises accounting, the build and derived builds of this
-        # family; other families proceed in parallel.
+        # Serialises the build and derived builds of this family; other
+        # families proceed in parallel.
         self._lock = threading.Lock()
 
     @property
@@ -215,30 +206,22 @@ class _XiFamily:
                            for arrays in list(self._derived.values())
                            for array in arrays)
 
-    def resolve(self, request_size: int, cell_limit: int,
-                paid: str = "accounted") -> np.ndarray | None:
-        """Charge ``request_size`` ids; the table once they have paid for it.
-
-        ``paid`` labels the build's log record: ``"accounted"`` by traffic,
-        ``"prepaid"`` by a service charging the whole universe at once.
-        """
+    def resolve(self, cell_limit: int) -> np.ndarray | None:
+        """The sign table, built by the first call whose ``cell_limit`` it
+        fits; ``None`` while it does not."""
         if self.signs is None:
             with self._lock:
                 if self.signs is None:
-                    crossing = (self.ids_requested * _DIRECT_COST_RATIO
-                                < self.universe_size)
-                    self.ids_requested += request_size
-                    if (self.ids_requested * _DIRECT_COST_RATIO
-                            >= self.universe_size):
-                        self._build(cell_limit, paid, crossing)
+                    self._build(cell_limit)
         return self.signs
 
-    def _build(self, cell_limit: int, paid: str, crossing: bool) -> None:
-        """Build the paid-for table, under the lock — or say that it is too
-        large, once: on the request that reached the break-even."""
+    def _build(self, cell_limit: int) -> None:
+        """Build the table, under the lock — or say that it is too large,
+        once per family."""
         families = len(self.coefficients)
         if families * self.universe_size > cell_limit:
-            if crossing:
+            if not self.over_limit:
+                self.over_limit = True
                 _LOG.warning(
                     "xi family stays on direct hashing: universe=%d "
                     "families=%d bytes=%d over the limit of %d",
@@ -252,8 +235,8 @@ class _XiFamily:
         seconds = time.perf_counter() - start
         _count("sign_table_build_seconds", seconds)
         _LOG.info("xi family built: universe=%d families=%d bytes=%d "
-                  "ms=%.1f %s", self.universe_size, families, signs.nbytes,
-                  seconds * 1e3, paid)
+                  "ms=%.1f", self.universe_size, families, signs.nbytes,
+                  seconds * 1e3)
 
     def derived(self, key, build: Callable[[np.ndarray], tuple]) -> tuple:
         """``build(signs)`` memoised under ``key``: a tuple of read-only arrays.
@@ -297,9 +280,9 @@ def sign_table_stats() -> dict:
     ``sign_tables`` / ``sign_table_bytes`` count the live tables (signs +
     derived tables); ``sign_table_builds`` and ``direct_hash_ids`` are
     running totals of table builds and of ids evaluated through the
-    polynomial instead — ids that keep rising for a family whose table
-    exists are a cold walk beside a table.  ``sign_table_build_seconds``
-    is the wall time the builds took, derived tables included.
+    polynomial instead, which only a family over ``_TABLE_BYTE_LIMIT``
+    does.  ``sign_table_build_seconds`` is the wall time the builds took,
+    derived tables included.
     """
     with _FAMILIES_LOCK:
         families = list(_FAMILIES.values())
@@ -444,35 +427,19 @@ class FourWiseFamilyBank:
                                                      self._coefficients)
         return family
 
-    def resolve_table(self, request_size: int) -> np.ndarray | None:
-        """Account a prospective request and return the sign table, if any.
+    def resolve_table(self) -> np.ndarray | None:
+        """The family's sign table, built on first use; ``None`` over the limit.
 
-        The request is charged to the *family*, which every bank over the
-        same ``(universe, coefficients)`` in the process shares: the full
-        table is built once the ids all of them requested, priced at
-        ``_DIRECT_COST_RATIO`` table cells each, have paid for it; until
-        then small workloads keep using direct polynomial evaluation.  A
-        bank created after that serves from the table at once.  Fused
-        evaluation paths call this **once** per request and must not also
-        go through :meth:`signs` for the same ids (that would account the
-        request twice).  ``None`` means no table serves this bank (the
-        family is not yet warm, or the universe is too large to
-        materialise).  The table is the read-only ``(universe_size,
+        The table belongs to the *family*, which every bank over the same
+        ``(universe, coefficients)`` in the process shares: the first
+        evaluation through any of them builds it, if it needs at most
+        ``_TABLE_BYTE_LIMIT`` bytes, and the rest read it.  A family over
+        the limit stays on direct polynomial evaluation and logs one
+        WARNING.  The table is the read-only ``(universe_size,
         num_families)`` matrix: row ``i`` holds every family's sign of id
         ``i``.
         """
-        return self._xi_family().resolve(int(request_size),
-                                         self._TABLE_BYTE_LIMIT)
-
-    def prepay_table(self) -> np.ndarray | None:
-        """:meth:`resolve_table` charged the whole universe at once.
-
-        A service does this for the families of a name it starts feeding:
-        the table is built now (under the same byte limit) instead of
-        inside whichever request crosses the break-even.
-        """
-        return self._xi_family().resolve(
-            self._universe_size, self._TABLE_BYTE_LIMIT, "prepaid")
+        return self._xi_family().resolve(self._TABLE_BYTE_LIMIT)
 
     def derived_tables(self, key, nbytes: int,
                        build: Callable[[np.ndarray], tuple]) -> tuple | None:
@@ -481,14 +448,13 @@ class FourWiseFamilyBank:
         ``build(signs)`` returns a tuple of arrays totalling ``nbytes``; the
         result is cached beside the interned sign table under ``key`` (made
         read-only, built once per process) and freed with it.  ``None``
-        when no sign table exists yet — this never builds one, that stays
-        :meth:`resolve_table`'s decision — or when ``nbytes`` exceeds
-        ``_DERIVED_BYTE_LIMIT``, checked before anything is allocated.
+        when ``nbytes`` exceeds ``_DERIVED_BYTE_LIMIT``, checked before
+        anything is allocated, or when the family has no sign table
+        (:meth:`resolve_table`).
         """
-        if nbytes > self._DERIVED_BYTE_LIMIT:
+        if nbytes > self._DERIVED_BYTE_LIMIT or self.resolve_table() is None:
             return None
-        family = self._xi_family()
-        return None if family.signs is None else family.derived(key, build)
+        return self._xi_family().derived(key, build)
 
     def signs(self, ids, *, families: slice | np.ndarray | None = None) -> np.ndarray:
         """Sign matrix ``xi[family, id]`` for the requested ids.
@@ -508,7 +474,7 @@ class FourWiseFamilyBank:
         if ids.ndim != 1:
             ids = ids.ravel()
         self._check_ids(ids)
-        table = self.resolve_table(ids.size)
+        table = self.resolve_table()
         if table is not None:
             rows = np.take(table, ids, axis=0)
             return (rows if families is None else rows[:, families]).T
@@ -522,16 +488,13 @@ class FourWiseFamilyBank:
         ``out`` must be an int8 array of shape ``(num_families, len(ids))``
         in any memory layout; the transpose of a C-contiguous ``(len(ids),
         num_families)`` array — what the cover-walk path passes — receives
-        the table's rows without a strided write.  Unlike
-        :meth:`signs` this does **not** account toward the lazy table
-        build; callers route the request through :meth:`resolve_table`
-        first.  Returns ``out``.
+        the table's rows without a strided write.  Returns ``out``.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 1:
             ids = ids.ravel()
         self._check_ids(ids)
-        table = self._xi_family().signs
+        table = self.resolve_table()
         if table is not None:
             np.take(table, ids, axis=0, out=out.T)
         else:

@@ -16,8 +16,8 @@ calling thread: the update kernels are a few short NumPy calls per word,
 too short for a thread pool to do anything but trade the GIL.
 
 The xi tables those kernels gather from are built when a name's first
-batch is buffered, not by the flush that would cross their break-even:
-the wait sits on the first ack, where a fleet's workers share it.
+batch is buffered, not by the name's first flush: the wait sits on the
+first ack, where a fleet's workers share it.
 """
 
 from __future__ import annotations
@@ -118,12 +118,11 @@ class IngestPipeline:
             self._stats.submitted_boxes += len(boxes)
             if name not in self._stats.names:
                 # The name's first box pays for its xi tables here, before
-                # the ack, not inside whichever flush crosses the
-                # break-even: a fleet's workers get a name's first
-                # sub-batches together and so build side by side.  Under
-                # the lock, so racing first frames (and a flush of what is
-                # buffered above) wait for the one build instead of
-                # trading the GIL with it.
+                # the ack, not inside its first flush: a fleet's workers
+                # get a name's first sub-batches together and so build
+                # side by side.  Under the lock, so racing first frames
+                # (and a flush of what is buffered above) wait for the one
+                # build instead of trading the GIL with it.
                 self._stats.names.add(name)
                 self._store.prepay_tables(name)
         return self._pending

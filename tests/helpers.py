@@ -15,15 +15,43 @@ coefficients, endpoint handling) without any sampling noise.
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
 from repro.core.atomic import Letter, SketchBank, Word
 from repro.core.domain import Domain
+from repro.core import hashing
 from repro.core.hashing import FourWiseFamilyBank
 from repro.core.selfjoin import _letter_cover_ids
 from repro.geometry.boxset import BoxSet
+
+
+#: The limit each cover-sum path is selected by: the walk over directly
+#: hashed signs, the walk over the sign table, and (``None``) the gathers
+#: from the tables derived from it.  Run in this order on one bank: a
+#: family's sign table, once built, stays.
+PATHS = ("_TABLE_BYTE_LIMIT", "_DERIVED_BYTE_LIMIT", None)
+
+
+@contextmanager
+def on_path(limit, *banks):
+    """Select a cover-sum path: ``limit`` is 0 while the block runs.  The
+    hashed walk checks that no family of ``banks`` has a table yet."""
+    if limit is None:
+        yield
+        return
+    with mock.patch.object(FourWiseFamilyBank, limit, 0):
+        if limit == "_TABLE_BYTE_LIMIT":
+            if any((xi.universe_size, xi.coefficients.tobytes()) in hashing._FAMILIES
+                   for bank in banks for xi in bank.xi_banks):
+                gc.collect()   # a dead bank in a cycle may still hold the family
+            assert all(xi.resolve_table() is None
+                       for bank in banks for xi in bank.xi_banks)
+        yield
 
 
 def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,

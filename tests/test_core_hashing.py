@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,16 +53,15 @@ class TestDeterminism:
         assert not np.array_equal(first, second)
 
     def test_table_and_direct_evaluation_agree(self):
-        # The lazily built table must yield exactly the same signs as direct
-        # polynomial evaluation.
-        bank_direct = FourWiseFamilyBank(5, 512, seed=7)
-        bank_table = FourWiseFamilyBank(5, 512, seed=7)
+        # The table must yield exactly the same signs as direct polynomial
+        # evaluation (what a family over the table limit does).
+        bank = FourWiseFamilyBank(5, 512, seed=7)
         small_ids = np.arange(10)
-        direct = bank_direct.signs(small_ids)
-        # Force the table path by requesting many ids first.
-        bank_table.signs(np.arange(512))
-        bank_table.signs(np.arange(512))
-        via_table = bank_table.signs(small_ids)
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
+            assert bank.resolve_table() is None
+            direct = bank.signs(small_ids)
+        via_table = bank.signs(small_ids)
+        assert bank.resolve_table() is not None
         assert np.array_equal(direct, via_table)
 
     @pytest.mark.parametrize("families", [1, 256])

@@ -1,17 +1,20 @@
 """Coordinate-indexed cover-sum tables and interned xi sign tables.
 
-Three implementations of a letter sum must agree to the bit: gathers from
-the coordinate tables (a bank whose xi family has a sign table), the
-vectorised cover walk (a cold bank, or a domain whose tables would exceed
-the byte budget) and the scalar ``cover`` / ``point_cover`` walk.  They
-must also reject the same inputs with the same exception.  Every table is
-coordinate-major: one row of ``instances`` bytes per id or coordinate.
+Every implementation of a letter sum must agree to the bit with the scalar
+``cover`` / ``point_cover`` walk, in both counter layouts: gathers from the
+coordinate tables derived from the xi family's sign table, the vectorised
+cover walk over the sign table (a domain whose derived tables would exceed
+``_DERIVED_BYTE_LIMIT``) and the same walk over directly hashed signs (a
+family over ``_TABLE_BYTE_LIMIT``).  They must also reject the same inputs
+with the same exception.  Every table is coordinate-major: one row of
+``instances`` bytes per id or coordinate.
 """
 
 import gc
 import sys
 import threading
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from repro.core.domain import Domain
 from repro.core.dyadic import DyadicDomain
 from repro.core.hashing import FourWiseFamilyBank, sign_table_stats
 from repro.errors import DomainError, SketchConfigError
+from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, synthetic_boxes
 
 from tests import helpers
@@ -40,20 +44,39 @@ def max_levels(size: int) -> list[int | None]:
 CONFIGS = [(size, max_level) for size in SIZES for max_level in max_levels(size)]
 
 
-def bank_for(size: int, max_level, letter: Letter, seed: int) -> SketchBank:
+COVER_LETTERS = [letter for letter in Letter
+                 if letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF)]
+#: ``(letter, split)``: a level-split bank sums no leaf letters.
+LAYOUTS = [(letter, False) for letter in Letter] + [
+    (letter, True) for letter in COVER_LETTERS]
+
+
+def bank_for(size: int, max_level, letter: Letter, seed: int,
+             split: bool = False) -> SketchBank:
     domain = Domain((size,), max_levels=max_level)
-    return SketchBank(domain, all_words([letter], 1), INSTANCES, seed=seed)
+    return SketchBank(domain, all_words([letter], 1), INSTANCES, seed=seed,
+                      split_levels=split)
 
 
-def warm(bank: SketchBank) -> SketchBank:
-    """Push the bank's xi family past the sign-table break-even."""
-    xi = bank.xi_banks[0]
-    assert xi.resolve_table(xi.universe_size) is not None
-    return bank
+def sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
+    """What a query reads of the bank: per level on a level-split bank."""
+    if bank.split_levels:
+        return bank.level_sums(0, letter, lows, highs)
+    return bank.letter_sums(0, letter, lows, highs)
 
 
 def scalar_letter_sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
-    return helpers.scalar_letter_sums(bank, 0, letter, lows, highs)
+    return helpers.scalar_letter_sums(bank, 0, letter, lows, highs,
+                                      by_level=bank.split_levels)
+
+
+def on_every_path(bank: SketchBank, compute) -> list:
+    """``compute(bank)`` on each of :data:`helpers.PATHS`, in order."""
+    results = []
+    for limit in helpers.PATHS:
+        with helpers.on_path(limit, bank):
+            results.append(compute(bank))
+    return results
 
 
 def edge_intervals(size: int, max_level) -> list[tuple[int, int]]:
@@ -83,38 +106,37 @@ def intervals_in(draw, size: int):
 
 class TestThreeWayEquivalence:
     @pytest.mark.parametrize("size,max_level", CONFIGS)
-    @pytest.mark.parametrize("letter", list(Letter))
-    def test_edge_cases(self, size, max_level, letter):
+    @pytest.mark.parametrize("letter,split", LAYOUTS)
+    def test_edge_cases(self, size, max_level, letter, split):
         lows, highs = (np.array(column, dtype=np.int64)
                        for column in zip(*edge_intervals(size, max_level)))
-        cold = bank_for(size, max_level, letter, seed=7)
-        walked = cold.letter_sums(0, letter, lows[:1], highs[:1])
-        scalar = scalar_letter_sums(cold, letter, lows, highs)
-        assert np.array_equal(walked, scalar[:, :1])
-        tabled = warm(bank_for(size, max_level, letter, seed=7))
-        result = tabled.letter_sums(0, letter, lows, highs)
-        assert result.dtype == np.float64 and result.flags.writeable
-        assert np.array_equal(result, scalar)
+        bank = bank_for(size, max_level, letter, seed=7, split=split)
+        scalar = scalar_letter_sums(bank, letter, lows, highs)
+        for result in on_every_path(
+                bank, lambda bank: sums(bank, letter, lows, highs)):
+            assert result.flags.writeable
+            assert split or result.dtype == np.float64
+            assert np.array_equal(result, scalar)
 
-    @given(st.data(), st.sampled_from(CONFIGS), st.sampled_from(list(Letter)),
+    @given(st.data(), st.sampled_from(CONFIGS), st.sampled_from(LAYOUTS),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_table_walk_and_scalar_agree(self, data, config, letter, seed):
+    def test_table_walk_and_scalar_agree(self, data, config, layout, seed):
         size, max_level = config
+        letter, split = layout
         pairs = data.draw(intervals_in(size))
         lows = np.array([p[0] for p in pairs], dtype=np.int64)
         highs = np.array([p[1] for p in pairs], dtype=np.int64)
-        cold = bank_for(size, max_level, letter, seed)
-        assert cold.xi_banks[0].resolve_table(0) is None
-        walked = cold.letter_sums(0, letter, lows, highs)
-        tabled = warm(bank_for(size, max_level, letter, seed)).letter_sums(
-            0, letter, lows, highs)
+        bank = bank_for(size, max_level, letter, seed, split=split)
+        hashed, walked, tabled = on_every_path(
+            bank, lambda bank: sums(bank, letter, lows, highs))
+        assert np.array_equal(hashed, walked)
         assert np.array_equal(walked, tabled)
-        assert np.array_equal(tabled, scalar_letter_sums(cold, letter, lows, highs))
+        assert np.array_equal(tabled, scalar_letter_sums(bank, letter, lows, highs))
 
     def test_every_interval_of_a_small_domain(self):
         for max_level in max_levels(16):
-            bank = warm(bank_for(16, max_level, Letter.INTERVAL, seed=3))
+            bank = bank_for(16, max_level, Letter.INTERVAL, seed=3)
             lows, highs = (np.array(column) for column in zip(
                 *[(lo, hi) for lo in range(16) for hi in range(lo, 16)]))
             assert np.array_equal(
@@ -134,7 +156,7 @@ class TestThreeWayEquivalence:
         built = []
         monkeypatch.setattr(DyadicDomain, "interval_cover_tables",
                             lambda *args: built.append(args))
-        bank = warm(bank_for(256, None, letter, seed=10))
+        bank = bank_for(256, None, letter, seed=10)
         assert np.array_equal(bank.letter_sums(0, letter, lows, highs),
                               scalar_letter_sums(bank, letter, lows, highs))
         assert not built
@@ -145,6 +167,18 @@ class TestThreeWayEquivalence:
         assert dyadic.interval_table_bytes(256) > FourWiseFamilyBank._DERIVED_BYTE_LIMIT
         assert (DyadicDomain(1024).interval_table_bytes(256)
                 <= FourWiseFamilyBank._DERIVED_BYTE_LIMIT)
+
+    @pytest.mark.parametrize("limit", helpers.PATHS[:2])
+    def test_a_walk_over_zero_intervals(self, limit):
+        """A level-split 2^16 bank walks covers (its level tables are over
+        the real budget) — and over no intervals returns no columns."""
+        bank = SketchBank(Domain((1 << 16,)),
+                          all_words([Letter.INTERVAL, Letter.UPPER_POINT], 1),
+                          256, seed=11, split_levels=True)
+        empty = np.empty(0, dtype=np.int64)
+        with helpers.on_path(limit, bank):
+            for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
+                assert bank.level_sums(0, letter, empty, empty).shape == (256, 0, 17)
 
 
 class TestFoldedTopPlanes:
@@ -166,7 +200,7 @@ class TestFoldedTopPlanes:
         rng = np.random.default_rng(size)
         height = DyadicDomain(size).height
         signs = FourWiseFamilyBank(INSTANCES, 2 * (1 << height) - 1,
-                                   seed=size).resolve_table(1 << 30)
+                                   seed=size).resolve_table()
         points = rng.integers(0, size, size=(2, 400))
         lows, highs = points.min(axis=0), points.max(axis=0)
         edges = edge_intervals(1 << height, None)
@@ -204,7 +238,7 @@ class TestFoldedTopPlanes:
         assert sums.dtype == np.int8 and sums[:, 0].tolist() == lengths.tolist()
 
 
-class TestSameErrorsColdAndWarm:
+class TestSameErrorsOnEveryPath:
     BAD = [
         (Letter.INTERVAL, [0, 5], [3, 4]),           # lo > hi
         (Letter.INTERVAL, [0, -1], [3, 4]),          # below the domain
@@ -218,17 +252,45 @@ class TestSameErrorsColdAndWarm:
         (Letter.UPPER_LEAF, [0], [16]),
     ]
 
+    @staticmethod
+    def failures(bank: SketchBank, call) -> list:
+        """``(type, message)`` of what ``call(bank)`` raises on every path."""
+        def failure(bank):
+            with pytest.raises((DomainError, SketchConfigError)) as caught:
+                call(bank)
+            return type(caught.value), str(caught.value)
+        return on_every_path(bank, failure)
+
     @pytest.mark.parametrize("letter,lows,highs", BAD)
     @pytest.mark.parametrize("max_level", [0, 2, None])
     def test_identical_exception(self, letter, lows, highs, max_level):
         lows, highs = np.array(lows), np.array(highs)
-        failures = []
-        for prepare in (lambda bank: bank, warm):
-            bank = prepare(bank_for(16, max_level, letter, seed=1))
-            with pytest.raises((DomainError, SketchConfigError)) as caught:
-                bank.letter_sums(0, letter, lows, highs)
-            failures.append((type(caught.value), str(caught.value)))
-        assert failures[0] == failures[1]
+        bank = bank_for(16, max_level, letter, seed=1)
+        failures = self.failures(
+            bank, lambda bank: bank.letter_sums(0, letter, lows, highs))
+        assert failures[0] == failures[1] == failures[2]
+
+    @pytest.mark.parametrize("letter", COVER_LETTERS)
+    @pytest.mark.parametrize("max_level", [0, 2, None])
+    def test_a_level_split_insert_of_an_empty_interval(self, letter, max_level):
+        """``[10, 9]``, what a strict shrink makes of ``[9, 10]``: refused
+        by an interval letter on every path, summed at both ends by a
+        point letter."""
+        boxes = BoxSet(np.array([[10]]), np.array([[9]]), validate=False)
+
+        def insert(bank):
+            fresh = bank.companion()
+            try:
+                fresh.insert(boxes)
+            except DomainError as exc:
+                return str(exc)
+            return fresh.counter_tensor.tolist()
+
+        outcomes = on_every_path(
+            bank_for(16, max_level, letter, seed=1, split=True), insert)
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert (outcomes[0] == "cover requested for empty interval [10, 9]"
+                ) == (letter is Letter.INTERVAL)
 
 
 class TestInterning:
@@ -236,22 +298,22 @@ class TestInterning:
         first = FourWiseFamilyBank(6, 255, seed=21)
         second = FourWiseFamilyBank(6, 255, seed=21)
         other = FourWiseFamilyBank(6, 255, seed=22)
-        tables = [bank.resolve_table(255) for bank in (first, second, other)]
+        tables = [bank.resolve_table() for bank in (first, second, other)]
         assert tables[0] is tables[1]
         assert tables[0] is not tables[2]
         assert not np.array_equal(tables[0], tables[2])
-        # A cold bank adopts a table somebody else already paid for.
-        assert FourWiseFamilyBank(6, 255, seed=21).resolve_table(0) is tables[0]
+        # A new bank adopts the table another bank built.
+        assert FourWiseFamilyBank(6, 255, seed=21).resolve_table() is tables[0]
         # Same coefficients over another universe are another table.
         wider = FourWiseFamilyBank.from_coefficients(first.coefficients, 511)
-        assert wider.resolve_table(511) is not tables[0]
+        assert wider.resolve_table() is not tables[0]
 
     @pytest.mark.parametrize("size,max_level", [
         (64, 0), (64, 3), (64, None), (256, 0), (1024, 2)])
     def test_tables_are_read_only_rows(self, size, max_level):
-        bank = warm(bank_for(size, max_level, Letter.INTERVAL, seed=2))
+        bank = bank_for(size, max_level, Letter.INTERVAL, seed=2)
         xi, dyadic = bank.xi_banks[0], bank.domain.dyadic(0)
-        signs = xi.resolve_table(0)
+        signs = xi.resolve_table()
         bounds, *prefix = xi.derived_tables(
             ("interval", dyadic.size, dyadic.max_level),
             dyadic.interval_table_bytes(INSTANCES), dyadic.interval_cover_tables)
@@ -279,8 +341,9 @@ class TestInterning:
 
     def test_table_matches_direct_evaluation(self):
         bank = FourWiseFamilyBank(70, 3000, seed=5)    # > one build block
-        direct = bank.signs(np.arange(40))
-        table = bank.resolve_table(3000)
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
+            direct = bank.signs(np.arange(40))
+        table = bank.resolve_table()
         assert table.shape == (3000, 70) and table.dtype == np.int8
         assert np.array_equal(table[:40].T, direct)
         assert np.array_equal(table.T, FourWiseFamilyBank(70, 3000, seed=5).signs(
@@ -305,7 +368,7 @@ class TestInterning:
         banks = [spec.build().left_bank, spec.build().left_bank,
                  service.merged_view("join").left_bank]
         for dim in range(2):
-            tables = [bank.xi_banks[dim].resolve_table(0) for bank in banks]
+            tables = [bank.xi_banks[dim].resolve_table() for bank in banks]
             assert tables[0] is not None
             assert all(table is tables[0] for table in tables)
         # 4 shards x 2 sides + views, yet one table per xi family.
@@ -333,7 +396,7 @@ class TestInterning:
         results: list = [None] * len(banks)
 
         def resolve(index):
-            signs = banks[index].resolve_table(127)
+            signs = banks[index].resolve_table()
             derived = banks[index].derived_tables("probe", 4, build_derived)
             results[index] = (signs, derived[0])
 
@@ -360,13 +423,13 @@ class TestInterning:
 class TestLifetime:
     def test_tables_die_with_their_last_bank(self):
         gc.collect()         # tables of earlier tests still awaiting the cycle gc
-        bank = warm(bank_for(64, None, Letter.ENDPOINTS, seed=123))
+        bank = bank_for(64, None, Letter.ENDPOINTS, seed=123)
         bank.letter_sums(0, Letter.ENDPOINTS, np.array([1]), np.array([2]))
         table = weakref.ref(bank.xi_banks[0]._family)
         # The interned object is the array that owns the bytes: a view
         # handed out instead would pin the table through its base.
-        assert bank.xi_banks[0].resolve_table(0).base is None
-        signs = weakref.ref(bank.xi_banks[0].resolve_table(0))
+        assert bank.xi_banks[0].resolve_table().base is None
+        signs = weakref.ref(bank.xi_banks[0].resolve_table())
         before = sign_table_stats()
         assert before["sign_table_bytes"] >= 127 * INSTANCES + 64 * INSTANCES
         del bank
@@ -393,7 +456,7 @@ class TestLifetime:
         service.estimate(name)
         banks = service.merged_view(name).left_bank.xi_banks
         # The view's fresh banks adopt the tables the shards built.
-        assert all(xi.resolve_table(0) is not None for xi in banks)
+        assert all(xi.resolve_table() is not None for xi in banks)
         tables = [weakref.ref(xi._family) for xi in banks]
         assert service.describe()["sign_table_bytes"] > 0
         del banks

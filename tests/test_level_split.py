@@ -54,7 +54,8 @@ class TestKernel:
     @given(cases())
     @settings(max_examples=40, deadline=None)
     def test_cells_sum_to_the_one_cell_counters(self, case):
-        """Inserts then deletes, strict on and off, tables warm or cold."""
+        """Inserts then deletes, strict on and off, tables pre-paid or built
+        by the first insert."""
         domain, seed, count, strict, warm = case
         rng = np.random.default_rng(seed)
         boxes = random_boxes(rng, count, domain.requested_sizes, strict=strict)

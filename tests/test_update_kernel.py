@@ -5,7 +5,8 @@ and sums them in int64; past float64's exact integers it falls back to the
 float ``(instances, boxes)`` kernel.  Both must leave the counters a scalar
 reference leaves — cover walks and hashes per box, nothing shared with the
 kernels — for every letter, every estimator family, inserts and deletes,
-per-letter coordinate overrides, every chunking and every table state.
+per-letter coordinate overrides, every chunking, both counter layouts and
+every cover-sum path (``helpers.PATHS``).
 """
 
 from contextlib import contextmanager
@@ -23,7 +24,7 @@ from repro.errors import DomainError, SketchConfigError
 from repro.geometry.boxset import BoxSet
 from repro.service.specs import FAMILIES, EstimatorSpec, apply_update
 
-from tests.helpers import scalar_letter_sums
+from tests.helpers import PATHS, on_path, scalar_letter_sums
 from tests.test_property_batch_equivalence import FAMILY_CASES, _boxes
 
 INSTANCES = 5
@@ -75,47 +76,46 @@ def scalar_counters(bank: SketchBank, updates) -> np.ndarray:
     return counters
 
 
-def warm(bank: SketchBank) -> None:
-    for xi in bank.xi_banks:
-        assert xi.resolve_table(xi.universe_size) is not None
-
-
 @st.composite
 def bank_cases(draw):
+    """``(domain, words, split)``: a level-split bank is 1-D or 2-D and
+    sums no leaf letters."""
     dimension = draw(st.sampled_from([1, 2, 4]))
+    split = dimension <= 2 and draw(st.booleans())
+    letters = [letter for letter in LETTERS if not split
+               or letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF)]
     axes = [draw(st.sampled_from(AXES)) for _ in range(dimension)]
     if dimension == 1:
-        words = all_words(LETTERS, 1)
+        words = all_words(letters, 1)
     else:
         words = draw(st.lists(
-            st.tuples(*[st.sampled_from(LETTERS)] * dimension),
+            st.tuples(*[st.sampled_from(letters)] * dimension),
             min_size=1, max_size=8, unique=True))
-    return domain_of(axes), words
+    return domain_of(axes), words, split
 
 
 class TestThreeKernelsAgree:
     @given(bank_cases(), st.integers(0, 2 ** 31 - 1), st.integers(0, 24),
-           st.sampled_from([1.0, -1.0, 3.0, 0.5]), st.booleans())
+           st.sampled_from([1.0, -1.0, 3.0, 0.5]), st.sampled_from(PATHS))
     @settings(max_examples=120, deadline=None)
-    def test_every_letter_and_dimension(self, case, seed, count, weight, tabled):
-        domain, words = case
+    def test_every_letter_and_dimension(self, case, seed, count, weight, path):
+        domain, words, split = case
         boxes = random_boxes(np.random.default_rng(seed), count, domain)
-        integer = SketchBank(domain, words, INSTANCES, seed=seed)
-        floating = SketchBank(domain, words, INSTANCES, seed=seed)
-        if tabled:
-            warm(integer)              # same seed: `floating` adopts the tables
-        integer.insert(boxes, weight=weight)
-        with float_kernel():
-            floating.insert(boxes, weight=weight)
+        integer, floating = (SketchBank(domain, words, INSTANCES, seed=seed,
+                                        split_levels=split) for _ in range(2))
+        with on_path(path, integer):
+            integer.insert(boxes, weight=weight)
+            with float_kernel():
+                floating.insert(boxes, weight=weight)
         assert np.array_equal(integer.counter_tensor, floating.counter_tensor)
         assert np.array_equal(integer.counter_tensor,
                               scalar_counters(integer, [(boxes, weight, None)]))
         assert integer.num_updates == floating.num_updates == weight * count
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 16),
-           st.sets(st.sampled_from(LETTERS), min_size=1), st.booleans())
+           st.sets(st.sampled_from(LETTERS), min_size=1), st.sampled_from(PATHS))
     @settings(max_examples=60, deadline=None)
-    def test_letter_boxes_overrides(self, seed, count, overridden, tabled):
+    def test_letter_boxes_overrides(self, seed, count, overridden, path):
         """Extended overlap sketches other coordinates for some letters."""
         domain = domain_of([(16, None), (64, 3)])
         rng = np.random.default_rng(seed)
@@ -126,15 +126,14 @@ class TestThreeKernelsAgree:
         words = all_words(LETTERS, 2)
         integer = SketchBank(domain, words, INSTANCES, seed=seed)
         floating = integer.companion()
-        if tabled:
-            warm(integer)
-        integer.insert(boxes, letter_boxes=overrides)
-        integer.delete(boxes[:1], letter_boxes={
-            letter: source[:1] for letter, source in overrides.items()})
-        with float_kernel():
-            floating.insert(boxes, letter_boxes=overrides)
-            floating.delete(boxes[:1], letter_boxes={
+        with on_path(path, integer):
+            integer.insert(boxes, letter_boxes=overrides)
+            integer.delete(boxes[:1], letter_boxes={
                 letter: source[:1] for letter, source in overrides.items()})
+            with float_kernel():
+                floating.insert(boxes, letter_boxes=overrides)
+                floating.delete(boxes[:1], letter_boxes={
+                    letter: source[:1] for letter, source in overrides.items()})
         assert np.array_equal(integer.counter_tensor, floating.counter_tensor)
         assert np.array_equal(integer.counter_tensor, scalar_counters(integer, [
             (boxes, 1.0, overrides),
@@ -208,13 +207,11 @@ class TestChunking:
         return bank
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 8])
-    @pytest.mark.parametrize("tabled", [False, True])
-    def test_one_box_either_side_of_a_chunk_boundary(self, monkeypatch, extra, tabled):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_box_either_side_of_a_chunk_boundary(self, monkeypatch, extra, path):
         domain = domain_of([(64, None), (64, 3)])
         chunk = 7
         bank = self.chunked_bank(monkeypatch, domain, chunk)
-        if tabled:
-            warm(bank)
         boxes = random_boxes(np.random.default_rng(9), chunk + extra, domain)
         chunks = []
         insert_chunk = SketchBank._insert_chunk
@@ -223,34 +220,12 @@ class TestChunking:
             lambda self, sources, start, stop, weight: (
                 chunks.append((start, stop)),
                 insert_chunk(self, sources, start, stop, weight))[1])
-        bank.insert(boxes)
+        with on_path(path, bank):
+            bank.insert(boxes)
         assert chunks == [(start, min(start + chunk, len(boxes)))
                           for start in range(0, len(boxes), chunk)]
         assert np.array_equal(bank.counter_tensor,
                               scalar_counters(bank, [(boxes, 1.0, None)]))
-
-    def test_tables_turn_warm_inside_one_insert(self, monkeypatch):
-        """The first chunks walk covers, the later ones gather from tables."""
-        domain = domain_of([(16, None), (16, None)])
-        bank = self.chunked_bank(monkeypatch, domain, chunk=4, seed=11)
-        boxes = random_boxes(np.random.default_rng(4), 40, domain)
-        served = []
-        insert_chunk = SketchBank._insert_chunk
-
-        def spying_chunk(self, sources, start, stop, weight):
-            served.append(all(xi.resolve_table(0) is not None
-                              for xi in self.xi_banks))
-            return insert_chunk(self, sources, start, stop, weight)
-
-        monkeypatch.setattr(SketchBank, "_insert_chunk", spying_chunk)
-        bank.insert(boxes)
-        assert served[0] is False and served[-1] is True
-        assert np.array_equal(bank.counter_tensor,
-                              scalar_counters(bank, [(boxes, 1.0, None)]))
-        with float_kernel():
-            floating = SketchBank(domain, self.WORDS, INSTANCES, seed=11)
-            floating.insert(boxes)
-        assert np.array_equal(bank.counter_tensor, floating.counter_tensor)
 
 
 class TestExactnessGuard:

@@ -1,16 +1,15 @@
 """One interned xi family per ``(universe, coefficients)``.
 
-The family — not the bank — owns the break-even accounting, the sign table
-and their lifetime: every bank over the same coefficients charges one
-counter, the table is built once they have together paid for it (a
-directly evaluated id costs ``_DIRECT_COST_RATIO`` table cells), and the
-record dies with its last bank.  The cluster router reduces against
-resident template estimators, so its families outlive single estimates.
+The family — not the bank — owns the sign table and its lifetime: the
+first evaluation through any bank over the same coefficients builds the
+table, if it fits ``_TABLE_BYTE_LIMIT``, every other bank reads it, and
+the record dies with its last bank.  A family over the limit stays on the
+polynomial and says so once.  The cluster router reduces against resident
+template estimators, so its families outlive single estimates.
 
-A *service* pre-pays the break-even: the first buffered batch of a name
-charges every family of the name's banks its whole universe, so the tables
-exist before the ack and a flush never builds.  Library banks, views and
-router templates keep the per-request accounting.
+A *service* builds a name's tables when the name's first batch is
+buffered: the bank runs the row functions of an insert on zero boxes, so
+the tables exist before the ack and neither a flush nor an estimate builds.
 
 Builds and directly hashed ids are *counted* here through the process-wide
 ``sign_table_builds`` / ``direct_hash_ids`` totals, never timed.
@@ -26,8 +25,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.client import ServiceClient
 from repro.cluster import RouterConfig, ThreadedClusterRouter
@@ -49,11 +46,9 @@ from repro.service.specs import apply_update
 from repro.wal import WalWriter
 from repro.wal.recovery import recover_service
 
-from tests.helpers import scalar_letter_sums
 from tests.test_property_batch_equivalence import FAMILY_CASES, _boxes
 
 INSTANCES = 5
-RATIO = hashing._DIRECT_COST_RATIO
 
 
 def counted(before: dict) -> tuple[int, int]:
@@ -68,45 +63,34 @@ def leaf_bank(seed: int, size: int = 1024) -> SketchBank:
                       INSTANCES, seed=seed)
 
 
-class TestAccountingIsPerFamily:
-    def test_break_even_is_a_quarter_of_the_universe(self):
-        bank = FourWiseFamilyBank(INSTANCES, 2047, seed=9001)
-        short = -(-2047 // RATIO) - 1
-        assert bank.resolve_table(short) is None
-        assert bank.resolve_table(0) is None
-        assert bank.resolve_table(1) is not None
+def derived_tables() -> int:
+    """Tables derived from live sign tables, over every family."""
+    with hashing._FAMILIES_LOCK:
+        families = list(hashing._FAMILIES.values())
+    return sum(len(family._derived) for family in families)
 
-    def test_shards_and_a_companion_pay_for_one_table(self):
-        """Four shard banks and a companion, 110 ids each: none is over the
-        512-id break-even of a 2047-node universe, together they are."""
+
+class TestOneTablePerFamily:
+    def test_shards_and_a_companion_share_one_table(self):
+        """The first evaluation builds the table; the other shards, a
+        companion and a bank made only afterwards read it."""
         shards = [leaf_bank(seed=9002) for _ in range(4)]
         banks = shards + [shards[0].companion()]
         points = np.arange(110)
         before = sign_table_stats()
-        cold = [bank.letter_sums(0, Letter.LOWER_LEAF, points, points)
-                for bank in banks[:4]]
-        assert counted(before) == (0, 4 * 110)
-        assert all(bank.xi_banks[0].resolve_table(0) is None for bank in banks)
-        crossing = banks[4].letter_sums(0, Letter.LOWER_LEAF, points, points)
-        assert counted(before) == (1, 4 * 110)
-        # Every bank of the family — one made only now included — serves
-        # from the one table: no build, no polynomial evaluation.
-        latecomer = leaf_bank(seed=9002)
-        warm = [bank.letter_sums(0, Letter.LOWER_LEAF, points, points)
-                for bank in banks + [latecomer]]
-        assert counted(before) == (1, 4 * 110)
-        for sums in cold + warm:
-            assert np.array_equal(sums, crossing)
-        tables = {id(bank.xi_banks[0].resolve_table(0))
-                  for bank in banks + [latecomer]}
-        assert len(tables) == 1
+        first = banks[0].letter_sums(0, Letter.LOWER_LEAF, points, points)
+        assert counted(before) == (1, 0)
+        banks.append(leaf_bank(seed=9002))
+        for bank in banks[1:]:
+            assert np.array_equal(
+                bank.letter_sums(0, Letter.LOWER_LEAF, points, points), first)
+        assert counted(before) == (1, 0)
+        assert len({id(bank.xi_banks[0].resolve_table()) for bank in banks}) == 1
 
     def test_another_seed_is_another_family(self):
         first, second = leaf_bank(seed=9003), leaf_bank(seed=9004)
-        first.xi_banks[0].resolve_table(2047)
-        assert first.xi_banks[0].resolve_table(0) is not None
-        assert second.xi_banks[0].resolve_table(0) is None
-        assert second.xi_banks[0]._xi_family().ids_requested == 0
+        assert first.xi_banks[0].resolve_table() is not None
+        assert second.xi_banks[0]._xi_family().signs is None
 
     def test_oversized_universes_keep_hashing(self):
         ids = np.arange(0, 3000, 7)
@@ -114,106 +98,30 @@ class TestAccountingIsPerFamily:
                                INSTANCES * 3000 - 1):
             bank = FourWiseFamilyBank(INSTANCES, 3000, seed=9005)
             before = sign_table_stats()
-            assert bank.resolve_table(10 * 3000) is None
+            assert bank.resolve_table() is None
             direct = bank.signs(ids)
             assert counted(before) == (0, len(ids))
         # The same family, now allowed a table, agrees with what it hashed.
         assert np.array_equal(bank.signs(ids), direct)
-        assert bank.resolve_table(0) is not None
-
-
-class TestBitIdentity:
-    @given(st.sampled_from([(64, None), (64, 2), (1024, None), (1024, 0)]),
-           st.sampled_from(list(Letter)), st.integers(0, 2 ** 31 - 1),
-           st.data())
-    @settings(max_examples=120, deadline=None)
-    def test_cold_crossing_and_warm_agree(self, config, letter, seed, data):
-        size, max_level = config
-        pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
-            min_size=1, max_size=24))
-        lows = np.array([min(pair) for pair in pairs], dtype=np.int64)
-        highs = np.array([max(pair) for pair in pairs], dtype=np.int64)
-        bank = SketchBank(Domain((size,), max_levels=max_level),
-                          all_words([letter], 1), INSTANCES, seed=seed)
-        xi = bank.xi_banks[0]
-        # Cold: a family that may never have a table evaluates directly.
-        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
-            cold = bank.letter_sums(0, letter, lows, highs)
-            assert xi.resolve_table(0) is None
-        # At the crossing: one id short of the break-even, so the table
-        # turns up inside the call.
-        family = xi._xi_family()
-        short = -(-xi.universe_size // RATIO) - 1 - family.ids_requested
-        if short > 0:
-            assert xi.resolve_table(short) is None
-        crossing = bank.letter_sums(0, letter, lows, highs)
-        assert xi.resolve_table(0) is not None
-        before = sign_table_stats()
-        warm = bank.letter_sums(0, letter, lows, highs)
-        assert counted(before) == (0, 0)
-        assert np.array_equal(cold, crossing)
-        assert np.array_equal(cold, warm)
-        assert np.array_equal(cold, scalar_letter_sums(bank, 0, letter,
-                                                       lows, highs))
-
-
-class TestRacingThreads:
-    def test_twelve_threads_three_families(self):
-        """4 threads per family, more threads than cores: no request is
-        lost from a family's count, and each family builds one table."""
-        banks = [FourWiseFamilyBank(4, 2047, seed=9100 + index % 3)
-                 for index in range(12)]
-        results: list = [None] * len(banks)
-
-        def charge(index):
-            for _ in range(200):
-                results[index] = banks[index].resolve_table(1)
-
-        def race() -> None:
-            threads = [threading.Thread(target=charge, args=(index,))
-                       for index in range(len(banks))]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-5)
-            try:
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(20.0)
-            finally:
-                sys.setswitchinterval(interval)
-            assert not any(thread.is_alive() for thread in threads)
-
-        before = sign_table_stats()
-        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 0):
-            race()
-        assert counted(before) == (0, 0)
-        assert [bank._xi_family().ids_requested for bank in banks] == [800] * 12
-        race()
-        assert counted(before) == (3, 0)
-        for index, table in enumerate(results):
-            assert table is not None and table is results[index % 3]
+        assert bank.resolve_table() is not None
 
 
 class TestLifetime:
-    def test_family_and_counter_die_with_the_last_bank(self):
+    def test_a_family_dies_with_its_last_bank(self):
         first = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
         second = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
-        assert first.resolve_table(300) is None
-        assert second.resolve_table(0) is None
-        family = second._xi_family()
-        assert family is first._xi_family() and family.ids_requested == 300
-        family = weakref.ref(family)
+        before = sign_table_stats()
+        assert first.resolve_table() is second.resolve_table()
+        family = weakref.ref(second._xi_family())
         del first
         assert family() is not None
         del second
         gc.collect()
         assert family() is None
-        # A new bank starts a new record from zero: with the old 300 ids
-        # this request would have crossed the 512-id break-even.
-        reborn = FourWiseFamilyBank(INSTANCES, 2047, seed=9200)
-        assert reborn.resolve_table(300) is None
-        assert reborn._xi_family().ids_requested == 300
+        # A new bank starts a new record and builds its table again.
+        assert FourWiseFamilyBank(INSTANCES, 2047, seed=9200).resolve_table() \
+            is not None
+        assert counted(before) == (2, 0)
 
 
 def benchmark_shaped_service(seed: int, wal=None) -> EstimationService:
@@ -276,8 +184,7 @@ class TestSmallBatchesNeverWalkCold:
         for name in ("rj", "cj"):
             estimator = service.store.shard_estimators(name)[0]
             for side in type(estimator).SIDES:
-                assert all(xi.resolve_table(0) is None
-                           and xi._xi_family().ids_requested == 0
+                assert all(xi._xi_family().signs is None
                            for xi in estimator.side_bank(side.name).xi_banks)
         # An empty batch is not a first box.
         service.ingest("rj", synthetic_boxes(Domain.square(1024, 2), 0, seed=1))
@@ -337,7 +244,7 @@ class TestSmallBatchesNeverWalkCold:
                     == hashed_by_a_flush(9340, prepay=False))
         stays = [record for record in caplog.records
                  if "stays on direct hashing" in record.getMessage()]
-        # Once per family, pre-paid (the first service) or accounted.
+        # Once per family, pre-paid (the first service) or by the flush.
         assert len(stays) == 4
         assert all(record.levelno == logging.WARNING for record in stays)
         assert "universe=2047 families=256" in stays[0].getMessage()
@@ -375,14 +282,36 @@ class TestSmallBatchesNeverWalkCold:
         assert set(recovered.names()) == {"rq", "rj", "cj"}
 
 
+class TestPrepaidTables:
+    @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+    def test_the_first_insert_and_estimate_build_nothing(self, family):
+        """``prepay_tables`` runs the insert's own row functions, so it
+        builds exactly what the first insert and the first estimate read."""
+        sizes, sides, options = FAMILY_CASES[family]
+        spec = EstimatorSpec.create(family, sizes, 16, seed=9380, **options)
+        estimator = spec.build()
+        before = sign_table_stats()
+        estimator.prepay_tables()
+        assert counted(before)[0] > 0
+        prepaid = sign_table_stats()["sign_table_builds"], derived_tables()
+        rng = np.random.default_rng(1)
+        for side in sides:
+            apply_update(spec, estimator, side, "insert", _boxes(
+                rng, 20, sizes, degenerate=bool(spec.info.point_sides)))
+        query = (_boxes(rng, 1, sizes, degenerate=False)
+                 if spec.info.queryable else None)
+        estimator.estimate(query)
+        assert (sign_table_stats()["sign_table_builds"],
+                derived_tables()) == prepaid
+        assert counted(before)[1] == 0
+
+
 class TestLogRecords:
     def test_one_record_per_family_build(self, caplog):
         with caplog.at_level(logging.INFO, logger="repro.xi"):
             bank = FourWiseFamilyBank(INSTANCES, 2047, seed=9370)
-            assert bank.resolve_table(100) is None
-            assert not caplog.records
-            assert bank.resolve_table(2047) is not None
-            assert bank.resolve_table(2047) is not None
+            assert bank.resolve_table() is not None
+            assert bank.resolve_table() is not None
             service = EstimationService(num_shards=2)
             service.register("rq", family="range", domain=Domain.square(64, 2),
                              num_instances=INSTANCES, seed=9371)
@@ -395,10 +324,21 @@ class TestLogRecords:
         assert messages[0].startswith(
             f"xi family built: universe=2047 families={INSTANCES} "
             f"bytes={2047 * INSTANCES} ms=")
-        assert messages[0].endswith(" accounted")
         for message in messages[1:]:
             assert f"universe=127 families={INSTANCES} " in message
-            assert message.endswith(" prepaid")
+
+    def test_one_warning_per_family_over_the_limit(self, caplog):
+        with mock.patch.object(FourWiseFamilyBank, "_TABLE_BYTE_LIMIT", 1000), \
+                caplog.at_level(logging.INFO, logger="repro.xi"):
+            first = FourWiseFamilyBank(INSTANCES, 2047, seed=9372)
+            second = FourWiseFamilyBank(INSTANCES, 2047, seed=9372)
+            assert first.resolve_table() is None
+            assert second.signs(np.arange(10)).shape == (INSTANCES, 10)
+            assert first.resolve_table() is None
+        assert [(record.levelno, record.getMessage()) for record in caplog.records] == [
+            (logging.WARNING, "xi family stays on direct hashing: universe=2047 "
+             f"families={INSTANCES} bytes={2047 * INSTANCES} over the limit "
+             "of 1000")]
 
 
 def test_first_ingest_does_not_import_numpy_ma():
@@ -523,13 +463,13 @@ class TestRouterTemplates:
             ) == before["sign_table_builds"]
             client.flush()
             assert counted(before) == (0, 0)
-            answers = [client.estimate("rq", queries[index]).estimate
-                       for index in range(100)]
-            builds, hashed = counted(before)
-            assert builds == 2 and hashed > 0          # one per dimension
+            # The template builds its families (one per dimension) at the
+            # first estimate; no estimate hashes.
+            answers = [client.estimate("rq", queries[0]).estimate]
+            assert counted(before) == (2, 0)
             answers += [client.estimate("rq", queries[index]).estimate
-                        for index in range(100, 200)]
-            assert counted(before) == (2, hashed)
+                        for index in range(1, 200)]
+            assert counted(before) == (2, 0)
             stats = client.stats()
             assert (stats["sign_table_builds"] - before["sign_table_builds"],
                     stats["sign_tables"] - before["sign_tables"]) == (2, 2)
@@ -558,7 +498,8 @@ class TestRouterTemplates:
                            for index in range(200)]
 
         assert metric(text, "repro_cluster_router_sign_table_builds_total") >= 2
-        assert metric(text, "repro_cluster_router_direct_hash_ids_total") > 0
+        assert metric(text, "repro_cluster_router_direct_hash_ids_total") == (
+            before["direct_hash_ids"])
         assert metric(text, "repro_cluster_router_sign_tables") >= 2
         # Summed over the workers: the flush and the estimates added none.
         assert metric(text, "repro_cluster_sign_table_builds_total") == 2 * 6
