@@ -162,13 +162,6 @@ class ClusterManager:
         self._workers[name] = info
         return info
 
-    async def remove_worker(self, name: str) -> None:
-        """Forget a worker entirely (a shard worker's share of later
-        ingest goes to the other shard workers)."""
-        info = self.worker(name)
-        del self._workers[name]
-        await info.link.close()
-
     async def replace_worker(self, name: str, host: str, port: int, *,
                              data: str | bytes | None = None) -> WorkerInfo:
         """Point a (typically dead) worker name at a replacement process.

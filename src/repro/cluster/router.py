@@ -50,7 +50,7 @@ from repro.server import protocol
 from repro.server.coalescer import EstimateCoalescer
 from repro.server.front import FrontConfig, ServingFront
 from repro.server.metrics import fold, render, samples
-from repro.service.specs import EstimatorSpec, check_update, compile_programs
+from repro.service.specs import EstimatorSpec, answer_requests, check_update
 from repro.service.store import shard_ids
 from repro.tenancy import TENANT_SEP, TenantRegistry
 
@@ -300,34 +300,17 @@ class ClusterRouter(ServingFront):
     @staticmethod
     def _reduce(entries, gathered: dict) -> list:
         """On an executor thread: merge each name once, compile, run all."""
-        results: list = [None] * len(entries)
-        programs, answered = [], []
-        for key, found in gathered.items():
-            indices = [index for index, entry in enumerate(entries)
-                       if (entry.name, entry.tenant) == key]
-            try:
-                if isinstance(found, BaseException):
-                    raise found
-                spec, template, states = found
-                merged = merge_partial_states(spec, states, template=template)
-            except Exception as exc:  # the name's gather or merge failed
-                for index in indices:
-                    results[index] = exc
-                continue
-            queries = [entries[index].query for index in indices]
-            try:
-                programs += compile_programs(spec, merged, queries)
-                answered += indices
-            except Exception:  # the query that does not compile fails alone
-                for index, query in zip(indices, queries):
-                    try:
-                        programs += compile_programs(spec, merged, [query])
-                        answered.append(index)
-                    except Exception as exc:
-                        results[index] = exc
-        for index, result in zip(answered, default_executor().run(programs)):
-            results[index] = result
-        return results
+        def resolve(key):
+            found = gathered[key]
+            if isinstance(found, BaseException):
+                raise found
+            spec, template, states = found
+            return spec, merge_partial_states(spec, states, template=template)
+
+        return answer_requests(
+            default_executor(),
+            [((entry.name, entry.tenant), entry.query) for entry in entries],
+            resolve)
 
     async def _op_flush(self, fields: dict, scope) -> dict:
         replies = await self.manager.broadcast(protocol.build("flush"))

@@ -59,22 +59,6 @@ class Letter(str, Enum):
 Word = tuple[Letter, ...]
 
 
-#: Letter complement used by the join estimators: I <-> E, leaf lower <-> leaf upper.
-JOIN_COMPLEMENT: dict[Letter, Letter] = {
-    Letter.INTERVAL: Letter.ENDPOINTS,
-    Letter.ENDPOINTS: Letter.INTERVAL,
-    Letter.LOWER_LEAF: Letter.UPPER_LEAF,
-    Letter.UPPER_LEAF: Letter.LOWER_LEAF,
-    Letter.LOWER_POINT: Letter.INTERVAL,
-    Letter.UPPER_POINT: Letter.INTERVAL,
-}
-
-
-def complement_word(word: Word) -> Word:
-    """The word ``w-bar`` obtained by complementing every letter."""
-    return tuple(JOIN_COMPLEMENT[letter] for letter in word)
-
-
 def all_words(letters: Sequence[Letter], dimension: int) -> list[Word]:
     """All ``len(letters)^dimension`` words over the given letters."""
     words: list[Word] = [()]

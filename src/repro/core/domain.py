@@ -57,24 +57,6 @@ class Domain:
         """A domain with the same size in every dimension."""
         return cls((size,) * dimension, max_levels=max_level)
 
-    @classmethod
-    def for_boxes(cls, *box_sets: BoxSet, max_level: int | None = None,
-                  slack: int = 1) -> "Domain":
-        """The smallest domain that contains every box of the given sets."""
-        non_empty = [b for b in box_sets if len(b)]
-        if not non_empty:
-            raise DomainError("cannot infer a domain from empty box sets")
-        dim = non_empty[0].dimension
-        if any(b.dimension != dim for b in non_empty):
-            raise DimensionalityError("box sets have different dimensionality")
-        sizes = [0] * dim
-        for boxes in non_empty:
-            if boxes.min_coordinate() < 0:
-                raise DomainError("boxes contain negative coordinates; quantize first")
-            per_dim = boxes.highs.max(axis=0) + 1
-            sizes = [max(s, int(p)) for s, p in zip(sizes, per_dim)]
-        return cls([s + slack - 1 for s in sizes], max_levels=max_level)
-
     # -- accessors --------------------------------------------------------------
 
     @property
@@ -219,10 +201,6 @@ class EndpointTransform:
                 for d in domain.dyadics
             ),
         )
-
-    @property
-    def original_domain(self) -> Domain:
-        return self._original
 
     @property
     def expanded_domain(self) -> Domain:

@@ -636,10 +636,6 @@ class DyadicDomain:
 
     # -- debugging helpers -----------------------------------------------------
 
-    def describe_cover(self, lo: int, hi: int) -> list[DyadicInterval]:
-        """The cover of ``[lo, hi]`` as :class:`DyadicInterval` objects."""
-        return [self.interval_of(node) for node in self.cover(lo, hi)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DyadicDomain(size={self._size}, height={self._height}, "

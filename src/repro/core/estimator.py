@@ -144,10 +144,6 @@ class SketchEstimator:
         """The bank that sketches one input."""
         return self._banks[self.resolve_side(side).name]
 
-    def side_count(self, side: str) -> int:
-        """Current cardinality of one input (inserts minus deletes)."""
-        return self._cardinality[self.resolve_side(side).name]
-
     # -- what a family fills in ---------------------------------------------------
 
     def _prepare(self, side: str, boxes: BoxSet | PointSet) -> Prepared:
@@ -327,10 +323,6 @@ class SketchEstimator:
     def estimate_cardinality(self, query=None) -> float:
         """Shorthand returning only the boosted cardinality estimate."""
         return self.estimate(query).estimate
-
-    def estimate_selectivity(self, query=None) -> float:
-        """Shorthand returning only the boosted selectivity estimate."""
-        return self.estimate(query).selectivity
 
 
 class QuerylessProgramEstimator(SketchEstimator):

@@ -356,10 +356,6 @@ class FourWiseFamilyBank:
         view.setflags(write=False)
         return view
 
-    def seed_words(self) -> int:
-        """Number of machine words needed to store the seeds of this bank."""
-        return self.num_families * COEFFICIENTS_PER_FAMILY
-
     # -- (de)serialisation -------------------------------------------------
 
     @classmethod

@@ -115,10 +115,6 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         """Current cardinality of the right input."""
         return self._cardinality["right"]
 
-    @property
-    def uses_endpoint_transform(self) -> bool:
-        return self._transform is not None
-
     def storage_words(self) -> float:
         """Words charged to each dataset under the accounting of DESIGN.md."""
         from repro.core import space

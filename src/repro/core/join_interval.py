@@ -1,27 +1,15 @@
 """Spatial join of interval sets (Section 4.1, Theorem 1).
 
 :class:`IntervalJoinEstimator` is the one-dimensional specialisation of
-:class:`~repro.core.join_hyperrect.SpatialJoinEstimator` with a small
-interval-oriented convenience API on top (inserting plain ``(lo, hi)``
-pairs instead of :class:`~repro.geometry.boxset.BoxSet` objects).
+:class:`~repro.core.join_hyperrect.SpatialJoinEstimator`.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.errors import DimensionalityError
-from repro.geometry.boxset import BoxSet
-from repro.geometry.interval import Interval
-
-
-def _as_boxes(intervals) -> BoxSet:
-    if isinstance(intervals, BoxSet):
-        return intervals
-    return BoxSet.from_intervals(intervals)
 
 
 class IntervalJoinEstimator(SpatialJoinEstimator):
@@ -36,17 +24,3 @@ class IntervalJoinEstimator(SpatialJoinEstimator):
             raise DimensionalityError("IntervalJoinEstimator requires a 1-dimensional domain")
         super().__init__(domain, num_instances, seed=seed,
                          endpoint_policy=endpoint_policy, boosting=boosting)
-
-    # -- interval-flavoured update API --------------------------------------------------
-
-    def insert_left_intervals(self, intervals: Iterable[tuple[int, int] | Interval]) -> None:
-        self.insert_left(_as_boxes(intervals))
-
-    def insert_right_intervals(self, intervals: Iterable[tuple[int, int] | Interval]) -> None:
-        self.insert_right(_as_boxes(intervals))
-
-    def delete_left_intervals(self, intervals: Iterable[tuple[int, int] | Interval]) -> None:
-        self.delete_left(_as_boxes(intervals))
-
-    def delete_right_intervals(self, intervals: Iterable[tuple[int, int] | Interval]) -> None:
-        self.delete_right(_as_boxes(intervals))

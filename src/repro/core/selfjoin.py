@@ -123,12 +123,3 @@ def estimate_self_join(bank: SketchBank, word: Word) -> float:
     """
     values = bank.counter(word)
     return float(np.mean(values ** 2))
-
-
-def estimate_dataset_self_join(bank: SketchBank,
-                               words: Sequence[Word] | None = None) -> float:
-    """Sketch-based estimate of ``SJ(R)`` (sum over the bank's join words)."""
-    if words is None:
-        words = [w for w in bank.words
-                 if all(letter in (Letter.INTERVAL, Letter.ENDPOINTS) for letter in w)]
-    return float(sum(estimate_self_join(bank, word) for word in words))

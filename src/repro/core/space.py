@@ -102,11 +102,6 @@ def geometric_level_for_budget(budget_words: float) -> int:
     return level
 
 
-def words_to_kilowords(words: float) -> float:
-    """Convenience conversion used by the figure axes ("K words")."""
-    return words / 1000.0
-
-
 def dataset_storage_words(num_objects: int, dimension: int) -> int:
     """Words needed to store a dataset exactly (``2 d`` coordinates per object).
 

@@ -33,10 +33,6 @@ class UpdateOperation:
     kind: UpdateKind
     box: BoxSet
 
-    @property
-    def is_insert(self) -> bool:
-        return self.kind is UpdateKind.INSERT
-
 
 class UpdateStream:
     """A reproducible insert/delete stream derived from a dataset.

@@ -1,10 +1,10 @@
 """A small spatial query engine.
 
 This package provides the SDBMS context that motivates the paper: spatial
-relations with streaming maintenance, physical join/selection operators
-with a cost model, per-relation synopses (sketches and histograms) that are
-kept up to date under inserts and deletes, and an optimizer that uses the
-estimated selectivities to pick join algorithms and join orders.
+relations with streaming maintenance, physical join operators with a cost
+model, join sketches per relation pair that are kept up to date under
+inserts and deletes, and an optimizer that uses the estimated
+selectivities to pick join algorithms and join orders.
 
 The engine is deliberately small — it exists to demonstrate and benchmark
 how sketch-based selectivity estimates drive plan choices — but every part
@@ -20,12 +20,11 @@ from repro.engine.operators import (
     IndexNestedLoopJoin,
     NestedLoopJoin,
     PlaneSweepJoin,
-    RangeScan,
     RTreeJoin,
 )
 from repro.engine.cost import CostModel
 from repro.engine.optimizer import JoinPlan, Optimizer
-from repro.engine.query import JoinQuery, RangeQuery
+from repro.engine.query import JoinQuery
 
 __all__ = [
     "SpatialRelation",
@@ -35,10 +34,8 @@ __all__ = [
     "PlaneSweepJoin",
     "IndexNestedLoopJoin",
     "RTreeJoin",
-    "RangeScan",
     "CostModel",
     "Optimizer",
     "JoinPlan",
     "JoinQuery",
-    "RangeQuery",
 ]

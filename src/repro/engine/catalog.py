@@ -29,11 +29,6 @@ class Catalog:
         self._relations[name] = relation
         return relation
 
-    def drop(self, name: str) -> None:
-        if name not in self._relations:
-            raise EngineError(f"relation {name!r} does not exist")
-        del self._relations[name]
-
     def get(self, name: str) -> SpatialRelation:
         try:
             return self._relations[name]

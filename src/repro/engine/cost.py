@@ -48,6 +48,3 @@ class CostModel:
         build = self.index_build_constant * (left_size + right_size) \
             * max(1.0, math.log2(max(left_size + right_size, 2)))
         return build + self.output_constant * max(0.0, estimated_output) * 4.0
-
-    def range_scan(self, relation_size: int) -> float:
-        return float(relation_size)

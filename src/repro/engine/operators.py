@@ -14,8 +14,6 @@ import numpy as np
 from repro.engine.relation import SpatialRelation
 from repro.errors import EngineError
 from repro.exact.rectangle_join import plane_sweep_join_count
-from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
 from repro.index.grid import GridIndex
 from repro.index.rtree import RTree
 
@@ -141,32 +139,3 @@ class RTreeJoin(_JoinOperator):
         comparisons = int(total * max(1, np.log2(max(total, 2)))) + 4 * cardinality
         return OperatorResult(cardinality, comparisons, self.name)
 
-
-class RangeScan:
-    """Selection of the objects overlapping a query rectangle."""
-
-    name = "range_scan"
-
-    def __init__(self, relation: SpatialRelation, query: Rect, *, closed: bool = True) -> None:
-        self._relation = relation
-        self._query = query
-        self._closed = closed
-
-    def execute(self) -> OperatorResult:
-        data = self._relation.boxes()
-        if len(data) == 0:
-            return OperatorResult(0, 0, self.name)
-        q = BoxSet.from_rects([self._query])
-        if self._closed:
-            mask = np.all((data.lows <= q.highs[0]) & (q.lows[0] <= data.highs), axis=1)
-        else:
-            mask = np.all((data.lows < q.highs[0]) & (q.lows[0] < data.highs), axis=1)
-        return OperatorResult(int(np.count_nonzero(mask)), len(data), self.name)
-
-
-JOIN_OPERATORS = {
-    NestedLoopJoin.name: NestedLoopJoin,
-    PlaneSweepJoin.name: PlaneSweepJoin,
-    IndexNestedLoopJoin.name: IndexNestedLoopJoin,
-    RTreeJoin.name: RTreeJoin,
-}

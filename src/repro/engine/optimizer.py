@@ -37,7 +37,6 @@ from repro.engine.operators import (
 from repro.engine.query import JoinQuery, PlannedJoin
 from repro.engine.relation import SpatialRelation
 from repro.engine.synopses import SynopsisManager
-from repro.errors import EngineError
 from repro.geometry.boxset import BoxSet
 from repro.index.grid import GridIndex
 
@@ -279,29 +278,3 @@ class Optimizer:
 
         return PlanExecution(plan=plan, cardinality=current_lows.shape[0],
                              comparisons=comparisons)
-
-    def plan_and_execute(self, query: JoinQuery) -> PlanExecution:
-        """Convenience wrapper: plan the query and execute the chosen plan."""
-        plan = self.plan_join(query)
-        return self.execute_plan(plan, closed=query.closed)
-
-    # -- binary joins ------------------------------------------------------------------------------
-
-    def execute_binary_join(self, left_name: str, right_name: str, *,
-                            operator: str | None = None, closed: bool = False):
-        """Execute a binary join with the chosen (or given) operator."""
-        left = self._catalog.get(left_name)
-        right = self._catalog.get(right_name)
-        if operator is None:
-            estimated = self._synopses.estimated_join_cardinality(left, right)
-            operator, _ = self.choose_operator(len(left), len(right), estimated,
-                                               dimension=left.dimension)
-        operators = {
-            NestedLoopJoin.name: NestedLoopJoin,
-            PlaneSweepJoin.name: PlaneSweepJoin,
-            IndexNestedLoopJoin.name: IndexNestedLoopJoin,
-            RTreeJoin.name: RTreeJoin,
-        }
-        if operator not in operators:
-            raise EngineError(f"unknown join operator {operator!r}")
-        return operators[operator](left, right, closed=closed).execute()

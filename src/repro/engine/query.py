@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry.rectangle import Rect
-
 
 @dataclass(frozen=True)
 class JoinQuery:
@@ -24,15 +22,6 @@ class JoinQuery:
             raise ValueError("a join query needs at least two relations")
         if len(set(self.relations)) != len(self.relations):
             raise ValueError("a relation may appear only once in a join query")
-
-
-@dataclass(frozen=True)
-class RangeQuery:
-    """A selection of the objects of one relation overlapping a query window."""
-
-    relation: str
-    window: Rect
-    closed: bool = True
 
 
 @dataclass

@@ -15,8 +15,8 @@ class SpatialRelation:
     The relation stores its objects in NumPy arrays and supports appending
     and deleting batches; every mutation is also reported to the listeners
     the :class:`~repro.engine.synopses.SynopsisManager` registers (one per
-    service estimator or histogram), so synopses stay consistent with the
-    data without rescanning it.
+    service estimator), so synopses stay consistent with the data without
+    rescanning it.
     """
 
     def __init__(self, name: str, domain: Domain, *, boxes: BoxSet | None = None) -> None:
@@ -67,9 +67,6 @@ class SpatialRelation:
         """
         if listener not in self._listeners:
             self._listeners.append(listener)
-
-    def remove_listener(self, listener) -> None:
-        self._listeners.remove(listener)
 
     # -- mutations -----------------------------------------------------------------------
 

@@ -1,38 +1,30 @@
 """Per-relation synopses maintained under inserts and deletes.
 
 The :class:`SynopsisManager` is the glue between the engine and the
-estimation techniques of :mod:`repro.core` / :mod:`repro.histograms`:
-
-* ``join_sketch(left, right)`` lazily registers a ``hyperrect``
-  (:class:`~repro.core.join_hyperrect.SpatialJoinEstimator`) estimator for a
-  relation pair, back-fills it with the relations' current contents and from
-  then on keeps it up to date by listening to relation mutations.
-* ``range_sketch(relation)`` does the same with a ``range``
-  (:class:`~repro.core.range_query.RangeQueryEstimator`) estimator.
-* ``histogram(relation, kind, level)`` maintains a GH or EH baseline.
+estimation techniques of :mod:`repro.core`: ``join_sketch(left, right)``
+lazily registers a ``hyperrect``
+(:class:`~repro.core.join_hyperrect.SpatialJoinEstimator`) estimator for a
+relation pair, back-fills it with the relations' current contents and from
+then on keeps it up to date by listening to relation mutations.
 
 The sketches live in an :class:`~repro.service.service.EstimationService`
 (a private one unless one is passed in): compact linear summaries kept next
 to the data and combined at query time, so relation mutations flow through
 the service's batched, sharded ingestion path and a batch of pair probes is
 one :meth:`~repro.service.service.EstimationService.estimate_multi` call.
-Histograms are baselines, not sketches, and stay in-process.  Estimated
-selectivities are what the optimizer consumes.
+Estimated selectivities are what the optimizer consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Literal, Sequence
+from typing import Any, Sequence
 
 from repro.core.domain import Domain
 from repro.core.hashing import stable_seed_offset
 from repro.engine.relation import SpatialRelation
 from repro.errors import EngineError
 from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
-from repro.histograms.euler import EulerHistogram
-from repro.histograms.geometric import GeometricHistogram
 from repro.service.service import EstimationService
 
 
@@ -62,19 +54,6 @@ class _ServiceListener:
         self._ingest(relation, boxes, "delete")
 
 
-@dataclass(frozen=True)
-class _HistogramListener:
-    """Keeps an in-process GH / EH summary in step with its one relation."""
-
-    summary: Any
-
-    def on_insert(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        self.summary.insert(boxes)
-
-    def on_delete(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        self.summary.delete(boxes)
-
-
 class SynopsisManager:
     """Creates and maintains synopses for relations of one catalog/domain.
 
@@ -101,7 +80,6 @@ class SynopsisManager:
         self._service = EstimationService() if service is None else service
         self._num_instances = int(num_instances)
         self._seed = int(seed)
-        self._histograms: dict[tuple[str, str, int], object] = {}
 
     @classmethod
     def from_snapshot(cls, path, domain: Domain, *, num_instances: int = 256,
@@ -121,30 +99,27 @@ class SynopsisManager:
     def service(self) -> EstimationService:
         return self._service
 
-    def _sketch_name(self, prefix: str, family: str,
-                     relations: Sequence[SpatialRelation], sides: Sequence[str]) -> str:
-        """Register (or adopt) the estimator over ``relations`` and watch them."""
-        key = tuple(relation.name for relation in relations)
-        name = "::".join((prefix,) + key)
-        if name not in self._service:
-            self._service.register(name, family=family, domain=self._domain,
-                                   num_instances=self._num_instances,
-                                   seed=self._seed + stable_seed_offset(key))
-            for relation, side in zip(relations, sides):
-                if len(relation):
-                    self._service.ingest(name, relation.boxes(), side=side)
-        listener = _ServiceListener(self._service, name, tuple(zip(key, sides)))
-        for relation in relations:
-            relation.add_listener(listener)
-        return name
-
     # -- join sketches -----------------------------------------------------------------
 
     def join_sketch_name(self, left: SpatialRelation, right: SpatialRelation) -> str:
-        """Service estimator name for an ordered relation pair (lazily created)."""
+        """Service estimator name for an ordered relation pair: registered
+        (or adopted) on first use, and kept watching both relations."""
         if left.name == right.name:
             raise EngineError("a join sketch needs two distinct relations")
-        return self._sketch_name("join", "hyperrect", (left, right), ("left", "right"))
+        key = (left.name, right.name)
+        name = "::".join(("join",) + key)
+        if name not in self._service:
+            self._service.register(name, family="hyperrect", domain=self._domain,
+                                   num_instances=self._num_instances,
+                                   seed=self._seed + stable_seed_offset(key))
+            for relation, side in ((left, "left"), (right, "right")):
+                if len(relation):
+                    self._service.ingest(name, relation.boxes(), side=side)
+        listener = _ServiceListener(self._service, name,
+                                    ((left.name, "left"), (right.name, "right")))
+        left.add_listener(listener)
+        right.add_listener(listener)
+        return name
 
     def join_sketch(self, left: SpatialRelation, right: SpatialRelation):
         """The merged (all-shard) estimator for a pair — a read-only view."""
@@ -175,39 +150,3 @@ class SynopsisManager:
         for index, outcome in zip(live, outcomes):
             results[index] = max(0.0, outcome.estimate)
         return results
-
-    # -- range sketches ------------------------------------------------------------------
-
-    def range_sketch_name(self, relation: SpatialRelation) -> str:
-        return self._sketch_name("range", "range", (relation,), ("data",))
-
-    def range_sketch(self, relation: SpatialRelation):
-        """The merged range estimator of a relation — a read-only view."""
-        return self._service.merged_view(self.range_sketch_name(relation))
-
-    def estimated_range_cardinality(self, relation: SpatialRelation,
-                                    query: Rect | BoxSet) -> float:
-        if len(relation) == 0:
-            return 0.0
-        name = self.range_sketch_name(relation)
-        return max(0.0, self._service.estimate(name, query).estimate)
-
-    # -- histogram baselines -----------------------------------------------------------------
-
-    def histogram(self, relation: SpatialRelation,
-                  kind: Literal["geometric", "euler"] = "geometric", *,
-                  level: int = 5):
-        """A maintained GH or EH summary of the relation."""
-        key = (relation.name, kind, level)
-        if key not in self._histograms:
-            if kind == "geometric":
-                summary = GeometricHistogram(self._domain, level)
-            elif kind == "euler":
-                summary = EulerHistogram(self._domain, level)
-            else:
-                raise EngineError(f"unknown histogram kind {kind!r}")
-            if len(relation):
-                summary.insert(relation.boxes())
-            relation.add_listener(_HistogramListener(summary))
-            self._histograms[key] = summary
-        return self._histograms[key]

@@ -7,25 +7,18 @@ test suite.
 """
 
 from repro.exact.fenwick import FenwickTree
-from repro.exact.interval_join import interval_join_count, interval_join_pairs
-from repro.exact.rectangle_join import (
-    brute_force_join_count,
-    rectangle_join_count,
-    rectangle_join_pairs,
-)
+from repro.exact.interval_join import interval_join_count
+from repro.exact.rectangle_join import brute_force_join_count, rectangle_join_count
 from repro.exact.containment import containment_join_count
 from repro.exact.epsilon_join import epsilon_join_count
-from repro.exact.range_query import range_query_count, range_query_select
+from repro.exact.range_query import range_query_count
 
 __all__ = [
     "FenwickTree",
     "interval_join_count",
-    "interval_join_pairs",
     "rectangle_join_count",
-    "rectangle_join_pairs",
     "brute_force_join_count",
     "containment_join_count",
     "epsilon_join_count",
     "range_query_count",
-    "range_query_select",
 ]

@@ -70,10 +70,3 @@ def _exact_match_count(left: PointSet, right: PointSet) -> int:
     left_counts = counts(left)
     right_counts = counts(right)
     return sum(count * right_counts.get(point, 0) for point, count in left_counts.items())
-
-
-def epsilon_join_selectivity(left: PointSet, right: PointSet, epsilon: int) -> float:
-    """Exact epsilon-join selectivity."""
-    if len(left) == 0 or len(right) == 0:
-        return 0.0
-    return epsilon_join_count(left, right, epsilon) / (len(left) * len(right))

@@ -22,10 +22,6 @@ class FenwickTree:
         self._size = int(size)
         self._tree = np.zeros(self._size + 1, dtype=np.int64)
 
-    @property
-    def size(self) -> int:
-        return self._size
-
     def add(self, position: int, delta: int = 1) -> None:
         """Add ``delta`` to the count at ``position``."""
         if not 0 <= position < self._size:
@@ -48,13 +44,3 @@ class FenwickTree:
             total += int(self._tree[index])
             index -= index & (-index)
         return total
-
-    def range_sum(self, lo: int, hi: int) -> int:
-        """Sum of counts at positions ``lo .. hi`` (inclusive, may be empty)."""
-        if hi < lo:
-            return 0
-        return self.prefix_sum(hi) - self.prefix_sum(lo - 1)
-
-    def total(self) -> int:
-        """Sum of all counts."""
-        return self.prefix_sum(self._size - 1)

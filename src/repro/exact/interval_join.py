@@ -10,8 +10,6 @@ rank queries.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import DimensionalityError
@@ -56,24 +54,3 @@ def interval_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False) ->
 
     non_overlapping = int(np.sum(right_of_r) + np.sum(left_of_r))
     return m * n - non_overlapping
-
-
-def interval_join_pairs(left: BoxSet, right: BoxSet, *, closed: bool = False
-                        ) -> Iterator[tuple[int, int]]:
-    """Yield the index pairs of the join result (small inputs; used by tests)."""
-    r_lo, r_hi = _as_1d(left, "left")
-    s_lo, s_hi = _as_1d(right, "right")
-    for i in range(len(r_lo)):
-        for j in range(len(s_lo)):
-            if closed:
-                hit = r_lo[i] <= s_hi[j] and s_lo[j] <= r_hi[i]
-            else:
-                hit = (r_lo[i] < r_hi[i] and s_lo[j] < s_hi[j]
-                       and r_lo[i] < s_hi[j] and s_lo[j] < r_hi[i])
-            if hit:
-                yield (i, j)
-
-
-def interval_self_join_count(boxes: BoxSet, *, closed: bool = False) -> int:
-    """Exact self-join cardinality |R join_o R| (all ordered pairs, including (r, r))."""
-    return interval_join_count(boxes, boxes, closed=closed)

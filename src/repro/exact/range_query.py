@@ -35,20 +35,3 @@ def range_query_count(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True
     if len(data) == 0:
         return 0
     return int(np.count_nonzero(range_query_mask(data, query, closed=closed)))
-
-
-def range_query_select(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True) -> BoxSet:
-    """The data rectangles selected by the query, as a new BoxSet."""
-    if len(data) == 0:
-        return data
-    mask = range_query_mask(data, query, closed=closed)
-    if not np.any(mask):
-        return BoxSet.empty(data.dimension)
-    return data[mask]
-
-
-def range_query_selectivity(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True) -> float:
-    """Fraction of data rectangles selected by the query."""
-    if len(data) == 0:
-        return 0.0
-    return range_query_count(data, query, closed=closed) / len(data)

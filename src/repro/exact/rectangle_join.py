@@ -19,8 +19,6 @@ does for its counting procedures.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.errors import DimensionalityError
@@ -185,29 +183,3 @@ def rectangle_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False) -
     if left.dimension == 2 and len(left) + len(right) > 2000:
         return plane_sweep_join_count(left, right, closed=closed)
     return brute_force_join_count(left, right, closed=closed)
-
-
-def rectangle_join_pairs(left: BoxSet, right: BoxSet, *, closed: bool = False
-                         ) -> Iterator[tuple[int, int]]:
-    """Yield result index pairs (small inputs; used by tests and the engine)."""
-    if left.dimension != right.dimension:
-        raise DimensionalityError("inputs have different dimensionality")
-    for i in range(len(left)):
-        l_lo, l_hi = left.lows[i], left.highs[i]
-        if not closed and np.any(l_lo >= l_hi):
-            continue
-        for j in range(len(right)):
-            r_lo, r_hi = right.lows[j], right.highs[j]
-            if closed:
-                hit = bool(np.all(l_lo <= r_hi) and np.all(r_lo <= l_hi))
-            else:
-                hit = bool(np.all(r_lo < r_hi) and np.all(l_lo < r_hi) and np.all(r_lo < l_hi))
-            if hit:
-                yield (i, j)
-
-
-def join_selectivity(left: BoxSet, right: BoxSet, *, closed: bool = False) -> float:
-    """Exact join selectivity ``|R join S| / (|R| * |S|)``."""
-    if len(left) == 0 or len(right) == 0:
-        return 0.0
-    return rectangle_join_count(left, right, closed=closed) / (len(left) * len(right))

@@ -18,15 +18,3 @@ def relative_error(estimate: float, truth: float) -> float:
 def mean_relative_error(estimates, truth: float) -> float:
     """Average relative error over independent runs (Section 7.1 reports these)."""
     return float(np.mean([relative_error(est, truth) for est in estimates]))
-
-
-def summarize_errors(errors) -> dict[str, float]:
-    """Mean / median / max of a collection of relative errors."""
-    errors = np.asarray(list(errors), dtype=np.float64)
-    if errors.size == 0:
-        return {"mean": 0.0, "median": 0.0, "max": 0.0}
-    return {
-        "mean": float(errors.mean()),
-        "median": float(np.median(errors)),
-        "max": float(errors.max()),
-    }

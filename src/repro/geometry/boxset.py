@@ -9,7 +9,7 @@ of independent atomic-sketch instances feasible in pure Python.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,11 +114,6 @@ class BoxSet:
         """``(n, d)`` array of interval lengths (number of coordinates)."""
         return self._highs - self._lows + 1
 
-    def bounding_box(self) -> Rect:
-        if len(self) == 0:
-            raise DomainError("an empty BoxSet has no bounding box")
-        return Rect.from_bounds(self._lows.min(axis=0), self._highs.max(axis=0))
-
     def max_coordinate(self) -> int:
         """Largest coordinate used in any dimension (0 for an empty set)."""
         if len(self) == 0:
@@ -141,12 +136,6 @@ class BoxSet:
             validate=False,
         )
 
-    def translated(self, offsets: Sequence[int]) -> "BoxSet":
-        off = np.asarray(offsets, dtype=np.int64)
-        if off.shape != (self.dimension,):
-            raise DimensionalityError("offset dimensionality mismatch")
-        return BoxSet(self._lows + off, self._highs + off, validate=False)
-
     def scaled(self, factor: int) -> "BoxSet":
         """Multiply every coordinate by ``factor`` (used by the endpoint transform)."""
         if factor <= 0:
@@ -159,16 +148,6 @@ class BoxSet:
             raise DomainError("expansion radius must be non-negative")
         return BoxSet(self._lows - radius, self._highs + radius, validate=False)
 
-    def clipped(self, lo: int, hi: int) -> "BoxSet":
-        """Clip every box to ``[lo, hi]`` in every dimension.
-
-        Boxes entirely outside the clipping window are dropped.
-        """
-        lows = np.clip(self._lows, lo, hi)
-        highs = np.clip(self._highs, lo, hi)
-        keep = np.all(self._lows <= hi, axis=1) & np.all(self._highs >= lo, axis=1)
-        return BoxSet(lows[keep], highs[keep], validate=False)
-
     def shrunk_for_endpoint_transform(self) -> "BoxSet":
         """Apply the Section 5.2 shrink: coordinates scaled by 3, then
         lower endpoints moved to ``3*lo + 1`` and upper endpoints to ``3*hi - 1``.
@@ -178,19 +157,12 @@ class BoxSet:
         """
         return BoxSet(self._lows * 3 + 1, self._highs * 3 - 1, validate=False)
 
-    def projected(self, dimensions: Sequence[int]) -> "BoxSet":
-        dims = list(dimensions)
-        return BoxSet(self._lows[:, dims], self._highs[:, dims], validate=False)
-
     def sample(self, size: int, rng: np.random.Generator) -> "BoxSet":
         """A uniform random subset of ``size`` boxes (without replacement)."""
         if size > len(self):
             raise DomainError(f"cannot sample {size} boxes from a set of {len(self)}")
         idx = rng.choice(len(self), size=size, replace=False)
         return self[idx]
-
-    def to_rects(self) -> list[Rect]:
-        return [self.rect(i) for i in range(len(self))]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BoxSet(n={len(self)}, d={self.dimension})"
@@ -228,35 +200,9 @@ class PointSet:
     def point(self, index: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self._coords[index])
 
-    def max_coordinate(self) -> int:
-        if len(self) == 0:
-            return 0
-        return int(self._coords.max())
-
     def to_boxes(self) -> BoxSet:
         """Degenerate boxes (``lo == hi``) covering each point."""
         return BoxSet(self._coords.copy(), self._coords.copy(), validate=False)
-
-    def expanded_boxes(self, radius: int, *, clip_lo: int | None = None,
-                       clip_hi: int | None = None) -> BoxSet:
-        """L-infinity balls of the given radius around each point.
-
-        This is the ``B'`` construction of Section 6.3: each point becomes a
-        hyper-cube of side length ``2 * radius``.  Optional clipping keeps the
-        cubes inside the data domain (safe because all query points lie in the
-        domain as well).
-        """
-        if radius < 0:
-            raise DomainError("radius must be non-negative")
-        lows = self._coords - radius
-        highs = self._coords + radius
-        if clip_lo is not None:
-            lows = np.maximum(lows, clip_lo)
-            highs = np.maximum(highs, clip_lo)
-        if clip_hi is not None:
-            lows = np.minimum(lows, clip_hi)
-            highs = np.minimum(highs, clip_hi)
-        return BoxSet(lows, highs, validate=False)
 
     def concat(self, other: "PointSet") -> "PointSet":
         if other.dimension != self.dimension:

@@ -24,16 +24,6 @@ class Interval:
         if self.lo > self.hi:
             raise DomainError(f"interval lower endpoint {self.lo} exceeds upper endpoint {self.hi}")
 
-    @property
-    def length(self) -> int:
-        """Number of integer coordinates covered by the interval."""
-        return self.hi - self.lo + 1
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True for point "intervals" with ``lo == hi``."""
-        return self.lo == self.hi
-
     def contains_point(self, point: int) -> bool:
         """True if ``point`` lies within the closed interval."""
         return self.lo <= point <= self.hi
@@ -62,19 +52,11 @@ class Interval:
             return None
         return Interval(lo, hi)
 
-    def shifted(self, offset: int) -> "Interval":
-        """A copy translated by ``offset``."""
-        return Interval(self.lo + offset, self.hi + offset)
-
     def expanded(self, radius: int) -> "Interval":
         """A copy grown by ``radius`` on both sides (used by epsilon-joins)."""
         if radius < 0:
             raise DomainError(f"expansion radius must be non-negative, got {radius}")
         return Interval(self.lo - radius, self.hi + radius)
-
-    def clipped(self, lo: int, hi: int) -> "Interval | None":
-        """The part of the interval inside ``[lo, hi]``, or ``None`` if empty."""
-        return self.intersection(Interval(lo, hi))
 
     def __iter__(self):
         yield self.lo

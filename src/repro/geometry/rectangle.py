@@ -9,7 +9,7 @@ integer range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import DimensionalityError, DomainError
 from repro.geometry.interval import Interval
@@ -39,11 +39,6 @@ class Rect:
         return cls(tuple(Interval(int(lo), int(hi)) for lo, hi in zip(lows, highs)))
 
     @classmethod
-    def from_point(cls, coords: Sequence[int]) -> "Rect":
-        """A degenerate rectangle covering a single point."""
-        return cls(tuple(Interval(int(c), int(c)) for c in coords))
-
-    @classmethod
     def interval(cls, lo: int, hi: int) -> "Rect":
         """Convenience constructor for a one-dimensional rectangle."""
         return cls((Interval(lo, hi),))
@@ -61,23 +56,6 @@ class Rect:
     @property
     def highs(self) -> tuple[int, ...]:
         return tuple(r.hi for r in self.ranges)
-
-    @property
-    def is_point(self) -> bool:
-        return all(r.is_degenerate for r in self.ranges)
-
-    def side_lengths(self) -> tuple[int, ...]:
-        return tuple(r.length for r in self.ranges)
-
-    def volume(self) -> int:
-        """Number of integer lattice points covered by the rectangle."""
-        result = 1
-        for r in self.ranges:
-            result *= r.length
-        return result
-
-    def center(self) -> tuple[float, ...]:
-        return tuple((r.lo + r.hi) / 2.0 for r in self.ranges)
 
     # -- predicates ----------------------------------------------------
 
@@ -125,28 +103,6 @@ class Rect:
     def expanded(self, radius: int) -> "Rect":
         """Minkowski-grow every range by ``radius`` (epsilon-join helper)."""
         return Rect(tuple(r.expanded(radius) for r in self.ranges))
-
-    def clipped(self, lows: Sequence[int], highs: Sequence[int]) -> "Rect | None":
-        """Clip the rectangle to the box ``[lows, highs]``."""
-        return self.intersection(Rect.from_bounds(lows, highs))
-
-    def translated(self, offsets: Sequence[int]) -> "Rect":
-        if len(offsets) != self.dimension:
-            raise DimensionalityError("offset dimensionality mismatch")
-        return Rect(tuple(r.shifted(int(o)) for r, o in zip(self.ranges, offsets)))
-
-    def corners(self) -> Iterable[tuple[int, ...]]:
-        """All 2^d corner points of the rectangle."""
-        def rec(index: int, prefix: tuple[int, ...]):
-            if index == self.dimension:
-                yield prefix
-                return
-            rng = self.ranges[index]
-            yield from rec(index + 1, prefix + (rng.lo,))
-            if rng.hi != rng.lo:
-                yield from rec(index + 1, prefix + (rng.hi,))
-
-        yield from rec(0, ())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return " x ".join(str(r) for r in self.ranges)

@@ -7,24 +7,15 @@
   Histogram (EH) of Sun et al. [25, 26]: buckets for grid cells, edges and
   vertices plus per-cell clipped-geometry statistics and a probabilistic
   per-bucket estimation model.
-* :class:`~repro.histograms.equiwidth.EquiWidthHistogram` — a plain
-  count-only grid histogram (the simplest fixed-partitioning baseline).
-* :class:`~repro.histograms.sampling.ReservoirSampleEstimator` — a
-  sampling-based estimator (Section 8 related work) with the known
-  maintenance weaknesses under deletions.
 """
 
 from repro.histograms.base import GridHistogram, SelectivityEstimator
 from repro.histograms.geometric import GeometricHistogram
 from repro.histograms.euler import EulerHistogram
-from repro.histograms.equiwidth import EquiWidthHistogram
-from repro.histograms.sampling import ReservoirSampleEstimator
 
 __all__ = [
     "SelectivityEstimator",
     "GridHistogram",
     "GeometricHistogram",
     "EulerHistogram",
-    "EquiWidthHistogram",
-    "ReservoirSampleEstimator",
 ]

@@ -66,11 +66,6 @@ class GridHistogram(SelectivityEstimator):
         return self._cells_per_dim
 
     @property
-    def cell_extent(self) -> np.ndarray:
-        """Width and height of a grid cell (in domain coordinates)."""
-        return self._cell_extent.copy()
-
-    @property
     def count(self) -> int:
         """Number of objects summarised so far."""
         return self._count

@@ -120,23 +120,6 @@ class EulerHistogram(GridHistogram):
                 if lo[1] < y_boundary < hi[1]:
                     self._vertex_count[i, j] += weight
 
-    # -- region queries (the classic Euler histogram use) ---------------------------------
-
-    def estimate_region_count(self, cell_lo: tuple[int, int], cell_hi: tuple[int, int]) -> float:
-        """Number of objects intersecting an aligned block of grid cells.
-
-        For grid-aligned regions the Euler formula is exact: the count equals
-        the alternating sum of cell, interior-edge and interior-vertex buckets
-        inside the region.
-        """
-        i0, j0 = cell_lo
-        i1, j1 = cell_hi
-        cells = self._cell_count[i0:i1 + 1, j0:j1 + 1].sum()
-        vedges = self._vedge_count[i0:i1, j0:j1 + 1].sum() if i1 > i0 else 0.0
-        hedges = self._hedge_count[i0:i1 + 1, j0:j1].sum() if j1 > j0 else 0.0
-        vertices = self._vertex_count[i0:i1, j0:j1].sum() if (i1 > i0 and j1 > j0) else 0.0
-        return float(cells - vedges - hedges + vertices)
-
     # -- join estimation ---------------------------------------------------------------------
 
     @staticmethod
@@ -174,11 +157,6 @@ class EulerHistogram(GridHistogram):
     @staticmethod
     def _safe_mean(total: np.ndarray, count: np.ndarray) -> np.ndarray:
         return np.where(count > 0, total / np.maximum(count, 1e-12), 0.0)
-
-    def estimate_join_selectivity(self, other: "EulerHistogram") -> float:
-        if self.count == 0 or other.count == 0:
-            return 0.0
-        return self.estimate_join(other) / (self.count * other.count)
 
     # -- accounting ------------------------------------------------------------------------------
 

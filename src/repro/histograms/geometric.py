@@ -97,11 +97,6 @@ class GeometricHistogram(GridHistogram):
         ) / cell_area
         return float(max(0.0, incidences.sum() / 4.0))
 
-    def estimate_join_selectivity(self, other: "GeometricHistogram") -> float:
-        if self.count == 0 or other.count == 0:
-            return 0.0
-        return self.estimate_join(other) / (self.count * other.count)
-
     # -- accounting -------------------------------------------------------------------
 
     def storage_words(self) -> float:

@@ -49,10 +49,6 @@ class GridIndex:
     def cells_per_dim(self) -> int:
         return self._cells_per_dim
 
-    @property
-    def num_occupied_cells(self) -> int:
-        return len(self._cells)
-
     def _cell_span(self, lows: np.ndarray, highs: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
         first = np.floor((lows - self._origin) / self._extent).astype(np.int64)

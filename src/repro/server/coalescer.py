@@ -8,7 +8,7 @@ through a single engine dispatch (a cluster router's scatters once per
 name per batch, :mod:`repro.cluster.router`).  Since the compiled-program layer
 (:mod:`repro.core.program`) the bucket is **cross-estimator**: a mixed
 workload of N requests over K estimators coalesces into *one*
-:meth:`~repro.service.service.EstimationService.estimate_multi` dispatch
+:meth:`~repro.service.service.EstimationService.answer_multi` dispatch
 instead of K per-estimator batches — letter-sum work is shared across
 queries and estimator families, and the whole dispatch pays one reduction
 pass.  Result ``j`` of a dispatch is bit-identical to the scalar estimate
@@ -185,7 +185,7 @@ class EstimateCoalescer:
         ``None`` for query-less ones; it is checked where its dispatch
         compiles, like every estimate.  Requests for *different* estimators
         share one dispatch — mixed batches are answered by a single
-        ``estimate_multi`` engine call.  ``tenant`` selects the fair-share
+        ``answer_multi`` engine call.  ``tenant`` selects the fair-share
         queue the request waits in and ``weight`` its round-robin allowance
         (the tenant quota's ``share``).  Raises :class:`OverloadedError`
         synchronously when the admission queue is full.
@@ -289,37 +289,17 @@ class EstimateCoalescer:
         task.add_done_callback(self._tasks.discard)
 
     async def _run_batch(self, entries: list[_Pending]) -> None:
+        """One engine call answers every entry: a bad request gets its own
+        error inside that call, so it cannot fail the requests coalesced
+        with it; only an engine that fails as a whole fails the batch."""
         try:
-            await self._answer(self._get_service(), entries)
-        finally:
-            self._inflight -= len(entries)
-
-    async def _answer(self, service: Any, entries: list[_Pending]) -> None:
-        """One engine call for ``entries``; a failure is narrowed down.
-
-        A dispatch fails as a whole (one compile error aborts the engine
-        call), but a bad request must not poison the requests coalesced
-        with it, often from other connections: a failed mixed batch is
-        retried per estimator, a failed estimator's batch per query, so
-        only the offender sees the error.  Bad queries die in compilation,
-        before any kernel ran, so the extra cost is the concurrent
-        re-dispatches, not doubled engine work.
-        """
-        try:
-            results = await self._run_engine(service, entries)
+            results = await self._run_engine(self._get_service(), entries)
         except Exception as exc:
-            groups: dict[str, list[_Pending]] = {}
-            for entry in entries:
-                groups.setdefault(entry.name, []).append(entry)
-            batches = (list(groups.values()) if len(groups) > 1
-                       else [[entry] for entry in entries])
-            if len(batches) == 1:
-                self._fail(entries, exc)
-            else:
-                await asyncio.gather(*(self._answer(service, batch)
-                                       for batch in batches))
+            self._fail(entries, exc)
         else:
             self._resolve(entries, results)
+        finally:
+            self._inflight -= len(entries)
 
     async def _run_engine(self, service: Any, entries: list[_Pending]) -> list:
         """One result per entry, in order (an exception answers its entry)."""
@@ -327,7 +307,7 @@ class EstimateCoalescer:
             # record_coalesced takes the service lock, so it stays on the
             # executor thread with the engine call — the event loop never
             # waits on that lock.
-            results = service.estimate_multi(
+            results = service.answer_multi(
                 [(entry.name, entry.query) for entry in entries])
             service.record_coalesced(len(entries))
             return results

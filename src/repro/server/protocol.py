@@ -257,10 +257,6 @@ OPS: dict[str, Op] = {
                          fronts=("router",)),
 }
 
-#: Additional operations a cluster router understands on top of a server's.
-CLUSTER_OPS = tuple(name for name, op in OPS.items()
-                    if op.fronts == ("router",))
-
 # The table compiled for the per-request paths: plain tuples, no reflection.
 _READERS = {name: (tuple((f.name, f.kind, KINDS[f.kind], f.default,
                           f.required, f.choices) for f in op.fields),

@@ -7,7 +7,7 @@ quota admission, dispatch, ``ping`` / ``tenant`` / ``estimate`` and the
 reply shapes of ``stats`` / ``metrics`` are the front's; this module adds
 what a local placement does with a request:
 
-* each coalesced ``estimate`` batch is one ``estimate_multi`` engine call
+* each coalesced ``estimate`` batch is one ``answer_multi`` engine call
   of the service; a ``partial: true`` estimate (what a router gathers)
   returns the name's merged counter state instead of a number,
 * ``ingest`` / ``flush`` / ``snapshot`` run on the front's thread-pool

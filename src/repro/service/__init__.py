@@ -45,7 +45,6 @@ from repro.service.snapshot import (
 from repro.service.driver import (
     DriveReport,
     StreamDriver,
-    drive_stream,
     synthetic_boxes,
     synthetic_queries,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "restore_service",
     "StreamDriver",
     "DriveReport",
-    "drive_stream",
     "synthetic_boxes",
     "synthetic_queries",
 ]

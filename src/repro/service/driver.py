@@ -30,10 +30,6 @@ class DriveReport:
     deletes: int
     batches: int
 
-    @property
-    def operations(self) -> int:
-        return self.inserts + self.deletes
-
 
 def synthetic_boxes(domain: Domain, count: int, *, seed: int = 0,
                     max_extent_fraction: float = 0.25,
@@ -99,9 +95,3 @@ class StreamDriver:
                 deletes += len(boxes)
             batches += 1
         return DriveReport(inserts=inserts, deletes=deletes, batches=batches)
-
-
-def drive_stream(service, name: str, stream: UpdateStream, *,
-                 side: str = "left", batch_size: int = 512) -> DriveReport:
-    """One-shot convenience wrapper around :class:`StreamDriver`."""
-    return StreamDriver(service, name, side=side, batch_size=batch_size).drive(stream)

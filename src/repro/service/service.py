@@ -18,11 +18,13 @@ pipeline together behind four verbs:
   every shard's counter tensors) to a state tree and back; ``save()`` /
   ``load()`` put that tree in a binary v2 file.
 
-Both batch verbs are one path: every name's queries are compiled into
-sketch programs and the whole batch runs as a single dispatch of the
-service's :class:`~repro.core.program.ProgramExecutor` (cross-query and
-cross-family letter-sum sharing).  ``estimate`` stays the scalar reference
-the bit-identity suites compare that path against.
+Every estimate verb compiles each name's queries into sketch programs and
+runs the whole request as a single dispatch of the service's
+:class:`~repro.core.program.ProgramExecutor` (cross-query and cross-family
+letter-sum sharing).  ``estimate`` and ``estimate_multi`` go through
+``answer_multi``, the serving fronts' engine call, and raise its first
+failure.  ``estimate`` stays the scalar reference the bit-identity suites
+compare the batch paths against.
 
 All public methods are thread-safe: ingestion from several producer
 threads and concurrent estimates are supported (estimates read only
@@ -49,6 +51,7 @@ from repro.service import delta
 from repro.service.ingest import FlushReport, IngestPipeline
 from repro.service.specs import (
     EstimatorSpec,
+    answer_requests,
     apply_update,
     check_update,
     compile_programs,
@@ -550,7 +553,7 @@ class EstimationService:
     def estimate(self, name: str, query: Rect | BoxSet | None = None
                  ) -> EstimateResult:
         """One boosted estimate: ``estimate_multi([(name, query)])[0]``."""
-        return self._run_batches([(name, [query])])[0]
+        return self.estimate_multi([(name, query)])[0]
 
     def estimate_batch(self, name: str, queries) -> list[EstimateResult]:
         """Boosted estimates for a whole query batch from one merged view.
@@ -558,8 +561,18 @@ class EstimationService:
         ``queries`` is a :class:`BoxSet`/sequence of rectangles for
         queryable families, or an integer count / sequence of ``None`` for
         query-less ones; result ``j`` is ``estimate(name, queries[j])``.
+        The batch is checked and compiled against the name's merged view
+        (:func:`~repro.service.specs.compile_programs`) and runs as one
+        call of the service's caching executor, one ``batch_estimates``
+        dispatch.
         """
-        return self._run_batches([(name, queries)])
+        view = self.merged_view(name)
+        results = self._executor.run(
+            compile_programs(self._store.spec(name), view, queries))
+        with self._lock:
+            self._stats.estimates += len(results)
+            self._stats.batch_estimates += 1
+        return results
 
     def estimate_multi(self, requests) -> list[EstimateResult]:
         """One executor dispatch for a mixed-estimator request batch.
@@ -571,42 +584,37 @@ class EstimationService:
         across queries *and* estimators.  Results come back in request
         order.
 
+        The first request that fails raises; :meth:`answer_multi` is the
+        same dispatch answering each request on its own.
+        """
+        results = self.answer_multi(requests)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        return results
+
+    def answer_multi(self, requests) -> list:
+        """:meth:`estimate_multi` for a serving front: a request that fails
+        gets its exception in place of a result, and the others are
+        answered by the same one executor run
+        (:func:`~repro.service.specs.answer_requests`).
+
         This is the engine call behind the server's cross-estimator request
         coalescing (:mod:`repro.server.coalescer`).
         """
-        entries = [(str(name), query) for name, query in requests]
-        if not entries:
-            return []
-        order: OrderedDict[str, list[int]] = OrderedDict()
-        for index, (name, _) in enumerate(entries):
-            order.setdefault(name, []).append(index)
-        outcomes = self._run_batches(
-            [(name, [entries[index][1] for index in indices])
-             for name, indices in order.items()])
-        results: list[EstimateResult] = [None] * len(entries)  # type: ignore[list-item]
-        grouped = [index for indices in order.values() for index in indices]
-        for index, outcome in zip(grouped, outcomes):
-            results[index] = outcome
-        return results
-
-    def _run_batches(self, batches) -> list[EstimateResult]:
-        """The one estimate path: ``(name, queries)`` batches, results in order.
-
-        Each batch is checked and compiled against its name's merged view
-        (:func:`~repro.service.specs.compile_programs`) and the
-        concatenated programs run as a single call of the service's
-        caching executor, so the whole request costs one reduction pass
-        and counts as one ``batch_estimates`` dispatch.
-        """
-        programs: list = []
-        for name, queries in batches:
+        def resolve(name):
             view = self.merged_view(name)
-            programs.extend(
-                compile_programs(self._store.spec(name), view, queries))
-        results = self._executor.run(programs)
-        with self._lock:
-            self._stats.estimates += len(results)
-            self._stats.batch_estimates += 1
+            return self._store.spec(name), view
+
+        results = answer_requests(
+            self._executor, [(str(name), query) for name, query in requests],
+            resolve)
+        answered = sum(not isinstance(result, BaseException)
+                       for result in results)
+        if answered:
+            with self._lock:
+                self._stats.estimates += answered
+                self._stats.batch_estimates += 1
         return results
 
     def record_coalesced(self, count: int) -> None:
@@ -620,10 +628,6 @@ class EstimationService:
     def estimate_cardinality(self, name: str,
                              query: Rect | BoxSet | None = None) -> float:
         return self.estimate(name, query).estimate
-
-    def estimate_selectivity(self, name: str,
-                             query: Rect | BoxSet | None = None) -> float:
-        return self.estimate(name, query).selectivity
 
     # -- persistence --------------------------------------------------------------
 

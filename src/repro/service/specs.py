@@ -375,3 +375,46 @@ def compile_programs(spec: EstimatorSpec, estimator: Any,
         return estimator.lower(queries)
     except QueryError as exc:
         raise ServiceError(f"family {spec.family!r}: {exc}") from None
+
+
+def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
+                    resolve) -> list:
+    """Answer ``(key, query)`` requests in one executor run, each on its own.
+
+    ``resolve(key)`` returns the ``(spec, estimator)`` a name's queries
+    compile against.  Each key's queries compile as one batch; a batch that
+    does not compile compiles query by query, so a bad query fails alone.
+    Everything that compiled then runs as one
+    :meth:`~repro.core.program.ProgramExecutor.run`, and nothing runs when
+    nothing compiled.  Returns one entry per request, in order: its result,
+    or the exception its key's ``resolve`` or its own compile raised.
+    """
+    groups: dict[Any, list[int]] = {}
+    for index, (key, _) in enumerate(requests):
+        groups.setdefault(key, []).append(index)
+    results: list = [None] * len(requests)
+    programs: list[SketchProgram] = []
+    answered: list[int] = []
+    for key, indices in groups.items():
+        try:
+            spec, estimator = resolve(key)
+        except Exception as exc:  # the name's fetch or merge failed
+            for index in indices:
+                results[index] = exc
+            continue
+        try:
+            programs += compile_programs(
+                spec, estimator, [requests[index][1] for index in indices])
+            answered += indices
+        except Exception:
+            for index in indices:
+                try:
+                    programs += compile_programs(spec, estimator,
+                                                 [requests[index][1]])
+                    answered.append(index)
+                except Exception as exc:
+                    results[index] = exc
+    if programs:
+        for index, result in zip(answered, executor.run(programs)):
+            results[index] = result
+    return results

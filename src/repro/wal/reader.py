@@ -55,10 +55,6 @@ class SegmentScan:
     valid_bytes: int
     truncated_bytes: int
 
-    @property
-    def truncated(self) -> bool:
-        return self.truncated_bytes > 0
-
 
 def scan_segment(path) -> SegmentScan:
     """Read one segment's durable prefix, stopping at any torn tail."""

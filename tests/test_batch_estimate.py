@@ -95,7 +95,7 @@ class TestRangeEstimateBatch:
         estimator = RangeQueryEstimator(domain_2d, 8, seed=2)
         estimator.insert(random_boxes(rng, 50, 256, 2))
         queries = random_boxes(rng, 4, 256, 2)
-        as_rects = estimator.estimate_batch(queries.to_rects())
+        as_rects = estimator.estimate_batch(list(queries))
         as_boxes = estimator.estimate_batch(queries)
         assert [r.estimate for r in as_rects] == [r.estimate for r in as_boxes]
         single = estimator.estimate_batch(queries.rect(0))

@@ -130,13 +130,13 @@ class TestServiceClient:
         # Saturate a tiny standalone server whose engine is blocked.
         service = make_service(data=100)
         release = threading.Event()
-        inner = service.estimate_multi
+        inner = service.answer_multi
 
         def blocking(requests):
             release.wait(timeout=30)
             return inner(requests)
 
-        service.estimate_multi = blocking
+        service.answer_multi = blocking
         queries = synthetic_queries(DOMAIN, 30, seed=3)
         config = ServerConfig(max_batch=2, max_delay=0.001, max_queue=4)
         with ThreadedServer(service, config=config) as handle:

@@ -296,22 +296,6 @@ class TestScatterGather:
         assert counts == [int((group == 0).sum()), int((group == 1).sum()),
                           int((group == 0).sum())]
 
-    def test_a_removed_shard_worker_leaves_the_partition(self, cluster,
-                                                         worker_trio):
-        """Later frames split over the shard workers that are left."""
-        boxes = synthetic_boxes(DOMAIN, 300, seed=55)
-        group = shard_ids(boxes, 2)
-        cluster.run(cluster.manager.remove_worker("w1"))
-        with ServiceClient("127.0.0.1", cluster.port) as client:
-            client.register("ranges", family="range", sizes=[256, 256],
-                            instances=8, seed=5)
-            client.ingest("ranges", boxes, side="data")
-            client.flush()
-        assert [worker_trio[index].service.merged_view("ranges").count
-                for index in (0, 2)] == [int((group == 0).sum()),
-                                         int((group == 1).sum())]
-        assert worker_trio[1].service.names() == []
-
     def test_a_single_shard_worker_takes_every_row(self, worker_trio):
         boxes = synthetic_boxes(DOMAIN, 120, seed=57)
         with ThreadedClusterRouter(
@@ -352,11 +336,6 @@ class TestScatterGather:
                 "w0", "127.0.0.1", worker_trio[1].port))
         assert [info.name for info in cluster.manager.workers()] == \
             ["w0", "w1", "w2"]
-
-    def test_removing_an_unknown_worker_is_refused(self, cluster):
-        with pytest.raises(ServiceError, match="unknown worker 'w9'"):
-            cluster.run(cluster.manager.remove_worker("w9"))
-        assert len(cluster.manager) == 3
 
     def test_a_router_without_shard_workers_refuses_typed(self):
         with ThreadedClusterRouter(start_heartbeat=False) as handle, \

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.atomic import JOIN_COMPLEMENT, Letter, SketchBank, all_words, complement_word
+from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.errors import DimensionalityError, SketchConfigError
 from repro.geometry.boxset import BoxSet
@@ -19,17 +19,6 @@ IE_2D = all_words([Letter.INTERVAL, Letter.ENDPOINTS], 2)
 class TestWords:
     def test_all_words_count(self):
         assert len(all_words([Letter.INTERVAL, Letter.ENDPOINTS], 3)) == 8
-
-    def test_complement_word(self):
-        word = (Letter.INTERVAL, Letter.ENDPOINTS, Letter.LOWER_LEAF)
-        assert complement_word(word) == (Letter.ENDPOINTS, Letter.INTERVAL, Letter.UPPER_LEAF)
-
-    def test_complement_is_involution_on_ie(self):
-        for word in IE_2D:
-            assert complement_word(complement_word(word)) == word
-
-    def test_every_letter_has_a_complement(self):
-        assert set(JOIN_COMPLEMENT) == set(Letter)
 
 
 class TestConstruction:

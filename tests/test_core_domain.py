@@ -41,17 +41,6 @@ class TestDomain:
         domain = Domain.square(256, dimension=2).with_max_level(4)
         assert all(d.max_level == 4 for d in domain.dyadics)
 
-    def test_for_boxes(self):
-        boxes = BoxSet(np.array([[0, 5]]), np.array([[90, 200]]))
-        domain = Domain.for_boxes(boxes)
-        assert domain.requested_sizes == (91, 201)
-        assert domain.contains(boxes)
-
-    def test_for_boxes_rejects_negative(self):
-        boxes = BoxSet(np.array([[-1, 0]]), np.array([[5, 5]]))
-        with pytest.raises(DomainError):
-            Domain.for_boxes(boxes)
-
     def test_contains(self):
         domain = Domain.square(64, dimension=2)
         inside = BoxSet(np.array([[0, 0]]), np.array([[63, 63]]))

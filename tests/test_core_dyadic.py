@@ -178,9 +178,3 @@ class TestLemma4:
                 assert len(common) == 1
             else:
                 assert len(common) == 0
-
-    def test_describe_cover(self):
-        domain = DyadicDomain(16)
-        description = domain.describe_cover(3, 12)
-        assert all(isinstance(item, DyadicInterval) for item in description)
-        assert sum(item.length for item in description) == 10

@@ -34,10 +34,6 @@ class TestConstruction:
         with pytest.raises(SketchConfigError):
             FourWiseFamilyBank(1, int(MERSENNE_PRIME) + 1, seed=1)
 
-    def test_seed_words(self):
-        bank = FourWiseFamilyBank(8, 64, seed=0)
-        assert bank.seed_words() == 32
-
 
 class TestDeterminism:
     def test_same_seed_gives_identical_families(self):

@@ -84,8 +84,6 @@ class TestPairedEstimatorConfiguration:
                                            endpoint_policy="transform")
         plain = SpatialJoinEstimator(domain_1d, num_instances=4, seed=0,
                                      endpoint_policy="assume_distinct")
-        assert transformed.uses_endpoint_transform
-        assert not plain.uses_endpoint_transform
         assert transformed.left_bank.domain.sizes[0] > plain.left_bank.domain.sizes[0]
 
     def test_counts_track_inserts_and_deletes(self, rng, domain_1d):

@@ -157,7 +157,6 @@ class TestCommonEndpointEstimator:
     def test_is_explicit_policy(self, domain_1d):
         estimator = CommonEndpointJoinEstimator(domain_1d, num_instances=4, seed=0)
         assert estimator.endpoint_policy == "explicit"
-        assert not estimator.uses_endpoint_transform
 
 
 class TestStatisticalBehaviour:
@@ -246,15 +245,6 @@ class TestEstimatorConfiguration:
     def test_interval_estimator_accepts_plain_size(self):
         estimator = IntervalJoinEstimator(512, num_instances=4)
         assert estimator.domain.dimension == 1
-
-    def test_interval_convenience_updates(self, domain_1d):
-        estimator = IntervalJoinEstimator(domain_1d, num_instances=16, seed=3)
-        estimator.insert_left_intervals([(0, 10), (30, 60)])
-        estimator.insert_right_intervals([(5, 15)])
-        assert estimator.left_count == 2
-        assert estimator.right_count == 1
-        estimator.delete_left_intervals([(0, 10)])
-        assert estimator.left_count == 1
 
     def test_from_guarantee_sizes_by_theorem(self, domain_1d):
         estimator = SpatialJoinEstimator.from_guarantee(

@@ -7,7 +7,6 @@ from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.core.selfjoin import (
     dataset_self_join_size,
-    estimate_dataset_self_join,
     estimate_self_join,
     self_join_size,
 )
@@ -75,15 +74,6 @@ class TestSelfJoinSize:
         estimate = estimate_self_join(bank, (Letter.INTERVAL,))
         assert estimate == pytest.approx(truth, rel=0.25)
 
-    def test_estimate_dataset_self_join_uses_ie_words(self, rng):
-        domain = Domain(64)
-        boxes = random_boxes(rng, 20, 64, 1)
-        bank = SketchBank(domain, [(Letter.INTERVAL,), (Letter.ENDPOINTS,)],
-                          num_instances=2000, seed=5)
-        bank.insert(boxes)
-        truth = dataset_self_join_size(boxes, domain)
-        assert estimate_dataset_self_join(bank) == pytest.approx(truth, rel=0.35)
-
 
 class TestSpaceAccounting:
     def test_words_per_instance(self):
@@ -123,6 +113,3 @@ class TestSpaceAccounting:
         total = space.required_instances_for_guarantee(0.5, 0.25, 10.0, 10.0, 10.0)
         # k1 = ceil(4 * 100 / (0.25 * 100)) = 16, k2 = 4.
         assert total == 64
-
-    def test_words_to_kilowords(self):
-        assert space.words_to_kilowords(2500) == 2.5

@@ -176,7 +176,7 @@ class TestUpdateStream:
         stream = UpdateStream(boxes, seed=1)
         operations = list(stream)
         assert len(operations) == 40
-        assert all(op.is_insert for op in operations)
+        assert all(op.kind is UpdateKind.INSERT for op in operations)
 
     def test_expected_length_with_deletes(self, rng):
         boxes = self._boxes(rng)
@@ -201,7 +201,7 @@ class TestUpdateStream:
         counts: dict[tuple, int] = {}
         for operation in stream:
             key = (tuple(operation.box.lows[0]), tuple(operation.box.highs[0]))
-            counts[key] = counts.get(key, 0) + (1 if operation.is_insert else -1)
+            counts[key] = counts.get(key, 0) + (1 if operation.kind is UpdateKind.INSERT else -1)
         replay_total = sum(counts.values())
         assert replay_total == len(stream.final_state())
 

@@ -11,20 +11,47 @@ from repro.engine.operators import (
     IndexNestedLoopJoin,
     NestedLoopJoin,
     PlaneSweepJoin,
-    RangeScan,
     RTreeJoin,
 )
 from repro.engine.optimizer import Optimizer
-from repro.engine.query import JoinQuery, RangeQuery
+from repro.engine.query import JoinQuery
 from repro.engine.relation import SpatialRelation
 from repro.engine.synopses import SynopsisManager
 from repro.errors import EngineError
-from repro.exact.range_query import range_query_count
 from repro.exact.rectangle_join import brute_force_join_count
 from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
+from repro.geometry.predicates import overlap_matrix
 
 from tests.conftest import random_boxes
+
+
+OPERATORS = (NestedLoopJoin, PlaneSweepJoin, IndexNestedLoopJoin, RTreeJoin)
+
+
+def _name(operator_cls):
+    return operator_cls.name
+
+
+def _relation_pair(rng, dimension, *, count=60, size=128, allow_degenerate=False):
+    domain = Domain.square(size, dimension=dimension)
+    left = SpatialRelation("left", domain, boxes=random_boxes(
+        rng, count, size, dimension, allow_degenerate=allow_degenerate))
+    right = SpatialRelation("right", domain, boxes=random_boxes(
+        rng, count + 15, size, dimension, allow_degenerate=allow_degenerate))
+    return left, right
+
+
+def _common_intersection_count(relations, *, closed=False):
+    """Tuples (one object per relation) whose boxes share a point: the
+    oracle of a left-deep plan's result cardinality."""
+    lows = relations[0].boxes().lows
+    highs = relations[0].boxes().highs
+    for relation in relations[1:]:
+        boxes = relation.boxes()
+        lows = np.maximum(lows[:, None, :], boxes.lows[None, :, :]).reshape(-1, lows.shape[1])
+        highs = np.minimum(highs[:, None, :], boxes.highs[None, :, :]).reshape(-1, highs.shape[1])
+    keep = np.all(lows <= highs, axis=1) if closed else np.all(lows < highs, axis=1)
+    return int(np.count_nonzero(keep))
 
 
 @pytest.fixture
@@ -105,13 +132,11 @@ class TestRelation:
 
 
 class TestCatalog:
-    def test_create_get_drop(self, domain_2d):
+    def test_create_get(self, domain_2d):
         catalog = Catalog(domain_2d)
         catalog.create("a")
         assert "a" in catalog
         assert catalog.get("a").name == "a"
-        catalog.drop("a")
-        assert "a" not in catalog
 
     def test_duplicate_name_rejected(self, domain_2d):
         catalog = Catalog(domain_2d)
@@ -123,8 +148,14 @@ class TestCatalog:
         catalog = Catalog(domain_2d)
         with pytest.raises(EngineError):
             catalog.get("missing")
-        with pytest.raises(EngineError):
-            catalog.drop("missing")
+
+    def test_create_back_fills_the_given_boxes(self, rng, domain_2d):
+        catalog = Catalog(domain_2d)
+        data = random_boxes(rng, 12, 256, 2)
+        relation = catalog.create("a", boxes=data)
+        assert relation.cardinality == 12
+        assert np.array_equal(relation.boxes().lows, data.lows)
+        assert relation.domain == domain_2d
 
     def test_names_and_iteration(self, domain_2d):
         catalog = Catalog(domain_2d)
@@ -159,11 +190,62 @@ class TestOperators:
         empty = SpatialRelation("empty", roads.domain)
         assert NestedLoopJoin(roads, empty).execute().cardinality == 0
 
-    def test_range_scan(self, engine_setup):
-        _, _, _, (roads, _, _) = engine_setup
-        window = Rect.from_bounds((100, 100), (300, 260))
-        result = RangeScan(roads, window).execute()
-        assert result.cardinality == range_query_count(roads.boxes(), window)
+    @pytest.mark.parametrize("operator_cls", OPERATORS, ids=_name)
+    def test_closed_join_matches_the_oracle(self, operator_cls, rng):
+        left, right = _relation_pair(rng, 2, allow_degenerate=True)
+        expected = brute_force_join_count(left.boxes(), right.boxes(), closed=True)
+        assert operator_cls(left, right, closed=True).execute().cardinality == expected
+
+    @pytest.mark.parametrize("operator_cls", OPERATORS, ids=_name)
+    def test_strict_join_with_shared_coordinates(self, operator_cls, rng):
+        # Coordinates snapped to a coarse grid, so many boxes only touch.
+        domain = Domain.square(128, dimension=2)
+        relations = []
+        for name, count in (("left", 70), ("right", 80)):
+            raw = random_boxes(rng, count, 128, 2)
+            lows = (raw.lows // 8) * 8
+            highs = np.minimum(np.maximum((raw.highs // 8) * 8, lows + 8), 127)
+            relations.append(SpatialRelation(name, domain, boxes=BoxSet(lows, highs)))
+        left, right = relations
+        expected = brute_force_join_count(left.boxes(), right.boxes())
+        assert expected < brute_force_join_count(left.boxes(), right.boxes(), closed=True)
+        assert operator_cls(left, right).execute().cardinality == expected
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    @pytest.mark.parametrize("operator_cls", [NestedLoopJoin, IndexNestedLoopJoin, RTreeJoin],
+                             ids=_name)
+    def test_non_planar_join_matches_the_oracle(self, operator_cls, dimension, rng):
+        left, right = _relation_pair(rng, dimension, size=64)
+        expected = int(overlap_matrix(left.boxes(), right.boxes()).sum())
+        assert operator_cls(left, right).execute().cardinality == expected
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_plane_sweep_refuses_non_planar_data(self, dimension, rng):
+        left, right = _relation_pair(rng, dimension, size=64)
+        with pytest.raises(EngineError):
+            PlaneSweepJoin(left, right).execute()
+
+    @pytest.mark.parametrize("operator_cls", OPERATORS, ids=_name)
+    def test_an_empty_input_costs_no_comparisons(self, operator_cls, rng):
+        left, _ = _relation_pair(rng, 2)
+        empty = SpatialRelation("empty", left.domain)
+        for pair in ((left, empty), (empty, left)):
+            result = operator_cls(*pair).execute()
+            assert (result.cardinality, result.comparisons) == (0, 0)
+            assert result.operator == operator_cls.name
+
+    def test_nested_loop_compares_every_pair(self, rng):
+        left, right = _relation_pair(rng, 2)
+        result = NestedLoopJoin(left, right).execute(chunk_size=7)
+        assert result.comparisons == len(left) * len(right)
+        assert result.cardinality == brute_force_join_count(left.boxes(), right.boxes())
+
+    def test_collected_pairs_are_the_overlapping_pairs(self, rng):
+        left, right = _relation_pair(rng, 2)
+        result = NestedLoopJoin(left, right).execute(collect_pairs=True, chunk_size=16)
+        hits = overlap_matrix(left.boxes(), right.boxes())
+        assert set(result.pairs) == {(int(i), int(j)) for i, j in zip(*np.nonzero(hits))}
+        assert len(result.pairs) == result.cardinality
 
     def test_dimension_mismatch_rejected(self, engine_setup):
         domain, *_ = engine_setup
@@ -196,24 +278,6 @@ class TestSynopsisManager:
         with pytest.raises(EngineError):
             synopses.join_sketch(roads, roads)
 
-    def test_range_sketch_tracks_relation(self, engine_setup, rng):
-        _, _, synopses, (roads, _, _) = engine_setup
-        before = synopses.range_sketch(roads).count
-        roads.insert(random_boxes(rng, 10, 512, 2))
-        assert synopses.range_sketch(roads).count == before + 10
-
-    def test_histogram_synopsis(self, engine_setup, rng):
-        _, _, synopses, (roads, lakes, _) = engine_setup
-        gh_roads = synopses.histogram(roads, "geometric", level=3)
-        gh_lakes = synopses.histogram(lakes, "geometric", level=3)
-        truth = brute_force_join_count(roads.boxes(), lakes.boxes())
-        assert gh_roads.estimate_join(gh_lakes) == pytest.approx(truth, rel=0.8)
-
-    def test_unknown_histogram_kind(self, engine_setup):
-        _, _, synopses, (roads, _, _) = engine_setup
-        with pytest.raises(EngineError):
-            synopses.histogram(roads, "wavelet")
-
 
 class TestCostModel:
     def test_nested_loop_is_quadratic(self):
@@ -231,7 +295,21 @@ class TestCostModel:
         assert model.plane_sweep_join(0, 0, 0) == 0.0
         assert model.index_nested_loop_join(0, 10, 5) == 0.0
         assert model.rtree_join(10, 10, 0) > 0.0
-        assert model.range_scan(42) == 42.0
+
+    @pytest.mark.parametrize("method", ["plane_sweep_join", "index_nested_loop_join",
+                                        "rtree_join"])
+    def test_cost_grows_with_the_estimated_output(self, method):
+        cost = getattr(CostModel(), method)
+        assert cost(500, 400, 10.0) < cost(500, 400, 10_000.0)
+        assert cost(500, 400, -5.0) == cost(500, 400, 0.0)
+
+    @pytest.mark.parametrize("method", ["nested_loop_join", "plane_sweep_join",
+                                        "index_nested_loop_join", "rtree_join"])
+    def test_cost_grows_with_the_input_size(self, method):
+        cost = getattr(CostModel(), method)
+        args = (100.0,) if method != "nested_loop_join" else ()
+        assert cost(1_000, 1_000, *args) < cost(8_000, 1_000, *args)
+        assert cost(1_000, 1_000, *args) < cost(1_000, 8_000, *args)
 
 
 class TestOptimizer:
@@ -260,39 +338,76 @@ class TestOptimizer:
             cardinalities.add(optimizer.execute_plan(plan).cardinality)
         assert len(cardinalities) == 1
 
-    def test_binary_join_execution_matches_truth(self, engine_setup):
+    def test_two_way_plan_executes_to_the_exact_count(self, engine_setup):
         _, catalog, synopses, (roads, lakes, _) = engine_setup
         optimizer = Optimizer(catalog, synopses)
-        truth = brute_force_join_count(roads.boxes(), lakes.boxes())
-        result = optimizer.execute_binary_join("roads", "lakes")
-        assert result.cardinality == truth
+        plan = optimizer.plan_join(JoinQuery(relations=("roads", "lakes")))
+        expected = brute_force_join_count(roads.boxes(), lakes.boxes())
+        assert optimizer.execute_plan(plan).cardinality == expected
 
-    def test_binary_join_with_named_operator(self, engine_setup):
-        _, catalog, synopses, (roads, lakes, _) = engine_setup
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_three_way_plan_executes_to_the_exact_count(self, engine_setup, closed):
+        _, catalog, synopses, relations = engine_setup
         optimizer = Optimizer(catalog, synopses)
-        result = optimizer.execute_binary_join("roads", "lakes", operator="rtree_join")
-        assert result.operator == "rtree_join"
+        plan = optimizer.plan_join(JoinQuery(relations=("roads", "lakes", "parks")))
+        execution = optimizer.execute_plan(plan, closed=closed)
+        assert execution.cardinality == _common_intersection_count(relations, closed=closed)
+        assert execution.comparisons > 0
 
-    def test_unknown_operator_rejected(self, engine_setup):
+    def test_a_plan_over_an_empty_relation_returns_nothing(self, engine_setup):
         _, catalog, synopses, _ = engine_setup
+        catalog.create("empty")
         optimizer = Optimizer(catalog, synopses)
-        with pytest.raises(EngineError):
-            optimizer.execute_binary_join("roads", "lakes", operator="hash_join")
+        assert optimizer.estimated_pair_selectivity(catalog.get("roads"),
+                                                    catalog.get("empty")) == 0.0
+        plan = optimizer.plan_join(JoinQuery(relations=("roads", "empty")))
+        execution = optimizer.execute_plan(plan)
+        assert (execution.cardinality, execution.comparisons) == (0, 0)
 
-    def test_plan_and_execute(self, engine_setup):
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_choose_operator_returns_the_cheapest(self, engine_setup, dimension):
         _, catalog, synopses, _ = engine_setup
+        model = CostModel()
+        optimizer = Optimizer(catalog, synopses, cost_model=model)
+        for probe, indexed, output in ((10, 10, 5.0), (5_000, 5_000, 100.0),
+                                       (5_000, 5_000, 1e7), (1, 100_000, 1.0)):
+            costs = {
+                NestedLoopJoin.name: model.nested_loop_join(probe, indexed),
+                IndexNestedLoopJoin.name: model.index_nested_loop_join(probe, indexed, output),
+                RTreeJoin.name: model.rtree_join(probe, indexed, output),
+            }
+            if dimension == 2:
+                costs[PlaneSweepJoin.name] = model.plane_sweep_join(probe, indexed, output)
+            name, cost = optimizer.choose_operator(probe, indexed, output,
+                                                   dimension=dimension)
+            assert cost == min(costs.values())
+            assert costs[name] == cost
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_plane_sweep_is_chosen_in_two_dimensions_only(self, engine_setup, dimension):
+        _, catalog, synopses, _ = engine_setup
+        cheap_sweep = CostModel(sweep_constant=1e-9, output_constant=1e-9)
+        optimizer = Optimizer(catalog, synopses, cost_model=cheap_sweep)
+        name, _ = optimizer.choose_operator(5_000, 5_000, 100.0, dimension=dimension)
+        assert (name == PlaneSweepJoin.name) == (dimension == 2)
+
+    def test_greedy_order_beyond_the_enumeration_limit(self, rng):
+        domain = Domain.square(256, dimension=2)
+        catalog = Catalog(domain)
+        names = [f"r{index}" for index in range(Optimizer._ENUMERATION_LIMIT + 1)]
+        for name in names:
+            catalog.create(name, boxes=synthetic.generate_rectangles(15, domain, rng=rng))
+        synopses = SynopsisManager(domain.with_max_level(3), num_instances=16, seed=5)
         optimizer = Optimizer(catalog, synopses)
-        execution = optimizer.plan_and_execute(JoinQuery(relations=("roads", "parks")))
-        truth = brute_force_join_count(catalog.get("roads").boxes(),
-                                       catalog.get("parks").boxes())
-        assert execution.cardinality == truth
+        plan = optimizer.plan_join(JoinQuery(relations=tuple(names)))
+        assert sorted(plan.order) == names
+        assert len(plan.steps) == len(names) - 1
+        assert [step.right for step in plan.steps] == list(plan.order[1:])
+        assert plan.estimated_cost == pytest.approx(
+            sum(step.estimated_cost for step in plan.steps))
 
     def test_join_query_validation(self):
         with pytest.raises(ValueError):
             JoinQuery(relations=("solo",))
         with pytest.raises(ValueError):
             JoinQuery(relations=("a", "a"))
-
-    def test_range_query_dataclass(self):
-        query = RangeQuery(relation="roads", window=Rect.from_bounds((0, 0), (10, 10)))
-        assert query.closed

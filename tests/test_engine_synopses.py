@@ -9,7 +9,6 @@ from repro.engine import Catalog, Optimizer, SynopsisManager
 from repro.engine.cost import CostModel
 from repro.engine.query import JoinQuery
 from repro.errors import EngineError
-from repro.geometry.rectangle import Rect
 from repro.service import EstimationService
 
 
@@ -71,38 +70,14 @@ class TestSynopsisManagerService:
         with pytest.raises(EngineError):
             synopses.join_sketch_name(catalog.get("R"), catalog.get("R"))
 
-    def test_range_sketch_maintained(self, rng, catalog, domain_2d):
-        synopses = SynopsisManager(domain_2d, num_instances=32, seed=3)
-        relation = catalog.get("R")
-        query = Rect.from_bounds((0, 0), (255, 255))
-        estimate = synopses.estimated_range_cardinality(relation, query)
-        assert estimate >= 0.0
-        relation.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
-        assert synopses.range_sketch(relation).count == 130
-
     def test_sketch_views_are_snapshots(self, rng, catalog, domain_2d):
         """A view handed out before a mutation keeps its counts."""
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
         join_view = synopses.join_sketch(left, right)
-        range_view = synopses.range_sketch(left)
         left.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
-        assert (join_view.left_count, range_view.count) == (120, 120)
+        assert join_view.left_count == 120
         assert synopses.join_sketch(left, right).left_count == 130
-        assert synopses.range_sketch(left).count == 130
-
-    def test_adopts_range_sketch_of_a_restored_service(self, rng, catalog,
-                                                       domain_2d):
-        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
-        relation = catalog.get("R")
-        query = Rect.from_bounds((0, 0), (255, 255))
-        expected = synopses.estimated_range_cardinality(relation, query)
-        restored = EstimationService.restore(synopses.service.snapshot())
-        resumed = SynopsisManager(domain_2d, service=restored,
-                                  num_instances=16, seed=2)
-        assert resumed.estimated_range_cardinality(relation, query) == expected
-        relation.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
-        assert resumed.range_sketch(relation).count == 130
 
     def test_shared_external_service(self, catalog, domain_2d):
         """Several catalogs' synopses can live inside one service process."""
@@ -160,8 +135,6 @@ class TestSynopsisManagerService:
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=5)
         left, right = catalog.get("R"), catalog.get("S")
         service = synopses.service
-        assert (service.spec(synopses.range_sketch_name(right)).seed
-                == 5 + stable_seed_offset(("S",)))
         assert (service.spec(synopses.join_sketch_name(left, right)).seed
                 == 5 + stable_seed_offset(("R", "S")))
         assert stable_seed_offset(("R", "S")) != stable_seed_offset(("S", "R"))

@@ -74,7 +74,7 @@ def test_update_equals_the_named_methods(rng, spec):
         # Aliases ("left" for outer / data) name the same side.
         generic.update((declared.aliases or (declared.name,))[0], data)
         generic.update(declared.name, data[:15], -1.0)
-        assert generic.side_count(declared.name) == 25
+        assert generic.state_dict()[declared.count_key] == 25
     assert_same_state(generic.state_dict(), named.state_dict())
 
 
@@ -98,7 +98,7 @@ def test_companion_aliases_the_xi_banks_and_zeroes_counts(rng, spec):
     companion = original.companion()
     assert type(companion) is type(original)
     for side in spec.info.sides:
-        assert companion.side_count(side) == 0
+        assert companion.state_dict()[companion.resolve_side(side).count_key] == 0
         assert not companion.side_bank(side).counter_tensor.any()
         assert all(mine is theirs for mine, theirs in zip(
             companion.side_bank(side).xi_banks,

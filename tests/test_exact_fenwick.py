@@ -16,7 +16,6 @@ class TestFenwickTree:
         tree = FenwickTree(8)
         assert tree.prefix_sum(-1) == 0
         assert tree.prefix_sum(7) == 0
-        assert tree.total() == 0
 
     def test_single_update(self):
         tree = FenwickTree(10)
@@ -38,15 +37,6 @@ class TestFenwickTree:
         tree.add(2, -3)
         assert tree.prefix_sum(3) == 2
 
-    def test_range_sum(self):
-        tree = FenwickTree(10)
-        for position in (1, 3, 3, 7):
-            tree.add(position)
-        assert tree.range_sum(0, 2) == 1
-        assert tree.range_sum(3, 3) == 2
-        assert tree.range_sum(4, 9) == 1
-        assert tree.range_sum(5, 4) == 0
-
     def test_prefix_sum_clamps_large_positions(self):
         tree = FenwickTree(4)
         tree.add(3)
@@ -63,3 +53,15 @@ class TestFenwickTree:
             reference[position] += delta
         for query in rng.integers(0, size, size=50):
             assert tree.prefix_sum(int(query)) == int(reference[: query + 1].sum())
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000])
+    def test_prefix_sums_match_cumsum(self, rng, size):
+        tree = FenwickTree(size)
+        reference = np.zeros(size, dtype=np.int64)
+        for position, delta in zip(rng.integers(0, size, size=200),
+                                   rng.integers(-3, 4, size=200)):
+            tree.add(int(position), int(delta))
+            reference[position] += delta
+        sums = np.cumsum(reference)
+        assert [tree.prefix_sum(p) for p in range(size)] == sums.tolist()
+        assert tree.prefix_sum(-1) == 0

@@ -4,20 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exact.containment import containment_join_count
-from repro.exact.epsilon_join import epsilon_join_count, epsilon_join_selectivity
-from repro.exact.interval_join import (
-    interval_join_count,
-    interval_join_pairs,
-    interval_self_join_count,
-)
-from repro.exact.range_query import (
-    range_query_count,
-    range_query_select,
-    range_query_selectivity,
-)
+from repro.exact.epsilon_join import epsilon_join_count
+from repro.exact.interval_join import interval_join_count
+from repro.exact.range_query import range_query_count
 from repro.exact.rectangle_join import (
     brute_force_join_count,
-    join_selectivity,
     plane_sweep_join_count,
     rectangle_join_count,
 )
@@ -58,21 +49,18 @@ class TestIntervalJoin:
             expected = int(overlap_matrix(left, right).sum())
             assert interval_join_count(left, right) == expected
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_count_is_symmetric(self, rng, closed):
+        left = random_boxes(rng, 45, 80, 1, allow_degenerate=True)
+        right = random_boxes(rng, 30, 80, 1, allow_degenerate=True)
+        assert interval_join_count(left, right, closed=closed) == \
+            interval_join_count(right, left, closed=closed)
+
     def test_closed_matches_matrix_oracle(self, rng):
         left = random_boxes(rng, 50, 60, 1, allow_degenerate=True)
         right = random_boxes(rng, 50, 60, 1, allow_degenerate=True)
         expected = int(overlap_matrix(left, right, closed=True).sum())
         assert interval_join_count(left, right, closed=True) == expected
-
-    def test_pairs_iterator_consistent_with_count(self, rng):
-        left = random_boxes(rng, 25, 80, 1)
-        right = random_boxes(rng, 25, 80, 1)
-        pairs = list(interval_join_pairs(left, right))
-        assert len(pairs) == interval_join_count(left, right)
-
-    def test_self_join(self, rng):
-        data = random_boxes(rng, 30, 100, 1)
-        assert interval_self_join_count(data) == interval_join_count(data, data)
 
 
 class TestRectangleJoin:
@@ -119,11 +107,14 @@ class TestRectangleJoin:
         expected = int(overlap_matrix(left, right).sum())
         assert rectangle_join_count(left, right) == expected
 
-    def test_join_selectivity(self, rng):
-        left = random_boxes(rng, 20, 60, 2)
-        right = random_boxes(rng, 25, 60, 2)
-        expected = rectangle_join_count(left, right) / (20 * 25)
-        assert join_selectivity(left, right) == pytest.approx(expected)
+    def test_dispatcher_sweeps_large_planar_inputs_exactly(self, rng):
+        # Past 2000 boxes the dispatcher switches to the plane sweep.
+        left = random_boxes(rng, 1100, 4096, 2, max_extent=200)
+        right = random_boxes(rng, 1000, 4096, 2, max_extent=200)
+        expected = brute_force_join_count(left, right)
+        assert rectangle_join_count(left, right) == expected
+        assert rectangle_join_count(left, right, closed=True) == \
+            brute_force_join_count(left, right, closed=True)
 
     def test_empty_inputs(self):
         left = BoxSet(np.array([[0, 0]]), np.array([[5, 5]]))
@@ -150,6 +141,16 @@ class TestContainmentJoin:
         expected = int(containment_matrix(outer, inner).sum())
         assert containment_join_count(outer, inner) == expected
 
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_matches_matrix_oracle_off_the_plane(self, rng, dimension):
+        from repro.geometry.predicates import containment_matrix
+
+        outer = random_boxes(rng, 40, 40, dimension, max_extent=30)
+        inner = random_boxes(rng, 40, 40, dimension, max_extent=6)
+        expected = int(containment_matrix(outer, inner).sum())
+        assert expected > 0
+        assert containment_join_count(outer, inner) == expected
+
 
 class TestEpsilonJoin:
     def test_simple(self):
@@ -170,26 +171,25 @@ class TestEpsilonJoin:
             expected = int((pairwise_linf_distances(left, right) <= epsilon).sum())
             assert epsilon_join_count(left, right, epsilon) == expected
 
+    def test_one_dimensional(self, rng):
+        left = PointSet(rng.integers(0, 200, size=(50, 1)))
+        right = PointSet(rng.integers(0, 200, size=(45, 1)))
+        for epsilon in (0, 3, 40):
+            expected = int((pairwise_linf_distances(left, right) <= epsilon).sum())
+            assert epsilon_join_count(left, right, epsilon) == expected
+
     def test_three_dimensional(self, rng):
         left = PointSet(rng.integers(0, 30, size=(40, 3)))
         right = PointSet(rng.integers(0, 30, size=(40, 3)))
         expected = int((pairwise_linf_distances(left, right) <= 4).sum())
         assert epsilon_join_count(left, right, 4) == expected
 
-    def test_selectivity(self, rng):
-        left = PointSet(rng.integers(0, 50, size=(20, 2)))
-        right = PointSet(rng.integers(0, 50, size=(30, 2)))
-        count = epsilon_join_count(left, right, 5)
-        assert epsilon_join_selectivity(left, right, 5) == pytest.approx(count / 600)
-
 
 class TestRangeQuery:
-    def test_count_and_select(self, rng):
+    def test_count(self, rng):
         data = random_boxes(rng, 50, 100, 2)
         query = Rect.from_bounds((20, 20), (60, 60))
         count = range_query_count(data, query)
-        selected = range_query_select(data, query)
-        assert len(selected) == count
         expected = sum(1 for rect in data if rect.overlaps_plus(query))
         assert count == expected
 
@@ -199,10 +199,21 @@ class TestRangeQuery:
         assert range_query_count(data, query, closed=True) == 1
         assert range_query_count(data, query, closed=False) == 0
 
-    def test_selectivity(self, rng):
-        data = random_boxes(rng, 40, 100, 2)
-        query = Rect.from_bounds((0, 0), (99, 99))
-        assert range_query_selectivity(data, query) == pytest.approx(1.0)
-
     def test_empty_data(self):
         assert range_query_count(BoxSet.empty(2), Rect.from_bounds((0, 0), (5, 5))) == 0
+
+    def test_box_set_query_counts_like_its_rect(self, rng):
+        data = random_boxes(rng, 80, 100, 2)
+        rect = Rect.from_bounds((15, 30), (70, 55))
+        row = BoxSet(np.array([[15, 30]]), np.array([[70, 55]]))
+        for closed in (False, True):
+            assert range_query_count(data, row, closed=closed) == \
+                range_query_count(data, rect, closed=closed)
+
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_matches_the_overlap_oracle(self, rng, dimension):
+        data = random_boxes(rng, 90, 50, dimension)
+        query = BoxSet(np.full((1, dimension), 10), np.full((1, dimension), 30))
+        for closed in (False, True):
+            expected = int(overlap_matrix(data, query, closed=closed).sum())
+            assert range_query_count(data, query, closed=closed) == expected

@@ -8,7 +8,7 @@ from repro.data import synthetic
 from repro.exact.rectangle_join import rectangle_join_count
 from repro.experiments import harness
 from repro.experiments.config import LAPTOP_SCALE, PAPER_SCALE, TINY_SCALE, get_scale
-from repro.experiments.metrics import mean_relative_error, relative_error, summarize_errors
+from repro.experiments.metrics import mean_relative_error, relative_error
 from repro.experiments.reporting import FigureResult, format_table
 from repro.experiments import figures
 from repro import cli
@@ -22,13 +22,6 @@ class TestMetrics:
 
     def test_mean_relative_error(self):
         assert mean_relative_error([90, 110], 100) == pytest.approx(0.1)
-
-    def test_summarize_errors(self):
-        summary = summarize_errors([0.1, 0.2, 0.6])
-        assert summary["mean"] == pytest.approx(0.3)
-        assert summary["median"] == pytest.approx(0.2)
-        assert summary["max"] == pytest.approx(0.6)
-        assert summarize_errors([]) == {"mean": 0.0, "median": 0.0, "max": 0.0}
 
 
 class TestConfig:

@@ -26,7 +26,7 @@ class TestBoxSetConstruction:
             BoxSet(np.array([[5]]), np.array([[3]]))
 
     def test_from_rects_round_trip(self, boxes):
-        rebuilt = BoxSet.from_rects(boxes.to_rects())
+        rebuilt = BoxSet.from_rects(list(boxes))
         assert np.array_equal(rebuilt.lows, boxes.lows)
         assert np.array_equal(rebuilt.highs, boxes.highs)
 
@@ -69,9 +69,6 @@ class TestBoxSetAccessors:
     def test_side_lengths(self, boxes):
         assert np.array_equal(boxes.side_lengths()[0], np.array([5, 5]))
 
-    def test_bounding_box(self, boxes):
-        assert boxes.bounding_box() == Rect.from_bounds((0, 0), (15, 9))
-
     def test_min_max_coordinates(self, boxes):
         assert boxes.min_coordinate() == 0
         assert boxes.max_coordinate() == 15
@@ -89,10 +86,6 @@ class TestBoxSetTransformations:
         with pytest.raises(DimensionalityError):
             boxes.concat(BoxSet.empty(3))
 
-    def test_translated(self, boxes):
-        moved = boxes.translated((10, 20))
-        assert np.array_equal(moved.lows[0], np.array([10, 20]))
-
     def test_scaled(self, boxes):
         scaled = boxes.scaled(3)
         assert np.array_equal(scaled.highs[0], np.array([12, 12]))
@@ -106,21 +99,11 @@ class TestBoxSetTransformations:
         assert np.array_equal(grown.lows[0], np.array([-2, -2]))
         assert np.array_equal(grown.highs[0], np.array([6, 6]))
 
-    def test_clipped_drops_outside_boxes(self):
-        data = BoxSet(np.array([[0, 0], [50, 50]]), np.array([[5, 5], [60, 60]]))
-        clipped = data.clipped(0, 20)
-        assert len(clipped) == 1
-
     def test_shrunk_for_endpoint_transform(self):
         data = BoxSet(np.array([[2]]), np.array([[7]]))
         shrunk = data.shrunk_for_endpoint_transform()
         assert shrunk.lows[0, 0] == 7
         assert shrunk.highs[0, 0] == 20
-
-    def test_projected(self, boxes):
-        projected = boxes.projected([1])
-        assert projected.dimension == 1
-        assert np.array_equal(projected.highs[:, 0], boxes.highs[:, 1])
 
     def test_sample(self, boxes, rng):
         sampled = boxes.sample(2, rng)
@@ -142,17 +125,6 @@ class TestPointSet:
         points = PointSet(np.array([[1, 2]]))
         boxes = points.to_boxes()
         assert np.array_equal(boxes.lows, boxes.highs)
-
-    def test_expanded_boxes(self):
-        points = PointSet(np.array([[10, 10]]))
-        cubes = points.expanded_boxes(3)
-        assert np.array_equal(cubes.lows[0], np.array([7, 7]))
-        assert np.array_equal(cubes.highs[0], np.array([13, 13]))
-
-    def test_expanded_boxes_clipping(self):
-        points = PointSet(np.array([[1, 1]]))
-        cubes = points.expanded_boxes(5, clip_lo=0, clip_hi=20)
-        assert np.array_equal(cubes.lows[0], np.array([0, 0]))
 
     def test_concat(self):
         a = PointSet(np.array([[1, 1]]))

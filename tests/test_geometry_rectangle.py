@@ -19,11 +19,6 @@ class TestConstruction:
         assert rect.highs == (5, 8)
         assert rect.dimension == 2
 
-    def test_from_point(self):
-        rect = Rect.from_point((4, 7, 2))
-        assert rect.is_point
-        assert rect.dimension == 3
-
     def test_interval_constructor(self):
         rect = Rect.interval(3, 9)
         assert rect.dimension == 1
@@ -36,23 +31,6 @@ class TestConstruction:
     def test_empty_rect_rejected(self):
         with pytest.raises(DimensionalityError):
             Rect(())
-
-
-class TestMeasures:
-    def test_volume_counts_lattice_points(self, unit_square):
-        assert unit_square.volume() == 100
-
-    def test_side_lengths(self):
-        assert Rect.from_bounds((0, 0), (4, 9)).side_lengths() == (5, 10)
-
-    def test_center(self):
-        assert Rect.from_bounds((0, 0), (4, 8)).center() == (2.0, 4.0)
-
-    def test_corners_of_square(self, unit_square):
-        assert set(unit_square.corners()) == {(0, 0), (0, 9), (9, 0), (9, 9)}
-
-    def test_corners_of_degenerate(self):
-        assert list(Rect.from_point((3, 3)).corners()) == [(3, 3)]
 
 
 class TestPredicates:
@@ -89,11 +67,3 @@ class TestOperations:
     def test_expanded(self):
         rect = Rect.from_bounds((5, 5), (6, 6)).expanded(2)
         assert rect == Rect.from_bounds((3, 3), (8, 8))
-
-    def test_clipped(self, unit_square):
-        clipped = unit_square.clipped((5, 5), (20, 20))
-        assert clipped == Rect.from_bounds((5, 5), (9, 9))
-
-    def test_translated(self):
-        rect = Rect.from_bounds((1, 1), (2, 2)).translated((10, 20))
-        assert rect == Rect.from_bounds((11, 21), (12, 22))

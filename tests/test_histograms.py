@@ -1,4 +1,4 @@
-"""Tests for the histogram and sampling baselines (Section 7 comparators)."""
+"""Tests for the Geometric and Euler histogram baselines (Section 7 comparators)."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,10 @@ import pytest
 from repro.core.domain import Domain
 from repro.data import synthetic
 from repro.errors import SketchConfigError
-from repro.exact.rectangle_join import brute_force_join_count, rectangle_join_count
+from repro.exact.rectangle_join import rectangle_join_count
 from repro.geometry.boxset import BoxSet
-from repro.histograms.equiwidth import EquiWidthHistogram
 from repro.histograms.euler import EulerHistogram
 from repro.histograms.geometric import GeometricHistogram
-from repro.histograms.sampling import ReservoirSampleEstimator
 
 from tests.conftest import random_boxes
 
@@ -59,6 +57,34 @@ class TestGridHistogramBase:
             histogram.insert(BoxSet(np.array([[0, 0]]), np.array([[5000, 10]])))
 
 
+@pytest.mark.parametrize("kind", [GeometricHistogram, EulerHistogram],
+                         ids=["GH", "EH"])
+class TestBothHistograms:
+    def test_estimate_is_symmetric(self, workload, kind):
+        domain, left, right, _ = workload
+        a, b = kind(domain, level=3), kind(domain, level=3)
+        a.insert(left)
+        b.insert(right)
+        assert a.estimate_join(b) == pytest.approx(b.estimate_join(a))
+
+    def test_estimate_is_linear_in_the_insert_weight(self, workload, kind):
+        domain, left, right, _ = workload
+        single, double, other = (kind(domain, level=3) for _ in range(3))
+        single.insert(left)
+        double.insert(left, weight=2.0)
+        other.insert(right)
+        assert double.estimate_join(other) == pytest.approx(2 * single.estimate_join(other))
+
+    def test_count_follows_inserts_and_deletes(self, workload, kind):
+        domain, left, right, _ = workload
+        histogram = kind(domain, level=2)
+        histogram.insert(left)
+        histogram.insert(right)
+        histogram.delete(right[:100])
+        assert histogram.count == len(left) + len(right) - 100
+        assert (histogram.level, histogram.cells_per_dim) == (2, 4)
+
+
 class TestGeometricHistogram:
     def test_reasonable_accuracy_on_uniform_data(self, workload):
         domain, left, right, truth = workload
@@ -86,15 +112,6 @@ class TestGeometricHistogram:
         domain, *_ = workload
         assert GeometricHistogram(domain, level=5).storage_words() == 4 ** 6
 
-    def test_selectivity(self, workload):
-        domain, left, right, _ = workload
-        a = GeometricHistogram(domain, level=3)
-        b = GeometricHistogram(domain, level=3)
-        a.insert(left)
-        b.insert(right)
-        assert a.estimate_join_selectivity(b) == pytest.approx(
-            a.estimate_join(b) / (len(left) * len(right)))
-
     def test_empty_histogram_estimates_zero(self, workload):
         domain, left, *_ = workload
         a = GeometricHistogram(domain, level=3)
@@ -105,24 +122,6 @@ class TestGeometricHistogram:
 
 
 class TestEulerHistogram:
-    def test_region_count_is_exact_for_aligned_regions(self, workload, rng):
-        domain, left, *_ = workload
-        histogram = EulerHistogram(domain, level=3)
-        histogram.insert(left)
-        cells = histogram.cells_per_dim
-        cell_w, cell_h = histogram.cell_extent
-        for _ in range(10):
-            i0, j0 = rng.integers(0, cells, size=2)
-            i1 = rng.integers(i0, cells)
-            j1 = rng.integers(j0, cells)
-            # Count objects intersecting the aligned region exactly.
-            x_lo, x_hi = i0 * cell_w, (i1 + 1) * cell_w
-            y_lo, y_hi = j0 * cell_h, (j1 + 1) * cell_h
-            expected = int(np.sum(
-                (left.lows[:, 0] < x_hi) & (left.highs[:, 0] + 1 > x_lo)
-                & (left.lows[:, 1] < y_hi) & (left.highs[:, 1] + 1 > y_lo)
-            ))
-            assert histogram.estimate_region_count((i0, j0), (i1, j1)) == pytest.approx(expected)
 
     def test_join_estimate_in_right_ballpark_at_coarse_level(self, workload):
         domain, left, right, truth = workload
@@ -158,86 +157,3 @@ class TestEulerHistogram:
         eh_left.insert(left)
         eh_right.insert(right)
         assert eh_left.estimate_join(eh_right) >= 0.0
-
-
-class TestEquiWidthHistogram:
-    def test_join_estimate_sane_for_uniform_data(self, workload):
-        domain, left, right, truth = workload
-        a = EquiWidthHistogram(domain, level=3)
-        b = EquiWidthHistogram(domain, level=3)
-        a.insert(left)
-        b.insert(right)
-        estimate = a.estimate_join(b)
-        assert estimate == pytest.approx(truth, rel=0.6)
-
-    def test_storage_words(self, workload):
-        domain, *_ = workload
-        assert EquiWidthHistogram(domain, level=4).storage_words() == 256 + 2
-
-    def test_delete(self, workload, rng):
-        domain, left, right, _ = workload
-        extra = random_boxes(rng, 50, 1024, 2)
-        a = EquiWidthHistogram(domain, level=3)
-        a.insert(left)
-        a.insert(extra)
-        a.delete(extra)
-        b = EquiWidthHistogram(domain, level=3)
-        b.insert(left)
-        reference = EquiWidthHistogram(domain, level=3)
-        reference.insert(right)
-        assert a.estimate_join(reference) == pytest.approx(b.estimate_join(reference))
-
-
-class TestReservoirSampleEstimator:
-    def test_sample_never_exceeds_capacity(self, rng):
-        estimator = ReservoirSampleEstimator(sample_size=50, seed=1)
-        estimator.insert(random_boxes(rng, 500, 200, 2))
-        assert len(estimator.sample) == 50
-        assert estimator.count == 500
-
-    def test_small_streams_keep_everything(self, rng):
-        estimator = ReservoirSampleEstimator(sample_size=100, seed=1)
-        data = random_boxes(rng, 30, 200, 2)
-        estimator.insert(data)
-        assert len(estimator.sample) == 30
-
-    def test_full_sample_estimates_exactly(self, rng):
-        left_data = random_boxes(rng, 60, 200, 2)
-        right_data = random_boxes(rng, 60, 200, 2)
-        left = ReservoirSampleEstimator(sample_size=100, seed=1)
-        right = ReservoirSampleEstimator(sample_size=100, seed=2)
-        left.insert(left_data)
-        right.insert(right_data)
-        assert left.estimate_join(right) == pytest.approx(
-            brute_force_join_count(left_data, right_data))
-
-    def test_estimate_scales_with_counts(self, rng):
-        left_data = random_boxes(rng, 400, 300, 2)
-        right_data = random_boxes(rng, 400, 300, 2)
-        truth = brute_force_join_count(left_data, right_data)
-        left = ReservoirSampleEstimator(sample_size=150, seed=3)
-        right = ReservoirSampleEstimator(sample_size=150, seed=4)
-        left.insert(left_data)
-        right.insert(right_data)
-        assert left.estimate_join(right) == pytest.approx(truth, rel=0.5)
-
-    def test_delete_degrades_sample(self, rng):
-        data = random_boxes(rng, 40, 100, 2)
-        estimator = ReservoirSampleEstimator(sample_size=100, seed=5)
-        estimator.insert(data)
-        estimator.delete(data[:10])
-        assert estimator.count == 30
-        assert len(estimator.sample) == 30
-
-    def test_storage_words(self):
-        assert ReservoirSampleEstimator(sample_size=25, dimension=2).storage_words() == 100
-
-    def test_invalid_sample_size(self):
-        with pytest.raises(SketchConfigError):
-            ReservoirSampleEstimator(sample_size=0)
-
-    def test_join_against_wrong_type_rejected(self, rng):
-        estimator = ReservoirSampleEstimator(sample_size=10)
-        estimator.insert(random_boxes(rng, 5, 50, 2))
-        with pytest.raises(SketchConfigError):
-            estimator.estimate_join(object())

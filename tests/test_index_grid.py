@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SketchConfigError
+from repro.errors import DimensionalityError, SketchConfigError
 from repro.exact.rectangle_join import brute_force_join_count
 from repro.geometry.boxset import BoxSet
 from repro.geometry.rectangle import Rect
@@ -52,14 +52,38 @@ class TestGridIndex:
         index = GridIndex(right, cells_per_dim=8)
         assert index.join_count(left) == brute_force_join_count(left, right)
 
+    @pytest.mark.parametrize("cells", [1, 3, 64])
+    def test_closed_join_count_matches_brute_force_at_any_resolution(self, rng, cells):
+        left = random_boxes(rng, 50, 100, 2, allow_degenerate=True)
+        right = random_boxes(rng, 40, 100, 2, allow_degenerate=True)
+        index = GridIndex(right, cells_per_dim=cells)
+        assert index.cells_per_dim == cells
+        assert index.join_count(left, closed=True) == \
+            brute_force_join_count(left, right, closed=True)
+
+    def test_three_dimensional_data(self, rng):
+        data = random_boxes(rng, 60, 40, 3)
+        index = GridIndex(data, cells_per_dim=4)
+        query = Rect.from_bounds((5, 10, 0), (25, 30, 20))
+        expected = {i for i in range(len(data)) if data.rect(i).overlaps(query)}
+        assert set(index.query(query).tolist()) == expected
+
+    def test_query_outside_the_indexed_extent_finds_nothing(self):
+        data = BoxSet(np.array([[10, 10], [20, 20]]), np.array([[15, 15], [30, 30]]))
+        index = GridIndex(data, cells_per_dim=4)
+        assert index.query(Rect.from_bounds((50, 50), (60, 60))).size == 0
+        assert index.query(Rect.from_bounds((0, 0), (5, 5))).size == 0
+
+    def test_dimension_mismatch_refused(self, rng):
+        index = GridIndex(random_boxes(rng, 10, 100, 2))
+        with pytest.raises(DimensionalityError):
+            index.query(Rect.interval(0, 5))
+        with pytest.raises(DimensionalityError):
+            index.join_count(random_boxes(rng, 3, 100, 1))
+
     def test_one_dimensional_data(self, rng):
         data = random_boxes(rng, 50, 100, 1)
         index = GridIndex(data, cells_per_dim=8)
         query = Rect.interval(20, 60)
         expected = {i for i in range(len(data)) if data.rect(i).overlaps(query)}
         assert set(index.query(query).tolist()) == expected
-
-    def test_num_occupied_cells(self, rng):
-        data = random_boxes(rng, 30, 100, 2)
-        index = GridIndex(data, cells_per_dim=4)
-        assert 1 <= index.num_occupied_cells <= 16

@@ -80,7 +80,7 @@ class TestOptimizerIntegration:
         optimizer = Optimizer(catalog, synopses)
 
         query = JoinQuery(relations=("big", "medium", "small"))
-        chosen_execution = optimizer.plan_and_execute(query)
+        chosen_execution = optimizer.execute_plan(optimizer.plan_join(query))
 
         costs = []
         for order in itertools.permutations(query.relations):

@@ -83,13 +83,13 @@ def test_coalescing_bounds_engine_calls():
     before = service.stats.batch_estimates
 
     calls = []
-    inner = service.estimate_multi
+    inner = service.answer_multi
 
     def counting(requests):
         calls.append(len(requests))
         return inner(requests)
 
-    service.estimate_multi = counting
+    service.answer_multi = counting
 
     async def main():
         # A long delay window so only the size trigger dispatches: every
@@ -148,7 +148,7 @@ def test_mixed_estimator_requests_coalesce_across_families():
     """Satellite: N requests over K estimators -> fewer than K dispatches.
 
     The shared request bucket batches *across* estimators: a mixed workload
-    of range + join requests dispatches as one ``estimate_multi`` engine
+    of range + join requests dispatches as one ``answer_multi`` engine
     call (not one batch per estimator), and every reply stays bit-identical
     to its scalar estimate.
     """
@@ -160,13 +160,13 @@ def test_mixed_estimator_requests_coalesce_across_families():
     before = service.stats.batch_estimates
 
     dispatches = []
-    inner = service.estimate_multi
+    inner = service.answer_multi
 
     def counting(requests, **kwargs):
         dispatches.append([name for name, _ in requests])
         return inner(requests, **kwargs)
 
-    service.estimate_multi = counting
+    service.answer_multi = counting
 
     async def main():
         # One big batch window so the whole mixed burst coalesces together.
@@ -237,19 +237,22 @@ def test_mixed_bucket_isolates_failures_per_estimator():
 
 def test_one_bad_query_fails_alone_among_its_estimators_batch():
     """Two connections, one name, one dispatch: the out-of-domain rectangle
-    gets its typed error, the other connection its bit-identical answers."""
+    gets its typed error, the other connection its bit-identical answers,
+    and the whole burst costs one executor run (no re-dispatch)."""
     service = make_service()
     queries = synthetic_queries(DOMAIN, 4, seed=5)
     expected = [service.estimate("ranges", queries[i]).estimate
                 for i in range(4)]
+    runs = service.program_executor.stats.runs
+    batch_estimates = service.stats.batch_estimates
     dispatched = []
-    inner = service.estimate_multi
+    inner = service.answer_multi
 
     def counting(requests):
         dispatched.append(len(requests))
         return inner(requests)
 
-    service.estimate_multi = counting
+    service.answer_multi = counting
 
     async def main():
         server = await start_server(service, max_batch=64, max_delay=0.05)
@@ -274,7 +277,9 @@ def test_one_bad_query_fails_alone_among_its_estimators_batch():
             await server.close()
 
     replies, refused = asyncio.run(main())
-    assert dispatched[0] == 5                  # all five rode one dispatch
+    assert dispatched == [5]                   # all five rode one dispatch
+    assert service.program_executor.stats.runs == runs + 1
+    assert service.stats.batch_estimates == batch_estimates + 1
     assert all(reply["ok"] for reply in replies), replies
     assert [reply["estimate"] for reply in replies] == expected
     assert not refused["ok"] and refused["id"] == "bad"
@@ -341,13 +346,13 @@ def test_overload_returns_structured_errors_and_never_hangs():
     queries = synthetic_queries(DOMAIN, 40, seed=11)
     rows = protocol.boxes_to_rows(queries)
     release = threading.Event()
-    inner = service.estimate_multi
+    inner = service.answer_multi
 
     def blocking(requests):
         assert release.wait(timeout=30), "test deadlock: release never set"
         return inner(requests)
 
-    service.estimate_multi = blocking
+    service.answer_multi = blocking
 
     async def main():
         server = await start_server(service, max_batch=4, max_delay=0.001,
@@ -539,7 +544,7 @@ class TestCoalescerUnit:
         def boom(requests):
             raise ServiceError("engine exploded")
 
-        service.estimate_multi = boom
+        service.answer_multi = boom
 
         async def main():
             coalescer = EstimateCoalescer(lambda: service, max_batch=4,

@@ -15,7 +15,6 @@ from repro.service import (
     EstimationService,
     EstimatorSpec,
     StreamDriver,
-    drive_stream,
     load_snapshot,
     restore_service,
     save_snapshot,
@@ -218,7 +217,8 @@ class TestStreamDriver:
         stream = UpdateStream(data, delete_fraction=0.3, seed=4)
 
         service = _service(flush_threshold=128)
-        report = drive_stream(service, "join", stream, side="left", batch_size=64)
+        report = StreamDriver(service, "join", side="left",
+                              batch_size=64).drive(stream)
         assert report.deletes == round(0.3 * 400)
         assert report.inserts == 400
 

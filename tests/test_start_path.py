@@ -147,7 +147,7 @@ def test_serve_and_cluster_route_load_what_they_serve(tmp_path):
 
 def test_synthetic_boxes_stays_importable_without_the_data_package():
     probe = ("import sys; from repro.service import synthetic_boxes, "
-             "StreamDriver, drive_stream; "
+             "StreamDriver; "
              "print(any(m.startswith('repro.data') for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", probe], env=env,
