@@ -48,23 +48,23 @@ def main() -> None:
 
     query = JoinQuery(relations=("parcels", "flood_zones", "sensor_coverage"))
     plan = optimizer.plan_join(query)
-    print("\nchosen plan:")
-    print(f"  join order     : {' > '.join(plan.order)}")
-    for step in plan.steps:
-        print(f"  step           : {step.left} join {step.right} via {step.operator} "
-              f"(est. output {step.estimated_cardinality:,.0f}, "
-              f"est. cost {step.estimated_cost:,.0f})")
-
     chosen = optimizer.execute_plan(plan)
-    print(f"  actual cost    : {chosen.comparisons:,} comparisons, "
+    print("\nchosen plan (cost = C_out, the sum of intermediate cardinalities):")
+    print(f"  join order     : {' > '.join(plan.order)}")
+    for step, exact, q_error in zip(plan.steps, chosen.step_cardinalities,
+                                    chosen.q_errors()):
+        print(f"  step           : {step.left} join {step.right} "
+              f"(est. {step.estimated_cardinality:,.0f}, true {exact:,}, "
+              f"q-error {q_error:.2f})")
+    print(f"  C_out          : est. {plan.estimated_cost:,.0f}, true {chosen.cost:,}; "
           f"{chosen.cardinality:,} result combinations")
 
-    print("\nall join orders (actual execution cost):")
+    print("\nall join orders (estimated and true C_out):")
     for order in itertools.permutations(query.relations):
-        candidate = optimizer._cost_order(tuple(order))
-        execution = optimizer.execute_plan(candidate)
+        execution = optimizer.execute_plan(optimizer._cost_order(tuple(order)))
         marker = "  <== chosen" if tuple(order) == plan.order else ""
-        print(f"  {' > '.join(order):55s} {execution.comparisons:>10,} comparisons{marker}")
+        print(f"  {' > '.join(order):55s} {execution.plan.estimated_cost:>12,.0f} "
+              f"{execution.cost:>10,}{marker}")
 
 
 if __name__ == "__main__":

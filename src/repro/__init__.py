@@ -9,10 +9,10 @@ A reproduction of *"Approximation Techniques for Spatial Data"*
 * the Geometric- and Euler-histogram baselines the paper compares against
   (:mod:`repro.histograms`),
 * exact spatial query processors used as ground truth (:mod:`repro.exact`),
-* spatial indexes (:mod:`repro.index`), workload generators
-  (:mod:`repro.data`), a small spatial query engine (:mod:`repro.engine`)
-  and the experiment harness that regenerates the paper's figures
-  (:mod:`repro.experiments`).
+* workload generators (:mod:`repro.data`), a small spatial query engine
+  whose optimizer orders joins by sketch-estimated cardinalities
+  (:mod:`repro.engine`) and the experiment harness that regenerates the
+  paper's figures (:mod:`repro.experiments`).
 
 Quick start::
 

@@ -4,19 +4,19 @@ The optimizer demonstrates the paper's motivation: spatial query plans are
 expensive, and picking a good one requires accurate join-selectivity
 estimates.  It uses the sketch-based estimates the
 :class:`~repro.engine.synopses.SynopsisManager` serves from its
-:class:`~repro.service.service.EstimationService` to
-
-* choose a physical operator for every binary join (nested loop, plane
-  sweep, grid-index nested loop or R-tree join) based on the cost model, and
-* pick a join *order* for multi-way joins by enumerating (small queries) or
-  greedily constructing (larger queries) left-deep orders and costing them
-  with estimated intermediate cardinalities.
+:class:`~repro.service.service.EstimationService` to pick a left-deep join
+*order*, enumerating all orders of small queries and building one greedily
+for larger ones.  A plan costs C_out, the sum of its estimated intermediate
+cardinalities (Leis et al., "How Good Are Query Optimizers, Really?",
+PVLDB 2015): each step's output is the previous one times the next
+relation's size times its pair selectivities with every placed relation.
 
 Multi-way semantics: the result of joining relations ``R1 .. Rk`` is the set
 of object combinations that pairwise overlap.  For axis-aligned boxes,
 pairwise overlap implies a common intersection region (Helly property per
 dimension), so execution extends partial results by probing the next
-relation with the running intersection box.
+relation with the running intersection box, and counts every intermediate
+result exactly: the true C_out of the plan.
 """
 
 from __future__ import annotations
@@ -27,23 +27,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.catalog import Catalog
-from repro.engine.cost import CostModel
-from repro.engine.operators import (
-    IndexNestedLoopJoin,
-    NestedLoopJoin,
-    PlaneSweepJoin,
-    RTreeJoin,
-)
 from repro.engine.query import JoinQuery, PlannedJoin
 from repro.engine.relation import SpatialRelation
 from repro.engine.synopses import SynopsisManager
-from repro.geometry.boxset import BoxSet
-from repro.index.grid import GridIndex
+from repro.geometry.predicates import overlaps
+
+#: Running intersection boxes probed against the next relation at once.
+_PROBE_CHUNK = 256
 
 
 @dataclass
 class JoinPlan:
-    """A left-deep join order with one operator choice per step."""
+    """A left-deep join order and its estimated C_out (``estimated_cost``)."""
 
     order: tuple[str, ...]
     steps: list[PlannedJoin] = field(default_factory=list)
@@ -53,11 +48,28 @@ class JoinPlan:
 
 @dataclass
 class PlanExecution:
-    """Result of executing a plan."""
+    """Result of executing a plan: each step's exact output cardinality."""
 
     plan: JoinPlan
-    cardinality: int
-    comparisons: int
+    step_cardinalities: tuple[int, ...]
+
+    @property
+    def cardinality(self) -> int:
+        """The final result's cardinality."""
+        return self.step_cardinalities[-1]
+
+    @property
+    def cost(self) -> int:
+        """The plan's true C_out."""
+        return sum(self.step_cardinalities)
+
+    def q_errors(self) -> tuple[float, ...]:
+        """Each step's q-error ``max(est / true, true / est)`` (Moerkotte et
+        al., PVLDB 2009), both counts floored at 1 so an empty step is
+        defined."""
+        return tuple(max(est / true, true / est) for est, true in (
+            (max(step.estimated_cardinality, 1.0), max(exact, 1))
+            for step, exact in zip(self.plan.steps, self.step_cardinalities)))
 
 
 def _clamped_selectivity(cardinality: float, left: SpatialRelation,
@@ -118,11 +130,9 @@ class Optimizer:
     #: Exhaustively enumerate join orders up to this many relations.
     _ENUMERATION_LIMIT = 5
 
-    def __init__(self, catalog: Catalog, synopses: SynopsisManager,
-                 cost_model: CostModel | None = None) -> None:
+    def __init__(self, catalog: Catalog, synopses: SynopsisManager) -> None:
         self._catalog = catalog
         self._synopses = synopses
-        self._cost = cost_model or CostModel()
 
     # -- selectivity estimates -----------------------------------------------------------
 
@@ -134,29 +144,10 @@ class Optimizer:
         cardinality = self._synopses.estimated_join_cardinality(left, right)
         return _clamped_selectivity(cardinality, left, right)
 
-    # -- operator choice ------------------------------------------------------------------
-
-    def choose_operator(self, probe_size: float, indexed_size: float,
-                        estimated_output: float, *, dimension: int) -> tuple[str, float]:
-        """The cheapest physical operator and its estimated cost."""
-        candidates: dict[str, float] = {
-            NestedLoopJoin.name: self._cost.nested_loop_join(int(probe_size),
-                                                             int(indexed_size)),
-            IndexNestedLoopJoin.name: self._cost.index_nested_loop_join(
-                int(probe_size), int(indexed_size), estimated_output),
-            RTreeJoin.name: self._cost.rtree_join(int(probe_size), int(indexed_size),
-                                                  estimated_output),
-        }
-        if dimension == 2:
-            candidates[PlaneSweepJoin.name] = self._cost.plane_sweep_join(
-                int(probe_size), int(indexed_size), estimated_output)
-        best = min(candidates, key=candidates.get)
-        return best, candidates[best]
-
     # -- planning -----------------------------------------------------------------------------
 
     def plan_join(self, query: JoinQuery) -> JoinPlan:
-        """The cheapest left-deep plan for the query under estimated costs.
+        """The left-deep plan with the least estimated C_out.
 
         Pair selectivities are fetched through batched cardinality probes
         (:class:`_PairSelectivityCache`): exhaustive enumeration pulls all
@@ -172,13 +163,8 @@ class Optimizer:
                          for right in relations if left.name != right.name)
             orders = [tuple(r.name for r in perm)
                       for perm in itertools.permutations(relations)]
-        best_plan: JoinPlan | None = None
-        for order in orders:
-            plan = self._cost_order(order, cache)
-            if best_plan is None or plan.estimated_cost < best_plan.estimated_cost:
-                best_plan = plan
-        assert best_plan is not None
-        return best_plan
+        return min((self._cost_order(order, cache) for order in orders),
+                   key=lambda plan: plan.estimated_cost)
 
     def _greedy_order(self, relations: list[SpatialRelation],
                       cache: _PairSelectivityCache) -> list[SpatialRelation]:
@@ -224,57 +210,38 @@ class Optimizer:
             selectivity = 1.0
             for placed in relations[:step_index]:
                 selectivity *= cache.get(placed, next_relation)
-            estimated_output = intermediate_cardinality * len(next_relation) * selectivity
-            operator, cost = self.choose_operator(
-                intermediate_cardinality, len(next_relation), estimated_output,
-                dimension=next_relation.dimension,
-            )
+            intermediate_cardinality *= len(next_relation) * selectivity
             plan.steps.append(PlannedJoin(
                 left=relations[step_index - 1].name if step_index == 1 else "<intermediate>",
                 right=next_relation.name,
-                operator=operator,
-                estimated_cardinality=estimated_output,
-                estimated_cost=cost,
+                estimated_cardinality=intermediate_cardinality,
             ))
-            plan.estimated_cost += cost
-            intermediate_cardinality = max(estimated_output, 0.0)
+        plan.estimated_cost = sum(step.estimated_cardinality for step in plan.steps)
         plan.estimated_cardinality = intermediate_cardinality
         return plan
 
     # -- execution --------------------------------------------------------------------------------
 
     def execute_plan(self, plan: JoinPlan, *, closed: bool = False) -> PlanExecution:
-        """Execute a left-deep plan exactly and report its true cost."""
+        """Execute a left-deep plan exactly, counting every intermediate result."""
         relations = [self._catalog.get(name) for name in plan.order]
-        if any(len(r) == 0 for r in relations):
-            return PlanExecution(plan=plan, cardinality=0, comparisons=0)
-
         first = relations[0].boxes()
         # Partial results are represented by their running intersection boxes.
-        current_lows = first.lows.copy()
-        current_highs = first.highs.copy()
-        comparisons = 0
-
-        for step_index in range(1, len(relations)):
-            next_boxes = relations[step_index].boxes()
-            index = GridIndex(next_boxes, cells_per_dim=32)
-            comparisons += len(next_boxes)
-            new_lows: list[np.ndarray] = []
-            new_highs: list[np.ndarray] = []
-            for row in range(current_lows.shape[0]):
-                probe = BoxSet(current_lows[row][None, :], current_highs[row][None, :],
-                               validate=False)
-                matches = index.query(probe, closed=closed)
-                comparisons += int(index.candidates(probe).size) + 1
-                for match in matches:
-                    lo = np.maximum(current_lows[row], next_boxes.lows[match])
-                    hi = np.minimum(current_highs[row], next_boxes.highs[match])
-                    new_lows.append(lo)
-                    new_highs.append(hi)
-            if not new_lows:
-                return PlanExecution(plan=plan, cardinality=0, comparisons=comparisons)
-            current_lows = np.array(new_lows, dtype=np.int64)
-            current_highs = np.array(new_highs, dtype=np.int64)
-
-        return PlanExecution(plan=plan, cardinality=current_lows.shape[0],
-                             comparisons=comparisons)
+        lows, highs = first.lows, first.highs
+        counts = []
+        for relation in relations[1:]:
+            boxes = relation.boxes()
+            new_lows = [lows[:0]]
+            new_highs = [highs[:0]]
+            for start in range(0, len(lows), _PROBE_CHUNK):
+                lo = lows[start:start + _PROBE_CHUNK]
+                hi = highs[start:start + _PROBE_CHUNK]
+                rows, matches = np.nonzero(np.all(overlaps(
+                    lo[:, None, :], hi[:, None, :], boxes.lows[None, :, :],
+                    boxes.highs[None, :, :], closed=closed), axis=2))
+                new_lows.append(np.maximum(lo[rows], boxes.lows[matches]))
+                new_highs.append(np.minimum(hi[rows], boxes.highs[matches]))
+            lows = np.concatenate(new_lows)
+            highs = np.concatenate(new_highs)
+            counts.append(len(lows))
+        return PlanExecution(plan=plan, step_cardinalities=tuple(counts))

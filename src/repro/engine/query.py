@@ -10,12 +10,10 @@ class JoinQuery:
     """A (possibly multi-way) spatial overlap join over named relations.
 
     The join graph is implicit: every pair of adjacent relations in the
-    chosen join order is joined with the overlap predicate.  ``closed``
-    selects extended-overlap semantics.
+    chosen join order is joined with the overlap predicate.
     """
 
     relations: tuple[str, ...]
-    closed: bool = False
 
     def __post_init__(self) -> None:
         if len(self.relations) < 2:
@@ -26,10 +24,8 @@ class JoinQuery:
 
 @dataclass
 class PlannedJoin:
-    """One binary join step of a physical plan."""
+    """One binary join step of a left-deep plan and its estimated output."""
 
     left: str
     right: str
-    operator: str
     estimated_cardinality: float
-    estimated_cost: float

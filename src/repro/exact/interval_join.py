@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
+from repro.geometry.predicates import proper_mask
 
 
 def _as_1d(boxes: BoxSet, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -32,8 +33,8 @@ def interval_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False) ->
     r_lo, r_hi = _as_1d(left, "left")
     s_lo, s_hi = _as_1d(right, "right")
     if not closed:
-        keep_r = r_lo < r_hi
-        keep_s = s_lo < s_hi
+        keep_r = proper_mask(left)
+        keep_s = proper_mask(right)
         r_lo, r_hi = r_lo[keep_r], r_hi[keep_r]
         s_lo, s_hi = s_lo[keep_s], s_hi[keep_s]
     m, n = len(r_lo), len(s_lo)

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
+from repro.geometry.predicates import overlaps
 from repro.geometry.rectangle import Rect
 
 
@@ -23,11 +24,7 @@ def range_query_mask(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True)
     q_lo, q_hi = _query_bounds(query)
     if data.dimension != len(q_lo):
         raise DimensionalityError("query dimensionality does not match the data")
-    if closed:
-        per_dim = (data.lows <= q_hi) & (q_lo <= data.highs)
-    else:
-        per_dim = (data.lows < q_hi) & (q_lo < data.highs)
-    return np.all(per_dim, axis=1)
+    return np.all(overlaps(data.lows, data.highs, q_lo, q_hi, closed=closed), axis=1)
 
 
 def range_query_count(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True) -> int:

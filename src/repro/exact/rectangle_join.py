@@ -13,8 +13,9 @@ Three algorithms are provided:
   algorithm based on dimensionality and input size.
 
 Strict joins (Definition 1 / Figure 3 semantics: interiors must intersect)
-ignore boxes that are degenerate in any dimension, exactly like the paper
-does for its counting procedures.
+never count a box that is degenerate in any dimension, exactly like the
+paper's counting procedures: every counter applies the one overlap rule of
+:mod:`repro.geometry.predicates`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from repro.errors import DimensionalityError
 from repro.exact.fenwick import FenwickTree
 from repro.exact.interval_join import interval_join_count
 from repro.geometry.boxset import BoxSet
-
-
-def _drop_degenerate(boxes: BoxSet) -> BoxSet:
-    keep = np.all(boxes.lows < boxes.highs, axis=1)
-    if np.all(keep):
-        return boxes
-    return boxes[keep]
+from repro.geometry.predicates import overlaps, proper_mask
 
 
 def brute_force_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False,
@@ -39,22 +34,12 @@ def brute_force_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False,
     """All-pairs join count evaluated in chunks (any dimensionality)."""
     if left.dimension != right.dimension:
         raise DimensionalityError("inputs have different dimensionality")
-    if not closed:
-        left = _drop_degenerate(left)
-        right = _drop_degenerate(right)
-    if len(left) == 0 or len(right) == 0:
-        return 0
     total = 0
-    r_lo, r_hi = right.lows, right.highs
     for start in range(0, len(left), chunk_size):
         stop = min(start + chunk_size, len(left))
-        l_lo = left.lows[start:stop, None, :]
-        l_hi = left.highs[start:stop, None, :]
-        if closed:
-            per_dim = (l_lo <= r_hi[None, :, :]) & (r_lo[None, :, :] <= l_hi)
-        else:
-            per_dim = (l_lo < r_hi[None, :, :]) & (r_lo[None, :, :] < l_hi)
-        total += int(np.count_nonzero(np.all(per_dim, axis=2)))
+        hits = overlaps(left.lows[start:stop, None, :], left.highs[start:stop, None, :],
+                        right.lows[None, :, :], right.highs[None, :, :], closed=closed)
+        total += int(np.count_nonzero(np.all(hits, axis=2)))
     return total
 
 
@@ -114,8 +99,8 @@ def plane_sweep_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False)
     if left.dimension != 2 or right.dimension != 2:
         raise DimensionalityError("plane_sweep_join_count requires two-dimensional boxes")
     if not closed:
-        left = _drop_degenerate(left)
-        right = _drop_degenerate(right)
+        left = left[proper_mask(left)]
+        right = right[proper_mask(right)]
     m, n = len(left), len(right)
     if m == 0 or n == 0:
         return 0

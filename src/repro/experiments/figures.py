@@ -11,6 +11,7 @@ benchmarks assert.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
@@ -445,10 +446,13 @@ def engine_optimizer_experiment(scale: ExperimentScale = LAPTOP_SCALE, *,
     result = FigureResult(
         figure_id="engine_optimizer",
         title="Optimizer plan quality for a 3-way spatial join",
-        columns=("plan", "estimated_cost", "actual_comparisons", "result_cardinality"),
-        expected_shape="the sketch-driven plan's actual cost is close to the best "
-                       "enumerated plan and clearly below the worst one",
-        notes="costs in abstract comparison units; plans are left-deep orders",
+        columns=("plan", "estimated_c_out", "true_c_out", "vs_best",
+                 "result_cardinality", "step_q_errors"),
+        expected_shape="the sketch-driven plan's true C_out is close to the best "
+                       "enumerated plan's and clearly below the worst one's",
+        notes=f"scale={scale.name}, seed={seed}; C_out = sum of intermediate "
+              f"cardinalities of a left-deep order; vs_best = true C_out / the "
+              f"best order's; q-error = max(est/true, true/est) per step",
     )
     domain = Domain.square(max(1024, scale.ablation_domain // 4), dimension=2)
     rng = np.random.default_rng(seed)
@@ -465,24 +469,16 @@ def engine_optimizer_experiment(scale: ExperimentScale = LAPTOP_SCALE, *,
     optimizer = Optimizer(catalog, synopses)
     query = JoinQuery(relations=("parcels", "zones", "sensors"))
 
-    chosen = optimizer.plan_join(query)
-    executions = []
-    import itertools as _it
-
-    for order in _it.permutations(query.relations):
-        plan = optimizer._cost_order(tuple(order))
-        execution = optimizer.execute_plan(plan)
-        executions.append((plan, execution))
-    best = min(executions, key=lambda item: item[1].comparisons)
-    worst = max(executions, key=lambda item: item[1].comparisons)
-    chosen_execution = optimizer.execute_plan(chosen)
-
-    result.add_row(" > ".join(chosen.order) + " (chosen)", chosen.estimated_cost,
-                   chosen_execution.comparisons, chosen_execution.cardinality)
-    result.add_row(" > ".join(best[0].order) + " (best)", best[0].estimated_cost,
-                   best[1].comparisons, best[1].cardinality)
-    result.add_row(" > ".join(worst[0].order) + " (worst)", worst[0].estimated_cost,
-                   worst[1].comparisons, worst[1].cardinality)
+    chosen = optimizer.execute_plan(optimizer.plan_join(query))
+    executions = [optimizer.execute_plan(optimizer._cost_order(order))
+                  for order in itertools.permutations(query.relations)]
+    best = min(executions, key=lambda execution: execution.cost)
+    worst = max(executions, key=lambda execution: execution.cost)
+    for label, execution in (("chosen", chosen), ("best", best), ("worst", worst)):
+        result.add_row(f"{' > '.join(execution.plan.order)} ({label})",
+                       execution.plan.estimated_cost, execution.cost,
+                       execution.cost / max(best.cost, 1), execution.cardinality,
+                       " / ".join(f"{q:.2f}" for q in execution.q_errors()))
     return result
 
 

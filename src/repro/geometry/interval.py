@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import DomainError
+from repro.geometry.predicates import overlaps
 
 
 @dataclass(frozen=True, order=True)
@@ -36,13 +37,14 @@ class Interval:
         """Strict overlap: the interiors of the two intervals intersect.
 
         This is the semantics of Figure 3 cases (3)-(6): touching at a
-        single coordinate (case 2, "meet") does not count.
+        single coordinate (case 2, "meet") does not count, and a point
+        interval has no interior, so it overlaps nothing.
         """
-        return self.lo < other.hi and other.lo < self.hi
+        return overlaps(self.lo, self.hi, other.lo, other.hi)
 
     def overlaps_plus(self, other: "Interval") -> bool:
         """Extended overlap (Appendix B.1): touching boundaries count too."""
-        return self.lo <= other.hi and other.lo <= self.hi
+        return overlaps(self.lo, self.hi, other.lo, other.hi, closed=True)
 
     def intersection(self, other: "Interval") -> "Interval | None":
         """The common closed interval, or ``None`` if the two are disjoint."""

@@ -6,16 +6,49 @@ procedures (see the note in DESIGN.md about Definition 1 vs Figure 3):
 * ``overlap``  — interiors intersect (Figure 3 cases 3-6),
 * ``overlap+`` — closed boxes intersect, i.e. touching counts (Appendix B.1),
 * ``contains`` — closed containment.
+
+:func:`overlaps` is the one overlap rule: every other overlap test in the
+library (``Interval``, ``Rect``, the matrices below, the exact counters and
+the engine's executor) calls it, and :func:`proper_mask` is the one test of
+which boxes a strict overlap can involve.  This module imports no other
+geometry module at run time, so ``Interval`` can import the rule.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import DimensionalityError
-from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.interval import Interval
-from repro.geometry.rectangle import Rect
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.geometry.boxset import BoxSet, PointSet
+    from repro.geometry.interval import Interval
+    from repro.geometry.rectangle import Rect
+
+
+# -- the overlap rule ----------------------------------------------------------
+
+def overlaps(lo_a, hi_a, lo_b, hi_b, *, closed: bool = False):
+    """Per-dimension overlap of ``[lo_a, hi_a]`` and ``[lo_b, hi_b]``.
+
+    Strict: ``max(lo) < min(hi)``, which implies ``lo < hi`` on both sides,
+    so a box with a zero extent overlaps nothing strictly, as the paper's
+    counting procedures require.  Closed: ``max(lo) <= min(hi)``, which for
+    valid boxes (``lo <= hi``) is the cross test alone.  Works on Python
+    integers and on broadcastable NumPy arrays alike; a box overlaps
+    another when this holds in every dimension.
+    """
+    if closed:
+        return (lo_a <= hi_b) & (lo_b <= hi_a)
+    return (lo_a < hi_b) & (lo_b < hi_a) & (lo_a < hi_a) & (lo_b < hi_b)
+
+
+def proper_mask(boxes: BoxSet) -> np.ndarray:
+    """Which boxes have a positive extent in every dimension: the only
+    boxes a strict overlap can involve."""
+    return np.all(boxes.lows < boxes.highs, axis=1)
 
 
 # -- scalar predicates -----------------------------------------------------
@@ -88,15 +121,9 @@ def overlap_matrix(left: BoxSet, right: BoxSet, *, closed: bool = False) -> np.n
     """
     if left.dimension != right.dimension:
         raise DimensionalityError("BoxSets have different dimensionality")
-    ll = left.lows[:, None, :]
-    lh = left.highs[:, None, :]
-    rl = right.lows[None, :, :]
-    rh = right.highs[None, :, :]
-    if closed:
-        per_dim = (ll <= rh) & (rl <= lh)
-    else:
-        per_dim = (ll < rh) & (rl < lh)
-    return np.all(per_dim, axis=2)
+    return np.all(overlaps(left.lows[:, None, :], left.highs[:, None, :],
+                           right.lows[None, :, :], right.highs[None, :, :],
+                           closed=closed), axis=2)
 
 
 def containment_matrix(outer: BoxSet, inner: BoxSet) -> np.ndarray:

@@ -54,17 +54,17 @@ def classify_intervals(r: Interval, s: Interval) -> IntervalRelationship:
 
     The classification is symmetric: swapping the arguments yields the same
     relationship (the paper's Figure 3 omits mirror cases for this reason).
+    A point interval overlaps nothing strictly, so it only ever meets
+    another interval or is disjoint from it.
     """
-    if r == s:
-        return IntervalRelationship.IDENTICAL
-
-    shared_endpoint = r.lo in (s.lo, s.hi) or r.hi in (s.lo, s.hi)
-
     if not r.overlaps(s):
         if r.overlaps_plus(s):
             return IntervalRelationship.MEET
         return IntervalRelationship.DISJOINT
+    if r == s:
+        return IntervalRelationship.IDENTICAL
 
+    shared_endpoint = r.lo in (s.lo, s.hi) or r.hi in (s.lo, s.hi)
     r_contains_s = r.contains(s)
     s_contains_r = s.contains(r)
     if r_contains_s or s_contains_r:

@@ -11,6 +11,7 @@ a loop of scalar calls returns.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -280,7 +281,18 @@ class TestOptimizerBatchedProbes:
         cache.ensure((catalog.get(a), catalog.get(b))
                      for a in ("R", "S", "T") for b in ("R", "S", "T") if a != b)
         assert selectivities == cache.values
-        assert plan.estimated_cost > 0
+
+        def c_out(order):
+            total, output = 0.0, float(len(catalog.get(order[0])))
+            for index, name in enumerate(order[1:], 1):
+                for placed in order[:index]:
+                    output *= selectivities[(placed, name)]
+                output *= len(catalog.get(name))
+                total += output
+            return total
+
+        assert plan.estimated_cost == pytest.approx(
+            min(c_out(order) for order in itertools.permutations(("R", "S", "T"))))
 
 
 class TestCliBatchFile:

@@ -6,7 +6,6 @@ from repro.core.hashing import stable_seed_offset
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.data import synthetic
 from repro.engine import Catalog, Optimizer, SynopsisManager
-from repro.engine.cost import CostModel
 from repro.engine.query import JoinQuery
 from repro.errors import EngineError
 from repro.service import EstimationService
@@ -54,7 +53,7 @@ class TestSynopsisManagerService:
 
     def test_optimizer_runs_on_service_synopses(self, catalog, domain_2d):
         synopses = SynopsisManager(domain_2d, num_instances=32, seed=1)
-        optimizer = Optimizer(catalog, synopses, CostModel())
+        optimizer = Optimizer(catalog, synopses)
         plan = optimizer.plan_join(JoinQuery(("R", "S", "T")))
         assert set(plan.order) == {"R", "S", "T"}
         assert plan.estimated_cost >= 0.0

@@ -217,3 +217,30 @@ class TestRangeQuery:
         for closed in (False, True):
             expected = int(overlap_matrix(data, query, closed=closed).sum())
             assert range_query_count(data, query, closed=closed) == expected
+
+
+class TestZeroExtentBoxes:
+    """A zero-width box inside another box is no strict pair for any counter."""
+
+    OUTER = BoxSet(np.array([[0, 0]]), np.array([[10, 10]]))
+    LINE = BoxSet(np.array([[5, 5]]), np.array([[5, 9]]))
+
+    @pytest.mark.parametrize("count", [
+        lambda a, b, closed: int(overlap_matrix(a, b, closed=closed).sum()),
+        lambda a, b, closed: int(a.rect(0).overlaps_plus(b.rect(0)) if closed
+                                 else a.rect(0).overlaps(b.rect(0))),
+        lambda a, b, closed: range_query_count(a, b, closed=closed),
+    ], ids=["overlap_matrix", "Rect.overlaps", "range_query_count"])
+    def test_only_the_closed_rule_counts_the_pair(self, count):
+        for a, b in ((self.OUTER, self.LINE), (self.LINE, self.OUTER)):
+            assert count(a, b, False) == 0
+            assert count(a, b, True) == 1
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 512])
+    def test_brute_force_chunks_count_like_the_matrix(self, rng, chunk_size):
+        left = random_boxes(rng, 60, 32, 2, allow_degenerate=True)
+        right = random_boxes(rng, 75, 32, 2, allow_degenerate=True)
+        for closed in (False, True):
+            assert brute_force_join_count(left, right, closed=closed,
+                                          chunk_size=chunk_size) == \
+                int(overlap_matrix(left, right, closed=closed).sum())

@@ -140,6 +140,18 @@ class TestFigures:
         assert any("chosen" in label for label in labels)
         assert any("worst" in label for label in labels)
 
+    def test_engine_optimizer_reports_each_orders_true_c_out(self):
+        result = figures.engine_optimizer_experiment(TINY_SCALE, seed=2)
+        rows = {row[0].rsplit("(", 1)[1].rstrip(")"): dict(zip(result.columns, row))
+                for row in result.rows}
+        assert rows["best"]["true_c_out"] <= rows["chosen"]["true_c_out"] \
+            <= rows["worst"]["true_c_out"]
+        assert rows["best"]["vs_best"] == 1.0
+        assert len({row["result_cardinality"] for row in rows.values()}) == 1
+        for row in rows.values():
+            q_errors = [float(q) for q in row["step_q_errors"].split(" / ")]
+            assert len(q_errors) == 2 and min(q_errors) >= 1.0
+
     def test_figures_registry_is_complete(self):
         expected = {"figure5", "figure6", "figure7", "figure8", "figure9", "figure10",
                     "figure11", "ablation_maxlevel", "ablation_dimensionality",

@@ -14,8 +14,10 @@ from repro.geometry.predicates import (
     l2_distance,
     linf_distance,
     overlap_matrix,
+    overlaps,
     pairwise_linf_distances,
     point_in_box_matrix,
+    proper_mask,
     rect_contains,
     rect_overlap,
     rect_overlap_plus,
@@ -28,6 +30,41 @@ from repro.geometry.relationships import (
     rects_overlap_from_relationship,
     rects_overlap_plus_from_relationship,
 )
+
+
+#: (a, b, strict, closed): interval pairs around the edge cases of the rule.
+OVERLAP_CASES = [
+    ((0, 5), (3, 9), True, True),      # interiors cross
+    ((0, 5), (5, 9), False, True),     # touch at one coordinate
+    ((0, 3), (5, 9), False, False),    # apart
+    ((0, 9), (3, 5), True, True),      # containment
+    ((5, 5), (0, 10), False, True),    # a point inside an interval
+    ((0, 10), (10, 10), False, True),  # a point on an endpoint
+    ((4, 4), (4, 4), False, True),     # the same point twice
+    ((4, 4), (6, 6), False, False),    # two points apart
+]
+
+
+class TestOverlapRule:
+    @pytest.mark.parametrize("a, b, strict, closed", OVERLAP_CASES,
+                             ids=[f"{a}-{b}" for a, b, _, _ in OVERLAP_CASES])
+    def test_scalars_and_arrays_give_the_same_answer(self, a, b, strict, closed):
+        for flag, expected in ((False, strict), (True, closed)):
+            assert overlaps(*a, *b, closed=flag) is expected
+            assert overlaps(*b, *a, closed=flag) is expected
+            lows, highs = np.array([a[0], b[0]]), np.array([a[1], b[1]])
+            assert overlaps(lows[:, None], highs[:, None], lows[None, :], highs[None, :],
+                            closed=flag)[0, 1] == expected
+
+    def test_a_plane_inside_a_cube_overlaps_it_only_when_closed(self):
+        cube = Rect.from_bounds((0, 0, 0), (10, 10, 10))
+        plane = Rect.from_bounds((5, 0, 0), (5, 10, 10))
+        assert not cube.overlaps(plane) and not plane.overlaps(cube)
+        assert cube.overlaps_plus(plane) and plane.overlaps_plus(cube)
+
+    def test_proper_mask_needs_a_positive_extent_in_every_dimension(self):
+        boxes = BoxSet(np.array([[0, 0], [3, 3], [1, 2]]), np.array([[4, 4], [3, 9], [2, 2]]))
+        assert proper_mask(boxes).tolist() == [True, False, False]
 
 
 class TestScalarPredicates:
@@ -98,6 +135,16 @@ class TestMatrixPredicates:
 
 
 class TestRelationships:
+    @pytest.mark.parametrize("r, s, expected", [
+        ((5, 5), (0, 10), IntervalRelationship.MEET),
+        ((5, 5), (5, 5), IntervalRelationship.MEET),
+    ])
+    def test_a_point_interval_only_meets_or_is_disjoint(self, r, s, expected):
+        assert classify_intervals(Interval(*r), Interval(*s)) is expected
+        assert classify_intervals(Interval(*s), Interval(*r)) is expected
+        assert not classify_intervals(Interval(*r), Interval(*s)).is_overlapping
+
+
     def test_disjoint(self):
         assert classify_intervals(Interval(0, 3), Interval(5, 9)) is IntervalRelationship.DISJOINT
 

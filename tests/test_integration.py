@@ -85,12 +85,12 @@ class TestOptimizerIntegration:
         costs = []
         for order in itertools.permutations(query.relations):
             plan = optimizer._cost_order(tuple(order))
-            costs.append(optimizer.execute_plan(plan).comparisons)
+            costs.append(optimizer.execute_plan(plan).cost)
         best, worst = min(costs), max(costs)
-        assert chosen_execution.comparisons <= worst
-        # The chosen plan should stay within a factor of the best plan rather
-        # than degenerating to the worst one.
-        assert chosen_execution.comparisons <= best * 4 + 1000
+        assert chosen_execution.cost <= worst
+        # The chosen plan's true C_out should stay within a factor of the
+        # best plan's rather than degenerating to the worst one.
+        assert chosen_execution.cost <= best * 4 + 1000
 
 
 class TestEndToEndComparison:

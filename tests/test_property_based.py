@@ -11,13 +11,21 @@ from repro.core.dyadic import DyadicDomain
 from repro.core.boosting import BoostingPlan, median_of_means
 from repro.core.join_interval import IntervalJoinEstimator
 from repro.core.selfjoin import self_join_size
+from repro.engine import Catalog, JoinPlan, Optimizer, SynopsisManager
 from repro.exact.fenwick import FenwickTree
 from repro.exact.interval_join import interval_join_count
-from repro.exact.rectangle_join import brute_force_join_count, plane_sweep_join_count
+from repro.exact.range_query import range_query_count
+from repro.exact.rectangle_join import (
+    brute_force_join_count,
+    plane_sweep_join_count,
+    rectangle_join_count,
+)
 from repro.geometry.boxset import BoxSet
 from repro.geometry.interval import Interval
+from repro.geometry.predicates import overlap_matrix
 from repro.geometry.relationships import classify_intervals
 
+from tests.conftest import random_boxes
 from tests.helpers import cover_counts, expected_estimator_value
 
 
@@ -28,6 +36,12 @@ def interval_strategy(domain_size: int):
         st.integers(min_value=0, max_value=domain_size - 2),
         st.integers(min_value=1, max_value=domain_size // 2),
     ).map(lambda pair: (pair[0], min(pair[0] + pair[1], domain_size - 1)))
+
+
+def point_friendly_interval_strategy():
+    """Short intervals on a 16-point grid, points (``lo == hi``) included."""
+    return st.tuples(st.integers(0, 12), st.integers(0, 3)).map(
+        lambda pair: (pair[0], pair[0] + pair[1]))
 
 
 def interval_set_strategy(domain_size: int, max_count: int = 12):
@@ -211,6 +225,57 @@ class TestExactJoinProperties:
         assert interval_join_count(data, data, closed=True) >= interval_join_count(data, data)
 
 
+# -- one overlap rule ----------------------------------------------------------------------
+
+def small_box_set_strategy(dimension: int):
+    """Boxes on a 16-point grid; zero extents (points, lines, planes) allowed."""
+    box = st.lists(point_friendly_interval_strategy(), min_size=dimension,
+                   max_size=dimension)
+    return st.lists(box, min_size=1, max_size=12).map(to_boxset)
+
+
+def executed_pair_count(left: BoxSet, right: BoxSet, closed: bool) -> int:
+    catalog = Catalog(Domain.square(16, dimension=left.dimension))
+    catalog.create("left", boxes=left)
+    catalog.create("right", boxes=right)
+    optimizer = Optimizer(catalog, SynopsisManager(catalog.domain, num_instances=16))
+    return optimizer.execute_plan(JoinPlan(order=("left", "right")), closed=closed).cardinality
+
+
+class TestOverlapRuleProperties:
+    @given(st.integers(1, 3).flatmap(lambda dimension: st.tuples(
+               small_box_set_strategy(dimension), small_box_set_strategy(dimension))),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_every_counter_agrees_on_zero_extent_boxes(self, pair, closed):
+        left, right = pair
+        counts = {
+            "brute_force_join_count": brute_force_join_count(left, right, closed=closed),
+            "rectangle_join_count": rectangle_join_count(left, right, closed=closed),
+            "Rect pairs": sum(a.overlaps_plus(b) if closed else a.overlaps(b)
+                              for a in left for b in right),
+            "range_query_count": sum(range_query_count(left, right[index], closed=closed)
+                                     for index in range(len(right))),
+            "execute_plan": executed_pair_count(left, right, closed),
+        }
+        if left.dimension == 1:
+            counts["interval_join_count"] = interval_join_count(left, right, closed=closed)
+        if left.dimension == 2:
+            counts["plane_sweep_join_count"] = plane_sweep_join_count(left, right,
+                                                                      closed=closed)
+        expected = int(overlap_matrix(left, right, closed=closed).sum())
+        assert counts == dict.fromkeys(counts, expected)
+
+    def test_the_plane_sweep_dispatch_agrees_on_zero_extent_boxes(self):
+        rng = np.random.default_rng(5)
+        left = random_boxes(rng, 1200, 256, 2, max_extent=8, allow_degenerate=True)
+        right = random_boxes(rng, 900, 256, 2, max_extent=8, allow_degenerate=True)
+        assert len(left) + len(right) > 2000  # rectangle_join_count sweeps
+        for closed in (False, True):
+            assert rectangle_join_count(left, right, closed=closed) == \
+                int(overlap_matrix(left, right, closed=closed).sum())
+
+
 # -- estimator expectation --------------------------------------------------------------
 
 class TestEstimatorExpectationProperties:
@@ -240,7 +305,8 @@ class TestEstimatorExpectationProperties:
 # -- geometry and domain ----------------------------------------------------------------------
 
 class TestGeometryProperties:
-    @given(interval_strategy(64), interval_strategy(64))
+    @given(st.one_of(interval_strategy(64), point_friendly_interval_strategy()),
+           st.one_of(interval_strategy(64), point_friendly_interval_strategy()))
     @settings(max_examples=200, deadline=None)
     def test_relationship_classification_consistent_with_predicates(self, a_pair, b_pair):
         a = Interval(*a_pair)

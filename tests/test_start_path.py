@@ -107,8 +107,9 @@ _TAP = textwrap.dedent("""
 """)
 
 #: What a serving process never runs: the data generators, the figure
-#: harness, the client library, the loop-thread runners of tests and demos.
-NOT_SERVED = ("repro.data", "repro.experiments", "repro.client",
+#: harness, the query engine, the client library, the loop-thread runners
+#: of tests and demos.
+NOT_SERVED = ("repro.data", "repro.experiments", "repro.engine", "repro.client",
               "repro.server.runner", "repro.cluster.runner")
 
 
