@@ -99,6 +99,13 @@ COLD_BATCH_MAX_MS = 315.0
 COLD_REDUCE_ROUNDS = 200
 COLD_REDUCE_MAX_MS = 1.35
 
+#: The counted gate: interpreter calls (cProfile's total) per range
+#: estimate of one cold 512-query batch on the serving shape.  A batch is
+#: one program per name, so the count must not grow with the queries.
+CALLS_QUERIES = 512
+CALLS_DATA_BOXES = 4000
+MAX_CALLS_PER_QUERY = 30
+
 
 def _update_report(updates: dict) -> None:
     """Merge new sections into ``BENCH_program.json`` without clobbering.
@@ -257,6 +264,43 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
     (RESULTS_DIR / "bench_program_cache.txt").write_text(text + "\n",
                                                          encoding="utf-8")
     assert mixed_seconds <= MAX_MIXED_SECONDS
+
+
+def test_a_cold_range_estimate_costs_few_interpreter_calls():
+    """The counted gate: ``estimate_batch`` of 512 rectangles no executor
+    has seen, on the end-to-end benchmark's range name (1024 x 1024 from
+    plain sizes, 256 instances, 4 000 boxes), profiled with cProfile — its
+    total calls over the batch, per query.  Deterministic across guests."""
+    import cProfile
+    import pstats
+
+    service = EstimationService(flush_threshold=None)
+    service.register("rq", EstimatorSpec.create(
+        "range", TABLE_DOMAIN.requested_sizes, TABLE_INSTANCES, seed=11))
+    service.ingest("rq", synthetic_boxes(TABLE_DOMAIN, CALLS_DATA_BOXES, seed=1),
+                   side="data")
+    service.estimate_batch("rq", synthetic_queries(TABLE_DOMAIN, 8, seed=2))
+    queries = synthetic_queries(TABLE_DOMAIN, CALLS_QUERIES, seed=3)
+    profile = cProfile.Profile()
+    profile.enable()
+    results = service.estimate_batch("rq", queries)
+    profile.disable()
+    assert len(results) == CALLS_QUERIES
+    calls_per_query = pstats.Stats(profile).total_calls / CALLS_QUERIES
+
+    _update_report({"cold_range": {
+        "queries": CALLS_QUERIES,
+        "calls_per_query": calls_per_query,
+        "max_calls_per_query": MAX_CALLS_PER_QUERY,
+    }})
+    RESULTS_DIR.mkdir(exist_ok=True)
+    text = (f"cold range estimate: {calls_per_query:.2f} interpreter calls per "
+            f"query over one {CALLS_QUERIES}-query batch on the serving shape "
+            f"(gate: <= {MAX_CALLS_PER_QUERY})")
+    print("\n" + text)
+    (RESULTS_DIR / "bench_program_calls.txt").write_text(text + "\n",
+                                                         encoding="utf-8")
+    assert calls_per_query <= MAX_CALLS_PER_QUERY
 
 
 def _reference_interval_sums(bank: SketchBank, dim: int, lows: np.ndarray,

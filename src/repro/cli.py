@@ -520,12 +520,12 @@ def _write_batch_results(results, args) -> None:
 
 
 def _run_explain(service, args) -> int:
-    """``estimate --explain``: print the compiled program(s) as JSON lines.
+    """``estimate --explain``: print the compiled program as a JSON line.
 
-    Shows what the estimate *is* before it runs: one JSON object per
-    program with the word-product terms, every letter-sum request (with
-    its dyadic cover size) and the median-of-means reduction plan — the
-    exact batch the ProgramExecutor would execute.
+    Shows what the estimates *are* before they run: the name's one
+    program for the whole request, with the word-product terms, every
+    query's letter-sum requests (with their dyadic cover sizes) and the
+    median-of-means reduction plan — what the ProgramExecutor would run.
     """
     from repro.core.program import describe_program
     from repro.server.protocol import query_box
@@ -536,7 +536,7 @@ def _run_explain(service, args) -> int:
         queries = [query_box(row) for row in _read_batch_queries(args.batch_file)]
     elif spec.info.queryable and args.query is None:
         raise ReproError(
-            f"family {spec.family!r} programs compile per query; pass "
+            f"family {spec.family!r} programs compile from queries; pass "
             f"--query or --batch-file")
     else:
         queries = [query_box(_given(args, "estimate").get("query"))]

@@ -16,8 +16,9 @@ and know nothing of a family's attribute names.
 
 Every estimate — scalar, batch, a service's mixed dispatch, a router's
 reduce — is one path: :meth:`SketchEstimator.check_queries` checks the
-request once, :meth:`SketchEstimator.lower` compiles it into
-:class:`~repro.core.program.SketchProgram` values, and a
+request once and gives each row its verdict,
+:meth:`SketchEstimator.lower` compiles it into one
+:class:`~repro.core.program.SketchProgram` per name, and a
 :class:`~repro.core.program.ProgramExecutor` runs them.  ``estimate(q)`` is
 ``estimate_batch([q])[0]``.
 
@@ -275,13 +276,15 @@ class SketchEstimator:
 
     # -- estimation: the one path -------------------------------------------------
 
-    def check_queries(self, queries) -> BoxSet | int:
-        """The one check of an estimate request; what :meth:`_lower` takes.
+    def check_queries(self, queries) -> tuple[BoxSet | int, dict[int, QueryError]]:
+        """The one check of an estimate request: a verdict per row.
 
-        A queryable family returns its query rectangles as one box set in
-        sketch coordinates, one row per query; a query-less family returns
-        the result count.  Anything else raises
-        :class:`~repro.errors.QueryError`.
+        Returns what passed — for a queryable family its query rectangles
+        as one box set in sketch coordinates, one row per passing query;
+        for a query-less family the result count — and the
+        :class:`~repro.errors.QueryError` of every refused row, keyed by
+        its position in the request.  A request with no rows to judge (a
+        count for a range, a negative count) raises its ``QueryError``.
         """
         raise NotImplementedError
 
@@ -294,12 +297,20 @@ class SketchEstimator:
         """Compile an estimate request into sketch programs.
 
         Every estimate takes this path: the request is checked once
-        (:meth:`check_queries`), an empty one compiles to nothing, and the
-        programs expand — once run on a
-        :class:`~repro.core.program.ProgramExecutor` — to one result per
-        query, in order.
+        (:meth:`check_queries`), the first refused row raises, and the
+        rest compiles (:meth:`lower_checked`).
         """
-        checked = self.check_queries(queries)
+        checked, refused = self.check_queries(queries)
+        if refused:
+            raise refused[min(refused)]
+        return self.lower_checked(checked, plan=plan)
+
+    def lower_checked(self, checked, *, plan: BoostingPlan | None = None
+                      ) -> list[SketchProgram]:
+        """Programs for what :meth:`check_queries` passed: none for an empty
+        request, else the estimator's one program — run on a
+        :class:`~repro.core.program.ProgramExecutor`, it expands to one
+        result per query, in order."""
         if not (checked if isinstance(checked, int) else len(checked)):
             return []
         self._require_data()
@@ -337,19 +348,19 @@ class QuerylessProgramEstimator(SketchEstimator):
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
         raise NotImplementedError
 
-    def check_queries(self, queries) -> int:
-        """A count, or a sequence of ``None`` entries (one per result)."""
+    def check_queries(self, queries) -> tuple[int, dict[int, QueryError]]:
+        """A count, or a sequence with one ``None`` entry per result."""
         if isinstance(queries, (int, np.integer)):
             if queries < 0:
                 raise QueryError("a result count must be non-negative")
-            return int(queries)
+            return int(queries), {}
         if queries is None:
             raise QueryError("a batch estimate needs a query list or a count")
         entries = [queries] if isinstance(queries, Rect) else list(queries)
-        if any(entry is not None for entry in entries):
-            raise QueryError("this family takes no query argument; pass a "
-                             "count or None entries")
-        return len(entries)
+        refused = {row: QueryError("this family takes no query argument; pass "
+                                   "a count or None entries")
+                   for row, entry in enumerate(entries) if entry is not None}
+        return len(entries) - len(refused), refused
 
     def _lower(self, count: int, plan: BoostingPlan) -> list[SketchProgram]:
         """One program for the whole request: every result shares the same

@@ -9,8 +9,8 @@ a small declarative IR:
 
 * :class:`CounterRef` — the per-instance counter cells of one word in one
   :class:`~repro.core.atomic.SketchBank` (the *data side*),
-* :class:`LetterSumRef` — a per-instance xi sum over one dimension's dyadic
-  cover of a query coordinate interval, one column per counter cell of the
+* :class:`LetterSumRef` — per-instance xi sums over one dimension's dyadic
+  covers of a column of query intervals, one value per counter cell of the
   dimension (the *query side*),
 * :class:`ProgramTerm` — one coefficient times the product of counter and
   letter-sum factors,
@@ -18,29 +18,36 @@ a small declarative IR:
   (a :class:`~repro.core.boosting.BoostingPlan`) and the input cardinalities
   carried into the :class:`~repro.core.result.EstimateResult`.
 
-Estimator families *lower* their queries into programs (see
-:meth:`repro.core.estimator.SketchEstimator.lower`) and a shared
-:class:`ProgramExecutor` runs whole batches of programs — across different
-queries, different words and different estimator families — with three levels
-of sharing:
+An estimate is a linear projection of a counter tensor, so a batch of
+queries against one estimator is one projection: a family *lowers* a whole
+request into **one program per name per batch** (see
+:meth:`repro.core.estimator.SketchEstimator.lower`).  A range batch's
+letter-sum factors carry one column of intervals per query; a join's
+query-less program is evaluated once and carries its result count in
+``replicas``.  :class:`ProgramExecutor` runs each program directly:
 
-1. identical letter-sum requests — same xi family, dyadic shape, letter
-   and interval — are computed **once per batch** (and optionally cached
-   across batches in a bounded LRU — letter sums depend only on the bank's
-   xi families and domain, never on its counters, so cache entries never go
-   stale, and survive delta-applied merged views that alias those
-   families),
-2. programs with the same term *structure* (same banks, words, letters and
-   coefficients — e.g. a batch of range queries against one sketch) are
-   evaluated as single ``(instances, programs)`` matrix kernels,
-3. programs sharing ``(num_instances, plan)`` are boosted by one
-   :func:`~repro.core.boosting.median_of_means_batch` reduction.
+1. the letter sums of one xi family, dyadic shape, layout and letter are
+   de-duplicated with one ``np.unique`` and resolved by one
+   :meth:`~repro.core.atomic.SketchBank.level_sums` call (an empty interval
+   sums to zero),
+2. every term contracts its counter cells with those ``(instances, columns,
+   levels)`` sums in one matrix kernel,
+3. the ``(columns, instances)`` values are boosted by one
+   :func:`~repro.core.boosting.median_of_means_batch` reduction and expand
+   to one result per column.
+
+A serving executor also keeps a bounded LRU of resolved letter sums across
+batches, probed with each group's unique intervals at once: letter sums
+depend only on a bank's xi families and domain, never on its counters, so
+entries never go stale and survive delta-applied merged views that alias
+those families.  On the columnar path it still beats its absence on the
+hot end-to-end workload.
 
 Over one-cell banks execution is **bit-identical** to the historical
 scalar paths: the same accumulation order, the same elementwise kernels,
 the same reductions.  A level-split bank's term contracts its counter cells
 with its letter sums' levels; that is exact — and so independent of how a
-batch is grouped — while the counters are integers (integer update
+batch is formed — while the counters are integers (integer update
 weights), as every factor and product then stays below 2^53.  The executor
 is a pure execution-strategy layer, never a numerics change.
 """
@@ -51,7 +58,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,7 +74,6 @@ __all__ = [
     "SketchProgram",
     "ProgramExecutor",
     "ExecutorStats",
-    "replicate_estimate",
     "describe_program",
     "letter_cover_size",
     "default_executor",
@@ -89,42 +95,26 @@ class CounterRef:
     word: Word
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LetterSumRef:
-    """A per-instance xi letter sum over one dimension's coordinate interval.
+    """Per-instance xi letter sums over one dimension's coordinate intervals.
 
-    Resolves to ``bank.level_sums(dim, letter, [low], [high])[:, 0]`` — the
-    query-side kernel of the paper's estimators, an integer
-    ``(instances, levels)`` matrix (one column on a one-cell bank).  The
-    value depends only on the bank's xi families, dyadic domain and layout
-    (never on its counters), which is what makes these safely cacheable
-    across queries and batches.
+    Inside a program ``low`` / ``high`` are ``(Q,)`` int64 columns, one
+    interval per query, and the factor resolves to ``bank.level_sums(dim,
+    letter, low, high)`` — the query-side kernel of the paper's estimators,
+    ``(instances, Q, levels)`` integers (one level on a one-cell bank) —
+    with an empty interval (``low > high``) summing to zero.
+    :attr:`SketchProgram.letter_sum_refs` yields one scalar ref per query.
+    The value depends only on the bank's xi families, dyadic domain and
+    layout, never on its counters.  Refs compare by identity: terms that
+    read the same sums share one ref.
     """
 
     bank: SketchBank
     dim: int
     letter: Letter
-    low: int
-    high: int
-
-    @property
-    def key(self) -> tuple:
-        """The executor's sharing key: xi identity, dyadic shape, layout,
-        letter, interval.
-
-        A letter sum is a pure function of the dimension's xi family, the
-        dyadic domain shape and the interval — the *bank* only carries them.
-        Keying on ``(xi bank, dyadic size, max level, letter, interval)``
-        instead of the bank itself means two banks that alias one xi family
-        over the same dyadic structure share cache entries, which is what
-        keeps the letter-sum cache warm across delta-applied merged views
-        (:meth:`repro.core.atomic.SketchBank.clone_with_delta` aliases the
-        xi families of the view it refreshes).
-        """
-        dyadic = self.bank.domain.dyadic(self.dim)
-        return (self.bank.xi_banks[self.dim], dyadic.size, dyadic.max_level,
-                self.bank.levels[self.dim], self.letter, self.low, self.high)
-
+    low: np.ndarray | int
+    high: np.ndarray | int
 
 
 @dataclass(frozen=True)
@@ -144,12 +134,13 @@ class ProgramTerm:
 
 @dataclass(frozen=True)
 class SketchProgram:
-    """A compiled estimate: terms, reduction spec and result metadata.
+    """A compiled estimate batch: terms, reduction spec and result metadata.
 
-    ``replicas`` expresses the query-less batch contract (N requests against
-    a join estimator share one set of per-instance values): the executor
-    evaluates the program once and returns ``replicas`` results, each owning
-    its own arrays.
+    A program answers :attr:`columns` queries, one per letter-sum column
+    (one for a program without letter sums).  ``replicas`` expresses the
+    query-less batch contract (N requests against a join estimator share
+    one set of per-instance values): the executor evaluates the program
+    once and returns ``replicas`` results, each owning its own arrays.
     """
 
     terms: tuple[ProgramTerm, ...]
@@ -164,62 +155,63 @@ class SketchProgram:
             raise SketchConfigError("a sketch program needs at least one term")
         if self.replicas < 1:
             raise SketchConfigError("a sketch program needs at least one replica")
+        widths = {len(ref.low) for term in self.terms for ref in term.letter_sums}
+        if len(widths) > 1 or (widths and self.replicas > 1):
+            raise SketchConfigError(
+                "a program's letter sums share one column count, and only a "
+                "program without them carries replicas")
+
+    @property
+    def columns(self) -> int:
+        """How many queries the program answers (before ``replicas``)."""
+        for term in self.terms:
+            for ref in term.letter_sums:
+                return len(ref.low)
+        return 1
 
     @property
     def letter_sum_refs(self) -> list[LetterSumRef]:
-        """Every letter-sum request of the program, in term order."""
-        return [ref for term in self.terms for ref in term.letter_sums]
-
-    def structure_key(self) -> tuple:
-        """Groups programs the executor can evaluate as one matrix kernel.
-
-        Two programs share a structure when they differ only in the
-        *intervals* of their letter-sum requests — same banks, words,
-        letters, coefficients, instance count and reduction plan.
-        """
-        return (
-            self.num_instances,
-            self.plan,
-            tuple(
-                (
-                    term.coefficient,
-                    term.counters,
-                    tuple((ref.bank, ref.dim, ref.letter)
-                          for ref in term.letter_sums),
-                )
-                for term in self.terms
-            ),
-        )
+        """Every letter-sum request of the program: per query, in term
+        order, one ref with scalar ``low`` / ``high``."""
+        return [ref for _, ref in _scalar_refs(self)]
 
 
-# -- result replicas ----------------------------------------------------------------
-
-
-def replicate_estimate(result: EstimateResult, count: int) -> list[EstimateResult]:
-    """``count`` independent copies of one estimate.
-
-    Matches the scalar-loop contract: every returned result owns its own
-    arrays, so in-place post-processing of one entry cannot leak into the
-    others.  The estimator values themselves are computed only once.
-    """
-    results = [result]
-    for _ in range(count - 1):
-        results.append(EstimateResult(
-            estimate=result.estimate,
-            instance_values=result.instance_values.copy(),
-            group_means=result.group_means.copy(),
-            left_count=result.left_count,
-            right_count=result.right_count,
-        ))
-    return results
+def _scalar_refs(program: SketchProgram) -> Iterator[tuple[int, LetterSumRef]]:
+    """``(query, ref)`` for every query, term and letter-sum factor."""
+    columns = {}
+    for term in program.terms:
+        for ref in term.letter_sums:
+            if ref not in columns:
+                columns[ref] = (ref.low.tolist(), ref.high.tolist())
+    for query in range(program.columns):
+        for term in program.terms:
+            for ref in term.letter_sums:
+                lows, highs = columns[ref]
+                yield query, LetterSumRef(ref.bank, ref.dim, ref.letter,
+                                          lows[query], highs[query])
 
 
 # -- the executor -------------------------------------------------------------------
 
 
-def _weak_key(key: tuple) -> tuple:
-    """A cache key that does not keep the xi bank alive (see _LetterSumCache)."""
-    return (weakref.ref(key[0]),) + key[1:]
+def _weak_key(group: tuple) -> tuple:
+    """A cache group that does not pin its xi family bank.
+
+    A live xi bank hashes/compares by identity through its weak reference
+    (so lookups are exact, and id reuse after collection can never alias:
+    a dead weakref only equals itself), while a discarded family's entries
+    become unmatchable and age out of the LRU.
+    """
+    return (weakref.ref(group[0]),) + group[1:]
+
+
+def _family_key(ref: LetterSumRef) -> tuple:
+    """What makes two letter sums one kernel call: xi family, dyadic shape,
+    layout and letter — never the bank that carries them, so two banks over
+    one xi family (a view and its delta-refreshed successor) share it."""
+    dyadic = ref.bank.domain.dyadic(ref.dim)
+    return (ref.bank.xi_banks[ref.dim], dyadic.size, dyadic.max_level,
+            ref.bank.levels[ref.dim], ref.letter)
 
 
 @dataclass
@@ -242,40 +234,6 @@ class ExecutorStats:
         return asdict(self)
 
 
-class _LetterSumCache:
-    """A bounded LRU of resolved letter-sum vectors (callers lock).
-
-    Keys are ``LetterSumRef.key`` tuples with the xi family bank replaced
-    by a **weak** reference: a live xi bank hashes/compares by identity (so
-    lookups are exact and id reuse after collection can never alias — a
-    dead weakref only equals itself), while a discarded family is *not*
-    pinned by its cached vectors; its entries become unmatchable and age
-    out of the LRU.  Because delta-applied merged views alias the xi banks
-    of the views they refresh (sketch linearity: letter sums never depend
-    on counters), a flush-and-delta-apply cycle keeps every entry live —
-    only a full rebuild, which redraws the families, orphans them.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        self._max = int(max_entries)
-        self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        vector = self._entries.get(key)
-        if vector is not None:
-            self._entries.move_to_end(key)
-        return vector
-
-    def put(self, key: tuple, vector: np.ndarray) -> None:
-        self._entries[key] = vector
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max:
-            self._entries.popitem(last=False)
-
-
 class ProgramExecutor:
     """Runs batches of :class:`SketchProgram` objects against shared kernels.
 
@@ -283,20 +241,21 @@ class ProgramExecutor:
     ----------
     cache_size:
         Capacity (entries) of the cross-batch letter-sum LRU.  ``0``
-        disables cross-batch caching; identical requests *within* one run
-        are still computed once (intra-batch sharing is structural, not a
-        cache policy).  Cached vectors are read-only and never go stale:
-        letter sums depend only on a bank's xi families and domain.
+        disables it; identical intervals *within* one batch are still
+        computed once (``np.unique``, not a cache policy).
     """
 
-    #: Programs evaluated per vectorised round; bounds the transient
-    #: ``(instances, programs)`` matrices while huge batches stream.
+    #: Columns evaluated per vectorised round; bounds the transient
+    #: ``(instances, columns, levels)`` matrices while huge batches stream.
     CHUNK = 4096
 
     def __init__(self, *, cache_size: int = 8192) -> None:
         if cache_size < 0:
             raise SketchConfigError("cache_size must be non-negative")
-        self._cache = _LetterSumCache(cache_size) if cache_size else None
+        # Keys are (weak group, packed interval), oldest first.
+        self._cache: OrderedDict[tuple, np.ndarray] | None = \
+            OrderedDict() if cache_size else None
+        self._cache_size = cache_size
         self._lock = threading.Lock()
         self._stats = ExecutorStats()
 
@@ -316,14 +275,16 @@ class ProgramExecutor:
         """Evaluate and boost a batch of programs.
 
         Returns one :class:`EstimateResult` per *logical* query: a program
-        with ``replicas == k`` contributes ``k`` consecutive results.
-        Result order follows program order, and no result depends on the
-        batch it ran in.
+        contributes one result per column, or ``replicas`` consecutive
+        results.  Result order follows program order, and no result
+        depends on the batch it ran in.
         """
         programs = list(programs)
         results: list[EstimateResult] = []
-        for start in range(0, len(programs), self.CHUNK):
-            results.extend(self._run_chunk(programs[start:start + self.CHUNK]))
+        for program in programs:
+            for start in range(0, program.columns, self.CHUNK):
+                results.extend(self._run_columns(
+                    program, start, min(start + self.CHUNK, program.columns)))
         with self._lock:
             self._stats.runs += 1
             self._stats.programs += len(programs)
@@ -332,61 +293,34 @@ class ProgramExecutor:
 
     # -- execution ----------------------------------------------------------------
 
-    def _run_chunk(self, programs: list[SketchProgram]) -> list[EstimateResult]:
-        if not programs:
-            return []
-        resolved = self._resolve_letter_sums(programs)
-        columns = self._chunk_values(programs, resolved)
-
-        # One boosting reduction per (num_instances, plan) group, rows in
-        # program order within the group — bit-identical per row to scalar
-        # median_of_means, so the grouping itself is invisible.
-        estimates: list[float] = [0.0] * len(programs)
-        means: list[np.ndarray] = [None] * len(programs)  # type: ignore[list-item]
-        reduction_groups: OrderedDict[tuple, list[int]] = OrderedDict()
-        for position, program in enumerate(programs):
-            key = (program.num_instances, program.plan)
-            reduction_groups.setdefault(key, []).append(position)
-        for (_, plan), positions in reduction_groups.items():
-            matrix = np.stack([columns[position] for position in positions])
-            boosted, group_means = median_of_means_batch(matrix, plan)
-            for row, position in enumerate(positions):
-                estimates[position] = float(boosted[row])
-                means[position] = group_means[row]
-
-        results: list[EstimateResult] = []
-        for position, program in enumerate(programs):
-            result = EstimateResult(
-                estimate=estimates[position],
-                instance_values=np.ascontiguousarray(columns[position]),
-                group_means=means[position].copy(),
-                left_count=program.left_count,
-                right_count=program.right_count,
-            )
-            if program.replicas == 1:
-                results.append(result)
-            else:
-                results.extend(replicate_estimate(result, program.replicas))
+    def _run_columns(self, program: SketchProgram, start: int,
+                     stop: int) -> list[EstimateResult]:
+        """Results for columns ``start:stop`` of one program."""
+        sums = self._letter_sums(program, start, stop)
+        # One boosting reduction over C-contiguous (columns, instances)
+        # rows — bit-identical per row to scalar median_of_means.
+        rows = np.ascontiguousarray(
+            self._values(program, sums, stop - start).T)
+        boosted, group_means = median_of_means_batch(rows, program.plan)
+        results = [
+            EstimateResult(estimate=estimate, instance_values=values,
+                           group_means=means, left_count=program.left_count,
+                           right_count=program.right_count)
+            for estimate, values, means in zip(boosted.tolist(), rows, group_means)
+        ]
+        if program.replicas > 1:
+            # Copies computed once, each owning its arrays, so in-place
+            # post-processing of one cannot leak into the others.
+            first = results[0]
+            results += [replace(first, instance_values=first.instance_values.copy(),
+                                group_means=first.group_means.copy())
+                        for _ in range(program.replicas - 1)]
         return results
 
-    def _chunk_values(self, programs: list[SketchProgram],
-                      resolved: dict[tuple, np.ndarray]) -> list[np.ndarray]:
-        """Per-program value vectors, evaluated one structure group at a time."""
-        columns: list[np.ndarray] = [None] * len(programs)  # type: ignore[list-item]
-        groups: OrderedDict[tuple, list[int]] = OrderedDict()
-        for position, program in enumerate(programs):
-            groups.setdefault(program.structure_key(), []).append(position)
-        for positions in groups.values():
-            members = [programs[position] for position in positions]
-            matrix = self._group_values(members, resolved)
-            for column, position in enumerate(positions):
-                columns[position] = matrix[:, column]
-        return columns
-
     @staticmethod
-    def _group_values(programs: list[SketchProgram],
-                      resolved: dict[tuple, np.ndarray]) -> np.ndarray:
-        """``(num_instances, len(programs))`` values for one structure group.
+    def _values(program: SketchProgram, sums: dict[LetterSumRef, np.ndarray],
+                width: int) -> np.ndarray:
+        """``(num_instances, width)`` values of one program's columns.
 
         Over one-cell banks the accumulation mirrors the historical scalar
         paths exactly: counters multiply first (in ref order), letter sums
@@ -395,39 +329,29 @@ class ProgramExecutor:
         term order.  Over a level-split bank a term's cells are contracted
         with its letter sums' levels instead, one dimension at a time.
         """
-        template = programs[0]
-        instances = template.num_instances
-        values = np.zeros((instances, len(programs)), dtype=np.float64)
-        # Per slot (instances, programs, levels), one level on a one-cell
-        # bank; terms that read the same letter sums share the stack.
-        stacked: dict[tuple, np.ndarray] = {}
-        for term_index, term in enumerate(template.terms):
+        instances = program.num_instances
+        values = np.zeros((instances, width), dtype=np.float64)
+        for term in program.terms:
             cells: np.ndarray | None = None
             for ref in term.counters:
                 block = ref.bank.word_cells(ref.word)
                 cells = block if cells is None else cells * block
-            sums = []
-            for slot in range(len(term.letter_sums)):
-                keys = tuple(p.terms[term_index].letter_sums[slot].key for p in programs)
-                if keys not in stacked:
-                    stacked[keys] = np.stack([resolved[key] for key in keys],
-                                             axis=1).astype(np.float64)
-                sums.append(stacked[keys])
-            if any(slot.shape[2] > 1 for slot in sums):
+            slots = [sums[ref] for ref in term.letter_sums]
+            if any(slot.shape[2] > 1 for slot in slots):
                 # A level-split bank is 1-D or 2-D: the first slot's levels
                 # contract with the cells in one batched matmul, (instances,
-                # programs, levels of the second), and the second's levels
+                # columns, levels of the second), and the second's levels
                 # elementwise.
                 term_values = np.matmul(
-                    sums[0], cells.reshape(instances, sums[0].shape[2], -1))
-                if len(sums) == 2:
-                    term_values = np.einsum("ipl,ipl->ip", term_values, sums[1])
+                    slots[0], cells.reshape(instances, slots[0].shape[2], -1))
+                if len(slots) == 2:
+                    term_values = np.einsum("ipl,ipl->ip", term_values, slots[1])
                 else:
                     term_values = term_values[:, :, 0]
                 values += term.coefficient * term_values
                 continue
             sum_product: np.ndarray | None = None
-            for slot in sums:
+            for slot in slots:
                 sum_product = (slot[:, :, 0] if sum_product is None
                                else sum_product * slot[:, :, 0])
             if sum_product is None:
@@ -438,73 +362,87 @@ class ProgramExecutor:
                 values += term.coefficient * (cells * sum_product)
         return values
 
-    def _resolve_letter_sums(self, programs: Iterable[SketchProgram]
-                             ) -> dict[tuple, np.ndarray]:
-        """Resolve every letter-sum request of a chunk, sharing aggressively.
+    def _letter_sums(self, program: SketchProgram, start: int,
+                     stop: int) -> dict[LetterSumRef, np.ndarray]:
+        """Every letter-sum factor of a program over columns ``start:stop``,
+        as ``(instances, columns, levels)`` float64 (exact integers).
 
-        Identical requests resolve to one vector; cache hits skip the
-        kernel entirely; misses are grouped by ``(xi bank, dyadic shape,
-        letter)`` and computed in **one** vectorised kernel call per group
-        (column ``j`` of a batched kernel is bit-identical to a
-        single-interval call).
+        Factors of one xi family, dyadic shape, layout and letter form one
+        group: their intervals are de-duplicated with one ``np.unique`` and
+        resolved by one ``level_sums`` call (column ``j`` of a batched
+        kernel is bit-identical to a single-interval call).  An empty
+        interval reads zero.
         """
-        resolved: dict[tuple, np.ndarray] = {}
-        # Misses grouped by the interval-free key prefix (xi bank, dyadic
-        # shape, letter); any member ref's (bank, dim) serves as the kernel
-        # representative — every ref in the group reduces over the same xi
-        # family and dyadic structure, so the results are interchangeable.
-        missing: OrderedDict[tuple, OrderedDict[tuple[int, int], None]] = \
-            OrderedDict()
-        representatives: dict[tuple, LetterSumRef] = {}
+        groups: dict[tuple, list[LetterSumRef]] = {}
         requested = 0
-        hits = 0
-        for program in programs:
-            for term in program.terms:
-                for ref in term.letter_sums:
-                    requested += 1
-                    key = ref.key
-                    if key in resolved:
-                        continue
-                    if self._cache is not None:
-                        with self._lock:
-                            cached = self._cache.get(_weak_key(key))
-                        if cached is not None:
-                            resolved[key] = cached
-                            hits += 1
-                            continue
-                    group_key = key[:-2]
-                    group = missing.setdefault(group_key, OrderedDict())
-                    representatives.setdefault(group_key, ref)
-                    group.setdefault((ref.low, ref.high))
-                    resolved[key] = None  # type: ignore[assignment]
-
-        kernel_calls = 0
-        computed = 0
-        for group_key, intervals in missing.items():
-            rep = representatives[group_key]
-            lows = np.fromiter((low for low, _ in intervals), dtype=np.int64,
-                               count=len(intervals))
-            highs = np.fromiter((high for _, high in intervals),
-                                dtype=np.int64, count=len(intervals))
-            sums = rep.bank.level_sums(rep.dim, rep.letter, lows, highs)
-            kernel_calls += 1
-            computed += len(intervals)
-            for index, (low, high) in enumerate(intervals):
-                # An owned copy: a view would pin the whole batch matrix
-                # for as long as one of its columns stays cached.
-                vector = sums[:, index].copy()   # (instances, levels) integers
-                vector.setflags(write=False)
-                key = group_key + (low, high)
-                resolved[key] = vector
-                if self._cache is not None:
-                    with self._lock:
-                        self._cache.put(_weak_key(key), vector)
+        for term in program.terms:
+            requested += len(term.letter_sums)
+            for ref in term.letter_sums:
+                members = groups.setdefault(_family_key(ref), [])
+                if ref not in members:
+                    members.append(ref)
+        width = stop - start
+        resolved: dict[LetterSumRef, np.ndarray] = {}
+        for group, members in groups.items():
+            rep = members[0]
+            size = rep.bank.domain.dyadic(rep.dim).size
+            lows = np.concatenate([ref.low[start:stop] for ref in members])
+            highs = np.concatenate([ref.high[start:stop] for ref in members])
+            live = lows <= highs
+            # (low, high) packed into one int64 key: exact while size < 2^31.
+            unique, inverse = np.unique(lows[live] * size + highs[live],
+                                        return_inverse=True)
+            sums = self._unique_sums(rep, group, unique, size)
+            if not live.all():
+                # An empty interval reads a zero column past the sums.
+                zero = np.zeros((sums.shape[0], 1, sums.shape[2]), dtype=sums.dtype)
+                sums = np.concatenate((sums, zero), axis=1)
+                padded = np.full(len(lows), len(unique))
+                padded[live] = inverse
+                inverse = padded
+            gathered = np.take(sums, inverse, axis=1).astype(np.float64)
+            for index, ref in enumerate(members):
+                resolved[ref] = gathered[:, index * width:(index + 1) * width]
         with self._lock:
-            self._stats.letter_sums_requested += requested
-            self._stats.letter_sums_computed += computed
-            self._stats.kernel_calls += kernel_calls
-            self._stats.cache_hits += hits
+            self._stats.letter_sums_requested += requested * width
         return resolved
+
+    def _unique_sums(self, rep: LetterSumRef, group: tuple, unique: np.ndarray,
+                     size: int) -> np.ndarray:
+        """``(instances, len(unique), levels)`` level sums of one group's
+        packed intervals: the LRU is probed with all of them at once, and
+        every miss comes from one ``level_sums`` call."""
+        vectors: list = [None] * len(unique)
+        copies: list[np.ndarray] = []
+        if self._cache is not None:
+            weak = _weak_key(group)
+            keys = [(weak, key) for key in unique.tolist()]
+            with self._lock:
+                vectors = list(map(self._cache.get, keys))
+                for key, vector in zip(keys, vectors):
+                    if vector is not None:
+                        self._cache.move_to_end(key)
+        missing = [index for index, vector in enumerate(vectors) if vector is None]
+        if missing or not vectors:
+            intervals = unique[missing]
+            fresh = rep.bank.level_sums(rep.dim, rep.letter, intervals // size,
+                                        intervals % size)
+        with self._lock:
+            self._stats.kernel_calls += bool(missing or not vectors)
+            self._stats.letter_sums_computed += len(missing)
+            self._stats.cache_hits += len(unique) - len(missing)
+            if self._cache is not None and missing:
+                # Owned copies: a view would pin the whole batch matrix for
+                # as long as one of its columns stays cached.
+                copies = list(map(np.ndarray.copy, fresh.transpose(1, 0, 2)))
+                self._cache.update(zip([keys[index] for index in missing], copies))
+                for _ in range(len(self._cache) - self._cache_size):
+                    self._cache.popitem(last=False)
+        if len(missing) == len(unique):
+            return fresh
+        for index, vector in zip(missing, copies):
+            vectors[index] = vector
+        return np.stack(vectors, axis=1)
 
 
 _DEFAULT_EXECUTOR: ProgramExecutor | None = None
@@ -515,10 +453,9 @@ def default_executor() -> ProgramExecutor:
     """The process-wide executor the estimator families run on.
 
     Deliberately created **without** a cross-batch cache: a scalar
-    ``estimate`` call must cost exactly what it always did, and intra-batch
-    sharing (the structural win) needs no cache.  Long-lived serving layers
-    that want cross-batch reuse own their own caching executor (see
-    :class:`~repro.service.service.EstimationService`).
+    ``estimate`` call must cost exactly what it always did.  Long-lived
+    serving layers that want cross-batch reuse own their own caching
+    executor (see :class:`~repro.service.service.EstimationService`).
     """
     global _DEFAULT_EXECUTOR
     if _DEFAULT_EXECUTOR is None:
@@ -532,7 +469,7 @@ def default_executor() -> ProgramExecutor:
 
 
 def letter_cover_size(ref: LetterSumRef) -> int:
-    """How many xi variables the letter sum of ``ref`` touches.
+    """How many xi variables the letter sum of a scalar ``ref`` touches.
 
     This is the size of the letter-specific dyadic cover — the quantity the
     paper's update/query cost analysis counts (O(d log n) per box).
@@ -541,6 +478,8 @@ def letter_cover_size(ref: LetterSumRef) -> int:
     lows = np.asarray([ref.low], dtype=np.int64)
     highs = np.asarray([ref.high], dtype=np.int64)
     if ref.letter is Letter.INTERVAL:
+        if ref.low > ref.high:
+            return 0
         _, lengths = dyadic.covers(lows, highs)
         return int(lengths[0])
     if ref.letter is Letter.ENDPOINTS:
@@ -565,28 +504,27 @@ def describe_program(program: SketchProgram) -> dict:
     """A JSON-friendly description of one compiled program.
 
     Used by ``repro-spatial estimate --explain`` to show what an estimate
-    *is*: the word products and coefficients, the letter-sum requests with
-    their dyadic cover sizes, and the reduction plan.
+    *is*: the word products and coefficients, every query's letter-sum
+    requests with their intervals and dyadic cover sizes, and the
+    reduction plan.
     """
     terms = []
     for term in program.terms:
         terms.append({
             "coefficient": term.coefficient,
             "counters": [_word_text(ref.word) for ref in term.counters],
-            "letter_sums": [
-                {"dim": ref.dim, "letter": str(ref.letter),
-                 "interval": [ref.low, ref.high]}
-                for ref in term.letter_sums
-            ],
+            "letter_sums": [{"dim": ref.dim, "letter": str(ref.letter)}
+                            for ref in term.letter_sums],
         })
     requests = []
     seen: set[tuple] = set()
-    for ref in program.letter_sum_refs:
-        key = ref.key
+    for query, ref in _scalar_refs(program):
+        key = (query, ref.dim, ref.letter, ref.low, ref.high)
         if key in seen:
             continue
         seen.add(key)
         requests.append({
+            "query": query,
             "dim": ref.dim,
             "letter": str(ref.letter),
             "interval": [ref.low, ref.high],
@@ -595,6 +533,7 @@ def describe_program(program: SketchProgram) -> dict:
     plan = program.plan
     return {
         "num_instances": program.num_instances,
+        "columns": program.columns,
         "terms": terms,
         "letter_sum_requests": requests,
         "reduction": {

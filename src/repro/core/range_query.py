@@ -21,7 +21,7 @@ where ``q_i(U)`` is the xi sum over the dyadic cover of the query range in
 dimension ``i`` and ``q_i(I)`` is the xi sum over the point cover of the
 query's upper endpoint ``v_i``.  A level-split bank (below) reads the
 first condition as ``b in [u, v - 1]`` instead — ``q_i(U)`` covers ``[u_i,
-v_i - 1]``, and a word's term is left out when that is empty (``u_i ==
+v_i - 1]``, and its letter sums read zero when that is empty (``u_i ==
 v_i``) — so the two conditions exclude each other and ``E[Z]`` is the
 exact count without Assumption 1.  A one-cell bank keeps the closed range,
 so stored state answers as it always has.
@@ -141,36 +141,60 @@ class RangeQueryEstimator(SketchEstimator):
 
     # -- estimation -----------------------------------------------------------------------
 
-    def check_queries(self, queries) -> BoxSet:
-        """Range queries as one box set in sketch coordinates, one row per query.
+    def check_queries(self, queries) -> tuple[BoxSet, dict[int, QueryError]]:
+        """Range queries in sketch coordinates, and a verdict per row.
 
         ``queries`` is a :class:`Rect`, a :class:`BoxSet` (one query per
-        row) or a sequence of rectangles and one-row box sets.  The rows
-        must match the domain's dimensionality and, endpoint-transformed
-        under ``strict``, lie inside the sketch domain.
+        row) or a sequence of rectangles and one-row box sets.  A row
+        passes when it matches the domain's dimensionality, has no lower
+        endpoint above its upper one and, endpoint-transformed under
+        ``strict``, lies inside the sketch domain.  Returns the rows that
+        pass as one box set, in order, and the :class:`QueryError` of
+        every row that does not, keyed by its position in ``queries``.
         """
         if queries is None or isinstance(queries, (int, np.integer)):
             raise QueryError("range estimates take query rectangles, not a count")
         if isinstance(queries, Rect):
             queries = [queries]
-        if not isinstance(queries, BoxSet):
-            bounds = [_query_bounds(query) for query in queries]
-            if {len(low) for low, _ in bounds} <= {self.dimension}:
-                shape = (len(bounds), self.dimension)
-                queries = BoxSet(
-                    np.asarray([low for low, _ in bounds], dtype=np.int64).reshape(shape),
-                    np.asarray([high for _, high in bounds], dtype=np.int64).reshape(shape),
-                    validate=False)
-        # A sequence whose rows do not all match the domain is still a list.
-        if not isinstance(queries, BoxSet) or queries.dimension != self.dimension:
-            raise QueryError(
-                f"queries must be {self.dimension}-dimensional like the domain")
+        dimension = self.dimension
+        wrong_dimension = f"queries must be {dimension}-dimensional like the domain"
+        refused: dict[int, QueryError] = {}
+        if isinstance(queries, BoxSet):
+            if queries.dimension != dimension:
+                raise QueryError(wrong_dimension)
+            rows = np.arange(len(queries))
+            lows, highs = queries.lows, queries.highs
+        else:
+            kept = []
+            for row, query in enumerate(queries):
+                try:
+                    low, high = _query_bounds(query)
+                    if len(low) != dimension:
+                        raise QueryError(wrong_dimension)
+                    kept.append((row, low, high))
+                except QueryError as exc:
+                    refused[row] = exc
+            shape = (len(kept), dimension)
+            rows = np.asarray([row for row, _, _ in kept], dtype=np.int64)
+            lows = np.asarray([low for _, low, _ in kept], dtype=np.int64).reshape(shape)
+            highs = np.asarray([high for _, _, high in kept], dtype=np.int64).reshape(shape)
+        sketched = BoxSet(lows, highs, validate=False)
         if self._transform is not None:
-            queries = self._transform.transform_query(queries)
-        if not self.bank.domain.contains(queries):
-            raise QueryError(f"queries contain coordinates outside the domain "
-                             f"{self.bank.domain.sizes}")
-        return queries
+            sketched = self._transform.transform_query(sketched)
+        inverted = (lows > highs).any(axis=1)
+        sizes = self.bank.domain.sizes
+        outside = ((sketched.lows < 0) | (sketched.highs >= np.asarray(sizes))).any(axis=1)
+        for index in np.flatnonzero(inverted | outside).tolist():
+            row = f"query {lows[index].tolist() + highs[index].tolist()}"
+            refused[int(rows[index])] = QueryError(
+                f"{row} has a lower endpoint above its upper endpoint"
+                if inverted[index] else
+                f"{row} has coordinates outside the domain {sizes}")
+        passed = ~(inverted | outside)
+        if not passed.all():
+            sketched = BoxSet(sketched.lows[passed], sketched.highs[passed],
+                              validate=False)
+        return sketched, refused
 
     def _query_word(self, word: Word) -> Word:
         """The query-side word paired with a counter word (I <-> U flip)."""
@@ -180,37 +204,28 @@ class RangeQueryEstimator(SketchEstimator):
         )
 
     def _lower(self, queries: BoxSet, plan: BoostingPlan) -> list[SketchProgram]:
-        """Program ``j`` lowers query ``j`` to one term per counter word: the
-        word's counter cells contracted with the per-dimension letter sums
-        (per level on a level-split bank) of the *query-side* word (the
-        I <-> U flip), over the checked query coordinates."""
+        """One program for the batch: one term per counter word, the word's
+        counter cells contracted with the per-dimension letter sums (per
+        level on a level-split bank) of the *query-side* word (the I <-> U
+        flip), whose columns hold every checked query's interval.
+
+        Where a counter word reads U, a level-split bank's query range ends
+        at ``v - 1`` (see the module docstring): a query with ``u == v``
+        there has an empty interval, whose letter sums read zero.
+        """
         bank = self.bank
-        pairs = [(word, self._query_word(word)) for word in self._words]
-        lows = queries.lows
-        highs = queries.highs
-        # Where a counter word reads U, a level-split bank's query range
-        # ends at v - 1 (see the module docstring).
+        lows, highs = queries.lows, queries.highs
         upper = highs - 1 if bank.split_levels else highs
-        programs: list[SketchProgram] = []
-        for row in range(len(queries)):
-            terms = []
-            for word, query_word in pairs:
-                ends = [int((upper if letter is Letter.UPPER_POINT else highs)[row, dim])
-                        for dim, letter in enumerate(word)]
-                if any(end < lows[row, dim] for dim, end in enumerate(ends)):
-                    continue
-                terms.append(ProgramTerm(
-                    1.0,
-                    counters=(CounterRef(bank, word),),
-                    letter_sums=tuple(
-                        LetterSumRef(bank, dim, query_word[dim], int(lows[row, dim]), end)
-                        for dim, end in enumerate(ends)),
-                ))
-            programs.append(SketchProgram(
-                terms=tuple(terms),
-                num_instances=self._num_instances,
-                plan=plan,
-                left_count=self.count,
-                right_count=1,
-            ))
-        return programs
+        refs = {}
+        for dim in range(self.dimension):
+            refs[dim, Letter.UPPER_POINT] = LetterSumRef(
+                bank, dim, Letter.UPPER_POINT, lows[:, dim], highs[:, dim])
+            refs[dim, Letter.INTERVAL] = LetterSumRef(
+                bank, dim, Letter.INTERVAL, lows[:, dim], upper[:, dim])
+        terms = tuple(
+            ProgramTerm(1.0, counters=(CounterRef(bank, word),),
+                        letter_sums=tuple(refs[dim, letter] for dim, letter
+                                          in enumerate(self._query_word(word))))
+            for word in self._words)
+        return [SketchProgram(terms=terms, num_instances=self._num_instances,
+                              plan=plan, left_count=self.count, right_count=1)]

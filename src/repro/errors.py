@@ -47,10 +47,11 @@ class QueryError(SketchConfigError):
 
     A query given to a family that takes none, none (or a count) given to
     one that needs query rectangles, a batch entry of more than one
-    rectangle, the wrong dimensionality, or coordinates outside the domain.
+    rectangle, the wrong dimensionality, a lower endpoint above its upper
+    one, or coordinates outside the domain.
     :meth:`repro.core.estimator.SketchEstimator.check_queries` is the one
-    place that raises it; the service layer re-raises it as a
-    :class:`ServiceError` naming the family.
+    place that judges a query, one verdict per row; the service layer
+    re-raises it as a :class:`ServiceError` naming the family.
     """
 
 

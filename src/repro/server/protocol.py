@@ -405,8 +405,10 @@ def error_payload_for(exc: BaseException, *, op: str | None = None,
                          detail=detail)
 
 
-def boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:
-    """Rows of ``[lo_1..lo_d, hi_1..hi_d]`` as a validated :class:`BoxSet`.
+def boxes_from_rows(rows, dimension: int | None = None, *,
+                    validate: bool = True) -> BoxSet:
+    """Rows of ``[lo_1..lo_d, hi_1..hi_d]`` as a :class:`BoxSet`, validated
+    (no lower endpoint above its upper one) unless ``validate`` is false.
 
     This is the single wire decoder for box payloads — the server's ingest
     and estimate ops and the CLI's offline paths all parse through it.
@@ -417,7 +419,7 @@ def boxes_from_rows(rows, dimension: int | None = None) -> BoxSet:
     d = array.shape[1] // 2
     if dimension is not None and d != dimension:
         raise ReproError(f"box rows are {d}-dimensional, expected {dimension}")
-    return BoxSet(array[:, :d], array[:, d:])
+    return BoxSet(array[:, :d], array[:, d:], validate=validate)
 
 
 def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
@@ -428,11 +430,11 @@ def boxes_to_rows(boxes: BoxSet) -> list[list[int]]:
 def query_box(row) -> BoxSet | None:
     """An ``estimate`` request's ``query``: one decoded box, or ``None``.
 
-    Only decoded here: whether the name's family takes it is checked once,
-    where the estimate compiles
-    (:meth:`repro.core.estimator.SketchEstimator.check_queries`).
+    Only decoded here, never judged — not even an inverted rectangle:
+    whether the name's family takes it is checked once, where the estimate
+    compiles (:meth:`repro.core.estimator.SketchEstimator.check_queries`).
     """
-    return None if row is None else boxes_from_rows([row])
+    return None if row is None else boxes_from_rows([row], validate=False)
 
 
 def estimate_fields(result) -> dict:

@@ -121,8 +121,10 @@ class ServiceStats:
     delta_applies: int = 0
     rebuilds: int = 0
     evictions: int = 0
-    #: Executor dispatches: one per ``estimate``, ``estimate_batch`` or
-    #: ``estimate_multi`` call, however many queries it carried.
+    #: Executor dispatches that answered a query: one per
+    #: :meth:`EstimationService.answer_multi` call (the coalescer's engine
+    #: call, and what ``estimate`` / ``estimate_multi`` run) and one per
+    #: ``estimate_batch``, however many queries it carried.
     batch_estimates: int = 0
     coalesced_queries: int = 0
 

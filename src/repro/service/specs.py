@@ -361,6 +361,11 @@ def apply_update(spec: EstimatorSpec, estimator: SketchEstimator, side: str, kin
     estimator.update(side, payload, 1.0 if kind == "insert" else -1.0)
 
 
+def _refusal(spec: EstimatorSpec, exc: QueryError) -> ServiceError:
+    """A query the family refuses, as the service reports it."""
+    return ServiceError(f"family {spec.family!r}: {exc}")
+
+
 def compile_programs(spec: EstimatorSpec, estimator: Any,
                      queries) -> list[SketchProgram]:
     """Lower one name's estimate request into sketch programs.
@@ -374,7 +379,7 @@ def compile_programs(spec: EstimatorSpec, estimator: Any,
     try:
         return estimator.lower(queries)
     except QueryError as exc:
-        raise ServiceError(f"family {spec.family!r}: {exc}") from None
+        raise _refusal(spec, exc) from None
 
 
 def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
@@ -382,12 +387,14 @@ def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
     """Answer ``(key, query)`` requests in one executor run, each on its own.
 
     ``resolve(key)`` returns the ``(spec, estimator)`` a name's queries
-    compile against.  Each key's queries compile as one batch; a batch that
-    does not compile compiles query by query, so a bad query fails alone.
-    Everything that compiled then runs as one
+    compile against.  Each key's queries are checked once
+    (:meth:`~repro.core.estimator.SketchEstimator.check_queries`): a row
+    the family refuses gets its own verdict, and the rest compile into
+    the key's one program.  Everything that compiled then runs as one
     :meth:`~repro.core.program.ProgramExecutor.run`, and nothing runs when
-    nothing compiled.  Returns one entry per request, in order: its result,
-    or the exception its key's ``resolve`` or its own compile raised.
+    nothing compiled.  Returns one entry per request, in order: its
+    result, or the exception its key's ``resolve`` or compile, or its own
+    check, raised.
     """
     groups: dict[Any, list[int]] = {}
     for index, (key, _) in enumerate(requests):
@@ -398,22 +405,21 @@ def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
     for key, indices in groups.items():
         try:
             spec, estimator = resolve(key)
-        except Exception as exc:  # the name's fetch or merge failed
+            try:
+                checked, refused = estimator.check_queries(
+                    [requests[index][1] for index in indices])
+            except QueryError as exc:
+                raise _refusal(spec, exc) from None
+            programs += estimator.lower_checked(checked)
+        except Exception as exc:  # the name's fetch, merge or compile failed
             for index in indices:
                 results[index] = exc
             continue
-        try:
-            programs += compile_programs(
-                spec, estimator, [requests[index][1] for index in indices])
-            answered += indices
-        except Exception:
-            for index in indices:
-                try:
-                    programs += compile_programs(spec, estimator,
-                                                 [requests[index][1]])
-                    answered.append(index)
-                except Exception as exc:
-                    results[index] = exc
+        for row, index in enumerate(indices):
+            if row in refused:
+                results[index] = _refusal(spec, refused[row])
+            else:
+                answered.append(index)
     if programs:
         for index, result in zip(answered, executor.run(programs)):
             results[index] = result

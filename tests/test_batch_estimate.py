@@ -137,10 +137,11 @@ class TestJoinEstimateBatch:
 
     def test_check_queries_counts_results(self, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, 8, seed=3)
-        assert estimator.check_queries(3) == 3
-        assert estimator.check_queries([None, None]) == 2
-        with pytest.raises(SketchConfigError):
-            estimator.check_queries(["x"])
+        assert estimator.check_queries(3) == (3, {})
+        assert estimator.check_queries([None, None]) == (2, {})
+        count, refused = estimator.check_queries([None, "x", None])
+        assert count == 2 and list(refused) == [1]
+        assert isinstance(refused[1], SketchConfigError)
 
 
 class TestServiceEstimateBatch:
@@ -164,16 +165,17 @@ class TestServiceEstimateBatch:
             assert np.array_equal(scalar.instance_values, batch[j].instance_values)
 
     def test_batch_and_multi_share_the_service_executor(self, rng):
-        """Single-name batches used to bypass the service's executor (and
-        its letter-sum cache) for the process-wide default one."""
+        """Single-name batches used to bypass the service's executor for the
+        process-wide default one; each batch is one program per name."""
         service = self._range_service(rng)
         queries = random_boxes(rng, 17, 256, 2)
-        executed = service.program_executor.stats.programs
+        before = service.program_executor.stats
         batch = service.estimate_batch("ranges", queries)
-        assert service.program_executor.stats.programs == executed + 17
         multi = service.estimate_multi(
             [("ranges", queries[j]) for j in range(17)])
-        assert service.program_executor.stats.programs == executed + 34
+        after = service.program_executor.stats
+        assert (after.programs, after.results) == \
+            (before.programs + 2, before.results + 34)
         assert [r.estimate for r in multi] == [r.estimate for r in batch]
         assert all(np.array_equal(a.instance_values, b.instance_values)
                    and np.array_equal(a.group_means, b.group_means)

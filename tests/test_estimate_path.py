@@ -18,7 +18,7 @@ from repro.client import InProcessClient
 from repro.cluster.partial import reduce_partials
 from repro.errors import QueryError, ServerError, ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.server import ServerConfig, SketchServer
+from repro.server import ServerConfig, SketchServer, protocol
 from repro.service import EstimationService, EstimatorSpec
 
 from tests.conftest import random_boxes
@@ -89,6 +89,8 @@ BAD = {
                                    "must be 2-dimensional"),
     "a query outside the domain": ("range", BoxSet([[0, 0]], [[999, 999]]),
                                    "outside the domain"),
+    "an inverted query": ("range", BoxSet([[10, 10]], [[5, 5]], validate=False),
+                          "lower endpoint above its upper endpoint"),
 }
 
 
@@ -135,3 +137,33 @@ def test_a_scalar_service_estimate_is_one_cached_dispatch(rng):
     assert executor.cache_hits > 0
     assert service.stats.batch_estimates == 2
     assert second.estimate == first.estimate
+
+
+INVERTED = [10, 10, 5, 5]
+INVERTED_VERDICT = ("ServiceError: family 'range': query [10, 10, 5, 5] has a "
+                    "lower endpoint above its upper endpoint")
+
+
+def test_an_inverted_query_is_refused_by_the_family_check(rng):
+    """The wire only decodes a query: an inverted rectangle is the range
+    family's verdict, naming the row, alone or inside a coalesced batch
+    whose other requests are answered by one dispatch."""
+    service, _ = served(SPECS["range"], rng, workers=1)
+    good = random_boxes(rng, 2, 256, 2)
+    expected = [service.estimate("est", good[j:j + 1]).estimate for j in range(2)]
+    rows = [*protocol.boxes_to_rows(good[:1]), INVERTED,
+            *protocol.boxes_to_rows(good[1:])]
+    with wire(service) as client:
+        with pytest.raises(ServerError) as lone:
+            client.estimate("est", INVERTED)
+        dispatches = service.stats.batch_estimates
+        replies = client.request_many(
+            [protocol.build("estimate", name="est", query=row) for row in rows])
+    assert lone.value.code == "bad_request"
+    assert str(lone.value) == INVERTED_VERDICT
+    assert service.stats.batch_estimates == dispatches + 1
+    with pytest.raises(ServerError) as batched:
+        protocol.raise_for_response(replies[1])
+    assert str(batched.value) == INVERTED_VERDICT
+    assert [protocol.raise_for_response(replies[j])["estimate"]
+            for j in (0, 2)] == expected

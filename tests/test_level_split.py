@@ -9,7 +9,6 @@ router's ``reduce_partials`` over worker states — must return the same
 floats bit for bit.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.partial import reduce_partials
-from repro.core.atomic import Letter
+from repro.core.atomic import Letter, SketchBank
 from repro.core.domain import Domain
-from repro.core.program import ProgramExecutor, LetterSumRef
+from repro.core.program import LetterSumRef, ProgramExecutor, _family_key
 from repro.core.range_query import RangeQueryEstimator
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, EstimatorSpec
@@ -73,7 +72,7 @@ class TestKernel:
             assert np.array_equal(split.bank.counter(word), one_cell.bank.counter(word))
         # Query side: the per-level sums add up to the letter sums.
         query = random_boxes(rng, 3, domain.requested_sizes)
-        sketched = split.check_queries(query)
+        sketched, _ = split.check_queries(query)
         for dim in range(domain.dimension):
             for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
                 lows, highs = sketched.lows[:, dim], sketched.highs[:, dim]
@@ -100,20 +99,25 @@ class TestEveryPathAgrees:
 
     def test_a_query_reads_u_letters_up_to_v_minus_one(self, fed):
         """Where a counter word reads U the query range ends at ``v - 1``,
-        so a box ending at ``v`` is counted once; a word whose range that
-        leaves empty (``u == v``) has no term."""
+        so a box ending at ``v`` is counted once; where that leaves the
+        range empty (``u == v``) the column's letter sums read zero."""
         spec, halves, queries = fed
         estimator = spec.build()
         estimator.insert(halves[0])
-        programs = estimator.lower(queries)
-        assert [len(program.terms) for program in programs[-3:]] == [4, 2, 1]
-        for term in programs[0].terms:
+        [program] = estimator.lower(queries)
+        assert program.columns == len(queries)
+        assert len(program.terms) == 4
+        for term in program.terms:
             word = term.counters[0].word
             for dim, ref in enumerate(term.letter_sums):
                 upper = word[dim] is Letter.UPPER_POINT
                 assert ref.letter is (Letter.INTERVAL if upper else Letter.UPPER_POINT)
-                assert (ref.low, ref.high) == (
-                    queries.lows[0, dim], queries.highs[0, dim] - upper)
+                assert np.array_equal(ref.low, queries.lows[:, dim])
+                assert np.array_equal(ref.high, queries.highs[:, dim] - upper)
+        # The two last queries are one coordinate wide: in x, in both.
+        empty = [[ref.low[-2:] > ref.high[-2:] for ref in term.letter_sums]
+                 for term in program.terms]
+        assert sum(map(np.any, empty)) == 3
 
     def test_scalar_batch_multi_and_routed_reduce(self, fed):
         spec, halves, queries = fed
@@ -150,10 +154,14 @@ class TestLetterSumCache:
         executor = ProgramExecutor(cache_size=64)
         executor.run(estimator.lower(random_boxes(
             np.random.default_rng(1), 4, (1024, 1024))))
-        entries = list(executor._cache._entries.values())
+        entries = list(executor._cache.values())
         assert entries and all(entry.dtype == np.int8 for entry in entries)
         assert {entry.shape for entry in entries} == {(256, 8)}
         assert max(entry.nbytes for entry in entries) <= 256 * 8
-        ref = LetterSumRef(estimator.bank, 0, Letter.INTERVAL, 0, 9)
-        one_cell = replace(spec, split_levels=False).build()
-        assert ref.key != LetterSumRef(one_cell.bank, 0, Letter.INTERVAL, 0, 9).key
+        # A one-cell bank over the very same xi families never shares them.
+        split = estimator.bank
+        one_cell = SketchBank(split.domain, split.words, 256,
+                              xi_banks=split.xi_banks, split_levels=False)
+        interval = (Letter.INTERVAL, np.array([0]), np.array([9]))
+        assert _family_key(LetterSumRef(split, 0, *interval)) != \
+            _family_key(LetterSumRef(one_cell, 0, *interval))

@@ -94,7 +94,7 @@ def reference_scalar_estimate(family: str, view, query=None):
                   * view.side_bank("inner").counter(view._inner_word))
         left, right = view.outer_count, view.inner_count
     elif family == "range":
-        query_box, bank = view.check_queries(query), view.bank
+        (query_box, _), bank = view.check_queries(query), view.bank
         values = np.zeros(view.num_instances, dtype=np.float64)
         for word in view._words:
             if not bank.split_levels:

@@ -6,7 +6,9 @@ batched estimation path must return *exactly* what a loop of scalar
 ``estimate`` calls returns — same boosted estimate, same per-instance
 values, same group means.  This is the tentpole guarantee of the batched
 engine: batching is a pure execution-strategy change, never a numerics
-change.
+change.  A range batch is one program whose letter sums carry a column per
+query, so its queries include zero extents and domain edges, over both
+counter layouts.
 
 The same holds for persistence: a state round trip through a binary
 snapshot file (restored through a read-only memory map) or through a JSON
@@ -47,6 +49,18 @@ FAMILY_CASES = {
     "range": ((32, 32), ("data",), {}),
 }
 
+#: More range specs, over both counter layouts: level-split in 1-D and
+#: strict 2-D, one cell per word in 3-D.
+RANGE_CASES = {
+    "range_1d": ((64,), ("data",), {}),
+    "range_strict": ((32, 32), ("data",), {"strict": True}),
+    "range_3d": ((16, 16, 16), ("data",), {}),
+}
+
+#: Case -> (family, domain sizes, update sides, extra spec options).
+CASES = {**{family: (family, *case) for family, case in FAMILY_CASES.items()},
+         **{name: ("range", *case) for name, case in RANGE_CASES.items()}}
+
 NUM_INSTANCES = 9  # 3 groups of 3 under split_instances
 
 
@@ -66,6 +80,28 @@ def _boxes(rng: np.random.Generator, count: int, sizes: tuple[int, ...],
     return BoxSet(lows, highs, validate=False)
 
 
+def _range_queries(rng: np.random.Generator, count: int,
+                   sizes: tuple[int, ...]) -> BoxSet:
+    """Proper query rectangles mixed with the rows a range batch lowers
+    apart: zero extent in one dimension or in all (a level-split bank's
+    ``[u, v - 1]`` is empty there), and rows on the domain's edges."""
+    proper = _boxes(rng, count, sizes, degenerate=False)
+    lows, highs = proper.lows.copy(), proper.highs.copy()
+    top = np.asarray(sizes, dtype=np.int64) - 1
+    for row in range(count):
+        dim = int(rng.integers(len(sizes)))
+        shape = int(rng.integers(5))
+        if shape == 1:                      # zero extent in one dimension
+            highs[row, dim] = lows[row, dim]
+        elif shape == 2:                    # a point
+            highs[row] = lows[row]
+        elif shape == 3:                    # edge to edge in one dimension
+            lows[row, dim], highs[row, dim] = 0, top[dim]
+        elif shape == 4:                    # the domain's far corner point
+            lows[row] = highs[row] = top
+    return BoxSet(lows, highs)
+
+
 workload = st.fixed_dictionaries({
     "seed": st.integers(min_value=0, max_value=2**31 - 1),
     "num_shards": st.integers(min_value=1, max_value=3),
@@ -75,11 +111,11 @@ workload = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_CASES))
+@pytest.mark.parametrize("name", sorted(CASES))
 @settings(max_examples=12, deadline=None)
 @given(case=workload)
-def test_batch_equals_scalar_on_merged_shard_views(family, case):
-    sizes, sides, options = FAMILY_CASES[family]
+def test_batch_equals_scalar_on_merged_shard_views(name, case):
+    family, sizes, sides, options = CASES[name]
     rng = np.random.default_rng(case["seed"])
     degenerate = family == "epsilon"
 
@@ -101,7 +137,7 @@ def test_batch_equals_scalar_on_merged_shard_views(family, case):
     service.flush()
 
     if family == "range":
-        queries = _boxes(rng, case["num_queries"], sizes, degenerate=False)
+        queries = _range_queries(rng, case["num_queries"], sizes)
         batch = service.estimate_batch("est", queries)
         scalars = [service.estimate("est", queries[j])
                    for j in range(len(queries))]
