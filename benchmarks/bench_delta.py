@@ -8,15 +8,12 @@ through
 
 * the **rebuild path**: a service with ``delta_propagation=False``, so
   every flush invalidates the merged-view cache and the next estimate
-  batch pays a full view rebuild — fresh xi bank objects, which orphan
-  every letter-sum cache entry and lazily-built sign table, so the whole
-  query batch recomputes its letter sums from scratch (the pre-delta
-  steady-state serving cost), and
+  batch pays a full view rebuild — fresh xi bank objects and a full
+  shard re-merge (the pre-delta steady-state serving cost), and
 * the **delta path**: a service with ``delta_propagation=True`` (the
   default), where each refresh is one fused counter add per bank onto the
-  previous cached view with the xi families *aliased* — so the executor's
-  letter-sum cache and the sign tables stay warm across flushes and the
-  post-flush query batch runs at cached speed,
+  previous cached view with the xi families *aliased* — so the sign
+  tables stay warm across flushes,
 
 and the delta path's steady-state rounds must stay **under an absolute
 ceiling** (``MAX_DELTA_SECONDS``, 2x the recorded value).  The gate used

@@ -9,9 +9,8 @@ probes and dashboard queries) — answered through
   one batched engine call per family (intra-batch letter-sum sharing, no
   cross-round reuse — the pre-program-layer serving cost), and
 * the **mixed path**: each round answered by a single
-  ``EstimationService.estimate_multi`` dispatch on the service's caching
-  :class:`~repro.core.program.ProgramExecutor`, so letter-sum work is
-  shared across queries, estimator families *and* rounds,
+  ``EstimationService.estimate_multi`` dispatch on the service's
+  :class:`~repro.core.program.ProgramExecutor`, one program per name,
 
 and the mixed path must stay **under an absolute ceiling** over the whole
 workload (``MAX_MIXED_SECONDS``, 2x the recorded value).  The gate used to
@@ -192,7 +191,7 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
     num_families = len({name for name, _ in requests})
     assert num_families == 4
 
-    baseline_executor = ProgramExecutor(cache_size=0)
+    baseline_executor = ProgramExecutor()
 
     def run_per_family() -> float:
         start = time.perf_counter()
@@ -212,7 +211,7 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
     # Bit-identity between the two paths (and with the scalar estimates the
     # property suite pins them to).
     baseline = _per_family_round(service, requests,
-                                 ProgramExecutor(cache_size=0))
+                                 ProgramExecutor())
     mixed = service.estimate_multi(requests)
     assert [r.estimate for r in mixed] == [r.estimate for r in baseline]
 
@@ -236,7 +235,6 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
             "max_mixed_seconds": MAX_MIXED_SECONDS,
         },
         "executor": {
-            "cache_hits": executor_stats.cache_hits,
             "letter_sums_requested": executor_stats.letter_sums_requested,
             "letter_sums_computed": executor_stats.letter_sums_computed,
             "kernel_calls": executor_stats.kernel_calls,
@@ -256,8 +254,7 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
         f"speedup        : {speedup:8.1f}x (informational)",
         f"letter sums    : {executor_stats.letter_sums_computed} computed / "
         f"{executor_stats.letter_sums_requested} requested "
-        f"({executor_stats.cache_hits} cache hits, "
-        f"{executor_stats.kernel_calls} kernel calls)",
+        f"({executor_stats.kernel_calls} kernel calls)",
     ]
     text = "\n".join(lines)
     print("\n" + text)

@@ -12,9 +12,8 @@ every query distinct) is driven against
 and the coalesced configuration must deliver **at least 3x** the naive
 throughput.  Both servers run with a single engine-executor thread, so the
 comparison isolates the serving *policy* (1024 scalar engine calls vs ~4
-batched ones) on identical resources — no query repeats, so neither the
-executor's letter-sum cache (which every engine call shares) nor
-within-batch deduplication favours a side.  Per-request p50/p99 latencies
+batched ones) on identical resources — no query repeats, so
+within-batch deduplication favours neither side.  Per-request p50/p99 latencies
 come from the server's own metrics verb (the numbers operators would
 scrape).
 

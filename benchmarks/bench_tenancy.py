@@ -122,10 +122,8 @@ async def _scrape_metrics(port: int) -> str:
 async def _drive(port: int, *, with_noise: bool) -> tuple[dict, dict, str]:
     steady = {"ok": 0, "rejected": 0}
     noisy = {"ok": 0, "rejected": 0}
-    # Every connection sends its own queries.  A repeated query is served
-    # from the executor's letter-sum cache; that shrinks the solo baseline
-    # while the cost of shedding the noisy flood stays what it is, and the
-    # ratio would read it as lost isolation.
+    # Every connection sends its own queries, so no side of the ratio
+    # gains from duplicate intervals sharing one letter sum in a batch.
     tasks = [_one_connection(port,
                              _request_lines(STEADY_TOKEN, STEADY_QUERIES,
                                             seed=700 + index),

@@ -508,12 +508,16 @@ class SketchBank:
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
         if self._split:
-            parts, mask = self._level_sources(int(dim), lows, highs)
+            parts, mask = self._level_sources(int(dim), lows, highs, letter)
+            sums = self._gather_rows(parts, slice(None))
             levels = self._levels[int(dim)]
-            first = self._dim_letters(int(dim)).index(letter) * levels
+            # A walk yields the letter's block alone; the level tables hold
+            # every letter's side by side.
+            first = (0 if sums.shape[2] == levels
+                     else self._dim_letters(int(dim)).index(letter) * levels)
             columns = slice(first, first + levels)
-            sums = self._gather_rows(parts, slice(None))[:, :, columns]
-            return sums.copy() if mask is None else sums * mask[:, columns]
+            return sums[:, :, columns] if mask is None else \
+                sums[:, :, columns] * mask[:, columns]
         return self._letter_rows(int(dim), letter, lows, highs).T[:, :, None]
 
     # -- internals ----------------------------------------------------------------
@@ -697,8 +701,8 @@ class SketchBank:
             return self._sign_rows(xi, leaves)
         raise SketchConfigError(f"unknown letter {letter!r}")
 
-    def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray
-                       ) -> tuple[list, np.ndarray | None]:
+    def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray,
+                       only: Letter | None = None) -> tuple[list, np.ndarray | None]:
         """What the level sums of every letter the words use in ``dim`` are
         made of, side by side — letter ``k`` of :meth:`_dim_letters` in
         columns ``k * levels`` onwards of ``(instances, boxes, letters x
@@ -709,7 +713,8 @@ class SketchBank:
         ``lows`` (:meth:`_level_tables`), and the ``(boxes, columns)`` mask
         zeroes the levels an interval holds no node of (``None``: nothing
         to mask).  Without them the covers are walked and each node's sign
-        lands in its level's column.
+        lands in its level's column; naming ``only`` (the one letter a
+        query reads) walks just that letter's covers.
         """
         dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
         letters, levels = self._dim_letters(dim), dyadic.num_levels
@@ -724,7 +729,7 @@ class SketchBank:
             mask[:, letters.index(Letter.INTERVAL)] = ~gaps
             return parts, mask.reshape(len(lows), -1)
         blocks = []
-        for letter in letters:
+        for letter in letters if only is None else (only,):
             if letter is Letter.INTERVAL:
                 steps = dyadic.cover_steps(lows, highs)
                 rows = np.zeros((len(lows), levels, xi.num_families),
@@ -736,7 +741,8 @@ class SketchBank:
                            for coordinates in self._point_sources(letter, lows, highs))
                 rows = rows.reshape(len(lows), levels, xi.num_families)
             blocks.append(rows.transpose(2, 0, 1))
-        return [(np.concatenate(blocks, axis=2), None)], None
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+        return [(rows, None)], None
 
     @staticmethod
     def _gather_rows(parts: list, instances: slice) -> np.ndarray:

@@ -229,8 +229,8 @@ class SketchEstimator:
 
         Every bank is a :meth:`~repro.core.atomic.SketchBank.clone_with_delta`
         clone — one fused counter add, xi families aliased — so the result
-        is bit-identical to a from-scratch merge and answers through the
-        letter-sum cache entries this estimator populated.
+        is bit-identical to a from-scratch merge and reads the sign tables
+        this estimator's families built.
         """
         self._check_compatible(delta)
         return self._rebound(

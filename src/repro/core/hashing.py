@@ -310,9 +310,7 @@ class FourWiseFamilyBank:
         join inputs share their xi families.
     """
 
-    # ``__weakref__`` lets the program executor's letter-sum cache key on a
-    # weak reference to the xi bank, so cached vectors never pin families.
-    __slots__ = ("_coefficients", "_universe_size", "_family", "__weakref__")
+    __slots__ = ("_coefficients", "_universe_size", "_family")
 
     #: Precompute a full sign table when it would use at most this many bytes.
     _TABLE_BYTE_LIMIT = 1 << 28

@@ -36,12 +36,9 @@ query-less program is evaluated once and carries its result count in
    :func:`~repro.core.boosting.median_of_means_batch` reduction and expand
    to one result per column.
 
-A serving executor also keeps a bounded LRU of resolved letter sums across
-batches, probed with each group's unique intervals at once: letter sums
-depend only on a bank's xi families and domain, never on its counters, so
-entries never go stale and survive delta-applied merged views that alias
-those families.  On the columnar path it still beats its absence on the
-hot end-to-end workload.
+The executor keeps nothing between runs: a cross-batch cache of resolved
+letter sums measured inside the run-to-run spread of the hot end-to-end
+workload, so none is kept.
 
 Over one-cell banks execution is **bit-identical** to the historical
 scalar paths: the same accumulation order, the same elementwise kernels,
@@ -55,8 +52,6 @@ is a pure execution-strategy layer, never a numerics change.
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Sequence
 
@@ -194,17 +189,6 @@ def _scalar_refs(program: SketchProgram) -> Iterator[tuple[int, LetterSumRef]]:
 # -- the executor -------------------------------------------------------------------
 
 
-def _weak_key(group: tuple) -> tuple:
-    """A cache group that does not pin its xi family bank.
-
-    A live xi bank hashes/compares by identity through its weak reference
-    (so lookups are exact, and id reuse after collection can never alias:
-    a dead weakref only equals itself), while a discarded family's entries
-    become unmatchable and age out of the LRU.
-    """
-    return (weakref.ref(group[0]),) + group[1:]
-
-
 def _family_key(ref: LetterSumRef) -> tuple:
     """What makes two letter sums one kernel call: xi family, dyadic shape,
     layout and letter — never the bank that carries them, so two banks over
@@ -224,7 +208,6 @@ class ExecutorStats:
     kernel_calls: int = 0
     letter_sums_requested: int = 0
     letter_sums_computed: int = 0
-    cache_hits: int = 0
 
     def copy(self) -> "ExecutorStats":
         return replace(self)
@@ -235,27 +218,13 @@ class ExecutorStats:
 
 
 class ProgramExecutor:
-    """Runs batches of :class:`SketchProgram` objects against shared kernels.
-
-    Parameters
-    ----------
-    cache_size:
-        Capacity (entries) of the cross-batch letter-sum LRU.  ``0``
-        disables it; identical intervals *within* one batch are still
-        computed once (``np.unique``, not a cache policy).
-    """
+    """Runs batches of :class:`SketchProgram` objects against shared kernels."""
 
     #: Columns evaluated per vectorised round; bounds the transient
     #: ``(instances, columns, levels)`` matrices while huge batches stream.
     CHUNK = 4096
 
-    def __init__(self, *, cache_size: int = 8192) -> None:
-        if cache_size < 0:
-            raise SketchConfigError("cache_size must be non-negative")
-        # Keys are (weak group, packed interval), oldest first.
-        self._cache: OrderedDict[tuple, np.ndarray] | None = \
-            OrderedDict() if cache_size else None
-        self._cache_size = cache_size
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._stats = ExecutorStats()
 
@@ -263,11 +232,6 @@ class ProgramExecutor:
     def stats(self) -> ExecutorStats:
         with self._lock:
             return self._stats.copy()
-
-    @property
-    def cache_entries(self) -> int:
-        with self._lock:
-            return len(self._cache) if self._cache is not None else 0
 
     # -- the entry point ----------------------------------------------------------
 
@@ -302,15 +266,16 @@ class ProgramExecutor:
         rows = np.ascontiguousarray(
             self._values(program, sums, stop - start).T)
         boosted, group_means = median_of_means_batch(rows, program.plan)
+        # Each result owns its rows: in-place post-processing of one cannot
+        # leak into another, and a result kept alive pins no chunk matrix.
         results = [
-            EstimateResult(estimate=estimate, instance_values=values,
-                           group_means=means, left_count=program.left_count,
+            EstimateResult(estimate=estimate, instance_values=values.copy(),
+                           group_means=means.copy(), left_count=program.left_count,
                            right_count=program.right_count)
             for estimate, values, means in zip(boosted.tolist(), rows, group_means)
         ]
         if program.replicas > 1:
-            # Copies computed once, each owning its arrays, so in-place
-            # post-processing of one cannot leak into the others.
+            # Copies computed once, each owning its arrays.
             first = results[0]
             results += [replace(first, instance_values=first.instance_values.copy(),
                                 group_means=first.group_means.copy())
@@ -383,7 +348,8 @@ class ProgramExecutor:
                     members.append(ref)
         width = stop - start
         resolved: dict[LetterSumRef, np.ndarray] = {}
-        for group, members in groups.items():
+        computed = 0
+        for members in groups.values():
             rep = members[0]
             size = rep.bank.domain.dyadic(rep.dim).size
             lows = np.concatenate([ref.low[start:stop] for ref in members])
@@ -392,7 +358,9 @@ class ProgramExecutor:
             # (low, high) packed into one int64 key: exact while size < 2^31.
             unique, inverse = np.unique(lows[live] * size + highs[live],
                                         return_inverse=True)
-            sums = self._unique_sums(rep, group, unique, size)
+            sums = rep.bank.level_sums(rep.dim, rep.letter, unique // size,
+                                       unique % size)
+            computed += len(unique)
             if not live.all():
                 # An empty interval reads a zero column past the sums.
                 zero = np.zeros((sums.shape[0], 1, sums.shape[2]), dtype=sums.dtype)
@@ -404,45 +372,10 @@ class ProgramExecutor:
             for index, ref in enumerate(members):
                 resolved[ref] = gathered[:, index * width:(index + 1) * width]
         with self._lock:
+            self._stats.kernel_calls += len(groups)
             self._stats.letter_sums_requested += requested * width
+            self._stats.letter_sums_computed += computed
         return resolved
-
-    def _unique_sums(self, rep: LetterSumRef, group: tuple, unique: np.ndarray,
-                     size: int) -> np.ndarray:
-        """``(instances, len(unique), levels)`` level sums of one group's
-        packed intervals: the LRU is probed with all of them at once, and
-        every miss comes from one ``level_sums`` call."""
-        vectors: list = [None] * len(unique)
-        copies: list[np.ndarray] = []
-        if self._cache is not None:
-            weak = _weak_key(group)
-            keys = [(weak, key) for key in unique.tolist()]
-            with self._lock:
-                vectors = list(map(self._cache.get, keys))
-                for key, vector in zip(keys, vectors):
-                    if vector is not None:
-                        self._cache.move_to_end(key)
-        missing = [index for index, vector in enumerate(vectors) if vector is None]
-        if missing or not vectors:
-            intervals = unique[missing]
-            fresh = rep.bank.level_sums(rep.dim, rep.letter, intervals // size,
-                                        intervals % size)
-        with self._lock:
-            self._stats.kernel_calls += bool(missing or not vectors)
-            self._stats.letter_sums_computed += len(missing)
-            self._stats.cache_hits += len(unique) - len(missing)
-            if self._cache is not None and missing:
-                # Owned copies: a view would pin the whole batch matrix for
-                # as long as one of its columns stays cached.
-                copies = list(map(np.ndarray.copy, fresh.transpose(1, 0, 2)))
-                self._cache.update(zip([keys[index] for index in missing], copies))
-                for _ in range(len(self._cache) - self._cache_size):
-                    self._cache.popitem(last=False)
-        if len(missing) == len(unique):
-            return fresh
-        for index, vector in zip(missing, copies):
-            vectors[index] = vector
-        return np.stack(vectors, axis=1)
 
 
 _DEFAULT_EXECUTOR: ProgramExecutor | None = None
@@ -452,16 +385,14 @@ _DEFAULT_EXECUTOR_LOCK = threading.Lock()
 def default_executor() -> ProgramExecutor:
     """The process-wide executor the estimator families run on.
 
-    Deliberately created **without** a cross-batch cache: a scalar
-    ``estimate`` call must cost exactly what it always did.  Long-lived
-    serving layers that want cross-batch reuse own their own caching
-    executor (see :class:`~repro.service.service.EstimationService`).
+    A serving layer owns its own executor, so its counters cover its own
+    work (see :class:`~repro.service.service.EstimationService`).
     """
     global _DEFAULT_EXECUTOR
     if _DEFAULT_EXECUTOR is None:
         with _DEFAULT_EXECUTOR_LOCK:
             if _DEFAULT_EXECUTOR is None:
-                _DEFAULT_EXECUTOR = ProgramExecutor(cache_size=0)
+                _DEFAULT_EXECUTOR = ProgramExecutor()
     return _DEFAULT_EXECUTOR
 
 

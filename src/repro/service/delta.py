@@ -14,10 +14,9 @@ the cached view.
 
 The aliasing is the load-bearing half.  Letter sums depend only on a bank's
 xi families and dyadic domain, never on its counters, so a delta-applied
-view answers queries through exactly the letter-sum cache entries (and warm
-lazy sign tables) its predecessor populated — the steady-state serving cost
-after a flush becomes one tensor add per bank instead of a full shard
-re-merge plus cold letter-sum recomputation.  Bit-identity with a
+view answers queries through exactly the sign tables its predecessor
+built — the steady-state serving cost after a flush becomes one tensor add
+per bank instead of a full shard re-merge.  Bit-identity with a
 from-scratch merge holds because counter updates are exact integers stored
 in float64: addition is exact and order-independent.
 

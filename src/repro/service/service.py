@@ -58,8 +58,6 @@ from repro.service.specs import (
 )
 from repro.service.store import ShardedSketchStore
 
-#: Capacity of a service's cross-batch letter-sum cache (executor entries).
-PROGRAM_CACHE_SIZE = 8192
 #: Capacity of a service's LRU cache of merged query views.
 VIEW_CACHE_SIZE = 16
 
@@ -171,12 +169,9 @@ class EstimationService:
         self._views: OrderedDict[str, _View] = OrderedDict()
         self._lock = threading.RLock()
         self._stats = ServiceStats()
-        # The batch execution engine: one vectorised executor with a
-        # cross-batch letter-sum cache shared by every estimator this
-        # service serves.  Cache entries depend only on a view's xi families
-        # and domain, so flushes never invalidate them; replaced views age
-        # out of the LRU naturally.
-        self._executor = ProgramExecutor(cache_size=PROGRAM_CACHE_SIZE)
+        # The batch execution engine: one vectorised executor for every
+        # estimator this service serves, whose counters the stats op reports.
+        self._executor = ProgramExecutor()
         # Durability (repro.wal): attached via attach_wal(); None = volatile.
         self._wal: Any = None
         self._checkpoint_path: str | None = None
@@ -354,7 +349,7 @@ class EstimationService:
 
     @property
     def program_executor(self) -> ProgramExecutor:
-        """The caching executor every batch estimate runs on."""
+        """The executor every estimate of this service runs on."""
         return self._executor
 
     @property
@@ -565,7 +560,7 @@ class EstimationService:
         query-less ones; result ``j`` is ``estimate(name, queries[j])``.
         The batch is checked and compiled against the name's merged view
         (:func:`~repro.service.specs.compile_programs`) and runs as one
-        call of the service's caching executor, one ``batch_estimates``
+        call of the service's executor, one ``batch_estimates``
         dispatch.
         """
         view = self.merged_view(name)

@@ -393,8 +393,8 @@ def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
     the key's one program.  Everything that compiled then runs as one
     :meth:`~repro.core.program.ProgramExecutor.run`, and nothing runs when
     nothing compiled.  Returns one entry per request, in order: its
-    result, or the exception its key's ``resolve`` or compile, or its own
-    check, raised.
+    result, or the exception its key's ``resolve``, its own check, or —
+    for a row that passed the check — its key's compile raised.
     """
     groups: dict[Any, list[int]] = {}
     for index, (key, _) in enumerate(requests):
@@ -410,16 +410,23 @@ def answer_requests(executor: Any, requests: Sequence[tuple[Any, Any]],
                     [requests[index][1] for index in indices])
             except QueryError as exc:
                 raise _refusal(spec, exc) from None
-            programs += estimator.lower_checked(checked)
-        except Exception as exc:  # the name's fetch, merge or compile failed
+        except Exception as exc:  # the name's fetch or merge failed
             for index in indices:
                 results[index] = exc
             continue
+        passed = []
         for row, index in enumerate(indices):
             if row in refused:
                 results[index] = _refusal(spec, refused[row])
             else:
-                answered.append(index)
+                passed.append(index)
+        try:
+            programs += estimator.lower_checked(checked)
+        except Exception as exc:  # the compile failed: no data yet, say
+            for index in passed:
+                results[index] = exc
+            continue
+        answered += passed
     if programs:
         for index, result in zip(answered, executor.run(programs)):
             results[index] = result

@@ -125,16 +125,17 @@ def test_every_path_gives_one_verdict_before_any_kernel(rng, case):
 
 def test_a_scalar_service_estimate_is_one_cached_dispatch(rng):
     """``estimate`` runs on the service's executor like the batch verbs: one
-    dispatch each, and a repeated query reads its letter sums from the
-    cache."""
+    dispatch each, on the cached merged view.  The executor keeps nothing
+    between runs, so a repeated query costs its letter sums again."""
     service, _ = served(SPECS["range"], rng, workers=1)
     query = random_boxes(rng, 1, 256, 2)
     first = service.estimate("est", query)
     computed = service.program_executor.stats.letter_sums_computed
+    hits = service.stats.cache_hits
     second = service.estimate("est", query)
     executor = service.program_executor.stats
-    assert executor.letter_sums_computed == computed
-    assert executor.cache_hits > 0
+    assert executor.letter_sums_computed == 2 * computed
+    assert service.stats.cache_hits == hits + 1
     assert service.stats.batch_estimates == 2
     assert second.estimate == first.estimate
 
@@ -167,3 +168,26 @@ def test_an_inverted_query_is_refused_by_the_family_check(rng):
     assert str(batched.value) == INVERTED_VERDICT
     assert [protocol.raise_for_response(replies[j])["estimate"]
             for j in (0, 2)] == expected
+
+
+def test_a_bad_query_keeps_its_verdict_beside_a_name_without_data():
+    """A refused row's verdict does not depend on its batch: coalesced with
+    a good query against a name that holds no data yet, the inverted
+    rectangle still gets the family's verdict, and only the good query
+    gets the compile's "no data" error — as on the scalar path."""
+    service = EstimationService(num_shards=2, flush_threshold=None)
+    service.register("est", SPECS["range"])
+    good = [1, 1, 9, 9]
+    with pytest.raises(ServiceError) as scalar:
+        service.estimate("est", protocol.query_box(INVERTED))
+    assert f"ServiceError: {scalar.value}" == INVERTED_VERDICT
+    with wire(service) as client:
+        replies = client.request_many(
+            [protocol.build("estimate", name="est", query=row)
+             for row in (good, INVERTED)])
+    with pytest.raises(ServerError, match="before any data was inserted"):
+        protocol.raise_for_response(replies[0])
+    with pytest.raises(ServerError) as batched:
+        protocol.raise_for_response(replies[1])
+    assert str(batched.value) == INVERTED_VERDICT
+    assert service.program_executor.stats.runs == 0

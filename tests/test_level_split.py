@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.cluster.partial import reduce_partials
 from repro.core.atomic import Letter, SketchBank
 from repro.core.domain import Domain
-from repro.core.program import LetterSumRef, ProgramExecutor, _family_key
+from repro.core.program import LetterSumRef, _family_key
 from repro.core.range_query import RangeQueryEstimator
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, EstimatorSpec
@@ -143,21 +143,20 @@ class TestEveryPathAgrees:
                 assert np.array_equal(got.instance_values, want.instance_values), label
 
 
-class TestLetterSumCache:
-    def test_an_entry_is_no_larger_than_a_one_cell_float_vector(self):
-        """Per-level sums are cached as integers: ``(instances, levels)``
-        int8 on the benchmark's shape — the bytes the one-cell layout's
+class TestLevelSums:
+    def test_a_query_column_is_no_larger_than_a_one_cell_float_vector(self):
+        """Per-level sums are integers: ``(instances, levels)`` int8 per
+        query on the benchmark's shape — the bytes the one-cell layout's
         float64 ``(instances,)`` vector took, not eight times them."""
         spec = EstimatorSpec.create("range", (1024, 1024), 256, seed=2)
         estimator = spec.build()
         estimator.insert(random_boxes(np.random.default_rng(0), 50, (1024, 1024)))
-        executor = ProgramExecutor(cache_size=64)
-        executor.run(estimator.lower(random_boxes(
-            np.random.default_rng(1), 4, (1024, 1024))))
-        entries = list(executor._cache.values())
-        assert entries and all(entry.dtype == np.int8 for entry in entries)
-        assert {entry.shape for entry in entries} == {(256, 8)}
-        assert max(entry.nbytes for entry in entries) <= 256 * 8
+        queries = random_boxes(np.random.default_rng(1), 4, (1024, 1024))
+        for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
+            sums = estimator.bank.level_sums(0, letter, queries.lows[:, 0],
+                                             queries.highs[:, 0])
+            assert sums.dtype == np.int8
+            assert sums.shape == (256, 4, 8)
         # A one-cell bank over the very same xi families never shares them.
         split = estimator.bank
         one_cell = SketchBank(split.domain, split.words, 256,

@@ -57,7 +57,6 @@ BEFORE = {
         ("repro_server_estimator_coalesce_dispatches_total", ("name",)),
         ("repro_server_estimator_coalesce_factor", ("name",)),
         ("repro_server_estimator_coalesced_queries_total", ("name",)),
-        ("repro_server_program_cache_hits", ()),
         ("repro_server_program_kernel_calls", ()),
         ("repro_server_program_letter_sums_computed", ()),
         ("repro_server_program_letter_sums_requested", ()),
@@ -95,7 +94,6 @@ BEFORE = {
         ("repro_cluster_errors_total", ("code",)),
         ("repro_cluster_estimate_latency_ms", ("quantile",)),
         ("repro_cluster_estimate_qps", ()),
-        ("repro_cluster_program_cache_hits", ()),
         ("repro_cluster_program_kernel_calls", ()),
         ("repro_cluster_program_letter_sums_computed", ()),
         ("repro_cluster_program_letter_sums_requested", ()),

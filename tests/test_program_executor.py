@@ -159,8 +159,9 @@ workload = st.fixed_dictionaries({
 @pytest.mark.parametrize("family", sorted(FAMILY_CASES))
 @settings(max_examples=8, deadline=None)
 @given(case=workload)
-def test_executor_matches_prerefactor_scalar_cache_on_and_off(family, case):
-    """Cache on == cache off == the historical scalar math, bit for bit."""
+def test_executor_matches_prerefactor_scalar(family, case):
+    """One run == a rerun on the same executor == the historical scalar
+    math, bit for bit."""
     service, (sizes, rng) = _build_service(family, case)
     spec = service.spec("est")
     view = service.merged_view("est")
@@ -172,18 +173,15 @@ def test_executor_matches_prerefactor_scalar_cache_on_and_off(family, case):
         queries = case["num_queries"]
         scalar_queries = [None] * case["num_queries"]
 
-    cached = ProgramExecutor(cache_size=4096)
-    uncached = ProgramExecutor(cache_size=0)
-    with_cache = cached.run(compile_programs(spec, view, queries))
-    without_cache = uncached.run(compile_programs(spec, view, queries))
-    # A second cached run must hit the cache and still agree bit for bit.
-    rerun = cached.run(compile_programs(spec, view, queries))
+    executor = ProgramExecutor()
+    first = executor.run(compile_programs(spec, view, queries))
+    rerun = executor.run(compile_programs(spec, view, queries))
 
-    assert len(with_cache) == case["num_queries"]
+    assert len(first) == case["num_queries"]
     for j, scalar_query in enumerate(scalar_queries):
         estimate, values, group_means, left, right = reference_scalar_estimate(
             family, view, scalar_query)
-        for result in (with_cache[j], without_cache[j], rerun[j]):
+        for result in (first[j], rerun[j]):
             assert result.estimate == estimate
             assert np.array_equal(result.instance_values, values)
             assert np.array_equal(result.group_means, group_means)
@@ -191,12 +189,10 @@ def test_executor_matches_prerefactor_scalar_cache_on_and_off(family, case):
             assert result.right_count == right
 
     if family == "range":
-        assert cached.stats.cache_hits > 0
-        assert uncached.stats.cache_hits == 0
         # Intra-batch sharing is structural: at most one kernel call per
-        # (dim, letter) pair regardless of batch size or cache policy.
+        # (dim, letter) pair and run, whatever the batch size.
         letters_in_use = 2 * len(sizes)
-        assert uncached.stats.kernel_calls <= 2 * letters_in_use
+        assert executor.stats.kernel_calls <= 2 * letters_in_use
 
 
 def test_fractional_weights_match_the_scalar_math(rng):
@@ -211,7 +207,7 @@ def test_fractional_weights_match_the_scalar_math(rng):
     for weight in (0.3, 1.7, -0.45, 0.1):
         estimator.bank.insert(_boxes(rng, 12, sizes, degenerate=False), weight=weight)
     queries = _boxes(rng, 32, sizes, degenerate=False)
-    results = ProgramExecutor(cache_size=0).run(compile_programs(spec, estimator, queries))
+    results = ProgramExecutor().run(compile_programs(spec, estimator, queries))
     for j, result in enumerate(results):
         estimate, values, group_means, _, _ = reference_scalar_estimate(
             "range", estimator, queries[j])
@@ -282,7 +278,7 @@ class TestExecutorUnit:
         second.insert(boxes)
         queries = _boxes(rng, 5, domain_sizes, degenerate=False)
         programs = first.lower(queries) + second.lower(queries)
-        results = ProgramExecutor(cache_size=0).run(programs)
+        results = ProgramExecutor().run(programs)
         for j in range(5):
             assert results[j].estimate == first.estimate(queries[j]).estimate
             assert results[5 + j].estimate == \
@@ -295,7 +291,7 @@ class TestExecutorUnit:
         estimator = RectangleJoinEstimator(Domain((32, 32)), 6, seed=3)
         estimator.insert_left(_boxes(rng, 10, (32, 32), degenerate=False))
         estimator.insert_right(_boxes(rng, 10, (32, 32), degenerate=False))
-        results = ProgramExecutor(cache_size=0).run(
+        results = ProgramExecutor().run(
             estimator.lower(3))
         assert len(results) == 3
         assert results[0].instance_values is not results[1].instance_values
@@ -306,8 +302,6 @@ class TestExecutorUnit:
         with pytest.raises(SketchConfigError):
             SketchProgram(terms=(), num_instances=4,
                           plan=split_instances(4), left_count=0)
-        with pytest.raises(SketchConfigError):
-            ProgramExecutor(cache_size=-1)
 
     def test_describe_program_reports_covers_and_reduction(self, rng):
         from repro.core.domain import Domain
@@ -328,8 +322,9 @@ class TestExecutorUnit:
         assert reduction["group_size"] * reduction["num_groups"] == \
             reduction["total_instances"]
 
-    def test_letter_sum_cache_does_not_pin_banks(self, rng):
-        """Cache keys hold weak bank refs: replaced views stay collectable."""
+    def test_executor_does_not_pin_banks(self, rng):
+        """An executor keeps nothing between runs: replaced views stay
+        collectable."""
         import gc
         import weakref
 
@@ -337,24 +332,33 @@ class TestExecutorUnit:
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 4, seed=1)
         estimator.insert(_boxes(rng, 10, (64, 64), degenerate=False))
-        executor = ProgramExecutor(cache_size=64)
+        executor = ProgramExecutor()
         queries = _boxes(rng, 6, (64, 64), degenerate=False)
         executor.run(estimator.lower(queries))
-        assert executor.cache_entries > 0
         bank_ref = weakref.ref(estimator.bank)
         del estimator
         gc.collect()
-        assert bank_ref() is None  # cached vectors must not pin the bank
+        assert bank_ref() is None
 
-    def test_letter_sum_cache_is_bounded(self, rng):
+    @pytest.mark.parametrize("split_levels", [False, True])
+    def test_batch_results_own_their_rows(self, rng, split_levels):
+        """Each result of a batch owns its arrays: a write stays in its own
+        result, and no result views the chunk's shared matrices."""
         from repro.core.domain import Domain
 
-        estimator = RangeQueryEstimator(Domain((64, 64)), 4, seed=1)
-        estimator.insert(_boxes(rng, 10, (64, 64), degenerate=False))
-        executor = ProgramExecutor(cache_size=8)
-        executor.run(estimator.lower(_boxes(rng, 50, (64, 64),
-                                            degenerate=False)))
-        assert executor.cache_entries <= 8
+        estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
+                                        split_levels=split_levels)
+        estimator.insert(_boxes(rng, 20, (64, 64), degenerate=False))
+        results = ProgramExecutor().run(estimator.lower(
+            _boxes(rng, 5, (64, 64), degenerate=False)))
+        assert len(results) == 5
+        for result in results:
+            for array in (result.instance_values, result.group_means):
+                assert array.base is None and array.flags.owndata
+        before = results[1].instance_values.copy()
+        results[0].instance_values[:] += 1.0
+        results[0].group_means[:] += 1.0
+        assert np.array_equal(results[1].instance_values, before)
 
 
 # -- delta propagation --------------------------------------------------------
@@ -417,24 +421,12 @@ def test_delta_applied_views_match_scalar_reference(family, case):
     assert stats.delta_applies + stats.rebuilds == stats.cache_misses
 
 
-def test_letter_sum_cache_survives_delta_applied_views(rng):
-    """Delta-applied views reuse the letter sums their predecessors cached.
-
-    The cache keys on the xi-family banks (by identity) plus the dyadic
-    signature — never on counters — and delta application aliases the xi
-    banks of the cached view, so a refreshed view answers the same query
-    batch with zero new letter-sum kernel work.  A full rebuild, by
-    contrast, redraws fresh xi bank objects and runs cold.
-    """
+def test_delta_applied_views_alias_their_xi_families(rng):
+    """A delta-applied view reads its predecessor's xi families — the
+    same objects, so the same sign tables — while a full rebuild draws
+    fresh ones; both answer like a from-scratch merge of the new state."""
     sizes = (32, 32)
     queries = _boxes(rng, 6, sizes, degenerate=False)
-
-    def run_once(view, service):
-        spec = service.spec("est")
-        return service.program_executor.run(
-            compile_programs(spec, view, queries))
-
-    computed = {}
     for delta_on in (True, False):
         service = EstimationService(num_shards=2, flush_threshold=None,
                                     delta_propagation=delta_on)
@@ -443,27 +435,18 @@ def test_letter_sum_cache_survives_delta_applied_views(rng):
         service.ingest("est", _boxes(rng, 40, sizes, degenerate=False),
                        side="data")
         service.flush()
-        warm = run_once(service.merged_view("est"), service)
-        after_warm = service.program_executor.stats.letter_sums_computed
-        assert after_warm > 0
-
+        before = service.merged_view("est").bank.xi_banks
         service.ingest("est", _boxes(rng, 40, sizes, degenerate=False),
                        side="data")
         service.flush()
         refreshed_view = service.merged_view("est")
-        refreshed = run_once(refreshed_view, service)
-        computed[delta_on] = (
-            service.program_executor.stats.letter_sums_computed - after_warm)
-        if delta_on:
-            assert service.stats.delta_applies == 1
-        else:
-            assert service.stats.delta_applies == 0
-        # Counters changed, so estimates legitimately differ from the warm
-        # run — but they must match a from-scratch merge of the new state.
+        assert service.stats.delta_applies == int(delta_on)
+        aliased = [new is old for new, old
+                   in zip(refreshed_view.bank.xi_banks, before)]
+        assert aliased == [delta_on] * len(sizes)
+        refreshed = service.program_executor.run(
+            compile_programs(service.spec("est"), refreshed_view, queries))
         fresh = service.store.merge_view("est").estimate_batch(queries)
         for got, want in zip(refreshed, fresh):
             assert got.estimate == want.estimate
             assert np.array_equal(got.instance_values, want.instance_values)
-        del warm
-    assert computed[True] == 0   # aliased xi banks: every letter sum cached
-    assert computed[False] > 0   # rebuilt view: fresh banks, cold cache
