@@ -21,7 +21,8 @@ dtype string (``"<i8"``, ``"<f8"``, ``"<u8"``) with ``meta`` the tensor
 shape, or ``"raw"`` with ``meta`` the byte length.  Decoding slices the
 body without copying — tensors come back as read-only ``np.frombuffer``
 views, which is exactly what :func:`~repro.server.protocol.boxes_from_rows`
-and ``load_state_dict`` accept.
+and ``load_state_dict`` accept.  The write-ahead log stores each record
+payload as one such frame (:mod:`repro.wal.framing`).
 
 Why JSON headers instead of a fully struct-packed opcode table: the JSON
 part of a hot-path frame is tiny (tens of bytes) once tensors are lifted
@@ -40,7 +41,8 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, BinaryIO, Mapping
+from collections.abc import Mapping
+from typing import Any, BinaryIO
 
 import numpy as np
 

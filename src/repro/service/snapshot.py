@@ -25,7 +25,6 @@ names the last build able to convert it.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -160,29 +159,20 @@ def restore_service(state: Mapping, *, flush_threshold: int | None = 8192):
 # -- binary container (v2) ------------------------------------------------------
 
 
-def _pack_tree(node: Any, arrays: list[np.ndarray],
-               dedup: dict[tuple, int]) -> Any:
+def _pack_tree(node: Any, arrays: list[np.ndarray]) -> Any:
     """Replace every ndarray leaf with a slot reference, collecting arrays.
 
-    Identical tensors are stored once and referenced from every slot: all
-    shards of an estimator (and both banks of a paired estimator) share the
-    same xi families, so deduplication shrinks snapshots by roughly the
-    shard count on the seed side without any schema special-casing.
+    Each leaf gets its own slot; the reader resolves any slot reference, so
+    files that point several leaves at one slot read the same.
     """
     if isinstance(node, np.ndarray):
-        array = np.ascontiguousarray(node)
-        key = (array.dtype.str, array.shape,
-               hashlib.sha256(array.tobytes()).digest())
-        slot = dedup.get(key)
-        if slot is None:
-            arrays.append(array)
-            slot = dedup[key] = len(arrays) - 1
-        return {_ARRAY_KEY: slot}
+        arrays.append(np.ascontiguousarray(node))
+        return {_ARRAY_KEY: len(arrays) - 1}
     if isinstance(node, Mapping):
-        return {str(key): _pack_tree(value, arrays, dedup)
+        return {str(key): _pack_tree(value, arrays)
                 for key, value in node.items()}
     if isinstance(node, (list, tuple)):
-        return [_pack_tree(value, arrays, dedup) for value in node]
+        return [_pack_tree(value, arrays) for value in node]
     return node
 
 
@@ -219,7 +209,7 @@ def write_binary_snapshot_state(state: Mapping, target) -> None:
     its own length is known.
     """
     arrays: list[np.ndarray] = []
-    tree = _pack_tree(state, arrays, {})
+    tree = _pack_tree(state, arrays)
     table = []
     offset = 0
     for array in arrays:

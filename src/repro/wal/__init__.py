@@ -9,7 +9,8 @@ independent of replay batching or order.
 
 * :mod:`repro.wal.framing` — the on-disk record format: length-prefixed,
   CRC-checked records with monotonic sequence numbers, each carrying one
-  batched update (raw int64 box tensor) or a registration event,
+  RBF1 wire frame — a batched update (raw int64 box tensor), a
+  registration or a tenant event,
 * :mod:`repro.wal.writer` — the append-only segmented writer with
   configurable sync modes (``none`` / ``flush`` / ``fsync``),
 * :mod:`repro.wal.reader` — segment scanning with torn/corrupt tail
@@ -22,9 +23,6 @@ from repro.wal.framing import (
     WAL_MAGIC,
     decode_payload,
     encode_record,
-    encode_register,
-    encode_unregister,
-    encode_update,
     iter_buffer_records,
 )
 from repro.wal.reader import SegmentScan, read_wal_records, scan_segment
@@ -45,9 +43,6 @@ __all__ = [
     "apply_wal_record",
     "decode_payload",
     "encode_record",
-    "encode_register",
-    "encode_unregister",
-    "encode_update",
     "iter_buffer_records",
     "read_wal_records",
     "recover_service",

@@ -6,29 +6,37 @@ of records.  Each record is::
     <Q seqno> <I payload_len> <payload bytes> <I crc32(header + payload)>
 
 — length-prefixed and CRC-checked, with a strictly monotonic sequence
-number, in the style of the binary snapshot container (JSON header + raw
-tensor bytes; see :mod:`repro.service.snapshot`).  The trailing CRC covers
-the header *and* the payload, so a torn write (crash mid-append), a
-truncated file, or any bit flip in the tail is detected and the reader
-stops at the last intact record: recovery keeps exactly the durable prefix
-of the stream.
+number.  The trailing CRC covers the header *and* the payload, so a torn
+write (crash mid-append), a truncated file, or any bit flip in the tail is
+detected and the reader stops at the last intact record: recovery keeps
+exactly the durable prefix of the stream.
 
-Payloads are self-describing: a length-prefixed JSON header (event type,
-estimator name, update routing, tensor dtype/shape) followed by the raw
-update-row tensor exactly as ingested — replaying never re-encodes boxes,
-so the replayed counters are bit-identical to the never-crashed service.
+Each payload is one RBF1 binary frame of the wire codec
+(:func:`repro.server.wire.encode_binary`): the event dict (``type``,
+``name`` and the event's own fields) with an update's ``(count, 2 * dim)``
+int64 row tensor lifted into the frame body exactly as ingested —
+replaying never re-encodes boxes, so the replayed counters are
+bit-identical to the never-crashed service.  :func:`decode_payload` adds
+the log's own checks on top of the wire decode: a known event type, int64
+update rows of rank 2, a valid tenant action.
+
+Upgrade rule: logs written before payloads were wire frames (a u32 header
+length, a JSON header, raw rows) keep the same segment magic and record
+framing, but their payloads are refused.  Recover such a directory with the
+older build and checkpoint it there, which leaves no old payload behind,
+then start this build on it.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
-from repro.errors import SnapshotError
+from repro.errors import ProtocolError, SnapshotError
+from repro.server.wire import FRAME_PREFIX, MAGIC, PREFIX_SIZE, decode_binary
 
 #: First bytes of every WAL segment file.
 WAL_MAGIC = b"REPROWAL1\n"
@@ -37,8 +45,6 @@ WAL_MAGIC = b"REPROWAL1\n"
 _RECORD_HEADER = struct.Struct("<QI")
 #: Trailing checksum: crc32 over header + payload.
 _RECORD_CRC = struct.Struct("<I")
-#: Payload prefix: uint32 length of the JSON event header.
-_PAYLOAD_HEADER = struct.Struct("<I")
 
 #: Sanity bound on one record's payload (a 16 MiB ingest line fits well).
 MAX_PAYLOAD_BYTES = 64 * 1024 * 1024
@@ -48,6 +54,11 @@ RECORD_TYPES = ("update", "register", "unregister", "tenant")
 
 #: Actions a ``tenant`` record may carry.
 TENANT_ACTIONS = ("create", "update", "remove")
+
+#: What a payload that is not an RBF1 frame is refused with.
+_NOT_A_FRAME = (
+    "WAL payload is not an RBF1 frame: the log was written by an older "
+    "build — recover and checkpoint the directory with that build first")
 
 
 class WalFormatError(SnapshotError):
@@ -98,95 +109,39 @@ def iter_buffer_records(buffer: bytes, *, offset: int = 0
         offset = end
 
 
-# -- payload encoding ------------------------------------------------------------
-
-
-def _pack_payload(header: Mapping[str, Any], raw: bytes = b"") -> bytes:
-    encoded = json.dumps(dict(header), separators=(",", ":")).encode("utf-8")
-    return _PAYLOAD_HEADER.pack(len(encoded)) + encoded + raw
-
-
-def encode_update(name: str, side: str, kind: str, rows: np.ndarray) -> bytes:
-    """An ``update`` payload: JSON event header + the raw int64 row tensor.
-
-    ``rows`` is the ``(count, 2 * dim)`` concatenation of box lows and
-    highs — the exact wire/row form that ingest decodes, so replay feeds
-    byte-identical coordinates back through the same code path.
-    """
-    array = np.ascontiguousarray(rows, dtype=np.int64)
-    if array.ndim != 2:
-        raise WalFormatError("update rows must be a (count, 2*dim) tensor")
-    return _pack_payload({
-        "type": "update",
-        "name": str(name),
-        "side": str(side),
-        "kind": str(kind),
-        "shape": list(array.shape),
-    }, array.tobytes())
-
-
-def encode_register(name: str, spec_dict: Mapping[str, Any]) -> bytes:
-    """A ``register`` payload: the estimator spec as its JSON dict."""
-    return _pack_payload({"type": "register", "name": str(name),
-                          "spec": dict(spec_dict)})
-
-
-def encode_unregister(name: str) -> bytes:
-    return _pack_payload({"type": "unregister", "name": str(name)})
-
-
-def encode_tenant(action: str, tenant_id: str,
-                  record: Mapping[str, Any] | None = None) -> bytes:
-    """A ``tenant`` payload: registry mutation (create/update/remove).
-
-    ``record`` is the full :class:`~repro.tenancy.registry.TenantRecord`
-    dict for create/update (tokens are already hashed there — plaintext
-    tokens never reach the log); ``remove`` carries just the id.  The
-    tenant id doubles as the event's ``name`` so replay tooling that
-    groups records by name keeps working.
-    """
-    if action not in TENANT_ACTIONS:
-        raise WalFormatError(
-            f"tenant action must be one of {TENANT_ACTIONS}, got {action!r}")
-    if action != "remove" and record is None:
-        raise WalFormatError(f"tenant {action!r} record requires the "
-                             "tenant record dict")
-    header: dict[str, Any] = {"type": "tenant", "action": str(action),
-                              "name": str(tenant_id)}
-    if record is not None:
-        header["record"] = dict(record)
-    return _pack_payload(header)
+# -- payload decoding ------------------------------------------------------------
 
 
 def decode_payload(payload: bytes) -> dict:
-    """The event dict of one record payload.
+    """The event dict of one record payload (one RBF1 frame).
 
-    ``update`` events come back with a ``rows`` int64 ndarray rebuilt from
-    the raw tensor bytes; ``register`` events carry their ``spec`` dict.
+    ``update`` events come back with their ``rows`` as a read-only int64
+    ``(count, 2 * dim)`` view over the payload; ``register`` events carry
+    their ``spec`` dict, ``tenant`` events their ``action`` (and ``record``).
     """
-    if len(payload) < _PAYLOAD_HEADER.size:
-        raise WalFormatError("WAL payload too short for its header")
-    (header_len,) = _PAYLOAD_HEADER.unpack_from(payload)
-    body_start = _PAYLOAD_HEADER.size + header_len
-    if body_start > len(payload):
-        raise WalFormatError("WAL payload header overruns the record")
+    if len(payload) < PREFIX_SIZE or not payload.startswith(MAGIC):
+        raise WalFormatError(_NOT_A_FRAME)
+    _magic, header_len, body_len = FRAME_PREFIX.unpack_from(payload)
+    if PREFIX_SIZE + header_len + body_len != len(payload):
+        raise WalFormatError("WAL payload frame lengths do not match the "
+                             "record")
+    body_start = PREFIX_SIZE + header_len
     try:
-        event = json.loads(payload[_PAYLOAD_HEADER.size:body_start]
-                           .decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WalFormatError(f"corrupt WAL event header: {exc}") from exc
-    if not isinstance(event, dict) or event.get("type") not in RECORD_TYPES:
+        event = decode_binary(payload[PREFIX_SIZE:body_start],
+                              memoryview(payload)[body_start:])
+    except ProtocolError as exc:
+        raise WalFormatError(f"corrupt WAL event: {exc}") from exc
+    kind = event.get("type")
+    if kind not in RECORD_TYPES:
         raise WalFormatError(f"unknown WAL event in record: {event!r}")
-    if event["type"] == "update":
-        try:
-            shape = tuple(int(extent) for extent in event["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WalFormatError(f"malformed update record: {exc}") from exc
-        expected = int(np.prod(shape, dtype=np.int64)) * 8
-        raw = payload[body_start:]
-        if len(raw) != expected or any(extent < 0 for extent in shape):
-            raise WalFormatError(
-                f"update tensor bytes ({len(raw)}) do not match the "
-                f"declared shape {shape}")
-        event["rows"] = np.frombuffer(raw, dtype=np.int64).reshape(shape)
+    if kind == "update":
+        rows = event.get("rows")
+        if (not isinstance(rows, np.ndarray) or rows.ndim != 2
+                or rows.dtype != np.int64):
+            raise WalFormatError("update rows must be a (count, 2*dim) "
+                                 "int64 tensor")
+    if kind == "tenant" and event.get("action") not in TENANT_ACTIONS:
+        raise WalFormatError(
+            f"tenant action must be one of {TENANT_ACTIONS}, got "
+            f"{event.get('action')!r}")
     return event

@@ -29,14 +29,8 @@ from typing import IO
 import numpy as np
 
 from repro.errors import SnapshotError
-from repro.wal.framing import (
-    WAL_MAGIC,
-    encode_record,
-    encode_register,
-    encode_tenant,
-    encode_unregister,
-    encode_update,
-)
+from repro.server.wire import encode_binary
+from repro.wal.framing import WAL_MAGIC, WalFormatError, encode_record
 from repro.wal.reader import (
     list_segments,
     scan_segment,
@@ -94,16 +88,19 @@ class WalWriter:
     # -- lifecycle ----------------------------------------------------------------
 
     def _resume(self) -> int:
-        """Open the newest segment for appending, truncating any torn tail."""
+        """Open the newest segment for appending, truncating any torn tail.
+
+        Numbering resumes after the newest segment's last intact record or,
+        when it holds none, just below the seqno in its name: a checkpoint
+        through ``s`` rolls the empty segment ``wal-(s+1)``, and a restarted
+        log must go on at ``s + 1`` or recovery from that checkpoint skips
+        what it logs.  Older segments only hold lower seqnos.
+        """
         segments = list_segments(self.directory)
         if not segments:
             self._open_segment(1)
             return 0
-        last_seqno = 0
-        for path in segments[:-1]:
-            scan = scan_segment(path)
-            if scan.records:
-                last_seqno = scan.records[-1][0]
+        last_seqno = segment_start(segments[-1]) - 1
         tail = scan_segment(segments[-1])
         if tail.records:
             last_seqno = tail.records[-1][0]
@@ -139,12 +136,13 @@ class WalWriter:
 
     # -- appending ----------------------------------------------------------------
 
-    def _append(self, payload_for_seqno) -> int:
+    def _append(self, event: dict) -> int:
+        payload = encode_binary(event)
         with self._lock:
             if self._handle is None:
                 raise SnapshotError("WAL writer is closed")
             seqno = self._last_seqno + 1
-            self._handle.write(encode_record(seqno, payload_for_seqno(seqno)))
+            self._handle.write(encode_record(seqno, payload))
             if self.sync != "none":
                 self._handle.flush()
                 if self.sync == "fsync":
@@ -154,22 +152,42 @@ class WalWriter:
 
     def append_update(self, name: str, side: str, kind: str,
                       rows: np.ndarray) -> int:
-        """Log one batched update; returns its sequence number."""
-        seqno = self._append(lambda _: encode_update(name, side, kind, rows))
+        """Log one batched update; returns its sequence number.
+
+        ``rows`` is the ``(count, 2 * dim)`` concatenation of box lows and
+        highs — the exact wire/row form that ingest decodes, so replay
+        feeds byte-identical coordinates back through the same code path.
+        """
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        if rows.ndim != 2:
+            raise WalFormatError("update rows must be a (count, 2*dim) tensor")
+        seqno = self._append({"type": "update", "name": name, "side": side,
+                              "kind": kind, "rows": rows})
         with self._lock:
             self._appended_boxes += int(len(rows))
         return seqno
 
     def append_register(self, name: str, spec_dict: dict) -> int:
-        return self._append(lambda _: encode_register(name, spec_dict))
+        return self._append({"type": "register", "name": name,
+                             "spec": spec_dict})
 
     def append_unregister(self, name: str) -> int:
-        return self._append(lambda _: encode_unregister(name))
+        return self._append({"type": "unregister", "name": name})
 
     def append_tenant(self, action: str, tenant_id: str,
                       record: dict | None = None) -> int:
-        """Log one tenant-registry mutation (create/update/remove)."""
-        return self._append(lambda _: encode_tenant(action, tenant_id, record))
+        """Log one tenant-registry mutation (create/update/remove).
+
+        ``record`` is the full :class:`~repro.tenancy.registry.TenantRecord`
+        dict for create/update (tokens are already hashed there — plaintext
+        tokens never reach the log); ``remove`` carries just the id, which
+        is the event's ``name``.
+        """
+        event: dict = {"type": "tenant", "action": action,
+                       "name": tenant_id}
+        if record is not None:
+            event["record"] = record
+        return self._append(event)
 
     # -- checkpoint truncation ----------------------------------------------------
 

@@ -9,21 +9,21 @@ The durability contract under test:
   so recovery restores a bit-identical prefix state.
 """
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.server.wire import encode_binary
 from repro.wal.framing import (
     WAL_MAGIC,
     WalFormatError,
     decode_payload,
     encode_record,
-    encode_register,
-    encode_unregister,
-    encode_update,
     iter_buffer_records,
 )
 from repro.wal.reader import list_segments, read_wal_records, scan_segment
@@ -41,14 +41,33 @@ def _rows_array(shape, seed):
     return rng.integers(-1000, 1000, size=shape, dtype=np.int64)
 
 
+def _update(name, side, kind, rows):
+    return encode_binary({"type": "update", "name": name, "side": side,
+                          "kind": kind, "rows": rows})
+
+
+def _tenant(action, tenant_id):
+    event = {"type": "tenant", "action": action, "name": tenant_id}
+    if action != "remove":
+        event["record"] = {"tenant_id": tenant_id, "token_hash": "ab" * 32,
+                           "quota": {"share": 2}, "created_at": 1.5,
+                           "disabled": action == "update"}
+    return encode_binary(event)
+
+
+names = st.text(alphabet="abcxyz", min_size=1, max_size=8)
+
 record_payloads = st.one_of(
     st.tuples(update_rows, st.integers(min_value=0, max_value=2**32 - 1)).map(
-        lambda pair: encode_update("est", "left", "insert",
-                                   _rows_array(pair[0], pair[1]))),
-    st.text(alphabet="abcxyz", min_size=1, max_size=8).map(
-        lambda name: encode_register(name, {"family": "range",
-                                            "sizes": [256]})),
-    st.text(alphabet="abcxyz", min_size=1, max_size=8).map(encode_unregister),
+        lambda pair: _update("est", "left", "insert",
+                             _rows_array(pair[0], pair[1]))),
+    names.map(lambda name: encode_binary(
+        {"type": "register", "name": name,
+         "spec": {"family": "range", "sizes": [256]}})),
+    names.map(lambda name: encode_binary({"type": "unregister",
+                                          "name": name})),
+    st.tuples(st.sampled_from(("create", "update", "remove")), names).map(
+        lambda pair: _tenant(*pair)),
 )
 
 
@@ -71,7 +90,7 @@ class TestRecordRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_update_payload_round_trip(self, shape, seed):
         rows = _rows_array(shape, seed)
-        event = decode_payload(encode_update("name", "right", "delete", rows))
+        event = decode_payload(_update("name", "right", "delete", rows))
         assert event["type"] == "update"
         assert event["side"] == "right" and event["kind"] == "delete"
         assert event["rows"].dtype == np.int64
@@ -90,6 +109,9 @@ class TestRecordRoundTrip:
                                          event["kind"], event["rows"])
                 elif event["type"] == "register":
                     writer.append_register(event["name"], event["spec"])
+                elif event["type"] == "tenant":
+                    writer.append_tenant(event["action"], event["name"],
+                                         event.get("record"))
                 else:
                     writer.append_unregister(event["name"])
         records = read_wal_records(directory)
@@ -173,7 +195,38 @@ class TestTornTail:
 
     def test_bad_magic_is_an_error_not_an_empty_log(self, tmp_path):
         bogus = tmp_path / "wal-00000000000000000001.log"
-        bogus.write_bytes(b"NOTAWAL\n" + encode_record(1,
-                                                       encode_unregister("x")))
+        bogus.write_bytes(b"NOTAWAL\n" + encode_record(
+            1, encode_binary({"type": "unregister", "name": "x"})))
         with pytest.raises(WalFormatError):
             scan_segment(bogus)
+
+
+class TestPayloadChecks:
+    def test_tenant_events_round_trip(self):
+        for action in ("create", "update", "remove"):
+            event = decode_payload(_tenant(action, "acme"))
+            assert event["type"] == "tenant" and event["action"] == action
+            assert event["name"] == "acme"
+            assert ("record" in event) == (action != "remove")
+
+    def test_an_older_builds_payload_is_refused_with_the_upgrade_rule(self):
+        """u32 header length + JSON header + raw rows, as logs were before
+        payloads became wire frames: refused, naming the way forward."""
+        rows = _rows_array((3, 4), seed=1)
+        header = json.dumps({"type": "update", "name": "est", "side": "data",
+                             "kind": "insert", "shape": [3, 4]}).encode()
+        old = struct.pack("<I", len(header)) + header + rows.tobytes()
+        with pytest.raises(WalFormatError, match="older build.*checkpoint"):
+            decode_payload(old)
+
+    @pytest.mark.parametrize("event", [
+        {"type": "checkpoint", "name": "x"},
+        {"type": "update", "name": "x", "side": "data", "kind": "insert",
+         "rows": np.zeros((2, 4), dtype=np.float64)},
+        {"type": "update", "name": "x", "side": "data", "kind": "insert",
+         "rows": np.zeros(4, dtype=np.int64)},
+        {"type": "tenant", "action": "rename", "name": "x"},
+    ], ids=["unknown-type", "float-rows", "flat-rows", "bad-action"])
+    def test_an_event_the_log_cannot_replay_is_refused(self, event):
+        with pytest.raises(WalFormatError):
+            decode_payload(encode_binary(event))

@@ -118,6 +118,34 @@ class TestServiceWalIntegration:
         assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()
 
+    def test_a_restart_after_a_checkpoint_keeps_the_numbering(self, tmp_path):
+        """The checkpoint rolls an empty segment; a log restarted on it goes
+        on after the covered seqno, so the next recovery replays what the
+        restarted service acked."""
+        wal_dir = tmp_path / "wal"
+        snap = default_checkpoint_path(wal_dir)
+        service = durable_service(wal_dir, checkpoint_path=snap)
+        for seed in range(4):
+            service.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=seed),
+                           side="data")
+        covered = service.checkpoint()["wal_seqno"]
+        assert covered == 6
+        service.detach_wal()
+
+        restarted, _report = recover_service(wal_dir, num_shards=2)
+        assert restarted.wal.last_seqno == covered
+        restarted.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=20),
+                         side="data")
+        assert restarted.wal.last_seqno == covered + 1
+        expected = restarted.snapshot()
+        restarted.detach_wal()
+
+        recovered, report = recover_service(wal_dir, num_shards=2,
+                                            attach=False)
+        assert report.base_seqno == covered
+        assert report.replayed_records == 1 and report.replayed_boxes == 10
+        assert_states_equal(expected, recovered.snapshot())
+
     def test_auto_checkpoint_by_appended_boxes(self, tmp_path):
         wal_dir = tmp_path / "wal"
         snap = tmp_path / "auto.sketch"
