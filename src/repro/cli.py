@@ -599,10 +599,11 @@ def service_command_loop(service, in_stream, out_stream, *,
     ``flush`` / ``stats`` / ``metrics`` / ``snapshot`` /
     ``reload`` / ``tenant`` / ``ping``, and ``quit`` to end the
     loop.  Failures are replies with ``ok: false`` and an ``error_code``;
-    they never end the loop or lose the in-memory sketches.
+    they never end the loop or lose the in-memory sketches.  Each request
+    goes through the :class:`~repro.client.InProcessClient` the
+    ``--snapshot`` verbs use, one at a time.
     """
-    import asyncio
-
+    from repro.client import InProcessClient
     from repro.server import protocol
 
     def reply(payload: dict) -> None:
@@ -610,11 +611,25 @@ def service_command_loop(service, in_stream, out_stream, *,
         out_stream.write(protocol.encode(payload).decode("utf-8"))
         out_stream.flush()
 
-    server = _stdio_front(service, snapshot_path)
-    asyncio.run(server.serve_lines(in_stream, reply))
+    client = InProcessClient(_stdio_front(service, snapshot_path))
+    try:
+        for line in in_stream:
+            if not line.strip():
+                continue
+            try:
+                request = protocol.decode(line)
+            except ReproError as exc:
+                reply(protocol.error_payload_for(exc))
+                continue
+            if request.get("op") == "quit":
+                reply(protocol.ok_payload("quit", request))
+                break
+            reply(client.request_many([request])[0])
+    finally:
+        client.close()
     if save_on_exit and snapshot_path:
         # A reload may have hot-swapped the service; save the live one.
-        server.service.save(snapshot_path)
+        client.front.service.save(snapshot_path)
     return 0
 
 
@@ -632,7 +647,7 @@ def _serve_until_signalled(front, banner, *, before=None) -> None:
     async def run() -> None:
         if before is not None:
             await before()
-        await serve(front, install_signal_handlers=True, ready=lambda started:
+        await serve(front, ready=lambda started:
                     print(json.dumps(banner(started)), flush=True))
 
     try:

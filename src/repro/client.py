@@ -221,8 +221,6 @@ class ServiceClient(RequestVerbs):
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, *,
                  timeout: float | None = 60.0,
-                 connect_timeout: float | None = None,
-                 read_timeout: float | None = None,
                  wire: str = wire_format.WIRE_BINARY,
                  token: str | None = None) -> None:
         if wire not in wire_format.WIRE_FORMATS:
@@ -230,16 +228,11 @@ class ServiceClient(RequestVerbs):
                 f"wire must be 'binary' or 'ndjson', got {wire!r}")
         self.host = host
         self.port = port
-        # ``timeout`` is the legacy single knob: it seeds both phases;
-        # ``connect_timeout`` / ``read_timeout`` override per phase.  A
+        # ``timeout`` bounds the connect and each reply's read alike.  A
         # blown deadline surfaces as the typed ClientTimeoutError and is
         # never healed by the reconnect-and-resend path — the server may
         # still be processing the first copy.
         self.timeout = timeout
-        self.connect_timeout = (connect_timeout if connect_timeout is not None
-                                else timeout)
-        self.read_timeout = (read_timeout if read_timeout is not None
-                             else timeout)
         self.wire = wire
         self.tensors = wire == wire_format.WIRE_BINARY
         self.token = token
@@ -249,12 +242,12 @@ class ServiceClient(RequestVerbs):
     def _connect(self) -> None:
         try:
             self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self.connect_timeout)
+                (self.host, self.port), timeout=self.timeout)
         except socket.timeout as exc:
             raise ClientTimeoutError(
                 f"connect to {self.host}:{self.port} timed out after "
-                f"{self.connect_timeout:g}s") from exc
-        self._sock.settimeout(self.read_timeout)
+                f"{self.timeout:g}s") from exc
+        self._sock.settimeout(self.timeout)
         self._reader = self._sock.makefile("rb")
         if self.token is not None:
             # Re-binding on every (re)connect keeps the tenant scope
@@ -306,8 +299,8 @@ class ServiceClient(RequestVerbs):
         resends; non-idempotent verbs surface the failure so callers can
         decide whether a resend risks double-applying.
         """
-        deadline = (time.monotonic() + self.read_timeout
-                    if self.read_timeout is not None else None)
+        deadline = (time.monotonic() + self.timeout
+                    if self.timeout is not None else None)
         try:
             response = self._round_trip(payload)
         except socket.timeout as exc:
@@ -316,21 +309,21 @@ class ServiceClient(RequestVerbs):
             # would silently double it.
             raise ClientTimeoutError(
                 f"request {payload.get('op')!r} exceeded the "
-                f"{self.read_timeout:g}s read deadline") from exc
+                f"{self.timeout:g}s read deadline") from exc
         except _RETRYABLE_ERRORS:
             if payload.get("op") not in IDEMPOTENT_OPS:
                 raise
             if deadline is not None and time.monotonic() >= deadline:
                 raise ClientTimeoutError(
                     f"request {payload.get('op')!r} exceeded the "
-                    f"{self.read_timeout:g}s deadline before its retry")
+                    f"{self.timeout:g}s deadline before its retry")
             self._reconnect()
             try:
                 response = self._round_trip(payload)
             except socket.timeout as exc:
                 raise ClientTimeoutError(
                     f"request {payload.get('op')!r} exceeded the "
-                    f"{self.read_timeout:g}s read deadline") from exc
+                    f"{self.timeout:g}s read deadline") from exc
         return protocol.raise_for_response(response)
 
     def request_many(self, payloads: Sequence[Mapping[str, Any]]
@@ -350,7 +343,7 @@ class ServiceClient(RequestVerbs):
         except socket.timeout as exc:
             raise ClientTimeoutError(
                 f"pipelined batch of {len(payloads)} requests exceeded the "
-                f"{self.read_timeout:g}s read deadline") from exc
+                f"{self.timeout:g}s read deadline") from exc
 
     # -- connection verbs ---------------------------------------------------------
 
@@ -389,7 +382,8 @@ class InProcessClient(RequestVerbs):
     (:meth:`~repro.server.front.ServingFront.answer`) on a private event
     loop, one at a time; a :meth:`request_many` burst runs concurrently, so
     the coalescer batches it as it would a pipelined connection's — and,
-    like one, with at most ``max_inflight_per_connection`` requests in
+    like one, with at most
+    :data:`~repro.server.wire.MAX_INFLIGHT_PER_CONNECTION` requests in
     flight, so a burst of any length stays under the admission cap.
     Closing the client drains and closes the front.
     """
@@ -405,7 +399,7 @@ class InProcessClient(RequestVerbs):
 
     def request_many(self, payloads: Sequence[Mapping[str, Any]]
                      ) -> list[dict]:
-        window = self.front.config.max_inflight_per_connection
+        window = wire_format.MAX_INFLIGHT_PER_CONNECTION
 
         async def burst() -> list[dict]:
             replies: list[dict] = []

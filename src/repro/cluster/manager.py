@@ -304,11 +304,9 @@ class ClusterManager:
 
     # -- fan-out helpers ----------------------------------------------------------
 
-    async def broadcast(self, payload: dict, *,
-                        healthy_only: bool = True) -> dict[str, dict]:
-        """Send one request to every (healthy) worker; gather typed replies."""
-        targets = [info for info in self.workers()
-                   if info.healthy or not healthy_only]
+    async def broadcast(self, payload: dict) -> dict[str, dict]:
+        """Send one request to every healthy worker; gather typed replies."""
+        targets = [info for info in self.workers() if info.healthy]
 
         async def ask(info: WorkerInfo) -> tuple[str, dict]:
             return info.name, await info.link.request_ok(dict(payload))

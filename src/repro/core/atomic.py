@@ -477,13 +477,13 @@ class SketchBank:
                     highs: np.ndarray) -> np.ndarray:
         """Vectorised per-instance xi sums for one letter over many intervals.
 
-        Returns a ``(num_instances, len(lows))`` matrix whose column ``j``
-        is the letter sum ``s(dim, letter, [lows[j], highs[j]])`` — the
-        query-side kernel that :class:`~repro.core.program.ProgramExecutor`
-        batches across programs.  Column ``j`` is bit-identical to a
-        single-interval call: the per-interval covers reduce independently.
-        The result depends only on this bank's xi families and domain,
-        never on its counters.
+        Returns a fresh float64 ``(num_instances, len(lows))`` matrix whose
+        column ``j`` is the letter sum ``s(dim, letter, [lows[j],
+        highs[j]])``.  Queries read :meth:`level_sums` (the same sums per
+        counter cell); this whole sum is what kernel tests and the e2e
+        trace check.  Column ``j`` is bit-identical to a single-interval
+        call, and the result depends only on this bank's xi families and
+        domain, never on its counters.
         """
         if not 0 <= int(dim) < self.dimension:
             raise DimensionalityError(
@@ -491,7 +491,8 @@ class SketchBank:
             )
         lows = np.asarray(lows, dtype=np.int64)
         highs = np.asarray(highs, dtype=np.int64)
-        return self._letter_sums(int(dim), letter, lows, highs)
+        return self._letter_rows(int(dim), letter, lows,
+                                 highs).T.astype(np.float64)
 
     def level_sums(self, dim: int, letter: Letter, lows: np.ndarray,
                    highs: np.ndarray) -> np.ndarray:
@@ -668,15 +669,6 @@ class SketchBank:
                     term *= sums[(dim, word[dim])]
             term.sum(axis=1, out=totals[:, index])
         return totals
-
-    def _letter_sums(self, dim: int, letter: Letter, lows: np.ndarray,
-                     highs: np.ndarray) -> np.ndarray:
-        """``(num_instances, num_boxes)`` per-box xi sums for one letter/dimension.
-
-        A fresh float64 array (column ``j`` contiguous): callers — the
-        program executor's cover cache in particular — retain results.
-        """
-        return self._letter_rows(dim, letter, lows, highs).T.astype(np.float64)
 
     def _letter_rows(self, dim: int, letter: Letter, lows: np.ndarray,
                      highs: np.ndarray) -> np.ndarray:

@@ -27,23 +27,26 @@ from repro.histograms.euler import EulerHistogram
 from repro.histograms.geometric import GeometricHistogram
 
 
+#: Boxes drawn from each input to choose the maxLevel from.
+ADAPTIVE_SAMPLE_SIZE = 300
+
+
 def adaptive_domain(left: BoxSet, right: BoxSet, domain: Domain, *,
-                    sample_size: int = 300, seed: int = 0) -> Domain:
+                    seed: int = 0) -> Domain:
     """The domain with the maxLevel chosen from a sample of both inputs (Section 6.5)."""
     rng = np.random.default_rng(seed)
-    sample_left = left.sample(min(sample_size, len(left)), rng)
-    sample_right = right.sample(min(sample_size, len(right)), rng)
+    sample_left = left.sample(min(ADAPTIVE_SAMPLE_SIZE, len(left)), rng)
+    sample_right = right.sample(min(ADAPTIVE_SAMPLE_SIZE, len(right)), rng)
     level = choose_max_level(sample_left.concat(sample_right), domain)
     return domain.with_max_level(level)
 
 
 def average_sketch_error(left: BoxSet, right: BoxSet, domain: Domain, truth: float, *,
                          budget_words: float, runs: int = 3, seed: int = 0,
-                         endpoint_policy: str = "transform",
-                         adaptive: bool = True) -> float:
-    """Mean relative error of the SKETCH estimate at a fixed word budget."""
-    if adaptive:
-        domain = adaptive_domain(left, right, domain, seed=seed)
+                         endpoint_policy: str = "transform") -> float:
+    """Mean relative error of the SKETCH estimate at a fixed word budget,
+    on the domain :func:`adaptive_domain` tunes."""
+    domain = adaptive_domain(left, right, domain, seed=seed)
     instances = space.instances_for_budget(budget_words, domain.dimension)
     estimates = []
     for run in range(runs):
@@ -57,15 +60,14 @@ def average_sketch_error(left: BoxSet, right: BoxSet, domain: Domain, truth: flo
 
 def sketch_error_for_budgets(left: BoxSet, right: BoxSet, domain: Domain, truth: float, *,
                              budgets: tuple[int, ...], runs: int = 3, seed: int = 0,
-                             endpoint_policy: str = "transform",
-                             adaptive: bool = True) -> dict[int, float]:
-    """Mean relative error of SKETCH for several word budgets.
+                             endpoint_policy: str = "transform") -> dict[int, float]:
+    """Mean relative error of SKETCH for several word budgets, on the
+    domain :func:`adaptive_domain` tunes.
 
     The sketch is built once per run at the largest budget; smaller budgets
     reuse a prefix of its atomic-sketch instances.
     """
-    if adaptive:
-        domain = adaptive_domain(left, right, domain, seed=seed)
+    domain = adaptive_domain(left, right, domain, seed=seed)
     budgets = tuple(sorted(budgets))
     instance_counts = {budget: space.instances_for_budget(budget, domain.dimension)
                        for budget in budgets}

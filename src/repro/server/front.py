@@ -14,9 +14,10 @@ the counters live is a placement choice beneath one query interface.
 * the placement-independent verbs: ``ping``, ``tenant``, ``estimate``
   (through the front's :class:`~repro.server.coalescer.EstimateCoalescer`)
   and the shape of ``stats`` / ``metrics`` replies,
-* :func:`serve`, the signal-aware run loop of the CLI, and
-  :meth:`ServingFront.serve_lines`, the listener-less loop behind stdin
-  ``serve``.
+* :meth:`ServingFront.answer`, the operator's entry without a listener
+  (stdin ``serve`` and the CLI's ``--snapshot`` verbs reach it through
+  :class:`~repro.client.InProcessClient`), and :func:`serve`, the
+  signal-aware run loop of the CLI.
 
 The two placements subclass it and keep only what differs:
 :class:`~repro.server.server.SketchServer` answers a coalesced batch from a
@@ -35,7 +36,7 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from repro.errors import AuthenticationError, ReproError, ServiceError
 from repro.server import auth, protocol, wire
@@ -49,14 +50,9 @@ class FrontConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the OS pick (the bound port is on the front)
-    max_inflight_per_connection: int = 128
     max_line_bytes: int = protocol.MAX_LINE_BYTES
     executor_workers: int = 4
     admin_token: str | None = None  # grants the unscoped administrative role
-
-    def __post_init__(self) -> None:
-        if self.max_inflight_per_connection < 1:
-            raise ServiceError("max_inflight_per_connection must be positive")
 
 
 class ServingFront:
@@ -161,30 +157,6 @@ class ServingFront:
         administrative role (a tenant registry loaded from a snapshot does
         not lock its owner out)."""
         return await self._process(request, auth.ADMIN)
-
-    async def serve_lines(self, lines: Iterable[str],
-                          write: Callable[[dict], None]) -> None:
-        """Answer NDJSON requests from ``lines`` — stdin ``serve``, no listener.
-
-        One request at a time through the same handler table a connection
-        uses (see :meth:`answer`).  Ends at ``quit`` or end of input, then
-        drains and closes the front.
-        """
-        try:
-            for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    request = protocol.decode(line)
-                except ReproError as exc:
-                    write(protocol.error_payload_for(exc))
-                    continue
-                if request.get("op") == "quit":
-                    write(protocol.ok_payload("quit", request))
-                    break
-                write(await self.answer(request))
-        finally:
-            await self.close()
 
     # -- authentication and admission ---------------------------------------------
 
@@ -393,33 +365,26 @@ class ServingFront:
                        "tenant": _op_tenant}
 
 
-async def serve(front: ServingFront, *, ready=None,
-                shutdown: asyncio.Event | None = None,
-                install_signal_handlers: bool = False) -> None:
-    """Start a front and run it until cancelled or shut down.
+async def serve(front: ServingFront, *, ready) -> None:
+    """Start a front and run it until cancelled or signalled.
 
-    ``ready``, when given, is a callable invoked with the started front
-    (used to print the bound address and by tests to capture the port).
-    ``shutdown`` is an optional event that ends the loop *gracefully*:
-    stop accepting, let admitted requests finish, drain — then return (so
-    callers can flush a final snapshot).  With
-    ``install_signal_handlers=True`` SIGTERM and SIGINT set that event
-    instead of killing the process — the CLI's graceful-shutdown path.
+    ``ready`` is called with the started front (the CLI prints the bound
+    address from it).  SIGTERM and SIGINT end the loop *gracefully*
+    instead of killing the process — stop accepting, let admitted requests
+    finish, drain, then return, so callers can flush a final snapshot.
     """
     await front.start()
-    stop = shutdown if shutdown is not None else asyncio.Event()
+    stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
-    if install_signal_handlers:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, ValueError,
-                    RuntimeError):  # pragma: no cover - non-POSIX loops
-                pass
-    if ready is not None:
-        ready(front)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+            installed.append(signum)
+        except (NotImplementedError, ValueError,
+                RuntimeError):  # pragma: no cover - non-POSIX loops
+            pass
+    ready(front)
     forever = asyncio.create_task(front.serve_forever())
     waiter = asyncio.create_task(stop.wait())
     try:

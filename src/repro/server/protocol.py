@@ -350,7 +350,9 @@ def decode(line: bytes | str) -> dict:
             raise ProtocolError(f"frame is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal past
+        # the interpreter's digit limit; RecursionError a nesting too deep.
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

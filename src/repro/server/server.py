@@ -50,7 +50,6 @@ class ServerConfig(FrontConfig):
             raise ServiceError("max_batch must be positive")
         if self.max_queue < 1:
             raise ServiceError("max_queue must be positive")
-        super().__post_init__()
 
 
 class SketchServer(ServingFront):

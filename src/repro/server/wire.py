@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import struct
 from collections.abc import Mapping
 from typing import Any, BinaryIO
@@ -76,6 +77,11 @@ BODY_KEY = "_b"
 #: frame means the same thing on every host).  Anything else falls back to
 #: JSON lists in the header.
 TENSOR_DTYPES = ("<i8", "<f8", "<u8")
+
+#: Requests one connection may have in flight before its reader stops
+#: consuming frames (an :class:`~repro.client.InProcessClient` burst is fed
+#: in windows of this size too).
+MAX_INFLIGHT_PER_CONNECTION = 128
 
 #: How far past the size bound a reader will drain an oversized binary
 #: frame to keep the connection framed.  Beyond this the declared length
@@ -143,10 +149,15 @@ def _graft(payload: dict, path: list, value: Any) -> None:
             node = node[key if isinstance(node, dict) else int(key)]
         last = path[-1]
         node[last if isinstance(node, dict) else int(last)] = value
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
             f"binary frame body path {path!r} does not match its header"
         ) from exc
+
+
+def _is_size(value: Any) -> bool:
+    """A byte length or tensor extent: a non-negative JSON integer."""
+    return type(value) is int and value >= 0  # a bool or float is not one
 
 
 def decode_binary(header: bytes, body: bytes) -> dict:
@@ -165,9 +176,9 @@ def decode_binary(header: bytes, body: bytes) -> dict:
         path, kind, meta = descriptor
         value: Any
         if kind == "raw":
-            nbytes = int(meta)
-            if nbytes < 0:
-                raise ProtocolError("negative body section length")
+            if not _is_size(meta):
+                raise ProtocolError(f"malformed raw section length {meta!r}")
+            nbytes = meta
             value = bytes(body[offset:offset + nbytes])
             if len(value) != nbytes:
                 raise ProtocolError("binary frame body is shorter than its "
@@ -175,24 +186,20 @@ def decode_binary(header: bytes, body: bytes) -> dict:
         else:
             if kind not in TENSOR_DTYPES:
                 raise ProtocolError(f"unsupported tensor dtype {kind!r}")
-            try:
-                shape = tuple(int(extent) for extent in meta)
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed tensor shape {meta!r}") from exc
-            if any(extent < 0 for extent in shape):
-                raise ProtocolError(f"negative tensor shape {shape!r}")
-            count = 1
-            for extent in shape:
-                count *= extent
+            if not (isinstance(meta, list) and all(map(_is_size, meta))):
+                raise ProtocolError(f"malformed tensor shape {meta!r}")
+            count = math.prod(meta)
             nbytes = count * np.dtype(kind).itemsize
             if offset + nbytes > len(body):
                 raise ProtocolError("binary frame body is shorter than its "
                                     "header declares")
             # Read-only view straight over the receive buffer: decoding a
             # 1k-box ingest copies no coordinate bytes at all.
-            value = np.frombuffer(body, dtype=kind, count=count,
-                                  offset=offset).reshape(shape)
+            try:
+                value = np.frombuffer(body, dtype=kind, count=count,
+                                      offset=offset).reshape(meta)
+            except ValueError as exc:  # an empty tensor numpy cannot shape
+                raise ProtocolError(f"malformed tensor shape {meta!r}") from exc
         offset += nbytes
         _graft(payload, path, value)
     if offset != len(body):
@@ -316,8 +323,9 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
     """Drive one client connection for ``owner``.
 
     ``owner`` is the :class:`~repro.server.front.ServingFront`: it provides
-    ``metrics``, ``config.max_inflight_per_connection``,
-    ``config.max_line_bytes``, ``authenticate`` and ``_process``.
+    ``metrics``, ``config.max_line_bytes``, ``authenticate`` and
+    ``_process``.  At most :data:`MAX_INFLIGHT_PER_CONNECTION` requests
+    are in flight at once.
 
     The pipelining contract is unchanged from the pre-binary servers: a
     reader task turns frames into request tasks, a writer task writes each
@@ -335,7 +343,6 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
     """
     metrics = owner.metrics
     max_bytes = owner.config.max_line_bytes
-    max_inflight = owner.config.max_inflight_per_connection
     state = _ConnectionState()
     replies: asyncio.Queue = asyncio.Queue()
     writer_task = asyncio.create_task(
@@ -412,7 +419,7 @@ async def serve_connection(owner, reader: asyncio.StreamReader,
             if op == "quit":
                 enqueue(protocol.ok_payload("quit", request), wire)
                 break
-            while state.inflight >= max_inflight:
+            while state.inflight >= MAX_INFLIGHT_PER_CONNECTION:
                 state.slot_free.clear()
                 await state.slot_free.wait()
             state.inflight += 1

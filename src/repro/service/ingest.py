@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry.boxset import BoxSet
-from repro.service.specs import check_update
 from repro.service.store import ShardedSketchStore
 
 
@@ -100,16 +99,18 @@ class IngestPipeline:
 
     # -- buffering ----------------------------------------------------------------
 
-    def submit(self, name: str, boxes, *, side: str = "left",
+    def submit(self, name: str, boxes: BoxSet, *, side: str = "left",
                kind: str = "insert") -> int:
         """Buffer one batch of updates; returns the new pending count.
 
-        The batch passes :func:`~repro.service.specs.check_update` first, so
-        a flush never meets a box its estimators would refuse.  The first
-        non-empty batch of a name also builds the name's xi tables
+        An unknown ``name`` raises; the batch itself is the caller's to
+        check (``EstimationService.ingest`` runs
+        :func:`~repro.service.specs.check_update`), so a flush never meets a
+        box its estimators would refuse.  The first non-empty batch of a
+        name also builds the name's xi tables
         (:meth:`ShardedSketchStore.prepay_tables`).
         """
-        side, boxes = check_update(self._store.spec(name), side, kind, boxes)
+        self._store.spec(name)
         if len(boxes) == 0:
             return self._pending
         with self._lock:

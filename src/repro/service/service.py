@@ -451,19 +451,20 @@ class EstimationService:
         Crossing ``flush_threshold`` buffered boxes triggers an automatic
         batched flush.
 
-        With a WAL attached the batch is validated, logged, and *then*
-        buffered — all under the service lock, so a snapshot's embedded
+        The batch passes :func:`~repro.service.specs.check_update` once,
+        before anything is logged or buffered, so a refused batch changes
+        nothing.  With a WAL attached it is then logged, and *then*
+        buffered — both under the service lock, so a snapshot's embedded
         ``wal_seqno`` can never claim a record whose boxes it does not
         hold (and vice versa).  The log write precedes every counter
         mutation: write-ahead in the strict sense.
         """
+        side, boxes = check_update(self._store.spec(name), side, kind, boxes)
         if self._wal is None:
             pending = self._pipeline.submit(name, boxes, side=side, kind=kind)
             with self._lock:
                 self._stats.ingested_boxes += len(boxes)
         else:
-            # Check up front so a refused batch never reaches the log.
-            side, boxes = check_update(self._store.spec(name), side, kind, boxes)
             with self._lock:
                 if len(boxes):
                     self._wal.append_update(

@@ -322,10 +322,12 @@ def check_update(spec: EstimatorSpec, side: str, kind: str,
 
     The one check an update passes before it is logged, buffered or split
     between a fleet's owners: the side (an alias resolves to its declared
-    name), the kind, degenerate boxes on a point side, the dimension,
-    every coordinate inside ``spec.domain()`` and no zero extent on a
-    side the endpoint transform shrinks (:func:`shrunk_sides`).  Returns
-    the resolved side and the batch as a box set.
+    name), the kind, degenerate boxes on a point side, the dimension, no
+    lower endpoint above its upper one (a box set built with
+    ``validate=False`` may carry one), every coordinate inside
+    ``spec.domain()`` and no zero extent on a side the endpoint transform
+    shrinks (:func:`shrunk_sides`).  Returns the resolved side and the
+    batch as a box set.
     """
     info = spec.info
     side = info.resolve_side(side)
@@ -335,6 +337,9 @@ def check_update(spec: EstimatorSpec, side: str, kind: str,
     if boxes.dimension != spec.dimension:
         raise ServiceError(f"family {spec.family!r}: boxes are {boxes.dimension}-"
                            f"dimensional, the domain is {spec.dimension}-dimensional")
+    if (boxes.lows > boxes.highs).any():
+        raise ServiceError(f"family {spec.family!r}: a box has a lower "
+                           f"endpoint above its upper one")
     if side in info.point_sides:
         as_points(boxes)
     domain = spec.domain()

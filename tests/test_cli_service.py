@@ -75,6 +75,18 @@ class TestServeLoop:
             "bad_request", "unknown_op", "protocol"]
         assert service.names() == []
 
+    def test_quit_ends_the_loop_and_so_does_end_of_input(self):
+        service = EstimationService(num_shards=2)
+        replies = _run_lines(service, [
+            json.dumps({"op": "ping", "id": 1}),
+            json.dumps({"op": "quit", "id": 2}),
+            json.dumps({"op": "ping", "id": 3}),
+        ])
+        assert [(r["ok"], r["op"], r["id"]) for r in replies] == [
+            (True, "ping", 1), (True, "quit", 2)]
+        (pong,) = _run_lines(service, [json.dumps({"op": "ping", "id": 4})])
+        assert pong["ok"] and pong["id"] == 4
+
     def test_save_and_save_on_exit(self, tmp_path):
         service = EstimationService(num_shards=2)
         service.register("rq", family="range", domain=(256,), num_instances=8)

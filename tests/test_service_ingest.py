@@ -14,6 +14,7 @@ from repro.service.specs import (
     shrunk_sides,
 )
 from repro.service.store import ShardedSketchStore, partition_boxes
+from repro.wal import WalWriter
 
 from tests.conftest import random_boxes
 
@@ -68,13 +69,24 @@ class TestBuffering:
             EstimationService(flush_threshold=0)
 
     def test_bad_inputs_rejected(self, rng):
+        service = EstimationService(num_shards=4, flush_threshold=None)
+        service.register("est", family="rectangle", domain=(256, 256),
+                         num_instances=16, seed=5)
+        with pytest.raises(ServiceError):
+            service.ingest("nope", random_boxes(rng, 3, 256, 2))
+        with pytest.raises(ServiceError):
+            service.ingest("est", random_boxes(rng, 3, 256, 2), kind="upsert")
+        with pytest.raises(ServiceError):
+            service.ingest("est", random_boxes(rng, 3, 256, 2), side="top")
+        assert service.pending == 0
+
+    def test_submit_still_refuses_an_unknown_name(self, rng):
+        """The pipeline trusts its caller's check, but not a name the
+        store does not hold."""
         pipeline = IngestPipeline(_store())
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="unknown estimator"):
             pipeline.submit("nope", random_boxes(rng, 3, 256, 2))
-        with pytest.raises(ServiceError):
-            pipeline.submit("est", random_boxes(rng, 3, 256, 2), kind="upsert")
-        with pytest.raises(ServiceError):
-            pipeline.submit("est", random_boxes(rng, 3, 256, 2), side="top")
+        assert pipeline.pending == 0
 
     def test_a_batch_the_flush_would_refuse_is_refused_at_submit(self, rng):
         """Out-of-domain coordinates and boxes on a point side used to be
@@ -99,6 +111,57 @@ class TestBuffering:
         assert service.pending == 4
         assert service.flush().boxes == 4
         assert service.merged_view("b").count == 4
+
+
+def _refused_write(case: str, rng) -> tuple[str, BoxSet, str, str]:
+    """``(name, boxes, side, kind)`` of one write the service refuses."""
+    good = random_boxes(rng, 4, 64, 2)
+    if case == "unknown name":
+        return "nope", good, "data", "insert"
+    if case == "bad kind":
+        return "rq", good, "data", "upsert"
+    if case == "unknown side":
+        return "rq", good, "top", "insert"
+    if case == "out of domain":
+        highs = good.highs.copy()
+        highs[1, 0] = 64
+        return "rq", BoxSet(good.lows, highs), "data", "insert"
+    if case == "inverted box":
+        return "rq", BoxSet(good.highs, good.lows, validate=False), "data", \
+            "insert"
+    assert case == "box on a point side"
+    return "eps", good, "left", "insert"
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["volatile", "wal"])
+@pytest.mark.parametrize("case", [
+    "unknown name", "bad kind", "unknown side", "out of domain",
+    "inverted box", "box on a point side"])
+def test_a_refused_write_changes_nothing(tmp_path, rng, case, durable):
+    """A write ``check_update`` refuses leaves the buffer, the ingest count
+    and the log as they were, whether or not a WAL is attached."""
+    service = EstimationService(num_shards=2, flush_threshold=None)
+    if durable:
+        service.attach_wal(WalWriter(tmp_path / "wal", sync="none"))
+    try:
+        service.register("rq", family="range", domain=(64, 64),
+                         num_instances=8, seed=1)
+        service.register("eps", family="epsilon", domain=(64, 64),
+                         num_instances=8, seed=2, epsilon=1)
+        service.ingest("rq", random_boxes(rng, 4, 64, 2), side="data")
+
+        def state():
+            return (service.pending, service.stats.ingested_boxes,
+                    service.wal.last_seqno if durable else None)
+
+        before = state()
+        name, boxes, side, kind = _refused_write(case, rng)
+        with pytest.raises(ServiceError):
+            service.ingest(name, boxes, side=side, kind=kind)
+        assert state() == before
+        assert service.flush().boxes == 4
+    finally:
+        service.detach_wal()
 
 
 class TestExactness:

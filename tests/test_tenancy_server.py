@@ -349,8 +349,7 @@ class TestClientTimeouts:
                 fillers.append(filler)
             # The client connects eagerly, so the constructor itself trips.
             with pytest.raises(ClientTimeoutError):
-                ServiceClient("127.0.0.1", port, connect_timeout=0.3,
-                              read_timeout=0.3)
+                ServiceClient("127.0.0.1", port, timeout=0.3)
         finally:
             for filler in fillers:
                 filler.close()

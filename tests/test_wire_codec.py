@@ -16,6 +16,7 @@ Three layers are pinned here:
 
 import asyncio
 import io
+import json
 
 import numpy as np
 import pytest
@@ -178,6 +179,66 @@ def test_corrupt_descriptors_rejected():
     # Undeclared trailing body bytes.
     with pytest.raises(ProtocolError):
         decode_frame_bytes(rebuilt(header, body + b"extra"))
+
+
+def _frame(header, body: bytes = b"") -> bytes:
+    """A binary frame around any JSON header and body bytes."""
+    raw = json.dumps(header).encode("utf-8")
+    return (wire.FRAME_PREFIX.pack(wire.MAGIC, len(raw), len(body))
+            + raw + body)
+
+
+#: Body descriptors whose length or shape is not non-negative integers.
+MALFORMED_DESCRIPTORS = [
+    ([["x"], "raw", "abc"], b""),
+    ([["x"], "raw", "1"], b"a"),
+    ([["x"], "raw", None], b""),
+    ([["x"], "raw", [1]], b"a"),
+    ([["x"], "raw", {"n": 1}], b"a"),
+    ([["x"], "raw", True], b"a"),
+    ([["x"], "raw", 1.5], b"a"),
+    ([["x"], "raw", -1], b""),
+    ([["x"], "<i8", None], b""),
+    ([["x"], "<i8", "8"], bytes(8)),
+    ([["x"], "<i8", {"0": 1}], bytes(8)),
+    ([["x"], "<i8", [True]], bytes(8)),
+    ([["x"], "<i8", [1.0]], bytes(8)),
+    ([["x"], "<i8", ["1"]], bytes(8)),
+    ([["x"], "<i8", [0, 2 ** 70]], b""),
+]
+
+
+@pytest.mark.parametrize("descriptor, body", MALFORMED_DESCRIPTORS,
+                         ids=[repr(case[0][2]) + "-" + case[0][1]
+                              for case in MALFORMED_DESCRIPTORS])
+def test_a_malformed_length_or_shape_is_a_protocol_error(descriptor, body):
+    frame = _frame({"op": "ping", wire.BODY_KEY: [descriptor]}, body)
+    with pytest.raises(ProtocolError) as excinfo:
+        decode_frame_bytes(frame)
+    assert not isinstance(excinfo.value, wire.FramingLostError)
+
+
+def test_a_malformed_descriptor_is_answered_and_the_connection_kept():
+    """The server answers the bad frame with a ``protocol`` error and goes
+    on reading: the ``ping`` behind it on the same connection is answered."""
+    bad = _frame({"op": "ping", "id": 1,
+                  wire.BODY_KEY: [[["x"], "raw", "abc"]]})
+    with ThreadedServer(make_service()) as server:
+        answers = _exchange(server.port, bad + protocol.encode(
+            {"op": "ping", "id": 2}), 2)
+    (mode, refused), (_, pong) = answers
+    assert mode == "binary"
+    assert not refused["ok"] and refused["error_code"] == "protocol"
+    assert pong["ok"] and pong["id"] == 2
+
+
+def test_a_line_nested_too_deep_is_answered_and_the_connection_kept():
+    with ThreadedServer(make_service()) as server:
+        answers = _exchange(server.port, b"[" * 100_000 + b"\n"
+                            + protocol.encode({"op": "ping", "id": 2}), 2)
+    (_, refused), (_, pong) = answers
+    assert not refused["ok"] and refused["error_code"] == "protocol"
+    assert pong["ok"] and pong["id"] == 2
 
 
 def test_oversized_declared_frame_is_drained_typed_and_recoverable():
