@@ -24,7 +24,8 @@ What is measured instead holds on any core count:
   query reads one per worker.
 
 Replies are checked bit-identical against an in-process service fed the
-same boxes.  The run writes ``BENCH_cluster.json`` at the repository root;
+same boxes, registered from the same plain sizes as the wire ``register``
+(so with the same derived level caps; ``DOMAIN`` itself is uncapped).  The run writes ``BENCH_cluster.json`` at the repository root;
 the floor and the ceiling sit at half / twice the values recorded on the
 reference box (``benchmarks/gates.json``).
 """
@@ -163,7 +164,8 @@ def test_routed_estimates_per_cpu_second(benchmark):
     boxes = synthetic_boxes(DOMAIN, DATA_BOXES, seed=1)
     queries = synthetic_queries(DOMAIN, QUERIES_PER_CONNECTION, seed=7)
     reference = EstimationService(num_shards=1, flush_threshold=None)
-    reference.register("ranges", family="range", domain=DOMAIN,
+    reference.register("ranges", family="range",
+                       domain=DOMAIN.requested_sizes,
                        num_instances=NUM_INSTANCES, seed=SEED)
     reference.ingest("ranges", boxes, side="data")
     expected = [result.estimate

@@ -78,9 +78,9 @@ def main() -> None:
             # An estimator that has seen no data yet raises EstimationError;
             # a serving front-end reports "no data" and retries.
             try:
-                observations.append(("join", service.estimate_cardinality("join")))
+                observations.append(("join", service.estimate("join").estimate))
                 observations.append((
-                    "range", service.estimate_cardinality("ranges", queries[index])))
+                    "range", service.estimate("ranges", queries[index]).estimate))
             except EstimationError:
                 pass
             time.sleep(0.01)

@@ -525,7 +525,8 @@ def _run_explain(service, args) -> int:
     Shows what the estimates *are* before they run: the name's one
     program for the whole request, with the word-product terms, every
     query's letter-sum requests (with their dyadic cover sizes) and the
-    median-of-means reduction plan — what the ProgramExecutor would run.
+    reduction — group plan, and a level-split range program's control
+    column — what the ProgramExecutor would run.
     """
     from repro.core.program import describe_program
     from repro.server.protocol import query_box

@@ -10,6 +10,14 @@ estimate is the median of ``k2`` group means of ``k1`` instances each
 
 which is achieved with ``k1 = 8 * Var[Z] / (eps^2 * E[Z]^2)`` and
 ``k2 = 2 * lg(1/phi)``.
+
+Where an estimate comes with a *control* — the same estimator evaluated on
+a query whose answer is known exactly — :func:`control_adjusted` first
+regresses the control's per-instance error out of every instance.  The
+level-split range family does this (its control is the whole domain, whose
+answer is the net box count) and then averages all adjusted instances in
+one group: their tails are light enough that the median of group means
+only costs accuracy there.
 """
 
 from __future__ import annotations
@@ -189,3 +197,27 @@ def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None,
     if num_queries == 0:
         return np.empty(0, dtype=np.float64), group_means
     return _median(group_means), group_means
+
+
+def control_adjusted(values: np.ndarray, control: np.ndarray,
+                     expected: float) -> np.ndarray:
+    """Per-instance values with a control variate regressed out, row by row.
+
+    ``values`` is ``(rows, instances)``, one row per estimate; ``control``
+    holds the ``(instances,)`` values of an estimator whose expectation is
+    exactly ``expected``.  Each row ``Z`` becomes ``Z - beta * (control -
+    expected)`` with ``beta = cov(Z, control) / var(control)`` over the
+    instances, and ``beta = 0`` when the control does not vary.  The
+    expectation is unchanged (up to ``beta``'s own O(1/instances) error);
+    the variance falls by the squared correlation of ``Z`` with the
+    control.  Every reduction runs along a row, so a row's result does not
+    depend on the rows beside it.
+    """
+    centred = control - control.mean()
+    spread = float((centred * centred).sum())
+    if spread == 0.0:
+        return values
+    beta = (values * centred).sum(axis=1) / spread
+    # values - beta[:, None] * (control - expected), in one buffer.
+    adjusted = np.multiply.outer(beta, control - expected)
+    return np.subtract(values, adjusted, out=adjusted)

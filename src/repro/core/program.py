@@ -15,7 +15,8 @@ a small declarative IR:
 * :class:`ProgramTerm` — one coefficient times the product of counter and
   letter-sum factors,
 * :class:`SketchProgram` — an ordered tuple of terms plus the reduction spec
-  (a :class:`~repro.core.boosting.BoostingPlan`) and the input cardinalities
+  (a :class:`~repro.core.boosting.BoostingPlan`, and optionally a control
+  column whose expectation is known exactly) and the input cardinalities
   carried into the :class:`~repro.core.result.EstimateResult`.
 
 An estimate is a linear projection of a counter tensor, so a batch of
@@ -32,9 +33,12 @@ query-less program is evaluated once and carries its result count in
    sums to zero),
 2. every term contracts its counter cells with those ``(instances, columns,
    levels)`` sums in one matrix kernel,
-3. the ``(columns, instances)`` values are boosted by one
+3. a program with a control evaluates its control column once and
+   regresses its error out of every other column's instances
+   (:func:`~repro.core.boosting.control_adjusted`); the ``(columns,
+   instances)`` values are then boosted by one
    :func:`~repro.core.boosting.median_of_means_batch` reduction and expand
-   to one result per column.
+   to one result per column (the control column gives none).
 
 The executor keeps nothing between runs: a cross-batch cache of resolved
 letter sums measured inside the run-to-run spread of the hot end-to-end
@@ -46,7 +50,10 @@ the same reductions.  A level-split bank's term contracts its counter cells
 with its letter sums' levels; that is exact — and so independent of how a
 batch is formed — while the counters are integers (integer update
 weights), as every factor and product then stays below 2^53.  The executor
-is a pure execution-strategy layer, never a numerics change.
+is a pure execution-strategy layer: how a batch is formed never changes a
+number.  What a program's own reduction asks for — the control adjustment
+and clipping of a level-split range program — is numerics, and it runs
+row by row, so it too gives every query the same answer in any batch.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.atomic import Letter, SketchBank, Word
-from repro.core.boosting import BoostingPlan, median_of_means_batch
+from repro.core.boosting import BoostingPlan, control_adjusted, median_of_means_batch
 from repro.core.result import EstimateResult
 from repro.errors import SketchConfigError
 
@@ -136,6 +143,12 @@ class SketchProgram:
     query-less batch contract (N requests against a join estimator share
     one set of per-instance values): the executor evaluates the program
     once and returns ``replicas`` results, each owning its own arrays.
+
+    ``control``, when set, is the exact expectation of the *last*
+    letter-sum column, which answers no query: the executor regresses that
+    column's per-instance error out of every query's instances before the
+    reduction and clips each estimate to ``[0, control]`` (a count of
+    objects among ``control``).
     """
 
     terms: tuple[ProgramTerm, ...]
@@ -144,6 +157,7 @@ class SketchProgram:
     left_count: int
     right_count: int = 1
     replicas: int = 1
+    control: float | None = None
 
     def __post_init__(self) -> None:
         if not self.terms:
@@ -157,28 +171,37 @@ class SketchProgram:
                 "program without them carries replicas")
 
     @property
-    def columns(self) -> int:
-        """How many queries the program answers (before ``replicas``)."""
+    def width(self) -> int:
+        """How many letter-sum columns the program evaluates: one per
+        query, plus the control column."""
         for term in self.terms:
             for ref in term.letter_sums:
                 return len(ref.low)
         return 1
 
     @property
+    def columns(self) -> int:
+        """How many queries the program answers (before ``replicas``)."""
+        return self.width - (self.control is not None)
+
+    @property
     def letter_sum_refs(self) -> list[LetterSumRef]:
         """Every letter-sum request of the program: per query, in term
-        order, one ref with scalar ``low`` / ``high``."""
-        return [ref for _, ref in _scalar_refs(self)]
+        order, one ref with scalar ``low`` / ``high`` (the control column
+        asks for none)."""
+        return [ref for _, ref in _scalar_refs(self, range(self.columns))]
 
 
-def _scalar_refs(program: SketchProgram) -> Iterator[tuple[int, LetterSumRef]]:
-    """``(query, ref)`` for every query, term and letter-sum factor."""
+def _scalar_refs(program: SketchProgram, queries: range
+                 ) -> Iterator[tuple[int, LetterSumRef]]:
+    """``(column, ref)`` for every column of ``queries``, term and
+    letter-sum factor."""
     columns = {}
     for term in program.terms:
         for ref in term.letter_sums:
             if ref not in columns:
                 columns[ref] = (ref.low.tolist(), ref.high.tolist())
-    for query in range(program.columns):
+    for query in queries:
         for term in program.terms:
             for ref in term.letter_sums:
                 lows, highs = columns[ref]
@@ -246,9 +269,7 @@ class ProgramExecutor:
         programs = list(programs)
         results: list[EstimateResult] = []
         for program in programs:
-            for start in range(0, program.columns, self.CHUNK):
-                results.extend(self._run_columns(
-                    program, start, min(start + self.CHUNK, program.columns)))
+            results.extend(self._run_program(program))
         with self._lock:
             self._stats.runs += 1
             self._stats.programs += len(programs)
@@ -257,15 +278,36 @@ class ProgramExecutor:
 
     # -- execution ----------------------------------------------------------------
 
-    def _run_columns(self, program: SketchProgram, start: int,
-                     stop: int) -> list[EstimateResult]:
-        """Results for columns ``start:stop`` of one program."""
-        sums = self._letter_sums(program, start, stop)
-        # One boosting reduction over C-contiguous (columns, instances)
-        # rows — bit-identical per row to scalar median_of_means.
-        rows = np.ascontiguousarray(
-            self._values(program, sums, stop - start).T)
+    def _run_program(self, program: SketchProgram) -> list[EstimateResult]:
+        """One program's results, chunk by chunk.
+
+        The chunks run last to first: the control column, the last one,
+        shares the last chunk's kernel calls and is known before any
+        chunk's reduction.
+        """
+        width = program.width
+        control = None
+        chunks = []
+        for start in reversed(range(0, width, self.CHUNK)):
+            stop = min(start + self.CHUNK, width)
+            # C-contiguous (columns, instances) rows: every reduction runs
+            # along a row, bit-identical to the row on its own.
+            rows = np.ascontiguousarray(self._values(
+                program, self._letter_sums(program, start, stop), stop - start).T)
+            if program.control is not None and control is None:
+                control, rows = rows[-1], rows[:-1]
+            chunks.append(self._reduce(program, rows, control))
+        return [result for chunk in reversed(chunks) for result in chunk]
+
+    @staticmethod
+    def _reduce(program: SketchProgram, rows: np.ndarray,
+                control: np.ndarray | None) -> list[EstimateResult]:
+        """Results for the ``(columns, instances)`` rows of one chunk."""
+        if control is not None:
+            rows = control_adjusted(rows, control, program.control)
         boosted, group_means = median_of_means_batch(rows, program.plan)
+        if control is not None:
+            boosted = np.minimum(np.maximum(boosted, 0.0), program.control)
         # Each result owns its rows: in-place post-processing of one cannot
         # leak into another, and a result kept alive pins no chunk matrix.
         results = [
@@ -437,7 +479,8 @@ def describe_program(program: SketchProgram) -> dict:
     Used by ``repro-spatial estimate --explain`` to show what an estimate
     *is*: the word products and coefficients, every query's letter-sum
     requests with their intervals and dyadic cover sizes, and the
-    reduction plan.
+    reduction plan — with the control column's expectation and requests
+    when the program has one.
     """
     terms = []
     for term in program.terms:
@@ -447,20 +490,23 @@ def describe_program(program: SketchProgram) -> dict:
             "letter_sums": [{"dim": ref.dim, "letter": str(ref.letter)}
                             for ref in term.letter_sums],
         })
-    requests = []
+    requests, control = [], []
     seen: set[tuple] = set()
-    for query, ref in _scalar_refs(program):
-        key = (query, ref.dim, ref.letter, ref.low, ref.high)
+    for column, ref in _scalar_refs(program, range(program.width)):
+        key = (column, ref.dim, ref.letter, ref.low, ref.high)
         if key in seen:
             continue
         seen.add(key)
-        requests.append({
-            "query": query,
+        request = {
             "dim": ref.dim,
             "letter": str(ref.letter),
             "interval": [ref.low, ref.high],
             "cover_size": letter_cover_size(ref),
-        })
+        }
+        if column < program.columns:
+            requests.append({"query": column, **request})
+        else:
+            control.append(request)
     plan = program.plan
     return {
         "num_instances": program.num_instances,
@@ -471,6 +517,10 @@ def describe_program(program: SketchProgram) -> dict:
             "group_size": plan.group_size,
             "num_groups": plan.num_groups,
             "total_instances": plan.total_instances,
+            "control": None if program.control is None else {
+                "expectation": program.control,
+                "letter_sum_requests": control,
+            },
         },
         "replicas": program.replicas,
         "left_count": program.left_count,

@@ -42,6 +42,19 @@ every variance term that pairs a data node on one level with a query node
 on another — in particular the heavy top nodes of the data times the many
 fine nodes of a query's cover.
 
+The reported value of a level-split bank.  Every box overlaps the whole
+sketch domain, so that query's ``Z_N`` has ``E[Z_N] = N``, the exact net
+box count the estimator keeps — a free control variate.  A split program
+carries it as one extra column, and per query the executor replaces each
+instance's ``Z`` by ``Z - beta (Z_N - N)`` with ``beta = cov(Z, Z_N) /
+var(Z_N)`` over the instances
+(:func:`~repro.core.boosting.control_adjusted`).  The estimate is the mean
+of *all* adjusted instances — one group, as :attr:`boosting_plan` says
+unless a plan is given — clipped to ``[0, N]``; its ``instance_values``
+and ``group_means`` are the adjusted, unclipped values.  A one-cell bank
+keeps the paper's median of group means, with no control and no clip, so
+stored state answers bit for bit as it always has.
+
 Note on boundaries: the counting conditions use closed containment, so a
 data rectangle that merely *touches* the query rectangle is counted as
 selected.  This matches the common "window query" semantics; build the
@@ -196,6 +209,15 @@ class RangeQueryEstimator(SketchEstimator):
                               validate=False)
         return sketched, refused
 
+    @property
+    def boosting_plan(self) -> BoostingPlan:
+        """The given plan; else one group of every instance on a level-split
+        bank (see the module docstring), and the paper's median of group
+        means on a one-cell bank."""
+        if self._plan is None and self.bank.split_levels:
+            return BoostingPlan(group_size=self._num_instances, num_groups=1)
+        return super().boosting_plan
+
     def _query_word(self, word: Word) -> Word:
         """The query-side word paired with a counter word (I <-> U flip)."""
         return tuple(
@@ -211,10 +233,18 @@ class RangeQueryEstimator(SketchEstimator):
 
         Where a counter word reads U, a level-split bank's query range ends
         at ``v - 1`` (see the module docstring): a query with ``u == v``
-        there has an empty interval, whose letter sums read zero.
+        there has an empty interval, whose letter sums read zero.  A
+        level-split program also carries the control: one last column,
+        the whole sketch domain, whose expectation is the net box count.
         """
         bank = self.bank
         lows, highs = queries.lows, queries.highs
+        control = None
+        if bank.split_levels:
+            whole = np.asarray(bank.domain.sizes, dtype=np.int64) - 1
+            lows = np.vstack((lows, np.zeros_like(whole)))
+            highs = np.vstack((highs, whole))
+            control = float(self.count)
         upper = highs - 1 if bank.split_levels else highs
         refs = {}
         for dim in range(self.dimension):
@@ -228,4 +258,5 @@ class RangeQueryEstimator(SketchEstimator):
                                           in enumerate(self._query_word(word))))
             for word in self._words)
         return [SketchProgram(terms=terms, num_instances=self._num_instances,
-                              plan=plan, left_count=self.count, right_count=1)]
+                              plan=plan, left_count=self.count, right_count=1,
+                              control=control)]

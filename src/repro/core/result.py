@@ -14,12 +14,17 @@ class EstimateResult:
     Attributes
     ----------
     estimate:
-        The boosted (median-of-means) cardinality estimate.
+        The boosted cardinality estimate: the median of the group means.
+        A level-split range estimate has one group — the mean of every
+        control-adjusted instance — and is clipped to ``[0, left_count]``
+        (see :mod:`repro.core.range_query`).
     instance_values:
         The per-atomic-sketch-instance values of the estimator random
-        variable Z (useful for diagnostics and variance estimation).
+        variable Z (useful for diagnostics and variance estimation); for a
+        level-split range estimate, after the control adjustment.
     group_means:
-        The ``k2`` group averages whose median is the final estimate.
+        The ``k2`` group averages whose median is the final estimate
+        (unclipped: one value for a level-split range estimate).
     left_count / right_count:
         Current cardinalities of the join inputs (or of the single input for
         range queries), used to convert cardinality into selectivity.

@@ -623,10 +623,6 @@ class EstimationService:
         with self._lock:
             self._stats.coalesced_queries += count
 
-    def estimate_cardinality(self, name: str,
-                             query: Rect | BoxSet | None = None) -> float:
-        return self.estimate(name, query).estimate
-
     # -- persistence --------------------------------------------------------------
 
     def snapshot(self) -> dict:

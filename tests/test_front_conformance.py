@@ -19,7 +19,8 @@ from repro.cluster import RouterConfig, ThreadedClusterRouter
 from repro.core.domain import Domain
 from repro.errors import QuotaExceededError, ServerError
 from repro.server import ServerConfig, ThreadedServer, boxes_to_rows
-from repro.service import EstimationService, synthetic_boxes
+from repro.server.protocol import query_box
+from repro.service import EstimationService, EstimatorSpec, synthetic_boxes
 from repro.tenancy import TenantQuota, TenantRegistry
 from repro.wal import WalWriter
 
@@ -250,6 +251,43 @@ def test_register_without_max_levels_writes_the_same_caps_everywhere(
     assert specs["server"] == specs["router"]
     assert specs["server"]["max_levels"] == [5, 5]
     assert specs["server"]["split_levels"] is given["split_levels"] is True
+
+
+# -- a level-split range burst answers like the in-process scalar path ---------
+
+
+@pytest.mark.parametrize("kind", PLACEMENTS)
+def test_a_split_range_burst_answers_like_a_scalar_reference(placement, kind):
+    """A new range name is level-split: each estimate regresses the
+    whole-domain control out of its instances row by row.  A pipelined
+    burst, coalesced into batches with refused rows among its queries,
+    answers every good row bit for bit what an in-process service answers
+    it alone; each refused row gets its own ``bad_request``."""
+    front = placement(kind)
+    boxes = synthetic_boxes(DOMAIN, 400, seed=4)
+    rng = np.random.default_rng(4)
+    corners = np.sort(rng.integers(0, 256, size=(20, 2, 2)), axis=1)
+    rows = [[*low, *high] for low, high in corners.tolist()]
+    refused = {3: [9, 9, 3, 3], 11: [0, 0, 300, 9]}
+    for index, row in refused.items():
+        rows.insert(index, row)
+    with front.client("binary") as client:
+        spec = client.register("rq", **RANGE)["spec"]
+        client.ingest("rq", boxes, side="data")
+        client.flush()
+        replies = client.request_many(
+            [{"op": "estimate", "name": "rq", "query": row} for row in rows])
+    reference = EstimationService(num_shards=1)
+    reference.register("rq", EstimatorSpec.from_dict(spec))
+    reference.ingest("rq", boxes, side="data")
+    assert reference.spec("rq").split_levels
+    for index, (row, reply) in enumerate(zip(rows, replies)):
+        if index in refused:
+            assert reply["error_code"] == "bad_request", reply
+            continue
+        expected = reference.estimate("rq", query_box(row))
+        assert reply["estimate"] == expected.estimate, index
+        assert 0.0 <= reply["estimate"] <= len(boxes)
 
 
 # -- drift (a): the ingest quota counts rows on every wire ----------------------

@@ -10,6 +10,8 @@ floats bit for bit.
 """
 
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,15 @@ from hypothesis import strategies as st
 from repro.cluster.partial import reduce_partials
 from repro.core.atomic import Letter, SketchBank
 from repro.core.domain import Domain
-from repro.core.program import LetterSumRef, _family_key
+from repro.core.program import (
+    LetterSumRef,
+    ProgramExecutor,
+    _family_key,
+    default_executor,
+)
 from repro.core.range_query import RangeQueryEstimator
 from repro.geometry.boxset import BoxSet
-from repro.service import EstimationService, EstimatorSpec
+from repro.service import EstimationService, EstimatorSpec, synthetic_boxes
 
 #: Per dimension ``(size, max_level)``: the full tree, a cap, a deep cap
 #: whose top level holds many blocks, and a size that pads.
@@ -107,15 +114,19 @@ class TestEveryPathAgrees:
         [program] = estimator.lower(queries)
         assert program.columns == len(queries)
         assert len(program.terms) == 4
+        # The last column is the control: the whole domain, E[Z] = N.
+        assert program.width == len(queries) + 1
+        assert program.control == estimator.count == 150
         for term in program.terms:
             word = term.counters[0].word
             for dim, ref in enumerate(term.letter_sums):
                 upper = word[dim] is Letter.UPPER_POINT
                 assert ref.letter is (Letter.INTERVAL if upper else Letter.UPPER_POINT)
-                assert np.array_equal(ref.low, queries.lows[:, dim])
-                assert np.array_equal(ref.high, queries.highs[:, dim] - upper)
+                assert np.array_equal(ref.low[:-1], queries.lows[:, dim])
+                assert np.array_equal(ref.high[:-1], queries.highs[:, dim] - upper)
+                assert (ref.low[-1], ref.high[-1]) == (0, self.SIZES[dim] - 1 - upper)
         # The two last queries are one coordinate wide: in x, in both.
-        empty = [[ref.low[-2:] > ref.high[-2:] for ref in term.letter_sums]
+        empty = [[ref.low[-3:-1] > ref.high[-3:-1] for ref in term.letter_sums]
                  for term in program.terms]
         assert sum(map(np.any, empty)) == 3
 
@@ -164,3 +175,113 @@ class TestLevelSums:
         interval = (Letter.INTERVAL, np.array([0]), np.array([9]))
         assert _family_key(LetterSumRef(split, 0, *interval)) != \
             _family_key(LetterSumRef(one_cell, 0, *interval))
+
+
+class TestControl:
+    """A split program's control column: the whole sketch domain, whose
+    expectation is the net box count N.  Its error is regressed out of
+    every query's instances, row by row; the estimate is the mean of all
+    adjusted instances, clipped to ``[0, N]``."""
+
+    SIZES = (256, 256)
+
+    @staticmethod
+    def fed(spec, boxes):
+        estimator = spec.build()
+        estimator.insert(boxes)
+        return estimator
+
+    @staticmethod
+    def assert_rows_alone(estimator, queries):
+        """Every batch row answers what the query answers on its own."""
+        batch = estimator.estimate_batch(queries)
+        for index, got in enumerate(batch):
+            want = estimator.estimate(queries[index:index + 1])
+            assert got.estimate == want.estimate, index
+            assert np.array_equal(got.instance_values, want.instance_values), index
+            assert np.array_equal(got.group_means, want.group_means), index
+        return batch
+
+    def test_a_negative_count_is_clipped(self):
+        """50 boxes in the lower half of 1000 x 1000, a point query in the
+        empty upper corner: the adjusted mean reads below zero, and the
+        count reported is 0.  The result's arrays stay unclipped, and a
+        one-cell bank (stored state) answers as it always has."""
+        spec = EstimatorSpec.create("range", (1000, 1000), 16, seed=3)
+        boxes = synthetic_boxes(Domain((1000, 500)), 50, seed=0)
+        corner = BoxSet([[999, 999]], [[999, 999]])
+        result = self.fed(spec, boxes).estimate(corner)
+        assert result.estimate == 0.0
+        assert result.group_means.shape == (1,) and result.group_means[0] < 0
+        assert result.group_means[0] == result.instance_values.mean()
+        one_cell = self.fed(replace(spec, split_levels=False), boxes).estimate(
+            BoxSet([[500, 999]], [[500, 999]]))
+        assert one_cell.estimate < 0 and one_cell.group_means.shape == (5,)
+
+    def test_the_whole_domain_answers_the_count(self):
+        spec = EstimatorSpec.create("range", self.SIZES, 32, seed=4)
+        estimator = self.fed(spec, synthetic_boxes(Domain(self.SIZES), 300, seed=2))
+        whole = BoxSet([[0, 0]], [[255, 255]])
+        result = estimator.estimate(whole)
+        assert 300 - 1e-9 <= result.estimate <= 300
+        assert np.allclose(result.instance_values, 300)
+
+    @pytest.mark.parametrize("queries", [11, 12, 13])
+    def test_a_batch_longer_than_a_chunk(self, monkeypatch, queries):
+        """With 4 columns per chunk: the control rides in a full last chunk
+        (11 queries), alone in it (12), or with one query (13)."""
+        monkeypatch.setattr(ProgramExecutor, "CHUNK", 4)
+        spec = EstimatorSpec.create("range", self.SIZES, 24, seed=6)
+        estimator = self.fed(spec, synthetic_boxes(Domain(self.SIZES), 200, seed=3))
+        batch = self.assert_rows_alone(
+            estimator, random_boxes(np.random.default_rng(queries), queries,
+                                    self.SIZES))
+        assert len(batch) == queries
+
+    @pytest.mark.parametrize("instances", [1, 2])
+    def test_one_and_two_instances(self, instances):
+        """One instance: the control cannot vary, so beta is 0 and the
+        value is the raw instance.  Two: beta fits them exactly."""
+        spec = EstimatorSpec.create("range", self.SIZES, instances, seed=8)
+        estimator = self.fed(spec, synthetic_boxes(Domain(self.SIZES), 120, seed=4))
+        queries = random_boxes(np.random.default_rng(2), 6, self.SIZES)
+        batch = self.assert_rows_alone(estimator, queries)
+        [program] = estimator.lower(queries)
+        raw = default_executor().run([replace(program, control=None)])[:-1]
+        for got, plain in zip(batch, raw):
+            assert 0.0 <= got.estimate <= 120
+            assert np.isfinite(got.instance_values).all()
+            if instances == 1:
+                assert np.array_equal(got.instance_values, plain.instance_values)
+
+    def test_a_strict_spec_controls_with_the_transformed_domain(self):
+        """Under ``strict`` the sketch domain is the endpoint-transformed
+        one, three times as wide; every transformed box lies inside it, so
+        the control still has E[Z_N] = N."""
+        spec = EstimatorSpec.create("range", self.SIZES, 256, seed=9, strict=True)
+        assert spec.split_levels
+        boxes = random_boxes(np.random.default_rng(5), 400, self.SIZES, strict=True)
+        estimator = self.fed(spec, boxes)
+        queries = random_boxes(np.random.default_rng(6), 8, self.SIZES)
+        [program] = estimator.lower(queries)
+        for term in program.terms:
+            for ref in term.letter_sums:
+                assert ref.low[-1] == 0 and ref.high[-1] >= 3 * 256 - 2
+        control = default_executor().run(
+            [replace(program, control=None)])[-1].instance_values
+        standard_error = control.std(ddof=1) / np.sqrt(control.size)
+        assert abs(control.mean() - 400) <= 3 * standard_error
+        self.assert_rows_alone(estimator, queries)
+
+    def test_data_in_one_corner(self):
+        """Every box inside [0, 7]^2, so every box shares each level's one
+        data node and the instances spread far wider than N: every answer
+        still lies in [0, N], and on this seed the query away from the
+        corner overshoots N and is clipped to it from above."""
+        spec = EstimatorSpec.create("range", self.SIZES, 64, seed=10)
+        estimator = self.fed(spec, random_boxes(np.random.default_rng(7), 150, (8, 8)))
+        queries = BoxSet([[0, 0], [100, 100], [200, 0], [4, 4], [0, 0]],
+                         [[10, 10], [255, 255], [255, 50], [120, 9], [7, 7]])
+        batch = self.assert_rows_alone(estimator, queries)
+        assert all(0.0 <= result.estimate <= 150 for result in batch)
+        assert batch[1].estimate == 150 < batch[1].group_means[0]

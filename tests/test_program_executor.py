@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.atomic import Letter
-from repro.core.boosting import median_of_means, split_instances
+from repro.core.boosting import BoostingPlan, median_of_means, split_instances
 from repro.core.program import (
     ProgramExecutor,
     SketchProgram,
@@ -77,7 +77,9 @@ def reference_scalar_estimate(family: str, view, query=None):
     Returns ``(estimate, instance_values, group_means, left, right)``
     computed with the exact historical accumulation order: per-term counter
     products summed into a zero-initialised value vector, boosted with
-    :func:`median_of_means` under the ``split_instances`` default plan.
+    :func:`median_of_means` under the ``split_instances`` default plan —
+    or, for a level-split range bank, adjusted by the whole-domain control
+    and averaged in one group.
     """
     if family in PAIRED_FAMILIES:
         values = np.zeros(view.num_instances, dtype=np.float64)
@@ -95,36 +97,60 @@ def reference_scalar_estimate(family: str, view, query=None):
         left, right = view.outer_count, view.inner_count
     elif family == "range":
         (query_box, _), bank = view.check_queries(query), view.bank
-        values = np.zeros(view.num_instances, dtype=np.float64)
-        for word in view._words:
-            if not bank.split_levels:
-                sums = np.ones(view.num_instances)
-                for dim, letter in enumerate(view._query_word(word)):
-                    sums *= scalar_letter_sums(
-                        bank, dim, letter, query_box.lows[:, dim],
-                        query_box.highs[:, dim])[:, 0]
-                values += bank.counter(word) * sums
-                continue
-            # Each cell times the query's sums on the same levels; where the
-            # counter word reads U, the query range ends at v - 1.
-            lows = query_box.lows[0]
-            highs = query_box.highs[0] - [letter is Letter.UPPER_POINT for letter in word]
-            if np.any(highs < lows):
-                continue
-            sums = np.ones((view.num_instances, 1))
-            for dim, letter in enumerate(view._query_word(word)):
-                levels = scalar_letter_sums(
-                    bank, dim, letter, lows[dim:dim + 1], highs[dim:dim + 1],
-                    by_level=True)[:, 0]
-                sums = (sums[:, :, None] * levels[:, None, :]).reshape(
-                    view.num_instances, -1)
-            values += (bank.word_cells(word) * sums).sum(axis=1)
+        values = _reference_range_values(view, query_box)
         left, right = view.count, 1
+        if bank.split_levels:
+            # The control: the whole sketch domain, E[Z] = N; its error is
+            # regressed out of every instance, and all instances average
+            # into one group, clipped to [0, N].
+            whole = np.asarray(bank.domain.sizes) - 1
+            control = _reference_range_values(
+                view, BoxSet([[0] * len(whole)], [whole]))
+            centred = control - control.mean()
+            spread = (centred * centred).sum()
+            if spread:
+                values = values - ((values * centred).sum() / spread) * (
+                    control - view.count)
+            estimate, group_means = median_of_means(
+                values, BoostingPlan(view.num_instances, 1))
+            return (min(max(estimate, 0.0), view.count), values, group_means,
+                    left, right)
     else:  # pragma: no cover - defensive
         raise AssertionError(f"unknown family {family!r}")
     estimate, group_means = median_of_means(
         values, split_instances(view.num_instances))
     return estimate, values, group_means, left, right
+
+
+def _reference_range_values(view, query_box: BoxSet) -> np.ndarray:
+    """A range estimator's per-instance values for one query in sketch
+    coordinates, from the counters and scalar letter sums."""
+    bank = view.bank
+    values = np.zeros(view.num_instances, dtype=np.float64)
+    for word in view._words:
+        if not bank.split_levels:
+            sums = np.ones(view.num_instances)
+            for dim, letter in enumerate(view._query_word(word)):
+                sums *= scalar_letter_sums(
+                    bank, dim, letter, query_box.lows[:, dim],
+                    query_box.highs[:, dim])[:, 0]
+            values += bank.counter(word) * sums
+            continue
+        # Each cell times the query's sums on the same levels; where the
+        # counter word reads U, the query range ends at v - 1.
+        lows = query_box.lows[0]
+        highs = query_box.highs[0] - [letter is Letter.UPPER_POINT for letter in word]
+        if np.any(highs < lows):
+            continue
+        sums = np.ones((view.num_instances, 1))
+        for dim, letter in enumerate(view._query_word(word)):
+            levels = scalar_letter_sums(
+                bank, dim, letter, lows[dim:dim + 1], highs[dim:dim + 1],
+                by_level=True)[:, 0]
+            sums = (sums[:, :, None] * levels[:, None, :]).reshape(
+                view.num_instances, -1)
+        values += (bank.word_cells(word) * sums).sum(axis=1)
+    return values
 
 
 def _build_service(family: str, case: dict) -> tuple[EstimationService, tuple]:
@@ -321,6 +347,29 @@ class TestExecutorUnit:
         reduction = description["reduction"]
         assert reduction["group_size"] * reduction["num_groups"] == \
             reduction["total_instances"]
+        assert reduction["control"] is None
+
+    def test_describe_program_shows_a_split_range_control(self, rng):
+        """A level-split range program's control column — the whole sketch
+        domain, expectation the net box count — answers no query: the
+        description lists it under the reduction, one group of every
+        instance."""
+        from repro.core.domain import Domain
+
+        estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
+                                        split_levels=True)
+        estimator.insert(_boxes(rng, 20, (64, 64), degenerate=False))
+        program = estimator.lower(_boxes(rng, 2, (64, 64), degenerate=False))[0]
+        description = describe_program(program)
+        assert description["columns"] == 2
+        assert {request["query"] for request in
+                description["letter_sum_requests"]} == {0, 1}
+        reduction = description["reduction"]
+        assert (reduction["num_groups"], reduction["group_size"]) == (1, 8)
+        control = reduction["control"]
+        assert control["expectation"] == 20
+        assert {tuple(request["interval"])
+                for request in control["letter_sum_requests"]} == {(0, 62), (0, 63)}
 
     def test_executor_does_not_pin_banks(self, rng):
         """An executor keeps nothing between runs: replaced views stay
