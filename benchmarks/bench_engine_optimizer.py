@@ -1,8 +1,11 @@
 """Engine benchmark: sketch-driven join ordering quality.
 
-Shape: the plan chosen with sketch-based selectivity estimates has a true
-C_out (the sum of its exact intermediate cardinalities) no larger than the
-worst enumerated order's and close to the best one's.
+Records the true C_out (the sum of exact intermediate cardinalities) of the
+order chosen with sketch-based selectivity estimates beside the counts-only
+order (the two smallest relations first) and the best and worst enumerated
+orders.  The assertions bound the chosen order loosely: no worse than the
+worst order, and within 4x + 1000 of the best.  On this workload relation
+sizes decide, and the sketch-driven order can be the worst one.
 """
 
 import os

@@ -51,8 +51,8 @@ def stable_seed_offset(parts: Sequence[str], *, modulus: int = 100_000) -> int:
 
     Used by the engine's synopsis managers to give every relation pair its
     own xi families while keeping the derivation reproducible: two processes
-    (or a process and its restored snapshot) derive identical seeds for the
-    same names, so their sketches stay merge-compatible.
+    derive identical seeds for the same names, so their sketches stay
+    merge-compatible.
     """
     if modulus < 1:
         raise SketchConfigError("seed modulus must be positive")

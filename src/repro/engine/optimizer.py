@@ -2,9 +2,8 @@
 
 The optimizer demonstrates the paper's motivation: spatial query plans are
 expensive, and picking a good one requires accurate join-selectivity
-estimates.  It uses the sketch-based estimates the
-:class:`~repro.engine.synopses.SynopsisManager` serves from its
-:class:`~repro.service.service.EstimationService` to pick a left-deep join
+estimates.  It uses the sketch-based estimates of the
+:class:`~repro.engine.synopses.SynopsisManager` to pick a left-deep join
 *order*, enumerating all orders of small queries and building one greedily
 for larger ones.  A plan costs C_out, the sum of its estimated intermediate
 cardinalities (Leis et al., "How Good Are Query Optimizers, Really?",
@@ -89,11 +88,10 @@ class _PairSelectivityCache:
 
     Planning revisits the same relation pairs across candidate orders; the
     cache probes each *missing* pair group through
-    :meth:`SynopsisManager.estimated_join_cardinalities` — one
-    median-of-means reduction per ``ensure`` call instead of one scalar
-    estimate per lookup — while never touching pairs the caller does not
-    ask about (the greedy path for large queries inspects only a fraction
-    of all orientations).
+    :meth:`SynopsisManager.estimated_join_cardinalities` — one executor
+    run per ``ensure`` call instead of one probe per lookup — while never
+    touching pairs the caller does not ask about (the greedy path for large
+    queries inspects only a fraction of all orientations).
     """
 
     def __init__(self, synopses: SynopsisManager) -> None:
@@ -139,9 +137,7 @@ class Optimizer:
     def estimated_pair_selectivity(self, left: SpatialRelation,
                                    right: SpatialRelation) -> float:
         """Estimated join selectivity of a relation pair (clamped to [0, 1])."""
-        if len(left) == 0 or len(right) == 0:
-            return 0.0
-        cardinality = self._synopses.estimated_join_cardinality(left, right)
+        [cardinality] = self._synopses.estimated_join_cardinalities([(left, right)])
         return _clamped_selectivity(cardinality, left, right)
 
     # -- planning -----------------------------------------------------------------------------

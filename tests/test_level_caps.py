@@ -202,11 +202,12 @@ class TestAccuracy:
         """The mean z-score, averaged over the seeds, is within 0.5 of 0.
 
         The probes share their instances, and on level-split counters
-        their values correlate (0.08-0.14 on average over seeds 1-5, 11,
-        101, 202; 0.01-0.03 with one cell per word), so one seed's mean z
-        spreads with a standard deviation of ~0.4 (-0.68 .. 0.67 on those
-        seeds).  Over three seeds it reads 0.20; with the query range's
-        ``b == v`` counted twice it read 0.76."""
+        their control-adjusted values correlate (0.03-0.07 on average over
+        seeds 1-5, 11, 101, 202; 0.01-0.03 with one cell per word), so one
+        seed's mean z spreads with a standard deviation of ~0.3 (-0.46 ..
+        +0.32 on those seeds).  Over three seeds it reads 0.04 (+0.32 /
+        -0.24 / +0.04); with the query range's ``b == v`` counted twice it
+        read 0.76 under the median-of-means reduction."""
         means = [probe_z_scores(seed).mean() for seed in self.SEEDS]
         assert abs(statistics.mean(means)) <= 0.5, means
 
@@ -221,8 +222,10 @@ class TestAccuracy:
 class TestLevelSplit:
     """Level-split counters on probe (b): one cell per (word, level pair)
     against the one-cell layout at the same caps (7, 7), 256 instances.
-    Measured per-instance std 5.4-6.3x lower (median over the probes) and
-    ``rq`` error 4.1-6.6x lower over seeds 1-5, 11, 101, 202."""
+    Under the control-adjusted reduction the per-instance std reads
+    5.7-6.4x lower (median over the probes) and the ``rq`` error 4.8-7.5x
+    lower over seeds 1-5, 11, 101, 202 (6.02 / 6.37 / 6.18 and 5.64 / 7.51
+    / 6.86 on seeds 11 / 101 / 202)."""
 
     SEEDS = (11, 101, 202)
 

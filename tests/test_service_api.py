@@ -51,7 +51,7 @@ class TestRegistration:
 
     def test_unregister_clears_views(self, rng):
         service = _service()
-        service.insert("join", random_boxes(rng, 10, 256, 2))
+        service.ingest("join", random_boxes(rng, 10, 256, 2))
         service.estimate("join")
         service.unregister("join")
         assert "join" not in service
@@ -62,8 +62,8 @@ class TestRegistration:
 class TestEstimateAndCache:
     def test_estimate_flushes_pending(self, rng):
         service = _service(flush_threshold=None)
-        service.insert("join", random_boxes(rng, 60, 256, 2), side="left")
-        service.insert("join", random_boxes(rng, 60, 256, 2), side="right")
+        service.ingest("join", random_boxes(rng, 60, 256, 2), side="left")
+        service.ingest("join", random_boxes(rng, 60, 256, 2), side="right")
         assert service.pending == 120
         result = service.estimate("join")
         assert service.pending == 0
@@ -71,13 +71,13 @@ class TestEstimateAndCache:
 
     def test_cache_hit_and_invalidation(self, rng):
         service = _service(flush_threshold=None)
-        service.insert("join", random_boxes(rng, 40, 256, 2))
+        service.ingest("join", random_boxes(rng, 40, 256, 2))
         service.estimate("join")
         assert service.stats.cache_misses == 1
         service.estimate("join")
         assert service.stats.cache_hits == 1
         # New data invalidates the cached view on flush.
-        service.insert("join", random_boxes(rng, 10, 256, 2))
+        service.ingest("join", random_boxes(rng, 10, 256, 2))
         service.estimate("join")
         assert service.stats.cache_misses == 2
 
@@ -87,7 +87,7 @@ class TestEstimateAndCache:
         for name in ("a", "b"):
             service.register(name, family="range", domain=(256,),
                              num_instances=8, seed=2)
-            service.insert(name, random_boxes(rng, 20, 256, 1), side="data")
+            service.ingest(name, random_boxes(rng, 20, 256, 1), side="data")
         query = Rect.interval(10, 200)
         service.estimate("a", query)
         service.estimate("b", query)  # evicts a
@@ -98,8 +98,8 @@ class TestEstimateAndCache:
         service = _service(flush_threshold=32)
         left = random_boxes(rng, 300, 256, 2)
         right = random_boxes(rng, 300, 256, 2)
-        service.insert("join", left, side="left")
-        service.insert("join", right, side="right")
+        service.ingest("join", left, side="left")
+        service.ingest("join", right, side="right")
         single = service.spec("join").build()
         single.insert_left(left)
         single.insert_right(right)
@@ -107,25 +107,25 @@ class TestEstimateAndCache:
 
     def test_query_argument_validation(self, rng):
         service = _service()
-        service.insert("join", random_boxes(rng, 10, 256, 2))
+        service.ingest("join", random_boxes(rng, 10, 256, 2))
         with pytest.raises(ServiceError):
             service.estimate("join", Rect.from_bounds((0, 0), (10, 10)))
         service.register("rq", family="range", domain=(256, 256),
                          num_instances=8, seed=1)
-        service.insert("rq", random_boxes(rng, 10, 256, 2), side="data")
+        service.ingest("rq", random_boxes(rng, 10, 256, 2), side="data")
         with pytest.raises(ServiceError):
             service.estimate("rq")  # range estimates need a query
 
     def test_concurrent_ingest_and_estimate(self, rng):
         service = _service(flush_threshold=64)
-        service.insert("join", random_boxes(rng, 100, 256, 2), side="right")
+        service.ingest("join", random_boxes(rng, 100, 256, 2), side="right")
         batches = [random_boxes(rng, 50, 256, 2) for _ in range(8)]
         errors = []
 
         def producer():
             try:
                 for boxes in batches:
-                    service.insert("join", boxes, side="left")
+                    service.ingest("join", boxes, side="left")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -150,8 +150,8 @@ class TestEstimateAndCache:
 class TestSnapshots:
     def test_dict_round_trip_preserves_estimates(self, rng):
         service = _service()
-        service.insert("join", random_boxes(rng, 120, 256, 2), side="left")
-        service.insert("join", random_boxes(rng, 120, 256, 2), side="right")
+        service.ingest("join", random_boxes(rng, 120, 256, 2), side="left")
+        service.ingest("join", random_boxes(rng, 120, 256, 2), side="right")
         expected = service.estimate("join").estimate
         # The tensor tree survives a JSON hop (tensors as nested lists).
         blob = json.dumps(service.snapshot(), default=json_default)
@@ -162,12 +162,12 @@ class TestSnapshots:
         path = tmp_path / "svc.json"
         service = _service()
         first = random_boxes(rng, 80, 256, 2)
-        service.insert("join", first, side="left")
+        service.ingest("join", first, side="left")
         service.save(path)
 
         restored = EstimationService.load(path)
         later = random_boxes(rng, 40, 256, 2)
-        restored.insert("join", later, side="left")
+        restored.ingest("join", later, side="left")
         # The restored service keeps accepting updates and stays exact.
         single = restored.spec("join").build()
         single.insert_left(first.concat(later))
@@ -179,7 +179,7 @@ class TestSnapshots:
 
     def test_snapshot_includes_pending_updates(self, rng, tmp_path):
         service = _service(flush_threshold=None)
-        service.insert("join", random_boxes(rng, 30, 256, 2))
+        service.ingest("join", random_boxes(rng, 30, 256, 2))
         state = service.snapshot()  # flushes first
         restored = restore_service(state)
         assert restored.estimate("join").left_count == 30
@@ -202,7 +202,7 @@ class TestSnapshots:
 
     def test_save_snapshot_with_store_argument(self, rng, tmp_path):
         service = _service()
-        service.insert("join", random_boxes(rng, 10, 256, 2))
+        service.ingest("join", random_boxes(rng, 10, 256, 2))
         service.flush()
         path = tmp_path / "store.json"
         save_snapshot(service.store, path)

@@ -154,3 +154,16 @@ def test_synthetic_boxes_stays_importable_without_the_data_package():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "False", done.stderr
+
+
+def test_the_engine_loads_no_serving_module():
+    """The engine keeps its join sketches as plain estimators: importing it
+    starts none of the service, server, cluster or WAL layers."""
+    probe = ("import json, sys, repro.engine; print(json.dumps(sorted(m for m in "
+             "sys.modules if m.split('.')[:2] in (['repro', 'service'], "
+             "['repro', 'server'], ['repro', 'cluster'], ['repro', 'wal']))))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
