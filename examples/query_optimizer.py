@@ -61,7 +61,7 @@ def main() -> None:
 
     print("\nall join orders (estimated and true C_out):")
     for order in itertools.permutations(query.relations):
-        execution = optimizer.execute_plan(optimizer._cost_order(tuple(order)))
+        execution = optimizer.execute_plan(optimizer.cost_order(tuple(order)))
         marker = "  <== chosen" if tuple(order) == plan.order else ""
         print(f"  {' > '.join(order):55s} {execution.plan.estimated_cost:>12,.0f} "
               f"{execution.cost:>10,}{marker}")

@@ -29,7 +29,7 @@ Quick start::
     estimator = RectangleJoinEstimator(domain, num_instances=256, seed=11)
     estimator.insert_left(left)
     estimator.insert_right(right)
-    print(estimator.estimate_cardinality(), rectangle_join_count(left, right))
+    print(estimator.estimate().estimate, rectangle_join_count(left, right))
 """
 
 from repro.version import __version__

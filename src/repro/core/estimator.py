@@ -331,10 +331,6 @@ class SketchEstimator:
         """The per-instance estimator values Z of one estimate (before boosting)."""
         return self.estimate(query).instance_values
 
-    def estimate_cardinality(self, query=None) -> float:
-        """Shorthand returning only the boosted cardinality estimate."""
-        return self.estimate(query).estimate
-
 
 class QuerylessProgramEstimator(SketchEstimator):
     """The families whose estimates take no query argument.

@@ -71,57 +71,6 @@ class PlanExecution:
             for step, exact in zip(self.plan.steps, self.step_cardinalities)))
 
 
-def _clamped_selectivity(cardinality: float, left: SpatialRelation,
-                         right: SpatialRelation) -> float:
-    """Cardinality as a [0, 1] selectivity; 0 for empty inputs.
-
-    The single definition shared by the public per-pair API and the batched
-    planning cache, so the two can never drift apart.
-    """
-    if len(left) == 0 or len(right) == 0:
-        return 0.0
-    return float(min(1.0, max(0.0, cardinality / (len(left) * len(right)))))
-
-
-class _PairSelectivityCache:
-    """Lazily batch-filled cache of ordered-pair join selectivities.
-
-    Planning revisits the same relation pairs across candidate orders; the
-    cache probes each *missing* pair group through
-    :meth:`SynopsisManager.estimated_join_cardinalities` — one executor
-    run per ``ensure`` call instead of one probe per lookup — while never
-    touching pairs the caller does not ask about (the greedy path for large
-    queries inspects only a fraction of all orientations).
-    """
-
-    def __init__(self, synopses: SynopsisManager) -> None:
-        self._synopses = synopses
-        self.values: dict[tuple[str, str], float] = {}
-
-    def ensure(self, pairs) -> None:
-        """Batch-probe every not-yet-cached ordered pair in ``pairs``."""
-        missing: list[tuple[SpatialRelation, SpatialRelation]] = []
-        seen: set[tuple[str, str]] = set()
-        for left, right in pairs:
-            key = (left.name, right.name)
-            if key not in self.values and key not in seen:
-                missing.append((left, right))
-                seen.add(key)
-        if not missing:
-            return
-        cardinalities = self._synopses.estimated_join_cardinalities(missing)
-        for (left, right), cardinality in zip(missing, cardinalities):
-            self.values[(left.name, right.name)] = _clamped_selectivity(
-                cardinality, left, right)
-
-    def get(self, left: SpatialRelation, right: SpatialRelation) -> float:
-        """The cached selectivity, probing (scalar) when not yet ensured."""
-        key = (left.name, right.name)
-        if key not in self.values:
-            self.ensure([(left, right)])
-        return self.values[key]
-
-
 class Optimizer:
     """Plans and executes spatial join queries using sketch-based estimates."""
 
@@ -134,78 +83,79 @@ class Optimizer:
 
     # -- selectivity estimates -----------------------------------------------------------
 
+    def _pair_selectivities(self, relations: list[SpatialRelation]
+                            ) -> dict[frozenset[str], float]:
+        """Every pair's estimated selectivity, clamped to [0, 1] and keyed by
+        the unordered pair of names: one batched probe for all pairs (an
+        empty side estimates 0)."""
+        pairs = list(itertools.combinations(relations, 2))
+        cardinalities = self._synopses.estimated_join_cardinalities(pairs)
+        return {frozenset((left.name, right.name)):
+                float(min(1.0, cardinality / max(1, len(left) * len(right))))
+                for (left, right), cardinality in zip(pairs, cardinalities)}
+
     def estimated_pair_selectivity(self, left: SpatialRelation,
                                    right: SpatialRelation) -> float:
         """Estimated join selectivity of a relation pair (clamped to [0, 1])."""
-        [cardinality] = self._synopses.estimated_join_cardinalities([(left, right)])
-        return _clamped_selectivity(cardinality, left, right)
+        return self._pair_selectivities([left, right])[frozenset((left.name, right.name))]
 
     # -- planning -----------------------------------------------------------------------------
 
     def plan_join(self, query: JoinQuery) -> JoinPlan:
         """The left-deep plan with the least estimated C_out.
 
-        Pair selectivities are fetched through batched cardinality probes
-        (:class:`_PairSelectivityCache`): exhaustive enumeration pulls all
-        ordered pairs in one probe, the greedy path one probe per greedy
-        round — never one scalar estimate call per (order, step) visit.
+        Every pair's selectivity is read once, in one batched probe, and
+        shared by every candidate order; queries above the enumeration
+        limit get one greedy order.
         """
         relations = [self._catalog.get(name) for name in query.relations]
-        cache = _PairSelectivityCache(self._synopses)
+        selectivities = self._pair_selectivities(relations)
         if len(relations) > self._ENUMERATION_LIMIT:
-            orders = [tuple(r.name for r in self._greedy_order(relations, cache))]
+            orders = [tuple(r.name for r in self._greedy_order(relations, selectivities))]
         else:
-            cache.ensure((left, right) for left in relations
-                         for right in relations if left.name != right.name)
-            orders = [tuple(r.name for r in perm)
-                      for perm in itertools.permutations(relations)]
-        return min((self._cost_order(order, cache) for order in orders),
+            orders = itertools.permutations(query.relations)
+        return min((self.cost_order(order, selectivities) for order in orders),
                    key=lambda plan: plan.estimated_cost)
 
-    def _greedy_order(self, relations: list[SpatialRelation],
-                      cache: _PairSelectivityCache) -> list[SpatialRelation]:
+    @staticmethod
+    def _greedy_order(relations: list[SpatialRelation],
+                      selectivities: dict[frozenset[str], float]
+                      ) -> list[SpatialRelation]:
         """Greedy order: start from the most selective pair, then smallest blow-up."""
-        cache.ensure(itertools.combinations(relations, 2))
-        best_pair = None
-        best_value = None
-        for left, right in itertools.combinations(relations, 2):
-            value = cache.get(left, right) * len(left) * len(right)
-            if best_value is None or value < best_value:
-                best_value = value
-                best_pair = (left, right)
-        assert best_pair is not None
-        order = list(best_pair)
+        def selectivity(left: SpatialRelation, right: SpatialRelation) -> float:
+            return selectivities[frozenset((left.name, right.name))]
+
+        order = list(min(itertools.combinations(relations, 2), key=lambda pair:
+                         selectivity(*pair) * len(pair[0]) * len(pair[1])))
         remaining = [r for r in relations if r not in order]
         while remaining:
-            cache.ensure((placed, candidate)
-                         for candidate in remaining for placed in order)
-
             def blow_up(candidate: SpatialRelation) -> float:
-                selectivity = 1.0
+                product = 1.0
                 for placed in order:
-                    selectivity *= cache.get(placed, candidate)
-                return selectivity * len(candidate)
+                    product *= selectivity(placed, candidate)
+                return product * len(candidate)
 
             next_relation = min(remaining, key=blow_up)
             order.append(next_relation)
             remaining.remove(next_relation)
         return order
 
-    def _cost_order(self, order: tuple[str, ...],
-                    cache: _PairSelectivityCache | None = None) -> JoinPlan:
-        if cache is None:
-            cache = _PairSelectivityCache(self._synopses)
+    def cost_order(self, order: tuple[str, ...],
+                   selectivities: dict[frozenset[str], float] | None = None
+                   ) -> JoinPlan:
+        """The plan of one left-deep order, costed by its estimated C_out
+        (``selectivities`` as :meth:`plan_join` reads them; probed when
+        omitted)."""
         plan = JoinPlan(order=order)
         relations = [self._catalog.get(name) for name in order]
-        cache.ensure((relations[earlier], relations[later])
-                     for later in range(1, len(relations))
-                     for earlier in range(later))
+        if selectivities is None:
+            selectivities = self._pair_selectivities(relations)
         intermediate_cardinality = float(len(relations[0]))
         for step_index in range(1, len(relations)):
             next_relation = relations[step_index]
             selectivity = 1.0
             for placed in relations[:step_index]:
-                selectivity *= cache.get(placed, next_relation)
+                selectivity *= selectivities[frozenset((placed.name, next_relation.name))]
             intermediate_cardinality *= len(next_relation) * selectivity
             plan.steps.append(PlannedJoin(
                 left=relations[step_index - 1].name if step_index == 1 else "<intermediate>",

@@ -76,34 +76,42 @@ class SpatialRelation:
     def delete(self, boxes: BoxSet) -> int:
         """Delete objects equal to the given boxes (one occurrence each).
 
-        Returns the number of objects actually removed; asking to delete an
-        object that is not present raises :class:`~repro.errors.EngineError`.
+        A box asked for ``k`` times removes its first ``k`` copies in
+        relation order.  Returns the number of objects removed; asking for
+        more copies of a box than the relation holds raises
+        :class:`~repro.errors.EngineError` naming the first such row of the
+        batch, and changes nothing.
         """
         self._domain.validate_boxes(boxes, what=f"objects deleted from {self._name}")
-        removed_rows: list[int] = []
-        available = np.ones(len(self), dtype=bool)
-        for index in range(len(boxes)):
-            target_lo = boxes.lows[index]
-            target_hi = boxes.highs[index]
-            matches = np.where(
-                available
-                & np.all(self._lows == target_lo, axis=1)
-                & np.all(self._highs == target_hi, axis=1)
-            )[0]
-            if matches.size == 0:
-                raise EngineError(
-                    f"object {target_lo.tolist()}..{target_hi.tolist()} is not present in "
-                    f"relation {self._name}"
-                )
-            available[matches[0]] = False
-            removed_rows.append(int(matches[0]))
-        keep = np.ones(len(self), dtype=bool)
-        keep[removed_rows] = False
+        held = len(self)
+        _, ids = np.unique(np.vstack([np.hstack([self._lows, self._highs]),
+                                      np.hstack([boxes.lows, boxes.highs])]),
+                           axis=0, return_inverse=True)
+        stored, asked = ids[:held].reshape(-1), ids[held:].reshape(-1)
+        copies_held = np.bincount(stored, minlength=len(ids))
+        missing = np.flatnonzero(_occurrence_ranks(asked) >= copies_held[asked])
+        if missing.size:
+            row = missing[0]
+            raise EngineError(
+                f"object {boxes.lows[row].tolist()}..{boxes.highs[row].tolist()} is not "
+                f"present in relation {self._name}"
+            )
+        keep = _occurrence_ranks(stored) >= np.bincount(asked, minlength=len(ids))[stored]
         self._lows = self._lows[keep]
         self._highs = self._highs[keep]
         for listener in self._listeners:
             listener.on_delete(self, boxes)
-        return len(removed_rows)
+        return len(boxes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SpatialRelation(name={self._name!r}, n={len(self)}, d={self.dimension})"
+
+
+def _occurrence_ranks(ids: np.ndarray) -> np.ndarray:
+    """Each entry's count of equal entries before it: ``[7, 3, 7, 7]`` ranks
+    ``[0, 0, 1, 2]``."""
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    ranks = np.empty_like(ids)
+    ranks[order] = np.arange(len(ids)) - np.searchsorted(ordered, ordered)
+    return ranks

@@ -3,12 +3,13 @@
 The :class:`SynopsisManager` is the glue between the engine and the
 estimation techniques of :mod:`repro.core`: ``join_sketch(left, right)``
 lazily builds a :class:`~repro.core.join_hyperrect.SpatialJoinEstimator`
-for an ordered relation pair, back-fills it with the relations' current
-contents and from then on keeps it current by listening to relation
-mutations.  The sketches are linear, so each update is one counter add and
-the estimator always summarises exactly what its relations hold.  A batch
-of pair probes is one executor run; estimated selectivities are what the
-optimizer consumes.
+for a relation pair, back-fills it with the relations' current contents
+and from then on keeps it current by listening to relation mutations.
+The overlap join is symmetric, so a pair has one sketch whichever way
+round it is asked for.  The sketches are linear, so each update is one
+counter add and the estimator always summarises exactly what its
+relations hold.  A batch of pair probes is one executor run; estimated
+selectivities are what the optimizer consumes.
 """
 
 from __future__ import annotations
@@ -48,9 +49,11 @@ class SynopsisManager:
         The sketches' data space, with whatever level restrictions it
         carries (``Domain.with_max_level``).
     num_instances, seed:
-        Sketch sizing.  The sketch of the ordered pair ``(left, right)`` is
-        seeded ``seed + stable_seed_offset((left, right))`` (relation
-        names), so it does not depend on the process or on probe order.
+        Sketch sizing.  A pair's sketch takes the relation whose name sorts
+        first as its ``left`` side and is seeded ``seed +
+        stable_seed_offset((first, second))`` with the names in that sorted
+        order, so it does not depend on the process, on probe order or on
+        which way round the pair is asked for.
     """
 
     def __init__(self, domain: Domain, *, num_instances: int = 256,
@@ -62,11 +65,13 @@ class SynopsisManager:
 
     def join_sketch(self, left: SpatialRelation,
                     right: SpatialRelation) -> SpatialJoinEstimator:
-        """The live estimator of an ordered pair: built and back-filled on
-        first use, then updated in place by every mutation of either
-        relation."""
+        """The live estimator of a relation pair (``join_sketch(b, a) is
+        join_sketch(a, b)``): built and back-filled on first use, then
+        updated in place by every mutation of either relation."""
         if left.name == right.name:
             raise EngineError("a join sketch needs two distinct relations")
+        if right.name < left.name:
+            left, right = right, left
         key = (left.name, right.name)
         sketch = self._sketches.get(key)
         if sketch is None:

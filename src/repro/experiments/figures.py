@@ -474,7 +474,7 @@ def engine_optimizer_experiment(scale: ExperimentScale = LAPTOP_SCALE, *,
     query = JoinQuery(relations=("parcels", "zones", "sensors"))
 
     chosen = optimizer.execute_plan(optimizer.plan_join(query))
-    executions = [optimizer.execute_plan(optimizer._cost_order(order))
+    executions = [optimizer.execute_plan(optimizer.cost_order(order))
                   for order in itertools.permutations(query.relations)]
     by_size = tuple(sorted(query.relations, key=sizes.__getitem__))
     counts_only = next(execution for execution in executions

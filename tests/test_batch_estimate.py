@@ -257,22 +257,22 @@ class TestOptimizerBatchedProbes:
         from repro.engine.query import JoinQuery
         from repro.engine.synopses import SynopsisManager
 
-        from repro.engine.optimizer import _PairSelectivityCache
-
         catalog = self._catalog(rng, domain_2d)
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
         optimizer = Optimizer(catalog, synopses)
         plan = optimizer.plan_join(JoinQuery(relations=("R", "S", "T")))
-        # The cached-selectivity plan must equal a plan costed pair by pair.
+        # The batched plan must equal a plan costed pair by pair, from one
+        # selectivity per unordered pair.
         selectivities = {
             (a, b): optimizer.estimated_pair_selectivity(catalog.get(a),
                                                          catalog.get(b))
             for a in ("R", "S", "T") for b in ("R", "S", "T") if a != b
         }
-        cache = _PairSelectivityCache(synopses)
-        cache.ensure((catalog.get(a), catalog.get(b))
-                     for a in ("R", "S", "T") for b in ("R", "S", "T") if a != b)
-        assert selectivities == cache.values
+        for (a, b), selectivity in selectivities.items():
+            [cardinality] = synopses.estimated_join_cardinalities(
+                [(catalog.get(a), catalog.get(b))])
+            assert selectivity == selectivities[(b, a)] == min(
+                1.0, cardinality / (len(catalog.get(a)) * len(catalog.get(b))))
 
         def c_out(order):
             total, output = 0.0, float(len(catalog.get(order[0])))

@@ -39,6 +39,11 @@ def _execute(catalog, names, *, closed=False):
     return optimizer.execute_plan(JoinPlan(order=tuple(names)), closed=closed)
 
 
+def _rows(*boxes):
+    """A box set from ``(low, high)`` coordinate pairs."""
+    return BoxSet(np.array([lo for lo, _ in boxes]), np.array([hi for _, hi in boxes]))
+
+
 @pytest.fixture
 def engine_setup(rng):
     domain = Domain.square(512, dimension=2)
@@ -69,6 +74,58 @@ class TestRelation:
         missing = BoxSet(np.array([[1, 1]]), np.array([[2, 2]]))
         with pytest.raises(EngineError):
             relation.delete(missing)
+
+    def test_delete_asking_for_more_copies_than_held_changes_nothing(self, domain_2d):
+        """The first batch row that finds no copy left is named; the relation
+        keeps every row and no listener hears anything."""
+        a, b = ([1, 1], [5, 5]), ([2, 2], [6, 6])
+        relation = SpatialRelation("items", domain_2d, boxes=_rows(a, b, a, b))
+        before = relation.boxes()
+        heard = []
+
+        class Recorder:
+            def on_insert(self, relation, boxes):
+                heard.append(boxes)
+
+            on_delete = on_insert
+
+        relation.add_listener(Recorder())
+        with pytest.raises(EngineError, match=r"object \[2, 2\]\.\.\[6, 6\] is not present"):
+            relation.delete(_rows(a, b, b, a, b, a))
+        assert np.array_equal(relation.boxes().lows, before.lows)
+        assert np.array_equal(relation.boxes().highs, before.highs)
+        assert heard == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_delete_matches_the_one_box_at_a_time_reference(self, domain_2d, seed):
+        """A batch delete removes what deleting its boxes one at a time, each
+        taking the first copy still present, removes, and refuses the same
+        first row."""
+        rng = np.random.default_rng(seed)
+        pool = random_boxes(rng, 6, 256, 2)
+        stored = pool[rng.integers(0, len(pool), 16)]
+        batch = pool[rng.integers(0, len(pool), 10)]
+        lows, highs = stored.lows.copy(), stored.highs.copy()
+        available = np.ones(len(lows), dtype=bool)
+        refused = None
+        for index in range(len(batch)):
+            matches = np.flatnonzero(available & np.all(lows == batch.lows[index], axis=1)
+                                     & np.all(highs == batch.highs[index], axis=1))
+            if matches.size == 0:
+                refused = index
+                break
+            available[matches[0]] = False
+        relation = SpatialRelation("items", domain_2d, boxes=stored)
+        if refused is None:
+            assert relation.delete(batch) == len(batch)
+            assert np.array_equal(relation.boxes().lows, lows[available])
+            assert np.array_equal(relation.boxes().highs, highs[available])
+        else:
+            with pytest.raises(EngineError) as refusal:
+                relation.delete(batch)
+            assert str(refusal.value).startswith(
+                f"object {batch.lows[refused].tolist()}..{batch.highs[refused].tolist()} ")
+            assert np.array_equal(relation.boxes().lows, stored.lows)
 
     def test_listeners_receive_mutations(self, rng, domain_2d):
         events = []
@@ -162,13 +219,16 @@ class TestCatalog:
 
 class TestSynopsisManager:
     def test_join_sketch_tracks_mutations(self, engine_setup, rng):
+        """``lakes`` sorts before ``roads``, so it is the pair's left side
+        whichever way round the pair is asked for."""
         domain, catalog, synopses, (roads, lakes, _) = engine_setup
-        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
+        sketch = synopses.join_sketch(roads, lakes)
+        assert (sketch.left_count, sketch.right_count) == (len(lakes), len(roads))
         extra = random_boxes(rng, 20, 512, 2)
         roads.insert(extra)
-        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
+        assert (sketch.left_count, sketch.right_count) == (200, 320) == (len(lakes), len(roads))
         roads.delete(extra)
-        assert synopses.join_sketch(roads, lakes).left_count == len(roads)
+        assert (sketch.left_count, sketch.right_count) == (200, 300)
 
     def test_join_sketch_estimate_is_plausible(self, engine_setup):
         _, catalog, synopses, (roads, lakes, _) = engine_setup
@@ -289,7 +349,7 @@ class TestOptimizer:
         optimizer = Optimizer(catalog, synopses)
         names = ("roads", "lakes", "parks")
         plan = optimizer.plan_join(JoinQuery(relations=names))
-        costs = [optimizer._cost_order(order).estimated_cost
+        costs = [optimizer.cost_order(order).estimated_cost
                  for order in itertools.permutations(names)]
         assert plan.estimated_cost == min(costs)
 
@@ -318,12 +378,33 @@ class TestOptimizer:
         assert plan.estimated_cost == pytest.approx(
             sum(step.estimated_cardinality for step in plan.steps))
 
+    def test_every_order_reads_one_selectivity_per_pair(self, rng):
+        """The join is symmetric, so orders that start with the same pair
+        estimate the same first step, and every order of a 3-way join
+        estimates the same final cardinality."""
+        domain = Domain.square(256, dimension=2)
+        catalog = Catalog(domain)
+        for name, size in (("r", 150), ("s", 120), ("t", 90)):
+            catalog.create(name, boxes=synthetic.generate_rectangles(
+                size, domain, mean_length=60, rng=rng))
+        optimizer = Optimizer(catalog, SynopsisManager(domain.with_max_level(4),
+                                                       num_instances=256, seed=2))
+        plans = {order: optimizer.cost_order(order)
+                 for order in itertools.permutations(("r", "s", "t"))}
+        for first, second, third in plans:
+            assert (plans[(first, second, third)].steps[0].estimated_cardinality
+                    == pytest.approx(plans[(second, first, third)].steps[0]
+                                     .estimated_cardinality))
+        finals = [plan.estimated_cardinality for plan in plans.values()]
+        assert finals[0] > 0
+        assert finals == [pytest.approx(finals[0])] * len(finals)
+
     def test_execute_plan_result_is_order_independent(self, engine_setup):
         _, catalog, synopses, _ = engine_setup
         optimizer = Optimizer(catalog, synopses)
         cardinalities = set()
         for order in itertools.permutations(("roads", "lakes", "parks")):
-            plan = optimizer._cost_order(tuple(order))
+            plan = optimizer.cost_order(tuple(order))
             cardinalities.add(optimizer.execute_plan(plan).cardinality)
         assert len(cardinalities) == 1
 

@@ -111,18 +111,50 @@ class TestSynopsisManager:
         assert sketch.estimate().estimate == direct.estimate().estimate
 
     def test_a_relation_feeds_its_side_of_every_pair(self, rng, catalog, domain_2d):
-        """A relation on the right of one pair and on the left of others
-        updates the matching side of each pair's sketch."""
+        """A relation feeds the side its name sorts to in each pair: ``S`` is
+        the right side of {R, S} and the left side of {S, T}, whichever way
+        round the pairs are asked for."""
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=3)
         r, s, t = (catalog.get(name) for name in ("R", "S", "T"))
-        as_right = synopses.join_sketch(r, s)
-        as_left = [synopses.join_sketch(s, t), synopses.join_sketch(s, r)]
+        as_right = synopses.join_sketch(s, r)
+        as_left = synopses.join_sketch(t, s)
         extra = synthetic.generate_rectangles(25, domain_2d, rng=rng)
         s.insert(extra)
         s.delete(extra[:5])
         assert (as_right.left_count, as_right.right_count) == (120, 140)
-        for sketch in as_left:
-            assert (sketch.left_count, sketch.right_count) == (140, 120)
+        assert (as_left.left_count, as_left.right_count) == (140, 120)
+
+    def test_a_pair_has_one_sketch_whichever_way_round(self, catalog, domain_2d):
+        """``join_sketch(b, a)`` is ``join_sketch(a, b)``: the name-sorted
+        pair's estimator, seeded from the sorted names."""
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=8)
+        r, s = catalog.get("R"), catalog.get("S")
+        assert synopses.join_sketch(s, r) is synopses.join_sketch(r, s)
+        direct = SpatialJoinEstimator(domain_2d, 16,
+                                      seed=8 + stable_seed_offset(("R", "S")))
+        direct.insert_left(r.boxes())
+        direct.insert_right(s.boxes())
+        assert (synopses.estimated_join_cardinalities([(s, r), (r, s)])
+                == [max(0.0, direct.estimate().estimate)] * 2)
+
+    def test_n_relations_keep_one_sketch_per_unordered_pair(self, rng, catalog,
+                                                            domain_2d):
+        """Planning over 4 relations builds 4 * 3 / 2 = 6 sketches, and an
+        insert into one relation updates the 3 sketches it is part of."""
+        catalog.create("U", boxes=synthetic.generate_rectangles(60, domain_2d, rng=rng))
+        synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
+        Optimizer(catalog, synopses).plan_join(JoinQuery(("R", "S", "T", "U")))
+        sketches = list(synopses._sketches.values())
+        assert len(sketches) == 6
+
+        def sides():
+            return [(sketch.left_count, sketch.right_count) for sketch in sketches]
+
+        before = sides()
+        catalog.get("T").insert(synthetic.generate_rectangles(7, domain_2d, rng=rng))
+        changed = [pair for pair, old, new in zip(synopses._sketches, before, sides())
+                   if old != new]
+        assert changed == [("R", "T"), ("S", "T"), ("T", "U")]
 
     def test_sketch_seeds_are_process_independent(self, catalog, domain_2d):
         """Sketch seeds must not depend on PYTHONHASHSEED or on creation

@@ -84,7 +84,7 @@ class TestOptimizerIntegration:
 
         costs = []
         for order in itertools.permutations(query.relations):
-            plan = optimizer._cost_order(tuple(order))
+            plan = optimizer.cost_order(tuple(order))
             costs.append(optimizer.execute_plan(plan).cost)
         best, worst = min(costs), max(costs)
         assert chosen_execution.cost <= worst
