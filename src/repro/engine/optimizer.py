@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +34,9 @@ from repro.geometry.predicates import overlaps
 
 #: Running intersection boxes probed against the next relation at once.
 _PROBE_CHUNK = 256
+
+#: A pair's estimated selectivity, the same whichever way round it is asked for.
+_Selectivity = Callable[[SpatialRelation, SpatialRelation], float]
 
 
 @dataclass
@@ -83,21 +87,21 @@ class Optimizer:
 
     # -- selectivity estimates -----------------------------------------------------------
 
-    def _pair_selectivities(self, relations: list[SpatialRelation]
-                            ) -> dict[frozenset[str], float]:
-        """Every pair's estimated selectivity, clamped to [0, 1] and keyed by
-        the unordered pair of names: one batched probe for all pairs (an
-        empty side estimates 0)."""
+    def _pair_selectivities(self, relations: list[SpatialRelation]) -> _Selectivity:
+        """Every pair's estimated selectivity, clamped to [0, 1]: one batched
+        probe for all pairs (an empty side estimates 0), read back by the
+        unordered pair of names."""
         pairs = list(itertools.combinations(relations, 2))
         cardinalities = self._synopses.estimated_join_cardinalities(pairs)
-        return {frozenset((left.name, right.name)):
-                float(min(1.0, cardinality / max(1, len(left) * len(right))))
-                for (left, right), cardinality in zip(pairs, cardinalities)}
+        table = {frozenset((left.name, right.name)):
+                 float(min(1.0, cardinality / max(1, len(left) * len(right))))
+                 for (left, right), cardinality in zip(pairs, cardinalities)}
+        return lambda left, right: table[frozenset((left.name, right.name))]
 
     def estimated_pair_selectivity(self, left: SpatialRelation,
                                    right: SpatialRelation) -> float:
         """Estimated join selectivity of a relation pair (clamped to [0, 1])."""
-        return self._pair_selectivities([left, right])[frozenset((left.name, right.name))]
+        return self._pair_selectivities([left, right])(left, right)
 
     # -- planning -----------------------------------------------------------------------------
 
@@ -109,22 +113,18 @@ class Optimizer:
         limit get one greedy order.
         """
         relations = [self._catalog.get(name) for name in query.relations]
-        selectivities = self._pair_selectivities(relations)
+        selectivity = self._pair_selectivities(relations)
         if len(relations) > self._ENUMERATION_LIMIT:
-            orders = [tuple(r.name for r in self._greedy_order(relations, selectivities))]
+            orders = [tuple(r.name for r in self._greedy_order(relations, selectivity))]
         else:
             orders = itertools.permutations(query.relations)
-        return min((self.cost_order(order, selectivities) for order in orders),
+        return min((self.cost_order(order, selectivity) for order in orders),
                    key=lambda plan: plan.estimated_cost)
 
     @staticmethod
     def _greedy_order(relations: list[SpatialRelation],
-                      selectivities: dict[frozenset[str], float]
-                      ) -> list[SpatialRelation]:
+                      selectivity: _Selectivity) -> list[SpatialRelation]:
         """Greedy order: start from the most selective pair, then smallest blow-up."""
-        def selectivity(left: SpatialRelation, right: SpatialRelation) -> float:
-            return selectivities[frozenset((left.name, right.name))]
-
         order = list(min(itertools.combinations(relations, 2), key=lambda pair:
                          selectivity(*pair) * len(pair[0]) * len(pair[1])))
         remaining = [r for r in relations if r not in order]
@@ -141,22 +141,21 @@ class Optimizer:
         return order
 
     def cost_order(self, order: tuple[str, ...],
-                   selectivities: dict[frozenset[str], float] | None = None
-                   ) -> JoinPlan:
+                   selectivity: _Selectivity | None = None) -> JoinPlan:
         """The plan of one left-deep order, costed by its estimated C_out
-        (``selectivities`` as :meth:`plan_join` reads them; probed when
+        (``selectivity`` as :meth:`plan_join` reads it; probed when
         omitted)."""
         plan = JoinPlan(order=order)
         relations = [self._catalog.get(name) for name in order]
-        if selectivities is None:
-            selectivities = self._pair_selectivities(relations)
+        if selectivity is None:
+            selectivity = self._pair_selectivities(relations)
         intermediate_cardinality = float(len(relations[0]))
         for step_index in range(1, len(relations)):
             next_relation = relations[step_index]
-            selectivity = 1.0
+            product = 1.0
             for placed in relations[:step_index]:
-                selectivity *= selectivities[frozenset((placed.name, next_relation.name))]
-            intermediate_cardinality *= len(next_relation) * selectivity
+                product *= selectivity(placed, next_relation)
+            intermediate_cardinality *= len(next_relation) * product
             plan.steps.append(PlannedJoin(
                 left=relations[step_index - 1].name if step_index == 1 else "<intermediate>",
                 right=next_relation.name,

@@ -83,11 +83,13 @@ class SpatialRelation:
         batch, and changes nothing.
         """
         self._domain.validate_boxes(boxes, what=f"objects deleted from {self._name}")
-        held = len(self)
-        _, ids = np.unique(np.vstack([np.hstack([self._lows, self._highs]),
-                                      np.hstack([boxes.lows, boxes.highs])]),
-                           axis=0, return_inverse=True)
-        stored, asked = ids[:held].reshape(-1), ids[held:].reshape(-1)
+        rows = np.hstack([self._lows, self._highs])
+        batch = np.hstack([boxes.lows, boxes.highs])
+        # Only stored rows whose every coordinate occurs in the batch can match.
+        held = np.flatnonzero(np.logical_and.reduce(
+            [np.isin(rows[:, axis], batch[:, axis]) for axis in range(rows.shape[1])]))
+        _, ids = np.unique(np.vstack([rows[held], batch]), axis=0, return_inverse=True)
+        stored, asked = ids[:len(held)].reshape(-1), ids[len(held):].reshape(-1)
         copies_held = np.bincount(stored, minlength=len(ids))
         missing = np.flatnonzero(_occurrence_ranks(asked) >= copies_held[asked])
         if missing.size:
@@ -96,7 +98,8 @@ class SpatialRelation:
                 f"object {boxes.lows[row].tolist()}..{boxes.highs[row].tolist()} is not "
                 f"present in relation {self._name}"
             )
-        keep = _occurrence_ranks(stored) >= np.bincount(asked, minlength=len(ids))[stored]
+        keep = np.ones(len(self), dtype=bool)
+        keep[held] = _occurrence_ranks(stored) >= np.bincount(asked, minlength=len(ids))[stored]
         self._lows = self._lows[keep]
         self._highs = self._highs[keep]
         for listener in self._listeners:
@@ -108,8 +111,7 @@ class SpatialRelation:
 
 
 def _occurrence_ranks(ids: np.ndarray) -> np.ndarray:
-    """Each entry's count of equal entries before it: ``[7, 3, 7, 7]`` ranks
-    ``[0, 0, 1, 2]``."""
+    """How many equal entries precede each entry: ``[7, 3, 7, 7]`` -> ``[0, 0, 1, 2]``."""
     order = np.argsort(ids, kind="stable")
     ordered = ids[order]
     ranks = np.empty_like(ids)

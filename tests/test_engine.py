@@ -97,12 +97,14 @@ class TestRelation:
         assert heard == []
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_delete_matches_the_one_box_at_a_time_reference(self, domain_2d, seed):
+    @pytest.mark.parametrize("width", [256, 4])
+    def test_delete_matches_the_one_box_at_a_time_reference(self, domain_2d, seed, width):
         """A batch delete removes what deleting its boxes one at a time, each
         taking the first copy still present, removes, and refuses the same
-        first row."""
+        first row.  At width 4 the boxes are unit cells of a 3 x 3 grid, so
+        rows that are not asked for share every coordinate with rows that are."""
         rng = np.random.default_rng(seed)
-        pool = random_boxes(rng, 6, 256, 2)
+        pool = random_boxes(rng, 6, width, 2)
         stored = pool[rng.integers(0, len(pool), 16)]
         batch = pool[rng.integers(0, len(pool), 10)]
         lows, highs = stored.lows.copy(), stored.highs.copy()

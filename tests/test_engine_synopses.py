@@ -1,5 +1,7 @@
 """Tests for the engine's join synopses."""
 
+import itertools
+
 import pytest
 
 from repro.core.hashing import stable_seed_offset
@@ -139,22 +141,28 @@ class TestSynopsisManager:
 
     def test_n_relations_keep_one_sketch_per_unordered_pair(self, rng, catalog,
                                                             domain_2d):
-        """Planning over 4 relations builds 4 * 3 / 2 = 6 sketches, and an
-        insert into one relation updates the 3 sketches it is part of."""
+        """Planning over 4 relations leaves 4 * 3 / 2 = 6 sketches, whichever
+        way round each pair is asked for, and an insert into one relation
+        updates the 3 sketches it is part of."""
         catalog.create("U", boxes=synthetic.generate_rectangles(60, domain_2d, rng=rng))
+        names = ("R", "S", "T", "U")
+        relations = [catalog.get(name) for name in names]
         synopses = SynopsisManager(domain_2d, num_instances=16, seed=1)
-        Optimizer(catalog, synopses).plan_join(JoinQuery(("R", "S", "T", "U")))
-        sketches = list(synopses._sketches.values())
-        assert len(sketches) == 6
+        Optimizer(catalog, synopses).plan_join(JoinQuery(names))
+        assert len({id(synopses.join_sketch(left, right))
+                    for left, right in itertools.permutations(relations, 2)}) == 6
+        sketches = {(left.name, right.name): synopses.join_sketch(left, right)
+                    for left, right in itertools.combinations(relations, 2)}
 
         def sides():
-            return [(sketch.left_count, sketch.right_count) for sketch in sketches]
+            return {pair: (sketch.left_count, sketch.right_count)
+                    for pair, sketch in sketches.items()}
 
         before = sides()
         catalog.get("T").insert(synthetic.generate_rectangles(7, domain_2d, rng=rng))
-        changed = [pair for pair, old, new in zip(synopses._sketches, before, sides())
-                   if old != new]
-        assert changed == [("R", "T"), ("S", "T"), ("T", "U")]
+        after = sides()
+        assert {pair for pair in sketches if before[pair] != after[pair]} == {
+            ("R", "T"), ("S", "T"), ("T", "U")}
 
     def test_sketch_seeds_are_process_independent(self, catalog, domain_2d):
         """Sketch seeds must not depend on PYTHONHASHSEED or on creation
