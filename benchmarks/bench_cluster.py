@@ -14,7 +14,9 @@ What is measured instead holds on any core count:
   router against its resident template,
 * a pipelined estimate workload over ``CONNECTIONS`` connections, and
 * the CPU seconds the three server processes spent on it
-  (``/proc/<pid>/stat``): **routed estimates per server-side CPU second**
+  (the scheduler's nanosecond run time of each thread,
+  ``/proc/<pid>/task/*/schedstat``, where ``/proc/<pid>/stat`` counts
+  10 ms clock ticks): **routed estimates per server-side CPU second**
   (a floor) and the **router's own CPU per estimate** (a ceiling) — CPU
   time does not care how many cores the processes were spread over, and
 * the ``estimate`` requests the workers received per routed estimate (a
@@ -58,15 +60,23 @@ QUERIES_PER_CONNECTION = 96
 WORKERS = 2
 SEED = 11
 
-_CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
-
-
 def _cpu_seconds(pid: int) -> float:
-    """User + system CPU time a live process has used so far."""
-    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
-        # The fields after the parenthesised command name start at field 3.
-        fields = handle.read().rsplit(")", 1)[1].split()
-    return (int(fields[11]) + int(fields[12])) / _CLOCK_TICKS
+    """On-CPU time of a live process's threads so far, in nanoseconds'
+    resolution (the first field of each thread's ``schedstat``).
+
+    Only live threads count, so the two samples around the timed section
+    are taken while the servers' executor threads are alive: a thread that
+    exited between them would take its time with it.
+    """
+    total = 0
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/schedstat",
+                      encoding="ascii") as handle:
+                total += int(handle.read().split()[0])
+        except FileNotFoundError:  # the thread exited after the listing
+            pass
+    return total / 1e9
 
 
 def _spawn_router(addresses) -> tuple[subprocess.Popen, int]:
@@ -209,7 +219,7 @@ def test_routed_estimates_per_cpu_second(benchmark):
         f"wall                 {run['seconds']:8.2f} s "
         f"({routed['throughput_rps']:7.0f} rps)",
         "server-side CPU      " + "  ".join(
-            f"{name} {seconds:.2f} s" for name, seconds in cpu.items()),
+            f"{name} {seconds:.3f} s" for name, seconds in cpu.items()),
         f"estimates per CPU s  {routed['estimates_per_cpu_s']:8.0f}",
         f"router CPU/estimate  {routed['router_cpu_ms_per_estimate']:8.2f} ms",
         f"worker requests/est  {routed['worker_requests_per_estimate']:8.3f}",

@@ -6,13 +6,19 @@ against 2.4 ms to save, 8.1x slower to restore); that writer is gone, so
 the slow side of those ratios is gone with it and the gate holds the
 binary path to absolute ceilings instead:
 
-* saving a service as a **binary v2** snapshot and restoring it
+* saving a 4-shard service as a **binary v2** snapshot and restoring it
   (memory-mapped counter tensors) each stay under **2x their recorded
   values** (2.4 ms / 2.2 ms on the reference box — best of a few rounds,
   as that record was taken, so a busy host does not trip the gate), and
 * the checked-in **v2 fixture** an earlier build wrote (all eight
-  families, see ``tests/test_service_snapshot_v2.py``) still restores and
-  answers its recorded estimates exactly.
+  families, one state per shard, see
+  ``tests/test_service_snapshot_v2.py``) still restores and answers its
+  recorded estimates exactly.
+
+The file holds one state per name — the sum of the service's shards — so
+its size and save time do not grow with the shard count: 2 185 344 B for
+the three names here, where one state per shard wrote 8 739 712 B.  The
+restore goes into a store of the constructor's default 4 shards.
 
 Besides the human-readable record under ``benchmarks/results/``, the run
 writes ``BENCH_snapshot.json`` at the repository root; CI consumes that
@@ -122,9 +128,10 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
 
-    _record("snapshot_formats", [
+    _record("snapshot", [
         f"service snapshots ({len(service.names())} estimators, "
-        f"{NUM_INSTANCES} instances, 4 shards; best of {ROUNDS})",
+        f"{NUM_INSTANCES} instances, 4 shards summed into one state per "
+        f"name; best of {ROUNDS})",
         f"size    : v2 binary {report['binary']['bytes']:9,d} B",
         f"save    : v2 binary {save_ms:8.1f} ms   (gate <= {MAX_SAVE_MS} ms)",
         f"restore : v2 binary {restore_ms:8.1f} ms   "

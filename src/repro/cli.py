@@ -141,8 +141,6 @@ def _args_ingest(parser) -> None:
     _add_connect(parser, _CONNECT_OR_SNAPSHOT)
     _add_fields(parser, "ingest")
     _add_fields(parser, "register", skip=("name",), optional=True)
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard count when creating a new snapshot (default: 4)")
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--count", type=int, default=None,
                         help="generate this many uniform synthetic boxes")
@@ -179,7 +177,7 @@ def _args_estimate(parser) -> None:
 def _args_serve(serve) -> None:
     _add_snapshot(serve)
     serve.add_argument("--shards", type=int, default=4,
-                       help="shard count when starting without a snapshot")
+                       help="shard count, with or without --snapshot (default: 4)")
     serve.add_argument("--save-on-exit", action="store_true",
                        help="write the snapshot back to --snapshot on exit: "
                             "after quit/EOF on stdin, or with --listen after "
@@ -336,13 +334,13 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
-def _load_service(path: str | None, shards: int | None = None):
-    """The service in a snapshot file; with ``shards``, a fresh empty one
-    when there is no such file yet."""
+def _load_service(path: str | None, *, create: bool, shards: int = 4):
+    """The service in a snapshot file, in ``shards`` shards; with
+    ``create``, a fresh empty one when there is no such file yet."""
     from repro.service import EstimationService
 
-    if shards is None or (path and os.path.exists(path)):
-        return EstimationService.load(path)
+    if not create or (path and os.path.exists(path)):
+        return EstimationService.load(path, num_shards=shards)
     return EstimationService(num_shards=shards)
 
 
@@ -363,17 +361,17 @@ def _require_target(args) -> None:
             "--snapshot PATH for the offline path")
 
 
-def _target(args, *, create_shards: int | None = None):
+def _target(args, *, create: bool = False):
     """Something that answers requests, as a context manager: a
     :class:`~repro.client.ServiceClient` for ``--connect``, else the
     in-process front stdin ``serve`` uses, over the ``--snapshot`` service
-    (created with ``create_shards`` shards when the file does not exist)."""
+    (with ``create``, a new one when the file does not exist)."""
     from repro.client import InProcessClient, ServiceClient
 
     if args.connect is None:
         _require_target(args)
         return InProcessClient(_stdio_front(
-            _load_service(args.snapshot, create_shards), args.snapshot))
+            _load_service(args.snapshot, create=create), args.snapshot))
     host, port = _parse_hostport(args.connect)
     try:
         return ServiceClient(host, port, wire=args.wire, token=args.token)
@@ -432,7 +430,7 @@ def _run_ingest(args) -> int:
 
     asked = _given(args, "register")
     existed = args.snapshot is not None and os.path.exists(args.snapshot)
-    with _target(args, create_shards=args.shards) as client:
+    with _target(args, create=True) as client:
         stats = client.stats()
         created = args.name not in stats["estimators"]
         if created:
@@ -564,7 +562,7 @@ def _run_estimate(args) -> int:
             raise ReproError("--explain inspects a local snapshot; it does "
                              "not apply to --connect")
         _require_target(args)
-        return _run_explain(_load_service(args.snapshot), args)
+        return _run_explain(_load_service(args.snapshot, create=False), args)
     with _target(args) as client:
         if args.batch_file is not None:
             _write_batch_results(client.estimate_many(
@@ -709,7 +707,7 @@ def _run_serve(args) -> int:
             num_shards=args.shards)
         recovery = report.as_dict()
     else:
-        service = _load_service(args.snapshot, args.shards)
+        service = _load_service(args.snapshot, create=True, shards=args.shards)
     if args.listen is not None:
         return _run_serve_listen(args, service, recovery=recovery)
     return service_command_loop(service, sys.stdin, sys.stdout,

@@ -305,9 +305,8 @@ class SketchBank:
         """A new bank equal to ``self + delta``, sharing this bank's xi families.
 
         This is the counter half of the delta-propagation fast path: instead
-        of re-merging every shard into a fresh bank (which would also redraw
-        the xi families from the seed), the new bank *aliases* this bank's
-        :class:`~repro.core.hashing.FourWiseFamilyBank` objects — keeping
+        of re-merging every shard into a fresh bank, the new bank *aliases*
+        this bank's :class:`~repro.core.hashing.FourWiseFamilyBank` objects — keeping
         their lazily-built sign tables warm and keeping every letter-sum
         cache entry keyed on them valid — and computes its counter tensor as
         one out-of-place add.  Neither input is mutated, so estimates still
@@ -331,7 +330,7 @@ class SketchBank:
         """All xi seeds as one ``(dimension, num_instances, 4)`` uint64 tensor."""
         return stack_xi_coefficients(self._xi)
 
-    def state_dict(self) -> dict:
+    def state_dict(self, *, copy: bool = True) -> dict:
         """A snapshot of the bank's counters and seeds.
 
         ``counters`` is a copy of the contiguous
@@ -339,14 +338,16 @@ class SketchBank:
         stacked ``(dimension, num_instances, 4)`` seed tensor — the shape
         binary snapshots store and memory-map back, and binary worker
         links carry.  A JSON encoder renders both as nested lists, which
-        :meth:`load_state_dict` accepts too.
+        :meth:`load_state_dict` accepts too.  ``copy=False`` hands over the
+        live counter tensor instead, for a bank discarded once its state
+        is written.
         """
         return {
             "num_instances": self._num_instances,
             "updates": self.num_updates,
             "domain": [list(pair) for pair in self._domain.signature()],
             "words": ["".join(letter.value for letter in word) for word in self._words],
-            "counters": self._matrix.copy(),
+            "counters": self._matrix.copy() if copy else self._matrix,
             "xi_coefficients": self.xi_coefficient_tensor(),
         }
 

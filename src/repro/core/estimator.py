@@ -241,12 +241,13 @@ class SketchEstimator:
 
     # -- persistence --------------------------------------------------------------
 
-    def state_dict(self) -> dict:
-        """Compatibility values, every side's bank state, every side's count."""
+    def state_dict(self, *, copy: bool = True) -> dict:
+        """Compatibility values, every side's bank state, every side's count
+        (``copy=False``: the live counter tensors, see the bank's)."""
         compatibility = self._compatibility()
         state: dict = {key: compatibility[key] for key in self.STATE_COMPAT}
         for side in self.SIDES:
-            state[side.state_key] = self._banks[side.name].state_dict()
+            state[side.state_key] = self._banks[side.name].state_dict(copy=copy)
         for side in self.SIDES:
             state[side.count_key] = self._cardinality[side.name]
         return state

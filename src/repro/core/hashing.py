@@ -171,9 +171,9 @@ class _XiFamily:
     """One xi family of the process: its sign table and its lifetime.
 
     A family is a pure function of ``(universe size, coefficients)``, so
-    every bank over it in the process — shard estimators, merged views
-    (which redraw xi from the spec seed), delta trackers, a router's
-    templates, reloaded services — shares one record.  The first
+    every bank over it in the process — shard estimators, merged views,
+    delta trackers, a router's templates, reloaded services — shares one
+    record.  The first
     evaluation builds the table, if it fits the byte limit, and the record
     holds everything derived from the table.
 

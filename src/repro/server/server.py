@@ -203,13 +203,14 @@ class SketchServer(ServingFront):
             if data is not None:
                 raw = protocol.payload_bytes(data)
                 if wal is None:
-                    fresh = await self._run_blocking(_service_from_bytes, raw)
+                    fresh = await self._run_blocking(_service_from_bytes, raw, old.num_shards)
                 else:
                     fresh, described = await self._run_blocking(
                         _adopt_inline_reload, self, old, raw)
                 described["source"] = "inline"
             elif wal is None:
-                fresh = await self._run_blocking(EstimationService.load, path)
+                fresh = await self._run_blocking(
+                    lambda: EstimationService.load(path, num_shards=old.num_shards))
                 described["path"] = str(path)
             else:
                 # Snapshot + replay: the reloaded state is the snapshot
@@ -263,7 +264,7 @@ def _replay_path_reload(old: EstimationService, path: str
     old.detach_wal()
     fresh, report = recover_service(
         directory, path, sync=sync, checkpoint_path=checkpoint_path,
-        checkpoint_boxes=checkpoint_boxes)
+        checkpoint_boxes=checkpoint_boxes, num_shards=old.num_shards)
     return fresh, {"path": path,
                    "replayed_records": report.replayed_records,
                    "replayed_boxes": report.replayed_boxes,
@@ -280,7 +281,7 @@ def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
     so a later crash recovers to exactly this bootstrap plus whatever the
     replica logs afterwards.
     """
-    fresh = _service_from_bytes(raw)
+    fresh = _service_from_bytes(raw, old.num_shards)
     checkpoint_path = old.wal_checkpoint_path
     checkpoint_boxes = old.wal_checkpoint_boxes
     writer = old.detach_wal(close=False)
@@ -295,8 +296,8 @@ def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
                    "wal_seqno": writer.last_seqno}
 
 
-def _service_from_bytes(raw: bytes) -> EstimationService:
+def _service_from_bytes(raw: bytes, num_shards: int) -> EstimationService:
     """Rebuild a service from snapshot bytes shipped over the wire."""
     from repro.service.snapshot import restore_service, snapshot_state_from_bytes
 
-    return restore_service(snapshot_state_from_bytes(raw))
+    return restore_service(snapshot_state_from_bytes(raw), num_shards=num_shards)

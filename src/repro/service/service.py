@@ -15,7 +15,7 @@ pipeline together behind four verbs:
 * ``estimate_multi(requests)`` — answer a **mixed-estimator** batch of
   ``(name, query)`` pairs with one merged-view fetch per name,
 * ``snapshot()`` / ``restore()`` — checkpoint the whole service (specs plus
-  every shard's counter tensors) to a state tree and back; ``save()`` /
+  each name's summed counter tensors) to a state tree and back; ``save()`` /
   ``load()`` put that tree in a binary v2 file.
 
 Every estimate verb compiles each name's queries into sketch programs and
@@ -140,7 +140,7 @@ class EstimationService:
     ----------
     num_shards:
         Number of hash partitions; each registered estimator keeps one
-        merge-compatible sketch per shard.
+        merge-compatible sketch per shard, and snapshots hold their sum.
     flush_threshold:
         Buffered boxes that trigger an automatic flush (``None`` disables).
     delta_propagation:
@@ -620,7 +620,7 @@ class EstimationService:
     # -- persistence --------------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """A checkpoint of specs and shard counters (a tensor state tree).
+        """A checkpoint of specs and summed counters (a tensor state tree).
 
         Pending (unflushed) updates are flushed first, under the same lock
         hold as the capture, so the snapshot reflects everything ingested
@@ -661,12 +661,12 @@ class EstimationService:
         return restore_service(state, flush_threshold=flush_threshold)
 
     @classmethod
-    def load(cls, path, *,
+    def load(cls, path, *, num_shards: int = 4,
              flush_threshold: int | None = 8192) -> "EstimationService":
         """Read a snapshot file written by :meth:`save`."""
         from repro.service.snapshot import load_snapshot
 
-        return load_snapshot(path, flush_threshold=flush_threshold)
+        return load_snapshot(path, num_shards=num_shards, flush_threshold=flush_threshold)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EstimationService(shards={self.num_shards}, "

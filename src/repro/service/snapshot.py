@@ -3,10 +3,13 @@
 Snapshots build directly on the estimators' ``state_dict``/``load_state_dict``
 (:class:`repro.core.estimator.SketchEstimator`, in turn
 :meth:`repro.core.atomic.SketchBank.state_dict`): a snapshot stores, per
-registered name, the :class:`~repro.service.specs.EstimatorSpec` and one
-estimator state per shard.  Restoring rebuilds each estimator from the spec
-and loads its shard state — the xi-seed fingerprints embedded in the bank
-snapshots guard against restoring counters into incompatible sketches.
+registered name, the :class:`~repro.service.specs.EstimatorSpec` and a list
+of estimator states that sum to the name's sketch — this build writes one,
+so the shard count stays with the running service.  A restore loads them
+into shard 0 of a store of any shard count (an older file's per-shard
+states are merged in ``merge_view``'s order, its ``num_shards`` ignored);
+the xi-seed fingerprints embedded in the bank snapshots guard against
+restoring counters into incompatible sketches.
 
 The state tree has one form, in memory and on disk: counters and xi seeds
 are tensors.  A file (``snapshot_version`` 2) is one JSON header describing
@@ -84,10 +87,8 @@ def _validated(state: Mapping) -> Mapping:
     fmt = state.get("format", SNAPSHOT_FORMAT)
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(f"not a service snapshot (format {fmt!r})")
-    for key in ("num_shards", "estimators"):
-        if key not in state:
-            raise SnapshotError(f"snapshot is missing the {key!r} field")
-    _header_int(state, "num_shards")
+    if "estimators" not in state:
+        raise SnapshotError("snapshot is missing the 'estimators' field")
     if "wal_seqno" in state:
         _header_int(state, "wal_seqno")
     # A bare ``store.state_dict()`` carries no version: it is this build's.
@@ -103,32 +104,28 @@ def _validated(state: Mapping) -> Mapping:
 
 
 def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
-    """Register and load every estimator of a snapshot into an empty store.
+    """Register every estimator of a snapshot in an empty store, its states
+    summed into shard 0.
 
-    Read-only memory-mapped tensors are adopted without copying and
-    materialised lazily on first mutation; writable ones are copied.
+    Read-only memory-mapped tensors of the first state are adopted without
+    copying and materialised lazily on first mutation; writable ones are
+    copied.
     """
     state = _validated(state)
-    if state["num_shards"] != store.num_shards:
-        raise SnapshotError(
-            f"snapshot was taken with {state['num_shards']} shards, "
-            f"store has {store.num_shards}"
-        )
     for name, entry in state["estimators"].items():
         try:
             spec = EstimatorSpec.from_dict(entry["spec"])
-            shard_states = entry["shards"]
-        except (KeyError, TypeError) as exc:
+            first, *rest = entry["shards"]
+        except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"malformed snapshot entry for {name!r}: {exc}") from exc
-        if len(shard_states) != store.num_shards:
-            raise SnapshotError(
-                f"snapshot entry {name!r} has {len(shard_states)} shard states, "
-                f"expected {store.num_shards}"
-            )
         store.register(name, spec)
         try:
-            for estimator, shard_state in zip(store.shard_estimators(name), shard_states):
-                estimator.load_state_dict(shard_state, copy=False)
+            estimator = store.shard_estimators(name)[0]
+            estimator.load_state_dict(first, copy=False)
+            for shard_state in rest:
+                part = estimator.companion()
+                part.load_state_dict(shard_state, copy=False)
+                estimator.merge(part)
         except MergeCompatibilityError as exc:
             raise SnapshotError(
                 f"snapshot entry {name!r} is incompatible with its own spec: {exc}"
@@ -141,12 +138,13 @@ def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
         store.mark_updated(name)
 
 
-def restore_service(state: Mapping, *, flush_threshold: int | None = 8192):
+def restore_service(state: Mapping, *, num_shards: int = 4,
+                    flush_threshold: int | None = 8192):
     """Build a fresh :class:`~repro.service.service.EstimationService`."""
     from repro.service.service import EstimationService
 
     state = _validated(state)
-    service = EstimationService(num_shards=state["num_shards"],
+    service = EstimationService(num_shards=num_shards,
                                 flush_threshold=flush_threshold)
     restore_store_state(service.store, state)
     if state.get("tenants") is not None:
@@ -235,7 +233,7 @@ def write_binary_snapshot_state(state: Mapping, target) -> None:
         for entry, array in zip(table, arrays):
             start = data_start + entry["offset"]
             handle.write(b"\0" * (start - position))
-            handle.write(array.tobytes())
+            handle.write(array.data)
             position = start + entry["nbytes"]
 
     if hasattr(target, "write"):
@@ -358,7 +356,7 @@ def save_snapshot(service_or_store, path) -> None:
     write_binary_snapshot_state(state, path)
 
 
-def load_snapshot(path, *, flush_threshold: int | None = 8192):
+def load_snapshot(path, *, num_shards: int = 4, flush_threshold: int | None = 8192):
     """Read a snapshot file and rebuild its service."""
-    return restore_service(read_binary_snapshot_state(path),
+    return restore_service(read_binary_snapshot_state(path), num_shards=num_shards,
                            flush_threshold=flush_threshold)

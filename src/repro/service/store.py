@@ -11,10 +11,11 @@ updates are integer-valued, so float64 addition is exact and
 order-independent).
 
 Boxes are routed to shards by a deterministic mix of their integer
-coordinates (:func:`shard_ids`), so the same box always lands on the same
-shard — a delete finds the shard that saw the insert, keeping every shard
-sketch a valid linear summary of its partition.  A cluster router splits
-an ingest frame over its shard workers with the same rule.
+coordinates (:func:`shard_ids`); a cluster router splits an ingest frame
+over its shard workers with the same rule.  The one invariant is that the
+shards **sum** to the name's sketch, which is all every reader
+(:meth:`ShardedSketchStore.merge_view`) and a snapshot hold: a restored
+name sits in shard 0, and a later delete may drive another shard negative.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def shard_ids(boxes: BoxSet, num_shards: int) -> np.ndarray:
     """Deterministic shard assignment for every box (splitmix-style hash).
 
     The hash depends only on the box coordinates and the shard count, never
-    on insertion order or process state, so inserts and their matching
-    deletes always meet on the same shard.
+    on insertion order or process state, so a frame splits the same way in
+    every process.
     """
     if num_shards < 1:
         raise ServiceError("num_shards must be at least 1")
@@ -98,17 +99,19 @@ class ShardedSketchStore:
     # -- registration -------------------------------------------------------------
 
     def register(self, name: str, spec: EstimatorSpec) -> None:
-        """Create the shard estimators for a new name."""
+        """Create the shard estimators for a new name: one build, the
+        other shards its companions, so all of them alias one set of xi
+        families and every merge across them skips the by-value check."""
         if not name:
             raise ServiceError("estimator names must be non-empty")
         if name in self._specs:
             raise ServiceError(f"estimator {name!r} is already registered")
         if not isinstance(spec, EstimatorSpec):
             raise ServiceError(f"expected an EstimatorSpec, got {type(spec).__name__}")
-        estimators = [spec.build() for _ in range(self._num_shards)]
+        first = spec.build()
         self._specs[name] = spec
-        for shard, estimator in zip(self._shards, estimators):
-            shard[name] = estimator
+        for index, shard in enumerate(self._shards):
+            shard[name] = first.companion() if index else first
         self._versions[name] = 0
 
     def unregister(self, name: str) -> None:
@@ -182,15 +185,16 @@ class ShardedSketchStore:
     def merge_view(self, name: str) -> Any:
         """A fresh estimator equal to the sum of all shard estimators.
 
-        The view is built from the shared spec (hence merge-compatible with
-        every shard) and is independent of the store: later shard updates do
-        not affect it, which is exactly what a query-side cache wants.  Each
+        The view starts as shard 0's ``companion()`` (zero counters over
+        the xi families shard 0 already holds, so nothing is redrawn) and
+        is independent of the store's counters: later shard updates do not
+        affect it, which is exactly what a query-side cache wants.  Each
         fold is one vectorised add of contiguous counter tensors
         (:meth:`repro.core.atomic.SketchBank.merge`) — no per-word
         traversal, so view construction is O(shards) array ops per bank.
         """
-        spec = self.spec(name)
-        merged = spec.build()
+        self.spec(name)  # raises for unknown names
+        merged = self._shards[0][name].companion()
         for shard in self._shards:
             merged.merge(shard[name])
         return merged
@@ -198,23 +202,13 @@ class ShardedSketchStore:
     # -- persistence ----------------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """A snapshot of every spec and shard estimator.
-
-        Every bank's counters are one contiguous tensor — the form the
-        binary snapshot writer serialises directly.
-        """
-        return {
-            "num_shards": self._num_shards,
-            "estimators": {
-                name: {
-                    "spec": spec.to_dict(),
-                    "version": self._versions[name],
-                    "shards": [shard[name].state_dict()
-                               for shard in self._shards],
-                }
-                for name, spec in self._specs.items()
-            },
-        }
+        """Every spec and, per name, one state: its :meth:`merge_view`,
+        built for this state alone, so its counters go over uncopied —
+        contiguous tensors, the form the binary snapshot writer writes."""
+        return {"estimators": {
+            name: {"spec": spec.to_dict(), "version": self._versions[name],
+                   "shards": [self.merge_view(name).state_dict(copy=False)]}
+            for name, spec in self._specs.items()}}
 
     def load_state_dict(self, state: Mapping) -> None:
         """Restore a snapshot into this (compatible, possibly empty) store."""

@@ -150,7 +150,6 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     tail — and is attached to the recovered service, so it keeps logging
     where the crashed process stopped.
     """
-    from repro.service.service import EstimationService
     from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
     base_seqno = 0
@@ -162,11 +161,11 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     if snapshot_path is not None and os.path.exists(os.fspath(snapshot_path)):
         resolved_path = os.fspath(snapshot_path)
         state = read_binary_snapshot_state(resolved_path)
-        service = restore_service(state, flush_threshold=flush_threshold)
         base_seqno = state.get("wal_seqno", 0)
     else:
-        service = EstimationService(num_shards=num_shards,
-                                    flush_threshold=flush_threshold)
+        state = {"estimators": {}}
+    service = restore_service(state, num_shards=num_shards,
+                              flush_threshold=flush_threshold)
 
     truncated_bytes = sum(scan_segment(path).truncated_bytes
                           for path in list_segments(wal_dir))

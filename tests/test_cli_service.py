@@ -2,7 +2,9 @@
 
 import io
 import json
-
+import pathlib
+import shutil
+import sys
 
 from repro.cli import main, service_command_loop
 from repro.service import EstimationService
@@ -33,6 +35,25 @@ class TestServeLoop:
         estimate = replies[3]
         assert estimate["left_count"] == 2 and estimate["right_count"] == 1
         assert replies[4]["num_shards"] == 2
+
+    def test_serve_restores_a_snapshot_into_its_own_shard_count(
+            self, tmp_path, monkeypatch, capsys):
+        """``serve --snapshot F --shards 1`` serves 1 shard, and the v2
+        fixture (written with 2) answers its pinned join estimate."""
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        path = tmp_path / "svc.snap"
+        shutil.copy(fixtures / "service_snapshot_v2.snap", path)
+        pinned = json.loads(
+            (fixtures / "service_snapshot_v2.expected.json").read_text())
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join([
+            json.dumps({"op": "estimate", "name": "join"}),
+            json.dumps({"op": "stats"}),
+            json.dumps({"op": "quit"})]) + "\n"))
+        assert main(["serve", "--snapshot", str(path), "--shards", "1"]) == 0
+        estimate, stats, _ = map(json.loads,
+                                 capsys.readouterr().out.splitlines())
+        assert estimate["estimate"] == pinned["names"]["join"]["scalar"]
+        assert stats["num_shards"] == 1
 
     def test_errors_keep_the_loop_alive(self):
         service = EstimationService(num_shards=2)

@@ -332,7 +332,7 @@ def test_cli_serve_listen_subprocess_end_to_end(tmp_path):
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve", "--snapshot",
-         str(snapshot), "--listen", "127.0.0.1:0"],
+         str(snapshot), "--shards", "3", "--listen", "127.0.0.1:0"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
     try:
         banner = json.loads(process.stdout.readline())
@@ -341,7 +341,9 @@ def test_cli_serve_listen_subprocess_end_to_end(tmp_path):
         with ServiceClient("127.0.0.1", port) as client:
             remote = client.estimate("ranges", _rows(query)[0])
             assert remote.estimate == expected
-            assert client.stats()["num_shards"] == service.num_shards
+            # The shard count is the command line's, not the file's.
+            assert service.num_shards != 3
+            assert client.stats()["num_shards"] == 3
     finally:
         process.terminate()
         process.wait(timeout=30)

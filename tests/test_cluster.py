@@ -741,6 +741,36 @@ class TestReplicas:
             view = worker_trio[index].service.merged_view("ranges")
             assert view.count == 350
 
+    def test_a_replica_keeps_its_own_shard_count(self):
+        """A bootstrap ships each name's summed sketch: a 2-shard worker
+        bootstrapped from a 4-shard one stays at 2 shards, and routed
+        estimates answer as one node — from either member of the group."""
+        handles = [ThreadedServer(EstimationService(num_shards=shards),
+                                  config=ServerConfig(max_batch=16,
+                                                      max_delay=0.001)).start()
+                   for shards in (4, 2)]
+        reference = EstimationService(num_shards=1)
+        try:
+            with ThreadedClusterRouter([("127.0.0.1", handles[0].port)],
+                                       start_heartbeat=False) as handle:
+                with ServiceClient("127.0.0.1", handle.port) as client:
+                    _register_everywhere(client, reference)
+                    _ingest_everywhere(client, reference, count=200)
+                    handle.run(handle.router.bootstrap_replica(
+                        "r1", "127.0.0.1", handles[1].port, source="w0"))
+                    assert [h.service.num_shards for h in handles] == [4, 2]
+                    for seed in (37, 41):
+                        requests, expected = _mixed_burst(reference, seed=seed)
+                        _assert_answers(client.request_many(requests),
+                                        expected)
+            for member in handles:
+                with ServiceClient("127.0.0.1", member.port) as direct:
+                    requests, expected = _mixed_burst(reference, seed=43)
+                    _assert_answers(direct.request_many(requests), expected)
+        finally:
+            for member in handles:
+                member.stop()
+
     def test_a_replica_bootstrapped_under_live_ingest_mirrors_its_owner(
             self, worker_trio):
         """Ingest keeps flowing through the router while a replica

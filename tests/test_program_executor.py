@@ -472,8 +472,9 @@ def test_delta_applied_views_match_scalar_reference(family, case):
 
 def test_delta_applied_views_alias_their_xi_families(rng):
     """A delta-applied view reads its predecessor's xi families — the
-    same objects, so the same sign tables — while a full rebuild draws
-    fresh ones; both answer like a from-scratch merge of the new state."""
+    same objects, so the same sign tables — and a full rebuild reads the
+    shards' own, drawing none; both answer like a from-scratch merge of
+    the new state."""
     sizes = (32, 32)
     queries = _boxes(rng, 6, sizes, degenerate=False)
     for delta_on in (True, False):
@@ -490,9 +491,10 @@ def test_delta_applied_views_alias_their_xi_families(rng):
         service.flush()
         refreshed_view = service.merged_view("est")
         assert service.stats.delta_applies == int(delta_on)
-        aliased = [new is old for new, old
-                   in zip(refreshed_view.bank.xi_banks, before)]
-        assert aliased == [delta_on] * len(sizes)
+        shard_families = service.store.shard_estimators("est")[0].bank.xi_banks
+        for families in (before, refreshed_view.bank.xi_banks):
+            assert [mine is theirs for mine, theirs
+                    in zip(families, shard_families)] == [True] * len(sizes)
         refreshed = service.program_executor.run(
             compile_programs(service.spec("est"), refreshed_view, queries))
         fresh = service.store.merge_view("est").estimate_batch(queries)

@@ -223,7 +223,7 @@ def test_a_router_forwards_only_table_fields(monkeypatch, tmp_path):
 CONNECT = {"--connect", "--wire"}
 VERB_FLAGS = {
     "ingest": (("auth", "ingest", "register"),
-               CONNECT | {"--snapshot", "--shards", "--count", "--boxes",
+               CONNECT | {"--snapshot", "--count", "--boxes",
                           "--data-seed"}),
     "estimate": (("auth", "estimate"),
                  CONNECT | {"--snapshot", "--batch-file", "--batch-output",

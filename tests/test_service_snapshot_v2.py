@@ -4,10 +4,14 @@ Covers the guarantees of the columnar state layer:
 
 * every estimator family answers bit-identically after a round trip through
   a snapshot file, memory-mapped or read into private memory,
+* a snapshot holds each name's shards summed, so it restores into any
+  shard count and answers as its source, before and after further inserts
+  and deletes on both sides,
 * a checked-in v2 fixture written by an earlier build (PR 20, before the
-  estimator contract was factored into ``repro.core.estimator``) still
-  restores, answers its recorded queries exactly and re-saves to the same
-  bytes (backward compatibility of the on-disk layout),
+  estimator contract was factored into ``repro.core.estimator``; one state
+  per shard) still restores into any shard count, answers its recorded
+  queries exactly and re-saves as the sum of its shard states
+  (backward compatibility of the on-disk layout),
 * corrupt, truncated and retired-format (v1 JSON) snapshots raise
   :class:`SnapshotError`.
 """
@@ -78,6 +82,20 @@ def _canonical(node):
     if isinstance(node, list):
         return [_canonical(value) for value in node]
     return node
+
+
+def _summed(states, key=None):
+    """Per-shard estimator states summed as a store sums its shards:
+    counters, update counts and side counts add; the rest is shared."""
+    first, *rest = states
+    if isinstance(first, dict):
+        return {k: _summed([state[k] for state in states], k) for k in first}
+    if key in ("counters", "updates") or key.endswith("count"):
+        for state in rest:
+            first = first + state
+        return first
+    assert all(_canonical(state) == _canonical(first) for state in rest), key
+    return first
 
 
 def _write_v1_json(path) -> None:
@@ -154,11 +172,70 @@ class TestBothFormatsRoundTrip:
             == service.estimate("est").estimate
 
 
+class TestAnyShardCount:
+    """The shard count is the running service's: a snapshot holds each
+    name's sum, and a store of any count restores it into shard 0."""
+
+    @pytest.mark.parametrize("family,sizes,options", FAMILY_SPECS,
+                             ids=[f[0] for f in FAMILY_SPECS])
+    def test_a_4_shard_snapshot_answers_alike_in_1_2_and_7_shards(
+            self, rng, tmp_path, family, sizes, options):
+        source = EstimationService(num_shards=4, flush_threshold=None)
+        spec = EstimatorSpec.create(family, sizes, 16, seed=13, **options)
+        source.register("est", spec)
+        # Boxes the snapshot holds, deleted after the restore: they hash to
+        # other shards in 1, 2 and 7 than they did in 4.
+        held = {}
+        for side in spec.info.sides:
+            boxes = _family_boxes(rng, family, sizes, 90)
+            source.ingest("est", boxes, side=side)
+            held[side] = boxes[:30]
+        path = tmp_path / "svc.snap"
+        source.save(path)
+        state = read_binary_snapshot_state(path)
+        assert "num_shards" not in state
+        assert len(state["estimators"]["est"]["shards"]) == 1
+        queries = None
+        if spec.info.queryable:
+            queries = random_boxes(rng, 6, sizes[0], len(sizes))
+        restored = [load_snapshot(path, num_shards=count)
+                    for count in (1, 2, 7)]
+        assert [service.num_shards for service in restored] == [1, 2, 7]
+
+        def answers(service):
+            if queries is None:
+                scalar = [service.estimate("est")]
+                batch = service.estimate_batch("est", 3)
+            else:
+                scalar = [service.estimate("est", queries[row:row + 1])
+                          for row in range(len(queries))]
+                batch = service.estimate_batch("est", queries)
+            return ([(r.estimate, r.instance_values.tobytes(), r.left_count,
+                      r.right_count) for r in scalar],
+                    [r.estimate for r in batch])
+
+        more = {side: _family_boxes(rng, family, sizes, 40)
+                for side in spec.info.sides}
+        for step in ("restored", "inserted", "deleted"):
+            for service in (source, *restored):
+                for side in spec.info.sides:
+                    if step == "inserted":
+                        service.ingest("est", more[side], side=side)
+                    elif step == "deleted":
+                        service.ingest("est", held[side], side=side,
+                                       kind="delete")
+                service.flush()
+            expected = answers(source)
+            for service in restored:
+                assert answers(service) == expected, (step, service.num_shards)
+
+
 class TestV2FixtureRegression:
     """A snapshot written by an earlier build must keep answering.
 
     ``service_snapshot_v2.snap`` was written by the PR 20 build: all eight
-    families, 2 shards, ~300 boxes a side with some deletes, ``join``
+    families, one state per shard of 2 (and a ``num_shards`` header field,
+    now ignored), ~300 boxes a side with some deletes, ``join``
     registered with ``max_levels``, ``acme/ranges`` inside a tenant's
     namespace.  ``service_snapshot_v2.expected.json`` holds what that build
     answered (``acme/ranges``' per-query ``instance_values`` were added by
@@ -170,11 +247,14 @@ class TestV2FixtureRegression:
     EXPECTED = json.loads(
         (FIXTURES / "service_snapshot_v2.expected.json").read_text())
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
     @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
-    def test_fixture_restores_and_answers_identically(self, mmap):
+    def test_fixture_restores_and_answers_identically(self, mmap, num_shards):
+        """In any shard count: the file's two states per name are summed."""
         service = restore_service(
-            read_binary_snapshot_state(self.SNAPSHOT, mmap=mmap))
-        assert service.num_shards == self.EXPECTED["num_shards"]
+            read_binary_snapshot_state(self.SNAPSHOT, mmap=mmap),
+            num_shards=num_shards)
+        assert service.num_shards == num_shards
         assert service.tenants.describe()["ids"] == self.EXPECTED["tenants"]
         assert service.spec("join").max_levels == (5, 5)
         assert sorted(service.names()) == sorted(self.EXPECTED["names"])
@@ -215,15 +295,21 @@ class TestV2FixtureRegression:
         reply = json.loads(capsys.readouterr().out)
         assert reply["estimate"] == self.EXPECTED["names"]["acme/ranges"]["scalar"][0]
 
-    def test_fixture_resaves_to_the_same_state(self, tmp_path):
-        """Restore + save keeps every header field and tensor: the re-saved
-        file reads back to the fixture's state tree bit for bit, and saving
-        it again writes the same bytes.  (The fixture's shared slots are
-        not re-created: each tensor is stored once per place in the tree.)"""
+    def test_fixture_resaves_as_the_sum_of_its_shard_states(self, tmp_path):
+        """Restore + save keeps every header field but the dropped
+        ``num_shards`` and writes each name's two shard states as one, their
+        sum, bit for bit; saving that file again writes the same bytes."""
         path = tmp_path / "again.snap"
         load_snapshot(self.SNAPSHOT).save(path)
-        assert _canonical(read_binary_snapshot_state(path)) == _canonical(
-            read_binary_snapshot_state(self.SNAPSHOT))
+        fixture = read_binary_snapshot_state(self.SNAPSHOT)
+        again = read_binary_snapshot_state(path)
+        assert _canonical({**fixture, "num_shards": None, "estimators": None}) \
+            == _canonical({**again, "num_shards": None, "estimators": None})
+        assert again["estimators"].keys() == fixture["estimators"].keys()
+        for name, entry in fixture["estimators"].items():
+            assert len(entry["shards"]) == 2
+            assert _canonical(again["estimators"][name]) == _canonical(
+                {**entry, "shards": [_summed(entry["shards"])]})
         twice = tmp_path / "twice.snap"
         load_snapshot(path).save(twice)
         assert twice.read_bytes() == path.read_bytes()
@@ -282,13 +368,12 @@ class TestCorruptSnapshots:
         with pytest.raises(SnapshotError, match="v1 JSON.*PR 20"):
             restore_service({"format": "repro.service.snapshot",
                              "snapshot_version": 1,
-                             "num_shards": 2, "estimators": {}})
+                             "estimators": {}})
 
     @pytest.mark.parametrize("field,value", [
         ("snapshot_version", "abc"), ("snapshot_version", None),
         ("snapshot_version", 2.0), ("snapshot_version", True),
         ("snapshot_version", 0), ("snapshot_version", -3),
-        ("num_shards", None), ("num_shards", "two"), ("num_shards", [2]),
         ("wal_seqno", "7"), ("wal_seqno", None),
     ])
     def test_malformed_header_values_are_snapshot_errors(
@@ -296,7 +381,7 @@ class TestCorruptSnapshots:
         """Header fields that are not integers (or a version below 2) must
         stay inside the error taxonomy, in a tree and in a file."""
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,
-                 "num_shards": 1, "estimators": {}, field: value}
+                 "estimators": {}, field: value}
         with pytest.raises(SnapshotError):
             restore_service(state)
         with pytest.raises(SnapshotError):
@@ -308,7 +393,7 @@ class TestCorruptSnapshots:
 
     def test_negative_array_offset_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,
-                 "num_shards": 1, "estimators": {},
+                 "estimators": {},
                  "first": np.arange(64, dtype=np.float64),
                  "second": np.arange(64, dtype=np.float64) * 2.0}
         path = tmp_path / "svc.snap"
@@ -322,6 +407,13 @@ class TestCorruptSnapshots:
         path.write_bytes(patched)
         with pytest.raises(SnapshotError, match="negative"):
             read_binary_snapshot_state(path)
+
+    def test_an_entry_without_a_state_is_a_snapshot_error(self, rng):
+        service, _ = _family_service(rng, "interval", (256,), {})
+        state = service.snapshot()
+        state["estimators"]["est"]["shards"] = []
+        with pytest.raises(SnapshotError, match="malformed"):
+            restore_service(state)
 
     def test_malformed_xi_coefficients_surface_as_snapshot_error(self, rng):
         """A hand-edited tree with garbage xi seeds (here after a JSON hop)
@@ -348,7 +440,7 @@ class TestCorruptSnapshots:
 
     def test_inconsistent_array_table_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,
-                 "num_shards": 1, "estimators": {},
+                 "estimators": {},
                  "blob": np.arange(8, dtype=np.float64)}
         path = tmp_path / "svc.snap"
         write_binary_snapshot_state(state, path)

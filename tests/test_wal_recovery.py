@@ -50,8 +50,9 @@ def assert_states_equal(left, right, path=""):
         assert left == right, f"{path}: {left!r} != {right!r}"
 
 
-def durable_service(wal_dir, **attach_kwargs) -> EstimationService:
-    service = EstimationService(num_shards=2, flush_threshold=None)
+def durable_service(wal_dir, *, num_shards=2,
+                    **attach_kwargs) -> EstimationService:
+    service = EstimationService(num_shards=num_shards, flush_threshold=None)
     service.attach_wal(WalWriter(wal_dir, sync="none"), **attach_kwargs)
     service.register("ranges", family="range", domain=DOMAIN,
                      num_instances=16, seed=5)
@@ -116,6 +117,39 @@ class TestServiceWalIntegration:
         assert report.base_seqno == covered
         assert report.replayed_records == 1 and report.replayed_boxes == 60
         assert_states_equal(expected, recovered.snapshot())
+        recovered.detach_wal()
+
+    def test_a_4_shard_checkpoint_recovers_into_the_callers_2_shards(
+            self, tmp_path):
+        """The shard count is the recovering caller's, not the checkpoint's:
+        the tail replayed on a 4-shard checkpoint into 2 shards — deletes
+        of checkpointed boxes included — equals a never-checkpointed twin."""
+        wal_dir = tmp_path / "wal"
+        snap = tmp_path / "ckpt.snap"
+        service = durable_service(wal_dir, num_shards=4, checkpoint_path=snap)
+        twin = EstimationService(num_shards=2, flush_threshold=None)
+        twin.register("ranges", service.spec("ranges"))
+        twin.register("join", service.spec("join"))
+        held = synthetic_boxes(DOMAIN, 200, seed=3)
+        tail = synthetic_boxes(DOMAIN, 60, seed=4)
+        for target in (service, twin):
+            target.ingest("ranges", held, side="data")
+            target.ingest("join", held, side="left")
+        service.checkpoint()
+        for target in (service, twin):
+            target.ingest("ranges", tail, side="data")
+            target.ingest("ranges", held[:50], side="data", kind="delete")
+            target.ingest("join", tail, side="right")
+        service.detach_wal()
+
+        recovered, report = recover_service(wal_dir, snap, num_shards=2)
+        assert recovered.num_shards == 2
+        assert report.replayed_records == 3
+        assert_states_equal(twin.snapshot(), recovered.snapshot())
+        queries = synthetic_queries(DOMAIN, 8, seed=6)
+        for name, batch in (("ranges", queries), ("join", 2)):
+            assert ([r.estimate for r in recovered.estimate_batch(name, batch)]
+                    == [r.estimate for r in twin.estimate_batch(name, batch)])
         recovered.detach_wal()
 
     def test_a_restart_after_a_checkpoint_keeps_the_numbering(self, tmp_path):

@@ -409,13 +409,15 @@ def test_ingest_ships_tensor_and_ragged_rows_still_rejected():
 
 
 def _oversized_reply_server() -> ThreadedServer:
-    """A server whose ``snapshot fetch`` reply (~34 MB) is over a reader's
-    default 16 MiB frame bound but within its drain limit."""
-    service = EstimationService()
-    service.register("big", family="range", domain=(1024, 1024),
-                     num_instances=4096)
-    service.ingest("big", synthetic_boxes(Domain.square(1024, dimension=2),
-                                          200, seed=1), side="data")
+    """A server whose ``snapshot fetch`` reply (four 4096-instance names,
+    one ~8.4 MB state each: ~34 MB) is over a reader's default 16 MiB frame
+    bound but within its drain limit."""
+    service = EstimationService(num_shards=1)
+    boxes = synthetic_boxes(Domain.square(1024, dimension=2), 200, seed=1)
+    for index in range(4):
+        service.register(f"big{index}", family="range", domain=(1024, 1024),
+                         num_instances=4096)
+        service.ingest(f"big{index}", boxes, side="data")
     service.flush()
     return ThreadedServer(service, config=ServerConfig(
         port=0, max_line_bytes=1 << 27))
