@@ -59,7 +59,6 @@ from repro.core import (
     ExtendedOverlapJoinEstimator,
     IntervalJoinEstimator,
     Letter,
-    Quantizer,
     RangeQueryEstimator,
     RectangleJoinEstimator,
     SketchBank,
@@ -96,7 +95,6 @@ __all__ = [
     "Domain",
     "DyadicDomain",
     "EndpointTransform",
-    "Quantizer",
     "Letter",
     "SketchBank",
     "BoostingPlan",

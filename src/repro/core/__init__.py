@@ -26,7 +26,7 @@ Public entry points re-exported here:
 
 from repro.core.hashing import FourWiseFamilyBank, stable_seed_offset, stable_text_hash
 from repro.core.dyadic import DyadicDomain
-from repro.core.domain import Domain, EndpointTransform, Quantizer
+from repro.core.domain import Domain, EndpointTransform
 from repro.core.atomic import Letter, SketchBank
 from repro.core.boosting import (
     BoostingPlan,
@@ -65,7 +65,6 @@ __all__ = [
     "DyadicDomain",
     "Domain",
     "EndpointTransform",
-    "Quantizer",
     "Letter",
     "SketchBank",
     "BoostingPlan",

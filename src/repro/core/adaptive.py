@@ -90,12 +90,3 @@ def _average_cover_size(sample: BoxSet, domain: Domain) -> float:
         total += int(np.sum(lengths))
     return total / max(1, len(sample))
 
-
-def level_profile(sample: BoxSet, domain: Domain) -> dict[int, float]:
-    """Self-join size of the sample for every candidate maxLevel (diagnostics)."""
-    words = all_words([Letter.INTERVAL, Letter.ENDPOINTS], domain.dimension)
-    profile: dict[int, float] = {}
-    for level in candidate_levels(domain):
-        restricted = domain.with_max_level(level)
-        profile[level] = dataset_self_join_size(sample, restricted, words)
-    return profile

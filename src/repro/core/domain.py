@@ -1,14 +1,11 @@
-"""Data-space handling: multi-dimensional domains, real-valued data, and the
-common-endpoint transformation.
+"""Data-space handling: multi-dimensional domains and the common-endpoint
+transformation.
 
-Three concerns from the paper live here:
+Two concerns from the paper live here:
 
 * :class:`Domain` — a d-dimensional finite integer data space
   ``N^d = {0..n_1-1} x ... x {0..n_d-1}`` (Section 2.1), possibly with
   per-dimension ``max_level`` restrictions (Section 6.5).
-* :class:`Quantizer` — mapping real-valued coordinates onto a finite integer
-  grid (Section 5.1: "typically real-valued coordinates are stored as 32 or
-  64 bit floating point numbers — clearly a finite domain").
 * :class:`EndpointTransform` — the Section 5.2 refinement that inserts two
   synthetic coordinates between every pair of consecutive domain values and
   shrinks the right-hand join input so that Assumption 1 (no common
@@ -18,14 +15,13 @@ Three concerns from the paper live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import DimensionalityError, DomainError
 from repro.core.dyadic import DyadicDomain
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 
 class Domain:
@@ -121,62 +117,6 @@ class Domain:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Domain(sizes={self.sizes})"
-
-
-@dataclass(frozen=True)
-class Quantizer:
-    """Maps real-valued boxes onto an integer grid of a given resolution.
-
-    Section 5.1: sketches need a finite domain; real data is quantised onto
-    ``resolution`` cells per dimension.  Quantisation is conservative for
-    joins in the sense that the lower endpoint is floored and the upper
-    endpoint is also floored (both endpoints land on the grid cell that
-    contains them), so objects keep their relative arrangement.
-    """
-
-    lower_bounds: tuple[float, ...]
-    upper_bounds: tuple[float, ...]
-    resolution: int
-
-    def __post_init__(self) -> None:
-        if self.resolution < 2:
-            raise DomainError("resolution must be at least 2")
-        if len(self.lower_bounds) != len(self.upper_bounds):
-            raise DimensionalityError("bound dimensionality mismatch")
-        for lo, hi in zip(self.lower_bounds, self.upper_bounds):
-            if not lo < hi:
-                raise DomainError(f"invalid bounds [{lo}, {hi}]")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.lower_bounds)
-
-    def domain(self, *, max_level: int | None = None) -> Domain:
-        """The integer domain that quantised data lives in."""
-        return Domain((self.resolution,) * self.dimension, max_levels=max_level)
-
-    def _scale(self, values: np.ndarray) -> np.ndarray:
-        lows = np.asarray(self.lower_bounds, dtype=np.float64)
-        highs = np.asarray(self.upper_bounds, dtype=np.float64)
-        scaled = (values - lows) / (highs - lows) * self.resolution
-        cells = np.floor(scaled).astype(np.int64)
-        return np.clip(cells, 0, self.resolution - 1)
-
-    def quantize_boxes(self, lows, highs) -> BoxSet:
-        """Quantise real-valued boxes given as ``(n, d)`` float arrays."""
-        lows = np.atleast_2d(np.asarray(lows, dtype=np.float64))
-        highs = np.atleast_2d(np.asarray(highs, dtype=np.float64))
-        if lows.shape[1] != self.dimension:
-            raise DimensionalityError("box dimensionality does not match the quantizer")
-        qlo = self._scale(lows)
-        qhi = self._scale(highs)
-        return BoxSet(qlo, np.maximum(qlo, qhi), validate=False)
-
-    def quantize_points(self, coords) -> PointSet:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
-        if coords.shape[1] != self.dimension:
-            raise DimensionalityError("point dimensionality does not match the quantizer")
-        return PointSet(self._scale(coords))
 
 
 class EndpointTransform:

@@ -94,9 +94,6 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
     def delete_left(self, points: PointSet) -> None:
         self.update("left", points, -1.0)
 
-    def delete_right(self, points: PointSet) -> None:
-        self.update("right", points, -1.0)
-
     # -- lowering (estimation itself is inherited from the program layer) -----------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:

@@ -149,10 +149,6 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         """Delete previously inserted boxes from the left input."""
         self.update("left", boxes, -1.0)
 
-    def delete_right(self, boxes: BoxSet) -> None:
-        """Delete previously inserted boxes from the right input."""
-        self.update("right", boxes, -1.0)
-
     # -- lowering (estimation itself is inherited from the program layer) ---------------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:

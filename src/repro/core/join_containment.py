@@ -80,22 +80,6 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
         coords[:, 1::2] = boxes.highs
         return BoxSet(coords, coords.copy(), validate=False), None
 
-    # -- named updates (aliases of ``update``) --------------------------------------------
-
-    def insert_outer(self, boxes: BoxSet) -> None:
-        """Insert containing-side rectangles."""
-        self.update("outer", boxes)
-
-    def insert_inner(self, boxes: BoxSet) -> None:
-        """Insert contained-side rectangles."""
-        self.update("inner", boxes)
-
-    def delete_outer(self, boxes: BoxSet) -> None:
-        self.update("outer", boxes, -1.0)
-
-    def delete_inner(self, boxes: BoxSet) -> None:
-        self.update("inner", boxes, -1.0)
-
     # -- lowering (estimation itself is inherited from the program layer) ---------------
 
     def _program_terms(self) -> tuple[ProgramTerm, ...]:

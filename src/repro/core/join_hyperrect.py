@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.atomic import Letter
-from repro.core.boosting import BoostingPlan, plan_boosting
+from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.join_base import PairTerm, PairedSketchJoinEstimator
 from repro.errors import SketchConfigError
@@ -74,36 +74,3 @@ class SpatialJoinEstimator(PairedSketchJoinEstimator):
     @property
     def endpoint_policy(self) -> str:
         return self._endpoint_policy
-
-    # -- guarantee-driven construction -------------------------------------------------
-
-    @classmethod
-    def from_guarantee(cls, domain: Domain, epsilon: float, phi: float,
-                       self_join_left: float, self_join_right: float,
-                       result_lower_bound: float, *, seed=0,
-                       endpoint_policy: str = "transform",
-                       max_instances: int | None = None) -> "SpatialJoinEstimator":
-        """Size the sketch for a target (epsilon, phi) guarantee (Theorems 1-3).
-
-        ``self_join_left`` / ``self_join_right`` are ``SJ(R)`` and ``SJ(S)``
-        (see :mod:`repro.core.selfjoin`); ``result_lower_bound`` is the sanity
-        lower bound on the true join cardinality.
-        """
-        variance_bound = 0.5 * self_join_left * self_join_right
-        plan = plan_boosting(epsilon, phi, variance_bound, result_lower_bound,
-                             max_instances=max_instances)
-        return cls(domain, plan.total_instances, seed=seed,
-                   endpoint_policy=endpoint_policy, boosting=plan)
-
-    @classmethod
-    def from_budget(cls, domain: Domain, budget_words: float, *, seed=0,
-                    endpoint_policy: str = "transform") -> "SpatialJoinEstimator":
-        """Build the largest estimator that fits in a per-dataset word budget."""
-        from repro.core import space
-
-        counters = 2 ** domain.dimension
-        if endpoint_policy == "explicit":
-            counters = 4 ** domain.dimension
-        instances = space.instances_for_budget(budget_words, domain.dimension,
-                                               counters_per_instance=counters)
-        return cls(domain, instances, seed=seed, endpoint_policy=endpoint_policy)

@@ -46,13 +46,6 @@ class EstimateResult:
         denominator = max(self.left_count, 1) * max(self.right_count, 1)
         return self.estimate / denominator
 
-    @property
-    def sample_variance(self) -> float:
-        """Sample variance of the per-instance estimator values."""
-        if self.instance_values.size < 2:
-            return 0.0
-        return float(np.var(self.instance_values, ddof=1))
-
     def relative_error(self, truth: float) -> float:
         """|estimate - truth| / truth (defined as |estimate| when truth is 0)."""
         if truth == 0:

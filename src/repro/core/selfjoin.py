@@ -11,13 +11,8 @@ the letter-specific covers of the dataset's objects.  Together with
 ``SJ(R) = sum_w SJ(X_w)``, these quantities size the sketches for a target
 (epsilon, phi) guarantee (Theorems 1-3).
 
-Two ways of obtaining them are provided:
-
-* :func:`self_join_size` — exact computation from the dataset (used by the
-  Figure 7/8 experiments and by tests),
-* :func:`estimate_self_join` — the AMS estimate ``mean(X_w^2)`` computed from
-  an existing :class:`~repro.core.atomic.SketchBank`, usable when the data
-  is only seen as a stream.
+:func:`self_join_size` computes them exactly from the dataset (used by the
+Figure 7/8 experiments and by tests).
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.atomic import Letter, SketchBank, Word, all_words
+from repro.core.atomic import Letter, Word, all_words
 from repro.core.domain import Domain
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
@@ -113,13 +108,3 @@ def dataset_self_join_size(boxes: BoxSet, domain: Domain,
         words = all_words([Letter.INTERVAL, Letter.ENDPOINTS], domain.dimension)
     return float(sum(self_join_size(boxes, domain, word) for word in words))
 
-
-def estimate_self_join(bank: SketchBank, word: Word) -> float:
-    """AMS estimate of ``SJ(X_w)`` from an existing sketch bank.
-
-    ``X_w^2`` is an unbiased estimator of the self-join size (Section 2.2),
-    so averaging it over the bank's instances yields an estimate that can be
-    used for sizing without a second pass over the data.
-    """
-    values = bank.counter(word)
-    return float(np.mean(values ** 2))

@@ -10,45 +10,18 @@ The package provides two levels of abstraction:
   algorithms and histograms operate on.
 
 All coordinates are integers from a finite domain ``{0, ..., n-1}`` per
-dimension, exactly as in Section 2.1 of the paper; Section 5.1's treatment
-of real-valued data is provided by :class:`repro.core.domain.Quantizer`.
+dimension, exactly as in Section 2.1 of the paper; the overlap rule and the
+pairwise matrices the tests count against live in
+:mod:`repro.geometry.predicates`.
 """
 
 from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rect
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.predicates import (
-    interval_overlap,
-    interval_overlap_plus,
-    interval_contains,
-    rect_overlap,
-    rect_overlap_plus,
-    rect_contains,
-    linf_distance,
-    l1_distance,
-    l2_distance,
-)
-from repro.geometry.relationships import (
-    IntervalRelationship,
-    classify_intervals,
-    classify_rects,
-)
 
 __all__ = [
     "Interval",
     "Rect",
     "BoxSet",
     "PointSet",
-    "interval_overlap",
-    "interval_overlap_plus",
-    "interval_contains",
-    "rect_overlap",
-    "rect_overlap_plus",
-    "rect_contains",
-    "linf_distance",
-    "l1_distance",
-    "l2_distance",
-    "IntervalRelationship",
-    "classify_intervals",
-    "classify_rects",
 ]

@@ -47,18 +47,6 @@ class BoxSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rects(cls, rects: Iterable[Rect]) -> "BoxSet":
-        rects = list(rects)
-        if not rects:
-            raise DomainError("cannot build a BoxSet from an empty rectangle list")
-        dim = rects[0].dimension
-        if any(r.dimension != dim for r in rects):
-            raise DimensionalityError("all rectangles must have the same dimensionality")
-        lows = np.array([r.lows for r in rects], dtype=np.int64)
-        highs = np.array([r.highs for r in rects], dtype=np.int64)
-        return cls(lows, highs)
-
-    @classmethod
     def from_intervals(cls, intervals: Iterable[tuple[int, int] | Interval]) -> "BoxSet":
         """Build a 1-d BoxSet from ``(lo, hi)`` pairs or Interval objects."""
         pairs = [(iv.lo, iv.hi) if isinstance(iv, Interval) else (int(iv[0]), int(iv[1]))

@@ -1,4 +1,4 @@
-"""Scalar and vectorised spatial predicates and distance functions.
+"""The overlap rule and the vectorised spatial predicates.
 
 The predicates implement the semantics used by the paper's counting
 procedures (see the note in DESIGN.md about Definition 1 vs Figure 3):
@@ -24,8 +24,6 @@ from repro.errors import DimensionalityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.geometry.boxset import BoxSet, PointSet
-    from repro.geometry.interval import Interval
-    from repro.geometry.rectangle import Rect
 
 
 # -- the overlap rule ----------------------------------------------------------
@@ -49,66 +47,6 @@ def proper_mask(boxes: BoxSet) -> np.ndarray:
     """Which boxes have a positive extent in every dimension: the only
     boxes a strict overlap can involve."""
     return np.all(boxes.lows < boxes.highs, axis=1)
-
-
-# -- scalar predicates -----------------------------------------------------
-
-def interval_overlap(a: Interval, b: Interval) -> bool:
-    """Strict overlap of two intervals (interiors intersect)."""
-    return a.overlaps(b)
-
-
-def interval_overlap_plus(a: Interval, b: Interval) -> bool:
-    """Extended overlap: touching at a single coordinate counts."""
-    return a.overlaps_plus(b)
-
-
-def interval_contains(outer: Interval, inner: Interval) -> bool:
-    """Closed containment of ``inner`` within ``outer``."""
-    return outer.contains(inner)
-
-
-def rect_overlap(a: Rect, b: Rect) -> bool:
-    """Strict overlap of two hyper-rectangles."""
-    return a.overlaps(b)
-
-
-def rect_overlap_plus(a: Rect, b: Rect) -> bool:
-    """Extended overlap of two hyper-rectangles."""
-    return a.overlaps_plus(b)
-
-
-def rect_contains(outer: Rect, inner: Rect) -> bool:
-    """Closed containment of ``inner`` within ``outer``."""
-    return outer.contains(inner)
-
-
-# -- distances --------------------------------------------------------------
-
-def _as_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionalityError(f"point shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
-def linf_distance(a, b) -> float:
-    """L-infinity (Chebyshev) distance between two points."""
-    a, b = _as_arrays(a, b)
-    return float(np.max(np.abs(a - b)))
-
-
-def l1_distance(a, b) -> float:
-    """L1 (Manhattan) distance between two points."""
-    a, b = _as_arrays(a, b)
-    return float(np.sum(np.abs(a - b)))
-
-
-def l2_distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    a, b = _as_arrays(a, b)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 # -- vectorised predicates ---------------------------------------------------
@@ -135,16 +73,6 @@ def containment_matrix(outer: BoxSet, inner: BoxSet) -> np.ndarray:
     il = inner.lows[None, :, :]
     ih = inner.highs[None, :, :]
     return np.all((ol <= il) & (ih <= oh), axis=2)
-
-
-def point_in_box_matrix(boxes: BoxSet, points: PointSet) -> np.ndarray:
-    """Boolean ``(|boxes|, |points|)`` matrix of closed point containment."""
-    if boxes.dimension != points.dimension:
-        raise DimensionalityError("dimensionality mismatch between boxes and points")
-    bl = boxes.lows[:, None, :]
-    bh = boxes.highs[:, None, :]
-    pc = points.coords[None, :, :]
-    return np.all((bl <= pc) & (pc <= bh), axis=2)
 
 
 def pairwise_linf_distances(a: PointSet, b: PointSet) -> np.ndarray:

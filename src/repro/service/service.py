@@ -14,8 +14,9 @@ pipeline together behind four verbs:
   cached merged view,
 * ``estimate_multi(requests)`` — answer a **mixed-estimator** batch of
   ``(name, query)`` pairs with one merged-view fetch per name,
-* ``snapshot()`` / ``restore()`` — checkpoint the whole service (specs plus
-  each name's summed counter tensors) to a state tree and back; ``save()`` /
+* ``snapshot()`` — checkpoint the whole service (specs plus each name's
+  summed counter tensors) to a state tree, which
+  :func:`~repro.service.snapshot.restore_service` reads back; ``save()`` /
   ``load()`` put that tree in a binary v2 file.
 
 Every estimate verb compiles each name's queries into sketch programs and
@@ -37,7 +38,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -454,24 +455,20 @@ class EstimationService:
         The batch passes :func:`~repro.service.specs.check_update` once,
         before anything is logged or buffered, so a refused batch changes
         nothing.  With a WAL attached it is then logged, and *then*
-        buffered — both under the service lock, so a snapshot's embedded
-        ``wal_seqno`` can never claim a record whose boxes it does not
-        hold (and vice versa).  The log write precedes every counter
-        mutation: write-ahead in the strict sense.
+        buffered.  Check, log and buffer share one hold of the service
+        lock, so a racing ``unregister`` comes wholly before the batch
+        (which is refused) or wholly after it (which discards it), and a
+        snapshot's embedded ``wal_seqno`` can never claim a record whose
+        boxes it does not hold (and vice versa).  The log write precedes
+        every counter mutation: write-ahead in the strict sense.
         """
-        side, boxes = check_update(self._store.spec(name), side, kind, boxes)
-        if self._wal is None:
+        with self._lock:
+            side, boxes = check_update(self._store.spec(name), side, kind, boxes)
+            if self._wal is not None and len(boxes):
+                self._wal.append_update(
+                    name, side, kind, np.hstack((boxes.lows, boxes.highs)))
             pending = self._pipeline.submit(name, boxes, side=side, kind=kind)
-            with self._lock:
-                self._stats.ingested_boxes += len(boxes)
-        else:
-            with self._lock:
-                if len(boxes):
-                    self._wal.append_update(
-                        name, side, kind, np.hstack((boxes.lows, boxes.highs)))
-                pending = self._pipeline.submit(name, boxes, side=side,
-                                                kind=kind)
-                self._stats.ingested_boxes += len(boxes)
+            self._stats.ingested_boxes += len(boxes)
         if self._flush_threshold is not None and pending >= self._flush_threshold:
             self.flush(auto=True)
         self._maybe_checkpoint()
@@ -651,14 +648,6 @@ class EstimationService:
         from repro.service.snapshot import save_snapshot
 
         save_snapshot(self, path)
-
-    @classmethod
-    def restore(cls, state: Mapping, *,
-                flush_threshold: int | None = 8192) -> "EstimationService":
-        """Rebuild a service from a :meth:`snapshot` dict."""
-        from repro.service.snapshot import restore_service
-
-        return restore_service(state, flush_threshold=flush_threshold)
 
     @classmethod
     def load(cls, path, *, num_shards: int = 4,

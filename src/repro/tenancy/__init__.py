@@ -16,7 +16,6 @@ from repro.tenancy.registry import (
     TenantRegistry,
     hash_token,
     namespaced,
-    split_namespace,
     validate_tenant_id,
 )
 
@@ -29,6 +28,5 @@ __all__ = [
     "TokenBucket",
     "hash_token",
     "namespaced",
-    "split_namespace",
     "validate_tenant_id",
 ]

@@ -16,9 +16,8 @@ own metric labels.  The registry is the source of truth for all of that:
   a plain-JSON ``to_state``/``from_state`` round trip so the binary v2
   snapshot and the WAL can persist it without special cases.
 
-Namespacing helpers live here too (:func:`namespaced`,
-:func:`split_namespace`); tenant ids may not contain ``/`` so the
-mapping is unambiguous in both directions.
+The namespacing helper :func:`namespaced` lives here too; tenant ids may
+not contain ``/`` so the mapping is unambiguous in both directions.
 """
 
 from __future__ import annotations
@@ -54,14 +53,6 @@ def validate_tenant_id(tenant_id: str) -> str:
 def namespaced(tenant_id: str, name: str) -> str:
     """Map a tenant-visible estimator name into the shared flat store."""
     return f"{tenant_id}{TENANT_SEP}{name}"
-
-
-def split_namespace(full_name: str) -> tuple[str | None, str]:
-    """Inverse of :func:`namespaced`; ``(None, name)`` for global names."""
-    tenant_id, sep, rest = full_name.partition(TENANT_SEP)
-    if not sep:
-        return None, full_name
-    return tenant_id, rest
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import candidate_levels, choose_max_level, level_profile
+from repro.core.adaptive import candidate_levels, choose_max_level
 from repro.core.domain import Domain
 from repro.core.result import EstimateResult
+from repro.core.selfjoin import dataset_self_join_size
 from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 
@@ -36,7 +37,8 @@ class TestChooseMaxLevel:
         domain = Domain(256)
         sample = random_boxes(rng, 80, 256, 1, max_extent=20)
         chosen = choose_max_level(sample, domain)
-        profile = level_profile(sample, domain)
+        profile = {level: dataset_self_join_size(sample, domain.with_max_level(level))
+                   for level in candidate_levels(domain)}
         assert profile[chosen] == min(profile.values())
 
     def test_min_level_is_respected(self, rng):
@@ -91,11 +93,6 @@ class TestEstimateResult:
         result = self._result([90.0], estimate=90.0)
         assert result.relative_error(100.0) == pytest.approx(0.1)
         assert result.relative_error(0.0) == pytest.approx(90.0)
-
-    def test_sample_variance(self):
-        result = self._result([1.0, 3.0])
-        assert result.sample_variance == pytest.approx(2.0)
-        assert self._result([5.0]).sample_variance == 0.0
 
     def test_float_conversion(self):
         assert float(self._result([7.0], estimate=7.0)) == 7.0

@@ -1,9 +1,9 @@
-"""Tests for repro.core.domain (Domain, Quantizer, EndpointTransform)."""
+"""Tests for repro.core.domain (Domain, EndpointTransform)."""
 
 import numpy as np
 import pytest
 
-from repro.core.domain import Domain, EndpointTransform, Quantizer
+from repro.core.domain import Domain, EndpointTransform
 from repro.errors import DimensionalityError, DomainError
 from repro.exact.rectangle_join import brute_force_join_count
 from repro.geometry.boxset import BoxSet
@@ -55,38 +55,6 @@ class TestDomain:
             domain.validate_boxes(outside)
         with pytest.raises(DimensionalityError):
             domain.validate_boxes(BoxSet(np.array([[0]]), np.array([[1]])))
-
-
-class TestQuantizer:
-    def test_domain_shape(self):
-        quantizer = Quantizer((0.0, 0.0), (1.0, 1.0), resolution=256)
-        assert quantizer.domain().sizes == (256, 256)
-
-    def test_points_map_into_range(self, rng):
-        quantizer = Quantizer((-10.0, 0.0), (10.0, 5.0), resolution=128)
-        coords = rng.uniform([-10, 0], [10, 5], size=(200, 2))
-        points = quantizer.quantize_points(coords)
-        assert points.coords.min() >= 0
-        assert points.coords.max() <= 127
-
-    def test_boxes_keep_order(self):
-        quantizer = Quantizer((0.0,), (1.0,), resolution=64)
-        boxes = quantizer.quantize_boxes([[0.1], [0.5]], [[0.2], [0.9]])
-        assert np.all(boxes.lows <= boxes.highs)
-        assert boxes.lows[0, 0] < boxes.lows[1, 0]
-
-    def test_invalid_bounds(self):
-        with pytest.raises(DomainError):
-            Quantizer((1.0,), (0.0,), resolution=16)
-
-    def test_invalid_resolution(self):
-        with pytest.raises(DomainError):
-            Quantizer((0.0,), (1.0,), resolution=1)
-
-    def test_dimension_mismatch(self):
-        quantizer = Quantizer((0.0, 0.0), (1.0, 1.0), resolution=16)
-        with pytest.raises(DimensionalityError):
-            quantizer.quantize_points([[0.5]])
 
 
 class TestEndpointTransform:

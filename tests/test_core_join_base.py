@@ -92,7 +92,7 @@ class TestPairedEstimatorConfiguration:
         right = random_boxes(rng, 7, 256, 1)
         estimator.insert_left(left)
         estimator.insert_right(right)
-        estimator.delete_right(right[:3])
+        estimator.update("right", right[:3], -1.0)
         assert estimator.left_count == 12
         assert estimator.right_count == 4
 

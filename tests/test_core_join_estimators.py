@@ -246,17 +246,6 @@ class TestEstimatorConfiguration:
         estimator = IntervalJoinEstimator(512, num_instances=4)
         assert estimator.domain.dimension == 1
 
-    def test_from_guarantee_sizes_by_theorem(self, domain_1d):
-        estimator = SpatialJoinEstimator.from_guarantee(
-            domain_1d, epsilon=0.5, phi=0.25, self_join_left=100.0,
-            self_join_right=100.0, result_lower_bound=50.0)
-        # k1 = ceil(8 * 0.5 * 1e4 / (0.25 * 2500)) = 64, k2 = 4.
-        assert estimator.num_instances == 64 * 4
-
-    def test_from_budget_uses_space_accounting(self, domain_2d):
-        estimator = SpatialJoinEstimator.from_budget(domain_2d, budget_words=800)
-        assert estimator.num_instances == 100
-
     def test_storage_words(self, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, num_instances=10)
         assert estimator.storage_words() == 80.0

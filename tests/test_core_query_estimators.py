@@ -90,8 +90,8 @@ class TestContainmentJoinEstimator:
         inner = random_boxes(rng, 25, 64, 1, max_extent=6)
         truth = containment_join_count(outer, inner)
         estimator = ContainmentJoinEstimator(domain, num_instances=5000, seed=1)
-        estimator.insert_outer(outer)
-        estimator.insert_inner(inner)
+        estimator.update("outer", outer)
+        estimator.update("inner", inner)
         values = estimator.instance_values()
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
@@ -102,8 +102,8 @@ class TestContainmentJoinEstimator:
         inner = random_boxes(rng, 15, 32, 2, max_extent=4)
         truth = containment_join_count(outer, inner)
         estimator = ContainmentJoinEstimator(domain, num_instances=6000, seed=3)
-        estimator.insert_outer(outer)
-        estimator.insert_inner(inner)
+        estimator.update("outer", outer)
+        estimator.update("inner", inner)
         values = estimator.instance_values()
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
@@ -114,20 +114,20 @@ class TestContainmentJoinEstimator:
         inner = random_boxes(rng, 10, 64, 1, max_extent=5)
         transient = random_boxes(rng, 5, 64, 1, max_extent=5)
         streaming = ContainmentJoinEstimator(domain, num_instances=32, seed=5)
-        streaming.insert_outer(outer)
-        streaming.insert_inner(inner)
-        streaming.insert_inner(transient)
-        streaming.delete_inner(transient)
+        streaming.update("outer", outer)
+        streaming.update("inner", inner)
+        streaming.update("inner", transient)
+        streaming.update("inner", transient, -1.0)
         rebuilt = ContainmentJoinEstimator(domain, num_instances=32, seed=5)
-        rebuilt.insert_outer(outer)
-        rebuilt.insert_inner(inner)
+        rebuilt.update("outer", outer)
+        rebuilt.update("inner", inner)
         assert np.allclose(streaming.instance_values(), rebuilt.instance_values())
 
     def test_counts_and_selectivity(self, rng):
         domain = Domain(64)
         estimator = ContainmentJoinEstimator(domain, num_instances=16, seed=1)
-        estimator.insert_outer(random_boxes(rng, 12, 64, 1))
-        estimator.insert_inner(random_boxes(rng, 8, 64, 1))
+        estimator.update("outer", random_boxes(rng, 12, 64, 1))
+        estimator.update("inner", random_boxes(rng, 8, 64, 1))
         assert estimator.outer_count == 12
         assert estimator.inner_count == 8
         result = estimator.estimate()

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.core import space
-from repro.core.atomic import Letter, SketchBank, all_words
+from repro.core.atomic import Letter, all_words
 from repro.core.domain import Domain
-from repro.core.selfjoin import (
-    dataset_self_join_size,
-    estimate_self_join,
-    self_join_size,
-)
+from repro.core.selfjoin import dataset_self_join_size, self_join_size
 from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 
@@ -64,15 +60,6 @@ class TestSelfJoinSize:
         full = self_join_size(boxes, base, (Letter.ENDPOINTS,))
         restricted = self_join_size(boxes, base.with_max_level(3), (Letter.ENDPOINTS,))
         assert restricted < full
-
-    def test_sketch_estimate_is_close(self, rng):
-        domain = Domain(64)
-        boxes = random_boxes(rng, 30, 64, 1)
-        truth = self_join_size(boxes, domain, (Letter.INTERVAL,))
-        bank = SketchBank(domain, [(Letter.INTERVAL,)], num_instances=4000, seed=3)
-        bank.insert(boxes)
-        estimate = estimate_self_join(bank, (Letter.INTERVAL,))
-        assert estimate == pytest.approx(truth, rel=0.25)
 
 
 class TestSpaceAccounting:

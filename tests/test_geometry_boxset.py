@@ -25,19 +25,10 @@ class TestBoxSetConstruction:
         with pytest.raises(DomainError):
             BoxSet(np.array([[5]]), np.array([[3]]))
 
-    def test_from_rects_round_trip(self, boxes):
-        rebuilt = BoxSet.from_rects(list(boxes))
-        assert np.array_equal(rebuilt.lows, boxes.lows)
-        assert np.array_equal(rebuilt.highs, boxes.highs)
-
     def test_from_intervals(self):
         result = BoxSet.from_intervals([(0, 5), (3, 9)])
         assert result.dimension == 1
         assert len(result) == 2
-
-    def test_from_rects_dimension_mismatch(self):
-        with pytest.raises(DimensionalityError):
-            BoxSet.from_rects([Rect.interval(0, 1), Rect.from_bounds((0, 0), (1, 1))])
 
     def test_empty(self):
         empty = BoxSet.empty(3)

@@ -21,9 +21,7 @@ from repro.exact.rectangle_join import (
     rectangle_join_count,
 )
 from repro.geometry.boxset import BoxSet
-from repro.geometry.interval import Interval
 from repro.geometry.predicates import overlap_matrix
-from repro.geometry.relationships import classify_intervals
 
 from tests.conftest import random_boxes
 from tests.helpers import cover_counts, expected_estimator_value
@@ -305,16 +303,6 @@ class TestEstimatorExpectationProperties:
 # -- geometry and domain ----------------------------------------------------------------------
 
 class TestGeometryProperties:
-    @given(st.one_of(interval_strategy(64), point_friendly_interval_strategy()),
-           st.one_of(interval_strategy(64), point_friendly_interval_strategy()))
-    @settings(max_examples=200, deadline=None)
-    def test_relationship_classification_consistent_with_predicates(self, a_pair, b_pair):
-        a = Interval(*a_pair)
-        b = Interval(*b_pair)
-        relationship = classify_intervals(a, b)
-        assert relationship.is_overlapping == a.overlaps(b)
-        assert relationship.is_overlapping_plus == a.overlaps_plus(b)
-
     @given(interval_set_strategy(64), interval_set_strategy(64))
     @settings(max_examples=60, deadline=None)
     def test_endpoint_transform_preserves_join_size(self, left_pairs, right_pairs):

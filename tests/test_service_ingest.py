@@ -1,5 +1,7 @@
 """Tests for the batched ingestion pipeline."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.service.specs import (
     shrunk_sides,
 )
 from repro.service.store import ShardedSketchStore, partition_boxes
-from repro.wal import WalWriter
+from repro.wal import WalWriter, decode_payload, read_wal_records
 
 from tests.conftest import random_boxes
 
@@ -164,11 +166,108 @@ def test_a_refused_write_changes_nothing(tmp_path, rng, case, durable):
         service.detach_wal()
 
 
+class TestUnregisterRacingIngest:
+    """An ``unregister`` racing an ``ingest`` lands wholly before or wholly
+    after it, on the volatile and on the WAL path.
+
+    Each test hooks the store's name lookup: the ingest's first lookup of
+    ``a`` starts the racing steps on a second thread and gives them
+    ``RACE_WAIT`` seconds before it returns.  While the ingest holds the
+    service lock from its check to its buffer, those steps wait for it;
+    when it does not, they run between the check and the buffer.
+    """
+
+    RACE_WAIT = 0.5
+
+    @staticmethod
+    def _service(tmp_path=None):
+        service = EstimationService(num_shards=2, flush_threshold=None)
+        if tmp_path is not None:
+            service.attach_wal(WalWriter(tmp_path / "wal", sync="none"))
+        for seed, name in enumerate("ab"):
+            service.register(name, family="rectangle", domain=(64, 64),
+                             num_instances=8, seed=seed)
+        return service
+
+    def _race(self, monkeypatch, service, *steps):
+        """Run ``steps`` on a second thread at the next lookup of ``a``;
+        returns a call that waits for them and raises what they raised."""
+        store = service.store
+        lookup = store.spec
+        threads, errors = [], []
+
+        def run():
+            try:
+                for step in steps:
+                    step()
+            except Exception as exc:  # handed to the test thread by finish()
+                errors.append(exc)
+
+        def hooked(name):
+            spec = lookup(name)
+            if name == "a" and not threads:
+                threads.append(threading.Thread(target=run))
+                threads[0].start()
+                threads[0].join(self.RACE_WAIT)
+            return spec
+
+        def finish():
+            threads[0].join(10)
+            assert not threads[0].is_alive()
+            if errors:
+                raise errors[0]
+
+        monkeypatch.setattr(store, "spec", hooked)
+        return finish
+
+    def test_a_batch_acked_behind_an_unregistered_name_is_applied(
+            self, monkeypatch, rng):
+        service = self._service()
+        finish = self._race(monkeypatch, service, lambda: service.unregister("a"))
+        service.ingest("a", random_boxes(rng, 10, 64, 2))
+        service.ingest("b", random_boxes(rng, 10, 64, 2))
+        finish()
+        service.flush()
+        assert service.names() == ["b"]
+        assert service.merged_view("b").left_count == 10
+
+    def test_a_name_registered_again_starts_empty(self, monkeypatch, rng):
+        service = self._service()
+        spec = service.store.spec("a")
+        finish = self._race(monkeypatch, service, lambda: service.unregister("a"),
+                            lambda: service.register("a", spec))
+        service.ingest("a", random_boxes(rng, 10, 64, 2))
+        finish()
+        service.flush()
+        assert service.merged_view("a").left_count == 0
+
+    def test_no_update_is_logged_after_its_name_is_unregistered(
+            self, monkeypatch, rng, tmp_path):
+        service = self._service(tmp_path)
+        finish = self._race(monkeypatch, service, lambda: service.unregister("a"))
+        try:
+            service.ingest("a", random_boxes(rng, 10, 64, 2))
+        except ServiceError:
+            pass  # refused: the unregister came first
+        finish()
+        service.detach_wal()
+        live, late = set(), []
+        for _seqno, payload in read_wal_records(tmp_path / "wal"):
+            event = decode_payload(payload)
+            if event["type"] == "register":
+                live.add(event["name"])
+            elif event["type"] == "unregister":
+                live.discard(event["name"])
+            elif event["name"] not in live:
+                late.append(event["name"])
+        assert late == []
+
+
 class TestExactness:
     def _reference(self, spec, batches):
         single = spec.build()
         for side, kind, boxes in batches:
-            getattr(single, f"{kind}_{side}")(boxes)
+            single.update(side, boxes, -1.0 if kind == "delete" else 1.0)
         return single
 
     def test_buffered_mixed_ops_match_direct_application(self, rng):

@@ -5,7 +5,7 @@ A hypothesis state machine drives one two-shard
 zero-extent box, refused on a side the endpoint transform shrinks),
 deletes of boxes it inserted, flushes, mixed ``estimate_multi`` batches,
 unregister + re-register under another seed and a swap for
-``EstimationService.restore(service.snapshot())``.  The view cache holds
+``restore_service(service.snapshot())``.  The view cache holds
 fewer views than there are names, so views are evicted, rebuilt and
 delta-refreshed in every order the machine finds.  The model is the
 accepted update stream per name: every estimate must equal, bit for bit,
@@ -21,7 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 import repro.service.service as service_module
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.service import EstimationService, EstimatorSpec
+from repro.service import EstimationService, EstimatorSpec, restore_service
 from repro.service.specs import apply_update
 
 from tests.conftest import random_boxes
@@ -142,8 +142,7 @@ class ViewCacheMachine(RuleBasedStateMachine):
 
     @rule()
     def restore(self):
-        self.service = EstimationService.restore(self.service.snapshot(),
-                                                 flush_threshold=48)
+        self.service = restore_service(self.service.snapshot(), flush_threshold=48)
 
     @invariant()
     def every_miss_is_a_delta_apply_or_a_rebuild(self):

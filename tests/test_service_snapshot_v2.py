@@ -139,8 +139,8 @@ class TestBothFormatsRoundTrip:
         other (only read-only mmap views are adopted without copying)."""
         service, _ = _family_service(rng, "rectangle", (256, 256), {})
         state = service.snapshot()
-        first = EstimationService.restore(state)
-        second = EstimationService.restore(state)
+        first = restore_service(state)
+        second = restore_service(state)
         before = second.estimate("est").estimate
         first.ingest("est", random_boxes(rng, 50, 256, 2), side="left")
         first.flush()

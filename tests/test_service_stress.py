@@ -10,8 +10,8 @@ import threading
 import pytest
 
 from repro.core.domain import Domain
-from repro.service import EstimationService, ServiceStats, synthetic_boxes, \
-    synthetic_queries
+from repro.service import EstimationService, ServiceStats, restore_service, \
+    synthetic_boxes, synthetic_queries
 
 pytestmark = pytest.mark.e2e
 
@@ -105,7 +105,7 @@ def test_concurrent_ingest_estimate_snapshot_stress():
     def snapshotter():
         for _ in range(snapshot_rounds):
             state = service.snapshot()
-            restored = EstimationService.restore(state)
+            restored = restore_service(state)
             # A snapshot is internally consistent: the restored service
             # answers (it reflects *some* consistent prefix of ingestion).
             restored.estimate("ranges", queries[0])

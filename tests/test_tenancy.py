@@ -24,7 +24,6 @@ from repro.tenancy import (
     TokenBucket,
     hash_token,
     namespaced,
-    split_namespace,
     validate_tenant_id,
 )
 from repro.wal.recovery import recover_service
@@ -43,11 +42,8 @@ def one_box():
 
 
 class TestNaming:
-    def test_namespaced_and_split_round_trip(self):
-        full = namespaced("acme", "join")
-        assert full == "acme/join"
-        assert split_namespace(full) == ("acme", "join")
-        assert split_namespace("bare") == (None, "bare")
+    def test_namespaced(self):
+        assert namespaced("acme", "join") == "acme/join"
 
     def test_tenant_id_validation(self):
         assert validate_tenant_id("acme-1.prod") == "acme-1.prod"
