@@ -94,6 +94,11 @@ class TestEstimateResult:
         assert result.relative_error(100.0) == pytest.approx(0.1)
         assert result.relative_error(0.0) == pytest.approx(90.0)
 
+    def test_selectivity_of_an_empty_input_is_the_estimate(self):
+        result = EstimateResult(estimate=3.0, instance_values=np.array([3.0]),
+                                group_means=np.array([3.0]), left_count=0, right_count=0)
+        assert result.selectivity == 3.0
+
     def test_float_conversion(self):
         assert float(self._result([7.0], estimate=7.0)) == 7.0
 

@@ -14,7 +14,7 @@ Two layers of checks:
 import numpy as np
 import pytest
 
-from repro.core.boosting import BoostingPlan
+from repro.core.boosting import BoostingPlan, plan_boosting
 from repro.core.domain import Domain
 from repro.core.join_extended import CommonEndpointJoinEstimator, ExtendedOverlapJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
@@ -245,6 +245,15 @@ class TestEstimatorConfiguration:
     def test_interval_estimator_accepts_plain_size(self):
         estimator = IntervalJoinEstimator(512, num_instances=4)
         assert estimator.domain.dimension == 1
+
+    def test_a_guarantee_plan_sizes_the_estimator(self, domain_1d):
+        # Var[Z] <= SJ(R) SJ(S) / 2 (Lemma 6) with SJ(R) = SJ(S) = 100.
+        plan = plan_boosting(epsilon=0.5, phi=0.25, variance_bound=0.5 * 100.0 * 100.0,
+                             expectation_lower_bound=50.0)
+        estimator = SpatialJoinEstimator(domain_1d, plan.total_instances, boosting=plan)
+        # k1 = ceil(8 * 5e3 / (0.25 * 2500)) = 64, k2 = 4.
+        assert estimator.num_instances == 64 * 4
+        assert estimator.boosting_plan == plan
 
     def test_storage_words(self, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, num_instances=10)

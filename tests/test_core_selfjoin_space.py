@@ -1,9 +1,10 @@
 """Tests for self-join size computation and space accounting."""
 
+import numpy as np
 import pytest
 
 from repro.core import space
-from repro.core.atomic import Letter, all_words
+from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.core.selfjoin import dataset_self_join_size, self_join_size
 from repro.errors import SketchConfigError
@@ -61,6 +62,16 @@ class TestSelfJoinSize:
         restricted = self_join_size(boxes, base.with_max_level(3), (Letter.ENDPOINTS,))
         assert restricted < full
 
+    def test_squared_sketch_counters_estimate_the_self_join(self, rng):
+        # X_w^2 is an unbiased estimator of SJ(X_w) (Section 2.2).
+        domain = Domain(64)
+        boxes = random_boxes(rng, 30, 64, 1)
+        truth = self_join_size(boxes, domain, (Letter.INTERVAL,))
+        bank = SketchBank(domain, [(Letter.INTERVAL,)], num_instances=4000, seed=3)
+        bank.insert(boxes)
+        estimate = float(np.mean(bank.counter((Letter.INTERVAL,)) ** 2))
+        assert estimate == pytest.approx(truth, rel=0.25)
+
 
 class TestSpaceAccounting:
     def test_words_per_instance(self):
@@ -78,6 +89,14 @@ class TestSpaceAccounting:
     def test_budget_too_small(self):
         with pytest.raises(SketchConfigError):
             space.instances_for_budget(3, 2)
+
+    def test_budget_charges_the_counters_an_instance_keeps(self):
+        # 2-d with the endpoint transform: 4 counters + 4 seed words.
+        assert space.instances_for_budget(800, 2) == 100
+        # Explicit endpoints keep 4^d counters per instance.
+        assert space.instances_for_budget(800, 2, counters_per_instance=16) == 40
+        # An unshared seed is charged in full.
+        assert space.instances_for_budget(800, 2, share_seed=False) == 66
 
     def test_histogram_word_formulas(self):
         assert space.euler_histogram_words(6) == 9 * 4096 - 6 * 64 + 1
@@ -100,3 +119,11 @@ class TestSpaceAccounting:
         total = space.required_instances_for_guarantee(0.5, 0.25, 10.0, 10.0, 10.0)
         # k1 = ceil(4 * 100 / (0.25 * 100)) = 16, k2 = 4.
         assert total == 64
+
+    @pytest.mark.parametrize("epsilon, phi, lower_bound", [
+        (0.0, 0.25, 10.0), (0.5, 1.0, 10.0), (0.5, 0.25, 0.0)],
+        ids=["epsilon", "phi", "lower-bound"])
+    def test_required_instances_refuses_an_impossible_guarantee(self, epsilon, phi,
+                                                                lower_bound):
+        with pytest.raises(SketchConfigError):
+            space.required_instances_for_guarantee(epsilon, phi, 10.0, 10.0, lower_bound)

@@ -86,6 +86,25 @@ def test_update_equals_the_named_methods(rng, spec):
 
 
 @every_family
+def test_every_side_name_and_alias_reaches_its_own_bank(rng, spec):
+    """A side's aliases ("left" for outer / data) name the same side as its
+    name, and no two sides share a bank."""
+    estimator = spec.build()
+    banks = [estimator.side_bank(declared.name) for declared in type(estimator).SIDES]
+    assert len({id(bank) for bank in banks}) == len(banks)
+    for declared, bank in zip(type(estimator).SIDES, banks):
+        data = side_data(rng, spec, 40)
+        by_name, by_alias = spec.build(), spec.build()
+        by_name.update(declared.name, data)
+        for alias in declared.aliases:
+            assert estimator.resolve_side(alias) is declared
+            assert estimator.side_bank(alias) is bank
+        by_alias.update((declared.aliases or (declared.name,))[0], data)
+        assert by_alias.state_dict()[declared.count_key] == 40
+        assert_same_state(by_name.state_dict(), by_alias.state_dict())
+
+
+@every_family
 def test_merge_of_a_partition_equals_the_whole_stream(rng, spec):
     whole, stream = fed(rng, spec, count=90)
     merged = spec.build()

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DimensionalityError, DomainError
 from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.interval import Interval
 from repro.geometry.rectangle import Rect
 
 
@@ -29,6 +30,15 @@ class TestBoxSetConstruction:
         result = BoxSet.from_intervals([(0, 5), (3, 9)])
         assert result.dimension == 1
         assert len(result) == 2
+
+    def test_from_intervals_round_trips_its_rects(self):
+        original = BoxSet(np.array([[0], [4], [7]]), np.array([[5], [4], [9]]))
+        rebuilt = BoxSet.from_intervals(Interval(rect.lows[0], rect.highs[0])
+                                        for rect in original)
+        assert np.array_equal(rebuilt.lows, original.lows)
+        assert np.array_equal(rebuilt.highs, original.highs)
+        with pytest.raises(DomainError):
+            BoxSet.from_intervals([])
 
     def test_empty(self):
         empty = BoxSet.empty(3)

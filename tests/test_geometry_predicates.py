@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.interval import Interval
 from repro.geometry.predicates import (
     containment_matrix,
     overlap_matrix,
@@ -26,6 +28,19 @@ OVERLAP_CASES = [
     ((4, 4), (6, 6), False, False),    # two points apart
 ]
 
+#: (r, s, strict, closed, r contains s): one pair per case of Figure 3,
+#: with r the first argument, plus the two ways a point meets an interval.
+FIGURE3_CASES = {
+    "disjoint": ((0, 2), (5, 9), False, False, False),
+    "meet": ((0, 5), (5, 9), False, True, False),
+    "overlap": ((0, 6), (3, 9), True, True, False),
+    "contain": ((0, 9), (2, 6), True, True, True),
+    "contain-meet": ((0, 9), (4, 9), True, True, True),
+    "identical": ((1, 8), (1, 8), True, True, True),
+    "point-inside": ((0, 10), (5, 5), False, True, True),
+    "point-on-endpoint": ((0, 10), (10, 10), False, True, True),
+}
+
 
 class TestOverlapRule:
     @pytest.mark.parametrize("a, b, strict, closed", OVERLAP_CASES,
@@ -47,6 +62,34 @@ class TestOverlapRule:
     def test_proper_mask_needs_a_positive_extent_in_every_dimension(self):
         boxes = BoxSet(np.array([[0, 0], [3, 3], [1, 2]]), np.array([[4, 4], [3, 9], [2, 2]]))
         assert proper_mask(boxes).tolist() == [True, False, False]
+
+
+class TestFigure3Cases:
+    @pytest.mark.parametrize("r, s, strict, closed, contains", FIGURE3_CASES.values(),
+                             ids=FIGURE3_CASES.keys())
+    def test_every_predicate_agrees_on_the_case(self, r, s, strict, closed, contains):
+        a, b = Interval(*r), Interval(*s)
+        assert a.overlaps(b) is strict and b.overlaps(a) is strict
+        assert a.overlaps_plus(b) is closed and b.overlaps_plus(a) is closed
+        assert a.contains(b) is contains
+        assert Rect.interval(*r).overlaps(Rect.interval(*s)) is strict
+        assert Rect.interval(*r).contains(Rect.interval(*s)) is contains
+        left, right = BoxSet.from_intervals([a]), BoxSet.from_intervals([b])
+        assert overlap_matrix(left, right)[0, 0] == strict
+        assert overlap_matrix(right, left, closed=True)[0, 0] == closed
+        assert containment_matrix(left, right)[0, 0] == contains
+
+    def test_a_box_overlaps_another_when_every_dimension_does(self, rng):
+        for _ in range(50):
+            lows = rng.integers(0, 20, size=(2, 2))
+            extents = rng.integers(0, 10, size=(2, 2))
+            a = Rect.from_bounds(lows[0], lows[0] + extents[0])
+            b = Rect.from_bounds(lows[1], lows[1] + extents[1])
+            sides = [(Interval(int(a.lows[d]), int(a.highs[d])),
+                      Interval(int(b.lows[d]), int(b.highs[d]))) for d in range(2)]
+            assert a.overlaps(b) == all(x.overlaps(y) for x, y in sides)
+            assert a.overlaps_plus(b) == all(x.overlaps_plus(y) for x, y in sides)
+            assert a.contains(b) == all(x.contains(y) for x, y in sides)
 
 
 class TestMatrixPredicates:
@@ -78,3 +121,32 @@ class TestMatrixPredicates:
         assert distances[0, 0] == 7
         assert distances[0, 1] == 1
 
+    def test_containment_matrix_holds_points_on_the_boundary(self):
+        boxes = BoxSet(np.array([[0, 0]]), np.array([[10, 10]]))
+        points = PointSet(np.array([[5, 5], [0, 10], [10, 0], [11, 2]]))
+        assert containment_matrix(boxes, points.to_boxes())[0].tolist() == [
+            True, True, True, False]
+
+    def test_pairwise_linf_matches_the_pointwise_maximum(self, rng):
+        a = PointSet(rng.integers(0, 50, size=(6, 3)))
+        b = PointSet(rng.integers(0, 50, size=(4, 3)))
+        distances = pairwise_linf_distances(a, b)
+        assert distances.shape == (6, 4)
+        for i in range(6):
+            for j in range(4):
+                assert distances[i, j] == max(abs(x - y) for x, y in
+                                              zip(a.point(i), b.point(j)))
+        assert np.array_equal(pairwise_linf_distances(b, a), distances.T)
+        assert not pairwise_linf_distances(a, a).diagonal().any()
+
+    @pytest.mark.parametrize("predicate", [overlap_matrix, containment_matrix])
+    def test_box_matrices_refuse_a_dimension_mismatch(self, predicate):
+        flat = BoxSet(np.array([[0]]), np.array([[5]]))
+        square = BoxSet(np.array([[0, 0]]), np.array([[5, 5]]))
+        with pytest.raises(DimensionalityError):
+            predicate(flat, square)
+
+    def test_pairwise_linf_refuses_a_dimension_mismatch(self):
+        with pytest.raises(DimensionalityError):
+            pairwise_linf_distances(PointSet(np.array([[0, 0]])),
+                                    PointSet(np.array([[1, 2, 3]])))

@@ -21,7 +21,8 @@ from repro.exact.rectangle_join import (
     rectangle_join_count,
 )
 from repro.geometry.boxset import BoxSet
-from repro.geometry.predicates import overlap_matrix
+from repro.geometry.interval import Interval
+from repro.geometry.predicates import containment_matrix, overlap_matrix, overlaps
 
 from tests.conftest import random_boxes
 from tests.helpers import cover_counts, expected_estimator_value
@@ -303,6 +304,21 @@ class TestEstimatorExpectationProperties:
 # -- geometry and domain ----------------------------------------------------------------------
 
 class TestGeometryProperties:
+    @given(st.one_of(interval_strategy(64), point_friendly_interval_strategy()),
+           st.one_of(interval_strategy(64), point_friendly_interval_strategy()))
+    @settings(max_examples=200, deadline=None)
+    def test_interval_predicates_follow_the_overlap_rule(self, a_pair, b_pair):
+        a, b = Interval(*a_pair), Interval(*b_pair)
+        assert a.overlaps(b) is overlaps(*a_pair, *b_pair) is b.overlaps(a)
+        assert a.overlaps_plus(b) is overlaps(*a_pair, *b_pair, closed=True)
+        assert a.overlaps_plus(b) is b.overlaps_plus(a)
+        assert a.contains(b) == containment_matrix(to_boxset_1d([a_pair]),
+                                                   to_boxset_1d([b_pair]))[0, 0]
+        # Strict overlap needs a positive extent on both sides; closed
+        # overlap only needs a shared coordinate.
+        assert not a.overlaps(b) or (a.lo < a.hi and b.lo < b.hi)
+        assert a.overlaps_plus(b) == (a.intersection(b) is not None)
+
     @given(interval_set_strategy(64), interval_set_strategy(64))
     @settings(max_examples=60, deadline=None)
     def test_endpoint_transform_preserves_join_size(self, left_pairs, right_pairs):
