@@ -33,7 +33,7 @@ import pathlib
 import time
 
 from repro.core.domain import Domain
-from repro.service import EstimationService, load_snapshot, synthetic_boxes
+from repro.service import EstimationService, synthetic_boxes
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_snapshot.json"
@@ -83,7 +83,7 @@ def _v2_fixture_restores() -> bool:
     """The reader's compatibility gate: an earlier build's file answers exactly."""
     expected = json.loads(
         (FIXTURES / "service_snapshot_v2.expected.json").read_text())["names"]
-    service = load_snapshot(FIXTURES / "service_snapshot_v2.snap")
+    service = EstimationService.load(FIXTURES / "service_snapshot_v2.snap")
     return all(service.estimate(name).estimate == answers["scalar"]
                for name, answers in expected.items()
                if answers["family"] != "range")
@@ -106,8 +106,8 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
 
     save_ms = benchmark.pedantic(
         lambda: _best_ms(lambda: service.save(path)), rounds=1, iterations=1)
-    restore_ms = _best_ms(lambda: load_snapshot(path))
-    assert load_snapshot(path).estimate("join").estimate == expected_join
+    restore_ms = _best_ms(lambda: EstimationService.load(path))
+    assert EstimationService.load(path).estimate("join").estimate == expected_join
     fixture_restores = _v2_fixture_restores()
 
     report = {

@@ -7,7 +7,8 @@ Every paper figure has one benchmark module.  A benchmark
 * prints the series and appends it to ``benchmarks/results/`` so the run
   leaves a record of the paper-vs-measured comparison,
 * asserts the *qualitative shape* the paper reports (the absolute numbers
-  depend on the scaled-down defaults; see EXPERIMENTS.md).
+  depend on the scaled-down defaults of
+  :data:`repro.experiments.config.LAPTOP_SCALE`).
 
 Select the experiment scale with ``--figure-scale {tiny,laptop,paper}``
 (default: laptop).

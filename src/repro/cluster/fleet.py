@@ -20,6 +20,10 @@ from typing import Sequence
 
 from repro.errors import ServiceError
 
+#: Seconds :meth:`WorkerProcess.stop` waits for the process to exit after
+#: SIGTERM, and again after SIGKILL.
+_STOP_TIMEOUT_S = 30.0
+
 
 def _worker_env() -> dict[str, str]:
     """A subprocess environment that can ``import repro`` like we can."""
@@ -53,14 +57,14 @@ class WorkerProcess:
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def stop(self) -> None:
         if self.process.poll() is None:
             self.process.terminate()
         try:
-            self.process.wait(timeout=timeout)
+            self.process.wait(timeout=_STOP_TIMEOUT_S)
         except subprocess.TimeoutExpired:  # pragma: no cover - last resort
             self.process.kill()
-            self.process.wait(timeout=timeout)
+            self.process.wait(timeout=_STOP_TIMEOUT_S)
 
     def _await_banner(self) -> "WorkerProcess":
         """Block until the worker announces its port; a worker that exits
@@ -130,18 +134,16 @@ class LocalFleet:
 
     ::
 
-        with LocalFleet(3, snapshot="svc.sketch") as fleet:
+        with LocalFleet(3) as fleet:
             handle = ThreadedClusterRouter(fleet.addresses())
             ...
     """
 
-    def __init__(self, count: int, *, snapshot: str | None = None,
-                 shards: int = 4, extra_args: tuple[str, ...] = ()) -> None:
+    def __init__(self, count: int, *, shards: int = 4) -> None:
         if count < 1:
             raise ServiceError("a fleet needs at least one worker")
         self.count = int(count)
-        self._spawn_kwargs = dict(snapshot=snapshot, shards=shards,
-                                  extra_args=extra_args)
+        self._spawn_kwargs = dict(shards=shards)
         self.workers: list[WorkerProcess] = []
 
     def start(self) -> "LocalFleet":

@@ -77,11 +77,10 @@ class ClusterRouter(ServingFront):
     _PING_FIELDS = {"cluster": True}
 
     def __init__(self, *, config: RouterConfig | None = None,
-                 manager: ClusterManager | None = None,
                  heartbeat: HeartbeatConfig | None = None,
                  registry=None) -> None:
         super().__init__(config or RouterConfig())
-        self.manager = manager or ClusterManager(
+        self.manager = ClusterManager(
             heartbeat=heartbeat, request_timeout=self.config.request_timeout,
             worker_token=self.config.worker_token)
         # name -> (spec, template): one resident empty estimator per spec.

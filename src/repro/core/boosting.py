@@ -126,8 +126,8 @@ def _median(values: np.ndarray) -> np.ndarray:
                     part[..., low:high + 1].mean(axis=-1))
 
 
-def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
-                    *, num_groups: int | None = None) -> tuple[float, np.ndarray]:
+def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None
+                    ) -> tuple[float, np.ndarray]:
     """Boost per-instance estimator values into a single estimate.
 
     Parameters
@@ -136,9 +136,8 @@ def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
         1-d array of per-instance estimator values.
     plan:
         Optional explicit boosting plan; instances beyond
-        ``plan.total_instances`` are ignored.
-    num_groups:
-        Used when ``plan`` is not given; defaults to :func:`split_instances`.
+        ``plan.total_instances`` are ignored.  Defaults to
+        :func:`split_instances` of the instance count.
 
     Returns
     -------
@@ -148,7 +147,7 @@ def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
     if values.size == 0:
         raise SketchConfigError("cannot boost an empty set of estimator values")
     if plan is None:
-        plan = split_instances(values.size, num_groups=num_groups)
+        plan = split_instances(values.size)
     usable = plan.total_instances
     if usable > values.size:
         raise SketchConfigError(
@@ -159,8 +158,7 @@ def median_of_means(values: np.ndarray, plan: BoostingPlan | None = None,
     return float(_median(group_means)), group_means
 
 
-def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None,
-                          *, num_groups: int | None = None
+def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Boost a whole batch of per-instance value vectors at once.
 
@@ -186,7 +184,7 @@ def median_of_means_batch(values: np.ndarray, plan: BoostingPlan | None = None,
     if num_instances == 0:
         raise SketchConfigError("cannot boost an empty set of estimator values")
     if plan is None:
-        plan = split_instances(num_instances, num_groups=num_groups)
+        plan = split_instances(num_instances)
     usable = plan.total_instances
     if usable > num_instances:
         raise SketchConfigError(

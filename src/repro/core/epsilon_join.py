@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.atomic import Letter
-from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
 from repro.core.program import CounterRef, ProgramTerm
@@ -41,14 +40,14 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
              Side("right", "cubes", "right_count", points=True))
     STATE_COMPAT = ("epsilon",)
 
-    def __init__(self, domain: Domain, epsilon: int, num_instances: int, *, seed=0,
-                 boosting: BoostingPlan | None = None) -> None:
+    def __init__(self, domain: Domain, epsilon: int, num_instances: int, *,
+                 seed=0) -> None:
         if epsilon < 0:
             raise DomainError("epsilon must be non-negative")
         self._epsilon = int(epsilon)
         self._point_word = (Letter.LOWER_POINT,) * domain.dimension
         self._cube_word = (Letter.INTERVAL,) * domain.dimension
-        super().__init__(domain, num_instances, seed=seed, boosting=boosting,
+        super().__init__(domain, num_instances, seed=seed, boosting=None,
                          sketch_domain=domain,
                          words=([self._point_word], [self._cube_word]))
 

@@ -289,12 +289,11 @@ class SketchEstimator:
         """
         raise NotImplementedError
 
-    def _lower(self, queries, plan: BoostingPlan) -> list[SketchProgram]:
+    def _lower(self, queries) -> list[SketchProgram]:
         """Programs for a checked, non-empty request."""
         raise NotImplementedError
 
-    def lower(self, queries, *, plan: BoostingPlan | None = None
-              ) -> list[SketchProgram]:
+    def lower(self, queries) -> list[SketchProgram]:
         """Compile an estimate request into sketch programs.
 
         Every estimate takes this path: the request is checked once
@@ -304,29 +303,26 @@ class SketchEstimator:
         checked, refused = self.check_queries(queries)
         if refused:
             raise refused[min(refused)]
-        return self.lower_checked(checked, plan=plan)
+        return self.lower_checked(checked)
 
-    def lower_checked(self, checked, *, plan: BoostingPlan | None = None
-                      ) -> list[SketchProgram]:
+    def lower_checked(self, checked) -> list[SketchProgram]:
         """Programs for what :meth:`check_queries` passed: none for an empty
         request, else the estimator's one program — run on a
         :class:`~repro.core.program.ProgramExecutor`, it expands to one
-        result per query, in order."""
+        result per query, in order, each boosted by :attr:`boosting_plan`."""
         if not (checked if isinstance(checked, int) else len(checked)):
             return []
         self._require_data()
-        return self._lower(checked, plan or self.boosting_plan)
+        return self._lower(checked)
 
-    def estimate_batch(self, queries, *, plan: BoostingPlan | None = None
-                       ) -> list[EstimateResult]:
+    def estimate_batch(self, queries) -> list[EstimateResult]:
         """One boosted estimate per query (see :meth:`check_queries`), each
         owning its arrays."""
-        return default_executor().run(self.lower(queries, plan=plan))
+        return default_executor().run(self.lower(queries))
 
-    def estimate(self, query=None, *, plan: BoostingPlan | None = None
-                 ) -> EstimateResult:
+    def estimate(self, query=None) -> EstimateResult:
         """One boosted estimate: ``estimate_batch([query])[0]``."""
-        return self.estimate_batch([query], plan=plan)[0]
+        return self.estimate_batch([query])[0]
 
     def instance_values(self, query=None) -> np.ndarray:
         """The per-instance estimator values Z of one estimate (before boosting)."""
@@ -359,7 +355,7 @@ class QuerylessProgramEstimator(SketchEstimator):
                    for row, entry in enumerate(entries) if entry is not None}
         return len(entries) - len(refused), refused
 
-    def _lower(self, count: int, plan: BoostingPlan) -> list[SketchProgram]:
+    def _lower(self, count: int) -> list[SketchProgram]:
         """One program for the whole request: every result shares the same
         per-instance values, so ``replicas`` carries the count."""
         if self._terms is None:
@@ -368,7 +364,7 @@ class QuerylessProgramEstimator(SketchEstimator):
         return [SketchProgram(
             terms=self._terms,
             num_instances=self._num_instances,
-            plan=plan,
+            plan=self.boosting_plan,
             left_count=left_count,
             right_count=right_count,
             replicas=count,

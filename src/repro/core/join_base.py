@@ -116,7 +116,8 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         return self._cardinality["right"]
 
     def storage_words(self) -> float:
-        """Words charged to each dataset under the accounting of DESIGN.md."""
+        """Words charged to each dataset under the Section 7 accounting of
+        :mod:`repro.core.space`."""
         from repro.core import space
 
         counters = len(self.left_bank.words)

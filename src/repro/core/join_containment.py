@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.atomic import Letter
-from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
 from repro.core.program import CounterRef, ProgramTerm
@@ -40,8 +39,7 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
     SIDES = (Side("outer", "outer", "outer_count", aliases=("left",)),
              Side("inner", "inner", "inner_count", aliases=("right",)))
 
-    def __init__(self, domain: Domain, num_instances: int, *, seed=0,
-                 boosting: BoostingPlan | None = None) -> None:
+    def __init__(self, domain: Domain, num_instances: int, *, seed=0) -> None:
         # The doubled domain: dimension i of the data contributes dimensions
         # 2i and 2i+1, both over the same coordinate range.
         doubled_sizes = []
@@ -53,7 +51,7 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
         doubled = Domain(doubled_sizes, max_levels=doubled_levels)
         self._outer_word = (Letter.INTERVAL,) * doubled.dimension
         self._inner_word = (Letter.LOWER_POINT,) * doubled.dimension
-        super().__init__(domain, num_instances, seed=seed, boosting=boosting,
+        super().__init__(domain, num_instances, seed=seed, boosting=None,
                          sketch_domain=doubled,
                          words=([self._outer_word], [self._inner_word]))
 

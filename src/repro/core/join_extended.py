@@ -24,7 +24,6 @@ Two estimators live here:
 from __future__ import annotations
 
 from repro.core.atomic import Letter
-from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared
 from repro.core.join_base import PairTerm, PairedSketchJoinEstimator
@@ -46,10 +45,9 @@ EXTENDED_OVERLAP_PAIR_TERMS: tuple[PairTerm, ...] = (
 class ExtendedOverlapJoinEstimator(PairedSketchJoinEstimator):
     """Estimates the extended spatial join ``|R join+_o S|`` (touching counts)."""
 
-    def __init__(self, domain: Domain, num_instances: int, *, seed=0,
-                 boosting: BoostingPlan | None = None) -> None:
+    def __init__(self, domain: Domain, num_instances: int, *, seed=0) -> None:
         super().__init__(domain, EXTENDED_OVERLAP_PAIR_TERMS, num_instances,
-                         seed=seed, boosting=boosting, use_endpoint_transform=True)
+                         seed=seed, use_endpoint_transform=True)
 
     def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
         if side == "left":
@@ -69,7 +67,5 @@ class CommonEndpointJoinEstimator(SpatialJoinEstimator):
     provided as a named class because the paper treats it as a distinct technique.
     """
 
-    def __init__(self, domain: Domain, num_instances: int, *, seed=0,
-                 boosting: BoostingPlan | None = None) -> None:
-        super().__init__(domain, num_instances, seed=seed,
-                         endpoint_policy="explicit", boosting=boosting)
+    def __init__(self, domain: Domain, num_instances: int, *, seed=0) -> None:
+        super().__init__(domain, num_instances, seed=seed, endpoint_policy="explicit")

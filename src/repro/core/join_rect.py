@@ -7,7 +7,6 @@ estimator used by the paper's main experiments (Figures 5, 6, 9, 10, 11).
 
 from __future__ import annotations
 
-from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.errors import DimensionalityError
@@ -17,9 +16,8 @@ class RectangleJoinEstimator(SpatialJoinEstimator):
     """Estimates ``|R join_o S|`` for two sets of two-dimensional rectangles."""
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0,
-                 endpoint_policy: str = "transform",
-                 boosting: BoostingPlan | None = None) -> None:
+                 endpoint_policy: str = "transform") -> None:
         if domain.dimension != 2:
             raise DimensionalityError("RectangleJoinEstimator requires a 2-dimensional domain")
         super().__init__(domain, num_instances, seed=seed,
-                         endpoint_policy=endpoint_policy, boosting=boosting)
+                         endpoint_policy=endpoint_policy)

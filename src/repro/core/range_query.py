@@ -49,11 +49,11 @@ carries it as one extra column, and per query the executor replaces each
 instance's ``Z`` by ``Z - beta (Z_N - N)`` with ``beta = cov(Z, Z_N) /
 var(Z_N)`` over the instances
 (:func:`~repro.core.boosting.control_adjusted`).  The estimate is the mean
-of *all* adjusted instances — one group, as :attr:`boosting_plan` says
-unless a plan is given — clipped to ``[0, N]``; its ``instance_values``
-and ``group_means`` are the adjusted, unclipped values.  A one-cell bank
-keeps the paper's median of group means, with no control and no clip, so
-stored state answers bit for bit as it always has.
+of *all* adjusted instances — one group, as :attr:`boosting_plan` says —
+clipped to ``[0, N]``; its ``instance_values`` and ``group_means`` are the
+adjusted, unclipped values.  A one-cell bank keeps the paper's median of
+group means, with no control and no clip, so stored state answers bit for
+bit as it always has.
 
 Note on boundaries: the counting conditions use closed containment, so a
 data rectangle that merely *touches* the query rectangle is counted as
@@ -111,12 +111,12 @@ class RangeQueryEstimator(SketchEstimator):
     QUERYABLE = True
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0, strict: bool = False,
-                 boosting: BoostingPlan | None = None, split_levels: bool = False) -> None:
+                 split_levels: bool = False) -> None:
         self._strict = bool(strict)
         self._transform = EndpointTransform(domain) if strict else None
         self._words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], domain.dimension)
         super().__init__(
-            domain, num_instances, seed=seed, boosting=boosting,
+            domain, num_instances, seed=seed, boosting=None,
             sketch_domain=(self._transform.expanded_domain
                            if self._transform is not None else domain),
             words=(self._words,), split_levels=split_levels)
@@ -211,10 +211,10 @@ class RangeQueryEstimator(SketchEstimator):
 
     @property
     def boosting_plan(self) -> BoostingPlan:
-        """The given plan; else one group of every instance on a level-split
-        bank (see the module docstring), and the paper's median of group
-        means on a one-cell bank."""
-        if self._plan is None and self.bank.split_levels:
+        """One group of every instance on a level-split bank (see the
+        module docstring), and the paper's median of group means on a
+        one-cell bank."""
+        if self.bank.split_levels:
             return BoostingPlan(group_size=self._num_instances, num_groups=1)
         return super().boosting_plan
 
@@ -225,7 +225,7 @@ class RangeQueryEstimator(SketchEstimator):
             for letter in word
         )
 
-    def _lower(self, queries: BoxSet, plan: BoostingPlan) -> list[SketchProgram]:
+    def _lower(self, queries: BoxSet) -> list[SketchProgram]:
         """One program for the batch: one term per counter word, the word's
         counter cells contracted with the per-dimension letter sums (per
         level on a level-split bank) of the *query-side* word (the I <-> U
@@ -258,5 +258,5 @@ class RangeQueryEstimator(SketchEstimator):
                                           in enumerate(self._query_word(word))))
             for word in self._words)
         return [SketchProgram(terms=terms, num_instances=self._num_instances,
-                              plan=plan, left_count=self.count, right_count=1,
+                              plan=self.boosting_plan, left_count=self.count, right_count=1,
                               control=control)]

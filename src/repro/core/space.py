@@ -39,12 +39,10 @@ def sketch_words_per_instance(dimension: int, *, counters_per_instance: int | No
 
 
 def sketch_words(dimension: int, num_instances: int, *,
-                 counters_per_instance: int | None = None,
-                 share_seed: bool = True) -> float:
+                 counters_per_instance: int | None = None) -> float:
     """Total words charged to one dataset for a bank of ``num_instances``."""
     return num_instances * sketch_words_per_instance(
-        dimension, counters_per_instance=counters_per_instance, share_seed=share_seed
-    )
+        dimension, counters_per_instance=counters_per_instance)
 
 
 def instances_for_budget(budget_words: float, dimension: int, *,

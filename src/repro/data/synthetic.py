@@ -39,9 +39,9 @@ def _sample_lengths(count: int, mean_length: float, rng: np.random.Generator,
     return lengths
 
 
-def generate_intervals(count: int, domain: Domain | int, *, skew: float = 0.0,
+def generate_intervals(count: int, domain: Domain | int, *,
                        mean_length: float | None = None, rng=None) -> BoxSet:
-    """Generate ``count`` one-dimensional intervals.
+    """Generate ``count`` one-dimensional intervals, uniformly placed.
 
     Parameters
     ----------
@@ -49,8 +49,6 @@ def generate_intervals(count: int, domain: Domain | int, *, skew: float = 0.0,
         Number of intervals.
     domain:
         The data space (or its size).
-    skew:
-        Zipf parameter of the position distribution (0 = uniform).
     mean_length:
         Mean interval extent; defaults to ``sqrt(domain size)`` as in the paper.
     rng:
@@ -66,7 +64,7 @@ def generate_intervals(count: int, domain: Domain | int, *, skew: float = 0.0,
     if mean_length is None:
         mean_length = float(np.sqrt(size))
     lengths = _sample_lengths(count, mean_length, rng, size - 1)
-    starts = zipf_sample(count, size - 1, skew, rng, shuffle_ranks=skew > 0)
+    starts = zipf_sample(count, size - 1, 0.0, rng)
     highs = np.minimum(starts + lengths, size - 1)
     lows = np.minimum(starts, highs - 1)
     lows = np.maximum(lows, 0)
@@ -110,14 +108,14 @@ def generate_rectangles(count: int, domain: Domain, *, skew: float | tuple[float
     return BoxSet(lows, highs)
 
 
-def generate_points(count: int, domain: Domain, *, skew: float | tuple[float, ...] = 0.0,
-                    clusters: int = 0, cluster_spread: float | None = None,
+def generate_points(count: int, domain: Domain, *, clusters: int = 0,
                     rng=None) -> PointSet:
     """Generate ``count`` points, optionally clustered.
 
-    With ``clusters = 0`` coordinates follow independent per-dimension Zipf
-    distributions; otherwise points are drawn around ``clusters`` Gaussian
-    cluster centres (useful for epsilon-join workloads).
+    With ``clusters = 0`` coordinates are independent and uniform per
+    dimension; otherwise points are drawn around ``clusters`` Gaussian
+    cluster centres of standard deviation ``min(sizes) / (4 * clusters)``
+    (useful for epsilon-join workloads).
     """
     _check_count(count)
     rng = _resolve_rng(rng)
@@ -125,8 +123,7 @@ def generate_points(count: int, domain: Domain, *, skew: float | tuple[float, ..
     sizes = np.asarray(domain.requested_sizes, dtype=np.int64)
 
     if clusters > 0:
-        if cluster_spread is None:
-            cluster_spread = float(np.min(sizes)) / (4.0 * clusters)
+        cluster_spread = float(np.min(sizes)) / (4.0 * clusters)
         centres = rng.integers(0, sizes, size=(clusters, dimension))
         assignment = rng.integers(0, clusters, size=count)
         noise = rng.normal(scale=cluster_spread, size=(count, dimension))
@@ -134,12 +131,7 @@ def generate_points(count: int, domain: Domain, *, skew: float | tuple[float, ..
         coords = np.clip(coords, 0, sizes - 1)
         return PointSet(coords)
 
-    if isinstance(skew, (int, float)):
-        skew = (float(skew),) * dimension
-    if len(skew) != dimension:
-        raise WorkloadError("one skew value per dimension is required")
     coords = np.empty((count, dimension), dtype=np.int64)
     for dim in range(dimension):
-        coords[:, dim] = zipf_sample(count, int(sizes[dim]), skew[dim], rng,
-                                     shuffle_ranks=skew[dim] > 0)
+        coords[:, dim] = zipf_sample(count, int(sizes[dim]), 0.0, rng)
     return PointSet(coords)

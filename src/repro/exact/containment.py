@@ -7,8 +7,11 @@ import numpy as np
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
 
+#: Outer rows compared against every inner row at once.
+_CHUNK_ROWS = 512
 
-def containment_join_count(outer: BoxSet, inner: BoxSet, *, chunk_size: int = 512) -> int:
+
+def containment_join_count(outer: BoxSet, inner: BoxSet) -> int:
     """Number of pairs ``(r, s)`` with ``s`` (inner) contained in ``r`` (outer).
 
     Containment is closed: ``l(r_i) <= l(s_i)`` and ``u(s_i) <= u(r_i)`` in
@@ -20,8 +23,8 @@ def containment_join_count(outer: BoxSet, inner: BoxSet, *, chunk_size: int = 51
         return 0
     total = 0
     i_lo, i_hi = inner.lows, inner.highs
-    for start in range(0, len(outer), chunk_size):
-        stop = min(start + chunk_size, len(outer))
+    for start in range(0, len(outer), _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, len(outer))
         o_lo = outer.lows[start:stop, None, :]
         o_hi = outer.highs[start:stop, None, :]
         contained = np.all((o_lo <= i_lo[None, :, :]) & (i_hi[None, :, :] <= o_hi), axis=2)

@@ -10,7 +10,6 @@ default parameters (and the paper-scale ones for reference), and
 
 from repro.experiments.config import ExperimentScale, LAPTOP_SCALE, PAPER_SCALE, TINY_SCALE
 from repro.experiments.harness import (
-    average_sketch_error,
     histogram_errors,
     sketch_error_for_budgets,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "PAPER_SCALE",
     "TINY_SCALE",
     "relative_error",
-    "average_sketch_error",
     "sketch_error_for_budgets",
     "histogram_errors",
     "FigureResult",

@@ -90,8 +90,8 @@ LAPTOP_SCALE = ExperimentScale(
         "one order of magnitude relative to the paper so that every figure regenerates "
         "in a few minutes.  The synthetic domain is reduced along with the dataset "
         "sizes so that the result-size-to-self-join-size ratio (which governs SKETCH "
-        "accuracy, Section 7.4) stays comparable to the paper's setting; see "
-        "EXPERIMENTS.md for the full scaling discussion."
+        "accuracy, Section 7.4) stays comparable to the paper's setting; "
+        "PAPER_SCALE holds the paper's own sizes."
     ),
 )
 

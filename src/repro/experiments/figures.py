@@ -1,12 +1,13 @@
 """Per-figure experiment definitions (Section 7 of the paper).
 
-Every public function regenerates one figure (or one ablation study called
-out in DESIGN.md) and returns a :class:`~repro.experiments.reporting.FigureResult`
-whose rows are the data series the paper plots.  Absolute numbers differ
-from the paper (different hardware, simulated real-life data, scaled-down
-sizes) but the *shape* — which technique wins, how errors move with dataset
-size and summary space — is what EXPERIMENTS.md records and what the
-benchmarks assert.
+Every public function regenerates one figure (or one ablation of a design
+choice the paper argues for in Sections 5-6) and returns a
+:class:`~repro.experiments.reporting.FigureResult` whose rows are the data
+series the paper plots.  Absolute numbers differ from the paper (different
+hardware, simulated real-life data, scaled-down sizes) but the *shape* —
+which technique wins, how errors move with dataset size and summary space —
+is what each result's ``expected_shape`` states and what the benchmarks
+assert.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.exact.rectangle_join import rectangle_join_count
 from repro.experiments.config import ExperimentScale, LAPTOP_SCALE
 from repro.experiments.harness import (
     adaptive_domain,
-    average_sketch_error,
     histogram_errors,
     sketch_error_for_budgets,
 )
@@ -72,11 +72,11 @@ def _synthetic_join_figure(figure_id: str, skew: float, scale: ExperimentScale,
         left = synthetic.generate_rectangles(size, domain, skew=skew, rng=rng)
         right = synthetic.generate_rectangles(size, domain, skew=skew, rng=rng)
         truth = rectangle_join_count(left, right)
-        sketch_error = average_sketch_error(
-            left, right, domain, truth,
-            budget_words=scale.synthetic_budget_words,
+        budget = scale.synthetic_budget_words
+        sketch_error = sketch_error_for_budgets(
+            left, right, domain, truth, budgets=(budget,),
             runs=scale.runs, seed=seed + index,
-        )
+        )[budget]
         baseline = histogram_errors(left, right, domain, truth,
                                     budget_words=scale.synthetic_budget_words)
         result.add_row(size, sketch_error, baseline["EH"], baseline["GH"])
@@ -220,7 +220,8 @@ def figure11(scale: ExperimentScale = LAPTOP_SCALE, *, seed: int = 0) -> FigureR
 
 
 # ---------------------------------------------------------------------------
-# Ablations and extensions called out in DESIGN.md.
+# Ablations and extensions: the design choices of Sections 5-6 (and the
+# engine's join ordering) measured on their own.
 # ---------------------------------------------------------------------------
 
 def ablation_maxlevel(scale: ExperimentScale = LAPTOP_SCALE, *, seed: int = 0) -> FigureResult:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core import space
 from repro.core.adaptive import choose_max_level
-from repro.core.boosting import split_instances
+from repro.core.boosting import median_of_means, split_instances
 from repro.core.domain import Domain
 from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.experiments.metrics import mean_relative_error, relative_error
@@ -41,31 +41,16 @@ def adaptive_domain(left: BoxSet, right: BoxSet, domain: Domain, *,
     return domain.with_max_level(level)
 
 
-def average_sketch_error(left: BoxSet, right: BoxSet, domain: Domain, truth: float, *,
-                         budget_words: float, runs: int = 3, seed: int = 0,
-                         endpoint_policy: str = "transform") -> float:
-    """Mean relative error of the SKETCH estimate at a fixed word budget,
-    on the domain :func:`adaptive_domain` tunes."""
-    domain = adaptive_domain(left, right, domain, seed=seed)
-    instances = space.instances_for_budget(budget_words, domain.dimension)
-    estimates = []
-    for run in range(runs):
-        estimator = SpatialJoinEstimator(domain, instances, seed=seed + 1000 * (run + 1),
-                                         endpoint_policy=endpoint_policy)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        estimates.append(estimator.estimate().estimate)
-    return mean_relative_error(estimates, truth)
-
-
 def sketch_error_for_budgets(left: BoxSet, right: BoxSet, domain: Domain, truth: float, *,
-                             budgets: tuple[int, ...], runs: int = 3, seed: int = 0,
-                             endpoint_policy: str = "transform") -> dict[int, float]:
+                             budgets: tuple[int, ...], runs: int = 3, seed: int = 0
+                             ) -> dict[int, float]:
     """Mean relative error of SKETCH for several word budgets, on the
     domain :func:`adaptive_domain` tunes.
 
     The sketch is built once per run at the largest budget; smaller budgets
-    reuse a prefix of its atomic-sketch instances.
+    reuse a prefix of its atomic-sketch instances.  One budget is the error
+    of a sketch built at that budget: the prefix of all its instances,
+    boosted by the same :func:`split_instances` plan.
     """
     domain = adaptive_domain(left, right, domain, seed=seed)
     budgets = tuple(sorted(budgets))
@@ -75,17 +60,13 @@ def sketch_error_for_budgets(left: BoxSet, right: BoxSet, domain: Domain, truth:
 
     per_budget_estimates: dict[int, list[float]] = {budget: [] for budget in budgets}
     for run in range(runs):
-        estimator = SpatialJoinEstimator(domain, max_instances, seed=seed + 1000 * (run + 1),
-                                         endpoint_policy=endpoint_policy)
+        estimator = SpatialJoinEstimator(domain, max_instances, seed=seed + 1000 * (run + 1))
         estimator.insert_left(left)
         estimator.insert_right(right)
         values = estimator.instance_values()
         for budget in budgets:
             count = instance_counts[budget]
-            plan = split_instances(count)
-            from repro.core.boosting import median_of_means
-
-            estimate, _ = median_of_means(values[:count], plan)
+            estimate, _ = median_of_means(values[:count], split_instances(count))
             per_budget_estimates[budget].append(estimate)
     return {budget: mean_relative_error(estimates, truth)
             for budget, estimates in per_budget_estimates.items()}

@@ -1,7 +1,8 @@
 """The overlap rule and the vectorised spatial predicates.
 
 The predicates implement the semantics used by the paper's counting
-procedures (see the note in DESIGN.md about Definition 1 vs Figure 3):
+procedures (Definition 1 and the cases of Figure 3, under which boxes that
+only touch do not overlap):
 
 * ``overlap``  — interiors intersect (Figure 3 cases 3-6),
 * ``overlap+`` — closed boxes intersect, i.e. touching counts (Appendix B.1),

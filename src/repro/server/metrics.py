@@ -34,6 +34,8 @@ from repro.server.wire import WIRE_FORMATS
 
 #: How many recent estimate latencies back the quantiles and the qps gauge.
 SAMPLE_WINDOW = 4096
+#: Seconds of recent estimates the qps gauge counts.
+QPS_WINDOW_S = 30.0
 
 COUNTER, GAUGE = "counter", "gauge"
 
@@ -151,21 +153,20 @@ class ServerMetrics:
     def uptime(self) -> float:
         return time.monotonic() - self.started_at
 
-    def estimate_qps(self, latencies: "deque | None" = None,
-                     window: float = 30.0) -> float:
-        """Estimates per second over the recent window, of this front or of
-        one tenant's ``latencies``.
+    def estimate_qps(self, latencies: "deque | None" = None) -> float:
+        """Estimates per second over the last :data:`QPS_WINDOW_S` seconds,
+        of this front or of one tenant's ``latencies``.
 
         The horizon is clamped to the uptime and — when the sample deque
         has wrapped — to the age of the oldest *retained* sample, so a
         busy server (more than ``maxlen`` estimates inside the window)
-        reports its true rate instead of ``maxlen / window``.
+        reports its true rate instead of ``maxlen / QPS_WINDOW_S``.
         """
         latencies = self.latencies if latencies is None else latencies
         if not latencies:
             return 0.0
         now = time.monotonic()
-        horizon = min(window, max(self.uptime, 1e-9))
+        horizon = min(QPS_WINDOW_S, max(self.uptime, 1e-9))
         if len(latencies) == latencies.maxlen:
             oldest_age = now - latencies[0][0]
             horizon = min(horizon, max(oldest_age, 1e-9))

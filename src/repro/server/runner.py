@@ -26,6 +26,10 @@ from repro.server.front import ServingFront
 from repro.server.server import ServerConfig, SketchServer
 from repro.service.service import EstimationService
 
+#: Seconds :meth:`FrontThread.start` waits for the front to come up, and
+#: :meth:`FrontThread.stop` for its loop thread to end.
+_LIFECYCLE_TIMEOUT_S = 30.0
+
 
 class FrontThread:
     """Owns one front plus the background thread driving its event loop."""
@@ -40,7 +44,7 @@ class FrontThread:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def start(self, timeout: float = 30.0):
+    def start(self):
         if self._thread is not None:
             raise ServiceError(f"{self._name} thread already started")
         self._thread = threading.Thread(
@@ -48,7 +52,7 @@ class FrontThread:
             name=self._name)
         self._thread.start()
         # Propagates a startup failure (e.g. port in use) to the caller.
-        self._ready.result(timeout=timeout)
+        self._ready.result(timeout=_LIFECYCLE_TIMEOUT_S)
         return self
 
     async def _start_front(self) -> None:
@@ -67,12 +71,12 @@ class FrontThread:
         await self._stop.wait()
         await self._front.close()
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def stop(self) -> None:
         if self._thread is None:
             return
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=timeout)
+        self._thread.join(timeout=_LIFECYCLE_TIMEOUT_S)
         self._thread = None
 
     def run(self, coroutine, timeout: float = 60.0):
@@ -97,10 +101,8 @@ class ThreadedServer(FrontThread):
     """A :class:`SketchServer` on its own loop thread."""
 
     def __init__(self, service: EstimationService, *,
-                 config: ServerConfig | None = None,
-                 snapshot_path: str | None = None) -> None:
-        self.server = SketchServer(service, config=config,
-                                   snapshot_path=snapshot_path)
+                 config: ServerConfig | None = None) -> None:
+        self.server = SketchServer(service, config=config)
         super().__init__(self.server)
 
     @property

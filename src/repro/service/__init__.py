@@ -37,10 +37,8 @@ from repro.service.service import EstimationService, ServiceStats
 from repro.service.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
-    load_snapshot,
     read_binary_snapshot_state,
     restore_service,
-    save_snapshot,
 )
 from repro.service.driver import (
     DriveReport,
@@ -65,8 +63,6 @@ __all__ = [
     "ServiceStats",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "save_snapshot",
-    "load_snapshot",
     "read_binary_snapshot_state",
     "restore_service",
     "StreamDriver",

@@ -207,13 +207,11 @@ class EstimationService:
                 raise ServiceError("service already has a tenant registry")
             return self._tenants
 
-    def tenant_create(self, tenant_id: str, *, token: str, quota: Any = None,
-                      created_at: float | None = None) -> Any:
+    def tenant_create(self, tenant_id: str, *, token: str, quota: Any = None) -> Any:
         """Register a tenant; journaled through the WAL when attached."""
         registry = self.enable_tenancy()
         with self._lock:
-            record = registry.create(tenant_id, token=token, quota=quota,
-                                     created_at=created_at)
+            record = registry.create(tenant_id, token=token, quota=quota)
             if self._wal is not None:
                 self._wal.append_tenant("create", tenant_id, record.to_dict())
         return record
@@ -314,8 +312,6 @@ class EstimationService:
         guarantees no append slips between the captured sequence number and
         the tensors on disk.
         """
-        from repro.service.snapshot import save_snapshot
-
         if self._wal is None:
             raise ServiceError("checkpoint requires an attached WAL "
                                "(see attach_wal)")
@@ -323,7 +319,7 @@ class EstimationService:
         if target is None:
             raise ServiceError("no checkpoint path given or configured")
         with self._lock:
-            save_snapshot(self, target)
+            self.save(target)
             seqno = self._wal.last_seqno
         removed = self._wal.truncate_through(seqno)
         return {
@@ -507,11 +503,11 @@ class EstimationService:
         previous view of the name *and* that entry's delta covers every
         version since (the service fed it each batch flushed for the
         name), the new view is the old one plus the delta — one counter
-        add per bank, xi families aliased, so the executor's letter-sum
-        cache stays warm (:mod:`repro.service.delta`).  Otherwise — cold
-        name, evicted entry, a delta over its budget, a store mutation
-        the service did not feed — the view is fully rebuilt from the
-        shards.  Both routes are bit-identical; they are counted
+        add per bank, xi families aliased, so the new view reads the sign
+        tables the old one built (:mod:`repro.service.delta`).  Otherwise
+        — cold name, evicted entry, a delta over its budget, a store
+        mutation the service did not feed — the view is fully rebuilt
+        from the shards.  Both routes are bit-identical; they are counted
         separately as ``delta_applies`` / ``rebuilds``.
         """
         with self._lock:
@@ -645,17 +641,16 @@ class EstimationService:
         The state is captured under the service lock, so concurrent
         ingestion cannot tear the snapshot.  :meth:`load` reads it back.
         """
-        from repro.service.snapshot import save_snapshot
+        from repro.service.snapshot import write_binary_snapshot_state
 
-        save_snapshot(self, path)
+        write_binary_snapshot_state(self.snapshot(), path)
 
     @classmethod
-    def load(cls, path, *, num_shards: int = 4,
-             flush_threshold: int | None = 8192) -> "EstimationService":
-        """Read a snapshot file written by :meth:`save`."""
-        from repro.service.snapshot import load_snapshot
+    def load(cls, path, *, num_shards: int = 4) -> "EstimationService":
+        """Read a snapshot file written by :meth:`save` and rebuild its service."""
+        from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
-        return load_snapshot(path, num_shards=num_shards, flush_threshold=flush_threshold)
+        return restore_service(read_binary_snapshot_state(path), num_shards=num_shards)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"EstimationService(shards={self.num_shards}, "

@@ -337,26 +337,3 @@ def snapshot_state_from_bytes(raw: bytes):
     ships); its tensors are read-only views into ``raw``."""
     header, data_start = _read_binary_header(io.BytesIO(raw))
     return _state_from_buffer(raw, header, data_start)
-
-
-# -- file-level helpers ----------------------------------------------------------
-
-
-def save_snapshot(service_or_store, path) -> None:
-    """Atomically write a binary (v2) snapshot file for a service or a store.
-
-    The path's suffix selects nothing.  For a service the state is captured
-    through its (lock-holding, auto-flushing) ``snapshot`` method; a bare
-    store is serialised directly.
-    """
-    if hasattr(service_or_store, "snapshot"):
-        state = service_or_store.snapshot()
-    else:
-        state = store_snapshot(service_or_store)
-    write_binary_snapshot_state(state, path)
-
-
-def load_snapshot(path, *, num_shards: int = 4, flush_threshold: int | None = 8192):
-    """Read a snapshot file and rebuild its service."""
-    return restore_service(read_binary_snapshot_state(path), num_shards=num_shards,
-                           flush_threshold=flush_threshold)

@@ -61,11 +61,9 @@ def shard_ids(boxes: BoxSet, num_shards: int) -> np.ndarray:
     return (h % np.uint64(num_shards)).astype(np.int64)
 
 
-def partition_boxes(boxes: BoxSet, num_shards: int,
-                    ids: np.ndarray | None = None) -> list[BoxSet | None]:
+def partition_boxes(boxes: BoxSet, num_shards: int) -> list[BoxSet | None]:
     """Split a box set into per-shard subsets (``None`` for empty shards)."""
-    if ids is None:
-        ids = shard_ids(boxes, num_shards)
+    ids = shard_ids(boxes, num_shards)
     parts: list[BoxSet | None] = [None] * num_shards
     if len(boxes) == 0:
         return parts

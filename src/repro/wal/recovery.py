@@ -135,8 +135,7 @@ def replay_records(service: "EstimationService",
 
 
 def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
-                    attach: bool = True, flush_threshold: int | None = 8192,
-                    num_shards: int = 4,
+                    attach: bool = True, num_shards: int = 4,
                     checkpoint_path=None,
                     checkpoint_boxes: int | None = None,
                     ) -> tuple["EstimationService", RecoveryReport]:
@@ -164,8 +163,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         base_seqno = state.get("wal_seqno", 0)
     else:
         state = {"estimators": {}}
-    service = restore_service(state, num_shards=num_shards,
-                              flush_threshold=flush_threshold)
+    service = restore_service(state, num_shards=num_shards)
 
     truncated_bytes = sum(scan_segment(path).truncated_bytes
                           for path in list_segments(wal_dir))

@@ -6,6 +6,8 @@ import pathlib
 import shutil
 import sys
 
+import numpy as np
+
 from repro.cli import main, service_command_loop
 from repro.service import EstimationService
 
@@ -275,6 +277,36 @@ class TestIngestEstimateCommands:
                      "--name", "x"]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_offline_delete_retracts_an_earlier_insert(self, tmp_path, capsys):
+        """``ingest --kind delete`` on a ``--snapshot`` file applies the
+        deletion and writes the file back: the box count falls by what was
+        deleted, back to 0 once every insert is retracted."""
+        snapshot = str(tmp_path / "svc.snap")
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps([[0, 0, 20, 20]]))
+        second.write_text(json.dumps([[10, 10, 99, 99]]))
+        assert main(["ingest", "--snapshot", snapshot, "--name", "rq",
+                     "--family", "range", "--sizes", "256,256",
+                     "--instances", "16", "--side", "data",
+                     "--boxes", str(first)]) == 0
+        assert main(["ingest", "--snapshot", snapshot, "--name", "rq",
+                     "--side", "data", "--boxes", str(second)]) == 0
+        capsys.readouterr()
+
+        def delete(boxes) -> dict:
+            assert main(["ingest", "--snapshot", snapshot, "--name", "rq",
+                         "--side", "data", "--kind", "delete",
+                         "--boxes", str(boxes)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        reply = delete(first)
+        assert (reply["created"], reply["kind"], reply["boxes"]) == (False, "delete", 1)
+        assert main(["estimate", "--snapshot", snapshot, "--name", "rq",
+                     "--query", "0,0,128,128"]) == 0
+        assert json.loads(capsys.readouterr().out)["left_count"] == 1
+        delete(second)
+        assert EstimationService.load(snapshot).merged_view("rq").count == 0
+
     def test_epsilon_family_generates_points(self, tmp_path, capsys):
         snapshot = str(tmp_path / "svc.json")
         assert main(["ingest", "--snapshot", snapshot, "--name", "eps",
@@ -289,3 +321,62 @@ class TestIngestEstimateCommands:
         assert main(["estimate", "--snapshot", snapshot, "--name", "eps"]) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["left_count"] == 100
+
+
+class TestWalCommand:
+    TORN = b"\xde\xad\xbe\xef torn record"
+
+    def _log(self, wal_dir) -> list[int]:
+        """register, insert 3, delete 1 — then a torn tail, as a crash
+        mid-append leaves it."""
+        from repro.service import EstimatorSpec
+        from repro.wal import WalWriter
+        from repro.wal.reader import list_segments
+
+        rows = np.array([[0, 0, 9, 9], [5, 5, 20, 20], [30, 30, 40, 40]])
+        with WalWriter(wal_dir, sync="none") as writer:
+            seqnos = [
+                writer.append_register("rq", EstimatorSpec.create(
+                    "range", (64, 64), 8).to_dict()),
+                writer.append_update("rq", "data", "insert", rows),
+                writer.append_update("rq", "data", "delete", rows[:1]),
+            ]
+        with open(list_segments(wal_dir)[-1], "ab") as handle:
+            handle.write(self.TORN)
+        return seqnos
+
+    def _report(self, capsys, *args) -> tuple[list[dict], dict]:
+        """The one-line ``--events`` records, then the indented report."""
+        assert main(["wal", *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("{")
+        return ([json.loads(line) for line in lines[:start]],
+                json.loads("\n".join(lines[start:])))
+
+    def test_reports_records_boxes_and_the_torn_tail(self, tmp_path, capsys):
+        wal_dir = str(tmp_path / "wal")
+        seqnos = self._log(wal_dir)
+        events, report = self._report(capsys, "--dir", wal_dir)
+        assert events == []
+        assert (report["records"], report["boxes"], report["last_seqno"],
+                report["torn_bytes"]) == (3, 4, seqnos[-1], len(self.TORN))
+        assert sum(segment["truncated_bytes"]
+                   for segment in report["segments"]) == len(self.TORN)
+
+    def test_since_and_events(self, tmp_path, capsys):
+        wal_dir = str(tmp_path / "wal")
+        register, insert, delete = self._log(wal_dir)
+        events, report = self._report(capsys, "--dir", wal_dir,
+                                      "--since", str(register), "--events")
+        assert events == [
+            {"seqno": insert, "type": "update", "name": "rq", "side": "data",
+             "kind": "insert", "rows": 3},
+            {"seqno": delete, "type": "update", "name": "rq", "side": "data",
+             "kind": "delete", "rows": 1},
+        ]
+        assert (report["since"], report["records"], report["boxes"],
+                report["last_seqno"]) == (register, 2, 4, delete)
+        _, past_the_end = self._report(capsys, "--dir", wal_dir,
+                                       "--since", str(delete))
+        assert (past_the_end["records"], past_the_end["boxes"],
+                past_the_end["torn_bytes"]) == (0, 0, len(self.TORN))

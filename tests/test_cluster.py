@@ -30,7 +30,6 @@ from repro.server import ServerConfig, ThreadedServer, boxes_to_rows
 from repro.service import (
     EstimationService,
     EstimatorSpec,
-    load_snapshot,
     synthetic_boxes,
     synthetic_queries,
 )
@@ -490,7 +489,7 @@ class TestScatterGather:
         reference.ingest("old", before, side="data")
         reference.save(tmp_path / "old.snap")
         handles = [ThreadedServer(service).start() for service in (
-            load_snapshot(tmp_path / "old.snap"),
+            EstimationService.load(tmp_path / "old.snap"),
             EstimationService(num_shards=2))]
         try:
             with ThreadedClusterRouter(
@@ -530,7 +529,7 @@ class TestScatterGather:
         reference.ingest("old", boxes, side="data")
         reference.save(tmp_path / "old.snap")
         handles = [ThreadedServer(service).start() for service in (
-            load_snapshot(tmp_path / "old.snap"),
+            EstimationService.load(tmp_path / "old.snap"),
             EstimationService(num_shards=2))]
         try:
             with ThreadedClusterRouter(
@@ -561,7 +560,7 @@ class TestScatterGather:
         old.ingest("old", synthetic_boxes(DOMAIN, 50, seed=1), side="data")
         old.save(tmp_path / "old.snap")
         handles = [ThreadedServer(service).start() for service in (
-            load_snapshot(tmp_path / "old.snap"),
+            EstimationService.load(tmp_path / "old.snap"),
             EstimationService(num_shards=2))]
         try:
             with pytest.raises(ServiceError, match="not as the router's"):
@@ -689,7 +688,7 @@ class TestSnapshotWriteFormat:
                     for fmt in ("auto", "binary", None):
                         for path in written_files(client, fmt,
                                                   f"{edge}-{fmt}"):
-                            restored = load_snapshot(path).estimate(
+                            restored = EstimationService.load(path).estimate(
                                 "ranges", query)
                             assert restored.estimate == expected.estimate
                             assert np.array_equal(restored.instance_values,

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core import space
 from repro.core.domain import Domain
+from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.data import synthetic
 from repro.exact.rectangle_join import rectangle_join_count
 from repro.experiments import harness
@@ -82,12 +84,23 @@ class TestHarness:
         tuned = harness.adaptive_domain(left, right, domain)
         assert 0 <= tuned.dyadic(0).max_level <= domain.dyadic(0).height
 
-    def test_average_sketch_error_is_finite(self, workload):
+    def test_one_budget_is_a_sketch_built_at_that_budget(self, workload):
+        """Figures 5 and 6 read one budget of the sweep: it must be the error
+        of a sketch sized for that budget, estimated on its own, bit for bit."""
         domain, left, right, truth = workload
-        error = harness.average_sketch_error(left, right, domain, truth,
-                                             budget_words=600, runs=2, seed=1)
-        assert np.isfinite(error)
-        assert error >= 0.0
+        error = harness.sketch_error_for_budgets(left, right, domain, truth,
+                                                 budgets=(600,), runs=2, seed=1)[600]
+        tuned = harness.adaptive_domain(left, right, domain, seed=1)
+        estimates = []
+        for run in range(2):
+            estimator = SpatialJoinEstimator(
+                tuned, space.instances_for_budget(600, tuned.dimension),
+                seed=1 + 1000 * (run + 1))
+            estimator.insert_left(left)
+            estimator.insert_right(right)
+            estimates.append(estimator.estimate().estimate)
+        assert error == mean_relative_error(estimates, truth)
+        assert np.isfinite(error) and error >= 0.0
 
     def test_sketch_error_for_budgets_returns_all_budgets(self, workload):
         domain, left, right, truth = workload

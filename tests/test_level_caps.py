@@ -33,7 +33,6 @@ from repro.server.protocol import boxes_to_rows
 from repro.service import (
     EstimationService,
     EstimatorSpec,
-    load_snapshot,
     synthetic_boxes,
     synthetic_queries,
 )
@@ -335,7 +334,7 @@ class TestStoredStateStaysUncapped:
         self.written_wal(tmp_path / "wal")
         service, _ = recover_service(tmp_path / "wal", attach=False)
         service.save(tmp_path / "old.snap")
-        restored = load_snapshot(tmp_path / "old.snap")
+        restored = EstimationService.load(tmp_path / "old.snap")
         assert restored.spec("rq").to_dict() == self.SPECS["rq"]
         assert self.answers(restored) == (self.PARENT_RQ, self.PARENT_RJ)
         # More data lands in the same, uncapped, counters.

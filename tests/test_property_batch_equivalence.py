@@ -32,9 +32,7 @@ from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
-    load_snapshot,
     restore_service,
-    save_snapshot,
 )
 
 #: Family -> (domain sizes, update sides, extra spec options).
@@ -166,9 +164,9 @@ def test_batch_equals_scalar_on_merged_shard_views(name, case):
     # delivers) must leave every estimate bit-identical.
     with tempfile.TemporaryDirectory(prefix="repro-snap-") as tmp:
         path = os.path.join(tmp, "svc.snap")
-        save_snapshot(service, path)
+        service.save(path)
         hopped = json.loads(json.dumps(service.snapshot(), default=json_default))
-        for restored in (load_snapshot(path), restore_service(hopped)):
+        for restored in (EstimationService.load(path), restore_service(hopped)):
             if family == "range":
                 round_tripped = restored.estimate_batch("est", queries)
             else:

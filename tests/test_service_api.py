@@ -15,11 +15,10 @@ from repro.service import (
     EstimationService,
     EstimatorSpec,
     StreamDriver,
-    load_snapshot,
     restore_service,
-    save_snapshot,
     synthetic_boxes,
 )
+from repro.service.snapshot import store_snapshot, write_binary_snapshot_state
 
 from tests.conftest import random_boxes
 
@@ -192,7 +191,7 @@ class TestSnapshots:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SnapshotError):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_snapshot_version_guard(self):
         with pytest.raises(SnapshotError):
@@ -200,13 +199,13 @@ class TestSnapshots:
                              "snapshot_version": 99,
                              "num_shards": 2, "estimators": {}})
 
-    def test_save_snapshot_with_store_argument(self, rng, tmp_path):
+    def test_bare_store_snapshot_restores(self, rng, tmp_path):
         service = _service()
         service.ingest("join", random_boxes(rng, 10, 256, 2))
         service.flush()
-        path = tmp_path / "store.json"
-        save_snapshot(service.store, path)
-        assert load_snapshot(path).estimate("join").left_count == 10
+        path = tmp_path / "store.snap"
+        write_binary_snapshot_state(store_snapshot(service.store), path)
+        assert EstimationService.load(path).estimate("join").left_count == 10
 
 
 class TestStreamDriver:

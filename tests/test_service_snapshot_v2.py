@@ -30,7 +30,6 @@ from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
-    load_snapshot,
     restore_service,
 )
 from repro.service.snapshot import (
@@ -151,7 +150,7 @@ class TestBothFormatsRoundTrip:
         service, spec = _family_service(rng, "rectangle", (256, 256), {})
         path = tmp_path / "svc.snap"
         service.save(path)
-        restored = load_snapshot(path)
+        restored = EstimationService.load(path)
         shard = next(iter(restored.store.shard_estimators("est")))
         # Adopted without copying: a read-only view into the mapped file.
         assert not shard.left_bank._matrix.flags.writeable
@@ -168,7 +167,7 @@ class TestBothFormatsRoundTrip:
         service.save(path)
         with open(path, "rb") as handle:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
-        assert load_snapshot(path).estimate("est").estimate \
+        assert EstimationService.load(path).estimate("est").estimate \
             == service.estimate("est").estimate
 
 
@@ -198,7 +197,7 @@ class TestAnyShardCount:
         queries = None
         if spec.info.queryable:
             queries = random_boxes(rng, 6, sizes[0], len(sizes))
-        restored = [load_snapshot(path, num_shards=count)
+        restored = [EstimationService.load(path, num_shards=count)
                     for count in (1, 2, 7)]
         assert [service.num_shards for service in restored] == [1, 2, 7]
 
@@ -300,7 +299,7 @@ class TestV2FixtureRegression:
         ``num_shards`` and writes each name's two shard states as one, their
         sum, bit for bit; saving that file again writes the same bytes."""
         path = tmp_path / "again.snap"
-        load_snapshot(self.SNAPSHOT).save(path)
+        EstimationService.load(self.SNAPSHOT).save(path)
         fixture = read_binary_snapshot_state(self.SNAPSHOT)
         again = read_binary_snapshot_state(path)
         assert _canonical({**fixture, "num_shards": None, "estimators": None}) \
@@ -311,7 +310,7 @@ class TestV2FixtureRegression:
             assert _canonical(again["estimators"][name]) == _canonical(
                 {**entry, "shards": [_summed(entry["shards"])]})
         twice = tmp_path / "twice.snap"
-        load_snapshot(path).save(twice)
+        EstimationService.load(path).save(twice)
         assert twice.read_bytes() == path.read_bytes()
 
 
@@ -327,13 +326,13 @@ class TestCorruptSnapshots:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 256])
         with pytest.raises(SnapshotError, match="truncated"):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_truncated_header_raises(self, rng, tmp_path):
         path = self._binary_snapshot(rng, tmp_path)
         path.write_bytes(path.read_bytes()[:len(BINARY_MAGIC) + 12])
         with pytest.raises(SnapshotError, match="truncated"):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_garbage_header_json_raises(self, rng, tmp_path):
         path = self._binary_snapshot(rng, tmp_path)
@@ -342,17 +341,17 @@ class TestCorruptSnapshots:
         blob[start:start + 16] = b"\xff" * 16
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="header"):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_non_snapshot_bytes_raise(self, tmp_path):
         path = tmp_path / "junk.snap"
         path.write_bytes(b"\x00\x01\x02 definitely not a snapshot")
         with pytest.raises(SnapshotError):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_missing_file_stays_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_snapshot(tmp_path / "nope.snap")
+            EstimationService.load(tmp_path / "nope.snap")
 
     def test_read_snapshot_state_detects_both_formats(self, rng, tmp_path):
         """Binary reads; a v1 JSON file is told apart and refused by name."""
@@ -360,7 +359,7 @@ class TestCorruptSnapshots:
         assert read_binary_snapshot_state(path)["snapshot_version"] == 2
         json_path = tmp_path / "svc.json"
         _write_v1_json(json_path)
-        for reader in (read_binary_snapshot_state, load_snapshot):
+        for reader in (read_binary_snapshot_state, EstimationService.load):
             with pytest.raises(SnapshotError, match="v1 JSON.*PR 20"):
                 reader(json_path)
 
@@ -389,7 +388,7 @@ class TestCorruptSnapshots:
         path = tmp_path / "svc.snap"
         write_binary_snapshot_state(state, path)
         with pytest.raises(SnapshotError):
-            load_snapshot(path)
+            EstimationService.load(path)
 
     def test_negative_array_offset_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,
