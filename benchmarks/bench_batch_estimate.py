@@ -7,9 +7,9 @@ This is the perf-regression gate of the batched estimation engine:
   by **at least 3x** (the CI perf-smoke job re-checks the recorded JSON),
 * batch throughput is additionally swept across shard counts.
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_batch_estimate.json`` at the repository root; CI consumes
-that file and fails the perf-smoke job when the speedup drops below 3x.
+The run writes ``BENCH_batch_estimate.json`` and its human-readable record
+``BENCH_batch_estimate.txt`` at the repository root; CI consumes
+the JSON report and fails the perf-smoke job when the speedup drops below 3x.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import time
 from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_batch_estimate.json"
 
 DOMAIN = Domain.square(1024, dimension=2)
@@ -42,14 +41,7 @@ def _make_service(num_shards: int) -> EstimationService:
     return service
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def test_batch_estimate_at_least_3x_scalar_loop(benchmark):
+def test_batch_estimate_at_least_3x_scalar_loop(benchmark, record_gate):
     """The acceptance criterion: the batch kernel beats the scalar loop >= 3x."""
     service = _make_service(num_shards=4)
     queries = synthetic_queries(DOMAIN, NUM_QUERIES, seed=7)
@@ -100,7 +92,7 @@ def test_batch_estimate_at_least_3x_scalar_loop(benchmark):
     }
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
-    _record("batch_estimate", [
+    record_gate("batch_estimate", [
         f"batched range estimation ({NUM_QUERIES} queries, "
         f"{NUM_INSTANCES} instances, 4 shards)",
         f"scalar loop : {scalar_seconds:8.3f} s "

@@ -27,7 +27,8 @@ What is measured instead holds on any core count:
 
 Replies are checked bit-identical against an in-process service fed the
 same boxes, registered from the same plain sizes as the wire ``register``
-(so with the same derived level caps; ``DOMAIN`` itself is uncapped).  The run writes ``BENCH_cluster.json`` at the repository root;
+(so with the same derived level caps; ``DOMAIN`` itself is uncapped).  The
+run writes ``BENCH_cluster.json`` and ``BENCH_cluster.txt`` at the repository root;
 the floor and the ceiling sit at half / twice the values recorded on the
 reference box (``benchmarks/gates.json``).
 """
@@ -48,7 +49,6 @@ from repro.core.domain import Domain
 from repro.server import protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_cluster.json"
 
 DOMAIN = Domain.square(1024, dimension=2)
@@ -161,14 +161,7 @@ def _drive(boxes, queries) -> dict:
             "boxes_per_worker": owned, "worker_estimates": asked}
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def test_routed_estimates_per_cpu_second(benchmark):
+def test_routed_estimates_per_cpu_second(benchmark, record_gate):
     """Acceptance: a partitioned fleet answers bit-identically, above its
     floor of estimates per server-side CPU second."""
     boxes = synthetic_boxes(DOMAIN, DATA_BOXES, seed=1)
@@ -211,7 +204,7 @@ def test_routed_estimates_per_cpu_second(benchmark):
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
     routed = report["routed"]
-    _record("bench_cluster", [
+    record_gate("bench_cluster", [
         f"partitioned fleet: {requests} pipelined estimates over "
         f"{CONNECTIONS} connections, {WORKERS} shard workers + router "
         f"({routed['cpu_count']} CPUs)",

@@ -28,8 +28,8 @@ the baseline does.  Estimates are asserted bit-identical between the two
 paths every round — counter updates are exact integers in float64, so the
 fused ``base + delta`` add reproduces the full re-merge exactly.
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_delta.json`` at the repository root; CI consumes that file
+The run writes ``BENCH_delta.json`` and its human-readable record
+``BENCH_delta.txt`` at the repository root; CI consumes the JSON report
 and fails the perf-smoke job when the delta path exceeds its ceiling.
 """
 
@@ -42,7 +42,6 @@ import time
 from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_delta.json"
 
 DOMAIN = Domain.square(65536, dimension=2)
@@ -95,7 +94,7 @@ def _one_round(service: EstimationService, round_index: int, requests) -> list:
     return [(r.estimate, r.instance_values.tobytes()) for r in results]
 
 
-def test_delta_refresh_vs_rebuild(benchmark):
+def test_delta_refresh_vs_rebuild(benchmark, record_gate):
     """The acceptance gate: delta-applied refresh under its ceiling, bit-identical."""
     requests = _mixed_requests()
     with_delta = _make_service(delta_propagation=True)
@@ -174,7 +173,6 @@ def test_delta_refresh_vs_rebuild(benchmark):
     assert off_stats.delta_applies == 0
     assert off_stats.rebuilds == len(NAMES) * total_rounds
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"delta propagation: {ROUNDS} rounds x ({len(NAMES) * DELTA_BOXES} "
         f"flushed boxes + {len(requests)} mixed estimates) over "
@@ -189,8 +187,5 @@ def test_delta_refresh_vs_rebuild(benchmark):
         f"speedup         : {speedup:8.1f}x (informational)",
         "estimates       : bit-identical across both paths",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_delta.txt").write_text(text + "\n",
-                                                 encoding="utf-8")
+    record_gate("bench_delta", lines)
     assert delta_seconds <= MAX_DELTA_SECONDS

@@ -23,8 +23,8 @@ reported) no longer says anything about the mixed path.  A ceiling on the
 mixed path's own seconds does: a regression there fails CI whatever the
 baseline does.  Results are asserted bit-identical between the two paths.
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_program.json`` at the repository root; CI consumes that file
+The run writes ``BENCH_program.json`` and its human-readable record
+``BENCH_program.txt`` at the repository root; CI consumes the JSON report
 and fails the perf-smoke job when the mixed path exceeds its ceiling.
 """
 
@@ -55,7 +55,6 @@ from repro.service import (
 )
 from repro.service.specs import apply_update, compile_programs
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_program.json"
 
 DOMAIN = Domain.square(65536, dimension=2)
@@ -183,7 +182,7 @@ def _per_family_round(service, requests, executor) -> list:
     return results
 
 
-def test_mixed_dispatch_vs_per_family_path(benchmark):
+def test_mixed_dispatch_vs_per_family_path(benchmark, record_gate):
     """The acceptance gate: mixed-workload dispatch under its ceiling, bit-identical."""
     service = _make_service()
     queries = synthetic_queries(DOMAIN, RANGE_REQUESTS_PER_ROUND, seed=7)
@@ -242,7 +241,6 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
     }
     _update_report(report)
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"program executor: {ROUNDS} rounds x {len(requests)} mixed requests "
         f"({num_families} families, {NUM_INSTANCES} instances)",
@@ -256,14 +254,11 @@ def test_mixed_dispatch_vs_per_family_path(benchmark):
         f"{executor_stats.letter_sums_requested} requested "
         f"({executor_stats.kernel_calls} kernel calls)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_program_cache.txt").write_text(text + "\n",
-                                                         encoding="utf-8")
+    record_gate("bench_program_cache", lines)
     assert mixed_seconds <= MAX_MIXED_SECONDS
 
 
-def test_a_cold_range_estimate_costs_few_interpreter_calls():
+def test_a_cold_range_estimate_costs_few_interpreter_calls(record_gate):
     """The counted gate: ``estimate_batch`` of 512 rectangles no executor
     has seen, on the end-to-end benchmark's range name (1024 x 1024 from
     plain sizes, 256 instances, 4 000 boxes), profiled with cProfile — its
@@ -290,13 +285,10 @@ def test_a_cold_range_estimate_costs_few_interpreter_calls():
         "calls_per_query": calls_per_query,
         "max_calls_per_query": MAX_CALLS_PER_QUERY,
     }})
-    RESULTS_DIR.mkdir(exist_ok=True)
     text = (f"cold range estimate: {calls_per_query:.2f} interpreter calls per "
             f"query over one {CALLS_QUERIES}-query batch on the serving shape "
             f"(gate: <= {MAX_CALLS_PER_QUERY})")
-    print("\n" + text)
-    (RESULTS_DIR / "bench_program_calls.txt").write_text(text + "\n",
-                                                         encoding="utf-8")
+    record_gate("bench_program_calls", [text])
     assert calls_per_query <= MAX_CALLS_PER_QUERY
 
 
@@ -324,7 +316,7 @@ def _reference_interval_sums(bank: SketchBank, dim: int, lows: np.ndarray,
     return np.add.reduceat(signs, starts, axis=1, dtype=np.float64)
 
 
-def test_fused_letter_sums_at_least_2x_reference(benchmark):
+def test_fused_letter_sums_at_least_2x_reference(benchmark, record_gate):
     """The kernel gate: fused letter sums >= 2x the per-box scalar path."""
     bank = SketchBank(DOMAIN, all_words([Letter.INTERVAL], DOMAIN.dimension),
                       NUM_INSTANCES, seed=17)
@@ -368,7 +360,6 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
         },
     })
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"letter sums: {LETTER_SUM_ROUNDS} rounds x {LETTER_SUM_INTERVALS} "
         f"intervals ({NUM_INSTANCES} instances)",
@@ -377,14 +368,11 @@ def test_fused_letter_sums_at_least_2x_reference(benchmark):
         f"speedup            : {speedup:8.1f}x "
         f"(gate: >= {LETTER_SUM_MIN_SPEEDUP}x)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_letter_sums.txt").write_text(text + "\n",
-                                                       encoding="utf-8")
+    record_gate("bench_letter_sums", lines)
     assert speedup >= LETTER_SUM_MIN_SPEEDUP
 
 
-def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
+def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch, record_gate):
     """The table gate: coordinate-table lookups >= 3x the cover walk.
 
     Both sides have a warm sign table; the baseline is what a bank does
@@ -455,7 +443,6 @@ def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
         "max_cold_table_ms": COLD_TABLE_MAX_MS,
     }})
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     per_call = 1e3 / TABLE_ROUNDS
     lines = [
         f"coordinate tables: {TABLE_ROUNDS} rounds x {LETTER_SUM_INTERVALS} "
@@ -472,10 +459,7 @@ def test_coordinate_tables_at_least_3x_cover_walk(benchmark, monkeypatch):
         f"cold xi family : {cold_table_ms:8.1f} ms to its first table-served "
         f"sums (gate: <= {COLD_TABLE_MAX_MS} ms)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_cover_tables.txt").write_text(text + "\n",
-                                                        encoding="utf-8")
+    record_gate("bench_cover_tables", lines)
     assert table_speedup >= TABLE_MIN_SPEEDUP
     assert cold_table_ms <= COLD_TABLE_MAX_MS
 
@@ -502,7 +486,7 @@ def _reference_float_update(bank: SketchBank, boxes: BoxSet,
         counters[:, index] += term.sum(axis=1)
 
 
-def test_row_kernel_at_least_3x_float_update(benchmark):
+def test_row_kernel_at_least_3x_float_update(benchmark, record_gate):
     """The update gate: integer row kernel >= 3x the float update."""
 
     words = all_words((Letter.INTERVAL, Letter.ENDPOINTS), TABLE_DOMAIN.dimension)
@@ -544,7 +528,6 @@ def test_row_kernel_at_least_3x_float_update(benchmark):
         "min_row_kernel_speedup": UPDATE_MIN_SPEEDUP,
     }})
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"sketch update: {UPDATE_ROUNDS} rounds x {UPDATE_BOXES} boxes, "
         f"{len(words)} words over a 1024 x 1024 domain, {TABLE_INSTANCES} "
@@ -556,14 +539,11 @@ def test_row_kernel_at_least_3x_float_update(benchmark):
         f"speedup                        : {speedup:7.1f}x "
         f"(gate: >= {UPDATE_MIN_SPEEDUP}x)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_update_kernel.txt").write_text(text + "\n",
-                                                         encoding="utf-8")
+    record_gate("bench_update_kernel", lines)
     assert speedup >= UPDATE_MIN_SPEEDUP
 
 
-def test_cold_families_stay_off_the_polynomial(benchmark):
+def test_cold_families_stay_off_the_polynomial(benchmark, record_gate):
     """The cold gate: small first batches and router reduces, in ms.
 
     (a) A routed worker's first flush in miniature: a fresh 4-shard
@@ -650,7 +630,6 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         "sign_table_builds": first_flush_builds,
     }})
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"cold xi families: {TABLE_INSTANCES} instances over a 1024 x 1024 "
         "domain",
@@ -663,10 +642,7 @@ def test_cold_families_stay_off_the_polynomial(benchmark):
         f"over 2 worker states, resident template "
         f"(gate: <= {COLD_REDUCE_MAX_MS} ms)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_cold_families.txt").write_text(text + "\n",
-                                                         encoding="utf-8")
+    record_gate("bench_cold_families", lines)
     assert small_batch_ms <= COLD_BATCH_MAX_MS
     assert router_reduce_ms <= COLD_REDUCE_MAX_MS
     assert first_flush_builds == 0
@@ -742,7 +718,7 @@ def level_cap_probe(seed: int, families=("range", "rectangle", "containment"),
     return errors
 
 
-def test_default_spec_prunes_the_top():
+def test_default_spec_prunes_the_top(record_gate):
     """The level-cap gate, all counted (seeded, no timing).
 
     A range name registered from plain sizes stops where data and query
@@ -782,10 +758,7 @@ def test_default_spec_prunes_the_top():
             f"range rel_err_p50 over derived caps, seeds 11 101 202: "
             f"full tree {ratio:.2f}x (gate: >= 3), "
             f"cover-bound cap {cover_ratio:.2f}x (gate: >= 1.15)")
-    print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "bench_default_spec.txt").write_text(text + "\n",
-                                                        encoding="utf-8")
+    record_gate("bench_default_spec", [text])
     assert planes == dyadic.max_level + 2 == 9
     assert ratio >= 3.0
     assert cover_ratio >= 1.15

@@ -20,8 +20,8 @@ scrape).
 The clients drive the server from one asyncio loop (pipelined writes, one
 reader per connection) to keep measurement overhead flat across scenarios.
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_server.json`` at the repository root; CI consumes that file
+The run writes ``BENCH_server.json`` and its human-readable record
+``BENCH_server.txt`` at the repository root; CI consumes the JSON report
 and fails the perf-smoke job when the speedup drops below 3x.
 """
 
@@ -36,7 +36,6 @@ from repro.core.domain import Domain
 from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_server.json"
 
 DOMAIN = Domain.square(1024, dimension=2)
@@ -127,14 +126,7 @@ def _drive(config: ServerConfig) -> dict:
     }
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def test_coalesced_serving_at_least_3x_naive(benchmark):
+def test_coalesced_serving_at_least_3x_naive(benchmark, record_gate):
     """The acceptance gate: coalesced throughput >= 3x per-request serving."""
     naive = _drive(NAIVE_CONFIG)
     coalesced = benchmark.pedantic(lambda: _drive(COALESCED_CONFIG),
@@ -161,7 +153,7 @@ def test_coalesced_serving_at_least_3x_naive(benchmark):
                 f"{scenario['engine_calls']:4d} engine calls   "
                 f"coalesce x{scenario['coalesce_factor']:.1f}")
 
-    _record("bench_server_latency", [
+    record_gate("bench_server_latency", [
         f"server latency: {naive['requests']} pipelined estimates over "
         f"{CONNECTIONS} connections",
         row("naive", naive),

@@ -20,9 +20,9 @@ its size and save time do not grow with the shard count: 2 185 344 B for
 the three names here, where one state per shard wrote 8 739 712 B.  The
 restore goes into a store of the constructor's default 4 shards.
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_snapshot.json`` at the repository root; CI consumes that
-file and fails the perf-smoke job when a ceiling is exceeded.
+The run writes ``BENCH_snapshot.json`` and its human-readable record
+``BENCH_snapshot.txt`` at the repository root; CI consumes the
+JSON report and fails the perf-smoke job when a ceiling is exceeded.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import time
 from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_snapshot.json"
 FIXTURES = pathlib.Path(__file__).parent.parent / "tests" / "fixtures"
 
@@ -89,15 +88,8 @@ def _v2_fixture_restores() -> bool:
                if answers["family"] != "range")
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
 def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
-                                                               tmp_path):
+                                                               tmp_path, record_gate):
     """The acceptance gates: binary save and restore under 2x their recorded
     values, and the v2 fixture still restores."""
     service = _make_service()
@@ -128,7 +120,7 @@ def test_binary_snapshot_save_and_restore_under_their_ceilings(benchmark,
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
 
-    _record("snapshot", [
+    record_gate("snapshot", [
         f"service snapshots ({len(service.names())} estimators, "
         f"{NUM_INSTANCES} instances, 4 shards summed into one state per "
         f"name; best of {ROUNDS})",

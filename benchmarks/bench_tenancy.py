@@ -20,8 +20,8 @@ admitted cannot monopolise batch composition.
 Both scenarios run on identical resources (one engine-executor thread);
 the benchmark reports ``p99_guard = 1.5 * solo_p99 / contended_p99`` so
 the declarative gate in ``gates.json`` is a simple ``min: 1.0`` floor.
-Besides the record under ``benchmarks/results/``, the run writes
-``BENCH_tenancy.json`` at the repository root for CI.
+The run writes ``BENCH_tenancy.json`` and its record ``BENCH_tenancy.txt``
+at the repository root for CI.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.tenancy import TenantQuota, namespaced
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_tenancy.json"
 
 DOMAIN = Domain.square(1024, dimension=2)
@@ -160,14 +159,7 @@ def _scenario(*, with_noise: bool) -> dict:
     }
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def test_noisy_neighbor_keeps_steady_p99(benchmark):
+def test_noisy_neighbor_keeps_steady_p99(benchmark, record_gate):
     """The acceptance gate: contended steady p99 <= 1.5x its solo baseline."""
     solo = _scenario(with_noise=False)
     contended = benchmark.pedantic(lambda: _scenario(with_noise=True),
@@ -197,7 +189,7 @@ def test_noisy_neighbor_keeps_steady_p99(benchmark):
                 f"noisy ok/rejected {scenario['noisy_ok']:4d}/"
                 f"{scenario['noisy_rejected']:4d}")
 
-    _record("bench_tenancy", [
+    record_gate("bench_tenancy", [
         f"noisy neighbor: {solo['steady_requests']} steady estimates vs "
         f"{NOISY_CONNECTIONS * NOISY_QUERIES} noisy requests",
         row("solo", solo),

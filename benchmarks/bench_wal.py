@@ -10,8 +10,8 @@ The two perf gates of the durability layer:
   (that is what checkpointing buys: recovery cost proportional to the
   tail, not the history).
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_wal.json`` at the repository root; CI consumes that file
+The run writes ``BENCH_wal.json`` and its human-readable record
+``BENCH_wal.txt`` at the repository root; CI consumes the JSON report
 through ``benchmarks/check_gates.py`` (the ``wal`` gate).
 """
 
@@ -25,7 +25,6 @@ from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes
 from repro.wal import WalWriter, recover_service
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_wal.json"
 
 DOMAIN = Domain.square(1024, dimension=2)
@@ -63,14 +62,7 @@ def _timed_ingest(service: EstimationService, batches: list) -> float:
     return time.perf_counter() - start
 
 
-def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-
-
-def test_wal_overhead_and_recovery_speed(benchmark, tmp_path):
+def test_wal_overhead_and_recovery_speed(benchmark, tmp_path, record_gate):
     """The acceptance gates: >= 0.7x ingest ratio, >= 5x recovery speedup."""
     batches = _batches()
     total_boxes = NUM_BATCHES * BATCH_BOXES
@@ -144,7 +136,7 @@ def test_wal_overhead_and_recovery_speed(benchmark, tmp_path):
     REPORT_PATH.write_text(json.dumps(report_doc, indent=2) + "\n",
                            encoding="utf-8")
 
-    _record("wal_durability", [
+    record_gate("wal_durability", [
         f"WAL durability costs ({total_boxes:,d} boxes, "
         f"{NUM_INSTANCES} instances, 4 shards)",
         f"ingest  : WAL off {wal_off_seconds * 1e3:8.1f} ms   "

@@ -22,8 +22,8 @@ client's whole session — connect, every ingest, flush, estimates and the
 ``stats`` call that reads the counters — must leave zero bytes on its
 server's NDJSON wire counters (no handshake or fallback line).
 
-Besides the human-readable record under ``benchmarks/results/``, the run
-writes ``BENCH_wire.json`` at the repository root; CI consumes that file
+The run writes ``BENCH_wire.json`` and its human-readable record
+``BENCH_wire.txt`` at the repository root; CI consumes the JSON report
 and fails the perf-smoke job when the speedup drops below 2x.
 """
 
@@ -40,7 +40,6 @@ from repro.core.domain import Domain
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 REPORT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_wire.json"
 
 DOMAIN = Domain.square(65536, dimension=2)
@@ -79,7 +78,7 @@ def _percentiles(seconds: np.ndarray) -> tuple[float, float]:
             float(np.percentile(seconds, 99) * 1e3))
 
 
-def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
+def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark, record_gate):
     """The acceptance gate: binary ingest p99 >= 2x better than NDJSON."""
     rng = np.random.default_rng(9)
     payloads = []
@@ -146,7 +145,6 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
     REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n",
                            encoding="utf-8")
 
-    RESULTS_DIR.mkdir(exist_ok=True)
     lines = [
         f"wire formats: {REQUESTS} ingest requests x {BOXES_PER_PAYLOAD} "
         f"boxes over one connection each",
@@ -157,7 +155,5 @@ def test_binary_wire_at_least_2x_ndjson_on_ingest(benchmark):
         f"NDJSON bytes left by the binary session: {session_ndjson_bytes} "
         f"(gate: 0)",
     ]
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / "bench_wire.txt").write_text(text + "\n", encoding="utf-8")
+    record_gate("bench_wire", lines)
     assert p99_speedup >= MIN_SPEEDUP

@@ -63,6 +63,24 @@ def record_figure():
     return _record
 
 
+@pytest.fixture(scope="module")
+def record_gate(request):
+    """Echo a gate benchmark's records and write them, in the order this run
+    made them, beside the module's ``REPORT_PATH`` as ``BENCH_<gate>.txt``
+    (gitignored like the JSON report).  A gate run never rewrites the
+    committed records under ``benchmarks/results/``."""
+    path = request.module.REPORT_PATH.with_suffix(".txt")
+    records: dict[str, str] = {}
+
+    def _record(name: str, lines: list[str]) -> None:
+        text = "\n".join(lines)
+        print("\n" + text)
+        records[name] = text
+        path.write_text("\n\n".join(records.values()) + "\n", encoding="utf-8")
+
+    return _record
+
+
 def run_figure(benchmark, generator, scale, seed: int = 0) -> FigureResult:
     """Run a figure generator exactly once under the benchmark timer."""
     return benchmark.pedantic(lambda: generator(scale, seed=seed), rounds=1, iterations=1)

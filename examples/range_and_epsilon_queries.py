@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Domain, EpsilonJoinEstimator, RangeQueryEstimator, Rect
+from repro import BoxSet, Domain, EpsilonJoinEstimator, RangeQueryEstimator
 from repro.data import synthetic
 from repro.exact import epsilon_join_count, range_query_count
 
@@ -35,9 +35,9 @@ def range_query_demo(rng: np.random.Generator) -> None:
 
     print("range queries (estimated vs exact number of overlapping objects):")
     queries = {
-        "district": Rect.from_bounds((1024, 1024), (3071, 3071)),
-        "city quarter": Rect.from_bounds((0, 0), (4095, 4095)),
-        "wide corridor": Rect.from_bounds((2048, 0), (4095, 8191)),
+        "district": BoxSet((1024, 1024), (3071, 3071)),
+        "city quarter": BoxSet((0, 0), (4095, 4095)),
+        "wide corridor": BoxSet((2048, 0), (4095, 8191)),
     }
     for name, window in queries.items():
         estimate = estimator.estimate(window).estimate

@@ -25,7 +25,7 @@ from repro.core.domain import Domain
 from repro.data.streams import UpdateStream
 from repro.errors import EstimationError
 from repro.exact import range_query_count, rectangle_join_count
-from repro.geometry.rectangle import Rect
+from repro.geometry import BoxSet
 from repro.experiments.harness import adaptive_domain
 from repro.service import EstimationService, StreamDriver, synthetic_boxes
 
@@ -57,7 +57,7 @@ def main() -> None:
     # 3. Ingest on one thread, query concurrently on three others.  Merged
     #    views are immutable snapshots, so queries never block ingestion for
     #    longer than one flush.
-    queries = [Rect.from_bounds((lo, lo), (lo + 300, lo + 300))
+    queries = [BoxSet((lo, lo), (lo + 300, lo + 300))
                for lo in (0, 256, 512)]
     done = threading.Event()
     observations: list[tuple[str, float]] = []
@@ -102,10 +102,11 @@ def main() -> None:
     join_truth = rectangle_join_count(survivors, right_data)
     print(f"join      : estimate {join_estimate.estimate:12,.0f}   "
           f"exact {join_truth:12,}")
-    for query_rect in queries:
-        estimate = service.estimate("ranges", query_rect)
-        truth = range_query_count(survivors, query_rect)
-        print(f"range {query_rect.lows!s:>12}: estimate {estimate.estimate:10,.0f}   "
+    for query in queries:
+        estimate = service.estimate("ranges", query)
+        truth = range_query_count(survivors, query)
+        corner = tuple(query.lows[0].tolist())
+        print(f"range {corner!s:>12}: estimate {estimate.estimate:10,.0f}   "
               f"exact {truth:10,}")
 
     # 4b. Batched estimation: a whole query batch is answered through one

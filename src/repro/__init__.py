@@ -46,7 +46,7 @@ from repro.errors import (
     SnapshotError,
     WorkloadError,
 )
-from repro.geometry import BoxSet, Interval, PointSet, Rect
+from repro.geometry import BoxSet, PointSet
 from repro.core import (
     BoostingPlan,
     CommonEndpointJoinEstimator,
@@ -87,8 +87,6 @@ __all__ = [
     "ServiceError",
     "SnapshotError",
     # geometry
-    "Interval",
-    "Rect",
     "BoxSet",
     "PointSet",
     # core

@@ -240,10 +240,6 @@ class SketchBank:
         cells = self.word_cells(word)
         return cells[:, 0].copy() if self._cells == 1 else cells.sum(axis=1)
 
-    def counters(self) -> Mapping[Word, np.ndarray]:
-        """Copies of every counter, keyed by word."""
-        return {word: self.counter(word) for word in self._words}
-
     def companion(self, words: Sequence[Word] | None = None) -> "SketchBank":
         """A new empty bank sharing this bank's xi families and layout.
 
@@ -307,10 +303,9 @@ class SketchBank:
         This is the counter half of the delta-propagation fast path: instead
         of re-merging every shard into a fresh bank, the new bank *aliases*
         this bank's :class:`~repro.core.hashing.FourWiseFamilyBank` objects — keeping
-        their lazily-built sign tables warm and keeping every letter-sum
-        cache entry keyed on them valid — and computes its counter tensor as
-        one out-of-place add.  Neither input is mutated, so estimates still
-        reading this bank are never torn.  Counter updates are exact integers
+        their lazily-built sign and derived cover tables warm — and computes
+        its counter tensor as one out-of-place add.  Neither input is
+        mutated, so estimates still reading this bank are never torn.  Counter updates are exact integers
         in float64, so the result is bit-identical to a from-scratch merge.
         """
         self.check_merge_compatible(delta)

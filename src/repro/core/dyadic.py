@@ -161,9 +161,6 @@ class DyadicInterval:
     def hi(self) -> int:
         return ((self.index + 1) << self.level) - 1
 
-    def contains_point(self, point: int) -> bool:
-        return self.lo <= point <= self.hi
-
 
 class DyadicDomain:
     """Dyadic structure over a padded domain of size ``2^height``.

@@ -52,10 +52,6 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
                          words=([self._point_word], [self._cube_word]))
 
     @property
-    def epsilon(self) -> int:
-        return self._epsilon
-
-    @property
     def left_count(self) -> int:
         return self._cardinality["left"]
 

@@ -51,7 +51,6 @@ from repro.errors import (
     SketchConfigError,
 )
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.rectangle import Rect
 
 __all__ = ["Side", "SketchEstimator", "QuerylessProgramEstimator"]
 
@@ -273,7 +272,8 @@ class SketchEstimator:
     def _require_data(self) -> None:
         if not any(self._cardinality.values()) and \
                 not any(bank.num_updates for bank in self._banks.values()):
-            raise EstimationError("estimate requested before any data was inserted")
+            raise EstimationError("estimate requested before any data was inserted, "
+                                  "or after all of it was deleted")
 
     # -- estimation: the one path -------------------------------------------------
 
@@ -349,7 +349,7 @@ class QuerylessProgramEstimator(SketchEstimator):
             return int(queries), {}
         if queries is None:
             raise QueryError("a batch estimate needs a query list or a count")
-        entries = [queries] if isinstance(queries, Rect) else list(queries)
+        entries = list(queries)
         refused = {row: QueryError("this family takes no query argument; pass "
                                    "a count or None entries")
                    for row, entry in enumerate(entries) if entry is not None}

@@ -73,14 +73,10 @@ from repro.core.estimator import Prepared, SketchEstimator, Side
 from repro.core.program import CounterRef, LetterSumRef, ProgramTerm, SketchProgram
 from repro.errors import QueryError
 from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
 
 
 def _query_bounds(query) -> tuple:
-    """One batch entry's ``(lows, highs)``: a :class:`Rect` or a one-row
-    :class:`BoxSet`."""
-    if isinstance(query, Rect):
-        return query.lows, query.highs
+    """One batch entry's ``(lows, highs)``: a one-row :class:`BoxSet`."""
     if isinstance(query, BoxSet) and len(query) == 1:
         return query.lows[0], query.highs[0]
     if query is None:
@@ -157,18 +153,16 @@ class RangeQueryEstimator(SketchEstimator):
     def check_queries(self, queries) -> tuple[BoxSet, dict[int, QueryError]]:
         """Range queries in sketch coordinates, and a verdict per row.
 
-        ``queries`` is a :class:`Rect`, a :class:`BoxSet` (one query per
-        row) or a sequence of rectangles and one-row box sets.  A row
-        passes when it matches the domain's dimensionality, has no lower
-        endpoint above its upper one and, endpoint-transformed under
-        ``strict``, lies inside the sketch domain.  Returns the rows that
-        pass as one box set, in order, and the :class:`QueryError` of
-        every row that does not, keyed by its position in ``queries``.
+        ``queries`` is a :class:`BoxSet` (one query per row) or a sequence
+        of one-row box sets.  A row passes when it matches the domain's
+        dimensionality, has no lower endpoint above its upper one and,
+        endpoint-transformed under ``strict``, lies inside the sketch domain.
+        Returns the rows that pass as one box set, in order, and the
+        :class:`QueryError` of every row that does not, keyed by its
+        position in ``queries``.
         """
         if queries is None or isinstance(queries, (int, np.integer)):
             raise QueryError("range estimates take query rectangles, not a count")
-        if isinstance(queries, Rect):
-            queries = [queries]
         dimension = self.dimension
         wrong_dimension = f"queries must be {dimension}-dimensional like the domain"
         refused: dict[int, QueryError] = {}

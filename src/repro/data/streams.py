@@ -60,10 +60,6 @@ class UpdateStream:
         self._warmup_fraction = float(warmup_fraction)
         self._seed = int(seed)
 
-    @property
-    def num_objects(self) -> int:
-        return len(self._boxes)
-
     def expected_length(self) -> int:
         """Number of operations the stream will produce."""
         deletes = int(round(self._delete_fraction * len(self._boxes)))

@@ -7,19 +7,15 @@ import numpy as np
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
 from repro.geometry.predicates import overlaps
-from repro.geometry.rectangle import Rect
 
 
-def _query_bounds(query: Rect | BoxSet) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(query, Rect):
-        return (np.asarray(query.lows, dtype=np.int64),
-                np.asarray(query.highs, dtype=np.int64))
+def _query_bounds(query: BoxSet) -> tuple[np.ndarray, np.ndarray]:
     if len(query) != 1:
         raise DimensionalityError("a range query consists of exactly one rectangle")
     return query.lows[0], query.highs[0]
 
 
-def range_query_mask(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True) -> np.ndarray:
+def range_query_mask(data: BoxSet, query: BoxSet, *, closed: bool = True) -> np.ndarray:
     """Boolean mask of the data rectangles selected by the query."""
     q_lo, q_hi = _query_bounds(query)
     if data.dimension != len(q_lo):
@@ -27,7 +23,7 @@ def range_query_mask(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True)
     return np.all(overlaps(data.lows, data.highs, q_lo, q_hi, closed=closed), axis=1)
 
 
-def range_query_count(data: BoxSet, query: Rect | BoxSet, *, closed: bool = True) -> int:
+def range_query_count(data: BoxSet, query: BoxSet, *, closed: bool = True) -> int:
     """Number of data rectangles overlapping the query rectangle."""
     if len(data) == 0:
         return 0

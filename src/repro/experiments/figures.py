@@ -45,7 +45,6 @@ from repro.experiments.harness import (
 from repro.experiments.metrics import mean_relative_error, relative_error
 from repro.experiments.reporting import FigureResult
 from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +379,7 @@ def extension_epsilon_range(scale: ExperimentScale = LAPTOP_SCALE, *,
     rectangles = synthetic.generate_rectangles(max(1000, scale.ablation_size), domain,
                                                rng=rng)
     quarter = scale.ablation_domain // 4
-    query = Rect.from_bounds((quarter, quarter), (3 * quarter - 1, 3 * quarter - 1))
+    query = BoxSet((quarter, quarter), (3 * quarter - 1, 3 * quarter - 1))
     truth_range = range_query_count(rectangles, query)
     # The range rule weighs the query's own cover against the data's;
     # choose_max_level scores a join's self-join size only.

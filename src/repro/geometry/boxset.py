@@ -14,8 +14,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import DimensionalityError, DomainError
-from repro.geometry.interval import Interval
-from repro.geometry.rectangle import Rect
 
 
 class BoxSet:
@@ -47,10 +45,9 @@ class BoxSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_intervals(cls, intervals: Iterable[tuple[int, int] | Interval]) -> "BoxSet":
-        """Build a 1-d BoxSet from ``(lo, hi)`` pairs or Interval objects."""
-        pairs = [(iv.lo, iv.hi) if isinstance(iv, Interval) else (int(iv[0]), int(iv[1]))
-                 for iv in intervals]
+    def from_intervals(cls, intervals: Iterable[tuple[int, int]]) -> "BoxSet":
+        """Build a 1-d BoxSet from ``(lo, hi)`` pairs."""
+        pairs = [(int(lo), int(hi)) for lo, hi in intervals]
         if not pairs:
             raise DomainError("cannot build a BoxSet from an empty interval list")
         arr = np.array(pairs, dtype=np.int64)
@@ -81,13 +78,10 @@ class BoxSet:
     def __len__(self) -> int:
         return self._lows.shape[0]
 
-    def __iter__(self) -> Iterator[Rect]:
+    def __iter__(self) -> Iterator["BoxSet"]:
+        """Each box as a one-row BoxSet."""
         for i in range(len(self)):
-            yield self.rect(i)
-
-    def rect(self, index: int) -> Rect:
-        """The ``index``-th box as a :class:`Rect`."""
-        return Rect.from_bounds(self._lows[index], self._highs[index])
+            yield self[i]
 
     def __getitem__(self, index) -> "BoxSet":
         """Row-subset the collection (always returns a BoxSet)."""
@@ -97,21 +91,6 @@ class BoxSet:
             lows = lows[None, :]
             highs = highs[None, :]
         return BoxSet(lows, highs, validate=False)
-
-    def side_lengths(self) -> np.ndarray:
-        """``(n, d)`` array of interval lengths (number of coordinates)."""
-        return self._highs - self._lows + 1
-
-    def max_coordinate(self) -> int:
-        """Largest coordinate used in any dimension (0 for an empty set)."""
-        if len(self) == 0:
-            return 0
-        return int(self._highs.max())
-
-    def min_coordinate(self) -> int:
-        if len(self) == 0:
-            return 0
-        return int(self._lows.min())
 
     # -- transformations ---------------------------------------------------
 
@@ -129,12 +108,6 @@ class BoxSet:
         if factor <= 0:
             raise DomainError("scale factor must be positive")
         return BoxSet(self._lows * factor, self._highs * factor, validate=False)
-
-    def expanded(self, radius: int) -> "BoxSet":
-        """Grow every box by ``radius`` on each side (epsilon-join helper)."""
-        if radius < 0:
-            raise DomainError("expansion radius must be non-negative")
-        return BoxSet(self._lows - radius, self._highs + radius, validate=False)
 
     def shrunk_for_endpoint_transform(self) -> "BoxSet":
         """Apply the Section 5.2 shrink: coordinates scaled by 3, then

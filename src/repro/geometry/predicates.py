@@ -9,10 +9,9 @@ only touch do not overlap):
 * ``contains`` — closed containment.
 
 :func:`overlaps` is the one overlap rule: every other overlap test in the
-library (``Interval``, ``Rect``, the matrices below, the exact counters and
-the engine's executor) calls it, and :func:`proper_mask` is the one test of
-which boxes a strict overlap can involve.  This module imports no other
-geometry module at run time, so ``Interval`` can import the rule.
+library (the matrices below, the exact counters and range queries, the
+histograms and the engine's executor) calls it, and :func:`proper_mask` is
+the one test of which boxes a strict overlap can involve.
 """
 
 from __future__ import annotations

@@ -167,10 +167,6 @@ class EstimateCoalescer:
         return self._queued + self._inflight
 
     @property
-    def max_batch(self) -> int:
-        return self._max_batch
-
-    @property
     def stats(self) -> CoalescerStats:
         return self._stats.copy()
 

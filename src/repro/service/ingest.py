@@ -85,10 +85,6 @@ class IngestPipeline:
     # -- introspection ------------------------------------------------------------
 
     @property
-    def store(self) -> ShardedSketchStore:
-        return self._store
-
-    @property
     def pending(self) -> int:
         """Number of buffered boxes not yet applied to the shards."""
         return self._pending

@@ -47,7 +47,6 @@ from repro.core.program import ProgramExecutor
 from repro.core.result import EstimateResult
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.geometry.rectangle import Rect
 from repro.service import delta
 from repro.service.ingest import FlushReport, IngestPipeline
 from repro.service.specs import (
@@ -535,8 +534,7 @@ class EstimationService:
                 self._stats.evictions += 1
         return view
 
-    def estimate(self, name: str, query: Rect | BoxSet | None = None
-                 ) -> EstimateResult:
+    def estimate(self, name: str, query: BoxSet | None = None) -> EstimateResult:
         """One boosted estimate: ``estimate_multi([(name, query)])[0]``."""
         return self.estimate_multi([(name, query)])[0]
 
@@ -563,11 +561,10 @@ class EstimationService:
         """One executor dispatch for a mixed-estimator request batch.
 
         ``requests`` is a sequence of ``(name, query)`` pairs — ``query`` a
-        single-row :class:`BoxSet` (or :class:`Rect`) for queryable
-        families, ``None`` for query-less ones.  Every named estimator's
-        merged view is fetched **once**, and letter-sum work is shared
-        across queries *and* estimators.  Results come back in request
-        order.
+        single-row :class:`BoxSet` for queryable families, ``None`` for
+        query-less ones.  Every named estimator's merged view is fetched
+        **once**, and letter-sum work is shared across queries *and*
+        estimators.  Results come back in request order.
 
         The first request that fails raises; :meth:`answer_multi` is the
         same dispatch answering each request on its own.

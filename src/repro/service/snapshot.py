@@ -257,9 +257,13 @@ def _read_binary_header(handle) -> tuple[dict, int]:
     if len(raw_length) != 8:
         raise SnapshotError("truncated binary snapshot (incomplete header length)")
     (header_length,) = struct.unpack("<Q", raw_length)
-    header_bytes = handle.read(header_length)
-    if len(header_bytes) != header_length:
+    # Check the stored length against the bytes there before reading: a
+    # corrupt length may exceed what ``read`` accepts or can allocate.
+    header_start = handle.tell()
+    if header_length > handle.seek(0, io.SEEK_END) - header_start:
         raise SnapshotError("truncated binary snapshot (incomplete header)")
+    handle.seek(header_start)
+    header_bytes = handle.read(header_length)
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -92,14 +92,14 @@ class TestRangeEstimateBatch:
         chunked = estimator.estimate_batch(queries)
         assert [r.estimate for r in whole] == [r.estimate for r in chunked]
 
-    def test_accepts_rect_sequences_and_single_query(self, rng, domain_2d):
+    def test_accepts_row_sequences_and_single_query(self, rng, domain_2d):
         estimator = RangeQueryEstimator(domain_2d, 8, seed=2)
         estimator.insert(random_boxes(rng, 50, 256, 2))
         queries = random_boxes(rng, 4, 256, 2)
-        as_rects = estimator.estimate_batch(list(queries))
+        as_rows = estimator.estimate_batch(list(queries))
         as_boxes = estimator.estimate_batch(queries)
-        assert [r.estimate for r in as_rects] == [r.estimate for r in as_boxes]
-        single = estimator.estimate_batch(queries.rect(0))
+        assert [r.estimate for r in as_rows] == [r.estimate for r in as_boxes]
+        single = estimator.estimate_batch(queries[0])
         assert single[0].estimate == as_boxes[0].estimate
 
     def test_empty_and_no_data(self, rng, domain_2d):

@@ -307,6 +307,22 @@ class TestIngestEstimateCommands:
         delete(second)
         assert EstimationService.load(snapshot).merged_view("rq").count == 0
 
+    def test_estimate_after_every_insert_is_deleted_names_the_deletion(self, tmp_path,
+                                                                       capsys):
+        snapshot = str(tmp_path / "svc.snap")
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps([[0, 0, 20, 20], [10, 10, 99, 99]]))
+        common = ["ingest", "--snapshot", snapshot, "--name", "rq", "--side", "data",
+                  "--boxes", str(boxes)]
+        assert main(common + ["--family", "range", "--sizes", "256,256",
+                              "--instances", "16"]) == 0
+        assert main(common + ["--kind", "delete"]) == 0
+        capsys.readouterr()
+        assert main(["estimate", "--snapshot", snapshot, "--name", "rq",
+                     "--query", "0,0,128,128"]) == 1
+        assert ("estimate requested before any data was inserted, "
+                "or after all of it was deleted") in capsys.readouterr().err
+
     def test_epsilon_family_generates_points(self, tmp_path, capsys):
         snapshot = str(tmp_path / "svc.json")
         assert main(["ingest", "--snapshot", snapshot, "--name", "eps",

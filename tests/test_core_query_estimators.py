@@ -8,12 +8,11 @@ from repro.core.domain import Domain
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
 from repro.core.range_query import RangeQueryEstimator
-from repro.errors import DomainError, EstimationError
+from repro.errors import DomainError, EstimationError, QueryError
 from repro.exact.containment import containment_join_count
 from repro.exact.epsilon_join import epsilon_join_count
 from repro.exact.range_query import range_query_count
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.rectangle import Rect
 
 from tests.conftest import random_boxes
 
@@ -143,7 +142,7 @@ class TestRangeQueryEstimator:
     def test_unbiased_instance_values_1d(self, rng):
         domain = Domain(128)
         data = random_boxes(rng, 60, 128, 1)
-        query = Rect.interval(30, 90)
+        query = BoxSet((30,), (90,))
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=5000, seed=1)
         estimator.insert(data)
@@ -154,7 +153,7 @@ class TestRangeQueryEstimator:
     def test_unbiased_instance_values_2d(self, rng):
         domain = Domain.square(64, dimension=2)
         data = random_boxes(rng, 40, 64, 2)
-        query = Rect.from_bounds((10, 10), (50, 40))
+        query = BoxSet((10, 10), (50, 40))
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=6000, seed=3)
         estimator.insert(data)
@@ -165,7 +164,7 @@ class TestRangeQueryEstimator:
     def test_strict_mode_excludes_touching(self, rng):
         domain = Domain(64)
         data = BoxSet.from_intervals([(0, 10), (10, 20), (40, 50)])
-        query = Rect.interval(20, 30)
+        query = BoxSet((20,), (30,))
         strict_truth = range_query_count(data, query, closed=False)
         closed_truth = range_query_count(data, query, closed=True)
         assert strict_truth == 0 and closed_truth == 1
@@ -191,7 +190,7 @@ class TestRangeQueryEstimator:
         streaming.delete(transient)
         rebuilt = RangeQueryEstimator(domain, num_instances=64, seed=7)
         rebuilt.insert(keep)
-        query = Rect.interval(10, 100)
+        query = BoxSet((10,), (100,))
         assert np.allclose(streaming.instance_values(query), rebuilt.instance_values(query))
         assert streaming.count == 30
 
@@ -200,7 +199,7 @@ class TestRangeQueryEstimator:
         data = random_boxes(rng, 50, 128, 1)
         estimator = RangeQueryEstimator(domain, num_instances=128, seed=9)
         estimator.insert(data)
-        result = estimator.estimate(Rect.interval(0, 127))
+        result = estimator.estimate(BoxSet((0,), (127,)))
         assert result.selectivity == pytest.approx(result.estimate / 50)
 
     def test_query_validation(self, rng):
@@ -208,9 +207,50 @@ class TestRangeQueryEstimator:
         estimator = RangeQueryEstimator(domain, num_instances=8, seed=1)
         estimator.insert(random_boxes(rng, 10, 128, 1))
         with pytest.raises(Exception):
-            estimator.estimate(Rect.from_bounds((0, 0), (5, 5)))
+            estimator.estimate(BoxSet((0, 0), (5, 5)))
 
     def test_estimate_before_insert_raises(self):
         estimator = RangeQueryEstimator(Domain(64), num_instances=4)
         with pytest.raises(EstimationError):
-            estimator.estimate(Rect.interval(0, 10))
+            estimator.estimate(BoxSet((0,), (10,)))
+
+    def test_check_queries_keeps_passing_rows_and_keys_refusals_by_position(self, rng):
+        estimator = RangeQueryEstimator(Domain.square(64, dimension=2), num_instances=8, seed=1)
+        estimator.insert(random_boxes(rng, 10, 64, 2))
+        queries = [
+            BoxSet((0, 0), (9, 9)),
+            None,
+            BoxSet(np.array([[0, 0], [1, 1]]), np.array([[3, 3], [4, 4]])),
+            BoxSet(3, 7),
+            BoxSet((8, 2), (4, 9), validate=False),
+            BoxSet((0, 0), (70, 9)),
+            BoxSet((2, 2), (30, 30)),
+        ]
+        checked, refused = estimator.check_queries(queries)
+        assert checked.lows.tolist() == [[0, 0], [2, 2]]
+        assert checked.highs.tolist() == [[9, 9], [30, 30]]
+        messages = {row: str(error) for row, error in refused.items()}
+        assert sorted(messages) == [1, 2, 3, 4, 5]
+        assert "needs a query rectangle" in messages[1]
+        assert "exactly one rectangle" in messages[2]
+        assert "2-dimensional" in messages[3]
+        assert "lower endpoint above" in messages[4]
+        assert "outside the domain" in messages[5]
+
+    def test_a_bare_number_is_no_query(self, rng):
+        estimator = RangeQueryEstimator(Domain(64), num_instances=8, seed=1)
+        estimator.insert(random_boxes(rng, 10, 64, 1))
+        with pytest.raises(QueryError, match="not a count"):
+            estimator.estimate_batch(3)
+        with pytest.raises(QueryError, match="exactly one rectangle"):
+            estimator.estimate(3)
+
+    def test_a_box_set_batch_answers_like_its_rows(self, rng):
+        estimator = RangeQueryEstimator(Domain.square(64, dimension=2), num_instances=64, seed=4)
+        estimator.insert(random_boxes(rng, 40, 64, 2))
+        queries = BoxSet(np.array([[0, 0], [10, 20], [40, 5]]),
+                         np.array([[63, 63], [30, 25], [50, 60]]))
+        batch = [result.estimate for result in estimator.estimate_batch(queries)]
+        rows = [result.estimate for result in estimator.estimate_batch(list(queries))]
+        single = [estimator.estimate(row).estimate for row in queries]
+        assert batch == rows == single

@@ -53,19 +53,19 @@ class TestSyntheticGenerators:
         domain = Domain(512)
         data = generate_intervals(500, domain, rng=rng)
         assert len(data) == 500
-        assert data.min_coordinate() >= 0
-        assert data.max_coordinate() <= 511
+        assert data.lows.min() >= 0
+        assert data.highs.max() <= 511
         assert np.all(data.lows < data.highs)
 
     def test_interval_mean_length_control(self, rng):
         domain = Domain(4096)
         short = generate_intervals(800, domain, mean_length=4, rng=rng)
         long = generate_intervals(800, domain, mean_length=200, rng=rng)
-        assert short.side_lengths().mean() < long.side_lengths().mean()
+        assert (short.highs - short.lows).mean() < (long.highs - long.lows).mean()
 
     def test_intervals_accept_plain_domain_size(self, rng):
         data = generate_intervals(10, 128, rng=rng)
-        assert data.max_coordinate() <= 127
+        assert data.highs.max() <= 127
 
     def test_rectangles_fit_domain(self, rng):
         domain = Domain.square(256, dimension=2)
@@ -147,7 +147,7 @@ class TestRealLifeDatasets:
     def test_object_sizes_are_skewed(self):
         domain = Domain.square(16_384, dimension=2)
         data = generate_real_life_dataset("LANDC", domain, scale=0.05, seed=3)
-        sizes = data.side_lengths()[:, 0]
+        sizes = data.highs[:, 0] - data.lows[:, 0] + 1
         assert sizes.max() > 10 * np.median(sizes)
 
     def test_unknown_name_rejected(self):

@@ -167,6 +167,15 @@ def test_no_data_is_one_error(spec):
         answer(spec, spec.build())
 
 
+@every_family
+def test_a_sketch_whose_inserts_were_all_deleted_is_the_same_error(rng, spec):
+    estimator, stream = fed(rng, spec)
+    for side, data in stream.items():
+        estimator.update(side, data, -1.0)
+    with pytest.raises(EstimationError, match="or after all of it was deleted"):
+        answer(spec, estimator)
+
+
 def _explicit_and_plain_joins():
     # One class, one domain (neither policy transforms), two sets of pair terms.
     domain = Domain((64, 64))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import DimensionalityError
 from repro.exact.containment import containment_join_count
 from repro.exact.epsilon_join import epsilon_join_count
 from repro.exact.interval_join import interval_join_count
@@ -13,8 +14,12 @@ from repro.exact.rectangle_join import (
     rectangle_join_count,
 )
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.predicates import overlap_matrix, pairwise_linf_distances
-from repro.geometry.rectangle import Rect
+from repro.geometry.predicates import (
+    containment_matrix,
+    overlap_matrix,
+    overlaps,
+    pairwise_linf_distances,
+)
 
 from tests.conftest import random_boxes
 
@@ -184,31 +189,53 @@ class TestEpsilonJoin:
         expected = int((pairwise_linf_distances(left, right) <= 4).sum())
         assert epsilon_join_count(left, right, 4) == expected
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_counts_the_points_inside_each_grown_box(self, rng, dimension):
+        # A pair is within L-infinity distance epsilon exactly when the right
+        # point lies in the left point's box grown by epsilon on every side.
+        left = PointSet(rng.integers(0, 40, size=(30, dimension)))
+        right = PointSet(rng.integers(0, 40, size=(35, dimension)))
+        epsilon = 3
+        grown = BoxSet(left.coords - epsilon, left.coords + epsilon)
+        expected = int(containment_matrix(grown, right.to_boxes()).sum())
+        assert expected > 0
+        assert epsilon_join_count(left, right, epsilon) == expected
+
 
 class TestRangeQuery:
     def test_count(self, rng):
         data = random_boxes(rng, 50, 100, 2)
-        query = Rect.from_bounds((20, 20), (60, 60))
+        query = BoxSet((20, 20), (60, 60))
         count = range_query_count(data, query)
-        expected = sum(1 for rect in data if rect.overlaps_plus(query))
+        expected = sum(1 for box in data
+                       if np.all(overlaps(box.lows, box.highs, query.lows, query.highs,
+                                          closed=True)))
         assert count == expected
 
     def test_strict_semantics(self):
         data = BoxSet(np.array([[0, 0]]), np.array([[10, 10]]))
-        query = Rect.from_bounds((10, 0), (20, 10))
+        query = BoxSet((10, 0), (20, 10))
         assert range_query_count(data, query, closed=True) == 1
         assert range_query_count(data, query, closed=False) == 0
 
     def test_empty_data(self):
-        assert range_query_count(BoxSet.empty(2), Rect.from_bounds((0, 0), (5, 5))) == 0
+        assert range_query_count(BoxSet.empty(2), BoxSet((0, 0), (5, 5))) == 0
 
-    def test_box_set_query_counts_like_its_rect(self, rng):
+    def test_flat_bounds_query_counts_like_its_row(self, rng):
         data = random_boxes(rng, 80, 100, 2)
-        rect = Rect.from_bounds((15, 30), (70, 55))
+        flat = BoxSet((15, 30), (70, 55))
         row = BoxSet(np.array([[15, 30]]), np.array([[70, 55]]))
         for closed in (False, True):
             assert range_query_count(data, row, closed=closed) == \
-                range_query_count(data, rect, closed=closed)
+                range_query_count(data, flat, closed=closed)
+
+    def test_refuses_a_query_that_is_not_one_box_of_the_data_dimension(self, rng):
+        data = random_boxes(rng, 20, 100, 2)
+        with pytest.raises(DimensionalityError, match="exactly one rectangle"):
+            range_query_count(data, BoxSet(np.array([[0, 0], [5, 5]]),
+                                           np.array([[9, 9], [20, 20]])))
+        with pytest.raises(DimensionalityError, match="does not match the data"):
+            range_query_count(data, BoxSet(10, 30))
 
     @pytest.mark.parametrize("dimension", [1, 3])
     def test_matches_the_overlap_oracle(self, rng, dimension):
@@ -227,10 +254,10 @@ class TestZeroExtentBoxes:
 
     @pytest.mark.parametrize("count", [
         lambda a, b, closed: int(overlap_matrix(a, b, closed=closed).sum()),
-        lambda a, b, closed: int(a.rect(0).overlaps_plus(b.rect(0)) if closed
-                                 else a.rect(0).overlaps(b.rect(0))),
+        lambda a, b, closed: int(np.all(overlaps(a.lows[0], a.highs[0], b.lows[0], b.highs[0],
+                                                 closed=closed))),
         lambda a, b, closed: range_query_count(a, b, closed=closed),
-    ], ids=["overlap_matrix", "Rect.overlaps", "range_query_count"])
+    ], ids=["overlap_matrix", "overlaps", "range_query_count"])
     def test_only_the_closed_rule_counts_the_pair(self, count):
         for a, b in ((self.OUTER, self.LINE), (self.LINE, self.OUTER)):
             assert count(a, b, False) == 0

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet, PointSet
-from repro.geometry.interval import Interval
 from repro.geometry.predicates import (
     containment_matrix,
     overlap_matrix,
@@ -13,7 +12,6 @@ from repro.geometry.predicates import (
     pairwise_linf_distances,
     proper_mask,
 )
-from repro.geometry.rectangle import Rect
 
 
 #: (a, b, strict, closed): interval pairs around the edge cases of the rule.
@@ -54,10 +52,11 @@ class TestOverlapRule:
                             closed=flag)[0, 1] == expected
 
     def test_a_plane_inside_a_cube_overlaps_it_only_when_closed(self):
-        cube = Rect.from_bounds((0, 0, 0), (10, 10, 10))
-        plane = Rect.from_bounds((5, 0, 0), (5, 10, 10))
-        assert not cube.overlaps(plane) and not plane.overlaps(cube)
-        assert cube.overlaps_plus(plane) and plane.overlaps_plus(cube)
+        cube = BoxSet((0, 0, 0), (10, 10, 10))
+        plane = BoxSet((5, 0, 0), (5, 10, 10))
+        assert not overlap_matrix(cube, plane)[0, 0] and not overlap_matrix(plane, cube)[0, 0]
+        assert overlap_matrix(cube, plane, closed=True)[0, 0]
+        assert overlap_matrix(plane, cube, closed=True)[0, 0]
 
     def test_proper_mask_needs_a_positive_extent_in_every_dimension(self):
         boxes = BoxSet(np.array([[0, 0], [3, 3], [1, 2]]), np.array([[4, 4], [3, 9], [2, 2]]))
@@ -68,13 +67,10 @@ class TestFigure3Cases:
     @pytest.mark.parametrize("r, s, strict, closed, contains", FIGURE3_CASES.values(),
                              ids=FIGURE3_CASES.keys())
     def test_every_predicate_agrees_on_the_case(self, r, s, strict, closed, contains):
-        a, b = Interval(*r), Interval(*s)
-        assert a.overlaps(b) is strict and b.overlaps(a) is strict
-        assert a.overlaps_plus(b) is closed and b.overlaps_plus(a) is closed
-        assert a.contains(b) is contains
-        assert Rect.interval(*r).overlaps(Rect.interval(*s)) is strict
-        assert Rect.interval(*r).contains(Rect.interval(*s)) is contains
-        left, right = BoxSet.from_intervals([a]), BoxSet.from_intervals([b])
+        for a, b in ((r, s), (s, r)):
+            assert overlaps(*a, *b) is strict
+            assert overlaps(*a, *b, closed=True) is closed
+        left, right = BoxSet.from_intervals([r]), BoxSet.from_intervals([s])
         assert overlap_matrix(left, right)[0, 0] == strict
         assert overlap_matrix(right, left, closed=True)[0, 0] == closed
         assert containment_matrix(left, right)[0, 0] == contains
@@ -83,13 +79,16 @@ class TestFigure3Cases:
         for _ in range(50):
             lows = rng.integers(0, 20, size=(2, 2))
             extents = rng.integers(0, 10, size=(2, 2))
-            a = Rect.from_bounds(lows[0], lows[0] + extents[0])
-            b = Rect.from_bounds(lows[1], lows[1] + extents[1])
-            sides = [(Interval(int(a.lows[d]), int(a.highs[d])),
-                      Interval(int(b.lows[d]), int(b.highs[d]))) for d in range(2)]
-            assert a.overlaps(b) == all(x.overlaps(y) for x, y in sides)
-            assert a.overlaps_plus(b) == all(x.overlaps_plus(y) for x, y in sides)
-            assert a.contains(b) == all(x.contains(y) for x, y in sides)
+            a = BoxSet(lows[0], lows[0] + extents[0])
+            b = BoxSet(lows[1], lows[1] + extents[1])
+            sides = [(BoxSet(a.lows[:, d], a.highs[:, d]), BoxSet(b.lows[:, d], b.highs[:, d]))
+                     for d in range(2)]
+            for closed in (False, True):
+                assert overlap_matrix(a, b, closed=closed)[0, 0] == all(
+                    overlaps(x.lows[0, 0], x.highs[0, 0], y.lows[0, 0], y.highs[0, 0],
+                             closed=closed) for x, y in sides)
+            assert containment_matrix(a, b)[0, 0] == all(
+                containment_matrix(x, y)[0, 0] for x, y in sides)
 
 
 class TestMatrixPredicates:
@@ -99,7 +98,8 @@ class TestMatrixPredicates:
         matrix = overlap_matrix(left, right)
         for i in range(2):
             for j in range(2):
-                assert matrix[i, j] == left.rect(i).overlaps(right.rect(j))
+                assert matrix[i, j] == np.all(overlaps(left.lows[i], left.highs[i],
+                                                       right.lows[j], right.highs[j]))
 
     def test_overlap_matrix_closed(self):
         left = BoxSet(np.array([[0]]), np.array([[5]]))
@@ -150,3 +150,45 @@ class TestMatrixPredicates:
         with pytest.raises(DimensionalityError):
             pairwise_linf_distances(PointSet(np.array([[0, 0]])),
                                     PointSet(np.array([[1, 2, 3]])))
+
+
+class TestIntervalCases:
+    def test_contains_interval(self):
+        outer = BoxSet.from_intervals([(0, 10)])
+        inner = BoxSet.from_intervals([(2, 8), (0, 10), (5, 12)])
+        assert containment_matrix(outer, inner)[0].tolist() == [True, True, False]
+
+    def test_strict_overlap_excludes_touching(self):
+        assert overlaps(0, 5, 4, 9)
+        assert not overlaps(0, 5, 5, 9)
+        assert not overlaps(0, 5, 6, 9)
+
+    def test_strict_overlap_of_identical_intervals(self):
+        assert overlaps(3, 7, 3, 7)
+
+    def test_extended_overlap_includes_touching(self):
+        assert overlaps(0, 5, 5, 9, closed=True)
+        assert not overlaps(0, 5, 6, 9, closed=True)
+
+    def test_overlap_is_symmetric(self):
+        for closed in (False, True):
+            assert overlaps(0, 6, 4, 10, closed=closed) == overlaps(4, 10, 0, 6, closed=closed)
+
+
+class TestBoxCases:
+    @pytest.fixture
+    def unit_square(self) -> BoxSet:
+        return BoxSet((0, 0), (9, 9))
+
+    def test_overlap_requires_all_dimensions(self, unit_square):
+        assert not overlap_matrix(unit_square, BoxSet((5, 20), (15, 30)))[0, 0]
+        assert overlap_matrix(unit_square, BoxSet((5, 5), (15, 15)))[0, 0]
+
+    def test_touching_is_not_strict_overlap(self, unit_square):
+        touching = BoxSet((9, 0), (15, 9))
+        assert not overlap_matrix(unit_square, touching)[0, 0]
+        assert overlap_matrix(unit_square, touching, closed=True)[0, 0]
+
+    def test_containment(self, unit_square):
+        assert containment_matrix(unit_square, BoxSet((2, 2), (5, 5)))[0, 0]
+        assert not containment_matrix(unit_square, BoxSet((2, 2), (15, 5)))[0, 0]

@@ -21,7 +21,7 @@ from repro.exact.range_query import range_query_count
 from repro.exact.rectangle_join import rectangle_join_count
 from repro.experiments.harness import adaptive_domain, histogram_errors
 from repro.experiments.metrics import relative_error
-from repro.geometry.rectangle import Rect
+from repro.geometry.boxset import BoxSet
 
 
 class TestStreamingIntegration:
@@ -59,7 +59,7 @@ class TestStreamingIntegration:
             else:
                 estimator.delete(batch)
         final_state = stream.final_state()
-        query = Rect.from_bounds((40, 40), (200, 180))
+        query = BoxSet((40, 40), (200, 180))
         truth = range_query_count(final_state, query)
         estimate = estimator.estimate(query).estimate
         assert relative_error(estimate, max(truth, 1)) < 1.0

@@ -21,7 +21,6 @@ from repro.exact.rectangle_join import (
     rectangle_join_count,
 )
 from repro.geometry.boxset import BoxSet
-from repro.geometry.interval import Interval
 from repro.geometry.predicates import containment_matrix, overlap_matrix, overlaps
 
 from tests.conftest import random_boxes
@@ -251,8 +250,9 @@ class TestOverlapRuleProperties:
         counts = {
             "brute_force_join_count": brute_force_join_count(left, right, closed=closed),
             "rectangle_join_count": rectangle_join_count(left, right, closed=closed),
-            "Rect pairs": sum(a.overlaps_plus(b) if closed else a.overlaps(b)
-                              for a in left for b in right),
+            "overlaps pairs": sum(bool(np.all(overlaps(a.lows, a.highs, b.lows, b.highs,
+                                                      closed=closed)))
+                                  for a in left for b in right),
             "range_query_count": sum(range_query_count(left, right[index], closed=closed)
                                      for index in range(len(right))),
             "execute_plan": executed_pair_count(left, right, closed),
@@ -308,16 +308,19 @@ class TestGeometryProperties:
            st.one_of(interval_strategy(64), point_friendly_interval_strategy()))
     @settings(max_examples=200, deadline=None)
     def test_interval_predicates_follow_the_overlap_rule(self, a_pair, b_pair):
-        a, b = Interval(*a_pair), Interval(*b_pair)
-        assert a.overlaps(b) is overlaps(*a_pair, *b_pair) is b.overlaps(a)
-        assert a.overlaps_plus(b) is overlaps(*a_pair, *b_pair, closed=True)
-        assert a.overlaps_plus(b) is b.overlaps_plus(a)
-        assert a.contains(b) == containment_matrix(to_boxset_1d([a_pair]),
-                                                   to_boxset_1d([b_pair]))[0, 0]
+        (a_lo, a_hi), (b_lo, b_hi) = a_pair, b_pair
+        strict = overlaps(*a_pair, *b_pair)
+        closed = overlaps(*a_pair, *b_pair, closed=True)
+        assert strict is overlaps(*b_pair, *a_pair)
+        assert closed is overlaps(*b_pair, *a_pair, closed=True)
+        left, right = to_boxset_1d([a_pair]), to_boxset_1d([b_pair])
+        assert overlap_matrix(left, right)[0, 0] == strict
+        assert overlap_matrix(left, right, closed=True)[0, 0] == closed
+        assert containment_matrix(left, right)[0, 0] == (a_lo <= b_lo and b_hi <= a_hi)
         # Strict overlap needs a positive extent on both sides; closed
         # overlap only needs a shared coordinate.
-        assert not a.overlaps(b) or (a.lo < a.hi and b.lo < b.hi)
-        assert a.overlaps_plus(b) == (a.intersection(b) is not None)
+        assert not strict or (a_lo < a_hi and b_lo < b_hi)
+        assert closed == (max(a_lo, b_lo) <= min(a_hi, b_hi))
 
     @given(interval_set_strategy(64), interval_set_strategy(64))
     @settings(max_examples=60, deadline=None)

@@ -62,12 +62,6 @@ KEPT = {
         "against these sums",
     "repro/geometry/boxset.py::BoxSet.from_intervals":
         "builds 1-d test inputs from pairs (property, query and self-join tests)",
-    "repro/geometry/boxset.py::BoxSet.side_lengths":
-        "the data-generator tests check extents with it",
-    "repro/geometry/boxset.py::BoxSet.min_coordinate":
-        "the data-generator tests check bounds with it",
-    "repro/geometry/boxset.py::BoxSet.max_coordinate":
-        "the data-generator tests check bounds with it",
     "repro/geometry/predicates.py::overlap_matrix":
         "brute-force reference the exact joins and the engine are counted "
         "against (test_exact_joins.py, test_property_based.py)",

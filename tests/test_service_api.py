@@ -9,7 +9,7 @@ import pytest
 from repro.core.domain import Domain
 from repro.data.streams import UpdateStream
 from repro.errors import ServiceError, SnapshotError
-from repro.geometry.rectangle import Rect
+from repro.geometry.boxset import BoxSet
 from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
@@ -87,7 +87,7 @@ class TestEstimateAndCache:
             service.register(name, family="range", domain=(256,),
                              num_instances=8, seed=2)
             service.ingest(name, random_boxes(rng, 20, 256, 1), side="data")
-        query = Rect.interval(10, 200)
+        query = BoxSet((10,), (200,))
         service.estimate("a", query)
         service.estimate("b", query)  # evicts a
         service.estimate("a", query)  # miss again
@@ -108,7 +108,7 @@ class TestEstimateAndCache:
         service = _service()
         service.ingest("join", random_boxes(rng, 10, 256, 2))
         with pytest.raises(ServiceError):
-            service.estimate("join", Rect.from_bounds((0, 0), (10, 10)))
+            service.estimate("join", BoxSet((0, 0), (10, 10)))
         service.register("rq", family="range", domain=(256, 256),
                          num_instances=8, seed=1)
         service.ingest("rq", random_boxes(rng, 10, 256, 2), side="data")

@@ -18,8 +18,10 @@ Covers the guarantees of the columnar state layer:
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from repro.service import (
 from repro.service.snapshot import (
     BINARY_MAGIC,
     read_binary_snapshot_state,
+    snapshot_state_from_bytes,
     write_binary_snapshot_state,
 )
 
@@ -436,6 +439,54 @@ class TestCorruptSnapshots:
         write_binary_snapshot_state(state, buffer)
         assert buffer.getvalue() == path.read_bytes()
         assert not (tmp_path / "svc.snap.tmp").exists()
+
+    @staticmethod
+    def _two_name_blob(rng) -> bytes:
+        service = EstimationService(num_shards=2, flush_threshold=None)
+        service.register("iv", EstimatorSpec.create("interval", (64,), 4, seed=1))
+        service.register("rq", EstimatorSpec.create("range", (32, 32), 4, seed=2))
+        service.ingest("iv", random_boxes(rng, 20, 64, 1), side="left")
+        service.ingest("iv", random_boxes(rng, 20, 64, 1), side="right")
+        service.ingest("rq", random_boxes(rng, 20, 32, 2), side="data")
+        buffer = io.BytesIO()
+        write_binary_snapshot_state(service.snapshot(), buffer)
+        return buffer.getvalue()
+
+    def test_every_truncation_is_a_snapshot_error(self, rng, tmp_path):
+        blob = self._two_name_blob(rng)
+        path = tmp_path / "cut.snap"
+        for cut in range(len(blob)):
+            with pytest.raises(SnapshotError):
+                snapshot_state_from_bytes(blob[:cut])
+            path.write_bytes(blob[:cut])
+            with pytest.raises(SnapshotError):
+                read_binary_snapshot_state(path)
+        with pytest.raises(SnapshotError, match="cannot read"):
+            read_binary_snapshot_state(tmp_path)
+
+    def test_a_flip_of_any_header_byte_reads_or_is_a_snapshot_error(self, rng, tmp_path):
+        """No flip of the magic, the stored header length or the header
+        escapes the error taxonomy; a flip that leaves valid JSON may read."""
+        blob = self._two_name_blob(rng)
+        length_at = len(BINARY_MAGIC)
+        (header_length,) = struct.unpack("<Q", blob[length_at:length_at + 8])
+        path = tmp_path / "flip.snap"
+        for index in range(length_at + 8 + header_length):
+            for mask in (0x01, 0x80, 0xFF):
+                corrupt = bytearray(blob)
+                corrupt[index] ^= mask
+                path.write_bytes(corrupt)
+                for read in (lambda: snapshot_state_from_bytes(bytes(corrupt)),
+                             lambda: read_binary_snapshot_state(path)):
+                    try:
+                        read()
+                    except SnapshotError:
+                        pass
+        # The length's top byte set: a length beyond any file, refused by name.
+        corrupt = bytearray(blob)
+        corrupt[length_at + 7] ^= 0x80
+        with pytest.raises(SnapshotError, match="incomplete header"):
+            snapshot_state_from_bytes(bytes(corrupt))
 
     def test_inconsistent_array_table_raises(self, tmp_path):
         state = {"format": "repro.service.snapshot", "snapshot_version": 2,

@@ -274,7 +274,6 @@ class TestDeltaPropagation:
     @staticmethod
     def _run_rounds(family, sizes, options, *, delta_propagation, seed,
                     rounds=4, inserts=40, deletions=5):
-        from repro.geometry.rectangle import Rect
         from repro.service.service import EstimationService
 
         rng = np.random.default_rng(seed)
@@ -284,8 +283,7 @@ class TestDeltaPropagation:
         service.register("est", spec)
         query = None
         if spec.info.queryable:
-            box = random_boxes(rng, 1, sizes[0], len(sizes))
-            query = Rect.from_bounds(box.lows[0], box.highs[0])
+            query = random_boxes(rng, 1, sizes[0], len(sizes))
         outputs = []
         for round_index in range(rounds):
             for side in spec.info.sides:
