@@ -10,18 +10,18 @@ Shape assertions:
   first (cold) one.
 
 Following the conventions of this suite, the measured series are printed
-and recorded under ``benchmarks/results/``.
+and recorded in the gitignored ``BENCH_<record>.txt`` files at the
+repository root (see ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations
 
-import pathlib
 import time
 
 from repro.core.domain import Domain
 from repro.service import EstimationService, synthetic_boxes
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from benchmarks.conftest import write_record
 
 DOMAIN = Domain.square(1024, dimension=2)
 NUM_INSTANCES = 64
@@ -52,10 +52,7 @@ def _ingest_rate(service: EstimationService, boxes, *, per_box: bool) -> float:
 
 
 def _record(name: str, lines: list[str]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    write_record(name, "\n".join(lines))
 
 
 def test_batched_ingestion_at_least_5x_per_box(benchmark):

@@ -4,8 +4,10 @@ Every paper figure has one benchmark module.  A benchmark
 
 * regenerates the figure's data series through
   :mod:`repro.experiments.figures` (timed once via ``benchmark.pedantic``),
-* prints the series and appends it to ``benchmarks/results/`` so the run
-  leaves a record of the paper-vs-measured comparison,
+* prints the series and writes it to the gitignored ``BENCH_<figure>.txt``
+  at the repository root, so the run leaves a record of the
+  paper-vs-measured comparison without rewriting the committed one under
+  ``benchmarks/results/``,
 * asserts the *qualitative shape* the paper reports (the absolute numbers
   depend on the scaled-down defaults of
   :data:`repro.experiments.config.LAPTOP_SCALE`).
@@ -23,7 +25,15 @@ import pytest
 from repro.experiments.config import get_scale
 from repro.experiments.reporting import FigureResult
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def write_record(name: str, text: str) -> None:
+    """Echo one run's record and write it to ``BENCH_<name>.txt`` at the
+    repository root (gitignored): a run never rewrites the committed
+    records under ``benchmarks/results/``."""
+    print("\n" + text)
+    (ROOT / f"BENCH_{name}.txt").write_text(text + "\n", encoding="utf-8")
 
 
 def pytest_addoption(parser):
@@ -50,14 +60,10 @@ def shape_checks(figure_scale) -> bool:
 
 @pytest.fixture(scope="session")
 def record_figure():
-    """Persist a FigureResult under benchmarks/results/ and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Record a FigureResult (see :func:`write_record`) and echo it."""
 
     def _record(result: FigureResult) -> FigureResult:
-        text = result.to_text()
-        print("\n" + text)
-        path = RESULTS_DIR / f"{result.figure_id}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        write_record(result.figure_id, result.to_text())
         return result
 
     return _record

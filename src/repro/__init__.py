@@ -46,31 +46,6 @@ from repro.errors import (
     SnapshotError,
     WorkloadError,
 )
-from repro.geometry import BoxSet, PointSet
-from repro.core import (
-    BoostingPlan,
-    CommonEndpointJoinEstimator,
-    ContainmentJoinEstimator,
-    Domain,
-    DyadicDomain,
-    EndpointTransform,
-    EpsilonJoinEstimator,
-    EstimateResult,
-    ExtendedOverlapJoinEstimator,
-    IntervalJoinEstimator,
-    Letter,
-    RangeQueryEstimator,
-    RectangleJoinEstimator,
-    SketchBank,
-    SpatialJoinEstimator,
-    choose_max_level,
-    dataset_self_join_size,
-    median_of_means,
-    median_of_means_batch,
-    plan_boosting,
-    self_join_size,
-    stable_seed_offset,
-)
 
 __all__ = [
     "__version__",
@@ -113,3 +88,15 @@ __all__ = [
     "EpsilonJoinEstimator",
     "RangeQueryEstimator",
 ]
+
+
+def __getattr__(name: str):
+    # The geometry and core names load on first use, so ``import repro`` —
+    # and every CLI verb up to its first real work — loads no NumPy.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro import core, geometry
+
+    value = globals()[name] = getattr(
+        geometry if name in geometry.__all__ else core, name)
+    return value

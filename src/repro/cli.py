@@ -35,6 +35,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
+import socket
 import sys
 import time
 from contextlib import contextmanager
@@ -632,10 +634,46 @@ def service_command_loop(service, in_stream, out_stream, *,
     return 0
 
 
-def _serve_until_signalled(front, banner, *, before=None) -> None:
-    """Run ``front`` (after the ``before`` coroutine), printing the stdout
-    banner fleet tooling parses — ``banner(front)`` as one JSON line — once
-    it listens.  Signal handlers make SIGTERM/SIGINT a graceful drain: the
+def listening_socket(host: str, port: int) -> socket.socket:
+    """A TCP socket listening on ``host:port`` (port 0 picks a free one; a
+    host with several addresses binds the first ``getaddrinfo`` returns).
+    It comes from ``getaddrinfo`` so its protocol is ``IPPROTO_TCP``: only
+    then does asyncio set ``TCP_NODELAY`` on accepted connections, without
+    which each pipelined window stalls on delayed ACK."""
+    family, kind, proto, _, address = socket.getaddrinfo(
+        host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE)[0]
+    sock = socket.socket(family, kind, proto)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind(address)
+        sock.listen(100)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def _announce(listen: str, **fields) -> socket.socket:
+    """Bind ``listen`` and print the stdout banner fleet tooling parses —
+    the bound ``listening`` address and ``fields`` as one JSON line —
+    before the serving stack loads, so a fleet loads side by side (what
+    connects meanwhile waits in the backlog).  From here SIGTERM, like
+    SIGINT, raises ``KeyboardInterrupt``: a process stopped while it loads
+    ends without serving and without a traceback."""
+    host, port = _parse_hostport(listen)
+    try:
+        sock = listening_socket(host, port)
+    except OSError as exc:
+        raise ReproError(f"cannot listen on {listen}: {exc}") from exc
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    print(json.dumps({"listening": f"{host}:{sock.getsockname()[1]}",
+                      **fields}), flush=True)
+    return sock
+
+
+def _serve_until_signalled(front, sock, *, before=None) -> None:
+    """Run ``front`` on the listening ``sock`` (after the ``before``
+    coroutine).  Signal handlers make SIGTERM/SIGINT a graceful drain: the
     front stops accepting, finishes in-flight work, and this returns
     normally; KeyboardInterrupt stays as a fallback for platforms without
     loop signal-handler support."""
@@ -646,8 +684,7 @@ def _serve_until_signalled(front, banner, *, before=None) -> None:
     async def run() -> None:
         if before is not None:
             await before()
-        await serve(front, ready=lambda started:
-                    print(json.dumps(banner(started)), flush=True))
+        await serve(front, sock)
 
     try:
         asyncio.run(run())
@@ -655,35 +692,43 @@ def _serve_until_signalled(front, banner, *, before=None) -> None:
         pass
 
 
-def _run_serve_listen(args, service, *, recovery=None) -> int:
-    from repro.server import ServerConfig, SketchServer
+def _open_service(args):
+    """The service ``serve`` answers from: with ``--wal-dir``, the snapshot
+    (explicit, or the in-WAL-directory checkpoint base) plus the log tail —
+    every acknowledged write, torn tail excluded; else ``--snapshot``'s."""
+    if args.wal_dir is None:
+        return _load_service(args.snapshot, create=True, shards=args.shards)
+    from repro.wal.recovery import default_checkpoint_path, recover_service
 
-    host, port = _parse_hostport(args.listen)
-    config = ServerConfig(
-        host=host, port=port, max_batch=args.max_batch,
-        max_delay=args.max_delay_ms / 1000.0, max_queue=args.max_queue,
-        admin_token=args.admin_token,
-        max_line_bytes=args.max_frame_bytes or ServerConfig.max_line_bytes)
-    # With a WAL the snapshot default falls back to the in-directory
-    # checkpoint base, so snapshot/reload verbs and inline bootstraps all
-    # share one recovery lineage.
-    snapshot_path = args.snapshot
-    if snapshot_path is None and service.wal is not None:
-        snapshot_path = service.wal_checkpoint_path
-    server = SketchServer(service, config=config, snapshot_path=snapshot_path)
+    base = args.snapshot or default_checkpoint_path(args.wal_dir)
+    return recover_service(
+        args.wal_dir, base, sync=args.wal_sync, checkpoint_path=base,
+        checkpoint_boxes=args.wal_checkpoint_boxes, num_shards=args.shards)[0]
 
-    def banner(started) -> dict:
-        described = {"listening": f"{host}:{started.port}",
-                     "estimators": service.names(),
-                     "max_batch": args.max_batch,
-                     "max_queue": args.max_queue}
-        if recovery is not None:
-            described["wal"] = {"dir": args.wal_dir, "sync": args.wal_sync,
-                                "recovery": recovery}
-        return described
 
+def _run_serve_listen(args) -> int:
+    fields: dict = {"max_batch": args.max_batch, "max_queue": args.max_queue}
+    if args.wal_dir is not None:
+        os.makedirs(args.wal_dir, exist_ok=True)
+        fields["wal"] = {"dir": args.wal_dir, "sync": args.wal_sync}
+    sock = _announce(args.listen, **fields)
     try:
-        _serve_until_signalled(server, banner)
+        from repro.server import ServerConfig, SketchServer
+
+        service = _open_service(args)
+        config = ServerConfig(
+            max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
+            max_queue=args.max_queue, admin_token=args.admin_token,
+            max_line_bytes=args.max_frame_bytes or ServerConfig.max_line_bytes)
+        # With a WAL the snapshot default falls back to the in-directory
+        # checkpoint base, so snapshot/reload verbs and inline bootstraps
+        # all share one recovery lineage.
+        server = SketchServer(service, config=config, snapshot_path=(
+            args.snapshot or service.wal_checkpoint_path))
+    except KeyboardInterrupt:
+        return 0  # stopped while loading: nothing served, nothing to save
+    try:
+        _serve_until_signalled(server, sock)
     finally:
         if args.save_on_exit and args.snapshot:
             # The drain is over, so this reflects every acknowledged write;
@@ -693,24 +738,9 @@ def _run_serve_listen(args, service, *, recovery=None) -> int:
 
 
 def _run_serve(args) -> int:
-    recovery = None
-    if args.wal_dir is not None:
-        from repro.wal.recovery import default_checkpoint_path, recover_service
-
-        # Durable serving: the snapshot (explicit, or the in-WAL-directory
-        # checkpoint base) plus the log tail reconstruct every
-        # acknowledged write, torn tail excluded.
-        base = args.snapshot or default_checkpoint_path(args.wal_dir)
-        service, report = recover_service(
-            args.wal_dir, base, sync=args.wal_sync, checkpoint_path=base,
-            checkpoint_boxes=args.wal_checkpoint_boxes,
-            num_shards=args.shards)
-        recovery = report.as_dict()
-    else:
-        service = _load_service(args.snapshot, create=True, shards=args.shards)
     if args.listen is not None:
-        return _run_serve_listen(args, service, recovery=recovery)
-    return service_command_loop(service, sys.stdin, sys.stdout,
+        return _run_serve_listen(args)
+    return service_command_loop(_open_service(args), sys.stdin, sys.stdout,
                                 snapshot_path=args.snapshot,
                                 save_on_exit=args.save_on_exit)
 
@@ -764,12 +794,15 @@ def _serve_router(args, targets, *, worker_token, replicas=False) -> None:
     heartbeat running beside the router (``close`` stops both).  With
     ``replicas`` the workers after the first bootstrap from worker 0's
     snapshot and mirror it bit-identically, scaling estimate throughput."""
-    from repro.cluster import ClusterRouter, RouterConfig
+    sock = _announce(args.listen, mode="replicas" if replicas else "shards",
+                     workers=[f"{h}:{p}" for h, p in targets])
+    try:
+        from repro.cluster import ClusterRouter, RouterConfig
 
-    host, port = _parse_hostport(args.listen)
-    router = ClusterRouter(config=RouterConfig(
-        host=host, port=port, admin_token=args.admin_token,
-        worker_token=worker_token))
+        router = ClusterRouter(config=RouterConfig(
+            admin_token=args.admin_token, worker_token=worker_token))
+    except KeyboardInterrupt:
+        return
 
     async def attach() -> None:
         for index, (whost, wport) in enumerate(targets):
@@ -780,11 +813,7 @@ def _serve_router(args, targets, *, worker_token, replicas=False) -> None:
                 await router.attach(f"w{index}", whost, wport)
         router.manager.start_heartbeat()
 
-    _serve_until_signalled(router, before=attach, banner=lambda started: {
-        "listening": f"{host}:{started.port}",
-        "mode": "replicas" if replicas else "shards",
-        "workers": [f"{h}:{p}" for h, p in targets],
-        "estimators": started.estimators()})
+    _serve_until_signalled(router, sock, before=attach)
 
 
 def _run_cluster_serve(args) -> int:

@@ -55,8 +55,12 @@ class WorkerLink:
     # -- lifecycle ----------------------------------------------------------------
 
     async def connect(self) -> "WorkerLink":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=protocol.MAX_LINE_BYTES)
+        try:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port, limit=protocol.MAX_LINE_BYTES)
+        except OSError as exc:
+            raise ConnectionLostError(
+                f"cannot connect to worker {self.address}: {exc}") from exc
         self._closed = False
         self._reader_task = asyncio.create_task(self._read_loop())
         if self.token is not None:

@@ -5,6 +5,11 @@ the same primitive: start ``repro.cli serve --listen 127.0.0.1:0`` in a
 subprocess, parse the JSON banner it prints for the bound port, and tear
 it down afterwards.  :func:`spawn_worker` does one, :func:`spawn_workers`
 N side by side; :class:`LocalFleet` manages N as a context manager.
+
+A worker prints its banner once its port is bound, before it loads NumPy
+and the serving stack or recovers its state, so a router starts while its
+workers load (what it sends meanwhile waits in the listen backlog).  A
+worker whose load fails after its banner exits 1, failing its connections.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ class WorkerProcess:
     process: subprocess.Popen
     host: str
     port: int = 0  # known once the banner is read
+    #: What the worker announced at bind time: ``listening``, ``max_batch``,
+    #: ``max_queue`` and, with a WAL, ``wal: {dir, sync}``.  Its estimators
+    #: and WAL recovery report are in the ``stats`` reply.
     banner: dict = field(default_factory=dict)
     #: The last lines the worker wrote to stderr (kept for diagnosis; a
     #: reader thread drains the pipe, so a chatty worker never blocks on it).

@@ -139,8 +139,9 @@ class ClusterManager:
                           token=self.worker_token)
         try:
             await link.connect()
-            await link.request_ok({"op": "ping"},
-                                  timeout=self.heartbeat.timeout)
+            # A worker announces its port before it loads, so this first
+            # ping waits as long as any request, not a heartbeat's timeout.
+            await link.request_ok({"op": "ping"})
             if data is not None:
                 await link.request_ok(protocol.build("reload", data=data))
         except BaseException:

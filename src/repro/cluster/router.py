@@ -142,10 +142,6 @@ class ClusterRouter(ServingFront):
         if name not in self._specs:
             self._specs[name] = (spec, spec.build())
 
-    def estimators(self) -> list[str]:
-        """Names of every estimator the router currently knows."""
-        return sorted(self._specs)
-
     async def _spec_for(self, name: str) -> tuple[EstimatorSpec, Any]:
         """The ``(spec, template)`` pair served under ``name``."""
         if name not in self._specs:

@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import socket
 from typing import Sequence
 
 from repro.cluster.manager import ClusterManager, HeartbeatConfig
@@ -35,10 +36,10 @@ class ThreadedClusterRouter(FrontThread):
         self._workers = list(workers)
         self._start_heartbeat = start_heartbeat
 
-    async def _start_front(self) -> None:
+    async def _start_front(self, sock: socket.socket) -> None:
         for index, (host, port) in enumerate(self._workers):
             await self.router.attach(f"w{index}", host, port)
-        await self.router.start()
+        await self.router.start(sock)
         if self._start_heartbeat:
             self.router.manager.start_heartbeat()
 

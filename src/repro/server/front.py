@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import signal
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -94,16 +95,17 @@ class ServingFront:
             raise ServiceError(f"{type(self).__name__} is not started")
         return self._tcp_server.sockets[0].getsockname()[1]
 
-    async def start(self):
-        cfg = self.config
+    async def start(self, sock: socket.socket):
+        """Start accepting on ``sock``, a listening socket the caller bound
+        with :func:`repro.cli.listening_socket` — ``serve --listen`` before
+        it loads the serving stack, :class:`~repro.server.runner.FrontThread`
+        on the configured host and port."""
         self._tcp_server = await asyncio.start_server(
-            self._handle_connection, host=cfg.host, port=cfg.port,
-            limit=cfg.max_line_bytes)
+            self._handle_connection, sock=sock,
+            limit=self.config.max_line_bytes)
         return self
 
     async def serve_forever(self) -> None:
-        if self._tcp_server is None:
-            await self.start()
         await self._tcp_server.serve_forever()
 
     async def close(self) -> None:
@@ -365,15 +367,15 @@ class ServingFront:
                        "tenant": _op_tenant}
 
 
-async def serve(front: ServingFront, *, ready) -> None:
-    """Start a front and run it until cancelled or signalled.
+async def serve(front: ServingFront, sock: socket.socket) -> None:
+    """Start a front on the listening ``sock`` and run it until cancelled
+    or signalled.
 
-    ``ready`` is called with the started front (the CLI prints the bound
-    address from it).  SIGTERM and SIGINT end the loop *gracefully*
-    instead of killing the process — stop accepting, let admitted requests
-    finish, drain, then return, so callers can flush a final snapshot.
+    SIGTERM and SIGINT end the loop *gracefully* instead of killing the
+    process — stop accepting, let admitted requests finish, drain, then
+    return, so callers can flush a final snapshot.
     """
-    await front.start()
+    await front.start(sock)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
@@ -384,7 +386,6 @@ async def serve(front: ServingFront, *, ready) -> None:
         except (NotImplementedError, ValueError,
                 RuntimeError):  # pragma: no cover - non-POSIX loops
             pass
-    ready(front)
     forever = asyncio.create_task(front.serve_forever())
     waiter = asyncio.create_task(stop.wait())
     try:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import socket
 import threading
 
+from repro.cli import listening_socket
 from repro.errors import ServiceError
 from repro.server.front import ServingFront
 from repro.server.server import ServerConfig, SketchServer
@@ -47,24 +49,28 @@ class FrontThread:
     def start(self):
         if self._thread is not None:
             raise ServiceError(f"{self._name} thread already started")
+        # Bound here, so a port in use raises in the caller.
+        config = self._front.config
+        sock = listening_socket(config.host, config.port)
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()), daemon=True,
+            target=lambda: asyncio.run(self._main(sock)), daemon=True,
             name=self._name)
         self._thread.start()
-        # Propagates a startup failure (e.g. port in use) to the caller.
+        # Propagates a startup failure to the caller.
         self._ready.result(timeout=_LIFECYCLE_TIMEOUT_S)
         return self
 
-    async def _start_front(self) -> None:
+    async def _start_front(self, sock: socket.socket) -> None:
         """Bring the front up on the loop (a router first attaches workers)."""
-        await self._front.start()
+        await self._front.start(sock)
 
-    async def _main(self) -> None:
+    async def _main(self, sock: socket.socket) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            await self._start_front()
+            await self._start_front(sock)
         except BaseException as exc:  # noqa: BLE001 - relayed to start()
+            sock.close()
             self._ready.set_exception(exc)
             return
         self._ready.set_result(self._front.port)

@@ -147,7 +147,8 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
     were never acknowledged as durable.  With ``attach=True`` (default) a
     :class:`WalWriter` resumes on the directory — truncating the torn
     tail — and is attached to the recovered service, so it keeps logging
-    where the crashed process stopped.
+    where the crashed process stopped; the writer keeps the report as
+    ``recovery``, which the ``stats`` reply's ``wal`` block carries.
     """
     from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
@@ -169,10 +170,6 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
                           for path in list_segments(wal_dir))
     records = read_wal_records(wal_dir, since=base_seqno)
     replayed, boxes, last_seqno = replay_records(service, records)
-    if attach:
-        writer = WalWriter(wal_dir, sync=sync)
-        service.attach_wal(writer, checkpoint_path=checkpoint_path,
-                           checkpoint_boxes=checkpoint_boxes)
     report = RecoveryReport(
         snapshot_path=resolved_path,
         base_seqno=base_seqno,
@@ -181,4 +178,9 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         replayed_boxes=boxes,
         truncated_bytes=truncated_bytes,
     )
+    if attach:
+        writer = WalWriter(wal_dir, sync=sync)
+        writer.recovery = report.as_dict()
+        service.attach_wal(writer, checkpoint_path=checkpoint_path,
+                           checkpoint_boxes=checkpoint_boxes)
     return service, report

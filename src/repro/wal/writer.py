@@ -59,6 +59,8 @@ class WalWriter:
         self._lock = threading.Lock()
         self._handle: IO[bytes] | None = None
         self._appended_boxes = 0
+        #: The report of the recovery this log resumed from, when one did.
+        self.recovery: dict | None = None
         os.makedirs(self.directory, exist_ok=True)
         self._last_seqno = self._resume()
 
@@ -83,6 +85,7 @@ class WalWriter:
             "last_seqno": self._last_seqno,
             "segments": len(segments),
             "bytes": sum(os.path.getsize(path) for path in segments),
+            "recovery": self.recovery,
         }
 
     # -- lifecycle ----------------------------------------------------------------

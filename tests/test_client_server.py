@@ -337,8 +337,10 @@ def test_cli_serve_listen_subprocess_end_to_end(tmp_path):
     try:
         banner = json.loads(process.stdout.readline())
         port = int(banner["listening"].rsplit(":", 1)[1])
-        assert "ranges" in banner["estimators"]
         with ServiceClient("127.0.0.1", port) as client:
+            # The banner comes before the load; the snapshot's estimators
+            # are in the stats reply.
+            assert "ranges" in client.stats()["estimators"]
             remote = client.estimate("ranges", _rows(query)[0])
             assert remote.estimate == expected
             # The shard count is the command line's, not the file's.

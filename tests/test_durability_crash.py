@@ -131,9 +131,9 @@ class TestKillNineRecovery:
             # must land on the same state, bit for bit.
             revived = spawn_worker(wal_dir=wal_dir, wal_sync=SYNC, shards=2)
             try:
-                recovery = revived.banner["wal"]["recovery"]
-                assert recovery["last_seqno"] == report.last_seqno
                 with ServiceClient(revived.host, revived.port) as client:
+                    recovery = client.stats()["wal"]["recovery"]
+                    assert recovery["last_seqno"] == report.last_seqno
                     got = [client.estimate("ranges", q).estimate
                            for q in queries(SEED)]
                 assert got == expected

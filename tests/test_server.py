@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro.cli import listening_socket
 from repro.core.domain import Domain
 from repro.errors import ProtocolError, ServiceError
 from repro.server import protocol
@@ -70,7 +71,7 @@ class Connection:
 async def start_server(service, **config_kwargs) -> SketchServer:
     config = ServerConfig(port=0, **config_kwargs)
     server = SketchServer(service, config=config)
-    await server.start()
+    await server.start(listening_socket(config.host, config.port))
     return server
 
 

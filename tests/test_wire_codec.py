@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import listening_socket
 from repro.client import ServiceClient
 from repro.cluster import ClusterRouter, RouterConfig
 from repro.core.domain import Domain
@@ -472,7 +473,7 @@ def test_oversized_ndjson_line_answers_then_hangs_up():
         server = SketchServer(service,
                               config=ServerConfig(port=0,
                                                   max_line_bytes=2048))
-        await server.start()
+        await server.start(listening_socket("127.0.0.1", 0))
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1",
                                                            server.port)
