@@ -89,8 +89,7 @@ def test_wal_overhead_and_recovery_speed(benchmark, tmp_path, record_gate):
     ckpt = tmp_path / "ckpt.sketch"
     recovery_dir = tmp_path / "recovery-wal"
     victim = _fresh_service()
-    victim.attach_wal(WalWriter(recovery_dir, sync="none"),
-                      checkpoint_path=ckpt)
+    victim.attach_wal(WalWriter(recovery_dir, sync="none", base=ckpt))
     for boxes in batches[:CHECKPOINT_AFTER]:
         victim.ingest("ranges", boxes, side="data")
     victim.checkpoint()

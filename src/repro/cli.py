@@ -375,10 +375,7 @@ def _target(args, *, create: bool = False):
         return InProcessClient(_stdio_front(
             _load_service(args.snapshot, create=create), args.snapshot))
     host, port = _parse_hostport(args.connect)
-    try:
-        return ServiceClient(host, port, wire=args.wire, token=args.token)
-    except OSError as exc:
-        raise ReproError(f"cannot connect to {host}:{port}: {exc}") from exc
+    return ServiceClient(host, port, wire=args.wire, token=args.token)
 
 
 def _print_json(body, *, compact: bool) -> None:
@@ -693,16 +690,16 @@ def _serve_until_signalled(front, sock, *, before=None) -> None:
 
 
 def _open_service(args):
-    """The service ``serve`` answers from: with ``--wal-dir``, the snapshot
-    (explicit, or the in-WAL-directory checkpoint base) plus the log tail —
-    every acknowledged write, torn tail excluded; else ``--snapshot``'s."""
+    """The service ``serve`` answers from: with ``--wal-dir``, the log's
+    recovery base (``--snapshot``, else the in-directory checkpoint) plus
+    the tail — every acknowledged write, torn tail excluded; else
+    ``--snapshot``'s."""
     if args.wal_dir is None:
         return _load_service(args.snapshot, create=True, shards=args.shards)
-    from repro.wal.recovery import default_checkpoint_path, recover_service
+    from repro.wal.recovery import recover_service
 
-    base = args.snapshot or default_checkpoint_path(args.wal_dir)
     return recover_service(
-        args.wal_dir, base, sync=args.wal_sync, checkpoint_path=base,
+        args.wal_dir, args.snapshot, sync=args.wal_sync,
         checkpoint_boxes=args.wal_checkpoint_boxes, num_shards=args.shards)[0]
 
 
@@ -720,11 +717,8 @@ def _run_serve_listen(args) -> int:
             max_batch=args.max_batch, max_delay=args.max_delay_ms / 1000.0,
             max_queue=args.max_queue, admin_token=args.admin_token,
             max_line_bytes=args.max_frame_bytes or ServerConfig.max_line_bytes)
-        # With a WAL the snapshot default falls back to the in-directory
-        # checkpoint base, so snapshot/reload verbs and inline bootstraps
-        # all share one recovery lineage.
-        server = SketchServer(service, config=config, snapshot_path=(
-            args.snapshot or service.wal_checkpoint_path))
+        server = SketchServer(service, config=config,
+                              snapshot_path=args.snapshot)
     except KeyboardInterrupt:
         return 0  # stopped while loading: nothing served, nothing to save
     try:

@@ -27,7 +27,9 @@ healed transparently for idempotent verbs: :meth:`ServiceClient.request`
 reconnects once and resends.  Non-idempotent verbs (``ingest``,
 ``register``) are never retried — a resend could double-apply updates
 whose first copy did land — and surface
-:class:`~repro.errors.ConnectionLostError` instead.
+:class:`~repro.errors.ConnectionLostError` instead.  A server that cannot
+be reached at all (refused, unreachable) raises the same error, naming
+``host:port``, on the first connect and on a retry's reconnect alike.
 
 A client speaks its ``wire`` format from the first frame — there is no
 handshake, because every frame names its own format and the server answers
@@ -199,11 +201,10 @@ class RequestVerbs:
         return self.request(protocol.build(
             "reload", path=None if path is None else str(path)))
 
-    def checkpoint(self, path: str | None = None) -> dict:
-        """Snapshot + WAL truncation on a durably-serving server."""
-        return self.request(protocol.build(
-            "snapshot", checkpoint=True,
-            path=None if path is None else str(path)))
+    def checkpoint(self) -> dict:
+        """Snapshot to the log's recovery base, then truncate the WAL, on a
+        durably-serving server."""
+        return self.request(protocol.build("snapshot", checkpoint=True))
 
     def cluster_status(self) -> dict:
         """Fleet topology of a cluster router (see :mod:`repro.cluster`)."""
@@ -247,6 +248,9 @@ class ServiceClient(RequestVerbs):
             raise ClientTimeoutError(
                 f"connect to {self.host}:{self.port} timed out after "
                 f"{self.timeout:g}s") from exc
+        except OSError as exc:
+            raise ConnectionLostError(
+                f"cannot connect to {self.host}:{self.port}: {exc}") from exc
         self._sock.settimeout(self.timeout)
         self._reader = self._sock.makefile("rb")
         if self.token is not None:

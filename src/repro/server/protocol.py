@@ -159,7 +159,7 @@ def _derive_spec(fields: dict) -> None:
 
 _NAME = Field("name", "string", "estimator name", required=True, flag="--name")
 _PATH = Field("path", "string", "server-side snapshot file (default: the "
-              "path the server was started with)")
+              "WAL's recovery base, else the server's --snapshot)")
 _SNAPSHOT = Op("write the service to a snapshot file (a router: one file "
                "per owner group, path.<owner>)", (
     _PATH,
@@ -168,8 +168,9 @@ _SNAPSHOT = Op("write the service to a snapshot file (a router: one file "
     Field("fetch", "boolean", "worker only: return the snapshot bytes "
           "inline (data, nbytes) instead of writing a file",
           default=False),
-    Field("checkpoint", "boolean", "worker only: snapshot, then truncate "
-          "the WAL it covers", default=False)), derive=check_write_format)
+    Field("checkpoint", "boolean", "worker only: write the WAL's recovery "
+          "base, then truncate the log it covers (any other path is "
+          "refused)", default=False)), derive=check_write_format)
 
 #: The request format, declared once: op -> :class:`Op`, in documentation
 #: order (iterating yields the op names).  :func:`read` and :func:`build`
@@ -230,8 +231,9 @@ OPS: dict[str, Op] = {
     "metrics": Op("the plain-text metrics exposition, plus structured "
                   "counters", access="open"),
     "snapshot": _SNAPSHOT,
-    "reload": Op("hot-swap the service from a snapshot (worker-level: a "
-                 "router refuses it)", (
+    "reload": Op("hot-swap the service from a snapshot; with a WAL, any "
+                 "but the recovery base is checkpointed as the base "
+                 "(worker-level: a router refuses it)", (
         _PATH,
         Field("data", "bytes", "the snapshot shipped inline — the "
               "replica-bootstrap path"))),

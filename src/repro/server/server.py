@@ -15,10 +15,10 @@ what a local placement does with a request:
 * ``reload`` hot-swaps the backing service from a snapshot file (binary v2
   snapshots restore via ``np.memmap``) or from inline bytes **without
   dropping connections** — handlers resolve :attr:`SketchServer.service`
-  per request, and a WAL-attached service keeps its durability across the
-  swap,
+  per request.  With a WAL, the log's recovery base reloads as a restart
+  recovers it, and any other snapshot is checkpointed onto the base,
 * ``snapshot`` can ``fetch`` the snapshot inline (what a cluster manager
-  ships into a new replica) or ``checkpoint`` (snapshot + WAL
+  ships into a new replica) or ``checkpoint`` (the recovery base + WAL
   truncation) — worker-level verbs a router refuses.
 """
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import io
+import os
 from dataclasses import dataclass
 
 from repro.core.hashing import sign_table_stats
@@ -62,7 +63,8 @@ class SketchServer(ServingFront):
     config:
         Network and coalescing tunables.
     snapshot_path:
-        Default for ``snapshot``/``reload`` requests that omit a path.
+        Default for ``snapshot``/``reload`` requests that omit a path
+        (with a WAL: the log's recovery base).
     """
 
     def __init__(self, service: EstimationService, *,
@@ -82,6 +84,11 @@ class SketchServer(ServingFront):
     def service(self) -> EstimationService:
         """The *current* backing service (``reload`` swaps it)."""
         return self._service
+
+    def _default_path(self) -> str | None:
+        """Where a ``snapshot`` / ``reload`` without a path goes."""
+        wal = self._service.wal
+        return wal.base if wal is not None else self._snapshot_path
 
     @property
     def tenants(self):
@@ -175,50 +182,35 @@ class SketchServer(ServingFront):
             data = await self._run_blocking(_snapshot_bytes, service)
             return protocol.ok_payload("snapshot", fields, data=data,
                                        nbytes=len(data))
-        path = fields["path"] or self._snapshot_path
+        path = fields["path"] or self._default_path()
+        if fields["checkpoint"]:
+            # Elsewhere, the truncated tail would be lost to a restart.
+            wal = service.wal
+            if wal is not None and not _same_file(path, wal.base):
+                raise ServiceError(
+                    f"checkpoint writes the log's recovery base {wal.base!r}"
+                    f", not {path!r}")
+            info = await self._run_blocking(service.checkpoint)
+            return protocol.ok_payload("snapshot", fields, checkpoint=True,
+                                       **info)
         if not path:
             raise ServiceError(
                 "snapshot needs a path (or start the server with one)")
-        if fields["checkpoint"]:
-            # Snapshot + WAL truncation in one atomic administrative step.
-            info = await self._run_blocking(service.checkpoint, path)
-            return protocol.ok_payload("snapshot", fields, checkpoint=True,
-                                       **info)
         await self._run_blocking(service.save, path)
         return protocol.ok_payload("snapshot", fields, path=str(path))
 
     async def _op_reload(self, fields: dict, scope) -> dict:
         data = fields["data"]
-        path = None
-        if data is None:
-            path = fields["path"] or self._snapshot_path
-            if not path:
-                raise ServiceError(
-                    "reload needs a path or inline data (or start the "
-                    "server with a snapshot path)")
+        raw = None if data is None else protocol.payload_bytes(data)
+        path = None if raw is not None else (fields["path"]
+                                              or self._default_path())
+        if raw is None and not path:
+            raise ServiceError(
+                "reload needs a path or inline data (or start the server "
+                "with a snapshot path)")
         async with self._reload_lock:
-            old = self._service
-            wal = old.wal
-            described: dict = {}
-            if data is not None:
-                raw = protocol.payload_bytes(data)
-                if wal is None:
-                    fresh = await self._run_blocking(_service_from_bytes, raw, old.num_shards)
-                else:
-                    fresh, described = await self._run_blocking(
-                        _adopt_inline_reload, self, old, raw)
-                described["source"] = "inline"
-            elif wal is None:
-                fresh = await self._run_blocking(
-                    lambda: EstimationService.load(path, num_shards=old.num_shards))
-                described["path"] = str(path)
-            else:
-                # Snapshot + replay: the reloaded state is the snapshot
-                # brought forward through the local WAL tail, so a
-                # hot-reload drops none of the writes logged since the
-                # snapshot was taken.
-                fresh, described = await self._run_blocking(
-                    _replay_path_reload, old, str(path))
+            fresh, described = await self._run_blocking(
+                _reloaded, self._service, path, raw)
             # Atomic swap: requests already queued keep their futures;
             # everything dispatched from here answers from the new state.
             self._service = fresh
@@ -247,57 +239,53 @@ def _snapshot_bytes(service: EstimationService) -> bytes:
     return buffer.getvalue()
 
 
-def _replay_path_reload(old: EstimationService, path: str
-                        ) -> tuple[EstimationService, dict]:
-    """Rebuild from a snapshot file and replay the local WAL tail.
+def _same_file(path, other: str) -> bool:
+    return os.path.realpath(os.fspath(path)) == os.path.realpath(other)
 
-    The old service's writer is detached and closed first; in-flight
-    ingests racing the swap simply skip the (now absent) log — their
-    writes live only in the outgoing service, which is being replaced.
+
+def _reloaded(old: EstimationService, path: str | None, raw: bytes | None
+              ) -> tuple[EstimationService, dict]:
+    """The service a ``reload`` swaps in, and what its reply reports.
+
+    With a WAL the old service's writer moves over: the recovery base
+    reloads as a restart recovers it (base + replayed tail); any other
+    snapshot is checkpointed, which writes the base with the local seqno
+    *before* it truncates the log.  A failed step hands the writer back.
     """
+    from repro.service.snapshot import (
+        read_binary_snapshot_state,
+        restore_service,
+        snapshot_state_from_bytes,
+    )
     from repro.wal.recovery import recover_service
 
+    described: dict = ({"source": "inline"} if raw is not None
+                       else {"path": str(path)})
     wal = old.wal
-    directory, sync = wal.directory, wal.sync
-    checkpoint_path = old.wal_checkpoint_path
-    checkpoint_boxes = old.wal_checkpoint_boxes
-    old.detach_wal()
-    fresh, report = recover_service(
-        directory, path, sync=sync, checkpoint_path=checkpoint_path,
-        checkpoint_boxes=checkpoint_boxes, num_shards=old.num_shards)
-    return fresh, {"path": path,
-                   "replayed_records": report.replayed_records,
-                   "replayed_boxes": report.replayed_boxes,
-                   "wal_seqno": report.last_seqno}
-
-
-def _adopt_inline_reload(server: "SketchServer", old: EstimationService,
-                         raw: bytes) -> tuple[EstimationService, dict]:
-    """Swap in a wire-shipped snapshot while keeping local durability.
-
-    The shipped state starts a new local lineage: the WAL is truncated
-    (its records describe the discarded state) and the snapshot is saved
-    as the local recovery base with the *local* log position embedded —
-    so a later crash recovers to exactly this bootstrap plus whatever the
-    replica logs afterwards.
-    """
-    fresh = _service_from_bytes(raw, old.num_shards)
-    checkpoint_path = old.wal_checkpoint_path
-    checkpoint_boxes = old.wal_checkpoint_boxes
-    writer = old.detach_wal(close=False)
-    writer.truncate_through(writer.last_seqno)
-    fresh.attach_wal(writer, checkpoint_path=checkpoint_path,
-                     checkpoint_boxes=checkpoint_boxes)
-    from repro.wal.recovery import default_checkpoint_path
-
-    base = server._snapshot_path or default_checkpoint_path(writer.directory)
-    fresh.save(base)
-    return fresh, {"recovery_base": str(base),
-                   "wal_seqno": writer.last_seqno}
-
-
-def _service_from_bytes(raw: bytes, num_shards: int) -> EstimationService:
-    """Rebuild a service from snapshot bytes shipped over the wire."""
-    from repro.service.snapshot import restore_service, snapshot_state_from_bytes
-
-    return restore_service(snapshot_state_from_bytes(raw), num_shards=num_shards)
+    rebase = wal is not None and raw is None and _same_file(path, wal.base)
+    if not rebase:  # restored while the old service still logs
+        state = (snapshot_state_from_bytes(raw) if raw is not None
+                 else read_binary_snapshot_state(path))
+        fresh = restore_service(state, num_shards=old.num_shards)
+        if wal is None:
+            return fresh, described
+    old.detach_wal(close=False)
+    try:
+        if rebase:
+            wal.flush()
+            fresh, report = recover_service(wal.directory, wal.base,
+                                            attach=False,
+                                            num_shards=old.num_shards)
+            wal.recovery = report.as_dict()
+            described.update(replayed_records=report.replayed_records,
+                             replayed_boxes=report.replayed_boxes)
+            fresh.attach_wal(wal)
+        else:
+            fresh.attach_wal(wal)
+            fresh.checkpoint()
+            described["recovery_base"] = wal.base
+    except BaseException:
+        old.attach_wal(wal)
+        raise
+    described["wal_seqno"] = wal.last_seqno
+    return fresh, described

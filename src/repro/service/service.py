@@ -34,7 +34,6 @@ immutable merged views once built).
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
@@ -174,8 +173,6 @@ class EstimationService:
         self._executor = ProgramExecutor()
         # Durability (repro.wal): attached via attach_wal(); None = volatile.
         self._wal: Any = None
-        self._checkpoint_path: str | None = None
-        self._checkpoint_boxes: int | None = None
         # Multi-tenancy (repro.tenancy): None until enable_tenancy() — a
         # service without a registry behaves exactly as before.
         self._tenants: Any = None
@@ -259,78 +256,55 @@ class EstimationService:
         """The attached :class:`~repro.wal.writer.WalWriter` (or ``None``)."""
         return self._wal
 
-    @property
-    def wal_checkpoint_path(self) -> str | None:
-        """Default target of :meth:`checkpoint` (set by :meth:`attach_wal`)."""
-        return self._checkpoint_path
-
-    @property
-    def wal_checkpoint_boxes(self) -> int | None:
-        """Auto-checkpoint row threshold (``None`` = manual only)."""
-        return self._checkpoint_boxes
-
-    def attach_wal(self, writer: Any, *, checkpoint_path=None,
-                   checkpoint_boxes: int | None = None) -> None:
+    def attach_wal(self, writer: Any) -> None:
         """Make every mutation durable through a write-ahead log.
 
         Once attached, ingest appends each update batch to the log *before*
         buffering it (write-ahead: no counter mutation can outrun the log),
         and register/unregister events are logged too, so snapshot + replay
-        reconstructs the full estimator set.  ``checkpoint_path`` plus
-        ``checkpoint_boxes`` enables auto-checkpointing: once that many
-        update rows accumulate in the log, the service snapshots itself and
-        truncates the log (see :meth:`checkpoint`).
+        reconstructs the full estimator set.  A writer with
+        ``checkpoint_boxes`` set checkpoints the service once that many
+        update rows accumulate in the log (see :meth:`checkpoint`).
         """
-        if checkpoint_boxes is not None and checkpoint_boxes < 1:
-            raise ServiceError("checkpoint_boxes must be positive (or None)")
         with self._lock:
             if self._wal is not None:
                 raise ServiceError("service already has a WAL attached")
             self._wal = writer
-            self._checkpoint_path = (os.fspath(checkpoint_path)
-                                     if checkpoint_path is not None else None)
-            self._checkpoint_boxes = checkpoint_boxes
 
     def detach_wal(self, *, close: bool = True) -> Any:
         """Detach (and by default close) the WAL; returns the writer."""
         with self._lock:
             writer, self._wal = self._wal, None
-            self._checkpoint_path = None
-            self._checkpoint_boxes = None
         if writer is not None and close:
             writer.close()
         return writer
 
-    def checkpoint(self, path=None) -> dict:
-        """Snapshot to ``path`` and truncate the WAL through the covered seqno.
+    def checkpoint(self) -> dict:
+        """Snapshot to the WAL's recovery base, then truncate the WAL
+        through the covered seqno.
 
-        The snapshot embeds the log position it covers (``wal_seqno``); the
-        log is then truncated through that position, so recovery replays
-        only the tail written since.  The service lock is held across the
-        flush, capture *and* file write — a brief stop-the-world pause that
+        The snapshot embeds the log position it covers (``wal_seqno``), so
+        recovery replays only the tail written since; a failed write
+        truncates nothing.  The service lock is held across the flush,
+        capture *and* file write — a brief stop-the-world pause that
         guarantees no append slips between the captured sequence number and
         the tensors on disk.
         """
-        if self._wal is None:
-            raise ServiceError("checkpoint requires an attached WAL "
-                               "(see attach_wal)")
-        target = path if path is not None else self._checkpoint_path
-        if target is None:
-            raise ServiceError("no checkpoint path given or configured")
         with self._lock:
-            self.save(target)
-            seqno = self._wal.last_seqno
-        removed = self._wal.truncate_through(seqno)
-        return {
-            "path": os.fspath(target),
-            "wal_seqno": seqno,
-            "segments_removed": removed,
-        }
+            wal = self._wal
+            if wal is None:
+                raise ServiceError("checkpoint requires an attached WAL "
+                                   "(see attach_wal)")
+            self.save(wal.base)
+            seqno = wal.last_seqno
+        removed = wal.truncate_through(seqno)
+        return {"path": wal.base, "wal_seqno": seqno,
+                "segments_removed": removed}
 
     def _maybe_checkpoint(self) -> None:
-        if (self._wal is not None and self._checkpoint_boxes is not None
-                and self._checkpoint_path is not None
-                and self._wal.appended_boxes >= self._checkpoint_boxes):
+        wal = self._wal
+        if (wal is not None and wal.checkpoint_boxes is not None
+                and wal.appended_boxes >= wal.checkpoint_boxes):
             self.checkpoint()
 
     # -- introspection ------------------------------------------------------------
@@ -379,13 +353,8 @@ class EstimationService:
     def describe(self) -> dict:
         """A JSON-friendly summary (used by the CLI's ``stats`` op)."""
         with self._lock:
-            wal = None
-            if self._wal is not None:
-                wal = self._wal.describe()
-                wal["checkpoint_path"] = self._checkpoint_path
-                wal["checkpoint_boxes"] = self._checkpoint_boxes
             return {
-                "wal": wal,
+                "wal": self._wal.describe() if self._wal is not None else None,
                 "tenants": (self._tenants.describe()
                             if self._tenants is not None else None),
                 "num_shards": self.num_shards,

@@ -15,8 +15,9 @@ independent of replay batching or order.
   configurable sync modes (``none`` / ``flush`` / ``fsync``),
 * :mod:`repro.wal.reader` — segment scanning with torn/corrupt tail
   detection (CRC),
-* :mod:`repro.wal.recovery` — ``load snapshot + replay tail`` service
-  recovery and the checkpoint (snapshot + log truncation) helper.
+* :mod:`repro.wal.recovery` — ``load the base + replay tail`` service
+  recovery; the base is the writer's one recovery snapshot, which
+  checkpoints write before they truncate the log.
 """
 
 from repro.wal.framing import (

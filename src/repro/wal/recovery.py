@@ -1,17 +1,17 @@
 """Snapshot + replay recovery and the checkpoint lifecycle.
 
-Recovery is ``load snapshot + replay tail``: restore the newest snapshot
-(whose header records the WAL sequence number it covers), then re-apply
-every durable log record *after* that position through the normal ingest
-path.  Because sketch counters are linear in the update stream and
-integer-valued in float64, the replayed counter tensors are bit-identical
-to the never-crashed service — independent of replay batching or order.
+Recovery is ``load the base + replay tail``: restore the log's one
+recovery base (:attr:`~repro.wal.writer.WalWriter.base`), whose header
+records the WAL sequence number it covers, then re-apply every durable
+log record *after* that position through the normal ingest path.  Sketch
+counters are linear in the update stream and integer-valued in float64,
+so the replayed tensors are bit-identical to the never-crashed service.
 
 The checkpoint is the inverse half:
-:meth:`~repro.service.service.EstimationService.checkpoint` snapshots the
-service (embedding the covered sequence number) and then truncates the log
-through it, keeping recovery cost proportional to the tail written since
-the last checkpoint.
+:meth:`~repro.service.service.EstimationService.checkpoint` writes the
+base (embedding the covered sequence number) and only then truncates the
+log through it, keeping recovery cost proportional to the tail written
+since the last checkpoint.
 """
 
 from __future__ import annotations
@@ -25,21 +25,10 @@ import numpy as np
 from repro.geometry.boxset import BoxSet
 from repro.wal.framing import WalFormatError, decode_payload
 from repro.wal.reader import list_segments, read_wal_records, scan_segment
-from repro.wal.writer import WalWriter
+from repro.wal.writer import WalWriter, default_checkpoint_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.service import EstimationService
-
-
-#: Well-known snapshot filename inside a WAL directory: the recovery base
-#: used when no explicit snapshot path is configured (checkpoints and
-#: cluster bootstraps write it; recovery looks for it).
-CHECKPOINT_BASENAME = "checkpoint.sketch"
-
-
-def default_checkpoint_path(wal_dir) -> str:
-    """The in-directory recovery-base path for a WAL directory."""
-    return os.path.join(os.fspath(wal_dir), CHECKPOINT_BASENAME)
 
 
 @dataclass(frozen=True)
@@ -136,31 +125,27 @@ def replay_records(service: "EstimationService",
 
 def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
                     attach: bool = True, num_shards: int = 4,
-                    checkpoint_path=None,
                     checkpoint_boxes: int | None = None,
                     ) -> tuple["EstimationService", RecoveryReport]:
-    """Rebuild a service as ``load snapshot + replay tail``.
+    """Rebuild a service as ``load the base + replay tail``.
 
-    The snapshot (when present) names the WAL position it covers in its
-    ``wal_seqno`` header field; only records *after* that position are
-    replayed, so a torn tail left by a crash costs exactly the writes that
-    were never acknowledged as durable.  With ``attach=True`` (default) a
-    :class:`WalWriter` resumes on the directory — truncating the torn
-    tail — and is attached to the recovered service, so it keeps logging
-    where the crashed process stopped; the writer keeps the report as
+    ``snapshot_path`` is the log's recovery base (default: the directory's
+    ``checkpoint.sketch``); only records after its ``wal_seqno`` replay, so
+    a torn tail left by a crash costs exactly the writes never acknowledged
+    as durable.  With ``attach=True`` (default) a :class:`WalWriter` on
+    that base resumes on the directory — truncating the torn tail — and is
+    attached to the recovered service; it keeps the report as
     ``recovery``, which the ``stats`` reply's ``wal`` block carries.
     """
     from repro.service.snapshot import read_binary_snapshot_state, restore_service
 
+    base = (os.fspath(snapshot_path) if snapshot_path is not None
+            else default_checkpoint_path(wal_dir))
     base_seqno = 0
     resolved_path: str | None = None
-    if snapshot_path is None:
-        # No explicit base: a checkpoint inside the directory (written by
-        # auto-checkpointing or a cluster bootstrap) is the recovery base.
-        snapshot_path = default_checkpoint_path(wal_dir)
-    if snapshot_path is not None and os.path.exists(os.fspath(snapshot_path)):
-        resolved_path = os.fspath(snapshot_path)
-        state = read_binary_snapshot_state(resolved_path)
+    if os.path.exists(base):
+        resolved_path = base
+        state = read_binary_snapshot_state(base)
         base_seqno = state.get("wal_seqno", 0)
     else:
         state = {"estimators": {}}
@@ -179,8 +164,8 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         truncated_bytes=truncated_bytes,
     )
     if attach:
-        writer = WalWriter(wal_dir, sync=sync)
-        writer.recovery = report.as_dict()
-        service.attach_wal(writer, checkpoint_path=checkpoint_path,
+        writer = WalWriter(wal_dir, sync=sync, base=base,
                            checkpoint_boxes=checkpoint_boxes)
+        writer.recovery = report.as_dict()
+        service.attach_wal(writer)
     return service, report

@@ -18,6 +18,10 @@ checkpoint half: after a snapshot covering everything up to sequence
 number *s*, segments whose records are all ``<= s`` are deleted and a
 fresh segment is rolled, keeping recovery cost proportional to the tail
 written since the last checkpoint.
+
+A log has one recovery base, :attr:`WalWriter.base` (default: the
+directory's ``checkpoint.sketch``): the snapshot its tail belongs to.
+Checkpoints write it and recovery reads it.
 """
 
 from __future__ import annotations
@@ -42,20 +46,33 @@ from repro.wal.reader import (
 SYNC_POLICIES = ("none", "flush", "fsync")
 
 
+def default_checkpoint_path(wal_dir) -> str:
+    """The recovery base of a log opened without an explicit one."""
+    return os.path.join(os.fspath(wal_dir), "checkpoint.sketch")
+
+
 class WalWriter:
     """Append framed records to the newest segment of a WAL directory.
 
     Thread-safe: concurrent producers (the service lock is *not* held
     around WAL appends) are serialised on an internal lock, which is also
     what makes sequence numbers strictly monotonic.
+    ``checkpoint_boxes`` makes the attached service checkpoint itself
+    once that many update rows are appended (``None``: manual only).
     """
 
-    def __init__(self, directory, *, sync: str = "flush") -> None:
+    def __init__(self, directory, *, sync: str = "flush", base=None,
+                 checkpoint_boxes: int | None = None) -> None:
         if sync not in SYNC_POLICIES:
             raise SnapshotError(
                 f"WAL sync mode must be one of {SYNC_POLICIES}, got {sync!r}")
+        if checkpoint_boxes is not None and checkpoint_boxes < 1:
+            raise SnapshotError("checkpoint_boxes must be positive (or None)")
         self.directory = os.fspath(directory)
         self.sync = sync
+        self.base = (os.fspath(base) if base is not None
+                     else default_checkpoint_path(self.directory))
+        self.checkpoint_boxes = checkpoint_boxes
         self._lock = threading.Lock()
         self._handle: IO[bytes] | None = None
         self._appended_boxes = 0
@@ -82,6 +99,8 @@ class WalWriter:
         return {
             "directory": self.directory,
             "sync": self.sync,
+            "base": self.base,
+            "checkpoint_boxes": self.checkpoint_boxes,
             "last_seqno": self._last_seqno,
             "segments": len(segments),
             "bytes": sum(os.path.getsize(path) for path in segments),
@@ -123,6 +142,12 @@ class WalWriter:
         if self._handle.tell() == 0:
             self._handle.write(WAL_MAGIC)
             self._handle.flush()
+
+    def flush(self) -> None:
+        """Push buffered appends to the OS, so a reader sees every record."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.flush()
 
     def close(self) -> None:
         with self._lock:

@@ -10,7 +10,12 @@ import pytest
 
 from repro.client import RemoteEstimate, ServiceClient
 from repro.core.domain import Domain
-from repro.errors import OverloadedError, ProtocolError, ServerError
+from repro.errors import (
+    ConnectionLostError,
+    OverloadedError,
+    ProtocolError,
+    ServerError,
+)
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
@@ -157,9 +162,23 @@ class TestServiceClient:
             from repro.server.protocol import raise_for_response
             raise_for_response(shed[0])
 
-    def test_connection_refused_is_oserror(self):
-        with pytest.raises(OSError):
+    def test_connection_refused_raises_connection_lost_naming_the_address(
+            self):
+        with pytest.raises(ConnectionLostError, match="127.0.0.1:1"):
             ServiceClient("127.0.0.1", 1, timeout=2)
+
+    def test_a_refused_reconnect_of_a_retry_raises_connection_lost(self):
+        service = make_service(data=50)
+        handle = ThreadedServer(service).start()
+        port = handle.port
+        client = ServiceClient("127.0.0.1", port, timeout=10)
+        client.ping()
+        handle.stop()
+        # stats is idempotent: the dropped connection is retried once, and
+        # the refused reconnect surfaces typed, naming the address.
+        with pytest.raises(ConnectionLostError, match=f"127.0.0.1:{port}"):
+            client.stats()
+        client.close()
 
     def test_server_gone_raises_protocol_error(self, tmp_path):
         service = make_service(data=50)

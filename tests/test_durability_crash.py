@@ -240,3 +240,61 @@ class TestKillNineRecovery:
             worker.stop()
             if revived is not None:
                 revived.stop()
+
+    def test_reload_of_another_snapshot_then_crash_keeps_the_reloaded_state(
+            self, tmp_path):
+        """A worker reloads a snapshot that is not its recovery base
+        mid-stream, keeps ingesting and is SIGKILLed: the restart comes back
+        to that snapshot plus the acked writes after it — a never-crashed
+        twin loaded from the same file and fed the same post-reload stream,
+        not the log from its start."""
+        wal_dir = str(tmp_path / "wal")
+        other = str(tmp_path / "other.sketch")
+        donor = EstimationService(num_shards=2)
+        donor.register("ranges", family="range", domain=(256, 256),
+                       num_instances=32, seed=5)
+        donor.ingest("ranges", batch(SEED * 4000 + 99), side="data")
+        donor.save(other)
+        after = [batch(SEED * 4000 + index) for index in range(4)]
+        worker = spawn_worker(wal_dir=wal_dir, wal_sync=SYNC, shards=2)
+        revived = None
+        try:
+            with ServiceClient(worker.host, worker.port) as client:
+                client.register("ranges", family="range", sizes=[256, 256],
+                                instances=32, seed=5)
+                for index in range(3):
+                    client.ingest("ranges", batch(SEED * 4000 + 50 + index),
+                                  side="data")
+                reply = client.reload(other)
+                # register + 3 ingests, numbered on by the same log.
+                assert reply["wal_seqno"] == 4
+                for boxes in after:
+                    client.ingest("ranges", boxes, side="data")
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.wait(timeout=30)
+
+            def answers(fed):
+                twin = EstimationService.load(other, num_shards=2)
+                for boxes in fed:
+                    twin.ingest("ranges", boxes, side="data")
+                twin.flush()
+                return [twin.estimate("ranges", q).estimate
+                        for q in queries(SEED + 3)]
+
+            revived = spawn_worker(wal_dir=wal_dir, wal_sync=SYNC, shards=2)
+            with ServiceClient(revived.host, revived.port) as client:
+                got = [client.estimate("ranges", q).estimate
+                       for q in queries(SEED + 3)]
+            if ACK_IS_DURABLE:
+                assert got == answers(after)
+            else:
+                # An unsynced tail may be lost, but only as a clean prefix.
+                assert got in [answers(after[:count])
+                               for count in range(len(after) + 1)]
+        except BaseException:
+            export_artifacts(wal_dir)
+            raise
+        finally:
+            worker.stop()
+            if revived is not None:
+                revived.stop()

@@ -455,14 +455,14 @@ def test_routed_checkpoint_is_refused_and_a_worker_still_truncates(
             logged = worker.stats()["wal"]["bytes"]
             assert logged > 0
             with pytest.raises(ServerError) as info:
-                routed.checkpoint(str(tmp_path / "routed.snap"))
+                routed.checkpoint()
             assert info.value.code == "bad_request"
             assert "worker-level" in str(info.value)
             assert worker.stats()["wal"]["bytes"] == logged
             # The plain routed snapshot still works, and the verb still
             # truncates where it belongs.
             assert routed.snapshot(str(tmp_path / "routed.snap"))["paths"]
-            assert worker.checkpoint(str(tmp_path / "worker.snap"))["checkpoint"]
+            assert worker.checkpoint()["checkpoint"]
             assert worker.stats()["wal"]["bytes"] < logged
 
 

@@ -136,7 +136,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
     client.estimate_many("join", 2)
     client.flush(), client.stats(), client.metrics()
     client.snapshot("a.snap"), client.reload("a.snap")
-    client.checkpoint("b.snap")
+    client.checkpoint()
     client.cluster_status(), client.quit()
     verbs = {"auth", "quit"} | {  # the two a connection adds
         name for name in vars(RequestVerbs)

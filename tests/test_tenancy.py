@@ -220,7 +220,7 @@ class TestTenantPersistence:
         base = str(tmp_path / "base.sketch")
         service = EstimationService(num_shards=2)
         service.save(base)
-        service.attach_wal(WalWriter(str(wal_dir)), checkpoint_path=base)
+        service.attach_wal(WalWriter(str(wal_dir), base=base))
         service.tenant_create("acme", token="tok-a")
         service.tenant_create("globex", token="tok-g")
         name = namespaced("acme", "r")

@@ -8,19 +8,22 @@ across a hot swap.
 """
 
 import asyncio
+import contextlib
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.domain import Domain
-from repro.errors import ServiceError
+from repro.client import ServiceClient
+from repro.errors import ServerError, ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.server import protocol
+from repro.server import ThreadedServer, protocol
+from repro.server.server import _snapshot_bytes
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.wal import WalWriter, read_wal_records, recover_service
 from repro.wal.reader import list_segments
-from repro.wal.recovery import default_checkpoint_path
+from repro.wal.writer import default_checkpoint_path
 
 from tests.test_server import Connection, start_server
 
@@ -50,15 +53,41 @@ def assert_states_equal(left, right, path=""):
         assert left == right, f"{path}: {left!r} != {right!r}"
 
 
-def durable_service(wal_dir, *, num_shards=2,
-                    **attach_kwargs) -> EstimationService:
+def durable_service(wal_dir=None, *, num_shards=2,
+                    **writer_kwargs) -> EstimationService:
+    """The two test estimators, logged to ``wal_dir`` (volatile without)."""
     service = EstimationService(num_shards=num_shards, flush_threshold=None)
-    service.attach_wal(WalWriter(wal_dir, sync="none"), **attach_kwargs)
+    if wal_dir is not None:
+        writer_kwargs.setdefault("sync", "none")
+        service.attach_wal(WalWriter(wal_dir, **writer_kwargs))
     service.register("ranges", family="range", domain=DOMAIN,
                      num_instances=16, seed=5)
     service.register("join", family="rectangle", domain=DOMAIN,
                      num_instances=16, seed=7)
     return service
+
+
+@contextlib.contextmanager
+def served(service):
+    """A threaded server over ``service`` and a client to it; on exit the
+    server stops and the live service's log is closed."""
+    handle = ThreadedServer(service).start()
+    try:
+        with ServiceClient("127.0.0.1", handle.port) as client:
+            yield handle, client
+    finally:
+        handle.stop()
+        if handle.service.wal is not None:
+            handle.service.detach_wal()
+
+
+def restart(wal_dir) -> EstimationService:
+    """What a process restarted on ``wal_dir`` recovers."""
+    return recover_service(wal_dir, num_shards=2, attach=False)[0]
+
+
+def logged_seqnos(wal_dir) -> list[int]:
+    return [seqno for seqno, _ in read_wal_records(wal_dir)]
 
 
 class TestServiceWalIntegration:
@@ -101,7 +130,7 @@ class TestServiceWalIntegration:
             self, tmp_path):
         wal_dir = tmp_path / "wal"
         snap = tmp_path / "ckpt.sketch"
-        service = durable_service(wal_dir, checkpoint_path=snap)
+        service = durable_service(wal_dir, base=snap)
         service.ingest("ranges", synthetic_boxes(DOMAIN, 200, seed=3),
                        side="data")
         info = service.checkpoint()
@@ -126,7 +155,7 @@ class TestServiceWalIntegration:
         of checkpointed boxes included — equals a never-checkpointed twin."""
         wal_dir = tmp_path / "wal"
         snap = tmp_path / "ckpt.snap"
-        service = durable_service(wal_dir, num_shards=4, checkpoint_path=snap)
+        service = durable_service(wal_dir, num_shards=4, base=snap)
         twin = EstimationService(num_shards=2, flush_threshold=None)
         twin.register("ranges", service.spec("ranges"))
         twin.register("join", service.spec("join"))
@@ -157,8 +186,8 @@ class TestServiceWalIntegration:
         on after the covered seqno, so the next recovery replays what the
         restarted service acked."""
         wal_dir = tmp_path / "wal"
-        snap = default_checkpoint_path(wal_dir)
-        service = durable_service(wal_dir, checkpoint_path=snap)
+        service = durable_service(wal_dir)
+        assert service.wal.base == default_checkpoint_path(wal_dir)
         for seed in range(4):
             service.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=seed),
                            side="data")
@@ -183,7 +212,7 @@ class TestServiceWalIntegration:
     def test_auto_checkpoint_by_appended_boxes(self, tmp_path):
         wal_dir = tmp_path / "wal"
         snap = tmp_path / "auto.sketch"
-        service = durable_service(wal_dir, checkpoint_path=snap,
+        service = durable_service(wal_dir, base=snap,
                                   checkpoint_boxes=100)
         for seed in range(4):
             service.ingest("ranges", synthetic_boxes(DOMAIN, 60, seed=seed),
@@ -262,14 +291,10 @@ class TestServiceWalIntegration:
         with pytest.raises(ServiceError, match="lo == hi"):
             recover_service(wal_dir, num_shards=2, attach=False)
 
-    def test_checkpoint_requires_wal_and_path(self, tmp_path):
+    def test_checkpoint_requires_a_wal(self):
         plain = EstimationService(num_shards=2)
         with pytest.raises(ServiceError):
-            plain.checkpoint(tmp_path / "x.sketch")
-        service = durable_service(tmp_path / "wal")
-        with pytest.raises(ServiceError):
-            service.checkpoint()  # no path given or configured
-        service.detach_wal()
+            plain.checkpoint()
 
     def test_double_attach_rejected(self, tmp_path):
         service = durable_service(tmp_path / "wal")
@@ -283,7 +308,7 @@ class TestServerWalVerbs:
         """Acceptance: hot-reload = snapshot + replay, drops no writes."""
         wal_dir = tmp_path / "wal"
         snap = tmp_path / "base.sketch"
-        service = durable_service(wal_dir, checkpoint_path=snap)
+        service = durable_service(wal_dir, base=snap)
         service.ingest("ranges", synthetic_boxes(DOMAIN, 150, seed=9),
                        side="data")
         service.checkpoint()
@@ -324,7 +349,6 @@ class TestServerWalVerbs:
         donor.ingest("ranges", synthetic_boxes(DOMAIN, 90, seed=12),
                      side="data")
         donor.flush()
-        from repro.server.server import _snapshot_bytes
         raw = _snapshot_bytes(donor)
 
         wal_dir = tmp_path / "wal"
@@ -357,3 +381,121 @@ class TestServerWalVerbs:
         assert report.replayed_boxes == 10
         assert_states_equal(expected, recovered.snapshot())
         recovered.detach_wal()
+
+
+class TestOneRecoveryBase:
+    """A log has one recovery base: every reload, checkpoint and restart
+    agrees on which snapshot the log's tail belongs to."""
+
+    def test_a_reload_of_another_file_is_what_a_restart_comes_back_to(
+            self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        other = tmp_path / "other.sketch"
+        twin = durable_service()
+        twin.ingest("ranges", synthetic_boxes(DOMAIN, 90, seed=21),
+                    side="data")
+        twin.save(other)
+        service = durable_service(wal_dir)
+        service.ingest("ranges", synthetic_boxes(DOMAIN, 40, seed=22),
+                       side="data")
+        after = synthetic_boxes(DOMAIN, 30, seed=23)
+        with served(service) as (handle, client):
+            client.reload(str(other))
+            client.ingest("ranges", after, side="data")
+            running = handle.service.snapshot()
+        twin.ingest("ranges", after, side="data")
+        assert_states_equal(twin.snapshot(), running)
+        assert_states_equal(running, restart(wal_dir).snapshot())
+
+    def test_reloading_an_offline_copy_of_the_live_state_changes_nothing(
+            self, tmp_path):
+        """The copy has no ``wal_seqno``; none of the log lands on it."""
+        wal_dir = tmp_path / "wal"
+        copy = tmp_path / "copy.sketch"
+        boxes = synthetic_boxes(DOMAIN, 120, seed=24)
+        service = durable_service(wal_dir)
+        offline = durable_service()
+        for target in (service, offline):
+            target.ingest("ranges", boxes, side="data")
+            target.ingest("join", boxes, side="left")
+        offline.save(copy)
+        queries = synthetic_queries(DOMAIN, 8, seed=25)
+        before = [r.estimate for r in service.estimate_batch("ranges", queries)]
+        with served(service) as (handle, client):
+            client.reload(str(copy))
+            after = [r.estimate
+                     for r in handle.service.estimate_batch("ranges", queries)]
+            running = handle.service.snapshot()
+        assert after == before
+        assert_states_equal(offline.snapshot(), running)
+        assert_states_equal(running, restart(wal_dir).snapshot())
+
+    def test_a_checkpoint_naming_another_path_is_refused_and_truncates_nothing(
+            self, tmp_path):
+        wal_dir = tmp_path / "wal"
+        elsewhere = tmp_path / "elsewhere.sketch"
+        service = durable_service(wal_dir)
+        service.ingest("ranges", synthetic_boxes(DOMAIN, 50, seed=26),
+                       side="data")
+        with served(service) as (handle, client):
+            with pytest.raises(ServerError) as info:
+                client.request(protocol.build(
+                    "snapshot", checkpoint=True, path=str(elsewhere)))
+            assert info.value.code == "bad_request"
+            running = handle.service.snapshot()
+            last = handle.service.wal.last_seqno
+        assert not elsewhere.exists()
+        assert logged_seqnos(wal_dir) == list(range(1, last + 1))
+        recovered = restart(wal_dir)
+        assert recovered.names() == service.names()
+        assert_states_equal(running, recovered.snapshot())
+
+    def test_a_failed_inline_reload_truncates_nothing_and_keeps_logging(
+            self, tmp_path, monkeypatch):
+        raw = _snapshot_bytes(durable_service())
+        wal_dir = tmp_path / "wal"
+        service = durable_service(wal_dir, sync="flush")
+        service.ingest("ranges", synthetic_boxes(DOMAIN, 30, seed=27),
+                       side="data")
+        with served(service) as (handle, client):
+            def refuse(self, path):
+                raise OSError("no space left on the device")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(EstimationService, "save", refuse)
+                with pytest.raises(ServerError, match="no space"):
+                    client.request(protocol.build("reload", data=raw))
+            assert logged_seqnos(wal_dir) == [1, 2, 3]
+            assert handle.service is service and service.wal is not None
+            client.ingest("ranges", synthetic_boxes(DOMAIN, 20, seed=28),
+                          side="data")
+            running = service.snapshot()
+            last = service.wal.last_seqno
+        assert logged_seqnos(wal_dir) == list(range(1, last + 1))
+        assert_states_equal(running, restart(wal_dir).snapshot())
+
+    def test_a_reload_reports_the_local_log_position(self, tmp_path):
+        """A file from another log carries that log's ``wal_seqno``; the
+        reply names this log's, as ``stats`` does."""
+        donor = durable_service(tmp_path / "donor")
+        for seed in range(3):
+            donor.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=seed),
+                         side="data")
+        other = tmp_path / "other.sketch"
+        donor.save(other)
+        donor.detach_wal()
+        wal_dir = tmp_path / "wal"
+        service = durable_service(wal_dir)
+        service.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=29),
+                       side="data")
+        with served(service) as (handle, client):
+            reply = client.reload(str(other))
+            assert reply["wal_seqno"] == 3
+            assert reply["wal_seqno"] == client.stats()["wal"]["last_seqno"]
+            # The base itself: base + tail, as a restart recovers it.
+            reply = client.reload()
+            assert reply["wal_seqno"] == client.stats()["wal"]["last_seqno"]
+            # A checkpoint that names the base is a checkpoint.
+            base = default_checkpoint_path(wal_dir)
+            assert client.request(protocol.build(
+                "snapshot", checkpoint=True, path=base))["path"] == base
