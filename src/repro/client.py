@@ -122,25 +122,21 @@ class RequestVerbs:
     def ping(self) -> dict:
         return self.request(protocol.build("ping"))
 
-    def tenant(self, action: str, tenant: str | None = None,
-               **fields: Any) -> dict:
+    def tenant(self, action: str, **fields: Any) -> dict:
         """Tenant-registry administration (``create``/``list``/``describe``/
-        ``update``/``disable``/``enable``/``remove``).
+        ``update``/``disable``/``enable``/``remove``; ``tenant=`` names the
+        tenant).
 
         Requires an admin-authenticated connection, except ``describe``
         of the connection's own tenant.
         """
-        return self.request(protocol.build("tenant", action=action,
-                                           tenant=tenant, **fields))
+        return self.request(protocol.build("tenant", action=action, **fields))
 
     def register(self, name: str, *, family: str, sizes: Sequence[int],
-                 instances: int = 256, seed: int = 0,
-                 max_levels: Sequence[int | None] | None = None,
-                 **options: Any) -> dict:
+                 instances: int = 256, seed: int = 0, **options: Any) -> dict:
         return self.request(protocol.build(
             "register", name=name, family=family, sizes=list(sizes),
-            instances=instances, seed=seed, options=options,
-            max_levels=None if max_levels is None else list(max_levels)))
+            instances=instances, seed=seed, options=options))
 
     def unregister(self, name: str) -> dict:
         return self.request(protocol.build("unregister", name=name))
@@ -359,12 +355,6 @@ class ServiceClient(RequestVerbs):
         reply = self.request(protocol.build("auth", token=token))
         self.token = token
         return reply
-
-    def quit(self) -> None:
-        try:
-            self.request(protocol.build("quit"))
-        except (ProtocolError, OSError):
-            pass
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -30,16 +30,22 @@ and merging worker states is the same linear fold the sharded store
 already performs in-process.
 """
 
-from repro.cluster.connection import WorkerLink
-from repro.cluster.fleet import LocalFleet, spawn_worker
-from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
-from repro.cluster.partial import merge_partial_states, reduce_partials
-from repro.cluster.router import ClusterRouter, RouterConfig
+import importlib
+
+#: Where each re-export lives.  A name's module loads on first use, so a
+#: ``cluster route`` process never loads the fleet spawner or a loop thread.
+_HOMES = {
+    "repro.cluster.connection": ("WorkerLink",),
+    "repro.cluster.fleet": ("LocalFleet", "spawn_worker"),
+    "repro.cluster.manager": ("ClusterManager", "WorkerInfo"),
+    "repro.cluster.partial": ("merge_partial_states", "reduce_partials"),
+    "repro.cluster.router": ("ClusterRouter", "RouterConfig"),
+    "repro.cluster.runner": ("ThreadedClusterRouter",),
+}
 
 __all__ = [
     "WorkerLink",
     "ClusterManager",
-    "HeartbeatConfig",
     "WorkerInfo",
     "merge_partial_states",
     "reduce_partials",
@@ -52,9 +58,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Loaded on first use: a ``cluster route`` process runs no loop thread.
-    if name == "ThreadedClusterRouter":
-        from repro.cluster.runner import ThreadedClusterRouter
-
-        return ThreadedClusterRouter
+    for module, names in _HOMES.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(module), name)
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -147,22 +147,19 @@ class LocalFleet:
             ...
     """
 
-    def __init__(self, count: int, *, shards: int = 4) -> None:
+    def __init__(self, count: int) -> None:
         if count < 1:
             raise ServiceError("a fleet needs at least one worker")
         self.count = int(count)
-        self._spawn_kwargs = dict(shards=shards)
         self.workers: list[WorkerProcess] = []
 
     def start(self) -> "LocalFleet":
-        self.workers += spawn_workers([self._spawn_kwargs] * self.count)
+        self.workers += spawn_workers([{}] * self.count)
         return self
 
     def spawn_extra(self, **overrides) -> WorkerProcess:
         """One more worker (e.g. an empty process to bootstrap as replica)."""
-        kwargs = dict(self._spawn_kwargs)
-        kwargs.update(overrides)
-        worker = spawn_worker(**kwargs)
+        worker = spawn_worker(**overrides)
         self.workers.append(worker)
         return worker
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from repro.cluster.connection import WorkerLink
 from repro.errors import ReproError, ServiceError
 from repro.server import protocol
+from repro.server.front import WriteGate
 
 
 @dataclass
@@ -54,63 +55,26 @@ class WorkerInfo:
         return self.replica_of if self.replica_of is not None else self.name
 
 
-@dataclass
-class HeartbeatConfig:
-    interval: float = 1.0
-    max_failures: int = 3
-    timeout: float = 5.0
-
-
-class _WriteGate:
-    """Writes to one owner group share it; a replica bootstrap holds it
-    alone, from the source's snapshot until the replica has reloaded it."""
-
-    def __init__(self) -> None:
-        self.writes = 0
-        self.held = False
-        self.changed = asyncio.Condition()
-
-    @contextlib.asynccontextmanager
-    async def write(self):
-        async with self.changed:
-            await self.changed.wait_for(lambda: not self.held)
-            self.writes += 1
-        try:
-            yield
-        finally:
-            async with self.changed:
-                self.writes -= 1
-                self.changed.notify_all()
-
-    @contextlib.asynccontextmanager
-    async def hold(self):
-        async with self.changed:
-            await self.changed.wait_for(lambda: not self.held)
-            self.held = True  # new writes wait from here on
-        try:
-            async with self.changed:
-                await self.changed.wait_for(lambda: not self.writes)
-            yield
-        finally:
-            async with self.changed:
-                self.held = False
-                self.changed.notify_all()
+#: Seconds between two heartbeat rounds.
+HEARTBEAT_INTERVAL_S = 1.0
+#: Missed pings in a row that take a worker out of rotation.
+HEARTBEAT_MAX_FAILURES = 3
+#: Seconds one heartbeat ping may take.
+HEARTBEAT_TIMEOUT_S = 5.0
 
 
 class ClusterManager:
     """Topology and health of one worker fleet."""
 
-    def __init__(self, *, heartbeat: HeartbeatConfig | None = None,
-                 request_timeout: float = 60.0,
+    def __init__(self, *, request_timeout: float = 60.0,
                  worker_token: str | None = None) -> None:
-        self.heartbeat = heartbeat or HeartbeatConfig()
         self.request_timeout = request_timeout
         #: Admin token presented on every worker link when the fleet runs
         #: with tenancy enforced (workers started with --admin-token).
         self.worker_token = worker_token
         self._workers: dict[str, WorkerInfo] = {}
         self._round_robin: dict[str, int] = {}
-        self._gates: dict[str, _WriteGate] = {}
+        self._gates: dict[str, WriteGate] = {}
         self._heartbeat_task: asyncio.Task | None = None
 
     # -- membership ---------------------------------------------------------------
@@ -163,24 +127,21 @@ class ClusterManager:
         self._workers[name] = info
         return info
 
-    async def replace_worker(self, name: str, host: str, port: int, *,
-                             data: str | bytes | None = None) -> WorkerInfo:
+    async def replace_worker(self, name: str, host: str, port: int) -> WorkerInfo:
         """Point a (typically dead) worker name at a replacement process.
 
         The partition is keyed by *name*, so replacing keeps every
         worker's share of ingest — no data movement on the surviving
-        workers.  The replacement reloads ``data`` (a stored snapshot,
-        raw or base64) when given, else the snapshot of a healthy member
-        of its owner group, else starts empty.  Writes to the group wait
-        from that fetch until the replacement is live, so none lands
-        between the two.
+        workers.  The replacement reloads the snapshot of a healthy member
+        of its owner group, else keeps what it started with.  Writes to the
+        group wait from that fetch until the replacement is live, so none
+        lands between the two.
         """
         old = self.worker(name)
         async with self._gate(old.owner).hold():
             source = next((info.name for info in self.writers(old.owner)
                            if info.name != name), None)
-            if data is None and source is not None:
-                data = await self.fetch_snapshot(source)
+            data = None if source is None else await self.fetch_snapshot(source)
             link = await self._connect(host, port, data=data)
             await old.link.close()
             fresh = WorkerInfo(name=name, host=host, port=int(port), link=link,
@@ -198,8 +159,8 @@ class ClusterManager:
             protocol.build("snapshot", fetch=True))
         return reply["data"]
 
-    def _gate(self, owner: str) -> _WriteGate:
-        return self._gates.setdefault(owner, _WriteGate())
+    def _gate(self, owner: str) -> WriteGate:
+        return self._gates.setdefault(owner, WriteGate())
 
     def writing(self, owner: str):
         """Enter around one write to ``owner``'s group: it waits while a
@@ -269,10 +230,10 @@ class ClusterManager:
         async def ping(info: WorkerInfo) -> None:
             try:
                 await info.link.request_ok({"op": "ping"},
-                                           timeout=self.heartbeat.timeout)
+                                           timeout=HEARTBEAT_TIMEOUT_S)
             except Exception:
                 info.failures += 1
-                if info.failures >= self.heartbeat.max_failures:
+                if info.failures >= HEARTBEAT_MAX_FAILURES:
                     info.healthy = False
             else:
                 if info.healthy:
@@ -292,7 +253,7 @@ class ClusterManager:
 
     async def _heartbeat_loop(self) -> None:
         while True:
-            await asyncio.sleep(self.heartbeat.interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
             with contextlib.suppress(Exception):
                 await self.heartbeat_once()
 

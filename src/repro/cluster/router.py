@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cluster.manager import ClusterManager, HeartbeatConfig, WorkerInfo
+from repro.cluster.manager import ClusterManager, WorkerInfo
 from repro.cluster.partial import merge_partial_states
 from repro.core.hashing import sign_table_stats
 from repro.core.program import default_executor
@@ -76,12 +76,10 @@ class ClusterRouter(ServingFront):
 
     _PING_FIELDS = {"cluster": True}
 
-    def __init__(self, *, config: RouterConfig | None = None,
-                 heartbeat: HeartbeatConfig | None = None,
-                 registry=None) -> None:
+    def __init__(self, *, config: RouterConfig | None = None) -> None:
         super().__init__(config or RouterConfig())
         self.manager = ClusterManager(
-            heartbeat=heartbeat, request_timeout=self.config.request_timeout,
+            request_timeout=self.config.request_timeout,
             worker_token=self.config.worker_token)
         # name -> (spec, template): one resident empty estimator per spec.
         # Scatter-gather reduces against companions of the template, so the
@@ -91,8 +89,9 @@ class ClusterRouter(ServingFront):
         # Tenancy: the router is the authenticating edge of a fleet — it
         # holds the registry, charges quotas, and forwards tenant identity
         # (already-namespaced names + a ``tenant`` label) over its
-        # admin-authenticated worker links.
-        self.tenants = registry
+        # admin-authenticated worker links.  The first ``tenant create``
+        # attaches one.
+        self.tenants = None
         self.coalescer = _ScatterCoalescer(  # its defaults: no router knob
             lambda: self, executor=self._executor)
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import socket
 from typing import Sequence
 
-from repro.cluster.manager import ClusterManager, HeartbeatConfig
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.manager import ClusterManager
+from repro.cluster.router import ClusterRouter
 from repro.server.runner import FrontThread
 
 
@@ -26,12 +26,8 @@ class ThreadedClusterRouter(FrontThread):
     """
 
     def __init__(self, workers: Sequence[tuple[str, int]] = (), *,
-                 config: RouterConfig | None = None,
-                 heartbeat: HeartbeatConfig | None = None,
-                 start_heartbeat: bool = True,
-                 registry=None) -> None:
-        self.router = ClusterRouter(config=config, heartbeat=heartbeat,
-                                    registry=registry)
+                 start_heartbeat: bool = True) -> None:
+        self.router = ClusterRouter()
         super().__init__(self.router)
         self._workers = list(workers)
         self._start_heartbeat = start_heartbeat

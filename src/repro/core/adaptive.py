@@ -16,8 +16,6 @@ degenerates to the standard (non-dyadic) sketches.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.atomic import Letter, all_words
 from repro.core.domain import Domain
 from repro.core.selfjoin import dataset_self_join_size
@@ -31,10 +29,7 @@ def candidate_levels(domain: Domain) -> list[int]:
     return list(range(height + 1))
 
 
-def choose_max_level(sample: BoxSet, domain: Domain, *,
-                     levels: list[int] | None = None,
-                     min_level: int | None = None,
-                     update_cost_weight: float = 0.0) -> int:
+def choose_max_level(sample: BoxSet, domain: Domain) -> int:
     """Pick a uniform maxLevel for all dimensions from a data sample.
 
     The score is the sample's own self-join size over the join words
@@ -49,44 +44,11 @@ def choose_max_level(sample: BoxSet, domain: Domain, *,
         A (sub)sample of the dataset; only its side-length distribution and
         coordinate placement matter.
     domain:
-        The data space.
-    levels:
-        Candidate levels; defaults to all levels of the domain.
-    min_level:
-        Optional lower bound on the returned level (e.g. to cap the update
-        cost of very long objects).
-    update_cost_weight:
-        Optional weight that penalises the per-object cover size (update
-        cost); 0 optimises purely for self-join size / estimate variance.
+        The data space; every level of it is a candidate.
     """
     if len(sample) == 0:
         raise SketchConfigError("cannot choose a max level from an empty sample")
-    if levels is None:
-        levels = candidate_levels(domain)
-    if min_level is not None:
-        levels = [lvl for lvl in levels if lvl >= min_level]
-    if not levels:
-        raise SketchConfigError("no candidate levels to choose from")
-
     words = all_words([Letter.INTERVAL, Letter.ENDPOINTS], domain.dimension)
-    best_level = levels[0]
-    best_score = None
-    for level in levels:
-        restricted = domain.with_max_level(level)
-        score = dataset_self_join_size(sample, restricted, words)
-        if update_cost_weight:
-            score += update_cost_weight * _average_cover_size(sample, restricted)
-        if best_score is None or score < best_score:
-            best_score = score
-            best_level = level
-    return best_level
-
-
-def _average_cover_size(sample: BoxSet, domain: Domain) -> float:
-    """Average number of dyadic intervals needed to cover an object."""
-    total = 0
-    for dim in range(domain.dimension):
-        _, lengths = domain.dyadic(dim).covers(sample.lows[:, dim], sample.highs[:, dim])
-        total += int(np.sum(lengths))
-    return total / max(1, len(sample))
+    return min(candidate_levels(domain), key=lambda level: dataset_self_join_size(
+        sample, domain.with_max_level(level), words))
 

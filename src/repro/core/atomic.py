@@ -442,11 +442,6 @@ class SketchBank:
             self._insert_chunk(sources, start, stop, weight)
         self._updates += float(weight) * count
 
-    def delete(self, boxes: BoxSet, *,
-               letter_boxes: Mapping[Letter, BoxSet] | None = None) -> None:
-        """Remove previously inserted boxes (sketches are linear projections)."""
-        self.insert(boxes, weight=-1.0, letter_boxes=letter_boxes)
-
     def prepay_tables(self) -> None:
         """Build now what a first :meth:`insert` would build inside it.
 

@@ -86,26 +86,24 @@ def plan_boosting(epsilon: float, phi: float, variance_bound: float,
     return BoostingPlan(group_size=k1, num_groups=k2, epsilon=epsilon, phi=phi)
 
 
-def split_instances(total: int, *, num_groups: int | None = None) -> BoostingPlan:
+def split_instances(total: int) -> BoostingPlan:
     """A reasonable (k1, k2) split for a given total instance budget.
 
     Used by fixed-space experiments where the number of instances is imposed
     by a word budget rather than by an (epsilon, phi) target.  The number of
-    groups defaults to a small odd number so the median is well defined and
-    most of the budget goes into averaging.
+    groups is a small odd number so the median is well defined and most of
+    the budget goes into averaging.
     """
     if total < 1:
         raise SketchConfigError("at least one instance is required")
-    if num_groups is None:
-        if total >= 45:
-            num_groups = 9
-        elif total >= 15:
-            num_groups = 5
-        elif total >= 3:
-            num_groups = 3
-        else:
-            num_groups = 1
-    num_groups = min(num_groups, total)
+    if total >= 45:
+        num_groups = 9
+    elif total >= 15:
+        num_groups = 5
+    elif total >= 3:
+        num_groups = 3
+    else:
+        num_groups = 1
     group_size = total // num_groups
     return BoostingPlan(group_size=group_size, num_groups=num_groups)
 

@@ -49,9 +49,9 @@ class Domain:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def square(cls, size: int, dimension: int, *, max_level: int | None = None) -> "Domain":
+    def square(cls, size: int, dimension: int) -> "Domain":
         """A domain with the same size in every dimension."""
-        return cls((size,) * dimension, max_levels=max_level)
+        return cls((size,) * dimension)
 
     # -- accessors --------------------------------------------------------------
 

@@ -324,9 +324,10 @@ class SketchEstimator:
         """One boosted estimate: ``estimate_batch([query])[0]``."""
         return self.estimate_batch([query])[0]
 
-    def instance_values(self, query=None) -> np.ndarray:
-        """The per-instance estimator values Z of one estimate (before boosting)."""
-        return self.estimate(query).instance_values
+    def instance_values(self) -> np.ndarray:
+        """The per-instance estimator values Z of one query-less estimate
+        (before boosting)."""
+        return self.estimate().instance_values
 
 
 class QuerylessProgramEstimator(SketchEstimator):

@@ -46,17 +46,15 @@ def stable_text_hash(parts: Sequence[str]) -> int:
     return zlib.crc32("::".join(parts).encode("utf-8"))
 
 
-def stable_seed_offset(parts: Sequence[str], *, modulus: int = 100_000) -> int:
-    """A deterministic per-name-tuple seed offset in ``[0, modulus)``.
+def stable_seed_offset(parts: Sequence[str]) -> int:
+    """A deterministic per-name-tuple seed offset in ``[0, 100 000)``.
 
     Used by the engine's synopsis managers to give every relation pair its
     own xi families while keeping the derivation reproducible: two processes
     derive identical seeds for the same names, so their sketches stay
     merge-compatible.
     """
-    if modulus < 1:
-        raise SketchConfigError("seed modulus must be positive")
-    return stable_text_hash(parts) % modulus
+    return stable_text_hash(parts) % 100_000
 
 #: Prime modulus for the polynomial hash.  ``p = 2^31 - 1`` keeps every
 #: intermediate product below 2^62, so the whole evaluation stays inside

@@ -55,14 +55,6 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
                          sketch_domain=doubled,
                          words=([self._outer_word], [self._inner_word]))
 
-    @property
-    def outer_count(self) -> int:
-        return self._cardinality["outer"]
-
-    @property
-    def inner_count(self) -> int:
-        return self._cardinality["inner"]
-
     # -- the dimension-doubling transformation -----------------------------------------
 
     def _prepare(self, side: str, boxes: BoxSet) -> Prepared:

@@ -145,9 +145,6 @@ class RangeQueryEstimator(SketchEstimator):
     def insert(self, boxes: BoxSet) -> None:
         self.update("data", boxes)
 
-    def delete(self, boxes: BoxSet) -> None:
-        self.update("data", boxes, -1.0)
-
     # -- estimation -----------------------------------------------------------------------
 
     def check_queries(self, queries) -> tuple[BoxSet, dict[int, QueryError]]:

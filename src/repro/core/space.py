@@ -25,17 +25,14 @@ SEED_WORDS_PER_DIMENSION = 4
 """Words needed to store one degree-3 polynomial seed."""
 
 
-def sketch_words_per_instance(dimension: int, *, counters_per_instance: int | None = None,
-                              share_seed: bool = True) -> float:
+def sketch_words_per_instance(dimension: int, *,
+                              counters_per_instance: int | None = None) -> float:
     """Words charged to one dataset for a single atomic-sketch instance."""
     if dimension < 1:
         raise SketchConfigError("dimension must be at least 1")
     if counters_per_instance is None:
         counters_per_instance = 2 ** dimension
-    seed_words = SEED_WORDS_PER_DIMENSION * dimension
-    if share_seed:
-        seed_words = seed_words / 2
-    return counters_per_instance + seed_words
+    return counters_per_instance + SEED_WORDS_PER_DIMENSION * dimension / 2
 
 
 def sketch_words(dimension: int, num_instances: int, *,
@@ -45,13 +42,9 @@ def sketch_words(dimension: int, num_instances: int, *,
         dimension, counters_per_instance=counters_per_instance)
 
 
-def instances_for_budget(budget_words: float, dimension: int, *,
-                         counters_per_instance: int | None = None,
-                         share_seed: bool = True) -> int:
+def instances_for_budget(budget_words: float, dimension: int) -> int:
     """Largest number of atomic-sketch instances that fits in a word budget."""
-    per_instance = sketch_words_per_instance(
-        dimension, counters_per_instance=counters_per_instance, share_seed=share_seed
-    )
+    per_instance = sketch_words_per_instance(dimension)
     instances = int(budget_words // per_instance)
     if instances < 1:
         raise SketchConfigError(

@@ -108,29 +108,13 @@ def generate_rectangles(count: int, domain: Domain, *, skew: float | tuple[float
     return BoxSet(lows, highs)
 
 
-def generate_points(count: int, domain: Domain, *, clusters: int = 0,
-                    rng=None) -> PointSet:
-    """Generate ``count`` points, optionally clustered.
-
-    With ``clusters = 0`` coordinates are independent and uniform per
-    dimension; otherwise points are drawn around ``clusters`` Gaussian
-    cluster centres of standard deviation ``min(sizes) / (4 * clusters)``
-    (useful for epsilon-join workloads).
-    """
+def generate_points(count: int, domain: Domain, *, rng=None) -> PointSet:
+    """Generate ``count`` points, each coordinate independent and uniform
+    per dimension."""
     _check_count(count)
     rng = _resolve_rng(rng)
     dimension = domain.dimension
     sizes = np.asarray(domain.requested_sizes, dtype=np.int64)
-
-    if clusters > 0:
-        cluster_spread = float(np.min(sizes)) / (4.0 * clusters)
-        centres = rng.integers(0, sizes, size=(clusters, dimension))
-        assignment = rng.integers(0, clusters, size=count)
-        noise = rng.normal(scale=cluster_spread, size=(count, dimension))
-        coords = centres[assignment] + np.round(noise).astype(np.int64)
-        coords = np.clip(coords, 0, sizes - 1)
-        return PointSet(coords)
-
     coords = np.empty((count, dimension), dtype=np.int64)
     for dim in range(dimension):
         coords[:, dim] = zipf_sample(count, int(sizes[dim]), 0.0, rng)

@@ -2,7 +2,7 @@
 
 This package provides the SDBMS context that motivates the paper: spatial
 relations with streaming maintenance, join sketches per relation pair that
-are kept up to date under inserts and deletes, and an optimizer that orders
+are kept up to date under inserts, and an optimizer that orders
 multi-way joins by C_out — the sum of the intermediate cardinalities the
 sketches estimate.
 

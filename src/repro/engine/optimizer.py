@@ -167,7 +167,7 @@ class Optimizer:
 
     # -- execution --------------------------------------------------------------------------------
 
-    def execute_plan(self, plan: JoinPlan, *, closed: bool = False) -> PlanExecution:
+    def execute_plan(self, plan: JoinPlan) -> PlanExecution:
         """Execute a left-deep plan exactly, counting every intermediate result."""
         relations = [self._catalog.get(name) for name in plan.order]
         first = relations[0].boxes()
@@ -183,7 +183,7 @@ class Optimizer:
                 hi = highs[start:start + _PROBE_CHUNK]
                 rows, matches = np.nonzero(np.all(overlaps(
                     lo[:, None, :], hi[:, None, :], boxes.lows[None, :, :],
-                    boxes.highs[None, :, :], closed=closed), axis=2))
+                    boxes.highs[None, :, :]), axis=2))
                 new_lows.append(np.maximum(lo[rows], boxes.lows[matches]))
                 new_highs.append(np.minimum(hi[rows], boxes.highs[matches]))
             lows = np.concatenate(new_lows)

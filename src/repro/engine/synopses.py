@@ -1,10 +1,10 @@
-"""Per-relation synopses maintained under inserts and deletes.
+"""Per-relation synopses maintained under inserts.
 
 The :class:`SynopsisManager` is the glue between the engine and the
 estimation techniques of :mod:`repro.core`: ``join_sketch(left, right)``
 lazily builds a :class:`~repro.core.join_hyperrect.SpatialJoinEstimator`
 for a relation pair, back-fills it with the relations' current contents
-and from then on keeps it current by listening to relation mutations.
+and from then on keeps it current by listening to relation inserts.
 The overlap join is symmetric, so a pair has one sketch whichever way
 round it is asked for.  The sketches are linear, so each update is one
 counter add and the estimator always summarises exactly what its
@@ -28,16 +28,13 @@ from repro.geometry.boxset import BoxSet
 
 @dataclass(frozen=True, eq=False)
 class _SideListener:
-    """Feeds one relation's mutations into one side of a pair's estimator."""
+    """Feeds one relation's inserts into one side of a pair's estimator."""
 
     estimator: SpatialJoinEstimator
     side: str
 
     def on_insert(self, relation: SpatialRelation, boxes: BoxSet) -> None:
         self.estimator.update(self.side, boxes, 1)
-
-    def on_delete(self, relation: SpatialRelation, boxes: BoxSet) -> None:
-        self.estimator.update(self.side, boxes, -1)
 
 
 class SynopsisManager:
@@ -67,7 +64,7 @@ class SynopsisManager:
                     right: SpatialRelation) -> SpatialJoinEstimator:
         """The live estimator of a relation pair (``join_sketch(b, a) is
         join_sketch(a, b)``): built and back-filled on first use, then
-        updated in place by every mutation of either relation."""
+        updated in place by every insert into either relation."""
         if left.name == right.name:
             raise EngineError("a join sketch needs two distinct relations")
         if right.name < left.name:

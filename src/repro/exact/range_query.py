@@ -15,16 +15,13 @@ def _query_bounds(query: BoxSet) -> tuple[np.ndarray, np.ndarray]:
     return query.lows[0], query.highs[0]
 
 
-def range_query_mask(data: BoxSet, query: BoxSet, *, closed: bool = True) -> np.ndarray:
-    """Boolean mask of the data rectangles selected by the query."""
+def range_query_count(data: BoxSet, query: BoxSet) -> int:
+    """Number of data rectangles overlapping the query rectangle, boundaries
+    included (the closed rule)."""
+    if len(data) == 0:
+        return 0
     q_lo, q_hi = _query_bounds(query)
     if data.dimension != len(q_lo):
         raise DimensionalityError("query dimensionality does not match the data")
-    return np.all(overlaps(data.lows, data.highs, q_lo, q_hi, closed=closed), axis=1)
-
-
-def range_query_count(data: BoxSet, query: BoxSet, *, closed: bool = True) -> int:
-    """Number of data rectangles overlapping the query rectangle."""
-    if len(data) == 0:
-        return 0
-    return int(np.count_nonzero(range_query_mask(data, query, closed=closed)))
+    return int(np.count_nonzero(np.all(
+        overlaps(data.lows, data.highs, q_lo, q_hi, closed=True), axis=1)))

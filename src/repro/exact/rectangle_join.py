@@ -29,14 +29,14 @@ from repro.geometry.boxset import BoxSet
 from repro.geometry.predicates import overlaps, proper_mask
 
 
-def brute_force_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False,
-                           chunk_size: int = 512) -> int:
-    """All-pairs join count evaluated in chunks (any dimensionality)."""
+def brute_force_join_count(left: BoxSet, right: BoxSet, *, closed: bool = False) -> int:
+    """All-pairs join count evaluated in chunks of 512 left boxes (any
+    dimensionality)."""
     if left.dimension != right.dimension:
         raise DimensionalityError("inputs have different dimensionality")
     total = 0
-    for start in range(0, len(left), chunk_size):
-        stop = min(start + chunk_size, len(left))
+    for start in range(0, len(left), 512):
+        stop = min(start + 512, len(left))
         hits = overlaps(left.lows[start:stop, None, :], left.highs[start:stop, None, :],
                         right.lows[None, :, :], right.highs[None, :, :], closed=closed)
         total += int(np.count_nonzero(np.all(hits, axis=2)))

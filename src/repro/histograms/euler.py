@@ -54,21 +54,18 @@ class EulerHistogram(GridHistogram):
 
     # -- maintenance --------------------------------------------------------------
 
-    def insert(self, boxes: BoxSet, *, weight: float = 1.0) -> None:
-        """Add (or remove, with ``weight=-1``) the objects' contributions."""
+    def insert(self, boxes: BoxSet) -> None:
+        """Add the objects' contributions."""
         self._check(boxes)
         lows = boxes.lows.astype(np.float64)
         highs = boxes.highs.astype(np.float64) + 1.0
         first, last = self._cell_range(boxes.lows, boxes.highs)
         for index in range(len(boxes)):
-            self._insert_one(lows[index], highs[index], first[index], last[index], weight)
-        self._count += int(np.sign(weight)) * len(boxes)
-
-    def delete(self, boxes: BoxSet) -> None:
-        self.insert(boxes, weight=-1.0)
+            self._insert_one(lows[index], highs[index], first[index], last[index])
+        self._count += len(boxes)
 
     def _insert_one(self, lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
-                    last: np.ndarray, weight: float) -> None:
+                    last: np.ndarray) -> None:
         cw, ch = float(self._cell_extent[0]), float(self._cell_extent[1])
         i0, i1 = int(first[0]), int(last[0])
         j0, j1 = int(first[1]), int(last[1])
@@ -84,9 +81,9 @@ class EulerHistogram(GridHistogram):
             for oj, j in enumerate(range(j0, j1 + 1)):
                 if clip_ws[oi] <= 0 or clip_hs[oj] <= 0:
                     continue
-                self._cell_count[i, j] += weight
-                self._cell_width[i, j] += weight * clip_ws[oi]
-                self._cell_height[i, j] += weight * clip_hs[oj]
+                self._cell_count[i, j] += 1
+                self._cell_width[i, j] += clip_ws[oi]
+                self._cell_height[i, j] += clip_hs[oj]
 
         # Vertical interior boundaries strictly crossed by the object.
         for i in range(i0, i1):
@@ -96,8 +93,8 @@ class EulerHistogram(GridHistogram):
             for oj, j in enumerate(range(j0, j1 + 1)):
                 if clip_hs[oj] <= 0:
                     continue
-                self._vedge_count[i, j] += weight
-                self._vedge_length[i, j] += weight * clip_hs[oj]
+                self._vedge_count[i, j] += 1
+                self._vedge_length[i, j] += clip_hs[oj]
 
         # Horizontal interior boundaries strictly crossed by the object.
         for j in range(j0, j1):
@@ -107,8 +104,8 @@ class EulerHistogram(GridHistogram):
             for oi, i in enumerate(range(i0, i1 + 1)):
                 if clip_ws[oi] <= 0:
                     continue
-                self._hedge_count[i, j] += weight
-                self._hedge_length[i, j] += weight * clip_ws[oi]
+                self._hedge_count[i, j] += 1
+                self._hedge_length[i, j] += clip_ws[oi]
 
         # Interior vertices covered by the object's interior.
         for i in range(i0, i1):
@@ -118,7 +115,7 @@ class EulerHistogram(GridHistogram):
             for j in range(j0, j1):
                 y_boundary = (j + 1) * ch
                 if lo[1] < y_boundary < hi[1]:
-                    self._vertex_count[i, j] += weight
+                    self._vertex_count[i, j] += 1
 
     # -- join estimation ---------------------------------------------------------------------
 

@@ -44,22 +44,19 @@ class GeometricHistogram(GridHistogram):
 
     # -- maintenance -------------------------------------------------------------
 
-    def insert(self, boxes: BoxSet, *, weight: float = 1.0) -> None:
-        """Add (or, with ``weight=-1``, remove) the objects' contributions."""
+    def insert(self, boxes: BoxSet) -> None:
+        """Add the objects' contributions."""
         self._check(boxes)
         lows = boxes.lows.astype(np.float64)
         # The closed integer box [lo, hi] covers the real extent [lo, hi + 1).
         highs = boxes.highs.astype(np.float64) + 1.0
         first, last = self._cell_range(boxes.lows, boxes.highs)
         for index in range(len(boxes)):
-            self._insert_one(lows[index], highs[index], first[index], last[index], weight)
-        self._count += int(np.sign(weight)) * len(boxes)
-
-    def delete(self, boxes: BoxSet) -> None:
-        self.insert(boxes, weight=-1.0)
+            self._insert_one(lows[index], highs[index], first[index], last[index])
+        self._count += len(boxes)
 
     def _insert_one(self, lo: np.ndarray, hi: np.ndarray, first: np.ndarray,
-                    last: np.ndarray, weight: float) -> None:
+                    last: np.ndarray) -> None:
         for i in range(int(first[0]), int(last[0]) + 1):
             x_lo, x_hi, _, _ = self._cell_bounds(i, 0)
             clip_w = min(hi[0], x_hi) - max(lo[0], x_lo)
@@ -74,14 +71,14 @@ class GeometricHistogram(GridHistogram):
                 corner_y = y_lo <= lo[1] < y_hi, y_lo <= hi[1] <= y_hi
                 corners = (int(corner_x[0]) + int(corner_x[1])) * \
                           (int(corner_y[0]) + int(corner_y[1]))
-                self._corners[i, j] += weight * corners
-                self._areas[i, j] += weight * clip_w * clip_h
+                self._corners[i, j] += corners
+                self._areas[i, j] += clip_w * clip_h
                 # Vertical edges of the object run at x = lo and x = hi; each
                 # contributes its clipped length if that x lies in the cell.
                 vertical = clip_h * (int(corner_x[0]) + int(corner_x[1]))
                 horizontal = clip_w * (int(corner_y[0]) + int(corner_y[1]))
-                self._vertical[i, j] += weight * vertical
-                self._horizontal[i, j] += weight * horizontal
+                self._vertical[i, j] += vertical
+                self._horizontal[i, j] += horizontal
 
     # -- estimation ------------------------------------------------------------------
 

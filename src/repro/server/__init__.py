@@ -27,24 +27,24 @@ on one connection, each reply in its request's format; see the README's
 The matching synchronous client lives in :mod:`repro.client`.
 """
 
-from repro.server.coalescer import CoalescerStats, EstimateCoalescer
-from repro.server.metrics import ServerMetrics
-from repro.server.protocol import (
-    MAX_LINE_BYTES,
-    OPS,
-    PROTOCOL_VERSION,
-    boxes_from_rows,
-    boxes_to_rows,
-    decode,
-    encode,
-    error_payload,
-    estimate_fields,
-    ok_payload,
-    raise_for_response,
-)
-from repro.server.front import serve
-from repro.server.server import ServerConfig, SketchServer
-from repro.server.wire import WIRE_BINARY, WIRE_FORMATS, WIRE_NDJSON
+import importlib
+
+#: Where each re-export lives.  A name's module loads on first use, so a
+#: process loads only what it touches: a router never loads the local
+#: server, and a ``serve`` process never runs a loop thread.
+_HOMES = {
+    "repro.server.coalescer": ("CoalescerStats", "EstimateCoalescer"),
+    "repro.server.metrics": ("ServerMetrics",),
+    "repro.server.protocol": (
+        "MAX_LINE_BYTES", "OPS", "PROTOCOL_VERSION", "boxes_from_rows", "boxes_to_rows",
+        "decode", "encode", "error_payload", "estimate_fields", "ok_payload",
+        "raise_for_response",
+    ),
+    "repro.server.front": ("serve",),
+    "repro.server.server": ("ServerConfig", "SketchServer"),
+    "repro.server.wire": ("WIRE_BINARY", "WIRE_FORMATS", "WIRE_NDJSON"),
+    "repro.server.runner": ("ThreadedServer",),
+}
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -72,9 +72,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    # Loaded on first use: a ``serve`` process never runs a loop thread.
-    if name == "ThreadedServer":
-        from repro.server.runner import ThreadedServer
-
-        return ThreadedServer
+    for module, names in _HOMES.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(module), name)
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

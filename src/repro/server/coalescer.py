@@ -9,10 +9,10 @@ name per batch, :mod:`repro.cluster.router`).  Since the compiled-program layer
 (:mod:`repro.core.program`) the bucket is **cross-estimator**: a mixed
 workload of N requests over K estimators coalesces into *one*
 :meth:`~repro.service.service.EstimationService.answer_multi` dispatch
-instead of K per-estimator batches — letter-sum work is shared across
-queries and estimator families, and the whole dispatch pays one reduction
-pass.  Result ``j`` of a dispatch is bit-identical to the scalar estimate
-of request ``j``, so coalescing is invisible to clients except in latency.
+instead of K per-estimator batches: one executor call per batch, in which
+each name's program de-duplicates its own letter sums.  Result ``j`` of a
+dispatch is bit-identical to the scalar estimate of request ``j``, so
+coalescing is invisible to clients except in latency.
 
 The shared bucket dispatches when either
 

@@ -56,6 +56,44 @@ class FrontConfig:
     admin_token: str | None = None  # grants the unscoped administrative role
 
 
+class WriteGate:
+    """Writes share it; a step that must see no write in flight holds it
+    alone — a replica bootstrap from the source's snapshot until the
+    replica has reloaded it, a server ``reload`` from before its WAL
+    writer moves until the new service is swapped in."""
+
+    def __init__(self) -> None:
+        self.writes = 0
+        self.held = False
+        self.changed = asyncio.Condition()
+
+    @contextlib.asynccontextmanager
+    async def write(self):
+        async with self.changed:
+            await self.changed.wait_for(lambda: not self.held)
+            self.writes += 1
+        try:
+            yield
+        finally:
+            async with self.changed:
+                self.writes -= 1
+                self.changed.notify_all()
+
+    @contextlib.asynccontextmanager
+    async def hold(self):
+        async with self.changed:
+            await self.changed.wait_for(lambda: not self.held)
+            self.held = True  # new writes wait from here on
+        try:
+            async with self.changed:
+                await self.changed.wait_for(lambda: not self.writes)
+            yield
+        finally:
+            async with self.changed:
+                self.held = False
+                self.changed.notify_all()
+
+
 class ServingFront:
     """Connections, auth, admission, dispatch and tenant administration.
 

@@ -64,7 +64,7 @@ class TenantCounters:
 class ServerMetrics:
     """Counters and latency samples of one running server."""
 
-    def __init__(self, *, window: int = SAMPLE_WINDOW) -> None:
+    def __init__(self) -> None:
         self.started_at = time.monotonic()
         self.requests: Counter[str] = Counter()
         self.errors: Counter[str] = Counter()
@@ -77,8 +77,7 @@ class ServerMetrics:
                                    "bytes_out"), 0)
             for format in WIRE_FORMATS}
         # (monotonic completion time, latency seconds) of recent estimates.
-        self.latencies: deque[tuple[float, float]] = deque(maxlen=window)
-        self._window = int(window)
+        self.latencies: deque[tuple[float, float]] = deque(maxlen=SAMPLE_WINDOW)
         # Per-tenant request/error/latency accounting ({tenant=...} labels).
         self.tenants: dict[str, TenantCounters] = {}
 
@@ -113,7 +112,7 @@ class ServerMetrics:
     def _tenant(self, tenant: str) -> TenantCounters:
         counters = self.tenants.get(tenant)
         if counters is None:
-            counters = self.tenants[tenant] = TenantCounters(window=self._window)
+            counters = self.tenants[tenant] = TenantCounters()
         return counters
 
     def record_tenant_request(self, tenant: str, op: str) -> None:

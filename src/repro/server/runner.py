@@ -85,12 +85,13 @@ class FrontThread:
         self._thread.join(timeout=_LIFECYCLE_TIMEOUT_S)
         self._thread = None
 
-    def run(self, coroutine, timeout: float = 60.0):
-        """Execute a coroutine on the front's event loop (thread-safe)."""
+    def run(self, coroutine):
+        """Execute a coroutine on the front's event loop (thread-safe),
+        waiting at most 60 s for its result."""
         if self._loop is None:
             raise ServiceError(f"{self._name} thread is not running")
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout=timeout)
+        return future.result(timeout=60.0)
 
     @property
     def port(self) -> int:

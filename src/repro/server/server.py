@@ -16,7 +16,10 @@ what a local placement does with a request:
   snapshots restore via ``np.memmap``) or from inline bytes **without
   dropping connections** — handlers resolve :attr:`SketchServer.service`
   per request.  With a WAL, the log's recovery base reloads as a restart
-  recovers it, and any other snapshot is checkpointed onto the base,
+  recovers it, and any other snapshot is checkpointed onto the base.
+  Writes (register, unregister, ingest, flush, tenant mutations, a
+  checkpoint) share a :class:`~repro.server.front.WriteGate` that a reload
+  holds alone, so none lands on the service the swap drops,
 * ``snapshot`` can ``fetch`` the snapshot inline (what a cluster manager
   ships into a new replica) or ``checkpoint`` (the recovery base + WAL
   truncation) — worker-level verbs a router refuses.
@@ -24,7 +27,6 @@ what a local placement does with a request:
 
 from __future__ import annotations
 
-import asyncio
 import io
 import os
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from repro.core.hashing import sign_table_stats
 from repro.errors import ServiceError
 from repro.server import protocol
 from repro.server.coalescer import EstimateCoalescer
-from repro.server.front import FrontConfig, ServingFront
+from repro.server.front import FrontConfig, ServingFront, WriteGate
 from repro.server.metrics import render, samples
 from repro.service.service import EstimationService
 
@@ -78,7 +80,9 @@ class SketchServer(ServingFront):
             lambda: self._service, max_batch=cfg.max_batch,
             max_delay=cfg.max_delay, max_queue=cfg.max_queue,
             executor=self._executor)
-        self._reload_lock = asyncio.Lock()
+        # Every write shares it; a reload holds it alone, so no write lands
+        # on the service it is about to drop.
+        self._gate = WriteGate()
 
     @property
     def service(self) -> EstimationService:
@@ -98,18 +102,21 @@ class SketchServer(ServingFront):
     async def _tenant_apply(self, verb: str, fields: dict, **changes):
         # tenant_create / tenant_update / tenant_remove: the service journals
         # the mutation through its WAL and embeds it in snapshots.
-        return getattr(self._service, f"tenant_{verb}")(fields["tenant"],
-                                                        **changes)
+        async with self._gate.write():
+            return getattr(self._service, f"tenant_{verb}")(fields["tenant"],
+                                                            **changes)
 
     # -- data-plane verbs ---------------------------------------------------------
 
     async def _op_register(self, fields: dict, scope) -> dict:
-        self._service.register(fields["name"], fields["spec"])
+        async with self._gate.write():
+            self._service.register(fields["name"], fields["spec"])
         return protocol.ok_payload("register", fields, name=fields["name"],
                                    spec=fields["spec"].to_dict())
 
     async def _op_unregister(self, fields: dict, scope) -> dict:
-        self._service.unregister(fields["name"])
+        async with self._gate.write():
+            self._service.unregister(fields["name"])
         return protocol.ok_payload("unregister", fields, name=fields["name"])
 
     async def _op_ingest(self, fields: dict, scope) -> dict:
@@ -121,7 +128,8 @@ class SketchServer(ServingFront):
                                      side=fields["side"], kind=fields["kind"])
             return len(boxes), pending
 
-        count, pending = await self._run_blocking(apply)
+        async with self._gate.write():
+            count, pending = await self._run_blocking(apply)
         return protocol.ok_payload("ingest", fields, boxes=count,
                                    pending=pending)
 
@@ -145,7 +153,8 @@ class SketchServer(ServingFront):
                                    state=state)
 
     async def _op_flush(self, fields: dict, scope) -> dict:
-        report = await self._run_blocking(self._service.flush)
+        async with self._gate.write():
+            report = await self._run_blocking(self._service.flush)
         return protocol.ok_payload("flush", fields, boxes=report.boxes,
                                    batches=report.batches)
 
@@ -182,17 +191,20 @@ class SketchServer(ServingFront):
             data = await self._run_blocking(_snapshot_bytes, service)
             return protocol.ok_payload("snapshot", fields, data=data,
                                        nbytes=len(data))
-        path = fields["path"] or self._default_path()
         if fields["checkpoint"]:
-            # Elsewhere, the truncated tail would be lost to a restart.
-            wal = service.wal
-            if wal is not None and not _same_file(path, wal.base):
-                raise ServiceError(
-                    f"checkpoint writes the log's recovery base {wal.base!r}"
-                    f", not {path!r}")
-            info = await self._run_blocking(service.checkpoint)
+            async with self._gate.write():
+                service = self._service
+                path = fields["path"] or self._default_path()
+                # Elsewhere, the truncated tail would be lost to a restart.
+                wal = service.wal
+                if wal is not None and not _same_file(path, wal.base):
+                    raise ServiceError(
+                        f"checkpoint writes the log's recovery base "
+                        f"{wal.base!r}, not {path!r}")
+                info = await self._run_blocking(service.checkpoint)
             return protocol.ok_payload("snapshot", fields, checkpoint=True,
                                        **info)
+        path = fields["path"] or self._default_path()
         if not path:
             raise ServiceError(
                 "snapshot needs a path (or start the server with one)")
@@ -208,7 +220,7 @@ class SketchServer(ServingFront):
             raise ServiceError(
                 "reload needs a path or inline data (or start the server "
                 "with a snapshot path)")
-        async with self._reload_lock:
+        async with self._gate.hold():
             fresh, described = await self._run_blocking(
                 _reloaded, self._service, path, raw)
             # Atomic swap: requests already queued keep their futures;

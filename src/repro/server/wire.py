@@ -287,10 +287,11 @@ def _read_exact(stream: BinaryIO, count: int, *, what: str) -> bytes:
     raise FramingLostError(f"connection closed mid {what}")
 
 
-def read_binary_frame_sync(stream: BinaryIO,
-                           max_bytes: int = protocol.MAX_LINE_BYTES) -> dict:
+def read_binary_frame_sync(stream: BinaryIO) -> dict:
     """Blocking mirror of :func:`read_binary_frame` for the sync client,
-    draining an oversized frame the same way."""
+    bounded by :data:`~repro.server.protocol.MAX_LINE_BYTES` and draining
+    an oversized frame the same way."""
+    max_bytes = protocol.MAX_LINE_BYTES
     prefix = _read_exact(stream, PREFIX_SIZE, what="frame prefix")
     header_len, body_len, total = _unpack_prefix(prefix, max_bytes)
     if total > max_bytes:

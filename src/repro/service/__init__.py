@@ -24,28 +24,26 @@ package turns that property into a serving layer:
   :mod:`repro.data.streams` update streams into a running service.
 """
 
-from repro.service.specs import (
-    FAMILIES,
-    EstimatorSpec,
-    FamilyInfo,
-    apply_update,
-    family_info,
-)
-from repro.service.store import ShardedSketchStore, partition_boxes, shard_ids
-from repro.service.ingest import FlushReport, IngestPipeline, IngestStats
-from repro.service.service import EstimationService, ServiceStats
-from repro.service.snapshot import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    read_binary_snapshot_state,
-    restore_service,
-)
-from repro.service.driver import (
-    DriveReport,
-    StreamDriver,
-    synthetic_boxes,
-    synthetic_queries,
-)
+import importlib
+
+#: Where each re-export lives.  A name's module loads on first use, so a
+#: process loads only what it touches: a router reads specs and partial
+#: states, never the local service, its snapshots, ingest or stream driver.
+_HOMES = {
+    "repro.service.specs": (
+        "FAMILIES", "EstimatorSpec", "FamilyInfo", "apply_update", "family_info",
+    ),
+    "repro.service.store": ("ShardedSketchStore", "partition_boxes", "shard_ids"),
+    "repro.service.ingest": ("FlushReport", "IngestPipeline", "IngestStats"),
+    "repro.service.service": ("EstimationService", "ServiceStats"),
+    "repro.service.snapshot": (
+        "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "read_binary_snapshot_state",
+        "restore_service",
+    ),
+    "repro.service.driver": (
+        "DriveReport", "StreamDriver", "synthetic_boxes", "synthetic_queries",
+    ),
+}
 
 __all__ = [
     "FAMILIES",
@@ -70,3 +68,11 @@ __all__ = [
     "synthetic_boxes",
     "synthetic_queries",
 ]
+
+
+def __getattr__(name: str):
+    for module, names in _HOMES.items():
+        if name in names:
+            value = globals()[name] = getattr(importlib.import_module(module), name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

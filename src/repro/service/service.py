@@ -21,10 +21,10 @@ pipeline together behind four verbs:
 
 Every estimate verb compiles each name's queries into sketch programs and
 runs the whole request as a single dispatch of the service's
-:class:`~repro.core.program.ProgramExecutor` (cross-query and cross-family
-letter-sum sharing).  ``estimate`` and ``estimate_multi`` go through
-``answer_multi``, the serving fronts' engine call, and raise its first
-failure.  ``estimate`` stays the scalar reference the bit-identity suites
+:class:`~repro.core.program.ProgramExecutor` (one executor call per
+request; each name's program de-duplicates its own letter sums).
+``estimate`` and ``estimate_multi`` go through ``answer_multi``, the
+serving fronts' engine call, and raise its first failure.  ``estimate`` stays the scalar reference the bit-identity suites
 compare the batch paths against.
 
 All public methods are thread-safe: ingestion from several producer
@@ -532,8 +532,9 @@ class EstimationService:
         ``requests`` is a sequence of ``(name, query)`` pairs — ``query`` a
         single-row :class:`BoxSet` for queryable families, ``None`` for
         query-less ones.  Every named estimator's merged view is fetched
-        **once**, and letter-sum work is shared across queries *and*
-        estimators.  Results come back in request order.
+        **once**, and the batch is one executor call in which each name's
+        program de-duplicates the letter sums of its own queries.  Results
+        come back in request order.
 
         The first request that fails raises; :meth:`answer_multi` is the
         same dispatch answering each request on its own.

@@ -138,14 +138,12 @@ def restore_store_state(store: ShardedSketchStore, state: Mapping) -> None:
         store.mark_updated(name)
 
 
-def restore_service(state: Mapping, *, num_shards: int = 4,
-                    flush_threshold: int | None = 8192):
+def restore_service(state: Mapping, *, num_shards: int = 4):
     """Build a fresh :class:`~repro.service.service.EstimationService`."""
     from repro.service.service import EstimationService
 
     state = _validated(state)
-    service = EstimationService(num_shards=num_shards,
-                                flush_threshold=flush_threshold)
+    service = EstimationService(num_shards=num_shards)
     restore_store_state(service.store, state)
     if state.get("tenants") is not None:
         from repro.tenancy import TenantRegistry
@@ -304,35 +302,29 @@ def _state_from_buffer(buffer, header: dict, data_start: int):
     return _unpack_tree(header["state"], arrays)
 
 
-def read_binary_snapshot_state(path, *, mmap: bool | None = None):
+def read_binary_snapshot_state(path):
     """Read a binary snapshot file back into a state tree.
 
-    With ``mmap=True`` the tensors are read-only views into a single
+    On POSIX systems the tensors are read-only views into a single
     memory-mapped buffer — nothing is copied; the OS pages counter data in
-    on demand.  ``mmap=False`` reads the file into private memory instead
-    (use when the file is about to be replaced or unlinked on a platform
-    without POSIX semantics).  The default maps on POSIX systems and reads
-    elsewhere: Windows refuses to replace a file with live mappings, which
-    would break save-over-restore round trips.
+    on demand.  Elsewhere the file is read into private memory and parsed
+    by :func:`snapshot_state_from_bytes`: Windows refuses to replace a file
+    with live mappings, which would break save-over-restore round trips.
     """
-    if mmap is None:
-        mmap = os.name == "posix"
     path = os.fspath(path)
     try:
         with open(path, "rb") as handle:
+            if os.name != "posix":
+                return snapshot_state_from_bytes(handle.read())
             header, data_start = _read_binary_header(handle)
-            if not mmap:
-                handle.seek(0)
-                buffer = handle.read()
     except OSError as exc:
         if isinstance(exc, FileNotFoundError):
             raise
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if mmap:
-        try:
-            buffer = np.memmap(path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
+    try:
+        buffer = np.memmap(path, dtype=np.uint8, mode="r")
+    except (OSError, ValueError) as exc:
+        raise SnapshotError(f"cannot map snapshot {path}: {exc}") from exc
     return _state_from_buffer(buffer, header, data_start)
 
 

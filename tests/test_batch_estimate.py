@@ -72,7 +72,7 @@ class TestRangeEstimateBatch:
     def test_bit_identical_to_scalar_loop(self, rng, domain_2d, strict):
         estimator = RangeQueryEstimator(domain_2d, 16, seed=5, strict=strict)
         estimator.insert(random_boxes(rng, 200, 256, 2))
-        estimator.delete(random_boxes(rng, 40, 256, 2))
+        estimator.update("data", random_boxes(rng, 40, 256, 2), -1.0)
         queries = random_boxes(rng, 30, 256, 2)
         batch = estimator.estimate_batch(queries)
         assert len(batch) == 30

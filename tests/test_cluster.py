@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import HeartbeatConfig, ThreadedClusterRouter
+from repro.cluster import ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet
+from repro.cluster.manager import HEARTBEAT_MAX_FAILURES
 from repro.core.domain import Domain
 from repro.errors import (
     ConnectionLostError,
@@ -26,7 +27,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.geometry.boxset import BoxSet
-from repro.server import ServerConfig, ThreadedServer, boxes_to_rows
+from repro.server import ServerConfig, ThreadedServer, boxes_to_rows, protocol
 from repro.service import (
     EstimationService,
     EstimatorSpec,
@@ -453,9 +454,9 @@ class TestScatterGather:
         late = ThreadedServer(EstimationService(num_shards=2)).start()
         try:
             with ServiceClient("127.0.0.1", cluster.port) as client:
-                reply = client.register("capped", family="range",
-                                        sizes=[256, 256], instances=16,
-                                        seed=31, max_levels=[4, None])
+                reply = client.request(protocol.build(
+                    "register", name="capped", family="range", sizes=[256, 256],
+                    instances=16, seed=31, max_levels=[4, None]))
                 assert reply["spec"] == spec.to_dict()
                 cluster.run(cluster.router.attach("late", "127.0.0.1",
                                                   late.port))
@@ -1018,12 +1019,9 @@ class TestReplicas:
         """A replica that missed heartbeats may have missed writes: good
         pings alone never bring it back, a fresh snapshot of its owner
         does."""
-        heartbeat = HeartbeatConfig(interval=30.0, max_failures=2,
-                                    timeout=2.0)
         owner, mirror = worker_trio[0], worker_trio[1]
         with ThreadedClusterRouter(
-                [("127.0.0.1", owner.port)],
-                heartbeat=heartbeat, start_heartbeat=False) as handle, \
+                [("127.0.0.1", owner.port)], start_heartbeat=False) as handle, \
                 ServiceClient("127.0.0.1", handle.port) as client:
             manager = handle.manager
             client.register("ranges", family="range", sizes=[256, 256],
@@ -1043,7 +1041,7 @@ class TestReplicas:
                 return await answer(payload, timeout)
 
             link.request_ok = drop_pings
-            for _ in range(heartbeat.max_failures):
+            for _ in range(HEARTBEAT_MAX_FAILURES):
                 handle.run(manager.heartbeat_once())
             del link.request_ok  # its pings answer again
             for _ in range(2):
@@ -1072,6 +1070,40 @@ class TestReplicas:
                 assert client.estimate("ranges",
                                        queries).estimate == expected.estimate
 
+    @pytest.mark.parametrize("recovers", [False, True],
+                             ids=["misses-in-a-row", "a-ping-answers-between"])
+    def test_a_worker_leaves_rotation_after_its_last_allowed_missed_ping(
+            self, worker_trio, recovers):
+        """Missed pings count in a row: a worker stays healthy until it has
+        missed ``HEARTBEAT_MAX_FAILURES`` of them, and a ping it answers
+        while healthy starts the count again."""
+        with ThreadedClusterRouter([("127.0.0.1", worker_trio[0].port)],
+                                   start_heartbeat=False) as handle:
+            manager = handle.manager
+            link = manager.worker("w0").link
+            answer = link.request_ok
+
+            async def drop_pings(payload, timeout=None):
+                if payload["op"] == "ping":
+                    raise ConnectionLostError("ping dropped")
+                return await answer(payload, timeout)
+
+            def beats(count):
+                return [handle.run(manager.heartbeat_once())["w0"]
+                        for _ in range(count)]
+
+            link.request_ok = drop_pings
+            assert beats(HEARTBEAT_MAX_FAILURES - 1) == [True] * (
+                HEARTBEAT_MAX_FAILURES - 1)
+            if recovers:
+                del link.request_ok
+                assert beats(1) == [True]
+                link.request_ok = drop_pings
+                assert beats(HEARTBEAT_MAX_FAILURES - 1) == [True] * (
+                    HEARTBEAT_MAX_FAILURES - 1)
+            else:
+                assert beats(1) == [False]
+
     def test_replica_of_unknown_source_is_rejected(self, cluster, worker_trio):
         from repro.errors import ServiceError
 
@@ -1090,12 +1122,9 @@ class TestKillReplace:
         errors, and a replacement bootstrapped from a pre-crash snapshot
         restores exact service.
         """
-        heartbeat = HeartbeatConfig(interval=30.0, max_failures=3,
-                                    timeout=2.0)
         with LocalFleet(3) as fleet:
             with ThreadedClusterRouter(
-                    fleet.addresses(),
-                    heartbeat=heartbeat, start_heartbeat=False) as handle:
+                    fleet.addresses(), start_heartbeat=False) as handle:
                 reference = EstimationService(num_shards=2)
                 client = ServiceClient("127.0.0.1", handle.port, timeout=60)
                 client.register("ranges", family="range", sizes=[256, 256],
@@ -1110,10 +1139,11 @@ class TestKillReplace:
 
                 # An operator keeps a recent snapshot of w1 around (here:
                 # fetched over the wire just before the crash).
-                stored = handle.run(handle.manager.fetch_snapshot("w1"))
+                stored = tmp_path / "w1.snap"
+                stored.write_bytes(handle.run(handle.manager.fetch_snapshot("w1")))
 
                 fleet.workers[1].stop()
-                for _ in range(heartbeat.max_failures):
+                for _ in range(HEARTBEAT_MAX_FAILURES):
                     handle.run(handle.manager.heartbeat_once())
                 status = client.cluster_status()
                 health = {w["name"]: w["healthy"] for w in status["workers"]}
@@ -1143,12 +1173,11 @@ class TestKillReplace:
                     side="data")
                 reference.flush()
 
-                # Bootstrap a replacement from the stored snapshot under
-                # the same name: the partition stays put, service is
-                # restored.
-                replacement = fleet.spawn_extra()
+                # Start a replacement from the stored snapshot under the
+                # same name: the partition stays put, service is restored.
+                replacement = fleet.spawn_extra(snapshot=str(stored))
                 handle.run(handle.manager.replace_worker(
-                    "w1", replacement.host, replacement.port, data=stored))
+                    "w1", replacement.host, replacement.port))
                 client.flush()
                 status = client.cluster_status()
                 assert all(w["healthy"] for w in status["workers"])

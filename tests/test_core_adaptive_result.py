@@ -41,31 +41,9 @@ class TestChooseMaxLevel:
                    for level in candidate_levels(domain)}
         assert profile[chosen] == min(profile.values())
 
-    def test_min_level_is_respected(self, rng):
-        domain = Domain(256)
-        sample = random_boxes(rng, 50, 256, 1, max_extent=3)
-        level = choose_max_level(sample, domain, min_level=5)
-        assert level >= 5
-
-    def test_explicit_levels(self, rng):
-        domain = Domain(256)
-        sample = random_boxes(rng, 50, 256, 1)
-        level = choose_max_level(sample, domain, levels=[2, 6])
-        assert level in (2, 6)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(SketchConfigError):
             choose_max_level(BoxSet.empty(1), Domain(64))
-
-    def test_update_cost_weight_pulls_level_up(self, rng):
-        # Penalising per-object cover size should never pick a lower level
-        # than the pure-variance objective for long-object data.
-        domain = Domain(1024)
-        lows = rng.integers(0, 100, size=(60, 1))
-        sample = BoxSet(lows, np.minimum(lows + 700, 1023))
-        free = choose_max_level(sample, domain)
-        weighted = choose_max_level(sample, domain, update_cost_weight=1e6)
-        assert weighted >= free
 
     def test_two_dimensional_sample(self, rng):
         domain = Domain.square(128, dimension=2)

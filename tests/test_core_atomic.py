@@ -62,7 +62,7 @@ class TestUpdates:
         boxes = random_boxes(rng, 30, 256, 1)
         bank.insert(boxes)
         assert any(np.any(bank.counter(word) != 0) for word in bank.words)
-        bank.delete(boxes)
+        bank.insert(boxes, weight=-1.0)
         for word in bank.words:
             assert np.allclose(bank.counter(word), 0.0)
 
@@ -120,7 +120,7 @@ class TestUpdates:
         assert bank.num_updates == 3
         bank.insert(boxes, weight=0.5)
         assert bank.num_updates == 4.5  # fractional weights account exactly
-        bank.delete(boxes)
+        bank.insert(boxes, weight=-1.0)
         assert bank.num_updates == 1.5
         # The weighted total round-trips through snapshots.
         clone = SketchBank(domain_1d, IE_1D, num_instances=4, seed=1)

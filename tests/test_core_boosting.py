@@ -67,11 +67,6 @@ class TestSplitInstances:
         assert plan.num_groups == 9
         assert plan.group_size == 100
 
-    def test_explicit_group_count(self):
-        plan = split_instances(100, num_groups=5)
-        assert plan.num_groups == 5
-        assert plan.group_size == 20
-
     def test_invalid(self):
         with pytest.raises(SketchConfigError):
             split_instances(0)

@@ -149,10 +149,11 @@ class TestStableSeedHashing:
         assert stable_seed_offset(("R", "S")) != stable_seed_offset(("S", "R"))
         assert stable_seed_offset(("only",)) == zlib.crc32(b"only") % 100_000
 
-    def test_modulus(self):
-        assert 0 <= stable_seed_offset(("a", "b"), modulus=7) < 7
-        with pytest.raises(SketchConfigError):
-            stable_seed_offset(("a",), modulus=0)
+    def test_offsets_stay_below_100_000(self):
+        offsets = [stable_seed_offset((f"r{index}", f"s{index}"))
+                   for index in range(2000)]
+        assert 0 <= min(offsets) and max(offsets) < 100_000
+        assert len(set(offsets)) > 1900  # spread, not a constant
 
     def test_cross_process_stability(self):
         """The offset must not depend on per-process hash randomisation.

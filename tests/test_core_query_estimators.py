@@ -13,6 +13,7 @@ from repro.exact.containment import containment_join_count
 from repro.exact.epsilon_join import epsilon_join_count
 from repro.exact.range_query import range_query_count
 from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.predicates import overlap_matrix
 
 from tests.conftest import random_boxes
 
@@ -127,9 +128,8 @@ class TestContainmentJoinEstimator:
         estimator = ContainmentJoinEstimator(domain, num_instances=16, seed=1)
         estimator.update("outer", random_boxes(rng, 12, 64, 1))
         estimator.update("inner", random_boxes(rng, 8, 64, 1))
-        assert estimator.outer_count == 12
-        assert estimator.inner_count == 8
         result = estimator.estimate()
+        assert (result.left_count, result.right_count) == (12, 8)
         assert result.selectivity == pytest.approx(result.estimate / 96)
 
     def test_estimate_before_insert_raises(self):
@@ -146,7 +146,7 @@ class TestRangeQueryEstimator:
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=5000, seed=1)
         estimator.insert(data)
-        values = estimator.instance_values(query)
+        values = estimator.estimate(query).instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -157,7 +157,7 @@ class TestRangeQueryEstimator:
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=6000, seed=3)
         estimator.insert(data)
-        values = estimator.instance_values(query)
+        values = estimator.estimate(query).instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -165,16 +165,16 @@ class TestRangeQueryEstimator:
         domain = Domain(64)
         data = BoxSet.from_intervals([(0, 10), (10, 20), (40, 50)])
         query = BoxSet((20,), (30,))
-        strict_truth = range_query_count(data, query, closed=False)
-        closed_truth = range_query_count(data, query, closed=True)
+        strict_truth = int(overlap_matrix(data, query).sum())
+        closed_truth = range_query_count(data, query)
         assert strict_truth == 0 and closed_truth == 1
 
         strict = RangeQueryEstimator(domain, num_instances=4000, seed=5, strict=True)
         strict.insert(data)
         closed = RangeQueryEstimator(domain, num_instances=4000, seed=5, strict=False)
         closed.insert(data)
-        strict_values = strict.instance_values(query)
-        closed_values = closed.instance_values(query)
+        strict_values = strict.estimate(query).instance_values
+        closed_values = closed.estimate(query).instance_values
         strict_se = strict_values.std() / np.sqrt(strict_values.size)
         closed_se = closed_values.std() / np.sqrt(closed_values.size)
         assert abs(strict_values.mean() - strict_truth) < 5 * strict_se + 1e-9
@@ -187,11 +187,12 @@ class TestRangeQueryEstimator:
         streaming = RangeQueryEstimator(domain, num_instances=64, seed=7)
         streaming.insert(keep)
         streaming.insert(transient)
-        streaming.delete(transient)
+        streaming.update("data", transient, -1.0)
         rebuilt = RangeQueryEstimator(domain, num_instances=64, seed=7)
         rebuilt.insert(keep)
         query = BoxSet((10,), (100,))
-        assert np.allclose(streaming.instance_values(query), rebuilt.instance_values(query))
+        assert np.allclose(streaming.estimate(query).instance_values,
+                           rebuilt.estimate(query).instance_values)
         assert streaming.count == 30
 
     def test_selectivity(self, rng):

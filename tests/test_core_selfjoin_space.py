@@ -94,9 +94,7 @@ class TestSpaceAccounting:
         # 2-d with the endpoint transform: 4 counters + 4 seed words.
         assert space.instances_for_budget(800, 2) == 100
         # Explicit endpoints keep 4^d counters per instance.
-        assert space.instances_for_budget(800, 2, counters_per_instance=16) == 40
-        # An unshared seed is charged in full.
-        assert space.instances_for_budget(800, 2, share_seed=False) == 66
+        assert space.sketch_words_per_instance(2, counters_per_instance=16) == 20
 
     def test_histogram_word_formulas(self):
         assert space.euler_histogram_words(6) == 9 * 4096 - 6 * 64 + 1

@@ -471,14 +471,14 @@ class TestLifetime:
 class TestObservability:
     def test_stats_and_metrics_report_the_tables(self):
         from repro.client import ServiceClient
-        from repro.cluster import RouterConfig, ThreadedClusterRouter
+        from repro.cluster import ThreadedClusterRouter
         from repro.server import ThreadedServer
 
         domain = Domain.square(64, 2)
         worker = ThreadedServer(EstimationService(num_shards=2)).start()
         try:
             with ThreadedClusterRouter(
-                    [("127.0.0.1", worker.port)], config=RouterConfig(),
+                    [("127.0.0.1", worker.port)],
                     start_heartbeat=False) as router:
                 with ServiceClient("127.0.0.1", router.port) as client:
                     client.register("join", family="rectangle", sizes=[64, 64],

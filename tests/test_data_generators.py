@@ -93,14 +93,6 @@ class TestSyntheticGenerators:
         assert points.coords.min() >= 0
         assert points.coords.max() < 128
 
-    def test_clustered_points(self, rng):
-        domain = Domain.square(1024, dimension=2)
-        clustered = generate_points(2000, domain, clusters=4, rng=rng)
-        uniform = generate_points(2000, domain, rng=rng)
-        # Clustered data has smaller average nearest-cluster spread; use the
-        # variance of coordinates as a cheap proxy.
-        assert clustered.coords.std() != pytest.approx(uniform.coords.std(), rel=0.0)
-
     def test_deterministic_with_seed(self):
         domain = Domain.square(128, dimension=2)
         a = generate_rectangles(50, domain, rng=7)

@@ -16,32 +16,27 @@ from repro.engine.synopses import SynopsisManager
 from repro.errors import EngineError
 from repro.exact.rectangle_join import brute_force_join_count
 from repro.geometry.boxset import BoxSet
+from repro.geometry.predicates import overlap_matrix
 
 from tests.conftest import random_boxes
 
 
-def _common_intersection_count(relations, *, closed=False):
-    """Tuples (one object per relation) whose boxes share a point: the
-    oracle of a left-deep plan's result cardinality."""
+def _common_intersection_count(relations):
+    """Tuples (one object per relation) whose boxes share interior points:
+    the oracle of a left-deep plan's result cardinality."""
     lows = relations[0].boxes().lows
     highs = relations[0].boxes().highs
     for relation in relations[1:]:
         boxes = relation.boxes()
         lows = np.maximum(lows[:, None, :], boxes.lows[None, :, :]).reshape(-1, lows.shape[1])
         highs = np.minimum(highs[:, None, :], boxes.highs[None, :, :]).reshape(-1, highs.shape[1])
-    keep = np.all(lows <= highs, axis=1) if closed else np.all(lows < highs, axis=1)
-    return int(np.count_nonzero(keep))
+    return int(np.count_nonzero(np.all(lows < highs, axis=1)))
 
 
-def _execute(catalog, names, *, closed=False):
+def _execute(catalog, names):
     """Execute a hand-built plan (its synopses are never probed)."""
     optimizer = Optimizer(catalog, SynopsisManager(catalog.domain, num_instances=16))
-    return optimizer.execute_plan(JoinPlan(order=tuple(names)), closed=closed)
-
-
-def _rows(*boxes):
-    """A box set from ``(low, high)`` coordinate pairs."""
-    return BoxSet(np.array([lo for lo, _ in boxes]), np.array([hi for _, hi in boxes]))
+    return optimizer.execute_plan(JoinPlan(order=tuple(names)))
 
 
 @pytest.fixture
@@ -62,89 +57,19 @@ class TestRelation:
         relation.insert(random_boxes(rng, 25, 256, 2))
         assert relation.cardinality == 25
 
-    def test_delete_removes_single_occurrence(self, rng, domain_2d):
-        data = random_boxes(rng, 10, 256, 2)
-        relation = SpatialRelation("items", domain_2d, boxes=data)
-        removed = relation.delete(data[:3])
-        assert removed == 3
-        assert len(relation) == 7
-
-    def test_delete_missing_object_raises(self, rng, domain_2d):
-        relation = SpatialRelation("items", domain_2d, boxes=random_boxes(rng, 5, 256, 2))
-        missing = BoxSet(np.array([[1, 1]]), np.array([[2, 2]]))
-        with pytest.raises(EngineError):
-            relation.delete(missing)
-
-    def test_delete_asking_for_more_copies_than_held_changes_nothing(self, domain_2d):
-        """The first batch row that finds no copy left is named; the relation
-        keeps every row and no listener hears anything."""
-        a, b = ([1, 1], [5, 5]), ([2, 2], [6, 6])
-        relation = SpatialRelation("items", domain_2d, boxes=_rows(a, b, a, b))
-        before = relation.boxes()
-        heard = []
-
-        class Recorder:
-            def on_insert(self, relation, boxes):
-                heard.append(boxes)
-
-            on_delete = on_insert
-
-        relation.add_listener(Recorder())
-        with pytest.raises(EngineError, match=r"object \[2, 2\]\.\.\[6, 6\] is not present"):
-            relation.delete(_rows(a, b, b, a, b, a))
-        assert np.array_equal(relation.boxes().lows, before.lows)
-        assert np.array_equal(relation.boxes().highs, before.highs)
-        assert heard == []
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("width", [256, 4])
-    def test_delete_matches_the_one_box_at_a_time_reference(self, domain_2d, seed, width):
-        """A batch delete removes what deleting its boxes one at a time, each
-        taking the first copy still present, removes, and refuses the same
-        first row.  At width 4 the boxes are unit cells of a 3 x 3 grid, so
-        rows that are not asked for share every coordinate with rows that are."""
-        rng = np.random.default_rng(seed)
-        pool = random_boxes(rng, 6, width, 2)
-        stored = pool[rng.integers(0, len(pool), 16)]
-        batch = pool[rng.integers(0, len(pool), 10)]
-        lows, highs = stored.lows.copy(), stored.highs.copy()
-        available = np.ones(len(lows), dtype=bool)
-        refused = None
-        for index in range(len(batch)):
-            matches = np.flatnonzero(available & np.all(lows == batch.lows[index], axis=1)
-                                     & np.all(highs == batch.highs[index], axis=1))
-            if matches.size == 0:
-                refused = index
-                break
-            available[matches[0]] = False
-        relation = SpatialRelation("items", domain_2d, boxes=stored)
-        if refused is None:
-            assert relation.delete(batch) == len(batch)
-            assert np.array_equal(relation.boxes().lows, lows[available])
-            assert np.array_equal(relation.boxes().highs, highs[available])
-        else:
-            with pytest.raises(EngineError) as refusal:
-                relation.delete(batch)
-            assert str(refusal.value).startswith(
-                f"object {batch.lows[refused].tolist()}..{batch.highs[refused].tolist()} ")
-            assert np.array_equal(relation.boxes().lows, stored.lows)
-
-    def test_listeners_receive_mutations(self, rng, domain_2d):
+    def test_listeners_receive_inserts(self, rng, domain_2d):
         events = []
 
         class Recorder:
             def on_insert(self, relation, boxes):
                 events.append(("insert", len(boxes)))
 
-            def on_delete(self, relation, boxes):
-                events.append(("delete", len(boxes)))
-
         relation = SpatialRelation("items", domain_2d)
         relation.add_listener(Recorder())
         data = random_boxes(rng, 4, 256, 2)
         relation.insert(data)
-        relation.delete(data[:2])
-        assert events == [("insert", 4), ("delete", 2)]
+        relation.insert(data[:2])
+        assert events == [("insert", 4), ("insert", 2)]
 
     def test_every_added_listener_hears_each_mutation(self, rng, domain_2d):
         """Listeners are kept as added, even ones that compare equal: two
@@ -163,21 +88,36 @@ class TestRelation:
             def on_insert(self, relation, boxes):
                 events.append((self.label, len(boxes)))
 
-            def on_delete(self, relation, boxes):
-                events.append((self.label, -len(boxes)))
-
         relation = SpatialRelation("items", domain_2d)
         relation.add_listener(Recorder("first"))
         relation.add_listener(Recorder("second"))
         data = random_boxes(rng, 3, 256, 2)
         relation.insert(data)
-        relation.delete(data[:1])
-        assert events == [("first", 3), ("second", 3), ("first", -1), ("second", -1)]
+        relation.insert(data[:1])
+        assert events == [("first", 3), ("second", 3), ("first", 1), ("second", 1)]
 
     def test_out_of_domain_insert_rejected(self, domain_2d):
         relation = SpatialRelation("items", domain_2d)
         with pytest.raises(Exception):
             relation.insert(BoxSet(np.array([[0, 0]]), np.array([[999, 1]])))
+
+    def test_a_refused_insert_changes_nothing_and_reaches_no_listener(
+            self, rng, domain_2d):
+        heard = []
+
+        class Recorder:
+            def on_insert(self, relation, boxes):
+                heard.append(len(boxes))
+
+        data = random_boxes(rng, 5, 256, 2)
+        relation = SpatialRelation("items", domain_2d, boxes=data)
+        relation.add_listener(Recorder())
+        outside = BoxSet(np.vstack([data.lows, [[0, 0]]]),
+                         np.vstack([data.highs, [[999, 1]]]))
+        with pytest.raises(Exception):
+            relation.insert(outside)
+        assert len(relation) == 5 and heard == []
+        assert np.array_equal(relation.boxes().lows, data.lows)
 
     def test_empty_name_rejected(self, domain_2d):
         with pytest.raises(EngineError):
@@ -220,7 +160,7 @@ class TestCatalog:
 
 
 class TestSynopsisManager:
-    def test_join_sketch_tracks_mutations(self, engine_setup, rng):
+    def test_join_sketch_tracks_inserts(self, engine_setup, rng):
         """``lakes`` sorts before ``roads``, so it is the pair's left side
         whichever way round the pair is asked for."""
         domain, catalog, synopses, (roads, lakes, _) = engine_setup
@@ -229,8 +169,6 @@ class TestSynopsisManager:
         extra = random_boxes(rng, 20, 512, 2)
         roads.insert(extra)
         assert (sketch.left_count, sketch.right_count) == (200, 320) == (len(lakes), len(roads))
-        roads.delete(extra)
-        assert (sketch.left_count, sketch.right_count) == (200, 300)
 
     def test_join_sketch_estimate_is_plausible(self, engine_setup):
         _, catalog, synopses, (roads, lakes, _) = engine_setup
@@ -253,18 +191,17 @@ class TestExecution:
     SIZES = {2: 70, 3: 30, 4: 14}
 
     @pytest.mark.parametrize("degenerate", [False, True], ids=["proper", "degenerate"])
-    @pytest.mark.parametrize("closed", [False, True], ids=["strict", "closed"])
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     @pytest.mark.parametrize("ways", [2, 3, 4])
     def test_every_step_executes_to_the_common_intersection_count(
-            self, rng, ways, dimension, closed, degenerate):
+            self, rng, ways, dimension, degenerate):
         domain = Domain.square(64, dimension=dimension)
         catalog = Catalog(domain)
         relations = [catalog.create(f"r{index}", boxes=random_boxes(
             rng, self.SIZES[ways] + 5 * index, 64, dimension, max_extent=24,
             allow_degenerate=degenerate)) for index in range(ways)]
-        execution = _execute(catalog, catalog.names(), closed=closed)
-        expected = tuple(_common_intersection_count(relations[:stop], closed=closed)
+        execution = _execute(catalog, catalog.names())
+        expected = tuple(_common_intersection_count(relations[:stop])
                          for stop in range(2, ways + 1))
         assert execution.step_cardinalities == expected
         assert execution.cardinality == expected[-1]
@@ -281,11 +218,11 @@ class TestExecution:
             highs = np.minimum(np.maximum((raw.highs // 8) * 8, lows + 8), 127)
             relations.append(catalog.create(name, boxes=BoxSet(lows, highs)))
         strict = _execute(catalog, ("left", "right", "third"))
-        closed = _execute(catalog, ("left", "right", "third"), closed=True)
         assert strict.step_cardinalities == (
             _common_intersection_count(relations[:2]), _common_intersection_count(relations))
-        assert strict.step_cardinalities[0] < closed.step_cardinalities[0]
-        assert closed.cardinality == _common_intersection_count(relations, closed=True)
+        touching = int(overlap_matrix(relations[0].boxes(), relations[1].boxes(),
+                                      closed=True).sum())
+        assert strict.step_cardinalities[0] < touching
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     def test_probe_chunks_do_not_change_the_counts(self, rng, monkeypatch, chunk):
@@ -312,7 +249,6 @@ class TestExecution:
         catalog.create("outer", boxes=BoxSet(np.array([[0, 0]]), np.array([[10, 10]])))
         catalog.create("line", boxes=BoxSet(np.array([[5, 5]]), np.array([[5, 9]])))
         assert _execute(catalog, ("outer", "line")).cardinality == 0
-        assert _execute(catalog, ("outer", "line"), closed=True).cardinality == 1
 
     def test_q_errors_compare_each_step_estimate_with_its_exact_count(self):
         plan = JoinPlan(order=("a", "b", "c", "d"), steps=[
@@ -417,16 +353,14 @@ class TestOptimizer:
         expected = brute_force_join_count(roads.boxes(), lakes.boxes())
         assert optimizer.execute_plan(plan).step_cardinalities == (expected,)
 
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_three_way_plan_executes_to_the_exact_count(self, engine_setup, closed):
+    def test_three_way_plan_executes_to_the_exact_count(self, engine_setup):
         _, catalog, synopses, relations = engine_setup
         optimizer = Optimizer(catalog, synopses)
         plan = optimizer.plan_join(JoinQuery(relations=("roads", "lakes", "parks")))
-        execution = optimizer.execute_plan(plan, closed=closed)
-        assert execution.cardinality == _common_intersection_count(relations, closed=closed)
+        execution = optimizer.execute_plan(plan)
+        assert execution.cardinality == _common_intersection_count(relations)
         first = [catalog.get(name) for name in plan.order[:2]]
-        assert execution.cost == execution.cardinality + _common_intersection_count(
-            first, closed=closed)
+        assert execution.cost == execution.cardinality + _common_intersection_count(first)
 
     def test_a_plan_over_an_empty_relation_returns_nothing(self, engine_setup):
         _, catalog, synopses, _ = engine_setup
@@ -483,7 +417,7 @@ class TestOptimizer:
             JoinQuery(relations=("a", "a"))
 
     def test_a_join_query_has_no_semantics_flag(self):
-        """The sketches estimate strict overlap only; ``execute_plan`` takes
-        ``closed=`` itself, so a query cannot ask for what planning ignores."""
+        """The sketches estimate strict overlap only, and so does
+        ``execute_plan``: a query cannot ask for what planning ignores."""
         with pytest.raises(TypeError):
             JoinQuery(relations=("a", "b"), closed=True)

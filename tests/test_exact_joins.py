@@ -212,11 +212,10 @@ class TestRangeQuery:
                                           closed=True)))
         assert count == expected
 
-    def test_strict_semantics(self):
+    def test_a_box_touching_the_query_counts(self):
         data = BoxSet(np.array([[0, 0]]), np.array([[10, 10]]))
         query = BoxSet((10, 0), (20, 10))
-        assert range_query_count(data, query, closed=True) == 1
-        assert range_query_count(data, query, closed=False) == 0
+        assert range_query_count(data, query) == 1
 
     def test_empty_data(self):
         assert range_query_count(BoxSet.empty(2), BoxSet((0, 0), (5, 5))) == 0
@@ -225,9 +224,7 @@ class TestRangeQuery:
         data = random_boxes(rng, 80, 100, 2)
         flat = BoxSet((15, 30), (70, 55))
         row = BoxSet(np.array([[15, 30]]), np.array([[70, 55]]))
-        for closed in (False, True):
-            assert range_query_count(data, row, closed=closed) == \
-                range_query_count(data, flat, closed=closed)
+        assert range_query_count(data, row) == range_query_count(data, flat)
 
     def test_refuses_a_query_that_is_not_one_box_of_the_data_dimension(self, rng):
         data = random_boxes(rng, 20, 100, 2)
@@ -241,9 +238,8 @@ class TestRangeQuery:
     def test_matches_the_overlap_oracle(self, rng, dimension):
         data = random_boxes(rng, 90, 50, dimension)
         query = BoxSet(np.full((1, dimension), 10), np.full((1, dimension), 30))
-        for closed in (False, True):
-            expected = int(overlap_matrix(data, query, closed=closed).sum())
-            assert range_query_count(data, query, closed=closed) == expected
+        expected = int(overlap_matrix(data, query, closed=True).sum())
+        assert range_query_count(data, query) == expected
 
 
 class TestZeroExtentBoxes:
@@ -256,18 +252,22 @@ class TestZeroExtentBoxes:
         lambda a, b, closed: int(overlap_matrix(a, b, closed=closed).sum()),
         lambda a, b, closed: int(np.all(overlaps(a.lows[0], a.highs[0], b.lows[0], b.highs[0],
                                                  closed=closed))),
-        lambda a, b, closed: range_query_count(a, b, closed=closed),
-    ], ids=["overlap_matrix", "overlaps", "range_query_count"])
+    ], ids=["overlap_matrix", "overlaps"])
     def test_only_the_closed_rule_counts_the_pair(self, count):
         for a, b in ((self.OUTER, self.LINE), (self.LINE, self.OUTER)):
             assert count(a, b, False) == 0
             assert count(a, b, True) == 1
 
-    @pytest.mark.parametrize("chunk_size", [1, 7, 512])
-    def test_brute_force_chunks_count_like_the_matrix(self, rng, chunk_size):
-        left = random_boxes(rng, 60, 32, 2, allow_degenerate=True)
+    def test_the_closed_range_count_counts_the_pair(self):
+        for a, b in ((self.OUTER, self.LINE), (self.LINE, self.OUTER)):
+            assert range_query_count(a, b) == 1
+
+    @pytest.mark.parametrize("count", [1, 7, 512, 1100])
+    def test_brute_force_chunks_count_like_the_matrix(self, rng, count):
+        """Chunks of 512 left boxes: one partial chunk, one full one, and
+        a last chunk that is partial."""
+        left = random_boxes(rng, count, 32, 2, allow_degenerate=True)
         right = random_boxes(rng, 75, 32, 2, allow_degenerate=True)
         for closed in (False, True):
-            assert brute_force_join_count(left, right, closed=closed,
-                                          chunk_size=chunk_size) == \
+            assert brute_force_join_count(left, right, closed=closed) == \
                 int(overlap_matrix(left, right, closed=closed).sum())

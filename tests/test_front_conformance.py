@@ -24,6 +24,8 @@ from repro.service import EstimationService, EstimatorSpec, synthetic_boxes
 from repro.tenancy import TenantQuota, TenantRegistry
 from repro.wal import WalWriter
 
+from tests.routing import RouterThread
+
 pytestmark = pytest.mark.e2e
 
 DOMAIN = Domain.square(256, dimension=2)
@@ -50,13 +52,13 @@ class Placement:
                          if tokens else None))).start()
         self.handle = self.backing
         if kind == "router":
-            self.handle = ThreadedClusterRouter(
-                [("127.0.0.1", self.backing.port)],
-                config=RouterConfig(
+            self.handle = RouterThread(
+                [("127.0.0.1", self.backing.port)], RouterConfig(
                     admin_token=ADMIN_TOKEN if tokens else None,
-                    worker_token=FLEET_TOKEN if tokens else None),
-                start_heartbeat=False,
-                registry=TenantRegistry() if tokens else None).start()
+                    worker_token=FLEET_TOKEN if tokens else None))
+            if tokens:  # what enable_tenancy() is to the server
+                self.handle.router.tenants = TenantRegistry()
+            self.handle.start()
         elif tokens:
             service.enable_tenancy()
 
@@ -298,7 +300,7 @@ def test_a_split_range_burst_answers_like_a_scalar_reference(placement, kind):
 def test_ingest_quota_charges_rows_on_both_wires(placement, kind, wire):
     front = placement(kind, tokens=True)
     with front.client(wire, ADMIN_TOKEN) as admin:
-        admin.tenant("create", "acme", token=ACME_TOKEN,
+        admin.tenant("create", tenant="acme", token=ACME_TOKEN,
                      quota={"ingest_boxes_per_sec": 10,
                             "ingest_burst_boxes": 10})
         boxes = synthetic_boxes(DOMAIN, 500, seed=3)
@@ -310,7 +312,7 @@ def test_ingest_quota_charges_rows_on_both_wires(placement, kind, wire):
             with pytest.raises(QuotaExceededError) as info:
                 acme.ingest("rq", boxes, side="data")
             assert info.value.retry_after > 0.0
-        described = admin.tenant("describe", "acme")
+        described = admin.tenant("describe", tenant="acme")
     assert described["admission"]["ingest_tokens"] < 0
 
 
@@ -326,8 +328,8 @@ def test_a_tenant_cannot_relabel_its_requests(placement, kind):
     front = placement(kind, tokens=True)
     labelled = {"op": "ingest", "name": "rq", "side": "data", "boxes": ROWS}
     with front.client("ndjson", ADMIN_TOKEN) as admin:
-        admin.tenant("create", "acme", token=ACME_TOKEN)
-        admin.tenant("create", "other", token="other-secret")
+        admin.tenant("create", tenant="acme", token=ACME_TOKEN)
+        admin.tenant("create", tenant="other", token="other-secret")
         with front.client("ndjson", ACME_TOKEN) as acme:
             acme.register("rq", **RANGE)
             replies = acme.request_many([
@@ -360,7 +362,7 @@ def test_both_placements_time_estimates_in_the_shared_handler(placement,
     edge = (front.handle.router if kind == "router" else front.handle.server)
     estimate = {"op": "estimate", "name": "rq", "query": [0, 0, 128, 128]}
     with front.client("binary", ADMIN_TOKEN) as admin:
-        admin.tenant("create", "acme", token=ACME_TOKEN)
+        admin.tenant("create", tenant="acme", token=ACME_TOKEN)
         with front.client("binary", ACME_TOKEN) as acme:
             acme.register("rq", **RANGE)
             acme.ingest("rq", ROWS, side="data")
@@ -472,7 +474,7 @@ def test_routed_checkpoint_is_refused_and_a_worker_still_truncates(
 def test_worker_errors_pass_through_a_router_unchanged(placement):
     front = placement("router", tokens=True)
     with front.client("binary", ADMIN_TOKEN) as admin:
-        admin.tenant("create", "acme", token=ACME_TOKEN)
+        admin.tenant("create", tenant="acme", token=ACME_TOKEN)
         admin.register("rq", **RANGE)
         bad_side = {"op": "ingest", "name": "rq", "side": "inner",
                     "boxes": ROWS}
@@ -493,9 +495,9 @@ def test_a_worker_verdict_keeps_its_detail_through_a_router():
         ingest_boxes_per_sec=10.0, ingest_burst_boxes=10.0))
     ingest = {"op": "ingest", "name": "rq", "side": "data",
               "boxes": boxes_to_rows(synthetic_boxes(DOMAIN, 500, seed=5))}
-    with ThreadedServer(service) as worker, ThreadedClusterRouter(
-            [("127.0.0.1", worker.port)], start_heartbeat=False,
-            config=RouterConfig(worker_token=ACME_TOKEN)) as router:
+    with ThreadedServer(service) as worker, RouterThread(
+            [("127.0.0.1", worker.port)],
+            RouterConfig(worker_token=ACME_TOKEN)) as router:
         with ServiceClient("127.0.0.1", router.port) as routed, \
                 ServiceClient("127.0.0.1", worker.port,
                               token=ACME_TOKEN) as direct:
@@ -514,14 +516,14 @@ def test_a_worker_verdict_keeps_its_detail_through_a_router():
 def test_admin_tenant_describe_has_one_key_set(placement, kind):
     front = placement(kind, tokens=True)
     with front.client("ndjson", ADMIN_TOKEN) as admin:
-        admin.tenant("create", "acme", token=ACME_TOKEN,
+        admin.tenant("create", tenant="acme", token=ACME_TOKEN,
                      quota={"ingest_boxes_per_sec": 1000})
-        assert "admission" not in admin.tenant("describe", "acme")
+        assert "admission" not in admin.tenant("describe", tenant="acme")
         with front.client("ndjson", ACME_TOKEN) as acme:
             acme.register("rq", **RANGE)
             acme.ingest("rq", ROWS, side="data")
             own = acme.tenant("describe")
-        described = admin.tenant("describe", "acme")
+        described = admin.tenant("describe", tenant="acme")
     assert sorted(described) == ["action", "admission", "metrics", "ok", "op",
                                  "record", "tenant"]
     assert sorted(own) == sorted(described)

@@ -5,13 +5,11 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.data import synthetic
-from repro.errors import SketchConfigError
+from repro.errors import DimensionalityError, SketchConfigError
 from repro.exact.rectangle_join import rectangle_join_count
 from repro.geometry.boxset import BoxSet
 from repro.histograms.euler import EulerHistogram
 from repro.histograms.geometric import GeometricHistogram
-
-from tests.conftest import random_boxes
 
 
 @pytest.fixture
@@ -67,21 +65,44 @@ class TestBothHistograms:
         b.insert(right)
         assert a.estimate_join(b) == pytest.approx(b.estimate_join(a))
 
-    def test_estimate_is_linear_in_the_insert_weight(self, workload, kind):
+    def test_estimate_is_linear_in_the_inserted_copies(self, workload, kind):
         domain, left, right, _ = workload
         single, double, other = (kind(domain, level=3) for _ in range(3))
         single.insert(left)
-        double.insert(left, weight=2.0)
+        double.insert(left)
+        double.insert(left)
         other.insert(right)
         assert double.estimate_join(other) == pytest.approx(2 * single.estimate_join(other))
 
-    def test_count_follows_inserts_and_deletes(self, workload, kind):
+    def test_a_batch_split_in_two_inserts_as_one(self, workload, kind):
+        domain, left, right, _ = workload
+        whole, split, other = (kind(domain, level=3) for _ in range(3))
+        whole.insert(left)
+        split.insert(left[:300])
+        split.insert(left[300:])
+        other.insert(right)
+        assert split.count == whole.count
+        assert split.estimate_join(other) == pytest.approx(whole.estimate_join(other))
+
+    def test_a_refused_batch_changes_nothing(self, workload, kind):
+        domain, left, right, _ = workload
+        histogram, other = kind(domain, level=3), kind(domain, level=3)
+        histogram.insert(left)
+        other.insert(right)
+        before = histogram.estimate_join(other)
+        outside = BoxSet(np.vstack([right.lows[:5], [[0, 0]]]),
+                         np.vstack([right.highs[:5], [[5000, 10]]]))
+        with pytest.raises(DimensionalityError):
+            histogram.insert(outside)
+        assert histogram.count == len(left)
+        assert histogram.estimate_join(other) == before
+
+    def test_count_follows_inserts(self, workload, kind):
         domain, left, right, _ = workload
         histogram = kind(domain, level=2)
         histogram.insert(left)
         histogram.insert(right)
-        histogram.delete(right[:100])
-        assert histogram.count == len(left) + len(right) - 100
+        assert histogram.count == len(left) + len(right)
         assert (histogram.level, histogram.cells_per_dim) == (2, 4)
 
 
@@ -94,19 +115,6 @@ class TestGeometricHistogram:
         gh_right.insert(right)
         estimate = gh_left.estimate_join(gh_right)
         assert estimate == pytest.approx(truth, rel=0.35)
-
-    def test_insert_delete_round_trip(self, workload, rng):
-        domain, left, right, _ = workload
-        extra = random_boxes(rng, 100, 1024, 2)
-        a = GeometricHistogram(domain, level=3)
-        a.insert(left)
-        b = GeometricHistogram(domain, level=3)
-        b.insert(left)
-        b.insert(extra)
-        b.delete(extra)
-        reference = GeometricHistogram(domain, level=3)
-        reference.insert(right)
-        assert a.estimate_join(reference) == pytest.approx(b.estimate_join(reference))
 
     def test_storage_words(self, workload):
         domain, *_ = workload
@@ -131,19 +139,6 @@ class TestEulerHistogram:
         eh_right.insert(right)
         estimate = eh_left.estimate_join(eh_right)
         assert estimate == pytest.approx(truth, rel=0.6)
-
-    def test_insert_delete_round_trip(self, workload, rng):
-        domain, left, right, _ = workload
-        extra = random_boxes(rng, 80, 1024, 2)
-        a = EulerHistogram(domain, level=3)
-        a.insert(left)
-        b = EulerHistogram(domain, level=3)
-        b.insert(left)
-        b.insert(extra)
-        b.delete(extra)
-        reference = EulerHistogram(domain, level=3)
-        reference.insert(right)
-        assert a.estimate_join(reference) == pytest.approx(b.estimate_join(reference))
 
     def test_storage_words_formula(self, workload):
         domain, *_ = workload

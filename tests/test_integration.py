@@ -57,7 +57,7 @@ class TestStreamingIntegration:
             if kind is UpdateKind.INSERT:
                 estimator.insert(batch)
             else:
-                estimator.delete(batch)
+                estimator.update("data", batch, -1.0)
         final_state = stream.final_state()
         query = BoxSet((40, 40), (200, 180))
         truth = range_query_count(final_state, query)

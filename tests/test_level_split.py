@@ -72,7 +72,7 @@ class TestKernel:
             split.prepay_tables()
         for estimator in (split, one_cell):
             estimator.insert(boxes)
-            estimator.delete(boxes[::3])
+            estimator.update("data", boxes[::3], -1.0)
         assert split.bank.counter_tensor.shape[1] \
             == len(split.bank.words) * int(np.prod(split.bank.levels))
         for word in one_cell.bank.words:

@@ -25,14 +25,15 @@ from pathlib import Path
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import HeartbeatConfig, RouterConfig, ThreadedClusterRouter
+from repro.cluster import RouterConfig
+from repro.cluster.manager import HEARTBEAT_MAX_FAILURES
 from repro.core.domain import Domain
 from repro.core.program import ExecutorStats
 from repro.errors import ConnectionLostError
 from repro.server import ServerConfig, ThreadedServer, protocol, wire
 from repro.server.metrics import FAMILIES, ServerMetrics, fold, render, samples
 from repro.service import EstimationService, synthetic_boxes
-from repro.tenancy import TenantRegistry
+from tests.routing import RouterThread
 from tests.test_front_conformance import Placement, _replay
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -192,13 +193,12 @@ def exposition():
     workers = [ThreadedServer(EstimationService(num_shards=2),
                               config=ServerConfig(admin_token="fleet")).start()
                for _ in range(2)]
-    handle = ThreadedClusterRouter(
+    handle = RouterThread(
         [("127.0.0.1", worker.port) for worker in workers],
-        config=RouterConfig(admin_token="root", worker_token="fleet"),
-        start_heartbeat=False, registry=TenantRegistry()).start()
+        RouterConfig(admin_token="root", worker_token="fleet")).start()
     try:
         with ServiceClient("127.0.0.1", handle.port, token="root") as admin:
-            admin.tenant("create", "acme", token="acme-secret")
+            admin.tenant("create", tenant="acme", token="acme-secret")
             with ServiceClient("127.0.0.1", handle.port,
                                token="acme-secret") as acme:
                 acme.register("rq", family="range", sizes=(256, 256),
@@ -329,10 +329,9 @@ def test_a_stalled_worker_costs_one_timeout_not_the_router_verbs():
     timeout = 0.5
     live = ThreadedServer(EstimationService(num_shards=2)).start()
     stalled = _StalledWorker()
-    router = ThreadedClusterRouter(
+    router = RouterThread(
         [("127.0.0.1", live.port), ("127.0.0.1", stalled.port)],
-        config=RouterConfig(request_timeout=timeout),
-        start_heartbeat=False).start()
+        RouterConfig(request_timeout=timeout)).start()
     try:
         with ServiceClient("127.0.0.1", router.port) as client:
             client.register("rq", family="range", sizes=(256, 256),
@@ -369,10 +368,9 @@ def test_estimates_stuck_on_a_stalled_worker_hold_no_router_thread():
     timeout = 5.0
     live = ThreadedServer(EstimationService(num_shards=2)).start()
     stalled = _StalledWorker()
-    router = ThreadedClusterRouter(
+    router = RouterThread(
         [("127.0.0.1", live.port), ("127.0.0.1", stalled.port)],
-        config=RouterConfig(request_timeout=timeout),
-        heartbeat=HeartbeatConfig(timeout=0.1), start_heartbeat=False).start()
+        RouterConfig(request_timeout=timeout)).start()
     estimate = {"op": "estimate", "name": "rq", "query": [0, 0, 9, 9]}
     stuck: list[dict] = []
 
@@ -389,7 +387,19 @@ def test_estimates_stuck_on_a_stalled_worker_hold_no_router_thread():
             for asker in askers:  # more batches than the router has threads
                 asker.start()
                 time.sleep(0.05)
-            for _ in range(3):
+            # The stalled worker's pings fail at once, as a dead peer's
+            # do, so the heartbeat marks it down long before the stuck
+            # estimates time out.
+            link = router.manager.worker("w1").link
+            answer = link.request_ok
+
+            async def drop_pings(payload, timeout=None):
+                if payload["op"] == "ping":
+                    raise ConnectionLostError("ping dropped")
+                return await answer(payload, timeout)
+
+            link.request_ok = drop_pings
+            for _ in range(HEARTBEAT_MAX_FAILURES):
                 router.run(router.manager.heartbeat_once())
             assert not router.manager.worker("w1").healthy
             start = time.perf_counter()

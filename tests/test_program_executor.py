@@ -94,7 +94,8 @@ def reference_scalar_estimate(family: str, view, query=None):
     elif family == "containment":
         values = (view.side_bank("outer").counter(view._outer_word)
                   * view.side_bank("inner").counter(view._inner_word))
-        left, right = view.outer_count, view.inner_count
+        state = view.state_dict()
+        left, right = state["outer_count"], state["inner_count"]
     elif family == "range":
         (query_box, _), bank = view.check_queries(query), view.bank
         values = _reference_range_values(view, query_box)

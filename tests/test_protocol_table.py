@@ -18,12 +18,14 @@ import pytest
 
 from repro import cli
 from repro.client import RequestVerbs, ServiceClient
-from repro.cluster import ClusterRouter, RouterConfig, ThreadedClusterRouter
+from repro.cluster import ClusterRouter, RouterConfig
 from repro.cluster.connection import WorkerLink
 from repro.errors import ProtocolError, ServiceError
 from repro.server import ServerConfig, SketchServer, ThreadedServer, protocol
 from repro.server.protocol import KINDS, OPS
 from repro.service import EstimationService
+
+from tests.routing import RouterThread
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -127,9 +129,9 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
     client = _Recorder()
     client.ping()
     client.auth("secret")
-    client.tenant("create", "acme", token="t", quota={"share": 2})
+    client.tenant("create", tenant="acme", token="t", quota={"share": 2})
     client.register("rq", family="range", sizes=(64, 64), instances=8,
-                    seed=1, max_levels=(3, None), strict=True)
+                    seed=1, strict=True)
     client.unregister("rq")
     client.ingest("rq", [[0, 0, 3, 3]], side="data", kind="delete")
     client.estimate("rq", [0, 0, 9, 9])
@@ -137,7 +139,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
     client.flush(), client.stats(), client.metrics()
     client.snapshot("a.snap"), client.reload("a.snap")
     client.checkpoint()
-    client.cluster_status(), client.quit()
+    client.cluster_status(), client.request(protocol.build("quit"))
     verbs = {"auth", "quit"} | {  # the two a connection adds
         name for name in vars(RequestVerbs)
         if not name.startswith("_") and name != "tensors"}
@@ -149,7 +151,7 @@ def test_every_client_verb_builds_a_payload_the_reader_accepts():
             assert name == "op" or fields[name] == value
     register = next(p for p in client.sent if p["op"] == "register")
     spec = protocol.read("register", register)["spec"]
-    assert (spec.max_levels, spec.options) == ((3, None), (("strict", True),))
+    assert spec.options == (("strict", True),)
     assert ServiceClient.register is RequestVerbs.register
 
 
@@ -176,17 +178,14 @@ def test_a_router_forwards_only_table_fields(monkeypatch, tmp_path):
         return await original(self, payload, timeout)
 
     monkeypatch.setattr(WorkerLink, "request", recording)
-    from repro.tenancy import TenantRegistry
-
     workers = [ThreadedServer(EstimationService(num_shards=2), config=(
         ServerConfig(admin_token="fleet"))).start() for _ in range(2)]
-    router = ThreadedClusterRouter(
+    router = RouterThread(
         [("127.0.0.1", worker.port) for worker in workers],
-        config=RouterConfig(admin_token="root", worker_token="fleet"),
-        start_heartbeat=False, registry=TenantRegistry()).start()
+        RouterConfig(admin_token="root", worker_token="fleet")).start()
     try:
         with ServiceClient("127.0.0.1", router.port, token="root") as admin:
-            admin.tenant("create", "acme", token="acme-secret")
+            admin.tenant("create", tenant="acme", token="acme-secret")
             with ServiceClient("127.0.0.1", router.port,
                                token="acme-secret") as acme:
                 acme.register("rq", family="range", sizes=(64, 64),

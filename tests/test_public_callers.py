@@ -1,32 +1,37 @@
 """Every public definition in ``src/repro`` has a caller, and every
 defaulted parameter of one has a call that passes it.
 
+The one rule: only program code — ``src/``, ``benchmarks/`` and
+``examples/`` (``PROGRAM_DIRS``) — counts as a caller.  Tests do not, so
+a definition or an option that only tests reach is reported.
+
 The definition scan is an AST name scan: each public top-level function
 and class of a ``src/repro`` module, and each public method of such a
-class, must be named somewhere in ``src/``, ``examples/`` or
-``benchmarks/`` other than its own ``def`` line.  A name its own module
-calls has a caller; a package ``__init__`` re-export or ``__all__`` entry
-is not one.  Tests do not count, so a helper that only its own test calls
-fails here.
+class, must be named by an identifier or attribute somewhere in the
+program other than its own ``def`` line.  A name its own module calls has
+a caller; a package ``__init__`` re-export or ``__all__`` entry is not
+one, and neither is a string constant that spells the name.
 
-The parameter scan reads every call in ``src/``, ``tests/``, ``examples/``
-and ``benchmarks/``.  A defaulted parameter of a public function, method or
-constructor is live when a call passes it by keyword or by position,
-splats ``*`` / ``**`` into it, or forwards a live parameter of the calling
-function (``f(x=x)``, followed transitively; ``super().__init__`` reaches
-the base class), or when the function is passed, stored or returned as a
-value (a ``FIGURES`` table, ``run_in_executor``).  Any other defaulted
-parameter is an option nothing sets: fold it into its default.  A
-parameter only tests pass stays live.
+The parameter scan reads every call in the program.  A defaulted
+parameter of a public function, method or constructor is live when a
+call passes it by keyword or by position, splats ``*`` / ``**`` into it,
+or forwards a live parameter of the calling function (``f(x=x)``,
+followed transitively; ``super().__init__`` reaches the base class), or
+when the function or class is passed, stored or returned as a value (a
+``FIGURES`` table, ``run_in_executor``, a class a registry builds with
+``**options``).  A package ``__getattr__`` that returns a class only
+re-exports it.  Any other defaulted parameter is an option nothing sets:
+fold it into its default.
 
 Both scans match names, not bindings, so they err towards "used": a
 method called ``update`` is never reported, and a keyword one ``update``
 takes is live for every ``update``.  They are a floor, not a proof.
 
-``KEPT`` lists the definitions that tests use as references or helpers for
-other code, and ``REACHED_BY_GETATTR`` the functions a call reaches
-through ``getattr``, each with its reason.  An entry that is no longer
-needed must leave its list.
+``KEPT`` lists the definitions and parameters that stay without a
+program caller — references other tests check against, the console
+script's ``argv`` — and ``REACHED_BY_GETATTR`` the functions a call
+reaches through ``getattr``, each with its reason.  An entry that is no
+longer needed must leave its list.
 """
 
 from __future__ import annotations
@@ -39,10 +44,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
-PROGRAM_DIRS = (ROOT / "src", ROOT / "examples", ROOT / "benchmarks")
+#: The directories whose code counts as a caller.
+PROGRAM_DIRS = ("src", "benchmarks", "examples")
 
-#: Definitions with no program caller that stay, and why.
+#: Definitions (``module::name``) and parameters (``module::name(parameter)``)
+#: with no program caller that stay, and why.
 KEPT = {
+    "repro/cli.py::main(argv)":
+        "the console script calls main() and argparse reads sys.argv; tests "
+        "and the documented `python -c` driver pass the verb's argv",
     "repro/core/dyadic.py::DyadicDomain.interval_of":
         "scalar node -> interval map; tests/helpers.py and the dyadic tests "
         "check the vectorised covers against it",
@@ -65,6 +75,9 @@ KEPT = {
     "repro/geometry/predicates.py::overlap_matrix":
         "brute-force reference the exact joins and the engine are counted "
         "against (test_exact_joins.py, test_property_based.py)",
+    "repro/geometry/predicates.py::overlap_matrix(closed)":
+        "the closed-rule reference the exact joins' closed counts are checked "
+        "against (test_exact_joins.py, test_property_based.py)",
     "repro/geometry/predicates.py::containment_matrix":
         "brute-force reference for the exact containment join (test_exact_joins.py)",
     "repro/geometry/predicates.py::pairwise_linf_distances":
@@ -77,6 +90,12 @@ KEPT = {
         "called as getattr(service, f'tenant_{verb}') by the server's "
         "tenant verb, which a name scan cannot see",
 }
+
+
+def program_files(root: Path) -> list[Path]:
+    """The Python files under ``root``'s :data:`PROGRAM_DIRS`."""
+    return sorted(path for directory in PROGRAM_DIRS
+                  for path in (root / directory).rglob("*.py"))
 
 
 def _names_used(path: Path) -> set[str]:
@@ -92,9 +111,6 @@ def _names_used(path: Path) -> set[str]:
             continue
         elif isinstance(node, ast.alias):
             used.add(node.name.rpartition(".")[2])
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and node.value.isidentifier():
-            used.add(node.value)
     return used
 
 
@@ -127,17 +143,18 @@ def orphans(files: list[Path], package: Path) -> set[str]:
 
 @functools.cache
 def _program_orphans() -> frozenset[str]:
-    return frozenset(orphans(sorted(path for directory in PROGRAM_DIRS
-                                    for path in directory.rglob("*.py")), PACKAGE))
+    return frozenset(orphans(program_files(ROOT), PACKAGE))
 
 
 def test_every_public_definition_has_a_caller_in_the_program():
     assert sorted(_program_orphans() - KEPT.keys()) == []
 
 
-def test_every_kept_definition_still_lacks_a_caller():
-    """A kept name that gained a caller, or was deleted, leaves ``KEPT``."""
-    assert sorted(KEPT.keys() - _program_orphans()) == []
+def test_every_kept_entry_still_lacks_a_caller():
+    """A kept name or parameter that gained a caller, or was deleted,
+    leaves ``KEPT``."""
+    dead = {name for name, live in program_parameters().items() if not live}
+    assert sorted(KEPT.keys() - _program_orphans() - dead) == []
 
 
 def test_the_scan_reports_a_new_orphan(tmp_path):
@@ -156,10 +173,22 @@ def test_the_scan_reports_a_new_orphan(tmp_path):
     assert orphans(files, package) == {"pkg/mod.py::unused", "pkg/mod.py::Box.extra"}
 
 
-# -- the parameter scan ---------------------------------------------------------
+def test_a_name_spelled_only_in_a_string_has_no_caller(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "KINDS = ('insert', 'delete')\n\n"
+        "class Sketch:\n"
+        "    def insert(self):\n        pass\n\n"
+        "    def delete(self):\n        pass\n\n"
+        "def update(sketch, kind):\n    return sketch.insert()\n")
+    (tmp_path / "example.py").write_text(
+        "from pkg.mod import Sketch, update\nupdate(Sketch(), 'delete')\n")
+    files = sorted(tmp_path.rglob("*.py"))
+    assert orphans(files, package) == {"pkg/mod.py::Sketch.delete"}
 
-#: Every file whose calls can pass a parameter.
-CALLER_DIRS = PROGRAM_DIRS + (ROOT / "tests",)
+
+# -- the parameter scan ---------------------------------------------------------
 
 #: Functions reached through ``getattr``, which a name scan cannot follow:
 #: each of their defaulted parameters counts as passed.
@@ -236,6 +265,7 @@ class _FileScan(ast.NodeVisitor):
         self._passed = {id(value) for node in ast.walk(tree)
                         for value in _passed_values(node)}
         self._module_bound = _bound_names(tree.body, definitions=False)
+        self._is_init = path.name == "__init__.py"
         self._stack: list[ast.AST] = []
         self._defs: dict[int, _Function] = {}
         self.visit(tree)
@@ -253,6 +283,12 @@ class _FileScan(ast.NodeVisitor):
             scopes.append((parameters, function.bound if function else frozenset(),
                            function))
         return scopes
+
+    def _reexport(self) -> bool:
+        """Inside a package ``__getattr__``, which hands out what it returns
+        as a re-export, not as a value a caller builds."""
+        return self._is_init and any(isinstance(node, ast.FunctionDef)
+                                     and node.name == "__getattr__" for node in self._stack)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         for child in node.bases + node.keywords + node.decorator_list:
@@ -321,15 +357,16 @@ class _FileScan(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        if id(node) in self._passed and node.id not in self._module_bound and not any(
-                node.id in parameters or node.id in bound
-                for parameters, bound, _ in self._scopes()):
+        if id(node) in self._passed and not self._reexport() \
+                and node.id not in self._module_bound and not any(
+                    node.id in parameters or node.id in bound
+                    for parameters, bound, _ in self._scopes()):
             self.values.add(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if not isinstance(node.ctx, ast.Load):
             self.data_attributes.add(node.attr)
-        elif id(node) in self._passed:
+        elif id(node) in self._passed and not self._reexport():
             self.values.add(node.attr)
         self.visit(node.value)
 
@@ -413,7 +450,8 @@ def parameter_liveness(files: list[Path], package: Path,
                         else:
                             forwards[source].add((target.key, parameter))
     for name in values - data_attributes:
-        live.update((function.key, parameter) for function in by_name.get(name, ())
+        live.update((function.key, parameter)
+                    for function in by_name.get(name, []) + constructors(name)
                     for parameter in function.defaulted)
     frontier = list(live)
     while frontier:
@@ -428,13 +466,12 @@ def parameter_liveness(files: list[Path], package: Path,
 @functools.cache
 def program_parameters(reached=tuple(REACHED_BY_GETATTR)) -> dict[str, bool]:
     """:func:`parameter_liveness` over the repository."""
-    return parameter_liveness(sorted(path for directory in CALLER_DIRS
-                                     for path in directory.rglob("*.py")),
-                              PACKAGE, reached)
+    return parameter_liveness(program_files(ROOT), PACKAGE, reached)
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    assert sorted(name for name, live in program_parameters().items() if not live) == []
+    assert sorted(name for name, live in program_parameters().items()
+                  if not live and name not in KEPT) == []
 
 
 def test_every_getattr_entry_is_still_needed():
@@ -484,3 +521,52 @@ def test_the_scan_follows_each_way_a_parameter_is_passed(tmp_path):
         "pkg/mod.py::shadowed(dead)",
     ]
     assert len(liveness) == 19
+
+
+def test_a_class_a_registry_builds_keeps_its_constructor_parameters(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "class Estimator:\n"
+        "    def __init__(self, size, *, seed=0):\n        pass\n\n"
+        "class Unlisted:\n"
+        "    def __init__(self, size, *, dead=0):\n        pass\n\n"
+        "FAMILIES = {'range': Estimator}\n\n"
+        "def build(family, size, **options):\n"
+        "    Unlisted(size)\n"
+        "    return FAMILIES[family](size, **options)\n")
+    (tmp_path / "caller.py").write_text("from pkg.mod import build\nbuild('range', 4)\n")
+    liveness = parameter_liveness(sorted(tmp_path.rglob("*.py")), package, reached=())
+    assert liveness == {"pkg/mod.py::Estimator.__init__(seed)": True,
+                        "pkg/mod.py::Unlisted.__init__(dead)": False}
+
+
+def test_a_package_getattr_only_re_exports_what_it_returns(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "def __getattr__(name):\n"
+        "    from pkg.mod import Runner, helper\n"
+        "    return {'Runner': Runner, 'helper': helper}[name]\n")
+    (package / "mod.py").write_text(
+        "class Runner:\n"
+        "    def __init__(self, *, dead=0):\n        pass\n\n"
+        "def helper(dead=0):\n    pass\n")
+    (tmp_path / "caller.py").write_text("import pkg\npkg.Runner()\npkg.helper()\n")
+    liveness = parameter_liveness(sorted(tmp_path.rglob("*.py")), package, reached=())
+    assert liveness == {"pkg/mod.py::Runner.__init__(dead)": False,
+                        "pkg/mod.py::helper(dead)": False}
+
+
+def test_a_call_only_tests_make_keeps_no_parameter_live(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text("def scan(data, *, chunk=512):\n    pass\n")
+    for directory, call in (("examples", "scan([])"), ("tests", "scan([], chunk=8)")):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "use.py").write_text(f"from pkg.mod import scan\n{call}\n")
+    files = program_files(tmp_path)
+    assert [path.relative_to(tmp_path).as_posix() for path in files] == [
+        "examples/use.py", "src/pkg/mod.py"]
+    assert parameter_liveness(files, package, reached=()) == {
+        "pkg/mod.py::scan(chunk)": False}

@@ -15,6 +15,7 @@ from repro.core.domain import Domain
 from repro.errors import ProtocolError, ServiceError
 from repro.server import protocol
 from repro.server.coalescer import EstimateCoalescer
+from repro.server.front import WriteGate
 from repro.server.server import ServerConfig, SketchServer
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 
@@ -572,15 +573,15 @@ class TestCoalescerUnit:
 
 def test_estimate_qps_not_capped_by_sample_window():
     """A busy server reports its true rate, not samples/window."""
-    from repro.server.metrics import ServerMetrics
+    from repro.server.metrics import SAMPLE_WINDOW, ServerMetrics
 
-    metrics = ServerMetrics(window=64)
-    metrics.started_at -= 100.0  # long-lived server...
-    for _ in range(64):          # ...whose sample deque wrapped just now
+    metrics = ServerMetrics()
+    metrics.started_at -= 100.0        # long-lived server...
+    for _ in range(SAMPLE_WINDOW):     # ...whose sample deque wrapped just now
         metrics.record_estimate_latency(0.001)
-    # All 64 retained samples are microseconds old; the horizon must clamp
-    # to the retained span, not report 64 / 30s ~ 2 qps.
-    assert metrics.estimate_qps() > 64 / 30.0 * 10
+    # All retained samples are microseconds old; the horizon must clamp
+    # to the retained span, not report SAMPLE_WINDOW / 30s.
+    assert metrics.estimate_qps() > SAMPLE_WINDOW / 30.0 * 10
 
 
 class TestProtocolUnit:
@@ -629,3 +630,82 @@ class TestProtocolUnit:
                 {"ok": False, "error": "x", "error_code": "bad_request"})
         assert info.value.code == "bad_request"
         assert protocol.raise_for_response({"ok": True, "op": "ping"})["ok"]
+
+
+class TestWriteGate:
+    """Writes share the gate; a hold waits for the writes in flight, and
+    writes that arrive while it is held wait for its release."""
+
+    @staticmethod
+    def _run(steps):
+        async def main():
+            gate, log = WriteGate(), []
+            await steps(gate, log)
+            return log
+
+        return asyncio.run(main())
+
+    def test_a_write_waits_while_the_gate_is_held(self):
+        async def steps(gate, log):
+            async def write():
+                async with gate.write():
+                    log.append("write")
+
+            async with gate.hold():
+                task = asyncio.create_task(write())
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                log.append("held")
+            await task
+
+        assert self._run(steps) == ["held", "write"]
+
+    def test_a_hold_waits_for_the_writes_in_flight(self):
+        async def steps(gate, log):
+            release = asyncio.Event()
+
+            async def write():
+                async with gate.write():
+                    log.append("write starts")
+                    await release.wait()
+                    log.append("write ends")
+
+            async def hold():
+                async with gate.hold():
+                    log.append("held")
+
+            writing = asyncio.create_task(write())
+            await asyncio.sleep(0)
+            holding = asyncio.create_task(hold())
+            for _ in range(3):
+                await asyncio.sleep(0)
+            release.set()
+            await asyncio.gather(writing, holding)
+
+        assert self._run(steps) == ["write starts", "write ends", "held"]
+
+    def test_holds_take_turns(self):
+        async def steps(gate, log):
+            async def hold(name):
+                async with gate.hold():
+                    log.append(f"{name} in")
+                    await asyncio.sleep(0)
+                    log.append(f"{name} out")
+
+            await asyncio.gather(hold("a"), hold("b"))
+
+        assert self._run(steps) == ["a in", "a out", "b in", "b out"]
+
+    @pytest.mark.parametrize("side", ["write", "hold"])
+    def test_a_failure_inside_releases_the_gate(self, side):
+        async def steps(gate, log):
+            with pytest.raises(RuntimeError):
+                async with getattr(gate, side)():
+                    raise RuntimeError("the step failed")
+            async with gate.hold():
+                log.append("held")
+            async with gate.write():
+                log.append("written")
+
+        assert self._run(steps) == ["held", "written"]
+

@@ -142,7 +142,7 @@ class ViewCacheMachine(RuleBasedStateMachine):
 
     @rule()
     def restore(self):
-        self.service = restore_service(self.service.snapshot(), flush_threshold=48)
+        self.service = restore_service(self.service.snapshot())
 
     @invariant()
     def every_miss_is_a_delta_apply_or_a_rebuild(self):

@@ -125,9 +125,9 @@ class TestBothFormatsRoundTrip:
             assert handle.read(len(BINARY_MAGIC)) == BINARY_MAGIC
 
         # Both ways a file is read: memory-mapped, and into private memory.
-        for mmap in (True, False):
-            restored = restore_service(
-                read_binary_snapshot_state(path, mmap=mmap))
+        for state in (read_binary_snapshot_state(path),
+                      snapshot_state_from_bytes(path.read_bytes())):
+            restored = restore_service(state)
             result = restored.estimate("est", query)
             assert result.estimate == original.estimate
             assert np.array_equal(result.instance_values,
@@ -250,12 +250,13 @@ class TestV2FixtureRegression:
         (FIXTURES / "service_snapshot_v2.expected.json").read_text())
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
-    @pytest.mark.parametrize("mmap", [True, False], ids=["mmap", "read"])
-    def test_fixture_restores_and_answers_identically(self, mmap, num_shards):
+    @pytest.mark.parametrize("read", [
+        read_binary_snapshot_state,
+        lambda path: snapshot_state_from_bytes(path.read_bytes()),
+    ], ids=["mmap", "read"])
+    def test_fixture_restores_and_answers_identically(self, read, num_shards):
         """In any shard count: the file's two states per name are summed."""
-        service = restore_service(
-            read_binary_snapshot_state(self.SNAPSHOT, mmap=mmap),
-            num_shards=num_shards)
+        service = restore_service(read(self.SNAPSHOT), num_shards=num_shards)
         assert service.num_shards == num_shards
         assert service.tenants.describe()["ids"] == self.EXPECTED["tenants"]
         assert service.spec("join").max_levels == (5, 5)

@@ -211,7 +211,8 @@ class TestShardedStore:
         store.apply("est", "left", "insert", data)   # alias for "outer"
         store.apply("est", "inner", "insert", data)
         view = store.merge_view("est")
-        assert view.outer_count == 20 and view.inner_count == 20
+        state = view.state_dict()
+        assert state["outer_count"] == 20 and state["inner_count"] == 20
 
     def test_merged_view_estimates(self, rng):
         store = ShardedSketchStore(4)
@@ -238,7 +239,7 @@ class TestSpecs:
             assert EstimatorSpec.from_dict(spec.to_dict()) == spec
 
     def test_spec_from_domain_preserves_max_level(self):
-        domain = Domain.square(256, dimension=2, max_level=4)
+        domain = Domain((256, 256), max_levels=4)
         spec = EstimatorSpec.create("rectangle", domain, 8)
         assert spec.domain().signature() == domain.signature()
 

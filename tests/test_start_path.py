@@ -136,6 +136,12 @@ _TAP = textwrap.dedent("""
 NOT_SERVED = ("repro.data", "repro.experiments", "repro.engine", "repro.client",
               "repro.server.runner", "repro.cluster.runner")
 
+#: What a router never runs: the local service and its snapshots, ingest,
+#: stream driver and view deltas, the local server, the fleet spawner.
+NOT_ROUTED = ("repro.service.service", "repro.service.snapshot",
+              "repro.server.server", "repro.service.ingest",
+              "repro.service.driver", "repro.service.delta", "repro.cluster.fleet")
+
 #: All that a front has loaded when it announces its port.
 AT_THE_BANNER = ["repro", "repro.cli", "repro.errors", "repro.version"]
 
@@ -180,6 +186,7 @@ def test_serve_and_cluster_route_load_what_they_serve(tmp_path):
     assert "repro.server.server" in served and "repro.wal.writer" in served
     assert "repro.cluster.router" in routed
     assert "repro.cluster.router" not in served
+    assert sorted(set(NOT_ROUTED) & set(routed)) == []
 
 
 def test_import_repro_loads_no_numpy():

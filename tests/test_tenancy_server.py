@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.cluster import RouterConfig
 from repro.cluster.fleet import spawn_worker
 from repro.core.domain import Domain
 from repro.errors import (
@@ -27,7 +27,9 @@ from repro.errors import (
 )
 from repro.server import ServerConfig, ThreadedServer
 from repro.service import EstimationService, synthetic_boxes
-from repro.tenancy import TenantQuota, TenantRegistry
+from repro.tenancy import TenantQuota
+
+from tests.routing import RouterThread
 
 DOMAIN = Domain.square(256, dimension=2)
 
@@ -93,13 +95,13 @@ class TestAuthGating:
             with pytest.raises(AuthenticationError):
                 client.snapshot(str(tmp_path / "x.sketch"))
             with pytest.raises(AuthenticationError):
-                client.tenant("create", "mallory", token="m")
+                client.tenant("create", tenant="mallory", token="m")
 
     def test_disabled_tenant_loses_access_mid_connection(self, tenant_server):
         with client_for(tenant_server, token=GLOBEX_TOKEN) as globex, \
                 client_for(tenant_server, token=ADMIN_TOKEN) as admin:
             register_join(globex)
-            admin.tenant("disable", "globex")
+            admin.tenant("disable", tenant="globex")
             with pytest.raises(AuthenticationError):
                 globex.flush()
 
@@ -196,7 +198,7 @@ class TestQuotas:
                 acme.ingest("join", boxes, side="left")
                 with pytest.raises(QuotaExceededError):
                     acme.ingest("join", boxes, side="left")
-                admin.tenant("update", "acme",
+                admin.tenant("update", tenant="acme",
                              quota={"ingest_boxes_per_sec": 1e6,
                                     "ingest_burst_boxes": 1e6})
                 acme.ingest("join", boxes, side="left")
@@ -205,13 +207,13 @@ class TestQuotas:
 class TestTenantVerb:
     def test_admin_lifecycle_over_the_wire(self, tenant_server):
         with client_for(tenant_server, token=ADMIN_TOKEN) as admin:
-            created = admin.tenant("create", "initech", token="in-tok",
+            created = admin.tenant("create", tenant="initech", token="in-tok",
                                    quota={"share": 2})
             assert created["record"]["quota"]["share"] == 2
             assert admin.tenant("list")["tenants"]["tenants"] == 3
-            described = admin.tenant("describe", "initech")
+            described = admin.tenant("describe", tenant="initech")
             assert described["record"]["tenant_id"] == "initech"
-            admin.tenant("remove", "initech")
+            admin.tenant("remove", tenant="initech")
             assert "initech" not in admin.tenant("list")["tenants"]["ids"]
         with client_for(tenant_server) as client:
             with pytest.raises(AuthenticationError):
@@ -223,7 +225,7 @@ class TestTenantVerb:
             assert described["record"]["tenant_id"] == "acme"
             assert "token_hash" not in described["record"]
             with pytest.raises(AuthenticationError):
-                acme.tenant("describe", "globex")
+                acme.tenant("describe", tenant="globex")
 
 
 class TestTenantCli:
@@ -381,18 +383,15 @@ class TestClusterTenancy:
         workers = [spawn_worker(shards=2,
                                 extra_args=("--admin-token", "fleet-secret"))
                    for _ in range(2)]
-        registry = TenantRegistry()
         config = RouterConfig(admin_token=ADMIN_TOKEN,
                               worker_token="fleet-secret")
         try:
             addresses = [(w.host, w.port) for w in workers]
-            with ThreadedClusterRouter(addresses, config=config,
-                                       start_heartbeat=False,
-                                       registry=registry) as handle:
+            with RouterThread(addresses, config) as handle:
                 with ServiceClient("127.0.0.1", handle.port,
                                    token=ADMIN_TOKEN) as admin:
-                    admin.tenant("create", "acme", token=ACME_TOKEN)
-                    admin.tenant("create", "globex", token=GLOBEX_TOKEN)
+                    admin.tenant("create", tenant="acme", token=ACME_TOKEN)
+                    admin.tenant("create", tenant="globex", token=GLOBEX_TOKEN)
                 boxes = synthetic_boxes(DOMAIN, 80, seed=6)
                 with ServiceClient("127.0.0.1", handle.port,
                                    token=ACME_TOKEN) as acme:

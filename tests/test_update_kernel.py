@@ -128,11 +128,11 @@ class TestThreeKernelsAgree:
         floating = integer.companion()
         with on_path(path, integer):
             integer.insert(boxes, letter_boxes=overrides)
-            integer.delete(boxes[:1], letter_boxes={
+            integer.insert(boxes[:1], weight=-1.0, letter_boxes={
                 letter: source[:1] for letter, source in overrides.items()})
             with float_kernel():
                 floating.insert(boxes, letter_boxes=overrides)
-                floating.delete(boxes[:1], letter_boxes={
+                floating.insert(boxes[:1], weight=-1.0, letter_boxes={
                     letter: source[:1] for letter, source in overrides.items()})
         assert np.array_equal(integer.counter_tensor, floating.counter_tensor)
         assert np.array_equal(integer.counter_tensor, scalar_counters(integer, [

@@ -10,6 +10,7 @@ across a hot swap.
 import asyncio
 import contextlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from repro.core.domain import Domain
 from repro.client import ServiceClient
 from repro.errors import ServerError, ServiceError
 from repro.geometry.boxset import BoxSet
-from repro.server import ThreadedServer, protocol
+from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.server.server import _snapshot_bytes
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.wal import WalWriter, read_wal_records, recover_service
@@ -28,6 +29,7 @@ from repro.wal.writer import default_checkpoint_path
 from tests.test_server import Connection, start_server
 
 DOMAIN = Domain.square(256, dimension=2)
+LATE = synthetic_boxes(DOMAIN, 25, seed=31)
 
 
 # Not durable state: "version" is a process-local cache-invalidation
@@ -472,6 +474,116 @@ class TestOneRecoveryBase:
             running = service.snapshot()
             last = service.wal.last_seqno
         assert logged_seqnos(wal_dir) == list(range(1, last + 1))
+        assert_states_equal(running, restart(wal_dir).snapshot())
+
+    #: A write sent while a reload is under way, and what it does to a
+    #: service that never reloaded.
+    WRITES = {
+        "ingest": (dict(op="ingest", name="ranges", side="data",
+                        boxes=protocol.boxes_to_rows(LATE)),
+                   lambda twin: twin.ingest("ranges", LATE, side="data")),
+        "register": (dict(op="register", name="extra", family="range",
+                          sizes=[256, 256], instances=16, seed=9),
+                     lambda twin: twin.register("extra", family="range",
+                                                domain=(256, 256),
+                                                num_instances=16, seed=9)),
+        "unregister": (dict(op="unregister", name="join"),
+                       lambda twin: twin.unregister("join")),
+        "flush": (dict(op="flush"), lambda twin: twin.flush()),
+        "tenant": (dict(op="tenant", action="create", tenant="acme",
+                        token="acme-secret"), lambda twin: None),
+        "checkpoint": (dict(op="snapshot", checkpoint=True), lambda twin: None),
+    }
+
+    @pytest.mark.parametrize("source, verb", [
+        ("base", verb) for verb in WRITES] + [
+        (source, verb) for source in ("file", "inline")
+        for verb in ("ingest", "checkpoint")])
+    def test_a_write_during_a_reload_is_in_the_reloaded_state(
+            self, tmp_path, source, verb):
+        """A reload detaches the old service's log before the new service is
+        swapped in.  A write that arrives in between waits for the swap: it
+        is acked, running and recovered, never dropped with the old
+        service.  A seam holds the old service's ``detach_wal`` open while
+        the write arrives."""
+        wal_dir = tmp_path / "wal"
+        early = synthetic_boxes(DOMAIN, 40, seed=30)
+        twin = durable_service()
+        if source != "base":  # the reload replaces the state with another
+            twin.ingest("ranges", synthetic_boxes(DOMAIN, 50, seed=32),
+                        side="data")
+        reload = {"base": {}, "file": {"path": str(tmp_path / "other.sketch")},
+                  "inline": {"data": _snapshot_bytes(twin)}}[source]
+        if source == "file":
+            twin.save(reload["path"])
+        request, apply = self.WRITES[verb]
+        service = durable_service(wal_dir, sync="flush")
+        service.ingest("ranges", early, side="data")
+        if source == "base":
+            twin.ingest("ranges", early, side="data")
+        detached, release, dispatched = (threading.Event() for _ in range(3))
+        detach = service.detach_wal
+
+        def held_detach(**kwargs):
+            writer = detach(**kwargs)
+            detached.set()
+            release.wait(30)
+            return writer
+
+        service.detach_wal = held_detach
+        # Two executor threads: the reload pins one in the seam, so a
+        # write the server runs meanwhile runs on the other, ahead of the
+        # probe queued after it.
+        handle = ThreadedServer(service, config=ServerConfig(
+            executor_workers=2)).start()
+        record = handle.server.metrics.record_request
+
+        def recorded(op):
+            record(op)
+            if op == request["op"]:
+                dispatched.set()
+
+        handle.server.metrics.record_request = recorded
+        replies = {}
+
+        def send(key, payload):
+            with ServiceClient("127.0.0.1", handle.port) as client:
+                replies[key] = client.request(payload)
+
+        threads = [threading.Thread(target=send, args=(
+            "reload", protocol.build("reload", **reload)))]
+        try:
+            threads[0].start()
+            assert detached.wait(30)
+            threads.append(threading.Thread(target=send,
+                                            args=("write", request)))
+            threads[1].start()
+            assert dispatched.wait(30)
+
+            async def probe():
+                # Queued behind whatever the write's handler submitted.
+                await asyncio.sleep(0)
+                await handle.server._run_blocking(lambda: None)
+
+            handle.run(probe())
+            release.set()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+            assert replies["reload"]["ok"] and replies["write"]["ok"]
+            running = handle.service.snapshot()
+        finally:
+            release.set()
+            handle.stop()
+            if handle.service.wal is not None:
+                handle.service.detach_wal()
+        apply(twin)
+        expected = twin.snapshot()
+        if verb == "tenant":  # the record carries its creation time
+            assert [record["tenant_id"] for record in running["tenants"]["records"]] \
+                == ["acme"]
+            expected["tenants"] = running["tenants"]
+        assert_states_equal(expected, running)
         assert_states_equal(running, restart(wal_dir).snapshot())
 
     def test_a_reload_reports_the_local_log_position(self, tmp_path):

@@ -242,12 +242,17 @@ def test_a_line_nested_too_deep_is_answered_and_the_connection_kept():
     assert pong["ok"] and pong["id"] == 2
 
 
+def _declared(body_len: int) -> bytes:
+    """A frame prefix declaring an empty header and ``body_len`` body bytes."""
+    return wire.FRAME_PREFIX.pack(wire.MAGIC, 0, body_len)
+
+
 def test_oversized_declared_frame_is_drained_typed_and_recoverable():
-    frame = reference_frame()
+    limit = protocol.MAX_LINE_BYTES
     follower = wire.encode_binary({"op": "ping"})
-    stream = io.BytesIO(frame + follower)
+    stream = io.BytesIO(_declared(limit) + bytes(limit) + follower)
     with pytest.raises(FrameTooLargeError) as excinfo:
-        wire.read_binary_frame_sync(stream, max_bytes=len(frame) - 1)
+        wire.read_binary_frame_sync(stream)
     assert excinfo.value.code == "frame_too_large"
     assert excinfo.value.recoverable
     # The oversized frame was drained: the next frame reads intact.
@@ -255,10 +260,9 @@ def test_oversized_declared_frame_is_drained_typed_and_recoverable():
 
 
 def test_frame_beyond_the_drain_limit_loses_framing():
-    frame = reference_frame()
     with pytest.raises(wire.FramingLostError, match="too large to drain"):
-        wire.read_binary_frame_sync(io.BytesIO(frame),
-                                    max_bytes=len(frame) // 5)
+        wire.read_binary_frame_sync(io.BytesIO(
+            _declared(4 * protocol.MAX_LINE_BYTES)))
 
 
 # -- self-describing frames ---------------------------------------------------------

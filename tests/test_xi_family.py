@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.client import ServiceClient
-from repro.cluster import RouterConfig, ThreadedClusterRouter
+from repro.cluster import ThreadedClusterRouter
 from repro.cluster.fleet import LocalFleet, _worker_env
 from repro.cluster.partial import merge_partial_states, reduce_partials
 from repro.core import hashing
@@ -438,9 +438,8 @@ class TestRouterTemplates:
     def test_routed_estimates_build_each_family_once(self):
         gc.collect()
         queries = synthetic_queries(DOMAIN, 200, seed=3)
-        with LocalFleet(2, shards=2) as fleet, ThreadedClusterRouter(
-                fleet.addresses(), config=RouterConfig(),
-                start_heartbeat=False) as handle, ServiceClient(
+        with LocalFleet(2) as fleet, ThreadedClusterRouter(
+                fleet.addresses(), start_heartbeat=False) as handle, ServiceClient(
                     "127.0.0.1", handle.port, timeout=60) as client:
             before = sign_table_stats()
             client.register("rq", family="range", sizes=[1024, 1024],
@@ -530,7 +529,7 @@ class TestRouterTemplateLifecycle:
     def routed(self, workers):
         return ThreadedClusterRouter(
             [("127.0.0.1", handle.port) for handle in workers],
-            config=RouterConfig(), start_heartbeat=False)
+            start_heartbeat=False)
 
     def test_reregistering_with_another_seed(self, workers):
         boxes = synthetic_boxes(DOMAIN, 400, seed=2)
