@@ -12,7 +12,7 @@ import pytest
 from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
 from repro.core.hashing import FourWiseFamilyBank
-from repro.core.join_rect import RectangleJoinEstimator
+from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.data import synthetic
 from repro.exact.rectangle_join import brute_force_join_count, plane_sweep_join_count
 
@@ -46,23 +46,23 @@ def test_bench_sketch_bank_insert(benchmark, workload):
 
 def test_bench_streaming_update(benchmark, workload):
     domain, left, right = workload
-    estimator = RectangleJoinEstimator(domain, num_instances=128, seed=3)
-    estimator.insert_left(left)
-    estimator.insert_right(right)
+    estimator = SpatialJoinEstimator(domain, num_instances=128, seed=3)
+    estimator.update("left", left)
+    estimator.update("right", right)
     single = left[:1]
 
     def update():
-        estimator.insert_left(single)
-        estimator.delete_left(single)
+        estimator.update("left", single)
+        estimator.update("left", single, -1.0)
 
     benchmark(update)
 
 
 def test_bench_estimate_latency(benchmark, workload):
     domain, left, right = workload
-    estimator = RectangleJoinEstimator(domain, num_instances=256, seed=3)
-    estimator.insert_left(left)
-    estimator.insert_right(right)
+    estimator = SpatialJoinEstimator(domain, num_instances=256, seed=3)
+    estimator.update("left", left)
+    estimator.update("right", right)
     benchmark(lambda: estimator.estimate().estimate)
 
 

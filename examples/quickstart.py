@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from repro import Domain, RectangleJoinEstimator
+from repro import Domain, SpatialJoinEstimator
 from repro.core import space
 from repro.core.selfjoin import dataset_self_join_size
 from repro.data import synthetic
@@ -44,11 +44,11 @@ def main() -> None:
     #    the sketch estimator.  512 instances cost about
     #    space.sketch_words(2, 512) = 4096 words per dataset.
     tuned = adaptive_domain(left, right, domain, seed=1)
-    estimator = RectangleJoinEstimator(tuned, num_instances=512, seed=42)
+    estimator = SpatialJoinEstimator(tuned, num_instances=512, seed=42)
 
     start = time.perf_counter()
-    estimator.insert_left(left)
-    estimator.insert_right(right)
+    estimator.update("left", left)
+    estimator.update("right", right)
     build_seconds = time.perf_counter() - start
 
     result = estimator.estimate()

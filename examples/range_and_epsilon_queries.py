@@ -31,7 +31,7 @@ def range_query_demo(rng: np.random.Generator) -> None:
 
     tuned = domain.with_max_level(6)
     estimator = RangeQueryEstimator(tuned, num_instances=512, seed=3)
-    estimator.insert(buildings)
+    estimator.update("data", buildings)
 
     print("range queries (estimated vs exact number of overlapping objects):")
     queries = {
@@ -62,8 +62,8 @@ def epsilon_join_demo(rng: np.random.Generator) -> None:
         level = int(np.ceil(np.log2(2 * epsilon)))
         tuned = domain.with_max_level(min(level, domain.dyadic(0).height))
         estimator = EpsilonJoinEstimator(tuned, epsilon, num_instances=1024, seed=7)
-        estimator.insert_left(temperature)
-        estimator.insert_right(humidity)
+        estimator.update("left", temperature)
+        estimator.update("right", humidity)
         estimate = estimator.estimate().estimate
         exact = epsilon_join_count(temperature, humidity, epsilon)
         error = abs(estimate - exact) / exact if exact else float("nan")

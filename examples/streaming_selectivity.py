@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Domain, RectangleJoinEstimator
+from repro import Domain, SpatialJoinEstimator
 from repro.data import synthetic
 from repro.data.streams import UpdateKind, UpdateStream
 from repro.exact import rectangle_join_count
@@ -34,8 +34,8 @@ def main() -> None:
     parcels = synthetic.generate_rectangles(4_000, domain, rng=rng)
     stream = UpdateStream(parcels, delete_fraction=0.5, warmup_fraction=0.4, seed=17)
 
-    estimator = RectangleJoinEstimator(domain.with_max_level(5), num_instances=384, seed=5)
-    estimator.insert_right(reference)
+    estimator = SpatialJoinEstimator(domain.with_max_level(5), num_instances=384, seed=5)
+    estimator.update("right", reference)
 
     # Replay the stream, checkpointing every few thousand operations.
     live_lows: list[np.ndarray] = []
@@ -52,11 +52,11 @@ def main() -> None:
     for operation in stream:
         box = operation.box
         if operation.kind is UpdateKind.INSERT:
-            estimator.insert_left(box)
+            estimator.update("left", box)
             live_lows.append(box.lows[0])
             live_highs.append(box.highs[0])
         else:
-            estimator.delete_left(box)
+            estimator.update("left", box, -1.0)
             for index in range(len(live_lows)):
                 if np.array_equal(live_lows[index], box.lows[0]) and \
                         np.array_equal(live_highs[index], box.highs[0]):

@@ -17,7 +17,7 @@ A reproduction of *"Approximation Techniques for Spatial Data"*
 Quick start::
 
     import numpy as np
-    from repro import Domain, RectangleJoinEstimator
+    from repro import Domain, SpatialJoinEstimator
     from repro.data import synthetic
     from repro.exact import rectangle_join_count
 
@@ -26,9 +26,9 @@ Quick start::
     left = synthetic.generate_rectangles(5_000, domain, rng=rng)
     right = synthetic.generate_rectangles(5_000, domain, rng=rng)
 
-    estimator = RectangleJoinEstimator(domain, num_instances=256, seed=11)
-    estimator.insert_left(left)
-    estimator.insert_right(right)
+    estimator = SpatialJoinEstimator(domain, num_instances=256, seed=11)
+    estimator.update("left", left)
+    estimator.update("right", right)
     print(estimator.estimate().estimate, rectangle_join_count(left, right))
 """
 
@@ -79,11 +79,8 @@ __all__ = [
     "self_join_size",
     "dataset_self_join_size",
     "choose_max_level",
-    "IntervalJoinEstimator",
-    "RectangleJoinEstimator",
     "SpatialJoinEstimator",
     "ExtendedOverlapJoinEstimator",
-    "CommonEndpointJoinEstimator",
     "ContainmentJoinEstimator",
     "EpsilonJoinEstimator",
     "RangeQueryEstimator",

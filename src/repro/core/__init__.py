@@ -5,17 +5,18 @@ Public entry points re-exported here:
 * :class:`~repro.core.dyadic.DyadicDomain` — dyadic decomposition of a domain.
 * :class:`~repro.core.atomic.SketchBank` — banks of atomic spatial sketches.
 * Join / query estimators:
-  :class:`~repro.core.join_interval.IntervalJoinEstimator`,
-  :class:`~repro.core.join_rect.RectangleJoinEstimator`,
-  :class:`~repro.core.join_hyperrect.SpatialJoinEstimator`,
+  :class:`~repro.core.join_hyperrect.SpatialJoinEstimator` (intervals,
+  rectangles and hyper-rectangles; the Appendix C common-endpoint
+  estimator is its ``endpoint_policy="explicit"``),
   :class:`~repro.core.join_extended.ExtendedOverlapJoinEstimator`,
-  :class:`~repro.core.join_extended.CommonEndpointJoinEstimator`,
   :class:`~repro.core.join_containment.ContainmentJoinEstimator`,
   :class:`~repro.core.epsilon_join.EpsilonJoinEstimator`,
   :class:`~repro.core.range_query.RangeQueryEstimator`.
 * :class:`~repro.core.estimator.SketchEstimator` — the one contract those
-  eight share: declared sides, ``update`` / ``merge`` / ``state_dict`` /
-  ``companion`` / ``with_delta``.
+  five share: declared sides, ``update`` / ``merge`` / ``state_dict`` /
+  ``companion`` / ``with_delta``; the four joins lower through
+  :class:`~repro.core.estimator.QuerylessProgramEstimator`, one program
+  term per (left word, right word) pair.
 * The compiled-program layer in :mod:`repro.core.program`:
   :class:`~repro.core.program.SketchProgram` (the shared estimator IR every
   family lowers to) and :class:`~repro.core.program.ProgramExecutor` (the
@@ -45,13 +46,8 @@ from repro.core.program import (
 )
 from repro.core.estimator import Side, SketchEstimator
 from repro.core.selfjoin import self_join_size, dataset_self_join_size
-from repro.core.join_interval import IntervalJoinEstimator
-from repro.core.join_rect import RectangleJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
-from repro.core.join_extended import (
-    CommonEndpointJoinEstimator,
-    ExtendedOverlapJoinEstimator,
-)
+from repro.core.join_extended import ExtendedOverlapJoinEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.range_query import RangeQueryEstimator
@@ -82,11 +78,8 @@ __all__ = [
     "SketchEstimator",
     "self_join_size",
     "dataset_self_join_size",
-    "IntervalJoinEstimator",
-    "RectangleJoinEstimator",
     "SpatialJoinEstimator",
     "ExtendedOverlapJoinEstimator",
-    "CommonEndpointJoinEstimator",
     "ContainmentJoinEstimator",
     "EpsilonJoinEstimator",
     "RangeQueryEstimator",

@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.atomic import Letter
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
-from repro.core.program import CounterRef, ProgramTerm
 from repro.errors import DomainError
 from repro.geometry.boxset import BoxSet, PointSet
 
@@ -29,10 +28,8 @@ from repro.geometry.boxset import BoxSet, PointSet
 class EpsilonJoinEstimator(QuerylessProgramEstimator):
     """Estimates ``|A join_eps B|`` under the L-infinity distance.
 
-    Lowers to a single-term :class:`~repro.core.program.SketchProgram`
-    (``Z = X_E * Y_I``) executed on the shared program executor; updates,
-    merging, persistence and the estimate surface (``estimate`` /
-    ``estimate_batch`` / shorthands) are inherited from
+    One word pair, ``Z = X_E * Y_I``; updates, merging, persistence and
+    the estimate surface are inherited from
     :class:`~repro.core.estimator.QuerylessProgramEstimator`.
     """
 
@@ -45,19 +42,10 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
         if epsilon < 0:
             raise DomainError("epsilon must be non-negative")
         self._epsilon = int(epsilon)
-        self._point_word = (Letter.LOWER_POINT,) * domain.dimension
-        self._cube_word = (Letter.INTERVAL,) * domain.dimension
+        points = (Letter.LOWER_POINT,) * domain.dimension
+        cubes = (Letter.INTERVAL,) * domain.dimension
         super().__init__(domain, num_instances, seed=seed, boosting=None,
-                         sketch_domain=domain,
-                         words=([self._point_word], [self._cube_word]))
-
-    @property
-    def left_count(self) -> int:
-        return self._cardinality["left"]
-
-    @property
-    def right_count(self) -> int:
-        return self._cardinality["right"]
+                         sketch_domain=domain, combos={(points, cubes): 1.0})
 
     # -- the contract's family pieces ---------------------------------------------
 
@@ -75,25 +63,3 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
 
     def _compatibility(self) -> dict:
         return {"epsilon": self._epsilon}
-
-    # -- named updates (aliases of ``update``) ------------------------------------
-
-    def insert_left(self, points: PointSet) -> None:
-        """Insert points into the A side."""
-        self.update("left", points)
-
-    def insert_right(self, points: PointSet) -> None:
-        """Insert points into the B side (sketched as epsilon-cubes)."""
-        self.update("right", points)
-
-    def delete_left(self, points: PointSet) -> None:
-        self.update("left", points, -1.0)
-
-    # -- lowering (estimation itself is inherited from the program layer) -----------
-
-    def _program_terms(self) -> tuple[ProgramTerm, ...]:
-        return (ProgramTerm(
-            1.0,
-            counters=(CounterRef(self._banks["left"], self._point_word),
-                      CounterRef(self._banks["right"], self._cube_word)),
-        ),)

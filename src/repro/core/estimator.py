@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.atomic import Letter, SketchBank, Word
 from repro.core.boosting import BoostingPlan, split_instances
 from repro.core.domain import Domain
-from repro.core.program import ProgramTerm, SketchProgram, default_executor
+from repro.core.program import CounterRef, ProgramTerm, SketchProgram, default_executor
 from repro.core.result import EstimateResult
 from repro.errors import (
     EstimationError,
@@ -324,23 +324,46 @@ class SketchEstimator:
         """One boosted estimate: ``estimate_batch([query])[0]``."""
         return self.estimate_batch([query])[0]
 
-    def instance_values(self) -> np.ndarray:
-        """The per-instance estimator values Z of one query-less estimate
-        (before boosting)."""
-        return self.estimate().instance_values
-
 
 class QuerylessProgramEstimator(SketchEstimator):
     """The families whose estimates take no query argument.
 
-    The paired join, epsilon-join and containment estimators all answer the
-    same way: a request is a result count, and the (fixed) estimator random
-    variable lowers to one :class:`~repro.core.program.SketchProgram` over
-    their two sides.  Subclasses provide ``_program_terms()``.
+    The paired joins, the epsilon join and the containment join share one
+    estimator random variable, ``Z = sum of c * X_w * Y_w'`` over pairs of
+    words: a family is its ``combos``, an ordered mapping from (word of
+    ``SIDES[0]``, word of ``SIDES[1]``) to the coefficient ``c``.  Each
+    side's bank sketches the words its combos name, sorted by ``str``; the
+    program has one term per combo, in combo order.  A request is a result
+    count, and every result reads the same per-instance values.
     """
 
+    def __init__(self, domain: Domain, num_instances: int, *, seed,
+                 boosting: BoostingPlan | None, sketch_domain: Domain,
+                 combos: Mapping[tuple[Word, Word], float]) -> None:
+        self._combos = dict(combos)
+        super().__init__(
+            domain, num_instances, seed=seed, boosting=boosting,
+            sketch_domain=sketch_domain,
+            words=[sorted({pair[side] for pair in self._combos}, key=str)
+                   for side in (0, 1)])
+
+    @property
+    def left_count(self) -> int:
+        """Current cardinality of the first input."""
+        return self._cardinality[self.SIDES[0].name]
+
+    @property
+    def right_count(self) -> int:
+        """Current cardinality of the second input."""
+        return self._cardinality[self.SIDES[1].name]
+
     def _program_terms(self) -> tuple[ProgramTerm, ...]:
-        raise NotImplementedError
+        """One term per (left word, right word) combo, in combo order."""
+        left, right = (self._banks[side.name] for side in self.SIDES)
+        return tuple(
+            ProgramTerm(coefficient, counters=(CounterRef(left, left_word),
+                                               CounterRef(right, right_word)))
+            for (left_word, right_word), coefficient in self._combos.items())
 
     def check_queries(self, queries) -> tuple[int, dict[int, QueryError]]:
         """A count, or a sequence with one ``None`` entry per result."""
@@ -361,12 +384,11 @@ class QuerylessProgramEstimator(SketchEstimator):
         per-instance values, so ``replicas`` carries the count."""
         if self._terms is None:
             self._terms = self._program_terms()
-        left_count, right_count = self._cardinality.values()
         return [SketchProgram(
             terms=self._terms,
             num_instances=self._num_instances,
             plan=self.boosting_plan,
-            left_count=left_count,
-            right_count=right_count,
+            left_count=self.left_count,
+            right_count=self.right_count,
             replicas=count,
         )]

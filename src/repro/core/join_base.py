@@ -25,11 +25,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.atomic import Letter, SketchBank, Word
+from repro.core.atomic import Letter, Word
 from repro.core.boosting import BoostingPlan
 from repro.core.domain import Domain, EndpointTransform
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
-from repro.core.program import CounterRef, ProgramTerm
 from repro.errors import SketchConfigError
 from repro.geometry.boxset import BoxSet
 
@@ -65,11 +64,8 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
     """Base class for estimators over two spatial inputs R (left) and S (right).
 
     Subclasses define the pair terms; this class owns the endpoint
-    transform and the *lowering* of the estimator random variable into a
-    :class:`~repro.core.program.SketchProgram`.  Updates, merging and
-    persistence are the shared :class:`~repro.core.estimator.SketchEstimator`
-    contract; evaluation and boosting run on the shared
-    :class:`~repro.core.program.ProgramExecutor`.
+    transform and expands the terms into the word pairs
+    :class:`~repro.core.estimator.QuerylessProgramEstimator` lowers.
     """
 
     SIDES = (Side("left", "left", "left_count"),
@@ -86,41 +82,20 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         needs_transform = use_endpoint_transform or any(t.transformed for t in self._pair_terms)
         self._transform = EndpointTransform(domain) if needs_transform else None
 
-        self._combos = expand_pair_terms(self._pair_terms, domain.dimension)
-        left_words = sorted({left for left, _ in self._combos}, key=str)
-        right_words = sorted({right for _, right in self._combos}, key=str)
         super().__init__(
             domain, num_instances, seed=seed, boosting=boosting,
             sketch_domain=(self._transform.expanded_domain
                            if self._transform is not None else domain),
-            words=(left_words, right_words))
+            combos=expand_pair_terms(self._pair_terms, domain.dimension))
 
     # -- introspection --------------------------------------------------------
-
-    @property
-    def left_bank(self) -> SketchBank:
-        return self._banks["left"]
-
-    @property
-    def right_bank(self) -> SketchBank:
-        return self._banks["right"]
-
-    @property
-    def left_count(self) -> int:
-        """Current cardinality of the left input."""
-        return self._cardinality["left"]
-
-    @property
-    def right_count(self) -> int:
-        """Current cardinality of the right input."""
-        return self._cardinality["right"]
 
     def storage_words(self) -> float:
         """Words charged to each dataset under the Section 7 accounting of
         :mod:`repro.core.space`."""
         from repro.core import space
 
-        counters = len(self.left_bank.words)
+        counters = len(self._banks["left"].words)
         return space.sketch_words(self.dimension, self._num_instances,
                                   counters_per_instance=counters)
 
@@ -135,33 +110,6 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
 
     def _compatibility(self) -> dict:
         return {"pair_terms": self._pair_terms}
-
-    # -- named updates (aliases of ``update``) --------------------------------------------
-
-    def insert_left(self, boxes: BoxSet) -> None:
-        """Insert boxes into the left (R) input."""
-        self.update("left", boxes)
-
-    def insert_right(self, boxes: BoxSet) -> None:
-        """Insert boxes into the right (S) input."""
-        self.update("right", boxes)
-
-    def delete_left(self, boxes: BoxSet) -> None:
-        """Delete previously inserted boxes from the left input."""
-        self.update("left", boxes, -1.0)
-
-    # -- lowering (estimation itself is inherited from the program layer) ---------------
-
-    def _program_terms(self) -> tuple[ProgramTerm, ...]:
-        """One term per (left word, right word) combination, in combo order."""
-        return tuple(
-            ProgramTerm(
-                coefficient,
-                counters=(CounterRef(self.left_bank, left_word),
-                          CounterRef(self.right_bank, right_word)),
-            )
-            for (left_word, right_word), coefficient in self._combos.items()
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

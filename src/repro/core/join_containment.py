@@ -22,18 +22,15 @@ import numpy as np
 from repro.core.atomic import Letter
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
-from repro.core.program import CounterRef, ProgramTerm
 from repro.geometry.boxset import BoxSet
 
 
 class ContainmentJoinEstimator(QuerylessProgramEstimator):
     """Estimates ``|{(r, s) : s contained in r}|`` for two hyper-rectangle sets.
 
-    Lowers to a single-term :class:`~repro.core.program.SketchProgram`
-    (``Z = X_outer * Y_inner`` over the doubled domain) executed on the
-    shared program executor; updates, merging, persistence and the
-    estimate surface are inherited from
-    :class:`~repro.core.estimator.QuerylessProgramEstimator`.
+    One word pair over the doubled domain, ``Z = X_outer * Y_inner``;
+    updates, merging, persistence and the estimate surface are inherited
+    from :class:`~repro.core.estimator.QuerylessProgramEstimator`.
     """
 
     SIDES = (Side("outer", "outer", "outer_count", aliases=("left",)),
@@ -49,11 +46,10 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
             level = None if dyadic.max_level == dyadic.height else dyadic.max_level
             doubled_levels.extend([level, level])
         doubled = Domain(doubled_sizes, max_levels=doubled_levels)
-        self._outer_word = (Letter.INTERVAL,) * doubled.dimension
-        self._inner_word = (Letter.LOWER_POINT,) * doubled.dimension
+        boxes = (Letter.INTERVAL,) * doubled.dimension
+        points = (Letter.LOWER_POINT,) * doubled.dimension
         super().__init__(domain, num_instances, seed=seed, boosting=None,
-                         sketch_domain=doubled,
-                         words=([self._outer_word], [self._inner_word]))
+                         sketch_domain=doubled, combos={(boxes, points): 1.0})
 
     # -- the dimension-doubling transformation -----------------------------------------
 
@@ -69,12 +65,3 @@ class ContainmentJoinEstimator(QuerylessProgramEstimator):
         coords[:, 0::2] = boxes.lows
         coords[:, 1::2] = boxes.highs
         return BoxSet(coords, coords.copy(), validate=False), None
-
-    # -- lowering (estimation itself is inherited from the program layer) ---------------
-
-    def _program_terms(self) -> tuple[ProgramTerm, ...]:
-        return (ProgramTerm(
-            1.0,
-            counters=(CounterRef(self._banks["outer"], self._outer_word),
-                      CounterRef(self._banks["inner"], self._inner_word)),
-        ),)

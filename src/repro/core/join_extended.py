@@ -1,24 +1,18 @@
-"""Extended join predicates (Appendix B.1 and Appendix C).
+"""The extended join predicate (Appendix B.1).
 
-Two estimators live here:
+:class:`ExtendedOverlapJoinEstimator` estimates ``|R join+_o S|``, the
+*extended* spatial join where hyper-rectangles that merely touch at their
+boundaries also count (Definition 4).  Following Appendix B.1, the I/E
+sketches are built over endpoint-transformed (shrunk) coordinates, while
+additional leaf-level endpoint sketches (X_L, X_U, ...) over the original
+coordinates capture exactly the touching configurations:
 
-* :class:`ExtendedOverlapJoinEstimator` — estimates ``|R join+_o S|``, the
-  *extended* spatial join where hyper-rectangles that merely touch at their
-  boundaries also count (Definition 4).  Following Appendix B.1, the I/E
-  sketches are built over endpoint-transformed (shrunk) coordinates, while
-  additional leaf-level endpoint sketches (X_L, X_U, ...) over the original
-  coordinates capture exactly the touching configurations:
+    Z = sum over words w in {I, E, L, U}^d of  X_w * Y_{w-bar} / 2^{c(w)}
 
-      Z = sum over words w in {I, E, L, U}^d of  X_w * Y_{w-bar} / 2^{c(w)}
-
-  with ``c(w)`` the number of I/E letters in ``w``.
-
-* :class:`CommonEndpointJoinEstimator` — the Appendix C estimator for the
-  *strict* join that keeps the original domain (no shrinking) and instead
-  explicitly subtracts the configurations that the simple counting procedure
-  over-counts when endpoints are shared.  In one dimension,
-
-      Z = (X_I Y_E + X_E Y_I - 2 X_L Y_U - 2 X_U Y_L - X_L Y_L - X_U Y_U) / 2.
+with ``c(w)`` the number of I/E letters in ``w``.  The Appendix C
+estimator of the *strict* join on the original domain is
+``SpatialJoinEstimator(endpoint_policy="explicit")``
+(:mod:`repro.core.join_hyperrect`).
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ from repro.core.atomic import Letter
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared
 from repro.core.join_base import PairTerm, PairedSketchJoinEstimator
-from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.geometry.boxset import BoxSet
 
 
@@ -58,14 +51,3 @@ class ExtendedOverlapJoinEstimator(PairedSketchJoinEstimator):
         shrunk = self._transform.transform_right(boxes)
         scaled = self._transform.transform_left(boxes)
         return shrunk, {Letter.LOWER_LEAF: scaled, Letter.UPPER_LEAF: scaled}
-
-
-class CommonEndpointJoinEstimator(SpatialJoinEstimator):
-    """The Appendix C estimator: strict join, original domain, explicit correction.
-
-    Functionally equivalent to ``SpatialJoinEstimator(endpoint_policy="explicit")``;
-    provided as a named class because the paper treats it as a distinct technique.
-    """
-
-    def __init__(self, domain: Domain, num_instances: int, *, seed=0) -> None:
-        super().__init__(domain, num_instances, seed=seed, endpoint_policy="explicit")

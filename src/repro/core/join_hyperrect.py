@@ -17,7 +17,13 @@ This module implements the paper's main estimators:
     assumption always holds (the default; costs two extra dyadic levels),
   - ``"explicit"``        — keep the original domain and use the Appendix C
     correction terms that explicitly subtract the over-counted shared-
-    endpoint configurations.
+    endpoint configurations.  In one dimension,
+
+        Z = (X_I Y_E + X_E Y_I - 2 X_L Y_U - 2 X_U Y_L - X_L Y_L - X_U Y_U) / 2.
+
+The service's ``interval`` and ``rectangle`` families are this class on a
+1-d and a 2-d domain, and ``common_endpoint`` is it with the ``"explicit"``
+policy (:data:`repro.service.specs.FAMILIES`).
 """
 
 from __future__ import annotations

@@ -140,11 +140,6 @@ class RangeQueryEstimator(SketchEstimator):
     def _compatibility(self) -> dict:
         return {"strict": self._strict}
 
-    # -- named updates (aliases of ``update``) -------------------------------------------
-
-    def insert(self, boxes: BoxSet) -> None:
-        self.update("data", boxes)
-
     # -- estimation -----------------------------------------------------------------------
 
     def check_queries(self, queries) -> tuple[BoxSet, dict[int, QueryError]]:

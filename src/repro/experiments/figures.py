@@ -24,7 +24,6 @@ from repro.core.domain import Domain
 from repro.core.dyadic import range_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
-from repro.core.join_interval import IntervalJoinEstimator
 from repro.core.range_query import RangeQueryEstimator
 from repro.core.selfjoin import dataset_self_join_size
 from repro.data import reallife, synthetic
@@ -116,10 +115,10 @@ def _guarantee_experiment(scale: ExperimentScale, seed: int):
 
         errors = []
         for run in range(runs):
-            estimator = IntervalJoinEstimator(domain, plan.total_instances,
-                                              seed=seed + 997 * (run + 1), boosting=plan)
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator = SpatialJoinEstimator(domain, plan.total_instances,
+                                             seed=seed + 997 * (run + 1), boosting=plan)
+            estimator.update("left", left)
+            estimator.update("right", right)
             errors.append(relative_error(estimator.estimate().estimate, truth))
         words = space.sketch_words(1, plan.total_instances)
         rows.append({
@@ -257,10 +256,10 @@ def ablation_maxlevel(scale: ExperimentScale = LAPTOP_SCALE, *, seed: int = 0) -
         sj = dataset_self_join_size(left, domain) + dataset_self_join_size(right, domain)
         errors = []
         for run in range(scale.runs):
-            estimator = IntervalJoinEstimator(domain, scale.ablation_instances,
-                                              seed=seed + 71 * (run + 1))
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator = SpatialJoinEstimator(domain, scale.ablation_instances,
+                                             seed=seed + 71 * (run + 1))
+            estimator.update("left", left)
+            estimator.update("right", right)
             errors.append(relative_error(estimator.estimate().estimate, truth))
         result.add_row(level, sj, float(np.mean(errors)), level == chosen)
     return result
@@ -293,8 +292,8 @@ def ablation_dimensionality(scale: ExperimentScale = LAPTOP_SCALE, *,
         errors = []
         for run in range(scale.runs):
             estimator = SpatialJoinEstimator(tuned, instances, seed=seed + 13 * (run + 1))
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator.update("left", left)
+            estimator.update("right", right)
             errors.append(relative_error(estimator.estimate().estimate, truth))
         result.add_row(dimension, instances, float(np.mean(errors)), 2 ** dimension)
     return result
@@ -326,10 +325,10 @@ def ablation_update_cost(scale: ExperimentScale = LAPTOP_SCALE, *,
             _, lengths = dyadic.covers(data.lows[:, 0], data.highs[:, 0])
             _, point_lengths = dyadic.point_covers(data.lows[:, 0])
             ids_per_update = float(np.mean(lengths) + 2 * np.mean(point_lengths))
-            estimator = IntervalJoinEstimator(domain, 16, seed=seed,
-                                              endpoint_policy="assume_distinct")
+            estimator = SpatialJoinEstimator(domain, 16, seed=seed,
+                                             endpoint_policy="assume_distinct")
             start = time.perf_counter()
-            estimator.insert_left(data)
+            estimator.update("left", data)
             elapsed_ms = 1000.0 * (time.perf_counter() - start) / count
             measurements[label] = (ids_per_update, elapsed_ms)
         result.add_row(domain_size, measurements["dyadic"][0], measurements["standard"][0],
@@ -370,8 +369,8 @@ def extension_epsilon_range(scale: ExperimentScale = LAPTOP_SCALE, *,
     for run in range(scale.runs):
         estimator = EpsilonJoinEstimator(eps_domain, epsilon, instances,
                                          seed=seed + 29 * (run + 1))
-        estimator.insert_left(left_points)
-        estimator.insert_right(right_points)
+        estimator.update("left", left_points)
+        estimator.update("right", right_points)
         estimates.append(estimator.estimate().estimate)
     result.add_row(f"epsilon-join (eps={epsilon})", truth_eps, float(np.mean(estimates)),
                    mean_relative_error(estimates, truth_eps) if truth_eps else 0.0)
@@ -389,7 +388,7 @@ def extension_epsilon_range(scale: ExperimentScale = LAPTOP_SCALE, *,
     for run in range(scale.runs):
         estimator = RangeQueryEstimator(range_domain, instances,
                                         seed=seed + 31 * (run + 1))
-        estimator.insert(rectangles)
+        estimator.update("data", rectangles)
         estimates.append(estimator.estimate(query).estimate)
     result.add_row("range query (half-window)", truth_range, float(np.mean(estimates)),
                    mean_relative_error(estimates, truth_range) if truth_range else 0.0)
@@ -429,11 +428,11 @@ def extension_common_endpoints(scale: ExperimentScale = LAPTOP_SCALE, *,
     for policy in ("transform", "explicit", "assume_distinct"):
         estimates = []
         for run in range(scale.runs):
-            estimator = IntervalJoinEstimator(domain, scale.ablation_instances,
-                                              seed=seed + 41 * (run + 1),
-                                              endpoint_policy=policy)
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator = SpatialJoinEstimator(domain, scale.ablation_instances,
+                                             seed=seed + 41 * (run + 1),
+                                             endpoint_policy=policy)
+            estimator.update("left", left)
+            estimator.update("right", right)
             estimates.append(estimator.estimate().estimate)
         result.add_row(policy, truth, float(np.mean(estimates)),
                        mean_relative_error(estimates, truth))

@@ -61,9 +61,9 @@ def sketch_error_for_budgets(left: BoxSet, right: BoxSet, domain: Domain, truth:
     per_budget_estimates: dict[int, list[float]] = {budget: [] for budget in budgets}
     for run in range(runs):
         estimator = SpatialJoinEstimator(domain, max_instances, seed=seed + 1000 * (run + 1))
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        values = estimator.instance_values()
+        estimator.update("left", left)
+        estimator.update("right", right)
+        values = estimator.estimate().instance_values
         for budget in budgets:
             count = instance_counts[budget]
             estimate, _ = median_of_means(values[:count], split_instances(count))

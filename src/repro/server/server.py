@@ -17,9 +17,10 @@ what a local placement does with a request:
   dropping connections** — handlers resolve :attr:`SketchServer.service`
   per request.  With a WAL, the log's recovery base reloads as a restart
   recovers it, and any other snapshot is checkpointed onto the base.
-  Writes (register, unregister, ingest, flush, tenant mutations, a
-  checkpoint) share a :class:`~repro.server.front.WriteGate` that a reload
-  holds alone, so none lands on the service the swap drops,
+  Writes (register, unregister, ingest, flush, tenant mutations) and
+  every ``snapshot`` share a :class:`~repro.server.front.WriteGate` that a
+  reload holds alone, so none lands on — or reads — the service the swap
+  drops,
 * ``snapshot`` can ``fetch`` the snapshot inline (what a cluster manager
   ships into a new replica) or ``checkpoint`` (the recovery base + WAL
   truncation) — worker-level verbs a router refuses.
@@ -180,21 +181,24 @@ class SketchServer(ServingFront):
                      + render("repro_server_", own)), {}
 
     async def _op_snapshot(self, fields: dict, scope) -> dict:
-        service = self._service
-        if fields["fetch"]:
-            # Ship the binary v2 snapshot inline instead of writing a
-            # server-side file — the replica-bootstrap path: a cluster
-            # manager fetches a primary's snapshot and reloads it into a
-            # fresh worker over the wire.  ``data`` is raw bytes: base64 on
-            # NDJSON connections (via the encoder's json_default hook), a
-            # zero-copy body section on binary ones.
-            data = await self._run_blocking(_snapshot_bytes, service)
-            return protocol.ok_payload("snapshot", fields, data=data,
-                                       nbytes=len(data))
-        if fields["checkpoint"]:
-            async with self._gate.write():
-                service = self._service
-                path = fields["path"] or self._default_path()
+        # Every variant reads the service, and the default path, that a
+        # reload in flight leaves: the gate is shared with writes and held
+        # alone by a reload.
+        async with self._gate.write():
+            service = self._service
+            if fields["fetch"]:
+                # Ship the binary v2 snapshot inline instead of writing a
+                # server-side file — the replica-bootstrap path: a cluster
+                # manager fetches a primary's snapshot and reloads it into
+                # a fresh worker over the wire.  ``data`` is raw bytes:
+                # base64 on NDJSON connections (via the encoder's
+                # json_default hook), a zero-copy body section on binary
+                # ones.
+                data = await self._run_blocking(_snapshot_bytes, service)
+                return protocol.ok_payload("snapshot", fields, data=data,
+                                           nbytes=len(data))
+            path = fields["path"] or self._default_path()
+            if fields["checkpoint"]:
                 # Elsewhere, the truncated tail would be lost to a restart.
                 wal = service.wal
                 if wal is not None and not _same_file(path, wal.base):
@@ -202,13 +206,12 @@ class SketchServer(ServingFront):
                         f"checkpoint writes the log's recovery base "
                         f"{wal.base!r}, not {path!r}")
                 info = await self._run_blocking(service.checkpoint)
-            return protocol.ok_payload("snapshot", fields, checkpoint=True,
-                                       **info)
-        path = fields["path"] or self._default_path()
-        if not path:
-            raise ServiceError(
-                "snapshot needs a path (or start the server with one)")
-        await self._run_blocking(service.save, path)
+                return protocol.ok_payload("snapshot", fields,
+                                           checkpoint=True, **info)
+            if not path:
+                raise ServiceError(
+                    "snapshot needs a path (or start the server with one)")
+            await self._run_blocking(service.save, path)
         return protocol.ok_payload("snapshot", fields, path=str(path))
 
     async def _op_reload(self, fields: dict, scope) -> dict:

@@ -31,16 +31,11 @@ from repro.core.dyadic import pruned_max_levels, range_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.estimator import SketchEstimator
 from repro.core.join_containment import ContainmentJoinEstimator
-from repro.core.join_extended import (
-    CommonEndpointJoinEstimator,
-    ExtendedOverlapJoinEstimator,
-)
+from repro.core.join_extended import ExtendedOverlapJoinEstimator
 from repro.core.join_hyperrect import ENDPOINT_POLICIES, SpatialJoinEstimator
-from repro.core.join_interval import IntervalJoinEstimator
-from repro.core.join_rect import RectangleJoinEstimator
 from repro.core.program import SketchProgram
 from repro.core.range_query import RangeQueryEstimator
-from repro.errors import QueryError, ServiceError, SketchConfigError
+from repro.errors import DimensionalityError, QueryError, ServiceError, SketchConfigError
 from repro.geometry.boxset import BoxSet, PointSet
 
 UPDATE_KINDS = ("insert", "delete")
@@ -54,12 +49,17 @@ class FamilyInfo:
     take a query are what the estimator class declares
     (:attr:`repro.core.estimator.SketchEstimator.SIDES` / ``QUERYABLE``);
     a spec's options are that class's constructor keywords of the same name.
+    Several families may build one class: ``dimension`` is the one domain
+    dimension a family takes (``None``: any), and ``fixed`` the
+    constructor keywords it always passes.
     """
 
     name: str
     estimator: type[SketchEstimator]
     option_names: frozenset = frozenset()
     required_options: frozenset = frozenset()
+    dimension: int | None = None
+    fixed: tuple[tuple[str, Any], ...] = ()
 
     @property
     def queryable(self) -> bool:
@@ -85,11 +85,12 @@ class FamilyInfo:
 _POLICY = frozenset({"endpoint_policy"})
 
 FAMILIES: dict[str, FamilyInfo] = {info.name: info for info in (
-    FamilyInfo("interval", IntervalJoinEstimator, option_names=_POLICY),
-    FamilyInfo("rectangle", RectangleJoinEstimator, option_names=_POLICY),
+    FamilyInfo("interval", SpatialJoinEstimator, option_names=_POLICY, dimension=1),
+    FamilyInfo("rectangle", SpatialJoinEstimator, option_names=_POLICY, dimension=2),
     FamilyInfo("hyperrect", SpatialJoinEstimator, option_names=_POLICY),
     FamilyInfo("extended_overlap", ExtendedOverlapJoinEstimator),
-    FamilyInfo("common_endpoint", CommonEndpointJoinEstimator),
+    FamilyInfo("common_endpoint", SpatialJoinEstimator,
+               fixed=(("endpoint_policy", "explicit"),)),
     FamilyInfo("containment", ContainmentJoinEstimator),
     FamilyInfo("epsilon", EpsilonJoinEstimator,
                option_names=frozenset({"epsilon"}),
@@ -234,10 +235,17 @@ class EstimatorSpec:
         return Domain(self.sizes, max_levels=self.max_levels)
 
     def build(self) -> SketchEstimator:
-        """A fresh, empty estimator of this spec's family."""
+        """A fresh, empty estimator of this spec's family; a family bound
+        to one dimension refuses a domain of another."""
+        info = self.info
+        if info.dimension not in (None, self.dimension):
+            raise DimensionalityError(
+                f"family {self.family!r} needs a {info.dimension}-dimensional "
+                f"domain, got {self.dimension} dimensions")
         layout = {"split_levels": True} if self.split_levels else {}
-        return self.info.estimator(self.domain(), num_instances=self.num_instances,
-                                   seed=self.seed, **dict(self.options), **layout)
+        return info.estimator(self.domain(), num_instances=self.num_instances,
+                              seed=self.seed, **dict(info.fixed), **dict(self.options),
+                              **layout)
 
     # -- serialisation ------------------------------------------------------------
 

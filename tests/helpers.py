@@ -137,7 +137,7 @@ def expected_estimator_value(estimator, left: BoxSet, right: BoxSet) -> float:
     """
     prepared_left, left_overrides = estimator._prepare("left", left)
     prepared_right, right_overrides = estimator._prepare("right", right)
-    domain = estimator.left_bank.domain
+    domain = estimator.side_bank("left").domain
 
     def select(letter: Letter, base: BoxSet, overrides) -> BoxSet:
         if overrides is not None and letter in overrides:

@@ -71,7 +71,7 @@ class TestRangeEstimateBatch:
     @pytest.mark.parametrize("strict", [False, True])
     def test_bit_identical_to_scalar_loop(self, rng, domain_2d, strict):
         estimator = RangeQueryEstimator(domain_2d, 16, seed=5, strict=strict)
-        estimator.insert(random_boxes(rng, 200, 256, 2))
+        estimator.update("data", random_boxes(rng, 200, 256, 2))
         estimator.update("data", random_boxes(rng, 40, 256, 2), -1.0)
         queries = random_boxes(rng, 30, 256, 2)
         batch = estimator.estimate_batch(queries)
@@ -85,7 +85,7 @@ class TestRangeEstimateBatch:
 
     def test_chunked_batches_are_identical(self, rng, domain_2d, monkeypatch):
         estimator = RangeQueryEstimator(domain_2d, 8, seed=2)
-        estimator.insert(random_boxes(rng, 100, 256, 2))
+        estimator.update("data", random_boxes(rng, 100, 256, 2))
         queries = random_boxes(rng, 23, 256, 2)
         whole = estimator.estimate_batch(queries)
         monkeypatch.setattr(ProgramExecutor, "CHUNK", 7)
@@ -94,7 +94,7 @@ class TestRangeEstimateBatch:
 
     def test_accepts_row_sequences_and_single_query(self, rng, domain_2d):
         estimator = RangeQueryEstimator(domain_2d, 8, seed=2)
-        estimator.insert(random_boxes(rng, 50, 256, 2))
+        estimator.update("data", random_boxes(rng, 50, 256, 2))
         queries = random_boxes(rng, 4, 256, 2)
         as_rows = estimator.estimate_batch(list(queries))
         as_boxes = estimator.estimate_batch(queries)
@@ -112,8 +112,8 @@ class TestRangeEstimateBatch:
 class TestJoinEstimateBatch:
     def test_count_and_none_sequences(self, rng, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, 16, seed=3)
-        estimator.insert_left(random_boxes(rng, 50, 256, 2))
-        estimator.insert_right(random_boxes(rng, 50, 256, 2))
+        estimator.update("left", random_boxes(rng, 50, 256, 2))
+        estimator.update("right", random_boxes(rng, 50, 256, 2))
         scalar = estimator.estimate()
         for batch in (estimator.estimate_batch(4),
                       estimator.estimate_batch([None] * 4)):
@@ -129,7 +129,7 @@ class TestJoinEstimateBatch:
 
     def test_rejects_query_entries(self, rng, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, 8, seed=3)
-        estimator.insert_left(random_boxes(rng, 10, 256, 2))
+        estimator.update("left", random_boxes(rng, 10, 256, 2))
         with pytest.raises(SketchConfigError):
             estimator.estimate_batch([None, random_boxes(rng, 1, 256, 2)])
         with pytest.raises(SketchConfigError):

@@ -62,16 +62,16 @@ class TestPairedEstimatorConfiguration:
     def test_word_banks_cover_all_combos(self, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, num_instances=4, seed=0,
                                          endpoint_policy="explicit")
-        left_words = set(estimator.left_bank.words)
-        right_words = set(estimator.right_bank.words)
+        left_words = set(estimator.side_bank("left").words)
+        right_words = set(estimator.side_bank("right").words)
         for left_word, right_word in estimator._combos:
             assert left_word in left_words
             assert right_word in right_words
 
     def test_banks_share_xi_families(self, domain_2d):
         estimator = SpatialJoinEstimator(domain_2d, num_instances=4, seed=0)
-        assert all(a is b for a, b in zip(estimator.left_bank.xi_banks,
-                                          estimator.right_bank.xi_banks))
+        assert all(a is b for a, b in zip(estimator.side_bank("left").xi_banks,
+                                          estimator.side_bank("right").xi_banks))
 
     def test_storage_words_explicit_policy_is_larger(self, domain_1d):
         standard = SpatialJoinEstimator(domain_1d, num_instances=10, seed=0)
@@ -84,19 +84,20 @@ class TestPairedEstimatorConfiguration:
                                            endpoint_policy="transform")
         plain = SpatialJoinEstimator(domain_1d, num_instances=4, seed=0,
                                      endpoint_policy="assume_distinct")
-        assert transformed.left_bank.domain.sizes[0] > plain.left_bank.domain.sizes[0]
+        assert (transformed.side_bank("left").domain.sizes[0]
+                > plain.side_bank("left").domain.sizes[0])
 
     def test_counts_track_inserts_and_deletes(self, rng, domain_1d):
         estimator = SpatialJoinEstimator(domain_1d, num_instances=8, seed=0)
         left = random_boxes(rng, 12, 256, 1)
         right = random_boxes(rng, 7, 256, 1)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator.update("left", left)
+        estimator.update("right", right)
         estimator.update("right", right[:3], -1.0)
         assert estimator.left_count == 12
         assert estimator.right_count == 4
 
     def test_repr_contains_counts(self, rng, domain_1d):
         estimator = SpatialJoinEstimator(domain_1d, num_instances=8, seed=0)
-        estimator.insert_left(random_boxes(rng, 3, 256, 1))
+        estimator.update("left", random_boxes(rng, 3, 256, 1))
         assert "|R|=3" in repr(estimator)

@@ -16,17 +16,16 @@ import pytest
 
 from repro.core.boosting import BoostingPlan, plan_boosting
 from repro.core.domain import Domain
-from repro.core.join_extended import CommonEndpointJoinEstimator, ExtendedOverlapJoinEstimator
+from repro.core.join_extended import ExtendedOverlapJoinEstimator
 from repro.core.join_hyperrect import SpatialJoinEstimator
-from repro.core.join_interval import IntervalJoinEstimator
-from repro.core.join_rect import RectangleJoinEstimator
 from repro.errors import DimensionalityError, EstimationError, SketchConfigError
 from repro.exact.interval_join import interval_join_count
 from repro.exact.rectangle_join import brute_force_join_count
 from repro.geometry.boxset import BoxSet
+from repro.service import EstimationService, EstimatorSpec
 
 from tests.conftest import random_boxes
-from tests.helpers import expected_estimator_value
+from tests.helpers import assert_same_state, expected_estimator_value
 
 
 def snapped_boxes(rng, count, domain_size, dimension, pitch=8):
@@ -47,8 +46,8 @@ class TestExactExpectation1D:
         for _ in range(5):
             left = random_boxes(rng, 15, 64, 1)
             right = random_boxes(rng, 15, 64, 1)
-            estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                              endpoint_policy=policy)
+            estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                             endpoint_policy=policy)
             truth = interval_join_count(left, right)
             assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -58,8 +57,8 @@ class TestExactExpectation1D:
         for _ in range(5):
             left = snapped_boxes(rng, 12, 64, 1)
             right = snapped_boxes(rng, 12, 64, 1)
-            estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                              endpoint_policy=policy)
+            estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                             endpoint_policy=policy)
             truth = interval_join_count(left, right)
             assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -67,8 +66,8 @@ class TestExactExpectation1D:
         domain = Domain(64)
         left = BoxSet.from_intervals([(0, 10), (20, 30), (40, 50)])
         right = BoxSet.from_intervals([(5, 15), (25, 45), (55, 60)])
-        estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                          endpoint_policy="assume_distinct")
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                         endpoint_policy="assume_distinct")
         truth = interval_join_count(left, right)
         assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -76,8 +75,8 @@ class TestExactExpectation1D:
         domain = Domain(64)
         left = BoxSet.from_intervals([(0, 10)])
         right = BoxSet.from_intervals([(10, 20)])  # touches at 10: not a join pair
-        estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                          endpoint_policy="assume_distinct")
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                         endpoint_policy="assume_distinct")
         assert expected_estimator_value(estimator, left, right) > 0.5
 
     @pytest.mark.parametrize("max_level", [0, 2, None])
@@ -85,7 +84,7 @@ class TestExactExpectation1D:
         domain = Domain(64, max_levels=max_level)
         left = random_boxes(rng, 10, 64, 1)
         right = random_boxes(rng, 10, 64, 1)
-        estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0)
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0)
         truth = interval_join_count(left, right)
         assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -97,8 +96,8 @@ class TestExactExpectation2D:
         for _ in range(4):
             left = random_boxes(rng, 10, 32, 2)
             right = random_boxes(rng, 10, 32, 2)
-            estimator = RectangleJoinEstimator(domain, num_instances=1, seed=0,
-                                               endpoint_policy=policy)
+            estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                             endpoint_policy=policy)
             truth = brute_force_join_count(left, right)
             assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -106,8 +105,8 @@ class TestExactExpectation2D:
         domain = Domain.square(32, dimension=2)
         left = snapped_boxes(rng, 8, 32, 2, pitch=4)
         right = snapped_boxes(rng, 8, 32, 2, pitch=4)
-        estimator = RectangleJoinEstimator(domain, num_instances=1, seed=0,
-                                           endpoint_policy="transform")
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                         endpoint_policy="transform")
         truth = brute_force_join_count(left, right)
         assert expected_estimator_value(estimator, left, right) == pytest.approx(truth)
 
@@ -146,17 +145,36 @@ class TestExtendedOverlap:
         right = snapped_boxes(rng, 60, 128, 1)
         truth = interval_join_count(left, right, closed=True)
         estimator = ExtendedOverlapJoinEstimator(domain.with_max_level(4), 3000, seed=2)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        values = estimator.instance_values()
+        estimator.update("left", left)
+        estimator.update("right", right)
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
 
 class TestCommonEndpointEstimator:
-    def test_is_explicit_policy(self, domain_1d):
-        estimator = CommonEndpointJoinEstimator(domain_1d, num_instances=4, seed=0)
+    def test_is_explicit_policy(self):
+        estimator = EstimatorSpec.create("common_endpoint", (256,), 4).build()
         assert estimator.endpoint_policy == "explicit"
+
+    @pytest.mark.parametrize("family,sizes", [("interval", (64,)), ("hyperrect", (64,)),
+                                              ("rectangle", (32, 32)),
+                                              ("hyperrect", (16, 16, 16))])
+    def test_is_the_explicit_join_bit_for_bit(self, rng, family, sizes):
+        """The Appendix C family is the plain join's ``"explicit"`` policy:
+        on one seed and one stream both hold the same counters and give
+        the same estimate, to the bit."""
+        common = EstimatorSpec.create("common_endpoint", sizes, 16, seed=5).build()
+        explicit = EstimatorSpec.create(family, sizes, 16, seed=5,
+                                        endpoint_policy="explicit").build()
+        for side in ("left", "right"):
+            data = snapped_boxes(rng, 30, sizes[0], len(sizes))
+            common.update(side, data)
+            explicit.update(side, data)
+        assert_same_state(common.state_dict(), explicit.state_dict())
+        ours, theirs = common.estimate(), explicit.estimate()
+        assert ours.estimate == theirs.estimate
+        assert ours.instance_values.tobytes() == theirs.instance_values.tobytes()
 
 
 class TestStatisticalBehaviour:
@@ -165,10 +183,10 @@ class TestStatisticalBehaviour:
         left = random_boxes(rng, 60, 256, 1)
         right = random_boxes(rng, 60, 256, 1)
         truth = interval_join_count(left, right)
-        estimator = IntervalJoinEstimator(domain, num_instances=4000, seed=3)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        values = estimator.instance_values()
+        estimator = SpatialJoinEstimator(domain, num_instances=4000, seed=3)
+        estimator.update("left", left)
+        estimator.update("right", right)
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -177,9 +195,9 @@ class TestStatisticalBehaviour:
         left = random_boxes(rng, 300, 1024, 1, max_extent=64)
         right = random_boxes(rng, 300, 1024, 1, max_extent=64)
         truth = interval_join_count(left, right)
-        estimator = IntervalJoinEstimator(domain, num_instances=1500, seed=5)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator = SpatialJoinEstimator(domain, num_instances=1500, seed=5)
+        estimator.update("left", left)
+        estimator.update("right", right)
         result = estimator.estimate()
         assert result.relative_error(truth) < 0.5
 
@@ -189,17 +207,17 @@ class TestStatisticalBehaviour:
         transient = random_boxes(rng, 25, 256, 1)
         right = random_boxes(rng, 40, 256, 1)
 
-        streaming = IntervalJoinEstimator(domain, num_instances=64, seed=7)
-        streaming.insert_left(keep)
-        streaming.insert_left(transient)
-        streaming.insert_right(right)
-        streaming.delete_left(transient)
+        streaming = SpatialJoinEstimator(domain, num_instances=64, seed=7)
+        streaming.update("left", keep)
+        streaming.update("left", transient)
+        streaming.update("right", right)
+        streaming.update("left", transient, -1.0)
 
-        rebuilt = IntervalJoinEstimator(domain, num_instances=64, seed=7)
-        rebuilt.insert_left(keep)
-        rebuilt.insert_right(right)
+        rebuilt = SpatialJoinEstimator(domain, num_instances=64, seed=7)
+        rebuilt.update("left", keep)
+        rebuilt.update("right", right)
 
-        assert np.allclose(streaming.instance_values(), rebuilt.instance_values())
+        assert np.allclose(streaming.estimate().instance_values, rebuilt.estimate().instance_values)
         assert streaming.left_count == rebuilt.left_count == 40
 
     def test_same_seed_is_deterministic(self, rng):
@@ -208,9 +226,9 @@ class TestStatisticalBehaviour:
         right = random_boxes(rng, 30, 256, 1)
         results = []
         for _ in range(2):
-            estimator = IntervalJoinEstimator(domain, num_instances=32, seed=11)
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator = SpatialJoinEstimator(domain, num_instances=32, seed=11)
+            estimator.update("left", left)
+            estimator.update("right", right)
             results.append(estimator.estimate().estimate)
         assert results[0] == results[1]
 
@@ -219,32 +237,32 @@ class TestEstimatorConfiguration:
     def test_selectivity_uses_counts(self, rng, domain_1d):
         left = random_boxes(rng, 20, 256, 1)
         right = random_boxes(rng, 30, 256, 1)
-        estimator = IntervalJoinEstimator(domain_1d, num_instances=32, seed=1)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator = SpatialJoinEstimator(domain_1d, num_instances=32, seed=1)
+        estimator.update("left", left)
+        estimator.update("right", right)
         result = estimator.estimate()
         assert result.selectivity == pytest.approx(result.estimate / 600)
 
     def test_estimate_before_insert_raises(self, domain_1d):
-        estimator = IntervalJoinEstimator(domain_1d, num_instances=8, seed=1)
+        estimator = SpatialJoinEstimator(domain_1d, num_instances=8, seed=1)
         with pytest.raises(EstimationError):
             estimator.estimate()
 
     def test_invalid_policy(self, domain_1d):
         with pytest.raises(SketchConfigError):
-            IntervalJoinEstimator(domain_1d, num_instances=8, endpoint_policy="bogus")
+            SpatialJoinEstimator(domain_1d, num_instances=8, endpoint_policy="bogus")
 
-    def test_rectangle_estimator_requires_2d(self, domain_1d):
-        with pytest.raises(DimensionalityError):
-            RectangleJoinEstimator(domain_1d, num_instances=8)
-
-    def test_interval_estimator_requires_1d(self, domain_2d):
-        with pytest.raises(DimensionalityError):
-            IntervalJoinEstimator(domain_2d, num_instances=8)
-
-    def test_interval_estimator_accepts_plain_size(self):
-        estimator = IntervalJoinEstimator(512, num_instances=4)
-        assert estimator.domain.dimension == 1
+    @pytest.mark.parametrize("family,sizes", [("rectangle", (256,)),
+                                              ("rectangle", (64, 64, 64)),
+                                              ("interval", (256, 256))])
+    def test_a_family_of_one_dimension_refuses_another(self, family, sizes):
+        """``interval`` is the join on a 1-d domain and ``rectangle`` on a
+        2-d one: registering either on another is refused, and the name
+        stays free."""
+        service = EstimationService(num_shards=2)
+        with pytest.raises(DimensionalityError, match=f"family {family!r} needs"):
+            service.register("join", family=family, domain=sizes)
+        assert "join" not in service.names()
 
     def test_a_guarantee_plan_sizes_the_estimator(self, domain_1d):
         # Var[Z] <= SJ(R) SJ(S) / 2 (Lemma 6) with SJ(R) = SJ(S) = 100.
@@ -261,8 +279,8 @@ class TestEstimatorConfiguration:
 
     def test_explicit_boosting_plan_is_used(self, rng, domain_1d):
         plan = BoostingPlan(group_size=4, num_groups=3)
-        estimator = IntervalJoinEstimator(domain_1d, num_instances=12, seed=1, boosting=plan)
-        estimator.insert_left(random_boxes(rng, 10, 256, 1))
-        estimator.insert_right(random_boxes(rng, 10, 256, 1))
+        estimator = SpatialJoinEstimator(domain_1d, num_instances=12, seed=1, boosting=plan)
+        estimator.update("left", random_boxes(rng, 10, 256, 1))
+        estimator.update("right", random_boxes(rng, 10, 256, 1))
         result = estimator.estimate()
         assert len(result.group_means) == 3

@@ -30,9 +30,9 @@ class TestEpsilonJoinEstimator:
         epsilon = 5
         truth = epsilon_join_count(left, right, epsilon)
         estimator = EpsilonJoinEstimator(domain, epsilon, num_instances=5000, seed=1)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        values = estimator.instance_values()
+        estimator.update("left", left)
+        estimator.update("right", right)
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -42,9 +42,9 @@ class TestEpsilonJoinEstimator:
         right = random_points(rng, 50, 128, 1)
         truth = epsilon_join_count(left, right, 3)
         estimator = EpsilonJoinEstimator(domain, 3, num_instances=4000, seed=3)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
-        values = estimator.instance_values()
+        estimator.update("left", left)
+        estimator.update("right", right)
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -54,14 +54,14 @@ class TestEpsilonJoinEstimator:
         transient = random_points(rng, 15, 64, 2)
         right = random_points(rng, 20, 64, 2)
         streaming = EpsilonJoinEstimator(domain, 4, num_instances=64, seed=5)
-        streaming.insert_left(keep)
-        streaming.insert_left(transient)
-        streaming.delete_left(transient)
-        streaming.insert_right(right)
+        streaming.update("left", keep)
+        streaming.update("left", transient)
+        streaming.update("left", transient, -1.0)
+        streaming.update("right", right)
         rebuilt = EpsilonJoinEstimator(domain, 4, num_instances=64, seed=5)
-        rebuilt.insert_left(keep)
-        rebuilt.insert_right(right)
-        assert np.allclose(streaming.instance_values(), rebuilt.instance_values())
+        rebuilt.update("left", keep)
+        rebuilt.update("right", right)
+        assert np.allclose(streaming.estimate().instance_values, rebuilt.estimate().instance_values)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(DomainError):
@@ -77,8 +77,8 @@ class TestEpsilonJoinEstimator:
         left = random_points(rng, 30, 64, 2)
         right = random_points(rng, 40, 64, 2)
         estimator = EpsilonJoinEstimator(domain, 6, num_instances=256, seed=7)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator.update("left", left)
+        estimator.update("right", right)
         result = estimator.estimate()
         assert result.selectivity == pytest.approx(result.estimate / 1200)
 
@@ -92,7 +92,7 @@ class TestContainmentJoinEstimator:
         estimator = ContainmentJoinEstimator(domain, num_instances=5000, seed=1)
         estimator.update("outer", outer)
         estimator.update("inner", inner)
-        values = estimator.instance_values()
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -104,7 +104,7 @@ class TestContainmentJoinEstimator:
         estimator = ContainmentJoinEstimator(domain, num_instances=6000, seed=3)
         estimator.update("outer", outer)
         estimator.update("inner", inner)
-        values = estimator.instance_values()
+        values = estimator.estimate().instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
 
@@ -121,7 +121,7 @@ class TestContainmentJoinEstimator:
         rebuilt = ContainmentJoinEstimator(domain, num_instances=32, seed=5)
         rebuilt.update("outer", outer)
         rebuilt.update("inner", inner)
-        assert np.allclose(streaming.instance_values(), rebuilt.instance_values())
+        assert np.allclose(streaming.estimate().instance_values, rebuilt.estimate().instance_values)
 
     def test_counts_and_selectivity(self, rng):
         domain = Domain(64)
@@ -145,7 +145,7 @@ class TestRangeQueryEstimator:
         query = BoxSet((30,), (90,))
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=5000, seed=1)
-        estimator.insert(data)
+        estimator.update("data", data)
         values = estimator.estimate(query).instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
@@ -156,7 +156,7 @@ class TestRangeQueryEstimator:
         query = BoxSet((10, 10), (50, 40))
         truth = range_query_count(data, query)
         estimator = RangeQueryEstimator(domain, num_instances=6000, seed=3)
-        estimator.insert(data)
+        estimator.update("data", data)
         values = estimator.estimate(query).instance_values
         standard_error = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 5 * standard_error + 1e-9
@@ -170,9 +170,9 @@ class TestRangeQueryEstimator:
         assert strict_truth == 0 and closed_truth == 1
 
         strict = RangeQueryEstimator(domain, num_instances=4000, seed=5, strict=True)
-        strict.insert(data)
+        strict.update("data", data)
         closed = RangeQueryEstimator(domain, num_instances=4000, seed=5, strict=False)
-        closed.insert(data)
+        closed.update("data", data)
         strict_values = strict.estimate(query).instance_values
         closed_values = closed.estimate(query).instance_values
         strict_se = strict_values.std() / np.sqrt(strict_values.size)
@@ -185,11 +185,11 @@ class TestRangeQueryEstimator:
         keep = random_boxes(rng, 30, 128, 1)
         transient = random_boxes(rng, 20, 128, 1)
         streaming = RangeQueryEstimator(domain, num_instances=64, seed=7)
-        streaming.insert(keep)
-        streaming.insert(transient)
+        streaming.update("data", keep)
+        streaming.update("data", transient)
         streaming.update("data", transient, -1.0)
         rebuilt = RangeQueryEstimator(domain, num_instances=64, seed=7)
-        rebuilt.insert(keep)
+        rebuilt.update("data", keep)
         query = BoxSet((10,), (100,))
         assert np.allclose(streaming.estimate(query).instance_values,
                            rebuilt.estimate(query).instance_values)
@@ -199,14 +199,14 @@ class TestRangeQueryEstimator:
         domain = Domain(128)
         data = random_boxes(rng, 50, 128, 1)
         estimator = RangeQueryEstimator(domain, num_instances=128, seed=9)
-        estimator.insert(data)
+        estimator.update("data", data)
         result = estimator.estimate(BoxSet((0,), (127,)))
         assert result.selectivity == pytest.approx(result.estimate / 50)
 
     def test_query_validation(self, rng):
         domain = Domain(128)
         estimator = RangeQueryEstimator(domain, num_instances=8, seed=1)
-        estimator.insert(random_boxes(rng, 10, 128, 1))
+        estimator.update("data", random_boxes(rng, 10, 128, 1))
         with pytest.raises(Exception):
             estimator.estimate(BoxSet((0, 0), (5, 5)))
 
@@ -217,7 +217,7 @@ class TestRangeQueryEstimator:
 
     def test_check_queries_keeps_passing_rows_and_keys_refusals_by_position(self, rng):
         estimator = RangeQueryEstimator(Domain.square(64, dimension=2), num_instances=8, seed=1)
-        estimator.insert(random_boxes(rng, 10, 64, 2))
+        estimator.update("data", random_boxes(rng, 10, 64, 2))
         queries = [
             BoxSet((0, 0), (9, 9)),
             None,
@@ -240,7 +240,7 @@ class TestRangeQueryEstimator:
 
     def test_a_bare_number_is_no_query(self, rng):
         estimator = RangeQueryEstimator(Domain(64), num_instances=8, seed=1)
-        estimator.insert(random_boxes(rng, 10, 64, 1))
+        estimator.update("data", random_boxes(rng, 10, 64, 1))
         with pytest.raises(QueryError, match="not a count"):
             estimator.estimate_batch(3)
         with pytest.raises(QueryError, match="exactly one rectangle"):
@@ -248,7 +248,7 @@ class TestRangeQueryEstimator:
 
     def test_a_box_set_batch_answers_like_its_rows(self, rng):
         estimator = RangeQueryEstimator(Domain.square(64, dimension=2), num_instances=64, seed=4)
-        estimator.insert(random_boxes(rng, 40, 64, 2))
+        estimator.update("data", random_boxes(rng, 40, 64, 2))
         queries = BoxSet(np.array([[0, 0], [10, 20], [40, 5]]),
                          np.array([[63, 63], [30, 25], [50, 60]]))
         batch = [result.estimate for result in estimator.estimate_batch(queries)]

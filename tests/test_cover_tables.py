@@ -365,8 +365,8 @@ class TestInterning:
         service.flush()
         service.estimate("join")
         spec = service.spec("join")
-        banks = [spec.build().left_bank, spec.build().left_bank,
-                 service.merged_view("join").left_bank]
+        banks = [spec.build().side_bank("left"), spec.build().side_bank("left"),
+                 service.merged_view("join").side_bank("left")]
         for dim in range(2):
             tables = [bank.xi_banks[dim].resolve_table() for bank in banks]
             assert tables[0] is not None
@@ -454,7 +454,7 @@ class TestLifetime:
         service.ingest(name, boxes, side="right")
         service.flush()
         service.estimate(name)
-        banks = service.merged_view(name).left_bank.xi_banks
+        banks = service.merged_view(name).side_bank("left").xi_banks
         # The view's fresh banks adopt the tables the shards built.
         assert all(xi.resolve_table() is not None for xi in banks)
         tables = [weakref.ref(xi._family) for xi in banks]

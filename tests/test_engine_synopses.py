@@ -34,8 +34,8 @@ class TestSynopsisManager:
         for left, right in pairs:
             direct = SpatialJoinEstimator(
                 domain_2d, 64, seed=9 + stable_seed_offset((left.name, right.name)))
-            direct.insert_left(left.boxes())
-            direct.insert_right(right.boxes())
+            direct.update("left", left.boxes())
+            direct.update("right", right.boxes())
             expected = max(0.0, direct.estimate().estimate)
             assert synopses.estimated_join_cardinalities([(left, right)]) == [expected]
 
@@ -104,8 +104,8 @@ class TestSynopsisManager:
         assert (sketch.left_count, sketch.right_count) == (len(left), len(right)) == (150, 120)
         direct = SpatialJoinEstimator(domain_2d, 16,
                                       seed=6 + stable_seed_offset(("R", "S")))
-        direct.insert_left(left.boxes())
-        direct.insert_right(right.boxes())
+        direct.update("left", left.boxes())
+        direct.update("right", right.boxes())
         assert sketch.estimate().estimate == direct.estimate().estimate
 
     def test_a_relation_feeds_its_side_of_every_pair(self, rng, catalog, domain_2d):
@@ -129,8 +129,8 @@ class TestSynopsisManager:
         assert synopses.join_sketch(s, r) is synopses.join_sketch(r, s)
         direct = SpatialJoinEstimator(domain_2d, 16,
                                       seed=8 + stable_seed_offset(("R", "S")))
-        direct.insert_left(r.boxes())
-        direct.insert_right(s.boxes())
+        direct.update("left", r.boxes())
+        direct.update("right", s.boxes())
         assert (synopses.estimated_join_cardinalities([(s, r), (r, s)])
                 == [max(0.0, direct.estimate().estimate)] * 2)
 
@@ -168,7 +168,7 @@ class TestSynopsisManager:
         sketch = synopses.join_sketch(left, right)
         direct = SpatialJoinEstimator(domain_2d, 16,
                                       seed=5 + stable_seed_offset(("R", "S")))
-        direct.insert_left(left.boxes())
-        direct.insert_right(right.boxes())
+        direct.update("left", left.boxes())
+        direct.update("right", right.boxes())
         assert sketch.estimate().estimate == direct.estimate().estimate
         assert stable_seed_offset(("R", "S")) != stable_seed_offset(("S", "R"))

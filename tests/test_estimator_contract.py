@@ -62,32 +62,6 @@ def answer(spec, estimator):
     return estimator.estimate(query if spec.info.queryable else None)
 
 
-#: The named aliases of ``update`` that remain: (method, side, rows, weight).
-JOIN_ALIASES = (("insert_left", "left", 40, 1.0), ("insert_right", "right", 40, 1.0),
-                ("delete_left", "left", 15, -1.0))
-RANGE_ALIASES = (("insert", "data", 40, 1.0),)
-
-
-@pytest.mark.parametrize(
-    "spec", [EstimatorSpec.create(family, sizes, 16, seed=13, **options)
-             for family, sizes, options in FAMILY_SPECS if family != "containment"],
-    ids=[family for family, _, _ in FAMILY_SPECS if family != "containment"])
-def test_update_equals_the_named_methods(rng, spec):
-    """A pair join's ``insert_left`` / ``insert_right`` / ``delete_left`` and a
-    range name's ``insert`` are aliases of ``update``; a
-    containment join has ``update`` only."""
-    named, generic = spec.build(), spec.build()
-    data = {side: side_data(rng, spec, 40) for side in spec.info.sides}
-    aliases = RANGE_ALIASES if spec.family == "range" else JOIN_ALIASES
-    for method, side, rows, weight in aliases:
-        getattr(named, method)(data[side][:rows])
-        generic.update(side, data[side][:rows], weight)
-    first = type(generic).SIDES[0]
-    assert generic.state_dict()[first.count_key] == sum(
-        rows * weight for _, side, rows, weight in aliases if side == first.name)
-    assert_same_state(generic.state_dict(), named.state_dict())
-
-
 @every_family
 def test_every_side_name_and_alias_reaches_its_own_bank(rng, spec):
     """A side's aliases ("left" for outer / data) name the same side as its

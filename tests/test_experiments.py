@@ -96,8 +96,8 @@ class TestHarness:
             estimator = SpatialJoinEstimator(
                 tuned, space.instances_for_budget(600, tuned.dimension),
                 seed=1 + 1000 * (run + 1))
-            estimator.insert_left(left)
-            estimator.insert_right(right)
+            estimator.update("left", left)
+            estimator.update("right", right)
             estimates.append(estimator.estimate().estimate)
         assert error == mean_relative_error(estimates, truth)
         assert np.isfinite(error) and error >= 0.0

@@ -103,6 +103,10 @@ TRANSCRIPT = [
                         "instances": 16, "seed": 3}),
      ("register unknown family", {"op": "register", "name": "bad",
                                   "family": "nope", "sizes": [256, 256]}),
+     ("register interval in 2-d", {"op": "register", "name": "bad2",
+                                   "family": "interval", "sizes": [256, 256]}),
+     ("register rectangle in 1-d", {"op": "register", "name": "bad1",
+                                    "family": "rectangle", "sizes": [256]}),
      ("register missing name", {"op": "register", **RANGE})],
     [("register duplicate", {"op": "register", "name": "rq", **RANGE}),
      ("ingest ok", {"op": "ingest", "name": "rq", "side": "data",
@@ -198,6 +202,11 @@ def test_server_and_router_answer_one_transcript_alike(placement, wire):
     assert by_server["unknown op"]["error_code"] == "unknown_op"
     assert by_server["estimate ok"]["left_count"] == len(ROWS)
     assert by_server["ingest bad side"]["error"].startswith("ServiceError: ")
+    # ``interval`` / ``rectangle`` build the one join class on a domain of
+    # their own dimension, and refuse another as the library does.
+    for label in ("register interval in 2-d", "register rectangle in 1-d"):
+        assert by_server[label]["error_code"] == "bad_request", label
+        assert by_server[label]["error"].startswith("DimensionalityError: "), label
     # Malformed requests answer in protocol terms — a bad_request naming the
     # op and the field, never a leaked KeyError / TypeError — and the
     # connection stays open (every later window above was answered on it).

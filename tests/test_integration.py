@@ -8,7 +8,7 @@ join sketch, the query-optimizer workflow and a full small-scale
 import numpy as np
 
 from repro.core.domain import Domain
-from repro.core.join_rect import RectangleJoinEstimator
+from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.core.range_query import RangeQueryEstimator
 from repro.data import synthetic
 from repro.data.reallife import load_real_life_pair
@@ -32,21 +32,21 @@ class TestStreamingIntegration:
         right = synthetic.generate_rectangles(250, domain, rng=rng)
         stream = UpdateStream(objects, delete_fraction=0.3, warmup_fraction=0.5, seed=9)
 
-        streamed = RectangleJoinEstimator(domain.with_max_level(4), 96, seed=4)
-        streamed.insert_right(right)
+        streamed = SpatialJoinEstimator(domain.with_max_level(4), 96, seed=4)
+        streamed.update("right", right)
         for kind, batch in stream.batches(batch_size=32):
             if kind is UpdateKind.INSERT:
-                streamed.insert_left(batch)
+                streamed.update("left", batch)
             else:
-                streamed.delete_left(batch)
+                streamed.update("left", batch, -1.0)
 
         final_state = stream.final_state()
-        rebuilt = RectangleJoinEstimator(domain.with_max_level(4), 96, seed=4)
-        rebuilt.insert_left(final_state)
-        rebuilt.insert_right(right)
+        rebuilt = SpatialJoinEstimator(domain.with_max_level(4), 96, seed=4)
+        rebuilt.update("left", final_state)
+        rebuilt.update("right", right)
 
         assert streamed.left_count == len(final_state)
-        assert np.allclose(streamed.instance_values(), rebuilt.instance_values())
+        assert np.allclose(streamed.estimate().instance_values, rebuilt.estimate().instance_values)
 
     def test_range_sketch_over_stream(self, rng):
         domain = Domain.square(256, dimension=2)
@@ -55,7 +55,7 @@ class TestStreamingIntegration:
         estimator = RangeQueryEstimator(domain.with_max_level(4), 512, seed=7)
         for kind, batch in stream.batches(batch_size=64):
             if kind is UpdateKind.INSERT:
-                estimator.insert(batch)
+                estimator.update("data", batch)
             else:
                 estimator.update("data", batch, -1.0)
         final_state = stream.final_state()
@@ -108,9 +108,9 @@ class TestEndToEndComparison:
         assert truth > 0
 
         tuned = adaptive_domain(left, right, domain, seed=1)
-        estimator = RectangleJoinEstimator(tuned, num_instances=256, seed=2)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator = SpatialJoinEstimator(tuned, num_instances=256, seed=2)
+        estimator.update("left", left)
+        estimator.update("right", right)
         estimate = estimator.estimate().estimate
         baseline = histogram_errors(left, right, domain, truth, budget_words=2500)
 
@@ -127,9 +127,9 @@ class TestEndToEndComparison:
         right = synthetic.generate_rectangles(800, domain, rng=rng)
         truth = rectangle_join_count(left, right)
 
-        estimator = RectangleJoinEstimator(domain.with_max_level(4), num_instances=512, seed=1)
-        estimator.insert_left(left)
-        estimator.insert_right(right)
+        estimator = SpatialJoinEstimator(domain.with_max_level(4), num_instances=512, seed=1)
+        estimator.update("left", left)
+        estimator.update("right", right)
         result = estimator.estimate()
 
         assert result.estimate > 0

@@ -280,7 +280,7 @@ class TestLevelSplit:
         split, one_cell = spec.build(), replace(spec, split_levels=False).build()
         boxes = synthetic_boxes(Domain((256, 256)), 50, seed=1)
         for estimator in (split, one_cell):
-            estimator.insert(boxes)
+            estimator.update("data", boxes)
         with pytest.raises(MergeCompatibilityError, match="level-split"):
             split.merge(one_cell)
         with pytest.raises(MergeCompatibilityError):

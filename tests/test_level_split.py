@@ -71,7 +71,7 @@ class TestKernel:
         if warm:
             split.prepay_tables()
         for estimator in (split, one_cell):
-            estimator.insert(boxes)
+            estimator.update("data", boxes)
             estimator.update("data", boxes[::3], -1.0)
         assert split.bank.counter_tensor.shape[1] \
             == len(split.bank.words) * int(np.prod(split.bank.levels))
@@ -110,7 +110,7 @@ class TestEveryPathAgrees:
         range empty (``u == v``) the column's letter sums read zero."""
         spec, halves, queries = fed
         estimator = spec.build()
-        estimator.insert(halves[0])
+        estimator.update("data", halves[0])
         [program] = estimator.lower(queries)
         assert program.columns == len(queries)
         assert len(program.terms) == 4
@@ -161,7 +161,7 @@ class TestLevelSums:
         float64 ``(instances,)`` vector took, not eight times them."""
         spec = EstimatorSpec.create("range", (1024, 1024), 256, seed=2)
         estimator = spec.build()
-        estimator.insert(random_boxes(np.random.default_rng(0), 50, (1024, 1024)))
+        estimator.update("data", random_boxes(np.random.default_rng(0), 50, (1024, 1024)))
         queries = random_boxes(np.random.default_rng(1), 4, (1024, 1024))
         for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
             sums = estimator.bank.level_sums(0, letter, queries.lows[:, 0],
@@ -188,7 +188,7 @@ class TestControl:
     @staticmethod
     def fed(spec, boxes):
         estimator = spec.build()
-        estimator.insert(boxes)
+        estimator.update("data", boxes)
         return estimator
 
     @staticmethod

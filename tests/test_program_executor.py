@@ -84,16 +84,21 @@ def reference_scalar_estimate(family: str, view, query=None):
     if family in PAIRED_FAMILIES:
         values = np.zeros(view.num_instances, dtype=np.float64)
         for (left_word, right_word), coefficient in view._combos.items():
-            values += coefficient * (view.left_bank.counter(left_word)
-                                     * view.right_bank.counter(right_word))
+            values += coefficient * (view.side_bank("left").counter(left_word)
+                                     * view.side_bank("right").counter(right_word))
         left, right = view.left_count, view.right_count
     elif family == "epsilon":
-        values = (view.side_bank("left").counter(view._point_word)
-                  * view.side_bank("right").counter(view._cube_word))
+        points = (Letter.LOWER_POINT,) * view.dimension
+        cubes = (Letter.INTERVAL,) * view.dimension
+        values = (view.side_bank("left").counter(points)
+                  * view.side_bank("right").counter(cubes))
         left, right = view.left_count, view.right_count
     elif family == "containment":
-        values = (view.side_bank("outer").counter(view._outer_word)
-                  * view.side_bank("inner").counter(view._inner_word))
+        # Z = X_outer * Y_inner over the doubled domain (Appendix B.2).
+        boxes = (Letter.INTERVAL,) * (2 * view.dimension)
+        points = (Letter.LOWER_POINT,) * (2 * view.dimension)
+        values = (view.side_bank("outer").counter(boxes)
+                  * view.side_bank("inner").counter(points))
         state = view.state_dict()
         left, right = state["outer_count"], state["inner_count"]
     elif family == "range":
@@ -230,7 +235,7 @@ def test_fractional_weights_match_the_scalar_math(rng):
     spec = replace(EstimatorSpec.create("range", sizes, 64, seed=3, **options),
                    split_levels=False)
     estimator = spec.build()
-    estimator.insert(_boxes(rng, 12, sizes, degenerate=False))
+    estimator.update("data", _boxes(rng, 12, sizes, degenerate=False))
     for weight in (0.3, 1.7, -0.45, 0.1):
         estimator.bank.insert(_boxes(rng, 12, sizes, degenerate=False), weight=weight)
     queries = _boxes(rng, 32, sizes, degenerate=False)
@@ -301,8 +306,8 @@ class TestExecutorUnit:
         first = RangeQueryEstimator(domain, 6, seed=1)
         second = RangeQueryEstimator(domain, 10, seed=2)
         boxes = _boxes(rng, 40, domain_sizes, degenerate=False)
-        first.insert(boxes)
-        second.insert(boxes)
+        first.update("data", boxes)
+        second.update("data", boxes)
         queries = _boxes(rng, 5, domain_sizes, degenerate=False)
         programs = first.lower(queries) + second.lower(queries)
         results = ProgramExecutor().run(programs)
@@ -313,11 +318,11 @@ class TestExecutorUnit:
 
     def test_replicas_expand_to_owned_results(self, rng):
         from repro.core.domain import Domain
-        from repro.core.join_rect import RectangleJoinEstimator
+        from repro.core.join_hyperrect import SpatialJoinEstimator
 
-        estimator = RectangleJoinEstimator(Domain((32, 32)), 6, seed=3)
-        estimator.insert_left(_boxes(rng, 10, (32, 32), degenerate=False))
-        estimator.insert_right(_boxes(rng, 10, (32, 32), degenerate=False))
+        estimator = SpatialJoinEstimator(Domain((32, 32)), 6, seed=3)
+        estimator.update("left", _boxes(rng, 10, (32, 32), degenerate=False))
+        estimator.update("right", _boxes(rng, 10, (32, 32), degenerate=False))
         results = ProgramExecutor().run(
             estimator.lower(3))
         assert len(results) == 3
@@ -334,7 +339,7 @@ class TestExecutorUnit:
         from repro.core.domain import Domain
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1)
-        estimator.insert(_boxes(rng, 20, (64, 64), degenerate=False))
+        estimator.update("data", _boxes(rng, 20, (64, 64), degenerate=False))
         program = estimator.lower(_boxes(rng, 1, (64, 64),
                                          degenerate=False))[0]
         description = describe_program(program)
@@ -359,7 +364,7 @@ class TestExecutorUnit:
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
                                         split_levels=True)
-        estimator.insert(_boxes(rng, 20, (64, 64), degenerate=False))
+        estimator.update("data", _boxes(rng, 20, (64, 64), degenerate=False))
         program = estimator.lower(_boxes(rng, 2, (64, 64), degenerate=False))[0]
         description = describe_program(program)
         assert description["columns"] == 2
@@ -381,7 +386,7 @@ class TestExecutorUnit:
         from repro.core.domain import Domain
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 4, seed=1)
-        estimator.insert(_boxes(rng, 10, (64, 64), degenerate=False))
+        estimator.update("data", _boxes(rng, 10, (64, 64), degenerate=False))
         executor = ProgramExecutor()
         queries = _boxes(rng, 6, (64, 64), degenerate=False)
         executor.run(estimator.lower(queries))
@@ -398,7 +403,7 @@ class TestExecutorUnit:
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
                                         split_levels=split_levels)
-        estimator.insert(_boxes(rng, 20, (64, 64), degenerate=False))
+        estimator.update("data", _boxes(rng, 20, (64, 64), degenerate=False))
         results = ProgramExecutor().run(estimator.lower(
             _boxes(rng, 5, (64, 64), degenerate=False)))
         assert len(results) == 5

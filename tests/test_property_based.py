@@ -9,7 +9,7 @@ from repro.core.atomic import Letter
 from repro.core.domain import Domain, EndpointTransform
 from repro.core.dyadic import DyadicDomain
 from repro.core.boosting import BoostingPlan, median_of_means
-from repro.core.join_interval import IntervalJoinEstimator
+from repro.core.join_hyperrect import SpatialJoinEstimator
 from repro.core.selfjoin import self_join_size
 from repro.engine import Catalog, JoinPlan, Optimizer, SynopsisManager
 from repro.exact.fenwick import FenwickTree
@@ -288,8 +288,8 @@ class TestEstimatorExpectationProperties:
         domain = Domain(32)
         left = to_boxset_1d(left_pairs)
         right = to_boxset_1d(right_pairs)
-        estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                          endpoint_policy="transform")
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                         endpoint_policy="transform")
         truth = interval_join_count(left, right)
         assert abs(expected_estimator_value(estimator, left, right) - truth) < 1e-6
 
@@ -299,8 +299,8 @@ class TestEstimatorExpectationProperties:
         domain = Domain(32)
         left = to_boxset_1d(left_pairs)
         right = to_boxset_1d(right_pairs)
-        estimator = IntervalJoinEstimator(domain, num_instances=1, seed=0,
-                                          endpoint_policy="explicit")
+        estimator = SpatialJoinEstimator(domain, num_instances=1, seed=0,
+                                         endpoint_policy="explicit")
         truth = interval_join_count(left, right)
         assert abs(expected_estimator_value(estimator, left, right) - truth) < 1e-6
 

@@ -46,7 +46,7 @@ def signed_errors():
     for seed in SEEDS:
         estimator = EstimatorSpec.create("range", (SIZE, SIZE), INSTANCES,
                                          seed=seed).build()
-        estimator.insert(data)
+        estimator.update("data", data)
         [program] = estimator.lower(probes)
         # Without its control the whole-domain column answers too: drop it.
         reference = replace(program, control=None,

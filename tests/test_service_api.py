@@ -100,8 +100,8 @@ class TestEstimateAndCache:
         service.ingest("join", left, side="left")
         service.ingest("join", right, side="right")
         single = service.spec("join").build()
-        single.insert_left(left)
-        single.insert_right(right)
+        single.update("left", left)
+        single.update("right", right)
         assert service.estimate("join").estimate == single.estimate().estimate
 
     def test_query_argument_validation(self, rng):
@@ -169,12 +169,12 @@ class TestSnapshots:
         restored.ingest("join", later, side="left")
         # The restored service keeps accepting updates and stays exact.
         single = restored.spec("join").build()
-        single.insert_left(first.concat(later))
+        single.update("left", first.concat(later))
         merged = restored.merged_view("join")
         assert merged.left_count == 120
-        for word in single.left_bank.words:
-            assert np.array_equal(merged.left_bank.counter(word),
-                                  single.left_bank.counter(word))
+        for word in single.side_bank("left").words:
+            assert np.array_equal(merged.side_bank("left").counter(word),
+                                  single.side_bank("left").counter(word))
 
     def test_snapshot_includes_pending_updates(self, rng, tmp_path):
         service = _service(flush_threshold=None)
@@ -223,12 +223,12 @@ class TestStreamDriver:
 
         single = service.spec("join").build()
         final = stream.final_state()
-        single.insert_left(final)
+        single.update("left", final)
         merged = service.merged_view("join")
         assert merged.left_count == len(final)
-        for word in single.left_bank.words:
-            assert np.array_equal(merged.left_bank.counter(word),
-                                  single.left_bank.counter(word))
+        for word in single.side_bank("left").words:
+            assert np.array_equal(merged.side_bank("left").counter(word),
+                                  single.side_bank("left").counter(word))
 
     def test_driver_validates_inputs(self, rng):
         service = _service()

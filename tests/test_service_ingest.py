@@ -289,12 +289,12 @@ class TestExactness:
 
         single = self._reference(spec, batches)
         merged = store.merge_view("est")
-        for word in single.left_bank.words:
-            assert np.array_equal(merged.left_bank.counter(word),
-                                  single.left_bank.counter(word))
-        for word in single.right_bank.words:
-            assert np.array_equal(merged.right_bank.counter(word),
-                                  single.right_bank.counter(word))
+        for word in single.side_bank("left").words:
+            assert np.array_equal(merged.side_bank("left").counter(word),
+                                  single.side_bank("left").counter(word))
+        for word in single.side_bank("right").words:
+            assert np.array_equal(merged.side_bank("right").counter(word),
+                                  single.side_bank("right").counter(word))
         assert merged.left_count == single.left_count
         assert merged.right_count == single.right_count
 
@@ -321,11 +321,11 @@ class TestExactness:
 
         for ours, theirs in zip(flushed.shard_estimators("est"),
                                 backwards.shard_estimators("est")):
-            assert np.array_equal(ours.left_bank.counter_tensor,
-                                  theirs.left_bank.counter_tensor)
+            assert np.array_equal(ours.side_bank("left").counter_tensor,
+                                  theirs.side_bank("left").counter_tensor)
         assert np.array_equal(
-            flushed.merge_view("est").left_bank.counter_tensor,
-            backwards.merge_view("est").left_bank.counter_tensor)
+            flushed.merge_view("est").side_bank("left").counter_tensor,
+            backwards.merge_view("est").side_bank("left").counter_tensor)
 
     def test_flush_report_contents(self, rng):
         store = ShardedSketchStore(2)

@@ -156,7 +156,7 @@ class TestBothFormatsRoundTrip:
         restored = EstimationService.load(path)
         shard = next(iter(restored.store.shard_estimators("est")))
         # Adopted without copying: a read-only view into the mapped file.
-        assert not shard.left_bank._matrix.flags.writeable
+        assert not shard.side_bank("left")._matrix.flags.writeable
         later = random_boxes(rng, 40, 256, 2)
         for svc in (service, restored):
             svc.ingest("est", later, side="left")

@@ -166,9 +166,10 @@ class TestShardedStore:
         data = random_boxes(rng, 100, 256, 2)
         store.apply("est", "left", "insert", data)
         view = store.merge_view("est")
-        before = view.left_bank.counter(view.left_bank.words[0])
+        bank = view.side_bank("left")
+        before = bank.counter(bank.words[0])
         store.apply("est", "left", "insert", random_boxes(rng, 50, 256, 2))
-        assert np.array_equal(view.left_bank.counter(view.left_bank.words[0]), before)
+        assert np.array_equal(bank.counter(bank.words[0]), before)
 
     def test_version_bumps_on_updates(self, rng):
         store = ShardedSketchStore(2)
@@ -263,8 +264,8 @@ class TestSpecs:
     def test_shared_seed_specs_build_merge_compatible_estimators(self, rng):
         spec = _make_spec("rectangle", (256, 256), {})
         first, second = spec.build(), spec.build()
-        first.insert_left(random_boxes(rng, 10, 256, 2))
-        second.insert_left(random_boxes(rng, 10, 256, 2))
+        first.update("left", random_boxes(rng, 10, 256, 2))
+        second.update("left", random_boxes(rng, 10, 256, 2))
         first.merge(second)  # must not raise
         assert first.left_count == 20
 

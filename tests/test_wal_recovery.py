@@ -22,6 +22,7 @@ from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.server.server import _snapshot_bytes
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
+from repro.service.snapshot import snapshot_state_from_bytes
 from repro.wal import WalWriter, read_wal_records, recover_service
 from repro.wal.reader import list_segments
 from repro.wal.writer import default_checkpoint_path
@@ -30,6 +31,8 @@ from tests.test_server import Connection, start_server
 
 DOMAIN = Domain.square(256, dimension=2)
 LATE = synthetic_boxes(DOMAIN, 25, seed=31)
+#: Stands for the log's recovery base in a request of a table below.
+BASE = object()
 
 
 # Not durable state: "version" is a process-local cache-invalidation
@@ -493,19 +496,26 @@ class TestOneRecoveryBase:
         "tenant": (dict(op="tenant", action="create", tenant="acme",
                         token="acme-secret"), lambda twin: None),
         "checkpoint": (dict(op="snapshot", checkpoint=True), lambda twin: None),
+        # A snapshot writes nothing the twin sees, but it must save (or
+        # ship) the state the reload leaves: a pathless one the log's
+        # base, one naming the base with the log position beside it.
+        "snapshot": (dict(op="snapshot"), lambda twin: None),
+        "snapshot_base": (dict(op="snapshot", path=BASE), lambda twin: None),
+        "fetch": (dict(op="snapshot", fetch=True), lambda twin: None),
     }
 
     @pytest.mark.parametrize("source, verb", [
         ("base", verb) for verb in WRITES] + [
         (source, verb) for source in ("file", "inline")
-        for verb in ("ingest", "checkpoint")])
+        for verb in ("ingest", "checkpoint", "fetch")])
     def test_a_write_during_a_reload_is_in_the_reloaded_state(
             self, tmp_path, source, verb):
         """A reload detaches the old service's log before the new service is
         swapped in.  A write that arrives in between waits for the swap: it
         is acked, running and recovered, never dropped with the old
-        service.  A seam holds the old service's ``detach_wal`` open while
-        the write arrives."""
+        service; a snapshot saves or ships the reloaded state.  A seam
+        holds the old service's ``detach_wal`` open while the request
+        arrives."""
         wal_dir = tmp_path / "wal"
         early = synthetic_boxes(DOMAIN, 40, seed=30)
         twin = durable_service()
@@ -517,6 +527,8 @@ class TestOneRecoveryBase:
         if source == "file":
             twin.save(reload["path"])
         request, apply = self.WRITES[verb]
+        if request.get("path") is BASE:
+            request = {**request, "path": default_checkpoint_path(wal_dir)}
         service = durable_service(wal_dir, sync="flush")
         service.ingest("ranges", early, side="data")
         if source == "base":
@@ -579,6 +591,9 @@ class TestOneRecoveryBase:
                 handle.service.detach_wal()
         apply(twin)
         expected = twin.snapshot()
+        if verb == "fetch":
+            assert_states_equal(running, snapshot_state_from_bytes(
+                protocol.payload_bytes(replies["write"]["data"])))
         if verb == "tenant":  # the record carries its creation time
             assert [record["tenant_id"] for record in running["tenants"]["records"]] \
                 == ["acme"]
