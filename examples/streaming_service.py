@@ -27,7 +27,7 @@ from repro.errors import EstimationError
 from repro.exact import range_query_count, rectangle_join_count
 from repro.geometry import BoxSet
 from repro.experiments.harness import adaptive_domain
-from repro.service import EstimationService, StreamDriver, synthetic_boxes
+from repro.service import EstimationService, synthetic_boxes
 
 
 def main() -> None:
@@ -63,15 +63,15 @@ def main() -> None:
     observations: list[tuple[str, float]] = []
 
     def ingest() -> None:
-        driver = StreamDriver(service, "join", side="left", batch_size=256)
-        report = driver.drive(stream)
-        ranges_driver = StreamDriver(service, "ranges", side="data",
-                                     batch_size=256)
-        ranges_report = ranges_driver.drive(stream)
+        # Same-kind batches of the stream go straight to ingest: a
+        # stream's UpdateKind is the str kind ingest takes.
+        batches = 0
+        for name, side in (("join", "left"), ("ranges", "data")):
+            for kind, boxes in stream.batches(256):
+                service.ingest(name, boxes, side=side, kind=kind)
+                batches += 1
         done.set()
-        print(f"ingested: join {report.inserts:,}+/{report.deletes:,}- "
-              f"ranges {ranges_report.inserts:,}+/{ranges_report.deletes:,}- "
-              f"in {report.batches + ranges_report.batches} batches")
+        print(f"ingested: the stream into join and ranges in {batches} batches")
 
     def query(index: int) -> None:
         while not done.is_set():

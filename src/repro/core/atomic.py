@@ -8,14 +8,17 @@ dimension.  Inserting a hyper-rectangle ``r`` adds
     prod_i  s(i, w[i], r(i))
 
 to the counter of word ``w``, where ``s(i, letter, [lo, hi])`` is the sum of
-the dimension-``i`` xi variables over the letter-specific dyadic cover:
+the dimension-``i`` xi variables over the dyadic nodes the letter reads.
+:data:`LETTER_READS` is the one table of those reads — a *kind* and the
+*ends* read — and every kernel, walk, level table, self-join size and
+cover size reads its row:
 
-* ``INTERVAL``    — the dyadic cover of ``[lo, hi]``          (the paper's "I"),
-* ``ENDPOINTS``   — point covers of both ``lo`` and ``hi``    (the paper's "E"),
-* ``LOWER_POINT`` — point cover of ``lo`` only                (points / epsilon-join),
-* ``UPPER_POINT`` — point cover of ``hi`` only                (range queries, X_U),
-* ``LOWER_LEAF``  — the single level-0 variable at ``lo``     (Appendix B/C, X_L),
-* ``UPPER_LEAF``  — the single level-0 variable at ``hi``     (Appendix B/C, X_U).
+* ``INTERVAL`` (I)    — ``cover`` of ``lo, hi``: the dyadic cover of ``[lo, hi]``,
+* ``ENDPOINTS`` (E)   — ``points`` at ``lo, hi``: both point covers, summed,
+* ``LOWER_POINT`` (P) — ``points`` at ``lo``     (points / epsilon-join),
+* ``UPPER_POINT`` (U) — ``points`` at ``hi``     (range queries, X_U),
+* ``LOWER_LEAF`` (l)  — ``leaf`` at ``lo``: the level-0 node (Appendix B/C, X_L),
+* ``UPPER_LEAF`` (u)  — ``leaf`` at ``hi``                    (Appendix B/C, X_U).
 
 A :class:`SketchBank` holds ``num_instances`` independent atomic sketches
 (each with its own xi families per dimension) and updates all of them with
@@ -32,7 +35,7 @@ levels are the one-cell counter.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +57,48 @@ class Letter(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+class LetterRead(NamedTuple):
+    """A row of :data:`LETTER_READS`: ``kind`` is ``"cover"``, ``"points"``
+    or ``"leaf"``, ``ends`` the ends read (0: ``lo``, 1: ``hi``)."""
+
+    kind: str
+    ends: tuple[int, ...]
+
+    def coordinates(self, lows, highs) -> tuple:
+        """The coordinates of the ends read, in ``ends`` order."""
+        return tuple((lows, highs)[end] for end in self.ends)
+
+
+#: What each letter reads of a box (see the module docstring).
+LETTER_READS: dict[Letter, LetterRead] = {
+    Letter.INTERVAL: LetterRead("cover", (0, 1)),
+    Letter.ENDPOINTS: LetterRead("points", (0, 1)),
+    Letter.LOWER_POINT: LetterRead("points", (0,)),
+    Letter.UPPER_POINT: LetterRead("points", (1,)),
+    Letter.LOWER_LEAF: LetterRead("leaf", (0,)),
+    Letter.UPPER_LEAF: LetterRead("leaf", (1,)),
+}
+
+
+def letter_covers(dyadic, letter: Letter, lows, highs
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, lengths)``: the node ids ``letter`` reads of every interval,
+    concatenated (a points letter's ends one after the other), and how
+    many each interval has."""
+    read = LETTER_READS[letter]
+    ends = read.coordinates(np.asarray(lows, dtype=np.int64),
+                            np.asarray(highs, dtype=np.int64))
+    if read.kind == "cover":
+        return dyadic.covers(*ends)
+    count = len(ends[0])
+    if read.kind == "leaf":
+        return dyadic.size - 1 + ends[0], np.ones(count, dtype=np.int64)
+    per_point = dyadic.max_level + 1
+    ids = np.concatenate([dyadic.point_covers(coordinates)[0].reshape(count, per_point)
+                          for coordinates in ends], axis=1)
+    return ids.reshape(-1), np.full(count, per_point * len(ends), dtype=np.int64)
 
 
 Word = tuple[Letter, ...]
@@ -123,7 +168,7 @@ class SketchBank:
         if len(set(words)) != len(words):
             raise SketchConfigError("duplicate words in sketch bank configuration")
         if split_levels and (domain.dimension > 2 or any(
-                letter in (Letter.LOWER_LEAF, Letter.UPPER_LEAF)
+                LETTER_READS[letter].kind == "leaf"
                 for word in words for letter in word)):
             raise SketchConfigError(
                 "level-split counters need a 1-D or 2-D bank over cover letters")
@@ -664,25 +709,17 @@ class SketchBank:
     def _letter_rows(self, dim: int, letter: Letter, lows: np.ndarray,
                      highs: np.ndarray) -> np.ndarray:
         """``(num_boxes, num_instances)`` integer xi sums: one row per box."""
-        dyadic = self._domain.dyadic(dim)
-        xi = self._xi[dim]
-        if letter is Letter.INTERVAL:
-            return self._interval_rows(xi, dyadic, lows, highs)
-        if letter is Letter.ENDPOINTS:
-            rows = self._point_cover_rows(xi, dyadic, lows)
-            rows += self._point_cover_rows(xi, dyadic, highs)
-            return rows
-        if letter is Letter.LOWER_POINT:
-            return self._point_cover_rows(xi, dyadic, lows)
-        if letter is Letter.UPPER_POINT:
-            return self._point_cover_rows(xi, dyadic, highs)
-        if letter is Letter.LOWER_LEAF:
-            leaves = dyadic.size - 1 + np.asarray(lows, dtype=np.int64)
-            return self._sign_rows(xi, leaves)
-        if letter is Letter.UPPER_LEAF:
-            leaves = dyadic.size - 1 + np.asarray(highs, dtype=np.int64)
-            return self._sign_rows(xi, leaves)
-        raise SketchConfigError(f"unknown letter {letter!r}")
+        dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
+        read = LETTER_READS[letter]
+        ends = read.coordinates(lows, highs)
+        if read.kind == "cover":
+            return self._interval_rows(xi, dyadic, *ends)
+        if read.kind == "leaf":
+            return self._sign_rows(xi, dyadic.size - 1 + np.asarray(ends[0], dtype=np.int64))
+        rows = self._point_cover_rows(xi, dyadic, ends[0])
+        for coordinates in ends[1:]:
+            rows += self._point_cover_rows(xi, dyadic, coordinates)
+        return rows
 
     def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray,
                        only: Letter | None = None) -> tuple[list, np.ndarray | None]:
@@ -701,27 +738,30 @@ class SketchBank:
         """
         dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
         letters, levels = self._dim_letters(dim), dyadic.num_levels
-        intervals = Letter.INTERVAL in letters
+        covering = [index for index, letter in enumerate(letters)
+                    if LETTER_READS[letter].kind == "cover"]
         tables = self._level_tables(xi, dyadic, letters)
         if tables is not None:
             parts = list(zip(tables[::-1], (highs, lows)))
-            gaps = dyadic.level_gaps(lows, highs) if intervals else None
+            gaps = dyadic.level_gaps(lows, highs) if covering else None
             if gaps is None or not gaps.any():
                 return parts, None
             mask = np.ones((len(lows), len(letters), levels), dtype=dyadic.level_dtype)
-            mask[:, letters.index(Letter.INTERVAL)] = ~gaps
+            mask[:, covering] = ~gaps[:, None]
             return parts, mask.reshape(len(lows), -1)
         blocks = []
         for letter in letters if only is None else (only,):
-            if letter is Letter.INTERVAL:
-                steps = dyadic.cover_steps(lows, highs)
+            read = LETTER_READS[letter]
+            ends = read.coordinates(lows, highs)
+            if read.kind == "cover":
+                steps = dyadic.cover_steps(*ends)
                 rows = np.zeros((len(lows), levels, xi.num_families),
                                 dtype=dyadic.level_dtype)
                 for indices, nodes in steps:
                     rows[indices, dyadic.node_levels(nodes)] += self._sign_rows(xi, nodes)
             else:
                 rows = sum(self._sign_rows(xi, dyadic.point_covers(coordinates)[0])
-                           for coordinates in self._point_sources(letter, lows, highs))
+                           for coordinates in ends)
                 rows = rows.reshape(len(lows), levels, xi.num_families)
             blocks.append(rows.transpose(2, 0, 1))
         rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
@@ -742,12 +782,6 @@ class SketchBank:
         return tuple(dict.fromkeys(word[dim] for word in self._words))
 
     @staticmethod
-    def _point_sources(letter: Letter, lows: np.ndarray, highs: np.ndarray):
-        """The coordinates whose point covers a point letter sums."""
-        return {Letter.ENDPOINTS: (lows, highs), Letter.LOWER_POINT: (lows,),
-                Letter.UPPER_POINT: (highs,)}[letter]
-
-    @staticmethod
     def _level_tables(xi: FourWiseFamilyBank, dyadic, letters) -> tuple | None:
         """``([low,] high)`` instance-major ``(families, size, letters x
         levels)`` tables of the letters' level sums.
@@ -759,17 +793,21 @@ class SketchBank:
         Each table is one gather from the family's level values; ``low``
         is left out when no letter reads the low end.
         """
-        reads_low = any(letter is not Letter.UPPER_POINT for letter in letters)
+        reads_low = any(0 in LETTER_READS[letter].ends for letter in letters)
 
         def build(signs):
             point, low, high = dyadic.level_columns()
             none = np.zeros_like(point)
-            sides = {Letter.INTERVAL: (low, high), Letter.UPPER_POINT: (none, point),
-                     Letter.LOWER_POINT: (point, none), Letter.ENDPOINTS: (point, point)}
+            sides = {"cover": (low, high), "points": (point, point)}
+
+            def side(letter, end):
+                read = LETTER_READS[letter]
+                return sides[read.kind][end] if end in read.ends else none
+
             values = dyadic.level_values(signs)
             return tuple(
                 np.take(values, np.concatenate(
-                    [sides[letter][end] for letter in letters], axis=1), axis=1)
+                    [side(letter, end) for letter in letters], axis=1), axis=1)
                 for end in (0, 1) if end or reads_low)
 
         nbytes = ((1 + reads_low) * dyadic.level_dtype.itemsize * xi.num_families

@@ -10,13 +10,13 @@ Every join estimator in this library follows the same pattern:
    (Section 2.3).
 
 The linear combinations themselves are all generated from *per-dimension
-pair terms*: a pair term ``(letter_R, letter_S, coefficient, transformed)``
-states that in a single dimension the product of the letter_R counter of R
-and the letter_S counter of S contributes with the given coefficient to the
-per-dimension count, optionally on endpoint-transformed coordinates.  For d
-dimensions the estimator is the sum over all ways of picking one pair term
-per dimension, with the product of the coefficients (this is exactly how the
-paper's Z generalises from Theorem 1 to Theorem 3 and Appendices B/C).
+pair terms*: a pair term ``(letter_R, letter_S, coefficient)`` states that
+in a single dimension the product of the letter_R counter of R and the
+letter_S counter of S contributes with the given coefficient to the
+per-dimension count.  For d dimensions the estimator is the sum over all
+ways of picking one pair term per dimension, with the product of the
+coefficients (this is exactly how the paper's Z generalises from Theorem 1
+to Theorem 3 and Appendices B/C).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class PairTerm:
     left_letter: Letter
     right_letter: Letter
     coefficient: float
-    transformed: bool = False
 
 
 def expand_pair_terms(pair_terms: Sequence[PairTerm], dimension: int
@@ -79,8 +78,7 @@ class PairedSketchJoinEstimator(QuerylessProgramEstimator):
         if not self._pair_terms:
             raise SketchConfigError("at least one pair term is required")
 
-        needs_transform = use_endpoint_transform or any(t.transformed for t in self._pair_terms)
-        self._transform = EndpointTransform(domain) if needs_transform else None
+        self._transform = EndpointTransform(domain) if use_endpoint_transform else None
 
         super().__init__(
             domain, num_instances, seed=seed, boosting=boosting,

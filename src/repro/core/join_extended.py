@@ -28,8 +28,8 @@ from repro.geometry.boxset import BoxSet
 #: The strict-overlap part is estimated on shrunk coordinates; the two leaf
 #: terms count the "meet" configurations on the original (scaled) coordinates.
 EXTENDED_OVERLAP_PAIR_TERMS: tuple[PairTerm, ...] = (
-    PairTerm(Letter.INTERVAL, Letter.ENDPOINTS, 0.5, transformed=True),
-    PairTerm(Letter.ENDPOINTS, Letter.INTERVAL, 0.5, transformed=True),
+    PairTerm(Letter.INTERVAL, Letter.ENDPOINTS, 0.5),
+    PairTerm(Letter.ENDPOINTS, Letter.INTERVAL, 0.5),
     PairTerm(Letter.LOWER_LEAF, Letter.UPPER_LEAF, 1.0),
     PairTerm(Letter.UPPER_LEAF, Letter.LOWER_LEAF, 1.0),
 )

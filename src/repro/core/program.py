@@ -64,7 +64,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.atomic import Letter, SketchBank, Word
+from repro.core.atomic import Letter, SketchBank, Word, letter_covers
 from repro.core.boosting import BoostingPlan, control_adjusted, median_of_means_batch
 from repro.core.result import EstimateResult
 from repro.errors import SketchConfigError
@@ -447,26 +447,11 @@ def letter_cover_size(ref: LetterSumRef) -> int:
     This is the size of the letter-specific dyadic cover — the quantity the
     paper's update/query cost analysis counts (O(d log n) per box).
     """
-    dyadic = ref.bank.domain.dyadic(ref.dim)
-    lows = np.asarray([ref.low], dtype=np.int64)
-    highs = np.asarray([ref.high], dtype=np.int64)
-    if ref.letter is Letter.INTERVAL:
-        if ref.low > ref.high:
-            return 0
-        _, lengths = dyadic.covers(lows, highs)
-        return int(lengths[0])
-    if ref.letter is Letter.ENDPOINTS:
-        _, low_lengths = dyadic.point_covers(lows)
-        _, high_lengths = dyadic.point_covers(highs)
-        return int(low_lengths[0] + high_lengths[0])
-    if ref.letter is Letter.LOWER_POINT:
-        _, lengths = dyadic.point_covers(lows)
-        return int(lengths[0])
-    if ref.letter is Letter.UPPER_POINT:
-        _, lengths = dyadic.point_covers(highs)
-        return int(lengths[0])
-    # Leaf letters touch exactly one level-0 variable.
-    return 1
+    if ref.low > ref.high:
+        return 0    # an empty interval reads nothing (see LetterSumRef)
+    _, lengths = letter_covers(ref.bank.domain.dyadic(ref.dim), ref.letter,
+                               [ref.low], [ref.high])
+    return int(lengths[0])
 
 
 def _word_text(word: Word) -> str:

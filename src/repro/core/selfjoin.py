@@ -21,37 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.atomic import Letter, Word, all_words
+from repro.core.atomic import Letter, Word, all_words, letter_covers
 from repro.core.domain import Domain
 from repro.errors import DimensionalityError
 from repro.geometry.boxset import BoxSet
-
-
-def _letter_cover_ids(domain: Domain, dim: int, letter: Letter, lows: np.ndarray,
-                      highs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat cover ids and per-box lengths for one dimension and letter."""
-    dyadic = domain.dyadic(dim)
-    if letter is Letter.INTERVAL:
-        return dyadic.covers(lows, highs)
-    if letter is Letter.ENDPOINTS:
-        low_ids, low_len = dyadic.point_covers(lows)
-        high_ids, high_len = dyadic.point_covers(highs)
-        per_point = int(low_len[0]) if len(low_len) else dyadic.max_level + 1
-        low_ids = low_ids.reshape(len(lows), per_point)
-        high_ids = high_ids.reshape(len(highs), per_point)
-        combined = np.concatenate([low_ids, high_ids], axis=1)
-        return combined.reshape(-1), np.full(len(lows), 2 * per_point, dtype=np.int64)
-    if letter is Letter.LOWER_POINT:
-        return dyadic.point_covers(lows)
-    if letter is Letter.UPPER_POINT:
-        return dyadic.point_covers(highs)
-    if letter is Letter.LOWER_LEAF:
-        ids = dyadic.size - 1 + np.asarray(lows, dtype=np.int64)
-        return ids, np.ones(len(lows), dtype=np.int64)
-    if letter is Letter.UPPER_LEAF:
-        ids = dyadic.size - 1 + np.asarray(highs, dtype=np.int64)
-        return ids, np.ones(len(highs), dtype=np.int64)
-    raise ValueError(f"unknown letter {letter!r}")
 
 
 def self_join_size(boxes: BoxSet, domain: Domain, word: Word) -> float:
@@ -72,8 +45,8 @@ def self_join_size(boxes: BoxSet, domain: Domain, word: Word) -> float:
     per_dim_ids: list[np.ndarray] = []
     per_dim_lengths: list[np.ndarray] = []
     for dim, letter in enumerate(word):
-        ids, lengths = _letter_cover_ids(domain, dim, letter, boxes.lows[:, dim],
-                                         boxes.highs[:, dim])
+        ids, lengths = letter_covers(domain.dyadic(dim), letter, boxes.lows[:, dim],
+                                     boxes.highs[:, dim])
         per_dim_ids.append(ids)
         per_dim_lengths.append(lengths)
 

@@ -20,15 +20,16 @@ package turns that property into a serving layer:
 * :mod:`~repro.service.snapshot` — checkpoint/restore built on
   ``state_dict``/``load_state_dict``: binary v2 snapshots (raw counter
   tensors, memory-mapped restores),
-* :class:`~repro.service.driver.StreamDriver` — feeds
-  :mod:`repro.data.streams` update streams into a running service.
+* :mod:`~repro.service.driver` — reproducible synthetic boxes and queries
+  (:func:`synthetic_boxes`, :func:`synthetic_queries`); an update stream
+  of :mod:`repro.data.streams` feeds ``ingest`` directly.
 """
 
 import importlib
 
 #: Where each re-export lives.  A name's module loads on first use, so a
 #: process loads only what it touches: a router reads specs and partial
-#: states, never the local service, its snapshots, ingest or stream driver.
+#: states, never the local service, its snapshots, ingest or synthetic data.
 _HOMES = {
     "repro.service.specs": (
         "FAMILIES", "EstimatorSpec", "FamilyInfo", "apply_update", "family_info",
@@ -40,9 +41,7 @@ _HOMES = {
         "SNAPSHOT_FORMAT", "SNAPSHOT_VERSION", "read_binary_snapshot_state",
         "restore_service",
     ),
-    "repro.service.driver": (
-        "DriveReport", "StreamDriver", "synthetic_boxes", "synthetic_queries",
-    ),
+    "repro.service.driver": ("synthetic_boxes", "synthetic_queries"),
 }
 
 __all__ = [
@@ -63,8 +62,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "read_binary_snapshot_state",
     "restore_service",
-    "StreamDriver",
-    "DriveReport",
     "synthetic_boxes",
     "synthetic_queries",
 ]

@@ -1,34 +1,18 @@
-"""Feed :mod:`repro.data.streams` update streams into a running service.
+"""Reproducible synthetic boxes and queries for examples, benchmarks and the CLI.
 
-:class:`StreamDriver` adapts the repository's reproducible insert/delete
-streams (:class:`~repro.data.streams.UpdateStream`) to the service's
-batched ingestion API: operations are grouped into same-kind batches and
-submitted as bulk inserts/deletes, which is both how a real feed would
-arrive and what the vectorised sketch update path wants.
+An :class:`~repro.data.streams.UpdateStream` feeds a service with no
+adapter: ``for kind, boxes in stream.batches(n): service.ingest(name,
+boxes, side=side, kind=kind)`` (an :class:`~repro.data.streams.UpdateKind`
+is the ``str`` kind ``ingest`` takes).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.domain import Domain
 from repro.errors import ServiceError
 from repro.geometry.boxset import BoxSet
-
-if TYPE_CHECKING:  # a server start never loads the data generators
-    from repro.data.streams import UpdateStream
-
-
-@dataclass(frozen=True)
-class DriveReport:
-    """Totals of one stream replay."""
-
-    inserts: int
-    deletes: int
-    batches: int
 
 
 def synthetic_boxes(domain: Domain, count: int, *, seed: int = 0,
@@ -66,32 +50,3 @@ def synthetic_queries(domain: Domain, count: int, *, seed: int = 0,
     """
     return synthetic_boxes(domain, count, seed=seed,
                            max_extent_fraction=max_extent_fraction)
-
-
-class StreamDriver:
-    """Replays an update stream into one side of a service estimator."""
-
-    def __init__(self, service, name: str, *, side: str = "left",
-                 batch_size: int = 512) -> None:
-        if batch_size < 1:
-            raise ServiceError("batch_size must be positive")
-        service.spec(name)  # fail fast on unknown names
-        self._service = service
-        self._name = name
-        self._side = side
-        self._batch_size = int(batch_size)
-
-    def drive(self, stream: UpdateStream) -> DriveReport:
-        """Push the whole stream through the service in same-kind batches."""
-        from repro.data.streams import UpdateKind
-
-        inserts = deletes = batches = 0
-        for kind, boxes in stream.batches(self._batch_size):
-            self._service.ingest(self._name, boxes, side=self._side,
-                                 kind="insert" if kind is UpdateKind.INSERT else "delete")
-            if kind is UpdateKind.INSERT:
-                inserts += len(boxes)
-            else:
-                deletes += len(boxes)
-            batches += 1
-        return DriveReport(inserts=inserts, deletes=deletes, batches=batches)

@@ -26,7 +26,7 @@ from repro.wal.framing import (
     encode_record,
     iter_buffer_records,
 )
-from repro.wal.reader import SegmentScan, read_wal_records, scan_segment
+from repro.wal.reader import SegmentScan, read_wal, scan_segment
 from repro.wal.recovery import (
     RecoveryReport,
     apply_wal_record,
@@ -45,7 +45,7 @@ __all__ = [
     "decode_payload",
     "encode_record",
     "iter_buffer_records",
-    "read_wal_records",
+    "read_wal",
     "recover_service",
     "replay_records",
     "scan_segment",

@@ -18,7 +18,8 @@ int64 row tensor lifted into the frame body exactly as ingested —
 replaying never re-encodes boxes, so the replayed counters are
 bit-identical to the never-crashed service.  :func:`decode_payload` adds
 the log's own checks on top of the wire decode: a known event type, int64
-update rows of rank 2, a valid tenant action.
+update rows of shape ``(count, 2 * dim)`` with ``dim >= 1``, a valid tenant
+action.
 
 Upgrade rule: logs written before payloads were wire frames (a u32 header
 length, a JSON header, raw rows) keep the same segment magic and record
@@ -137,7 +138,7 @@ def decode_payload(payload: bytes) -> dict:
     if kind == "update":
         rows = event.get("rows")
         if (not isinstance(rows, np.ndarray) or rows.ndim != 2
-                or rows.dtype != np.int64):
+                or rows.dtype != np.int64 or rows.shape[1] % 2 or not rows.shape[1]):
             raise WalFormatError("update rows must be a (count, 2*dim) "
                                  "int64 tensor")
     if kind == "tenant" and event.get("action") not in TENANT_ACTIONS:

@@ -73,13 +73,16 @@ def scan_segment(path) -> SegmentScan:
                        truncated_bytes=len(buffer) - valid)
 
 
-def read_wal_records(directory, *, since: int = 0
-                     ) -> list[tuple[int, bytes]]:
-    """All durable ``(seqno, payload)`` records after ``since``, in order."""
+def read_wal(directory, *, since: int = 0
+             ) -> tuple[list[tuple[int, bytes]], int]:
+    """All durable ``(seqno, payload)`` records after ``since``, in order,
+    and the torn bytes past the segments' durable prefixes: one read of
+    each segment."""
     records: list[tuple[int, bytes]] = []
+    truncated = 0
     for path in list_segments(directory):
-        for seqno, payload in scan_segment(path).records:
-            if seqno > since:
-                records.append((seqno, payload))
+        scan = scan_segment(path)
+        records.extend(record for record in scan.records if record[0] > since)
+        truncated += scan.truncated_bytes
     records.sort(key=lambda record: record[0])
-    return records
+    return records, truncated

@@ -20,11 +20,9 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from repro.geometry.boxset import BoxSet
-from repro.wal.framing import WalFormatError, decode_payload
-from repro.wal.reader import list_segments, read_wal_records, scan_segment
+from repro.server.protocol import boxes_from_rows
+from repro.wal.framing import decode_payload
+from repro.wal.reader import read_wal
 from repro.wal.writer import WalWriter, default_checkpoint_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,16 +49,6 @@ class RecoveryReport:
             "replayed_boxes": self.replayed_boxes,
             "truncated_bytes": self.truncated_bytes,
         }
-
-
-def _rows_to_boxes(rows: np.ndarray) -> BoxSet:
-    """Rebuild the ingested BoxSet from a logged ``(count, 2*dim)`` tensor."""
-    if rows.ndim != 2 or rows.shape[1] % 2:
-        raise WalFormatError(
-            f"update tensor of shape {rows.shape} is not (count, 2*dim)")
-    dim = rows.shape[1] // 2
-    return BoxSet(np.ascontiguousarray(rows[:, :dim]),
-                  np.ascontiguousarray(rows[:, dim:]), validate=False)
 
 
 def apply_wal_record(service: "EstimationService", event: dict) -> int:
@@ -102,7 +90,7 @@ def apply_wal_record(service: "EstimationService", event: dict) -> int:
         # The estimator was unregistered after this update was logged; the
         # later unregister record supersedes it.
         return 0
-    service.ingest(name, _rows_to_boxes(rows),
+    service.ingest(name, boxes_from_rows(rows, validate=False),
                    side=event["side"], kind=event["kind"])
     return int(len(rows))
 
@@ -151,9 +139,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         state = {"estimators": {}}
     service = restore_service(state, num_shards=num_shards)
 
-    truncated_bytes = sum(scan_segment(path).truncated_bytes
-                          for path in list_segments(wal_dir))
-    records = read_wal_records(wal_dir, since=base_seqno)
+    records, truncated_bytes = read_wal(wal_dir, since=base_seqno)
     replayed, boxes, last_seqno = replay_records(service, records)
     report = RecoveryReport(
         snapshot_path=resolved_path,

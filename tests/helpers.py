@@ -22,11 +22,10 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core.atomic import Letter, SketchBank, Word
+from repro.core.atomic import Letter, SketchBank, Word, letter_covers
 from repro.core.domain import Domain
 from repro.core import hashing
 from repro.core.hashing import FourWiseFamilyBank
-from repro.core.selfjoin import _letter_cover_ids
 from repro.geometry.boxset import BoxSet
 
 
@@ -54,9 +53,26 @@ def on_path(limit, *banks):
         yield
 
 
+def scalar_cover(dyadic, letter: Letter, lo: int, hi: int) -> list[int]:
+    """The node ids ``letter`` reads of ``[lo, hi]``, from the scalar
+    ``cover`` / ``point_cover`` / ``leaf_id`` walks: a reference of its own,
+    never the letter table the kernels read."""
+    if letter is Letter.INTERVAL:
+        return dyadic.cover(lo, hi)
+    if letter is Letter.ENDPOINTS:
+        return dyadic.point_cover(lo) + dyadic.point_cover(hi)
+    if letter is Letter.LOWER_POINT:
+        return dyadic.point_cover(lo)
+    if letter is Letter.UPPER_POINT:
+        return dyadic.point_cover(hi)
+    if letter is Letter.LOWER_LEAF:
+        return [dyadic.leaf_id(lo)]
+    return [dyadic.leaf_id(hi)]
+
+
 def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
                        lows, highs, *, by_level: bool = False) -> np.ndarray:
-    """``(instances, boxes)`` letter sums from the scalar cover walks and
+    """``(instances, boxes)`` letter sums from :func:`scalar_cover` and
     directly hashed signs — no table, no batched walk, no shared kernel.
     ``by_level``: ``(instances, boxes, levels)``, each cover node's sign
     in its dyadic level's column."""
@@ -75,22 +91,8 @@ def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
             levels[:, dyadic.interval_of(node).level] += column
         return levels
 
-    columns = []
-    for lo, hi in zip(lows, highs):
-        lo, hi = int(lo), int(hi)
-        if letter is Letter.INTERVAL:
-            column = sign_sum(dyadic.cover(lo, hi))
-        elif letter is Letter.ENDPOINTS:
-            column = sign_sum(dyadic.point_cover(lo)) + sign_sum(dyadic.point_cover(hi))
-        elif letter is Letter.LOWER_POINT:
-            column = sign_sum(dyadic.point_cover(lo))
-        elif letter is Letter.UPPER_POINT:
-            column = sign_sum(dyadic.point_cover(hi))
-        elif letter is Letter.LOWER_LEAF:
-            column = sign_sum([dyadic.leaf_id(lo)])
-        else:
-            column = sign_sum([dyadic.leaf_id(hi)])
-        columns.append(column)
+    columns = [sign_sum(scalar_cover(dyadic, letter, int(lo), int(hi)))
+               for lo, hi in zip(lows, highs)]
     if not columns:
         return np.zeros((bank.num_instances, 0) + (
             (dyadic.max_level + 1,) if by_level else ()))
@@ -105,8 +107,8 @@ def cover_counts(boxes: BoxSet, domain: Domain, word: Word) -> dict[tuple[int, .
     per_dim = []
     offsets = []
     for dim, letter in enumerate(word):
-        ids, lengths = _letter_cover_ids(domain, dim, letter, boxes.lows[:, dim],
-                                         boxes.highs[:, dim])
+        ids, lengths = letter_covers(domain.dyadic(dim), letter, boxes.lows[:, dim],
+                                     boxes.highs[:, dim])
         per_dim.append(ids)
         offsets.append(np.concatenate([[0], np.cumsum(lengths)]))
     for box in range(len(boxes)):
@@ -172,8 +174,8 @@ def _mixed_cover_counts(sources: dict[Letter, BoxSet], domain: Domain,
     offsets = []
     for dim, letter in enumerate(word):
         boxes = sources[letter]
-        ids, lengths = _letter_cover_ids(domain, dim, letter, boxes.lows[:, dim],
-                                         boxes.highs[:, dim])
+        ids, lengths = letter_covers(domain.dyadic(dim), letter, boxes.lows[:, dim],
+                                     boxes.highs[:, dim])
         per_dim.append(ids)
         offsets.append(np.concatenate([[0], np.cumsum(lengths)]))
     for box in range(count):

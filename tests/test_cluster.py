@@ -359,7 +359,7 @@ class TestScatterGather:
         both."""
         from repro.wal import WalWriter
         from repro.wal.framing import decode_payload
-        from repro.wal.reader import read_wal_records
+        from repro.wal.reader import read_wal
 
         handles = []
         for index in range(3):
@@ -388,8 +388,8 @@ class TestScatterGather:
                 handle.stop()
         for index in range(3):
             rows = [event["rows"] for event in map(
-                decode_payload, (payload for _, payload in read_wal_records(
-                    tmp_path / f"w{index}"))) if event["type"] == "update"]
+                decode_payload, (payload for _, payload in read_wal(
+                    tmp_path / f"w{index}")[0])) if event["type"] == "update"]
             assert len(rows) == 2 and len(rows[0])
             assert np.array_equal(rows[0], rows[1])
 
@@ -577,7 +577,7 @@ class TestScatterGather:
         WAL holds exactly the masked rows of the batch — byte for byte."""
         from repro.wal import WalWriter
         from repro.wal.framing import decode_payload
-        from repro.wal.reader import read_wal_records
+        from repro.wal.reader import read_wal
 
         handles = []
         for index in range(3):
@@ -603,8 +603,8 @@ class TestScatterGather:
         assert len(set(owner_of_row)) == 3
         for index in range(3):
             updates = [event for event in map(
-                decode_payload, (payload for _, payload in read_wal_records(
-                    tmp_path / f"w{index}"))) if event["type"] == "update"]
+                decode_payload, (payload for _, payload in read_wal(
+                    tmp_path / f"w{index}")[0])) if event["type"] == "update"]
             assert len(updates) == 1
             assert np.array_equal(updates[0]["rows"],
                                   rows[owner_of_row == f"w{index}"])

@@ -22,10 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import hashing
-from repro.core.atomic import Letter, SketchBank, all_words
+from repro.core.atomic import Letter, SketchBank, all_words, letter_covers
 from repro.core.domain import Domain
 from repro.core.dyadic import DyadicDomain
 from repro.core.hashing import FourWiseFamilyBank, sign_table_stats
+from repro.core.program import LetterSumRef, letter_cover_size
 from repro.errors import DomainError, SketchConfigError
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, synthetic_boxes
@@ -117,6 +118,29 @@ class TestThreeWayEquivalence:
             assert result.flags.writeable
             assert split or result.dtype == np.float64
             assert np.array_equal(result, scalar)
+
+    @pytest.mark.parametrize("size,max_level", CONFIGS)
+    @pytest.mark.parametrize("letter", list(Letter))
+    def test_letter_covers_and_cover_sizes_are_the_scalar_covers(
+            self, size, max_level, letter):
+        """``letter_covers`` gives each interval the scalar walk's nodes as
+        a multiset, ``letter_cover_size`` their count — also for ``lo ==
+        hi``, an empty batch and (0 nodes) an empty interval."""
+        dyadic = DyadicDomain(size, max_level=max_level)
+        bank = bank_for(size, max_level, letter, seed=7)
+        for intervals in (edge_intervals(size, max_level), []):
+            lows = np.array([lo for lo, _ in intervals], dtype=np.int64)
+            highs = np.array([hi for _, hi in intervals], dtype=np.int64)
+            ids, lengths = letter_covers(dyadic, letter, lows, highs)
+            assert len(lengths) == len(intervals) and len(ids) == lengths.sum()
+            starts = np.concatenate([[0], np.cumsum(lengths)])
+            for box, (lo, hi) in enumerate(intervals):
+                scalar = helpers.scalar_cover(dyadic, letter, lo, hi)
+                assert sorted(ids[starts[box]:starts[box + 1]]) == sorted(scalar)
+                ref = LetterSumRef(bank, 0, letter, lo, hi)
+                assert letter_cover_size(ref) == len(scalar)
+        if size > 1:
+            assert letter_cover_size(LetterSumRef(bank, 0, letter, 1, 0)) == 0
 
     @given(st.data(), st.sampled_from(CONFIGS), st.sampled_from(LAYOUTS),
            st.integers(0, 2 ** 31 - 1))

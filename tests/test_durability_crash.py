@@ -29,7 +29,7 @@ from repro.core.domain import Domain
 from repro.errors import ServerError
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService
-from repro.wal import decode_payload, read_wal_records, recover_service
+from repro.wal import decode_payload, read_wal, recover_service
 
 pytestmark = pytest.mark.e2e
 
@@ -84,7 +84,7 @@ class TestKillNineRecovery:
                             client.ingest("ranges", refused, side="data")
                         assert info.value.code == "bad_request"
                         logged = [decode_payload(payload)
-                                  for _, payload in read_wal_records(wal_dir)]
+                                  for _, payload in read_wal(wal_dir)[0]]
                         assert not any(
                             (event["rows"] >= 256).any() for event in logged
                             if event["type"] == "update")
@@ -166,7 +166,7 @@ class TestKillNineRecovery:
             worker.process.wait(timeout=30)
 
             if ACK_IS_DURABLE:
-                survivors = [s for s, _ in read_wal_records(wal_dir)]
+                survivors = [s for s, _ in read_wal(wal_dir)[0]]
                 assert survivors and min(survivors) == covered + 1
 
             twin, report = recover_service(wal_dir, attach=False,

@@ -14,7 +14,6 @@ from repro.server.protocol import json_default
 from repro.service import (
     EstimationService,
     EstimatorSpec,
-    StreamDriver,
     restore_service,
     synthetic_boxes,
 )
@@ -208,7 +207,7 @@ class TestSnapshots:
         assert EstimationService.load(path).estimate("join").left_count == 10
 
 
-class TestStreamDriver:
+class TestStreamIngest:
     def test_stream_replay_matches_final_state(self, rng):
         """After inserts+deletes, the sketch equals one over the survivors."""
         domain = Domain.square(256, dimension=2)
@@ -216,26 +215,17 @@ class TestStreamDriver:
         stream = UpdateStream(data, delete_fraction=0.3, seed=4)
 
         service = _service(flush_threshold=128)
-        report = StreamDriver(service, "join", side="left",
-                              batch_size=64).drive(stream)
-        assert report.deletes == round(0.3 * 400)
-        assert report.inserts == 400
+        for kind, boxes in stream.batches(64):
+            service.ingest("join", boxes, side="left", kind=kind)
 
         single = service.spec("join").build()
         final = stream.final_state()
         single.update("left", final)
         merged = service.merged_view("join")
-        assert merged.left_count == len(final)
+        assert merged.left_count == len(final) == 400 - round(0.3 * 400)
         for word in single.side_bank("left").words:
             assert np.array_equal(merged.side_bank("left").counter(word),
                                   single.side_bank("left").counter(word))
-
-    def test_driver_validates_inputs(self, rng):
-        service = _service()
-        with pytest.raises(ServiceError):
-            StreamDriver(service, "unknown")
-        with pytest.raises(ServiceError):
-            StreamDriver(service, "join", batch_size=0)
 
     def test_synthetic_boxes_shapes(self):
         domain = Domain.square(128, dimension=3)

@@ -16,7 +16,7 @@ from repro.service.specs import (
     shrunk_sides,
 )
 from repro.service.store import ShardedSketchStore, partition_boxes
-from repro.wal import WalWriter, decode_payload, read_wal_records
+from repro.wal import WalWriter, decode_payload, read_wal
 
 from tests.conftest import random_boxes
 
@@ -252,7 +252,7 @@ class TestUnregisterRacingIngest:
         finish()
         service.detach_wal()
         live, late = set(), []
-        for _seqno, payload in read_wal_records(tmp_path / "wal"):
+        for _seqno, payload in read_wal(tmp_path / "wal")[0]:
             event = decode_payload(payload)
             if event["type"] == "register":
                 live.add(event["name"])

@@ -137,7 +137,7 @@ NOT_SERVED = ("repro.data", "repro.experiments", "repro.engine", "repro.client",
               "repro.server.runner", "repro.cluster.runner")
 
 #: What a router never runs: the local service and its snapshots, ingest,
-#: stream driver and view deltas, the local server, the fleet spawner.
+#: synthetic data and view deltas, the local server, the fleet spawner.
 NOT_ROUTED = ("repro.service.service", "repro.service.snapshot",
               "repro.server.server", "repro.service.ingest",
               "repro.service.driver", "repro.service.delta", "repro.cluster.fleet")
@@ -304,8 +304,7 @@ def test_sigterm_while_loading_ends_the_process_and_saves_nothing(tmp_path):
 
 
 def test_synthetic_boxes_stays_importable_without_the_data_package():
-    probe = ("import sys; from repro.service import synthetic_boxes, "
-             "StreamDriver; "
+    probe = ("import sys; from repro.service import synthetic_boxes; "
              "print(any(m.startswith('repro.data') for m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run([sys.executable, "-c", probe], env=env,

@@ -26,7 +26,7 @@ from repro.wal.framing import (
     encode_record,
     iter_buffer_records,
 )
-from repro.wal.reader import list_segments, read_wal_records, scan_segment
+from repro.wal.reader import list_segments, read_wal, scan_segment
 from repro.wal.writer import WalWriter
 
 # -- strategies -------------------------------------------------------------------
@@ -114,7 +114,7 @@ class TestRecordRoundTrip:
                                          event.get("record"))
                 else:
                     writer.append_unregister(event["name"])
-        records = read_wal_records(directory)
+        records = read_wal(directory)[0]
         assert [seqno for seqno, _ in records] == list(
             range(1, len(payloads) + 1))
         assert [payload for _, payload in records] == payloads
@@ -188,7 +188,7 @@ class TestTornTail:
                 segment).valid_bytes
             next_seqno = resumed.append_unregister("y")
             assert next_seqno == resumed.last_seqno
-        records = read_wal_records(directory)
+        records = read_wal(directory)[0]
         assert records[-1][0] == next_seqno
         assert [seqno for seqno, _ in records[:-1]] == [
             seqno for seqno, _ in survivors]

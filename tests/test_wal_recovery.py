@@ -23,8 +23,9 @@ from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.server.server import _snapshot_bytes
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.service.snapshot import snapshot_state_from_bytes
-from repro.wal import WalWriter, read_wal_records, recover_service
+from repro.wal import WalWriter, read_wal, recover_service
 from repro.wal.reader import list_segments
+from repro.wal.framing import WalFormatError
 from repro.wal.writer import default_checkpoint_path
 
 from tests.test_server import Connection, start_server
@@ -92,7 +93,7 @@ def restart(wal_dir) -> EstimationService:
 
 
 def logged_seqnos(wal_dir) -> list[int]:
-    return [seqno for seqno, _ in read_wal_records(wal_dir)]
+    return [seqno for seqno, _ in read_wal(wal_dir)[0]]
 
 
 class TestServiceWalIntegration:
@@ -105,7 +106,7 @@ class TestServiceWalIntegration:
         service.detach_wal()
         types = []
         from repro.wal import decode_payload
-        for _seqno, payload in read_wal_records(wal_dir):
+        for _seqno, payload in read_wal(wal_dir)[0]:
             types.append(decode_payload(payload)["type"])
         assert types == ["register", "register", "update", "unregister"]
 
@@ -146,7 +147,7 @@ class TestServiceWalIntegration:
         expected = service.snapshot()
         service.detach_wal()
 
-        assert [s for s, _ in read_wal_records(wal_dir)] == [covered + 1]
+        assert [s for s, _ in read_wal(wal_dir)[0]] == [covered + 1]
         recovered, report = recover_service(wal_dir, snap, num_shards=2)
         assert report.base_seqno == covered
         assert report.replayed_records == 1 and report.replayed_boxes == 60
@@ -296,6 +297,19 @@ class TestServiceWalIntegration:
         with pytest.raises(ServiceError, match="lo == hi"):
             recover_service(wal_dir, num_shards=2, attach=False)
 
+    @pytest.mark.parametrize("width", [3, 0])
+    def test_update_rows_of_an_odd_or_zero_width_fail_recovery(
+            self, tmp_path, width):
+        """Rows that are not ``(count, 2 * dim)`` are a malformed log:
+        refused where the payload decodes, before any replay."""
+        wal_dir = tmp_path / "wal"
+        service = durable_service(wal_dir)
+        service.wal.append_update("ranges", "data", "insert",
+                                  np.zeros((2, width), dtype=np.int64))
+        service.detach_wal()
+        with pytest.raises(WalFormatError, match=r"\(count, 2\*dim\)"):
+            recover_service(wal_dir, num_shards=2, attach=False)
+
     def test_checkpoint_requires_a_wal(self):
         plain = EstimationService(num_shards=2)
         with pytest.raises(ServiceError):
@@ -377,7 +391,7 @@ class TestServerWalVerbs:
         base = default_checkpoint_path(wal_dir)
         assert reply["recovery_base"] == base and os.path.exists(base)
         # Old-lineage records are gone; future writes log from here.
-        assert read_wal_records(wal_dir) == []
+        assert read_wal(wal_dir)[0] == []
         fresh.ingest("ranges", synthetic_boxes(DOMAIN, 10, seed=14),
                      side="data")
         expected = fresh.snapshot()
