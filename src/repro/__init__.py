@@ -63,7 +63,6 @@ __all__ = [
     "SnapshotError",
     # geometry
     "BoxSet",
-    "PointSet",
     # core
     "Domain",
     "DyadicDomain",

@@ -418,9 +418,9 @@ def _ingest_boxes(args, spec) -> BoxSet:
         with open(args.boxes, "r", encoding="utf-8") as handle:
             return boxes_from_rows(json.load(handle), spec.dimension)
     count = args.count if args.count is not None else 1000
-    degenerate = spec.info.resolve_side(args.side) in spec.info.point_sides
+    side = spec.info.estimator.resolve_side(spec.info.resolve_side(args.side))
     return synthetic_boxes(Domain(spec.sizes, max_levels=spec.max_levels),
-                           count, seed=args.data_seed, degenerate=degenerate)
+                           count, seed=args.data_seed, degenerate=side.points)
 
 
 def _run_ingest(args) -> int:
@@ -742,41 +742,32 @@ def _run_serve(args) -> int:
 def _run_wal_inspect(args) -> int:
     """The ``wal`` command: a JSON report of a log directory's contents."""
     from repro.wal.framing import decode_payload
-    from repro.wal.reader import list_segments, scan_segment
+    from repro.wal.reader import read_wal
 
-    segments = []
-    records = 0
+    records, scans = read_wal(args.dir, since=args.since)
     boxes = 0
-    last_seqno = 0
-    torn_bytes = 0
     events = []
-    for path in list_segments(args.dir):
-        scan = scan_segment(path)
-        segments.append({"path": path, "records": len(scan.records),
-                         "valid_bytes": scan.valid_bytes,
-                         "truncated_bytes": scan.truncated_bytes})
-        torn_bytes += scan.truncated_bytes
-        for seqno, payload in scan.records:
-            if seqno <= args.since:
-                continue
-            event = decode_payload(payload)
-            records += 1
-            last_seqno = max(last_seqno, seqno)
-            if event["type"] == "update":
-                boxes += int(len(event["rows"]))
-            if args.events:
-                summary = {"seqno": seqno, "type": event["type"],
-                           "name": event["name"]}
-                if event["type"] == "update":
-                    summary.update(side=event["side"], kind=event["kind"],
-                                   rows=int(len(event["rows"])))
-                events.append(summary)
+    for seqno, payload in records:
+        event = decode_payload(payload)
+        rows = int(len(event["rows"])) if event["type"] == "update" else None
+        boxes += rows or 0
+        if args.events:
+            summary = {"seqno": seqno, "type": event["type"],
+                       "name": event["name"]}
+            if rows is not None:
+                summary.update(side=event["side"], kind=event["kind"], rows=rows)
+            events.append(summary)
     for line in events:
         print(json.dumps(line))
+    segments = [{"path": scan.path, "records": len(scan.records),
+                 "valid_bytes": scan.valid_bytes,
+                 "truncated_bytes": scan.truncated_bytes} for scan in scans]
     print(json.dumps({"dir": args.dir, "since": args.since,
-                      "segments": segments, "records": records,
-                      "boxes": boxes, "last_seqno": last_seqno,
-                      "torn_bytes": torn_bytes}, indent=2))
+                      "segments": segments, "records": len(records),
+                      "boxes": boxes,
+                      "last_seqno": records[-1][0] if records else 0,
+                      "torn_bytes": sum(scan.truncated_bytes for scan in scans)},
+                     indent=2))
     return 0
 
 

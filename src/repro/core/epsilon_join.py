@@ -10,8 +10,11 @@ centred at ``b``; then ``dist_inf(a, b) <= eps`` iff ``a`` lies inside
 
 where ``X_E`` sketches the points of A with per-dimension point covers and
 ``Y_I`` sketches the cubes of B' with per-dimension interval covers
-(Lemmas 7 and 8).  Points lie strictly inside the domain, so the cubes can
-be clipped at the domain boundary without changing the result.
+(Lemmas 7 and 8).  Both sides take their points as degenerate boxes
+(``lo == hi``): the A points are sketched as they are, and a B point's
+``lows`` are the centre of its cube.  Points lie strictly inside the
+domain, so the cubes can be clipped at the domain boundary without
+changing the result.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.core.atomic import Letter
 from repro.core.domain import Domain
 from repro.core.estimator import Prepared, QuerylessProgramEstimator, Side
 from repro.errors import DomainError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 
 class EpsilonJoinEstimator(QuerylessProgramEstimator):
@@ -49,17 +52,16 @@ class EpsilonJoinEstimator(QuerylessProgramEstimator):
 
     # -- the contract's family pieces ---------------------------------------------
 
-    def _prepare(self, side: str, points: PointSet) -> Prepared:
+    def _prepare(self, side: str, points: BoxSet) -> Prepared:
         """A points are sketched as they are, B points as epsilon-cubes."""
-        boxes = points.to_boxes()
         self._domain.validate_boxes(
-            boxes, what="A points" if side == "left" else "B points")
-        if side == "right":
-            per_dim_hi = np.asarray(self._domain.sizes, dtype=np.int64) - 1
-            boxes = BoxSet(np.maximum(points.coords - self._epsilon, 0),
-                           np.minimum(points.coords + self._epsilon, per_dim_hi),
-                           validate=False)
-        return boxes, None
+            points, what="A points" if side == "left" else "B points")
+        if side == "left":
+            return points, None
+        per_dim_hi = np.asarray(self._domain.sizes, dtype=np.int64) - 1
+        return BoxSet(np.maximum(points.lows - self._epsilon, 0),
+                      np.minimum(points.lows + self._epsilon, per_dim_hi),
+                      validate=False), None
 
     def _compatibility(self) -> dict:
         return {"epsilon": self._epsilon}

@@ -45,12 +45,13 @@ from repro.core.domain import Domain
 from repro.core.program import CounterRef, ProgramTerm, SketchProgram, default_executor
 from repro.core.result import EstimateResult
 from repro.errors import (
+    DomainError,
     EstimationError,
     MergeCompatibilityError,
     QueryError,
     SketchConfigError,
 )
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 __all__ = ["Side", "SketchEstimator", "QuerylessProgramEstimator"]
 
@@ -65,8 +66,8 @@ class Side:
 
     ``state_key`` / ``count_key`` are the keys the side's bank and
     cardinality have in ``state_dict`` (and so in every snapshot written so
-    far); ``points`` marks a side whose updates are a
-    :class:`~repro.geometry.boxset.PointSet`.
+    far); ``points`` marks a side that takes points, which it is given as
+    degenerate boxes (``lo == hi`` in every dimension).
     """
 
     name: str
@@ -74,6 +75,14 @@ class Side:
     count_key: str
     aliases: tuple[str, ...] = ()
     points: bool = False
+
+    def refusal(self, boxes: BoxSet) -> str | None:
+        """Why the side cannot take ``boxes`` (``None``: it can): a point
+        side refuses a box with ``lo != hi``."""
+        if self.points and not np.array_equal(boxes.lows, boxes.highs):
+            return (f"side {self.name!r} takes points: every box needs "
+                    f"lo == hi (a degenerate box)")
+        return None
 
 
 class SketchEstimator:
@@ -146,7 +155,7 @@ class SketchEstimator:
 
     # -- what a family fills in ---------------------------------------------------
 
-    def _prepare(self, side: str, boxes: BoxSet | PointSet) -> Prepared:
+    def _prepare(self, side: str, boxes: BoxSet) -> Prepared:
         """Coordinates actually sketched for an update of ``side``."""
         return boxes, None
 
@@ -156,12 +165,16 @@ class SketchEstimator:
 
     # -- updates ------------------------------------------------------------------
 
-    def update(self, side: str, boxes: BoxSet | PointSet, weight: float = 1.0) -> None:
+    def update(self, side: str, boxes: BoxSet, weight: float = 1.0) -> None:
         """Add ``weight`` copies of every object to one input (``-1`` deletes)."""
         if not float(weight).is_integer():
             raise SketchConfigError(
                 f"an estimator update needs a whole-number weight, got {weight!r}")
-        name = self.resolve_side(side).name
+        declared = self.resolve_side(side)
+        refusal = declared.refusal(boxes)
+        if refusal is not None:
+            raise DomainError(refusal)
+        name = declared.name
         prepared, overrides = self._prepare(name, boxes)
         self._banks[name].insert(prepared, weight=weight, letter_boxes=overrides)
         self._cardinality[name] += int(weight) * len(boxes)

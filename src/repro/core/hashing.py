@@ -448,15 +448,13 @@ class FourWiseFamilyBank:
             return None
         return self._xi_family().derived(key, build)
 
-    def signs(self, ids, *, families: slice | np.ndarray | None = None) -> np.ndarray:
+    def signs(self, ids) -> np.ndarray:
         """Sign matrix ``xi[family, id]`` for the requested ids.
 
         Parameters
         ----------
         ids:
             Integer array of shape ``(m,)`` with values in ``[0, universe_size)``.
-        families:
-            Optional subset (slice or index array) of families to evaluate.
 
         Returns
         -------
@@ -468,10 +466,8 @@ class FourWiseFamilyBank:
         self._check_ids(ids)
         table = self.resolve_table()
         if table is not None:
-            rows = np.take(table, ids, axis=0)
-            return (rows if families is None else rows[:, families]).T
-        coeffs = self._coefficients if families is None else self._coefficients[families]
-        h = self._hash(ids.astype(np.uint64), coeffs)
+            return np.take(table, ids, axis=0).T
+        h = self._hash(ids.astype(np.uint64), self._coefficients)
         return np.where(h & np.uint64(1), np.int8(-1), np.int8(1))
 
     def signs_into(self, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -497,10 +493,6 @@ class FourWiseFamilyBank:
             np.multiply(parity, np.int8(-2), out=parity)
             np.add(parity, np.int8(1), out=out)
         return out
-
-    def signs_for_family(self, family: int, ids) -> np.ndarray:
-        """Convenience wrapper: signs of a single family, shape ``(m,)``."""
-        return self.signs(ids, families=np.array([family]))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.domain import Domain
 from repro.data.zipf import zipf_sample
 from repro.errors import WorkloadError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 
 def _resolve_rng(rng) -> np.random.Generator:
@@ -108,9 +108,9 @@ def generate_rectangles(count: int, domain: Domain, *, skew: float | tuple[float
     return BoxSet(lows, highs)
 
 
-def generate_points(count: int, domain: Domain, *, rng=None) -> PointSet:
+def generate_points(count: int, domain: Domain, *, rng=None) -> BoxSet:
     """Generate ``count`` points, each coordinate independent and uniform
-    per dimension."""
+    per dimension, as degenerate boxes (``lo == hi``)."""
     _check_count(count)
     rng = _resolve_rng(rng)
     dimension = domain.dimension
@@ -118,4 +118,4 @@ def generate_points(count: int, domain: Domain, *, rng=None) -> PointSet:
     coords = np.empty((count, dimension), dtype=np.int64)
     for dim in range(dimension):
         coords[:, dim] = zipf_sample(count, int(sizes[dim]), 0.0, rng)
-    return PointSet(coords)
+    return BoxSet(coords, coords, validate=False)

@@ -1,9 +1,10 @@
-"""Array-backed collections of hyper-rectangles and points.
+"""Array-backed collections of hyper-rectangles.
 
 Sketch construction, exact join counting, histograms and workload
-generators all operate on :class:`BoxSet` (a set of axis-aligned boxes
-stored as two ``(n, d)`` integer arrays) or :class:`PointSet`.  Keeping
-the data in NumPy arrays is what makes sketch construction with hundreds
+generators all operate on :class:`BoxSet`, a set of axis-aligned boxes
+stored as two ``(n, d)`` integer arrays.  A point is a degenerate box
+(``lo == hi`` in every dimension), so a set of points is a ``BoxSet``
+too.  Keeping the data in NumPy arrays is what makes sketch construction with hundreds
 of independent atomic-sketch instances feasible in pure Python.
 """
 
@@ -127,48 +128,3 @@ class BoxSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BoxSet(n={len(self)}, d={self.dimension})"
-
-
-class PointSet:
-    """A collection of ``n`` points in ``d`` dimensions (``int64`` coordinates)."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords: np.ndarray) -> None:
-        coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-        if coords.ndim != 2:
-            raise DimensionalityError("PointSet expects a 2-d array of shape (n, d)")
-        self._coords = coords
-        self._coords.setflags(write=False)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._coords
-
-    @property
-    def dimension(self) -> int:
-        return self._coords.shape[1]
-
-    def __len__(self) -> int:
-        return self._coords.shape[0]
-
-    def __getitem__(self, index) -> "PointSet":
-        sub = self._coords[index]
-        if sub.ndim == 1:
-            sub = sub[None, :]
-        return PointSet(sub)
-
-    def point(self, index: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in self._coords[index])
-
-    def to_boxes(self) -> BoxSet:
-        """Degenerate boxes (``lo == hi``) covering each point."""
-        return BoxSet(self._coords.copy(), self._coords.copy(), validate=False)
-
-    def concat(self, other: "PointSet") -> "PointSet":
-        if other.dimension != self.dimension:
-            raise DimensionalityError("cannot concatenate PointSets of different dimensionality")
-        return PointSet(np.concatenate([self._coords, other._coords]))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PointSet(n={len(self)}, d={self.dimension})"

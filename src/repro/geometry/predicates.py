@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import DimensionalityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.geometry.boxset import BoxSet, PointSet
+    from repro.geometry.boxset import BoxSet
 
 
 # -- the overlap rule ----------------------------------------------------------
@@ -75,9 +75,10 @@ def containment_matrix(outer: BoxSet, inner: BoxSet) -> np.ndarray:
     return np.all((ol <= il) & (ih <= oh), axis=2)
 
 
-def pairwise_linf_distances(a: PointSet, b: PointSet) -> np.ndarray:
-    """``(|a|, |b|)`` matrix of L-infinity distances (small inputs only)."""
+def pairwise_linf_distances(a: BoxSet, b: BoxSet) -> np.ndarray:
+    """``(|a|, |b|)`` matrix of L-infinity distances between two sets of
+    points, given as degenerate boxes (small inputs only)."""
     if a.dimension != b.dimension:
-        raise DimensionalityError("PointSets have different dimensionality")
-    diff = np.abs(a.coords[:, None, :] - b.coords[None, :, :])
+        raise DimensionalityError("BoxSets have different dimensionality")
+    diff = np.abs(a.lows[:, None, :] - b.lows[None, :, :])
     return diff.max(axis=2)

@@ -427,7 +427,7 @@ class EstimationService:
         every counter mutation: write-ahead in the strict sense.
         """
         with self._lock:
-            side, boxes = check_update(self._store.spec(name), side, kind, boxes)
+            side = check_update(self._store.spec(name), side, kind, boxes)
             if self._wal is not None and len(boxes):
                 self._wal.append_update(
                     name, side, kind, np.hstack((boxes.lows, boxes.highs)))

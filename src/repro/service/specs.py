@@ -17,6 +17,12 @@ the service layer calls that contract (``update`` / ``merge`` /
 ``state_dict`` / ``companion`` / ``with_delta`` / ``lower``) and this
 table, so a new estimator family only needs one registry entry to become
 servable.
+
+Every update is a :class:`~repro.geometry.boxset.BoxSet`: a side that
+takes points takes them as degenerate boxes (``lo == hi``), and
+:meth:`repro.core.estimator.Side.refusal` is the one rule that refuses
+any other box, read by :func:`check_update` and by the estimator's own
+``update`` alike.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.core.join_hyperrect import ENDPOINT_POLICIES, SpatialJoinEstimator
 from repro.core.program import SketchProgram
 from repro.core.range_query import RangeQueryEstimator
 from repro.errors import DimensionalityError, QueryError, ServiceError, SketchConfigError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 UPDATE_KINDS = ("insert", "delete")
 
@@ -68,10 +74,6 @@ class FamilyInfo:
     @property
     def sides(self) -> tuple[str, ...]:
         return tuple(side.name for side in self.estimator.SIDES)
-
-    @property
-    def point_sides(self) -> frozenset:
-        return frozenset(side.name for side in self.estimator.SIDES if side.points)
 
     def resolve_side(self, side: str) -> str:
         try:
@@ -286,26 +288,6 @@ class EstimatorSpec:
 # -- update and estimate dispatch ---------------------------------------------------
 
 
-def as_points(boxes: BoxSet | PointSet) -> PointSet:
-    """Interpret a degenerate box set (lows == highs) as points."""
-    if isinstance(boxes, PointSet):
-        return boxes
-    if len(boxes) and not np.array_equal(boxes.lows, boxes.highs):
-        raise ServiceError(
-            "this side takes points; pass a PointSet or degenerate boxes (lo == hi)"
-        )
-    return PointSet(boxes.lows.copy())
-
-
-def as_boxes(data: BoxSet | PointSet) -> BoxSet:
-    """Normalise service input to a box set (points become degenerate boxes)."""
-    if isinstance(data, PointSet):
-        return data.to_boxes()
-    if isinstance(data, BoxSet):
-        return data
-    raise ServiceError(f"expected a BoxSet or PointSet, got {type(data).__name__}")
-
-
 def shrunk_sides(spec: EstimatorSpec) -> frozenset:
     """The sides whose boxes the spec's estimators shrink.
 
@@ -325,7 +307,7 @@ def shrunk_sides(spec: EstimatorSpec) -> frozenset:
 
 
 def check_update(spec: EstimatorSpec, side: str, kind: str,
-                 boxes: BoxSet | PointSet) -> tuple[str, BoxSet]:
+                 boxes: BoxSet) -> str:
     """Refuse a batch the spec's estimators could not apply.
 
     The one check an update passes before it is logged, buffered or split
@@ -334,22 +316,21 @@ def check_update(spec: EstimatorSpec, side: str, kind: str,
     lower endpoint above its upper one (a box set built with
     ``validate=False`` may carry one), every coordinate inside
     ``spec.domain()`` and no zero extent on a side the endpoint transform
-    shrinks (:func:`shrunk_sides`).  Returns the resolved side and the
-    batch as a box set.
+    shrinks (:func:`shrunk_sides`).  Returns the resolved side.
     """
     info = spec.info
     side = info.resolve_side(side)
     if kind not in UPDATE_KINDS:
         raise ServiceError(f"update kind must be one of {UPDATE_KINDS}, got {kind!r}")
-    boxes = as_boxes(boxes)
     if boxes.dimension != spec.dimension:
         raise ServiceError(f"family {spec.family!r}: boxes are {boxes.dimension}-"
                            f"dimensional, the domain is {spec.dimension}-dimensional")
     if (boxes.lows > boxes.highs).any():
         raise ServiceError(f"family {spec.family!r}: a box has a lower "
                            f"endpoint above its upper one")
-    if side in info.point_sides:
-        as_points(boxes)
+    refusal = info.estimator.resolve_side(side).refusal(boxes)
+    if refusal is not None:
+        raise ServiceError(f"family {spec.family!r}: {refusal}")
     domain = spec.domain()
     if not domain.contains(boxes):
         raise ServiceError(f"family {spec.family!r}: boxes reach outside the "
@@ -358,20 +339,16 @@ def check_update(spec: EstimatorSpec, side: str, kind: str,
         raise ServiceError(f"family {spec.family!r}: side {side!r} shrinks "
                            f"every box by the endpoint transform, so a box "
                            f"with lo == hi in some dimension would be empty")
-    return side, boxes
+    return side
 
 
 def apply_update(spec: EstimatorSpec, estimator: SketchEstimator, side: str, kind: str,
                  boxes: BoxSet) -> None:
     """Route one batch of inserts or deletes into an estimator."""
-    info = spec.info
-    side = info.resolve_side(side)
+    side = spec.info.resolve_side(side)
     if kind not in UPDATE_KINDS:
         raise ServiceError(f"update kind must be one of {UPDATE_KINDS}, got {kind!r}")
-    payload: BoxSet | PointSet = boxes
-    if side in info.point_sides:
-        payload = as_points(boxes)
-    estimator.update(side, payload, 1.0 if kind == "insert" else -1.0)
+    estimator.update(side, boxes, 1.0 if kind == "insert" else -1.0)
 
 
 def _refusal(spec: EstimatorSpec, exc: QueryError) -> ServiceError:

@@ -29,7 +29,6 @@ from repro.wal.framing import (
 from repro.wal.reader import SegmentScan, read_wal, scan_segment
 from repro.wal.recovery import (
     RecoveryReport,
-    apply_wal_record,
     recover_service,
     replay_records,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "SegmentScan",
     "RecoveryReport",
     "WalWriter",
-    "apply_wal_record",
     "decode_payload",
     "encode_record",
     "iter_buffer_records",

@@ -113,6 +113,16 @@ def iter_buffer_records(buffer: bytes, *, offset: int = 0
 # -- payload decoding ------------------------------------------------------------
 
 
+def check_update_rows(rows) -> None:
+    """Refuse update rows that are not an int64 ``(count, 2 * dim)``
+    tensor with ``dim >= 1``: what the writer checks before it logs a
+    batch and the reader checks in every update record it decodes."""
+    if (not isinstance(rows, np.ndarray) or rows.ndim != 2
+            or rows.dtype != np.int64 or rows.shape[1] % 2 or not rows.shape[1]):
+        raise WalFormatError("update rows must be a (count, 2*dim) "
+                             "int64 tensor")
+
+
 def decode_payload(payload: bytes) -> dict:
     """The event dict of one record payload (one RBF1 frame).
 
@@ -136,11 +146,7 @@ def decode_payload(payload: bytes) -> dict:
     if kind not in RECORD_TYPES:
         raise WalFormatError(f"unknown WAL event in record: {event!r}")
     if kind == "update":
-        rows = event.get("rows")
-        if (not isinstance(rows, np.ndarray) or rows.ndim != 2
-                or rows.dtype != np.int64 or rows.shape[1] % 2 or not rows.shape[1]):
-            raise WalFormatError("update rows must be a (count, 2*dim) "
-                                 "int64 tensor")
+        check_update_rows(event.get("rows"))
     if kind == "tenant" and event.get("action") not in TENANT_ACTIONS:
         raise WalFormatError(
             f"tenant action must be one of {TENANT_ACTIONS}, got "

@@ -74,15 +74,12 @@ def scan_segment(path) -> SegmentScan:
 
 
 def read_wal(directory, *, since: int = 0
-             ) -> tuple[list[tuple[int, bytes]], int]:
+             ) -> tuple[list[tuple[int, bytes]], list[SegmentScan]]:
     """All durable ``(seqno, payload)`` records after ``since``, in order,
-    and the torn bytes past the segments' durable prefixes: one read of
-    each segment."""
-    records: list[tuple[int, bytes]] = []
-    truncated = 0
-    for path in list_segments(directory):
-        scan = scan_segment(path)
-        records.extend(record for record in scan.records if record[0] > since)
-        truncated += scan.truncated_bytes
+    and every segment's :class:`SegmentScan` (its torn bytes among them):
+    one read of each segment."""
+    scans = [scan_segment(path) for path in list_segments(directory)]
+    records = [record for scan in scans for record in scan.records
+               if record[0] > since]
     records.sort(key=lambda record: record[0])
-    return records, truncated
+    return records, scans

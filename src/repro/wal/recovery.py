@@ -51,7 +51,7 @@ class RecoveryReport:
         }
 
 
-def apply_wal_record(service: "EstimationService", event: dict) -> int:
+def _apply_record(service: "EstimationService", event: dict) -> int:
     """Apply one decoded record event; returns the update rows it carried.
 
     Registration replay is idempotent: a ``register`` for a name the
@@ -103,7 +103,7 @@ def replay_records(service: "EstimationService",
     boxes = 0
     last_seqno = 0
     for seqno, payload in records:
-        boxes += apply_wal_record(service, decode_payload(payload))
+        boxes += _apply_record(service, decode_payload(payload))
         replayed += 1
         last_seqno = seqno
     if replayed:
@@ -139,7 +139,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         state = {"estimators": {}}
     service = restore_service(state, num_shards=num_shards)
 
-    records, truncated_bytes = read_wal(wal_dir, since=base_seqno)
+    records, scans = read_wal(wal_dir, since=base_seqno)
     replayed, boxes, last_seqno = replay_records(service, records)
     report = RecoveryReport(
         snapshot_path=resolved_path,
@@ -147,7 +147,7 @@ def recover_service(wal_dir, snapshot_path=None, *, sync: str = "flush",
         last_seqno=max(last_seqno, base_seqno),
         replayed_records=replayed,
         replayed_boxes=boxes,
-        truncated_bytes=truncated_bytes,
+        truncated_bytes=sum(scan.truncated_bytes for scan in scans),
     )
     if attach:
         writer = WalWriter(wal_dir, sync=sync, base=base,

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import SnapshotError
 from repro.server.wire import encode_binary
-from repro.wal.framing import WAL_MAGIC, WalFormatError, encode_record
+from repro.wal.framing import WAL_MAGIC, check_update_rows, encode_record
 from repro.wal.reader import (
     list_segments,
     scan_segment,
@@ -185,10 +185,12 @@ class WalWriter:
         ``rows`` is the ``(count, 2 * dim)`` concatenation of box lows and
         highs — the exact wire/row form that ingest decodes, so replay
         feeds byte-identical coordinates back through the same code path.
+        Rows recovery would refuse (:func:`~repro.wal.framing.check_update_rows`)
+        raise :class:`~repro.wal.framing.WalFormatError` before anything is
+        appended.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64)
-        if rows.ndim != 2:
-            raise WalFormatError("update rows must be a (count, 2*dim) tensor")
+        check_update_rows(rows)
         seqno = self._append({"type": "update", "name": name, "side": side,
                               "kind": kind, "rows": rows})
         with self._lock:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.data import synthetic
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 
 @pytest.fixture
@@ -36,13 +36,6 @@ def small_intervals(rng, domain_1d) -> tuple[BoxSet, BoxSet]:
 def small_rectangles(rng, domain_2d) -> tuple[BoxSet, BoxSet]:
     left = synthetic.generate_rectangles(50, domain_2d, rng=rng)
     right = synthetic.generate_rectangles(50, domain_2d, rng=rng)
-    return left, right
-
-
-@pytest.fixture
-def small_points(rng, domain_2d) -> tuple[PointSet, PointSet]:
-    left = synthetic.generate_points(60, domain_2d, rng=rng)
-    right = synthetic.generate_points(60, domain_2d, rng=rng)
     return left, right
 
 

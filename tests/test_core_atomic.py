@@ -160,8 +160,7 @@ class TestCounterSemantics:
         domain = Domain(64)
         boxes = random_boxes(rng, 12, 64, 1)
         bank = SketchBank(domain, IE_1D, num_instances=3, seed=13)
-        signs_by_instance = [bank.xi_banks[0].signs_for_family(k, np.arange(127))
-                             for k in range(3)]
+        signs_by_instance = bank.xi_banks[0].signs(np.arange(127))
         expected = np.zeros(3)
         dyadic = domain.dyadic(0)
         for i in range(len(boxes)):
@@ -175,7 +174,7 @@ class TestCounterSemantics:
         domain = Domain(64)
         boxes = random_boxes(rng, 12, 64, 1)
         bank = SketchBank(domain, IE_1D, num_instances=2, seed=17)
-        signs = [bank.xi_banks[0].signs_for_family(k, np.arange(127)) for k in range(2)]
+        signs = bank.xi_banks[0].signs(np.arange(127))
         expected = np.zeros(2)
         dyadic = domain.dyadic(0)
         for i in range(len(boxes)):
@@ -197,8 +196,7 @@ class TestCounterSemantics:
                 total = 1.0
                 for dim, letter in enumerate(word):
                     dyadic = domain.dyadic(dim)
-                    signs = bank.xi_banks[dim].signs_for_family(
-                        k, np.arange(dyadic.num_nodes))
+                    signs = bank.xi_banks[dim].signs(np.arange(dyadic.num_nodes))[k]
                     if letter is Letter.INTERVAL:
                         nodes = dyadic.cover(int(boxes.lows[i, dim]), int(boxes.highs[i, dim]))
                     else:

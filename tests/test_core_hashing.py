@@ -87,17 +87,6 @@ class TestValues:
         bank = FourWiseFamilyBank(7, 100, seed=3)
         assert bank.signs(np.arange(30)).shape == (7, 30)
 
-    def test_family_subset(self):
-        bank = FourWiseFamilyBank(6, 64, seed=5)
-        full = bank.signs(np.arange(64))
-        subset = bank.signs(np.arange(64), families=np.array([1, 3]))
-        assert np.array_equal(subset, full[[1, 3]])
-
-    def test_signs_for_family(self):
-        bank = FourWiseFamilyBank(6, 64, seed=5)
-        full = bank.signs(np.arange(64))
-        assert np.array_equal(bank.signs_for_family(2, np.arange(64)), full[2])
-
     def test_out_of_range_ids_rejected(self):
         bank = FourWiseFamilyBank(2, 16, seed=0)
         with pytest.raises(SketchConfigError):

@@ -12,14 +12,15 @@ from repro.errors import DomainError, EstimationError, QueryError
 from repro.exact.containment import containment_join_count
 from repro.exact.epsilon_join import epsilon_join_count
 from repro.exact.range_query import range_query_count
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 from repro.geometry.predicates import overlap_matrix
 
 from tests.conftest import random_boxes
 
 
 def random_points(rng, count, domain_size, dimension):
-    return PointSet(rng.integers(0, domain_size, size=(count, dimension)))
+    coords = rng.integers(0, domain_size, size=(count, dimension))
+    return BoxSet(coords, coords)
 
 
 class TestEpsilonJoinEstimator:

@@ -371,7 +371,7 @@ class TestInterning:
         assert table.shape == (3000, 70) and table.dtype == np.int8
         assert np.array_equal(table[:40].T, direct)
         assert np.array_equal(table.T, FourWiseFamilyBank(70, 3000, seed=5).signs(
-            np.arange(3000), families=slice(None)))
+            np.arange(3000)))
         # Against the polynomial itself (Horner), not another table.
         cold = FourWiseFamilyBank(70, 3000, seed=5)
         hashed = cold._hash(np.arange(3000, dtype=np.uint64), cold.coefficients)

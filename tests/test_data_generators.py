@@ -90,8 +90,9 @@ class TestSyntheticGenerators:
     def test_points_fit_domain(self, rng):
         domain = Domain.square(128, dimension=2)
         points = generate_points(300, domain, rng=rng)
-        assert points.coords.min() >= 0
-        assert points.coords.max() < 128
+        assert np.array_equal(points.lows, points.highs)
+        assert points.lows.min() >= 0
+        assert points.lows.max() < 128
 
     def test_deterministic_with_seed(self):
         domain = Domain.square(128, dimension=2)

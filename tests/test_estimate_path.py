@@ -36,7 +36,7 @@ def served(spec: EstimatorSpec, rng, workers: int = 2):
     for _ in range(workers):
         worker = spec.build()
         for side in spec.info.sides:
-            data = side_data(rng, spec, 40)
+            data = side_data(rng, spec, side, 40)
             worker.update(side, data)
             service.ingest("est", data, side=side)
         states.append(worker.state_dict())

@@ -17,8 +17,13 @@ import pytest
 
 from repro.core.domain import Domain
 from repro.core.join_hyperrect import SpatialJoinEstimator
-from repro.errors import EstimationError, MergeCompatibilityError, SketchConfigError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.errors import (
+    DomainError,
+    EstimationError,
+    MergeCompatibilityError,
+    SketchConfigError,
+)
+from repro.geometry.boxset import BoxSet
 from repro.service.specs import EstimatorSpec
 
 from tests.conftest import random_boxes
@@ -42,16 +47,19 @@ every_family = pytest.mark.parametrize(
     ids=[family for family, _, _ in FAMILY_SPECS])
 
 
-def side_data(rng, spec, count):
-    """Fresh input for one side: points where the family takes points."""
+def side_data(rng, spec, side, count):
+    """Fresh input for one side: degenerate boxes (points) where the side
+    takes points."""
     boxes = random_boxes(rng, count, spec.sizes[0], spec.dimension)
-    return PointSet(boxes.lows) if spec.info.point_sides else boxes
+    if spec.info.estimator.resolve_side(side).points:
+        return BoxSet(boxes.lows, boxes.lows)
+    return boxes
 
 
 def fed(rng, spec, count=60):
     """An estimator with ``count`` objects on every side, plus what it saw."""
     estimator = spec.build()
-    stream = {side: side_data(rng, spec, count) for side in spec.info.sides}
+    stream = {side: side_data(rng, spec, side, count) for side in spec.info.sides}
     for side, data in stream.items():
         estimator.update(side, data)
     return estimator, stream
@@ -70,7 +78,7 @@ def test_every_side_name_and_alias_reaches_its_own_bank(rng, spec):
     banks = [estimator.side_bank(declared.name) for declared in type(estimator).SIDES]
     assert len({id(bank) for bank in banks}) == len(banks)
     for declared, bank in zip(type(estimator).SIDES, banks):
-        data = side_data(rng, spec, 40)
+        data = side_data(rng, spec, declared.name, 40)
         by_name, by_alias = spec.build(), spec.build()
         by_name.update(declared.name, data)
         for alias in declared.aliases:
@@ -122,7 +130,7 @@ def test_with_delta_equals_a_merge_and_leaves_the_view_untouched(rng, spec):
     delta = view.companion()
     scratch = spec.build()
     for side, data in stream.items():
-        later = side_data(rng, spec, 25)
+        later = side_data(rng, spec, side, 25)
         delta.update(side, later)
         delta.update(side, data[:10], -1.0)
         scratch.update(side, data[10:])
@@ -149,6 +157,25 @@ def test_a_retraction_leaves_the_sketch_of_what_remains(rng, spec):
         remains.update(side, data[25:])
     assert_same_state(estimator.state_dict(), remains.state_dict())
     assert answer(spec, estimator).estimate == answer(spec, remains).estimate
+
+
+@every_family
+def test_a_point_side_refuses_a_box_that_is_not_a_point(rng, spec):
+    """Every update is a box set: a side declared to take points refuses a
+    box with lo != hi with a typed error and changes nothing, and every
+    other side takes the same box."""
+    estimator, _ = fed(rng, spec)
+    flat = BoxSet([[3] * spec.dimension], [[7] * spec.dimension])
+    for declared in type(estimator).SIDES:
+        before = estimator.state_dict()
+        if declared.points:
+            with pytest.raises(DomainError, match="takes points"):
+                estimator.update(declared.name, flat)
+            assert_same_state(estimator.state_dict(), before)
+        else:
+            estimator.update(declared.name, flat)
+            assert estimator.state_dict()[declared.count_key] == \
+                before[declared.count_key] + 1
 
 
 @every_family
@@ -197,8 +224,8 @@ MISMATCHES = {
 @pytest.mark.parametrize("what", sorted(MISMATCHES))
 def test_mismatches_are_refused_by_merge_load_and_delta(rng, what):
     ours, theirs = MISMATCHES[what]()
-    data = random_boxes(rng, 20, 64, 2)
-    ours.update("left", PointSet(data.lows) if type(ours).SIDES[0].points else data)
+    points = random_boxes(rng, 20, 64, 2).lows
+    ours.update("left", BoxSet(points, points))
     before = ours.state_dict()
     with pytest.raises(MergeCompatibilityError):
         ours.merge(theirs)

@@ -13,7 +13,7 @@ from repro.exact.rectangle_join import (
     plane_sweep_join_count,
     rectangle_join_count,
 )
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 from repro.geometry.predicates import (
     containment_matrix,
     overlap_matrix,
@@ -22,6 +22,12 @@ from repro.geometry.predicates import (
 )
 
 from tests.conftest import random_boxes
+
+
+def points(coords) -> BoxSet:
+    """Points as degenerate boxes (``lo == hi``)."""
+    coords = np.asarray(coords)
+    return BoxSet(coords, coords)
 
 
 class TestIntervalJoin:
@@ -159,33 +165,43 @@ class TestContainmentJoin:
 
 class TestEpsilonJoin:
     def test_simple(self):
-        left = PointSet(np.array([[0, 0]]))
-        right = PointSet(np.array([[3, 3], [10, 10]]))
+        left = points([[0, 0]])
+        right = points([[3, 3], [10, 10]])
         assert epsilon_join_count(left, right, 3) == 1
         assert epsilon_join_count(left, right, 2) == 0
 
     def test_epsilon_zero_counts_exact_matches(self):
-        left = PointSet(np.array([[5, 5], [5, 5]]))
-        right = PointSet(np.array([[5, 5], [6, 6]]))
+        left = points([[5, 5], [5, 5]])
+        right = points([[5, 5], [6, 6]])
         assert epsilon_join_count(left, right, 0) == 2
 
+    @pytest.mark.parametrize("dimension, size", [(1, 12), (2, 5), (3, 3)])
+    def test_epsilon_zero_matches_the_distance_matrix(self, rng, dimension, size):
+        # epsilon == 0 takes the grid path with unit cells: a pair counts
+        # exactly when the two points coincide.
+        left = points(rng.integers(0, size, size=(40, dimension)))
+        right = points(rng.integers(0, size, size=(45, dimension)))
+        expected = int((pairwise_linf_distances(left, right) == 0).sum())
+        assert expected > 0
+        assert epsilon_join_count(left, right, 0) == expected
+
     def test_matches_matrix_oracle(self, rng):
-        left = PointSet(rng.integers(0, 100, size=(60, 2)))
-        right = PointSet(rng.integers(0, 100, size=(70, 2)))
+        left = points(rng.integers(0, 100, size=(60, 2)))
+        right = points(rng.integers(0, 100, size=(70, 2)))
         for epsilon in (1, 5, 17):
             expected = int((pairwise_linf_distances(left, right) <= epsilon).sum())
             assert epsilon_join_count(left, right, epsilon) == expected
 
     def test_one_dimensional(self, rng):
-        left = PointSet(rng.integers(0, 200, size=(50, 1)))
-        right = PointSet(rng.integers(0, 200, size=(45, 1)))
+        left = points(rng.integers(0, 200, size=(50, 1)))
+        right = points(rng.integers(0, 200, size=(45, 1)))
         for epsilon in (0, 3, 40):
             expected = int((pairwise_linf_distances(left, right) <= epsilon).sum())
             assert epsilon_join_count(left, right, epsilon) == expected
 
     def test_three_dimensional(self, rng):
-        left = PointSet(rng.integers(0, 30, size=(40, 3)))
-        right = PointSet(rng.integers(0, 30, size=(40, 3)))
+        left = points(rng.integers(0, 30, size=(40, 3)))
+        right = points(rng.integers(0, 30, size=(40, 3)))
         expected = int((pairwise_linf_distances(left, right) <= 4).sum())
         assert epsilon_join_count(left, right, 4) == expected
 
@@ -193,11 +209,11 @@ class TestEpsilonJoin:
     def test_counts_the_points_inside_each_grown_box(self, rng, dimension):
         # A pair is within L-infinity distance epsilon exactly when the right
         # point lies in the left point's box grown by epsilon on every side.
-        left = PointSet(rng.integers(0, 40, size=(30, dimension)))
-        right = PointSet(rng.integers(0, 40, size=(35, dimension)))
+        left = points(rng.integers(0, 40, size=(30, dimension)))
+        right = points(rng.integers(0, 40, size=(35, dimension)))
         epsilon = 3
-        grown = BoxSet(left.coords - epsilon, left.coords + epsilon)
-        expected = int(containment_matrix(grown, right.to_boxes()).sum())
+        grown = BoxSet(left.lows - epsilon, left.highs + epsilon)
+        expected = int(containment_matrix(grown, right).sum())
         assert expected > 0
         assert epsilon_join_count(left, right, epsilon) == expected
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionalityError, DomainError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 
 
 @pytest.fixture
@@ -140,31 +140,3 @@ class TestBoxSetTransformations:
     def test_sample_too_large(self, boxes, rng):
         with pytest.raises(DomainError):
             boxes.sample(10, rng)
-
-
-class TestPointSet:
-    def test_basic_properties(self):
-        points = PointSet(np.array([[1, 2], [3, 4]]))
-        assert len(points) == 2
-        assert points.dimension == 2
-        assert points.point(1) == (3, 4)
-
-    def test_to_boxes_is_degenerate(self):
-        points = PointSet(np.array([[1, 2]]))
-        boxes = points.to_boxes()
-        assert np.array_equal(boxes.lows, boxes.highs)
-
-    def test_concat(self):
-        a = PointSet(np.array([[1, 1]]))
-        b = PointSet(np.array([[2, 2]]))
-        assert len(a.concat(b)) == 2
-
-    def test_getitem_single_row_keeps_2d_shape(self):
-        points = PointSet(np.array([[1, 2], [3, 4]]))
-        single = points[1]
-        assert single.coords.tolist() == [[3, 4]]
-        assert single.dimension == 2
-
-    def test_concat_refuses_a_dimension_mismatch(self):
-        with pytest.raises(DimensionalityError):
-            PointSet(np.array([[1, 1]])).concat(PointSet(np.array([[1, 1, 1]])))

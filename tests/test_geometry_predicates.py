@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DimensionalityError
-from repro.geometry.boxset import BoxSet, PointSet
+from repro.geometry.boxset import BoxSet
 from repro.geometry.predicates import (
     containment_matrix,
     overlap_matrix,
@@ -12,6 +12,12 @@ from repro.geometry.predicates import (
     pairwise_linf_distances,
     proper_mask,
 )
+
+
+def points(coords) -> BoxSet:
+    """Points as degenerate boxes (``lo == hi``)."""
+    coords = np.asarray(coords)
+    return BoxSet(coords, coords)
 
 
 #: (a, b, strict, closed): interval pairs around the edge cases of the rule.
@@ -115,27 +121,27 @@ class TestMatrixPredicates:
         assert not matrix[0, 1]
 
     def test_pairwise_linf(self):
-        a = PointSet(np.array([[0, 0]]))
-        b = PointSet(np.array([[3, 7], [1, 1]]))
+        a = points([[0, 0]])
+        b = points([[3, 7], [1, 1]])
         distances = pairwise_linf_distances(a, b)
         assert distances[0, 0] == 7
         assert distances[0, 1] == 1
 
     def test_containment_matrix_holds_points_on_the_boundary(self):
         boxes = BoxSet(np.array([[0, 0]]), np.array([[10, 10]]))
-        points = PointSet(np.array([[5, 5], [0, 10], [10, 0], [11, 2]]))
-        assert containment_matrix(boxes, points.to_boxes())[0].tolist() == [
+        inner = points([[5, 5], [0, 10], [10, 0], [11, 2]])
+        assert containment_matrix(boxes, inner)[0].tolist() == [
             True, True, True, False]
 
     def test_pairwise_linf_matches_the_pointwise_maximum(self, rng):
-        a = PointSet(rng.integers(0, 50, size=(6, 3)))
-        b = PointSet(rng.integers(0, 50, size=(4, 3)))
+        a = points(rng.integers(0, 50, size=(6, 3)))
+        b = points(rng.integers(0, 50, size=(4, 3)))
         distances = pairwise_linf_distances(a, b)
         assert distances.shape == (6, 4)
         for i in range(6):
             for j in range(4):
                 assert distances[i, j] == max(abs(x - y) for x, y in
-                                              zip(a.point(i), b.point(j)))
+                                              zip(a.lows[i], b.lows[j]))
         assert np.array_equal(pairwise_linf_distances(b, a), distances.T)
         assert not pairwise_linf_distances(a, a).diagonal().any()
 
@@ -148,8 +154,7 @@ class TestMatrixPredicates:
 
     def test_pairwise_linf_refuses_a_dimension_mismatch(self):
         with pytest.raises(DimensionalityError):
-            pairwise_linf_distances(PointSet(np.array([[0, 0]])),
-                                    PointSet(np.array([[1, 2, 3]])))
+            pairwise_linf_distances(points([[0, 0]]), points([[1, 2, 3]]))
 
 
 class TestIntervalCases:

@@ -67,9 +67,6 @@ KEPT = {
     "repro/core/hashing.py::FourWiseFamilyBank.from_coefficients":
         "rebuilds a family from stored seeds; tests/helpers.py and the "
         "cover-table tests build reference families with it",
-    "repro/core/hashing.py::FourWiseFamilyBank.signs_for_family":
-        "one family's signs; test_core_atomic.py checks the counters "
-        "against these sums",
     "repro/geometry/boxset.py::BoxSet.from_intervals":
         "builds 1-d test inputs from pairs (property, query and self-join tests)",
     "repro/geometry/predicates.py::overlap_matrix":

@@ -374,7 +374,7 @@ def test_a_zero_extent_is_refused_exactly_where_it_cannot_be_applied(
     flat = BoxSet(np.full((1, len(sizes)), 3), highs)
     verdicts = {}
     for side in spec.info.sides:
-        if side in spec.info.point_sides:
+        if spec.info.estimator.resolve_side(side).points:
             continue
         try:
             check_update(spec, side, "insert", flat)

@@ -153,7 +153,7 @@ class TestEveryFamily:
         sizes, sides, options = FAMILY_CASES[family]
         spec = EstimatorSpec.create(family, sizes, INSTANCES, seed=seed, **options)
         rng = np.random.default_rng(seed)
-        degenerate = bool(spec.info.point_sides)
+        degenerate = any(side.points for side in spec.info.estimator.SIDES)
         updates = []
         for side in sides:
             boxes = _boxes(rng, count, sizes, degenerate=degenerate)

@@ -230,3 +230,17 @@ class TestPayloadChecks:
     def test_an_event_the_log_cannot_replay_is_refused(self, event):
         with pytest.raises(WalFormatError):
             decode_payload(encode_binary(event))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 0), (4,)],
+                             ids=["odd-width", "zero-width", "flat"])
+    def test_the_writer_refuses_rows_recovery_would_refuse(self, tmp_path, shape):
+        """The writer and the reader share one rows rule: a batch the
+        reader could not decode raises before anything is appended."""
+        with WalWriter(tmp_path / "wal", sync="none") as writer:
+            writer.append_update("est", "left", "insert",
+                                 np.zeros((1, 4), dtype=np.int64))
+            with pytest.raises(WalFormatError, match=r"\(count, 2\*dim\)"):
+                writer.append_update("est", "left", "insert",
+                                     np.zeros(shape, dtype=np.int64))
+            assert writer.last_seqno == 1 and writer.appended_boxes == 1
+        assert [seqno for seqno, _ in read_wal(tmp_path / "wal")[0]] == [1]

@@ -21,11 +21,12 @@ from repro.errors import ServerError, ServiceError
 from repro.geometry.boxset import BoxSet
 from repro.server import ServerConfig, ThreadedServer, protocol
 from repro.server.server import _snapshot_bytes
+from repro.server.wire import encode_binary
 from repro.service import EstimationService, synthetic_boxes, synthetic_queries
 from repro.service.snapshot import snapshot_state_from_bytes
 from repro.wal import WalWriter, read_wal, recover_service
 from repro.wal.reader import list_segments
-from repro.wal.framing import WalFormatError
+from repro.wal.framing import WalFormatError, encode_record
 from repro.wal.writer import default_checkpoint_path
 
 from tests.test_server import Connection, start_server
@@ -301,12 +302,16 @@ class TestServiceWalIntegration:
     def test_update_rows_of_an_odd_or_zero_width_fail_recovery(
             self, tmp_path, width):
         """Rows that are not ``(count, 2 * dim)`` are a malformed log:
-        refused where the payload decodes, before any replay."""
+        refused where the payload decodes, before any replay.  The writer
+        refuses such rows too, so the record is planted by hand."""
         wal_dir = tmp_path / "wal"
         service = durable_service(wal_dir)
-        service.wal.append_update("ranges", "data", "insert",
-                                  np.zeros((2, width), dtype=np.int64))
+        seqno = service.wal.last_seqno + 1
         service.detach_wal()
+        event = {"type": "update", "name": "ranges", "side": "data",
+                 "kind": "insert", "rows": np.zeros((2, width), dtype=np.int64)}
+        with open(list_segments(wal_dir)[-1], "ab") as handle:
+            handle.write(encode_record(seqno, encode_binary(event)))
         with pytest.raises(WalFormatError, match=r"\(count, 2\*dim\)"):
             recover_service(wal_dir, num_shards=2, attach=False)
 

@@ -297,7 +297,8 @@ class TestPrepaidTables:
         rng = np.random.default_rng(1)
         for side in sides:
             apply_update(spec, estimator, side, "insert", _boxes(
-                rng, 20, sizes, degenerate=bool(spec.info.point_sides)))
+                rng, 20, sizes,
+                degenerate=spec.info.estimator.resolve_side(side).points))
         query = (_boxes(rng, 1, sizes, degenerate=False)
                  if spec.info.queryable else None)
         estimator.estimate(query)
