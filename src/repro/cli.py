@@ -41,9 +41,12 @@ import sys
 import time
 from contextlib import contextmanager
 from functools import partial
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - the CLI imports its modules lazily
+    from repro.geometry.boxset import BoxSet
 
 # -- parsers: one per verb, built only when that verb runs ---------------------------
 

@@ -25,17 +25,21 @@ A :class:`SketchBank` holds ``num_instances`` independent atomic sketches
 vectorised NumPy operations.  The estimators in the sibling modules combine
 word counters of two banks built over *shared* xi families.
 
-A bank may split every word's counter by dyadic level (``split_levels``):
-one *cell* per tuple of per-dimension levels, holding ``prod_i s_l(i, w[i],
-r(i))`` where ``s_l`` sums only the cover's level-``l`` nodes.  A query
-pairs each cell with its own sums at the same levels; the cells summed over
-levels are the one-cell counter.
+A bank keys its cells by a *level-band map* (``bands``): per dimension, a
+monotone map from each dyadic level to a band.  Every word keeps one *cell*
+per tuple of per-dimension bands, holding ``prod_i s_b(i, w[i], r(i))``
+where ``s_b`` sums only the nodes the letter reads on band ``b``'s levels.
+One band (``bands=None``) is one cell a word, the paper's counter; the
+identity map is one cell per level tuple (``split_levels``).  A query pairs
+each cell with its own sums on the same bands; the cells summed over bands
+are the one-cell counter, whatever the map.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,17 +132,20 @@ class SketchBank:
     xi_banks:
         Per-dimension :class:`FourWiseFamilyBank` objects to share with
         another bank (the two inputs of a join must share their families).
-    split_levels:
-        Keep one counter cell per (word, per-dimension level tuple) instead
-        of one per word (1-D and 2-D banks over cover letters).
+    bands:
+        Per dimension, the band of each dyadic level ``0..max_level``: a
+        tuple starting at 0 that steps up by 0 or 1 from level to level.
+        Every word keeps one counter cell per tuple of per-dimension bands,
+        row-major.  ``None`` is one band in every dimension (one cell a
+        word); the identity map is one cell per level tuple.
     """
 
     #: Upper bound on ``num_instances * ids_per_chunk`` for one vectorised step.
     _CHUNK_ELEMENT_BUDGET = 1 << 23
 
-    #: Elements of one instance tile of a level-split bank's float32 rows
-    #: (512 KB: 4 instances x 2048 boxes x 16 columns), which keeps the
-    #: tile's slice of the level tables in cache.
+    #: Elements of one instance tile of a banded bank's float32 rows (512
+    #: KB: 4 instances x 2048 boxes x 16 columns), which keeps the tile's
+    #: slice of the level tables in cache.
     _SPLIT_ELEMENT_BUDGET = 1 << 17
 
     #: Counter updates are summed in integers while every partial sum stays
@@ -146,12 +153,12 @@ class SketchBank:
     #: the float kernels agree to the bit.
     _EXACT_INTEGER_LIMIT = 1 << 53
 
-    #: The same limit for the float32 cell matmul of a level-split bank.
+    #: The same limit for the float32 cell matmul of a banded bank.
     _EXACT_FLOAT32_LIMIT = 1 << 24
 
     def __init__(self, domain: Domain, words: Sequence[Word], num_instances: int,
                  *, seed=0, xi_banks: Sequence[FourWiseFamilyBank] | None = None,
-                 split_levels: bool = False) -> None:
+                 bands: Sequence[Sequence[int]] | None = None) -> None:
         if num_instances < 1:
             raise SketchConfigError("a sketch bank needs at least one instance")
         words = [tuple(w) for w in words]
@@ -167,11 +174,14 @@ class SketchBank:
                 raise SketchConfigError(f"word {word} contains non-Letter entries")
         if len(set(words)) != len(words):
             raise SketchConfigError("duplicate words in sketch bank configuration")
-        if split_levels and (domain.dimension > 2 or any(
-                LETTER_READS[letter].kind == "leaf"
-                for word in words for letter in word)):
-            raise SketchConfigError(
-                "level-split counters need a 1-D or 2-D bank over cover letters")
+        if bands is not None:
+            bands = tuple(tuple(int(band) for band in levels) for levels in bands)
+            if [len(levels) for levels in bands] != [
+                    dyadic.num_levels for dyadic in domain.dyadics] or any(
+                    levels[0] or set(np.diff(levels)) - {0, 1} for levels in bands):
+                raise SketchConfigError(
+                    f"bands {bands} must map each dimension's levels "
+                    f"{[dyadic.num_levels for dyadic in domain.dyadics]} onto bands 0 up by 0 or 1")
 
         self._domain = domain
         self._words: tuple[Word, ...] = tuple(words)
@@ -196,15 +206,19 @@ class SketchBank:
                     )
         self._xi: tuple[FourWiseFamilyBank, ...] = tuple(xi_banks)
         # All counters live in one contiguous (instances, words x cells)
-        # tensor; word j owns the `cells` columns from j * cells, its level
-        # tuples in row-major order (one column without split levels).
-        # Merges and snapshots operate on the tensor as a whole.
+        # tensor; word j owns the `cells` columns from j * cells, its band
+        # tuples in row-major order (one column with one band).  Merges and
+        # snapshots operate on the tensor as a whole.
         self._word_index: dict[Word, int] = {
             word: index for index, word in enumerate(self._words)
         }
-        self._split = bool(split_levels)
-        self._levels: tuple[int, ...] = tuple(
-            dyadic.num_levels if split_levels else 1 for dyadic in domain.dyadics)
+        # Per dimension, the letters the words use there, in first-use order.
+        self._letters = tuple(tuple(dict.fromkeys(word[dim] for word in self._words))
+                              for dim in range(domain.dimension))
+        self._bands = bands
+        self._levels: tuple[int, ...] = (
+            (1,) * domain.dimension if bands is None
+            else tuple(levels[-1] + 1 for levels in bands))
         self._cells = int(np.prod(self._levels))
         self._matrix = np.zeros(
             (self._num_instances, len(self._words) * self._cells), dtype=np.float64)
@@ -250,12 +264,18 @@ class SketchBank:
         return float(self._updates)
 
     @property
+    def bands(self) -> tuple[tuple[int, ...], ...] | None:
+        """Per dimension, the band of each level (``None``: one band)."""
+        return self._bands
+
+    @property
     def split_levels(self) -> bool:
-        return self._split
+        """Whether the map is the identity: one cell per level tuple."""
+        return self._bands is not None and self._levels == tuple(map(len, self._bands))
 
     @property
     def levels(self) -> tuple[int, ...]:
-        """Cells per dimension: its levels when split, else 1."""
+        """Cells per dimension: its band count."""
         return self._levels
 
     @property
@@ -263,8 +283,8 @@ class SketchBank:
         """The full ``(num_instances, num_words x cells)`` counter tensor
         (read-only view).
 
-        Word ``j`` owns the columns ``j * cells`` onwards (one column
-        without split levels).  This is the bank's actual storage — one
+        Word ``j`` owns the columns ``j * cells`` onwards (one column with
+        one band).  This is the bank's actual storage — one
         contiguous float64 array — exposed for zero-copy merges, snapshots
         and batched estimation kernels.
         """
@@ -279,12 +299,6 @@ class SketchBank:
         view.setflags(write=False)
         return view
 
-    def counter(self, word: Word) -> np.ndarray:
-        """A copy of the per-instance counter values for ``word``: its cells
-        summed over levels (exact integer sums)."""
-        cells = self.word_cells(word)
-        return cells[:, 0].copy() if self._cells == 1 else cells.sum(axis=1)
-
     def companion(self, words: Sequence[Word] | None = None) -> "SketchBank":
         """A new empty bank sharing this bank's xi families and layout.
 
@@ -296,7 +310,7 @@ class SketchBank:
             self._words if words is None else words,
             self._num_instances,
             xi_banks=self._xi,
-            split_levels=self.split_levels,
+            bands=self._bands,
         )
 
     # -- composition and persistence -------------------------------------------
@@ -315,9 +329,9 @@ class SketchBank:
             )
         if other.words != self._words:
             raise MergeCompatibilityError("cannot merge banks with different word sets")
-        if other.split_levels != self._split:
+        if other.bands != self._bands:
             raise MergeCompatibilityError(
-                "cannot merge a level-split bank with a one-cell bank")
+                "cannot merge banks with different level-split bands")
         if other.num_instances != self._num_instances:
             raise MergeCompatibilityError("cannot merge banks with different instance counts")
         for mine, theirs in zip(self._xi, other._xi):
@@ -359,16 +373,12 @@ class SketchBank:
         clone._words = self._words
         clone._num_instances = self._num_instances
         clone._xi = self._xi
-        clone._word_index = self._word_index
-        clone._split, clone._levels, clone._cells = \
-            self._split, self._levels, self._cells
+        clone._word_index, clone._letters = self._word_index, self._letters
+        clone._bands, clone._levels, clone._cells = \
+            self._bands, self._levels, self._cells
         clone._matrix = self._matrix + delta._matrix
         clone._updates = self._updates + delta._updates
         return clone
-
-    def xi_coefficient_tensor(self) -> np.ndarray:
-        """All xi seeds as one ``(dimension, num_instances, 4)`` uint64 tensor."""
-        return stack_xi_coefficients(self._xi)
 
     def state_dict(self, *, copy: bool = True) -> dict:
         """A snapshot of the bank's counters and seeds.
@@ -388,7 +398,7 @@ class SketchBank:
             "domain": [list(pair) for pair in self._domain.signature()],
             "words": ["".join(letter.value for letter in word) for word in self._words],
             "counters": self._matrix.copy() if copy else self._matrix,
-            "xi_coefficients": self.xi_coefficient_tensor(),
+            "xi_coefficients": stack_xi_coefficients(self._xi),
         }
 
     def load_state_dict(self, state: Mapping, *, copy: bool = True) -> None:
@@ -462,7 +472,7 @@ class SketchBank:
         if count == 0:
             return
         self._ensure_writable()
-        letters = self._letters_in_use()
+        letters = set().union(*self._letters)
         overrides = {letter: source
                      for letter, source in (letter_boxes or {}).items()
                      if letter in letters and source is not None}
@@ -477,8 +487,6 @@ class SketchBank:
             if not any(source is seen for seen in validated):
                 self._domain.validate_boxes(source, what=f"boxes for letter {letter}")
                 validated.append(source)
-        if overrides and self._split:
-            raise SketchConfigError("a level-split bank takes no letter_boxes overrides")
         sources = {letter: overrides.get(letter, boxes) for letter in letters}
 
         chunk = self._chunk_size()
@@ -497,15 +505,10 @@ class SketchBank:
         that follows costs its gathers only.  A family over the sign-table
         limit builds nothing.
         """
-        empty = np.empty(0, dtype=np.int64)
+        empty = (np.empty(0, dtype=np.int64),) * 2
         for dim in range(self.dimension):
-            if self._xi[dim].resolve_table() is None:
-                continue
-            if self._split:
-                self._level_sources(dim, empty, empty)
-            else:
-                for letter in self._dim_letters(dim):
-                    self._letter_rows(dim, letter, empty, empty)
+            if self._xi[dim].resolve_table() is not None:
+                self._band_rows(dim, dict.fromkeys(self._letters[dim], empty))
 
     # -- query-side evaluation ------------------------------------------------------
 
@@ -521,43 +524,29 @@ class SketchBank:
         call, and the result depends only on this bank's xi families and
         domain, never on its counters.
         """
-        if not 0 <= int(dim) < self.dimension:
-            raise DimensionalityError(
-                f"dimension {dim} out of range for a {self.dimension}-dimensional bank"
-            )
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        return self._letter_rows(int(dim), letter, lows,
-                                 highs).T.astype(np.float64)
+        dim, lows, highs = self._query(dim, lows, highs)
+        return self._letter_rows(dim, letter, lows, highs).T.astype(np.float64)
 
     def level_sums(self, dim: int, letter: Letter, lows: np.ndarray,
                    highs: np.ndarray) -> np.ndarray:
         """:meth:`letter_sums` per counter cell of the dimension.
 
-        Returns ``(num_instances, len(lows), levels)`` integers: the sum
-        split by dyadic level on a level-split bank, else one column
-        holding the whole sum.  What a query pairs with a word's cells.
+        Returns ``(num_instances, len(lows), bands)`` integers: band ``b``
+        sums the letter's nodes on the levels the dimension's map sends to
+        ``b`` (one column holding the whole sum on a one-band dimension).
+        What a query pairs with a word's cells.
         """
-        if not 0 <= int(dim) < self.dimension:
-            raise DimensionalityError(
-                f"dimension {dim} out of range for a {self.dimension}-dimensional bank"
-            )
-        lows = np.asarray(lows, dtype=np.int64)
-        highs = np.asarray(highs, dtype=np.int64)
-        if self._split:
-            parts, mask = self._level_sources(int(dim), lows, highs, letter)
-            sums = self._gather_rows(parts, slice(None))
-            levels = self._levels[int(dim)]
-            # A walk yields the letter's block alone; the level tables hold
-            # every letter's side by side.
-            first = (0 if sums.shape[2] == levels
-                     else self._dim_letters(int(dim)).index(letter) * levels)
-            columns = slice(first, first + levels)
-            return sums[:, :, columns] if mask is None else \
-                sums[:, :, columns] * mask[:, columns]
-        return self._letter_rows(int(dim), letter, lows, highs).T[:, :, None]
+        dim, lows, highs = self._query(dim, lows, highs)
+        return self._band_rows(dim, {letter: (lows, highs)})(slice(None))
 
     # -- internals ----------------------------------------------------------------
+
+    def _query(self, dim: int, lows, highs) -> tuple[int, np.ndarray, np.ndarray]:
+        """A query's dimension, checked, and its int64 interval ends."""
+        if not 0 <= int(dim) < self.dimension:
+            raise DimensionalityError(
+                f"dimension {dim} out of range for a {self.dimension}-dimensional bank")
+        return int(dim), np.asarray(lows, dtype=np.int64), np.asarray(highs, dtype=np.int64)
 
     def _ensure_writable(self) -> None:
         """Materialise the counter tensor before mutation (copy-on-write).
@@ -569,126 +558,94 @@ class SketchBank:
         if not self._matrix.flags.writeable:
             self._matrix = self._matrix.copy()
 
-    def _letters_in_use(self) -> set[Letter]:
-        return {letter for word in self._words for letter in word}
-
     def _chunk_size(self) -> int:
-        if self._split:
-            # Level rows, all letters side by side (tiled over instances).
-            per_box = max(len(self._dim_letters(dim)) * levels
-                          for dim, levels in enumerate(self._levels))
-            return max(1, self._CHUNK_ELEMENT_BUDGET // (self._num_instances * per_box))
-        # The largest cover of a box in any dimension, whole blocks included.
-        per_box = max(dyadic.cover_sum_bound() for dyadic in self._domain.dyadics)
+        # Per box, the widest a dimension's rows get: a one-band one's largest
+        # cover (whole blocks included), a banded one's level rows.
+        per_box = max(dyadic.cover_sum_bound() if bands == 1 else len(letters) * dyadic.num_levels
+                      for dyadic, letters, bands
+                      in zip(self._domain.dyadics, self._letters, self._levels))
         return max(1, self._CHUNK_ELEMENT_BUDGET // (self._num_instances * per_box))
 
     def _insert_chunk(self, sources: Mapping[Letter, BoxSet], start: int, stop: int,
                       weight: float) -> None:
-        if self._split:
-            self._matrix += weight * self._cell_totals(sources, start, stop)
-            return
-        rows: dict[tuple[int, Letter], np.ndarray] = {}
-        for word in self._words:
-            for dim, letter in enumerate(word):
-                key = (dim, letter)
-                if key in rows:
-                    continue
-                source = sources[letter]
-                rows[key] = self._letter_rows(
-                    dim, letter, source.lows[start:stop, dim], source.highs[start:stop, dim]
-                )
-        # |prod_d s_d| <= bound for every box, so every partial sum over the
-        # chunk is an integer of magnitude <= bound * boxes.
-        bound = 1
-        for dim in range(self.dimension):
-            bound *= self._domain.dyadic(dim).cover_sum_bound()
-        if bound * (stop - start) < self._EXACT_INTEGER_LIMIT:
-            totals = self._integer_totals(rows, np.min_scalar_type(-bound - 1))
-        else:
-            totals = self._float_totals(rows)
-        self._matrix += weight * totals
+        self._matrix += weight * self._cell_totals(sources, start, stop)
 
     def _cell_totals(self, sources: Mapping[Letter, BoxSet], start: int,
                      stop: int) -> np.ndarray:
-        """Per-word cell sums over the chunk of a level-split bank.
+        """Per-word cell sums over boxes ``start:stop``: ``(instances, words
+        x cells)`` float64, exact integers.
 
-        Per dimension the level rows of every letter in use are laid side
-        by side, instance-major: ``(instances, boxes, letters x levels)``.
-        A 1-D bank sums them over the boxes; a 2-D bank contracts the two
-        dimensions in a batched matmul, whose ``(instances, K0, K1)``
-        product holds every word's cells as one block.  Both run over
-        tiles of instances, so a tile's slice of the tables stays in cache
-        while all boxes of the chunk read it.  Every entry is an integer
-        and every partial sum stays below the float32 (else the float64)
-        exact limit, so the result is the exact integer sum.  Returns
-        ``(instances, words x cells)`` float64.
+        A word's cells are its letters' band rows (:meth:`_band_rows`)
+        multiplied out across the dimensions and summed over the boxes.
+        Over tiles of instances (a tile's slice of the level tables stays in
+        cache), the rows of dimensions ``0..d-2`` are multiplied out and
+        contracted with the last one's in one batched matmul, in float32
+        while every partial sum is exact there (else float64); each word
+        reads its block of the product.  With one band everywhere a word is
+        one cell, and only its own letters' rows multiply, box-major as
+        gathered: in the narrowest integer type that holds any box's
+        product, summed in int64 (past 2^53, :meth:`_float_totals`).
         """
         count = stop - start
-        bound = 1
-        for dyadic in self._domain.dyadics:
-            bound *= max(2, dyadic.size >> dyadic.max_level)
-        dtype = (np.float32 if bound * count < self._EXACT_FLOAT32_LIMIT
-                 else np.float64)
-        boxes = next(iter(sources.values()))
-        described, columns = [], []
-        for dim, levels in enumerate(self._levels):
-            described.append(self._level_sources(
-                dim, boxes.lows[start:stop, dim], boxes.highs[start:stop, dim]))
-            columns.append({letter: slice(index * levels, (index + 1) * levels)
-                            for index, letter in enumerate(self._dim_letters(dim))})
-        widths = [len(column) * levels for column, levels in zip(columns, self._levels)]
-        if self.dimension == 1:
-            columns.append({None: slice(0, 1)})
-            widths.append(1)
-        product = np.empty((self._num_instances, widths[0], widths[1]), dtype=dtype)
-        tile = max(1, self._SPLIT_ELEMENT_BUDGET // (count * max(widths)))
+        bound = math.prod(self._row_bound(dim) for dim in range(self.dimension))
+        # Per dimension each letter's (lows, highs): one pair per source.
+        cut = [{id(source): (source.lows[start:stop, dim], source.highs[start:stop, dim])
+                for source in sources.values()} for dim in range(self.dimension)]
+        ends = [{letter: cut[dim][id(sources[letter])] for letter in letters}
+                for dim, letters in enumerate(self._letters)]
+        if self._cells == 1:
+            whole = {(dim, letter): self._letter_rows(dim, letter, *ends[dim][letter])
+                     for dim, letters in enumerate(self._letters) for letter in letters}
+            if bound * count >= self._EXACT_INTEGER_LIMIT:
+                return self._float_totals(whole)
+            product = np.min_scalar_type(-bound - 1)
+            sums = np.empty((self._num_instances, len(self._words)), dtype=np.int64)
+            for index, word in enumerate(self._words):
+                term = whole[0, word[0]]
+                if self.dimension > 1:
+                    term = term.astype(product)
+                    for dim in range(1, self.dimension):
+                        np.multiply(term, whole[dim, word[dim]], out=term,
+                                    casting="same_kind")
+                term.sum(axis=0, dtype=np.int64, out=sums[:, index])
+            return sums.astype(np.float64)
+        rows = [self._band_rows(dim, ends[dim]) for dim in range(self.dimension)]
+        dtype = np.float32 if bound * count < self._EXACT_FLOAT32_LIMIT else np.float64
+        widths = [len(letters) * bands for letters, bands in zip(self._letters, self._levels)]
+        leading = int(np.prod(widths[:-1]))
+        product = np.empty((self._num_instances, leading, widths[-1]), dtype=dtype)
+        tile = max(1, self._SPLIT_ELEMENT_BUDGET // (count * max(leading, *widths)))
         # One float row buffer per dimension, reused by every tile.
-        buffers = [np.empty((tile, count, width), dtype=dtype)
-                   for width in widths[:self.dimension]]
+        buffers = [np.empty((tile, count, width), dtype=dtype) for width in widths]
         for first in range(0, self._num_instances, tile):
             instances = slice(first, first + tile)
-            rows = []
-            for (parts, mask), buffer in zip(described, buffers):
-                gathered = self._gather_rows(parts, instances)
-                if mask is not None:
-                    np.multiply(gathered, mask, out=gathered)
-                out = buffer[:len(gathered)]
-                np.copyto(out, gathered)
-                rows.append(out)
-            if self.dimension == 1:
-                product[instances, :, 0] = rows[0].sum(axis=1)
-            else:
-                np.matmul(rows[0].transpose(0, 2, 1), rows[1], out=product[instances])
+            tiles = [buffer[:min(tile, self._num_instances - first)] for buffer in buffers]
+            for gather, out in zip(rows, tiles):
+                np.copyto(out, gather(instances))
+            *outer, last = tiles
+            if not outer:
+                np.sum(last, axis=1, keepdims=True, out=product[instances])
+                continue
+            left = outer[0]
+            for right in outer[1:]:
+                left = (left[:, :, :, None] * right[:, :, None, :]).reshape(
+                    len(left), count, -1)
+            np.matmul(left.transpose(0, 2, 1), last, out=product[instances])
+        product = product.reshape((self._num_instances, *widths))
         totals = np.empty_like(self._matrix)
         for index, word in enumerate(self._words):
-            first, second = (word + (None,))[:2]
-            totals[:, index * self._cells:(index + 1) * self._cells] = product[
-                :, columns[0][first], columns[1][second]].reshape(
-                    self._num_instances, self._cells)
+            firsts = [letters.index(letter) * bands for letter, letters, bands
+                      in zip(word, self._letters, self._levels)]
+            block = product[(slice(None), *(
+                slice(first, first + bands) for first, bands in zip(firsts, self._levels)))]
+            totals[:, index * self._cells:(index + 1) * self._cells] = block.reshape(
+                self._num_instances, self._cells)
         return totals
-
-    def _integer_totals(self, rows: Mapping[tuple[int, Letter], np.ndarray],
-                        product: np.dtype) -> np.ndarray:
-        """Per-word sums over the chunk of ``prod_d rows[d, word[d]]``.
-
-        Multiplies the ``(boxes, instances)`` rows in ``product``, the
-        narrowest integer type that holds any box's product, and sums them
-        in int64; returns ``(instances, words)`` float64.
-        """
-        totals = np.empty((self._num_instances, len(self._words)), dtype=np.int64)
-        for index, word in enumerate(self._words):
-            term = rows[(0, word[0])]
-            if self.dimension > 1:
-                term = term.astype(product)
-                for dim in range(1, self.dimension):
-                    np.multiply(term, rows[(dim, word[dim])], out=term,
-                                casting="same_kind")
-            term.sum(axis=0, dtype=np.int64, out=totals[:, index])
-        return totals.astype(np.float64)
 
     def _float_totals(self, rows: Mapping[tuple[int, Letter], np.ndarray]
                       ) -> np.ndarray:
-        """:meth:`_integer_totals` in float64 over ``(instances, boxes)``.
+        """The one-band word sums of :meth:`_cell_totals` in float64 over
+        ``(instances, boxes)``.
 
         Past float64's exact integers a result depends on the order of the
         float operations, so this order is fixed: it is the one every
@@ -706,80 +663,152 @@ class SketchBank:
             term.sum(axis=1, out=totals[:, index])
         return totals
 
+    def _band_rows(self, dim: int, ends: Mapping[Letter, tuple[np.ndarray, np.ndarray]]
+                   ) -> Callable[[slice], np.ndarray]:
+        """``rows(instances)``: the ``(instances, boxes, letters x bands)``
+        integer rows in ``dim`` of each letter of ``ends`` over its own
+        ``(lows, highs)``, letter ``k`` in columns ``k * bands`` onwards: the
+        whole-cover sums on one band (:meth:`_letter_rows`), else the masked
+        level sums (:meth:`_level_rows`, one gather for letters that share
+        their ends) pooled into bands."""
+        letters = tuple(ends)
+        if self._levels[dim] == 1:
+            whole = [self._letter_rows(dim, letter, *ends[letter]) for letter in letters]
+            return lambda instances: np.stack(
+                [letter_rows[:, instances].T for letter_rows in whole], axis=2)
+        shared = len({id(ends[letter]) for letter in letters}) == 1
+        parts = [self._level_rows(dim, *ends[group[0]], group)
+                 for group in ([letters] if shared else [(letter,) for letter in letters])]
+
+        def rows(instances: slice) -> np.ndarray:
+            gathered = [part(instances) for part in parts]
+            return self._pooled(dim, gathered[0] if shared
+                                else np.concatenate(gathered, axis=2))
+        return rows
+
+    def _row_bound(self, dim: int) -> int:
+        """A bound on every entry of ``dim``'s rows: a one-band dimension's
+        largest cover sum, else its largest band's, at most two nodes a
+        level below the top and ``size >> max_level`` blocks on it."""
+        dyadic = self._domain.dyadic(dim)
+        if self._levels[dim] == 1:
+            return dyadic.cover_sum_bound()
+        per_level = [2] * dyadic.max_level + [max(2, dyadic.size >> dyadic.max_level)]
+        return int(np.bincount(self._bands[dim], weights=per_level).max())
+
+    def _pooled(self, dim: int, rows: np.ndarray) -> np.ndarray:
+        """``(instances, boxes, letters x levels)`` level rows summed within
+        each band of ``dim``: ``(instances, boxes, letters x bands)``."""
+        bands = self._bands[dim]
+        if self._levels[dim] == len(bands):
+            return rows
+        shape = rows.shape[:2]
+        starts = np.flatnonzero(np.diff(bands, prepend=-1))
+        return np.add.reduceat(
+            rows.reshape(*shape, -1, len(bands)), starts, axis=3,
+            dtype=np.min_scalar_type(-self._row_bound(dim) - 1)).reshape(*shape, -1)
+
     def _letter_rows(self, dim: int, letter: Letter, lows: np.ndarray,
                      highs: np.ndarray) -> np.ndarray:
-        """``(num_boxes, num_instances)`` integer xi sums: one row per box."""
+        """``(num_boxes, num_instances)`` integer xi sums: one row per box.
+
+        A leaf is one node's signs.  A cover or point sum is a gather from
+        coordinate-indexed tables derived from the xi family's sign table
+        (:meth:`~repro.core.dyadic.DyadicDomain.interval_cover_tables`,
+        :meth:`~repro.core.dyadic.DyadicDomain.point_cover_table`); a family
+        over the sign-table limit, or a domain whose derived tables would
+        exceed the byte budget, walks the letter's nodes instead
+        (:meth:`_walk`) and adds their signs up.  Every path returns
+        a fresh writable integer array, never a table view, and the same
+        values: the summands are ±1 integers and no sum leaves its type.
+        """
         dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
         read = LETTER_READS[letter]
         ends = read.coordinates(lows, highs)
-        if read.kind == "cover":
-            return self._interval_rows(xi, dyadic, *ends)
         if read.kind == "leaf":
             return self._sign_rows(xi, dyadic.size - 1 + np.asarray(ends[0], dtype=np.int64))
-        rows = self._point_cover_rows(xi, dyadic, ends[0])
-        for coordinates in ends[1:]:
-            rows += self._point_cover_rows(xi, dyadic, coordinates)
+        if read.kind == "cover":
+            tables = xi.derived_tables(("interval", dyadic.size, dyadic.max_level),
+                                       dyadic.interval_table_bytes(xi.num_families),
+                                       dyadic.interval_cover_tables)
+            if tables is not None:
+                return dyadic.interval_cover_sums(xi.resolve_table(), tables, *ends)
+        else:
+            tables = xi.derived_tables(("point", dyadic.size, dyadic.max_level),
+                                       dyadic.point_table_bytes(xi.num_families),
+                                       dyadic.point_cover_table)
+            if tables is not None:
+                rows = dyadic.point_cover_sums(tables, ends[0])
+                for coordinates in ends[1:]:
+                    rows += dyadic.point_cover_sums(tables, coordinates)
+                return rows
+        rows = np.zeros((len(lows), xi.num_families),
+                        dtype=np.min_scalar_type(-dyadic.cover_sum_bound() - 1))
+        for boxes, nodes in self._walk(dim, letter, lows, highs):
+            rows[boxes] += self._sign_rows(xi, nodes)
         return rows
 
-    def _level_sources(self, dim: int, lows: np.ndarray, highs: np.ndarray,
-                       only: Letter | None = None) -> tuple[list, np.ndarray | None]:
-        """What the level sums of every letter the words use in ``dim`` are
-        made of, side by side — letter ``k`` of :meth:`_dim_letters` in
-        columns ``k * levels`` onwards of ``(instances, boxes, letters x
-        levels)`` rows: ``(parts, mask)`` for :meth:`_gather_rows`.
+    def _walk(self, dim: int, letter: Letter, lows: np.ndarray,
+              highs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The nodes ``letter`` reads of the intervals as ``(boxes, nodes)``
+        steps, each with at most one node per box, so a step's signs add
+        into its boxes' rows without a collision."""
+        dyadic, read = self._domain.dyadic(dim), LETTER_READS[letter]
+        ends = read.coordinates(lows, highs)
+        if read.kind == "cover":
+            return dyadic.cover_steps(*ends)
+        boxes = np.arange(len(lows))
+        if read.kind == "leaf":
+            return [(boxes, dyadic.size - 1 + np.asarray(ends[0], dtype=np.int64))]
+        return [(boxes, nodes) for coordinates in ends
+                for nodes in dyadic.point_covers(coordinates)[0].reshape(
+                    len(lows), dyadic.num_levels).T]
 
-        With the family's level tables the parts are the combined
-        high-side table gathered at ``highs`` and the low-side one at
-        ``lows`` (:meth:`_level_tables`), and the ``(boxes, columns)`` mask
-        zeroes the levels an interval holds no node of (``None``: nothing
-        to mask).  Without them the covers are walked and each node's sign
-        lands in its level's column; naming ``only`` (the one letter a
-        query reads) walks just that letter's covers.
+    def _level_rows(self, dim: int, lows: np.ndarray, highs: np.ndarray,
+                    letters: Sequence[Letter]) -> Callable[[slice], np.ndarray]:
+        """``rows(instances)``: the ``(instances, boxes, letters x levels)``
+        level sums of ``letters`` over the intervals, letter ``k`` in columns
+        ``k * levels`` onwards.  A call gathers the combined high-side level
+        table at ``highs`` and the low-side one at ``lows``
+        (:meth:`_level_tables`), keeps the columns of ``letters`` and zeroes
+        the levels a cover letter's interval holds no node of; without the
+        tables each node's sign lands in its level's column (:meth:`_walk`).
         """
         dyadic, xi = self._domain.dyadic(dim), self._xi[dim]
-        letters, levels = self._dim_letters(dim), dyadic.num_levels
+        levels, every = dyadic.num_levels, self._letters[dim]
+        tables = self._level_tables(xi, dyadic, every)
+        if tables is None:
+            walked = np.zeros((len(lows), len(letters), levels, xi.num_families),
+                              dtype=dyadic.level_dtype)
+            for index, letter in enumerate(letters):
+                for boxes, nodes in self._walk(dim, letter, lows, highs):
+                    walked[boxes, index, dyadic.node_levels(nodes)] += self._sign_rows(xi, nodes)
+            block = walked.transpose(3, 0, 1, 2).reshape(
+                xi.num_families, len(lows), len(letters) * levels)
+            return lambda instances: block[instances]
+        parts = list(zip(tables[::-1], (highs, lows)))
+        chosen = None if tuple(letters) == every else list(map(every.index, letters))
         covering = [index for index, letter in enumerate(letters)
                     if LETTER_READS[letter].kind == "cover"]
-        tables = self._level_tables(xi, dyadic, letters)
-        if tables is not None:
-            parts = list(zip(tables[::-1], (highs, lows)))
-            gaps = dyadic.level_gaps(lows, highs) if covering else None
-            if gaps is None or not gaps.any():
-                return parts, None
+        mask = None
+        if covering and (gaps := dyadic.level_gaps(lows, highs)).any():
             mask = np.ones((len(lows), len(letters), levels), dtype=dyadic.level_dtype)
             mask[:, covering] = ~gaps[:, None]
-            return parts, mask.reshape(len(lows), -1)
-        blocks = []
-        for letter in letters if only is None else (only,):
-            read = LETTER_READS[letter]
-            ends = read.coordinates(lows, highs)
-            if read.kind == "cover":
-                steps = dyadic.cover_steps(*ends)
-                rows = np.zeros((len(lows), levels, xi.num_families),
-                                dtype=dyadic.level_dtype)
-                for indices, nodes in steps:
-                    rows[indices, dyadic.node_levels(nodes)] += self._sign_rows(xi, nodes)
-            else:
-                rows = sum(self._sign_rows(xi, dyadic.point_covers(coordinates)[0])
-                           for coordinates in ends)
-                rows = rows.reshape(len(lows), levels, xi.num_families)
-            blocks.append(rows.transpose(2, 0, 1))
-        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
-        return [(rows, None)], None
+            mask = mask.reshape(len(lows), -1)
 
-    @staticmethod
-    def _gather_rows(parts: list, instances: slice) -> np.ndarray:
-        """The unmasked rows of :meth:`_level_sources` for some instances."""
-        rows = None
-        for table, coordinates in parts:
-            part = (table[instances] if coordinates is None
-                    else np.take(table[instances], coordinates, axis=1))
-            rows = part if rows is None else np.add(rows, part, out=rows)
+        def rows(instances: slice) -> np.ndarray:
+            gathered = None
+            for table, coordinates in parts:
+                part = np.take(table[instances], coordinates, axis=1)
+                gathered = part if gathered is None else np.add(gathered, part, out=gathered)
+            if chosen is not None:
+                shape = gathered.shape[:2]
+                gathered = np.take(gathered.reshape(*shape, len(every), levels),
+                                   chosen, axis=2).reshape(*shape, -1)
+            if mask is not None:
+                np.multiply(gathered, mask, out=gathered)
+            return gathered
         return rows
-
-    def _dim_letters(self, dim: int) -> tuple[Letter, ...]:
-        """The letters the words use in ``dim``, in first-use order."""
-        return tuple(dict.fromkeys(word[dim] for word in self._words))
 
     @staticmethod
     def _level_tables(xi: FourWiseFamilyBank, dyadic, letters) -> tuple | None:
@@ -789,7 +818,8 @@ class SketchBank:
         Column block ``k`` of ``high[f, x]`` is what letter ``k`` adds for
         a cover ending at ``x``, of ``low[f, x]`` for one starting there:
         an interval's two sides, the point cover of the end a point letter
-        reads, zeros elsewhere (:meth:`~repro.core.dyadic.DyadicDomain.level_columns`).
+        reads, the level-0 node of the end a leaf letter reads, zeros
+        elsewhere (:meth:`~repro.core.dyadic.DyadicDomain.level_columns`).
         Each table is one gather from the family's level values; ``low``
         is left out when no letter reads the low end.
         """
@@ -798,7 +828,9 @@ class SketchBank:
         def build(signs):
             point, low, high = dyadic.level_columns()
             none = np.zeros_like(point)
-            sides = {"cover": (low, high), "points": (point, point)}
+            leaf = none.copy()
+            leaf[:, 0] = point[:, 0]
+            sides = {"cover": (low, high), "points": (point, point), "leaf": (leaf, leaf)}
 
             def side(letter, end):
                 read = LETTER_READS[letter]
@@ -815,63 +847,11 @@ class SketchBank:
         key = ("levels", dyadic.size, dyadic.max_level, "".join(letters))
         return xi.derived_tables(key, nbytes, build)
 
-    # Cover sums are gathers from coordinate-indexed tables derived from
-    # the xi family's sign table (see DyadicDomain.point_cover_table /
-    # interval_cover_tables) — no cover walk.  Families over the sign-table
-    # limit, and domains whose derived tables would exceed the byte budget,
-    # walk the covers one step (one node per box) at a time and add each
-    # step's sign rows up.
-    # Every path returns a *fresh* writable (boxes, instances) integer
-    # array, never a table view.  All paths produce identical values: the
-    # summands are ±1 integers and no sum leaves its integer type.
-
     @staticmethod
     def _sign_rows(xi: FourWiseFamilyBank, ids: np.ndarray) -> np.ndarray:
         """``(len(ids), instances)`` signs of ``ids``."""
         rows = np.empty((len(ids), xi.num_families), dtype=np.int8)
         xi.signs_into(ids, rows.T)
-        return rows
-
-    @staticmethod
-    def _point_tables(xi: FourWiseFamilyBank, dyadic) -> tuple | None:
-        return xi.derived_tables(
-            ("point", dyadic.size, dyadic.max_level),
-            dyadic.point_table_bytes(xi.num_families),
-            dyadic.point_cover_table)
-
-    @staticmethod
-    def _interval_tables(xi: FourWiseFamilyBank, dyadic) -> tuple | None:
-        return xi.derived_tables(
-            ("interval", dyadic.size, dyadic.max_level),
-            dyadic.interval_table_bytes(xi.num_families),
-            dyadic.interval_cover_tables)
-
-    @staticmethod
-    def _point_cover_rows(xi: FourWiseFamilyBank, dyadic, coordinates: np.ndarray) -> np.ndarray:
-        per_point = dyadic.max_level + 1
-        n_points = len(coordinates)
-        tables = SketchBank._point_tables(xi, dyadic)
-        if tables is not None:
-            return dyadic.point_cover_sums(tables, coordinates)
-        ids, _ = dyadic.point_covers(coordinates)
-        nodes = ids.reshape(n_points, per_point)
-        rows = SketchBank._sign_rows(xi, nodes[:, 0])
-        for step in range(1, per_point):
-            rows += SketchBank._sign_rows(xi, nodes[:, step])
-        return rows
-
-    @staticmethod
-    def _interval_rows(xi: FourWiseFamilyBank, dyadic, lows: np.ndarray,
-                       highs: np.ndarray) -> np.ndarray:
-        tables = SketchBank._interval_tables(xi, dyadic)
-        if tables is not None:
-            return dyadic.interval_cover_sums(xi.resolve_table(), tables,
-                                              lows, highs)
-        steps = dyadic.cover_steps(lows, highs)
-        rows = np.zeros((len(lows), xi.num_families),
-                        dtype=np.min_scalar_type(-dyadic.cover_sum_bound() - 1))
-        for indices, nodes in steps:
-            rows[indices] += SketchBank._sign_rows(xi, nodes)
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

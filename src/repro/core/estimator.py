@@ -103,14 +103,15 @@ class SketchEstimator:
 
     def __init__(self, domain: Domain, num_instances: int, *, seed,
                  boosting: BoostingPlan | None, sketch_domain: Domain,
-                 words: Sequence[Sequence[Word]], split_levels: bool = False) -> None:
+                 words: Sequence[Sequence[Word]],
+                 bands: Sequence[Sequence[int]] | None = None) -> None:
         if num_instances < 1:
             raise SketchConfigError("at least one atomic-sketch instance is required")
         self._domain = domain
         self._num_instances = int(num_instances)
         self._plan = boosting
         first = SketchBank(sketch_domain, words[0], num_instances, seed=seed,
-                           split_levels=split_levels)
+                           bands=bands)
         banks = [first] + [first.companion(side_words) for side_words in words[1:]]
         self._banks: dict[str, SketchBank] = {
             side.name: bank for side, bank in zip(self.SIDES, banks)}

@@ -32,7 +32,7 @@ query-less program is evaluated once and carries its result count in
    :meth:`~repro.core.atomic.SketchBank.level_sums` call (an empty interval
    sums to zero),
 2. every term contracts its counter cells with those ``(instances, columns,
-   levels)`` sums in one matrix kernel,
+   bands)`` sums in one matrix kernel,
 3. a program with a control evaluates its control column once and
    regresses its error out of every other column's instances
    (:func:`~repro.core.boosting.control_adjusted`); the ``(columns,
@@ -46,8 +46,8 @@ workload, so none is kept.
 
 Over one-cell banks execution is **bit-identical** to the historical
 scalar paths: the same accumulation order, the same elementwise kernels,
-the same reductions.  A level-split bank's term contracts its counter cells
-with its letter sums' levels; that is exact — and so independent of how a
+the same reductions.  A banded bank's term contracts its counter cells
+with its letter sums' bands; that is exact — and so independent of how a
 batch is formed — while the counters are integers (integer update
 weights), as every factor and product then stays below 2^53.  The executor
 is a pure execution-strategy layer: how a batch is formed never changes a
@@ -104,7 +104,7 @@ class LetterSumRef:
     Inside a program ``low`` / ``high`` are ``(Q,)`` int64 columns, one
     interval per query, and the factor resolves to ``bank.level_sums(dim,
     letter, low, high)`` — the query-side kernel of the paper's estimators,
-    ``(instances, Q, levels)`` integers (one level on a one-cell bank) —
+    ``(instances, Q, bands)`` integers (one band on a one-cell bank) —
     with an empty interval (``low > high``) summing to zero.
     :attr:`SketchProgram.letter_sum_refs` yields one scalar ref per query.
     The value depends only on the bank's xi families, dyadic domain and
@@ -216,9 +216,9 @@ def _family_key(ref: LetterSumRef) -> tuple:
     """What makes two letter sums one kernel call: xi family, dyadic shape,
     layout and letter — never the bank that carries them, so two banks over
     one xi family (a view and its delta-refreshed successor) share it."""
-    dyadic = ref.bank.domain.dyadic(ref.dim)
+    dyadic, bands = ref.bank.domain.dyadic(ref.dim), ref.bank.bands
     return (ref.bank.xi_banks[ref.dim], dyadic.size, dyadic.max_level,
-            ref.bank.levels[ref.dim], ref.letter)
+            None if bands is None else bands[ref.dim], ref.letter)
 
 
 @dataclass
@@ -244,7 +244,7 @@ class ProgramExecutor:
     """Runs batches of :class:`SketchProgram` objects against shared kernels."""
 
     #: Columns evaluated per vectorised round; bounds the transient
-    #: ``(instances, columns, levels)`` matrices while huge batches stream.
+    #: ``(instances, columns, bands)`` matrices while huge batches stream.
     CHUNK = 4096
 
     def __init__(self) -> None:
@@ -333,8 +333,8 @@ class ProgramExecutor:
         paths exactly: counters multiply first (in ref order), letter sums
         multiply next (in dimension order), the coefficient scales the
         product, and terms accumulate into a zero-initialised matrix in
-        term order.  Over a level-split bank a term's cells are contracted
-        with its letter sums' levels instead, one dimension at a time.
+        term order.  Over a banded bank a term's cells are contracted with
+        its letter sums' bands instead, one dimension at a time.
         """
         instances = program.num_instances
         values = np.zeros((instances, width), dtype=np.float64)
@@ -345,17 +345,17 @@ class ProgramExecutor:
                 cells = block if cells is None else cells * block
             slots = [sums[ref] for ref in term.letter_sums]
             if any(slot.shape[2] > 1 for slot in slots):
-                # A level-split bank is 1-D or 2-D: the first slot's levels
-                # contract with the cells in one batched matmul, (instances,
-                # columns, levels of the second), and the second's levels
-                # elementwise.
+                # A banded bank: the first slot's bands contract with the
+                # cells in one batched matmul, (instances, columns, the other
+                # dimensions' cells), and each further slot's bands
+                # elementwise, one dimension at a time.
                 term_values = np.matmul(
                     slots[0], cells.reshape(instances, slots[0].shape[2], -1))
-                if len(slots) == 2:
-                    term_values = np.einsum("ipl,ipl->ip", term_values, slots[1])
-                else:
-                    term_values = term_values[:, :, 0]
-                values += term.coefficient * term_values
+                for slot in slots[1:]:
+                    term_values = np.einsum(
+                        "ipb,ipbr->ipr", slot,
+                        term_values.reshape(instances, width, slot.shape[2], -1))
+                values += term.coefficient * term_values[:, :, 0]
                 continue
             sum_product: np.ndarray | None = None
             for slot in slots:
@@ -372,7 +372,7 @@ class ProgramExecutor:
     def _letter_sums(self, program: SketchProgram, start: int,
                      stop: int) -> dict[LetterSumRef, np.ndarray]:
         """Every letter-sum factor of a program over columns ``start:stop``,
-        as ``(instances, columns, levels)`` float64 (exact integers).
+        as ``(instances, columns, bands)`` float64 (exact integers).
 
         Factors of one xi family, dyadic shape, layout and letter form one
         group: their intervals are de-duplicated with one ``np.unique`` and

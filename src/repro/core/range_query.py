@@ -26,10 +26,10 @@ v_i``) — so the two conditions exclude each other and ``E[Z]`` is the
 exact count without Assumption 1.  A one-cell bank keeps the closed range,
 so stored state answers as it always has.
 
-Level-split counters (``split_levels``, what every new ``range`` spec over
-a 1-D or 2-D domain gets): each word keeps one cell per tuple of
-per-dimension dyadic levels, ``X_w[l_1, .., l_d]``, summing only the cover
-nodes on those levels, and
+Level-split counters (``bands`` the identity map, what every new
+``range`` spec over a 1-D or 2-D domain gets): each word keeps one cell
+per tuple of per-dimension dyadic levels, ``X_w[l_1, .., l_d]``, summing
+only the cover nodes on those levels, and
 
     Z = sum over w, over level tuples l of
             X_w[l] * prod_i q_i(w[i])[l_i]
@@ -37,10 +37,11 @@ nodes on those levels, and
 with ``q_i(.)[l]`` the query's xi sum over its level-``l`` cover nodes.
 Two xi variables are correlated only when they are the same node, and a
 node has one level, so the split leaves ``E[Z]`` as it was; the cells
-summed over levels are the one-cell counters.  What the split removes is
-every variance term that pairs a data node on one level with a query node
-on another — in particular the heavy top nodes of the data times the many
-fine nodes of a query's cover.
+summed over levels are the one-cell counters (any other band map pools
+levels into bands, pairs equal bands and keeps the one-cell rules below).
+What the split removes is every variance term that pairs a data node on
+one level with a query node on another — in particular the heavy top
+nodes of the data times the many fine nodes of a query's cover.
 
 The reported value of a level-split bank.  Every box overlaps the whole
 sketch domain, so that query's ``Z_N`` has ``E[Z_N] = N``, the exact net
@@ -63,6 +64,8 @@ reproduce the strict Definition 1 semantics.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -97,9 +100,10 @@ class RangeQueryEstimator(SketchEstimator):
         When True, the Section 5.2 endpoint transformation is applied so
         that touching rectangles are *not* counted (Definition 1 semantics).
         When False (default), closed-overlap semantics are used.
-    split_levels:
-        Keep one counter cell per (word, per-dimension level tuple) — see
-        the module docstring; 1-D and 2-D domains only.
+    bands:
+        The counter cells' level-band map over the sketch domain (see
+        :class:`~repro.core.atomic.SketchBank`); its identity is the
+        level-split layout of the module docstring.
     """
 
     SIDES = (Side("data", "bank", "count", aliases=("left",)),)
@@ -107,7 +111,7 @@ class RangeQueryEstimator(SketchEstimator):
     QUERYABLE = True
 
     def __init__(self, domain: Domain, num_instances: int, *, seed=0, strict: bool = False,
-                 split_levels: bool = False) -> None:
+                 bands: Sequence[Sequence[int]] | None = None) -> None:
         self._strict = bool(strict)
         self._transform = EndpointTransform(domain) if strict else None
         self._words = all_words([Letter.INTERVAL, Letter.UPPER_POINT], domain.dimension)
@@ -115,7 +119,7 @@ class RangeQueryEstimator(SketchEstimator):
             domain, num_instances, seed=seed, boosting=None,
             sketch_domain=(self._transform.expanded_domain
                            if self._transform is not None else domain),
-            words=(self._words,), split_levels=split_levels)
+            words=(self._words,), bands=bands)
 
     # -- introspection ----------------------------------------------------------------
 

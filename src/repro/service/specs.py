@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.domain import Domain
+from repro.core.domain import Domain, EndpointTransform
 from repro.core.dyadic import pruned_max_levels, range_max_levels
 from repro.core.epsilon_join import EpsilonJoinEstimator
 from repro.core.estimator import SketchEstimator
@@ -134,8 +134,9 @@ class EstimatorSpec:
     seed: int = 0
     max_levels: tuple[int | None, ...] | None = None
     options: tuple[tuple[str, Any], ...] = ()
-    #: One counter cell per (word, level tuple) — ``range`` over 1-D / 2-D
-    #: only; what every new registration of one gets (:meth:`with_layout`).
+    #: The counter cells' level-band map: true is the identity (one cell per
+    #: word and level tuple), false one band — ``range`` over 1-D / 2-D only;
+    #: what every new registration of one gets (:meth:`with_layout`).
     split_levels: bool = False
 
     def __post_init__(self) -> None:
@@ -244,7 +245,11 @@ class EstimatorSpec:
             raise DimensionalityError(
                 f"family {self.family!r} needs a {info.dimension}-dimensional "
                 f"domain, got {self.dimension} dimensions")
-        layout = {"split_levels": True} if self.split_levels else {}
+        layout = {}
+        if self.split_levels:    # the identity map over the domain a range sketches
+            sketched = (EndpointTransform(self.domain()).expanded_domain
+                        if self.option("strict", False) else self.domain())
+            layout["bands"] = [range(dyadic.num_levels) for dyadic in sketched.dyadics]
         return info.estimator(self.domain(), num_instances=self.num_instances,
                               seed=self.seed, **dict(info.fixed), **dict(self.options),
                               **layout)
@@ -268,6 +273,10 @@ class EstimatorSpec:
 
     @classmethod
     def from_dict(cls, state: Mapping) -> "EstimatorSpec":
+        split_levels = state.get("split_levels", False)
+        if not isinstance(split_levels, bool):
+            raise ServiceError("malformed estimator spec: split_levels must be "
+                               f"true or false, got {split_levels!r}")
         try:
             max_levels = state.get("max_levels")
             return cls(
@@ -279,7 +288,7 @@ class EstimatorSpec:
                     None if level is None else int(level) for level in max_levels
                 ),
                 options=tuple(sorted(dict(state.get("options", {})).items())),
-                split_levels=bool(state.get("split_levels", False)),
+                split_levels=split_levels,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed estimator spec: {exc}") from exc

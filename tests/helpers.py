@@ -70,12 +70,42 @@ def scalar_cover(dyadic, letter: Letter, lo: int, hi: int) -> list[int]:
     return [dyadic.leaf_id(hi)]
 
 
+def identity_bands(domain: Domain) -> tuple[tuple[int, ...], ...]:
+    """The level-band map with one band per level: the level-split layout."""
+    return tuple(tuple(range(dyadic.num_levels)) for dyadic in domain.dyadics)
+
+
+def random_bands(rng: np.random.Generator, domain: Domain
+                 ) -> tuple[tuple[int, ...], ...]:
+    """A random monotone level-band map: per dimension, each level steps
+    the band up by 0 or 1."""
+    return tuple(tuple(np.concatenate(
+        [[0], np.cumsum(rng.integers(0, 2, size=dyadic.num_levels - 1))]).tolist())
+        for dyadic in domain.dyadics)
+
+
+def band_starts(bands) -> np.ndarray:
+    """The first level of each band of one dimension's map."""
+    return np.flatnonzero(np.diff(bands, prepend=-1))
+
+
+def pooled(split: SketchBank, bank: SketchBank) -> np.ndarray:
+    """An identity-split bank's counter tensor summed within the bands of
+    ``bank`` (``None``: over every level)."""
+    levels = [dyadic.num_levels for dyadic in split.domain.dyadics]
+    cells = split.counter_tensor.reshape(split.num_instances, len(split.words), *levels)
+    for dim, count in enumerate(levels):
+        bands = (0,) * count if bank.bands is None else bank.bands[dim]
+        cells = np.add.reduceat(cells, band_starts(bands), axis=2 + dim)
+    return cells.reshape(split.num_instances, -1)
+
+
 def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
-                       lows, highs, *, by_level: bool = False) -> np.ndarray:
+                       lows, highs, *, bands=None) -> np.ndarray:
     """``(instances, boxes)`` letter sums from :func:`scalar_cover` and
     directly hashed signs — no table, no batched walk, no shared kernel.
-    ``by_level``: ``(instances, boxes, levels)``, each cover node's sign
-    in its dyadic level's column."""
+    ``bands``, a band per level of ``dim``: ``(instances, boxes, bands)``,
+    each node's sign in its level's band."""
     dyadic = bank.domain.dyadic(dim)
     # A separate, never-warm bank: signs come from the polynomial itself.
     xi = FourWiseFamilyBank.from_coefficients(
@@ -84,18 +114,18 @@ def scalar_letter_sums(bank: SketchBank, dim: int, letter: Letter,
     def sign_sum(cover) -> np.ndarray:
         hashed = xi._hash(np.asarray(cover, dtype=np.uint64), xi.coefficients)
         signs = 1.0 - 2.0 * (hashed & np.uint64(1)).astype(np.float64)
-        if not by_level:
+        if bands is None:
             return signs.sum(axis=1)
-        levels = np.zeros((bank.num_instances, dyadic.max_level + 1))
+        banded = np.zeros((bank.num_instances, max(bands) + 1))
         for node, column in zip(cover, signs.T):
-            levels[:, dyadic.interval_of(node).level] += column
-        return levels
+            banded[:, bands[dyadic.interval_of(node).level]] += column
+        return banded
 
     columns = [sign_sum(scalar_cover(dyadic, letter, int(lo), int(hi)))
                for lo, hi in zip(lows, highs)]
     if not columns:
         return np.zeros((bank.num_instances, 0) + (
-            (dyadic.max_level + 1,) if by_level else ()))
+            () if bands is None else (max(bands) + 1,)))
     return np.stack(columns, axis=1)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.atomic import Letter, SketchBank, all_words
 from repro.core.domain import Domain
-from repro.errors import DimensionalityError, SketchConfigError
+from repro.errors import DimensionalityError, MergeCompatibilityError, SketchConfigError
 from repro.geometry.boxset import BoxSet
 
 from tests.conftest import random_boxes
@@ -50,10 +50,38 @@ class TestConstruction:
         assert other.xi_banks is bank.xi_banks or all(
             a is b for a, b in zip(other.xi_banks, bank.xi_banks))
 
+    def test_a_band_map_is_monotone_over_every_level(self):
+        """Per dimension a band for each level, from band 0 up in steps of
+        0 or 1; the identity is the level split, one band one cell a word."""
+        domain = Domain((16, 16), max_levels=(2, None))     # 3 and 5 levels
+        identity = ((0, 1, 2), (0, 1, 2, 3, 4))
+        for bands, cells, split in ((None, (1, 1), False), (identity, (3, 5), True),
+                                    (((0, 0, 0), (0, 0, 0, 0, 0)), (1, 1), False),
+                                    (((0, 0, 1), (0, 1, 1, 2, 2)), (2, 3), False)):
+            bank = SketchBank(domain, IE_2D, 4, seed=1, bands=bands)
+            assert (bank.bands, bank.levels, bank.split_levels) == (bands, cells, split)
+            assert bank.counter_tensor.shape == (4, len(IE_2D) * int(np.prod(cells)))
+        for bad in (((0, 1), (0, 1, 2, 3, 4)), ((1, 1, 1), (0, 1, 2, 3, 4)),
+                    ((0, 2, 2), (0, 1, 2, 3, 4)), ((0, 1, 0), (0, 1, 2, 3, 4)),
+                    identity[:1], identity + identity[:1]):
+            with pytest.raises(SketchConfigError, match=r"levels \[3, 5\] onto bands"):
+                SketchBank(domain, IE_2D, 4, bands=bad)
+
+    def test_banks_over_different_band_maps_do_not_merge(self, domain_2d, rng):
+        split = SketchBank(domain_2d, IE_2D, 4, seed=1,
+                           bands=[range(dyadic.num_levels) for dyadic in domain_2d.dyadics])
+        boxes = random_boxes(rng, 10, 256, 2)
+        for bands in (None, [[0] * dyadic.num_levels for dyadic in domain_2d.dyadics]):
+            other = SketchBank(domain_2d, IE_2D, 4, seed=1, bands=bands)
+            other.insert(boxes)
+            with pytest.raises(MergeCompatibilityError, match="level-split bands"):
+                split.merge(other)
+        assert split.companion().bands == split.bands
+
     def test_counters_start_at_zero(self, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=4, seed=3)
         for word in bank.words:
-            assert np.all(bank.counter(word) == 0)
+            assert np.all(bank.word_cells(word).sum(axis=1) == 0)
 
 
 class TestUpdates:
@@ -61,10 +89,10 @@ class TestUpdates:
         bank = SketchBank(domain_1d, IE_1D, num_instances=16, seed=5)
         boxes = random_boxes(rng, 30, 256, 1)
         bank.insert(boxes)
-        assert any(np.any(bank.counter(word) != 0) for word in bank.words)
+        assert any(np.any(bank.word_cells(word).sum(axis=1) != 0) for word in bank.words)
         bank.insert(boxes, weight=-1.0)
         for word in bank.words:
-            assert np.allclose(bank.counter(word), 0.0)
+            assert np.allclose(bank.word_cells(word).sum(axis=1), 0.0)
 
     def test_insert_is_order_independent(self, domain_1d, rng):
         boxes = random_boxes(rng, 20, 256, 1)
@@ -74,7 +102,7 @@ class TestUpdates:
         order = rng.permutation(len(boxes))
         bank_b.insert(boxes[order])
         for word in IE_1D:
-            assert np.allclose(bank_a.counter(word), bank_b.counter(word))
+            assert np.allclose(bank_a.word_cells(word).sum(axis=1), bank_b.word_cells(word).sum(axis=1))
 
     def test_batched_and_single_inserts_agree(self, domain_2d, rng):
         boxes = random_boxes(rng, 15, 256, 2)
@@ -84,7 +112,7 @@ class TestUpdates:
         for i in range(len(boxes)):
             bank_b.insert(boxes[i])
         for word in IE_2D:
-            assert np.allclose(bank_a.counter(word), bank_b.counter(word))
+            assert np.allclose(bank_a.word_cells(word).sum(axis=1), bank_b.word_cells(word).sum(axis=1))
 
     def test_out_of_domain_boxes_rejected(self, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=4, seed=1)
@@ -136,7 +164,7 @@ class TestUpdates:
         repeated.insert(boxes)
         assert weighted.num_updates == repeated.num_updates == 10
         for word in IE_1D:
-            assert np.allclose(weighted.counter(word), repeated.counter(word))
+            assert np.allclose(weighted.word_cells(word).sum(axis=1), repeated.word_cells(word).sum(axis=1))
 
     def test_letter_boxes_override(self, domain_1d, rng):
         words = [(Letter.LOWER_LEAF,), (Letter.INTERVAL,)]
@@ -147,10 +175,10 @@ class TestUpdates:
         # The interval counter should match a plain insert of `boxes` ...
         reference = SketchBank(domain_1d, words, num_instances=8, seed=11)
         reference.insert(boxes)
-        assert not np.allclose(bank.counter((Letter.LOWER_LEAF,)),
-                               reference.counter((Letter.LOWER_LEAF,)))
-        assert np.allclose(bank.counter((Letter.INTERVAL,)),
-                           reference.counter((Letter.INTERVAL,)))
+        assert not np.allclose(bank.word_cells((Letter.LOWER_LEAF,)).sum(axis=1),
+                               reference.word_cells((Letter.LOWER_LEAF,)).sum(axis=1))
+        assert np.allclose(bank.word_cells((Letter.INTERVAL,)).sum(axis=1),
+                           reference.word_cells((Letter.INTERVAL,)).sum(axis=1))
 
 
 class TestCounterSemantics:
@@ -168,7 +196,7 @@ class TestCounterSemantics:
             for k in range(3):
                 expected[k] += sum(signs_by_instance[k][node] for node in cover)
         bank.insert(boxes)
-        assert np.allclose(bank.counter((Letter.INTERVAL,)), expected)
+        assert np.allclose(bank.word_cells((Letter.INTERVAL,)).sum(axis=1), expected)
 
     def test_endpoint_counter_matches_manual_computation(self, rng):
         domain = Domain(64)
@@ -183,7 +211,7 @@ class TestCounterSemantics:
             for k in range(2):
                 expected[k] += sum(signs[k][node] for node in covers)
         bank.insert(boxes)
-        assert np.allclose(bank.counter((Letter.ENDPOINTS,)), expected)
+        assert np.allclose(bank.word_cells((Letter.ENDPOINTS,)).sum(axis=1), expected)
 
     def test_two_dimensional_counter_matches_manual_computation(self, rng):
         domain = Domain.square(32, dimension=2)
@@ -205,7 +233,7 @@ class TestCounterSemantics:
                     total *= sum(signs[node] for node in nodes)
                 expected[k] += total
         bank.insert(boxes)
-        assert np.allclose(bank.counter(word), expected)
+        assert np.allclose(bank.word_cells(word).sum(axis=1), expected)
 
     def test_self_product_expectation_matches_cover_counts(self, rng):
         """E[X_w * Y_w'] over shared xi families equals the cover-count inner product."""
@@ -217,7 +245,7 @@ class TestCounterSemantics:
         right_bank = left_bank.companion()
         left_bank.insert(left)
         right_bank.insert(right)
-        product = left_bank.counter((Letter.INTERVAL,)) * right_bank.counter((Letter.ENDPOINTS,))
+        product = left_bank.word_cells((Letter.INTERVAL,)).sum(axis=1) * right_bank.word_cells((Letter.ENDPOINTS,)).sum(axis=1)
         expected = expected_counter_product(left, right, domain,
                                             (Letter.INTERVAL,), (Letter.ENDPOINTS,))
         standard_error = product.std() / np.sqrt(num_instances)
@@ -235,7 +263,7 @@ class TestLetterSums:
             values *= bank.letter_sums(dim, letter, box.lows[:, dim],
                                        box.highs[:, dim])[:, 0]
         bank.insert(box)
-        assert np.allclose(bank.counter(word), values)
+        assert np.allclose(bank.word_cells(word).sum(axis=1), values)
 
     def test_a_dimension_outside_the_bank_is_refused(self, domain_2d):
         bank = SketchBank(domain_2d, IE_2D, num_instances=4, seed=1)

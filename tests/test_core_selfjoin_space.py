@@ -69,7 +69,7 @@ class TestSelfJoinSize:
         truth = self_join_size(boxes, domain, (Letter.INTERVAL,))
         bank = SketchBank(domain, [(Letter.INTERVAL,)], num_instances=4000, seed=3)
         bank.insert(boxes)
-        estimate = float(np.mean(bank.counter((Letter.INTERVAL,)) ** 2))
+        estimate = float(np.mean(bank.word_cells((Letter.INTERVAL,)).sum(axis=1) ** 2))
         assert estimate == pytest.approx(truth, rel=0.25)
 
 

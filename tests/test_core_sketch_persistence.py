@@ -46,7 +46,7 @@ class TestMerge:
         first.merge(second)
 
         for word in IE_1D:
-            assert np.allclose(first.counter(word), whole.counter(word))
+            assert np.allclose(first.word_cells(word).sum(axis=1), whole.word_cells(word).sum(axis=1))
 
     def test_merge_two_dimensional(self, rng, domain_2d):
         words = all_words([Letter.INTERVAL, Letter.ENDPOINTS], 2)
@@ -60,7 +60,7 @@ class TestMerge:
         second.insert(part_b)
         first.merge(second)
         for word in words:
-            assert np.allclose(first.counter(word), whole.counter(word))
+            assert np.allclose(first.word_cells(word).sum(axis=1), whole.word_cells(word).sum(axis=1))
 
     def test_merge_rejects_different_seeds(self, domain_1d):
         first = SketchBank(domain_1d, IE_1D, num_instances=8, seed=1)
@@ -99,13 +99,13 @@ class TestMerge:
     def test_merge_failure_leaves_counters_untouched(self, rng, domain_1d):
         first = SketchBank(domain_1d, IE_1D, num_instances=8, seed=1)
         first.insert(random_boxes(rng, 10, 256, 1))
-        before = {word: first.counter(word) for word in IE_1D}
+        before = {word: first.word_cells(word).sum(axis=1) for word in IE_1D}
         second = SketchBank(domain_1d, IE_1D, num_instances=8, seed=2)
         second.insert(random_boxes(rng, 5, 256, 1))
         with pytest.raises(MergeCompatibilityError):
             first.merge(second)
         for word in IE_1D:
-            assert np.array_equal(first.counter(word), before[word])
+            assert np.array_equal(first.word_cells(word).sum(axis=1), before[word])
 
 
 class TestEstimatorMerge:
@@ -149,7 +149,7 @@ class TestPersistence:
         restored = SketchBank(domain_1d, IE_1D, num_instances=12, seed=7)
         restored.load_state_dict(snapshot)
         for word in IE_1D:
-            assert np.allclose(restored.counter(word), original.counter(word))
+            assert np.allclose(restored.word_cells(word).sum(axis=1), original.word_cells(word).sum(axis=1))
         assert restored.num_updates == original.num_updates
 
     def test_state_dict_is_json_serialisable(self, rng, domain_1d):
@@ -171,7 +171,7 @@ class TestPersistence:
         restored.load_state_dict(snapshot)
         restored.insert(later)
         for word in IE_1D:
-            assert np.allclose(restored.counter(word), original.counter(word))
+            assert np.allclose(restored.word_cells(word).sum(axis=1), original.word_cells(word).sum(axis=1))
 
     def test_seed_mismatch_rejected(self, rng, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=8, seed=9)
@@ -196,7 +196,7 @@ class TestPersistence:
         restored = SketchBank(domain_1d, IE_1D, num_instances=8, seed=9)
         restored.load_state_dict(state)
         for word in IE_1D:
-            assert np.array_equal(restored.counter(word), bank.counter(word))
+            assert np.array_equal(restored.word_cells(word).sum(axis=1), bank.word_cells(word).sum(axis=1))
 
     def test_instance_count_mismatch_rejected(self, rng, domain_1d):
         bank = SketchBank(domain_1d, IE_1D, num_instances=8, seed=9)
@@ -215,7 +215,7 @@ class TestColumnarState:
         assert tensor.shape == (12, len(IE_1D))
         assert tensor.flags.c_contiguous and not tensor.flags.writeable
         for column, word in enumerate(bank.words):
-            assert np.array_equal(tensor[:, column], bank.counter(word))
+            assert np.array_equal(tensor[:, column], bank.word_cells(word).sum(axis=1))
 
     def test_array_state_round_trip_is_bit_identical(self, rng, domain_1d):
         original = SketchBank(domain_1d, IE_1D, num_instances=12, seed=7)

@@ -45,30 +45,27 @@ def max_levels(size: int) -> list[int | None]:
 CONFIGS = [(size, max_level) for size in SIZES for max_level in max_levels(size)]
 
 
-COVER_LETTERS = [letter for letter in Letter
-                 if letter not in (Letter.LOWER_LEAF, Letter.UPPER_LEAF)]
-#: ``(letter, split)``: a level-split bank sums no leaf letters.
-LAYOUTS = [(letter, False) for letter in Letter] + [
-    (letter, True) for letter in COVER_LETTERS]
+#: ``(letter, split)``: every letter, one band or one band per level.
+LAYOUTS = [(letter, split) for split in (False, True) for letter in Letter]
 
 
 def bank_for(size: int, max_level, letter: Letter, seed: int,
              split: bool = False) -> SketchBank:
     domain = Domain((size,), max_levels=max_level)
     return SketchBank(domain, all_words([letter], 1), INSTANCES, seed=seed,
-                      split_levels=split)
+                      bands=helpers.identity_bands(domain) if split else None)
 
 
 def sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
     """What a query reads of the bank: per level on a level-split bank."""
-    if bank.split_levels:
+    if bank.bands is not None:
         return bank.level_sums(0, letter, lows, highs)
     return bank.letter_sums(0, letter, lows, highs)
 
 
 def scalar_letter_sums(bank: SketchBank, letter: Letter, lows, highs) -> np.ndarray:
     return helpers.scalar_letter_sums(bank, 0, letter, lows, highs,
-                                      by_level=bank.split_levels)
+                                      bands=bank.bands and bank.bands[0])
 
 
 def on_every_path(bank: SketchBank, compute) -> list:
@@ -198,7 +195,7 @@ class TestThreeWayEquivalence:
         the real budget) — and over no intervals returns no columns."""
         bank = SketchBank(Domain((1 << 16,)),
                           all_words([Letter.INTERVAL, Letter.UPPER_POINT], 1),
-                          256, seed=11, split_levels=True)
+                          256, seed=11, bands=(tuple(range(17)),))
         empty = np.empty(0, dtype=np.int64)
         with helpers.on_path(limit, bank):
             for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
@@ -294,12 +291,12 @@ class TestSameErrorsOnEveryPath:
             bank, lambda bank: bank.letter_sums(0, letter, lows, highs))
         assert failures[0] == failures[1] == failures[2]
 
-    @pytest.mark.parametrize("letter", COVER_LETTERS)
+    @pytest.mark.parametrize("letter", list(Letter))
     @pytest.mark.parametrize("max_level", [0, 2, None])
     def test_a_level_split_insert_of_an_empty_interval(self, letter, max_level):
         """``[10, 9]``, what a strict shrink makes of ``[9, 10]``: refused
-        by an interval letter on every path, summed at both ends by a
-        point letter."""
+        by an interval letter on every path, summed at the ends it reads by
+        a point or leaf letter."""
         boxes = BoxSet(np.array([[10]]), np.array([[9]]), validate=False)
 
         def insert(bank):

@@ -275,6 +275,16 @@ class TestLevelSplit:
         with pytest.raises(ServiceError, match="level-split"):
             replace(EstimatorSpec.create("rectangle", (64, 64), 8), split_levels=True)
 
+    @pytest.mark.parametrize("stored", ["false", "true", 0, 1, None, [True]])
+    def test_a_stored_layout_is_true_or_false(self, stored):
+        """Anything but a JSON boolean is refused, never read by its truth
+        value: ``"false"`` would otherwise build the split layout."""
+        state = dict(EstimatorSpec.create("range", (64, 64), 8).to_dict(),
+                     split_levels=stored)
+        with pytest.raises(ServiceError, match="^malformed estimator spec: "
+                           "split_levels must be true or false"):
+            EstimatorSpec.from_dict(state)
+
     def test_split_and_one_cell_do_not_merge(self):
         spec = EstimatorSpec.create("range", (256, 256), 8, seed=3)
         split, one_cell = spec.build(), replace(spec, split_levels=False).build()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.partial import reduce_partials
 from repro.core.atomic import Letter, SketchBank
-from repro.core.domain import Domain
+from repro.core.domain import Domain, EndpointTransform
 from repro.core.program import (
     LetterSumRef,
     ProgramExecutor,
@@ -29,6 +29,8 @@ from repro.core.program import (
 from repro.core.range_query import RangeQueryEstimator
 from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, EstimatorSpec, synthetic_boxes
+
+from tests.helpers import band_starts, identity_bands, pooled, random_bands
 
 #: Per dimension ``(size, max_level)``: the full tree, a cap, a deep cap
 #: whose top level holds many blocks, and a size that pads.
@@ -61,31 +63,42 @@ class TestKernel:
     @settings(max_examples=40, deadline=None)
     def test_cells_sum_to_the_one_cell_counters(self, case):
         """Inserts then deletes, strict on and off, tables pre-paid or built
-        by the first insert."""
+        by the first insert.  A bank over any other band map holds the
+        split cells summed within its bands, and its per-band query sums
+        are the per-level ones summed the same way."""
         domain, seed, count, strict, warm = case
         rng = np.random.default_rng(seed)
         boxes = random_boxes(rng, count, domain.requested_sizes, strict=strict)
-        split, one_cell = (RangeQueryEstimator(domain, 6, seed=seed, strict=strict,
-                                               split_levels=layout)
-                           for layout in (True, False))
+        sketch_domain = EndpointTransform(domain).expanded_domain if strict else domain
+        split, one_cell, banded = (
+            RangeQueryEstimator(domain, 6, seed=seed, strict=strict, bands=bands)
+            for bands in (identity_bands(sketch_domain), None,
+                          random_bands(rng, sketch_domain)))
         if warm:
             split.prepay_tables()
-        for estimator in (split, one_cell):
+            banded.prepay_tables()
+        for estimator in (split, one_cell, banded):
             estimator.update("data", boxes)
             estimator.update("data", boxes[::3], -1.0)
         assert split.bank.counter_tensor.shape[1] \
             == len(split.bank.words) * int(np.prod(split.bank.levels))
         for word in one_cell.bank.words:
-            assert np.array_equal(split.bank.counter(word), one_cell.bank.counter(word))
+            assert np.array_equal(split.bank.word_cells(word).sum(axis=1), one_cell.bank.word_cells(word).sum(axis=1))
+        for other in (one_cell, banded):
+            assert np.array_equal(pooled(split.bank, other.bank),
+                                  other.bank.counter_tensor)
         # Query side: the per-level sums add up to the letter sums.
         query = random_boxes(rng, 3, domain.requested_sizes)
         sketched, _ = split.check_queries(query)
         for dim in range(domain.dimension):
             for letter in (Letter.INTERVAL, Letter.UPPER_POINT):
                 lows, highs = sketched.lows[:, dim], sketched.highs[:, dim]
+                levels = split.bank.level_sums(dim, letter, lows, highs)
+                assert np.array_equal(levels.sum(axis=2),
+                                      one_cell.bank.letter_sums(dim, letter, lows, highs))
                 assert np.array_equal(
-                    split.bank.level_sums(dim, letter, lows, highs).sum(axis=2),
-                    one_cell.bank.letter_sums(dim, letter, lows, highs))
+                    np.add.reduceat(levels, band_starts(banded.bank.bands[dim]), axis=2),
+                    banded.bank.level_sums(dim, letter, lows, highs))
 
 
 class TestEveryPathAgrees:
@@ -171,7 +184,7 @@ class TestLevelSums:
         # A one-cell bank over the very same xi families never shares them.
         split = estimator.bank
         one_cell = SketchBank(split.domain, split.words, 256,
-                              xi_banks=split.xi_banks, split_levels=False)
+                              xi_banks=split.xi_banks)
         interval = (Letter.INTERVAL, np.array([0]), np.array([9]))
         assert _family_key(LetterSumRef(split, 0, *interval)) != \
             _family_key(LetterSumRef(one_cell, 0, *interval))

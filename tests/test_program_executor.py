@@ -37,7 +37,7 @@ from repro.geometry.boxset import BoxSet
 from repro.service import EstimationService, EstimatorSpec
 from repro.service.specs import compile_programs
 
-from tests.helpers import scalar_letter_sums
+from tests.helpers import identity_bands, scalar_letter_sums
 
 #: Family -> (domain sizes, update sides, extra spec options).
 FAMILY_CASES = {
@@ -84,21 +84,21 @@ def reference_scalar_estimate(family: str, view, query=None):
     if family in PAIRED_FAMILIES:
         values = np.zeros(view.num_instances, dtype=np.float64)
         for (left_word, right_word), coefficient in view._combos.items():
-            values += coefficient * (view.side_bank("left").counter(left_word)
-                                     * view.side_bank("right").counter(right_word))
+            values += coefficient * (view.side_bank("left").word_cells(left_word).sum(axis=1)
+                                     * view.side_bank("right").word_cells(right_word).sum(axis=1))
         left, right = view.left_count, view.right_count
     elif family == "epsilon":
         points = (Letter.LOWER_POINT,) * view.dimension
         cubes = (Letter.INTERVAL,) * view.dimension
-        values = (view.side_bank("left").counter(points)
-                  * view.side_bank("right").counter(cubes))
+        values = (view.side_bank("left").word_cells(points).sum(axis=1)
+                  * view.side_bank("right").word_cells(cubes).sum(axis=1))
         left, right = view.left_count, view.right_count
     elif family == "containment":
         # Z = X_outer * Y_inner over the doubled domain (Appendix B.2).
         boxes = (Letter.INTERVAL,) * (2 * view.dimension)
         points = (Letter.LOWER_POINT,) * (2 * view.dimension)
-        values = (view.side_bank("outer").counter(boxes)
-                  * view.side_bank("inner").counter(points))
+        values = (view.side_bank("outer").word_cells(boxes).sum(axis=1)
+                  * view.side_bank("inner").word_cells(points).sum(axis=1))
         state = view.state_dict()
         left, right = state["outer_count"], state["inner_count"]
     elif family == "range":
@@ -140,9 +140,9 @@ def _reference_range_values(view, query_box: BoxSet) -> np.ndarray:
                 sums *= scalar_letter_sums(
                     bank, dim, letter, query_box.lows[:, dim],
                     query_box.highs[:, dim])[:, 0]
-            values += bank.counter(word) * sums
+            values += bank.word_cells(word).sum(axis=1) * sums
             continue
-        # Each cell times the query's sums on the same levels; where the
+        # Each cell times the query's sums on the same bands; where the
         # counter word reads U, the query range ends at v - 1.
         lows = query_box.lows[0]
         highs = query_box.highs[0] - [letter is Letter.UPPER_POINT for letter in word]
@@ -152,7 +152,7 @@ def _reference_range_values(view, query_box: BoxSet) -> np.ndarray:
         for dim, letter in enumerate(view._query_word(word)):
             levels = scalar_letter_sums(
                 bank, dim, letter, lows[dim:dim + 1], highs[dim:dim + 1],
-                by_level=True)[:, 0]
+                bands=bank.bands[dim])[:, 0]
             sums = (sums[:, :, None] * levels[:, None, :]).reshape(
                 view.num_instances, -1)
         values += (bank.word_cells(word) * sums).sum(axis=1)
@@ -363,7 +363,7 @@ class TestExecutorUnit:
         from repro.core.domain import Domain
 
         estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
-                                        split_levels=True)
+                                        bands=identity_bands(Domain((64, 64))))
         estimator.update("data", _boxes(rng, 20, (64, 64), degenerate=False))
         program = estimator.lower(_boxes(rng, 2, (64, 64), degenerate=False))[0]
         description = describe_program(program)
@@ -401,8 +401,9 @@ class TestExecutorUnit:
         result, and no result views the chunk's shared matrices."""
         from repro.core.domain import Domain
 
-        estimator = RangeQueryEstimator(Domain((64, 64)), 8, seed=1,
-                                        split_levels=split_levels)
+        domain = Domain((64, 64))
+        estimator = RangeQueryEstimator(
+            domain, 8, seed=1, bands=identity_bands(domain) if split_levels else None)
         estimator.update("data", _boxes(rng, 20, (64, 64), degenerate=False))
         results = ProgramExecutor().run(estimator.lower(
             _boxes(rng, 5, (64, 64), degenerate=False)))

@@ -172,8 +172,8 @@ class TestSnapshots:
         merged = restored.merged_view("join")
         assert merged.left_count == 120
         for word in single.side_bank("left").words:
-            assert np.array_equal(merged.side_bank("left").counter(word),
-                                  single.side_bank("left").counter(word))
+            assert np.array_equal(merged.side_bank("left").word_cells(word).sum(axis=1),
+                                  single.side_bank("left").word_cells(word).sum(axis=1))
 
     def test_snapshot_includes_pending_updates(self, rng, tmp_path):
         service = _service(flush_threshold=None)
@@ -224,8 +224,8 @@ class TestStreamIngest:
         merged = service.merged_view("join")
         assert merged.left_count == len(final) == 400 - round(0.3 * 400)
         for word in single.side_bank("left").words:
-            assert np.array_equal(merged.side_bank("left").counter(word),
-                                  single.side_bank("left").counter(word))
+            assert np.array_equal(merged.side_bank("left").word_cells(word).sum(axis=1),
+                                  single.side_bank("left").word_cells(word).sum(axis=1))
 
     def test_synthetic_boxes_shapes(self):
         domain = Domain.square(128, dimension=3)

@@ -290,11 +290,11 @@ class TestExactness:
         single = self._reference(spec, batches)
         merged = store.merge_view("est")
         for word in single.side_bank("left").words:
-            assert np.array_equal(merged.side_bank("left").counter(word),
-                                  single.side_bank("left").counter(word))
+            assert np.array_equal(merged.side_bank("left").word_cells(word).sum(axis=1),
+                                  single.side_bank("left").word_cells(word).sum(axis=1))
         for word in single.side_bank("right").words:
-            assert np.array_equal(merged.side_bank("right").counter(word),
-                                  single.side_bank("right").counter(word))
+            assert np.array_equal(merged.side_bank("right").word_cells(word).sum(axis=1),
+                                  single.side_bank("right").word_cells(word).sum(axis=1))
         assert merged.left_count == single.left_count
         assert merged.right_count == single.right_count
 
